@@ -6,7 +6,7 @@ use crate::CliError;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
-use whirlpool_serve::{DocState, Registry, ServeConfig};
+use whirlpool_serve::{DocState, Prepare, Registry, ServeConfig};
 use whirlpool_store::is_snapshot_version;
 
 const VALUE_FLAGS: &[&str] = &[
@@ -102,7 +102,10 @@ fn configure(argv: &[&str]) -> Result<(ServeConfig, Registry), CliError> {
 
 pub fn run(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
     let (config, registry) = configure(argv)?;
-    let warm = registry.all().iter().filter(|d| d.is_snapshot()).count();
+    let warm = registry
+        .docs()
+        .filter(|d| !matches!(d.prepare, Prepare::Indexed { .. }))
+        .count();
     writeln!(
         out,
         "loaded {} document(s) ({warm} warm-attached); listening on {} \
@@ -184,13 +187,20 @@ mod tests {
         whirlpool_store::save_snapshot(&doc, &index, &wps).unwrap();
         let (_, registry) = configure(&[&wps.to_string_lossy()]).unwrap();
         let state = registry.get("direct").unwrap();
-        assert!(state.is_snapshot(), "positional .wps must warm-attach");
+        assert_eq!(
+            state.prepare.stat_name(),
+            "snapshot_attach_ms",
+            "positional .wps must warm-attach"
+        );
 
         // Cold boot with --snapshot-dir: parsed (cache empty).
         let dir_flag = cache.to_string_lossy().into_owned();
         let (config, registry) = configure(&[&xml, "--snapshot-dir", &dir_flag]).unwrap();
         assert_eq!(config.snapshot_dir.as_deref(), Some(cache.as_path()));
-        assert!(!registry.get("books").unwrap().is_snapshot());
+        assert_eq!(
+            registry.get("books").unwrap().prepare.stat_name(),
+            "index_build_ms"
+        );
 
         // Once the cache holds a fresh books.wps, the same boot warms —
         // lazily: only the synopsis loads until a query needs more.
@@ -199,10 +209,15 @@ mod tests {
             configure(&[&xml, "--snapshot-dir", &dir_flag, "--max-resident", "2"]).unwrap();
         assert_eq!(config.max_resident, 2);
         let state = registry.get("books").unwrap();
-        assert!(state.is_snapshot(), "fresh cached snapshot counts warm");
-        assert!(state.is_lazy(), "snapshot-dir snapshots load lazily");
-        assert!(!state.is_resident(), "nothing attached before a query");
-        assert_eq!(state.prepare.stat_name(), "snapshot_peek_ms");
+        assert_eq!(
+            state.prepare.stat_name(),
+            "snapshot_peek_ms",
+            "fresh cached snapshots load lazily"
+        );
+        assert!(
+            !state.shard().is_resident(),
+            "nothing attached before a query"
+        );
 
         // A stale snapshot (source rewritten after it) is ignored.
         std::thread::sleep(std::time::Duration::from_millis(20));
@@ -212,8 +227,9 @@ mod tests {
             "<shelf><book><title>emma</title></book></shelf>",
         );
         let (_, registry) = configure(&[&xml, "--snapshot-dir", &dir_flag]).unwrap();
-        assert!(
-            !registry.get("books").unwrap().is_snapshot(),
+        assert_eq!(
+            registry.get("books").unwrap().prepare.stat_name(),
+            "index_build_ms",
             "stale snapshot must fall back to a parse"
         );
 

@@ -411,6 +411,65 @@ fn query_collection_dir_and_json_shape() {
     assert!(out.trim_end().ends_with('}'), "{out}");
 }
 
+/// The unsigned integer after `"<field>": ` in a JSON rendering.
+fn json_u64(json: &str, field: &str) -> u64 {
+    let at = json
+        .find(&format!("\"{field}\": "))
+        .unwrap_or_else(|| panic!("no {field} in {json}"));
+    json[at + field.len() + 4..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect::<String>()
+        .parse()
+        .unwrap()
+}
+
+#[test]
+fn query_collection_op_budget_bounds_the_whole_run() {
+    let dir = scratch("coll-budget");
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut shelf = String::from("<shelf>");
+    for i in 0..600 {
+        shelf.push_str("<book><title>t</title>");
+        if i % 3 == 0 {
+            shelf.push_str("<isbn>1</isbn>");
+        }
+        shelf.push_str("</book>");
+    }
+    shelf.push_str("</shelf>");
+    for i in 0..4 {
+        std::fs::write(dir.join(format!("s{i}.xml")), &shelf).unwrap();
+    }
+    let query = |extra: &[&str]| {
+        let mut argv = vec![
+            "query",
+            "--collection",
+            dir.to_str().unwrap(),
+            "//book[./title and ./isbn]",
+            "--k",
+            "5",
+            "--json",
+        ];
+        argv.extend_from_slice(extra);
+        run_ok(&argv)
+    };
+    let full = query(&[]);
+    assert!(full.contains("\"result\": \"exact\""), "{full}");
+    // A third of the corpus's work: more than any one of the four
+    // shards needs, so only a corpus-wide budget binds.
+    let budget = json_u64(&full, "server_ops") / 3;
+    let allowance = budget + whirlpool_core::INTERRUPT_SPAN as u64;
+    assert!(
+        json_u64(&full, "server_ops") > allowance,
+        "fixture too small"
+    );
+
+    let cut = query(&["--max-ops", &budget.to_string()]);
+    assert!(cut.contains("\"result\": \"truncated\""), "{cut}");
+    assert!(json_u64(&cut, "server_ops") <= allowance, "{cut}");
+    assert!(json_u64(&cut, "shards_skipped_budget") >= 1, "{cut}");
+}
+
 #[test]
 fn query_split_shards_one_document() {
     let file = sample_file();

@@ -46,7 +46,8 @@ use crate::assist::AssistRegistry;
 use crate::context::{ContextOptions, QueryContext, RelaxMode};
 use crate::engine::{evaluate_with_context, Algorithm, EvalOptions};
 use crate::error::Completeness;
-use crate::metrics::MetricsSnapshot;
+use crate::fault::Budget;
+use crate::metrics::{Metrics, MetricsSnapshot};
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -99,6 +100,64 @@ pub struct Shard {
 }
 
 impl Shard {
+    /// A shard over a parsed document and the index built from it;
+    /// builds the synopsis and path synopsis.
+    pub fn parsed(name: impl Into<String>, doc: Document, index: TagIndex) -> Shard {
+        let synopsis = ShardSynopsis::build(&doc);
+        let paths = PathSynopsis::build(&doc);
+        Shard {
+            name: name.into(),
+            backing: ShardBacking::Parsed { doc, index },
+            synopsis,
+            paths: Some(paths),
+        }
+    }
+
+    /// A shard over an attached snapshot. No parse or index build
+    /// happens: the snapshot's flat arrays serve queries directly and
+    /// its synopses (derived or stored at attach) drive shard pruning.
+    ///
+    /// A snapshot that knows its source file becomes a *lazy* shard
+    /// with the attachment pre-resident, so the residency manager can
+    /// evict it under [`Collection::set_max_resident`] pressure and
+    /// re-attach it from disk when next visited. A snapshot without a
+    /// source path (built in memory) stays eagerly resident forever.
+    pub fn attached(name: impl Into<String>, snapshot: Snapshot) -> Shard {
+        let synopsis = snapshot.synopsis().clone();
+        let paths = snapshot.path_synopsis().cloned();
+        let backing = match snapshot.source_path() {
+            Some(p) => ShardBacking::Lazy(LazyShard {
+                path: p.to_path_buf(),
+                resident: Mutex::new(Some(Arc::new(snapshot))),
+                peeked: false,
+            }),
+            None => ShardBacking::Snapshot(Box::new(snapshot)),
+        };
+        Shard {
+            name: name.into(),
+            backing,
+            synopsis,
+            paths,
+        }
+    }
+
+    /// A *lazy* shard over the snapshot file at `path`: only the header
+    /// and synopsis sections are read ([`Snapshot::peek`]); the payload
+    /// is mapped when (if) a query first visits the shard.
+    pub fn peeked(name: impl Into<String>, path: impl AsRef<Path>) -> Result<Shard, StoreError> {
+        let peek = Snapshot::peek(&path)?;
+        Ok(Shard {
+            name: name.into(),
+            backing: ShardBacking::Lazy(LazyShard {
+                path: path.as_ref().to_path_buf(),
+                resident: Mutex::new(None),
+                peeked: true,
+            }),
+            synopsis: peek.synopsis,
+            paths: peek.paths,
+        })
+    }
+
     /// The shard's display name (file name, or `split-NNN` for subtree
     /// shards).
     pub fn name(&self) -> &str {
@@ -250,75 +309,38 @@ impl Collection {
         Collection::default()
     }
 
+    /// Adds an already-built shard. A lazy shard that arrives with its
+    /// snapshot attached ([`Shard::attached`]) enters the residency
+    /// list as most recently used and counts as one attach.
+    pub fn push(&mut self, shard: Shard) {
+        if shard.is_lazy() && shard.is_resident() {
+            self.residency.mru.lock().push(self.shards.len());
+            self.residency.attached.fetch_add(1, Ordering::Relaxed);
+        }
+        self.shards.push(shard);
+    }
+
     /// Adds a parsed document as one shard, building its index,
     /// synopsis, and path synopsis.
     pub fn add_document(&mut self, name: impl Into<String>, doc: Document) {
         let index = TagIndex::build(&doc);
-        let synopsis = ShardSynopsis::build(&doc);
-        let paths = PathSynopsis::build(&doc);
-        self.shards.push(Shard {
-            name: name.into(),
-            backing: ShardBacking::Parsed { doc, index },
-            synopsis,
-            paths: Some(paths),
-        });
+        self.push(Shard::parsed(name, doc, index));
     }
 
-    /// Adds an attached snapshot as one shard. No parse or index build
-    /// happens: the snapshot's flat arrays serve queries directly and
-    /// its synopses (derived or stored at attach) drive shard pruning.
-    ///
-    /// A snapshot that knows its source file goes in as a *lazy* shard
-    /// with the attachment pre-resident, so the residency manager can
-    /// evict it under [`Collection::set_max_resident`] pressure and
-    /// re-attach it from disk when next visited. A snapshot without a
-    /// source path (built in memory) stays eagerly resident forever.
+    /// Adds an attached snapshot as one shard ([`Shard::attached`]).
     pub fn add_snapshot(&mut self, name: impl Into<String>, snapshot: Snapshot) {
-        let synopsis = snapshot.synopsis().clone();
-        let paths = snapshot.path_synopsis().cloned();
-        let backing = match snapshot.source_path() {
-            Some(p) => {
-                let path = p.to_path_buf();
-                let idx = self.shards.len();
-                self.residency.mru.lock().push(idx);
-                self.residency.attached.fetch_add(1, Ordering::Relaxed);
-                ShardBacking::Lazy(LazyShard {
-                    path,
-                    resident: Mutex::new(Some(Arc::new(snapshot))),
-                    peeked: false,
-                })
-            }
-            None => ShardBacking::Snapshot(Box::new(snapshot)),
-        };
-        self.shards.push(Shard {
-            name: name.into(),
-            backing,
-            synopsis,
-            paths,
-        });
+        self.push(Shard::attached(name, snapshot));
     }
 
-    /// Adds the snapshot file at `path` as one *lazy* shard, named by
-    /// its file stem: only the header and synopsis sections are read
-    /// ([`Snapshot::peek`]); the payload is mapped when (if) the shard
-    /// is first visited by a query.
+    /// Adds the snapshot file at `path` as one lazy shard
+    /// ([`Shard::peeked`]), named by its file stem.
     pub fn attach_snapshot_file(&mut self, path: impl AsRef<Path>) -> Result<(), StoreError> {
         let path = path.as_ref();
         let name = path
             .file_stem()
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_else(|| path.display().to_string());
-        let peek = Snapshot::peek(path)?;
-        self.shards.push(Shard {
-            name,
-            backing: ShardBacking::Lazy(LazyShard {
-                path: path.to_path_buf(),
-                resident: Mutex::new(None),
-                peeked: true,
-            }),
-            synopsis: peek.synopsis,
-            paths: peek.paths,
-        });
+        self.push(Shard::peeked(name, path)?);
         Ok(())
     }
 
@@ -620,12 +642,9 @@ impl Collection {
 /// (inner-join semantics), so *any* absent server tag — not just
 /// the answer tag — empties the shard.
 ///
-/// This is a free function (rather than only a [`Collection`] method)
-/// so callers that hold their shards in their own structures — the
-/// serve daemon's document registry, for instance — can run the same
-/// pruning rule without rebuilding a `Collection`. It delegates to
-/// [`shard_ceiling_with_paths`] with no path synopsis — tag counts
-/// only.
+/// This is the tag-count bound alone — [`shard_ceiling_with_paths`]
+/// with no path synopsis — which the path-aware ceiling the driver
+/// uses must never exceed.
 pub fn shard_ceiling(
     synopsis: &ShardSynopsis,
     pattern: &TreePattern,
@@ -815,8 +834,9 @@ pub struct CollectionMetrics {
     /// when pruned: shards whose payload was **never read from disk** —
     /// the whole point of attach-on-visit.
     pub shards_pruned_before_attach: usize,
-    /// Shards skipped because the deadline expired before they were
-    /// claimed.
+    /// Shards left unevaluated: the corpus budget (deadline, op budget
+    /// or cancel token) was spent before they were claimed, or their
+    /// attach failed.
     pub shards_skipped_budget: usize,
     /// Lazy-shard attaches performed during this run.
     pub shards_attached: u64,
@@ -908,10 +928,14 @@ impl GlobalTopK {
 /// are visited ceiling-descending; `options` configures the per-shard
 /// engine runs (its `k`, `relax`, deadline, etc. — `threads` is
 /// overridden per [`CollectionOptions::threads`], and
-/// `threshold_floor` is owned by the driver). A deadline in `options`
-/// bounds the *whole* collection run: each shard gets the remaining
-/// time, and shards the deadline overruns are accounted into the
-/// truncation certificate by their ceilings.
+/// `threshold_floor` is owned by the driver). The deadline, op budget
+/// and cancel token in `options` bound the *whole* collection run as
+/// one corpus-level [`Budget`]: it is checked before a shard is pruned
+/// or attached, each visited shard is granted what is left and charged
+/// for the server operations it spent, and shards the budget overruns
+/// are accounted into the truncation certificate by their ceilings.
+/// (With several shard-level workers, shards in flight at once are each
+/// granted the remainder as of their claim.)
 pub fn evaluate_collection(
     collection: &Collection,
     pattern: &TreePattern,
@@ -921,6 +945,10 @@ pub fn evaluate_collection(
     copts: &CollectionOptions,
 ) -> CollectionResult {
     let start = Instant::now();
+    let budget =
+        Budget::new(options.deadline, options.max_server_ops).with_cancel(options.cancel.clone());
+    // Only `server_ops` is charged: it is what the budget reads.
+    let spent = Metrics::new();
     let model = collection.corpus_stats(pattern).model(normalization);
 
     // Ceiling-descending visit order: rich shards first, so the global
@@ -957,6 +985,15 @@ pub fn evaluate_collection(
     let active_evals = AtomicUsize::new(0);
     let assists = AtomicU64::new(0);
 
+    // A shard left unevaluated is certified by its ceiling: whatever
+    // it could have held scores no higher.
+    let skip_unevaluated = |ceiling: Option<Score>| {
+        budget_skipped.fetch_add(1, Ordering::Relaxed);
+        truncated
+            .lock()
+            .expired(1, ceiling.map_or(0.0, |c| c.value()));
+    };
+
     let worker = |_w: usize| {
         loop {
             let at = cursor.fetch_add(1, Ordering::Relaxed);
@@ -965,13 +1002,11 @@ pub fn evaluate_collection(
             }
             let (shard_idx, ceiling) = order[at];
 
-            // Deadline first: an expired collection budget skips the
-            // shard and certifies the skip with the shard's ceiling.
-            let remaining = options.deadline.map(|d| d.saturating_sub(start.elapsed()));
-            if remaining == Some(Duration::ZERO) {
-                budget_skipped.fetch_add(1, Ordering::Relaxed);
-                let bound = ceiling.map_or(0.0, |c| c.value());
-                truncated.lock().expired(1, bound);
+            // Budget first, before anything touches the shard: once the
+            // deadline, the op budget or the cancel token is spent, no
+            // further shard is attached.
+            if budget.exhausted(&spent) {
+                skip_unevaluated(ceiling);
                 continue;
             }
 
@@ -996,17 +1031,14 @@ pub fn evaluate_collection(
             let access = match collection.acquire(shard_idx) {
                 Ok(a) => a,
                 // An attach failure (file vanished, corrupted on disk)
-                // is accounted like a budget skip: the certificate's
-                // bound covers whatever the shard could have held.
+                // is accounted like a budget skip.
                 Err(_) => {
-                    budget_skipped.fetch_add(1, Ordering::Relaxed);
-                    let bound = ceiling.map_or(0.0, |c| c.value());
-                    truncated.lock().expired(1, bound);
+                    skip_unevaluated(ceiling);
                     continue;
                 }
             };
             let mut shard_opts = options.clone();
-            shard_opts.deadline = remaining;
+            (shard_opts.deadline, shard_opts.max_server_ops) = budget.remaining(&spent);
             shard_opts.trace = false;
             if workers > 1 {
                 shard_opts.threads = 1;
@@ -1032,6 +1064,9 @@ pub fn evaluate_collection(
             let result = evaluate_with_context(&ctx, algorithm, &shard_opts);
             active_evals.fetch_sub(1, Ordering::SeqCst);
             visited.fetch_add(1, Ordering::Relaxed);
+            spent
+                .server_ops
+                .fetch_add(result.metrics.server_ops, Ordering::Relaxed);
             global.merge(shard_idx, &result.answers);
             metrics.lock().absorb(&result.metrics);
             if let Completeness::Truncated {
@@ -1414,6 +1449,116 @@ mod tests {
         }
     }
 
+    /// `books` books; every third holds a full match, the rest a title.
+    fn shelf(books: usize) -> String {
+        let mut src = String::from("<shelf>");
+        for i in 0..books {
+            src.push_str("<book><title>t</title>");
+            if i % 3 == 0 {
+                src.push_str("<isbn>1</isbn><price>2</price>");
+            }
+            src.push_str("</book>");
+        }
+        src.push_str("</shelf>");
+        src
+    }
+
+    #[test]
+    fn op_budget_bounds_the_whole_run_not_each_shard() {
+        let mut c = Collection::new();
+        for i in 0..4 {
+            c.add_source(format!("s{i}"), &shelf(600)).unwrap();
+        }
+        let pattern = q();
+        let run = |max_server_ops| {
+            let mut options = EvalOptions::top_k(5);
+            options.max_server_ops = max_server_ops;
+            evaluate_collection(
+                &c,
+                &pattern,
+                &Algorithm::WhirlpoolS,
+                &options,
+                Normalization::Sparse,
+                &CollectionOptions::scan_all(),
+            )
+        };
+        let full = run(None);
+        assert!(matches!(full.completeness, Completeness::Exact));
+        assert_eq!(full.collection_metrics.shards_visited, 4);
+
+        // A third of the work: more than any one shard needs (so a
+        // per-shard budget of this size would never bind), less than
+        // the corpus needs.
+        let n = full.metrics.server_ops / 3;
+        let allowance = n + crate::INTERRUPT_SPAN as u64;
+        assert!(full.metrics.server_ops > allowance, "fixture too small");
+        let cut = run(Some(n));
+        assert!(
+            cut.metrics.server_ops <= allowance,
+            "{} ops spent under a corpus budget of {n}",
+            cut.metrics.server_ops
+        );
+        let m = &cut.collection_metrics;
+        assert!(m.shards_skipped_budget >= 1, "{m:?}");
+        assert_eq!(m.shards_visited + m.shards_skipped_budget, 4, "{m:?}");
+        let Completeness::Truncated { score_bound, .. } = cut.completeness else {
+            panic!("a spent op budget must truncate: {:?}", cut.completeness)
+        };
+        for a in &full.answers {
+            let returned = cut
+                .answers
+                .iter()
+                .any(|b| (b.shard, b.root) == (a.shard, a.root));
+            assert!(
+                returned || a.score.value() <= score_bound + 1e-9,
+                "missing answer {a:?} scores above the certified bound {score_bound}"
+            );
+        }
+    }
+
+    #[test]
+    fn cancelled_run_attaches_nothing() {
+        let dir = snapshot_dir(
+            "cancel",
+            &[("s0", RICH), ("s1", MID), ("s2", POOR), ("s3", MISMATCH)],
+        );
+        let c = Collection::open_dir(&dir).unwrap();
+        let pattern = q();
+        let token = crate::CancelToken::new();
+        token.cancel();
+        let mut options = EvalOptions::top_k(3);
+        options.cancel = Some(token);
+        let run = evaluate_collection(
+            &c,
+            &pattern,
+            &Algorithm::WhirlpoolS,
+            &options,
+            Normalization::Sparse,
+            &CollectionOptions::default(),
+        );
+        let m = &run.collection_metrics;
+        assert_eq!(m.shards_attached, 0, "a tripped token must not map shards");
+        assert_eq!(c.resident_count(), 0);
+        assert_eq!(m.shards_skipped_budget, 4, "{m:?}");
+        assert!(run.answers.is_empty());
+        let model = c.corpus_stats(&pattern).model(Normalization::Sparse);
+        let top_ceiling = (0..c.len())
+            .filter_map(|i| c.shard_ceiling(i, &pattern, &model, RelaxMode::Relaxed))
+            .max()
+            .unwrap();
+        match run.completeness {
+            Completeness::Truncated {
+                pending_matches,
+                score_bound,
+            } => {
+                assert_eq!(pending_matches, 4);
+                assert_eq!(score_bound, top_ceiling.value());
+            }
+            c => panic!("expected truncation, got {c:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// All of RICH's tags, none of its arrangement: isbn and price
     /// live under <archive>, never under a <book>. Tag-count ceilings
     /// cannot tell this shard from RICH; path ceilings can.
@@ -1645,6 +1790,12 @@ mod tests {
         std::fs::copy(dir.join("only.wps"), dir.join("other.wps")).unwrap();
         c.attach_snapshot_file(dir.join("other.wps")).unwrap();
         c.set_max_resident(1);
+        // A pinned shard is not a victim: the cap is a target.
+        let pin = c.acquire(0).unwrap();
+        let access = c.acquire(1).unwrap();
+        assert!(c.shards()[0].is_resident(), "pinned shards stay mapped");
+        assert_eq!(c.eviction_count(), 0);
+        drop((pin, access));
         let access = c.acquire(1).unwrap();
         drop(access);
         assert!(!c.shards()[0].is_resident(), "LRU shard 0 was evicted");

@@ -289,6 +289,18 @@ impl Budget {
         false
     }
 
+    /// What is left of the deadline and of the op budget with the
+    /// operations counted in `metrics` spent: what a driver that
+    /// spreads one budget over several runs grants the next run.
+    pub fn remaining(&self, metrics: &Metrics) -> (Option<Duration>, Option<u64>) {
+        (
+            self.deadline
+                .map(|d| d.saturating_sub(self.start.elapsed())),
+            self.max_ops
+                .map(|m| m.saturating_sub(metrics.server_ops.load(Ordering::Relaxed))),
+        )
+    }
+
     /// The absolute instant the deadline falls on, if one is set.
     fn deadline_at(&self) -> Option<Instant> {
         self.deadline.map(|d| self.start + d)

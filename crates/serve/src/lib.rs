@@ -27,6 +27,12 @@
 //!   faults, and `/healthz` + `/metrics` endpoints whose counters obey
 //!   the conservation law `admitted = exact + degraded + timed_out`.
 //!
+//! The documents of a [`Registry`] become the shards of one
+//! [`whirlpool_core::Collection`] when the daemon starts; holding,
+//! attaching, evicting and pruning them — per-document and
+//! `"collection": true` requests alike — is that collection's job,
+//! not the daemon's.
+//!
 //! ## Protocol
 //!
 //! ```text
@@ -34,6 +40,7 @@
 //! GET  /metrics            daemon counters (JSON)
 //! POST /query              {"doc": "name", "query": "//item[./a]", "k": 5,
 //!                           "fault": "server=2:panic@100", "fault_seed": 7}
+//!                          {"collection": true, "query": "//item[./a]", "k": 5}
 //! ```
 //!
 //! One request per connection (`Connection: close`): the protocol
@@ -78,4 +85,4 @@ pub use governor::{Admission, FireCause, Permit, Rung, Watchdog};
 pub use json::{escape, Json, JsonError};
 pub use metrics::{RungHistory, ServeMetrics, ServeMetricsSnapshot};
 pub use server::{serve_blocking, start, ServeConfig, ServerHandle};
-pub use shared::{DocAccess, DocState, Prepare, Registry, Residency, Shared};
+pub use shared::{DocState, Prepare, Registry};

@@ -2,24 +2,24 @@
 //! (parse → admit → pick a rung → evaluate under watchdog → classify).
 
 use crate::error::{Outcome, RejectReason, ServeError};
-use crate::governor::{Admission, Rung, Watchdog};
+use crate::governor::{Admission, Permit, Rung, WatchGuard, Watchdog};
 use crate::http::{read_request, respond, Request};
 use crate::json::{escape, Json};
 use crate::metrics::{RungHistory, ServeMetrics};
-use crate::shared::{DocState, Registry, Residency, Shared};
-use std::collections::{BTreeSet, VecDeque};
+use crate::shared::{Corpus, Registry};
+use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use whirlpool_core::{
-    evaluate_with_context, shard_ceiling_with_paths, Algorithm, CancelToken, Completeness,
-    ContextOptions, EvalOptions, EvalResult, FaultPlan, QueryContext,
+    evaluate_collection, evaluate_with_context, Algorithm, CancelToken, Collection,
+    CollectionOptions, CollectionResult, Completeness, ContextOptions, EvalOptions, EvalResult,
+    FaultPlan, QueryContext,
 };
 use whirlpool_index::DocView;
 use whirlpool_pattern::WILDCARD;
-use whirlpool_score::{CorpusStats, Normalization, Score, TfIdfModel};
-use whirlpool_xml::NodeId;
+use whirlpool_score::{Normalization, TfIdfModel};
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -48,10 +48,10 @@ pub struct ServeConfig {
     /// background thread, so the *next* boot peeks it in O(synopsis)
     /// instead of re-indexing.
     pub snapshot_dir: Option<std::path::PathBuf>,
-    /// Residency target for lazily-peeked documents: at most this many
-    /// attached snapshots at once (0 = unlimited). A target, not a
-    /// hard cap — snapshots pinned by in-flight queries are not
-    /// evictable.
+    /// Residency target for snapshot-backed documents (peeked or
+    /// attached): at most this many mapped at once (0 = unlimited),
+    /// handed to [`Collection::set_max_resident`]. A target, not a hard
+    /// cap — snapshots pinned by in-flight queries are not evictable.
     pub max_resident: usize,
 }
 
@@ -124,13 +124,15 @@ impl ConnQueue {
 /// Everything a worker needs, cheaply clonable.
 #[derive(Clone)]
 struct Daemon {
-    registry: Shared<Registry>,
+    corpus: Arc<Corpus>,
     admission: Arc<Admission>,
     watchdog: Arc<Watchdog>,
     metrics: Arc<ServeMetrics>,
     config: Arc<ServeConfig>,
     request_seq: Arc<AtomicU64>,
-    residency: Arc<Residency>,
+    /// Lazy documents that collection requests pruned off their
+    /// ceilings while unmapped — the attaches the synopses saved.
+    pruned_before_attach: Arc<AtomicU64>,
     history: Arc<RungHistory>,
 }
 
@@ -182,16 +184,16 @@ pub fn start(config: ServeConfig, registry: Registry) -> std::io::Result<ServerH
 
     let shutdown = Arc::new(AtomicBool::new(false));
     let queue = Arc::new(ConnQueue::new(config.queue_depth));
-    let residency = registry.residency();
-    residency.set_max_resident(config.max_resident);
+    let corpus = registry.freeze();
+    corpus.collection.set_max_resident(config.max_resident);
     let daemon = Daemon {
-        registry: Shared::new(registry),
+        corpus: Arc::new(corpus),
         admission: Arc::new(Admission::new(config.max_inflight, config.capacity_ops)),
         watchdog: Watchdog::start(),
         metrics: Arc::new(ServeMetrics::default()),
         config: Arc::new(config),
         request_seq: Arc::new(AtomicU64::new(0)),
-        residency,
+        pruned_before_attach: Arc::new(AtomicU64::new(0)),
         history: Arc::new(RungHistory::default()),
     };
 
@@ -237,21 +239,16 @@ pub fn start(config: ServeConfig, registry: Registry) -> std::io::Result<ServerH
     // Off the request path entirely — the thread holds only `Arc`s and
     // exits when the last document is written.
     if let Some(dir) = daemon.config.snapshot_dir.clone() {
-        let parsed: Vec<Arc<DocState>> = daemon
-            .registry
-            .read()
-            .all()
-            .into_iter()
-            .filter(|d| !d.is_snapshot())
-            .collect();
-        if !parsed.is_empty() {
+        let corpus = daemon.corpus.clone();
+        let shards = corpus.collection.shards();
+        if shards.iter().any(|s| s.as_parsed().is_some()) {
             threads.push(
                 std::thread::Builder::new()
                     .name("serve-snapshotter".into())
                     .spawn(move || {
                         let _ = std::fs::create_dir_all(&dir);
-                        for d in parsed {
-                            let Some((doc, index)) = d.as_parsed() else {
+                        for shard in corpus.collection.shards() {
+                            let Some((doc, index)) = shard.as_parsed() else {
                                 continue;
                             };
                             // Write-then-rename: a crash mid-write must
@@ -259,8 +256,8 @@ pub fn start(config: ServeConfig, registry: Registry) -> std::io::Result<ServerH
                             // the next warm start (attach would reject
                             // it, but the boot would fall back to a
                             // cold parse).
-                            let path = dir.join(format!("{}.wps", d.name));
-                            let tmp = dir.join(format!(".{}.wps.tmp", d.name));
+                            let path = dir.join(format!("{}.wps", shard.name()));
+                            let tmp = dir.join(format!(".{}.wps.tmp", shard.name()));
                             if whirlpool_store::save_snapshot(doc, index, &tmp).is_ok() {
                                 let _ = std::fs::rename(&tmp, &path);
                             } else {
@@ -369,7 +366,7 @@ fn route(daemon: &Daemon, conn: &mut TcpStream, request: &Request) -> Result<(),
             let body = format!(
                 "{{\"status\": \"ok\", \"documents\": {}, \"inflight\": {}, \
                  \"pressure\": {:.3}}}\n",
-                daemon.registry.read().len(),
+                daemon.corpus.collection.len(),
                 daemon.admission.inflight(),
                 daemon.admission.pressure(),
             );
@@ -381,23 +378,33 @@ fn route(daemon: &Daemon, conn: &mut TcpStream, request: &Request) -> Result<(),
             // `index_build_ms` for cold (parsed) documents,
             // `snapshot_attach_ms` for warm (attached) ones,
             // `snapshot_peek_ms` for lazy (peeked) ones.
-            let docs = daemon.registry.read().all();
+            let collection = &daemon.corpus.collection;
             let mut docs_json = String::from("[");
-            for (i, d) in docs.iter().enumerate() {
+            for (i, (shard, prepare)) in collection
+                .shards()
+                .iter()
+                .zip(&daemon.corpus.prepares)
+                .enumerate()
+            {
                 if i > 0 {
                     docs_json.push_str(", ");
                 }
                 docs_json.push_str(&format!(
                     "{{\"name\": \"{}\", \"backing\": \"{}\", \"resident\": {}, \
                      \"{}\": {:.3}}}",
-                    escape(&d.name),
-                    d.backing_label(),
-                    d.is_resident(),
-                    d.prepare.stat_name(),
-                    d.prepare.ms(),
+                    escape(shard.name()),
+                    prepare.backing_label(),
+                    shard.as_parsed().is_none() && shard.is_resident(),
+                    prepare.stat_name(),
+                    prepare.ms(),
                 ));
             }
             docs_json.push(']');
+            let peeked = collection
+                .shards()
+                .iter()
+                .filter(|s| s.admitted_by_peek())
+                .count();
             let base = daemon
                 .metrics
                 .snapshot()
@@ -405,9 +412,14 @@ fn route(daemon: &Daemon, conn: &mut TcpStream, request: &Request) -> Result<(),
             // Splice in the residency counters and the ladder's recent
             // decisions (same string surgery as the docs field).
             let body = format!(
-                "{}, \"shards\": {}, \"history\": {}}}\n",
+                "{}, \"shards\": {{\"attached\": {}, \"peeked\": {peeked}, \
+                 \"pruned_before_attach\": {}, \"evictions\": {}, \"resident\": {}}}, \
+                 \"history\": {}}}\n",
                 &base[..base.len() - 1],
-                daemon.residency.to_json(),
+                collection.attach_count(),
+                daemon.pruned_before_attach.load(Ordering::Relaxed),
+                collection.eviction_count(),
+                collection.resident_count(),
                 daemon.history.to_json(),
             );
             respond(conn, 200, &[], &body)?;
@@ -472,64 +484,38 @@ impl QueryRequest {
     }
 }
 
-fn handle_query(daemon: &Daemon, conn: &mut TcpStream, body: &[u8]) -> Result<(), ServeError> {
-    let req = QueryRequest::parse(body)?;
-    if req.collection {
-        return handle_collection_query(daemon, conn, req);
-    }
-    let doc_state: Arc<DocState> = daemon
-        .registry
-        .read()
-        .get(&req.doc)
-        .ok_or_else(|| ServeError::NotFound(req.doc.clone()))?;
-    let pattern = whirlpool_pattern::parse_pattern(&req.query)
-        .map_err(|e| ServeError::BadRequest(format!("query {:?}: {e}", req.query)))?;
-    // Validate the chaos spec before admission: a malformed spec is the
-    // client's fault, not load.
-    if let Some(spec) = &req.fault {
-        FaultPlan::parse(spec, req.fault_seed)?;
-    }
+/// An admitted request under the governor: its admission token, the
+/// rung that admission-time pressure picked, the watchdog guard, and
+/// engine options carrying the rung's budgets and the watchdog's
+/// cancel token.
+struct Governed {
+    permit: Permit,
+    rung: Rung,
+    guard: WatchGuard,
+    started: Instant,
+    deadline: Duration,
+    options: EvalOptions,
+}
 
-    // Parse/index happened at load time; per-request cost from here on
-    // is the score model, the context (selectivity sample), and the
-    // evaluation itself. A lazily-peeked document pays its one-time
-    // snapshot attach here, on first use.
-    let access = daemon
-        .residency
-        .acquire(&doc_state)
-        .map_err(|e| store_error(&doc_state.name, e))?;
-    let model = TfIdfModel::build_view(
-        access.doc(),
-        access.index(),
-        &pattern,
-        Normalization::Sparse,
-    );
-    let ctx = QueryContext::new_view(
-        access.doc(),
-        access.index(),
-        &pattern,
-        &model,
-        ContextOptions {
-            op_cost: req.op_cost,
-            ..ContextOptions::default()
-        },
-    );
-
-    // Admission: token bucket + the selectivity-based cost gate.
-    let estimate = ctx.cost_estimate();
-    let permit = match daemon.admission.try_admit(estimate.estimated_server_ops) {
-        Ok(p) => p,
-        Err(reason) => {
-            let retry_after = match reason {
-                RejectReason::Busy { .. } => Duration::from_secs(1),
-                RejectReason::TooExpensive { .. } => Duration::from_secs(2),
-            };
-            return Err(ServeError::Rejected {
-                reason,
-                retry_after,
-            });
-        }
-    };
+/// Admits a request predicted to cost `estimated_ops` (token bucket +
+/// cost gate; refusals are 429s), picks its rung, and puts it under
+/// the watchdog.
+fn govern(
+    daemon: &Daemon,
+    conn: &TcpStream,
+    estimated_ops: f64,
+    k: usize,
+) -> Result<Governed, ServeError> {
+    let permit = daemon
+        .admission
+        .try_admit(estimated_ops)
+        .map_err(|reason| ServeError::Rejected {
+            retry_after: Duration::from_secs(match reason {
+                RejectReason::Busy { .. } => 1,
+                RejectReason::TooExpensive { .. } => 2,
+            }),
+            reason,
+        })?;
 
     // The ladder: pressure at admission picks the rung and its budgets.
     let pressure = daemon.admission.pressure();
@@ -552,10 +538,104 @@ fn handle_query(daemon: &Daemon, conn: &mut TcpStream, body: &[u8]) -> Result<()
     // degraded + timed_out` conserved.
     daemon.metrics.admitted.fetch_add(1, Ordering::Relaxed);
 
-    let mut options = EvalOptions::top_k(req.k);
+    let mut options = EvalOptions::top_k(k);
     options.deadline = Some(deadline);
     options.max_server_ops = max_ops;
-    options.cancel = Some(cancel.clone());
+    options.cancel = Some(cancel);
+    Ok(Governed {
+        permit,
+        rung,
+        guard,
+        started,
+        deadline,
+        options,
+    })
+}
+
+impl Governed {
+    /// Classification: exactly one outcome per admitted request, before
+    /// any fallible I/O so the conservation law survives write errors.
+    /// Returns the outcome and its HTTP status.
+    fn finish(
+        self,
+        daemon: &Daemon,
+        conn: &TcpStream,
+        completeness: &Completeness,
+    ) -> (Outcome, u16) {
+        let fired = self.guard.fired();
+        drop(self.guard);
+        let outcome = match (fired, completeness) {
+            (Some(_), _) => Outcome::TimedOut,
+            (None, Completeness::Exact) => Outcome::Exact,
+            (None, Completeness::Truncated { .. }) => Outcome::Degraded,
+        };
+        daemon.metrics.classify(outcome);
+        drop(self.permit);
+        // Restore blocking I/O (the watchdog probe flipped the shared
+        // file description to non-blocking). Failure means the client
+        // is gone — the response write will fail harmlessly too.
+        let _ = conn.set_nonblocking(false);
+        let status = if outcome == Outcome::TimedOut {
+            504
+        } else {
+            200
+        };
+        (outcome, status)
+    }
+}
+
+fn handle_query(daemon: &Daemon, conn: &mut TcpStream, body: &[u8]) -> Result<(), ServeError> {
+    let req = QueryRequest::parse(body)?;
+    if req.collection {
+        return handle_collection_query(daemon, conn, req);
+    }
+    let idx = daemon
+        .corpus
+        .index_of(&req.doc)
+        .ok_or_else(|| ServeError::NotFound(req.doc.clone()))?;
+    let pattern = whirlpool_pattern::parse_pattern(&req.query)
+        .map_err(|e| ServeError::BadRequest(format!("query {:?}: {e}", req.query)))?;
+    // Validate the chaos spec before admission: a malformed spec is the
+    // client's fault, not load.
+    if let Some(spec) = &req.fault {
+        FaultPlan::parse(spec, req.fault_seed)?;
+    }
+
+    // Parse/index happened at load time; per-request cost from here on
+    // is the score model, the context (selectivity sample), and the
+    // evaluation itself. A snapshot-backed document that is not mapped
+    // (never visited, or evicted) pays its attach here.
+    let collection = &daemon.corpus.collection;
+    let access = collection.acquire(idx).map_err(|e| {
+        // An attach failure is the daemon's problem, not the client's:
+        // HTTP 500 via the transport-error class.
+        let name = collection.shards()[idx].name();
+        ServeError::Io(std::io::Error::other(format!("attach {name}: {e}")))
+    })?;
+    let model = TfIdfModel::build_view(
+        access.doc(),
+        access.index(),
+        &pattern,
+        Normalization::Sparse,
+    );
+    let ctx = QueryContext::new_view(
+        access.doc(),
+        access.index(),
+        &pattern,
+        &model,
+        ContextOptions {
+            op_cost: req.op_cost,
+            ..ContextOptions::default()
+        },
+    );
+
+    // Admission is priced off the context's selectivity sample.
+    let mut gov = govern(
+        daemon,
+        conn,
+        ctx.cost_estimate().estimated_server_ops,
+        req.k,
+    )?;
 
     // Bounded retry on transient faults: a run truncated by a *server
     // failure* (not by its budgets) is re-run with backoff — the fault
@@ -565,7 +645,7 @@ fn handle_query(daemon: &Daemon, conn: &mut TcpStream, body: &[u8]) -> Result<()
     let mut attempts = 0u32;
     let mut failed_before = 0;
     let result: EvalResult = loop {
-        options.fault_plan = req
+        gov.options.fault_plan = req
             .fault
             .as_deref()
             .map(|spec| FaultPlan::parse(spec, req.fault_seed.wrapping_add(attempts as u64)))
@@ -573,46 +653,28 @@ fn handle_query(daemon: &Daemon, conn: &mut TcpStream, body: &[u8]) -> Result<()
         // Whirlpool-S: the worker pool already provides cross-request
         // parallelism, so a per-request multi-threaded engine would
         // only add thread churn under load.
-        let r = evaluate_with_context(&ctx, &Algorithm::WhirlpoolS, &options);
+        let r = evaluate_with_context(&ctx, &Algorithm::WhirlpoolS, &gov.options);
         let newly_failed = r.metrics.servers_failed - failed_before;
         failed_before = r.metrics.servers_failed;
         let transient_fault = newly_failed > 0 && !r.completeness.is_exact();
         if transient_fault
             && attempts < daemon.config.retries
-            && guard.fired().is_none()
-            && started.elapsed() < deadline
+            && gov.guard.fired().is_none()
+            && gov.started.elapsed() < gov.deadline
         {
             attempts += 1;
             daemon.metrics.retries.fetch_add(1, Ordering::Relaxed);
             std::thread::sleep(Duration::from_millis(5 * attempts as u64));
             // The remaining wall budget shrinks with what the failed
             // attempt spent.
-            options.deadline = Some(deadline.saturating_sub(started.elapsed()));
+            gov.options.deadline = Some(gov.deadline.saturating_sub(gov.started.elapsed()));
             continue;
         }
         break r;
     };
 
-    // Classification: exactly one outcome per admitted request, before
-    // any fallible I/O so the conservation law survives write errors.
-    let fired = guard.fired();
-    drop(guard);
-    let outcome = match (fired, &result.completeness) {
-        (Some(_), _) => Outcome::TimedOut,
-        (None, Completeness::Exact) => Outcome::Exact,
-        (None, Completeness::Truncated { .. }) => Outcome::Degraded,
-    };
-    daemon.metrics.classify(outcome);
-    drop(permit);
-    // Restore blocking I/O (the watchdog probe flipped the shared file
-    // description to non-blocking). Failure means the client is gone —
-    // the response write below will fail harmlessly too.
-    let _ = conn.set_nonblocking(false);
-
-    let status = match outcome {
-        Outcome::TimedOut => 504,
-        _ => 200,
-    };
+    let (rung, started) = (gov.rung, gov.started);
+    let (outcome, status) = gov.finish(daemon, conn, &result.completeness);
     let body = query_response_json(
         daemon.request_seq.fetch_add(1, Ordering::Relaxed),
         access.doc(),
@@ -628,32 +690,14 @@ fn handle_query(daemon: &Daemon, conn: &mut TcpStream, body: &[u8]) -> Result<()
     Ok(())
 }
 
-/// One corpus-wide answer of a collection query: score, owning shard
-/// (an index into the sorted document list), answer node. Ordered so a
-/// `BTreeSet` keeps the weakest answer first and node ids from
-/// different documents cannot collide.
-type CollectionEntry = (Score, usize, NodeId);
-
-/// Shard-level accounting of one collection request.
-#[derive(Clone, Copy, Default)]
-struct ShardCounts {
-    total: usize,
-    visited: usize,
-    pruned: usize,
-    /// Pruned while the document was a lazy, non-resident snapshot —
-    /// the prune saved the attach itself.
-    pruned_before_attach: usize,
-    skipped_budget: usize,
-}
-
 /// The collection-mode pipeline: one request evaluated over *every*
-/// loaded document as a sharded corpus — corpus-level idf, global
-/// threshold sharing, synopsis-based shard pruning — the daemon's
-/// counterpart of [`whirlpool_core::evaluate_collection`], run over
-/// the registry's `DocState`s (which a `Collection` cannot borrow;
-/// it owns its shards). Shards run sequentially on the one worker
-/// thread: the pool already provides cross-request parallelism, so
-/// shard-level threads would only oversubscribe under load.
+/// loaded document as a sharded corpus by
+/// [`whirlpool_core::evaluate_collection`] — corpus-level idf, global
+/// threshold sharing, synopsis-based shard pruning, attach-on-visit —
+/// under the rung's budgets and the watchdog's cancel token. Shards
+/// run sequentially on the one worker thread: the pool already
+/// provides cross-request parallelism, so shard-level threads would
+/// only oversubscribe under load.
 ///
 /// Fault injection is rejected — the spec's server indices are
 /// per-document, so one spec cannot name servers across shards.
@@ -672,266 +716,94 @@ fn handle_collection_query(
             "collection mode queries every loaded document; drop the \"doc\" field".into(),
         ));
     }
-    let docs: Vec<Arc<DocState>> = daemon.registry.read().all();
-    if docs.is_empty() {
+    let collection = &daemon.corpus.collection;
+    if collection.is_empty() {
         return Err(ServeError::NotFound("no documents loaded".into()));
     }
     let pattern = whirlpool_pattern::parse_pattern(&req.query)
         .map_err(|e| ServeError::BadRequest(format!("query {:?}: {e}", req.query)))?;
-
-    // The corpus model: document-frequency counts pooled over every
-    // shard, so an answer's score does not depend on which document
-    // holds it. With any lazy document in the registry the synopsis
-    // path is used for *all* of them — the corpus model must not
-    // depend on which documents happen to be resident, or re-running
-    // the same query after evictions would score answers differently.
-    let answer_tag = pattern.node(pattern.root()).tag.clone();
-    let any_lazy = docs.iter().any(|d| d.is_lazy());
-    let mut stats = CorpusStats::new(&pattern);
-    for d in &docs {
-        if any_lazy {
-            stats.add_shard_synopsis(&d.synopsis, &answer_tag);
-        } else {
-            stats.add_shard_view(d.doc(), d.index(), &answer_tag);
-        }
-    }
-    let model = stats.model(Normalization::Sparse);
-
-    let mut options = EvalOptions::top_k(req.k);
-
-    // Ceiling-descending shard order: rich shards first, so the global
-    // threshold rises as fast as possible; provably answer-free shards
-    // (`None`) last. Stored path synopses tighten the ceilings without
-    // attaching anything.
-    let mut order: Vec<(usize, Option<Score>)> = docs
-        .iter()
-        .enumerate()
-        .map(|(i, d)| {
-            (
-                i,
-                shard_ceiling_with_paths(
-                    &d.synopsis,
-                    d.paths.as_ref(),
-                    &pattern,
-                    &model,
-                    options.relax,
-                ),
-            )
-        })
-        .collect();
-    order.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
 
     // Admission: the per-document path prices a request off its
     // context's selectivity sample, but building every shard's context
     // up front would defeat pruning's laziness. The synopses give a
     // coarse stand-in: candidate answer roots across the corpus, times
     // one op per server.
+    let answer_tag = pattern.node(pattern.root()).tag.as_str();
     let per_root_ops = pattern.server_ids().count() as f64 + 1.0;
-    let estimate: f64 = docs
+    let estimate: f64 = collection
+        .shards()
         .iter()
-        .map(|d| {
+        .map(|shard| {
             let roots = if answer_tag == WILDCARD {
-                d.synopsis.elements()
+                shard.synopsis().elements()
             } else {
-                d.synopsis.tag_count(&answer_tag)
+                shard.synopsis().tag_count(answer_tag)
             };
             roots as f64 * per_root_ops
         })
         .sum();
-    let permit = match daemon.admission.try_admit(estimate) {
-        Ok(p) => p,
-        Err(reason) => {
-            let retry_after = match reason {
-                RejectReason::Busy { .. } => Duration::from_secs(1),
-                RejectReason::TooExpensive { .. } => Duration::from_secs(2),
-            };
-            return Err(ServeError::Rejected {
-                reason,
-                retry_after,
-            });
-        }
-    };
+    let mut gov = govern(daemon, conn, estimate, req.k)?;
+    gov.options.op_cost = req.op_cost;
 
-    // The ladder and the watchdog govern the *whole* corpus run: each
-    // shard gets whatever wall clock and op budget the earlier shards
-    // left over.
-    let pressure = daemon.admission.pressure();
-    let rung = Rung::for_pressure(pressure);
-    daemon.history.record(rung.label(), pressure);
-    let (deadline, max_ops) = rung.budgets(daemon.config.base_deadline, daemon.config.capacity_ops);
-    let cancel = CancelToken::new();
-    let started = Instant::now();
-    let guard = daemon.watchdog.watch(
-        cancel.clone(),
-        started + deadline + daemon.config.watchdog_grace,
-        conn,
-    )?;
-    daemon.metrics.admitted.fetch_add(1, Ordering::Relaxed);
-    options.cancel = Some(cancel.clone());
+    let result = evaluate_collection(
+        collection,
+        &pattern,
+        &Algorithm::WhirlpoolS,
+        &gov.options,
+        Normalization::Sparse,
+        &CollectionOptions::default(),
+    );
+    daemon.pruned_before_attach.fetch_add(
+        result.collection_metrics.shards_pruned_before_attach as u64,
+        Ordering::Relaxed,
+    );
 
-    let mut topk: BTreeSet<CollectionEntry> = BTreeSet::new();
-    let mut threshold = Score::ZERO;
-    let mut counts = ShardCounts {
-        total: docs.len(),
-        ..ShardCounts::default()
-    };
-    let mut truncated = false;
-    let mut pending = 0u64;
-    let mut bound = 0.0f64;
-    let mut ops_spent = 0u64;
-
-    for &(idx, ceiling) in &order {
-        let d = &docs[idx];
-        // Budgets first: an exhausted corpus budget skips the shard and
-        // certifies the skip with the shard's ceiling.
-        let remaining = deadline.saturating_sub(started.elapsed());
-        let ops_left = max_ops.map(|m| m.saturating_sub(ops_spent));
-        if remaining.is_zero() || ops_left == Some(0) || guard.fired().is_some() {
-            counts.skipped_budget += 1;
-            truncated = true;
-            pending += 1;
-            bound = bound.max(ceiling.map_or(0.0, |c| c.value()));
-            continue;
-        }
-        if shard_prunable(ceiling, threshold) {
-            counts.pruned += 1;
-            if d.is_lazy() && !d.is_resident() {
-                // The whole point of peeking: this document's arrays
-                // were never read off disk.
-                counts.pruned_before_attach += 1;
-                daemon
-                    .residency
-                    .pruned_before_attach
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            continue;
-        }
-        options.deadline = Some(remaining);
-        options.max_server_ops = ops_left;
-        // Threshold sharing: seed the shard run's pruning threshold
-        // with the current corpus k-th score.
-        options.threshold_floor = threshold.value();
-        // A lazy document attaches here — the first time the corpus
-        // run actually needs it. Attach failure (file vanished,
-        // corrupted) degrades the answer like a budget skip: the
-        // shard's ceiling certifies what it could have contributed.
-        let access = match daemon.residency.acquire(d) {
-            Ok(a) => a,
-            Err(_) => {
-                counts.skipped_budget += 1;
-                truncated = true;
-                pending += 1;
-                bound = bound.max(ceiling.map_or(0.0, |c| c.value()));
-                continue;
-            }
-        };
-        let ctx = QueryContext::new_view(
-            access.doc(),
-            access.index(),
-            &pattern,
-            &model,
-            ContextOptions {
-                op_cost: req.op_cost,
-                ..ContextOptions::default()
-            },
-        );
-        let r = evaluate_with_context(&ctx, &Algorithm::WhirlpoolS, &options);
-        counts.visited += 1;
-        ops_spent += r.metrics.server_ops;
-        for a in &r.answers {
-            topk.insert((a.score, idx, a.root));
-            if topk.len() > req.k {
-                let weakest = *topk.iter().next().expect("non-empty");
-                topk.remove(&weakest);
-            }
-        }
-        if topk.len() == req.k {
-            if let Some(&(s, _, _)) = topk.iter().next() {
-                threshold = s;
-            }
-        }
-        if let Completeness::Truncated {
-            pending_matches,
-            score_bound,
-        } = r.completeness
-        {
-            truncated = true;
-            pending += pending_matches;
-            bound = bound.max(score_bound);
-        }
-    }
-
-    let answers: Vec<CollectionEntry> = topk.into_iter().rev().collect();
-    let completeness = if truncated {
-        if let Some(&(s, _, _)) = answers.first() {
-            bound = bound.max(s.value());
-        }
-        Completeness::Truncated {
-            pending_matches: pending,
-            score_bound: bound,
-        }
-    } else {
-        Completeness::Exact
-    };
-
-    // Classification mirrors the per-document path: exactly one outcome
-    // per admitted request, decided before any fallible I/O.
-    let fired = guard.fired();
-    drop(guard);
-    let outcome = match (fired, &completeness) {
-        (Some(_), _) => Outcome::TimedOut,
-        (None, Completeness::Exact) => Outcome::Exact,
-        (None, Completeness::Truncated { .. }) => Outcome::Degraded,
-    };
-    daemon.metrics.classify(outcome);
-    drop(permit);
-    let _ = conn.set_nonblocking(false);
-
-    let status = match outcome {
-        Outcome::TimedOut => 504,
-        _ => 200,
-    };
+    let (rung, started) = (gov.rung, gov.started);
+    let (outcome, status) = gov.finish(daemon, conn, &result.completeness);
     let body = collection_response_json(
         daemon.request_seq.fetch_add(1, Ordering::Relaxed),
-        &docs,
-        &daemon.residency,
+        collection,
         outcome,
         rung,
-        &completeness,
-        &answers,
-        counts,
+        &result,
         started.elapsed(),
     );
     let _ = respond(conn, status, &[], &body);
     Ok(())
 }
 
-/// Shard pruning, strict `<` like the engines: a shard that can only
-/// tie the k-th answer may still contribute a valid tie. A `None`
-/// ceiling (provably answer-free shard) always prunes.
-fn shard_prunable(ceiling: Option<Score>, threshold: Score) -> bool {
-    match ceiling {
-        None => true,
-        Some(c) => c < threshold,
+/// The `, "id": "…"` fragment of every answer that has an `id`
+/// attribute (empty otherwise), in answer order. Each distinct
+/// answering shard is pinned once, one at a time: a lazy shard evicted
+/// since its run re-attaches once (or, on failure, its answers ship
+/// without ids), however its answers interleave with other shards'.
+fn answer_ids(collection: &Collection, result: &CollectionResult) -> Vec<String> {
+    let answers = &result.answers;
+    let mut ids = vec![String::new(); answers.len()];
+    let mut shards: Vec<usize> = answers.iter().map(|a| a.shard).collect();
+    shards.sort_unstable();
+    shards.dedup();
+    for shard in shards {
+        let Ok(access) = collection.acquire(shard) else {
+            continue;
+        };
+        for (a, id) in answers.iter().zip(&mut ids) {
+            if a.shard == shard {
+                if let Some(v) = access.doc().attribute(a.root, "id") {
+                    *id = format!(", \"id\": \"{}\"", escape(v));
+                }
+            }
+        }
     }
+    ids
 }
 
-/// A lazy attach failure is the daemon's problem, not the client's:
-/// HTTP 500 via the transport-error class.
-fn store_error(doc: &str, e: whirlpool_store::StoreError) -> ServeError {
-    ServeError::Io(std::io::Error::other(format!("attach {doc}: {e}")))
-}
-
-#[allow(clippy::too_many_arguments)]
 fn collection_response_json(
     seq: u64,
-    docs: &[Arc<DocState>],
-    residency: &Residency,
+    collection: &Collection,
     outcome: Outcome,
     rung: Rung,
-    completeness: &Completeness,
-    answers: &[CollectionEntry],
-    counts: ShardCounts,
+    result: &CollectionResult,
     elapsed: Duration,
 ) -> String {
     let mut body = String::with_capacity(512);
@@ -941,52 +813,44 @@ fn collection_response_json(
     body.push_str(&format!("  \"rung\": \"{}\",\n", rung.label()));
     body.push_str(&format!(
         "  \"completeness\": \"{}\",\n",
-        completeness.label()
+        result.completeness.label()
     ));
     if let Completeness::Truncated {
         pending_matches,
         score_bound,
-    } = completeness
+    } = result.completeness
     {
         body.push_str(&format!("  \"pending_matches\": {pending_matches},\n"));
         body.push_str(&format!("  \"score_bound\": {score_bound:.6},\n"));
     }
+    let counts = &result.collection_metrics;
     body.push_str(&format!(
         "  \"shards\": {{\"total\": {}, \"visited\": {}, \"pruned\": {}, \
          \"pruned_before_attach\": {}, \"skipped_budget\": {}}},\n",
-        counts.total,
-        counts.visited,
-        counts.pruned,
-        counts.pruned_before_attach,
-        counts.skipped_budget,
+        counts.shards_total,
+        counts.shards_visited,
+        counts.shards_pruned,
+        counts.shards_pruned_before_attach,
+        counts.shards_skipped_budget,
     ));
     body.push_str(&format!(
         "  \"elapsed_ms\": {:.3},\n",
         elapsed.as_secs_f64() * 1e3
     ));
     body.push_str("  \"answers\": [\n");
-    for (i, &(score, shard, root)) in answers.iter().enumerate() {
-        let d = &docs[shard];
-        // Re-acquire for the id attribute: a lazy shard may have been
-        // evicted since its run, in which case this re-attaches (or,
-        // on failure, ships the answer without its id).
-        let id = residency
-            .acquire(d)
-            .ok()
-            .and_then(|access| {
-                access
-                    .doc()
-                    .attribute(root, "id")
-                    .map(|v| format!(", \"id\": \"{}\"", escape(v)))
-            })
-            .unwrap_or_default();
+    let ids = answer_ids(collection, result);
+    for (i, (a, id)) in result.answers.iter().zip(&ids).enumerate() {
         body.push_str(&format!(
             "    {{\"rank\": {}, \"doc\": \"{}\", \"node\": {}, \"score\": {:.6}{id}}}{}\n",
             i + 1,
-            escape(&d.name),
-            root.index(),
-            score.value(),
-            if i + 1 < answers.len() { "," } else { "" },
+            escape(collection.shards()[a.shard].name()),
+            a.root.index(),
+            a.score.value(),
+            if i + 1 < result.answers.len() {
+                ","
+            } else {
+                ""
+            },
         ));
     }
     body.push_str("  ]\n}\n");
@@ -1057,6 +921,7 @@ fn query_response_json(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shared::DocState;
     use std::io::{Read as _, Write as _};
 
     fn test_registry() -> Registry {
@@ -1152,7 +1017,7 @@ mod tests {
         {
             let registry = test_registry();
             let state = registry.get("books").unwrap();
-            let (doc, index) = state.as_parsed().unwrap();
+            let (doc, index) = state.shard().as_parsed().unwrap();
             whirlpool_store::save_snapshot(doc, index, &wps).unwrap();
         }
 
@@ -1214,39 +1079,88 @@ mod tests {
         }
         handle.shutdown();
         let state = DocState::attach("books", &wps).expect("background snapshot must attach");
-        assert!(state.is_snapshot());
-        assert_eq!(state.synopsis.tag_count("book"), 3);
+        assert_eq!(state.shard().synopsis().tag_count("book"), 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Three documents of sharply different promise: `rich` holds the
     /// only full matches, `sparse` holds bare books (ceiling = root
     /// contribution only), `none` holds no book at all (no ceiling).
-    fn collection_registry() -> Registry {
-        let rich = whirlpool_xml::parse_document(
+    const PROMISE: [(&str, &str); 3] = [
+        (
+            "rich",
             "<shelf>\
              <book id=\"r1\"><title>dune</title><isbn>1</isbn></book>\
              <book id=\"r2\"><title>ubik</title><isbn>2</isbn></book>\
              </shelf>",
-        )
-        .unwrap();
-        let sparse = whirlpool_xml::parse_document(
+        ),
+        (
+            "sparse",
             "<shelf><book id=\"s1\"><blurb>x</blurb></book>\
              <book id=\"s2\"><blurb>y</blurb></book></shelf>",
-        )
-        .unwrap();
-        let none =
-            whirlpool_xml::parse_document("<shelf><cd><title>x</title></cd></shelf>").unwrap();
+        ),
+        ("none", "<shelf><cd><title>x</title></cd></shelf>"),
+    ];
+
+    /// `sources` parsed and indexed in-process.
+    fn parsed_registry(sources: &[(&str, &str)]) -> Registry {
         let mut registry = Registry::new();
-        registry.insert(DocState::new("rich", rich));
-        registry.insert(DocState::new("sparse", sparse));
-        registry.insert(DocState::new("none", none));
+        for (name, xml) in sources {
+            let doc = whirlpool_xml::parse_document(xml).unwrap();
+            registry.insert(DocState::new(*name, doc));
+        }
         registry
+    }
+
+    /// Writes `xml` as the snapshot `<dir>/<name>.wps`.
+    fn write_snapshot(dir: &std::path::Path, name: &str, xml: &str) -> std::path::PathBuf {
+        let doc = whirlpool_xml::parse_document(xml).unwrap();
+        let index = whirlpool_index::TagIndex::build(&doc);
+        let path = dir.join(format!("{name}.wps"));
+        whirlpool_store::save_snapshot(&doc, &index, &path).unwrap();
+        path
+    }
+
+    /// `sources` written as snapshot files and *peeked*, not attached:
+    /// only a query that survives pruning pays the attach.
+    fn peeked_registry(dir: &std::path::Path, sources: &[(&str, &str)]) -> Registry {
+        let mut registry = Registry::new();
+        for (name, xml) in sources {
+            let path = write_snapshot(dir, name, xml);
+            registry.insert(DocState::peek(*name, &path).unwrap());
+        }
+        registry
+    }
+
+    /// A fresh per-process scratch directory.
+    fn scratch_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("wp-serve-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// The `(doc, node, score)` rows of a collection reply.
+    fn wire_answers(body: &str) -> Vec<(String, usize, f64)> {
+        let v = Json::parse(body).unwrap();
+        let Some(Json::Arr(answers)) = v.get("answers") else {
+            panic!("no answers: {body}")
+        };
+        answers
+            .iter()
+            .map(|a| {
+                (
+                    a.get("doc").and_then(Json::as_str).unwrap().to_string(),
+                    a.get("node").and_then(Json::as_u64).unwrap() as usize,
+                    a.get("score").and_then(Json::as_f64).unwrap(),
+                )
+            })
+            .collect()
     }
 
     #[test]
     fn collection_query_spans_documents_and_prunes() {
-        let handle = start(ServeConfig::default(), collection_registry()).unwrap();
+        let handle = start(ServeConfig::default(), parsed_registry(&PROMISE)).unwrap();
         let addr = handle.addr();
         let (status, body) = post_query(
             addr,
@@ -1282,45 +1196,14 @@ mod tests {
         handle.shutdown();
     }
 
-    /// The [`collection_registry`] documents written as snapshot files
-    /// and *peeked*, not attached: only a query that survives pruning
-    /// pays the attach.
-    fn lazy_collection_registry(dir: &std::path::Path) -> Registry {
-        let sources = [
-            (
-                "rich",
-                "<shelf>\
-                 <book id=\"r1\"><title>dune</title><isbn>1</isbn></book>\
-                 <book id=\"r2\"><title>ubik</title><isbn>2</isbn></book>\
-                 </shelf>",
-            ),
-            (
-                "sparse",
-                "<shelf><book id=\"s1\"><blurb>x</blurb></book>\
-                 <book id=\"s2\"><blurb>y</blurb></book></shelf>",
-            ),
-            ("none", "<shelf><cd><title>x</title></cd></shelf>"),
-        ];
-        let mut registry = Registry::new();
-        for (name, xml) in sources {
-            let doc = whirlpool_xml::parse_document(xml).unwrap();
-            let index = whirlpool_index::TagIndex::build(&doc);
-            let path = dir.join(format!("{name}.wps"));
-            whirlpool_store::save_snapshot(&doc, &index, &path).unwrap();
-            registry.insert(DocState::peek(name, &path).unwrap());
-        }
-        registry
-    }
-
     #[test]
     fn lazy_collection_prunes_before_attach_and_reports_residency() {
-        let dir = std::env::temp_dir().join(format!("wp-serve-lazy-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("lazy");
         let config = ServeConfig {
             max_resident: 1,
             ..ServeConfig::default()
         };
-        let handle = start(config, lazy_collection_registry(&dir)).unwrap();
+        let handle = start(config, peeked_registry(&dir, &PROMISE)).unwrap();
         let addr = handle.addr();
 
         let (status, body) = post_query(
@@ -1390,7 +1273,7 @@ mod tests {
 
     #[test]
     fn collection_query_rejects_per_document_features() {
-        let handle = start(ServeConfig::default(), collection_registry()).unwrap();
+        let handle = start(ServeConfig::default(), parsed_registry(&PROMISE)).unwrap();
         let addr = handle.addr();
         let (status, body) = post_query(
             addr,
@@ -1403,6 +1286,206 @@ mod tests {
         );
         assert_eq!(status, 400, "doc + collection conflict: {body}");
         handle.shutdown();
+    }
+
+    #[test]
+    fn collection_reply_attaches_each_answering_document_once() {
+        // Scores nest (3 predicates > 2 > 1 > 0) and alternate between
+        // the two documents, so rank order interleaves them.
+        let sources = [
+            (
+                "a",
+                "<shelf>\
+                 <book id=\"a3\"><title>x</title><isbn>1</isbn><price>2</price></book>\
+                 <book id=\"a1\"><title>y</title></book></shelf>",
+            ),
+            (
+                "b",
+                "<shelf><book id=\"b2\"><title>x</title><isbn>1</isbn></book>\
+                 <book id=\"b0\"/></shelf>",
+            ),
+        ];
+        let dir = scratch_dir("pin-once");
+        let config = ServeConfig {
+            max_resident: 1,
+            ..ServeConfig::default()
+        };
+        let handle = start(config, peeked_registry(&dir, &sources)).unwrap();
+        let (status, body) = post_query(
+            handle.addr(),
+            r#"{"collection": true, "query": "//book[./title and ./isbn and ./price]", "k": 4}"#,
+        );
+        assert_eq!(status, 200, "{body}");
+        let docs: Vec<String> = wire_answers(&body).into_iter().map(|a| a.0).collect();
+        assert_eq!(docs, ["a", "b", "a", "b"], "{body}");
+        let v = Json::parse(&body).unwrap();
+        let Some(Json::Arr(answers)) = v.get("answers") else {
+            panic!("no answers: {body}")
+        };
+        let ids: Vec<&str> = answers
+            .iter()
+            .map(|a| {
+                a.get("id")
+                    .and_then(Json::as_str)
+                    .expect("every book has an id")
+            })
+            .collect();
+        assert_eq!(ids, ["a3", "b2", "a1", "b0"], "{body}");
+        let visited = v
+            .get("shards")
+            .and_then(|s| s.get("visited"))
+            .and_then(Json::as_u64)
+            .unwrap();
+
+        let (_, metrics) = send(handle.addr(), "GET /metrics HTTP/1.1\r\n\r\n");
+        let attached = Json::parse(&metrics)
+            .unwrap()
+            .get("shards")
+            .and_then(|s| s.get("attached"))
+            .and_then(Json::as_u64)
+            .unwrap();
+        assert!(
+            attached <= visited + 2,
+            "{attached} attaches for {visited} visits + 2 answering documents"
+        );
+
+        handle.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Two parsed and two peeked documents with overlapping score
+    /// ranges; `d3` holds no book at all.
+    const MIXED: [(&str, &str); 4] = [
+        (
+            "d0",
+            "<shelf>\
+             <book><title>a</title><isbn>1</isbn><price>3</price></book>\
+             <book><title>b</title><isbn>2</isbn></book>\
+             <book><title>c</title></book></shelf>",
+        ),
+        (
+            "d1",
+            "<shelf>\
+             <book><title>d</title><isbn>4</isbn><price>5</price></book>\
+             <book><price>6</price></book></shelf>",
+        ),
+        (
+            "d2",
+            "<shelf>\
+             <book><review><title>e</title></review><isbn>7</isbn></book>\
+             <book><title>f</title><price>8</price></book></shelf>",
+        ),
+        ("d3", "<shelf><cd><title>g</title></cd></shelf>"),
+    ];
+
+    /// `d0`/`d2` parsed, `d1`/`d3` peeked — as a daemon registry, and
+    /// as the library collection over the same files (shards in the
+    /// registry's name order, so shard `i` is document `d<i>`).
+    fn mixed_registry_and_library(dir: &std::path::Path) -> (Registry, Collection) {
+        let mut registry = parsed_registry(&[MIXED[0], MIXED[2]]);
+        let mut library = Collection::new();
+        for (i, (name, xml)) in MIXED.iter().enumerate() {
+            if i % 2 == 0 {
+                library.add_source(*name, xml).unwrap();
+            } else {
+                let path = write_snapshot(dir, name, xml);
+                registry.insert(DocState::peek(*name, &path).unwrap());
+                library.attach_snapshot_file(&path).unwrap();
+            }
+        }
+        (registry, library)
+    }
+
+    #[test]
+    fn collection_replies_match_the_library_driver() {
+        use whirlpool_core::{collection_answers_equivalent, CollectionAnswer};
+        let dir = scratch_dir("differential");
+        let (registry, library) = mixed_registry_and_library(&dir);
+        let handle = start(ServeConfig::default(), registry).unwrap();
+        for query in [
+            "//book[./title and ./isbn and ./price]",
+            "//book[.//title and ./isbn]",
+            "//book[./title]",
+        ] {
+            for k in [1, 3, 100] {
+                let (status, body) = post_query(
+                    handle.addr(),
+                    &format!(r#"{{"collection": true, "query": "{query}", "k": {k}}}"#),
+                );
+                assert_eq!(status, 200, "{body}");
+                assert!(body.contains("\"outcome\": \"exact\""), "{body}");
+                let wire: Vec<CollectionAnswer> = wire_answers(&body)
+                    .into_iter()
+                    .map(|(doc, node, score)| CollectionAnswer {
+                        shard: MIXED.iter().position(|(name, _)| *name == doc).unwrap(),
+                        root: whirlpool_xml::NodeId::from_index(node),
+                        score: whirlpool_score::Score::new(score),
+                    })
+                    .collect();
+                let reference = evaluate_collection(
+                    &library,
+                    &whirlpool_pattern::parse_pattern(query).unwrap(),
+                    &Algorithm::WhirlpoolS,
+                    &EvalOptions::top_k(k),
+                    Normalization::Sparse,
+                    &CollectionOptions::default(),
+                );
+                // The wire rounds scores to six decimals.
+                assert!(
+                    collection_answers_equivalent(&wire, &reference.answers, 1e-6),
+                    "{query} k={k}: {wire:?} vs {:?}",
+                    reference.answers
+                );
+            }
+        }
+        handle.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn degraded_collection_reply_certifies_what_it_left_out() {
+        let dir = scratch_dir("degraded");
+        let (registry, _) = mixed_registry_and_library(&dir);
+        let config = ServeConfig {
+            base_deadline: Duration::from_millis(150),
+            // The deadline, not the watchdog, must end the slow run.
+            watchdog_grace: Duration::from_secs(10),
+            ..ServeConfig::default()
+        };
+        let handle = start(config, registry).unwrap();
+        let query =
+            r#""collection": true, "query": "//book[./title and ./isbn and ./price]", "k": 100"#;
+        let (status, exact) = post_query(handle.addr(), &format!("{{{query}}}"));
+        assert_eq!(status, 200, "{exact}");
+        assert!(exact.contains("\"outcome\": \"exact\""), "{exact}");
+
+        // 50 ms per server operation: the first shard alone overruns
+        // the Full rung's 150 ms, the rest are never visited.
+        let (status, body) = post_query(
+            handle.addr(),
+            &format!("{{{query}, \"op_cost_us\": 50000}}"),
+        );
+        assert_eq!(status, 200, "{body}");
+        let v = Json::parse(&body).unwrap();
+        assert_eq!(v.get("outcome").and_then(Json::as_str), Some("degraded"));
+        assert_eq!(v.get("rung").and_then(Json::as_str), Some("full"));
+        let skipped = v
+            .get("shards")
+            .and_then(|s| s.get("skipped_budget"))
+            .and_then(Json::as_u64)
+            .unwrap();
+        assert!(skipped > 0, "{body}");
+        let bound = v.get("score_bound").and_then(Json::as_f64).unwrap();
+        let returned = wire_answers(&body);
+        for (doc, node, score) in wire_answers(&exact) {
+            let kept = returned.iter().any(|(d, n, _)| (d, n) == (&doc, &node));
+            assert!(
+                kept || score <= bound + 1e-6,
+                "{doc}/{node} scores {score}, above the certified bound {bound}: {body}"
+            );
+        }
+        handle.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -1,57 +1,21 @@
 //! Daemon state shared across worker threads.
 //!
-//! The prepare work happens once, at load time — either a full
-//! parse+index, or a zero-copy [`Snapshot`] attach — and every request
-//! thereafter borrows an immutable [`DocState`] through an `Arc` and
-//! builds only the per-query artifacts (pattern, score model, context).
-//! The registry sits behind [`Shared`] — the `Arc<RwLock<_>>` idiom —
-//! so reads are concurrent and a future hot-reload endpoint can swap
-//! documents without stopping the accept loop.
+//! The prepare work happens once, at load time — a full parse+index, a
+//! zero-copy [`Snapshot`](whirlpool_store::Snapshot) attach, or a
+//! header-only peek — and produces one [`Shard`] per document. At
+//! [`start`](crate::start) the [`Registry`] freezes into a single
+//! [`Collection`]: every request thereafter pins the shards it reads
+//! through [`Collection::acquire`] and builds only the per-query
+//! artifacts (pattern, score model, context). How documents are held,
+//! attached, evicted and pruned is the collection's business, not the
+//! daemon's.
 
-use std::collections::HashMap;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
+use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
-use whirlpool_index::{DocView, PathSynopsis, ShardSynopsis, TagIndex, TagIndexView};
+use whirlpool_core::{Collection, Shard};
+use whirlpool_index::TagIndex;
 use whirlpool_store::{Snapshot, StoreError};
 use whirlpool_xml::Document;
-
-/// Clonable handle to state behind a reader-writer lock.
-#[derive(Debug, Default)]
-pub struct Shared<S>(Arc<RwLock<S>>);
-
-impl<S> Clone for Shared<S> {
-    fn clone(&self) -> Self {
-        Shared(self.0.clone())
-    }
-}
-
-impl<S> Shared<S> {
-    /// Wraps `state`.
-    pub fn new(state: S) -> Shared<S> {
-        Shared(Arc::new(RwLock::new(state)))
-    }
-
-    /// Shared read access. Poisoning is unreachable by construction —
-    /// no writer section can panic — so it is swallowed rather than
-    /// propagated: a poisoned registry read would otherwise take the
-    /// whole daemon down over an already-handled worker panic.
-    pub fn read(&self) -> RwLockReadGuard<'_, S> {
-        match self.0.read() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Exclusive write access (same poisoning stance as `read`).
-    pub fn write(&self) -> RwLockWriteGuard<'_, S> {
-        match self.0.write() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-}
 
 /// How a document became queryable, and what it cost.
 ///
@@ -91,6 +55,15 @@ impl Prepare {
         }
     }
 
+    /// The `/metrics` backing label.
+    pub(crate) fn backing_label(&self) -> &'static str {
+        match self {
+            Prepare::Indexed { .. } => "parsed",
+            Prepare::Attached { .. } => "snapshot",
+            Prepare::Peeked { .. } => "lazy",
+        }
+    }
+
     /// The cost in milliseconds.
     pub fn ms(&self) -> f64 {
         match self {
@@ -99,339 +72,81 @@ impl Prepare {
     }
 }
 
-/// A snapshot file known only by its synopsis: the daemon peeked the
-/// header at load and attaches the arrays on the first query that
-/// needs them. The resident slot is the *only* mutable state — it
-/// holds the attached snapshot, `Arc`-shared with every in-flight
-/// [`DocAccess`], and the [`Residency`] LRU clears it under memory
-/// pressure.
-struct LazyDoc {
-    path: PathBuf,
-    resident: Mutex<Option<Arc<Snapshot>>>,
-}
-
-/// What a [`DocState`] holds: a document parsed and indexed at load
-/// time, a mapped snapshot whose arrays are read in place, or a lazy
-/// snapshot attached on first use.
-#[allow(clippy::large_enum_variant)] // one per loaded document
-enum DocBacking {
-    Parsed { doc: Document, index: TagIndex },
-    Snapshot(Box<Snapshot>),
-    Lazy(LazyDoc),
-}
-
-/// One loaded document: prepared exactly once, then shared immutably
-/// by every request that names it.
+/// One loaded document: a name, what preparing it cost, and the shard
+/// the frozen collection will serve it from.
 pub struct DocState {
     /// The lookup name clients use in the `doc` request field.
     pub name: String,
-    backing: DocBacking,
-    /// Tag-count synopsis for collection-mode shard pruning and the
-    /// coarse cost estimate of collection queries.
-    pub synopsis: ShardSynopsis,
-    /// Stored path synopsis (v3 snapshots, or built at parse time) for
-    /// path-aware shard ceilings; `None` for v2 files.
-    pub paths: Option<PathSynopsis>,
     /// How this document became queryable and what it cost.
     pub prepare: Prepare,
+    shard: Shard,
 }
 
 impl DocState {
     /// Indexes `doc` under `name` (the cold-start path).
     pub fn new(name: impl Into<String>, doc: Document) -> DocState {
+        let name = name.into();
         let start = Instant::now();
         let index = TagIndex::build(&doc);
         let ms = start.elapsed().as_secs_f64() * 1e3;
-        let synopsis = ShardSynopsis::build(&doc);
-        let paths = Some(PathSynopsis::build(&doc));
         DocState {
-            name: name.into(),
-            backing: DocBacking::Parsed { doc, index },
-            synopsis,
-            paths,
+            shard: Shard::parsed(name.clone(), doc, index),
+            name,
             prepare: Prepare::Indexed { ms },
         }
     }
 
     /// Attaches a snapshot under `name` (the eager warm-start path):
-    /// O(header) validation, no parse, no index build.
+    /// O(header) validation, no parse, no index build. The attachment
+    /// starts resident and is evictable under
+    /// [`ServeConfig::max_resident`](crate::ServeConfig::max_resident)
+    /// like any other file-backed shard.
     pub fn attach(
         name: impl Into<String>,
         path: impl AsRef<std::path::Path>,
     ) -> Result<DocState, StoreError> {
+        let name = name.into();
         let start = Instant::now();
         let snapshot = Snapshot::attach(path)?;
         let ms = start.elapsed().as_secs_f64() * 1e3;
-        let synopsis = snapshot.synopsis().clone();
-        let paths = snapshot.path_synopsis().cloned();
         Ok(DocState {
-            name: name.into(),
-            backing: DocBacking::Snapshot(Box::new(snapshot)),
-            synopsis,
-            paths,
+            shard: Shard::attached(name.clone(), snapshot),
+            name,
             prepare: Prepare::Attached { ms },
         })
     }
 
     /// Registers a snapshot under `name` *without* attaching it: only
     /// the header and synopsis sections are read. The document's
-    /// arrays map in on the first [`Residency::acquire`] that needs
-    /// them — a collection query that prunes this document off its
-    /// ceiling never pays the attach at all.
+    /// arrays map in on the first query that needs them — a collection
+    /// query that prunes this document off its ceiling never pays the
+    /// attach at all.
     pub fn peek(
         name: impl Into<String>,
         path: impl AsRef<std::path::Path>,
     ) -> Result<DocState, StoreError> {
+        let name = name.into();
         let start = Instant::now();
-        let peek = Snapshot::peek(&path)?;
+        let shard = Shard::peeked(name.clone(), path)?;
         let ms = start.elapsed().as_secs_f64() * 1e3;
         Ok(DocState {
-            name: name.into(),
-            backing: DocBacking::Lazy(LazyDoc {
-                path: path.as_ref().to_path_buf(),
-                resident: Mutex::new(None),
-            }),
-            synopsis: peek.synopsis,
-            paths: peek.paths,
+            shard,
+            name,
             prepare: Prepare::Peeked { ms },
         })
     }
 
-    /// The document, whichever backing holds it.
-    ///
-    /// # Panics
-    ///
-    /// For a lazy (peeked) document — its views live in the attached
-    /// snapshot, which only [`Residency::acquire`] can pin.
-    pub fn doc(&self) -> DocView<'_> {
-        match &self.backing {
-            DocBacking::Parsed { doc, .. } => DocView::from(doc),
-            DocBacking::Snapshot(s) => s.doc_view(),
-            DocBacking::Lazy(_) => {
-                panic!("lazy document has no borrowable views; use Residency::acquire")
-            }
-        }
-    }
-
-    /// The tag index, whichever backing holds it (same panic caveat as
-    /// [`doc`](Self::doc)).
-    pub fn index(&self) -> TagIndexView<'_> {
-        match &self.backing {
-            DocBacking::Parsed { index, .. } => index.view(),
-            DocBacking::Snapshot(s) => s.index_view(),
-            DocBacking::Lazy(_) => {
-                panic!("lazy document has no borrowable views; use Residency::acquire")
-            }
-        }
-    }
-
-    /// The owned document and index, when this state was parsed rather
-    /// than attached — the background snapshotter serializes from here.
-    pub fn as_parsed(&self) -> Option<(&Document, &TagIndex)> {
-        match &self.backing {
-            DocBacking::Parsed { doc, index } => Some((doc, index)),
-            DocBacking::Snapshot(_) | DocBacking::Lazy(_) => None,
-        }
-    }
-
-    /// Is this document snapshot-backed (eagerly attached *or* lazily
-    /// peeked)? Either way a boot was warm: no parse, no index build.
-    pub fn is_snapshot(&self) -> bool {
-        matches!(self.backing, DocBacking::Snapshot(_) | DocBacking::Lazy(_))
-    }
-
-    /// Is this a lazily-peeked document?
-    pub fn is_lazy(&self) -> bool {
-        matches!(self.backing, DocBacking::Lazy(_))
-    }
-
-    /// Is a lazy document's snapshot currently attached? `false` for
-    /// parsed documents (nothing to attach), `true` for eager
-    /// snapshots. Non-blocking: a slot mid-attach on another thread
-    /// counts as resident.
-    pub fn is_resident(&self) -> bool {
-        match &self.backing {
-            DocBacking::Parsed { .. } => false,
-            DocBacking::Snapshot(_) => true,
-            DocBacking::Lazy(lazy) => match lazy.resident.try_lock() {
-                Ok(slot) => slot.is_some(),
-                Err(TryLockError::Poisoned(p)) => p.into_inner().is_some(),
-                Err(TryLockError::WouldBlock) => true,
-            },
-        }
-    }
-
-    /// The `/metrics` backing label.
-    pub fn backing_label(&self) -> &'static str {
-        match &self.backing {
-            DocBacking::Parsed { .. } => "parsed",
-            DocBacking::Snapshot(_) => "snapshot",
-            DocBacking::Lazy(_) => "lazy",
-        }
+    /// The shard this document is served from.
+    pub fn shard(&self) -> &Shard {
+        &self.shard
     }
 }
 
-/// Read access to one document's views, whatever its backing.
-///
-/// For lazy documents the access *pins* the attached snapshot: the
-/// `Arc` keeps the mapping alive even if the LRU evicts the document
-/// mid-query, so views handed to an engine can never dangle.
-pub enum DocAccess<'a> {
-    /// The document's arrays live in the `DocState` itself.
-    Borrowed(&'a DocState),
-    /// The document's arrays live in a pinned lazy snapshot.
-    Resident(Arc<Snapshot>),
-}
-
-impl DocAccess<'_> {
-    /// The document view.
-    pub fn doc(&self) -> DocView<'_> {
-        match self {
-            DocAccess::Borrowed(state) => state.doc(),
-            DocAccess::Resident(snapshot) => snapshot.doc_view(),
-        }
-    }
-
-    /// The tag-index view.
-    pub fn index(&self) -> TagIndexView<'_> {
-        match self {
-            DocAccess::Borrowed(state) => state.index(),
-            DocAccess::Resident(snapshot) => snapshot.index_view(),
-        }
-    }
-}
-
-/// Registry-wide residency control for lazy documents: a target cap on
-/// attached snapshots, the LRU that enforces it, and the monotone
-/// counters `/metrics` reports under `"shards"`.
-///
-/// Lock order: a document's resident slot is never held while the MRU
-/// lock is taken ([`acquire`](Self::acquire) releases it first), and
-/// the eviction scan only `try_lock`s slots — a slot busy attaching on
-/// another thread is simply skipped as a victim.
-#[derive(Default)]
-pub struct Residency {
-    /// Target cap on attached lazy snapshots; 0 means unlimited.
-    max_resident: AtomicUsize,
-    /// Most-recently-used last; holds only lazy documents.
-    mru: Mutex<Vec<Arc<DocState>>>,
-    /// Snapshot attaches performed (first touch or re-attach after
-    /// eviction).
-    pub attached: AtomicU64,
-    /// Documents registered by peek (header-only load).
-    pub peeked: AtomicU64,
-    /// Collection-query prunes that hit a lazy document while it was
-    /// not resident — the disk I/O the synopsis ceiling saved.
-    pub pruned_before_attach: AtomicU64,
-    /// Resident snapshots detached by the LRU.
-    pub evictions: AtomicU64,
-}
-
-impl Residency {
-    /// Sets the residency target (0 = unlimited). A *target*, not a
-    /// hard cap: snapshots pinned by in-flight queries are not
-    /// evictable, so the resident count can transiently exceed it.
-    pub fn set_max_resident(&self, max: usize) {
-        self.max_resident.store(max, Ordering::Relaxed);
-    }
-
-    /// The configured residency target (0 = unlimited).
-    pub fn max_resident(&self) -> usize {
-        self.max_resident.load(Ordering::Relaxed)
-    }
-
-    /// Pins `state`'s views for reading, attaching its snapshot first
-    /// if the document is lazy and not resident. Attaching marks the
-    /// document most-recently-used and may evict the coldest
-    /// unpinned resident document beyond the target.
-    pub fn acquire<'a>(&self, state: &'a Arc<DocState>) -> Result<DocAccess<'a>, StoreError> {
-        let DocBacking::Lazy(lazy) = &state.backing else {
-            return Ok(DocAccess::Borrowed(state));
-        };
-        let snapshot = {
-            let mut slot = lazy.resident.lock().unwrap_or_else(|p| p.into_inner());
-            match slot.as_ref() {
-                Some(s) => s.clone(),
-                None => {
-                    let s = Arc::new(Snapshot::attach(&lazy.path)?);
-                    self.attached.fetch_add(1, Ordering::Relaxed);
-                    *slot = Some(s.clone());
-                    s
-                }
-            }
-        };
-        // Slot lock released above — see the lock-order note on the
-        // type.
-        self.touch(state);
-        Ok(DocAccess::Resident(snapshot))
-    }
-
-    /// Marks `state` most-recently-used and evicts LRU-first down to
-    /// the target. Victims must be detachable right now: slot free
-    /// (`try_lock`) and snapshot unpinned (`Arc` count 1).
-    fn touch(&self, state: &Arc<DocState>) {
-        let mut mru = self.mru.lock().unwrap_or_else(|p| p.into_inner());
-        mru.retain(|d| !Arc::ptr_eq(d, state) && d.is_resident());
-        mru.push(state.clone());
-        let max = self.max_resident.load(Ordering::Relaxed);
-        if max == 0 {
-            return;
-        }
-        let mut resident = mru.iter().filter(|d| d.is_resident()).count();
-        let mut victim = 0;
-        while resident > max && victim + 1 < mru.len() {
-            let DocBacking::Lazy(lazy) = &mru[victim].backing else {
-                victim += 1;
-                continue;
-            };
-            let mut slot = match lazy.resident.try_lock() {
-                Ok(slot) => slot,
-                Err(TryLockError::Poisoned(p)) => p.into_inner(),
-                Err(TryLockError::WouldBlock) => {
-                    victim += 1;
-                    continue;
-                }
-            };
-            if let Some(s) = slot.as_ref() {
-                if Arc::strong_count(s) == 1 {
-                    *slot = None;
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                    resident -= 1;
-                }
-            }
-            victim += 1;
-        }
-    }
-
-    /// Currently attached lazy documents (tracked ones only).
-    pub fn resident_count(&self) -> usize {
-        self.mru
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .iter()
-            .filter(|d| d.is_resident())
-            .count()
-    }
-
-    /// The `/metrics` `"shards"` object.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"attached\": {}, \"peeked\": {}, \"pruned_before_attach\": {}, \
-             \"evictions\": {}, \"resident\": {}}}",
-            self.attached.load(Ordering::Relaxed),
-            self.peeked.load(Ordering::Relaxed),
-            self.pruned_before_attach.load(Ordering::Relaxed),
-            self.evictions.load(Ordering::Relaxed),
-            self.resident_count(),
-        )
-    }
-}
-
-/// The set of loaded documents, by name.
+/// The set of documents to serve, by name, until [`start`](crate::start)
+/// freezes it.
 #[derive(Default)]
 pub struct Registry {
-    docs: HashMap<String, Arc<DocState>>,
-    residency: Arc<Residency>,
+    docs: BTreeMap<String, DocState>,
 }
 
 impl Registry {
@@ -442,35 +157,17 @@ impl Registry {
 
     /// Adds (or replaces) a document.
     pub fn insert(&mut self, state: DocState) {
-        if matches!(state.prepare, Prepare::Peeked { .. }) {
-            self.residency.peeked.fetch_add(1, Ordering::Relaxed);
-        }
-        self.docs.insert(state.name.clone(), Arc::new(state));
+        self.docs.insert(state.name.clone(), state);
     }
 
-    /// The residency controller shared by every lazy document in this
-    /// registry (clone the `Arc` out before moving the registry behind
-    /// [`Shared`]).
-    pub fn residency(&self) -> Arc<Residency> {
-        self.residency.clone()
+    /// Looks a document up by name.
+    pub fn get(&self, name: &str) -> Option<&DocState> {
+        self.docs.get(name)
     }
 
-    /// Looks a document up by name. An empty name resolves iff exactly
-    /// one document is loaded — the common single-document deployment
-    /// doesn't force clients to repeat the name.
-    pub fn get(&self, name: &str) -> Option<Arc<DocState>> {
-        if name.is_empty() && self.docs.len() == 1 {
-            return self.docs.values().next().cloned();
-        }
-        self.docs.get(name).cloned()
-    }
-
-    /// Every loaded document, sorted by name — the deterministic shard
-    /// order of collection-mode queries.
-    pub fn all(&self) -> Vec<Arc<DocState>> {
-        let mut docs: Vec<Arc<DocState>> = self.docs.values().cloned().collect();
-        docs.sort_by(|a, b| a.name.cmp(&b.name));
-        docs
+    /// Every loaded document, in name order.
+    pub fn docs(&self) -> impl Iterator<Item = &DocState> {
+        self.docs.values()
     }
 
     /// Number of loaded documents.
@@ -481,6 +178,45 @@ impl Registry {
     /// Is the registry empty?
     pub fn is_empty(&self) -> bool {
         self.docs.is_empty()
+    }
+
+    /// Freezes the registry into the corpus the daemon serves: one
+    /// collection shard per document, in name order.
+    pub(crate) fn freeze(self) -> Corpus {
+        let mut corpus = Corpus {
+            collection: Collection::new(),
+            by_name: HashMap::with_capacity(self.docs.len()),
+            prepares: Vec::with_capacity(self.docs.len()),
+        };
+        for (name, state) in self.docs {
+            corpus.by_name.insert(name, corpus.prepares.len());
+            corpus.prepares.push(state.prepare);
+            corpus.collection.push(state.shard);
+        }
+        corpus
+    }
+}
+
+/// The frozen registry: the daemon's documents as one [`Collection`],
+/// plus what the collection does not know about them — the names
+/// clients address them by and what preparing each one cost.
+pub(crate) struct Corpus {
+    pub(crate) collection: Collection,
+    /// Document name → index into `collection.shards()`.
+    by_name: HashMap<String, usize>,
+    /// Indexed like `collection.shards()`.
+    pub(crate) prepares: Vec<Prepare>,
+}
+
+impl Corpus {
+    /// The shard index of the document called `name`. An empty name
+    /// resolves iff exactly one document is loaded — the common
+    /// single-document deployment doesn't force clients to repeat it.
+    pub(crate) fn index_of(&self, name: &str) -> Option<usize> {
+        if name.is_empty() && self.prepares.len() == 1 {
+            return Some(0);
+        }
+        self.by_name.get(name).copied()
     }
 }
 
@@ -497,104 +233,84 @@ mod tests {
     fn single_document_answers_the_empty_name() {
         let mut r = Registry::new();
         r.insert(doc_state("only"));
-        assert_eq!(r.get("").unwrap().name, "only");
-        assert_eq!(r.get("only").unwrap().name, "only");
-        assert!(r.get("other").is_none());
+        let corpus = r.freeze();
+        assert_eq!(corpus.index_of(""), Some(0));
+        assert_eq!(corpus.index_of("only"), Some(0));
+        assert_eq!(corpus.index_of("other"), None);
 
+        let mut r = Registry::new();
+        r.insert(doc_state("only"));
         r.insert(doc_state("second"));
-        assert!(
-            r.get("").is_none(),
+        assert_eq!(r.len(), 2);
+        let corpus = r.freeze();
+        assert_eq!(
+            corpus.index_of(""),
+            None,
             "ambiguous empty name must not guess between two documents"
         );
-        assert_eq!(r.len(), 2);
     }
 
     #[test]
-    fn shared_reads_are_concurrent_and_writes_exclusive() {
-        let shared = Shared::new(Registry::new());
-        shared.write().insert(doc_state("d"));
-        let a = shared.read();
-        let b = shared.read();
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 1);
+    fn freeze_orders_shards_by_name_and_keeps_prepare_costs() {
+        let mut r = Registry::new();
+        for name in ["m", "z", "a"] {
+            r.insert(doc_state(name));
+        }
+        r.insert(doc_state("m")); // replaces, does not duplicate
+        assert_eq!(r.get("z").unwrap().name, "z");
+        let corpus = r.freeze();
+        let names: Vec<&str> = corpus.collection.shards().iter().map(Shard::name).collect();
+        assert_eq!(names, ["a", "m", "z"]);
+        assert_eq!(corpus.prepares.len(), 3);
+        for (i, name) in names.iter().enumerate() {
+            assert_eq!(corpus.index_of(name), Some(i));
+        }
+        assert_eq!(corpus.index_of("b"), None);
     }
 
     #[test]
     fn attached_state_serves_the_same_views_as_a_parsed_one() {
         let xml = "<shelf><book id=\"b1\"><title>dune</title></book><book/></shelf>";
         let parsed = DocState::new("s", parse_document(xml).unwrap());
-        assert!(!parsed.is_snapshot());
-        assert!(parsed.as_parsed().is_some());
         assert_eq!(parsed.prepare.stat_name(), "index_build_ms");
 
         let dir = std::env::temp_dir().join(format!("wp-shared-attach-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("s.wps");
-        let (doc, index) = parsed.as_parsed().unwrap();
+        let (doc, index) = parsed.shard().as_parsed().unwrap();
         whirlpool_store::save_snapshot(doc, index, &path).unwrap();
 
         let attached = DocState::attach("s", &path).unwrap();
-        assert!(attached.is_snapshot());
-        assert!(attached.as_parsed().is_none());
+        assert!(attached.shard().as_parsed().is_none());
         assert_eq!(attached.prepare.stat_name(), "snapshot_attach_ms");
-        assert_eq!(attached.doc().len(), parsed.doc().len());
-        assert_eq!(
-            attached.synopsis.tag_count("book"),
-            parsed.synopsis.tag_count("book")
+        assert!(attached.shard().is_resident(), "eager attach starts mapped");
+        assert!(!attached.shard().admitted_by_peek());
+        let peeked = DocState::peek("s", &path).unwrap();
+        assert_eq!(peeked.prepare.stat_name(), "snapshot_peek_ms");
+        assert!(peeked.shard().admitted_by_peek() && !peeked.shard().is_resident());
+        assert!(peeked.shard().path_synopsis().is_some(), "v3 carries paths");
+
+        let mut r = Registry::new();
+        r.insert(parsed);
+        r.insert(DocState::attach("t", &path).unwrap());
+        let corpus = r.freeze();
+        let (p, a) = (
+            corpus.collection.acquire(0).unwrap(),
+            corpus.collection.acquire(1).unwrap(),
         );
-        let tag = attached.doc().tag_id("title").unwrap();
-        assert_eq!(
-            attached.index().nodes_with_tag(tag).len(),
-            parsed
-                .index()
-                .nodes_with_tag(parsed.doc().tag_id("title").unwrap())
+        assert_eq!(a.doc().len(), p.doc().len());
+        let count = |x: &whirlpool_core::ShardAccess<'_>| {
+            x.index()
+                .nodes_with_tag(x.doc().tag_id("title").unwrap())
                 .len()
+        };
+        assert_eq!(count(&a), count(&p));
+        let shards = corpus.collection.shards();
+        assert_eq!(
+            shards[1].synopsis().tag_count("book"),
+            shards[0].synopsis().tag_count("book")
         );
-
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn peeked_state_attaches_on_first_acquire_and_evicts_on_pressure() {
-        let dir = std::env::temp_dir().join(format!("wp-shared-peek-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut registry = Registry::new();
-        for name in ["a", "b"] {
-            let doc = parse_document("<shelf><book><title>x</title></book></shelf>").unwrap();
-            let index = whirlpool_index::TagIndex::build(&doc);
-            let path = dir.join(format!("{name}.wps"));
-            whirlpool_store::save_snapshot(&doc, &index, &path).unwrap();
-            registry.insert(DocState::peek(name, &path).unwrap());
-        }
-        let residency = registry.residency();
-        residency.set_max_resident(1);
-        assert_eq!(residency.peeked.load(Ordering::Relaxed), 2);
-
-        let a = registry.get("a").unwrap();
-        let b = registry.get("b").unwrap();
-        assert!(a.is_lazy() && a.is_snapshot() && !a.is_resident());
-        assert_eq!(a.prepare.stat_name(), "snapshot_peek_ms");
-        assert!(a.paths.is_some(), "v3 snapshot carries its path synopsis");
-        assert_eq!(a.synopsis.tag_count("book"), 1);
-
-        // First acquire attaches; the access pins the snapshot.
-        let access = residency.acquire(&a).unwrap();
-        assert_eq!(access.doc().len(), a.synopsis.elements() as usize + 1);
-        assert!(a.is_resident());
-        assert_eq!(residency.attached.load(Ordering::Relaxed), 1);
-
-        // While `a` is pinned, touching `b` cannot evict it.
-        let access_b = residency.acquire(&b).unwrap();
-        assert!(a.is_resident(), "pinned snapshots are not evictable");
-        drop(access);
-        drop(access_b);
-
-        // Unpinned now: the next acquire of `a` evicts `b` (LRU).
-        let _again = residency.acquire(&a).unwrap();
-        assert!(!b.is_resident(), "LRU victim must be detached");
-        assert!(residency.evictions.load(Ordering::Relaxed) >= 1);
-        assert!(residency.resident_count() <= 1);
-        crate::json::Json::parse(&residency.to_json()).expect("valid shards json");
+        drop((p, a));
 
         std::fs::remove_dir_all(&dir).unwrap();
     }
