@@ -1,7 +1,6 @@
 //! Parser/serializer throughput on generated XMark-like data.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use whirlpool_store::{read_store, write_store};
 use whirlpool_xmark::{generate, GeneratorConfig};
 use whirlpool_xml::{parse_document, write_document, WriteOptions};
 
@@ -19,20 +18,6 @@ fn bench_parse(c: &mut Criterion) {
     });
     group.bench_function("generate_500_items", |b| {
         b.iter(|| generate(&GeneratorConfig::items(500)))
-    });
-
-    // The binary store's raison d'être: loading beats reparsing.
-    let mut store = Vec::new();
-    write_store(&doc, &mut store).unwrap();
-    group.bench_function("store_load", |b| {
-        b.iter(|| read_store(black_box(&mut store.as_slice())).expect("valid store"))
-    });
-    group.bench_function("store_write", |b| {
-        b.iter(|| {
-            let mut out = Vec::new();
-            write_store(black_box(&doc), &mut out).unwrap();
-            out
-        })
     });
     group.finish();
 }

@@ -265,9 +265,6 @@ mod tests {
 
     #[test]
     fn aggregates_a_real_trace() {
-        if !whirlpool_core::trace::tracing_compiled() {
-            return;
-        }
         let doc = generate(&GeneratorConfig::items(80));
         let index = TagIndex::build(&doc);
         let query = queries::parse(queries::Q2);

@@ -1,9 +1,9 @@
 //! Performance snapshot: runs the Table-1 default configuration (Q2,
-//! 10 Mb document, k = 15) across all four engines with binding-buffer
-//! pooling on and off, and writes the medians plus allocation counters
-//! to `BENCH_core.json`. A third traced run per engine pins the cost of
-//! the observability layer (`BENCH_core.json`'s `trace_overhead`
-//! fields; the untraced rows are the ≤ 2 % regression anchor) and its
+//! 10 Mb document, k = 15) across all four engines and writes the
+//! medians plus work and buffer counters to `BENCH_core.json`. A
+//! second, traced run per engine pins the cost of the observability
+//! layer (`BENCH_core.json`'s `trace_overhead` fields; the untraced
+//! rows are the ≤ 2 % regression anchor) and its
 //! aggregated event stream — score-progress curve, per-server latency
 //! histograms, phase times — goes to `BENCH_trace.json`.
 //!
@@ -15,16 +15,13 @@
 //!
 //! `--smoke` shrinks the document and repetition count for CI and
 //! prints the JSON to stdout instead of writing files; it still fails
-//! (exit 1) if any pooled run disagrees with its unpooled twin, and it
-//! additionally gates the pooled path's performance: Whirlpool-M's and
-//! LockStep's pooled medians must not exceed their unpooled medians by
-//! more than 5 % (the pool regression guard), and the *virtual*
-//! 4-thread Whirlpool-M makespan must not exceed the 1-thread one (the
-//! scheduler scaling guard — virtual time, so it holds even on a
+//! (exit 1) if a traced run changes its engine's answers, and it gates
+//! the scheduler: the *virtual* 4-thread Whirlpool-M makespan must not
+//! exceed the 1-thread one (virtual time, so it holds even on a
 //! single-core CI box).
 //!
 //! A `scaling` section sweeps Whirlpool-M's scheduler pool size (1, 2,
-//! 4, 8 workers) at the pooled defaults; every config's answers are
+//! 4, 8 workers) at the defaults; every config's answers are
 //! checked tie-aware ([`answers_equivalent`] — concurrent
 //! interleavings may resolve a tied boundary group differently, and
 //! any resolution is a correct top-k). Each config records the real
@@ -38,12 +35,6 @@
 //! arrays feed `--compare`, which fails when a speedup regresses by
 //! more than 15 %.
 //!
-//! A `kernel` section microbenchmarks one server operation in
-//! isolation — the retired Dewey-materializing kernel
-//! ([`QueryContext::process_at_server_dewey_reference`]) against the
-//! live columnar one — as per-op latency medians and log2-ns
-//! histograms.
-//!
 //! A `collection_lazy` section exercises the disk-resident driver:
 //! `Collection::open_dir` over a directory of snapshot shards whose
 //! sparse majority carries the query's tags in the wrong arrangement,
@@ -53,7 +44,7 @@
 //! uncapped), lazy wall ≤ eager wall, and evictions under
 //! `max_resident = 2`.
 //!
-//! `--compare <old BENCH_core.json>` diffs this run's pooled
+//! `--compare <old BENCH_core.json>` diffs this run's engine
 //! wall-clock medians against a previous snapshot and exits non-zero
 //! when any engine regressed by more than 15 % (skipped with a warning
 //! when the old snapshot was taken on a different document label).
@@ -78,15 +69,24 @@ struct ConfigStats {
 
 struct EngineRow {
     name: &'static str,
-    pooled: ConfigStats,
-    unpooled: ConfigStats,
-    answers_identical: bool,
+    stats: ConfigStats,
     /// Median wall time with event tracing on, and whether the traced
     /// run returned the same answers (tracing must not perturb results).
     traced_wall_ms: f64,
     traced_identical: bool,
     aggregate: TraceAggregate,
     trace_events: usize,
+}
+
+impl EngineRow {
+    /// Traced wall over untraced wall, minus one.
+    fn trace_overhead(&self) -> f64 {
+        if self.stats.wall_ms_median > 0.0 {
+            self.traced_wall_ms / self.stats.wall_ms_median - 1.0
+        } else {
+            0.0
+        }
+    }
 }
 
 fn run_config(
@@ -111,89 +111,6 @@ fn run_config(
             metrics: last.metrics,
         },
         last,
-    )
-}
-
-/// Per-op latency of one server-op kernel: the median and a log2(ns)
-/// histogram (bucket `i` counts ops with `2^i <= ns < 2^(i+1)`).
-struct KernelSide {
-    median_ns: f64,
-    hist: [u64; 24],
-}
-
-impl KernelSide {
-    fn from_samples(mut ns: Vec<f64>) -> KernelSide {
-        let mut hist = [0u64; 24];
-        for &v in &ns {
-            let bucket = (v.max(1.0).log2() as usize).min(23);
-            hist[bucket] += 1;
-        }
-        KernelSide {
-            median_ns: median(&mut ns),
-            hist,
-        }
-    }
-
-    fn push_json(&self, out: &mut String, label: &str, comma: bool) {
-        let buckets: Vec<String> = self.hist.iter().map(u64::to_string).collect();
-        out.push_str(&format!(
-            "    \"{label}\": {{\"median_ns\": {:.1}, \"hist_log2_ns\": [{}]}}{}\n",
-            self.median_ns,
-            buckets.join(", "),
-            if comma { "," } else { "" },
-        ));
-    }
-}
-
-/// Microbenchmarks one server operation per (sampled root match,
-/// server) pair under both kernels. The Dewey reference and the
-/// columnar kernel see identical inputs (fresh root matches, same
-/// candidate ranges), so the per-op deltas isolate the predicate-check
-/// rewrite itself.
-fn kernel_microbench(
-    workload: &Workload,
-    query: &whirlpool_pattern::TreePattern,
-    model: &dyn whirlpool_score::ScoreModel,
-    cap: usize,
-) -> (KernelSide, KernelSide, usize) {
-    let ctx = QueryContext::new(
-        &workload.doc,
-        &workload.index,
-        query,
-        model,
-        ContextOptions::default(),
-    );
-    let mut pool = ctx.new_pool();
-    let matches = ctx.make_root_matches();
-    let step = (matches.len() / cap.max(1)).max(1);
-    let sample: Vec<_> = matches.iter().step_by(step).take(cap).collect();
-    let servers: Vec<whirlpool_pattern::QNodeId> = query.server_ids().collect();
-
-    let mut out = Vec::new();
-    let mut dewey_ns = Vec::with_capacity(sample.len() * servers.len());
-    let mut columnar_ns = Vec::with_capacity(sample.len() * servers.len());
-    for &m in &sample {
-        for &server in &servers {
-            out.clear();
-            let t = Instant::now();
-            ctx.process_at_server_dewey_reference(server, m, &mut out, &mut pool);
-            dewey_ns.push(t.elapsed().as_nanos() as f64);
-            for e in out.drain(..) {
-                pool.release(e);
-            }
-            let t = Instant::now();
-            ctx.process_at_server_pooled(server, m, &mut out, &mut pool);
-            columnar_ns.push(t.elapsed().as_nanos() as f64);
-            for e in out.drain(..) {
-                pool.release(e);
-            }
-        }
-    }
-    let ops = dewey_ns.len();
-    (
-        KernelSide::from_samples(dewey_ns),
-        KernelSide::from_samples(columnar_ns),
-        ops,
     )
 }
 
@@ -691,7 +608,9 @@ fn snapshot_bench(
     }
 }
 
-fn parse_snapshot_pooled(text: &str) -> Vec<(String, f64)> {
+/// `(engine name, wall_ms_median)` of every engine row in an old
+/// snapshot: the first `wall_ms_median` after each `"name"`.
+fn parse_snapshot_walls(text: &str) -> Vec<(String, f64)> {
     let mut out = Vec::new();
     let mut pos = 0;
     while let Some(i) = text[pos..].find("\"name\": \"") {
@@ -701,7 +620,7 @@ fn parse_snapshot_pooled(text: &str) -> Vec<(String, f64)> {
         };
         let name = text[start..start + name_len].to_string();
         pos = start + name_len;
-        let marker = "\"pooled\": {\"wall_ms_median\": ";
+        let marker = "\"wall_ms_median\": ";
         let Some(j) = text[pos..].find(marker) else {
             continue;
         };
@@ -745,22 +664,15 @@ fn answer_key(r: &EvalResult) -> Vec<(usize, u64)> {
         .collect()
 }
 
-fn reduction(unpooled: f64, pooled: f64) -> f64 {
-    if unpooled <= 0.0 {
-        0.0
-    } else {
-        1.0 - pooled / unpooled
-    }
-}
-
-fn config_json(out: &mut String, label: &str, s: &ConfigStats, comma: bool) {
+/// The counters of one engine row, as the body of its JSON object.
+fn config_json(out: &mut String, s: &ConfigStats) {
     let m = &s.metrics;
     out.push_str(&format!(
-        "      \"{label}\": {{\"wall_ms_median\": {:.3}, \"buffers_allocated\": {}, \
+        "      \"wall_ms_median\": {:.3}, \"buffers_allocated\": {}, \
          \"buffers_reused\": {}, \"pool_hit_rate\": {:.4}, \"partials_created\": {}, \
          \"server_ops\": {}, \"pruned\": {}, \"deadline_hits\": {}, \
          \"servers_failed\": {}, \"matches_redistributed\": {}, \
-         \"answers_degraded\": {}}}{}\n",
+         \"answers_degraded\": {},\n",
         s.wall_ms_median,
         m.buffers_allocated,
         m.buffers_reused,
@@ -772,7 +684,6 @@ fn config_json(out: &mut String, label: &str, s: &ConfigStats, comma: bool) {
         m.servers_failed,
         m.matches_redistributed,
         m.answers_degraded,
-        if comma { "," } else { "" },
     ));
 }
 
@@ -822,11 +733,7 @@ fn main() {
         Algorithm::WhirlpoolM { processors: None },
     ];
 
-    let pooled_options = default_options(k);
-    let unpooled_options = EvalOptions {
-        pooling: false,
-        ..default_options(k)
-    };
+    let options = default_options(k);
     let traced_options = EvalOptions {
         trace: true,
         ..default_options(k)
@@ -835,36 +742,25 @@ fn main() {
     let mut rows = Vec::new();
     for algorithm in &engines {
         eprintln!(
-            "perfsnap: {} ({} reps, pooled + unpooled + traced)...",
+            "perfsnap: {} ({} reps, untraced + traced)...",
             algorithm.name(),
             reps
         );
-        let (unpooled, unpooled_last) = run_config(
-            &workload,
-            &query,
-            &model,
-            algorithm,
-            &unpooled_options,
-            reps,
-        );
-        let (pooled, pooled_last) =
-            run_config(&workload, &query, &model, algorithm, &pooled_options, reps);
+        let (stats, last) = run_config(&workload, &query, &model, algorithm, &options, reps);
         let (traced, traced_last) =
             run_config(&workload, &query, &model, algorithm, &traced_options, reps);
         let trace = traced_last.trace.as_ref();
         rows.push(EngineRow {
             name: algorithm.name(),
-            answers_identical: answer_key(&pooled_last) == answer_key(&unpooled_last),
             traced_wall_ms: traced.wall_ms_median,
-            traced_identical: answer_key(&traced_last) == answer_key(&pooled_last),
+            traced_identical: answer_key(&traced_last) == answer_key(&last),
             aggregate: trace.map(TraceAggregate::from_trace).unwrap_or_default(),
             trace_events: trace.map_or(0, |t| t.events.len()),
-            pooled,
-            unpooled,
+            stats,
         });
     }
 
-    // Scheduler-pool sweep: Whirlpool-M at the pooled defaults with 1,
+    // Scheduler-pool sweep: Whirlpool-M at the defaults with 1,
     // 2, 4, and 8 workers. Every config must return a top-k answer
     // equivalent to the reference — tie-aware, not bit-identical:
     // concurrent interleavings may legitimately admit different members
@@ -881,7 +777,7 @@ fn main() {
             &query,
             &model,
             &Algorithm::LockStepNoPrune,
-            &pooled_options,
+            &options,
             1,
         );
         last
@@ -940,8 +836,7 @@ fn main() {
         .iter()
         .find(|r| r.name == "Whirlpool-S")
         .expect("Whirlpool-S row");
-    let s_virtual_ms =
-        sequential_virtual_time(&s_row.pooled.metrics, &VTimeConfig::default()) * 1e3;
+    let s_virtual_ms = sequential_virtual_time(&s_row.stats.metrics, &VTimeConfig::default()) * 1e3;
     let scaling_speedup: Vec<f64> = scaling
         .iter()
         .map(|r| {
@@ -952,13 +847,6 @@ fn main() {
             }
         })
         .collect();
-
-    // Kernel microbench: per-op latency of the retired Dewey kernel vs
-    // the live columnar one, over a sample of root matches.
-    let kernel_cap = if smoke { 500 } else { 2000 };
-    eprintln!("perfsnap: kernel microbench (Dewey reference vs columnar, {kernel_cap} roots)...");
-    let (kernel_dewey, kernel_columnar, kernel_ops) =
-        kernel_microbench(&workload, &query, &model, kernel_cap);
 
     // Daemon serving: steady-state latency percentiles and the shed
     // rate at 2x admission overload, on a fixed medium document (the
@@ -1011,30 +899,14 @@ fn main() {
     ));
     json.push_str("  \"engines\": [\n");
     for (i, row) in rows.iter().enumerate() {
-        let alloc_red = reduction(
-            row.unpooled.metrics.buffers_allocated as f64,
-            row.pooled.metrics.buffers_allocated as f64,
-        );
-        let wall_red = reduction(row.unpooled.wall_ms_median, row.pooled.wall_ms_median);
         json.push_str("    {\n");
         json.push_str(&format!("      \"name\": \"{}\",\n", row.name));
-        config_json(&mut json, "pooled", &row.pooled, true);
-        config_json(&mut json, "unpooled", &row.unpooled, true);
-        let trace_overhead = if row.pooled.wall_ms_median > 0.0 {
-            row.traced_wall_ms / row.pooled.wall_ms_median - 1.0
-        } else {
-            0.0
-        };
+        config_json(&mut json, &row.stats);
         json.push_str(&format!(
-            "      \"alloc_reduction\": {:.4},\n      \"wall_reduction\": {:.4},\n      \
-             \"answers_identical\": {},\n      \
-             \"trace_overhead\": {{\"traced_wall_ms\": {:.3}, \"overhead_frac\": {:.4}, \
+            "      \"trace_overhead\": {{\"traced_wall_ms\": {:.3}, \"overhead_frac\": {:.4}, \
              \"events\": {}, \"answers_identical\": {}}}\n",
-            alloc_red,
-            wall_red,
-            row.answers_identical,
             row.traced_wall_ms,
-            trace_overhead,
+            row.trace_overhead(),
             row.trace_events,
             row.traced_identical,
         ));
@@ -1081,19 +953,6 @@ fn main() {
     json.push_str(&format!(
         "  \"steal_rate\": [{}]\n  }},\n",
         fmt4(&steal_rates)
-    ));
-    let kernel_speedup = if kernel_columnar.median_ns > 0.0 {
-        kernel_dewey.median_ns / kernel_columnar.median_ns
-    } else {
-        1.0
-    };
-    json.push_str(&format!(
-        "  \"kernel\": {{\n    \"ops_per_side\": {kernel_ops},\n"
-    ));
-    kernel_dewey.push_json(&mut json, "dewey", true);
-    kernel_columnar.push_json(&mut json, "columnar", true);
-    json.push_str(&format!(
-        "    \"median_speedup\": {kernel_speedup:.3}\n  }},\n"
     ));
     json.push_str(&format!(
         "  \"serve\": {{\n    \"workers\": {}, \"max_inflight\": {},\n    \
@@ -1175,14 +1034,10 @@ fn main() {
     ));
     trace_json.push_str("  \"engines\": [\n");
     for (i, row) in rows.iter().enumerate() {
-        let overhead_frac = if row.pooled.wall_ms_median > 0.0 {
-            row.traced_wall_ms / row.pooled.wall_ms_median - 1.0
-        } else {
-            0.0
-        };
         trace_json.push_str(&format!(
             "    {{\"name\": \"{}\", \"overhead_frac\": {:.4}, \"aggregate\": ",
-            row.name, overhead_frac
+            row.name,
+            row.trace_overhead()
         ));
         row.aggregate.push_json(&mut trace_json, 64);
         trace_json.push_str(if i + 1 < rows.len() { "},\n" } else { "}\n" });
@@ -1190,32 +1045,21 @@ fn main() {
     trace_json.push_str("  ]\n}\n");
 
     for row in &rows {
-        let alloc_red = reduction(
-            row.unpooled.metrics.buffers_allocated as f64,
-            row.pooled.metrics.buffers_allocated as f64,
-        );
         eprintln!(
-            "perfsnap: {:16} wall {:8.2} ms -> {:8.2} ms, buffer allocs {:>9} -> {:>9} \
-             ({:.1}% fewer), hit rate {:.3}, answers identical: {}",
+            "perfsnap: {:16} wall {:8.2} ms, {:>9} buffers allocated, {:>9} reused \
+             (hit rate {:.3})",
             row.name,
-            row.unpooled.wall_ms_median,
-            row.pooled.wall_ms_median,
-            row.unpooled.metrics.buffers_allocated,
-            row.pooled.metrics.buffers_allocated,
-            alloc_red * 100.0,
-            row.pooled.metrics.pool_hit_rate(),
-            row.answers_identical,
+            row.stats.wall_ms_median,
+            row.stats.metrics.buffers_allocated,
+            row.stats.metrics.buffers_reused,
+            row.stats.metrics.pool_hit_rate(),
         );
         eprintln!(
             "perfsnap: {:16} traced {:8.2} ms ({:+.1}% vs untraced), {} events, \
              answers identical: {}",
             row.name,
             row.traced_wall_ms,
-            if row.pooled.wall_ms_median > 0.0 {
-                (row.traced_wall_ms / row.pooled.wall_ms_median - 1.0) * 100.0
-            } else {
-                0.0
-            },
+            row.trace_overhead() * 100.0,
             row.trace_events,
             row.traced_identical,
         );
@@ -1237,12 +1081,6 @@ fn main() {
         "perfsnap: Whirlpool-S   virtual {s_virtual_ms:8.2} ms (sequential work-sum); \
          multi-worker M beats it: {}",
         scaling.iter().skip(1).all(|r| r.virtual_ms < s_virtual_ms),
-    );
-
-    eprintln!(
-        "perfsnap: kernel per-op median {:.0} ns (dewey) -> {:.0} ns (columnar), {:.2}x, \
-         {} ops/side",
-        kernel_dewey.median_ns, kernel_columnar.median_ns, kernel_speedup, kernel_ops,
     );
 
     eprintln!(
@@ -1300,10 +1138,6 @@ fn main() {
         snap.equivalent,
     );
 
-    if rows.iter().any(|r| !r.answers_identical) {
-        eprintln!("perfsnap: FAIL — pooled and unpooled runs disagree");
-        std::process::exit(1);
-    }
     if rows.iter().any(|r| !r.traced_identical) {
         eprintln!("perfsnap: FAIL — tracing changed the answer set");
         std::process::exit(1);
@@ -1311,21 +1145,6 @@ fn main() {
     if scaling.iter().any(|r| !r.equivalent) {
         eprintln!("perfsnap: FAIL — a scaling config returned a non-equivalent answer set");
         std::process::exit(1);
-    }
-    // Pooled-regression gate: recycling buffers must not cost wall time
-    // — on the threaded engine (sharded pools) nor on LockStep (the
-    // plain hub-less pool, which regressed once under the scalar
-    // evaluate path). 5 % headroom for noise.
-    for name in ["Whirlpool-M", "LockStep"] {
-        if let Some(m) = rows.iter().find(|r| r.name == name) {
-            if m.pooled.wall_ms_median > m.unpooled.wall_ms_median * 1.05 {
-                eprintln!(
-                    "perfsnap: FAIL — {name} pooled {:.2} ms exceeds unpooled {:.2} ms by >5%",
-                    m.pooled.wall_ms_median, m.unpooled.wall_ms_median
-                );
-                std::process::exit(1);
-            }
-        }
     }
     // Serve conservation gate: the daemon's outcome counters must
     // account for every admitted request exactly once — a leak here
@@ -1449,7 +1268,7 @@ fn main() {
         eprintln!("perfsnap: wrote {trace_path}");
     }
 
-    // Snapshot-diff gate: any engine whose pooled median exceeds the
+    // Snapshot-diff gate: any engine whose wall median exceeds the
     // old snapshot's by more than 15 % fails the run. Cross-scale
     // comparisons (different doc labels) are refused, not guessed at.
     // Runs after the files are written so a failing run still leaves
@@ -1465,7 +1284,7 @@ fn main() {
                 old_label.as_deref().unwrap_or("<missing>"),
             );
         } else {
-            let baselines = parse_snapshot_pooled(&old);
+            let baselines = parse_snapshot_walls(&old);
             let mut regressed = false;
             for row in &rows {
                 let Some((_, old_ms)) = baselines.iter().find(|(n, _)| n == row.name) else {
@@ -1473,7 +1292,7 @@ fn main() {
                     continue;
                 };
                 let delta = if *old_ms > 0.0 {
-                    row.pooled.wall_ms_median / old_ms - 1.0
+                    row.stats.wall_ms_median / old_ms - 1.0
                 } else {
                     0.0
                 };
@@ -1484,9 +1303,9 @@ fn main() {
                     "ok"
                 };
                 eprintln!(
-                    "perfsnap: compare {:16} pooled {:8.2} ms vs {:8.2} ms ({:+.1}%) {verdict}",
+                    "perfsnap: compare {:16} wall {:8.2} ms vs {:8.2} ms ({:+.1}%) {verdict}",
                     row.name,
-                    row.pooled.wall_ms_median,
+                    row.stats.wall_ms_median,
                     old_ms,
                     delta * 100.0,
                 );
@@ -1516,7 +1335,7 @@ fn main() {
             }
             if regressed {
                 eprintln!(
-                    "perfsnap: FAIL — pooled wall-clock or scaling speedup regressed against \
+                    "perfsnap: FAIL — engine wall-clock or scaling speedup regressed against \
                      {old_path}"
                 );
                 std::process::exit(1);

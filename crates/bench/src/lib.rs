@@ -141,8 +141,6 @@ pub fn default_options(k: usize) -> EvalOptions {
         op_cost: None,
         selectivity_sample: 64,
         router_batch: 1,
-        pooling: true,
-        op_batching: true,
         deadline: None,
         max_server_ops: None,
         fault_plan: None,

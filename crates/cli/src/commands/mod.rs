@@ -2,7 +2,6 @@
 
 pub mod explain;
 pub mod generate;
-pub mod index;
 pub mod query;
 pub mod relax;
 pub mod serve;
@@ -13,12 +12,15 @@ use crate::CliError;
 use whirlpool_pattern::{parse_pattern, TreePattern};
 use whirlpool_xml::{parse_document, Document};
 
-/// Loads a document: binary stores (see `whirlpool index`) are sniffed
-/// by magic and loaded directly; anything else is parsed as XML.
+/// Loads a document by parsing XML. Binary store files — snapshots,
+/// or the retired v1 format — are refused by magic, never fed to the
+/// XML parser.
 pub(crate) fn load_document(path: &str) -> Result<Document, CliError> {
-    if whirlpool_store::is_store_file(path) {
-        return whirlpool_store::load_file(path)
-            .map_err(|e| CliError::Parse(format!("{path}: {e}")));
+    if let Some(version) = whirlpool_store::store_version(path) {
+        return Err(CliError::Usage(format!(
+            "{path}: binary store (format v{version}), not XML; this command parses XML — \
+             `whirlpool snapshot build` turns XML into a snapshot for `query` and `serve`"
+        )));
     }
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError::Usage(format!("cannot read {path}: {e}")))?;

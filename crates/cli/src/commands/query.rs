@@ -217,13 +217,6 @@ pub fn run(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
 
     let trace_out = parsed.value("trace-out").map(str::to_string);
     let explain = parsed.flag("explain");
-    if (trace_out.is_some() || explain) && !whirlpool_core::trace::tracing_compiled() {
-        return Err(CliError::Usage(
-            "--trace-out/--explain need the `trace` cargo feature (build without \
-             --no-default-features)"
-                .to_string(),
-        ));
-    }
 
     let options = EvalOptions {
         k: parsed.number("k", 10)?,
@@ -237,8 +230,6 @@ pub fn run(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
         op_cost: None,
         selectivity_sample: 64,
         router_batch: parsed.number("batch", 1)?,
-        pooling: !parsed.flag("no-pool"),
-        op_batching: !parsed.flag("no-op-batching"),
         deadline,
         max_server_ops,
         fault_plan,
@@ -387,7 +378,7 @@ pub fn run(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Assembles the collection: every XML/store file in `--collection`'s
+/// Assembles the collection: every XML/snapshot file in `--collection`'s
 /// directory, the listed files (one shard each), or one document split
 /// into `--split N` subtree shards.
 fn build_collection(
@@ -405,14 +396,14 @@ fn build_collection(
                 p.is_file()
                     && matches!(
                         p.extension().and_then(|e| e.to_str()),
-                        Some("xml") | Some("wpx") | Some("wps")
+                        Some("xml") | Some("wps")
                     )
             })
             .collect();
         paths.sort();
         if paths.is_empty() {
             return Err(CliError::Usage(format!(
-                "--collection {dir}: no .xml, .wpx, or .wps files found"
+                "--collection {dir}: no .xml or .wps files found"
             )));
         }
         for path in paths {
@@ -431,7 +422,7 @@ fn build_collection(
 
 /// Adds one file to the collection: snapshots (v2 or v3) go in as lazy
 /// shards — only their synopses are read until a query visits them —
-/// anything else parses (or loads a v1 store) and indexes.
+/// anything else parses and indexes.
 fn add_shard(collection: &mut Collection, path: &str) -> Result<(), CliError> {
     if whirlpool_store::store_version(path).is_some_and(is_snapshot_version) {
         return collection
@@ -492,7 +483,8 @@ fn run_collection(
         )?,
     }
     writeln!(out, "answers:    {}", result.answers.len())?;
-    for (rank, a) in result.answers.iter().enumerate() {
+    let texts = answer_texts(collection, &result, parsed.flag("xml"));
+    for (rank, (a, (id, xml))) in result.answers.iter().zip(&texts).enumerate() {
         let shard = &collection.shards()[a.shard];
         write!(
             out,
@@ -502,29 +494,12 @@ fn run_collection(
             shard.name(),
             a.root
         )?;
-        // acquire, not Shard::doc(): the answer's shard may be lazy
-        // (and even evicted since its run) — re-attach on demand.
-        let access = collection.acquire(a.shard).ok();
-        if let Some(id) = access
-            .as_ref()
-            .and_then(|x| x.doc().attribute(a.root, "id"))
-        {
+        if let Some(id) = id {
             write!(out, "  id={id}")?;
         }
         writeln!(out)?;
-        if parsed.flag("xml") {
-            if let Some(access) = &access {
-                let xml = access.doc().write_node(
-                    a.root,
-                    &WriteOptions {
-                        indent: Some(2),
-                        declaration: false,
-                    },
-                );
-                for line in xml.lines() {
-                    writeln!(out, "      {line}")?;
-                }
-            }
+        for line in xml.lines() {
+            writeln!(out, "      {line}")?;
         }
     }
     writeln!(
@@ -539,6 +514,32 @@ fn run_collection(
     )?;
     writeln!(out, "elapsed:    {:?}", result.elapsed)?;
     Ok(())
+}
+
+/// Each answer's `id` attribute and (with `xml`) its serialized
+/// fragment, in rank order. Read through
+/// [`Collection::visit_answers`], not `Shard::doc()`: an answer's shard
+/// may be lazy (and even evicted since its run), and is re-attached
+/// once however the answers interleave.
+fn answer_texts(
+    collection: &Collection,
+    result: &whirlpool_core::CollectionResult,
+    xml: bool,
+) -> Vec<(Option<String>, String)> {
+    let mut texts = vec![(None, String::new()); result.answers.len()];
+    collection.visit_answers(result, |rank, a, doc| {
+        texts[rank].0 = doc.attribute(a.root, "id").map(str::to_string);
+        if xml {
+            texts[rank].1 = doc.write_node(
+                a.root,
+                &WriteOptions {
+                    indent: Some(2),
+                    declaration: false,
+                },
+            );
+        }
+    });
+    texts
 }
 
 /// JSON form of a collection run; answers carry their shard name.
@@ -590,18 +591,17 @@ fn write_collection_json(
         m.server_ops, m.predicate_comparisons, m.partials_created, m.pruned
     )?;
     writeln!(out, "  \"answers\": [")?;
-    for (i, a) in result.answers.iter().enumerate() {
+    let texts = answer_texts(collection, result, false);
+    for (i, (a, (id, _))) in result.answers.iter().zip(&texts).enumerate() {
         let comma = if i + 1 < result.answers.len() {
             ","
         } else {
             ""
         };
         let shard = &collection.shards()[a.shard];
-        let id = collection
-            .acquire(a.shard)
-            .ok()
-            .and_then(|x| x.doc().attribute(a.root, "id").map(str::to_string))
-            .map(|v| format!(", \"id\": \"{}\"", escape(&v)))
+        let id = id
+            .as_ref()
+            .map(|v| format!(", \"id\": \"{}\"", escape(v)))
             .unwrap_or_default();
         writeln!(
             out,

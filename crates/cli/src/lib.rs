@@ -31,7 +31,6 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     match command {
         "query" => commands::query::run(&rest, out),
         "generate" => commands::generate::run(&rest, out),
-        "index" => commands::index::run(&rest, out),
         "snapshot" => commands::snapshot::run(&rest, out),
         "stats" => commands::stats::run(&rest, out),
         "relax" => commands::relax::run(&rest, out),
@@ -52,7 +51,6 @@ USAGE:
                      (several files, or --collection DIR, query a
                      sharded corpus under one corpus-level idf model)
   whirlpool generate <out.xml> [options]         emit an XMark-like document
-  whirlpool index <in.xml> <out.wpx>             precompile XML to a binary store
   whirlpool snapshot build <in.xml> <out.wps>    build a zero-copy index snapshot
   whirlpool snapshot verify <file.wps>           checksum + structural validation
   whirlpool snapshot info <file.wps>             what a snapshot holds
@@ -90,8 +88,8 @@ QUERY OPTIONS:
   --explain          print a routing/pruning summary: where matches
                      went, what the alternatives scored, how the
                      threshold grew
-  --collection DIR   query every .xml/.wpx/.wps file in DIR as one
-                     corpus (.wps snapshots attach zero-copy)
+  --collection DIR   query every .xml/.wps file in DIR as one corpus
+                     (.wps snapshots attach zero-copy)
   --snapshot FILE    run against a prebuilt .wps snapshot: attach via
                      mmap instead of parsing + indexing (snapshot files
                      given as plain positionals attach automatically;
@@ -136,8 +134,9 @@ SERVE OPTIONS:
   \"fault\"). Overloaded requests get 429 + Retry-After; degraded
   answers carry the anytime certificate.
 
-Every command that reads a document accepts both XML files and binary
-stores produced by `whirlpool index` (detected by content, not name).
+`query` and `serve` accept XML files and `.wps` snapshots produced by
+`whirlpool snapshot build` (detected by content, not name); the other
+commands read XML.
 
 QUERY SYNTAX (XPath subset):
   //item[./description/parlist and ./mailbox/mail/text]

@@ -1,6 +1,8 @@
 //! End-to-end tests of the `whirlpool` CLI (library entry point; no
 //! subprocess spawning needed).
 
+use std::path::PathBuf;
+use std::sync::OnceLock;
 use whirlpool_cli::run;
 
 fn run_ok(argv: &[&str]) -> String {
@@ -19,24 +21,36 @@ fn run_err(argv: &[&str]) -> String {
 }
 
 /// A scratch directory unique to this test binary run.
-fn scratch(name: &str) -> std::path::PathBuf {
+fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("whirlpool-cli-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir.join(name)
 }
 
-fn sample_file() -> std::path::PathBuf {
-    let path = scratch("sample.xml");
-    std::fs::write(
-        &path,
-        "<shelf>\
-         <book id=\"a\"><title>wodehouse</title><isbn>1</isbn></book>\
-         <book id=\"b\"><title>tolkien</title></book>\
-         <book id=\"c\"><deep><title>wodehouse</title></deep></book>\
-         </shelf>",
-    )
-    .unwrap();
+/// Writes `contents` to the scratch file `name` and returns its path.
+/// For fixtures several tests read, call through a `OnceLock`: tests run
+/// on parallel threads, and a second write would truncate the file under
+/// a test that is reading it.
+fn write_fixture(name: &str, contents: &str) -> PathBuf {
+    let path = scratch(name);
+    std::fs::write(&path, contents).unwrap();
     path
+}
+
+fn sample_file() -> PathBuf {
+    static SAMPLE: OnceLock<PathBuf> = OnceLock::new();
+    SAMPLE
+        .get_or_init(|| {
+            write_fixture(
+                "sample.xml",
+                "<shelf>\
+                 <book id=\"a\"><title>wodehouse</title><isbn>1</isbn></book>\
+                 <book id=\"b\"><title>tolkien</title></book>\
+                 <book id=\"c\"><deep><title>wodehouse</title></deep></book>\
+                 </shelf>",
+            )
+        })
+        .clone()
 }
 
 #[test]
@@ -270,48 +284,50 @@ fn generate_is_seed_deterministic() {
     assert_eq!(std::fs::read(&p1).unwrap(), std::fs::read(&p2).unwrap());
 }
 
+/// Binary store files reach the XML-reading commands only by mistake:
+/// they are refused by magic with an error that names the way forward,
+/// never handed to the XML parser.
 #[test]
-fn index_then_query_from_binary_store() {
-    let xml_path = scratch("to_index.xml");
-    std::fs::write(
-        &xml_path,
-        "<r><book><title>x</title><isbn>1</isbn></book><book><title>y</title></book></r>",
-    )
-    .unwrap();
-    let store_path = scratch("indexed.wpx");
-    let out = run_ok(&[
-        "index",
-        xml_path.to_str().unwrap(),
-        store_path.to_str().unwrap(),
-    ]);
-    assert!(out.contains("indexed"), "{out}");
+fn binary_stores_get_a_typed_error_from_xml_commands() {
+    // A file of the retired v1 store format: magic, version 1, a body.
+    let v1 = scratch("legacy.wpx");
+    std::fs::write(&v1, b"WPLX\x01\x00\x00\x00\x06\x00\x00\x00legacy").unwrap();
+    let xml = sample_file();
+    let snap = scratch("typed-error.wps");
+    let (v1, xml, snap) = (
+        v1.to_str().unwrap(),
+        xml.to_str().unwrap(),
+        snap.to_str().unwrap(),
+    );
+    run_ok(&["snapshot", "build", xml, snap]);
 
-    // Querying the store must give the same answers as the XML.
-    let from_xml = run_ok(&[
-        "query",
-        xml_path.to_str().unwrap(),
-        "//book[./title and ./isbn]",
-        "--k",
-        "2",
-    ]);
-    let from_store = run_ok(&[
-        "query",
-        store_path.to_str().unwrap(),
-        "//book[./title and ./isbn]",
-        "--k",
-        "2",
-    ]);
-    let strip = |s: &str| {
-        s.lines()
-            .filter(|l| !l.starts_with("elapsed"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(strip(&from_xml), strip(&from_store));
+    let argvs: [&[&str]; 6] = [
+        &["query", v1, "//book[./title]"],
+        &["query", v1, xml, "//book[./title]"],
+        &["stats", v1],
+        &["explain", v1, "//book[./title]"],
+        &["stats", snap],
+        &["explain", snap, "//book[./title]"],
+    ];
+    for argv in argvs {
+        let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+        let err = run(&argv, &mut Vec::new()).expect_err("binary input must be refused");
+        assert!(
+            matches!(err, whirlpool_cli::CliError::Usage(_)),
+            "{argv:?}: {err:?}"
+        );
+        let text = err.to_string();
+        assert!(text.contains("binary store"), "{argv:?}: {text}");
+        assert!(
+            text.contains("whirlpool snapshot build"),
+            "{argv:?}: {text}"
+        );
+    }
+    // The snapshot itself still answers queries.
+    let out = run_ok(&["query", snap, "//book[./title]"]);
+    assert!(out.contains("answers:   3"), "{out}");
 
-    // stats works on stores too.
-    let stats = run_ok(&["stats", store_path.to_str().unwrap()]);
-    assert!(stats.contains("elements:         6"), "{stats}");
+    assert!(run_err(&["index", "in.xml", "out.wpx"]).contains("unknown command"));
 }
 
 #[test]
@@ -344,26 +360,27 @@ fn help_and_unknown_command() {
 
 /// Two shard files for collection-mode tests: one rich (full matches),
 /// one poor (title-only books).
-fn collection_files() -> (std::path::PathBuf, std::path::PathBuf) {
-    let rich = scratch("coll-rich.xml");
-    std::fs::write(
-        &rich,
-        "<shelf>\
-         <book id=\"r1\"><title>dune</title><isbn>1</isbn></book>\
-         <book id=\"r2\"><title>atlas</title><isbn>2</isbn></book>\
-         </shelf>",
-    )
-    .unwrap();
-    let poor = scratch("coll-poor.xml");
-    std::fs::write(
-        &poor,
-        "<shelf>\
-         <book id=\"p1\"><title>void</title></book>\
-         <book id=\"p2\"><title>blank</title></book>\
-         </shelf>",
-    )
-    .unwrap();
-    (rich, poor)
+fn collection_files() -> (PathBuf, PathBuf) {
+    static FILES: OnceLock<(PathBuf, PathBuf)> = OnceLock::new();
+    FILES
+        .get_or_init(|| {
+            let rich = write_fixture(
+                "coll-rich.xml",
+                "<shelf>\
+                 <book id=\"r1\"><title>dune</title><isbn>1</isbn></book>\
+                 <book id=\"r2\"><title>atlas</title><isbn>2</isbn></book>\
+                 </shelf>",
+            );
+            let poor = write_fixture(
+                "coll-poor.xml",
+                "<shelf>\
+                 <book id=\"p1\"><title>void</title></book>\
+                 <book id=\"p2\"><title>blank</title></book>\
+                 </shelf>",
+            );
+            (rich, poor)
+        })
+        .clone()
 }
 
 #[test]

@@ -436,6 +436,33 @@ impl Collection {
         Ok(ShardAccess::Resident(arc))
     }
 
+    /// Calls `visit(rank, answer, doc)` for every answer of `result`,
+    /// grouped by shard: each distinct answering shard is pinned once
+    /// ([`acquire`](Self::acquire)), one at a time, however its answers
+    /// interleave with other shards' in rank order. Rendering a reply
+    /// under `max_resident = 1` therefore re-attaches an evicted lazy
+    /// shard once, not once per answer. Answers of a shard whose attach
+    /// fails are not visited.
+    pub fn visit_answers(
+        &self,
+        result: &CollectionResult,
+        mut visit: impl FnMut(usize, &CollectionAnswer, DocView<'_>),
+    ) {
+        let mut shards: Vec<usize> = result.answers.iter().map(|a| a.shard).collect();
+        shards.sort_unstable();
+        shards.dedup();
+        for shard in shards {
+            let Ok(access) = self.acquire(shard) else {
+                continue;
+            };
+            for (rank, a) in result.answers.iter().enumerate() {
+                if a.shard == shard {
+                    visit(rank, a, access.doc());
+                }
+            }
+        }
+    }
+
     /// Moves `idx` to the MRU tail and evicts over-cap unpinned lazy
     /// shards, least recently used first.
     fn touch(&self, idx: usize) {
@@ -1056,8 +1083,6 @@ pub fn evaluate_collection(
                     relax: options.relax,
                     selectivity_sample: options.selectivity_sample,
                     op_cost: options.op_cost,
-                    pooling: options.pooling,
-                    op_batching: options.op_batching,
                 },
             );
             active_evals.fetch_add(1, Ordering::SeqCst);
@@ -1729,6 +1754,45 @@ mod tests {
             &again.answers,
             1e-9
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn visit_answers_pins_each_answering_shard_once() {
+        let dir = snapshot_dir("visit", &[("s0", RICH), ("s1", RICH)]);
+        let c = Collection::open_dir(&dir).unwrap();
+        c.set_max_resident(1);
+        let mut run = evaluate_collection(
+            &c,
+            &q(),
+            &Algorithm::WhirlpoolS,
+            &EvalOptions::top_k(6),
+            Normalization::Sparse,
+            &CollectionOptions::scan_all(),
+        );
+        // Alternate the two shards' answers in rank order: the worst
+        // case for a per-answer acquire under a one-shard cap.
+        run.answers.sort_by_key(|a| (a.root, a.shard));
+        let shards: Vec<usize> = run.answers.iter().map(|a| a.shard).collect();
+        assert_eq!(shards, [0, 1, 0, 1, 0, 1]);
+
+        let before = c.attach_count();
+        let mut titles = vec![String::new(); run.answers.len()];
+        c.visit_answers(&run, |rank, a, doc| {
+            assert_eq!(run.answers[rank], *a);
+            // Pre-order ids: a book's first child is its title.
+            let title = NodeId::from_index(a.root.index() + 1);
+            titles[rank] = doc.text(title).unwrap().to_string();
+        });
+        assert_eq!(
+            titles,
+            ["dune", "dune", "atlas", "atlas", "hyperion", "hyperion"]
+        );
+        assert!(
+            c.attach_count() - before <= 2,
+            "two answering shards, {} attaches",
+            c.attach_count() - before
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,6 +1,6 @@
 //! Shared, immutable evaluation state plus the server operation itself.
 
-use crate::fault::{OpInterrupt, INTERRUPT_SPAN};
+use crate::fault::{busy_wait, OpInterrupt, INTERRUPT_SPAN};
 use crate::metrics::Metrics;
 use crate::partial::{Binding, PartialMatch};
 use crate::pool::MatchPool;
@@ -58,9 +58,9 @@ enum ServerRange<'a> {
 ///
 /// Produced by [`QueryContext::locate_batch_at_server`] (one galloping
 /// cursor sweep per batch, document order) and consumed by
-/// [`QueryContext::process_located_at_server_pooled`] (the columnar
-/// predicate kernel). Plain index pairs, so a batch plan is a flat
-/// `Vec<Located>` with no borrows into the context.
+/// [`QueryContext::process_located_at_server_interruptible`] (the
+/// columnar predicate kernel). Plain index pairs, so a batch plan is a
+/// flat `Vec<Located>` with no borrows into the context.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Located {
     /// The server's tag never occurs in the document: the evaluation
@@ -153,13 +153,6 @@ pub struct QueryContext<'a> {
     /// Injected artificial cost per server operation (busy-wait), for
     /// the Figure 8 experiment.
     op_cost: Option<Duration>,
-    /// Whether pools handed out by [`QueryContext::new_pool`] recycle
-    /// binding buffers (otherwise they degrade to plain allocation).
-    pooling: bool,
-    /// Whether the engines should locate candidate ranges for whole
-    /// batches of same-server matches up front (one cursor sweep per
-    /// batch) instead of per match.
-    op_batching: bool,
     seq: AtomicU64,
 }
 
@@ -172,17 +165,6 @@ pub struct ContextOptions {
     pub selectivity_sample: usize,
     /// Busy-wait per server operation (Figure 8's op-cost sweep).
     pub op_cost: Option<Duration>,
-    /// Recycle partial-match binding buffers through [`MatchPool`]s
-    /// (`true`, the default) or allocate each extension fresh. Answer
-    /// sets are identical either way; disabling exists for A/B
-    /// measurement of the allocator traffic.
-    pub pooling: bool,
-    /// Resolve candidate ranges for whole same-server batches up front
-    /// (`true`, the default) or per match. The evaluation order, trace
-    /// events, metrics, and routing decisions are identical either way
-    /// (the locate half is a pure function of the match root); the
-    /// differential suite pins batched == unbatched.
-    pub op_batching: bool,
 }
 
 impl Default for ContextOptions {
@@ -191,8 +173,6 @@ impl Default for ContextOptions {
             relax: RelaxMode::Relaxed,
             selectivity_sample: 64,
             op_cost: None,
-            pooling: true,
-            op_batching: true,
         }
     }
 }
@@ -318,8 +298,6 @@ impl<'a> QueryContext<'a> {
             root_candidates,
             full_mask: PartialMatch::full_mask(pattern.len()),
             op_cost: options.op_cost,
-            pooling: options.pooling,
-            op_batching: options.op_batching,
             seq: AtomicU64::new(0),
         }
     }
@@ -366,21 +344,16 @@ impl<'a> QueryContext<'a> {
         &self.root_candidates
     }
 
-    /// Should the engines locate candidate ranges batch-at-a-time?
-    pub fn op_batching(&self) -> bool {
-        self.op_batching
-    }
-
     fn next_seq(&self) -> u64 {
         self.seq.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// A fresh binding-buffer pool honoring this context's pooling flag
-    /// and reporting into its metrics. Engines create one per run (one
+    /// A fresh binding-buffer pool reporting into this context's
+    /// metrics. Engines create one per run (one
     /// per worker thread in Whirlpool-M — pools are intentionally not
     /// thread-safe).
     pub fn new_pool(&self) -> MatchPool<'_> {
-        MatchPool::reporting(self.pooling, &self.metrics)
+        MatchPool::reporting(&self.metrics)
     }
 
     /// Like [`QueryContext::new_pool`], but as a shard of `hub`:
@@ -388,7 +361,7 @@ impl<'a> QueryContext<'a> {
     /// through the shared hub so that consumer-heavy workers stop
     /// hoarding buffers that producer-heavy workers keep allocating.
     pub fn new_pool_shared<'p>(&'p self, hub: &'p crate::pool::PoolHub) -> MatchPool<'p> {
-        MatchPool::reporting_shared(self.pooling, &self.metrics, hub)
+        MatchPool::reporting_shared(&self.metrics, hub)
     }
 
     // -- match generation -------------------------------------------------
@@ -458,13 +431,13 @@ impl<'a> QueryContext<'a> {
 
     /// [`process_at_server`](Self::process_at_server), but drawing the
     /// extensions' binding buffers from `pool`. Locates the match's
-    /// candidate range and evaluates it; the engines' batch paths split
-    /// the two halves ([`locate_batch_at_server`]
-    /// [`process_located_at_server_pooled`]) so a whole drained batch
-    /// is located in one sweep.
+    /// candidate range and evaluates it; the engines split the two
+    /// halves ([`locate_batch_at_server`] then
+    /// [`process_located_at_server_interruptible`]) so a whole drained
+    /// batch is located in one sweep.
     ///
     /// [`locate_batch_at_server`]: Self::locate_batch_at_server
-    /// [`process_located_at_server_pooled`]: Self::process_located_at_server_pooled
+    /// [`process_located_at_server_interruptible`]: Self::process_located_at_server_interruptible
     pub fn process_at_server_pooled(
         &self,
         server: QNodeId,
@@ -473,24 +446,21 @@ impl<'a> QueryContext<'a> {
         pool: &mut MatchPool<'_>,
     ) -> usize {
         let loc = self.locate_one(server, m.root());
-        self.process_located_at_server_pooled(server, m, loc, out, pool)
+        self.process_located_at_server_interruptible(server, m, loc, out, pool, None)
+            .produced
     }
 
-    /// [`process_at_server_pooled`](Self::process_at_server_pooled)
-    /// with a mid-kernel interruption check (see
-    /// [`process_located_at_server_interruptible`]).
-    ///
-    /// [`process_located_at_server_interruptible`]: Self::process_located_at_server_interruptible
-    pub fn process_at_server_interruptible(
-        &self,
-        server: QNodeId,
-        m: &PartialMatch,
-        out: &mut Vec<PartialMatch>,
-        pool: &mut MatchPool<'_>,
-        interrupt: Option<&OpInterrupt>,
-    ) -> OpOutcome {
-        let loc = self.locate_one(server, m.root());
-        self.process_located_at_server_interruptible(server, m, loc, out, pool, interrupt)
+    /// The precomputed candidate range of `root` in a postings server's
+    /// `bounds` table; `None` for a root outside `root_candidates`.
+    #[inline]
+    fn tabled(&self, bounds: &[(u32, u32)], root: NodeId) -> Option<Located> {
+        match self.root_rank.get(root.index()) {
+            Some(&rank) if rank != u32::MAX => {
+                let (lo, hi) = bounds[rank as usize];
+                Some(Located::Slice(lo, hi))
+            }
+            _ => None,
+        }
     }
 
     /// Resolves one match root's candidate range at `server`: the
@@ -504,21 +474,15 @@ impl<'a> QueryContext<'a> {
                 self.index.subtree_end(root).index() as u32,
             ),
             ServerRange::Postings { list, bounds } => {
-                match self.root_rank.get(root.index()).copied() {
-                    Some(rank) if rank != u32::MAX => {
-                        let (lo, hi) = bounds[rank as usize];
-                        Located::Slice(lo, hi)
-                    }
-                    // A match rooted outside the precomputed candidate
-                    // set (reachable only by calling process_at_server
-                    // directly): fall back to the binary-search scan.
-                    _ => {
-                        let lo = list.partition_point(|&n| n <= root);
-                        let end = self.index.subtree_end(root).index() as u32;
-                        let hi = list.partition_point(|&n| (n.index() as u32) < end);
-                        Located::Slice(lo as u32, hi as u32)
-                    }
-                }
+                // A match rooted outside the precomputed candidate set
+                // (reachable only by calling process_at_server
+                // directly) falls back to the binary-search scan.
+                self.tabled(bounds, root).unwrap_or_else(|| {
+                    let lo = list.partition_point(|&n| n <= root);
+                    let end = self.index.subtree_end(root).index() as u32;
+                    let hi = list.partition_point(|&n| (n.index() as u32) < end);
+                    Located::Slice(lo as u32, hi as u32)
+                })
             }
         }
     }
@@ -537,9 +501,7 @@ impl<'a> QueryContext<'a> {
     ///
     /// Locating is a pure function of each root, so the plan is
     /// insensitive to batch order and the evaluation half can run in
-    /// whatever priority order the engine chooses: batched and
-    /// unbatched runs produce identical extensions, metrics, traces,
-    /// and routing decisions.
+    /// whatever priority order the engine chooses.
     pub fn locate_batch_at_server(
         &self,
         server: QNodeId,
@@ -559,16 +521,10 @@ impl<'a> QueryContext<'a> {
             ServerRange::Postings { list, bounds } => {
                 let mut misses: Vec<(u32, NodeId)> = Vec::new();
                 plan.extend(roots.iter().enumerate().map(|(i, &r)| {
-                    match self.root_rank.get(r.index()).copied() {
-                        Some(rank) if rank != u32::MAX => {
-                            let (lo, hi) = bounds[rank as usize];
-                            Located::Slice(lo, hi)
-                        }
-                        _ => {
-                            misses.push((i as u32, r));
-                            Located::Slice(0, 0)
-                        }
-                    }
+                    self.tabled(bounds, r).unwrap_or_else(|| {
+                        misses.push((i as u32, r));
+                        Located::Slice(0, 0)
+                    })
                 }));
                 if !misses.is_empty() {
                     misses.sort_unstable_by_key(|&(_, r)| r);
@@ -581,32 +537,6 @@ impl<'a> QueryContext<'a> {
                 }
             }
         }
-    }
-
-    /// One batched server operation over a slice of matches bound for
-    /// the same server: locates every match's candidate range in one
-    /// sweep ([`locate_batch_at_server`](Self::locate_batch_at_server)),
-    /// then evaluates the matches in slice order. Returns the number of
-    /// extensions pushed onto `out`.
-    ///
-    /// The engines inline this composition so they can interleave their
-    /// per-match bookkeeping (pruning, tracing, routing) between the
-    /// evaluation steps; semantics are identical.
-    pub fn process_batch_at_server_pooled(
-        &self,
-        server: QNodeId,
-        batch: &[PartialMatch],
-        out: &mut Vec<PartialMatch>,
-        pool: &mut MatchPool<'_>,
-    ) -> usize {
-        let roots: Vec<NodeId> = batch.iter().map(PartialMatch::root).collect();
-        let mut plan = Vec::new();
-        self.locate_batch_at_server(server, &roots, &mut plan);
-        batch
-            .iter()
-            .zip(&plan)
-            .map(|(m, &loc)| self.process_located_at_server_pooled(server, m, loc, out, pool))
-            .sum()
     }
 
     /// The *evaluate* half of a server operation: extends `m` with
@@ -629,36 +559,22 @@ impl<'a> QueryContext<'a> {
     /// candidate still alive when it runs, which is precisely the
     /// scalar early-break). No Dewey materialization anywhere (pinned
     /// by a `debug_assert` on [`Document::dewey`]'s read counter).
-    pub fn process_located_at_server_pooled(
-        &self,
-        server: QNodeId,
-        m: &PartialMatch,
-        loc: Located,
-        out: &mut Vec<PartialMatch>,
-        pool: &mut MatchPool<'_>,
-    ) -> usize {
-        self.process_located_at_server_interruptible(server, m, loc, out, pool, None)
-            .produced
-    }
-
-    /// [`process_located_at_server_pooled`] with a mid-kernel
-    /// interruption check: with `interrupt` present, the kernel runs in
-    /// segments of [`INTERRUPT_SPAN`] candidates and consults
+    ///
+    /// With `interrupt` present, the kernel runs in segments of
+    /// [`INTERRUPT_SPAN`] candidates and consults
     /// [`OpInterrupt::tripped`] between segments (and every span of a
     /// filtered gather), so one oversized operation overshoots a
     /// deadline — or outlives a cancelled client — by at most one
     /// span's work instead of the whole candidate range.
     ///
     /// With `interrupt` absent (or never tripped) the extensions,
-    /// comparison counts, and lane counts are identical to the plain
-    /// path: segment boundaries are lane-aligned and every predicate is
+    /// comparison counts, and lane counts are those of one unsegmented
+    /// sweep: segment boundaries are lane-aligned and every predicate is
     /// still evaluated per candidate in the same order. A tripped check
     /// stops the kernel before its next segment; extensions already
     /// pushed are valid, no outer-join null is emitted for the aborted
     /// tail, and [`OpOutcome::interrupted`] tells the caller to account
     /// the match into the truncation certificate.
-    ///
-    /// [`process_located_at_server_pooled`]: Self::process_located_at_server_pooled
     pub fn process_located_at_server_interruptible(
         &self,
         server: QNodeId,
@@ -917,139 +833,6 @@ impl<'a> QueryContext<'a> {
             interrupted,
         }
     }
-
-    /// The pre-columnar server operation, kept verbatim as the
-    /// measurement baseline for the kernel microbench (`perfsnap`'s
-    /// `kernel` section) and as a differential oracle in tests: every
-    /// structural predicate is evaluated by materializing and
-    /// prefix-comparing Dewey paths (O(depth) per candidate) exactly as
-    /// the engines did before the columnar kernels.
-    ///
-    /// Counts the same metrics as the live kernel; not called by any
-    /// engine.
-    pub fn process_at_server_dewey_reference(
-        &self,
-        server: QNodeId,
-        m: &PartialMatch,
-        out: &mut Vec<PartialMatch>,
-        pool: &mut MatchPool<'_>,
-    ) -> usize {
-        debug_assert!(!m.has_visited(server));
-        self.metrics.add_server_op();
-        if let Some(cost) = self.op_cost {
-            busy_wait(cost);
-        }
-
-        let spec = self.server_spec(server);
-        let root = m.root();
-        let owned = self
-            .doc
-            .as_document()
-            .expect("Dewey reference oracle requires an owned document");
-        let root_dewey = owned.dewey(root);
-        let server_max = self.max_contrib[server.index()];
-        let before = out.len();
-
-        let loc = self.locate_one(server, root);
-        let candidates = match loc {
-            Located::Absent => Candidates::Slice([].iter()),
-            Located::Any(lo, hi) => Candidates::Range(lo, hi),
-            Located::Slice(lo, hi) => {
-                let ServerRange::Postings { list, .. } = &self.server_ranges[server.index() - 1]
-                else {
-                    unreachable!("Located::Slice at a server without postings");
-                };
-                Candidates::Slice(list[lo as usize..hi as usize].iter())
-            }
-        };
-        let is_wildcard = matches!(loc, Located::Any(..));
-
-        let mut comparisons = 0u64;
-        for cand in candidates {
-            if is_wildcard {
-                if let Some(v) = &spec.value {
-                    comparisons += 1;
-                    if !v.matches(self.doc.text(cand)) {
-                        continue;
-                    }
-                }
-            } else if let Some(v @ ValueTest::Contains(_)) = &spec.value {
-                comparisons += 1;
-                if !v.matches(self.doc.text(cand)) {
-                    continue;
-                }
-            }
-
-            if !spec.attrs.is_empty() {
-                comparisons += spec.attrs.len() as u64;
-                if !spec
-                    .attrs
-                    .iter()
-                    .all(|a| a.matches(self.doc.attribute(cand, &a.name)))
-                {
-                    continue;
-                }
-            }
-
-            let cand_dewey = owned.dewey(cand);
-            comparisons += 1;
-            let level = if spec.root_exact.holds(root_dewey, cand_dewey) {
-                MatchLevel::Exact
-            } else {
-                MatchLevel::Relaxed
-            };
-            if self.relax == RelaxMode::Exact && level != MatchLevel::Exact {
-                continue;
-            }
-
-            let mut valid = true;
-            if self.relax == RelaxMode::Exact {
-                for cp in &spec.conditional {
-                    let Binding::Matched { node: other, .. } = m.bindings[cp.other.index()] else {
-                        continue;
-                    };
-                    comparisons += 1;
-                    let holds_exact = match cp.direction {
-                        Direction::FromAncestor => cp.exact.holds(owned.dewey(other), cand_dewey),
-                        Direction::ToDescendant => cp.exact.holds(cand_dewey, owned.dewey(other)),
-                    };
-                    if !holds_exact {
-                        valid = false;
-                        break;
-                    }
-                }
-            }
-            if !valid {
-                continue;
-            }
-
-            let contribution = self.model.contribution(server, cand, level);
-            out.push(m.extend_in(
-                pool,
-                self.next_seq(),
-                server,
-                Binding::Matched { node: cand, level },
-                contribution,
-                server_max,
-            ));
-        }
-        self.metrics.add_comparisons(comparisons);
-
-        if out.len() == before && self.relax == RelaxMode::Relaxed {
-            out.push(m.extend_in(
-                pool,
-                self.next_seq(),
-                server,
-                Binding::Null,
-                0.0,
-                server_max,
-            ));
-        }
-
-        let produced = out.len() - before;
-        self.metrics.add_created(produced as u64);
-        produced
-    }
 }
 
 /// Reusable per-thread buffers for the columnar evaluate kernel:
@@ -1072,17 +855,6 @@ thread_local! {
                 alive: Vec::new(),
             })
         };
-}
-
-/// Spins for (at least) `duration`. Used to inject per-operation cost:
-/// sleeping would let the OS deschedule the thread and distort the
-/// multi-threaded measurements, so we burn cycles like a real join
-/// would.
-fn busy_wait(duration: Duration) {
-    let start = std::time::Instant::now();
-    while start.elapsed() < duration {
-        std::hint::spin_loop();
-    }
 }
 
 #[cfg(test)]
@@ -1300,6 +1072,59 @@ mod tests {
         assert_eq!(out[0].bindings[1], Binding::Null);
     }
 
+    /// Both locate paths against the definition — a root's range holds
+    /// exactly the server's postings strictly inside its subtree — for
+    /// every element of the document as a root: the `book`s hit the
+    /// precomputed table, everything else takes the batch's galloping
+    /// sweep (or `locate_one`'s binary search), in any batch order.
+    #[test]
+    fn batch_locate_agrees_with_per_match_locate_in_any_order() {
+        let src = "<lib><shelf>\
+            <book><title>a</title><info><isbn>1</isbn><title>x</title></info></book>\
+            <box><book><title>b</title></book><title>c</title></box>\
+            </shelf><title>d</title><book><isbn>2</isbn></book></lib>";
+        // Servers: title (postings), isbn = '1' (value postings),
+        // * (wildcard), nosuchtag (absent).
+        let f = Fixture::new(
+            src,
+            "//book[./title and ./info/isbn = '1' and ./* and ./nosuchtag]",
+        );
+        let ctx = f.ctx(RelaxMode::Relaxed);
+        let all: Vec<NodeId> = f.doc.elements().collect();
+        assert!(all.len() > ctx.root_candidates().len());
+        let n = all.len();
+        let strided: Vec<NodeId> = (0..n).map(|i| all[(i * 5 + 3) % n]).collect();
+        assert_eq!(n, 14, "the stride must stay coprime to the element count");
+        let reversed: Vec<NodeId> = all.iter().rev().copied().collect();
+
+        for server in ctx.server_ids() {
+            let mut plan = Vec::new();
+            for roots in [&all, &reversed, &strided] {
+                ctx.locate_batch_at_server(server, roots, &mut plan);
+                assert_eq!(plan.len(), roots.len());
+                for (&root, &loc) in roots.iter().zip(&plan) {
+                    assert_eq!(loc, ctx.locate_one(server, root), "{server:?} {root:?}");
+                    let end = f.index.subtree_end(root);
+                    match (&ctx.server_ranges[server.index() - 1], loc) {
+                        (ServerRange::Absent, Located::Absent) => {}
+                        (ServerRange::Any, Located::Any(lo, hi)) => {
+                            assert_eq!((lo, hi), (root.index() as u32 + 1, end.index() as u32));
+                        }
+                        (ServerRange::Postings { list, .. }, Located::Slice(lo, hi)) => {
+                            let inside: Vec<NodeId> = list
+                                .iter()
+                                .copied()
+                                .filter(|&c| c > root && c < end)
+                                .collect();
+                            assert_eq!(&list[lo as usize..hi as usize], &inside[..]);
+                        }
+                        (_, loc) => panic!("{server:?}: {loc:?} at the wrong kind of server"),
+                    }
+                }
+            }
+        }
+    }
+
     /// Builds one root with `children` direct `<c/>` children so a
     /// single server op has a candidate population far larger than one
     /// interrupt span.
@@ -1329,9 +1154,10 @@ mod tests {
             None,
             f.pattern.len(),
         );
-        let o = ctx.process_at_server_interruptible(
+        let o = ctx.process_located_at_server_interruptible(
             QNodeId(1),
             &roots[0],
+            ctx.locate_one(QNodeId(1), roots[0].root()),
             &mut out,
             &mut pool,
             control.op_interrupt(),
@@ -1373,9 +1199,10 @@ mod tests {
                 f.pattern.len(),
             );
             let mut seg_out = Vec::new();
-            let o = seg_ctx.process_at_server_interruptible(
+            let o = seg_ctx.process_located_at_server_interruptible(
                 QNodeId(1),
                 &seg_roots[0],
+                seg_ctx.locate_one(QNodeId(1), seg_roots[0].root()),
                 &mut seg_out,
                 &mut seg_ctx.new_pool(),
                 control.op_interrupt(),

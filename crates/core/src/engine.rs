@@ -68,18 +68,6 @@ pub struct EvalOptions {
     /// routing, the paper's default; >1 = its §6.3.3 future-work
     /// proposal).
     pub router_batch: usize,
-    /// Recycle partial-match binding buffers through per-run (per-
-    /// thread, for Whirlpool-M) [`MatchPool`](crate::MatchPool)s.
-    /// Defaults to `true`; answer sets are identical either way.
-    pub pooling: bool,
-    /// Locate candidate ranges for whole drained same-server batches in
-    /// one sweep
-    /// ([`locate_batch_at_server`](crate::QueryContext::locate_batch_at_server))
-    /// instead of per match. Defaults to `true`; answers, metrics,
-    /// traces, and routing decisions are identical either way (pinned
-    /// by the batching differential suite) — disabling exists for A/B
-    /// measurement.
-    pub op_batching: bool,
     /// Wall-clock budget: when it expires the engine stops consuming
     /// work and returns the current top-k as an anytime answer tagged
     /// [`Completeness::Truncated`]. `None`: run to completion.
@@ -102,8 +90,7 @@ pub struct EvalOptions {
     /// Record a structured event trace of the run (see
     /// [`trace`](crate::trace)) and return it on
     /// [`EvalResult::trace`]. Off by default; when off, every emit
-    /// site in the engines is one inlined branch. Ignored (the trace
-    /// comes back empty) when the `trace` cargo feature is disabled.
+    /// site in the engines is one inlined branch.
     pub trace: bool,
     /// Total scheduler worker threads for Whirlpool-M, independent of
     /// query size: server queues get home workers round-robin and idle
@@ -140,8 +127,6 @@ impl EvalOptions {
             op_cost: None,
             selectivity_sample: 64,
             router_batch: 1,
-            pooling: true,
-            op_batching: true,
             deadline: None,
             max_server_ops: None,
             fault_plan: None,
@@ -228,8 +213,6 @@ pub fn evaluate_view(
             relax: options.relax,
             selectivity_sample: options.selectivity_sample,
             op_cost: options.op_cost,
-            pooling: options.pooling,
-            op_batching: options.op_batching,
         },
     );
     evaluate_with_context(&ctx, algorithm, options)

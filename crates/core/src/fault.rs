@@ -421,12 +421,11 @@ impl RunControl {
         self.threshold_floor
     }
 
-    /// Is a tracer attached (and tracing compiled in)? Engines use this
-    /// to skip building worker names for handles that would be
-    /// disabled anyway.
+    /// Is a tracer attached? Engines use this to skip building worker
+    /// names for handles that would be disabled anyway.
     #[inline]
     pub fn tracing(&self) -> bool {
-        crate::trace::tracing_compiled() && self.tracer.is_some()
+        self.tracer.is_some()
     }
 
     /// Opens a per-worker recording handle: disabled (every emit is an
@@ -608,69 +607,6 @@ impl Truncation {
     }
 }
 
-/// Runs one fault-guarded server operation: the injected fault (if
-/// any) fires first, then the real work. Returns `true` if the
-/// operation ran; `false` if the server is — or just became — dead, in
-/// which case the caller degrades the match. A failing operation is
-/// retried once before the server is declared dead; panics are isolated
-/// with `catch_unwind` (sound because faults fire *before* any state
-/// mutation, and a caught real panic only abandons that one
-/// extension batch).
-///
-/// The fault-free path adds a single branch over calling
-/// [`QueryContext::process_at_server_pooled`] directly.
-pub(crate) fn guarded_process(
-    ctx: &crate::context::QueryContext<'_>,
-    control: &RunControl,
-    trunc: &Truncation,
-    server: QNodeId,
-    m: &crate::partial::PartialMatch,
-    exts: &mut Vec<crate::partial::PartialMatch>,
-    pool: &mut crate::pool::MatchPool<'_>,
-) -> bool {
-    let interrupt = control.op_interrupt();
-    if !control.has_faults() {
-        let o = ctx.process_at_server_interruptible(server, m, exts, pool, interrupt);
-        if o.interrupted {
-            account_interrupted(ctx, control, trunc, m);
-        }
-        return true;
-    }
-    if control.is_dead(server) {
-        return false;
-    }
-    for attempt in 0..2 {
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-            || -> Result<crate::context::OpOutcome, EngineError> {
-                control.before_op(server)?;
-                Ok(ctx.process_at_server_interruptible(server, m, exts, pool, interrupt))
-            },
-        ));
-        match outcome {
-            Ok(Ok(o)) => {
-                if o.interrupted {
-                    account_interrupted(ctx, control, trunc, m);
-                }
-                return true;
-            }
-            Ok(Err(_)) | Err(_) => {
-                // Release anything produced before the abort, then
-                // retry once; a second abort marks the server dead.
-                for e in exts.drain(..) {
-                    pool.release(e);
-                }
-                if attempt == 1 {
-                    if control.mark_dead(server) {
-                        ctx.metrics.add_server_failed();
-                    }
-                    trunc.mark();
-                }
-            }
-        }
-    }
-    false
-}
-
 /// Books an operation that stopped at a mid-kernel [`OpInterrupt`]
 /// check: the run's budget is expired (truncating it), and the match's
 /// `max_final` caps every extension the aborted tail could have
@@ -688,12 +624,24 @@ fn account_interrupted(
     trunc.account(m.max_final);
 }
 
-/// [`guarded_process`] for the batched path: the match's candidate
-/// range was already resolved by
-/// [`QueryContext::locate_batch_at_server`], so the guarded work is the
-/// evaluation half only. Fault semantics are identical — locating is a
-/// pure read with no per-server fault site.
-#[allow(clippy::too_many_arguments)] // guarded_process's signature plus the plan entry
+/// Runs one fault-guarded server operation over a match whose
+/// candidate range `loc` was resolved by
+/// [`QueryContext::locate_batch_at_server`]: the injected fault (if
+/// any) fires first, then the evaluation. Locating is a pure read with
+/// no fault site of its own. Returns `true` if the operation ran;
+/// `false` if the server is — or just became — dead, in which case the
+/// caller degrades the match. A failing operation is retried once
+/// before the server is declared dead; panics are isolated with
+/// `catch_unwind` (sound because faults fire *before* any state
+/// mutation, and a caught real panic only abandons that one extension
+/// batch).
+///
+/// The fault-free path adds a single branch over calling
+/// [`QueryContext::process_located_at_server_interruptible`] directly.
+///
+/// [`QueryContext::locate_batch_at_server`]: crate::QueryContext::locate_batch_at_server
+/// [`QueryContext::process_located_at_server_interruptible`]: crate::QueryContext::process_located_at_server_interruptible
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn guarded_process_located(
     ctx: &crate::context::QueryContext<'_>,
     control: &RunControl,
@@ -731,6 +679,8 @@ pub(crate) fn guarded_process_located(
                 return true;
             }
             Ok(Err(_)) | Err(_) => {
+                // Release anything produced before the abort, then
+                // retry once; a second abort marks the server dead.
                 for e in exts.drain(..) {
                     pool.release(e);
                 }
@@ -769,9 +719,11 @@ pub(crate) fn degrade_to_completion(
     cur
 }
 
-/// Spins for (at least) `duration` — sleeping would distort the
-/// multi-threaded latency experiments just as it would for `op_cost`.
-fn busy_wait(duration: Duration) {
+/// Spins for (at least) `duration`: the injected per-operation cost of
+/// delay faults and of `op_cost`. Sleeping would let the OS deschedule
+/// the thread and distort the multi-threaded measurements, so we burn
+/// cycles like a real join would.
+pub(crate) fn busy_wait(duration: Duration) {
     let start = Instant::now();
     while start.elapsed() < duration {
         std::hint::spin_loop();

@@ -13,7 +13,7 @@
 //!   possible number of partial matches" denominator of Table 2.
 
 use crate::context::{Located, QueryContext, RelaxMode};
-use crate::fault::{guarded_process, guarded_process_located, EngineRun, RunControl, Truncation};
+use crate::fault::{guarded_process_located, EngineRun, RunControl, Truncation};
 use crate::partial::PartialMatch;
 use crate::queue::QueuePolicy;
 use crate::topk::{RankedAnswer, TopKSet};
@@ -83,26 +83,20 @@ pub fn run_lockstep_anytime(
         // evaluate in the best-first order chosen above. Location is a
         // pure function of the match root, so hoisting it out of the
         // priority loop cannot change any answer or counter.
-        let batching = ctx.op_batching();
-        if batching {
-            let roots: Vec<_> = keyed.iter().map(|(_, m)| m.root()).collect();
-            ctx.locate_batch_at_server(server, &roots, &mut locs);
-        }
+        let roots: Vec<_> = keyed.iter().map(|(_, m)| m.root()).collect();
+        ctx.locate_batch_at_server(server, &roots, &mut locs);
 
         let mut next = Vec::new();
         let mut exts = Vec::new();
-        let mut at = 0usize;
-        let mut stage = keyed.into_iter();
-        while let Some((_, m)) = stage.next() {
-            let loc = if batching { locs[at] } else { Located::Absent };
-            at += 1;
+        let mut stage = keyed.into_iter().map(|(_, m)| m).zip(locs.iter().copied());
+        while let Some((m, loc)) = stage.next() {
             if control.exhausted(&ctx.metrics) {
                 if trunc.expire() {
                     control.count_stop(&ctx.metrics);
                 }
                 // Drain: account everything still pending, then stop.
                 for m in std::iter::once(m)
-                    .chain(stage.map(|(_, m)| m))
+                    .chain(stage.map(|(m, _)| m))
                     .chain(next.drain(..))
                 {
                     trunc.account(m.max_final);
@@ -126,12 +120,8 @@ pub fn run_lockstep_anytime(
             }
             exts.clear();
             let t0 = tr.op_start();
-            let ran = if batching {
-                guarded_process_located(ctx, control, &trunc, server, &m, loc, &mut exts, &mut pool)
-            } else {
-                guarded_process(ctx, control, &trunc, server, &m, &mut exts, &mut pool)
-            };
-            if ran {
+            if guarded_process_located(ctx, control, &trunc, server, &m, loc, &mut exts, &mut pool)
+            {
                 tr.server_op(server, m.seq, exts.len(), t0);
                 pool.release(m);
             } else {
@@ -241,7 +231,6 @@ pub fn run_lockstep_noprune_anytime(
     }
     tr.span_end("seed");
     tr.span_begin("evaluate");
-    let batching = ctx.op_batching();
     let mut locs: Vec<Located> = Vec::new();
     let mut roots = root_matches.into_iter();
     'roots: while let Some(root_match) = roots.next() {
@@ -252,21 +241,18 @@ pub fn run_lockstep_noprune_anytime(
             // All matches in this stage share one root (the engine runs
             // root-by-root), so the batched locate collapses to a single
             // range resolution reused across the whole stage.
-            if batching {
-                let stage_roots: Vec<_> = frontier.iter().map(|m| m.root()).collect();
-                ctx.locate_batch_at_server(server, &stage_roots, &mut locs);
-            }
-            let mut at = 0usize;
-            let mut stage = std::mem::take(&mut frontier).into_iter();
-            while let Some(m) = stage.next() {
-                let loc = if batching { locs[at] } else { Located::Absent };
-                at += 1;
+            let stage_roots: Vec<_> = frontier.iter().map(|m| m.root()).collect();
+            ctx.locate_batch_at_server(server, &stage_roots, &mut locs);
+            let mut stage = std::mem::take(&mut frontier)
+                .into_iter()
+                .zip(locs.iter().copied());
+            while let Some((m, loc)) = stage.next() {
                 if control.exhausted(&ctx.metrics) {
                     if trunc.expire() {
                         control.count_stop(&ctx.metrics);
                     }
                     for m in std::iter::once(m)
-                        .chain(stage)
+                        .chain(stage.map(|(m, _)| m))
                         .chain(next.drain(..))
                         .chain(roots)
                     {
@@ -281,14 +267,9 @@ pub fn run_lockstep_noprune_anytime(
                 }
                 let before = next.len();
                 let t0 = tr.op_start();
-                let ran = if batching {
-                    guarded_process_located(
-                        ctx, control, &trunc, server, &m, loc, &mut next, &mut pool,
-                    )
-                } else {
-                    guarded_process(ctx, control, &trunc, server, &m, &mut next, &mut pool)
-                };
-                if ran {
+                if guarded_process_located(
+                    ctx, control, &trunc, server, &m, loc, &mut next, &mut pool,
+                ) {
                     tr.server_op(server, m.seq, next.len() - before, t0);
                     pool.release(m);
                 } else {

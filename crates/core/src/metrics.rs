@@ -28,8 +28,7 @@ pub struct Metrics {
     pub pruned: AtomicU64,
     /// Adaptive routing decisions taken.
     pub routing_decisions: AtomicU64,
-    /// Binding buffers allocated fresh from the heap (pool misses plus
-    /// all allocations when pooling is disabled).
+    /// Binding buffers allocated fresh from the heap (pool misses).
     pub buffers_allocated: AtomicU64,
     /// Binding buffers recycled from a [`MatchPool`](crate::MatchPool)
     /// free list instead of being allocated.

@@ -12,10 +12,7 @@
 //!
 //! Pools are deliberately **not** shared between threads: Whirlpool-M
 //! gives each server thread its own pool, trading a little reuse for
-//! zero synchronization on the hot path. A disabled pool (see
-//! [`ContextOptions::pooling`](crate::ContextOptions)) degrades to
-//! plain allocation so the engines stay byte-identical in behavior
-//! either way — only the allocator traffic changes.
+//! zero synchronization on the hot path.
 //!
 //! [`PartialMatch::extend`]: crate::PartialMatch::extend
 //! [`PartialMatch::extend_in`]: crate::PartialMatch::extend_in
@@ -88,11 +85,10 @@ impl PoolHub {
 /// A free list of retired binding buffers (see the module docs).
 ///
 /// Obtain one from [`QueryContext::new_pool`](crate::QueryContext::new_pool)
-/// so that the pool inherits the context's pooling flag and reports its
-/// allocation counters into the context metrics when dropped.
+/// so that the pool reports its allocation counters into the context
+/// metrics when dropped.
 pub struct MatchPool<'m> {
     free: Vec<Box<[Binding]>>,
-    enabled: bool,
     allocated: u64,
     reused: u64,
     metrics: Option<&'m Metrics>,
@@ -100,12 +96,10 @@ pub struct MatchPool<'m> {
 }
 
 impl<'m> MatchPool<'m> {
-    /// A stand-alone pool; `enabled: false` makes every acquisition a
-    /// plain allocation and every release a drop.
-    pub fn new(enabled: bool) -> MatchPool<'static> {
+    /// A stand-alone pool.
+    pub fn new() -> MatchPool<'static> {
         MatchPool {
             free: Vec::new(),
-            enabled,
             allocated: 0,
             reused: 0,
             metrics: None,
@@ -114,10 +108,9 @@ impl<'m> MatchPool<'m> {
     }
 
     /// A pool that adds its counters to `metrics` when dropped.
-    pub fn reporting(enabled: bool, metrics: &'m Metrics) -> Self {
+    pub fn reporting(metrics: &'m Metrics) -> Self {
         MatchPool {
             free: Vec::new(),
-            enabled,
             allocated: 0,
             reused: 0,
             metrics: Some(metrics),
@@ -129,20 +122,14 @@ impl<'m> MatchPool<'m> {
     /// block of buffers from the hub before allocating, local overflow
     /// donates a block back, and the remaining free list is returned to
     /// the hub on drop.
-    pub fn reporting_shared(enabled: bool, metrics: &'m Metrics, hub: &'m PoolHub) -> Self {
+    pub fn reporting_shared(metrics: &'m Metrics, hub: &'m PoolHub) -> Self {
         MatchPool {
             free: Vec::new(),
-            enabled,
             allocated: 0,
             reused: 0,
             metrics: Some(metrics),
-            hub: enabled.then_some(hub),
+            hub: Some(hub),
         }
-    }
-
-    /// Is recycling active (as opposed to plain allocation)?
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// A buffer holding a copy of `src`: recycled when one is free,
@@ -169,12 +156,10 @@ impl<'m> MatchPool<'m> {
     /// Retires a match, keeping its buffer for reuse.
     #[inline]
     pub fn release(&mut self, m: PartialMatch) {
-        if self.enabled {
-            self.free.push(m.bindings);
-            if self.free.len() >= HUB_SHARD_MAX {
-                if let Some(hub) = self.hub {
-                    hub.give_block(self.free.split_off(self.free.len() - HUB_BLOCK));
-                }
+        self.free.push(m.bindings);
+        if self.free.len() >= HUB_SHARD_MAX {
+            if let Some(hub) = self.hub {
+                hub.give_block(self.free.split_off(self.free.len() - HUB_BLOCK));
             }
         }
     }
@@ -234,7 +219,7 @@ mod tests {
 
     #[test]
     fn recycles_released_buffers() {
-        let mut pool = MatchPool::new(true);
+        let mut pool = MatchPool::new();
         let parent = root_match(0);
         let child = parent.extend_in(&mut pool, 1, QNodeId(1), bind(5), 0.5, 1.0);
         assert_eq!(pool.allocated(), 1);
@@ -252,7 +237,7 @@ mod tests {
 
     #[test]
     fn pooled_extension_equals_plain_extension() {
-        let mut pool = MatchPool::new(true);
+        let mut pool = MatchPool::new();
         let parent = root_match(0);
         // Churn the pool so the pooled path goes through a recycled
         // buffer with stale contents.
@@ -269,18 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_pool_never_recycles() {
-        let mut pool = MatchPool::new(false);
-        let parent = root_match(0);
-        let child = parent.extend_in(&mut pool, 1, QNodeId(1), bind(5), 0.5, 1.0);
-        pool.release(child);
-        assert_eq!(pool.free_len(), 0);
-        let _ = parent.extend_in(&mut pool, 2, QNodeId(2), bind(6), 0.5, 1.0);
-        assert_eq!(pool.allocated(), 2);
-        assert_eq!(pool.reused(), 0);
-    }
-
-    #[test]
     fn shard_overflow_donates_blocks_and_misses_take_them() {
         let metrics = Metrics::new();
         let hub = PoolHub::new();
@@ -288,7 +261,7 @@ mod tests {
         {
             // Producer shard: releases far more than it acquires (the
             // extensions are allocated outside the pool).
-            let mut producer = MatchPool::reporting_shared(true, &metrics, &hub);
+            let mut producer = MatchPool::reporting_shared(&metrics, &hub);
             for i in 0..HUB_SHARD_MAX + HUB_BLOCK {
                 let child = parent.extend(i as u64, QNodeId(1), bind(1), 0.1, 1.0);
                 producer.release(child);
@@ -304,7 +277,7 @@ mod tests {
 
         // Consumer shard: starts empty, must reuse hub buffers instead
         // of allocating.
-        let mut consumer = MatchPool::reporting_shared(true, &metrics, &hub);
+        let mut consumer = MatchPool::reporting_shared(&metrics, &hub);
         let c = parent.extend_in(&mut consumer, 0, QNodeId(2), bind(2), 0.1, 1.0);
         assert_eq!(consumer.allocated(), 0);
         assert_eq!(consumer.reused(), 1);
@@ -313,23 +286,10 @@ mod tests {
     }
 
     #[test]
-    fn disabled_shared_pool_bypasses_the_hub() {
-        let metrics = Metrics::new();
-        let hub = PoolHub::new();
-        let parent = root_match(0);
-        let mut pool = MatchPool::reporting_shared(false, &metrics, &hub);
-        let child = parent.extend_in(&mut pool, 1, QNodeId(1), bind(1), 0.1, 1.0);
-        pool.release(child);
-        drop(pool);
-        assert_eq!(hub.buffered(), 0);
-        assert_eq!(hub.rebalances(), 0);
-    }
-
-    #[test]
     fn drop_reports_into_metrics() {
         let metrics = Metrics::new();
         {
-            let mut pool = MatchPool::reporting(true, &metrics);
+            let mut pool = MatchPool::reporting(&metrics);
             let parent = root_match(0);
             let child = parent.extend_in(&mut pool, 1, QNodeId(1), bind(5), 0.5, 1.0);
             pool.release(child);

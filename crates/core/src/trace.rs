@@ -12,10 +12,8 @@
 //! events carry microsecond timestamps that are coarse by up to one
 //! refresh window, while server-operation *durations* still use
 //! dedicated precise clock reads ([`WorkerTrace::op_start`]). When
-//! tracing is disabled — the default — every emit method is an inlined
-//! `Option` test that the optimizer removes, and building with
-//! `--no-default-features` (dropping the `trace` cargo feature)
-//! compiles the recording paths out entirely.
+//! tracing is disabled — the default — every emit method is one
+//! inlined `Option` test.
 //!
 //! All four engines emit events at the same semantic points, so traces
 //! are directly comparable across engines and must never perturb the
@@ -64,13 +62,6 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use whirlpool_pattern::QNodeId;
-
-/// Is the `trace` cargo feature compiled in? When `false`, every
-/// [`Tracer`] records nothing and [`Tracer::finish`] returns an empty
-/// [`TraceData`].
-pub const fn tracing_compiled() -> bool {
-    cfg!(feature = "trace")
-}
 
 /// Buffered events per worker before a block flush into the tracer's
 /// shared store (the final partial block flushes on drop).
@@ -270,9 +261,6 @@ impl Tracer {
     /// buffers events locally and flushes them into the tracer when
     /// dropped — the only point that takes the tracer's lock.
     pub fn worker(&self, name: &str) -> WorkerTrace {
-        if !tracing_compiled() {
-            return WorkerTrace { inner: None };
-        }
         let tid = self.inner.next_tid.fetch_add(1, Ordering::Relaxed);
         WorkerTrace {
             inner: Some(WorkerInner {
@@ -340,7 +328,7 @@ impl WorkerTrace {
     /// work (explain records, queue-length reads) behind this.
     #[inline(always)]
     pub fn enabled(&self) -> bool {
-        tracing_compiled() && self.inner.is_some()
+        self.inner.is_some()
     }
 
     #[inline]
@@ -890,7 +878,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "trace")]
     fn events_flow_from_worker_to_finish() {
         let tracer = Tracer::new();
         let mut w = tracer.worker("w0");
@@ -909,7 +896,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "trace")]
     fn block_flushing_dedupes_workers_and_keeps_order() {
         let tracer = Tracer::new();
         let mut w = tracer.worker("w0");
@@ -939,7 +925,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "trace")]
     fn summary_detects_unclosed_spans() {
         let tracer = Tracer::new();
         let mut w = tracer.worker("w0");
@@ -951,7 +936,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "trace")]
     fn conservation_law_over_a_synthetic_stream() {
         let tracer = Tracer::new();
         let mut w = tracer.worker("w0");
@@ -997,7 +981,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "trace")]
     fn chrome_trace_has_the_envelope() {
         let tracer = Tracer::new();
         let mut w = tracer.worker("w0");

@@ -39,7 +39,7 @@
 //! queue (count unchanged) or leaves the system (count decremented).
 
 use crate::context::{Located, QueryContext, RelaxMode};
-use crate::fault::{guarded_process, guarded_process_located, EngineRun, RunControl, Truncation};
+use crate::fault::{guarded_process_located, EngineRun, RunControl, Truncation};
 use crate::partial::PartialMatch;
 use crate::pool::{MatchPool, PoolHub};
 use crate::queue::{MatchQueue, QueuePolicy};
@@ -775,7 +775,7 @@ fn worker_loop(
 
 /// Serves one drained batch on behalf of `server`, catching any panic
 /// that escapes the fault layer (e.g. a panicking score model when no
-/// fault plan is active, so [`guarded_process`] runs unguarded). The
+/// fault plan is active, so [`guarded_process_located`] runs unguarded). The
 /// panic is settled at batch granularity — see [`abandon_batch`] — and
 /// the worker keeps running, so a poisoned batch truncates the result
 /// instead of hanging or aborting the run.
@@ -849,7 +849,6 @@ fn process_batch(
     tr: &mut crate::trace::WorkerTrace,
 ) {
     let ctx = shared.ctx;
-    let batching = ctx.op_batching();
     let queue = shared.server_queue(server);
     if tr.enabled() {
         tr.queue_depth(crate::trace::QueueId::Server(server), queue.len());
@@ -860,20 +859,14 @@ fn process_batch(
     // One document-order locate sweep resolves every drained match's
     // candidate range before any is evaluated; `locs` stays aligned
     // with `local` and the two are popped in lockstep.
-    if batching {
-        let roots: Vec<_> = work.local.iter().map(|m| m.root()).collect();
-        ctx.locate_batch_at_server(server, &roots, &mut work.locs);
-    }
+    let roots: Vec<_> = work.local.iter().map(|m| m.root()).collect();
+    ctx.locate_batch_at_server(server, &roots, &mut work.locs);
     // Net in-flight change accumulated across the batch; applied in
     // one atomic op at settle time, before the survivors are pushed,
     // so the count never undercounts live matches.
     work.net = 0;
     while let Some(m) = work.local.pop() {
-        let loc = if batching {
-            work.locs.pop().expect("locs stays aligned with local")
-        } else {
-            Located::Absent
-        };
+        let loc = work.locs.pop().expect("locs stays aligned with local");
         if trunc.is_expired() || control.exhausted(&ctx.metrics) {
             drain_expired(shared, control, trunc, m, pool, tr);
             continue;
@@ -902,11 +895,7 @@ fn process_batch(
             let m = in_hand.as_ref().expect("in-hand match was just stored");
             // The processor budget covers the join work itself.
             let _permit = shared.sem.as_ref().map(Semaphore::acquire);
-            if batching {
-                guarded_process_located(ctx, control, trunc, server, m, loc, exts, pool)
-            } else {
-                guarded_process(ctx, control, trunc, server, m, exts, pool)
-            }
+            guarded_process_located(ctx, control, trunc, server, m, loc, exts, pool)
         };
         let m = work.in_hand.take().expect("in-hand match is present");
         if !ran {

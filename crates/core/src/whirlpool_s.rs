@@ -9,8 +9,7 @@
 
 use crate::context::{Located, QueryContext, RelaxMode};
 use crate::fault::{
-    degrade_to_completion, guarded_process, guarded_process_located, EngineRun, RunControl,
-    Truncation,
+    degrade_to_completion, guarded_process_located, EngineRun, RunControl, Truncation,
 };
 use crate::queue::{MatchQueue, QueuePolicy};
 use crate::router::RoutingStrategy;
@@ -94,7 +93,6 @@ pub fn run_whirlpool_s_anytime(
     tr.span_end("seed");
 
     tr.span_begin("route-and-process");
-    let batching = ctx.op_batching();
     let mut exts = Vec::new();
     let mut group = Vec::new();
     let mut put_back = Vec::new();
@@ -188,20 +186,13 @@ pub fn run_whirlpool_s_anytime(
         // One locate sweep for the whole routed group (a batch of one
         // when bulk routing is off), then per-member evaluation in the
         // group's queue order with bookkeeping unchanged.
-        if batching {
-            let roots: Vec<_> = group.iter().map(|x| x.root()).collect();
-            ctx.locate_batch_at_server(server, &roots, &mut locs);
-        }
-        for (at, m) in group.drain(..).enumerate() {
-            let loc = if batching { locs[at] } else { Located::Absent };
+        let roots: Vec<_> = group.iter().map(|x| x.root()).collect();
+        ctx.locate_batch_at_server(server, &roots, &mut locs);
+        for (m, &loc) in group.drain(..).zip(&locs) {
             exts.clear();
             let t0 = tr.op_start();
-            let ran = if batching {
-                guarded_process_located(ctx, control, &trunc, server, &m, loc, &mut exts, &mut pool)
-            } else {
-                guarded_process(ctx, control, &trunc, server, &m, &mut exts, &mut pool)
-            };
-            if !ran {
+            if !guarded_process_located(ctx, control, &trunc, server, &m, loc, &mut exts, &mut pool)
+            {
                 // The chosen server died under us: requeue the match so
                 // the next pop re-routes it among the survivors.
                 ctx.metrics.add_match_redistributed();

@@ -13,7 +13,6 @@ fn default_q2_workload_recycles_buffers() {
     let query = queries::parse(queries::Q2);
     let model = TfIdfModel::build(&doc, &index, &query, Normalization::Sparse);
     let options = EvalOptions::top_k(15);
-    assert!(options.pooling, "pooling is the default");
 
     for alg in [
         Algorithm::LockStepNoPrune,
@@ -38,20 +37,4 @@ fn default_q2_workload_recycles_buffers() {
             m.buffers_reused
         );
     }
-
-    // And the off switch really turns it off.
-    let unpooled = EvalOptions {
-        pooling: false,
-        ..EvalOptions::top_k(15)
-    };
-    let result = evaluate(
-        &doc,
-        &index,
-        &query,
-        &model,
-        &Algorithm::WhirlpoolS,
-        &unpooled,
-    );
-    assert_eq!(result.metrics.buffers_reused, 0);
-    assert_eq!(result.metrics.pool_hit_rate(), 0.0);
 }

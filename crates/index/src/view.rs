@@ -424,16 +424,6 @@ impl<'a> DocView<'a> {
         }
     }
 
-    /// The owned [`Document`], when this view has one. Paths that need
-    /// the arena (Dewey reference oracle) gate on this.
-    #[inline]
-    pub fn as_document(&self) -> Option<&'a Document> {
-        match self {
-            DocView::Owned(d) => Some(d),
-            DocView::Mapped(_) => None,
-        }
-    }
-
     /// Serializes the subtree rooted at `node`, over either backing —
     /// same output as [`whirlpool_xml::write_node`] on the owned
     /// document.
@@ -672,7 +662,6 @@ mod tests {
                 index.descendants_with_tag(n, t)
             );
         }
-        assert!(dv.as_document().is_some());
         assert!(iv.as_index().is_some());
     }
 }

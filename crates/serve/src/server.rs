@@ -773,28 +773,16 @@ fn handle_collection_query(
 }
 
 /// The `, "id": "…"` fragment of every answer that has an `id`
-/// attribute (empty otherwise), in answer order. Each distinct
-/// answering shard is pinned once, one at a time: a lazy shard evicted
-/// since its run re-attaches once (or, on failure, its answers ship
-/// without ids), however its answers interleave with other shards'.
+/// attribute (empty otherwise), in answer order. A lazy shard evicted
+/// since its run re-attaches once ([`Collection::visit_answers`]); if
+/// that fails its answers ship without ids.
 fn answer_ids(collection: &Collection, result: &CollectionResult) -> Vec<String> {
-    let answers = &result.answers;
-    let mut ids = vec![String::new(); answers.len()];
-    let mut shards: Vec<usize> = answers.iter().map(|a| a.shard).collect();
-    shards.sort_unstable();
-    shards.dedup();
-    for shard in shards {
-        let Ok(access) = collection.acquire(shard) else {
-            continue;
-        };
-        for (a, id) in answers.iter().zip(&mut ids) {
-            if a.shard == shard {
-                if let Some(v) = access.doc().attribute(a.root, "id") {
-                    *id = format!(", \"id\": \"{}\"", escape(v));
-                }
-            }
+    let mut ids = vec![String::new(); result.answers.len()];
+    collection.visit_answers(result, |rank, a, doc| {
+        if let Some(v) = doc.attribute(a.root, "id") {
+            ids[rank] = format!(", \"id\": \"{}\"", escape(v));
         }
-    }
+    });
     ids
 }
 

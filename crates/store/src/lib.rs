@@ -1,46 +1,32 @@
 #![warn(missing_docs)]
 
-//! Binary persistence for parsed documents.
-//!
-//! Stores a parsed [`Document`] in a compact, *checksummed* binary
-//! format that round-trips exactly: documents load without XML parsing
-//! or entity decoding, any corruption or truncation is detected before
-//! a partial document can be observed, and the files are ~25% smaller
-//! than the XML. (Load time is comparable to this repository's — very
-//! fast — XML parser; see the `xml/store_load` bench.) The format
-//! exploits the arena invariants: nodes are stored in document
-//! (pre-)order with only `(tag, parent, text, attributes)` per node —
-//! children lists and Dewey identifiers are fully determined by the
-//! parent sequence and are rebuilt on load.
+//! Binary persistence for indexed documents: flat, checksummed,
+//! memory-mappable **snapshots** (`.wps`) holding a document's whole
+//! query-time state, so a warm start attaches instead of parsing and
+//! indexing. The format, its validation argument and the
+//! [`Snapshot::peek`] header path are documented in the `snapshot`
+//! module source; this file holds what the format versions share — the
+//! magic, the FNV-1a constants, [`StoreError`] and
+//! [`store_version`] sniffing.
 //!
 //! ```
-//! use whirlpool_store::{read_store, write_store};
+//! use whirlpool_store::{build_snapshot_bytes, Snapshot};
 //! let doc = whirlpool_xml::parse_document("<a><b>t</b></a>").unwrap();
-//! let mut buffer = Vec::new();
-//! write_store(&doc, &mut buffer).unwrap();
-//! let reloaded = read_store(&mut buffer.as_slice()).unwrap();
-//! assert_eq!(reloaded.len(), doc.len());
+//! let index = whirlpool_index::TagIndex::build(&doc);
+//! let bytes = build_snapshot_bytes(&doc, &index);
+//! let snapshot = Snapshot::from_bytes(&bytes).unwrap();
+//! assert_eq!(snapshot.doc_view().len(), doc.len());
 //! ```
 //!
-//! # Format (version 1, little-endian)
-//!
-//! ```text
-//! magic    "WPLX"            4 bytes
-//! version  u32               currently 1
-//! tags     u32 count, then per tag: u32 len + UTF-8 bytes
-//! nodes    u32 count (elements only, document order), per node:
-//!            u32 tag id
-//!            u32 parent node id (0 = the synthetic document root)
-//!            u32 text length or u32::MAX for none, + UTF-8 bytes
-//!            u16 attribute count, per attribute:
-//!              u32 name tag id, u32 value length + UTF-8 bytes
-//! checksum u64 FNV-1a over everything after the 8-byte header
-//! ```
+//! Files carry the magic `"WPLX"` and a `u32` version: 2 and 3 are the
+//! snapshot family (see [`is_snapshot_version`]); 1 was a streamed
+//! document store this crate no longer reads or writes — such files
+//! are still recognised by [`store_version`] so callers can name them
+//! in an error instead of mis-parsing them.
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::path::Path;
-use whirlpool_xml::{Document, DocumentBuilder};
 
 mod mmap;
 mod snapshot;
@@ -52,10 +38,8 @@ pub use snapshot::{
 };
 
 pub(crate) const MAGIC: &[u8; 4] = b"WPLX";
-const VERSION: u32 = 1;
-const NO_TEXT: u32 = u32::MAX;
 
-/// Errors surfaced by [`read_store`].
+/// Errors surfaced when attaching or peeking a snapshot.
 #[derive(Debug)]
 pub enum StoreError {
     /// Underlying I/O failure.
@@ -87,164 +71,10 @@ impl From<io::Error> for StoreError {
     }
 }
 
-/// Serializes a document into the binary store format.
-pub fn write_store(doc: &Document, w: &mut impl Write) -> io::Result<()> {
-    w.write_all(MAGIC)?;
-    w.write_all(&VERSION.to_le_bytes())?;
-
-    // Body goes through the checksum accumulator.
-    let mut out = Hashing {
-        inner: w,
-        hash: FNV_OFFSET,
-    };
-
-    let tags = doc.tags();
-    out.put_u32(tags.len() as u32)?;
-    for (_, name) in tags.iter() {
-        out.put_bytes(name.as_bytes())?;
-    }
-
-    let element_count = doc.len() - 1; // synthetic root not stored
-    out.put_u32(element_count as u32)?;
-    for id in doc.elements() {
-        let node = doc.node(id);
-        out.put_u32(node.tag.index() as u32)?;
-        out.put_u32(node.parent.expect("elements have parents").index() as u32)?;
-        match &node.text {
-            Some(text) => out.put_bytes(text.as_bytes())?,
-            None => out.put_u32(NO_TEXT)?,
-        }
-        let attr_count =
-            u16::try_from(node.attributes.len()).expect("more than u16::MAX attributes");
-        out.put_u16(attr_count)?;
-        for (name, value) in &node.attributes {
-            out.put_u32(name.index() as u32)?;
-            out.put_bytes(value.as_bytes())?;
-        }
-    }
-
-    let checksum = out.hash;
-    out.inner.write_all(&checksum.to_le_bytes())?;
-    Ok(())
-}
-
-/// Deserializes a document from the binary store format, verifying the
-/// checksum.
-pub fn read_store(r: &mut impl Read) -> Result<Document, StoreError> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(StoreError::BadMagic);
-    }
-    let version = read_u32_plain(r)?;
-    if is_snapshot_version(version) {
-        // Version-2/3 snapshot arriving through the streaming reader:
-        // buffer the remainder, validate it as a snapshot, and rebuild
-        // the arena. (Callers that want zero-copy access attach with
-        // [`Snapshot::attach`] instead.)
-        let mut rest = Vec::new();
-        r.read_to_end(&mut rest)?;
-        let mut full = Vec::with_capacity(8 + rest.len());
-        full.extend_from_slice(MAGIC);
-        full.extend_from_slice(&version.to_le_bytes());
-        full.extend_from_slice(&rest);
-        return Ok(Snapshot::from_bytes(&full)?.to_document());
-    }
-    if version != VERSION {
-        return Err(StoreError::UnsupportedVersion(version));
-    }
-
-    let mut input = HashingReader {
-        inner: r,
-        hash: FNV_OFFSET,
-    };
-
-    // Tag table.
-    let tag_count = input.get_u32()? as usize;
-    let mut tag_names = Vec::with_capacity(tag_count.min(1 << 20));
-    for _ in 0..tag_count {
-        tag_names.push(input.get_string("tag name")?);
-    }
-    let tag_name = |id: u32| -> Result<&str, StoreError> {
-        tag_names
-            .get(id as usize)
-            .map(String::as_str)
-            .ok_or_else(|| StoreError::Corrupt(format!("tag id {id} out of range")))
-    };
-
-    // Nodes, replayed through the builder: nodes arrive in pre-order
-    // with parent links, so an open-element stack reconstructs the tree
-    // (and with it children lists and Dewey ids).
-    let node_count = input.get_u32()? as usize;
-    let mut builder = DocumentBuilder::new();
-    // Stack of currently open node ids (as they were in the original
-    // document: element i gets id i+1, the root is 0).
-    let mut open: Vec<u32> = Vec::new();
-    for i in 0..node_count {
-        let this_id = i as u32 + 1;
-        let tag = input.get_u32()?;
-        let parent = input.get_u32()?;
-        // Close elements until the parent is on top (0 = document root,
-        // i.e. empty stack).
-        while open.last().copied().unwrap_or(0) != parent {
-            if open.pop().is_none() {
-                return Err(StoreError::Corrupt(format!(
-                    "node {this_id} claims parent {parent}, which is not an open ancestor"
-                )));
-            }
-            builder.close();
-        }
-        builder.open(tag_name(tag)?);
-        open.push(this_id);
-
-        let text_len = input.get_u32()?;
-        if text_len != NO_TEXT {
-            let text = input.get_string_of(text_len as usize, "text")?;
-            builder.text(&text);
-        }
-        let attr_count = input.get_u16()?;
-        for _ in 0..attr_count {
-            let name = input.get_u32()?;
-            let value = input.get_string("attribute value")?;
-            builder.attribute(tag_name(name)?, &value);
-        }
-    }
-    while open.pop().is_some() {
-        builder.close();
-    }
-
-    let computed = input.hash;
-    let stored = read_u64_plain(r)?;
-    if computed != stored {
-        return Err(StoreError::Corrupt(format!(
-            "checksum mismatch: stored {stored:#x}, computed {computed:#x}"
-        )));
-    }
-
-    Ok(builder.finish())
-}
-
-/// Writes `doc` to `path`.
-pub fn save_file(doc: &Document, path: impl AsRef<Path>) -> io::Result<()> {
-    let mut file = io::BufWriter::new(std::fs::File::create(path)?);
-    write_store(doc, &mut file)
-}
-
-/// Loads a document from `path`.
-pub fn load_file(path: impl AsRef<Path>) -> Result<Document, StoreError> {
-    let mut file = io::BufReader::new(std::fs::File::open(path)?);
-    read_store(&mut file)
-}
-
-/// Does this file start with the store magic? (Cheap sniffing for CLIs
-/// that accept both `.xml` and store files.)
-pub fn is_store_file(path: impl AsRef<Path>) -> bool {
-    store_version(path).is_some()
-}
-
-/// The format version of a store file (1 = v1 stream, 2/3 = snapshot —
-/// see [`is_snapshot_version`]), or `None` if the file is missing or
-/// does not carry the store magic. Cheap: reads 8 bytes.
+/// The format version of a store file (2/3 = snapshot — see
+/// [`is_snapshot_version`]; 1 = the retired v1 stream), or `None` if
+/// the file is missing or does not carry the store magic. Cheap: reads
+/// 8 bytes.
 pub fn store_version(path: impl AsRef<Path>) -> Option<u32> {
     let Ok(mut f) = std::fs::File::open(path) else {
         return None;
@@ -257,214 +87,28 @@ pub fn store_version(path: impl AsRef<Path>) -> Option<u32> {
     Some(u32::from_le_bytes(head[4..8].try_into().ok()?))
 }
 
-// -- checksum plumbing ---------------------------------------------------
-
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv(hash: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(hash, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
-}
-
-struct Hashing<'a, W: Write> {
-    inner: &'a mut W,
-    hash: u64,
-}
-
-impl<W: Write> Hashing<'_, W> {
-    fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.hash = fnv(self.hash, bytes);
-        self.inner.write_all(bytes)
-    }
-
-    fn put_u16(&mut self, v: u16) -> io::Result<()> {
-        self.put(&v.to_le_bytes())
-    }
-
-    fn put_u32(&mut self, v: u32) -> io::Result<()> {
-        self.put(&v.to_le_bytes())
-    }
-
-    fn put_bytes(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.put_u32(u32::try_from(bytes.len()).expect("string exceeds u32 length"))?;
-        self.put(bytes)
-    }
-}
-
-struct HashingReader<'a, R: Read> {
-    inner: &'a mut R,
-    hash: u64,
-}
-
-impl<R: Read> HashingReader<'_, R> {
-    fn get(&mut self, buf: &mut [u8]) -> Result<(), StoreError> {
-        self.inner.read_exact(buf)?;
-        self.hash = fnv(self.hash, buf);
-        Ok(())
-    }
-
-    fn get_u16(&mut self) -> Result<u16, StoreError> {
-        let mut b = [0u8; 2];
-        self.get(&mut b)?;
-        Ok(u16::from_le_bytes(b))
-    }
-
-    fn get_u32(&mut self) -> Result<u32, StoreError> {
-        let mut b = [0u8; 4];
-        self.get(&mut b)?;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    fn get_string(&mut self, what: &str) -> Result<String, StoreError> {
-        let len = self.get_u32()? as usize;
-        self.get_string_of(len, what)
-    }
-
-    fn get_string_of(&mut self, len: usize, what: &str) -> Result<String, StoreError> {
-        // Guard against absurd lengths from corrupt input before
-        // allocating.
-        if len > 1 << 30 {
-            return Err(StoreError::Corrupt(format!(
-                "{what} length {len} is implausible"
-            )));
-        }
-        let mut buf = vec![0u8; len];
-        self.get(&mut buf)?;
-        String::from_utf8(buf)
-            .map_err(|_| StoreError::Corrupt(format!("{what} is not valid UTF-8")))
-    }
-}
-
-fn read_u32_plain(r: &mut impl Read) -> Result<u32, StoreError> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64_plain(r: &mut impl Read) -> Result<u64, StoreError> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use whirlpool_xml::{parse_document, write_document, WriteOptions};
-
-    fn roundtrip(src: &str) -> Document {
-        let doc = parse_document(src).unwrap();
-        let mut buf = Vec::new();
-        write_store(&doc, &mut buf).unwrap();
-        let reloaded = read_store(&mut buf.as_slice()).unwrap();
-        let opts = WriteOptions::default();
-        assert_eq!(
-            write_document(&doc, &opts),
-            write_document(&reloaded, &opts)
-        );
-        reloaded
-    }
-
-    #[test]
-    fn roundtrips_structures() {
-        roundtrip("<a/>");
-        roundtrip("<a><b>text</b><c x=\"1\" y=\"2\"><d/></c></a>");
-        roundtrip("<a>mixed <b>inner</b> content</a>");
-        roundtrip("<r><a/><a/><a/></r>");
-        // A forest.
-        roundtrip("<a/><b><c/></b><d/>");
-        // Unicode.
-        roundtrip("<données café=\"☕\">中文</données>");
-    }
-
-    #[test]
-    fn roundtrips_generated_document_and_preserves_deweys() {
-        let doc = whirlpool_xmark::generate(&whirlpool_xmark::GeneratorConfig::items(100));
-        let mut buf = Vec::new();
-        write_store(&doc, &mut buf).unwrap();
-        let reloaded = read_store(&mut buf.as_slice()).unwrap();
-        assert_eq!(doc.len(), reloaded.len());
-        for id in doc.elements() {
-            assert_eq!(doc.dewey(id), reloaded.dewey(id), "{id:?}");
-            assert_eq!(doc.tag_str(id), reloaded.tag_str(id));
-            assert_eq!(doc.text(id), reloaded.text(id));
-        }
-    }
-
-    #[test]
-    fn store_is_smaller_than_xml() {
-        let doc = whirlpool_xmark::generate(&whirlpool_xmark::GeneratorConfig::items(200));
-        let xml = write_document(&doc, &WriteOptions::default());
-        let mut buf = Vec::new();
-        write_store(&doc, &mut buf).unwrap();
-        assert!(
-            buf.len() < xml.len(),
-            "store {} vs xml {}",
-            buf.len(),
-            xml.len()
-        );
-    }
 
     #[test]
     fn rejects_bad_magic_and_version() {
+        let doc = whirlpool_xml::parse_document("<a/>").unwrap();
+        let index = whirlpool_index::TagIndex::build(&doc);
+        let mut bytes = build_snapshot_bytes(&doc, &index);
+        bytes[0..4].copy_from_slice(b"NOPE");
         assert!(matches!(
-            read_store(&mut &b"NOPE\x01\x00\x00\x00"[..]),
+            Snapshot::from_bytes(&bytes),
             Err(StoreError::BadMagic)
         ));
-        let mut buf = Vec::new();
-        write_store(&parse_document("<a/>").unwrap(), &mut buf).unwrap();
-        buf[4] = 99; // version
+        bytes[0..4].copy_from_slice(MAGIC);
+        bytes[4] = 99; // version
         assert!(matches!(
-            read_store(&mut buf.as_slice()),
+            Snapshot::from_bytes(&bytes),
             Err(StoreError::UnsupportedVersion(99))
         ));
-    }
-
-    #[test]
-    fn detects_corruption_anywhere_in_the_body() {
-        let doc = parse_document("<a><b>text</b><c x=\"1\"/></a>").unwrap();
-        let mut clean = Vec::new();
-        write_store(&doc, &mut clean).unwrap();
-        // Flip one byte at a time (past the header) and require failure.
-        let mut detected = 0;
-        for i in 8..clean.len() {
-            let mut corrupt = clean.clone();
-            corrupt[i] ^= 0x40;
-            if read_store(&mut corrupt.as_slice()).is_err() {
-                detected += 1;
-            }
-        }
-        // Every single-byte flip must be detected (checksum or
-        // structural validation).
-        assert_eq!(detected, clean.len() - 8);
-    }
-
-    #[test]
-    fn truncation_is_an_error() {
-        let doc = parse_document("<a><b/></a>").unwrap();
-        let mut buf = Vec::new();
-        write_store(&doc, &mut buf).unwrap();
-        for cut in [3, 7, 10, buf.len() - 1] {
-            assert!(read_store(&mut &buf[..cut]).is_err(), "cut at {cut}");
-        }
-    }
-
-    #[test]
-    fn file_helpers_and_sniffing() {
-        let dir = std::env::temp_dir().join(format!("wpl-store-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("doc.wpx");
-        let doc = parse_document("<a><b>t</b></a>").unwrap();
-        save_file(&doc, &path).unwrap();
-        assert!(is_store_file(&path));
-        let reloaded = load_file(&path).unwrap();
-        assert_eq!(reloaded.len(), doc.len());
-
-        let xml_path = dir.join("doc.xml");
-        std::fs::write(&xml_path, "<a/>").unwrap();
-        assert!(!is_store_file(&xml_path));
-        assert!(!is_store_file(dir.join("missing.wpx")));
     }
 }

@@ -562,8 +562,7 @@ pub enum AttachMode {
     Auto,
     /// Require `mmap`; error if the platform or file refuses.
     Mmap,
-    /// Always read into (8-byte aligned) heap memory. Also forced by
-    /// the `WHIRLPOOL_NO_MMAP` environment variable under `Auto`.
+    /// Always read into (8-byte aligned) heap memory.
     Read,
 }
 
@@ -596,8 +595,8 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// Attaches to a snapshot file: `mmap` when available, buffered
-    /// read otherwise (or when `WHIRLPOOL_NO_MMAP` is set). Validates
-    /// the checksum and every structural invariant before returning.
+    /// read otherwise. Validates the checksum and every structural
+    /// invariant before returning.
     pub fn attach(path: impl AsRef<Path>) -> Result<Snapshot, StoreError> {
         Snapshot::attach_with(path, AttachMode::Auto)
     }
@@ -608,10 +607,7 @@ impl Snapshot {
         let mut file = std::fs::File::open(path)?;
         let len = usize::try_from(file.metadata()?.len())
             .map_err(|_| corrupt("file too large for this platform"))?;
-        let force_read = matches!(mode, AttachMode::Read)
-            || (matches!(mode, AttachMode::Auto)
-                && std::env::var_os("WHIRLPOOL_NO_MMAP").is_some());
-        let backing = if force_read {
+        let backing = if mode == AttachMode::Read {
             Backing::Owned(OwnedBytes::read_from(&mut file, len)?)
         } else {
             match Mapping::map(&file, len) {
@@ -626,7 +622,7 @@ impl Snapshot {
     }
 
     /// Builds a snapshot from in-memory bytes (copied into aligned
-    /// storage) — the streaming-reader and test entry point.
+    /// storage) — the in-memory and test entry point.
     pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, StoreError> {
         Snapshot::from_backing(Backing::Owned(OwnedBytes::from_slice(bytes)))
     }
@@ -770,10 +766,10 @@ impl Snapshot {
         self.backing.is_mapped()
     }
 
-    /// Rebuilds an owned [`Document`] arena from the snapshot — the
-    /// compatibility path for callers that need the v1-style in-memory
-    /// tree (XML re-serialization, `read_store` dispatch). This is
-    /// O(corpus); query paths should use the views instead.
+    /// Rebuilds an owned [`Document`] arena from the snapshot, for
+    /// callers that need the in-memory tree (XML re-serialization,
+    /// round-trip checks). This is O(corpus); query paths should use
+    /// the views instead.
     pub fn to_document(&self) -> Document {
         let doc = self.mapped_doc();
         let parent = self.u32s(SEC_PARENT);
@@ -1393,15 +1389,68 @@ mod tests {
         }
     }
 
+    /// A file of the retired version-1 stream format, as its writer
+    /// emitted it for
+    /// `<shelf><book id="b1"><title>Top-K</title></book><cd>é</cd></shelf>`.
+    const PINNED_V1: &[u8] = &[
+        87, 80, 76, 88, 1, 0, 0, 0, 6, 0, 0, 0, 9, 0, 0, 0, 35, 100, 111, 99, 45, 114, 111, 111,
+        116, 5, 0, 0, 0, 115, 104, 101, 108, 102, 4, 0, 0, 0, 98, 111, 111, 107, 2, 0, 0, 0, 105,
+        100, 5, 0, 0, 0, 116, 105, 116, 108, 101, 2, 0, 0, 0, 99, 100, 4, 0, 0, 0, 1, 0, 0, 0, 0,
+        0, 0, 0, 255, 255, 255, 255, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 255, 255, 255, 255, 1, 0, 3, 0,
+        0, 0, 2, 0, 0, 0, 98, 49, 4, 0, 0, 0, 2, 0, 0, 0, 5, 0, 0, 0, 84, 111, 112, 45, 75, 0, 0,
+        5, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 195, 169, 0, 0, 118, 94, 171, 46, 178, 40, 167, 220,
+    ];
+
     #[test]
     fn v1_store_is_not_a_snapshot() {
-        let doc = parse_document("<a><b/></a>").unwrap();
-        let mut v1 = Vec::new();
-        crate::write_store(&doc, &mut v1).unwrap();
         assert!(matches!(
-            Snapshot::from_bytes(&v1),
+            Snapshot::from_bytes(PINNED_V1),
             Err(StoreError::UnsupportedVersion(1)) | Err(StoreError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn version_sniffing_distinguishes_v1_v2_and_v3() {
+        let dir = std::env::temp_dir().join(format!("wpl-sniff-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let v1_path = dir.join("doc.wpx");
+        std::fs::write(&v1_path, PINNED_V1).unwrap();
+        assert_eq!(crate::store_version(&v1_path), Some(1));
+        assert!(!is_snapshot_version(1));
+        assert!(Snapshot::attach(&v1_path).is_err());
+        assert!(Snapshot::peek(&v1_path).is_err());
+
+        let xml_path = dir.join("doc.xml");
+        std::fs::write(&xml_path, "<a/>").unwrap();
+        assert_eq!(crate::store_version(&xml_path), None);
+        assert_eq!(crate::store_version(dir.join("missing.wps")), None);
+
+        let doc = parse_document("<a><b/></a>").unwrap();
+        let index = TagIndex::build(&doc);
+        let v2_path = dir.join("doc-v2.wps");
+        let v2_options = SnapshotOptions {
+            path_synopsis: false,
+        };
+        save_snapshot_with(&doc, &index, &v2_path, &v2_options).unwrap();
+        assert_eq!(crate::store_version(&v2_path), Some(SNAPSHOT_VERSION));
+        let v3_path = dir.join("doc-v3.wps");
+        save_snapshot(&doc, &index, &v3_path).unwrap();
+        assert_eq!(crate::store_version(&v3_path), Some(SNAPSHOT_VERSION_PATHS));
+
+        // v2 files (no stored synopsis section) still attach and peek;
+        // the peek derives tag counts and reports no dataguide.
+        let v2 = Snapshot::attach(&v2_path).unwrap();
+        assert_eq!(v2.version(), SNAPSHOT_VERSION);
+        assert!(v2.path_synopsis().is_none());
+        assert_eq!(v2.to_document().len(), doc.len());
+        let v2_peek = Snapshot::peek(&v2_path).unwrap();
+        assert!(v2_peek.paths.is_none());
+        assert_eq!(v2_peek.synopsis.tag_count("b"), 1);
+        let v3 = Snapshot::attach(&v3_path).unwrap();
+        assert_eq!(v3.version(), SNAPSHOT_VERSION_PATHS);
+        assert!(v3.path_synopsis().is_some());
+        assert_eq!(v3.to_document().len(), doc.len());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -105,6 +105,10 @@ fn no_budget_means_exact_for_every_engine() {
         let r = fx.eval(&alg, &EvalOptions::top_k(5));
         assert!(r.completeness.is_exact(), "{}", alg.name());
         assert_eq!(r.metrics.deadline_hits, 0, "{}", alg.name());
+        // The idle anytime layer is invisible: none of its counters move.
+        assert_eq!(r.metrics.servers_failed, 0, "{}", alg.name());
+        assert_eq!(r.metrics.matches_redistributed, 0, "{}", alg.name());
+        assert_eq!(r.metrics.answers_degraded, 0, "{}", alg.name());
     }
 }
 

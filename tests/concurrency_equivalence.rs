@@ -17,7 +17,7 @@
 //!   worker-pool scheduler still agrees with Whirlpool-S at every pool
 //!   size and in both relax modes.
 //! * A panic that escapes the fault layer entirely (a panicking score
-//!   model with **no** fault plan, so `guarded_process` runs
+//!   model with **no** fault plan, so `guarded_process_located` runs
 //!   unguarded) is caught at batch granularity by the worker itself:
 //!   the run terminates at every pool size and returns a certified
 //!   truncated prefix, even when the poisoned batch was stolen.

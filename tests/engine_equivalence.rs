@@ -2,7 +2,6 @@
 //! configuration: the adaptive engines only reorder and prune work that
 //! provably cannot affect the answer.
 
-use proptest::prelude::*;
 use whirlpool_core::{
     answers_equivalent, evaluate, Algorithm, EvalOptions, QueuePolicy, RelaxMode, RoutingStrategy,
 };
@@ -252,77 +251,6 @@ fn k_larger_than_answer_universe() {
             "{}",
             alg.name()
         );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Binding-buffer pooling is a pure allocator optimization: on a
-    /// random workload (document size, query, k, score model), every
-    /// engine must return the same top-k with pooling on and off — and
-    /// the pooled run must actually recycle buffers.
-    #[test]
-    fn pooling_never_changes_the_topk(
-        items in 10usize..80,
-        k in 1usize..12,
-        seed in 0u64..1_000_000,
-        query_idx in 0usize..3,
-        dense in any::<bool>(),
-    ) {
-        let doc = generate(&GeneratorConfig::items(items));
-        let index = TagIndex::build(&doc);
-        let (name, query) = queries::benchmark_queries().swap_remove(query_idx);
-        let model: Box<dyn ScoreModel> = if dense {
-            Box::new(RandomScores::dense(seed, query.len()))
-        } else {
-            Box::new(RandomScores::sparse(seed, query.len()))
-        };
-
-        let pooled_options = EvalOptions::top_k(k);
-        let unpooled_options = EvalOptions { pooling: false, ..EvalOptions::top_k(k) };
-        for alg in algorithms() {
-            let pooled = evaluate(&doc, &index, &query, model.as_ref(), &alg, &pooled_options);
-            let unpooled =
-                evaluate(&doc, &index, &query, model.as_ref(), &alg, &unpooled_options);
-            prop_assert!(
-                answers_equivalent(&pooled.answers, &unpooled.answers, 1e-9),
-                "{name} items={items} k={k} seed={seed} alg={}:\n pooled {:?}\n plain  {:?}",
-                alg.name(),
-                pooled.answers,
-                unpooled.answers
-            );
-            prop_assert!(
-                unpooled.metrics.buffers_reused == 0,
-                "disabled pool must never recycle ({})",
-                alg.name()
-            );
-            prop_assert!(
-                pooled.metrics.buffers_allocated <= unpooled.metrics.buffers_allocated,
-                "pooling increased allocations for {}: {} > {}",
-                alg.name(),
-                pooled.metrics.buffers_allocated,
-                unpooled.metrics.buffers_allocated
-            );
-            // With no deadline, op budget, or fault plan configured the
-            // anytime layer must be invisible: both runs are exact and
-            // none of its counters ever move.
-            prop_assert!(
-                pooled.completeness.is_exact() && unpooled.completeness.is_exact(),
-                "idle robustness layer truncated a run ({})",
-                alg.name()
-            );
-            for run in [&pooled, &unpooled] {
-                prop_assert!(
-                    run.metrics.deadline_hits == 0
-                        && run.metrics.servers_failed == 0
-                        && run.metrics.matches_redistributed == 0
-                        && run.metrics.answers_degraded == 0,
-                    "idle robustness layer touched its counters ({})",
-                    alg.name()
-                );
-            }
-        }
     }
 }
 

@@ -10,8 +10,10 @@
 //! that turning tracing on does not perturb the answer set (the
 //! engine-equivalence invariant from DESIGN.md §7).
 
-use whirlpool_core::trace::{tracing_compiled, TraceData};
-use whirlpool_core::{evaluate, Algorithm, EvalOptions, EvalResult, FaultKind, FaultPlan};
+use whirlpool_core::trace::TraceData;
+use whirlpool_core::{
+    evaluate, Algorithm, EvalOptions, EvalResult, FaultKind, FaultPlan, RelaxMode,
+};
 use whirlpool_index::TagIndex;
 use whirlpool_pattern::QNodeId;
 use whirlpool_score::{Normalization, TfIdfModel};
@@ -100,9 +102,6 @@ fn assert_stream_invariants(trace: &TraceData, engine: &str) {
 
 #[test]
 fn fault_free_traces_are_balanced_and_match_metrics() {
-    if !tracing_compiled() {
-        return;
-    }
     let fx = Fixture::new(150);
     for algorithm in algorithms() {
         let result = fx.eval(&algorithm, &traced_options(10));
@@ -137,13 +136,27 @@ fn fault_free_traces_are_balanced_and_match_metrics() {
         );
         assert_eq!(summary.degraded_completions, 0, "{}", algorithm.name());
     }
+
+    // Whirlpool-M's pooled workers record into per-worker buffers:
+    // conservation must survive stealing, in both relax modes.
+    for relax in [RelaxMode::Relaxed, RelaxMode::Exact] {
+        for threads in [4, 8] {
+            let options = EvalOptions {
+                relax,
+                threads,
+                ..traced_options(10)
+            };
+            let result = fx.eval(&Algorithm::WhirlpoolM { processors: None }, &options);
+            let trace = result.trace.as_ref().expect("trace requested");
+            let tag = format!("Whirlpool-M {relax:?} threads={threads}");
+            assert_stream_invariants(trace, &tag);
+            assert_eq!(trace.summary().consumed, result.metrics.server_ops, "{tag}");
+        }
+    }
 }
 
 #[test]
 fn tracing_does_not_perturb_answers() {
-    if !tracing_compiled() {
-        return;
-    }
     let fx = Fixture::new(150);
     for algorithm in algorithms() {
         let plain = fx.eval(&algorithm, &EvalOptions::top_k(10));
@@ -161,9 +174,6 @@ fn tracing_does_not_perturb_answers() {
 
 #[test]
 fn budgeted_runs_stay_balanced() {
-    if !tracing_compiled() {
-        return;
-    }
     let fx = Fixture::new(150);
     for algorithm in algorithms() {
         // A tight operation budget forces the abandon path: matches
@@ -186,9 +196,6 @@ fn budgeted_runs_stay_balanced() {
 
 #[test]
 fn faulted_runs_stay_balanced() {
-    if !tracing_compiled() {
-        return;
-    }
     let fx = Fixture::new(150);
     for algorithm in algorithms() {
         // Kill one mid-plan server early: its queued matches flow
@@ -208,9 +215,6 @@ fn faulted_runs_stay_balanced() {
 
 #[test]
 fn chrome_trace_output_is_well_formed() {
-    if !tracing_compiled() {
-        return;
-    }
     let fx = Fixture::new(60);
     for algorithm in algorithms() {
         let result = fx.eval(&algorithm, &traced_options(5));
