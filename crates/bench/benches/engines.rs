@@ -3,8 +3,8 @@
 //! size). Full-scale figure reproduction lives in the `repro` binary.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use whirlpool_bench::{default_options, Workload};
-use whirlpool_core::Algorithm;
+use whirlpool_bench::Workload;
+use whirlpool_core::{Algorithm, EvalOptions};
 use whirlpool_xmark::queries;
 
 fn bench_engines(c: &mut Criterion) {
@@ -22,7 +22,7 @@ fn bench_engines(c: &mut Criterion) {
             Algorithm::WhirlpoolM { processors: None },
         ] {
             group.bench_with_input(BenchmarkId::new(alg.name(), qname), &query, |b, query| {
-                b.iter(|| workload.run(query, &model, &alg, &default_options(15)))
+                b.iter(|| workload.run(query, &model, &alg, &EvalOptions::top_k(15)))
             });
         }
     }
@@ -35,7 +35,14 @@ fn bench_engines(c: &mut Criterion) {
     let model = workload.model(&query);
     for k in [3usize, 15, 75] {
         group.bench_with_input(BenchmarkId::new("whirlpool_s", k), &k, |b, &k| {
-            b.iter(|| workload.run(&query, &model, &Algorithm::WhirlpoolS, &default_options(k)))
+            b.iter(|| {
+                workload.run(
+                    &query,
+                    &model,
+                    &Algorithm::WhirlpoolS,
+                    &EvalOptions::top_k(k),
+                )
+            })
         });
     }
     group.finish();

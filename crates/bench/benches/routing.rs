@@ -2,8 +2,8 @@
 //! policies (§6.1.3) on a scaled-down workload.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use whirlpool_bench::{default_options, Workload};
-use whirlpool_core::{Algorithm, QueuePolicy, RoutingStrategy};
+use whirlpool_bench::Workload;
+use whirlpool_core::{Algorithm, EvalOptions, QueuePolicy, RoutingStrategy};
 use whirlpool_xmark::queries;
 
 fn bench_routing(c: &mut Criterion) {
@@ -23,7 +23,7 @@ fn bench_routing(c: &mut Criterion) {
             &routing,
             |b, routing| {
                 b.iter(|| {
-                    let mut options = default_options(15);
+                    let mut options = EvalOptions::top_k(15);
                     options.routing = routing.clone();
                     workload.run(&query, &model, &Algorithm::WhirlpoolS, &options)
                 })
@@ -42,7 +42,7 @@ fn bench_routing(c: &mut Criterion) {
             &batch,
             |b, &batch| {
                 b.iter(|| {
-                    let mut options = default_options(15);
+                    let mut options = EvalOptions::top_k(15);
                     options.router_batch = batch;
                     workload.run(&query, &model, &Algorithm::WhirlpoolS, &options)
                 })
@@ -61,7 +61,7 @@ fn bench_routing(c: &mut Criterion) {
             &sample,
             |b, &sample| {
                 b.iter(|| {
-                    let mut options = default_options(15);
+                    let mut options = EvalOptions::top_k(15);
                     options.selectivity_sample = sample;
                     workload.run(&query, &model, &Algorithm::WhirlpoolS, &options)
                 })
@@ -83,7 +83,7 @@ fn bench_routing(c: &mut Criterion) {
             &policy,
             |b, &policy| {
                 b.iter(|| {
-                    let mut options = default_options(15);
+                    let mut options = EvalOptions::top_k(15);
                     options.queue = policy;
                     workload.run(&query, &model, &Algorithm::WhirlpoolS, &options)
                 })

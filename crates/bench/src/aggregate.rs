@@ -94,6 +94,15 @@ pub struct ProgressPoint {
     pub threshold: f64,
 }
 
+/// The threshold value after at most `ops` operations.
+pub fn threshold_at_ops(progress: &[ProgressPoint], ops: u64) -> f64 {
+    progress
+        .iter()
+        .take_while(|p| p.ops <= ops)
+        .last()
+        .map_or(0.0, |p| p.threshold)
+}
+
 /// Total time a named phase (span) was open, summed over workers.
 #[derive(Debug, Clone)]
 pub struct PhaseStat {
@@ -289,12 +298,8 @@ mod tests {
             agg.per_server.values().map(|h| h.count).sum::<u64>(),
             agg.overall.count
         );
+        // (`thresholds_are_monotone` checks the curve's shape.)
         assert!(!agg.progress.is_empty());
-        // Thresholds never regress.
-        for w in agg.progress.windows(2) {
-            assert!(w[1].threshold >= w[0].threshold);
-            assert!(w[1].ops >= w[0].ops);
-        }
         // Downsampling keeps the endpoints' values.
         let thin = agg.downsampled_progress(16);
         assert!(thin.len() <= 16);
@@ -310,6 +315,68 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"progress\""));
         assert!(json.contains("\"log2_buckets\""));
+    }
+
+    /// Reads a progress curve at a fraction of its total operation count.
+    fn threshold_at_fraction(progress: &[ProgressPoint], fraction: f64) -> f64 {
+        let Some(last) = progress.last() else {
+            return 0.0;
+        };
+        let target = (last.ops as f64 * fraction).round() as u64;
+        threshold_at_ops(progress, target.max(1))
+    }
+
+    /// The progress curve of a traced real-engine run (Q2, k = 15).
+    fn progress_of(algorithm: &Algorithm) -> Vec<ProgressPoint> {
+        let doc = generate(&GeneratorConfig::items(120));
+        let index = TagIndex::build(&doc);
+        let query = queries::parse(queries::Q2);
+        let model = TfIdfModel::build(&doc, &index, &query, Normalization::Sparse);
+        let options = EvalOptions {
+            trace: true,
+            ..EvalOptions::top_k(15)
+        };
+        let result = evaluate(&doc, &index, &query, &model, algorithm, &options);
+        TraceAggregate::from_trace(&result.trace.expect("trace requested")).progress
+    }
+
+    #[test]
+    fn thresholds_are_monotone() {
+        for algorithm in [Algorithm::LockStep, Algorithm::WhirlpoolS] {
+            let progress = progress_of(&algorithm);
+            assert!(!progress.is_empty());
+            for w in progress.windows(2) {
+                assert!(w[1].threshold >= w[0].threshold);
+                assert!(w[1].ops >= w[0].ops);
+            }
+        }
+    }
+
+    #[test]
+    fn adaptive_threshold_grows_no_slower_early_on() {
+        // The premise behind per-match adaptivity: at the same point in
+        // the evaluation (fraction of its own ops), the adaptive engine
+        // has at least matched the lock-step threshold.
+        let lockstep_q = threshold_at_fraction(&progress_of(&Algorithm::LockStep), 0.1);
+        let adaptive_q = threshold_at_fraction(&progress_of(&Algorithm::WhirlpoolS), 0.1);
+        assert!(
+            adaptive_q >= lockstep_q * 0.99,
+            "adaptive {adaptive_q} vs lockstep {lockstep_q} at 10% of ops"
+        );
+    }
+
+    #[test]
+    fn fraction_interpolation() {
+        let point = |ops, threshold| ProgressPoint {
+            ops,
+            ts_us: 0,
+            threshold,
+        };
+        let progress = [point(1, 0.0), point(5, 1.0), point(10, 2.0)];
+        assert_eq!(threshold_at_fraction(&progress, 0.0), 0.0);
+        assert_eq!(threshold_at_fraction(&progress, 0.5), 1.0);
+        assert_eq!(threshold_at_fraction(&progress, 1.0), 2.0);
+        assert_eq!(threshold_at_fraction(&[], 0.5), 0.0);
     }
 
     #[test]

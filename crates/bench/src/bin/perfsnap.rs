@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! Performance snapshot: runs the Table-1 default configuration (Q2,
 //! 10 Mb document, k = 15) across all four engines and writes the
 //! medians plus work and buffer counters to `BENCH_core.json`. A
@@ -18,7 +20,8 @@
 //! (exit 1) if a traced run changes its engine's answers, and it gates
 //! the scheduler: the *virtual* 4-thread Whirlpool-M makespan must not
 //! exceed the 1-thread one (virtual time, so it holds even on a
-//! single-core CI box).
+//! single-core CI box). Every section's invariants are gated here and
+//! nowhere else — CI runs `--smoke` once and reads the exit code.
 //!
 //! A `scaling` section sweeps Whirlpool-M's scheduler pool size (1, 2,
 //! 4, 8 workers) at the defaults; every config's answers are
@@ -26,7 +29,7 @@
 //! interleavings may resolve a tied boundary group differently, and
 //! any resolution is a correct top-k). Each config records the real
 //! wall-clock median **and** the discrete-event virtual makespan
-//! ([`whirlpool_core::vtime`], `processors = threads`): on the
+//! ([`whirlpool_bench::vtime`], `processors = threads`): on the
 //! single-core machines this repo targets, real walls cannot speed up
 //! with added workers, so the virtual makespan is the honest vehicle
 //! for the paper's Figure-9 speedup curve while the real wall pins the
@@ -52,8 +55,8 @@
 use std::io::Write as _;
 use std::time::Instant;
 use whirlpool_bench::aggregate::TraceAggregate;
-use whirlpool_bench::{default_options, median, Workload};
-use whirlpool_core::vtime::{sequential_virtual_time, simulate_whirlpool_m, VTimeConfig};
+use whirlpool_bench::vtime::{sequential_virtual_time, simulate_whirlpool_m, VTimeConfig};
+use whirlpool_bench::{median, Workload};
 use whirlpool_core::{
     answers_equivalent, collection_answers_equivalent, evaluate_collection, Algorithm, Collection,
     CollectionOptions, ContextOptions, EvalOptions, EvalResult, MetricsSnapshot, QueryContext,
@@ -336,7 +339,7 @@ fn collection_bench(
     }
 
     let query = queries::parse(queries::Q2);
-    let options = default_options(k);
+    let options = EvalOptions::top_k(k);
     let run = |copts: &CollectionOptions| {
         let mut walls = Vec::with_capacity(reps);
         let mut last = None;
@@ -459,7 +462,7 @@ fn collection_lazy_bench(rich: usize, sparse: usize, k: usize, reps: usize) -> C
 
     let query = whirlpool_pattern::parse_pattern("//book[./title and ./isbn and ./price]")
         .expect("lazy bench query parses");
-    let options = default_options(k);
+    let options = EvalOptions::top_k(k);
     let mut open_walls = Vec::new();
     let mut run_fresh = |copts: &CollectionOptions, max_resident: usize| {
         let mut walls = Vec::with_capacity(reps);
@@ -573,7 +576,7 @@ fn snapshot_bench(
     let snapshot = snapshot.expect("reps >= 1");
     let _ = std::fs::remove_file(&path);
 
-    let options = default_options(k);
+    let options = EvalOptions::top_k(k);
     let cold_model =
         whirlpool_score::TfIdfModel::build(&cold_doc, &cold_index, query, Normalization::Sparse);
     let cold_run = whirlpool_core::evaluate_view(
@@ -733,10 +736,10 @@ fn main() {
         Algorithm::WhirlpoolM { processors: None },
     ];
 
-    let options = default_options(k);
+    let options = EvalOptions::top_k(k);
     let traced_options = EvalOptions {
         trace: true,
-        ..default_options(k)
+        ..EvalOptions::top_k(k)
     };
 
     let mut rows = Vec::new();
@@ -769,7 +772,7 @@ fn main() {
     // while still rejecting any score change. Each entry carries the
     // real wall-clock median (pins scheduler overhead on the host) and
     // the virtual makespan of the same pool size on `threads` virtual
-    // cores (the discrete-event model in `whirlpool_core::vtime` — the
+    // cores (the discrete-event model in `whirlpool_bench::vtime` — the
     // honest speedup vehicle on single-core hosts).
     let scaling_reference = {
         let (_, last) = run_config(
@@ -793,7 +796,7 @@ fn main() {
         eprintln!("perfsnap: Whirlpool-M scaling, threads = {threads} ({reps} reps + vtime)...");
         let options = EvalOptions {
             threads,
-            ..default_options(k)
+            ..EvalOptions::top_k(k)
         };
         let (stats, last) = run_config(
             &workload,
@@ -1174,16 +1177,37 @@ fn main() {
             std::process::exit(1);
         }
     }
+    // The virtual speedup curve is monotone over 1/2/4/8 workers (same
+    // 5 % headroom), and one worker homes every queue, so it never
+    // steals.
+    if scaling_speedup.windows(2).any(|w| w[1] < w[0] * 0.95) {
+        eprintln!("perfsnap: FAIL — virtual speedup is not monotone: {scaling_speedup:?}");
+        std::process::exit(1);
+    }
+    if scaling[0].stats.metrics.steal_events != 0 {
+        eprintln!("perfsnap: FAIL — Whirlpool-M stole batches with a single worker");
+        std::process::exit(1);
+    }
 
     // Collection gates: pruning must fire on the skewed corpus, must
-    // not change the answer set, and must not cost wall time over the
-    // scan-all baseline (10 % headroom for noise).
+    // not change the answer set, must leave every shard either visited
+    // or pruned with no rich shard skipped, and must not cost wall time
+    // over the scan-all baseline (10 % headroom for noise).
     if coll.shards_pruned == 0 {
         eprintln!("perfsnap: FAIL — collection run pruned no shard on the skewed corpus");
         std::process::exit(1);
     }
     if !coll.equivalent {
         eprintln!("perfsnap: FAIL — sharded collection answers diverge from scan-all");
+        std::process::exit(1);
+    }
+    if coll.shards_visited + coll.shards_pruned != coll.shards_total
+        || coll.shards_visited < coll.rich_shards
+    {
+        eprintln!(
+            "perfsnap: FAIL — collection run visited {} and pruned {} of {} shards ({} rich)",
+            coll.shards_visited, coll.shards_pruned, coll.shards_total, coll.rich_shards
+        );
         std::process::exit(1);
     }
     if coll.sharded_wall_ms > coll.scan_all_wall_ms * 1.10 {
@@ -1200,8 +1224,9 @@ fn main() {
     // tag counts alone cannot do this — only the stored path synopsis
     // can), answers must match the eager scan tie-aware (capped and
     // uncapped), the lazy run must not cost wall time over the eager
-    // one (5 % headroom for noise), and the max_resident=2 rerun must
-    // actually evict.
+    // one (5 % headroom for noise), the max_resident=2 rerun must
+    // actually evict, and the attached shards are all the rich ones and
+    // none of those pruned before attach.
     if lazy.pruned_rate() < 0.5 {
         eprintln!(
             "perfsnap: FAIL — lazy collection pruned only {}/{} shards before attach (< 50%)",
@@ -1232,9 +1257,22 @@ fn main() {
         std::process::exit(1);
     }
 
+    if lazy.shards_attached as usize + lazy.pruned_before_attach > lazy.shards_total
+        || (lazy.shards_attached as usize) < lazy.rich_shards
+    {
+        eprintln!(
+            "perfsnap: FAIL — lazy collection attached {} and pruned {} before attach of {} \
+             shards ({} rich)",
+            lazy.shards_attached, lazy.pruned_before_attach, lazy.shards_total, lazy.rich_shards
+        );
+        std::process::exit(1);
+    }
+
     // Snapshot gates: attaching must be a pure representation change
-    // (tie-aware equivalent answers) and must actually be a warm start
-    // — at least 5x faster than the cold parse+index it replaces.
+    // (tie-aware equivalent answers), must go through mmap (the
+    // owned-buffer read fallback is correct but is not the zero-copy
+    // product) and must actually be a warm start — at least 5x faster
+    // than the cold parse+index it replaces.
     // The floor is deliberately loose: the measured gap at full scale
     // is orders of magnitude (20x+ on the 10 Mb document), but at
     // smoke scale the fixed mmap + checksum floor (~0.4 ms) dominates
@@ -1242,6 +1280,10 @@ fn main() {
     // attach path that silently degrades into a rebuild.
     if !snap.equivalent {
         eprintln!("perfsnap: FAIL — snapshot-backed answers diverge from the parsed run");
+        std::process::exit(1);
+    }
+    if !snap.mapped {
+        eprintln!("perfsnap: FAIL — snapshot attach fell back to the read path");
         std::process::exit(1);
     }
     if snap.speedup() < 5.0 {

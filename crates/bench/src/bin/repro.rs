@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! Regenerates every table and figure of the paper's evaluation
 //! (§6.3). Each experiment prints the same rows/series the paper
 //! reports; absolute numbers differ (different hardware, Rust vs C++,
@@ -12,11 +14,13 @@
 //! `--quick` scales document sizes down ~20× for smoke runs.
 
 use std::time::Instant;
+use whirlpool_bench::vtime::{sequential_virtual_time, simulate_whirlpool_m, VTimeConfig};
 use whirlpool_bench::{
-    default_options, fig3_plans, fig3_run, median, millis, static_options, Workload, WorkloadCache,
+    fig3_plans, fig3_run, median, millis, static_options, Workload, WorkloadCache,
 };
-use whirlpool_core::vtime::{sequential_virtual_time, simulate_whirlpool_m, VTimeConfig};
-use whirlpool_core::{Algorithm, ContextOptions, QueryContext, QueuePolicy, RoutingStrategy};
+use whirlpool_core::{
+    Algorithm, ContextOptions, EvalOptions, QueryContext, QueuePolicy, RoutingStrategy,
+};
 use whirlpool_pattern::{permutations, QNodeId, StaticPlan, TreePattern};
 use whirlpool_xmark::queries;
 
@@ -157,7 +161,7 @@ fn norms(cache: &mut WorkloadCache, scale: &Scale) {
             Algorithm::WhirlpoolS,
             Algorithm::WhirlpoolM { processors: None },
         ] {
-            let r = w.run(&query, model.as_ref(), &alg, &default_options(15));
+            let r = w.run(&query, model.as_ref(), &alg, &EvalOptions::top_k(15));
             println!(
                 "{:<16} {:<14} {:>12.1} {:>12} {:>14} {:>10}",
                 name,
@@ -185,18 +189,23 @@ fn growth(cache: &mut WorkloadCache, scale: &Scale) {
     banner(
         "Threshold growth — pruning threshold (k-th best score) as a function          of evaluation progress (Q2, k=15)",
     );
-    use whirlpool_bench::trace::{
-        lockstep_growth, threshold_at_fraction, threshold_at_ops, whirlpool_s_growth,
-    };
+    use whirlpool_bench::aggregate::{threshold_at_ops, TraceAggregate};
     let w = default_workload(cache, scale);
     let query = queries::parse(queries::Q2);
     let model = w.model(&query);
-    let plan = StaticPlan::in_id_order(query.server_ids().count());
-
-    let ctx = QueryContext::new(&w.doc, &w.index, &query, &model, ContextOptions::default());
-    let lockstep = lockstep_growth(&ctx, &plan, 15);
-    let ctx2 = QueryContext::new(&w.doc, &w.index, &query, &model, ContextOptions::default());
-    let adaptive = whirlpool_s_growth(&ctx2, &RoutingStrategy::MinAlive, 15);
+    // The curve is the tracer's: one threshold sample per server
+    // operation of the real engine. LockStep under a non-static routing
+    // strategy runs the in-id-order plan.
+    let options = EvalOptions {
+        trace: true,
+        ..EvalOptions::top_k(15)
+    };
+    let curve = |algorithm: &Algorithm| {
+        let run = w.run(&query, &model, algorithm, &options);
+        TraceAggregate::from_trace(&run.trace.expect("trace requested")).progress
+    };
+    let lockstep = curve(&Algorithm::LockStep);
+    let adaptive = curve(&Algorithm::WhirlpoolS);
 
     println!(
         "(total ops: LockStep {}, Whirlpool-S {})\n",
@@ -221,7 +230,6 @@ fn growth(cache: &mut WorkloadCache, scale: &Scale) {
         );
         ops *= 2;
     }
-    let _ = threshold_at_fraction(&lockstep, 1.0);
     println!("\n(threshold is the k-th best current score; higher earlier = more pruning,");
     println!(" and the adaptive engine finishes in fewer total ops)");
 }
@@ -330,7 +338,7 @@ fn fig5(cache: &mut WorkloadCache, scale: &Scale) {
             RoutingStrategy::MinScore,
             RoutingStrategy::MinAlive,
         ] {
-            let mut options = default_options(15);
+            let mut options = EvalOptions::top_k(15);
             options.routing = routing.clone();
             let r = w.run(&query, &model, &alg, &options);
             println!(
@@ -391,7 +399,7 @@ fn fig67(cache: &mut WorkloadCache, scale: &Scale) {
             ops.push(r.metrics.server_ops as f64);
         }
         let (adaptive_time, adaptive_ops) = if has_adaptive {
-            let r = w.run(&query, &model, &alg, &default_options(15));
+            let r = w.run(&query, &model, &alg, &EvalOptions::top_k(15));
             (
                 Some(r.elapsed.as_secs_f64() * 1e3),
                 Some(r.metrics.server_ops as f64),
@@ -474,7 +482,7 @@ fn fig8(cache: &mut WorkloadCache, scale: &Scale) {
             Some(millis(cost))
         };
         let run = |alg: &Algorithm, routing: RoutingStrategy| -> f64 {
-            let mut options = default_options(15);
+            let mut options = EvalOptions::top_k(15);
             options.routing = routing;
             options.op_cost = op_cost;
             w.run(&query, &model, alg, &options).elapsed.as_secs_f64()
@@ -523,7 +531,12 @@ fn fig9(cache: &mut WorkloadCache, scale: &Scale) {
         let model = w.model(&query);
 
         // Whirlpool-S virtual time from its real operation counts.
-        let s_result = w.run(&query, &model, &Algorithm::WhirlpoolS, &default_options(15));
+        let s_result = w.run(
+            &query,
+            &model,
+            &Algorithm::WhirlpoolS,
+            &EvalOptions::top_k(15),
+        );
         let s_time = sequential_virtual_time(&s_result.metrics, &cfg);
 
         print!("{name:<6}");
@@ -560,12 +573,17 @@ fn fig10(cache: &mut WorkloadCache, scale: &Scale) {
     for (name, query) in queries::benchmark_queries() {
         let model = w.model(&query);
         for k in [3usize, 15, 75] {
-            let s = w.run(&query, &model, &Algorithm::WhirlpoolS, &default_options(k));
+            let s = w.run(
+                &query,
+                &model,
+                &Algorithm::WhirlpoolS,
+                &EvalOptions::top_k(k),
+            );
             let m = w.run(
                 &query,
                 &model,
                 &Algorithm::WhirlpoolM { processors: None },
-                &default_options(k),
+                &EvalOptions::top_k(k),
             );
             println!(
                 "{:<6} {:>5} {:>20.1} {:>20.1} {:>14} {:>14}",
@@ -595,12 +613,17 @@ fn fig11(cache: &mut WorkloadCache, scale: &Scale) {
         let w = cache.bytes(bytes, label);
         for (name, query) in queries::benchmark_queries() {
             let model = w.model(&query);
-            let s = w.run(&query, &model, &Algorithm::WhirlpoolS, &default_options(15));
+            let s = w.run(
+                &query,
+                &model,
+                &Algorithm::WhirlpoolS,
+                &EvalOptions::top_k(15),
+            );
             let m = w.run(
                 &query,
                 &model,
                 &Algorithm::WhirlpoolM { processors: None },
-                &default_options(15),
+                &EvalOptions::top_k(15),
             );
             println!(
                 "{:<6} {:>6} {:>20.1} {:>20.1} {:>14}",
@@ -639,7 +662,7 @@ fn table2(cache: &mut WorkloadCache, scale: &Scale) {
                     query,
                     &model,
                     &Algorithm::LockStepNoPrune,
-                    &default_options(15),
+                    &EvalOptions::top_k(15),
                 )
                 .metrics
                 .partials_created;
@@ -648,7 +671,7 @@ fn table2(cache: &mut WorkloadCache, scale: &Scale) {
                     query,
                     &model,
                     &Algorithm::WhirlpoolM { processors: None },
-                    &default_options(15),
+                    &EvalOptions::top_k(15),
                 )
                 .metrics
                 .partials_created;

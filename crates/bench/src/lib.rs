@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! Shared experiment harness for the paper-figure reproduction
 //! (`src/bin/repro.rs`), the performance snapshot (`src/bin/perfsnap.rs`),
 //! and the Criterion benches.
@@ -6,22 +8,22 @@
 //!
 //! * [`Workload`] / [`WorkloadCache`] — XMark-like documents with their
 //!   indexes, generated once per size and shared across experiments.
-//! * [`trace`] — instrumented engine loops that sample the pruning
-//!   threshold per operation (predates the structured event layer;
-//!   kept for its direct, re-implementable growth curves).
 //! * [`aggregate`] — post-processing over [`whirlpool_core::trace`]
 //!   event streams: per-server latency histograms, score-progress
-//!   curves, and phase timings, as emitted into `BENCH_trace.json`.
+//!   curves (the threshold-growth experiment reads them), and phase
+//!   timings, as emitted into `BENCH_trace.json`.
+//! * [`vtime`] — the discrete-event simulation of the Whirlpool-M
+//!   schedule on `p` virtual processors (Figure 9 and perfsnap's
+//!   virtual scaling curve).
 
 pub mod aggregate;
 pub mod scoring;
-pub mod trace;
+pub mod vtime;
 
 use std::collections::HashMap;
 use std::time::Duration;
 use whirlpool_core::{
-    evaluate, Algorithm, ContextOptions, EvalOptions, EvalResult, QueryContext, QueuePolicy,
-    RelaxMode, RoutingStrategy,
+    evaluate, Algorithm, ContextOptions, EvalOptions, EvalResult, QueryContext, RoutingStrategy,
 };
 use whirlpool_index::TagIndex;
 use whirlpool_pattern::{QNodeId, StaticPlan, TreePattern};
@@ -130,33 +132,12 @@ pub fn median(values: &mut [f64]) -> f64 {
     }
 }
 
-/// Options preset for a default-parameter run (Table 1 bold: k = 15,
-/// sparse scoring, min_alive routing, max-final queues).
-pub fn default_options(k: usize) -> EvalOptions {
-    EvalOptions {
-        k,
-        relax: RelaxMode::Relaxed,
-        routing: RoutingStrategy::MinAlive,
-        queue: QueuePolicy::MaxFinalScore,
-        op_cost: None,
-        selectivity_sample: 64,
-        router_batch: 1,
-        deadline: None,
-        max_server_ops: None,
-        fault_plan: None,
-        cancel: None,
-        trace: false,
-        threads: 1,
-        threshold_floor: 0.0,
-        assist: None,
-    }
-}
-
-/// Options for a static-plan run.
+/// Options for a static-plan run (everything else at the Table 1
+/// defaults, i.e. [`EvalOptions::top_k`]).
 pub fn static_options(k: usize, plan: StaticPlan) -> EvalOptions {
     EvalOptions {
         routing: RoutingStrategy::Static(plan),
-        ..default_options(k)
+        ..EvalOptions::top_k(k)
     }
 }
 

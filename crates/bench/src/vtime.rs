@@ -24,13 +24,12 @@
 //! than Whirlpool-S on small queries/single processors in the paper is
 //! modelled by `thread_overhead`, charged per scheduled task.
 
-use crate::context::{QueryContext, RelaxMode};
-use crate::metrics::MetricsSnapshot;
-use crate::queue::{MatchQueue, QueuePolicy};
-use crate::router::RoutingStrategy;
-use crate::topk::{RankedAnswer, TopKSet};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use whirlpool_core::{
+    MatchQueue, MetricsSnapshot, PartialMatch, QueryContext, QueuePolicy, RankedAnswer, RelaxMode,
+    RoutingStrategy, TopKSet,
+};
 
 /// Virtual costs, in (virtual) seconds.
 #[derive(Debug, Clone)]
@@ -46,7 +45,7 @@ pub struct VTimeConfig {
     /// engine (charged in Whirlpool-M only).
     pub thread_overhead: f64,
     /// Scheduler pool workers, mirroring
-    /// [`WhirlpoolMConfig::threads`](crate::WhirlpoolMConfig::threads):
+    /// [`whirlpool_core::WhirlpoolMConfig::threads`]:
     /// every virtual worker serves its home queues first and steals
     /// from the most-loaded foreign queue when they are dry. The router
     /// is a separate virtual thread, as in the real engine.
@@ -143,7 +142,7 @@ pub fn simulate_whirlpool_m(
     // running worker remembers the queue it popped from, since the
     // pool mapping is dynamic.
     let mut events: BinaryHeap<Reverse<(OrderedF64, usize)>> = BinaryHeap::new();
-    let mut running: Vec<Option<(usize, crate::partial::PartialMatch)>> = Vec::new();
+    let mut running: Vec<Option<(usize, PartialMatch)>> = Vec::new();
     running.resize_with(worker_count, || None);
     let mut busy = 0usize;
     let mut now = 0.0f64;
@@ -264,8 +263,7 @@ impl Ord for OrderedF64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::ContextOptions;
-    use crate::lockstep::run_lockstep_noprune;
+    use whirlpool_core::{answers_equivalent, run_lockstep_noprune, ContextOptions};
     use whirlpool_index::TagIndex;
     use whirlpool_pattern::{parse_pattern, StaticPlan};
     use whirlpool_score::{Normalization, TfIdfModel};
@@ -405,7 +403,7 @@ mod tests {
                     r.makespan
                 );
                 assert!(
-                    crate::topk::answers_equivalent(&r.answers, &reference, 1e-9),
+                    answers_equivalent(&r.answers, &reference, 1e-9),
                     "threads={threads}"
                 );
             });

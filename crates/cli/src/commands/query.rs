@@ -243,7 +243,6 @@ pub fn run(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
             threads
         },
         threshold_floor: 0.0,
-        assist: None,
     };
 
     if multi_doc {
@@ -467,8 +466,8 @@ fn run_collection(
     if cm.shards_pruned_before_attach > 0 || cm.shards_attached > 0 || cm.shard_evictions > 0 {
         writeln!(
             out,
-            "lazy:       {} pruned before attach, {} attached, {} evicted, {} assists",
-            cm.shards_pruned_before_attach, cm.shards_attached, cm.shard_evictions, cm.assists
+            "lazy:       {} pruned before attach, {} attached, {} evicted",
+            cm.shards_pruned_before_attach, cm.shards_attached, cm.shard_evictions
         )?;
     }
     match result.completeness {
@@ -568,15 +567,14 @@ fn write_collection_json(
         "  \"collection\": {{\"shards_total\": {}, \"shards_visited\": {}, \
          \"shards_pruned\": {}, \"shards_pruned_before_attach\": {}, \
          \"shards_skipped_budget\": {}, \"shards_attached\": {}, \
-         \"shard_evictions\": {}, \"assists\": {}}},",
+         \"shard_evictions\": {}}},",
         cm.shards_total,
         cm.shards_visited,
         cm.shards_pruned,
         cm.shards_pruned_before_attach,
         cm.shards_skipped_budget,
         cm.shards_attached,
-        cm.shard_evictions,
-        cm.assists
+        cm.shard_evictions
     )?;
     writeln!(
         out,

@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! The `whirlpool` command-line tool.
 //!
 //! ```text

@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! `whirlpool` — top-k XML querying from the command line.
 
 use std::process::ExitCode;

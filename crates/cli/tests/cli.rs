@@ -153,6 +153,9 @@ fn query_rejects_bad_options() {
     assert!(run_err(&["query", f, "//b[./t]", "--routing", "nope"]).contains("unknown"));
     assert!(run_err(&["query", f, "//b[./t]", "--norm", "nope"]).contains("unknown"));
     assert!(run_err(&["query", f, "not a query"]).contains("query"));
+    // One node past the pattern cap is a parse error, not a panic.
+    let too_big = format!("//a{}{}", "[./a".repeat(64), "]".repeat(64));
+    assert!(run_err(&["query", f, &too_big]).contains("limited to 64 nodes"));
     assert!(run_err(&["query", "/nonexistent.xml", "//a"]).contains("cannot read"));
     assert!(run_err(&["query"]).contains("missing"));
 }

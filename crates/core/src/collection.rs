@@ -42,7 +42,6 @@
 //! A shard pinned by an in-progress evaluation is never evicted —
 //! `max_resident` is a target, not a hard cap.
 
-use crate::assist::AssistRegistry;
 use crate::context::{ContextOptions, QueryContext, RelaxMode};
 use crate::engine::{evaluate_with_context, Algorithm, EvalOptions};
 use crate::error::Completeness;
@@ -869,9 +868,6 @@ pub struct CollectionMetrics {
     pub shards_attached: u64,
     /// Lazy-shard evictions performed during this run.
     pub shard_evictions: u64,
-    /// Times an idle collection worker entered another shard's
-    /// in-progress engine run as an extra stealing worker.
-    pub assists: u64,
 }
 
 /// The outcome of one collection query.
@@ -1003,14 +999,6 @@ pub fn evaluate_collection(
     let evictions_before = collection.eviction_count();
 
     let workers = copts.threads.max(1).min(collection.len().max(1));
-    // Cross-shard work stealing: with multiple collection workers and
-    // a Whirlpool-M engine, each per-shard run (forced single-threaded
-    // below) publishes an assist door, and workers that run out of
-    // shards walk through open doors instead of idling at the tail.
-    let registry = (workers > 1 && matches!(algorithm, Algorithm::WhirlpoolM { .. }))
-        .then(AssistRegistry::new);
-    let active_evals = AtomicUsize::new(0);
-    let assists = AtomicU64::new(0);
 
     // A shard left unevaluated is certified by its ceiling: whatever
     // it could have held scores no higher.
@@ -1021,7 +1009,9 @@ pub fn evaluate_collection(
             .expired(1, ceiling.map_or(0.0, |c| c.value()));
     };
 
-    let worker = |_w: usize| {
+    // A worker claims shards from the cursor until none is left, then
+    // returns.
+    let worker = || {
         loop {
             let at = cursor.fetch_add(1, Ordering::Relaxed);
             if at >= order.len() {
@@ -1070,7 +1060,6 @@ pub fn evaluate_collection(
             if workers > 1 {
                 shard_opts.threads = 1;
             }
-            shard_opts.assist = registry.clone();
             if copts.share_threshold {
                 shard_opts.threshold_floor = global.threshold().value();
             }
@@ -1085,9 +1074,7 @@ pub fn evaluate_collection(
                     op_cost: options.op_cost,
                 },
             );
-            active_evals.fetch_add(1, Ordering::SeqCst);
             let result = evaluate_with_context(&ctx, algorithm, &shard_opts);
-            active_evals.fetch_sub(1, Ordering::SeqCst);
             visited.fetch_add(1, Ordering::Relaxed);
             spent
                 .server_ops
@@ -1102,30 +1089,14 @@ pub fn evaluate_collection(
                 truncated.lock().expired(pending_matches, score_bound);
             }
         }
-        // Idle tail: no shards left to claim, but runs may still be in
-        // flight — steal work from them through their assist doors
-        // until the last one finishes.
-        if let Some(registry) = &registry {
-            loop {
-                if registry.assist_any() {
-                    assists.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                if active_evals.load(Ordering::SeqCst) == 0 {
-                    break;
-                }
-                registry.wait_for_work(Duration::from_micros(500));
-            }
-        }
     };
 
     if workers <= 1 {
-        worker(0);
+        worker();
     } else {
         std::thread::scope(|scope| {
-            for w in 0..workers {
-                let worker = &worker;
-                scope.spawn(move || worker(w));
+            for _ in 0..workers {
+                scope.spawn(worker);
             }
         });
     }
@@ -1143,7 +1114,6 @@ pub fn evaluate_collection(
             shards_skipped_budget: budget_skipped.into_inner(),
             shards_attached: collection.attach_count() - attached_before,
             shard_evictions: collection.eviction_count() - evictions_before,
-            assists: assists.into_inner(),
         },
         metrics: metrics.into_inner(),
         elapsed: start.elapsed(),
@@ -1797,9 +1767,9 @@ mod tests {
     }
 
     #[test]
-    fn lazy_multi_worker_with_assists_matches_single() {
+    fn lazy_multi_worker_whirlpool_m_matches_single() {
         let dir = snapshot_dir(
-            "assist",
+            "multiworker",
             &[
                 ("s0", RICH),
                 ("s1", MID),

@@ -28,7 +28,9 @@ pub enum Algorithm {
     /// Multi-threaded adaptive Whirlpool, optionally capped to a number
     /// of concurrently executing server operations.
     WhirlpoolM {
-        /// Concurrent-operation cap (`None`: unbounded).
+        /// Concurrent-operation cap (`None`: unbounded), honoured as a
+        /// cap on the worker pool: the run gets
+        /// `min(EvalOptions::threads, processors)` workers.
         processors: Option<usize>,
     },
 }
@@ -106,13 +108,6 @@ pub struct EvalOptions {
     /// because the global threshold only rises, so anything pruned
     /// against the floor scores strictly below the final k-th answer.
     pub threshold_floor: f64,
-    /// Cross-run work-stealing board for Whirlpool-M: when set, the run
-    /// publishes an assist door on this registry so idle threads
-    /// elsewhere (the collection driver's workers between shards) can
-    /// join its pool as extra stealing workers. `None` (the default)
-    /// compiles no assist machinery into the run. Ignored by the other
-    /// engines.
-    pub assist: Option<crate::assist::AssistRegistry>,
 }
 
 impl EvalOptions {
@@ -134,7 +129,6 @@ impl EvalOptions {
             trace: false,
             threads: 1,
             threshold_floor: 0.0,
-            assist: None,
         }
     }
 }
@@ -267,9 +261,8 @@ pub fn evaluate_with_context(
             options.k,
             &WhirlpoolMConfig {
                 queue_policy: options.queue,
-                processors: *processors,
-                threads: options.threads.max(1),
-                assist: options.assist.clone(),
+                // A p-worker pool runs at most p operations at once.
+                threads: options.threads.min(processors.unwrap_or(usize::MAX)).max(1),
             },
             &control,
         ),
@@ -383,6 +376,81 @@ mod tests {
         );
         assert!(slow.elapsed > fast.elapsed);
         assert!(slow.elapsed >= Duration::from_millis(5) * slow.metrics.server_ops as u32);
+    }
+
+    /// A threshold query ("all answers scoring at least τ", the
+    /// EDBT'02 mode the paper contrasts with top-k in §3) is
+    /// Whirlpool-S with the floor pinned at τ, `k` = every candidate
+    /// root, and the answers below τ dropped.
+    #[test]
+    fn threshold_floor_answers_threshold_queries() {
+        let doc = parse_document(
+            "<shelf>\
+             <book><title>t</title><isbn>1</isbn><price>9</price></book>\
+             <book><title>t</title><isbn>2</isbn></book>\
+             <book><title>t</title></book>\
+             <book><x><title>t</title></x></book>\
+             <book><name/></book>\
+             </shelf>",
+        )
+        .unwrap();
+        let index = TagIndex::build(&doc);
+        let pattern = parse_pattern("//book[./title and ./isbn and ./price]").unwrap();
+        let model = TfIdfModel::build(&doc, &index, &pattern, Normalization::Sparse);
+
+        let clearing = |answers: &[RankedAnswer], tau: f64| {
+            let mut kept: Vec<_> = answers
+                .iter()
+                .filter(|a| a.score.value() >= tau)
+                .map(|a| (a.root, a.score))
+                .collect();
+            kept.sort();
+            kept
+        };
+        for relax in [RelaxMode::Relaxed, RelaxMode::Exact] {
+            let mut options = EvalOptions::top_k(1_000);
+            options.relax = relax;
+            let reference = evaluate(
+                &doc,
+                &index,
+                &pattern,
+                &model,
+                &Algorithm::LockStepNoPrune,
+                &options,
+            );
+            if relax == RelaxMode::Exact {
+                // Only the one fully-exact book survives.
+                assert_eq!(reference.answers.len(), 1);
+            }
+
+            let mut ops = Vec::new();
+            for tau in [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 100.0] {
+                let ctx = QueryContext::new(
+                    &doc,
+                    &index,
+                    &pattern,
+                    &model,
+                    ContextOptions {
+                        relax,
+                        ..Default::default()
+                    },
+                );
+                let mut options = EvalOptions::top_k(ctx.root_candidates().len().max(1));
+                options.relax = relax;
+                options.threshold_floor = tau;
+                let got = evaluate_with_context(&ctx, &Algorithm::WhirlpoolS, &options);
+                assert_eq!(
+                    clearing(&got.answers, tau),
+                    clearing(&reference.answers, tau),
+                    "{relax:?} tau={tau}"
+                );
+                ops.push(got.metrics.server_ops);
+            }
+            // Branch-and-bound against τ: a high threshold does less
+            // work than none, an unreachable one none at all.
+            assert!(ops[5] < ops[0], "{relax:?}: {ops:?}");
+            assert_eq!(ops[8], 0, "{relax:?}: {ops:?}");
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # Whirlpool — adaptive top-k query processing for XML
 //!
@@ -51,7 +52,7 @@
 //! | [`Algorithm::LockStepNoPrune`] | LockStep-NoPrun | exhaustive baseline, exact reference |
 //! | [`Algorithm::LockStep`] | LockStep | static plan + score pruning (≈ OptThres) |
 //! | [`Algorithm::WhirlpoolS`] | Whirlpool-S | single-threaded, adaptive per-match routing |
-//! | [`Algorithm::WhirlpoolM`] | Whirlpool-M | one thread per server + router thread |
+//! | [`Algorithm::WhirlpoolM`] | Whirlpool-M | adaptive routing; a work-stealing worker pool serves the servers + router thread |
 //!
 //! Routing strategies ([`RoutingStrategy`]) and queue policies
 //! ([`QueuePolicy`]) correspond to §6.1.3/§6.1.4 of the paper; the
@@ -67,7 +68,6 @@
 //! synopsis-derived score ceiling pruning whole shards that cannot
 //! beat the current k-th answer. See [`evaluate_collection`].
 
-mod assist;
 mod collection;
 mod context;
 mod engine;
@@ -80,15 +80,11 @@ mod partial;
 mod pool;
 mod queue;
 mod router;
-pub mod threshold;
 mod topk;
 pub mod trace;
-mod util;
-pub mod vtime;
 mod whirlpool_m;
 mod whirlpool_s;
 
-pub use assist::{AssistRegistry, DoorGuard};
 pub use collection::{
     collection_answers_equivalent, evaluate_collection, shard_ceiling, shard_ceiling_with_paths,
     Collection, CollectionAnswer, CollectionMetrics, CollectionOptions, CollectionResult, Shard,
@@ -111,7 +107,6 @@ pub use partial::{Binding, PartialMatch};
 pub use pool::{MatchPool, PoolHub};
 pub use queue::{MatchQueue, QueuePolicy};
 pub use router::RoutingStrategy;
-pub use threshold::run_threshold;
 pub use topk::{answers_equivalent, RankedAnswer, SharedTopK, TopKSet};
 pub use trace::{TraceData, TraceSummary, Tracer, WorkerTrace};
 pub use whirlpool_m::{run_whirlpool_m, run_whirlpool_m_anytime, WhirlpoolMConfig};

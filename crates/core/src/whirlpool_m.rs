@@ -45,7 +45,6 @@ use crate::pool::{MatchPool, PoolHub};
 use crate::queue::{MatchQueue, QueuePolicy};
 use crate::router::RoutingStrategy;
 use crate::topk::{RankedAnswer, SharedTopK};
-use crate::util::Semaphore;
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use whirlpool_pattern::QNodeId;
@@ -64,10 +63,6 @@ pub struct WhirlpoolMConfig {
     /// Per-server queue prioritization (the paper settled on
     /// [`QueuePolicy::MaxFinalScore`]).
     pub queue_policy: QueuePolicy,
-    /// Limit concurrent server operations to simulate a `p`-processor
-    /// machine (`None`: no limit — the paper's "∞ processors" runs).
-    /// Only observable when operations have real cost.
-    pub processors: Option<usize>,
     /// Total worker threads in the scheduler pool, independent of query
     /// size. Server queues are assigned home workers round-robin and
     /// idle workers steal whole batches from loaded foreign queues;
@@ -76,23 +71,13 @@ pub struct WhirlpoolMConfig {
     /// proposal of "maximal parallelism" (§7) without one thread per
     /// server.
     pub threads: usize,
-    /// When set, the run publishes an assist door on this registry for
-    /// its lifetime: idle threads elsewhere (the collection driver's
-    /// workers between shards) call through the door and join the pool
-    /// as extra stealing workers with ids above the home range. The
-    /// door closes — blocking until every assister has left — before
-    /// the run returns, so assisted and unassisted runs return the same
-    /// certified answer set.
-    pub assist: Option<crate::assist::AssistRegistry>,
 }
 
 impl Default for WhirlpoolMConfig {
     fn default() -> Self {
         WhirlpoolMConfig {
             queue_policy: QueuePolicy::MaxFinalScore,
-            processors: None,
             threads: 1,
-            assist: None,
         }
     }
 }
@@ -269,7 +254,6 @@ struct Shared<'c, 'a> {
     work_cv: Condvar,
     offer_partial: bool,
     full_mask: u64,
-    sem: Option<Semaphore>,
 }
 
 impl Shared<'_, '_> {
@@ -353,7 +337,6 @@ pub fn run_whirlpool_m_anytime(
         work_cv: Condvar::new(),
         offer_partial,
         full_mask,
-        sem: config.processors.map(Semaphore::new),
     };
 
     // Seed the router queue with the root server's output.
@@ -386,15 +369,6 @@ pub fn run_whirlpool_m_anytime(
 
     let trunc = Truncation::new();
     let workers = config.threads.max(1);
-    // Open the assist door (if a registry was supplied) for the whole
-    // run: assisters become stealing workers with ids above the home
-    // range, a mode the pool supports for any worker count. The guard
-    // drop below blocks until the last assister has left, so the
-    // borrows of `shared`/`control`/`trunc` never escape this frame.
-    let assist_guard = config.assist.as_ref().map(|registry| {
-        let (shared, trunc) = (&shared, &trunc);
-        registry.publish(move |seq| worker_loop(shared, workers + seq, workers, control, trunc))
-    });
     std::thread::scope(|scope| {
         // Router thread.
         {
@@ -413,10 +387,6 @@ pub fn run_whirlpool_m_anytime(
             shared.done_cv.wait(&mut guard);
         }
     });
-    // Close the door and drain assisters before reading the result:
-    // `done` is set, so anyone still inside (or entering before the
-    // close lands) exits the worker loop promptly.
-    drop(assist_guard);
 
     let answers = shared.topk.into_inner().ranked();
     let completeness = trunc.finish(&answers);
@@ -893,8 +863,6 @@ fn process_batch(
                 ..
             } = *work;
             let m = in_hand.as_ref().expect("in-hand match was just stored");
-            // The processor budget covers the join work itself.
-            let _permit = shared.sem.as_ref().map(Semaphore::acquire);
             guarded_process_located(ctx, control, trunc, server, m, loc, exts, pool)
         };
         let m = work.in_hand.take().expect("in-hand match is present");
@@ -1061,26 +1029,37 @@ mod tests {
 
     #[test]
     fn processor_limit_does_not_change_answers() {
+        // `processors` caps the pool size, so it is addressed through
+        // the engine entry point that applies the cap.
+        use crate::engine::{evaluate_with_context, Algorithm, EvalOptions};
         let query = "//book[./title and ./isbn and ./price]";
         let mut reference = Vec::new();
         harness(query, RelaxMode::Relaxed, |ctx, servers| {
             reference = run_lockstep_noprune(ctx, &StaticPlan::in_id_order(servers), 3);
         });
         for procs in [1, 2, 4] {
-            harness(query, RelaxMode::Relaxed, |ctx, _| {
-                let got = run_whirlpool_m(
-                    ctx,
-                    &RoutingStrategy::MinAlive,
-                    3,
-                    &WhirlpoolMConfig {
-                        processors: Some(procs),
-                        ..WhirlpoolMConfig::default()
-                    },
-                );
-                let gs: Vec<_> = got.iter().map(|r| (r.root, r.score)).collect();
-                let rs: Vec<_> = reference.iter().map(|r| (r.root, r.score)).collect();
-                assert_eq!(gs, rs, "procs={procs}");
-            });
+            for threads in [1usize, 4] {
+                harness(query, RelaxMode::Relaxed, |ctx, _| {
+                    let got = evaluate_with_context(
+                        ctx,
+                        &Algorithm::WhirlpoolM {
+                            processors: Some(procs),
+                        },
+                        &EvalOptions {
+                            threads,
+                            ..EvalOptions::top_k(3)
+                        },
+                    );
+                    assert!(
+                        crate::topk::answers_equivalent(&got.answers, &reference, 1e-9),
+                        "procs={procs} threads={threads}"
+                    );
+                    if procs == 1 {
+                        // One worker homes every queue: nothing to steal.
+                        assert_eq!(got.metrics.steal_events, 0, "threads={threads}");
+                    }
+                });
+            }
         }
     }
 
@@ -1131,49 +1110,6 @@ mod tests {
                 );
             });
         }
-    }
-
-    #[test]
-    fn assisted_runs_return_the_same_answers() {
-        let query = "//book[./title and ./isbn and ./price]";
-        let mut reference = Vec::new();
-        harness(query, RelaxMode::Relaxed, |ctx, servers| {
-            reference = run_lockstep_noprune(ctx, &StaticPlan::in_id_order(servers), 4);
-        });
-        // Run single-threaded pools with a registry attached and a gang
-        // of outside threads hammering `assist_any` for the duration:
-        // every assist enters the pool as a stealing worker above the
-        // home range. Answers must match the unassisted reference.
-        harness(query, RelaxMode::Relaxed, |ctx, _| {
-            let registry = crate::assist::AssistRegistry::new();
-            let stop = std::sync::atomic::AtomicBool::new(false);
-            std::thread::scope(|scope| {
-                for _ in 0..3 {
-                    let (registry, stop) = (&registry, &stop);
-                    scope.spawn(move || {
-                        while !stop.load(Ordering::Acquire) {
-                            if !registry.assist_any() {
-                                registry.wait_for_work(std::time::Duration::from_micros(200));
-                            }
-                        }
-                    });
-                }
-                for _ in 0..10 {
-                    let got = run_whirlpool_m(
-                        ctx,
-                        &RoutingStrategy::MinAlive,
-                        4,
-                        &WhirlpoolMConfig {
-                            threads: 1,
-                            assist: Some(registry.clone()),
-                            ..WhirlpoolMConfig::default()
-                        },
-                    );
-                    assert!(crate::topk::answers_equivalent(&got, &reference, 1e-9));
-                }
-                stop.store(true, Ordering::Release);
-            });
-        });
     }
 
     #[test]

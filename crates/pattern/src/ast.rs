@@ -52,6 +52,10 @@ impl Axis {
 /// queries.
 pub const WILDCARD: &str = "*";
 
+/// Most nodes a [`TreePattern`] can hold: the engine packs per-match
+/// visited-server sets into a `u64` bitmask.
+pub(crate) const MAX_NODES: usize = 64;
+
 /// An attribute predicate on a pattern node: `[@name]` (presence) or
 /// `[@name = 'value']` (equality).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -144,7 +148,8 @@ impl TreePattern {
     /// # Panics
     /// Panics if the pattern already has 64 nodes (the engine packs
     /// per-match visited-server sets into a `u64` bitmask) or if
-    /// `parent` is out of range.
+    /// `parent` is out of range. [`parse_pattern`](crate::parse_pattern)
+    /// checks the count first and returns an error instead.
     pub fn add_node(
         &mut self,
         parent: QNodeId,
@@ -153,8 +158,8 @@ impl TreePattern {
         value: Option<ValueTest>,
     ) -> QNodeId {
         assert!(
-            self.nodes.len() < 64,
-            "tree patterns are limited to 64 nodes"
+            self.nodes.len() < MAX_NODES,
+            "tree patterns are limited to {MAX_NODES} nodes"
         );
         assert!(parent.index() < self.nodes.len(), "parent out of range");
         let id = QNodeId(self.nodes.len() as u8);

@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Tree-pattern queries, relaxations, and predicate compilation.
 //!

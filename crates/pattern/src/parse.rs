@@ -18,7 +18,7 @@
 //! patterns are rooted at the returned node); multi-step absolute paths
 //! are rejected with an explanatory error.
 
-use crate::ast::{AttrTest, Axis, QNodeId, TreePattern, ValueTest};
+use crate::ast::{AttrTest, Axis, QNodeId, TreePattern, ValueTest, MAX_NODES};
 use std::fmt;
 
 /// Error produced by [`parse_pattern`].
@@ -205,6 +205,7 @@ impl<'a> P<'a> {
         let mut current = context;
         let mut first = true;
         loop {
+            let step = self.pos;
             let axis = match self.parse_axis()? {
                 Some(a) => a,
                 None if first => return Err(self.err("expected './', './/', '/' or '//'")),
@@ -212,6 +213,17 @@ impl<'a> P<'a> {
             };
             first = false;
             let name = self.parse_name()?;
+            // `add_node` panics past the cap; query text comes from
+            // outside, so the parser refuses it with an error. Every
+            // level of predicate nesting adds a node first, so the cap
+            // also bounds this parser's recursion — XPath needs no
+            // separate depth limit.
+            if pattern.len() == MAX_NODES {
+                return Err(PatternParseError {
+                    message: format!("tree patterns are limited to {MAX_NODES} nodes"),
+                    offset: step,
+                });
+            }
             current = pattern.add_node(current, axis, name, None);
             self.skip_ws();
             if self.peek() == Some('[') {
@@ -396,6 +408,27 @@ mod tests {
         assert!(parse_pattern("//item[./a = 'x]").is_err());
         assert!(parse_pattern("//item]").is_err());
         assert!(parse_pattern("//item[and]").is_err());
+    }
+
+    #[test]
+    fn node_count_is_capped_with_an_error_not_a_panic() {
+        // A root plus `extra` nodes, as nested predicates, as one chain
+        // of steps, and as a flat conjunction.
+        let nested = |extra: usize| format!("//a{}{}", "[./a".repeat(extra), "]".repeat(extra));
+        let chain = |extra: usize| format!("//a[.{}]", "/a".repeat(extra));
+        let flat = |extra: usize| format!("//a[{}]", vec!["./a"; extra].join(" and "));
+        for shape in [&nested as &dyn Fn(usize) -> String, &chain, &flat] {
+            assert_eq!(
+                parse_pattern(&shape(MAX_NODES - 1)).unwrap().len(),
+                MAX_NODES
+            );
+            let src = shape(MAX_NODES);
+            let err = parse_pattern(&src).unwrap_err();
+            assert!(err.message.contains("limited to 64 nodes"), "{err}");
+            assert!(src[err.offset..].starts_with("/a"), "{err}");
+        }
+        // Far past the cap the parser has long stopped recursing.
+        assert!(parse_pattern(&nested(100_000)).is_err());
     }
 
     #[test]

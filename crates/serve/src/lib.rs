@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # whirlpool-serve — the long-lived query daemon
 //!

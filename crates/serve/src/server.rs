@@ -998,6 +998,29 @@ mod tests {
     }
 
     #[test]
+    fn hostile_nesting_is_a_400_and_the_daemon_keeps_serving() {
+        let handle = start(ServeConfig::default(), test_registry()).unwrap();
+        let addr = handle.addr();
+
+        // Half a megabyte of `[`: unbounded recursion here overflows
+        // the worker's stack, which aborts the whole process.
+        let (status, body) = post_query(addr, &"[".repeat(500_000));
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("nesting"), "{body}");
+
+        // One node past the tree-pattern cap: a parse error, not the
+        // builder's panic.
+        let query = format!("//a{}{}", "[./a".repeat(64), "]".repeat(64));
+        let (status, body) = post_query(addr, &format!(r#"{{"query": "{query}"}}"#));
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("limited to 64 nodes"), "{body}");
+
+        let (status, body) = post_query(addr, r#"{"query": "//book[./title]", "k": 1}"#);
+        assert_eq!(status, 200, "{body}");
+        handle.shutdown();
+    }
+
+    #[test]
     fn warm_start_serves_identically_and_reports_attach_cost() {
         let dir = std::env::temp_dir().join(format!("wp-serve-warm-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();

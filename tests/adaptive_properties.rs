@@ -6,7 +6,7 @@
 //! MPro/Upper).
 
 use proptest::prelude::*;
-use whirlpool_core::vtime::{simulate_whirlpool_m, VTimeConfig};
+use whirlpool_bench::vtime::{simulate_whirlpool_m, VTimeConfig};
 use whirlpool_core::{
     answers_equivalent, evaluate, Algorithm, ContextOptions, EvalOptions, QueryContext,
     QueuePolicy, RoutingStrategy,
@@ -201,11 +201,10 @@ proptest! {
 }
 
 /// Deterministic-input stress matrix for the threaded engine: every
-/// combination of processor cap, threads-per-server, queue policy and
-/// injected op cost must terminate and return the reference answers.
+/// combination of processor cap, pool size, queue policy and injected
+/// op cost must terminate and return the reference answers.
 #[test]
 fn whirlpool_m_stress_matrix() {
-    use whirlpool_core::{run_whirlpool_m, WhirlpoolMConfig};
     let doc = build_doc(&[RandTree {
         tag: 0,
         children: (0..12)
@@ -249,33 +248,25 @@ fn whirlpool_m_stress_matrix() {
 
     for processors in [None, Some(1), Some(3)] {
         for threads in [1usize, 3] {
-            for queue_policy in [QueuePolicy::MaxFinalScore, QueuePolicy::Fifo] {
+            for queue in [QueuePolicy::MaxFinalScore, QueuePolicy::Fifo] {
                 for op_cost in [None, Some(std::time::Duration::from_micros(50))] {
-                    let ctx = QueryContext::new(
+                    let got = evaluate(
                         &doc,
                         &index,
                         &pattern,
                         &model,
-                        whirlpool_core::ContextOptions {
-                            op_cost,
-                            ..Default::default()
-                        },
-                    );
-                    let got = run_whirlpool_m(
-                        &ctx,
-                        &RoutingStrategy::MinAlive,
-                        5,
-                        &WhirlpoolMConfig {
-                            queue_policy,
-                            processors,
+                        &Algorithm::WhirlpoolM { processors },
+                        &EvalOptions {
                             threads,
-                            ..WhirlpoolMConfig::default()
+                            queue,
+                            op_cost,
+                            ..EvalOptions::top_k(5)
                         },
                     );
                     assert!(
-                        answers_equivalent(&got, &reference.answers, 1e-9),
+                        answers_equivalent(&got.answers, &reference.answers, 1e-9),
                         "procs={processors:?} threads={threads} \
-                         queue={queue_policy:?} cost={op_cost:?}"
+                         queue={queue:?} cost={op_cost:?}"
                     );
                 }
             }

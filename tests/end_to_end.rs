@@ -1,7 +1,7 @@
 //! Whole-pipeline tests: generate → serialize → reparse → index →
 //! evaluate, plus determinism and virtual-time consistency.
 
-use whirlpool_core::vtime::{simulate_whirlpool_m, VTimeConfig};
+use whirlpool_bench::vtime::{simulate_whirlpool_m, VTimeConfig};
 use whirlpool_core::{
     answers_equivalent, evaluate, Algorithm, ContextOptions, EvalOptions, QueryContext,
     QueuePolicy, RoutingStrategy,
