@@ -32,25 +32,6 @@ fn bench_routing(c: &mut Criterion) {
     }
     group.finish();
 
-    // Ablation: bulk routing (§6.3.3 future work) — batch sizes trade
-    // routing decisions for schedule fidelity.
-    let mut group = c.benchmark_group("bulk_routing");
-    group.sample_size(10);
-    for batch in [1usize, 8, 64] {
-        group.bench_with_input(
-            BenchmarkId::new("whirlpool_s", batch),
-            &batch,
-            |b, &batch| {
-                b.iter(|| {
-                    let mut options = EvalOptions::top_k(15);
-                    options.router_batch = batch;
-                    workload.run(&query, &model, &Algorithm::WhirlpoolS, &options)
-                })
-            },
-        );
-    }
-    group.finish();
-
     // Ablation: selectivity sample size — the routing estimates' cost
     // vs accuracy knob.
     let mut group = c.benchmark_group("selectivity_sample");

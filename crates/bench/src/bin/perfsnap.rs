@@ -20,8 +20,11 @@
 //! (exit 1) if a traced run changes its engine's answers, and it gates
 //! the scheduler: the *virtual* 4-thread Whirlpool-M makespan must not
 //! exceed the 1-thread one (virtual time, so it holds even on a
-//! single-core CI box). Every section's invariants are gated here and
-//! nowhere else — CI runs `--smoke` once and reads the exit code.
+//! single-core CI box), and the pruning: Whirlpool-S's server
+//! operations must grow from k = 1 to k = 75 and stay within a quarter
+//! of LockStep-NoPrun's (counts, so they hold on any host). Every
+//! section's invariants are gated here and nowhere else — CI runs
+//! `--smoke` once and reads the exit code.
 //!
 //! A `scaling` section sweeps Whirlpool-M's scheduler pool size (1, 2,
 //! 4, 8 workers) at the defaults; every config's answers are
@@ -49,8 +52,9 @@
 //!
 //! `--compare <old BENCH_core.json>` diffs this run's engine
 //! wall-clock medians against a previous snapshot and exits non-zero
-//! when any engine regressed by more than 15 % (skipped with a warning
-//! when the old snapshot was taken on a different document label).
+//! when any engine regressed by more than 15 % and 1 ms (skipped with a
+//! warning when the old snapshot was taken on a different document
+//! label).
 
 use std::io::Write as _;
 use std::time::Instant;
@@ -763,6 +767,27 @@ fn main() {
         });
     }
 
+    // Top-k does less work than compute-everything, and more as k
+    // grows (the paper's Figure 10). Counts, not wall time, so the
+    // gates below hold on any host.
+    let ops_of = |name: &str| {
+        let row = rows.iter().find(|r| r.name == name).expect("engine row");
+        row.stats.metrics.server_ops
+    };
+    let (s_ops, noprune_ops) = (ops_of("Whirlpool-S"), ops_of("LockStep-NoPrun"));
+    let s_ops_at = |k: usize| {
+        let (stats, _) = run_config(
+            &workload,
+            &query,
+            &model,
+            &Algorithm::WhirlpoolS,
+            &EvalOptions::top_k(k),
+            1,
+        );
+        stats.metrics.server_ops
+    };
+    let (s_ops_k1, s_ops_k75) = (s_ops_at(1), s_ops_at(75));
+
     // Scheduler-pool sweep: Whirlpool-M at the defaults with 1,
     // 2, 4, and 8 workers. Every config must return a top-k answer
     // equivalent to the reference — tie-aware, not bit-identical:
@@ -1149,6 +1174,20 @@ fn main() {
         eprintln!("perfsnap: FAIL — a scaling config returned a non-equivalent answer set");
         std::process::exit(1);
     }
+    if s_ops_k1 >= s_ops_k75 {
+        eprintln!(
+            "perfsnap: FAIL — Whirlpool-S server ops do not grow with k: {s_ops_k1} at k = 1, \
+             {s_ops_k75} at k = 75"
+        );
+        std::process::exit(1);
+    }
+    if s_ops * 4 > noprune_ops {
+        eprintln!(
+            "perfsnap: FAIL — Whirlpool-S spent {s_ops} server ops, more than a quarter of \
+             LockStep-NoPrun's {noprune_ops}"
+        );
+        std::process::exit(1);
+    }
     // Serve conservation gate: the daemon's outcome counters must
     // account for every admitted request exactly once — a leak here
     // means a worker died or a request settled twice.
@@ -1311,7 +1350,9 @@ fn main() {
     }
 
     // Snapshot-diff gate: any engine whose wall median exceeds the
-    // old snapshot's by more than 15 % fails the run. Cross-scale
+    // old snapshot's by more than 15 % — and by more than 1 ms, below
+    // which a handful of reps on a shared host resolves nothing
+    // (Whirlpool-S is a 1.2 ms run) — fails the run. Cross-scale
     // comparisons (different doc labels) are refused, not guessed at.
     // Runs after the files are written so a failing run still leaves
     // the new snapshot behind for inspection (CI uploads it).
@@ -1338,7 +1379,7 @@ fn main() {
                 } else {
                     0.0
                 };
-                let verdict = if delta > 0.15 {
+                let verdict = if delta > 0.15 && row.stats.wall_ms_median - old_ms > 1.0 {
                     regressed = true;
                     "REGRESSED"
                 } else {

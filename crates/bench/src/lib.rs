@@ -23,7 +23,8 @@ pub mod vtime;
 use std::collections::HashMap;
 use std::time::Duration;
 use whirlpool_core::{
-    evaluate, Algorithm, ContextOptions, EvalOptions, EvalResult, QueryContext, RoutingStrategy,
+    evaluate, Algorithm, ContextOptions, EvalOptions, EvalResult, QueryContext, RelaxMode,
+    RoutingStrategy,
 };
 use whirlpool_index::TagIndex;
 use whirlpool_pattern::{QNodeId, StaticPlan, TreePattern};
@@ -200,7 +201,20 @@ pub fn fig3_run(plan: &StaticPlan, current_top_k: f64) -> Fig3Outcome {
     }
     let model = FixedScores::new(query.len(), &entries);
 
-    let ctx = QueryContext::new(&doc, &index, &query, &model, ContextOptions::default());
+    // Exact mode: the figure is about *joins* — every (title, location,
+    // price) combination is a tuple — and exact mode is where a server
+    // operation still fans out. Every match here is a child of the
+    // book, so nothing dies at a predicate.
+    let ctx = QueryContext::new(
+        &doc,
+        &index,
+        &query,
+        &model,
+        ContextOptions {
+            relax: RelaxMode::Exact,
+            ..ContextOptions::default()
+        },
+    );
 
     // Lock-step through the plan with a *fixed* threshold: prune a tuple
     // when its maximum possible final score cannot beat currentTopK.

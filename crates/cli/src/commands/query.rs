@@ -219,7 +219,13 @@ pub fn run(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
     let explain = parsed.flag("explain");
 
     let options = EvalOptions {
-        k: parsed.number("k", 10)?,
+        k: {
+            let k: usize = parsed.number("k", 10)?;
+            if k == 0 {
+                return Err(CliError::Usage("--k must be at least 1".to_string()));
+            }
+            k
+        },
         relax: if parsed.flag("exact") {
             RelaxMode::Exact
         } else {
@@ -229,7 +235,6 @@ pub fn run(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
         queue,
         op_cost: None,
         selectivity_sample: 64,
-        router_batch: parsed.number("batch", 1)?,
         deadline,
         max_server_ops,
         fault_plan,
@@ -698,16 +703,8 @@ fn write_explain(out: &mut dyn Write, trace: &whirlpool_core::TraceData) -> Resu
         }
         writeln!(
             out,
-            "    match #{}: {} -> {chosen}  [{cands}] threshold {:.4}, queue {}{}",
-            x.seq,
-            x.strategy,
-            x.threshold,
-            x.queue_len,
-            if x.group > 1 {
-                format!(", group of {}", x.group)
-            } else {
-                String::new()
-            }
+            "    match #{}: {} -> {chosen}  [{cands}] threshold {:.4}, queue {}",
+            x.seq, x.strategy, x.threshold, x.queue_len
         )?;
     }
     Ok(())

@@ -63,7 +63,7 @@ USAGE:
   whirlpool help                                 this text
 
 QUERY OPTIONS:
-  --k N              answers to return (default 10)
+  --k N              answers to return, at least 1 (default 10)
   --algorithm NAME   whirlpool-s | whirlpool-m | lockstep | noprune
                      (default whirlpool-s)
   --exact            exact matches only (no relaxation)

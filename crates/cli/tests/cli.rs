@@ -111,19 +111,6 @@ fn query_all_algorithms_accepted() {
 }
 
 #[test]
-fn query_accepts_bulk_routing_batch() {
-    let file = sample_file();
-    let out = run_ok(&[
-        "query",
-        file.to_str().unwrap(),
-        "//book[./title and ./isbn]",
-        "--batch",
-        "8",
-    ]);
-    assert!(out.contains("answers:"), "{out}");
-}
-
-#[test]
 fn query_json_output_is_parseable_shape() {
     let file = sample_file();
     let out = run_ok(&[
@@ -158,6 +145,14 @@ fn query_rejects_bad_options() {
     assert!(run_err(&["query", f, &too_big]).contains("limited to 64 nodes"));
     assert!(run_err(&["query", "/nonexistent.xml", "//a"]).contains("cannot read"));
     assert!(run_err(&["query"]).contains("missing"));
+    // `--k 0` is a usage error naming the flag, not the top-k set's
+    // assertion, in single-document and collection mode alike.
+    assert!(run_err(&["query", f, "//b[./t]", "--k", "0"]).contains("--k must be at least 1"));
+    let dir = file.parent().unwrap().to_str().unwrap();
+    assert!(
+        run_err(&["query", "--collection", dir, "//b[./t]", "--k", "0"])
+            .contains("--k must be at least 1")
+    );
 }
 
 #[test]
@@ -466,8 +461,10 @@ fn query_collection_op_budget_bounds_the_whole_run() {
             "--collection",
             dir.to_str().unwrap(),
             "//book[./title and ./isbn]",
+            // Above every shard's 600 roots, so nothing is pruned and
+            // the corpus needs 4 × 600 × 2 operations.
             "--k",
-            "5",
+            "2000",
             "--json",
         ];
         argv.extend_from_slice(extra);

@@ -78,7 +78,7 @@ pub enum Located {
 #[derive(Debug, Clone, Copy)]
 pub struct OpOutcome {
     /// Extensions pushed onto `out` (including the outer-join null,
-    /// when that path was taken).
+    /// when that path was taken); at most one in relaxed mode.
     pub produced: usize,
     /// The operation stopped at a mid-kernel [`OpInterrupt`] check
     /// before exhausting its candidate range. The extensions already
@@ -412,8 +412,9 @@ impl<'a> QueryContext<'a> {
         e
     }
 
-    /// One server operation: extends `m` at `server` with every valid
-    /// candidate (or the outer-join null), pushing the extensions onto
+    /// One server operation: extends `m` at `server` — exact mode with
+    /// every valid candidate, relaxed mode with the one dominant
+    /// candidate (or the outer-join null) — pushing the extensions onto
     /// `out`. Returns the number of extensions produced.
     ///
     /// This is Algorithm 1's runtime half: candidates are located with
@@ -539,9 +540,16 @@ impl<'a> QueryContext<'a> {
         }
     }
 
-    /// The *evaluate* half of a server operation: extends `m` with
-    /// every valid candidate in its pre-located range `loc` (or the
-    /// outer-join null), drawing buffers from `pool`.
+    /// The *evaluate* half of a server operation: extends `m` from its
+    /// pre-located candidate range `loc`, drawing buffers from `pool`.
+    /// Exact mode emits one extension per valid candidate (its
+    /// conditional predicates are real joins). Relaxed mode emits
+    /// exactly one: the candidate with the highest
+    /// [`ScoreModel::contribution`], or the outer-join null for an empty
+    /// range — an answer is `(root, score)`, levels are root-relative,
+    /// and nothing downstream reads the binding, so the root's best
+    /// tuple is the per-server best and every other candidate is
+    /// dominated.
     ///
     /// The candidate range is evaluated *columnar*: candidate ids are
     /// gathered into a flat scratch vector (a straight copy unless the
@@ -553,7 +561,7 @@ impl<'a> QueryContext<'a> {
     /// [`StructuralColumns`](whirlpool_index::StructuralColumns): one
     /// level sweep for the root predicate, then one refining sweep per
     /// bound conditional predicate. Per-candidate branching only
-    /// returns for the survivors' extension pushes. Comparison counts
+    /// returns for the survivors' scoring. Comparison counts
     /// replicate the scalar loop exactly (the root sweep costs one
     /// comparison per candidate; each conditional sweep costs one per
     /// candidate still alive when it runs, which is precisely the
@@ -571,10 +579,10 @@ impl<'a> QueryContext<'a> {
     /// comparison counts, and lane counts are those of one unsegmented
     /// sweep: segment boundaries are lane-aligned and every predicate is
     /// still evaluated per candidate in the same order. A tripped check
-    /// stops the kernel before its next segment; extensions already
-    /// pushed are valid, no outer-join null is emitted for the aborted
-    /// tail, and [`OpOutcome::interrupted`] tells the caller to account
-    /// the match into the truncation certificate.
+    /// stops the kernel before its next segment; extensions of the
+    /// candidates already swept are valid, no outer-join null is emitted
+    /// for the aborted tail, and [`OpOutcome::interrupted`] tells the
+    /// caller to account the match into the truncation certificate.
     pub fn process_located_at_server_interruptible(
         &self,
         server: QNodeId,
@@ -605,6 +613,9 @@ impl<'a> QueryContext<'a> {
         let mut comparisons = 0u64;
         let mut lanes = 0u64;
         let mut interrupted = false;
+        // Relaxed mode's one extension: (contribution, binding) of the
+        // best candidate seen so far.
+        let mut dominant: Option<(f64, Binding)> = None;
         KERNEL_SCRATCH.with(|scratch| {
             let scratch = &mut *scratch.borrow_mut();
             let ids = &mut scratch.ids;
@@ -765,7 +776,10 @@ impl<'a> QueryContext<'a> {
                     // universe is valid — subtree promotion and edge
                     // generalization have already weakened every
                     // conditional predicate — and the level mask
-                    // decides the score level.
+                    // decides the score level. Only the highest
+                    // contribution can be part of the root's best
+                    // tuple: keep that one candidate, the first in
+                    // document order among equals.
                     for (&c, &exact) in seg_ids.iter().zip(seg_level.iter()) {
                         let cand = NodeId::from_index(c as usize);
                         let level = if exact != 0 {
@@ -774,14 +788,9 @@ impl<'a> QueryContext<'a> {
                             MatchLevel::Relaxed
                         };
                         let contribution = self.model.contribution(server, cand, level);
-                        out.push(m.extend_in(
-                            pool,
-                            self.next_seq(),
-                            server,
-                            Binding::Matched { node: cand, level },
-                            contribution,
-                            server_max,
-                        ));
+                        if dominant.map_or(true, |(best, _)| contribution > best) {
+                            dominant = Some((contribution, Binding::Matched { node: cand, level }));
+                        }
                     }
                 }
 
@@ -810,20 +819,27 @@ impl<'a> QueryContext<'a> {
             self.metrics.add_kernel_lanes(lanes);
         }
 
-        // Outer-join semantics: no candidate ⇒ one null extension (the
-        // leaf-deletion relaxation). In exact mode the match simply
-        // dies. An interrupted kernel emits no null — the match is
-        // accounted into the truncation certificate instead, so the
-        // unexplored candidates are never misrepresented as absent.
-        if out.len() == before && self.relax == RelaxMode::Relaxed && !interrupted {
-            out.push(m.extend_in(
-                pool,
-                self.next_seq(),
-                server,
-                Binding::Null,
-                0.0,
-                server_max,
-            ));
+        // Relaxed mode emits its dominant extension, or — outer-join
+        // semantics — one null extension (the leaf-deletion relaxation)
+        // when there was no candidate. In exact mode the match simply
+        // dies. An interrupted kernel emits the best candidate it saw
+        // but no null — the match is accounted into the truncation
+        // certificate instead, so the unexplored candidates are never
+        // misrepresented as absent.
+        if self.relax == RelaxMode::Relaxed {
+            if !interrupted {
+                dominant = dominant.or(Some((0.0, Binding::Null)));
+            }
+            if let Some((contribution, binding)) = dominant {
+                out.push(m.extend_in(
+                    pool,
+                    self.next_seq(),
+                    server,
+                    binding,
+                    contribution,
+                    server_max,
+                ));
+            }
         }
 
         let produced = out.len() - before;
@@ -1037,17 +1053,70 @@ mod tests {
 
     #[test]
     fn multiple_candidates_fan_out() {
-        let src = "<r><item><name>a</name><name>b</name><name>c</name></item></r>";
+        let src = "<r><item><name>a</name><x><name>b</name></x><name>c</name></item></r>";
         let f = Fixture::new(src, "//item[./name]");
+
+        // Exact mode fans out over every valid candidate (here the two
+        // `name` children; the nested one dies at the root predicate).
+        let ctx = f.ctx(RelaxMode::Exact);
+        let roots = ctx.make_root_matches();
+        let mut out = Vec::new();
+        let produced = ctx.process_at_server(QNodeId(1), &roots[0], &mut out);
+        assert_eq!(produced, 2);
+        assert_eq!(ctx.metrics.snapshot().partials_created, 1 + 2);
+
+        // Relaxed mode sweeps the same three candidates and emits the
+        // dominant one alone: the first in document order among those
+        // reaching the best level.
         let ctx = f.ctx(RelaxMode::Relaxed);
         let roots = ctx.make_root_matches();
         let mut out = Vec::new();
         let produced = ctx.process_at_server(QNodeId(1), &roots[0], &mut out);
-        assert_eq!(produced, 3);
+        assert_eq!(produced, 1);
+        let Binding::Matched { node, level } = out[0].bindings[1] else {
+            panic!("dominant extension is a match: {:?}", out[0].bindings[1]);
+        };
+        assert_eq!(level, MatchLevel::Exact);
+        assert_eq!(f.doc.text(node), Some("a"));
         let snapshot = ctx.metrics.snapshot();
         assert_eq!(snapshot.server_ops, 1);
-        assert_eq!(snapshot.partials_created, 1 + 3);
+        assert_eq!(snapshot.partials_created, 1 + 1);
         assert!(snapshot.predicate_comparisons >= 3);
+    }
+
+    /// The dominant candidate is the one the *model* scores highest —
+    /// computed per candidate, so per-node models stay correct — not
+    /// the first exact one.
+    #[test]
+    fn dominant_extension_follows_the_score_model() {
+        let src = "<r><item><name>a</name><name>b</name><name>c</name></item></r>";
+        let f = Fixture::new(src, "//item[./name]");
+        let names: Vec<NodeId> = f
+            .doc
+            .elements()
+            .filter(|&n| f.doc.tag_str(n) == "name")
+            .collect();
+        let model = whirlpool_score::FixedScores::new(
+            2,
+            &[
+                (QNodeId(1), names[0], 0.2),
+                (QNodeId(1), names[1], 0.9),
+                (QNodeId(1), names[2], 0.9),
+            ],
+        );
+        let ctx = QueryContext::new(
+            &f.doc,
+            &f.index,
+            &f.pattern,
+            &model,
+            ContextOptions::default(),
+        );
+        let roots = ctx.make_root_matches();
+        let mut out = Vec::new();
+        ctx.process_at_server(QNodeId(1), &roots[0], &mut out);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].bindings[1].node(), Some(names[1]));
+        assert_eq!(out[0].score.value(), 0.9);
     }
 
     #[test]
@@ -1167,7 +1236,28 @@ mod tests {
         assert_eq!(o.produced, out.len());
         // The trip is detected at segment boundaries, so an op can
         // overshoot by at most one span — never by the whole candidate
-        // population.
+        // population — and the relaxed arm still emits the best of the
+        // span it did sweep (and no null for the tail it did not).
+        assert_eq!(
+            ctx.metrics.snapshot().predicate_comparisons,
+            INTERRUPT_SPAN as u64
+        );
+        assert_eq!(o.produced, 1);
+        assert!(out[0].bindings[1].node().is_some());
+
+        // Exact mode keeps its fan-out, cut at the same boundary.
+        let ctx = f.ctx(RelaxMode::Exact);
+        let roots = ctx.make_root_matches();
+        let mut out = Vec::new();
+        let o = ctx.process_located_at_server_interruptible(
+            QNodeId(1),
+            &roots[0],
+            ctx.locate_one(QNodeId(1), roots[0].root()),
+            &mut out,
+            &mut ctx.new_pool(),
+            control.op_interrupt(),
+        );
+        assert!(o.interrupted);
         assert_eq!(o.produced, INTERRUPT_SPAN);
         assert!(o.produced < total);
     }
@@ -1210,6 +1300,10 @@ mod tests {
 
             assert!(!o.interrupted);
             assert_eq!(o.produced, produced_plain);
+            match relax {
+                RelaxMode::Exact => assert_eq!(o.produced, total),
+                RelaxMode::Relaxed => assert_eq!(o.produced, 1),
+            }
             let bindings =
                 |v: &Vec<PartialMatch>| v.iter().map(|m| m.bindings.clone()).collect::<Vec<_>>();
             assert_eq!(bindings(&seg_out), bindings(&plain_out));

@@ -65,11 +65,6 @@ pub struct EvalOptions {
     pub op_cost: Option<Duration>,
     /// Sample size for selectivity estimation.
     pub selectivity_sample: usize,
-    /// Bulk-routing batch for Whirlpool-S: matches with the same
-    /// visited-server set share one routing decision (1 = per-match
-    /// routing, the paper's default; >1 = its §6.3.3 future-work
-    /// proposal).
-    pub router_batch: usize,
     /// Wall-clock budget: when it expires the engine stops consuming
     /// work and returns the current top-k as an anytime answer tagged
     /// [`Completeness::Truncated`]. `None`: run to completion.
@@ -121,7 +116,6 @@ impl EvalOptions {
             queue: QueuePolicy::MaxFinalScore,
             op_cost: None,
             selectivity_sample: 64,
-            router_batch: 1,
             deadline: None,
             max_server_ops: None,
             fault_plan: None,
@@ -247,14 +241,9 @@ pub fn evaluate_with_context(
         Algorithm::LockStep => {
             run_lockstep_anytime(ctx, &static_plan, options.k, options.queue, &control)
         }
-        Algorithm::WhirlpoolS => run_whirlpool_s_anytime(
-            ctx,
-            &options.routing,
-            options.k,
-            options.queue,
-            options.router_batch,
-            &control,
-        ),
+        Algorithm::WhirlpoolS => {
+            run_whirlpool_s_anytime(ctx, &options.routing, options.k, options.queue, &control)
+        }
         Algorithm::WhirlpoolM { processors } => run_whirlpool_m_anytime(
             ctx,
             &options.routing,
@@ -330,7 +319,9 @@ mod tests {
 
     #[test]
     fn metrics_and_elapsed_are_reported() {
-        let doc = parse_document("<r><book><title>x</title></book></r>").unwrap();
+        // A title only some books have: a predicate every root satisfies
+        // has idf 0, and a match that cannot gain score is never run.
+        let doc = parse_document("<r><book><title>x</title></book><book/></r>").unwrap();
         let index = TagIndex::build(&doc);
         let pattern = parse_pattern("//book[./title]").unwrap();
         let model = TfIdfModel::build(&doc, &index, &pattern, Normalization::Sparse);
@@ -350,7 +341,7 @@ mod tests {
     #[test]
     fn op_cost_injection_slows_execution() {
         let doc = parse_document(
-            "<r><book><t/></book><book><t/></book><book><t/></book><book><t/></book></r>",
+            "<r><book><t/></book><book><t/></book><book><t/></book><book><t/></book><book/></r>",
         )
         .unwrap();
         let index = TagIndex::build(&doc);
@@ -447,8 +438,13 @@ mod tests {
                 ops.push(got.metrics.server_ops);
             }
             // Branch-and-bound against τ: a high threshold does less
-            // work than none, an unreachable one none at all.
-            assert!(ops[5] < ops[0], "{relax:?}: {ops:?}");
+            // work than none (in exact mode no more: every surviving
+            // binding scores its maximum, so only the join prunes), an
+            // unreachable one none at all.
+            assert!(ops[5] <= ops[0], "{relax:?}: {ops:?}");
+            if relax == RelaxMode::Relaxed {
+                assert!(ops[5] < ops[0], "{relax:?}: {ops:?}");
+            }
             assert_eq!(ops[8], 0, "{relax:?}: {ops:?}");
         }
     }

@@ -110,4 +110,4 @@ pub use router::RoutingStrategy;
 pub use topk::{answers_equivalent, RankedAnswer, SharedTopK, TopKSet};
 pub use trace::{TraceData, TraceSummary, Tracer, WorkerTrace};
 pub use whirlpool_m::{run_whirlpool_m, run_whirlpool_m_anytime, WhirlpoolMConfig};
-pub use whirlpool_s::{run_whirlpool_s, run_whirlpool_s_anytime, run_whirlpool_s_batched};
+pub use whirlpool_s::{run_whirlpool_s, run_whirlpool_s_anytime};

@@ -54,12 +54,13 @@ pub fn run_lockstep_anytime(
     let mut frontier = ctx.make_root_matches();
     for m in &frontier {
         tr.spawned(m);
-        if offer_partial {
+        // Single-node patterns: the root match is already an answer
+        // and no stage will ever consume it.
+        let complete = m.is_complete(full);
+        if offer_partial || complete {
             topk.offer_match(m);
         }
-        if m.is_complete(full) {
-            // Single-node patterns: the root match is already an
-            // answer and no stage will ever consume it.
+        if complete {
             tr.completed(m);
         }
     }
@@ -70,13 +71,13 @@ pub fn run_lockstep_anytime(
         if tr.enabled() {
             tr.span_begin(&format!("stage q{}", server.0));
         }
-        // Best-first within the stage: sort descending by the policy key
-        // (ties by seq ascending, matching MatchQueue).
-        let mut keyed: Vec<(whirlpool_score::Score, PartialMatch)> = frontier
+        // Best-first within the stage: MatchQueue's order (policy key,
+        // then progress, then seq).
+        let mut keyed: Vec<(crate::queue::Rank, PartialMatch)> = frontier
             .drain(..)
-            .map(|m| (queue_policy.key(ctx, &m, Some(server)), m))
+            .map(|m| (queue_policy.rank(ctx, &m, Some(server)), m))
             .collect();
-        keyed.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.seq.cmp(&b.1.seq)));
+        keyed.sort_by_key(|(rank, _)| std::cmp::Reverse(*rank));
 
         // Resolve every stage member's candidate range in one batched
         // sweep (document order inside `locate_batch_at_server`), then
@@ -100,11 +101,7 @@ pub fn run_lockstep_anytime(
                     .chain(next.drain(..))
                 {
                     trunc.account(m.max_final);
-                    if !m.is_complete(full) {
-                        // Complete matches already reached their
-                        // `completed` trace terminal when offered.
-                        tr.abandoned(&m);
-                    }
+                    tr.abandoned(&m);
                     pool.release(m);
                 }
                 if tr.enabled() {
@@ -143,19 +140,18 @@ pub fn run_lockstep_anytime(
                 if offer_partial || complete {
                     topk.offer_match(&e);
                 }
-                if complete && e.degraded {
-                    ctx.metrics.add_answer_degraded();
-                }
                 if complete {
+                    // Offered: its score is in the set or beaten.
                     tr.completed(&e);
-                } else if topk.should_prune(&e) {
-                    // Trace terminal states are exclusive: a complete
-                    // match's terminal is `completed` even if the
-                    // engine also discards it against the threshold.
-                    tr.pruned(&e, topk.threshold());
+                    if e.degraded {
+                        ctx.metrics.add_answer_degraded();
+                    }
+                    pool.release(e);
+                    continue;
                 }
                 if topk.should_prune(&e) {
                     ctx.metrics.add_pruned();
+                    tr.pruned(&e, topk.threshold());
                     pool.release(e);
                     continue;
                 }
@@ -172,15 +168,6 @@ pub fn run_lockstep_anytime(
         }
     }
 
-    // In exact mode the surviving frontier holds the complete matches
-    // that were never offered mid-flight; offer them now.
-    if !offer_partial {
-        for m in &frontier {
-            if m.is_complete(full) {
-                topk.offer_match(m);
-            }
-        }
-    }
     let answers = topk.ranked();
     let completeness = trunc.finish(&answers);
     EngineRun {

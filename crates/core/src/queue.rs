@@ -9,6 +9,7 @@
 
 use crate::context::QueryContext;
 use crate::partial::PartialMatch;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use whirlpool_pattern::QNodeId;
 use whirlpool_score::Score;
@@ -44,12 +45,36 @@ impl QueuePolicy {
             QueuePolicy::MaxFinalScore => m.max_final,
         }
     }
+
+    /// [`MatchQueue`]'s order for `m`, greatest first.
+    pub(crate) fn rank(
+        self,
+        ctx: &QueryContext<'_>,
+        m: &PartialMatch,
+        server: Option<QNodeId>,
+    ) -> Rank {
+        let (score, visited) = match self {
+            QueuePolicy::Fifo => (Score::ZERO, 0),
+            _ => (m.score, m.visited.count_ones()),
+        };
+        (self.key(ctx, m, server), score, visited, Reverse(m.seq))
+    }
 }
+
+/// [`QueuePolicy::rank`]'s value: `(key, score, visited, earlier seq)`.
+pub(crate) type Rank = (Score, Score, u32, Reverse<u64>);
 
 /// A priority queue of partial matches under a fixed policy.
 ///
-/// Ordering: higher key first; ties broken by *earlier* creation
-/// sequence, which both makes FIFO exact and keeps runs deterministic.
+/// Ordering: higher [`key`](QueuePolicy::key) first; equal keys by
+/// *progress* — higher current score, then more servers visited — then
+/// earlier creation sequence. Equal keys are the common case (under
+/// [`MaxFinalScore`](QueuePolicy::MaxFinalScore) every root match
+/// starts at the same ceiling), and running them depth-first completes
+/// k answers at the ceiling after O(k · servers) operations instead of
+/// advancing every root one server at a time. `Fifo` is arrival order
+/// alone. The order is total and deterministic: `seq` is unique within
+/// a run.
 pub struct MatchQueue {
     policy: QueuePolicy,
     /// The server this queue feeds (None: the router queue).
@@ -58,14 +83,13 @@ pub struct MatchQueue {
 }
 
 struct Entry {
-    key: Score,
-    seq: u64,
+    rank: Rank,
     m: PartialMatch,
 }
 
 impl PartialEq for Entry {
     fn eq(&self, other: &Self) -> bool {
-        self.key == other.key && self.seq == other.seq
+        self.rank == other.rank
     }
 }
 impl Eq for Entry {}
@@ -76,10 +100,7 @@ impl PartialOrd for Entry {
 }
 impl Ord for Entry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Max-heap on key, then min-heap on seq.
-        self.key
-            .cmp(&other.key)
-            .then_with(|| other.seq.cmp(&self.seq))
+        self.rank.cmp(&other.rank)
     }
 }
 
@@ -94,10 +115,10 @@ impl MatchQueue {
         }
     }
 
-    /// Enqueues a match (its key is computed at push time).
+    /// Enqueues a match (its rank is computed at push time).
     pub fn push(&mut self, ctx: &QueryContext<'_>, m: PartialMatch) {
-        let key = self.policy.key(ctx, &m, self.server);
-        self.heap.push(Entry { key, seq: m.seq, m });
+        let rank = self.policy.rank(ctx, &m, self.server);
+        self.heap.push(Entry { rank, m });
     }
 
     /// Removes and returns the highest-priority match.
@@ -105,9 +126,14 @@ impl MatchQueue {
         self.heap.pop().map(|e| e.m)
     }
 
+    /// Removes every queued match, in no particular order.
+    pub fn drain(&mut self) -> impl Iterator<Item = PartialMatch> + '_ {
+        self.heap.drain().map(|e| e.m)
+    }
+
     /// The key of the head entry, if any.
     pub fn peek_key(&self) -> Option<Score> {
-        self.heap.peek().map(|e| e.key)
+        self.heap.peek().map(|e| e.rank.0)
     }
 
     /// Number of queued matches.
@@ -211,6 +237,24 @@ mod tests {
             q.push(ctx, m(4, 0.0, 1.0));
             let seqs: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|x| x.seq).collect();
             assert_eq!(seqs, vec![3, 4, 5]);
+        });
+    }
+
+    #[test]
+    fn equal_keys_run_depth_first() {
+        with_ctx(|ctx| {
+            let mut q = MatchQueue::new(QueuePolicy::MaxFinalScore, None);
+            // Same ceiling everywhere: the match that has banked the
+            // most score goes first, then the one that has visited more
+            // servers, and only then the older one.
+            q.push(ctx, m(0, 0.0, 2.0));
+            q.push(ctx, m(1, 1.0, 2.0));
+            let mut further = m(2, 0.0, 2.0);
+            further.visited |= 0b10;
+            q.push(ctx, further);
+            q.push(ctx, m(3, 1.0, 1.5));
+            let seqs: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|x| x.seq).collect();
+            assert_eq!(seqs, vec![1, 2, 0, 3]);
         });
     }
 }

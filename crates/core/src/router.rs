@@ -9,7 +9,7 @@
 //! how many extensions would survive pruning after each candidate server
 //! and picks the server minimizing that.
 
-use crate::context::QueryContext;
+use crate::context::{QueryContext, RelaxMode};
 use crate::partial::PartialMatch;
 use whirlpool_pattern::{QNodeId, StaticPlan};
 use whirlpool_score::Score;
@@ -155,15 +155,30 @@ impl RoutingStrategy {
     }
 }
 
-/// Expected score contribution of `server` for an average candidate:
-/// the exact/relaxed bounds weighted by the sampled exact fraction, and
-/// zero for the sampled empty (null-path) fraction.
-fn expected_contribution(ctx: &QueryContext<'_>, server: QNodeId) -> f64 {
+/// The sampled distribution of what one operation at `server` binds, as
+/// `(exact, relaxed, null)` weights. A relaxed-mode operation emits one
+/// extension, at the best level any candidate reaches, so the weights
+/// are the fractions of sampled roots whose best candidate is exact,
+/// only relaxed, or absent, and sum to one. Exact mode fans out over
+/// the exact candidates alone (the rest die, nulls included), so its
+/// single weight is the expected number of them.
+fn binding_weights(ctx: &QueryContext<'_>, server: QNodeId) -> (f64, f64, f64) {
     let sel = ctx.selectivity_of(server);
-    let exact = ctx.max_contribution(server);
-    let relaxed = ctx.model.max_relaxed_contribution(server);
-    let per_candidate = sel.exact_fraction * exact + (1.0 - sel.exact_fraction) * relaxed;
-    (1.0 - sel.empty_fraction) * per_candidate
+    match ctx.relax {
+        RelaxMode::Relaxed => (
+            sel.best_exact_fraction,
+            1.0 - sel.empty_fraction - sel.best_exact_fraction,
+            sel.empty_fraction,
+        ),
+        RelaxMode::Exact => (sel.mean_candidates * sel.exact_fraction, 0.0, 0.0),
+    }
+}
+
+/// Expected score `server` adds to a match: the exact/relaxed bounds
+/// weighted by [`binding_weights`], zero for the null path.
+fn expected_contribution(ctx: &QueryContext<'_>, server: QNodeId) -> f64 {
+    let (exact, relaxed, _) = binding_weights(ctx, server);
+    exact * ctx.max_contribution(server) + relaxed * ctx.model.max_relaxed_contribution(server)
 }
 
 /// Size-based estimate: how many extensions of `m` would be alive after
@@ -171,29 +186,20 @@ fn expected_contribution(ctx: &QueryContext<'_>, server: QNodeId) -> f64 {
 ///
 /// An extension with contribution `c` survives iff
 /// `m.max_final - max_contrib(server) + c ≥ threshold`, i.e.
-/// `c ≥ need`. Candidates score `exact` with the sampled exact fraction
-/// and `relaxed` otherwise; the null (empty) path contributes `c = 0`.
+/// `c ≥ need`; the null path contributes `c = 0`. In relaxed mode this
+/// is the probability that the one extension survives, not a fan-out.
 fn estimated_alive(
     ctx: &QueryContext<'_>,
     m: &PartialMatch,
     server: QNodeId,
     threshold: Score,
 ) -> f64 {
-    let sel = ctx.selectivity_of(server);
     let server_max = ctx.max_contribution(server);
     let need = threshold.value() - (m.max_final.value() - server_max);
-
-    let exact = ctx.max_contribution(server);
-    let relaxed = ctx.model.max_relaxed_contribution(server);
-
-    let surviving_fraction = sel.exact_fraction * survives(exact, need)
-        + (1.0 - sel.exact_fraction) * survives(relaxed, need);
-    let mut alive = sel.mean_candidates * surviving_fraction;
-    // The empty path yields one null extension per empty root.
-    if 0.0 >= need {
-        alive += sel.empty_fraction;
-    }
-    alive
+    let (exact, relaxed, null) = binding_weights(ctx, server);
+    exact * survives(server_max, need)
+        + relaxed * survives(ctx.model.max_relaxed_contribution(server), need)
+        + null * survives(0.0, need)
 }
 
 fn survives(contribution: f64, need: f64) -> f64 {
@@ -251,12 +257,20 @@ mod tests {
     }
 
     #[test]
-    fn min_alive_prefers_low_fanout_servers() {
+    fn min_alive_ignores_fanout_and_prefers_likely_prunes() {
         with_ctx(|ctx| {
             let m = ctx.make_root_matches().remove(0);
-            // With threshold 0 everything survives, so the estimate is the
-            // fanout: many≈4, rare≈0.5 — min_alive must pick rare (q2).
+            // A relaxed operation leaves exactly one extension whatever
+            // the fan-out (many: 4 candidates, rare: ≤ 1), so with
+            // threshold 0 — nothing prunable — every server scores 1 and
+            // the tie resolves to the first (q1).
             let s = RoutingStrategy::MinAlive.choose(ctx, &m, Score::ZERO);
+            assert_eq!(s, QNodeId(1));
+            // `many` is everywhere (idf 0): its extension always
+            // survives. `rare` (weight 1.0) is missing under half the
+            // roots, and a null there cannot reach 0.5: its extension
+            // survives with probability ½ — min_alive picks it (q2).
+            let s = RoutingStrategy::MinAlive.choose(ctx, &m, Score::new(0.5));
             assert_eq!(s, QNodeId(2));
         });
     }
@@ -265,13 +279,12 @@ mod tests {
     fn min_alive_accounts_for_pruning() {
         with_ctx(|ctx| {
             let m = ctx.make_root_matches().remove(0);
-            // With sparse weights both servers max out at 1.0 and the
-            // root match has max_final = 2.0. A threshold of 2.1 means
-            // need = 2.1 - (2.0 - 1.0) = 1.1 > 1.0 at either server: no
-            // extension can survive, both estimates collapse to 0, and
-            // the tie resolves to the first unvisited server (q1) —
-            // showing the threshold flipping the low-fanout choice of
-            // `min_alive_prefers_low_fanout_servers`.
+            // The root match has max_final = 1.0 (`rare` maxes out at
+            // 1.0, `many` at 0). A threshold of 2.1 is out of reach at
+            // either server: no extension can survive, both estimates
+            // collapse to 0, and the tie resolves to the first
+            // unvisited server (q1) — the threshold flipping the choice
+            // of `min_alive_ignores_fanout_and_prefers_likely_prunes`.
             let s = RoutingStrategy::MinAlive.choose(ctx, &m, Score::new(2.1));
             assert_eq!(s, QNodeId(1), "high threshold flips the choice");
         });

@@ -58,8 +58,11 @@ impl TopKSet {
     /// `floor ≤` the final global k-th score; a match pruned against
     /// the floor (`max_final < floor`, strict) can finish no better
     /// than `max_final`, hence strictly below the final k-th — it could
-    /// not have entered the global top-k even as a tie. With
-    /// `floor == 0` behavior is identical to [`TopKSet::new`].
+    /// not have entered the global top-k even as a tie. The floor alone
+    /// never cuts a tie — the caller may want every answer scoring
+    /// exactly `floor` (threshold queries do) — unlike the set's own
+    /// k-th score ([`TopKSet::should_prune`]). With `floor == 0`
+    /// behavior is identical to [`TopKSet::new`].
     ///
     /// # Panics
     /// Panics if `k == 0`.
@@ -88,28 +91,34 @@ impl TopKSet {
         self.ordered.is_empty()
     }
 
+    /// The set's own k-th best current score, once it holds k entries.
+    pub fn kth(&self) -> Option<Score> {
+        if self.ordered.len() < self.k {
+            return None;
+        }
+        self.ordered.iter().next().map(|(s, _)| *s)
+    }
+
     /// The pruning threshold: the k-th best current score once the set
     /// is full, otherwise zero (nothing can be pruned while slots
     /// remain — any match could still fill one). Never below the
     /// configured floor ([`TopKSet::with_floor`]).
     pub fn threshold(&self) -> Score {
-        let own = if self.ordered.len() < self.k {
-            Score::ZERO
-        } else {
-            self.ordered
-                .iter()
-                .next()
-                .map(|(s, _)| *s)
-                .unwrap_or(Score::ZERO)
-        };
-        own.max(self.floor)
+        self.kth().unwrap_or(Score::ZERO).max(self.floor)
     }
 
-    /// Should this match be discarded? True iff even its maximum
-    /// possible final score cannot beat the current k-th score (strict:
-    /// ties survive).
+    /// Should this match be discarded? True iff its maximum possible
+    /// final score cannot *beat* the set's own k-th score (`≤`, once
+    /// the set is full), or falls strictly below the floor.
+    ///
+    /// Cutting ties against a full set is sound under the contract of
+    /// [`answers_equivalent`]: such a match either belongs to a root
+    /// already held at ≥ the k-th score — which it cannot improve — or
+    /// can at best tie the k-th, so neither the score multiset nor any
+    /// member above the boundary changes; only *which* roots represent
+    /// the boundary tie does.
     pub fn should_prune(&self, m: &PartialMatch) -> bool {
-        m.max_final < self.threshold()
+        m.max_final < self.floor || self.kth().is_some_and(|kth| m.max_final <= kth)
     }
 
     /// Offers a match's current score for its root. Updates the
@@ -157,34 +166,31 @@ impl TopKSet {
     }
 }
 
-/// A [`TopKSet`] shared between threads, with a lock-free threshold
-/// snapshot for the hot prune path.
+/// A [`TopKSet`] shared between threads, with a lock-free snapshot of
+/// its k-th score for the hot prune path.
 ///
 /// The k-th best score is monotone non-decreasing over a run: offers
-/// only ever raise entry scores or evict weaker entries, and the
-/// threshold stays zero until the set fills. A stale copy of it is
-/// therefore always **≤** the live value, which makes two lock-free
-/// shortcuts sound:
+/// only ever raise entry scores or evict weaker entries, and fullness
+/// is monotone too. The snapshot publishes both in one word — the own
+/// k-th score once the set is full, `-∞` before — because with a floor
+/// a positive threshold does not prove fullness, and the tie-cutting
+/// prune is only sound against a *full* set. A stale copy is always
+/// **≤** the live value, which makes two lock-free shortcuts sound:
 ///
 /// * **Pruning** against the snapshot ([`SharedTopK::should_prune`])
 ///   is conservative — a match the snapshot condemns
-///   (`max_final < snapshot ≤ live threshold`) would also be condemned
-///   under the lock. Matches the snapshot spares are re-checked at
-///   their next prune point.
-/// * **Offer skipping** ([`SharedTopK::offer_is_noop`]): a score
-///   strictly below a *positive* snapshot cannot change the set. A
-///   positive snapshot proves the set was full (fullness is monotone
-///   too), so insertion needs `score > weakest ≥ snapshot` and a
-///   same-root update needs `score > existing ≥ threshold ≥ snapshot`
-///   — both impossible. Such offers skip the lock entirely.
-///
-/// With a threshold floor ([`SharedTopK::with_floor`]) a positive
-/// snapshot no longer proves fullness, so a skipped offer may not be a
-/// literal no-op on the live set — but the entry it would have created
-/// scores strictly below the floor, and the floor's contract (the
-/// caller guarantees no answer below it can matter) makes dropping it
-/// harmless: the collection driver's global merge would reject it for
-/// the same reason.
+///   (`max_final ≤ snapshot k-th ≤ live k-th`, or `< floor`) would also
+///   be condemned under the lock. Matches the snapshot spares are
+///   re-checked at their next prune point.
+/// * **Offer skipping** ([`SharedTopK::offer_is_noop`]): a score at
+///   or below the snapshot k-th cannot change the set — insertion
+///   needs `score > weakest ≥ snapshot` and a same-root update needs
+///   `score > existing ≥ k-th ≥ snapshot`. Such offers skip the lock
+///   entirely. A score strictly below the floor is skipped too: the
+///   entry it would have created is one the floor's contract (the
+///   caller guarantees no answer below it can matter) makes harmless
+///   to drop — the collection driver's global merge would reject it
+///   for the same reason.
 ///
 /// The snapshot is refreshed from the live set whenever a
 /// [`SharedTopK::lock`] guard drops, i.e. only when some thread
@@ -192,10 +198,12 @@ impl TopKSet {
 #[derive(Debug)]
 pub struct SharedTopK {
     inner: Mutex<TopKSet>,
-    /// `f64::to_bits` of the last published threshold. Monotone
-    /// non-decreasing as an f64 (not as raw bits, which is fine — it is
-    /// only ever decoded, never compared as an integer).
-    threshold_bits: AtomicU64,
+    floor: Score,
+    /// `f64::to_bits` of the last published own k-th score, `-∞` until
+    /// the set is full. Monotone non-decreasing as an f64 (not as raw
+    /// bits, which is fine — it is only ever decoded, never compared as
+    /// an integer).
+    kth_bits: AtomicU64,
 }
 
 impl SharedTopK {
@@ -208,31 +216,47 @@ impl SharedTopK {
     }
 
     /// An empty shared set whose threshold never drops below `floor`
-    /// (see [`TopKSet::with_floor`]); the snapshot starts at the floor
-    /// so even pre-publication prunes benefit from it.
+    /// (see [`TopKSet::with_floor`]), so even pre-publication prunes
+    /// benefit from it.
     ///
     /// # Panics
     /// Panics if `k == 0`.
     pub fn with_floor(k: usize, floor: Score) -> Self {
         SharedTopK {
             inner: Mutex::new(TopKSet::with_floor(k, floor)),
-            threshold_bits: AtomicU64::new(floor.value().to_bits()),
+            floor,
+            kth_bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
         }
     }
 
-    /// The last published threshold: a single relaxed load, always ≤
-    /// the live [`TopKSet::threshold`].
+    /// The last published own k-th score (`-∞` until full): a single
+    /// relaxed load, always ≤ the live [`TopKSet::kth`].
+    #[inline]
+    fn kth_snapshot(&self) -> f64 {
+        f64::from_bits(self.kth_bits.load(Ordering::Relaxed))
+    }
+
+    /// Strictly below the floor, or unable to beat the published k-th
+    /// score of a full set.
+    #[inline]
+    fn cannot_beat(&self, score: Score) -> bool {
+        score < self.floor || score.value() <= self.kth_snapshot()
+    }
+
+    /// The last published threshold, always ≤ the live
+    /// [`TopKSet::threshold`].
     #[inline]
     pub fn threshold_snapshot(&self) -> Score {
-        Score::new(f64::from_bits(self.threshold_bits.load(Ordering::Relaxed)))
+        Score::new(self.kth_snapshot().max(self.floor.value()))
     }
 
     /// Lock-free conservative prune check: true only if the live set
-    /// would also prune `m` (strict, so ties survive — matching
+    /// would also prune `m` (ties against a full set's k-th are cut,
+    /// ties against the floor survive — matching
     /// [`TopKSet::should_prune`]).
     #[inline]
     pub fn should_prune(&self, m: &PartialMatch) -> bool {
-        m.max_final < self.threshold_snapshot()
+        self.cannot_beat(m.max_final)
     }
 
     /// Can offering `score` be skipped without taking the lock? True
@@ -240,14 +264,14 @@ impl SharedTopK {
     /// type docs for the proof).
     #[inline]
     pub fn offer_is_noop(&self, score: Score) -> bool {
-        score < self.threshold_snapshot()
+        self.cannot_beat(score)
     }
 
     /// Locks the set for reading or writing. Dropping the guard
-    /// publishes the (possibly raised) threshold into the snapshot.
+    /// publishes the (possibly raised) k-th score into the snapshot.
     pub fn lock(&self) -> SharedTopKGuard<'_> {
         SharedTopKGuard {
-            bits: &self.threshold_bits,
+            bits: &self.kth_bits,
             guard: self.inner.lock(),
         }
     }
@@ -258,7 +282,7 @@ impl SharedTopK {
     }
 }
 
-/// Write access to a [`SharedTopK`]; publishes the threshold snapshot
+/// Write access to a [`SharedTopK`]; publishes the k-th score snapshot
 /// on drop.
 pub struct SharedTopKGuard<'a> {
     bits: &'a AtomicU64,
@@ -280,8 +304,9 @@ impl DerefMut for SharedTopKGuard<'_> {
 
 impl Drop for SharedTopKGuard<'_> {
     fn drop(&mut self) {
-        self.bits
-            .store(self.guard.threshold().value().to_bits(), Ordering::Release);
+        if let Some(kth) = self.guard.kth() {
+            self.bits.store(kth.value().to_bits(), Ordering::Release);
+        }
     }
 }
 
@@ -372,8 +397,11 @@ mod tests {
         let mut set = TopKSet::new(1);
         set.offer(n(1), Score::new(2.0));
         assert!(set.should_prune(&m(9, 0.0, 1.9)));
-        // Tie with the k-th score survives.
-        assert!(!set.should_prune(&m(9, 0.0, 2.0)));
+        // A tie with a full set's own k-th score is cut: it can at
+        // best swap one boundary member for another. The held root's
+        // own match is no exception — it cannot improve its entry.
+        assert!(set.should_prune(&m(9, 0.0, 2.0)));
+        assert!(set.should_prune(&m(1, 2.0, 2.0)));
         assert!(!set.should_prune(&m(9, 0.0, 2.1)));
     }
 
@@ -415,16 +443,22 @@ mod tests {
         // Empty set: the floor already prunes.
         assert_eq!(set.threshold(), Score::new(1.5));
         assert!(set.should_prune(&m(9, 0.0, 1.4)));
-        assert!(!set.should_prune(&m(9, 0.0, 1.5)), "ties survive");
+        assert!(
+            !set.should_prune(&m(9, 0.0, 1.5)),
+            "a tie against the floor alone survives"
+        );
         // Partially full: still the floor.
         set.offer(n(1), Score::new(9.0));
         assert_eq!(set.threshold(), Score::new(1.5));
-        // Full but k-th below the floor: the floor wins.
+        // Full but k-th below the floor: the floor wins, and stays
+        // strict.
         set.offer(n(2), Score::new(1.0));
         assert_eq!(set.threshold(), Score::new(1.5));
-        // Full with k-th above the floor: the live k-th wins.
+        assert!(!set.should_prune(&m(9, 0.0, 1.5)));
+        // Full with k-th above the floor: the live k-th wins, ties cut.
         set.offer(n(3), Score::new(2.0));
         assert_eq!(set.threshold(), Score::new(2.0));
+        assert!(set.should_prune(&m(9, 0.0, 2.0)));
     }
 
     #[test]
@@ -445,6 +479,8 @@ mod tests {
         assert_eq!(shared.threshold_snapshot(), Score::new(3.0));
         assert!(shared.should_prune(&m(9, 0.0, 2.9)));
         assert!(shared.offer_is_noop(Score::new(2.9)));
+        // The floor proves nothing about fullness: ties with it stay.
+        assert!(!shared.should_prune(&m(9, 0.0, 3.0)));
         assert!(!shared.offer_is_noop(Score::new(3.0)));
     }
 
@@ -467,16 +503,28 @@ mod tests {
     fn snapshot_prune_is_conservative() {
         let shared = SharedTopK::new(1);
         shared.lock().offer(n(1), Score::new(2.0));
-        // Below the snapshot: pruned, as under the lock.
+        // At or below the snapshot: pruned, as under the lock.
         assert!(shared.should_prune(&m(9, 0.0, 1.9)));
-        // Ties survive, exactly like TopKSet::should_prune.
-        assert!(!shared.should_prune(&m(9, 0.0, 2.0)));
+        assert!(shared.should_prune(&m(9, 0.0, 2.0)));
+        assert!(!shared.should_prune(&m(9, 0.0, 2.1)));
+    }
+
+    #[test]
+    fn snapshot_publishes_fullness_with_the_kth_score() {
+        // A zero k-th score must not be mistaken for "not full yet",
+        // nor the other way round.
+        let shared = SharedTopK::new(2);
+        shared.lock().offer(n(1), Score::ZERO);
+        assert!(!shared.should_prune(&m(9, 0.0, 0.0)), "one slot is free");
+        shared.lock().offer(n(2), Score::ZERO);
+        assert!(shared.should_prune(&m(9, 0.0, 0.0)), "full at 0: ties cut");
+        assert!(shared.offer_is_noop(Score::ZERO));
     }
 
     #[test]
     fn offer_skipping_needs_a_positive_snapshot() {
         let shared = SharedTopK::new(2);
-        // Empty set: snapshot is zero, nothing may be skipped.
+        // Empty set: no k-th score published, nothing may be skipped.
         assert!(!shared.offer_is_noop(Score::ZERO));
         assert!(!shared.offer_is_noop(Score::new(0.5)));
         {
@@ -484,11 +532,13 @@ mod tests {
             g.offer(n(1), Score::new(4.0));
             g.offer(n(2), Score::new(2.0));
         }
-        // Full set, snapshot 2.0: strictly weaker offers are no-ops.
+        // Full set, snapshot 2.0: offers that cannot beat it are no-ops.
         assert!(shared.offer_is_noop(Score::new(1.9)));
-        assert!(!shared.offer_is_noop(Score::new(2.0)));
+        assert!(shared.offer_is_noop(Score::new(2.0)));
+        assert!(!shared.offer_is_noop(Score::new(2.1)));
         // Cross-check the claim against the live set.
-        assert!(!shared.lock().offer(n(3), Score::new(1.9)));
+        assert!(!shared.lock().offer(n(3), Score::new(2.0)));
+        assert!(!shared.lock().offer(n(2), Score::new(2.0)));
     }
 
     #[test]

@@ -104,8 +104,7 @@ pub struct RouteCandidate {
 /// decision.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RouteExplain {
-    /// Sequence number of the routed match (the group head, under bulk
-    /// routing).
+    /// Sequence number of the routed match.
     pub seq: u64,
     /// Strategy name, as [`RoutingStrategy::name`](crate::RoutingStrategy::name)
     /// spells it.
@@ -114,8 +113,6 @@ pub struct RouteExplain {
     pub threshold: f64,
     /// Router-queue depth at decision time.
     pub queue_len: usize,
-    /// Matches sharing this decision (1 unless bulk routing).
-    pub group: usize,
     /// The chosen server (`None`: every remaining server is dead).
     pub chosen: Option<QNodeId>,
     /// Per-candidate estimates.
@@ -643,7 +640,7 @@ impl TraceData {
                 TraceEventKind::Routed(x) => {
                     s.routed += 1;
                     if let Some(server) = x.chosen {
-                        stats(&mut per_server, server).routed_to += x.group as u64;
+                        stats(&mut per_server, server).routed_to += 1;
                     }
                 }
                 TraceEventKind::ThresholdSample { value } => {
@@ -794,13 +791,12 @@ impl TraceData {
                         "    {{\"name\": \"routed\", \"cat\": \"router\", \"ph\": \"i\", \"s\": \"t\", \
                          \"ts\": {ts}, \"pid\": 1, \"tid\": {tid}, \
                          \"args\": {{\"seq\": {}, \"strategy\": \"{}\", \"threshold\": {}, \
-                         \"queue_len\": {}, \"group\": {}, \"chosen\": {chosen}, \
+                         \"queue_len\": {}, \"chosen\": {chosen}, \
                          \"candidates\": [{cands}]}}}}",
                         x.seq,
                         escape(x.strategy),
                         num(x.threshold),
-                        x.queue_len,
-                        x.group
+                        x.queue_len
                     )?;
                 }
                 TraceEventKind::ThresholdSample { value } => write!(
@@ -990,7 +986,6 @@ mod tests {
             strategy: "min_alive_partial_matches",
             threshold: 0.0,
             queue_len: 1,
-            group: 1,
             chosen: Some(QNodeId(2)),
             candidates: vec![RouteCandidate {
                 server: QNodeId(2),

@@ -359,7 +359,7 @@ pub fn run_whirlpool_m_anytime(
         }
     }
     let seeded = seeds.len() as i64;
-    push_to_router_batch(&shared, &mut seeds);
+    push_batch_to_router(&shared, &mut seeds);
     seed_tr.span_end("seed");
     drop(seed_tr);
     if seeded == 0 {
@@ -398,7 +398,7 @@ pub fn run_whirlpool_m_anytime(
 
 /// Pushes a batch to the router queue (one lock acquisition), which is
 /// never closed.
-fn push_to_router_batch(shared: &Shared<'_, '_>, batch: &mut Vec<PartialMatch>) {
+fn push_batch_to_router(shared: &Shared<'_, '_>, batch: &mut Vec<PartialMatch>) {
     if !shared.router_queue.push_batch(shared.ctx, batch) {
         unreachable!("the router queue is never closed");
     }
@@ -469,7 +469,6 @@ fn router_loop(
                     strategy: routing.name(),
                     threshold: threshold.value(),
                     queue_len,
-                    group: 1,
                     chosen: choice,
                     candidates,
                 });
@@ -531,7 +530,6 @@ fn reroute(
                 strategy: routing.name(),
                 threshold: threshold.value(),
                 queue_len: shared.router_queue.len(),
-                group: 1,
                 chosen: choice,
                 candidates,
             });
@@ -806,7 +804,7 @@ fn abandon_batch(
     if delta != 0 {
         shared.adjust_in_flight(delta);
     }
-    push_to_router_batch(shared, &mut work.survivors);
+    push_batch_to_router(shared, &mut work.survivors);
 }
 
 fn process_batch(
@@ -876,7 +874,7 @@ fn process_batch(
                 shared.adjust_in_flight(work.net);
                 work.net = 0;
             }
-            push_to_router_batch(shared, &mut work.survivors);
+            push_batch_to_router(shared, &mut work.survivors);
             handle_dead_server_match(shared, trunc, server, m, pool, tr);
             while let Some(rest) = work.local.pop() {
                 handle_dead_server_match(shared, trunc, server, rest, pool, tr);
@@ -891,14 +889,13 @@ fn process_batch(
         pool.release(m);
         work.net -= 1;
 
-        // The threshold snapshot decides, without the lock, whether
+        // The k-th score snapshot decides, without the lock, whether
         // any extension's offer could change the top-k set; the
         // lock is taken only when one could.
-        let snap = shared.topk.threshold_snapshot();
-        let offers_needed = work
-            .exts
-            .iter()
-            .any(|e| (shared.offer_partial || e.is_complete(shared.full_mask)) && e.score >= snap);
+        let offers_needed = work.exts.iter().any(|e| {
+            (shared.offer_partial || e.is_complete(shared.full_mask))
+                && !shared.topk.offer_is_noop(e.score)
+        });
         if offers_needed {
             let mut topk = shared.topk.lock();
             for e in work.exts.drain(..) {
@@ -941,9 +938,9 @@ fn process_batch(
                     pool.release(e);
                     continue;
                 }
-                if e.max_final < snap {
+                if shared.topk.should_prune(&e) {
                     ctx.metrics.add_pruned();
-                    tr.pruned(&e, snap);
+                    tr.pruned(&e, shared.topk.threshold_snapshot());
                     pool.release(e);
                     continue;
                 }
@@ -965,7 +962,7 @@ fn process_batch(
         shared.adjust_in_flight(work.net);
         work.net = 0;
     }
-    push_to_router_batch(shared, &mut work.survivors);
+    push_batch_to_router(shared, &mut work.survivors);
 }
 
 #[cfg(test)]
@@ -1150,9 +1147,10 @@ mod tests {
 
     #[test]
     fn repeated_runs_are_consistent() {
-        // The thread interleaving varies; the answer set must not.
+        // The thread interleaving varies; the answers must not, up to
+        // which of the three books tied at the k-th score is returned.
         let query = "//book[./title and ./price]";
-        let mut first: Option<Vec<(whirlpool_xml::NodeId, whirlpool_score::Score)>> = None;
+        let mut first: Option<Vec<RankedAnswer>> = None;
         for _ in 0..10 {
             harness(query, RelaxMode::Relaxed, |ctx, _| {
                 let got = run_whirlpool_m(
@@ -1161,10 +1159,12 @@ mod tests {
                     3,
                     &WhirlpoolMConfig::default(),
                 );
-                let gs: Vec<_> = got.iter().map(|r| (r.root, r.score)).collect();
                 match &first {
-                    None => first = Some(gs),
-                    Some(f) => assert_eq!(&gs, f),
+                    None => first = Some(got),
+                    Some(f) => assert!(
+                        crate::topk::answers_equivalent(&got, f, 1e-9),
+                        "{got:?} vs {f:?}"
+                    ),
                 }
             });
         }

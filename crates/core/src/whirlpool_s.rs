@@ -25,33 +25,7 @@ pub fn run_whirlpool_s(
     k: usize,
     queue_policy: QueuePolicy,
 ) -> Vec<RankedAnswer> {
-    run_whirlpool_s_batched(ctx, routing, k, queue_policy, 1)
-}
-
-/// Runs Whirlpool-S with *bulk routing* (`batch > 1`): up to `batch`
-/// queued matches that have visited the same server set share one
-/// routing decision. This implements the paper's §6.3.3 future-work
-/// proposal ("performing adaptivity operations 'in bulk', by grouping
-/// tuples based on similarity of scores or nodes, in order to decrease
-/// adaptivity overhead") — grouping by visited-set keeps the decision
-/// applicable to every member, and members are adjacent in the
-/// max-final-score queue, so their scores are similar by construction.
-pub fn run_whirlpool_s_batched(
-    ctx: &QueryContext<'_>,
-    routing: &RoutingStrategy,
-    k: usize,
-    queue_policy: QueuePolicy,
-    batch: usize,
-) -> Vec<RankedAnswer> {
-    run_whirlpool_s_anytime(
-        ctx,
-        routing,
-        k,
-        queue_policy,
-        batch,
-        &RunControl::unlimited(),
-    )
-    .answers
+    run_whirlpool_s_anytime(ctx, routing, k, queue_policy, &RunControl::unlimited()).answers
 }
 
 /// Whirlpool-S under a [`RunControl`]: the budget is checked at every
@@ -64,10 +38,8 @@ pub fn run_whirlpool_s_anytime(
     routing: &RoutingStrategy,
     k: usize,
     queue_policy: QueuePolicy,
-    batch: usize,
     control: &RunControl,
 ) -> EngineRun {
-    let batch = batch.max(1);
     let offer_partial = ctx.relax == RelaxMode::Relaxed;
     let full = ctx.full_mask();
     let trunc = Truncation::new();
@@ -94,18 +66,13 @@ pub fn run_whirlpool_s_anytime(
 
     tr.span_begin("route-and-process");
     let mut exts = Vec::new();
-    let mut group = Vec::new();
-    let mut put_back = Vec::new();
     let mut locs: Vec<Located> = Vec::new();
     while let Some(m) = queue.pop() {
         if control.exhausted(&ctx.metrics) {
             if trunc.expire() {
                 control.count_stop(&ctx.metrics);
             }
-            trunc.account(m.max_final);
-            tr.abandoned(&m);
-            pool.release(m);
-            while let Some(x) = queue.pop() {
+            for x in std::iter::once(m).chain(queue.drain()) {
                 trunc.account(x.max_final);
                 tr.abandoned(&x);
                 pool.release(x);
@@ -115,114 +82,90 @@ pub fn run_whirlpool_s_anytime(
         // Re-check at pop time: the threshold may have grown since the
         // match was queued.
         if topk.should_prune(&m) {
-            ctx.metrics.add_pruned();
-            tr.pruned(&m, topk.threshold());
-            pool.release(m);
+            // Under max-final-score order nothing queued can reach
+            // higher than the head: once the head cannot beat the k-th
+            // score the whole queue is pruned in one step and the run is
+            // over. (Other policies prune match by match.)
+            let rest = (queue_policy == QueuePolicy::MaxFinalScore).then(|| queue.drain());
+            for x in std::iter::once(m).chain(rest.into_iter().flatten()) {
+                ctx.metrics.add_pruned();
+                tr.pruned(&x, topk.threshold());
+                pool.release(x);
+            }
             continue;
         }
         debug_assert!(!m.is_complete(full), "complete matches are never queued");
 
-        // Bulk routing: gather queue neighbours with the same visited
-        // set; they all take the group head's routing decision.
-        group.clear();
-        let visited = m.visited;
-        group.push(m);
-        while group.len() < batch {
-            let Some(x) = queue.pop() else { break };
-            if topk.should_prune(&x) {
-                ctx.metrics.add_pruned();
-                tr.pruned(&x, topk.threshold());
-                pool.release(x);
-                continue;
-            }
-            if x.visited == visited {
-                group.push(x);
-            } else {
-                put_back.push(x);
-            }
-        }
-        for x in put_back.drain(..) {
-            queue.push(ctx, x);
-        }
-
         let threshold = topk.threshold();
         let candidates = if tr.enabled() {
-            routing.explain(ctx, &group[0], threshold, |s| !control.is_dead(s))
+            routing.explain(ctx, &m, threshold, |s| !control.is_dead(s))
         } else {
             Vec::new()
         };
-        let choice = routing.try_choose(ctx, &group[0], threshold, |s| !control.is_dead(s));
+        let choice = routing.try_choose(ctx, &m, threshold, |s| !control.is_dead(s));
         if tr.enabled() {
             tr.routed(crate::trace::RouteExplain {
-                seq: group[0].seq,
+                seq: m.seq,
                 strategy: routing.name(),
                 threshold: threshold.value(),
                 queue_len: queue.len(),
-                group: group.len(),
                 chosen: choice,
                 candidates,
             });
         }
         let Some(server) = choice else {
-            // Every remaining server is dead: finish the group through
+            // Every remaining server is dead: finish the match through
             // degradation, or drop it in exact mode.
-            for m in group.drain(..) {
-                trunc.account(m.max_final);
-                tr.abandoned(&m);
-                if offer_partial {
-                    ctx.metrics.add_match_redistributed();
-                    let done = degrade_to_completion(ctx, m, &mut pool);
-                    tr.spawned(&done);
-                    topk.offer_match(&done);
-                    tr.completed(&done);
-                    ctx.metrics.add_answer_degraded();
-                    pool.release(done);
-                } else {
-                    pool.release(m);
-                }
+            trunc.account(m.max_final);
+            tr.abandoned(&m);
+            if offer_partial {
+                ctx.metrics.add_match_redistributed();
+                let done = degrade_to_completion(ctx, m, &mut pool);
+                tr.spawned(&done);
+                topk.offer_match(&done);
+                tr.completed(&done);
+                ctx.metrics.add_answer_degraded();
+                pool.release(done);
+            } else {
+                pool.release(m);
             }
             continue;
         };
-        // One locate sweep for the whole routed group (a batch of one
-        // when bulk routing is off), then per-member evaluation in the
-        // group's queue order with bookkeeping unchanged.
-        let roots: Vec<_> = group.iter().map(|x| x.root()).collect();
-        ctx.locate_batch_at_server(server, &roots, &mut locs);
-        for (m, &loc) in group.drain(..).zip(&locs) {
-            exts.clear();
-            let t0 = tr.op_start();
-            if !guarded_process_located(ctx, control, &trunc, server, &m, loc, &mut exts, &mut pool)
-            {
-                // The chosen server died under us: requeue the match so
-                // the next pop re-routes it among the survivors.
-                ctx.metrics.add_match_redistributed();
-                queue.push(ctx, m);
+        ctx.locate_batch_at_server(server, &[m.root()], &mut locs);
+        exts.clear();
+        let t0 = tr.op_start();
+        if !guarded_process_located(
+            ctx, control, &trunc, server, &m, locs[0], &mut exts, &mut pool,
+        ) {
+            // The chosen server died under us: requeue the match so
+            // the next pop re-routes it among the survivors.
+            ctx.metrics.add_match_redistributed();
+            queue.push(ctx, m);
+            continue;
+        }
+        tr.server_op(server, m.seq, exts.len(), t0);
+        pool.release(m);
+        for e in exts.drain(..) {
+            tr.spawned(&e);
+            let complete = e.is_complete(full);
+            if offer_partial || complete {
+                topk.offer_match(&e);
+            }
+            if complete {
+                tr.completed(&e);
+                if e.degraded {
+                    ctx.metrics.add_answer_degraded();
+                }
+                pool.release(e);
                 continue;
             }
-            tr.server_op(server, m.seq, exts.len(), t0);
-            pool.release(m);
-            for e in exts.drain(..) {
-                tr.spawned(&e);
-                let complete = e.is_complete(full);
-                if offer_partial || complete {
-                    topk.offer_match(&e);
-                }
-                if complete {
-                    tr.completed(&e);
-                    if e.degraded {
-                        ctx.metrics.add_answer_degraded();
-                    }
-                    pool.release(e);
-                    continue;
-                }
-                if topk.should_prune(&e) {
-                    ctx.metrics.add_pruned();
-                    tr.pruned(&e, topk.threshold());
-                    pool.release(e);
-                    continue;
-                }
-                queue.push(ctx, e);
+            if topk.should_prune(&e) {
+                ctx.metrics.add_pruned();
+                tr.pruned(&e, topk.threshold());
+                pool.release(e);
+                continue;
             }
+            queue.push(ctx, e);
         }
         if tr.enabled() {
             tr.threshold(topk.threshold());

@@ -8,9 +8,12 @@
 //! estimated here by sampling root candidates:
 //!
 //! * the mean number of candidate nodes (the relaxed universe: any
-//!   descendant of the root match with the server's tag/value), and
+//!   descendant of the root match with the server's tag/value),
 //! * the fraction of those candidates that satisfy the server's *exact*
-//!   root predicate (and hence would score at the exact level).
+//!   root predicate (and hence would score at the exact level), and
+//! * the fraction of root matches whose *best* candidate does — what a
+//!   relaxed-mode server operation, which emits only its dominant
+//!   extension, actually produces.
 
 use crate::tagindex::TagIndex;
 use crate::view::{DocView, TagIndexView};
@@ -29,6 +32,12 @@ pub struct ServerSelectivity {
     /// Fraction of sampled root matches with *no* candidates at all
     /// (these take the leaf-deletion path).
     pub empty_fraction: f64,
+    /// Fraction of sampled root matches with at least one candidate
+    /// satisfying the exact root predicate: the roots whose best
+    /// candidate is exact. The rest of the non-empty roots
+    /// (`1 - empty_fraction - best_exact_fraction`) can bind at the
+    /// relaxed level only.
+    pub best_exact_fraction: f64,
 }
 
 impl ServerSelectivity {
@@ -39,6 +48,7 @@ impl ServerSelectivity {
             mean_candidates: 1.0,
             exact_fraction: 1.0,
             empty_fraction: 0.0,
+            best_exact_fraction: 1.0,
         }
     }
 }
@@ -99,11 +109,13 @@ pub fn estimate_selectivity_view(
                     mean_candidates: 0.0,
                     exact_fraction: 0.0,
                     empty_fraction: 1.0,
+                    best_exact_fraction: 0.0,
                 };
             }
             let mut total = 0usize;
             let mut exact = 0usize;
             let mut empty = 0usize;
+            let mut best_exact = 0usize;
             let mut wildcard_buf = Vec::new();
             for &root in &sample {
                 let candidates: &[NodeId] = if wildcard {
@@ -124,10 +136,12 @@ pub fn estimate_selectivity_view(
                 }
                 total += candidates.len();
                 let columns = index.columns();
-                exact += candidates
+                let exact_here = candidates
                     .iter()
                     .filter(|&&c| columns.holds(server.root_exact, root, c))
                     .count();
+                exact += exact_here;
+                best_exact += usize::from(exact_here > 0);
             }
             let n = sample.len() as f64;
             ServerSelectivity {
@@ -138,6 +152,7 @@ pub fn estimate_selectivity_view(
                     exact as f64 / total as f64
                 },
                 empty_fraction: empty as f64 / n,
+                best_exact_fraction: best_exact as f64 / n,
             }
         })
         .collect()
@@ -229,6 +244,7 @@ mod tests {
         // One of the two parlists satisfies the exact item/*/parlist
         // (ChildChain(2)) predicate.
         assert!((parlist.exact_fraction - 0.5).abs() < 1e-9);
+        assert!((parlist.best_exact_fraction - 0.5).abs() < 1e-9);
         assert_eq!(parlist.empty_fraction, 0.0);
     }
 
@@ -291,11 +307,13 @@ mod tests {
                 mean_candidates: 4.0,
                 exact_fraction: 1.0,
                 empty_fraction: 0.0,
+                best_exact_fraction: 1.0,
             },
             ServerSelectivity {
                 mean_candidates: 2.0,
                 exact_fraction: 1.0,
                 empty_fraction: 0.0,
+                best_exact_fraction: 1.0,
             },
         ];
         let est = estimate_query_cost(10, &sel);
@@ -314,11 +332,13 @@ mod tests {
                 mean_candidates: 0.0,
                 exact_fraction: 0.0,
                 empty_fraction: 1.0,
+                best_exact_fraction: 0.0,
             },
             ServerSelectivity {
                 mean_candidates: 3.0,
                 exact_fraction: 0.5,
                 empty_fraction: 0.0,
+                best_exact_fraction: 1.0,
             },
         ];
         let est = estimate_query_cost(8, &sel);

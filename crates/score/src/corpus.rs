@@ -33,32 +33,19 @@ pub struct CorpusStats {
     /// (indexed by `QNodeId`; the root row stays zero — the root
     /// carries no component predicate).
     satisfying: Vec<[u64; 2]>,
-    /// The exact and relaxed component predicates, kept so shards can
-    /// be added incrementally without recompiling the pattern.
-    preds: Vec<(ComponentPredicate, ComponentPredicate)>,
+    /// The component predicates, kept so shards can be added
+    /// incrementally without recompiling the pattern.
+    preds: Vec<ComponentPredicate>,
     shards: usize,
 }
 
 impl CorpusStats {
     /// Empty statistics for `pattern`: no shards seen yet.
     pub fn new(pattern: &TreePattern) -> Self {
-        let preds = tfidf::component_predicates(pattern)
-            .into_iter()
-            .map(|pred| {
-                let relaxed = ComponentPredicate {
-                    qnode: pred.qnode,
-                    axis: pred.axis.relaxed(),
-                    tag: pred.tag.clone(),
-                    value: pred.value.clone(),
-                    attrs: pred.attrs.clone(),
-                };
-                (pred, relaxed)
-            })
-            .collect();
         CorpusStats {
             population: 0,
             satisfying: vec![[0, 0]; pattern.len()],
-            preds,
+            preds: tfidf::component_predicates(pattern),
             shards: 0,
         }
     }
@@ -74,11 +61,11 @@ impl CorpusStats {
     /// form snapshot-backed shards use.
     pub fn add_shard_view(&mut self, doc: DocView<'_>, index: TagIndexView<'_>, answer_tag: &str) {
         let mut population_seen = None;
-        for (exact, relaxed) in &self.preds {
-            let (pop, sat_exact) = tfidf::idf_counts_view(doc, index, answer_tag, exact);
-            let (_, sat_relaxed) = tfidf::idf_counts_view(doc, index, answer_tag, relaxed);
-            self.satisfying[exact.qnode.index()][0] += sat_exact;
-            self.satisfying[exact.qnode.index()][1] += sat_relaxed;
+        for pred in &self.preds {
+            let (pop, sat_exact, sat_relaxed) =
+                tfidf::idf_counts_both_view(doc, index, answer_tag, pred);
+            self.satisfying[pred.qnode.index()][0] += sat_exact;
+            self.satisfying[pred.qnode.index()][1] += sat_relaxed;
             population_seen = Some(pop);
         }
         // Single-node patterns have no component predicates; the
@@ -113,14 +100,14 @@ impl CorpusStats {
         } else {
             synopsis.tag_count(answer_tag)
         };
-        for (exact, _) in &self.preds {
-            let sat = if exact.tag == whirlpool_pattern::WILDCARD {
+        for pred in &self.preds {
+            let sat = if pred.tag == whirlpool_pattern::WILDCARD {
                 pop
             } else {
-                pop.min(synopsis.tag_count(&exact.tag))
+                pop.min(synopsis.tag_count(&pred.tag))
             };
-            self.satisfying[exact.qnode.index()][0] += sat;
-            self.satisfying[exact.qnode.index()][1] += sat;
+            self.satisfying[pred.qnode.index()][0] += sat;
+            self.satisfying[pred.qnode.index()][1] += sat;
         }
         self.population += pop;
         self.shards += 1;
@@ -143,11 +130,11 @@ impl CorpusStats {
     /// argument as the per-document model.
     pub fn model(&self, normalization: Normalization) -> TfIdfModel {
         let mut weights = vec![[0.0, 0.0]; self.satisfying.len()];
-        for (exact, _) in &self.preds {
-            let [sat_exact, sat_relaxed] = self.satisfying[exact.qnode.index()];
+        for pred in &self.preds {
+            let [sat_exact, sat_relaxed] = self.satisfying[pred.qnode.index()];
             let e = tfidf::idf_from_counts(self.population, sat_exact);
             let r = tfidf::idf_from_counts(self.population, sat_relaxed);
-            weights[exact.qnode.index()] = [e.max(0.0), r.min(e).max(0.0)];
+            weights[pred.qnode.index()] = [e.max(0.0), r.min(e).max(0.0)];
         }
         TfIdfModel::from_weights(weights, normalization)
     }

@@ -8,7 +8,7 @@
 //! it.
 
 use crate::score::Score;
-use crate::tfidf::{self, ComponentPredicate};
+use crate::tfidf;
 use std::collections::HashMap;
 use whirlpool_index::{DocView, TagIndex, TagIndexView};
 use whirlpool_pattern::{QNodeId, TreePattern};
@@ -119,15 +119,10 @@ impl TfIdfModel {
         // examples (scores come from the join predicates) the root
         // contributes 0 and all scoring happens at the servers.
         for pred in &preds {
-            let exact = tfidf::idf_view(doc, index, answer_tag, pred);
-            let relaxed_pred = ComponentPredicate {
-                qnode: pred.qnode,
-                axis: pred.axis.relaxed(),
-                tag: pred.tag.clone(),
-                value: pred.value.clone(),
-                attrs: pred.attrs.clone(),
-            };
-            let relaxed = tfidf::idf_view(doc, index, answer_tag, &relaxed_pred);
+            let (population, exact, relaxed) =
+                tfidf::idf_counts_both_view(doc, index, answer_tag, pred);
+            let exact = tfidf::idf_from_counts(population, exact);
+            let relaxed = tfidf::idf_from_counts(population, relaxed);
             // Definition 4.2 guarantees relaxed ≤ exact (more nodes
             // satisfy the weaker predicate); clamp for degenerate
             // documents where both are 0.

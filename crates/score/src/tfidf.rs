@@ -49,6 +49,15 @@ pub fn component_predicates(pattern: &TreePattern) -> Vec<ComponentPredicate> {
         .collect()
 }
 
+/// Does candidate `c` pass the predicate's value and attribute tests?
+fn passes_tests(doc: DocView<'_>, pred: &ComponentPredicate, c: NodeId) -> bool {
+    pred.value.as_ref().map_or(true, |v| v.matches(doc.text(c)))
+        && pred
+            .attrs
+            .iter()
+            .all(|a| a.matches(doc.attribute(c, &a.name)))
+}
+
 /// Does node `n'` (candidate for `qi`) satisfy the predicate against
 /// answer candidate `n`, including the value test?
 ///
@@ -64,15 +73,7 @@ fn satisfies(
     n: NodeId,
     n_prime: NodeId,
 ) -> bool {
-    index.columns().holds(pred.axis, n, n_prime)
-        && pred
-            .value
-            .as_ref()
-            .map_or(true, |v| v.matches(doc.text(n_prime)))
-        && pred
-            .attrs
-            .iter()
-            .all(|a| a.matches(doc.attribute(n_prime, &a.name)))
+    index.columns().holds(pred.axis, n, n_prime) && passes_tests(doc, pred, n_prime)
 }
 
 /// Candidate `qi` nodes under `n` for a predicate: the tag's posting
@@ -136,23 +137,69 @@ pub fn idf_counts_view(
     answer_tag: &str,
     pred: &ComponentPredicate,
 ) -> (u64, u64) {
-    let q0_nodes: Vec<NodeId> = if answer_tag == WILDCARD {
-        doc.elements().collect()
-    } else {
-        match doc.tag_id(answer_tag) {
-            Some(tag) => index.nodes_with_tag(tag).to_vec(),
-            None => return (0, 0),
-        }
+    let (population, satisfying, _) = idf_counts_both_view(doc, index, answer_tag, pred);
+    (population, satisfying)
+}
+
+/// Both idf columns of one predicate in one allocation-free walk over
+/// the answer nodes: `(population, exact, relaxed)`, where `exact` is
+/// [`idf_counts_view`]'s satisfying count for `pred` and `relaxed` the
+/// one for its fully relaxed form (`pred.axis.relaxed()`, same tag and
+/// tests).
+pub fn idf_counts_both_view(
+    doc: DocView<'_>,
+    index: TagIndexView<'_>,
+    answer_tag: &str,
+    pred: &ComponentPredicate,
+) -> (u64, u64, u64) {
+    let pred_tag = (pred.tag != WILDCARD).then(|| doc.tag_id(&pred.tag));
+    let (mut population, mut exact, mut relaxed) = (0, 0, 0);
+    let mut visit = |n: NodeId| {
+        let (any, held) = match pred_tag {
+            None => witnesses(doc, index, pred, n, index.descendants_any(n)),
+            Some(Some(tag)) => {
+                let under = index.descendants_with_tag(n, tag);
+                witnesses(doc, index, pred, n, under.iter().copied())
+            }
+            Some(None) => (false, false),
+        };
+        population += 1;
+        relaxed += u64::from(any);
+        exact += u64::from(held);
     };
-    let satisfying = q0_nodes
-        .iter()
-        .filter(|&&n| {
-            candidates_under(doc, index, pred, n)
-                .into_iter()
-                .any(|c| satisfies(doc, index, pred, n, c))
-        })
-        .count();
-    (q0_nodes.len() as u64, satisfying as u64)
+    if answer_tag == WILDCARD {
+        doc.elements().for_each(&mut visit);
+    } else if let Some(tag) = doc.tag_id(answer_tag) {
+        index
+            .nodes_with_tag(tag)
+            .iter()
+            .copied()
+            .for_each(&mut visit);
+    }
+    (population, exact, relaxed)
+}
+
+/// For answer node `n` and its `candidates` (every node below it that
+/// carries the predicate's tag): does one pass the value/attribute
+/// tests — which satisfies the relaxed predicate, a candidate being a
+/// proper descendant by construction — and does one of those also hold
+/// the composed axis, satisfying the exact one?
+fn witnesses(
+    doc: DocView<'_>,
+    index: TagIndexView<'_>,
+    pred: &ComponentPredicate,
+    n: NodeId,
+    candidates: impl Iterator<Item = NodeId>,
+) -> (bool, bool) {
+    let mut passing = candidates.filter(|&c| passes_tests(doc, pred, c));
+    let Some(first) = passing.next() else {
+        return (false, false);
+    };
+    let columns = index.columns();
+    let held = std::iter::once(first)
+        .chain(passing)
+        .any(|c| columns.holds_in_range(pred.axis, n, c));
+    (true, held)
 }
 
 /// Definition 4.2 from precomputed counts: `ln(population /

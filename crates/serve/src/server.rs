@@ -461,6 +461,10 @@ impl QueryRequest {
             .and_then(Json::as_str)
             .ok_or_else(|| ServeError::BadRequest("missing \"query\" field".into()))?
             .to_string();
+        let k = v.get("k").and_then(Json::as_u64).unwrap_or(10) as usize;
+        if k == 0 {
+            return Err(ServeError::BadRequest("\"k\" must be at least 1".into()));
+        }
         Ok(QueryRequest {
             doc: v
                 .get("doc")
@@ -468,7 +472,7 @@ impl QueryRequest {
                 .unwrap_or_default()
                 .to_string(),
             query,
-            k: v.get("k").and_then(Json::as_u64).unwrap_or(10).max(1) as usize,
+            k,
             collection: v.get("collection").and_then(Json::as_bool).unwrap_or(false),
             fault: v
                 .get("fault")
@@ -1017,6 +1021,25 @@ mod tests {
 
         let (status, body) = post_query(addr, r#"{"query": "//book[./title]", "k": 1}"#);
         assert_eq!(status, 200, "{body}");
+        handle.shutdown();
+    }
+
+    #[test]
+    fn zero_k_is_a_400_not_a_silent_clamp() {
+        let handle = start(ServeConfig::default(), test_registry()).unwrap();
+        let addr = handle.addr();
+        for body in [
+            r#"{"query": "//book[./title]", "k": 0}"#,
+            r#"{"collection": true, "query": "//book[./title]", "k": 0}"#,
+        ] {
+            let (status, reply) = post_query(addr, body);
+            assert_eq!(status, 400, "{reply}");
+            assert!(reply.contains("must be at least 1"), "{reply}");
+        }
+        let (status, body) = send(addr, "GET /metrics HTTP/1.1\r\n\r\n");
+        assert_eq!(status, 200);
+        let m = Json::parse(&body).unwrap();
+        assert_eq!(m.get("admitted").and_then(Json::as_u64), Some(0));
         handle.shutdown();
     }
 

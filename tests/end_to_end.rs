@@ -113,25 +113,40 @@ fn virtual_time_simulation_matches_real_answers() {
 
 #[test]
 fn document_sizes_scale_the_workload() {
-    // More document ⇒ more candidate roots ⇒ more work, same code path
-    // as the Figure 11 experiment (at reduced scale).
+    // More document ⇒ more candidate roots ⇒ more work for the
+    // exhaustive engine, same code path as the Figure 11 experiment (at
+    // reduced scale). Top-k stops at k: Whirlpool-S seeds every root
+    // but its server operations are bounded by the exhaustive count,
+    // not driven by the document size.
     let query = queries::parse(queries::Q1);
-    let mut ops = Vec::new();
+    let mut exhaustive = Vec::new();
+    let mut seeded = Vec::new();
     for items in [20usize, 80, 320] {
         let doc = generate(&GeneratorConfig::items(items));
         let index = TagIndex::build(&doc);
         let model = TfIdfModel::build(&doc, &index, &query, Normalization::Sparse);
-        let r = evaluate(
-            &doc,
-            &index,
-            &query,
-            &model,
-            &Algorithm::WhirlpoolS,
-            &EvalOptions::top_k(15),
-        );
-        ops.push(r.metrics.server_ops);
+        let run = |algorithm| {
+            evaluate(
+                &doc,
+                &index,
+                &query,
+                &model,
+                &algorithm,
+                &EvalOptions::top_k(15),
+            )
+            .metrics
+        };
+        let all = run(Algorithm::LockStepNoPrune);
+        let topk = run(Algorithm::WhirlpoolS);
+        assert!(topk.server_ops <= all.server_ops, "items={items}");
+        exhaustive.push(all.server_ops);
+        seeded.push(topk.partials_created);
     }
-    assert!(ops[0] < ops[1] && ops[1] < ops[2], "{ops:?}");
+    assert!(
+        exhaustive[0] < exhaustive[1] && exhaustive[1] < exhaustive[2],
+        "{exhaustive:?}"
+    );
+    assert!(seeded[0] < seeded[1] && seeded[1] < seeded[2], "{seeded:?}");
 }
 
 #[test]

@@ -188,46 +188,6 @@ fn engines_agree_under_random_score_models() {
 }
 
 #[test]
-fn bulk_routing_preserves_answers_and_amortizes_decisions() {
-    // The §6.3.3 future-work knob: batched routing must not change the
-    // top-k set, and it must cut the number of routing decisions.
-    let doc = generate(&GeneratorConfig::items(100));
-    let index = TagIndex::build(&doc);
-    let query = queries::parse(queries::Q2);
-    let model = TfIdfModel::build(&doc, &index, &query, Normalization::Sparse);
-    let reference = evaluate(
-        &doc,
-        &index,
-        &query,
-        &model,
-        &Algorithm::LockStepNoPrune,
-        &EvalOptions::top_k(10),
-    );
-    let mut decisions = Vec::new();
-    for batch in [1usize, 4, 16, 64] {
-        let mut options = EvalOptions::top_k(10);
-        options.router_batch = batch;
-        let got = evaluate(
-            &doc,
-            &index,
-            &query,
-            &model,
-            &Algorithm::WhirlpoolS,
-            &options,
-        );
-        assert!(
-            answers_equivalent(&got.answers, &reference.answers, 1e-9),
-            "batch={batch}"
-        );
-        decisions.push(got.metrics.routing_decisions);
-    }
-    assert!(
-        decisions[3] < decisions[0] / 4,
-        "batching should amortize routing decisions: {decisions:?}"
-    );
-}
-
-#[test]
 fn k_larger_than_answer_universe() {
     let doc = generate(&GeneratorConfig::items(10));
     let index = TagIndex::build(&doc);

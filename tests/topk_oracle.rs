@@ -1,0 +1,533 @@
+//! A brute-force oracle for relaxed and exact top-k.
+//!
+//! The oracle enumerates *every* tuple of a query over a small document
+//! — the product of each server's tag/value-compatible descendants of
+//! the root candidate, `Null` where a server has none — scores each
+//! tuple as DESIGN.md §5 words it (Σ over servers of the score model's
+//! contribution at the binding's *root-relative* level), and keeps the
+//! best tuple per root. It reads the [`Document`] API and
+//! [`ScoreModel::contribution`] only: no index, no `QueryContext`, no
+//! plan — so it shares no code with the engines it judges, and it is
+//! what proves that the relaxed kernel's one-extension-per-server
+//! factorisation returns the same per-root scores as full enumeration.
+//!
+//! Engines are compared with a score-multiset + tie-boundary
+//! comparator: the returned score vector must equal the oracle's top-k
+//! score vector, every returned root must score in the oracle what the
+//! engine says it scores, and every oracle root scoring strictly above
+//! the k-th score must be returned. Members *at* the k-th score may be
+//! any roots the oracle also scores there.
+
+use proptest::prelude::*;
+use whirlpool_core::{
+    evaluate, evaluate_collection, Algorithm, Collection, CollectionOptions, EvalOptions, RelaxMode,
+};
+use whirlpool_index::TagIndex;
+use whirlpool_pattern::{parse_pattern, Axis, QNodeId, TreePattern, WILDCARD};
+use whirlpool_score::{MatchLevel, Normalization, RandomScores, ScoreModel, TfIdfModel};
+use whirlpool_xmark::{generate, queries, GeneratorConfig};
+use whirlpool_xml::{Document, DocumentBuilder, NodeId};
+
+const EPS: f64 = 1e-9;
+
+/// The survey's corner cases (Hachicha & Darmont) plus ordinary twigs.
+const PATTERNS: [&str; 12] = [
+    // Wildcard below the root, alone and inside a chain.
+    "//a[./*]",
+    "//a[./*/b and ./c]",
+    // Wildcard at the root.
+    "//*[./a and .//b]",
+    // `//` over a recursive tag, and `/` under one.
+    "//a[.//a]",
+    "//a[./a and ./b]",
+    // A value test on a repeated leaf.
+    "//a[./b = 'x']",
+    "//a[.//b = 'x' and ./c]",
+    // A pattern node with two identical children.
+    "//a[./b and ./b]",
+    "//a[./b[./c and ./c]]",
+    // Ordinary twigs: chains, nesting, mixed axes.
+    "//a[./b/c and .//d]",
+    "//b[./a[./c and .//d] and ./d]",
+    "/a[./b and .//c]",
+];
+
+fn all_engines() -> Vec<(Algorithm, usize)> {
+    vec![
+        (Algorithm::LockStepNoPrune, 1),
+        (Algorithm::LockStep, 1),
+        (Algorithm::WhirlpoolS, 1),
+        (Algorithm::WhirlpoolM { processors: None }, 1),
+        (Algorithm::WhirlpoolM { processors: None }, 4),
+    ]
+}
+
+// -- the oracle ----------------------------------------------------------
+
+/// Does `n` satisfy query node `q`'s own tests (tag, value, attributes)?
+fn node_matches(doc: &Document, pattern: &TreePattern, q: QNodeId, n: NodeId) -> bool {
+    let pn = pattern.node(q);
+    (pn.tag == WILDCARD || doc.tag_str(n) == pn.tag)
+        && pn.value.as_ref().map_or(true, |v| v.matches(doc.text(n)))
+        && pn
+            .attrs
+            .iter()
+            .all(|a| a.matches(doc.attribute(n, &a.name)))
+}
+
+/// The candidate instantiations of the pattern root.
+fn root_candidates(doc: &Document, pattern: &TreePattern) -> Vec<NodeId> {
+    let root = pattern.root();
+    doc.elements()
+        .filter(|&n| node_matches(doc, pattern, root, n))
+        .filter(|&n| match pattern.node(root).axis {
+            Axis::Child => doc.depth(n) == 1,
+            Axis::Descendant => true,
+        })
+        .collect()
+}
+
+/// Definition 4.1's component predicate `p(q0, q)` between root binding
+/// `r` and candidate `n`: a chain of `d` child edges composes to "at
+/// depth exactly `d` below `r`", anything with a `//` in it to "a
+/// proper descendant of `r`".
+fn root_relative_exact(
+    doc: &Document,
+    pattern: &TreePattern,
+    q: QNodeId,
+    r: NodeId,
+    n: NodeId,
+) -> bool {
+    let mut all_child = true;
+    let mut edges = 0;
+    let mut cur = q;
+    while let Some(parent) = pattern.node(cur).parent {
+        all_child &= pattern.node(cur).axis == Axis::Child;
+        edges += 1;
+        cur = parent;
+    }
+    doc.is_ancestor(r, n) && (!all_child || doc.depth(n) == doc.depth(r) + edges)
+}
+
+/// Does the literal pattern edge into `q` hold between the bindings?
+fn edge_holds(
+    doc: &Document,
+    pattern: &TreePattern,
+    q: QNodeId,
+    parent: NodeId,
+    n: NodeId,
+) -> bool {
+    match pattern.node(q).axis {
+        Axis::Child => doc.is_parent(parent, n),
+        Axis::Descendant => doc.is_ancestor(parent, n),
+    }
+}
+
+/// The best tuple score per root, by enumerating every tuple. Relaxed
+/// roots always have one (the all-null tuple at worst); exact roots
+/// without a valid embedding are absent.
+fn oracle(
+    doc: &Document,
+    pattern: &TreePattern,
+    model: &dyn ScoreModel,
+    relax: RelaxMode,
+) -> Vec<(NodeId, f64)> {
+    let servers: Vec<QNodeId> = pattern.server_ids().collect();
+    let mut out = Vec::new();
+    for r in root_candidates(doc, pattern) {
+        // Each server's universe: the tag/value-compatible proper
+        // descendants of the root binding, or the null.
+        let universes: Vec<Vec<Option<NodeId>>> = servers
+            .iter()
+            .map(|&q| {
+                let found: Vec<Option<NodeId>> = doc
+                    .elements()
+                    .filter(|&n| doc.is_ancestor(r, n) && node_matches(doc, pattern, q, n))
+                    .map(Some)
+                    .collect();
+                if found.is_empty() {
+                    vec![None]
+                } else {
+                    found
+                }
+            })
+            .collect();
+        let tuples: usize = universes.iter().map(Vec::len).product();
+        assert!(tuples <= 5_000_000, "fixture too large to enumerate");
+
+        let mut best: Option<f64> = None;
+        let mut odometer = vec![0usize; servers.len()];
+        'tuples: loop {
+            let binding = |q: QNodeId| -> Option<NodeId> {
+                if q == pattern.root() {
+                    Some(r)
+                } else {
+                    universes[q.index() - 1][odometer[q.index() - 1]]
+                }
+            };
+            let score = match relax {
+                RelaxMode::Relaxed => Some(
+                    servers
+                        .iter()
+                        .map(|&q| match binding(q) {
+                            None => 0.0,
+                            Some(n) => {
+                                let level = if root_relative_exact(doc, pattern, q, r, n) {
+                                    MatchLevel::Exact
+                                } else {
+                                    MatchLevel::Relaxed
+                                };
+                                model.contribution(q, n, level)
+                            }
+                        })
+                        .sum::<f64>(),
+                ),
+                RelaxMode::Exact => servers
+                    .iter()
+                    .map(|&q| {
+                        let n = binding(q)?;
+                        let parent = binding(pattern.node(q).parent.expect("server has a parent"))?;
+                        edge_holds(doc, pattern, q, parent, n)
+                            .then(|| model.contribution(q, n, MatchLevel::Exact))
+                    })
+                    .sum::<Option<f64>>(),
+            };
+            if let Some(s) = score {
+                let s = s + model.contribution(QNodeId::ROOT, r, MatchLevel::Exact);
+                best = Some(best.map_or(s, |b: f64| b.max(s)));
+            }
+            // Next tuple.
+            for i in 0..odometer.len() {
+                odometer[i] += 1;
+                if odometer[i] < universes[i].len() {
+                    continue 'tuples;
+                }
+                odometer[i] = 0;
+            }
+            break;
+        }
+        if let Some(s) = best {
+            out.push((r, s));
+        }
+    }
+    out
+}
+
+/// The score-multiset + tie-boundary comparator over `(key, score)`
+/// lists; `K` is a root, or a `(shard, root)` pair.
+fn check_topk<K: PartialEq + std::fmt::Debug + Copy>(
+    what: &str,
+    got: &[(K, f64)],
+    truth: &[(K, f64)],
+    k: usize,
+) {
+    let mut sorted: Vec<f64> = truth.iter().map(|&(_, s)| s).collect();
+    sorted.sort_by(|a, b| b.partial_cmp(a).unwrap());
+    sorted.truncate(k);
+    assert_eq!(got.len(), sorted.len(), "{what}: answer count, got {got:?}");
+    for (i, (&(key, s), &want)) in got.iter().zip(&sorted).enumerate() {
+        assert!(
+            (s - want).abs() <= EPS,
+            "{what}: rank {i} scores {s}, oracle {want}; got {got:?} truth {truth:?}"
+        );
+        let own = truth.iter().find(|(t, _)| *t == key);
+        assert!(
+            own.is_some_and(|&(_, t)| (t - s).abs() <= EPS),
+            "{what}: {key:?} returned at {s}, oracle says {own:?}"
+        );
+        assert!(
+            !got[..i].iter().any(|(g, _)| *g == key),
+            "{what}: {key:?} returned twice"
+        );
+    }
+    if let Some(&kth) = sorted.last() {
+        for &(key, s) in truth {
+            assert!(
+                s <= kth + EPS || got.iter().any(|(g, _)| *g == key),
+                "{what}: {key:?} scores {s} above the k-th {kth} but is missing from {got:?}"
+            );
+        }
+    }
+}
+
+/// Every engine × k ∈ {1, 2, |roots|} × relax mode against the oracle.
+fn assert_engines_match_oracle(
+    doc: &Document,
+    pattern: &TreePattern,
+    model: &dyn ScoreModel,
+    label: &str,
+) {
+    let index = TagIndex::build(doc);
+    for relax in [RelaxMode::Relaxed, RelaxMode::Exact] {
+        let truth = oracle(doc, pattern, model, relax);
+        let roots = root_candidates(doc, pattern).len().max(1);
+        for k in [1, 2, roots] {
+            for (algorithm, threads) in all_engines() {
+                let mut options = EvalOptions::top_k(k);
+                options.relax = relax;
+                options.threads = threads;
+                let result = evaluate(doc, &index, pattern, model, &algorithm, &options);
+                assert!(result.completeness.is_exact());
+                let got: Vec<(NodeId, f64)> = result
+                    .answers
+                    .iter()
+                    .map(|a| (a.root, a.score.value()))
+                    .collect();
+                let what = format!(
+                    "{label} {pattern} {relax:?} k={k} {}@{threads}",
+                    algorithm.name()
+                );
+                check_topk(&what, &got, &truth, k);
+                if relax == RelaxMode::Relaxed {
+                    let m = &result.metrics;
+                    assert!(
+                        m.partials_created <= roots as u64 + m.server_ops,
+                        "{what}: {} matches for {roots} roots and {} ops",
+                        m.partials_created,
+                        m.server_ops
+                    );
+                }
+            }
+        }
+    }
+}
+
+// -- random small trees ---------------------------------------------------
+
+const TAGS: [&str; 4] = ["a", "b", "c", "d"];
+const TEXTS: [&str; 2] = ["x", "y"];
+
+#[derive(Debug, Clone)]
+struct RandomTree {
+    tag: usize,
+    text: Option<usize>,
+    children: Vec<RandomTree>,
+}
+
+impl RandomTree {
+    fn size(&self) -> usize {
+        1 + self.children.iter().map(RandomTree::size).sum::<usize>()
+    }
+}
+
+fn tree_strategy() -> impl Strategy<Value = RandomTree> {
+    let leaf =
+        (0usize..TAGS.len(), prop::option::of(0usize..TEXTS.len())).prop_map(|(tag, text)| {
+            RandomTree {
+                tag,
+                text,
+                children: vec![],
+            }
+        });
+    leaf.prop_recursive(4, 24, 3, |inner| {
+        (0usize..TAGS.len(), prop::collection::vec(inner, 0..4)).prop_map(|(tag, children)| {
+            RandomTree {
+                tag,
+                text: None,
+                children,
+            }
+        })
+    })
+}
+
+/// Builds the tree under a fixed `<a>` document element (so `/a[...]`
+/// has a candidate), dropping subtrees past the 40-node budget.
+fn build_doc(tree: &RandomTree) -> Document {
+    fn rec(t: &RandomTree, b: &mut DocumentBuilder, budget: &mut usize) {
+        if *budget == 0 {
+            return;
+        }
+        *budget -= 1;
+        b.open(TAGS[t.tag]);
+        if let Some(text) = t.text {
+            b.text(TEXTS[text]);
+        }
+        for c in &t.children {
+            rec(c, b, budget);
+        }
+        b.close();
+    }
+    let mut b = DocumentBuilder::new();
+    let mut budget = 39;
+    b.open("a");
+    rec(tree, &mut b, &mut budget);
+    b.close();
+    b.finish()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The four engines return the brute-force enumeration's per-root
+    /// scores, in both relax modes, under idf weights (where a server's
+    /// candidates tie) and under per-node random scores (where they do
+    /// not, so picking the dominant candidate is doing real work).
+    #[test]
+    fn engines_match_the_enumeration(tree in tree_strategy(), seed in 0u64..1_000) {
+        let doc = build_doc(&tree);
+        prop_assume!(tree.size() >= 3);
+        let index = TagIndex::build(&doc);
+        for q in PATTERNS {
+            let pattern = parse_pattern(q).unwrap();
+            for norm in [Normalization::Sparse, Normalization::None] {
+                let model = TfIdfModel::build(&doc, &index, &pattern, norm);
+                assert_engines_match_oracle(&doc, &pattern, &model, &format!("{norm:?}"));
+            }
+            for model in [
+                RandomScores::sparse(seed, pattern.len()),
+                RandomScores::dense(seed, pattern.len()),
+            ] {
+                assert_engines_match_oracle(&doc, &pattern, &model, "random");
+            }
+        }
+    }
+
+    /// A two-shard collection returns the enumeration's corpus-wide
+    /// top-k under the corpus model, pruned or scanned.
+    #[test]
+    fn two_shard_collection_matches_the_enumeration(
+        left in tree_strategy(),
+        right in tree_strategy(),
+    ) {
+        let docs = [build_doc(&left), build_doc(&right)];
+        let mut collection = Collection::new();
+        collection.add_document("s0", build_doc(&left));
+        collection.add_document("s1", build_doc(&right));
+        for q in PATTERNS {
+            let pattern = parse_pattern(q).unwrap();
+            let model = collection.corpus_stats(&pattern).model(Normalization::Sparse);
+            for relax in [RelaxMode::Relaxed, RelaxMode::Exact] {
+                let truth: Vec<((usize, NodeId), f64)> = docs
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(shard, doc)| {
+                        oracle(doc, &pattern, &model, relax)
+                            .into_iter()
+                            .map(move |(root, s)| ((shard, root), s))
+                    })
+                    .collect();
+                for k in [1, 2, truth.len().max(1)] {
+                    for copts in [CollectionOptions::default(), CollectionOptions::scan_all()] {
+                        let mut options = EvalOptions::top_k(k);
+                        options.relax = relax;
+                        let result = evaluate_collection(
+                            &collection,
+                            &pattern,
+                            &Algorithm::WhirlpoolS,
+                            &options,
+                            Normalization::Sparse,
+                            &copts,
+                        );
+                        let got: Vec<((usize, NodeId), f64)> = result
+                            .answers
+                            .iter()
+                            .map(|a| ((a.shard, a.root), a.score.value()))
+                            .collect();
+                        let what = format!("{pattern} {relax:?} k={k} {copts:?}");
+                        check_topk(&what, &got, &truth, k);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn handcrafted_corner_cases_match_the_enumeration() {
+    let docs = [
+        // Recursive tags, three deep, with a sibling.
+        "<a><a><a><b>x</b></a><b>y</b></a><b>x</b><c/></a>",
+        // Repeated leaves with different values at different depths.
+        "<a><b>x</b><b>y</b><c><b>x</b><b>x</b></c><d><c><b>y</b></c></d></a>",
+        // Identical children present once, twice, never.
+        "<r><a><b><c/></b></a><a><b><c/><c/></b><b/></a><a><d/></a></r>",
+        // Nothing matches below the root.
+        "<a/>",
+    ];
+    for src in docs {
+        let doc = whirlpool_xml::parse_document(src).unwrap();
+        let index = TagIndex::build(&doc);
+        for q in PATTERNS {
+            let pattern = parse_pattern(q).unwrap();
+            let model = TfIdfModel::build(&doc, &index, &pattern, Normalization::Sparse);
+            assert_engines_match_oracle(&doc, &pattern, &model, src);
+            let random = RandomScores::sparse(7, pattern.len());
+            assert_engines_match_oracle(&doc, &pattern, &random, src);
+        }
+    }
+}
+
+// -- pinned behaviours ------------------------------------------------------
+
+/// Q2 over a 400-item XMark document: the run's counters and the
+/// number of root candidates.
+fn xmark_q2(k: usize, algorithm: &Algorithm) -> (whirlpool_core::MetricsSnapshot, u64) {
+    let doc = generate(&GeneratorConfig::items(400));
+    let index = TagIndex::build(&doc);
+    let pattern = parse_pattern(queries::Q2).unwrap();
+    let model = TfIdfModel::build(&doc, &index, &pattern, Normalization::Sparse);
+    let result = evaluate(
+        &doc,
+        &index,
+        &pattern,
+        &model,
+        algorithm,
+        &EvalOptions::top_k(k),
+    );
+    (result.metrics, root_candidates(&doc, &pattern).len() as u64)
+}
+
+/// The paper's Figure 10: work grows with k.
+#[test]
+fn whirlpool_s_work_grows_with_k() {
+    let ops: Vec<u64> = [1, 15, 75]
+        .iter()
+        .map(|&k| xmark_q2(k, &Algorithm::WhirlpoolS).0.server_ops)
+        .collect();
+    assert!(
+        ops[0] < ops[1] && ops[1] < ops[2],
+        "server ops at k = 1/15/75: {ops:?}"
+    );
+}
+
+/// Relaxed mode creates at most one match per root plus one per server
+/// operation, in every engine.
+#[test]
+fn relaxed_mode_never_fans_out() {
+    for (algorithm, _) in all_engines() {
+        let (m, roots) = xmark_q2(15, &algorithm);
+        assert!(
+            m.partials_created <= roots + m.server_ops,
+            "{}: {} matches, {} ops",
+            algorithm.name(),
+            m.partials_created,
+            m.server_ops
+        );
+    }
+}
+
+/// A 2 000-deep chain of one tag used to cost ~2 M partial matches
+/// (each `a` fanned out over every `a` below it).
+#[test]
+fn deep_chain_stays_linear() {
+    let depth = 2_000;
+    let src = "<a>".repeat(depth) + &"</a>".repeat(depth);
+    let doc = whirlpool_xml::parse_document(&src).unwrap();
+    let index = TagIndex::build(&doc);
+    let pattern = parse_pattern("//a[./a]").unwrap();
+    let model = TfIdfModel::build(&doc, &index, &pattern, Normalization::Sparse);
+    let result = evaluate(
+        &doc,
+        &index,
+        &pattern,
+        &model,
+        &Algorithm::WhirlpoolS,
+        &EvalOptions::top_k(1),
+    );
+    assert_eq!(result.answers.len(), 1);
+    assert!(
+        result.metrics.partials_created < 20_000,
+        "{} partial matches",
+        result.metrics.partials_created
+    );
+}
