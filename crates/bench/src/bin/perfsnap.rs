@@ -22,7 +22,10 @@
 //! exceed the 1-thread one (virtual time, so it holds even on a
 //! single-core CI box), and the pruning: Whirlpool-S's server
 //! operations must grow from k = 1 to k = 75 and stay within a quarter
-//! of LockStep-NoPrun's (counts, so they hold on any host). Every
+//! of LockStep-NoPrun's, Whirlpool-M's at one worker within four times
+//! Whirlpool-S's, and at k = 1 one-worker Whirlpool-M must make fewer
+//! routing decisions than there are root candidates (counts, so they
+//! hold on any host). Every
 //! section's invariants are gated here and nowhere else — CI runs
 //! `--smoke` once and reads the exit code.
 //!
@@ -775,18 +778,23 @@ fn main() {
         row.stats.metrics.server_ops
     };
     let (s_ops, noprune_ops) = (ops_of("Whirlpool-S"), ops_of("LockStep-NoPrun"));
-    let s_ops_at = |k: usize| {
+    let metrics_at = |algorithm: &Algorithm, k: usize| {
         let (stats, _) = run_config(
             &workload,
             &query,
             &model,
-            &Algorithm::WhirlpoolS,
+            algorithm,
             &EvalOptions::top_k(k),
             1,
         );
-        stats.metrics.server_ops
+        stats.metrics
     };
+    let s_ops_at = |k: usize| metrics_at(&Algorithm::WhirlpoolS, k).server_ops;
     let (s_ops_k1, s_ops_k75) = (s_ops_at(1), s_ops_at(75));
+    // Whirlpool-M on one worker (the default `threads`), at the k where
+    // most roots are never reached.
+    let m1_routing_k1 =
+        metrics_at(&Algorithm::WhirlpoolM { processors: None }, 1).routing_decisions;
 
     // Scheduler-pool sweep: Whirlpool-M at the defaults with 1,
     // 2, 4, and 8 workers. Every config must return a top-k answer
@@ -1225,6 +1233,35 @@ fn main() {
     }
     if scaling[0].stats.metrics.steal_events != 0 {
         eprintln!("perfsnap: FAIL — Whirlpool-M stole batches with a single worker");
+        std::process::exit(1);
+    }
+    // One worker schedules like Whirlpool-S at batch granularity: its
+    // work stays within a small factor of Whirlpool-S's, and a root that
+    // top-k never reaches is never routed — at k = 1, where even the
+    // smoke document has more roots than one answer needs, there are
+    // fewer routing decisions than roots. Counts, so host-independent.
+    let m1_ops = scaling[0].stats.metrics.server_ops;
+    if m1_ops > 4 * s_ops {
+        eprintln!(
+            "perfsnap: FAIL — Whirlpool-M at one worker spent {m1_ops} server ops, more than \
+             4x Whirlpool-S's {s_ops}"
+        );
+        std::process::exit(1);
+    }
+    let roots = QueryContext::new(
+        &workload.doc,
+        &workload.index,
+        &query,
+        &model,
+        ContextOptions::default(),
+    )
+    .root_candidates()
+    .len() as u64;
+    if m1_routing_k1 >= roots {
+        eprintln!(
+            "perfsnap: FAIL — Whirlpool-M at one worker made {m1_routing_k1} routing decisions \
+             at k = 1 for {roots} root candidates"
+        );
         std::process::exit(1);
     }
 

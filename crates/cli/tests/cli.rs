@@ -145,6 +145,13 @@ fn query_rejects_bad_options() {
     assert!(run_err(&["query", f, &too_big]).contains("limited to 64 nodes"));
     assert!(run_err(&["query", "/nonexistent.xml", "//a"]).contains("cannot read"));
     assert!(run_err(&["query"]).contains("missing"));
+    // A document nested past the parser's depth cap is the parse error
+    // it is (uncapped, a 140 kB chain of 20 000 cost 773 MB). Not an
+    // `.xml` name: other tests query the scratch directory as a
+    // collection.
+    let deep = write_fixture("deep.chain", &"<a>".repeat(4097));
+    let err = run_err(&["query", deep.to_str().unwrap(), "//a[./a]", "--k", "1"]);
+    assert!(err.contains("depth limit of 4096"), "{err}");
     // `--k 0` is a usage error naming the flag, not the top-k set's
     // assertion, in single-document and collection mode alike.
     assert!(run_err(&["query", f, "//b[./t]", "--k", "0"]).contains("--k must be at least 1"));

@@ -89,12 +89,12 @@ pub struct EvalOptions {
     /// [`EvalResult::trace`]. Off by default; when off, every emit
     /// site in the engines is one inlined branch.
     pub trace: bool,
-    /// Total scheduler worker threads for Whirlpool-M, independent of
-    /// query size: server queues get home workers round-robin and idle
-    /// workers steal whole batches from loaded foreign queues. `1`
-    /// serializes all server work onto one worker; larger values
-    /// implement the paper's §7 "maximal parallelism" future-work
-    /// proposal. Ignored by the other engines.
+    /// Threads a Whirlpool-M run uses, the calling thread included,
+    /// independent of query size: each worker takes its batches from
+    /// whichever queue has the best head and routes its own survivors.
+    /// `1` runs everything on the caller; larger values implement the
+    /// paper's §7 "maximal parallelism" future-work proposal. Ignored
+    /// by the other engines.
     pub threads: usize,
     /// Lower bound seeded into the run's top-k pruning threshold.
     /// `0.0` (the default) is inert. The collection driver sets this to

@@ -52,7 +52,7 @@
 //! | [`Algorithm::LockStepNoPrune`] | LockStep-NoPrun | exhaustive baseline, exact reference |
 //! | [`Algorithm::LockStep`] | LockStep | static plan + score pruning (≈ OptThres) |
 //! | [`Algorithm::WhirlpoolS`] | Whirlpool-S | single-threaded, adaptive per-match routing |
-//! | [`Algorithm::WhirlpoolM`] | Whirlpool-M | adaptive routing; a work-stealing worker pool serves the servers + router thread |
+//! | [`Algorithm::WhirlpoolM`] | Whirlpool-M | adaptive routing; a pool of `threads` workers (the caller included) serves the per-server queues best head first, each routing its own survivors |
 //!
 //! Routing strategies ([`RoutingStrategy`]) and queue policies
 //! ([`QueuePolicy`]) correspond to §6.1.3/§6.1.4 of the paper; the

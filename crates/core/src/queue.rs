@@ -136,6 +136,11 @@ impl MatchQueue {
         self.heap.peek().map(|e| e.rank.0)
     }
 
+    /// The rank of the head entry, if any.
+    pub(crate) fn peek_rank(&self) -> Option<Rank> {
+        self.heap.peek().map(|e| e.rank)
+    }
+
     /// Number of queued matches.
     pub fn len(&self) -> usize {
         self.heap.len()

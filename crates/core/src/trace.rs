@@ -78,7 +78,8 @@ pub const TS_REFRESH: u32 = 32;
 /// belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueId {
-    /// The router's queue (Whirlpool-S's only queue).
+    /// The router's queue: Whirlpool-S's only queue, and Whirlpool-M's
+    /// queue of matches not yet routed.
     Router,
     /// The per-server queue of this server (Whirlpool-M).
     Server(QNodeId),
@@ -111,7 +112,8 @@ pub struct RouteExplain {
     pub strategy: &'static str,
     /// Top-k threshold at decision time.
     pub threshold: f64,
-    /// Router-queue depth at decision time.
+    /// Router-queue depth at decision time (Whirlpool-M: the depth of
+    /// its unrouted queue).
     pub queue_len: usize,
     /// The chosen server (`None`: every remaining server is dead).
     pub chosen: Option<QNodeId>,

@@ -1,75 +1,89 @@
 //! Whirlpool-M: the multi-threaded adaptive engine, scheduled by a
-//! work-stealing worker pool.
+//! pool of workers that route their own survivors.
 //!
-//! The paper assigns "each server ... an individual thread" (§6.1.2),
-//! which caps parallelism at the number of query nodes and leaves
-//! threads idle whenever routing skews load toward one server. Here
-//! the per-server priority queues stay (they carry the paper's
-//! prioritization semantics), but they are *served* by a pool of N
-//! workers (N = `threads`, independent of query size): every server
-//! queue has a home worker (`queue index mod N`), each worker drains
-//! its home queues round-robin in [`DRAIN_BATCH`]-sized batches, and a
-//! worker whose home queues are dry *steals* one whole batch from the
-//! most-loaded foreign queue. Batches pop in heap order, so per-server
-//! priority order is preserved within every batch, stolen or not. A
-//! dedicated router thread assigns survivors their next server; the
-//! top-k set is shared.
+//! The paper assigns "each server ... an individual thread" (§6.1.2)
+//! plus a router thread, which caps parallelism at the number of query
+//! nodes, leaves threads idle whenever routing skews load toward one
+//! server, and lets a server thread drain fresh root matches while the
+//! survivors it just produced wait for the router. Here the per-server
+//! priority queues stay (they carry the paper's prioritization
+//! semantics), but they are *served* by a pool of N workers (N =
+//! `threads`, the calling thread included, independent of query size)
+//! and nothing else: there is no router thread.
+//!
+//! Each turn a worker takes one [`DRAIN_BATCH`]-sized batch from
+//! whichever queue — any server queue, or the *unrouted* queue that
+//! holds the root matches and dead-server rescues — has the
+//! highest-ranked head under [`QueuePolicy::rank`]. A server batch is
+//! joined at its server and the worker routes the survivors itself; an
+//! unrouted batch is only routed. This is Whirlpool-S's single queue
+//! at batch granularity: an in-progress match runs before a fresh root
+//! is admitted, a root that top-k never reaches is never routed, and
+//! once the unrouted head cannot beat the k-th score the whole unrouted
+//! queue is pruned in one step. Batches pop in heap order, so
+//! per-server priority order is preserved within every batch. Every
+//! server queue still has a home worker (`queue index mod N`); a batch
+//! a worker takes from a server queue that is not its home is counted
+//! and traced as a *steal*. The top-k set is shared.
 //!
 //! Termination: a global in-flight counter tracks matches in queues or
 //! being processed; it reaches zero exactly when "there are no more
 //! partial matches in any of the server queues, the router queue, or
 //! being compared against the top-k set" (§5.1). Each worker settles
-//! its batch's net count change in one atomic op *before* publishing
-//! the batch's survivors, so the count never undercounts live matches
-//! — the settling protocol is per-batch, not per-queue, and therefore
-//! unaffected by which worker drained the batch.
+//! its batch's net count change in one atomic op *before* it routes and
+//! publishes the batch's survivors, so the count never undercounts live
+//! matches — the settling protocol is per-batch, not per-queue, and
+//! therefore unaffected by which worker drained the batch. The worker
+//! that drives the count to zero sets `done` and wakes the pool; there
+//! is no separate thread waiting for termination.
 //!
 //! Fault tolerance: a server whose injected fault fires (or that
 //! panics) is isolated — the worker processing it marks it dead,
-//! closes its queue, and rescues the queued matches; the router stops
-//! routing to it and finishes stranded matches through degradation
-//! (relaxed mode binds the dead server to the outer-join null, scoring
-//! the predicate as the leaf-deletion relaxation). The worker itself
-//! does *not* retire: it moves on to its other queues. A panic that
-//! escapes the fault layer entirely (no fault plan — e.g. a panicking
-//! score model) is caught at batch granularity: the in-hand match and
-//! the rest of the batch are accounted into the truncation certificate
-//! and the worker continues, so the run still terminates with a valid
-//! anytime bound. Every rescued match either re-enters the router
-//! queue (count unchanged) or leaves the system (count decremented).
+//! closes its queue, and rescues the queued matches into the unrouted
+//! queue; routing skips it and finishes stranded matches through
+//! degradation (relaxed mode binds the dead server to the outer-join
+//! null, scoring the predicate as the leaf-deletion relaxation). The
+//! worker itself does *not* retire: it moves on to the other queues. A
+//! panic that escapes the fault layer entirely (no fault plan — e.g. a
+//! panicking score model) is caught at batch granularity: the in-hand
+//! match and the rest of the batch are accounted into the truncation
+//! certificate and the worker continues, so the run still terminates
+//! with a valid anytime bound. Every rescued match either re-enters the
+//! unrouted queue (count unchanged) or leaves the system (count
+//! decremented).
 
 use crate::context::{Located, QueryContext, RelaxMode};
 use crate::fault::{guarded_process_located, EngineRun, RunControl, Truncation};
 use crate::partial::PartialMatch;
 use crate::pool::{MatchPool, PoolHub};
-use crate::queue::{MatchQueue, QueuePolicy};
+use crate::queue::{MatchQueue, QueuePolicy, Rank};
 use crate::router::RoutingStrategy;
 use crate::topk::{RankedAnswer, SharedTopK};
+use crate::trace::{QueueId, WorkerTrace};
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use whirlpool_pattern::QNodeId;
+use whirlpool_score::Score;
 
-/// Matches a worker moves per queue-lock acquisition: servers drain up
-/// to this many waiting matches in one pop, the router drains up to
-/// this many survivors in one pop and hands each server its routed
-/// group in one push. Batching cuts lock traffic ~`DRAIN_BATCH`× at
-/// the price of slightly staler priority order *within* a batch (a
+/// Matches a worker moves per queue-lock acquisition: it drains up to
+/// this many waiting matches in one pop and hands each server its
+/// routed group in one push. Batching cuts lock traffic ~`DRAIN_BATCH`×
+/// at the price of slightly staler priority order *within* a batch (a
 /// higher-priority arrival cannot preempt matches already drained).
 const DRAIN_BATCH: usize = 32;
 
 /// Configuration for [`run_whirlpool_m`].
 #[derive(Debug, Clone)]
 pub struct WhirlpoolMConfig {
-    /// Per-server queue prioritization (the paper settled on
+    /// Queue prioritization, for the server queues and the unrouted
+    /// queue alike (the paper settled on
     /// [`QueuePolicy::MaxFinalScore`]).
     pub queue_policy: QueuePolicy,
-    /// Total worker threads in the scheduler pool, independent of query
-    /// size. Server queues are assigned home workers round-robin and
-    /// idle workers steal whole batches from loaded foreign queues;
-    /// `1` serializes every server operation onto one worker (plus the
-    /// router thread), larger values realize the paper's future-work
-    /// proposal of "maximal parallelism" (§7) without one thread per
-    /// server.
+    /// Threads the run uses, the calling thread included, independent
+    /// of query size: `1` serializes every server operation and routing
+    /// decision onto the caller, larger values realize the paper's
+    /// future-work proposal of "maximal parallelism" (§7) without one
+    /// thread per server.
     pub threads: usize,
 }
 
@@ -90,11 +104,12 @@ struct QueueState {
     closed: bool,
 }
 
-/// A lock+condvar guarded match queue shared between producer and
-/// consumer threads.
+/// A lock-guarded match queue shared by the worker pool. Nothing ever
+/// blocks on one queue: workers park on the pool-wide work signal
+/// ([`Shared::signal_work`]), which every publisher raises after its
+/// pushes.
 struct SharedQueue {
     inner: Mutex<QueueState>,
-    cv: Condvar,
 }
 
 impl SharedQueue {
@@ -104,21 +119,17 @@ impl SharedQueue {
                 queue: MatchQueue::new(policy, server),
                 closed: false,
             }),
-            cv: Condvar::new(),
         }
     }
 
     /// Pushes `m` unless the queue has been closed; a closed queue
     /// hands the match back so the caller can re-route it.
     fn push(&self, ctx: &QueryContext<'_>, m: PartialMatch) -> Result<(), PartialMatch> {
-        {
-            let mut guard = self.inner.lock();
-            if guard.closed {
-                return Err(m);
-            }
-            guard.queue.push(ctx, m);
+        let mut guard = self.inner.lock();
+        if guard.closed {
+            return Err(m);
         }
-        self.cv.notify_one();
+        guard.queue.push(ctx, m);
         Ok(())
     }
 
@@ -126,62 +137,28 @@ impl SharedQueue {
     /// `batch`. A closed queue leaves `batch` untouched and returns
     /// `false` so the caller can re-route every match in it.
     fn push_batch(&self, ctx: &QueryContext<'_>, batch: &mut Vec<PartialMatch>) -> bool {
-        if batch.is_empty() {
-            return true;
+        let mut guard = self.inner.lock();
+        if guard.closed {
+            return false;
         }
-        let many = batch.len() > 1;
-        {
-            let mut guard = self.inner.lock();
-            if guard.closed {
-                return false;
-            }
-            for m in batch.drain(..) {
-                guard.queue.push(ctx, m);
-            }
-        }
-        // One wake per batch; notify_all only when there is work for
-        // more than one sibling worker.
-        if many {
-            self.cv.notify_all();
-        } else {
-            self.cv.notify_one();
+        for m in batch.drain(..) {
+            guard.queue.push(ctx, m);
         }
         true
     }
 
-    /// Blocks until at least one match is available, then drains up to
-    /// `max` of them into `out` — all under the single lock
-    /// acquisition. Returns `false` (with `out` untouched) once the
-    /// queue is closed or `done` is set with nothing left to drain.
-    fn pop_wait_batch(&self, done: &AtomicBool, max: usize, out: &mut Vec<PartialMatch>) -> bool {
-        let mut guard = self.inner.lock();
-        loop {
-            if !guard.queue.is_empty() {
-                while out.len() < max {
-                    match guard.queue.pop() {
-                        Some(m) => out.push(m),
-                        None => break,
-                    }
-                }
-                return true;
-            }
-            if guard.closed || done.load(Ordering::Acquire) {
-                return false;
-            }
-            self.cv.wait(&mut guard);
-        }
+    /// The rank of the head match (`None`: empty or closed).
+    fn peek_rank(&self) -> Option<Rank> {
+        self.inner.lock().queue.peek_rank()
     }
 
-    /// Drains up to `max` matches into `out` without blocking — the
-    /// worker-pool drain/steal primitive. Returns `true` when at least
-    /// one match was moved; an empty or closed queue returns `false`
-    /// immediately. Popping preserves heap order, so the batch carries
-    /// the queue's priority order with it wherever it is processed.
+    /// Drains up to `max` matches into `out` without blocking. Returns
+    /// `true` when at least one match was moved; an empty or closed
+    /// queue returns `false` immediately. Popping preserves heap order,
+    /// so the batch carries the queue's priority order with it to
+    /// whichever worker processes it.
     fn try_pop_batch(&self, max: usize, out: &mut Vec<PartialMatch>) -> bool {
         let mut guard = self.inner.lock();
-        if guard.closed || guard.queue.is_empty() {
-            return false;
-        }
         while out.len() < max {
             match guard.queue.pop() {
                 Some(m) => out.push(m),
@@ -191,41 +168,21 @@ impl SharedQueue {
         !out.is_empty()
     }
 
-    /// Closes the queue and removes everything still in it, in one lock
-    /// acquisition: any push that loses the race gets its match back
+    /// Removes everything queued, in no particular order, and — with
+    /// `close` — closes the queue, all in one lock acquisition: any
+    /// push that loses the race with a close gets its match back
     /// (`push` returns `Err`) and re-routes, so no match is stranded in
-    /// a closed queue. Notifying after the drop is safe here — unlike
-    /// the `done` flag, `closed` is set under the queue lock itself, so
-    /// a waiter that saw `closed == false` was parked before we took
-    /// the lock and receives the notification.
-    fn close_and_drain(&self) -> Vec<PartialMatch> {
-        let mut rescued = Vec::new();
-        {
-            let mut guard = self.inner.lock();
-            guard.closed = true;
-            while let Some(m) = guard.queue.pop() {
-                rescued.push(m);
-            }
-        }
-        self.cv.notify_all();
-        rescued
+    /// a closed queue (which is therefore always empty).
+    fn drain(&self, close: bool) -> Vec<PartialMatch> {
+        let mut guard = self.inner.lock();
+        guard.closed |= close;
+        guard.queue.drain().collect()
     }
 
     /// Current queue depth (takes the lock; used only by the tracing
     /// layer when it samples queue depths).
     fn len(&self) -> usize {
         self.inner.lock().queue.len()
-    }
-
-    /// Wakes every waiter. Must acquire the queue lock first: a waiter
-    /// that has checked the `done` flag (false) but not yet parked holds
-    /// the lock, and notifying without it would be a *lost wakeup* —
-    /// the notification fires before the wait begins and the thread
-    /// sleeps forever. Taking the lock orders this notify after that
-    /// waiter's `wait()`, which re-checks `done` on wake.
-    fn wake_all(&self) {
-        let _guard = self.inner.lock();
-        self.cv.notify_all();
     }
 }
 
@@ -238,17 +195,19 @@ struct Shared<'c, 'a> {
     /// Reservoir rebalancing binding buffers between the per-worker
     /// pool shards in whole blocks.
     pool_hub: PoolHub,
-    router_queue: SharedQueue,
+    queue_policy: QueuePolicy,
+    /// Matches no server has been chosen for yet: the root matches and
+    /// the matches rescued from a dead server. Never closed; the
+    /// workers serve it like any server queue.
+    unrouted: SharedQueue,
     server_queues: Vec<SharedQueue>,
     /// Matches alive in the system (queued or being processed).
     in_flight: AtomicI64,
     done: AtomicBool,
-    done_cv: Condvar,
-    done_lock: Mutex<()>,
-    /// Bumped after every push that makes server-queue work visible
-    /// (and on termination). Workers snapshot it before scanning their
-    /// queues and re-check it under `work_lock` before parking, which
-    /// closes the scan/park lost-wakeup window.
+    /// Bumped after every push that makes queued work visible (and on
+    /// termination). Workers snapshot it before scanning the queues and
+    /// re-check it under `work_lock` before parking, which closes the
+    /// scan/park lost-wakeup window.
     work_version: AtomicU64,
     work_lock: Mutex<()>,
     work_cv: Condvar,
@@ -257,42 +216,64 @@ struct Shared<'c, 'a> {
 }
 
 impl Shared<'_, '_> {
-    /// Applies a net change to the in-flight count; the caller must have
-    /// already pushed any children it created. Signals completion when
-    /// the count reaches zero.
+    /// Applies a net change to the in-flight count; any match the
+    /// change credits must still be in the caller's hands (not yet
+    /// published). Signals completion when the count reaches zero.
     fn adjust_in_flight(&self, delta: i64) {
         let now = self.in_flight.fetch_add(delta, Ordering::AcqRel) + delta;
         debug_assert!(now >= 0, "in-flight count went negative");
         if now == 0 {
             self.done.store(true, Ordering::Release);
-            self.router_queue.wake_all();
             self.signal_work();
-            let _g = self.done_lock.lock();
-            self.done_cv.notify_all();
         }
     }
 
-    /// Publishes new server-queue work (or termination) to the worker
+    /// Publishes newly queued work (or termination) to the worker
     /// pool. The version bump is `Release`, so a worker whose `Acquire`
     /// snapshot observes it also observes the push that preceded it;
     /// the notify takes `work_lock` first, which orders it after any
-    /// in-progress park decision (the same lost-wakeup argument as
-    /// [`SharedQueue::wake_all`]).
+    /// in-progress park decision — a worker that has re-checked the
+    /// version but not yet parked holds the lock, and notifying without
+    /// it would be a *lost wakeup*.
     fn signal_work(&self) {
         self.work_version.fetch_add(1, Ordering::Release);
         let _g = self.work_lock.lock();
         self.work_cv.notify_all();
     }
 
+    /// Publishes matches to the unrouted queue and wakes the pool.
+    fn publish_unrouted(&self, batch: &mut Vec<PartialMatch>) {
+        if !batch.is_empty() {
+            let open = self.unrouted.push_batch(self.ctx, batch);
+            debug_assert!(open, "the unrouted queue is never closed");
+            self.signal_work();
+        }
+    }
+
     fn server_queue(&self, server: QNodeId) -> &SharedQueue {
         &self.server_queues[server.index() - 1]
     }
+
+    /// Queue `qi`: a server queue, or — one past the last — the
+    /// unrouted queue.
+    fn queue(&self, qi: usize) -> &SharedQueue {
+        self.server_queues.get(qi).unwrap_or(&self.unrouted)
+    }
+
+    /// The queue whose head ranks highest (`None`: all empty). Ranks
+    /// are totally ordered across queues — `seq` is unique within a run
+    /// — so every worker sees the same best head, and an in-progress
+    /// match outranks a fresh root at the same score ceiling.
+    fn best_head(&self) -> Option<usize> {
+        (0..=self.server_queues.len())
+            .filter_map(|qi| Some((self.queue(qi).peek_rank()?, qi)))
+            .max()
+            .map(|(_, qi)| qi)
+    }
 }
 
-/// Runs Whirlpool-M: a pool of [`WhirlpoolMConfig::threads`] workers
-/// serving every server queue (with batch stealing), one router
-/// thread, and the calling thread acting as the paper's "main thread
-/// \[that\] checks for termination".
+/// Runs Whirlpool-M on a pool of [`WhirlpoolMConfig::threads`] workers,
+/// the calling thread being one of them.
 pub fn run_whirlpool_m(
     ctx: &QueryContext<'_>,
     routing: &RoutingStrategy,
@@ -323,15 +304,14 @@ pub fn run_whirlpool_m_anytime(
         ctx,
         topk: SharedTopK::with_floor(k, control.threshold_floor()),
         pool_hub: PoolHub::new(),
-        router_queue: SharedQueue::new(QueuePolicy::MaxFinalScore, None),
+        queue_policy: config.queue_policy,
+        unrouted: SharedQueue::new(config.queue_policy, None),
         server_queues: server_ids
             .iter()
             .map(|&s| SharedQueue::new(config.queue_policy, Some(s)))
             .collect(),
         in_flight: AtomicI64::new(0),
         done: AtomicBool::new(false),
-        done_cv: Condvar::new(),
-        done_lock: Mutex::new(()),
         work_version: AtomicU64::new(0),
         work_lock: Mutex::new(()),
         work_cv: Condvar::new(),
@@ -339,7 +319,7 @@ pub fn run_whirlpool_m_anytime(
         full_mask,
     };
 
-    // Seed the router queue with the root server's output.
+    // Seed the unrouted queue with the root server's output.
     let mut seed_tr = control.trace_worker("main");
     seed_tr.span_begin("seed");
     let mut seeds = Vec::new();
@@ -358,49 +338,35 @@ pub fn run_whirlpool_m_anytime(
             }
         }
     }
-    let seeded = seeds.len() as i64;
-    push_batch_to_router(&shared, &mut seeds);
+    shared
+        .in_flight
+        .store(seeds.len() as i64, Ordering::Release);
+    shared.publish_unrouted(&mut seeds);
     seed_tr.span_end("seed");
     drop(seed_tr);
-    if seeded == 0 {
-        return EngineRun::exact(shared.topk.into_inner().ranked());
-    }
-    shared.in_flight.store(seeded, Ordering::Release);
 
     let trunc = Truncation::new();
     let workers = config.threads.max(1);
-    std::thread::scope(|scope| {
-        // Router thread.
-        {
-            let (shared, trunc) = (&shared, &trunc);
-            scope.spawn(move || router_loop(shared, routing, control, trunc));
-        }
-        // Worker pool: N workers serve all the server queues between
-        // them, N independent of the query size.
-        for worker_id in 0..workers {
-            let (shared, trunc) = (&shared, &trunc);
-            scope.spawn(move || worker_loop(shared, worker_id, workers, control, trunc));
-        }
-        // Main thread: wait for termination.
-        let mut guard = shared.done_lock.lock();
-        while !shared.done.load(Ordering::Acquire) {
-            shared.done_cv.wait(&mut guard);
-        }
-    });
+    if shared.in_flight.load(Ordering::Acquire) > 0 {
+        std::thread::scope(|scope| {
+            for worker_id in 1..workers {
+                let (shared, trunc) = (&shared, &trunc);
+                scope.spawn(move || {
+                    worker_loop(shared, routing, worker_id, workers, control, trunc)
+                });
+            }
+            // The calling thread is worker 0, so `threads` is the
+            // number of threads the run uses; whichever worker settles
+            // the last match ends the run for all of them.
+            worker_loop(&shared, routing, 0, workers, control, &trunc);
+        });
+    }
 
     let answers = shared.topk.into_inner().ranked();
     let completeness = trunc.finish(&answers);
     EngineRun {
         answers,
         completeness,
-    }
-}
-
-/// Pushes a batch to the router queue (one lock acquisition), which is
-/// never closed.
-fn push_batch_to_router(shared: &Shared<'_, '_>, batch: &mut Vec<PartialMatch>) {
-    if !shared.router_queue.push_batch(shared.ctx, batch) {
-        unreachable!("the router queue is never closed");
     }
 }
 
@@ -411,8 +377,8 @@ fn drain_expired(
     control: &RunControl,
     trunc: &Truncation,
     m: PartialMatch,
-    pool: &mut crate::pool::MatchPool<'_>,
-    tr: &mut crate::trace::WorkerTrace,
+    pool: &mut MatchPool<'_>,
+    tr: &mut WorkerTrace,
 ) {
     if trunc.expire() {
         control.count_stop(&shared.ctx.metrics);
@@ -423,84 +389,85 @@ fn drain_expired(
     shared.adjust_in_flight(-1);
 }
 
-fn router_loop(
+/// One routing decision among the live servers, with its explain
+/// record when tracing.
+fn choose_traced(
     shared: &Shared<'_, '_>,
     routing: &RoutingStrategy,
     control: &RunControl,
-    trunc: &Truncation,
-) {
+    m: &PartialMatch,
+    threshold: Score,
+    queue_len: usize,
+    tr: &mut WorkerTrace,
+) -> Option<QNodeId> {
     let ctx = shared.ctx;
-    // The router only needs a pool on the degraded paths; it is idle
-    // (and allocates nothing) in fault-free runs.
-    let mut pool = ctx.new_pool_shared(&shared.pool_hub);
-    let mut tr = control.trace_worker("router");
-    tr.span_begin("route");
-    let mut batch = Vec::new();
-    // One out-queue per server: decisions stay per-match, queue pushes
-    // are per (batch × server).
-    let mut groups: Vec<Vec<PartialMatch>> =
-        shared.server_queues.iter().map(|_| Vec::new()).collect();
-    while shared
-        .router_queue
-        .pop_wait_batch(&shared.done, DRAIN_BATCH, &mut batch)
-    {
-        let threshold = shared.topk.threshold_snapshot();
-        let queue_len = if tr.enabled() {
-            let len = shared.router_queue.len();
-            tr.queue_depth(crate::trace::QueueId::Router, len);
-            len
-        } else {
-            0
-        };
-        for m in batch.drain(..) {
-            if trunc.is_expired() || control.exhausted(&ctx.metrics) {
-                drain_expired(shared, control, trunc, m, &mut pool, &mut tr);
-                continue;
-            }
-            let candidates = if tr.enabled() {
-                routing.explain(ctx, &m, threshold, |s| !control.is_dead(s))
-            } else {
-                Vec::new()
-            };
-            let choice = routing.try_choose(ctx, &m, threshold, |s| !control.is_dead(s));
-            if tr.enabled() {
-                tr.routed(crate::trace::RouteExplain {
-                    seq: m.seq,
-                    strategy: routing.name(),
-                    threshold: threshold.value(),
-                    queue_len,
-                    chosen: choice,
-                    candidates,
-                });
-            }
-            match choice {
-                Some(server) => groups[server.index() - 1].push(m),
-                // Every remaining server for this match is dead.
-                None => finish_unroutable(shared, trunc, m, &mut pool, &mut tr),
-            }
-        }
-        let mut pushed = false;
-        for (i, group) in groups.iter_mut().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            if shared.server_queues[i].push_batch(ctx, group) {
-                pushed = true;
-            } else {
-                // The queue closed between the aliveness check and the
-                // push (its server just died): re-route each match
-                // among the survivors.
-                for m in group.drain(..) {
-                    ctx.metrics.add_match_redistributed();
-                    reroute(shared, routing, control, trunc, m, &mut pool, &mut tr);
-                }
-            }
-        }
-        if pushed {
-            shared.signal_work();
+    let candidates = if tr.enabled() {
+        routing.explain(ctx, m, threshold, |s| !control.is_dead(s))
+    } else {
+        Vec::new()
+    };
+    let choice = routing.try_choose(ctx, m, threshold, |s| !control.is_dead(s));
+    if tr.enabled() {
+        tr.routed(crate::trace::RouteExplain {
+            seq: m.seq,
+            strategy: routing.name(),
+            threshold: threshold.value(),
+            queue_len,
+            chosen: choice,
+            candidates,
+        });
+    }
+    choice
+}
+
+/// Settles a batch and routes what it left alive. The net in-flight
+/// change lands in one atomic op *before* the survivors are routed and
+/// become visible to other workers, so the count never dips below the
+/// true number of live matches (the survivors are part of `net`, so it
+/// cannot reach zero while any exist). Routing decisions stay
+/// per-match, under one threshold snapshot; queue pushes are one per
+/// destination server.
+fn settle_and_route(
+    shared: &Shared<'_, '_>,
+    routing: &RoutingStrategy,
+    work: &mut BatchWork,
+    control: &RunControl,
+    trunc: &Truncation,
+    pool: &mut MatchPool<'_>,
+    tr: &mut WorkerTrace,
+) {
+    work.settle(shared);
+    if work.survivors.is_empty() {
+        return;
+    }
+    let ctx = shared.ctx;
+    let threshold = shared.topk.threshold_snapshot();
+    let queue_len = if tr.enabled() {
+        let len = shared.unrouted.len();
+        tr.queue_depth(QueueId::Router, len);
+        len
+    } else {
+        0
+    };
+    for m in work.survivors.drain(..) {
+        match choose_traced(shared, routing, control, &m, threshold, queue_len, tr) {
+            Some(server) => work.groups[server.index() - 1].push(m),
+            // Every remaining server for this match is dead.
+            None => finish_unroutable(shared, trunc, m, pool, tr),
         }
     }
-    tr.span_end("route");
+    for (group, queue) in work.groups.iter_mut().zip(&shared.server_queues) {
+        if !group.is_empty() && !queue.push_batch(ctx, group) {
+            // The queue closed between the aliveness check and the
+            // push (its server just died): re-route each match among
+            // the survivors.
+            for m in group.drain(..) {
+                ctx.metrics.add_match_redistributed();
+                reroute(shared, routing, control, trunc, m, pool, tr);
+            }
+        }
+    }
+    shared.signal_work();
 }
 
 /// Re-routes one match that lost a race with a closing queue,
@@ -512,37 +479,24 @@ fn reroute(
     control: &RunControl,
     trunc: &Truncation,
     mut m: PartialMatch,
-    pool: &mut crate::pool::MatchPool<'_>,
-    tr: &mut crate::trace::WorkerTrace,
+    pool: &mut MatchPool<'_>,
+    tr: &mut WorkerTrace,
 ) {
     let ctx = shared.ctx;
     loop {
         let threshold = shared.topk.threshold_snapshot();
-        let candidates = if tr.enabled() {
-            routing.explain(ctx, &m, threshold, |s| !control.is_dead(s))
+        let queue_len = if tr.enabled() {
+            shared.unrouted.len()
         } else {
-            Vec::new()
+            0
         };
-        let choice = routing.try_choose(ctx, &m, threshold, |s| !control.is_dead(s));
-        if tr.enabled() {
-            tr.routed(crate::trace::RouteExplain {
-                seq: m.seq,
-                strategy: routing.name(),
-                threshold: threshold.value(),
-                queue_len: shared.router_queue.len(),
-                chosen: choice,
-                candidates,
-            });
-        }
-        let Some(server) = choice else {
+        let Some(server) = choose_traced(shared, routing, control, &m, threshold, queue_len, tr)
+        else {
             finish_unroutable(shared, trunc, m, pool, tr);
             return;
         };
         match shared.server_queue(server).push(ctx, m) {
-            Ok(()) => {
-                shared.signal_work();
-                return;
-            }
+            Ok(()) => return,
             Err(back) => {
                 ctx.metrics.add_match_redistributed();
                 m = back;
@@ -558,8 +512,8 @@ fn finish_unroutable(
     shared: &Shared<'_, '_>,
     trunc: &Truncation,
     m: PartialMatch,
-    pool: &mut crate::pool::MatchPool<'_>,
-    tr: &mut crate::trace::WorkerTrace,
+    pool: &mut MatchPool<'_>,
+    tr: &mut WorkerTrace,
 ) {
     let ctx = shared.ctx;
     trunc.account(m.max_final);
@@ -579,16 +533,17 @@ fn finish_unroutable(
 }
 
 /// Rescues one match that reached dead `server`: relaxed mode degrades
-/// it past the server and sends it back to the router (unless it is
-/// now complete or prunable); exact mode drops it with its bound
-/// recorded.
+/// it past the server and hands it to `rescued`, bound for the unrouted
+/// queue (unless it is now complete or prunable); exact mode drops it
+/// with its bound recorded.
 fn handle_dead_server_match(
     shared: &Shared<'_, '_>,
     trunc: &Truncation,
     server: QNodeId,
     m: PartialMatch,
-    pool: &mut crate::pool::MatchPool<'_>,
-    tr: &mut crate::trace::WorkerTrace,
+    rescued: &mut Vec<PartialMatch>,
+    pool: &mut MatchPool<'_>,
+    tr: &mut WorkerTrace,
 ) {
     let ctx = shared.ctx;
     trunc.account(m.max_final);
@@ -618,9 +573,7 @@ fn handle_dead_server_match(
     };
     if keep {
         // The rescued match stays in flight: net count change is zero.
-        if shared.router_queue.push(ctx, e).is_err() {
-            unreachable!("the router queue is never closed");
-        }
+        rescued.push(e);
     } else {
         if complete {
             ctx.metrics.add_answer_degraded();
@@ -636,8 +589,8 @@ fn handle_dead_server_match(
 /// Per-batch working state. It lives outside the batch loop so a panic
 /// that escapes the fault layer can be settled at batch granularity:
 /// [`abandon_batch`] accounts the in-hand match and the unprocessed
-/// remainder into the truncation certificate and still publishes the
-/// survivors the batch had already produced.
+/// remainder into the truncation certificate and the worker still
+/// routes the survivors the batch had already produced.
 #[derive(Default)]
 struct BatchWork {
     /// Drained batch, highest priority last (processed back-to-front).
@@ -646,23 +599,34 @@ struct BatchWork {
     locs: Vec<Located>,
     /// Extensions produced by the match currently being processed.
     exts: Vec<PartialMatch>,
-    /// Extensions that survived pruning, awaiting the router.
+    /// Matches the batch left alive, awaiting routing.
     survivors: Vec<PartialMatch>,
+    /// Routed survivors, one out-group per server queue.
+    groups: Vec<Vec<PartialMatch>>,
     /// Net in-flight change accumulated across the batch; applied in
-    /// one atomic op at settle time, before the survivors are pushed.
+    /// one atomic op at settle time, before the survivors are routed.
     net: i64,
     /// The match whose server op is running right now. Stored here —
     /// not in a loop local — so `abandon_batch` can account it.
     in_hand: Option<PartialMatch>,
 }
 
-/// One scheduler worker: drains its home queues (indices congruent to
-/// `worker_id` mod `n_workers`) round-robin one batch at a time, steals
-/// a whole batch from the most-loaded foreign queue when every home
-/// queue is dry, and parks on the global work signal when there is
-/// nothing to do anywhere.
+impl BatchWork {
+    /// Applies the accumulated net in-flight change.
+    fn settle(&mut self, shared: &Shared<'_, '_>) {
+        if self.net != 0 {
+            shared.adjust_in_flight(std::mem::take(&mut self.net));
+        }
+    }
+}
+
+/// One scheduler worker: each turn it takes a batch from the queue with
+/// the best head, joins it at its server (or, for the unrouted queue,
+/// just admits it), routes what survives, and parks on the global work
+/// signal when every queue is empty.
 fn worker_loop(
     shared: &Shared<'_, '_>,
+    routing: &RoutingStrategy,
     worker_id: usize,
     n_workers: usize,
     control: &RunControl,
@@ -674,12 +638,14 @@ fn worker_loop(
     // shared hub when a shard runs dry or overflows.
     let mut pool = ctx.new_pool_shared(&shared.pool_hub);
     let server_ids = ctx.server_ids();
-    let n_servers = shared.server_queues.len();
-    let mut work = BatchWork::default();
+    let mut work = BatchWork {
+        groups: server_ids.iter().map(|_| Vec::new()).collect(),
+        ..BatchWork::default()
+    };
     let mut tr = if control.tracing() {
         control.trace_worker(&format!("worker {worker_id}"))
     } else {
-        crate::trace::WorkerTrace::disabled()
+        WorkerTrace::disabled()
     };
     tr.span_begin("serve");
     loop {
@@ -689,56 +655,83 @@ fn worker_loop(
         // instead of sleeping — the scan/park lost-wakeup window is
         // closed by the version, the notify by `work_lock`.
         let version = shared.work_version.load(Ordering::Acquire);
-        let mut found = false;
-        // Home queues first, one batch each per sweep so no home queue
-        // starves another. With one worker every queue is home, so
-        // `steal_events` is zero by construction in serial runs.
-        for qi in (worker_id..n_servers).step_by(n_workers) {
-            if shared.server_queues[qi].try_pop_batch(DRAIN_BATCH, &mut work.local) {
-                found = true;
-                let server = server_ids[qi];
-                serve_batch(
-                    shared, server, &mut work, control, trunc, &mut pool, &mut tr,
+        if let Some(qi) = shared.best_head() {
+            // A sibling may have emptied the queue since the peek;
+            // then there is nothing to do but look again.
+            if shared.queue(qi).try_pop_batch(DRAIN_BATCH, &mut work.local) {
+                match server_ids.get(qi) {
+                    Some(&server) => {
+                        // With one worker every queue is home, so
+                        // `steal_events` is zero by construction in
+                        // serial runs.
+                        if qi % n_workers != worker_id {
+                            ctx.metrics.add_steal(1);
+                            tr.stolen(server, work.local.len());
+                        }
+                        serve_batch(
+                            shared, server, &mut work, control, trunc, &mut pool, &mut tr,
+                        );
+                    }
+                    None => admit_batch(shared, &mut work, control, trunc, &mut pool, &mut tr),
+                }
+                settle_and_route(
+                    shared, routing, &mut work, control, trunc, &mut pool, &mut tr,
                 );
             }
-        }
-        if !found && !shared.done.load(Ordering::Acquire) {
-            // Every home queue is dry: steal one whole batch from the
-            // most-loaded foreign queue. The batch pops in heap order,
-            // so the stolen work is exactly that server's current
-            // highest-priority prefix and per-server priority order is
-            // preserved within the batch.
-            let victim = (0..n_servers)
-                .filter(|qi| qi % n_workers != worker_id)
-                .map(|qi| (shared.server_queues[qi].len(), qi))
-                .max();
-            if let Some((len, qi)) = victim {
-                if len > 0 && shared.server_queues[qi].try_pop_batch(DRAIN_BATCH, &mut work.local) {
-                    found = true;
-                    let server = server_ids[qi];
-                    ctx.metrics.add_steal(1);
-                    tr.stolen(server, work.local.len());
-                    serve_batch(
-                        shared, server, &mut work, control, trunc, &mut pool, &mut tr,
-                    );
-                }
-            }
-        }
-        if found {
             continue;
         }
         if shared.done.load(Ordering::Acquire) {
             break;
         }
         let mut guard = shared.work_lock.lock();
-        if shared.done.load(Ordering::Acquire)
-            || shared.work_version.load(Ordering::Acquire) != version
+        if !shared.done.load(Ordering::Acquire)
+            && shared.work_version.load(Ordering::Acquire) == version
         {
-            continue;
+            shared.work_cv.wait(&mut guard);
         }
-        shared.work_cv.wait(&mut guard);
     }
     tr.span_end("serve");
+}
+
+/// Admits one batch popped from the unrouted queue: every match gets a
+/// queue pop's budget check, then its prune check — in that order, as
+/// in Whirlpool-S — and what passes awaits routing in `work.survivors`.
+fn admit_batch(
+    shared: &Shared<'_, '_>,
+    work: &mut BatchWork,
+    control: &RunControl,
+    trunc: &Truncation,
+    pool: &mut MatchPool<'_>,
+    tr: &mut WorkerTrace,
+) {
+    let ctx = shared.ctx;
+    // Highest priority first (the drain preserved heap order; reverse
+    // so pop() walks it front-first).
+    work.local.reverse();
+    let mut swept = shared.queue_policy != QueuePolicy::MaxFinalScore;
+    while let Some(m) = work.local.pop() {
+        if trunc.is_expired() || control.exhausted(&ctx.metrics) {
+            drain_expired(shared, control, trunc, m, pool, tr);
+            continue;
+        }
+        if !shared.topk.should_prune(&m) {
+            work.survivors.push(m);
+            continue;
+        }
+        if !swept {
+            // Under max-final-score order nothing unrouted can reach
+            // higher than the head: once it cannot beat the k-th score
+            // the whole unrouted queue goes in one step. Each match
+            // still takes the checks above, because a sibling may have
+            // published a rescue since this batch was popped.
+            swept = true;
+            work.local.extend(shared.unrouted.drain(false));
+        }
+        ctx.metrics.add_pruned();
+        tr.pruned(&m, shared.topk.threshold_snapshot());
+        pool.release(m);
+        work.net -= 1;
+    }
 }
 
 /// Serves one drained batch on behalf of `server`, catching any panic
@@ -754,59 +747,45 @@ fn serve_batch(
     control: &RunControl,
     trunc: &Truncation,
     pool: &mut MatchPool<'_>,
-    tr: &mut crate::trace::WorkerTrace,
+    tr: &mut WorkerTrace,
 ) {
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         process_batch(shared, server, work, control, trunc, pool, tr);
     }));
     if caught.is_err() {
-        abandon_batch(shared, trunc, work, pool, tr);
+        abandon_batch(trunc, work, pool, tr);
     }
 }
 
-/// Settles a batch whose processing panicked outside the fault layer.
-/// The in-hand match and the unprocessed remainder are accounted into
-/// the truncation certificate and leave the system; extensions of the
-/// in-hand match were never admitted (no spawn event, not yet counted
-/// in-flight), so their buffers are simply recycled. The net count
-/// change — including the kills — lands in one atomic op *before* the
-/// already-produced survivors are pushed, preserving the settling
-/// protocol's no-undercount invariant.
+/// Accounts a batch whose processing panicked outside the fault layer.
+/// The in-hand match and the unprocessed remainder enter the truncation
+/// certificate and leave the system; extensions of the in-hand match
+/// were never admitted (no spawn event, not yet counted in-flight), so
+/// their buffers are simply recycled. The kills join the batch's net
+/// count change, which the worker settles — as after any batch —
+/// *before* it routes the survivors the batch had already produced.
 fn abandon_batch(
-    shared: &Shared<'_, '_>,
     trunc: &Truncation,
     work: &mut BatchWork,
     pool: &mut MatchPool<'_>,
-    tr: &mut crate::trace::WorkerTrace,
+    tr: &mut WorkerTrace,
 ) {
     trunc.mark();
-    let mut killed = 0i64;
-    if let Some(m) = work.in_hand.take() {
+    for m in work.in_hand.take().into_iter().chain(work.local.drain(..)) {
         trunc.account(m.max_final);
         tr.abandoned(&m);
         pool.release(m);
-        killed += 1;
-    }
-    while let Some(m) = work.local.pop() {
-        trunc.account(m.max_final);
-        tr.abandoned(&m);
-        pool.release(m);
-        killed += 1;
+        work.net -= 1;
     }
     for e in work.exts.drain(..) {
         pool.release(e);
     }
     work.locs.clear();
-    let delta = work.net - killed;
-    work.net = 0;
-    // `net` credits every survivor, so the count cannot reach zero
-    // while the survivors below are still unpublished.
-    if delta != 0 {
-        shared.adjust_in_flight(delta);
-    }
-    push_batch_to_router(shared, &mut work.survivors);
 }
 
+/// Joins one drained batch at `server`. Leaves the batch's survivors in
+/// `work.survivors` and its net in-flight change in `work.net` for
+/// [`settle_and_route`].
 fn process_batch(
     shared: &Shared<'_, '_>,
     server: QNodeId,
@@ -814,12 +793,12 @@ fn process_batch(
     control: &RunControl,
     trunc: &Truncation,
     pool: &mut MatchPool<'_>,
-    tr: &mut crate::trace::WorkerTrace,
+    tr: &mut WorkerTrace,
 ) {
     let ctx = shared.ctx;
     let queue = shared.server_queue(server);
     if tr.enabled() {
-        tr.queue_depth(crate::trace::QueueId::Server(server), queue.len());
+        tr.queue_depth(QueueId::Server(server), queue.len());
     }
     // Process the drained batch highest-priority first (the drain
     // preserved heap order; reverse so pop() walks it front-first).
@@ -829,10 +808,6 @@ fn process_batch(
     // with `local` and the two are popped in lockstep.
     let roots: Vec<_> = work.local.iter().map(|m| m.root()).collect();
     ctx.locate_batch_at_server(server, &roots, &mut work.locs);
-    // Net in-flight change accumulated across the batch; applied in
-    // one atomic op at settle time, before the survivors are pushed,
-    // so the count never undercounts live matches.
-    work.net = 0;
     while let Some(m) = work.local.pop() {
         let loc = work.locs.pop().expect("locs stays aligned with local");
         if trunc.is_expired() || control.exhausted(&ctx.metrics) {
@@ -866,22 +841,21 @@ fn process_batch(
         let m = work.in_hand.take().expect("in-hand match is present");
         if !ran {
             // This server is dead (it may have just died under us).
-            // Settle the batch so far, then close its queue and rescue
-            // everything still waiting — the match in hand, the rest of
-            // the drained batch, and the queue. The *worker* does not
-            // retire: it moves on to the other queues it serves.
-            if work.net != 0 {
-                shared.adjust_in_flight(work.net);
-                work.net = 0;
+            // Settle the batch so far — its survivors must be counted
+            // before any rescue below can take the count down — then
+            // close the queue and rescue everything still waiting: the
+            // match in hand, the rest of the drained batch, and the
+            // queue. The *worker* does not retire: it moves on to the
+            // other queues.
+            work.settle(shared);
+            let mut rescued = Vec::new();
+            let waiting = std::iter::once(m)
+                .chain(work.local.drain(..).rev())
+                .chain(queue.drain(true));
+            for x in waiting {
+                handle_dead_server_match(shared, trunc, server, x, &mut rescued, pool, tr);
             }
-            push_batch_to_router(shared, &mut work.survivors);
-            handle_dead_server_match(shared, trunc, server, m, pool, tr);
-            while let Some(rest) = work.local.pop() {
-                handle_dead_server_match(shared, trunc, server, rest, pool, tr);
-            }
-            for rescued in queue.close_and_drain() {
-                handle_dead_server_match(shared, trunc, server, rescued, pool, tr);
-            }
+            shared.publish_unrouted(&mut rescued);
             work.locs.clear();
             return;
         }
@@ -953,16 +927,6 @@ fn process_batch(
             // branch samples the live value whenever it changes.
         }
     }
-    // Settle the batch: the net count change lands in one atomic op
-    // *before* the survivors become visible to other workers, so the
-    // count never dips below the true number of live matches (the
-    // survivors are part of `net`, so it cannot reach zero while any
-    // exist).
-    if work.net != 0 {
-        shared.adjust_in_flight(work.net);
-        work.net = 0;
-    }
-    push_batch_to_router(shared, &mut work.survivors);
 }
 
 #[cfg(test)]
@@ -984,6 +948,8 @@ mod tests {
         <book><isbn>5</isbn><price>1</price></book>\
         </shelf>";
 
+    const FULL_QUERY: &str = "//book[./title and ./isbn and ./price]";
+
     fn harness(query: &str, relax: RelaxMode, f: impl FnOnce(&QueryContext<'_>, usize)) {
         let doc = parse_document(SRC).unwrap();
         let index = TagIndex::build(&doc);
@@ -1000,6 +966,132 @@ mod tests {
             },
         );
         f(&ctx, pattern.server_ids().count());
+    }
+
+    /// A shelf of `n` identical books, each reaching the score ceiling
+    /// of `FULL_QUERY`, evaluated for the top 1 under a tracer.
+    fn traced_shelf_run(
+        n: usize,
+        budget: crate::fault::Budget,
+        threads: usize,
+    ) -> (EngineRun, crate::trace::TraceSummary) {
+        let book = "<book><title>t</title><isbn>1</isbn><price>9</price></book>";
+        let doc = parse_document(&format!("<shelf>{}</shelf>", book.repeat(n))).unwrap();
+        let index = TagIndex::build(&doc);
+        let pattern = parse_pattern(FULL_QUERY).unwrap();
+        let model = TfIdfModel::build(&doc, &index, &pattern, Normalization::Sparse);
+        let ctx = QueryContext::new(&doc, &index, &pattern, &model, ContextOptions::default());
+        let tracer = crate::trace::Tracer::new();
+        let control = RunControl::new(budget, None, pattern.len()).with_tracer(tracer.clone());
+        let config = WhirlpoolMConfig {
+            threads,
+            ..WhirlpoolMConfig::default()
+        };
+        let run = run_whirlpool_m_anytime(&ctx, &RoutingStrategy::MinAlive, 1, &config, &control);
+        (run, tracer.finish().summary())
+    }
+
+    #[test]
+    fn prunable_unrouted_head_drops_the_rest_in_one_step() {
+        let roots = 10 * DRAIN_BATCH;
+        let (run, trace) = traced_shelf_run(roots, crate::fault::Budget::unlimited(), 1);
+        assert!(run.completeness.is_exact());
+        assert_eq!(run.answers.len(), 1);
+        assert!(trace.balanced(), "{trace:?}");
+        // One answer at the ceiling makes the unrouted head prunable:
+        // only the first batch of roots was ever routed (at most once
+        // per server), and the other nine left as pruned.
+        assert!(trace.routed <= 3 * DRAIN_BATCH as u64, "{trace:?}");
+        assert!(trace.pruned >= (roots - DRAIN_BATCH) as u64, "{trace:?}");
+        assert_eq!(trace.abandoned, 0);
+    }
+
+    #[test]
+    fn pre_expired_op_budget_accounts_every_seed() {
+        let roots = 3 * DRAIN_BATCH;
+        for threads in [1, 2] {
+            let spent = crate::fault::Budget::new(None, Some(0));
+            let (run, trace) = traced_shelf_run(roots, spent, threads);
+            match run.completeness {
+                crate::Completeness::Truncated {
+                    pending_matches, ..
+                } => assert_eq!(pending_matches, roots as u64, "threads={threads}"),
+                other => panic!("threads={threads}: expected truncation, got {other:?}"),
+            }
+            assert!(trace.balanced(), "{trace:?}");
+            assert_eq!(trace.abandoned, roots as u64);
+            assert_eq!((trace.consumed, trace.pruned, trace.routed), (0, 0, 0));
+        }
+    }
+
+    /// Panics once `after` server (non-root) contribution calls have
+    /// been made.
+    struct PanicAfter<'m> {
+        inner: &'m TfIdfModel,
+        calls: AtomicU64,
+        after: u64,
+    }
+
+    impl whirlpool_score::ScoreModel for PanicAfter<'_> {
+        fn contribution(
+            &self,
+            server: QNodeId,
+            node: whirlpool_xml::NodeId,
+            level: whirlpool_score::MatchLevel,
+        ) -> f64 {
+            if server != QNodeId::ROOT && self.calls.fetch_add(1, Ordering::Relaxed) >= self.after {
+                panic!("injected score-model panic");
+            }
+            self.inner.contribution(server, node, level)
+        }
+
+        fn max_contribution(&self, server: QNodeId) -> f64 {
+            self.inner.max_contribution(server)
+        }
+    }
+
+    #[test]
+    fn a_panic_at_any_operation_still_ends_the_run_at_two_threads() {
+        // No fault plan, so the panic escapes the fault layer into
+        // `serve_batch`. Wherever it lands, `abandon_batch` must leave
+        // the in-flight count exact — one match too many and the two
+        // workers park forever, one too few and the run ends with
+        // matches still queued.
+        let doc = parse_document(SRC).unwrap();
+        let index = TagIndex::build(&doc);
+        let pattern = parse_pattern(FULL_QUERY).unwrap();
+        let model = TfIdfModel::build(&doc, &index, &pattern, Normalization::Sparse);
+        let run = |after: u64, threads: usize| {
+            let panicking = PanicAfter {
+                inner: &model,
+                calls: AtomicU64::new(0),
+                after,
+            };
+            let ctx = QueryContext::new(
+                &doc,
+                &index,
+                &pattern,
+                &panicking,
+                ContextOptions::default(),
+            );
+            let config = WhirlpoolMConfig {
+                threads,
+                ..WhirlpoolMConfig::default()
+            };
+            let control = RunControl::unlimited();
+            let run =
+                run_whirlpool_m_anytime(&ctx, &RoutingStrategy::MinAlive, 6, &config, &control);
+            (run, panicking.calls.load(Ordering::Relaxed))
+        };
+        let (clean, total) = run(u64::MAX, 1);
+        assert!(clean.completeness.is_exact());
+        assert!(total > 8, "workload too small: {total} calls");
+        for after in 0..total {
+            let (r, calls) = run(after, 2);
+            // The run came back at all; and it is certified truncated
+            // exactly when the panic fired.
+            assert_eq!(r.completeness.is_exact(), calls <= after, "after={after}");
+        }
     }
 
     #[test]
@@ -1124,11 +1216,11 @@ mod tests {
 
     #[test]
     fn shutdown_handshake_survives_many_iterations() {
-        // Regression test for a lost-wakeup deadlock: `wake_all` must
-        // take the queue lock before notifying, or a thread that
+        // Regression test for a lost-wakeup deadlock: `signal_work`
+        // must take `work_lock` before notifying, or a worker that
         // checked `done == false` but had not yet parked sleeps
         // forever. The window is narrow — hammer the full
-        // start/evaluate/terminate cycle.
+        // start/evaluate/terminate cycle, with a second worker to park.
         let doc = parse_document(SRC).unwrap();
         let index = TagIndex::build(&doc);
         let pattern = parse_pattern("//book[./title and ./isbn]").unwrap();
@@ -1139,7 +1231,10 @@ mod tests {
                 &ctx,
                 &RoutingStrategy::MinAlive,
                 3,
-                &WhirlpoolMConfig::default(),
+                &WhirlpoolMConfig {
+                    threads: 2,
+                    ..WhirlpoolMConfig::default()
+                },
             );
             assert!(!got.is_empty(), "iteration {i}");
         }

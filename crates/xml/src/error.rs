@@ -68,6 +68,13 @@ pub enum ParseErrorKind {
     },
     /// Non-whitespace text outside any element.
     TextOutsideRoot,
+    /// An element nested deeper than the parser accepts.
+    TooDeep {
+        /// Depth of the rejected element (top-level elements are at 1).
+        depth: usize,
+        /// The deepest nesting accepted.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for ParseErrorKind {
@@ -99,6 +106,10 @@ impl fmt::Display for ParseErrorKind {
                 write!(f, "duplicate attribute {name:?}")
             }
             ParseErrorKind::TextOutsideRoot => write!(f, "text content outside any element"),
+            ParseErrorKind::TooDeep { depth, limit } => write!(
+                f,
+                "element nested {depth} deep exceeds the depth limit of {limit}"
+            ),
         }
     }
 }

@@ -26,8 +26,9 @@ fn well_formed_battery() {
     ok("<a  x=\"1\"  y=\"2\" />");
     // Unicode content and tags.
     ok("<données>café ☕ 中文</données>");
-    // Deep nesting (recursion-free parser must not blow the stack).
-    let deep = format!("{}{}", "<a>".repeat(5_000), "</a>".repeat(5_000));
+    // Deep nesting, as deep as the parser accepts (it is recursion-free
+    // and must not blow the stack; `malformed.rs` pins the cap).
+    let deep = format!("{}{}", "<a>".repeat(4_096), "</a>".repeat(4_096));
     ok(&deep);
     // Wide fanout.
     let wide = format!("<r>{}</r>", "<x/>".repeat(50_000));

@@ -68,3 +68,42 @@ fn errors_display_cleanly() {
     let err = parse_document("<a>").unwrap_err();
     assert!(!err.to_string().is_empty());
 }
+
+/// `depth` nested `<a>` elements.
+fn chain(depth: usize) -> String {
+    "<a>".repeat(depth) + &"</a>".repeat(depth)
+}
+
+/// Nesting is capped: a node's Dewey path is as long as its depth, so
+/// an uncapped chain costs memory quadratic in a few kilobytes of
+/// input. The deepest accepted document parses; one level more is a
+/// typed error at the offending tag, raised before the node exists.
+#[test]
+fn nesting_beyond_the_depth_limit_is_a_typed_error() {
+    let doc = parse_document(&chain(4096)).expect("4 096 deep is accepted");
+    assert_eq!(doc.len(), 4096 + 1);
+
+    let src = chain(4097);
+    let start = std::time::Instant::now();
+    let err = parse_document(&src).unwrap_err();
+    assert_eq!(
+        err.kind,
+        ParseErrorKind::TooDeep {
+            depth: 4097,
+            limit: 4096
+        }
+    );
+    assert_eq!(err.position.offset, 3 * 4096);
+    assert!(err.to_string().contains("depth limit of 4096"), "{err}");
+    // Far below what the rejected chain would have cost uncapped; the
+    // accepted 4 096-deep document above is the most a parse can hold
+    // (4 096² / 2 Dewey components of 4 bytes: 34 MB).
+    assert!(start.elapsed().as_millis() < 50, "{:?}", start.elapsed());
+
+    // A self-closing element is an element too.
+    let err = parse_document(&("<a>".repeat(4096) + "<b/>")).unwrap_err();
+    assert!(matches!(
+        err.kind,
+        ParseErrorKind::TooDeep { depth: 4097, .. }
+    ));
+}

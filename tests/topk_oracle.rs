@@ -490,6 +490,42 @@ fn whirlpool_s_work_grows_with_k() {
     );
 }
 
+/// Whirlpool-M at one worker — the calling thread, so the counters are
+/// deterministic — schedules like Whirlpool-S at batch granularity:
+/// its work grows with k too, stays within one 32-match batch per
+/// server of Whirlpool-S's, and only roots it reaches are ever routed.
+#[test]
+fn whirlpool_m_at_one_worker_tracks_whirlpool_s() {
+    let m = Algorithm::WhirlpoolM { processors: None };
+    let servers = parse_pattern(queries::Q2).unwrap().server_ids().count() as u64;
+    let slack = 32 * servers;
+    let mut fewer_ops = 0;
+    for k in [1, 15, 75] {
+        let (a, _) = xmark_q2(k, &m);
+        let (b, _) = xmark_q2(k, &m);
+        assert_eq!(
+            (a.server_ops, a.routing_decisions, a.pruned),
+            (b.server_ops, b.routing_decisions, b.pruned),
+            "k={k}: two runs differ"
+        );
+        let (s, _) = xmark_q2(k, &Algorithm::WhirlpoolS);
+        assert!(
+            a.server_ops <= 2 * s.server_ops + slack,
+            "k={k}: {} ops against Whirlpool-S's {}",
+            a.server_ops,
+            s.server_ops
+        );
+        assert!(
+            a.routing_decisions <= a.server_ops + slack,
+            "k={k}: {} routing decisions for {} ops",
+            a.routing_decisions,
+            a.server_ops
+        );
+        assert!(a.server_ops > fewer_ops, "k={k}: {} ops", a.server_ops);
+        fewer_ops = a.server_ops;
+    }
+}
+
 /// Relaxed mode creates at most one match per root plus one per server
 /// operation, in every engine.
 #[test]
