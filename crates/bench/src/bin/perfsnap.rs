@@ -23,9 +23,11 @@
 //! single-core CI box), and the pruning: Whirlpool-S's server
 //! operations must grow from k = 1 to k = 75 and stay within a quarter
 //! of LockStep-NoPrun's, Whirlpool-M's at one worker within four times
-//! Whirlpool-S's, and at k = 1 one-worker Whirlpool-M must make fewer
-//! routing decisions than there are root candidates (counts, so they
-//! hold on any host). Every
+//! Whirlpool-S's, at k = 1 one-worker Whirlpool-M must make fewer
+//! routing decisions than there are root candidates, and Whirlpool-S
+//! must create at most two partial matches per server operation plus
+//! one while leaving root candidates unseeded (counts, so they hold on
+//! any host). Every
 //! section's invariants are gated here and nowhere else — CI runs
 //! `--smoke` once and reads the exit code.
 //!
@@ -53,11 +55,11 @@
 //! uncapped), lazy wall ≤ eager wall, and evictions under
 //! `max_resident = 2`.
 //!
-//! `--compare <old BENCH_core.json>` diffs this run's engine
-//! wall-clock medians against a previous snapshot and exits non-zero
-//! when any engine regressed by more than 15 % and 1 ms (skipped with a
-//! warning when the old snapshot was taken on a different document
-//! label).
+//! `--compare <old BENCH_core.json>` diffs this run's engine medians
+//! (context build + evaluation wall) against a previous snapshot and
+//! exits non-zero when any engine regressed by more than 15 % and 1 ms
+//! (skipped with a warning when the old snapshot was taken on a
+//! different document label).
 
 use std::io::Write as _;
 use std::time::Instant;
@@ -65,14 +67,17 @@ use whirlpool_bench::aggregate::TraceAggregate;
 use whirlpool_bench::vtime::{sequential_virtual_time, simulate_whirlpool_m, VTimeConfig};
 use whirlpool_bench::{median, Workload};
 use whirlpool_core::{
-    answers_equivalent, collection_answers_equivalent, evaluate_collection, Algorithm, Collection,
-    CollectionOptions, ContextOptions, EvalOptions, EvalResult, MetricsSnapshot, QueryContext,
-    QueuePolicy, RoutingStrategy,
+    answers_equivalent, collection_answers_equivalent, evaluate_collection, evaluate_with_context,
+    Algorithm, Collection, CollectionOptions, ContextOptions, EvalOptions, EvalResult,
+    MetricsSnapshot, QueryContext, QueuePolicy, RoutingStrategy,
 };
 use whirlpool_score::Normalization;
 use whirlpool_xmark::{generate, queries, GeneratorConfig};
 
 struct ConfigStats {
+    /// Median of `QueryContext::new`, which a run pays before
+    /// `wall_ms_median` starts: a query costs their sum.
+    context_ms_median: f64,
     wall_ms_median: f64,
     metrics: MetricsSnapshot,
 }
@@ -107,16 +112,31 @@ fn run_config(
     options: &EvalOptions,
     reps: usize,
 ) -> (ConfigStats, EvalResult) {
+    let mut contexts = Vec::with_capacity(reps);
     let mut walls = Vec::with_capacity(reps);
     let mut last = None;
     for _ in 0..reps {
-        let result = workload.run(query, model, algorithm, options);
+        let built = Instant::now();
+        let ctx = QueryContext::new(
+            &workload.doc,
+            &workload.index,
+            query,
+            model,
+            ContextOptions {
+                relax: options.relax,
+                selectivity_sample: options.selectivity_sample,
+                op_cost: options.op_cost,
+            },
+        );
+        contexts.push(built.elapsed().as_secs_f64() * 1e3);
+        let result = evaluate_with_context(&ctx, algorithm, options);
         walls.push(result.elapsed.as_secs_f64() * 1e3);
         last = Some(result);
     }
     let last = last.expect("reps >= 1");
     (
         ConfigStats {
+            context_ms_median: median(&mut contexts),
             wall_ms_median: median(&mut walls),
             metrics: last.metrics,
         },
@@ -618,8 +638,9 @@ fn snapshot_bench(
     }
 }
 
-/// `(engine name, wall_ms_median)` of every engine row in an old
-/// snapshot: the first `wall_ms_median` after each `"name"`.
+/// `(engine name, context_ms_median + wall_ms_median)` of every engine
+/// row in an old snapshot: the first of each after a `"name"`. Rows
+/// older than the context column count as if the build were free.
 fn parse_snapshot_walls(text: &str) -> Vec<(String, f64)> {
     let mut out = Vec::new();
     let mut pos = 0;
@@ -630,17 +651,14 @@ fn parse_snapshot_walls(text: &str) -> Vec<(String, f64)> {
         };
         let name = text[start..start + name_len].to_string();
         pos = start + name_len;
-        let marker = "\"wall_ms_median\": ";
-        let Some(j) = text[pos..].find(marker) else {
-            continue;
+        let row = &text[pos..pos + text[pos..].find("\"name\": \"").unwrap_or(text.len() - pos)];
+        let field = |marker: &str| -> Option<f64> {
+            let vstart = row.find(marker)? + marker.len();
+            let vend = vstart + row[vstart..].find([',', '}'])?;
+            row[vstart..vend].trim().parse().ok()
         };
-        let vstart = pos + j + marker.len();
-        let vend = vstart
-            + text[vstart..]
-                .find([',', '}'])
-                .unwrap_or(text.len() - vstart);
-        if let Ok(v) = text[vstart..vend].trim().parse::<f64>() {
-            out.push((name, v));
+        if let Some(wall) = field("\"wall_ms_median\": ") {
+            out.push((name, field("\"context_ms_median\": ").unwrap_or(0.0) + wall));
         }
     }
     out
@@ -678,16 +696,19 @@ fn answer_key(r: &EvalResult) -> Vec<(usize, u64)> {
 fn config_json(out: &mut String, s: &ConfigStats) {
     let m = &s.metrics;
     out.push_str(&format!(
-        "      \"wall_ms_median\": {:.3}, \"buffers_allocated\": {}, \
-         \"buffers_reused\": {}, \"pool_hit_rate\": {:.4}, \"partials_created\": {}, \
+        "      \"context_ms_median\": {:.3}, \"wall_ms_median\": {:.3}, \
+         \"buffers_allocated\": {}, \"buffers_reused\": {}, \"pool_hit_rate\": {:.4}, \
+         \"partials_created\": {}, \"roots_unseeded\": {}, \
          \"server_ops\": {}, \"pruned\": {}, \"deadline_hits\": {}, \
          \"servers_failed\": {}, \"matches_redistributed\": {}, \
          \"answers_degraded\": {},\n",
+        s.context_ms_median,
         s.wall_ms_median,
         m.buffers_allocated,
         m.buffers_reused,
         m.pool_hit_rate(),
         m.partials_created,
+        m.roots_unseeded,
         m.server_ops,
         m.pruned,
         m.deadline_hits,
@@ -778,6 +799,12 @@ fn main() {
         row.stats.metrics.server_ops
     };
     let (s_ops, noprune_ops) = (ops_of("Whirlpool-S"), ops_of("LockStep-NoPrun"));
+    let s_metrics = rows
+        .iter()
+        .find(|r| r.name == "Whirlpool-S")
+        .expect("Whirlpool-S row")
+        .stats
+        .metrics;
     let metrics_at = |algorithm: &Algorithm, k: usize| {
         let (stats, _) = run_config(
             &workload,
@@ -1082,9 +1109,10 @@ fn main() {
 
     for row in &rows {
         eprintln!(
-            "perfsnap: {:16} wall {:8.2} ms, {:>9} buffers allocated, {:>9} reused \
-             (hit rate {:.3})",
+            "perfsnap: {:16} context {:5.2} + wall {:8.2} ms, {:>9} buffers allocated, \
+             {:>9} reused (hit rate {:.3})",
             row.name,
+            row.stats.context_ms_median,
             row.stats.wall_ms_median,
             row.stats.metrics.buffers_allocated,
             row.stats.metrics.buffers_reused,
@@ -1194,6 +1222,22 @@ fn main() {
             "perfsnap: FAIL — Whirlpool-S spent {s_ops} server ops, more than a quarter of \
              LockStep-NoPrun's {noprune_ops}"
         );
+        std::process::exit(1);
+    }
+    // Seeding is on demand: every root Whirlpool-S turns into a match
+    // it also processes (or ends the run on), so its matches follow its
+    // operations, and at k = 15 even the smoke document has roots it
+    // never reaches. Counts, so host-independent.
+    if s_metrics.partials_created > 2 * s_ops + 1 {
+        eprintln!(
+            "perfsnap: FAIL — Whirlpool-S created {} partial matches for {s_ops} server ops \
+             (more than 2 x ops + 1: roots are being seeded that nobody visits)",
+            s_metrics.partials_created
+        );
+        std::process::exit(1);
+    }
+    if s_metrics.roots_unseeded == 0 {
+        eprintln!("perfsnap: FAIL — Whirlpool-S at k = {k} left no root candidate unseeded");
         std::process::exit(1);
     }
     // Serve conservation gate: the daemon's outcome counters must
@@ -1386,10 +1430,12 @@ fn main() {
         eprintln!("perfsnap: wrote {trace_path}");
     }
 
-    // Snapshot-diff gate: any engine whose wall median exceeds the
-    // old snapshot's by more than 15 % — and by more than 1 ms, below
-    // which a handful of reps on a shared host resolves nothing
-    // (Whirlpool-S is a 1.2 ms run) — fails the run. Cross-scale
+    // Snapshot-diff gate: any engine whose context build + wall median
+    // exceeds the old snapshot's by more than 15 % — and by more than
+    // 1 ms, below which a handful of reps on a shared host resolves
+    // nothing (Whirlpool-S is a 0.1 ms run) — fails the run. The sum,
+    // because locating moved between the two: what the constructor
+    // used to merge per server, a lock-step stage now merges on arrival. Cross-scale
     // comparisons (different doc labels) are refused, not guessed at.
     // Runs after the files are written so a failing run still leaves
     // the new snapshot behind for inspection (CI uploads it).
@@ -1411,21 +1457,23 @@ fn main() {
                     eprintln!("perfsnap: WARN — {} absent from {old_path}", row.name);
                     continue;
                 };
+                let new_ms = row.stats.context_ms_median + row.stats.wall_ms_median;
                 let delta = if *old_ms > 0.0 {
-                    row.stats.wall_ms_median / old_ms - 1.0
+                    new_ms / old_ms - 1.0
                 } else {
                     0.0
                 };
-                let verdict = if delta > 0.15 && row.stats.wall_ms_median - old_ms > 1.0 {
+                let verdict = if delta > 0.15 && new_ms - old_ms > 1.0 {
                     regressed = true;
                     "REGRESSED"
                 } else {
                     "ok"
                 };
                 eprintln!(
-                    "perfsnap: compare {:16} wall {:8.2} ms vs {:8.2} ms ({:+.1}%) {verdict}",
+                    "perfsnap: compare {:16} context + wall {:8.2} ms vs {:8.2} ms ({:+.1}%) \
+                     {verdict}",
                     row.name,
-                    row.stats.wall_ms_median,
+                    new_ms,
                     old_ms,
                     delta * 100.0,
                 );

@@ -6,7 +6,7 @@ use crate::args::Parsed;
 use crate::commands::{load_document, load_query};
 use crate::CliError;
 use std::io::Write;
-use whirlpool_core::{ContextOptions, QueryContext};
+use whirlpool_core::{evaluate_with_context, Algorithm, ContextOptions, EvalOptions, QueryContext};
 use whirlpool_index::TagIndex;
 use whirlpool_pattern::Direction;
 use whirlpool_score::{Normalization, TfIdfModel};
@@ -24,7 +24,15 @@ pub fn run(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
     let ctx = QueryContext::new(&doc, &index, &query, &model, ContextOptions::default());
 
     writeln!(out, "query:           {query}")?;
-    writeln!(out, "root candidates: {}", ctx.root_candidates().len())?;
+    // How many of them a default top-k run ever turns into a match.
+    let k = 10;
+    let run = evaluate_with_context(&ctx, &Algorithm::WhirlpoolS, &EvalOptions::top_k(k));
+    writeln!(
+        out,
+        "root candidates: {} ({} never seeded by Whirlpool-S at k = {k})",
+        ctx.root_candidates().len(),
+        run.metrics.roots_unseeded
+    )?;
     writeln!(out)?;
     writeln!(
         out,

@@ -347,12 +347,13 @@ pub fn run(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
     writeln!(
         out,
         "work:      {} server ops ({} locate batches), {} comparisons, {} matches created, \
-         {} pruned",
+         {} pruned, {} roots never seeded",
         result.metrics.server_ops,
         result.metrics.server_op_batches,
         result.metrics.predicate_comparisons,
         result.metrics.partials_created,
-        result.metrics.pruned
+        result.metrics.pruned,
+        result.metrics.roots_unseeded
     )?;
     writeln!(out, "elapsed:   {:?}", result.elapsed)?;
     if parsed.flag("stats") {
@@ -509,12 +510,13 @@ fn run_collection(
     writeln!(
         out,
         "work:       {} server ops ({} locate batches), {} comparisons, {} matches created, \
-         {} pruned",
+         {} pruned, {} roots never seeded",
         result.metrics.server_ops,
         result.metrics.server_op_batches,
         result.metrics.predicate_comparisons,
         result.metrics.partials_created,
-        result.metrics.pruned
+        result.metrics.pruned,
+        result.metrics.roots_unseeded
     )?;
     writeln!(out, "elapsed:    {:?}", result.elapsed)?;
     Ok(())
@@ -590,8 +592,8 @@ fn write_collection_json(
     writeln!(
         out,
         "  \"metrics\": {{\"server_ops\": {}, \"predicate_comparisons\": {}, \
-         \"partials_created\": {}, \"pruned\": {}}},",
-        m.server_ops, m.predicate_comparisons, m.partials_created, m.pruned
+         \"partials_created\": {}, \"pruned\": {}, \"roots_unseeded\": {}}},",
+        m.server_ops, m.predicate_comparisons, m.partials_created, m.pruned, m.roots_unseeded
     )?;
     writeln!(out, "  \"answers\": [")?;
     let texts = answer_texts(collection, result, false);
@@ -635,6 +637,13 @@ fn write_explain(out: &mut dyn Write, trace: &whirlpool_core::TraceData) -> Resu
         s.abandoned,
         if s.balanced() { "" } else { "  (UNBALANCED)" }
     )?;
+    if s.roots_unseeded > 0 {
+        writeln!(
+            out,
+            "  unseeded:  {} root candidates never became a match",
+            s.roots_unseeded
+        )?;
+    }
     if s.degraded_completions > 0 {
         writeln!(
             out,
@@ -759,9 +768,9 @@ fn write_json(
     let m = &result.metrics;
     writeln!(
         out,
-        "  \"metrics\": {{\"server_ops\": {}, \"server_op_batches\": {}, \"predicate_comparisons\": {},          \"partials_created\": {}, \"pruned\": {}, \"routing_decisions\": {},          \"deadline_hits\": {}, \"servers_failed\": {}, \"matches_redistributed\": {},          \"answers_degraded\": {}}},",
+        "  \"metrics\": {{\"server_ops\": {}, \"server_op_batches\": {}, \"predicate_comparisons\": {},          \"partials_created\": {}, \"pruned\": {}, \"roots_unseeded\": {}, \"routing_decisions\": {},          \"deadline_hits\": {}, \"servers_failed\": {}, \"matches_redistributed\": {},          \"answers_degraded\": {}}},",
         m.server_ops, m.server_op_batches, m.predicate_comparisons, m.partials_created, m.pruned,
-        m.routing_decisions, m.deadline_hits, m.servers_failed, m.matches_redistributed,
+        m.roots_unseeded, m.routing_decisions, m.deadline_hits, m.servers_failed, m.matches_redistributed,
         m.answers_degraded
     )?;
     writeln!(out, "  \"answers\": [")?;

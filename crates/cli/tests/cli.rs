@@ -127,6 +127,7 @@ fn query_json_output_is_parseable_shape() {
     assert!(out.contains("\"rank\": 1"), "{out}");
     assert!(out.contains("\"id\": \"a\""), "{out}");
     assert!(out.contains("\"server_ops\""), "{out}");
+    assert!(out.contains("\"roots_unseeded\""), "{out}");
     // Balanced braces/brackets (cheap well-formedness check).
     assert_eq!(out.matches('{').count(), out.matches('}').count());
     assert_eq!(out.matches('[').count(), out.matches(']').count());
@@ -201,6 +202,7 @@ fn query_stats_flag_prints_robustness_counters() {
     ]);
     assert!(out.contains("deadline hits"), "{out}");
     assert!(out.contains("servers failed"), "{out}");
+    assert!(out.contains("roots never seeded"), "{out}");
 }
 
 #[test]
@@ -351,7 +353,8 @@ fn explain_shows_weights_and_selectivity() {
         file.to_str().unwrap(),
         "//book[./title and ./isbn]",
     ]);
-    assert!(out.contains("root candidates: 3"), "{out}");
+    assert!(out.contains("root candidates: 3 ("), "{out}");
+    assert!(out.contains("never seeded by Whirlpool-S"), "{out}");
     assert!(out.contains("title"), "{out}");
     assert!(out.contains("w-exact"), "{out}");
 }

@@ -4,6 +4,7 @@ use crate::fault::{busy_wait, OpInterrupt, INTERRUPT_SPAN};
 use crate::metrics::Metrics;
 use crate::partial::{Binding, PartialMatch};
 use crate::pool::MatchPool;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 use whirlpool_index::{
@@ -13,7 +14,7 @@ use whirlpool_index::{
 use whirlpool_pattern::{
     compile_servers, Direction, QNodeId, ServerSpec, TreePattern, ValueTest, WILDCARD,
 };
-use whirlpool_score::{MatchLevel, ScoreModel};
+use whirlpool_score::{MatchLevel, Score, ScoreModel};
 use whirlpool_xml::{Document, NodeId};
 
 /// Whether relaxations are admitted.
@@ -32,24 +33,22 @@ pub enum RelaxMode {
     Relaxed,
 }
 
-/// How a server's candidate universe resolves against the document,
-/// with the per-root candidate ranges precomputed at construction.
+/// How a server's candidate universe resolves against the document.
 enum ServerRange<'a> {
     /// The tag never occurs: the server always takes the null path.
     Absent,
     /// The wildcard: every descendant of the root match is a candidate —
     /// an id-contiguous range, scanned without materializing anything.
     Any,
-    /// A normal tag (or tag+value) posting list. `bounds` is aligned
-    /// with the context's `root_candidates`: `bounds[rank]` is the
-    /// `(lo, hi)` sub-slice of `list` holding that root's proper
-    /// descendants, computed in one cursor merge pass per server
-    /// instead of two binary searches per root at runtime. Matches
-    /// rooted outside the precomputed candidate set partition `list`
-    /// directly (it is already value-resolved).
+    /// A normal tag (or tag+value) posting list, value-resolved once
+    /// at construction. `finger` is the range the last locate at this
+    /// server returned (`lo << 32 | hi`): the next one gallops from
+    /// there, so a document-order batch is one merge pass over `list`
+    /// and a root visited again (exact mode) costs O(1). It is a search
+    /// hint only — any value, from any thread, gives the same ranges.
     Postings {
         list: &'a [NodeId],
-        bounds: Vec<(u32, u32)>,
+        finger: AtomicU64,
     },
 }
 
@@ -57,7 +56,7 @@ enum ServerRange<'a> {
 /// evaluation: the *locate* half of the split server operation.
 ///
 /// Produced by [`QueryContext::locate_batch_at_server`] (one galloping
-/// cursor sweep per batch, document order) and consumed by
+/// cursor sweep per document-order batch) and consumed by
 /// [`QueryContext::process_located_at_server_interruptible`] (the
 /// columnar predicate kernel). Plain index pairs, so a batch plan is a
 /// flat `Vec<Located>` with no borrows into the context.
@@ -136,19 +135,17 @@ pub struct QueryContext<'a> {
     pub metrics: Metrics,
     /// Compiled spec for each server; `servers[i]` serves `QNodeId(i+1)`.
     servers: Vec<ServerSpec>,
-    /// Resolved candidate universe per server, with per-root ranges.
+    /// Resolved candidate universe per server.
     server_ranges: Vec<ServerRange<'a>>,
-    /// Node id → rank in `root_candidates` (`u32::MAX` for non-roots);
-    /// O(1) access to the precomputed candidate ranges.
-    root_rank: Vec<u32>,
     /// Sampled selectivity per server (same indexing as `servers`).
     selectivity: Vec<ServerSelectivity>,
     /// Max possible contribution per query node (indexed by QNodeId).
     max_contrib: Vec<f64>,
     /// Sum of all servers' max contributions.
     total_server_max: f64,
-    /// Candidate bindings for the pattern root, in document order.
-    root_candidates: Vec<NodeId>,
+    /// Candidate bindings for the pattern root, in document order:
+    /// the tag's own postings when the root carries no further test.
+    root_candidates: Cow<'a, [NodeId]>,
     full_mask: u64,
     /// Injected artificial cost per server operation (busy-wait), for
     /// the Figure 8 experiment.
@@ -204,43 +201,47 @@ impl<'a> QueryContext<'a> {
     ) -> Self {
         let servers = compile_servers(pattern);
         let root_node = pattern.node(pattern.root());
-        let root_universe: Vec<NodeId> = if root_node.tag == WILDCARD {
+        let unfiltered = root_node.axis == whirlpool_pattern::Axis::Descendant
+            && root_node.value.is_none()
+            && root_node.attrs.is_empty();
+        let root_universe: Cow<'a, [NodeId]> = if root_node.tag == WILDCARD {
             doc.elements().collect()
         } else {
             doc.tag_id(&root_node.tag)
-                .map(|tag| index.nodes_with_tag(tag).to_vec())
-                .unwrap_or_default()
+                .map_or(Cow::Borrowed(&[][..]), |tag| {
+                    index.nodes_with_tag(tag).into()
+                })
         };
-        let root_candidates: Vec<NodeId> = root_universe
-            .into_iter()
-            .filter(|&n| match root_node.axis {
-                // `/tag`: a top-level element.
-                whirlpool_pattern::Axis::Child => doc.depth(n) == 1,
-                // `//tag`: anywhere.
-                whirlpool_pattern::Axis::Descendant => true,
-            })
-            .filter(|&n| {
-                root_node
-                    .value
-                    .as_ref()
-                    .map_or(true, |v| v.matches(doc.text(n)))
-            })
-            .filter(|&n| {
-                root_node
-                    .attrs
-                    .iter()
-                    .all(|a| a.matches(doc.attribute(n, &a.name)))
-            })
-            .collect();
+        let root_candidates = if unfiltered {
+            root_universe
+        } else {
+            root_universe
+                .iter()
+                .copied()
+                .filter(|&n| match root_node.axis {
+                    // `/tag`: a top-level element.
+                    whirlpool_pattern::Axis::Child => doc.depth(n) == 1,
+                    // `//tag`: anywhere.
+                    whirlpool_pattern::Axis::Descendant => true,
+                })
+                .filter(|&n| {
+                    root_node
+                        .value
+                        .as_ref()
+                        .map_or(true, |v| v.matches(doc.text(n)))
+                })
+                .filter(|&n| {
+                    root_node
+                        .attrs
+                        .iter()
+                        .all(|a| a.matches(doc.attribute(n, &a.name)))
+                })
+                .collect()
+        };
 
-        // One merge pass per server: resolve its posting list once (the
-        // value-equality lookup included, so no repeated hashing at
-        // runtime) and record each root candidate's descendant range.
-        // Roots ascend in document order, so the cursor gallops.
-        let mut root_rank = vec![u32::MAX; doc.len()];
-        for (rank, &r) in root_candidates.iter().enumerate() {
-            root_rank[r.index()] = rank as u32;
-        }
+        // Resolve each server's posting list once (the value-equality
+        // lookup included, so no repeated hashing at runtime). A root's
+        // range within it is located when a match reaches the server.
         let server_ranges = servers
             .iter()
             .map(|s| {
@@ -254,16 +255,10 @@ impl<'a> QueryContext<'a> {
                     Some(ValueTest::Eq(v)) => index.nodes_with_tag_value(tag, v),
                     _ => index.nodes_with_tag(tag),
                 };
-                let mut cursor = RangeCursor::new(list);
-                let bounds = root_candidates
-                    .iter()
-                    .map(|&r| {
-                        let end = index.subtree_end(r).index() as u32;
-                        let (lo, hi) = cursor.bounds(r, end);
-                        (lo as u32, hi as u32)
-                    })
-                    .collect();
-                ServerRange::Postings { list, bounds }
+                ServerRange::Postings {
+                    list,
+                    finger: AtomicU64::new(0),
+                }
             })
             .collect();
 
@@ -291,7 +286,6 @@ impl<'a> QueryContext<'a> {
             metrics: Metrics::new(),
             servers,
             server_ranges,
-            root_rank,
             selectivity,
             max_contrib,
             total_server_max,
@@ -380,27 +374,47 @@ impl<'a> QueryContext<'a> {
 
     // -- match generation -------------------------------------------------
 
-    /// The root server's output: one initial partial match per candidate
-    /// root node ("the book server ... generates candidate matches to
-    /// the root of the XPath query, which initializes the set of partial
-    /// matches", §5.1).
+    /// Reserves one sequence number per root candidate and returns the
+    /// first: seed `i` of the run is created with `first + i`, whenever
+    /// it is materialised, so arrival order and every tie-break are
+    /// those of seeding every root up front.
+    pub(crate) fn reserve_seed_seqs(&self) -> u64 {
+        self.seq
+            .fetch_add(self.root_candidates.len() as u64, Ordering::Relaxed)
+    }
+
+    /// `(max_final, score)` no root match can exceed: the model's
+    /// maximum root contribution, plus every server's for the ceiling.
+    /// With a per-node model a root may start lower, never higher.
+    pub(crate) fn seed_ceiling(&self) -> (Score, Score) {
+        let root = Score::new(self.max_contrib[0]);
+        (root.plus(self.total_server_max), root)
+    }
+
+    /// The root server's output for candidate `i`: its initial partial
+    /// match ("the book server ... generates candidate matches to the
+    /// root of the XPath query, which initializes the set of partial
+    /// matches", §5.1). Counting it as created is the caller's job.
+    pub(crate) fn seed(&self, i: usize, seq: u64) -> PartialMatch {
+        let node = self.root_candidates[i];
+        PartialMatch::new_root(
+            seq,
+            self.pattern.len(),
+            node,
+            self.model
+                .contribution(QNodeId::ROOT, node, MatchLevel::Exact),
+            self.total_server_max,
+        )
+    }
+
+    /// Every root match at once, in document order: what the lock-step
+    /// engines, which visit every root anyway, start from.
     pub fn make_root_matches(&self) -> Vec<PartialMatch> {
-        let matches: Vec<PartialMatch> = self
-            .root_candidates
-            .iter()
-            .map(|&node| {
-                PartialMatch::new_root(
-                    self.next_seq(),
-                    self.pattern.len(),
-                    node,
-                    self.model
-                        .contribution(QNodeId::ROOT, node, MatchLevel::Exact),
-                    self.total_server_max,
-                )
-            })
-            .collect();
-        self.metrics.add_created(matches.len() as u64);
-        matches
+        let first = self.reserve_seed_seqs();
+        self.metrics.add_created(self.root_candidates.len() as u64);
+        (0..self.root_candidates.len())
+            .map(|i| self.seed(i, first + i as u64))
+            .collect()
     }
 
     /// Degrades `m` past a dead server: binds `server` to the
@@ -465,39 +479,22 @@ impl<'a> QueryContext<'a> {
             .produced
     }
 
-    /// The precomputed candidate range of `root` in a postings server's
-    /// `bounds` table; `None` for a root outside `root_candidates`.
-    #[inline]
-    fn tabled(&self, bounds: &[(u32, u32)], root: NodeId) -> Option<Located> {
-        match self.root_rank.get(root.index()) {
-            Some(&rank) if rank != u32::MAX => {
-                let (lo, hi) = bounds[rank as usize];
-                Some(Located::Slice(lo, hi))
-            }
-            _ => None,
-        }
-    }
-
     /// Resolves one match root's candidate range at `server`: the
     /// *locate* half of a server operation, a pure function of the
-    /// root (no metrics, no extensions).
+    /// root (no metrics, no extensions). Two searches over the server's
+    /// postings, galloping from where the previous locate ended.
     fn locate_one(&self, server: QNodeId, root: NodeId) -> Located {
+        let end = self.index.subtree_end(root).index() as u32;
         match &self.server_ranges[server.index() - 1] {
             ServerRange::Absent => Located::Absent,
-            ServerRange::Any => Located::Any(
-                root.index() as u32 + 1,
-                self.index.subtree_end(root).index() as u32,
-            ),
-            ServerRange::Postings { list, bounds } => {
-                // A match rooted outside the precomputed candidate set
-                // (reachable only by calling process_at_server
-                // directly) falls back to the binary-search scan.
-                self.tabled(bounds, root).unwrap_or_else(|| {
-                    let lo = list.partition_point(|&n| n <= root);
-                    let end = self.index.subtree_end(root).index() as u32;
-                    let hi = list.partition_point(|&n| (n.index() as u32) < end);
-                    Located::Slice(lo as u32, hi as u32)
-                })
+            ServerRange::Any => Located::Any(root.index() as u32 + 1, end),
+            ServerRange::Postings { list, finger } => {
+                let last = finger.load(Ordering::Relaxed);
+                let mut cursor =
+                    RangeCursor::resume(list, ((last >> 32) as usize, last as u32 as usize));
+                let (lo, hi) = cursor.bounds(root, end);
+                finger.store((lo as u64) << 32 | hi as u64, Ordering::Relaxed);
+                Located::Slice(lo as u32, hi as u32)
             }
         }
     }
@@ -507,12 +504,11 @@ impl<'a> QueryContext<'a> {
     /// order. The plan is written into `plan` (cleared first), aligned
     /// with `roots`.
     ///
-    /// Roots inside the precomputed candidate set resolve O(1) against
-    /// the per-root `bounds` table (itself the product of one galloping
-    /// [`RangeCursor`] sweep per server at construction). Any stragglers
-    /// rooted outside that set are sorted into document order and
-    /// resolved in one further galloping cursor sweep over the server's
-    /// postings — never per-match binary searches.
+    /// The roots are visited in document order — as given when they
+    /// already are (a lock-step frontier, a single root), through a
+    /// sorted copy otherwise — so the batch is one galloping
+    /// [`RangeCursor`] pass over the server's postings, never a full
+    /// binary search per match.
     ///
     /// Locating is a pure function of each root, so the plan is
     /// insensitive to batch order and the evaluation half can run in
@@ -525,31 +521,14 @@ impl<'a> QueryContext<'a> {
     ) {
         plan.clear();
         self.metrics.add_server_op_batch();
-        match &self.server_ranges[server.index() - 1] {
-            ServerRange::Absent => plan.extend(roots.iter().map(|_| Located::Absent)),
-            ServerRange::Any => plan.extend(roots.iter().map(|&r| {
-                Located::Any(
-                    r.index() as u32 + 1,
-                    self.index.subtree_end(r).index() as u32,
-                )
-            })),
-            ServerRange::Postings { list, bounds } => {
-                let mut misses: Vec<(u32, NodeId)> = Vec::new();
-                plan.extend(roots.iter().enumerate().map(|(i, &r)| {
-                    self.tabled(bounds, r).unwrap_or_else(|| {
-                        misses.push((i as u32, r));
-                        Located::Slice(0, 0)
-                    })
-                }));
-                if !misses.is_empty() {
-                    misses.sort_unstable_by_key(|&(_, r)| r);
-                    let mut cursor = RangeCursor::new(list);
-                    for (i, r) in misses {
-                        let end = self.index.subtree_end(r).index() as u32;
-                        let (lo, hi) = cursor.bounds(r, end);
-                        plan[i as usize] = Located::Slice(lo as u32, hi as u32);
-                    }
-                }
+        if roots.windows(2).all(|w| w[0] <= w[1]) {
+            plan.extend(roots.iter().map(|&r| self.locate_one(server, r)));
+        } else {
+            let mut order: Vec<(NodeId, u32)> = roots.iter().copied().zip(0..).collect();
+            order.sort_unstable();
+            plan.resize(roots.len(), Located::Absent);
+            for (r, i) in order {
+                plan[i as usize] = self.locate_one(server, r);
             }
         }
     }
@@ -1182,11 +1161,11 @@ mod tests {
         assert_eq!(out[0].bindings[1], Binding::Null);
     }
 
-    /// Both locate paths against the definition — a root's range holds
-    /// exactly the server's postings strictly inside its subtree — for
-    /// every element of the document as a root: the `book`s hit the
-    /// precomputed table, everything else takes the batch's galloping
-    /// sweep (or `locate_one`'s binary search), in any batch order.
+    /// Locate against the definition — a root's range holds exactly the
+    /// server's postings strictly inside its subtree — for every
+    /// element of the document as a root, in any batch order: wherever
+    /// the previous batch left the server's finger, document-order
+    /// batches sweep forward from it and the others are sorted first.
     #[test]
     fn batch_locate_agrees_with_per_match_locate_in_any_order() {
         let src = "<lib><shelf>\

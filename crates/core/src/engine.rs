@@ -486,9 +486,11 @@ mod tests {
         ] {
             let result = evaluate(&doc, &index, &pattern, &model, &alg, &options);
             match result.completeness {
+                // The budget is consulted before the seed source is:
+                // both roots are accounted, whether or not they exist.
                 Completeness::Truncated {
                     pending_matches, ..
-                } => assert!(pending_matches > 0, "algorithm {}", alg.name()),
+                } => assert_eq!(pending_matches, 2, "algorithm {}", alg.name()),
                 Completeness::Exact => {
                     panic!("{} ignored a pre-cancelled token", alg.name())
                 }

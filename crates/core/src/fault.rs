@@ -570,7 +570,14 @@ impl Truncation {
     /// degradation: its `max_final` caps what the true evaluation could
     /// have scored it.
     pub(crate) fn account(&self, max_final: Score) {
-        self.pending.fetch_add(1, Ordering::Relaxed);
+        self.account_many(1, max_final);
+    }
+
+    /// Accounts `n` matches at once under one bound: the root matches a
+    /// dropped seed source never produced, none of which could have
+    /// exceeded its ceiling.
+    pub(crate) fn account_many(&self, n: u64, max_final: Score) {
+        self.pending.fetch_add(n, Ordering::Relaxed);
         self.track(max_final.value());
     }
 
@@ -694,6 +701,28 @@ pub(crate) fn guarded_process_located(
         }
     }
     false
+}
+
+/// Drops `queue`'s seed source, if it still has roots to produce: none
+/// of them will ever be a match. One trace event carries their number;
+/// a run that was cut short (`pending`) also accounts them into its
+/// certificate, under the ceiling none of them could exceed. Returns
+/// whether there was a source to drop.
+pub(crate) fn drop_seed_source(
+    ctx: &crate::context::QueryContext<'_>,
+    queue: &mut crate::queue::MatchQueue,
+    pending: Option<&Truncation>,
+    tr: &mut crate::trace::WorkerTrace,
+    threshold: Score,
+) -> bool {
+    let Some((unseeded, ceiling)) = queue.drop_seeds(ctx) else {
+        return false;
+    };
+    if let Some(trunc) = pending {
+        trunc.account_many(unseeded, ceiling);
+    }
+    tr.seeds_dropped(unseeded, ceiling, threshold);
+    true
 }
 
 /// Degrades `m` to completion: every remaining unvisited server —
@@ -913,6 +942,27 @@ mod tests {
             } => {
                 assert_eq!(pending_matches, 2);
                 assert!((score_bound - 1.5).abs() < 1e-12);
+            }
+            c => panic!("expected truncated, got {c:?}"),
+        }
+    }
+
+    #[test]
+    fn a_dropped_seed_source_is_counted_root_by_root_under_one_bound() {
+        let t = Truncation::new();
+        assert!(t.expire());
+        t.account(Score::new(0.5));
+        t.account_many(12_000, Score::new(3.0));
+        t.account_many(0, Score::new(9.0));
+        match t.finish(&[]) {
+            Completeness::Truncated {
+                pending_matches,
+                score_bound,
+            } => {
+                assert_eq!(pending_matches, 12_001);
+                // Nothing was pending under the last bound, but a bound
+                // may only ever be too high.
+                assert!(score_bound >= 3.0);
             }
             c => panic!("expected truncated, got {c:?}"),
         }

@@ -26,6 +26,10 @@ pub struct Metrics {
     pub partials_created: AtomicU64,
     /// Partial matches discarded against the top-k set.
     pub pruned: AtomicU64,
+    /// Root candidates never materialised as a partial match: the run
+    /// ended (top-k full above their ceiling, or a budget) before the
+    /// seed source reached them.
+    pub roots_unseeded: AtomicU64,
     /// Adaptive routing decisions taken.
     pub routing_decisions: AtomicU64,
     /// Binding buffers allocated fresh from the heap (pool misses).
@@ -93,6 +97,12 @@ impl Metrics {
     #[inline]
     pub fn add_pruned(&self) {
         self.pruned.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts `n` root candidates dropped before they were seeded.
+    #[inline]
+    pub fn add_roots_unseeded(&self, n: u64) {
+        self.roots_unseeded.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Counts one routing decision.
@@ -164,6 +174,7 @@ impl Metrics {
             predicate_comparisons: self.predicate_comparisons.load(Ordering::Relaxed),
             partials_created: self.partials_created.load(Ordering::Relaxed),
             pruned: self.pruned.load(Ordering::Relaxed),
+            roots_unseeded: self.roots_unseeded.load(Ordering::Relaxed),
             routing_decisions: self.routing_decisions.load(Ordering::Relaxed),
             buffers_allocated: self.buffers_allocated.load(Ordering::Relaxed),
             buffers_reused: self.buffers_reused.load(Ordering::Relaxed),
@@ -192,6 +203,8 @@ pub struct MetricsSnapshot {
     pub partials_created: u64,
     /// Partial matches discarded against the top-k set.
     pub pruned: u64,
+    /// Root candidates never materialised as a partial match.
+    pub roots_unseeded: u64,
     /// Adaptive routing decisions taken.
     pub routing_decisions: u64,
     /// Binding buffers allocated fresh from the heap.
@@ -247,6 +260,7 @@ impl MetricsSnapshot {
         self.predicate_comparisons += other.predicate_comparisons;
         self.partials_created += other.partials_created;
         self.pruned += other.pruned;
+        self.roots_unseeded += other.roots_unseeded;
         self.routing_decisions += other.routing_decisions;
         self.buffers_allocated += other.buffers_allocated;
         self.buffers_reused += other.buffers_reused;

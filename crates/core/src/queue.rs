@@ -75,11 +75,28 @@ pub(crate) type Rank = (Score, Score, u32, Reverse<u64>);
 /// advancing every root one server at a time. `Fifo` is arrival order
 /// alone. The order is total and deterministic: `seq` is unique within
 /// a run.
+///
+/// A router queue built [`with_seeds`](MatchQueue::with_seeds) also
+/// holds the root matches nobody has asked for yet, as a cursor that
+/// ranks as the match it would produce next. A root the run never
+/// reaches is never created.
 pub struct MatchQueue {
     policy: QueuePolicy,
     /// The server this queue feeds (None: the router queue).
     server: Option<QNodeId>,
     heap: BinaryHeap<Entry>,
+    seeds: Option<SeedSource>,
+}
+
+/// The unmaterialised suffix of [`QueryContext::root_candidates`].
+struct SeedSource {
+    /// The next root candidate to materialise, and their count.
+    next: usize,
+    len: usize,
+    /// Root `i` gets the reserved sequence number `first_seq + i`.
+    first_seq: u64,
+    /// [`QueryContext::seed_ceiling`]: no unseeded root ranks higher.
+    ceiling: (Score, Score),
 }
 
 struct Entry {
@@ -112,7 +129,74 @@ impl MatchQueue {
             policy,
             server,
             heap: BinaryHeap::new(),
+            seeds: None,
         }
+    }
+
+    /// An empty router queue that will produce `ctx`'s root matches on
+    /// demand, their sequence numbers reserved now.
+    pub fn with_seeds(policy: QueuePolicy, ctx: &QueryContext<'_>) -> Self {
+        let len = ctx.root_candidates().len();
+        MatchQueue {
+            seeds: (len > 0).then(|| SeedSource {
+                next: 0,
+                len,
+                first_seq: ctx.reserve_seed_seqs(),
+                ceiling: ctx.seed_ceiling(),
+            }),
+            ..MatchQueue::new(policy, None)
+        }
+    }
+
+    /// The rank the unseeded roots hold in this queue: under
+    /// [`MaxFinalScore`](QueuePolicy::MaxFinalScore) that of a root at
+    /// the ceiling with the next reserved `seq` — exact when every root
+    /// scores alike, an upper bound with a per-node model. The other
+    /// orders are defined over seeds that all exist, so there the
+    /// source outranks everything and is drained first.
+    fn seed_rank(&self) -> Option<Rank> {
+        let s = self.seeds.as_ref()?;
+        Some(match self.policy {
+            QueuePolicy::MaxFinalScore => {
+                let seq = s.first_seq + s.next as u64;
+                (s.ceiling.0, s.ceiling.1, 1, Reverse(seq))
+            }
+            _ => (Score::new(f64::INFINITY), Score::ZERO, 0, Reverse(0)),
+        })
+    }
+
+    /// Is the next thing this queue yields a root match that does not
+    /// exist yet? Then [`next_seed`](Self::next_seed), not `pop`.
+    pub(crate) fn seeds_are_head(&self) -> bool {
+        self.seed_rank()
+            .is_some_and(|s| self.heap.peek().map_or(true, |e| s > e.rank))
+    }
+
+    /// Materialises the next root match (`None`: all seeded, or dropped).
+    pub(crate) fn next_seed(&mut self, ctx: &QueryContext<'_>) -> Option<PartialMatch> {
+        let s = self.seeds.as_mut()?;
+        let m = ctx.seed(s.next, s.first_seq + s.next as u64);
+        ctx.metrics.add_created(1);
+        s.next += 1;
+        if s.next == s.len {
+            self.seeds = None;
+        }
+        Some(m)
+    }
+
+    /// Forgets the roots not yet materialised, counting them as
+    /// `roots_unseeded`: how many there were and the `max_final` none
+    /// of them could exceed (`None`: nothing was left).
+    pub(crate) fn drop_seeds(&mut self, ctx: &QueryContext<'_>) -> Option<(u64, Score)> {
+        let s = self.seeds.take()?;
+        let remaining = (s.len - s.next) as u64;
+        ctx.metrics.add_roots_unseeded(remaining);
+        Some((remaining, s.ceiling.0))
+    }
+
+    /// Are root matches still waiting to be materialised?
+    pub(crate) fn has_seeds(&self) -> bool {
+        self.seeds.is_some()
     }
 
     /// Enqueues a match (its rank is computed at push time).
@@ -121,7 +205,7 @@ impl MatchQueue {
         self.heap.push(Entry { rank, m });
     }
 
-    /// Removes and returns the highest-priority match.
+    /// Removes and returns the highest-priority queued match.
     pub fn pop(&mut self) -> Option<PartialMatch> {
         self.heap.pop().map(|e| e.m)
     }
@@ -136,9 +220,10 @@ impl MatchQueue {
         self.heap.peek().map(|e| e.rank.0)
     }
 
-    /// The rank of the head entry, if any.
+    /// The rank of whatever comes next — the head entry or the seed
+    /// source — if anything does.
     pub(crate) fn peek_rank(&self) -> Option<Rank> {
-        self.heap.peek().map(|e| e.rank)
+        self.heap.peek().map(|e| e.rank).max(self.seed_rank())
     }
 
     /// Number of queued matches.
@@ -260,6 +345,63 @@ mod tests {
             q.push(ctx, m(3, 1.0, 1.5));
             let seqs: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|x| x.seq).collect();
             assert_eq!(seqs, vec![1, 2, 0, 3]);
+        });
+    }
+
+    #[test]
+    fn seed_source_ranks_as_the_next_root_and_yields_to_progress() {
+        with_ctx(|ctx| {
+            // Two `item` roots, sparse weights: ceiling 1.0, root score 0.
+            let mut q = MatchQueue::with_seeds(QueuePolicy::MaxFinalScore, ctx);
+            assert!(q.has_seeds() && q.seeds_are_head());
+            let first = q.next_seed(ctx).unwrap();
+            assert_eq!((first.seq, first.max_final), (0, Score::new(1.0)));
+            // The seed outranks the source (earlier seq) ...
+            q.push(ctx, first);
+            assert!(!q.seeds_are_head());
+            let first = q.pop().unwrap();
+            // ... and so does a match at the ceiling that has banked
+            // score, whatever its seq; one below the ceiling does not.
+            let mut ahead = m(7, 1.0, 1.0);
+            ahead.visited |= 0b10;
+            q.push(ctx, ahead);
+            assert!(!q.seeds_are_head());
+            assert_eq!(q.pop().unwrap().seq, 7);
+            q.push(ctx, m(8, 0.5, 0.5));
+            assert!(q.seeds_are_head());
+            assert_eq!(
+                q.peek_rank(),
+                Some((Score::new(1.0), Score::ZERO, 1, Reverse(1)))
+            );
+
+            let second = q.next_seed(ctx).unwrap();
+            assert_eq!(second.seq, 1);
+            assert!(second.root() > first.root());
+            assert!(!q.has_seeds() && q.next_seed(ctx).is_none());
+            assert_eq!(q.drop_seeds(ctx), None);
+            let snapshot = ctx.metrics.snapshot();
+            assert_eq!((snapshot.partials_created, snapshot.roots_unseeded), (2, 0));
+        });
+    }
+
+    #[test]
+    fn other_policies_drain_the_source_first_and_dropping_it_counts_the_rest() {
+        with_ctx(|ctx| {
+            for policy in [QueuePolicy::Fifo, QueuePolicy::CurrentScore] {
+                let mut q = MatchQueue::with_seeds(policy, ctx);
+                // Nothing queued comes before an unseeded root.
+                q.push(ctx, m(99, 9.0, 9.0));
+                assert!(q.seeds_are_head());
+                assert!(q.next_seed(ctx).is_some());
+                assert!(q.seeds_are_head());
+                let before = ctx.metrics.snapshot().roots_unseeded;
+                assert_eq!(q.drop_seeds(ctx), Some((1, Score::new(1.0))));
+                assert_eq!(ctx.metrics.snapshot().roots_unseeded, before + 1);
+                assert!(!q.seeds_are_head() && q.peek_rank().is_some());
+            }
+            // Seqs were reserved per queue: the runs do not collide.
+            let q = MatchQueue::with_seeds(QueuePolicy::MaxFinalScore, ctx);
+            assert_eq!(q.peek_rank().unwrap().3, Reverse(4));
         });
     }
 }

@@ -118,7 +118,14 @@ impl TopKSet {
     /// member above the boundary changes; only *which* roots represent
     /// the boundary tie does.
     pub fn should_prune(&self, m: &PartialMatch) -> bool {
-        m.max_final < self.floor || self.kth().is_some_and(|kth| m.max_final <= kth)
+        self.cannot_beat(m.max_final)
+    }
+
+    /// [`should_prune`](Self::should_prune) for anything whose maximum
+    /// possible final score is at most `max_final` — the seed source's
+    /// ceiling stands for every root match it has not produced.
+    pub fn cannot_beat(&self, max_final: Score) -> bool {
+        max_final < self.floor || self.kth().is_some_and(|kth| max_final <= kth)
     }
 
     /// Offers a match's current score for its root. Updates the
@@ -237,9 +244,10 @@ impl SharedTopK {
     }
 
     /// Strictly below the floor, or unable to beat the published k-th
-    /// score of a full set.
+    /// score of a full set: [`TopKSet::cannot_beat`] against the
+    /// snapshot, conservative like every check made through it.
     #[inline]
-    fn cannot_beat(&self, score: Score) -> bool {
+    pub fn cannot_beat(&self, score: Score) -> bool {
         score < self.floor || score.value() <= self.kth_snapshot()
     }
 

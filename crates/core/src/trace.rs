@@ -26,6 +26,7 @@
 //! | [`TraceEventKind::MatchPruned`] | a match is discarded against the top-k threshold |
 //! | [`TraceEventKind::MatchCompleted`] | a complete match is offered to the top-k set |
 //! | [`TraceEventKind::MatchAbandoned`] | a match leaves unprocessed (budget expiry, dead server); its bound enters the truncation certificate |
+//! | [`TraceEventKind::SeedsDropped`] | the seed source is dropped: the root matches it never produced are pruned (or, on budget expiry, abandoned) in one step |
 //! | [`TraceEventKind::Routed`] | the router takes one routing decision (with per-candidate estimates) |
 //! | [`TraceEventKind::ThresholdSample`] | the top-k threshold is sampled after an operation |
 //! | [`TraceEventKind::QueueDepth`] | a queue's depth is sampled |
@@ -35,7 +36,10 @@
 //! The lifecycle events obey a conservation law checked by
 //! [`TraceSummary::balanced`]: every spawned match reaches exactly one
 //! terminal state, so `spawned = consumed + pruned + completed +
-//! abandoned`.
+//! abandoned`. A root the seed source never materialised was never
+//! spawned, so it appears on neither side: one
+//! [`SeedsDropped`](TraceEventKind::SeedsDropped) event carries the
+//! count.
 //!
 //! # Example
 //!
@@ -179,6 +183,17 @@ pub enum TraceEventKind {
         seq: u64,
         /// Its maximum possible final score.
         max_final: f64,
+    },
+    /// The seed source was dropped with root candidates left: none of
+    /// them ever became a partial match.
+    SeedsDropped {
+        /// Root candidates never materialised.
+        remaining: u64,
+        /// The maximum possible final score none of them could exceed.
+        max_final: f64,
+        /// The threshold at that moment (they lost to it unless the
+        /// run's budget expired).
+        threshold: f64,
     },
     /// One routing decision, with its explain record.
     Routed(RouteExplain),
@@ -455,6 +470,24 @@ impl WorkerTrace {
         }
     }
 
+    /// Records the seed source being dropped with `remaining` roots
+    /// unseeded, none able to exceed `max_final`.
+    #[inline]
+    pub fn seeds_dropped(
+        &mut self,
+        remaining: u64,
+        max_final: whirlpool_score::Score,
+        threshold: whirlpool_score::Score,
+    ) {
+        if self.enabled() {
+            self.push(TraceEventKind::SeedsDropped {
+                remaining,
+                max_final: max_final.value(),
+                threshold: threshold.value(),
+            });
+        }
+    }
+
     /// Records one routing decision with its explain record. Build the
     /// record only when [`WorkerTrace::enabled`] — it is the one event
     /// whose construction is not free.
@@ -560,6 +593,9 @@ pub struct TraceSummary {
     pub abandoned: u64,
     /// Answers completed through degradation.
     pub degraded_completions: u64,
+    /// Root candidates the seed source dropped unmaterialised (never
+    /// spawned, so outside the conservation law).
+    pub roots_unseeded: u64,
     /// Routing decisions recorded.
     pub routed: u64,
     /// Successful batch steals recorded.
@@ -639,6 +675,7 @@ impl TraceData {
                     }
                 }
                 TraceEventKind::MatchAbandoned { .. } => s.abandoned += 1,
+                TraceEventKind::SeedsDropped { remaining, .. } => s.roots_unseeded += remaining,
                 TraceEventKind::Routed(x) => {
                     s.routed += 1;
                     if let Some(server) = x.chosen {
@@ -770,6 +807,18 @@ impl TraceData {
                      \"ts\": {ts}, \"pid\": 1, \"tid\": {tid}, \
                      \"args\": {{\"seq\": {seq}, \"max_final\": {}}}}}",
                     num(*max_final)
+                )?,
+                TraceEventKind::SeedsDropped {
+                    remaining,
+                    max_final,
+                    threshold,
+                } => write!(
+                    out,
+                    "    {{\"name\": \"seeds dropped\", \"cat\": \"match\", \"ph\": \"i\", \"s\": \"t\", \
+                     \"ts\": {ts}, \"pid\": 1, \"tid\": {tid}, \
+                     \"args\": {{\"remaining\": {remaining}, \"max_final\": {}, \"threshold\": {}}}}}",
+                    num(*max_final),
+                    num(*threshold)
                 )?,
                 TraceEventKind::Routed(x) => {
                     let chosen = match x.chosen {

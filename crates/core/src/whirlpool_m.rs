@@ -13,21 +13,26 @@
 //!
 //! Each turn a worker takes one [`DRAIN_BATCH`]-sized batch from
 //! whichever queue — any server queue, or the *unrouted* queue that
-//! holds the root matches and dead-server rescues — has the
+//! holds the seed source and dead-server rescues — has the
 //! highest-ranked head under [`QueuePolicy::rank`]. A server batch is
 //! joined at its server and the worker routes the survivors itself; an
-//! unrouted batch is only routed. This is Whirlpool-S's single queue
-//! at batch granularity: an in-progress match runs before a fresh root
-//! is admitted, a root that top-k never reaches is never routed, and
-//! once the unrouted head cannot beat the k-th score the whole unrouted
-//! queue is pruned in one step. Batches pop in heap order, so
-//! per-server priority order is preserved within every batch. Every
-//! server queue still has a home worker (`queue index mod N`); a batch
-//! a worker takes from a server queue that is not its home is counted
-//! and traced as a *steal*. The top-k set is shared.
+//! unrouted batch is only routed — and, when the seed source is that
+//! queue's head, only then *materialised*: the root matches nobody has
+//! asked for yet do not exist ([`MatchQueue::with_seeds`]). This is
+//! Whirlpool-S's single queue at batch granularity: an in-progress
+//! match runs before a fresh root is admitted, a root that top-k never
+//! reaches is never seeded, and once the source's ceiling cannot beat
+//! the k-th score its remaining roots are dropped in one step. Batches
+//! pop in heap order, so per-server priority order is preserved within
+//! every batch. Every server queue still has a home worker
+//! (`queue index mod N`); a batch a worker takes from a server queue
+//! that is not its home is counted and traced as a *steal*. The top-k
+//! set is shared.
 //!
 //! Termination: a global in-flight counter tracks matches in queues or
-//! being processed; it reaches zero exactly when "there are no more
+//! being processed, plus one token for a seed source that still has
+//! roots to produce (it leaves with the last root, or when the source
+//! is dropped); it reaches zero exactly when "there are no more
 //! partial matches in any of the server queues, the router queue, or
 //! being compared against the top-k set" (§5.1). Each worker settles
 //! its batch's net count change in one atomic op *before* it routes and
@@ -53,7 +58,7 @@
 //! decremented).
 
 use crate::context::{Located, QueryContext, RelaxMode};
-use crate::fault::{guarded_process_located, EngineRun, RunControl, Truncation};
+use crate::fault::{drop_seed_source, guarded_process_located, EngineRun, RunControl, Truncation};
 use crate::partial::PartialMatch;
 use crate::pool::{MatchPool, PoolHub};
 use crate::queue::{MatchQueue, QueuePolicy, Rank};
@@ -113,10 +118,10 @@ struct SharedQueue {
 }
 
 impl SharedQueue {
-    fn new(policy: QueuePolicy, server: Option<QNodeId>) -> Self {
+    fn new(queue: MatchQueue) -> Self {
         SharedQueue {
             inner: Mutex::new(QueueState {
-                queue: MatchQueue::new(policy, server),
+                queue,
                 closed: false,
             }),
         }
@@ -147,7 +152,8 @@ impl SharedQueue {
         true
     }
 
-    /// The rank of the head match (`None`: empty or closed).
+    /// The rank of the head match — or of the seed source, when that
+    /// comes first (`None`: empty or closed).
     fn peek_rank(&self) -> Option<Rank> {
         self.inner.lock().queue.peek_rank()
     }
@@ -168,14 +174,14 @@ impl SharedQueue {
         !out.is_empty()
     }
 
-    /// Removes everything queued, in no particular order, and — with
-    /// `close` — closes the queue, all in one lock acquisition: any
-    /// push that loses the race with a close gets its match back
-    /// (`push` returns `Err`) and re-routes, so no match is stranded in
-    /// a closed queue (which is therefore always empty).
-    fn drain(&self, close: bool) -> Vec<PartialMatch> {
+    /// Closes the queue and removes everything queued, in no
+    /// particular order, in one lock acquisition: any push that loses
+    /// the race with the close gets its match back (`push` returns
+    /// `Err`) and re-routes, so no match is stranded in a closed queue
+    /// (which is therefore always empty).
+    fn close_and_drain(&self) -> Vec<PartialMatch> {
         let mut guard = self.inner.lock();
-        guard.closed |= close;
+        guard.closed = true;
         guard.queue.drain().collect()
     }
 
@@ -195,13 +201,14 @@ struct Shared<'c, 'a> {
     /// Reservoir rebalancing binding buffers between the per-worker
     /// pool shards in whole blocks.
     pool_hub: PoolHub,
-    queue_policy: QueuePolicy,
-    /// Matches no server has been chosen for yet: the root matches and
-    /// the matches rescued from a dead server. Never closed; the
-    /// workers serve it like any server queue.
+    /// Matches no server has been chosen for yet: the seed source —
+    /// root matches are materialised a batch at a time, when its rank
+    /// is the best head — and the matches rescued from a dead server.
+    /// Never closed; the workers serve it like any server queue.
     unrouted: SharedQueue,
     server_queues: Vec<SharedQueue>,
-    /// Matches alive in the system (queued or being processed).
+    /// Matches alive in the system (queued or being processed), plus
+    /// one token for a seed source that still has roots to produce.
     in_flight: AtomicI64,
     done: AtomicBool,
     /// Bumped after every push that makes queued work visible (and on
@@ -300,17 +307,24 @@ pub fn run_whirlpool_m_anytime(
     let offer_partial = ctx.relax == RelaxMode::Relaxed;
     let full_mask = ctx.full_mask();
 
+    // The root server's output stays unmaterialised in the unrouted
+    // queue; while it has roots left it holds one in-flight token.
+    let mut seed_tr = control.trace_worker("main");
+    seed_tr.span_begin("seed");
+    let unrouted = MatchQueue::with_seeds(config.queue_policy, ctx);
+    seed_tr.span_end("seed");
+    drop(seed_tr);
+
     let shared = Shared {
         ctx,
         topk: SharedTopK::with_floor(k, control.threshold_floor()),
         pool_hub: PoolHub::new(),
-        queue_policy: config.queue_policy,
-        unrouted: SharedQueue::new(config.queue_policy, None),
+        in_flight: AtomicI64::new(unrouted.has_seeds() as i64),
+        unrouted: SharedQueue::new(unrouted),
         server_queues: server_ids
             .iter()
-            .map(|&s| SharedQueue::new(config.queue_policy, Some(s)))
+            .map(|&s| SharedQueue::new(MatchQueue::new(config.queue_policy, Some(s))))
             .collect(),
-        in_flight: AtomicI64::new(0),
         done: AtomicBool::new(false),
         work_version: AtomicU64::new(0),
         work_lock: Mutex::new(()),
@@ -318,32 +332,6 @@ pub fn run_whirlpool_m_anytime(
         offer_partial,
         full_mask,
     };
-
-    // Seed the unrouted queue with the root server's output.
-    let mut seed_tr = control.trace_worker("main");
-    seed_tr.span_begin("seed");
-    let mut seeds = Vec::new();
-    {
-        let mut topk = shared.topk.lock();
-        for m in ctx.make_root_matches() {
-            seed_tr.spawned(&m);
-            let complete = m.is_complete(full_mask);
-            if offer_partial || complete {
-                topk.offer_match(&m);
-            }
-            if complete {
-                seed_tr.completed(&m);
-            } else {
-                seeds.push(m);
-            }
-        }
-    }
-    shared
-        .in_flight
-        .store(seeds.len() as i64, Ordering::Release);
-    shared.publish_unrouted(&mut seeds);
-    seed_tr.span_end("seed");
-    drop(seed_tr);
 
     let trunc = Truncation::new();
     let workers = config.threads.max(1);
@@ -658,26 +646,25 @@ fn worker_loop(
         if let Some(qi) = shared.best_head() {
             // A sibling may have emptied the queue since the peek;
             // then there is nothing to do but look again.
-            if shared.queue(qi).try_pop_batch(DRAIN_BATCH, &mut work.local) {
-                match server_ids.get(qi) {
-                    Some(&server) => {
-                        // With one worker every queue is home, so
-                        // `steal_events` is zero by construction in
-                        // serial runs.
-                        if qi % n_workers != worker_id {
-                            ctx.metrics.add_steal(1);
-                            tr.stolen(server, work.local.len());
-                        }
-                        serve_batch(
-                            shared, server, &mut work, control, trunc, &mut pool, &mut tr,
-                        );
-                    }
-                    None => admit_batch(shared, &mut work, control, trunc, &mut pool, &mut tr),
+            let server = server_ids.get(qi).copied();
+            if let Some(server) = server {
+                if !shared.queue(qi).try_pop_batch(DRAIN_BATCH, &mut work.local) {
+                    continue;
                 }
-                settle_and_route(
-                    shared, routing, &mut work, control, trunc, &mut pool, &mut tr,
-                );
+                // With one worker every queue is home, so
+                // `steal_events` is zero by construction in serial
+                // runs.
+                if qi % n_workers != worker_id {
+                    ctx.metrics.add_steal(1);
+                    tr.stolen(server, work.local.len());
+                }
             }
+            serve_batch(
+                shared, server, &mut work, control, trunc, &mut pool, &mut tr,
+            );
+            settle_and_route(
+                shared, routing, &mut work, control, trunc, &mut pool, &mut tr,
+            );
             continue;
         }
         if shared.done.load(Ordering::Acquire) {
@@ -693,9 +680,17 @@ fn worker_loop(
     tr.span_end("serve");
 }
 
-/// Admits one batch popped from the unrouted queue: every match gets a
-/// queue pop's budget check, then its prune check — in that order, as
-/// in Whirlpool-S — and what passes awaits routing in `work.survivors`.
+/// Takes the unrouted queue's turn: the next [`DRAIN_BATCH`] root
+/// matches while the seed source is its head — materialised here,
+/// counted in flight and offered to the top-k set — otherwise the
+/// rescues ranking above the source. Every match then gets a queue
+/// pop's budget check and its prune check — in that order, as in
+/// Whirlpool-S — and what passes awaits routing in `work.survivors`.
+///
+/// A spent budget, or a k-th score the source's ceiling cannot beat,
+/// *sweeps* the queue instead: the source is dropped with its roots
+/// unseeded (pending under the ceiling when the budget ended them) and
+/// everything queued takes the per-match checks at once.
 fn admit_batch(
     shared: &Shared<'_, '_>,
     work: &mut BatchWork,
@@ -705,55 +700,107 @@ fn admit_batch(
     tr: &mut WorkerTrace,
 ) {
     let ctx = shared.ctx;
-    // Highest priority first (the drain preserved heap order; reverse
-    // so pop() walks it front-first).
+    let expired = trunc.is_expired() || control.exhausted(&ctx.metrics);
+    let sweep = expired || shared.topk.cannot_beat(ctx.seed_ceiling().0);
+    let fresh = {
+        let mut guard = shared.unrouted.inner.lock();
+        let queue = &mut guard.queue;
+        let had_seeds = queue.has_seeds();
+        let fresh = !sweep && queue.seeds_are_head();
+        if sweep {
+            if expired && had_seeds && trunc.expire() {
+                control.count_stop(&ctx.metrics);
+            }
+            let threshold = shared.topk.threshold_snapshot();
+            drop_seed_source(ctx, queue, expired.then_some(trunc), tr, threshold);
+            work.local.extend(queue.drain());
+        }
+        // Highest priority first, never across the source's rank. A
+        // seed is spawned and counted in as it is materialised: if the
+        // score model panics on a later root, the batch is consistent.
+        while !sweep && work.local.len() < DRAIN_BATCH && queue.seeds_are_head() == fresh {
+            let next = if fresh {
+                queue.next_seed(ctx)
+            } else {
+                queue.pop()
+            };
+            let Some(m) = next else { break };
+            if fresh {
+                tr.spawned(&m);
+                work.net += 1;
+            }
+            work.local.push(m);
+        }
+        if had_seeds && !queue.has_seeds() {
+            // The source's in-flight token leaves with its last root.
+            work.net -= 1;
+        }
+        fresh
+    };
+    if fresh {
+        // The seeds enter the count before any check below can take
+        // one out; the token (if it just left) goes in the same op.
+        work.settle(shared);
+        let mut topk = shared.topk.lock();
+        for m in &work.local {
+            if shared.offer_partial || m.is_complete(shared.full_mask) {
+                topk.offer_match(m);
+            }
+        }
+    }
+    // Reverse so pop() walks the batch front-first.
     work.local.reverse();
-    let mut swept = shared.queue_policy != QueuePolicy::MaxFinalScore;
     while let Some(m) = work.local.pop() {
         if trunc.is_expired() || control.exhausted(&ctx.metrics) {
             drain_expired(shared, control, trunc, m, pool, tr);
-            continue;
-        }
-        if !shared.topk.should_prune(&m) {
+        } else if m.is_complete(shared.full_mask) {
+            // A seed of a single-node pattern: an answer on arrival.
+            tr.completed(&m);
+            pool.release(m);
+            work.net -= 1;
+        } else if shared.topk.should_prune(&m) {
+            ctx.metrics.add_pruned();
+            tr.pruned(&m, shared.topk.threshold_snapshot());
+            pool.release(m);
+            work.net -= 1;
+        } else {
             work.survivors.push(m);
-            continue;
         }
-        if !swept {
-            // Under max-final-score order nothing unrouted can reach
-            // higher than the head: once it cannot beat the k-th score
-            // the whole unrouted queue goes in one step. Each match
-            // still takes the checks above, because a sibling may have
-            // published a rescue since this batch was popped.
-            swept = true;
-            work.local.extend(shared.unrouted.drain(false));
-        }
-        ctx.metrics.add_pruned();
-        tr.pruned(&m, shared.topk.threshold_snapshot());
-        pool.release(m);
-        work.net -= 1;
     }
 }
 
-/// Serves one drained batch on behalf of `server`, catching any panic
-/// that escapes the fault layer (e.g. a panicking score model when no
-/// fault plan is active, so [`guarded_process_located`] runs unguarded). The
-/// panic is settled at batch granularity — see [`abandon_batch`] — and
-/// the worker keeps running, so a poisoned batch truncates the result
-/// instead of hanging or aborting the run.
+/// Serves one batch — drained from `server`'s queue, or the unrouted
+/// queue's turn — catching any panic that escapes the fault layer (e.g.
+/// a panicking score model when no fault plan is active, so
+/// [`guarded_process_located`] runs unguarded). The panic is settled at
+/// batch granularity — see [`abandon_batch`] — and the worker keeps
+/// running, so a poisoned batch truncates the result instead of hanging
+/// or aborting the run.
 fn serve_batch(
     shared: &Shared<'_, '_>,
-    server: QNodeId,
+    server: Option<QNodeId>,
     work: &mut BatchWork,
     control: &RunControl,
     trunc: &Truncation,
     pool: &mut MatchPool<'_>,
     tr: &mut WorkerTrace,
 ) {
-    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        process_batch(shared, server, work, control, trunc, pool, tr);
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match server {
+        Some(server) => process_batch(shared, server, work, control, trunc, pool, tr),
+        None => admit_batch(shared, work, control, trunc, pool, tr),
     }));
     if caught.is_err() {
         abandon_batch(trunc, work, pool, tr);
+        if server.is_none() {
+            // The model panicked on a root, and the source would only
+            // meet it again: the roots still unseeded are accounted
+            // under its ceiling and its token leaves with them.
+            let threshold = shared.topk.threshold_snapshot();
+            let unrouted = &mut shared.unrouted.inner.lock().queue;
+            if drop_seed_source(shared.ctx, unrouted, Some(trunc), tr, threshold) {
+                work.net -= 1;
+            }
+        }
     }
 }
 
@@ -851,7 +898,7 @@ fn process_batch(
             let mut rescued = Vec::new();
             let waiting = std::iter::once(m)
                 .chain(work.local.drain(..).rev())
-                .chain(queue.drain(true));
+                .chain(queue.close_and_drain());
             for x in waiting {
                 handle_dead_server_match(shared, trunc, server, x, &mut rescued, pool, tr);
             }
@@ -998,11 +1045,12 @@ mod tests {
         assert!(run.completeness.is_exact());
         assert_eq!(run.answers.len(), 1);
         assert!(trace.balanced(), "{trace:?}");
-        // One answer at the ceiling makes the unrouted head prunable:
-        // only the first batch of roots was ever routed (at most once
-        // per server), and the other nine left as pruned.
+        // One answer at the ceiling makes the seed source prunable:
+        // only the first batch of roots ever existed (routed at most
+        // once per server), and the other nine were dropped unseeded.
+        assert!(trace.spawned <= 4 * DRAIN_BATCH as u64, "{trace:?}");
         assert!(trace.routed <= 3 * DRAIN_BATCH as u64, "{trace:?}");
-        assert!(trace.pruned >= (roots - DRAIN_BATCH) as u64, "{trace:?}");
+        assert_eq!(trace.roots_unseeded, (roots - DRAIN_BATCH) as u64);
         assert_eq!(trace.abandoned, 0);
     }
 
@@ -1018,9 +1066,14 @@ mod tests {
                 } => assert_eq!(pending_matches, roots as u64, "threads={threads}"),
                 other => panic!("threads={threads}: expected truncation, got {other:?}"),
             }
+            // The budget is checked before the source is consulted: no
+            // root was materialised only to be abandoned.
             assert!(trace.balanced(), "{trace:?}");
-            assert_eq!(trace.abandoned, roots as u64);
-            assert_eq!((trace.consumed, trace.pruned, trace.routed), (0, 0, 0));
+            assert_eq!(trace.roots_unseeded, roots as u64);
+            assert_eq!(
+                (trace.spawned, trace.consumed, trace.pruned, trace.routed),
+                (0, 0, 0, 0)
+            );
         }
     }
 

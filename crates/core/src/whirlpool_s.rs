@@ -9,7 +9,8 @@
 
 use crate::context::{Located, QueryContext, RelaxMode};
 use crate::fault::{
-    degrade_to_completion, guarded_process_located, EngineRun, RunControl, Truncation,
+    degrade_to_completion, drop_seed_source, guarded_process_located, EngineRun, RunControl,
+    Truncation,
 };
 use crate::queue::{MatchQueue, QueuePolicy};
 use crate::router::RoutingStrategy;
@@ -45,47 +46,63 @@ pub fn run_whirlpool_s_anytime(
     let trunc = Truncation::new();
     let mut topk = TopKSet::with_floor(k, control.threshold_floor());
     let mut pool = ctx.new_pool();
-    let mut queue = MatchQueue::new(queue_policy, None);
     let mut tr = control.trace_worker("whirlpool-s");
 
     tr.span_begin("seed");
-    for m in ctx.make_root_matches() {
-        tr.spawned(&m);
-        let complete = m.is_complete(full); // single-node patterns
-        if offer_partial || complete {
-            topk.offer_match(&m);
-        }
-        if complete {
-            tr.completed(&m);
-            pool.release(m);
-        } else {
-            queue.push(ctx, m);
-        }
-    }
+    let mut queue = MatchQueue::with_seeds(queue_policy, ctx);
     tr.span_end("seed");
 
     tr.span_begin("route-and-process");
     let mut exts = Vec::new();
     let mut locs: Vec<Located> = Vec::new();
-    while let Some(m) = queue.pop() {
+    while queue.peek_rank().is_some() {
+        // The budget comes first, as for any pop: an expired run
+        // materialises no further root.
         if control.exhausted(&ctx.metrics) {
             if trunc.expire() {
                 control.count_stop(&ctx.metrics);
             }
-            for x in std::iter::once(m).chain(queue.drain()) {
+            for x in queue.drain() {
                 trunc.account(x.max_final);
                 tr.abandoned(&x);
                 pool.release(x);
             }
+            drop_seed_source(ctx, &mut queue, Some(&trunc), &mut tr, topk.threshold());
             break;
         }
+        if queue.seeds_are_head() {
+            // No unseeded root can reach higher than the ceiling: once
+            // that cannot beat the k-th score they all go in one step,
+            // without ever existing. Otherwise the next one enters, as
+            // the root server would have handed it over up front.
+            if topk.cannot_beat(ctx.seed_ceiling().0) {
+                drop_seed_source(ctx, &mut queue, None, &mut tr, topk.threshold());
+                continue;
+            }
+            let m = queue.next_seed(ctx).expect("the seed source is live");
+            tr.spawned(&m);
+            let complete = m.is_complete(full); // single-node patterns
+            if offer_partial || complete {
+                topk.offer_match(&m);
+            }
+            if complete {
+                tr.completed(&m);
+                pool.release(m);
+            } else {
+                queue.push(ctx, m);
+            }
+            continue;
+        }
+        let m = queue.pop().expect("the head is a queued match");
         // Re-check at pop time: the threshold may have grown since the
         // match was queued.
         if topk.should_prune(&m) {
             // Under max-final-score order nothing queued can reach
             // higher than the head: once the head cannot beat the k-th
-            // score the whole queue is pruned in one step and the run is
-            // over. (Other policies prune match by match.)
+            // score the whole queue is pruned in one step (the seed
+            // source, ranking below the head, follows on the next
+            // turn) and the run is over. (Other policies prune match by
+            // match.)
             let rest = (queue_policy == QueuePolicy::MaxFinalScore).then(|| queue.drain());
             for x in std::iter::once(m).chain(rest.into_iter().flatten()) {
                 ctx.metrics.add_pruned();
@@ -301,7 +318,9 @@ mod tests {
                     1,
                     QueuePolicy::MaxFinalScore,
                 );
-                assert!(ctx.metrics.snapshot().pruned > 0);
+                // Cut as matches, or as roots that never became one.
+                let m = ctx.metrics.snapshot();
+                assert!(m.pruned + m.roots_unseeded > 0, "{m:?}");
             },
         );
     }

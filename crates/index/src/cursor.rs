@@ -16,13 +16,14 @@ use whirlpool_xml::NodeId;
 
 /// A stateful scanner over one sorted posting list (see module docs).
 ///
-/// The cursor never mutates the list; it only caches the lower bound of
-/// the previous query as a galloping start point.
+/// The cursor never mutates the list; it only caches the bounds of the
+/// previous query as galloping start points.
 pub struct RangeCursor<'a> {
     list: &'a [NodeId],
-    /// Lower bound returned by the previous `bounds` call; every id
-    /// before it was `<=` that call's ancestor.
+    /// `[pos, end)` is the range the previous `bounds` call returned;
+    /// every id before `pos` was `<=` that call's ancestor.
     pos: usize,
+    end: usize,
 }
 
 impl<'a> RangeCursor<'a> {
@@ -33,21 +34,47 @@ impl<'a> RangeCursor<'a> {
             list.windows(2).all(|w| w[0] < w[1]),
             "posting list not sorted"
         );
-        RangeCursor { list, pos: 0 }
+        Self::resume(list, (0, 0))
+    }
+
+    /// A cursor over `list` that gallops from `hint` — the
+    /// [`hint`](RangeCursor::hint) of an earlier cursor over the same
+    /// list. Any value is safe: it only chooses where the first search
+    /// starts.
+    pub fn resume(list: &'a [NodeId], hint: (usize, usize)) -> Self {
+        let pos = hint.0.min(list.len());
+        RangeCursor {
+            list,
+            pos,
+            end: hint.1.clamp(pos, list.len()),
+        }
+    }
+
+    /// The range the previous [`bounds`](RangeCursor::bounds) call
+    /// returned: where the next search starts.
+    pub fn hint(&self) -> (usize, usize) {
+        (self.pos, self.end)
     }
 
     /// The `[lo, hi)` index range of ids in the half-open id interval
     /// `(ancestor, end)` — i.e. `ancestor`'s proper descendants when
-    /// `end` is its subtree end. Galloping applies whenever `ancestor`
-    /// is at or past the previous call's lower bound.
+    /// `end` is its subtree end. Galloping starts past the previous
+    /// range when `ancestor` lies beyond it (the document-order scan:
+    /// one probe when nothing sits between two ancestors), at its lower
+    /// bound when `ancestor` is inside it (nested, or the same one
+    /// again), and gives way to a binary search when `ancestor` lies
+    /// before it.
     pub fn bounds(&mut self, ancestor: NodeId, end: u32) -> (usize, usize) {
-        let lo = if self.pos == 0 || self.list[self.pos - 1] <= ancestor {
+        let behind = |i: usize| i == 0 || self.list[i - 1] <= ancestor;
+        let lo = if behind(self.end) {
+            gallop_past(self.list, self.end, |n| n <= ancestor)
+        } else if behind(self.pos) {
             gallop_past(self.list, self.pos, |n| n <= ancestor)
         } else {
             self.list.partition_point(|&n| n <= ancestor)
         };
         let hi = gallop_past(self.list, lo, |n| (n.index() as u32) < end);
-        self.pos = lo;
+        (self.pos, self.end) = (lo, hi);
         (lo, hi)
     }
 
@@ -117,6 +144,24 @@ mod tests {
                 naive(&list, a, end),
                 "anc {anc} end {end}"
             );
+        }
+    }
+
+    #[test]
+    fn resumed_cursors_agree_from_any_hint() {
+        let list = ids(&[2, 3, 5, 8, 13, 21, 34, 55]);
+        let queries = [(1, 4), (3, 9), (3, 9), (4, 9), (20, 40), (0, 100), (55, 56)];
+        for pos in 0..=list.len() + 1 {
+            for end in 0..=list.len() + 1 {
+                let mut hint = (pos, end);
+                for (anc, e) in queries {
+                    // One cursor per query, carrying only the hint over.
+                    let mut cursor = RangeCursor::resume(&list, hint);
+                    let a = NodeId::from_index(anc);
+                    assert_eq!(cursor.bounds(a, e), naive(&list, a, e), "hint {hint:?}");
+                    hint = cursor.hint();
+                }
+            }
         }
     }
 

@@ -826,6 +826,10 @@ fn collection_response_json(
         counts.shards_skipped_budget,
     ));
     body.push_str(&format!(
+        "  \"roots_unseeded\": {},\n",
+        result.metrics.roots_unseeded
+    ));
+    body.push_str(&format!(
         "  \"elapsed_ms\": {:.3},\n",
         elapsed.as_secs_f64() * 1e3
     ));
@@ -883,6 +887,10 @@ fn query_response_json(
     body.push_str(&format!(
         "  \"cancellations\": {},\n",
         result.metrics.cancellations
+    ));
+    body.push_str(&format!(
+        "  \"roots_unseeded\": {},\n",
+        result.metrics.roots_unseeded
     ));
     body.push_str(&format!(
         "  \"elapsed_ms\": {:.3},\n",
@@ -971,6 +979,10 @@ mod tests {
         let v = Json::parse(&body).unwrap();
         assert_eq!(v.get("outcome").and_then(Json::as_str), Some("exact"));
         assert_eq!(v.get("rung").and_then(Json::as_str), Some("full"));
+        assert!(
+            v.get("roots_unseeded").and_then(Json::as_u64).is_some(),
+            "{body}"
+        );
         let Some(Json::Arr(answers)) = v.get("answers") else {
             panic!("no answers: {body}")
         };

@@ -132,6 +132,56 @@ fn zero_op_budget_returns_certified_prefix() {
     }
 }
 
+/// A budget that expires while most roots are still unseeded: the
+/// roots the seed source never produced are pending like any abandoned
+/// match, under the one bound none of them could exceed, so the
+/// certificate covers every answer the prefix is missing.
+#[test]
+fn one_op_budget_certifies_the_unseeded_roots() {
+    let fx = Fixture::new(100);
+    let roots = fx
+        .doc
+        .elements()
+        .filter(|&n| fx.doc.tag_str(n) == "item")
+        .count() as u64;
+    let every = fx
+        .eval(&Algorithm::WhirlpoolS, &EvalOptions::top_k(roots as usize))
+        .answers;
+    assert_eq!(every.len() as u64, roots);
+    for (alg, threads) in [
+        (Algorithm::WhirlpoolS, 1),
+        (Algorithm::WhirlpoolM { processors: None }, 1),
+        (Algorithm::WhirlpoolM { processors: None }, 2),
+    ] {
+        let what = format!("{}@{threads}", alg.name());
+        let mut options = EvalOptions::top_k(5);
+        options.max_server_ops = Some(1);
+        options.threads = threads;
+        let r = fx.eval(&alg, &options);
+        let Completeness::Truncated {
+            pending_matches, ..
+        } = r.completeness
+        else {
+            panic!("{what}: one operation cannot complete this query");
+        };
+        let m = &r.metrics;
+        assert!(
+            m.roots_unseeded > 0 && m.roots_unseeded < roots,
+            "{what}: {m:?}"
+        );
+        // Relaxed mode: one match per seeded root, one per operation.
+        let seeded = m.partials_created - m.server_ops;
+        assert_eq!(seeded + m.roots_unseeded, roots, "{what}: {m:?}");
+        assert!(
+            pending_matches >= roots - seeded,
+            "{what}: {pending_matches} pending for {} unseeded roots",
+            roots - seeded
+        );
+        assert_eq!(m.deadline_hits, 1, "{what}");
+        assert_certificate_valid(&r.answers, &r.completeness, &every, &what);
+    }
+}
+
 #[test]
 fn generous_op_budget_is_exact_and_identical() {
     let fx = Fixture::new(40);
@@ -312,6 +362,37 @@ fn fail_fault_degrades_gracefully_in_every_engine() {
         assert_eq!(r.metrics.servers_failed, 1, "{}", alg.name());
         assert!(!r.completeness.is_exact(), "{}", alg.name());
         assert_certificate_valid(&r.answers, &r.completeness, &exact, alg.name());
+    }
+}
+
+/// A server dead from its first operation hands its queue back to the
+/// unrouted queue while the seed source next to it still has roots to
+/// produce. The source's in-flight token must keep the run alive until
+/// those roots are seeded or cut: the degraded top-k is what the
+/// sequential engine finds under the same fault.
+#[test]
+fn rescue_under_a_live_seed_source_does_not_end_the_run() {
+    let fx = Fixture::new(100);
+    let mut options = EvalOptions::top_k(5);
+    options.fault_plan =
+        Some(FaultPlan::seeded(1).with(QNodeId(1), FaultKind::Fail { after_ops: 0 }));
+    let reference = fx.eval(&Algorithm::WhirlpoolS, &options);
+    assert_eq!(reference.answers.len(), 5);
+    options.threads = 2;
+    for rep in 0..20 {
+        let r = fx.eval(&Algorithm::WhirlpoolM { processors: None }, &options);
+        assert_eq!(r.metrics.servers_failed, 1, "rep {rep}");
+        assert!(r.metrics.matches_redistributed > 0, "rep {rep}");
+        assert!(!r.completeness.is_exact(), "rep {rep}");
+        // Roots were still unseeded when the run ended, so the source
+        // was live when the first batch reached the dead server.
+        assert!(r.metrics.roots_unseeded > 0, "rep {rep}: {:?}", r.metrics);
+        assert!(
+            whirlpool_core::answers_equivalent(&r.answers, &reference.answers, EPS),
+            "rep {rep}: {:?} vs {:?}",
+            r.answers,
+            reference.answers
+        );
     }
 }
 

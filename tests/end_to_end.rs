@@ -115,12 +115,13 @@ fn virtual_time_simulation_matches_real_answers() {
 fn document_sizes_scale_the_workload() {
     // More document ⇒ more candidate roots ⇒ more work for the
     // exhaustive engine, same code path as the Figure 11 experiment (at
-    // reduced scale). Top-k stops at k: Whirlpool-S seeds every root
-    // but its server operations are bounded by the exhaustive count,
-    // not driven by the document size.
+    // reduced scale). Top-k stops at k: Whirlpool-S's operations *and*
+    // its partial matches are bounded independently of the document —
+    // a root the run never reaches is never seeded, and every seed that
+    // is either gets processed or ends the run.
     let query = queries::parse(queries::Q1);
     let mut exhaustive = Vec::new();
-    let mut seeded = Vec::new();
+    let mut adaptive = Vec::new();
     for items in [20usize, 80, 320] {
         let doc = generate(&GeneratorConfig::items(items));
         let index = TagIndex::build(&doc);
@@ -139,14 +140,22 @@ fn document_sizes_scale_the_workload() {
         let all = run(Algorithm::LockStepNoPrune);
         let topk = run(Algorithm::WhirlpoolS);
         assert!(topk.server_ops <= all.server_ops, "items={items}");
+        assert!(
+            topk.partials_created <= 2 * topk.server_ops + 1,
+            "items={items}: {topk:?}"
+        );
         exhaustive.push(all.server_ops);
-        seeded.push(topk.partials_created);
+        adaptive.push((topk.server_ops, topk.partials_created));
     }
     assert!(
         exhaustive[0] < exhaustive[1] && exhaustive[1] < exhaustive[2],
         "{exhaustive:?}"
     );
-    assert!(seeded[0] < seeded[1] && seeded[1] < seeded[2], "{seeded:?}");
+    // Sixteen times the document, the same order of work.
+    let (ops, created) = adaptive[2];
+    assert!(ops <= 2 * adaptive[0].0.max(adaptive[1].0), "{adaptive:?}");
+    assert!(created <= 4 * ops, "{adaptive:?}");
+    assert!(ops * 8 < exhaustive[2], "{adaptive:?} vs {exhaustive:?}");
 }
 
 #[test]

@@ -20,18 +20,23 @@
 
 use proptest::prelude::*;
 use whirlpool_core::{
-    evaluate, evaluate_collection, Algorithm, Collection, CollectionOptions, EvalOptions, RelaxMode,
+    evaluate, evaluate_collection, Algorithm, Collection, CollectionOptions, EvalOptions,
+    MetricsSnapshot, QueuePolicy, RelaxMode,
 };
 use whirlpool_index::TagIndex;
 use whirlpool_pattern::{parse_pattern, Axis, QNodeId, TreePattern, WILDCARD};
-use whirlpool_score::{MatchLevel, Normalization, RandomScores, ScoreModel, TfIdfModel};
+use whirlpool_score::{
+    FixedScores, MatchLevel, Normalization, RandomScores, ScoreModel, TfIdfModel,
+};
 use whirlpool_xmark::{generate, queries, GeneratorConfig};
 use whirlpool_xml::{Document, DocumentBuilder, NodeId};
 
 const EPS: f64 = 1e-9;
 
 /// The survey's corner cases (Hachicha & Darmont) plus ordinary twigs.
-const PATTERNS: [&str; 12] = [
+const PATTERNS: [&str; 13] = [
+    // A single node: every root match is an answer the moment it exists.
+    "//a",
     // Wildcard below the root, alone and inside a chain.
     "//a[./*]",
     "//a[./*/b and ./c]",
@@ -250,18 +255,67 @@ fn check_topk<K: PartialEq + std::fmt::Debug + Copy>(
     }
 }
 
-/// Every engine × k ∈ {1, 2, |roots|} × relax mode against the oracle.
+/// What relaxed mode may create — one match per seeded root plus one
+/// per server operation — and what lazy seeding adds to that: a root is
+/// seeded or counted unseeded, never both, and when every root starts
+/// at the same score (`uniform_roots`: an idf model) a seed exists only
+/// to be processed, to end the run, or — single-node patterns — to be
+/// an answer, so the matches track the operations, not the document.
+/// Whirlpool-M seeds a batch of 32 per worker ahead of that.
+fn check_relaxed_counters(
+    what: &str,
+    m: &MetricsSnapshot,
+    engine: (&Algorithm, usize),
+    roots: u64,
+    uniform_roots: bool,
+    answers: u64,
+) {
+    assert_eq!(
+        roots,
+        (m.partials_created - m.server_ops) + m.roots_unseeded,
+        "{what}: {roots} roots, {m:?}"
+    );
+    let ahead = match engine {
+        (Algorithm::LockStepNoPrune | Algorithm::LockStep, _) => {
+            assert_eq!(m.roots_unseeded, 0, "{what}: lock-step seeds every root");
+            return;
+        }
+        _ if !uniform_roots => return,
+        (Algorithm::WhirlpoolS, _) => 1,
+        (Algorithm::WhirlpoolM { .. }, threads) => 32 * threads as u64,
+    };
+    assert!(
+        m.partials_created <= 2 * m.server_ops + answers + ahead,
+        "{what}: {} matches for {} ops and {answers} answers",
+        m.partials_created,
+        m.server_ops
+    );
+}
+
+/// Every engine × k ∈ {1, 2, |roots| − 1, |roots|, |roots| + 2} (the
+/// last three never fill the top-k set before every root is seeded) ×
+/// relax mode against the oracle.
 fn assert_engines_match_oracle(
     doc: &Document,
     pattern: &TreePattern,
     model: &dyn ScoreModel,
+    uniform_roots: bool,
     label: &str,
 ) {
     let index = TagIndex::build(doc);
     for relax in [RelaxMode::Relaxed, RelaxMode::Exact] {
         let truth = oracle(doc, pattern, model, relax);
-        let roots = root_candidates(doc, pattern).len().max(1);
-        for k in [1, 2, roots] {
+        let roots = root_candidates(doc, pattern).len();
+        let mut ks = vec![
+            1,
+            2,
+            roots.saturating_sub(1).max(1),
+            roots.max(1),
+            roots + 2,
+        ];
+        ks.sort_unstable();
+        ks.dedup();
+        for k in ks {
             for (algorithm, threads) in all_engines() {
                 let mut options = EvalOptions::top_k(k);
                 options.relax = relax;
@@ -278,13 +332,19 @@ fn assert_engines_match_oracle(
                     algorithm.name()
                 );
                 check_topk(&what, &got, &truth, k);
+                let m = &result.metrics;
+                assert!(m.roots_unseeded <= roots as u64, "{what}: {m:?}");
                 if relax == RelaxMode::Relaxed {
-                    let m = &result.metrics;
-                    assert!(
-                        m.partials_created <= roots as u64 + m.server_ops,
-                        "{what}: {} matches for {roots} roots and {} ops",
-                        m.partials_created,
-                        m.server_ops
+                    // Only a single-node pattern's seeds are answers
+                    // without an operation.
+                    let unprocessed_answers = if pattern.len() == 1 { got.len() } else { 0 };
+                    check_relaxed_counters(
+                        &what,
+                        m,
+                        (&algorithm, threads),
+                        roots as u64,
+                        uniform_roots,
+                        unprocessed_answers as u64,
                     );
                 }
             }
@@ -371,13 +431,13 @@ proptest! {
             let pattern = parse_pattern(q).unwrap();
             for norm in [Normalization::Sparse, Normalization::None] {
                 let model = TfIdfModel::build(&doc, &index, &pattern, norm);
-                assert_engines_match_oracle(&doc, &pattern, &model, &format!("{norm:?}"));
+                assert_engines_match_oracle(&doc, &pattern, &model, true, &format!("{norm:?}"));
             }
             for model in [
                 RandomScores::sparse(seed, pattern.len()),
                 RandomScores::dense(seed, pattern.len()),
             ] {
-                assert_engines_match_oracle(&doc, &pattern, &model, "random");
+                assert_engines_match_oracle(&doc, &pattern, &model, false, "random");
             }
         }
     }
@@ -450,9 +510,177 @@ fn handcrafted_corner_cases_match_the_enumeration() {
         for q in PATTERNS {
             let pattern = parse_pattern(q).unwrap();
             let model = TfIdfModel::build(&doc, &index, &pattern, Normalization::Sparse);
-            assert_engines_match_oracle(&doc, &pattern, &model, src);
+            assert_engines_match_oracle(&doc, &pattern, &model, true, src);
             let random = RandomScores::sparse(7, pattern.len());
-            assert_engines_match_oracle(&doc, &pattern, &random, src);
+            assert_engines_match_oracle(&doc, &pattern, &random, false, src);
+        }
+    }
+}
+
+/// What lazy seeding could get wrong on roots that are not all alike:
+/// candidates filtered by an attribute test or by the `/tag` axis (the
+/// seed source walks a filtered list, not the tag's postings), and a
+/// per-node model whose root scores *rise* in document order — the
+/// source must rank by the model's maximum, not by the first root's
+/// score, or it is dropped before the best root exists.
+#[test]
+fn filtered_and_unequal_roots_match_the_enumeration() {
+    let src = "<a id='1'><b/><a id='2'><b/><c/></a><a><b/><c/></a><a id='2'/>\
+               <d><a id='3'><c/><b>x</b></a></d></a>";
+    let doc = whirlpool_xml::parse_document(src).unwrap();
+    let index = TagIndex::build(&doc);
+    for q in [
+        "//a[@id and ./b]",
+        "//a[@id = '2' and ./b and ./c]",
+        "//a[@id = '2']",
+        "/a[@id and .//c]",
+        "/a",
+        "//*[@id and ./b]",
+    ] {
+        let pattern = parse_pattern(q).unwrap();
+        let model = TfIdfModel::build(&doc, &index, &pattern, Normalization::Sparse);
+        assert_engines_match_oracle(&doc, &pattern, &model, true, src);
+        let random = RandomScores::dense(3, pattern.len());
+        assert_engines_match_oracle(&doc, &pattern, &random, false, src);
+    }
+
+    let pattern = parse_pattern("//a[./b]").unwrap();
+    let roots = root_candidates(&doc, &pattern);
+    let b = QNodeId(1);
+    let mut entries: Vec<(QNodeId, NodeId, f64)> = roots
+        .iter()
+        .zip(1..)
+        .map(|(&r, i)| (QNodeId::ROOT, r, i as f64))
+        .collect();
+    entries.extend(
+        doc.elements()
+            .filter(|&n| doc.tag_str(n) == "b")
+            .map(|n| (b, n, 0.5)),
+    );
+    let rising = FixedScores::new(pattern.len(), &entries);
+    assert_engines_match_oracle(&doc, &pattern, &rising, false, "rising root scores");
+}
+
+/// `examples/threshold_search.rs` as a test: with the floor pinned at τ
+/// and `k` = every candidate root, each engine returns every answer
+/// scoring at least τ (what it returns below τ is the caller's to drop).
+#[test]
+fn a_threshold_floor_returns_every_answer_at_or_above_it() {
+    let src = "<r><a><b/><c/><d/></a><a><b/><c/></a><a><x><b/></x><d/></a><a><b/></a><a/>\
+               <a><c/><d/></a><a><b/><c/><d/></a></r>";
+    let doc = whirlpool_xml::parse_document(src).unwrap();
+    let index = TagIndex::build(&doc);
+    let pattern = parse_pattern("//a[./b and ./c and ./d]").unwrap();
+    let models: [(&str, Box<dyn ScoreModel>); 2] = [
+        (
+            "tf*idf",
+            Box::new(TfIdfModel::build(
+                &doc,
+                &index,
+                &pattern,
+                Normalization::Sparse,
+            )),
+        ),
+        ("random", Box::new(RandomScores::sparse(11, pattern.len()))),
+    ];
+    for (label, model) in &models {
+        for relax in [RelaxMode::Relaxed, RelaxMode::Exact] {
+            let truth = oracle(&doc, &pattern, model.as_ref(), relax);
+            let mut taus: Vec<f64> = truth.iter().map(|&(_, s)| s).collect();
+            taus.extend([0.0, 1e9]);
+            for tau in taus {
+                let mut want: Vec<(NodeId, f64)> =
+                    truth.iter().copied().filter(|&(_, s)| s >= tau).collect();
+                want.sort_by_key(|x| x.0);
+                for (algorithm, threads) in all_engines() {
+                    let mut options = EvalOptions::top_k(root_candidates(&doc, &pattern).len());
+                    options.relax = relax;
+                    options.threads = threads;
+                    options.threshold_floor = tau;
+                    let result =
+                        evaluate(&doc, &index, &pattern, model.as_ref(), &algorithm, &options);
+                    assert!(result.completeness.is_exact());
+                    let mut got: Vec<(NodeId, f64)> = result
+                        .answers
+                        .iter()
+                        .map(|a| (a.root, a.score.value()))
+                        .filter(|&(_, s)| s >= tau)
+                        .collect();
+                    got.sort_by_key(|x| x.0);
+                    let what =
+                        format!("{label} {relax:?} tau={tau} {}@{threads}", algorithm.name());
+                    assert_eq!(got.len(), want.len(), "{what}: {got:?} vs {want:?}");
+                    for (g, w) in got.iter().zip(&want) {
+                        assert!(
+                            g.0 == w.0 && (g.1 - w.1).abs() <= EPS,
+                            "{what}: {got:?} vs {want:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The queue orders that are defined over seeds that all exist — the
+/// seed source is drained before anything is popped — still return the
+/// enumeration's top-k, in both adaptive engines.
+#[test]
+fn other_queue_policies_match_the_enumeration() {
+    let doc = generate(&GeneratorConfig::items(12));
+    let index = TagIndex::build(&doc);
+    let pattern = parse_pattern("//item[./name and ./mailbox/mail and ./incategory]").unwrap();
+    let models: [(&str, Box<dyn ScoreModel>); 2] = [
+        (
+            "tf*idf",
+            Box::new(TfIdfModel::build(
+                &doc,
+                &index,
+                &pattern,
+                Normalization::Sparse,
+            )),
+        ),
+        ("random", Box::new(RandomScores::sparse(5, pattern.len()))),
+    ];
+    let roots = root_candidates(&doc, &pattern).len();
+    for (label, model) in &models {
+        for relax in [RelaxMode::Relaxed, RelaxMode::Exact] {
+            let truth = oracle(&doc, &pattern, model.as_ref(), relax);
+            for queue in [
+                QueuePolicy::Fifo,
+                QueuePolicy::CurrentScore,
+                QueuePolicy::MaxNextScore,
+                QueuePolicy::MaxFinalScore,
+            ] {
+                for k in [1, 3, roots] {
+                    for (algorithm, threads) in all_engines().into_iter().skip(2) {
+                        let mut options = EvalOptions::top_k(k);
+                        options.relax = relax;
+                        options.threads = threads;
+                        options.queue = queue;
+                        let result =
+                            evaluate(&doc, &index, &pattern, model.as_ref(), &algorithm, &options);
+                        let got: Vec<(NodeId, f64)> = result
+                            .answers
+                            .iter()
+                            .map(|a| (a.root, a.score.value()))
+                            .collect();
+                        let what = format!(
+                            "{label} {relax:?} {queue:?} k={k} {}@{threads}",
+                            algorithm.name()
+                        );
+                        check_topk(&what, &got, &truth, k);
+                        if relax == RelaxMode::Relaxed {
+                            let m = &result.metrics;
+                            assert_eq!(
+                                roots as u64,
+                                (m.partials_created - m.server_ops) + m.roots_unseeded,
+                                "{what}: {m:?}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 }
@@ -461,19 +689,18 @@ fn handcrafted_corner_cases_match_the_enumeration() {
 
 /// Q2 over a 400-item XMark document: the run's counters and the
 /// number of root candidates.
-fn xmark_q2(k: usize, algorithm: &Algorithm) -> (whirlpool_core::MetricsSnapshot, u64) {
+fn xmark_q2(k: usize, algorithm: &Algorithm) -> (MetricsSnapshot, u64) {
+    xmark_q2_at(k, algorithm, 1)
+}
+
+fn xmark_q2_at(k: usize, algorithm: &Algorithm, threads: usize) -> (MetricsSnapshot, u64) {
     let doc = generate(&GeneratorConfig::items(400));
     let index = TagIndex::build(&doc);
     let pattern = parse_pattern(queries::Q2).unwrap();
     let model = TfIdfModel::build(&doc, &index, &pattern, Normalization::Sparse);
-    let result = evaluate(
-        &doc,
-        &index,
-        &pattern,
-        &model,
-        algorithm,
-        &EvalOptions::top_k(k),
-    );
+    let mut options = EvalOptions::top_k(k);
+    options.threads = threads;
+    let result = evaluate(&doc, &index, &pattern, &model, algorithm, &options);
     (result.metrics, root_candidates(&doc, &pattern).len() as u64)
 }
 
@@ -526,19 +753,18 @@ fn whirlpool_m_at_one_worker_tracks_whirlpool_s() {
     }
 }
 
-/// Relaxed mode creates at most one match per root plus one per server
-/// operation, in every engine.
+/// Relaxed mode creates one match per *seeded* root plus one per server
+/// operation, in every engine — and the adaptive engines seed a root
+/// only to process it (or to end the run on it), so on a 400-item
+/// document their matches follow their operations.
 #[test]
 fn relaxed_mode_never_fans_out() {
-    for (algorithm, _) in all_engines() {
-        let (m, roots) = xmark_q2(15, &algorithm);
-        assert!(
-            m.partials_created <= roots + m.server_ops,
-            "{}: {} matches, {} ops",
-            algorithm.name(),
-            m.partials_created,
-            m.server_ops
-        );
+    for (algorithm, threads) in all_engines() {
+        let (m, roots) = xmark_q2_at(15, &algorithm, threads);
+        check_relaxed_counters(algorithm.name(), &m, (&algorithm, threads), roots, true, 0);
+        if !matches!(algorithm, Algorithm::LockStepNoPrune | Algorithm::LockStep) {
+            assert!(m.roots_unseeded > roots / 2, "{}: {m:?}", algorithm.name());
+        }
     }
 }
 

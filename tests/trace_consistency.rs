@@ -135,6 +135,22 @@ fn fault_free_traces_are_balanced_and_match_metrics() {
             algorithm.name()
         );
         assert_eq!(summary.degraded_completions, 0, "{}", algorithm.name());
+        // No phantom matches: what was spawned is what was created,
+        // and the roots the seed source dropped were never either.
+        assert_eq!(
+            summary.spawned,
+            result.metrics.partials_created,
+            "{}: MatchSpawned events vs partials_created metric",
+            algorithm.name()
+        );
+        assert_eq!(
+            summary.roots_unseeded,
+            result.metrics.roots_unseeded,
+            "{}: SeedsDropped events vs roots_unseeded metric",
+            algorithm.name()
+        );
+        let adaptive = !algorithm.name().starts_with("LockStep");
+        assert_eq!(summary.roots_unseeded > 0, adaptive, "{}", algorithm.name());
     }
 
     // Whirlpool-M's pooled workers record into per-worker buffers:
@@ -186,6 +202,14 @@ fn budgeted_runs_stay_balanced() {
         let result = fx.eval(&algorithm, &options);
         let trace = result.trace.as_ref().expect("trace requested");
         assert_stream_invariants(trace, algorithm.name());
+        // Roots the budget left unseeded are in the certificate, not
+        // in the stream as matches that never existed.
+        assert_eq!(
+            trace.summary().roots_unseeded,
+            result.metrics.roots_unseeded,
+            "{}",
+            algorithm.name()
+        );
         assert!(
             trace.summary().consumed <= 40 + 4,
             "{}: budget overshot",
