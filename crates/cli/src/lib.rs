@@ -81,7 +81,8 @@ QUERY OPTIONS:
   --max-ops N        anytime budget: stop after N server operations
                      (deterministic, unlike --deadline-ms)
   --fault SPEC       inject server faults, e.g. server=2:panic@100
-                     (kinds: panic@OPS | fail@OPS | delay@MICROS;
+                     (kinds: panic@OPS | fail@OPS | delay@MICROS
+                     up to 1000000;
                      comma-separate to fault several servers)
   --fault-seed S     RNG seed for injected delays (default 0)
   --trace-out FILE   record a structured event trace and write it as

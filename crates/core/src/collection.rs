@@ -196,8 +196,8 @@ impl Shard {
     }
 
     /// The owned document and index, when this shard was parsed rather
-    /// than snapshot-attached. Reference/oracle paths that need Dewey
-    /// paths go through this.
+    /// than snapshot-attached. Reference/oracle paths that need the node
+    /// arena go through this.
     pub fn as_parsed(&self) -> Option<(&Document, &TagIndex)> {
         match &self.backing {
             ShardBacking::Parsed { doc, index } => Some((doc, index)),

@@ -558,8 +558,7 @@ impl<'a> QueryContext<'a> {
     /// replicate the scalar loop exactly (the root sweep costs one
     /// comparison per candidate; each conditional sweep costs one per
     /// candidate still alive when it runs, which is precisely the
-    /// scalar early-break). No Dewey materialization anywhere (pinned
-    /// by a `debug_assert` on [`Document::dewey`]'s read counter).
+    /// scalar early-break).
     ///
     /// With `interrupt` present, the kernel runs in segments of
     /// [`INTERRUPT_SPAN`] candidates and consults
@@ -596,12 +595,6 @@ impl<'a> QueryContext<'a> {
         let server_max = self.max_contrib[server.index()];
         let before = out.len();
         let columns = self.index.columns();
-
-        // Per-thread snapshot: concurrent requests over a shared
-        // document may read Dewey paths legitimately on *their*
-        // threads while this kernel runs.
-        #[cfg(debug_assertions)]
-        let dewey_reads_before = whirlpool_xml::Document::dewey_reads_this_thread();
 
         let mut comparisons = 0u64;
         let mut lanes = 0u64;
@@ -797,15 +790,6 @@ impl<'a> QueryContext<'a> {
                 }
             }
         });
-
-        // The grep-able no-Dewey guarantee: the candidate kernel above
-        // must not have touched doc.dewey.
-        #[cfg(debug_assertions)]
-        debug_assert_eq!(
-            whirlpool_xml::Document::dewey_reads_this_thread(),
-            dewey_reads_before,
-            "hot candidate kernel materialized a Dewey path"
-        );
 
         self.metrics.add_comparisons(comparisons);
         if lanes > 0 {

@@ -30,8 +30,10 @@ impl std::fmt::Display for FaultSpecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "malformed spec {:?} (expected server=<id>:<delay|fail|panic>@<n>)",
-            self.spec
+            "malformed spec {:?} (expected server=<id>:<delay|fail|panic>@<n>, \
+             delay n at most {} µs)",
+            self.spec,
+            crate::fault::MAX_INJECTED_DELAY.as_micros()
         )
     }
 }

@@ -18,6 +18,12 @@ use std::time::{Duration, Instant};
 use whirlpool_pattern::QNodeId;
 use whirlpool_score::Score;
 
+/// The longest injected per-operation delay accepted: the mean of a
+/// `delay@` fault and the daemon's `op_cost_us` test hook. Both spin in
+/// a busy-wait that neither a deadline nor a cancel token interrupts,
+/// so an uncapped value would pin a worker for as long as a client asks.
+pub const MAX_INJECTED_DELAY: Duration = Duration::from_secs(1);
+
 /// What an injected fault does to its server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
@@ -73,8 +79,9 @@ impl FaultPlan {
 
     /// Parses a CLI-style spec: `server=<id>:<kind>@<arg>` where kind is
     /// `panic` or `fail` (arg = ops before the fault) or `delay`
-    /// (arg = mean latency in microseconds). Examples:
-    /// `server=2:panic@100`, `server=1:fail@0`, `server=3:delay@250`.
+    /// (arg = mean latency in microseconds, at most
+    /// [`MAX_INJECTED_DELAY`]). Examples: `server=2:panic@100`,
+    /// `server=1:fail@0`, `server=3:delay@250`.
     pub fn parse(spec: &str, seed: u64) -> Result<FaultPlan, EngineError> {
         let bad = || EngineError::InvalidFaultSpec(crate::error::FaultSpecError::new(spec));
         let mut plan = FaultPlan::seeded(seed);
@@ -92,9 +99,13 @@ impl FaultPlan {
             let kind = match kind {
                 "panic" => FaultKind::Panic { after_ops: arg },
                 "fail" => FaultKind::Fail { after_ops: arg },
-                "delay" => FaultKind::Delay {
-                    mean: Duration::from_micros(arg),
-                },
+                "delay" => {
+                    let mean = Duration::from_micros(arg);
+                    if mean > MAX_INJECTED_DELAY {
+                        return Err(bad());
+                    }
+                    FaultKind::Delay { mean }
+                }
                 _ => return Err(bad()),
             };
             plan = plan.with(QNodeId(id), kind);
@@ -163,7 +174,7 @@ impl FaultState {
                     let mut rng = rand::rngs::SmallRng::seed_from_u64(
                         self.seed ^ ((server.0 as u64) << 48) ^ op,
                     );
-                    let drawn = rng.gen_range(0..=2 * micros);
+                    let drawn = rng.gen_range(0..=micros.saturating_mul(2));
                     busy_wait(Duration::from_micros(drawn));
                 }
                 Ok(())
@@ -771,6 +782,7 @@ mod tests {
             p.faults(),
             &[(QNodeId(2), FaultKind::Panic { after_ops: 100 })]
         );
+        assert!(FaultPlan::parse("server=1:delay@1000000", 0).is_ok());
         let p = FaultPlan::parse("server=1:fail@0,server=3:delay@250", 1).unwrap();
         assert_eq!(p.faults().len(), 2);
         assert_eq!(
@@ -796,6 +808,8 @@ mod tests {
             "server=1:panic@x",
             "server=0:panic@1", // the root server cannot be faulted
             "panic@1",
+            "server=1:delay@1000001", // longer than MAX_INJECTED_DELAY
+            "server=1:delay@18446744073709551615",
         ] {
             assert!(
                 matches!(

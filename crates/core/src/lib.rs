@@ -75,7 +75,6 @@ mod error;
 mod fault;
 mod lockstep;
 mod metrics;
-pub mod naive;
 mod partial;
 mod pool;
 mod queue;
@@ -97,7 +96,7 @@ pub use engine::{
 pub use error::{Completeness, EngineError, FaultSpecError};
 pub use fault::{
     Budget, CancelToken, EngineRun, FaultKind, FaultPlan, OpInterrupt, RunControl, INTERRUPT_LANES,
-    INTERRUPT_SPAN,
+    INTERRUPT_SPAN, MAX_INJECTED_DELAY,
 };
 pub use lockstep::{
     run_lockstep, run_lockstep_anytime, run_lockstep_noprune, run_lockstep_noprune_anytime,

@@ -3,10 +3,10 @@
 //! The scoring model only ever needs *root-relative* structural facts
 //! about a candidate — parent-of, depth delta, containment (paper
 //! Definitions 4.1–4.4). All three are O(1) lookups against flat
-//! arrays indexed by [`NodeId`], so the server-op hot loop never has
-//! to materialize and prefix-compare Dewey paths (an O(depth) walk per
-//! candidate). Dewey encodings remain the answer-serialization format;
-//! these columns are the evaluation format.
+//! arrays indexed by [`NodeId`], so the server-op hot loop never walks
+//! parent links (an O(depth) climb per candidate). They are derived
+//! from the [`Document`]'s parent links in one pass, and a snapshot
+//! stores them as they are.
 
 use whirlpool_pattern::ComposedAxis;
 use whirlpool_xml::{Document, NodeId};
@@ -323,8 +323,7 @@ impl<'a> ColumnsView<'a> {
     }
 
     /// Does the composed structural predicate hold between two
-    /// arbitrary nodes? The columnar equivalent of
-    /// [`ComposedAxis::holds`] on Dewey paths:
+    /// arbitrary nodes?
     ///
     /// * `ChildChain(1)` (pc) — one parent lookup;
     /// * `ChildChain(n)` — containment plus a depth delta;
@@ -461,22 +460,40 @@ mod tests {
         (doc, cols)
     }
 
+    /// `y`'s proper ancestors, nearest first, by parent hops.
+    fn ancestors(doc: &Document, y: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        std::iter::successors(doc.parent(y), |&p| doc.parent(p))
+    }
+
+    /// The reference the columns are checked against, from parent links
+    /// alone: `ChildChain(n)` holds iff `n` parent hops from `y` reach
+    /// `x`, `Descendant` iff some number of hops does.
+    fn by_parent_hops(doc: &Document, axis: ComposedAxis, x: NodeId, y: NodeId) -> bool {
+        let mut hops = ancestors(doc, y);
+        match axis {
+            ComposedAxis::ChildChain(n) => hops.nth(n as usize - 1) == Some(x),
+            ComposedAxis::Descendant => hops.any(|p| p == x),
+        }
+    }
+
     #[test]
     fn parent_and_depth_match_document() {
         let (doc, cols) = columns("<a><b><c/><d/></b><e/></a>");
         for id in doc.all_nodes() {
             assert_eq!(cols.parent_of(id), doc.parent(id), "{id:?}");
-            assert_eq!(cols.depth_of(id), doc.depth(id), "{id:?}");
+            assert_eq!(cols.depth_of(id), ancestors(&doc, id).count(), "{id:?}");
         }
         assert_eq!(cols.parent_of(doc.document_root()), None);
     }
 
     #[test]
-    fn containment_matches_dewey() {
+    fn containment_matches_parent_links() {
         let (doc, cols) = columns("<a><b><c/><d/></b><e/></a><a><b/></a>");
         for x in doc.all_nodes() {
             for y in doc.all_nodes() {
-                assert_eq!(cols.contains(x, y), doc.is_ancestor(x, y), "{x:?} {y:?}");
+                let expected = by_parent_hops(&doc, ComposedAxis::Descendant, x, y);
+                assert_eq!(cols.contains(x, y), expected, "{x:?} {y:?}");
+                assert_eq!(doc.is_ancestor(x, y), expected, "{x:?} {y:?}");
                 assert_eq!(cols.is_parent(x, y), doc.is_parent(x, y), "{x:?} {y:?}");
             }
         }
@@ -553,7 +570,7 @@ mod tests {
     }
 
     #[test]
-    fn composed_axes_match_dewey_holds() {
+    fn composed_axes_match_parent_hops() {
         let (doc, cols) = columns("<a><b><c><d/></c></b><c/></a>");
         for axis in [
             ComposedAxis::ChildChain(1),
@@ -563,12 +580,12 @@ mod tests {
         ] {
             for x in doc.all_nodes() {
                 for y in doc.all_nodes() {
-                    let by_dewey = axis.holds(doc.dewey(x), doc.dewey(y));
-                    assert_eq!(cols.holds(axis, x, y), by_dewey, "{axis:?} {x:?} {y:?}");
+                    let expected = by_parent_hops(&doc, axis, x, y);
+                    assert_eq!(cols.holds(axis, x, y), expected, "{axis:?} {x:?} {y:?}");
                     if cols.contains(x, y) {
                         assert_eq!(
                             cols.holds_in_range(axis, x, y),
-                            by_dewey,
+                            expected,
                             "in-range {axis:?} {x:?} {y:?}"
                         );
                     }

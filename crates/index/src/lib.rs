@@ -5,7 +5,10 @@
 //!
 //! "When a query is executed on an XML document, the document is parsed
 //! and nodes involved in the query are stored in indexes along with
-//! their Dewey encoding" (paper §6.2.1). This crate provides:
+//! their Dewey encoding" (paper §6.2.1). This reproduction numbers nodes
+//! by pre-order + subtree extent instead, the interval scheme that
+//! answers the same structural questions with integer compares. This
+//! crate provides:
 //!
 //! * [`TagIndex`] — per-tag (and per tag+value) postings in document
 //!   order, with O(log n) *descendant range scans*: all nodes with a
@@ -19,7 +22,7 @@
 //!   `subtree_end` columns built alongside the postings, turning the
 //!   compiled structural predicates (pc, ad, depth-bounded chains) into
 //!   one or two integer comparisons so the server-op hot loop never
-//!   decodes Dewey paths.
+//!   walks parent links.
 //! * [`ServerSelectivity`] — sampled per-server statistics (candidate
 //!   fanout, exact-match fraction) that the adaptive routing strategies
 //!   use as their cost estimates ("such estimates could be obtained by

@@ -74,7 +74,7 @@ pub fn estimate_selectivity(
 
 /// [`estimate_selectivity`] over borrowed views — the entry point for
 /// snapshot-backed (mapped) state. Exact-predicate checks resolve
-/// through the structural columns rather than Dewey paths, so the
+/// through the structural columns rather than parent links, so the
 /// estimate never touches the node arena.
 pub fn estimate_selectivity_view(
     doc: DocView<'_>,

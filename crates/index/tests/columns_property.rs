@@ -1,17 +1,18 @@
-//! Property tests: [`StructuralColumns`] must agree with the
-//! Dewey-derived structural relations on arbitrary documents.
+//! Property tests: [`StructuralColumns`] must agree with the structural
+//! relations read off parent links on arbitrary documents.
 //!
-//! The columns are the engines' hot-path replacement for Dewey prefix
-//! comparisons, so every relation they answer — parent, depth,
-//! containment, and the compiled [`ComposedAxis`] predicates — is
-//! checked pairwise against the [`Document`]'s Dewey-backed oracle, on
-//! both randomized element trees and seeded XMark-like documents.
+//! The columns are what the engines' hot path decides structure with,
+//! so every relation they answer — parent, depth, containment, and the
+//! compiled [`ComposedAxis`] predicates — is checked pairwise against a
+//! reference built here from [`Document::parent`] alone (depth counted
+//! in hops, never read from the node), on both randomized element trees
+//! and seeded XMark-like documents.
 
 use proptest::prelude::*;
 use whirlpool_index::TagIndex;
 use whirlpool_pattern::ComposedAxis;
 use whirlpool_xmark::{generate, GeneratorConfig};
-use whirlpool_xml::{Document, DocumentBuilder};
+use whirlpool_xml::{Document, DocumentBuilder, NodeId};
 
 const TAGS: [&str; 4] = ["a", "b", "c", "d"];
 
@@ -47,7 +48,21 @@ fn build_doc(trees: &[RandTree]) -> Document {
     b.finish()
 }
 
-/// Pairwise agreement between the columns and the Dewey oracle.
+/// `m`'s proper ancestors, nearest first, by parent hops.
+fn ancestors(doc: &Document, m: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+    std::iter::successors(doc.parent(m), |&p| doc.parent(p))
+}
+
+/// The parent-link reference: `ChildChain(k)` holds iff `k` parent hops
+/// from `m` reach `n`; `Descendant` is [`Document::is_ancestor`].
+fn reference_holds(doc: &Document, axis: ComposedAxis, n: NodeId, m: NodeId) -> bool {
+    match axis {
+        ComposedAxis::ChildChain(k) => ancestors(doc, m).nth(k as usize - 1) == Some(n),
+        ComposedAxis::Descendant => doc.is_ancestor(n, m),
+    }
+}
+
+/// Pairwise agreement between the columns and the parent-link reference.
 fn assert_columns_agree(doc: &Document) {
     let index = TagIndex::build(doc);
     let columns = index.columns();
@@ -59,17 +74,19 @@ fn assert_columns_agree(doc: &Document) {
     ];
     for n in doc.all_nodes() {
         assert_eq!(columns.parent_of(n), doc.parent(n), "parent of {n:?}");
-        assert_eq!(columns.depth_of(n), doc.depth(n), "depth of {n:?}");
+        let depth = ancestors(doc, n).count();
+        assert_eq!(columns.depth_of(n), depth, "depth of {n:?}");
+        assert_eq!(doc.depth(n), depth, "Document::depth of {n:?}");
         for m in doc.all_nodes() {
             assert_eq!(
                 columns.contains(n, m),
-                doc.is_ancestor(n, m),
+                ancestors(doc, m).any(|a| a == n),
                 "containment {n:?} -> {m:?}"
             );
             for axis in axes {
                 assert_eq!(
                     columns.holds(axis, n, m),
-                    axis.holds(doc.dewey(n), doc.dewey(m)),
+                    reference_holds(doc, axis, n, m),
                     "{axis:?} {n:?} -> {m:?}"
                 );
             }
@@ -81,14 +98,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn columns_agree_with_dewey_on_random_trees(
+    fn columns_agree_with_parent_links_on_random_trees(
         trees in prop::collection::vec(tree_strategy(), 1..4),
     ) {
         assert_columns_agree(&build_doc(&trees));
     }
 
     #[test]
-    fn columns_agree_with_dewey_on_xmark_documents(seed in 0u64..1000) {
+    fn columns_agree_with_parent_links_on_xmark_documents(seed in 0u64..1000) {
         let doc = generate(&GeneratorConfig {
             target_bytes: 4_000,
             seed,

@@ -5,11 +5,10 @@
 //! pattern path between them: for
 //! `/a[./c[.//d]]` the component predicate between `a` and `d` is
 //! `a[.//d]` — `pc` composed with `ad` is `ad`. A chain of `pc` edges
-//! composes to "descendant at exactly this depth", which Dewey
-//! identifiers decide in O(depth).
+//! composes to "descendant at exactly this depth", which the index's
+//! structural columns decide with one containment and one depth compare.
 
 use crate::ast::Axis;
-use whirlpool_xml::Dewey;
 
 /// The composition of a path of `pc`/`ad` axes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,16 +59,6 @@ impl ComposedAxis {
         matches!(self, ComposedAxis::Descendant)
     }
 
-    /// Decides the predicate between two nodes given their Dewey
-    /// identifiers: does `descendant` stand in this relation *under*
-    /// `ancestor`?
-    pub fn holds(self, ancestor: &Dewey, descendant: &Dewey) -> bool {
-        match self {
-            ComposedAxis::ChildChain(n) => ancestor.is_ancestor_at_depth(descendant, n as usize),
-            ComposedAxis::Descendant => ancestor.is_ancestor_of(descendant),
-        }
-    }
-
     /// The number of `pc` steps, if this is a pure child chain.
     pub fn exact_depth(self) -> Option<u32> {
         match self {
@@ -100,10 +89,6 @@ impl ComposedAxis {
 mod tests {
     use super::*;
 
-    fn d(c: &[u32]) -> Dewey {
-        Dewey::from_components(c.to_vec())
-    }
-
     #[test]
     fn composition_rules() {
         use Axis::*;
@@ -128,35 +113,21 @@ mod tests {
     }
 
     #[test]
-    fn holds_respects_exact_depth() {
-        let a = d(&[0]);
-        assert!(ComposedAxis::ChildChain(1).holds(&a, &d(&[0, 3])));
-        assert!(!ComposedAxis::ChildChain(1).holds(&a, &d(&[0, 3, 1])));
-        assert!(ComposedAxis::ChildChain(2).holds(&a, &d(&[0, 3, 1])));
-        assert!(ComposedAxis::Descendant.holds(&a, &d(&[0, 3, 1])));
-        assert!(!ComposedAxis::Descendant.holds(&a, &d(&[1])));
-        assert!(!ComposedAxis::Descendant.holds(&a, &a));
-    }
-
-    #[test]
     fn exact_implies_relaxed() {
-        // Whenever any exact composition holds, the relaxed form holds too.
-        let pairs = [
-            (d(&[0]), d(&[0, 1])),
-            (d(&[2]), d(&[2, 0, 0])),
-            (d(&[1, 1]), d(&[1, 1, 0, 2, 3])),
-        ];
-        for (a, b) in pairs {
-            for axis in [
-                ComposedAxis::ChildChain(1),
-                ComposedAxis::ChildChain(2),
-                ComposedAxis::ChildChain(3),
-            ] {
-                if axis.holds(&a, &b) {
-                    assert!(axis.relaxed().holds(&a, &b));
-                }
-            }
+        // Relaxing drops the depth constraint and is idempotent; only a
+        // pure child chain keeps an exact depth.
+        for axis in [
+            ComposedAxis::ChildChain(1),
+            ComposedAxis::ChildChain(2),
+            ComposedAxis::ChildChain(3),
+            ComposedAxis::Descendant,
+        ] {
+            assert!(axis.relaxed().is_relaxed());
+            assert_eq!(axis.relaxed().relaxed(), axis.relaxed());
+            assert_eq!(axis.relaxed().exact_depth(), None);
+            assert_eq!(axis.is_relaxed(), axis.exact_depth().is_none());
         }
+        assert_eq!(ComposedAxis::ChildChain(3).exact_depth(), Some(3));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use whirlpool_core::{
     evaluate_collection, evaluate_with_context, Algorithm, CancelToken, Collection,
     CollectionOptions, CollectionResult, Completeness, ContextOptions, EvalOptions, EvalResult,
-    FaultPlan, QueryContext,
+    FaultPlan, QueryContext, MAX_INJECTED_DELAY,
 };
 use whirlpool_index::DocView;
 use whirlpool_pattern::WILDCARD;
@@ -465,6 +465,16 @@ impl QueryRequest {
         if k == 0 {
             return Err(ServeError::BadRequest("\"k\" must be at least 1".into()));
         }
+        let op_cost = v
+            .get("op_cost_us")
+            .and_then(Json::as_u64)
+            .map(Duration::from_micros);
+        if op_cost.is_some_and(|c| c > MAX_INJECTED_DELAY) {
+            return Err(ServeError::BadRequest(format!(
+                "\"op_cost_us\" must be at most {}",
+                MAX_INJECTED_DELAY.as_micros()
+            )));
+        }
         Ok(QueryRequest {
             doc: v
                 .get("doc")
@@ -480,10 +490,7 @@ impl QueryRequest {
                 .map(str::to_string)
                 .filter(|s| !s.is_empty()),
             fault_seed: v.get("fault_seed").and_then(Json::as_u64).unwrap_or(0),
-            op_cost: v
-                .get("op_cost_us")
-                .and_then(Json::as_u64)
-                .map(Duration::from_micros),
+            op_cost,
         })
     }
 }
@@ -1050,6 +1057,39 @@ mod tests {
         }
         let (status, body) = send(addr, "GET /metrics HTTP/1.1\r\n\r\n");
         assert_eq!(status, 200);
+        let m = Json::parse(&body).unwrap();
+        assert_eq!(m.get("admitted").and_then(Json::as_u64), Some(0));
+        handle.shutdown();
+    }
+
+    /// `op_cost_us` and a `delay@` fault spin in a busy-wait no deadline
+    /// or cancel token stops, so a value past [`MAX_INJECTED_DELAY`] is
+    /// refused before admission instead of pinning a worker.
+    #[test]
+    fn injected_delays_past_the_cap_are_a_400() {
+        let parses = |body: &str| QueryRequest::parse(body.as_bytes());
+        assert!(parses(r#"{"query": "//book", "op_cost_us": 1000000}"#).is_ok());
+        for body in [
+            r#"{"query": "//book", "op_cost_us": 1000001}"#,
+            r#"{"query": "//book", "op_cost_us": 10000000000000}"#,
+            r#"{"collection": true, "query": "//book", "op_cost_us": 10000000000000}"#,
+        ] {
+            assert!(
+                matches!(parses(body), Err(ServeError::BadRequest(_))),
+                "{body}"
+            );
+        }
+
+        let handle = start(ServeConfig::default(), test_registry()).unwrap();
+        let addr = handle.addr();
+        for body in [
+            r#"{"query": "//book[./title]", "op_cost_us": 10000000000000}"#,
+            r#"{"query": "//book[./title]", "fault": "server=1:delay@10000000000000"}"#,
+        ] {
+            let (status, reply) = post_query(addr, body);
+            assert_eq!(status, 400, "{reply}");
+        }
+        let (_, body) = send(addr, "GET /metrics HTTP/1.1\r\n\r\n");
         let m = Json::parse(&body).unwrap();
         assert_eq!(m.get("admitted").and_then(Json::as_u64), Some(0));
         handle.shutdown();

@@ -85,7 +85,7 @@ use whirlpool_index::{
     ColumnsView, DocView, MappedDoc, MappedIndex, PathEntry, PathSynopsis, ShardSynopsis, TagIndex,
     TagIndexView, ATTR_ENTRY_STRIDE, VALUE_GROUP_STRIDE,
 };
-use whirlpool_xml::{Document, DocumentBuilder, NodeId, TagId};
+use whirlpool_xml::{Document, NodeId, TagId};
 
 /// The version-2 (base) snapshot format: no stored path synopsis.
 pub const SNAPSHOT_VERSION: u32 = 2;
@@ -560,8 +560,6 @@ pub fn save_snapshot_with(
 pub enum AttachMode {
     /// `mmap` when possible, silently fall back to a buffered read.
     Auto,
-    /// Require `mmap`; error if the platform or file refuses.
-    Mmap,
     /// Always read into (8-byte aligned) heap memory.
     Read,
 }
@@ -612,7 +610,6 @@ impl Snapshot {
         } else {
             match Mapping::map(&file, len) {
                 Ok(m) => Backing::Mapped(m),
-                Err(e) if mode == AttachMode::Mmap => return Err(StoreError::Io(e)),
                 Err(_) => Backing::Owned(OwnedBytes::read_from(&mut file, len)?),
             }
         };
@@ -764,38 +761,6 @@ impl Snapshot {
     /// the buffered-read fallback).
     pub fn is_mapped(&self) -> bool {
         self.backing.is_mapped()
-    }
-
-    /// Rebuilds an owned [`Document`] arena from the snapshot, for
-    /// callers that need the in-memory tree (XML re-serialization,
-    /// round-trip checks). This is O(corpus); query paths should use
-    /// the views instead.
-    pub fn to_document(&self) -> Document {
-        let doc = self.mapped_doc();
-        let parent = self.u32s(SEC_PARENT);
-        let mut builder = DocumentBuilder::new();
-        let mut open: Vec<u32> = Vec::new();
-        for (i, &par) in parent.iter().enumerate().skip(1) {
-            let node = NodeId::from_index(i);
-            // Pre-order with parent links: close until the parent is on
-            // top (0 = document root, i.e. empty stack).
-            while open.last().copied().unwrap_or(0) != par {
-                open.pop();
-                builder.close();
-            }
-            builder.open(doc.tag_str(node));
-            open.push(i as u32);
-            if let Some(text) = doc.text(node) {
-                builder.text(text);
-            }
-            for (name, value) in doc.attributes(node) {
-                builder.attribute(name, value);
-            }
-        }
-        while open.pop().is_some() {
-            builder.close();
-        }
-        builder.finish()
     }
 
     /// Reads *only* the header and synopsis information of a snapshot
@@ -1342,18 +1307,30 @@ mod tests {
     }
 
     #[test]
-    fn to_document_round_trips() {
-        use whirlpool_xml::{write_document, WriteOptions};
+    fn written_views_round_trip() {
+        use whirlpool_xml::{write_node, WriteOptions};
         for src in [
             "<a/>",
             "<a><b>text</b><c x=\"1\" y=\"2\"><d/></c></a>",
             "<a>mixed <b>inner</b> content</a>",
             "<données café=\"☕\">中文</données>",
+            "<a/><b><c/></b>",
         ] {
             let (doc, _, bytes) = snapshot_of(src);
-            let rebuilt = Snapshot::from_bytes(&bytes).unwrap().to_document();
-            let opts = WriteOptions::default();
-            assert_eq!(write_document(&doc, &opts), write_document(&rebuilt, &opts));
+            let snap = Snapshot::from_bytes(&bytes).unwrap();
+            let pretty = WriteOptions {
+                indent: Some(2),
+                ..WriteOptions::default()
+            };
+            for opts in [WriteOptions::default(), pretty] {
+                for top in doc.children(doc.document_root()) {
+                    assert_eq!(
+                        snap.doc_view().write_node(top, &opts),
+                        write_node(&doc, top, &opts),
+                        "{src}"
+                    );
+                }
+            }
         }
     }
 
@@ -1442,14 +1419,14 @@ mod tests {
         let v2 = Snapshot::attach(&v2_path).unwrap();
         assert_eq!(v2.version(), SNAPSHOT_VERSION);
         assert!(v2.path_synopsis().is_none());
-        assert_eq!(v2.to_document().len(), doc.len());
+        assert_eq!(v2.node_count(), doc.len());
         let v2_peek = Snapshot::peek(&v2_path).unwrap();
         assert!(v2_peek.paths.is_none());
         assert_eq!(v2_peek.synopsis.tag_count("b"), 1);
         let v3 = Snapshot::attach(&v3_path).unwrap();
         assert_eq!(v3.version(), SNAPSHOT_VERSION_PATHS);
         assert!(v3.path_synopsis().is_some());
-        assert_eq!(v3.to_document().len(), doc.len());
+        assert_eq!(v3.node_count(), doc.len());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1473,14 +1450,7 @@ mod tests {
             read.index_view().nodes_with_tag(t)
         );
         #[cfg(unix)]
-        {
-            let mapped = Snapshot::attach_with(&path, AttachMode::Mmap).unwrap();
-            assert!(mapped.is_mapped());
-            assert_eq!(
-                mapped.index_view().nodes_with_tag(t),
-                read.index_view().nodes_with_tag(t)
-            );
-        }
+        assert!(auto.is_mapped());
     }
 
     #[test]

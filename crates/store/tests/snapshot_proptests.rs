@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use whirlpool_index::TagIndex;
 use whirlpool_store::{build_snapshot_bytes, Snapshot};
-use whirlpool_xml::{write_document, DocumentBuilder, WriteOptions};
+use whirlpool_xml::{write_node, DocumentBuilder, WriteOptions};
 
 const TAGS: [&str; 6] = ["a", "b", "c", "item", "text", "name"];
 
@@ -94,10 +94,12 @@ proptest! {
         let snap = Snapshot::from_bytes(&bytes).unwrap();
         prop_assert_eq!(snap.node_count(), doc.len());
         let opts = WriteOptions::default();
-        prop_assert_eq!(
-            write_document(&doc, &opts),
-            write_document(&snap.to_document(), &opts)
-        );
+        for top in doc.children(doc.document_root()) {
+            prop_assert_eq!(
+                write_node(&doc, top, &opts),
+                snap.doc_view().write_node(top, &opts)
+            );
+        }
     }
 
     /// Flipping any single bit anywhere in the file — header, section

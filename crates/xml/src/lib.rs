@@ -8,10 +8,9 @@
 //! * [`Document`] — an arena-backed, node-labelled tree (the paper's data
 //!   model: "information is represented as a forest of node labeled
 //!   trees"; a forest is modelled as the children of a synthetic document
-//!   root).
-//! * [`Dewey`] — Dewey order-based node identifiers, the encoding the
-//!   paper uses for structural joins ("nodes involved in the query are
-//!   stored in indexes along with their Dewey encoding").
+//!   root). Nodes are numbered in document (pre-)order and keep a parent
+//!   link and a depth — the one tree encoding; the index derives its
+//!   pre-order + extent columns from it.
 //! * [`parse_document`] — a from-scratch, dependency-free XML parser with
 //!   positioned errors.
 //! * [`DocumentBuilder`] — programmatic construction (used by the
@@ -33,7 +32,6 @@
 //! ```
 
 mod builder;
-mod dewey;
 mod error;
 mod node;
 mod parser;
@@ -42,7 +40,6 @@ mod tags;
 mod writer;
 
 pub use builder::DocumentBuilder;
-pub use dewey::Dewey;
 pub use error::{ParseError, ParseErrorKind, Position};
 pub use node::{Document, NodeData, NodeId};
 pub use parser::parse_document;

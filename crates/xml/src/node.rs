@@ -1,6 +1,5 @@
 //! Arena-backed document tree.
 
-use crate::dewey::Dewey;
 use crate::tags::{TagId, TagInterner};
 use std::fmt;
 
@@ -62,15 +61,8 @@ pub struct NodeData {
     pub text: Option<Box<str>>,
     /// Attributes as `(interned name, value)` pairs, in source order.
     pub attributes: Vec<(TagId, Box<str>)>,
-    /// Dewey identifier (sibling-ordinal path from the root).
-    pub dewey: Dewey,
-}
-
-#[cfg(debug_assertions)]
-thread_local! {
-    /// Per-thread [`Document::dewey`] lookup counter backing the hot-path
-    /// assertion in [`Document::dewey_reads_this_thread`].
-    static DEWEY_READS_THIS_THREAD: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Depth of the node; the document root has depth 0.
+    pub depth: u32,
 }
 
 /// An XML document: a node-labelled tree rooted at a synthetic document
@@ -79,10 +71,6 @@ thread_local! {
 pub struct Document {
     nodes: Vec<NodeData>,
     tags: TagInterner,
-    /// Debug-build counter of [`Document::dewey`] lookups, backing the
-    /// engines' "no Dewey materialization on the hot path" assertion.
-    #[cfg(debug_assertions)]
-    dewey_reads: std::sync::atomic::AtomicU64,
 }
 
 impl Document {
@@ -102,11 +90,9 @@ impl Document {
                 children: Vec::new(),
                 text: None,
                 attributes: Vec::new(),
-                dewey: Dewey::root(),
+                depth: 0,
             }],
             tags,
-            #[cfg(debug_assertions)]
-            dewey_reads: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
@@ -144,40 +130,6 @@ impl Document {
     /// The node's direct text value, if any.
     pub fn text(&self, id: NodeId) -> Option<&str> {
         self.nodes[id.index()].text.as_deref()
-    }
-
-    /// The node's Dewey identifier.
-    pub fn dewey(&self, id: NodeId) -> &Dewey {
-        #[cfg(debug_assertions)]
-        {
-            self.dewey_reads
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            DEWEY_READS_THIS_THREAD.with(|c| c.set(c.get() + 1));
-        }
-        &self.nodes[id.index()].dewey
-    }
-
-    /// Number of [`Document::dewey`] lookups since construction, across
-    /// all threads. Debug builds only.
-    #[cfg(debug_assertions)]
-    pub fn dewey_reads(&self) -> u64 {
-        self.dewey_reads.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Number of [`Document::dewey`] lookups *this thread* has
-    /// performed, over every document.
-    ///
-    /// Debug builds only. The server-op candidate loops
-    /// `debug_assert!` that this counter does not move while they run:
-    /// structural predicates must resolve through the columnar tables
-    /// (`StructuralColumns` in `whirlpool-index`), with Dewey paths
-    /// reserved for answer serialization. The check must be per-thread
-    /// — a daemon serves concurrent queries over one shared document,
-    /// and another request's legitimate Dewey reads (answer
-    /// serialization) would trip a whole-document counter.
-    #[cfg(debug_assertions)]
-    pub fn dewey_reads_this_thread() -> u64 {
-        DEWEY_READS_THIS_THREAD.with(|c| c.get())
     }
 
     /// The node's parent, `None` for the document root.
@@ -229,12 +181,22 @@ impl Document {
 
     /// Depth of a node; the document root has depth 0.
     pub fn depth(&self, id: NodeId) -> usize {
-        self.nodes[id.index()].dewey.depth()
+        self.nodes[id.index()].depth as usize
     }
 
-    /// True iff `ancestor` is a proper ancestor of `descendant`.
+    /// True iff `ancestor` is a proper ancestor of `descendant`: the
+    /// parent links climbed from `descendant` to `ancestor`'s depth land
+    /// on `ancestor`.
     pub fn is_ancestor(&self, ancestor: NodeId, descendant: NodeId) -> bool {
-        self.dewey(ancestor).is_ancestor_of(self.dewey(descendant))
+        let target = self.nodes[ancestor.index()].depth;
+        let mut node = &self.nodes[descendant.index()];
+        if node.depth <= target {
+            return false;
+        }
+        while node.depth > target + 1 {
+            node = &self.nodes[node.parent.expect("non-root node without a parent").index()];
+        }
+        node.parent == Some(ancestor)
     }
 
     /// True iff `parent` is the parent of `child`.
@@ -259,8 +221,7 @@ impl Document {
 
     /// Appends a fresh child element under `parent` and returns its id.
     pub(crate) fn push_child(&mut self, parent: NodeId, tag: TagId) -> NodeId {
-        let ordinal = self.nodes[parent.index()].children.len() as u32;
-        let dewey = self.nodes[parent.index()].dewey.child(ordinal);
+        let depth = self.nodes[parent.index()].depth + 1;
         let id = NodeId(u32::try_from(self.nodes.len()).expect("more than u32::MAX nodes"));
         self.nodes.push(NodeData {
             tag,
@@ -268,7 +229,7 @@ impl Document {
             children: Vec::new(),
             text: None,
             attributes: Vec::new(),
-            dewey,
+            depth,
         });
         self.nodes[parent.index()].children.push(id);
         id
@@ -360,14 +321,19 @@ mod tests {
     }
 
     #[test]
-    fn dewey_assignment_matches_structure() {
+    fn depth_and_ancestry_match_structure() {
         let (doc, book, title, info) = sample();
-        assert_eq!(doc.dewey(book).components(), &[0]);
-        assert_eq!(doc.dewey(title).components(), &[0, 0]);
-        assert_eq!(doc.dewey(info).components(), &[0, 1]);
+        let root = doc.document_root();
+        assert_eq!(doc.depth(root), 0);
+        assert_eq!(doc.depth(book), 1);
+        assert_eq!(doc.depth(title), 2);
+        assert_eq!(doc.depth(info), 2);
         assert!(doc.is_parent(book, title));
+        assert!(doc.is_ancestor(root, info));
         assert!(doc.is_ancestor(book, info));
         assert!(!doc.is_ancestor(title, info));
+        assert!(!doc.is_ancestor(book, book));
+        assert!(!doc.is_ancestor(info, book));
     }
 
     #[test]

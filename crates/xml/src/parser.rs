@@ -10,10 +10,12 @@
 use crate::error::{ParseError, ParseErrorKind, Position};
 use crate::node::{Document, NodeId};
 
-/// Deepest element nesting accepted. Every node owns a Dewey path as
-/// long as its depth, so a chain document costs memory quadratic in its
-/// depth: 20 000 nested elements (140 kB of input) took 773 MB. Real
-/// documents are nowhere near the cap (XMark is 12 deep).
+/// Deepest element nesting accepted. Parsing itself is linear in depth;
+/// the cap protects what runs on a parsed document: the index's `u16`
+/// depth column (`StructuralColumns::build` panics past 65 535) and the
+/// recursive serializers (`write_node` and the mapped-view writer),
+/// whose stack grows with nesting. Real documents are nowhere near the
+/// cap (XMark is 12 deep).
 const MAX_DEPTH: usize = 4096;
 
 /// Parses `input` into a [`Document`].
@@ -552,15 +554,16 @@ mod tests {
     }
 
     #[test]
-    fn dewey_ids_match_parsed_structure() {
+    fn depths_and_order_match_parsed_structure() {
         let doc = parse_document("<a><b/><b><c/></b></a>").unwrap();
-        let a = doc.children(doc.document_root()).next().unwrap();
+        let root = doc.document_root();
+        let a = doc.children(root).next().unwrap();
         let bs: Vec<_> = doc.children(a).collect();
         let c = doc.children(bs[1]).next().unwrap();
-        assert_eq!(doc.dewey(a).components(), &[0]);
-        assert_eq!(doc.dewey(bs[0]).components(), &[0, 0]);
-        assert_eq!(doc.dewey(bs[1]).components(), &[0, 1]);
-        assert_eq!(doc.dewey(c).components(), &[0, 1, 0]);
+        assert_eq!([a, bs[0], bs[1], c].map(|n| doc.depth(n)), [1, 2, 2, 3]);
+        assert_eq!(doc.parent(c), Some(bs[1]));
+        assert!(root < a && a < bs[0] && bs[0] < bs[1] && bs[1] < c);
+        assert!(doc.is_ancestor(a, c) && !doc.is_ancestor(bs[0], c));
     }
 
     #[test]

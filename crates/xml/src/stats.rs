@@ -35,7 +35,7 @@ impl DocumentStats {
         for id in doc.elements() {
             let node = doc.node(id);
             *tag_counts.entry(node.tag).or_insert(0) += 1;
-            max_depth = max_depth.max(node.dewey.depth());
+            max_depth = max_depth.max(node.depth as usize);
             text_bytes += node.text.as_deref().map_or(0, str::len);
             if !node.children.is_empty() {
                 parents += 1;

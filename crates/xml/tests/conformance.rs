@@ -120,19 +120,17 @@ fn structural_invariants_hold_for_parsed_documents() {
     let doc = ok("<site><regions><europe><item id=\"i0\"><name>n</name>\
          <description><parlist><listitem><text>t<bold>b</bold></text>\
          </listitem></parlist></description></item></europe></regions></site>");
-    // Every element's Dewey id is its parent's id extended by one
-    // component, and NodeIds are assigned in document order.
-    let mut prev = None;
+    // Every element sits one level below its parent, and NodeIds are
+    // assigned in document order.
     for id in doc.elements() {
         let parent = doc.parent(id).expect("elements have parents");
-        assert!(doc.dewey(parent).is_parent_of(doc.dewey(id)));
+        assert!(doc.is_parent(parent, id));
+        assert_eq!(doc.depth(id), doc.depth(parent) + 1);
         assert!(parent < id);
-        if let Some(p) = prev {
-            assert!(doc.dewey(p) < doc.dewey(id), "document order");
-        }
-        prev = Some(id);
     }
-    // descendants_or_self agrees with Dewey ancestry.
+    let order: Vec<_> = doc.descendants_or_self(doc.document_root()).collect();
+    assert_eq!(order, doc.all_nodes().collect::<Vec<_>>(), "document order");
+    // descendants_or_self agrees with ancestry.
     for a in doc.elements() {
         for b in doc.descendants_or_self(a).skip(1) {
             assert!(doc.is_ancestor(a, b));

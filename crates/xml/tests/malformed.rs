@@ -74,10 +74,10 @@ fn chain(depth: usize) -> String {
     "<a>".repeat(depth) + &"</a>".repeat(depth)
 }
 
-/// Nesting is capped: a node's Dewey path is as long as its depth, so
-/// an uncapped chain costs memory quadratic in a few kilobytes of
-/// input. The deepest accepted document parses; one level more is a
-/// typed error at the offending tag, raised before the node exists.
+/// Nesting is capped to protect what runs on a parsed document — the
+/// index's `u16` depth column and the recursive serializers. The
+/// deepest accepted document parses; one level more is a typed error at
+/// the offending tag, raised before the node exists.
 #[test]
 fn nesting_beyond_the_depth_limit_is_a_typed_error() {
     let doc = parse_document(&chain(4096)).expect("4 096 deep is accepted");
@@ -95,9 +95,7 @@ fn nesting_beyond_the_depth_limit_is_a_typed_error() {
     );
     assert_eq!(err.position.offset, 3 * 4096);
     assert!(err.to_string().contains("depth limit of 4096"), "{err}");
-    // Far below what the rejected chain would have cost uncapped; the
-    // accepted 4 096-deep document above is the most a parse can hold
-    // (4 096² / 2 Dewey components of 4 bytes: 34 MB).
+    // The rejection is immediate: the parse stops at the offending tag.
     assert!(start.elapsed().as_millis() < 50, "{:?}", start.elapsed());
 
     // A self-closing element is an element too.

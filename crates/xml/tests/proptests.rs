@@ -1,58 +1,11 @@
-//! Property-based tests for the XML substrate: Dewey algebra laws and
-//! parser/writer round-trips over generated documents.
+//! Property-based tests for the XML substrate: tree-encoding laws
+//! (parent links, depths, pre-order ids) and parser/writer round-trips
+//! over generated documents.
 
 use proptest::prelude::*;
-use whirlpool_xml::{parse_document, write_document, Dewey, DocumentBuilder, WriteOptions};
-
-fn dewey_strategy() -> impl Strategy<Value = Dewey> {
-    prop::collection::vec(0u32..6, 0..6).prop_map(Dewey::from_components)
-}
-
-proptest! {
-    /// Lexicographic order on Dewey ids is total and consistent with
-    /// ancestry: an ancestor always precedes its descendants.
-    #[test]
-    fn ancestor_precedes_descendant(a in dewey_strategy(), b in dewey_strategy()) {
-        if a.is_ancestor_of(&b) {
-            prop_assert!(a < b);
-            prop_assert!(!b.is_ancestor_of(&a));
-        }
-    }
-
-    /// parent-child implies ancestor-descendant with depth difference 1.
-    #[test]
-    fn parent_is_ancestor(a in dewey_strategy(), b in dewey_strategy()) {
-        if a.is_parent_of(&b) {
-            prop_assert!(a.is_ancestor_of(&b));
-            prop_assert_eq!(b.depth(), a.depth() + 1);
-            prop_assert_eq!(b.parent(), Some(a.clone()));
-        }
-    }
-
-    /// is_ancestor_at_depth generalizes both axes.
-    #[test]
-    fn ancestor_at_depth_consistency(a in dewey_strategy(), b in dewey_strategy()) {
-        prop_assert_eq!(a.is_parent_of(&b), a.is_ancestor_at_depth(&b, 1));
-        let any_depth = (1..=8).any(|d| a.is_ancestor_at_depth(&b, d));
-        prop_assert_eq!(a.is_ancestor_of(&b), any_depth);
-    }
-
-    /// Every descendant falls strictly inside the half-open Dewey range
-    /// (self, descendant_upper_bound), and non-descendants fall outside.
-    #[test]
-    fn descendant_range_is_tight(a in dewey_strategy(), b in dewey_strategy()) {
-        prop_assume!(a.depth() > 0);
-        let ub = a.descendant_upper_bound().unwrap();
-        let in_range = a < b && b < ub;
-        prop_assert_eq!(a.is_ancestor_of(&b), in_range);
-    }
-
-    /// child() then parent() round-trips.
-    #[test]
-    fn child_parent_roundtrip(a in dewey_strategy(), ord in 0u32..100) {
-        prop_assert_eq!(a.child(ord).parent(), Some(a));
-    }
-}
+use whirlpool_xml::{
+    parse_document, write_document, Document, DocumentBuilder, NodeId, WriteOptions,
+};
 
 // ---------------------------------------------------------------------
 // Random document generation for parser round-trips.
@@ -106,6 +59,84 @@ fn build(tree: &Tree, b: &mut DocumentBuilder) {
     b.close();
 }
 
+fn doc_strategy() -> impl Strategy<Value = Document> {
+    tree_strategy().prop_map(|tree| {
+        let mut builder = DocumentBuilder::new();
+        build(&tree, &mut builder);
+        builder.finish()
+    })
+}
+
+/// `id`'s proper ancestors, nearest first, by parent hops.
+fn ancestors(doc: &Document, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+    std::iter::successors(doc.parent(id), |&p| doc.parent(p))
+}
+
+proptest! {
+    /// Ancestry is antisymmetric and consistent with document order: an
+    /// ancestor always precedes its descendants.
+    #[test]
+    fn ancestor_precedes_descendant(doc in doc_strategy()) {
+        for a in doc.all_nodes() {
+            for b in doc.all_nodes() {
+                if doc.is_ancestor(a, b) {
+                    prop_assert!(a < b);
+                    prop_assert!(!doc.is_ancestor(b, a));
+                }
+            }
+        }
+    }
+
+    /// parent-child implies ancestor-descendant with depth difference 1.
+    #[test]
+    fn parent_is_ancestor(doc in doc_strategy()) {
+        for a in doc.all_nodes() {
+            for b in doc.all_nodes() {
+                if doc.is_parent(a, b) {
+                    prop_assert!(doc.is_ancestor(a, b));
+                    prop_assert_eq!(doc.depth(b), doc.depth(a) + 1);
+                    prop_assert_eq!(doc.parent(b), Some(a));
+                }
+            }
+        }
+    }
+
+    /// `is_ancestor` is "some number of parent hops", and the stored
+    /// depth is the number of hops to the document root.
+    #[test]
+    fn ancestor_at_depth_consistency(doc in doc_strategy()) {
+        for b in doc.all_nodes() {
+            prop_assert_eq!(doc.depth(b), ancestors(&doc, b).count());
+            for a in doc.all_nodes() {
+                prop_assert_eq!(doc.is_ancestor(a, b), ancestors(&doc, b).any(|p| p == a));
+            }
+        }
+    }
+
+    /// Every descendant falls strictly inside the pre-order interval
+    /// (self, self + subtree size), and non-descendants fall outside.
+    #[test]
+    fn descendant_range_is_tight(doc in doc_strategy()) {
+        for a in doc.all_nodes() {
+            let end = a.index() + doc.descendants_or_self(a).count();
+            for b in doc.all_nodes() {
+                let in_range = a < b && b.index() < end;
+                prop_assert_eq!(doc.is_ancestor(a, b), in_range);
+            }
+        }
+    }
+
+    /// Every child's parent link points back at the node that lists it.
+    #[test]
+    fn child_parent_roundtrip(doc in doc_strategy()) {
+        for a in doc.all_nodes() {
+            for c in doc.children(a) {
+                prop_assert_eq!(doc.parent(c), Some(a));
+            }
+        }
+    }
+}
+
 proptest! {
     /// write → parse → write is a fixpoint for any generated document,
     /// including text needing entity escaping.
@@ -121,25 +152,22 @@ proptest! {
         prop_assert_eq!(first, second);
     }
 
-    /// Parsed documents assign Dewey ids consistent with parent links,
-    /// and NodeId order is document (pre-)order.
+    /// Parsed documents give every element a parent one level up, and
+    /// NodeId order is document (pre-)order.
     #[test]
-    fn parsed_dewey_invariants(tree in tree_strategy()) {
+    fn parsed_tree_invariants(tree in tree_strategy()) {
         let mut builder = DocumentBuilder::new();
         build(&tree, &mut builder);
-        let doc = builder.finish();
+        let doc = parse_document(&write_document(&builder.finish(), &WriteOptions::default()))
+            .unwrap();
         for id in doc.elements() {
             let parent = doc.parent(id).unwrap();
-            prop_assert!(doc.dewey(parent).is_parent_of(doc.dewey(id)));
+            prop_assert!(doc.children(parent).any(|c| c == id));
+            prop_assert_eq!(doc.depth(id), doc.depth(parent) + 1);
             prop_assert!(parent < id, "parents precede children in NodeId order");
         }
-        // Dewey order agrees with NodeId order.
-        let mut prev: Option<whirlpool_xml::NodeId> = None;
-        for id in doc.elements() {
-            if let Some(p) = prev {
-                prop_assert!(doc.dewey(p) < doc.dewey(id));
-            }
-            prev = Some(id);
-        }
+        // A pre-order walk visits the nodes in NodeId order.
+        let order: Vec<NodeId> = doc.descendants_or_self(doc.document_root()).collect();
+        prop_assert_eq!(order, doc.all_nodes().collect::<Vec<_>>());
     }
 }

@@ -2,13 +2,16 @@
 //! recursive tree-pattern evaluator, over both the XMark generator and
 //! property-generated random documents/queries.
 
+mod common;
+
+use common::naive;
 use proptest::prelude::*;
-use whirlpool_core::{evaluate, naive, Algorithm, EvalOptions, RelaxMode};
+use whirlpool_core::{evaluate, Algorithm, EvalOptions, RelaxMode};
 use whirlpool_index::TagIndex;
 use whirlpool_pattern::{parse_pattern, Axis, TreePattern};
 use whirlpool_score::{Normalization, TfIdfModel};
 use whirlpool_xmark::{generate, queries, GeneratorConfig};
-use whirlpool_xml::{Document, DocumentBuilder, NodeId};
+use whirlpool_xml::{parse_document, Document, DocumentBuilder, NodeId};
 
 /// Exact-mode engine roots must equal the naive evaluator's roots.
 fn assert_exact_agrees(doc: &Document, query: &TreePattern) {
@@ -72,7 +75,7 @@ fn handcrafted_edge_cases() {
         ("<r><b><t/></b></r>", "/b[./t]"),
     ];
     for (src, q) in cases {
-        let doc = whirlpool_xml::parse_document(src).unwrap();
+        let doc = parse_document(src).unwrap();
         let query = parse_pattern(q).unwrap();
         assert_exact_agrees(&doc, &query);
     }
@@ -215,4 +218,49 @@ proptest! {
             prop_assert!(answer_roots.contains(&r));
         }
     }
+}
+
+// The oracle's own checks.
+
+#[test]
+fn finds_exact_embeddings() {
+    let doc = parse_document(
+        "<shelf>\
+         <book><title>x</title><isbn>1</isbn></book>\
+         <book><title>x</title></book>\
+         <book><nested><title>x</title></nested><isbn>2</isbn></book>\
+         </shelf>",
+    )
+    .unwrap();
+    let q = parse_pattern("//book[./title and ./isbn]").unwrap();
+    let roots = naive::exact_match_roots(&doc, &q);
+    assert_eq!(roots.len(), 1);
+    let q_relaxed = parse_pattern("//book[.//title and ./isbn]").unwrap();
+    assert_eq!(naive::exact_match_roots(&doc, &q_relaxed).len(), 2);
+}
+
+#[test]
+fn respects_value_tests_and_depth() {
+    let doc = parse_document(
+        "<r><book><title>wodehouse</title></book><book><title>other</title></book></r>",
+    )
+    .unwrap();
+    let q = parse_pattern("//book[./title = 'wodehouse']").unwrap();
+    assert_eq!(naive::exact_match_roots(&doc, &q).len(), 1);
+    // `/book` wants a top-level book; these are under <r>.
+    let q2 = parse_pattern("/book[./title = 'wodehouse']").unwrap();
+    assert!(naive::exact_match_roots(&doc, &q2).is_empty());
+}
+
+#[test]
+fn nested_predicates() {
+    let doc = parse_document(
+        "<r>\
+         <item><mail><text><bold/><keyword/></text></mail></item>\
+         <item><mail><text><bold/></text></mail></item>\
+         </r>",
+    )
+    .unwrap();
+    let q = parse_pattern("//item[./mail/text[./bold and ./keyword]]").unwrap();
+    assert_eq!(naive::exact_match_roots(&doc, &q).len(), 1);
 }

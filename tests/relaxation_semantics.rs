@@ -2,8 +2,11 @@
 //! definition: an approximate answer of query Q is an exact answer of
 //! some relaxed query Q′ of Q — and vice versa.
 
+mod common;
+
+use common::naive;
 use std::collections::HashSet;
-use whirlpool_core::{evaluate, naive, Algorithm, EvalOptions};
+use whirlpool_core::{evaluate, Algorithm, EvalOptions};
 use whirlpool_index::TagIndex;
 use whirlpool_pattern::parse_pattern;
 use whirlpool_pattern::relax;

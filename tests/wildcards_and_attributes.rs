@@ -1,7 +1,10 @@
 //! Tests for the query-language extensions: wildcard node tests (`*`)
 //! and attribute predicates (`@name`, `@name = 'value'`).
 
-use whirlpool_core::{answers_equivalent, evaluate, naive, Algorithm, EvalOptions, RelaxMode};
+mod common;
+
+use common::naive;
+use whirlpool_core::{answers_equivalent, evaluate, Algorithm, EvalOptions, RelaxMode};
 use whirlpool_index::TagIndex;
 use whirlpool_pattern::{parse_pattern, relax};
 use whirlpool_score::{Normalization, TfIdfModel};
