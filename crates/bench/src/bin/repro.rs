@@ -189,7 +189,7 @@ fn growth(cache: &mut WorkloadCache, scale: &Scale) {
     banner(
         "Threshold growth — pruning threshold (k-th best score) as a function          of evaluation progress (Q2, k=15)",
     );
-    use whirlpool_bench::aggregate::{threshold_at_ops, TraceAggregate};
+    use whirlpool_bench::aggregate::{progress, threshold_at_ops};
     let w = default_workload(cache, scale);
     let query = queries::parse(queries::Q2);
     let model = w.model(&query);
@@ -202,7 +202,7 @@ fn growth(cache: &mut WorkloadCache, scale: &Scale) {
     };
     let curve = |algorithm: &Algorithm| {
         let run = w.run(&query, &model, algorithm, &options);
-        TraceAggregate::from_trace(&run.trace.expect("trace requested")).progress
+        progress(&run.trace.expect("trace requested"))
     };
     let lockstep = curve(&Algorithm::LockStep);
     let adaptive = curve(&Algorithm::WhirlpoolS);

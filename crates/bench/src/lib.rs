@@ -1,20 +1,20 @@
 #![forbid(unsafe_code)]
 
 //! Shared experiment harness for the paper-figure reproduction
-//! (`src/bin/repro.rs`), the performance snapshot (`src/bin/perfsnap.rs`),
-//! and the Criterion benches.
+//! (`src/bin/repro.rs`) and the integration tests. Timings of the
+//! system as a whole live in the out-of-workspace `benchmark/` package.
 //!
-//! Three layers:
+//! Four layers:
 //!
 //! * [`Workload`] / [`WorkloadCache`] — XMark-like documents with their
 //!   indexes, generated once per size and shared across experiments.
-//! * [`aggregate`] — post-processing over [`whirlpool_core::trace`]
-//!   event streams: per-server latency histograms, score-progress
-//!   curves (the threshold-growth experiment reads them), and phase
-//!   timings, as emitted into `BENCH_trace.json`.
+//! * [`aggregate`] — the score-progress curve of a
+//!   [`whirlpool_core::trace`] event stream (the threshold-growth
+//!   experiment reads it).
 //! * [`vtime`] — the discrete-event simulation of the Whirlpool-M
-//!   schedule on `p` virtual processors (Figure 9 and perfsnap's
-//!   virtual scaling curve).
+//!   schedule on `p` virtual processors (Figure 9).
+//! * [`scoring`] — the retrieval-quality check of the tf*idf ranking
+//!   that §6.2.2 defers (planted answers at known distortion levels).
 
 pub mod aggregate;
 pub mod scoring;

@@ -167,7 +167,7 @@ pub fn simulate_whirlpool_m(
                 break;
             };
             if stolen {
-                ctx.metrics.add_steal(1);
+                ctx.metrics.add_steal();
             }
 
             // Pop; for server workers, pruning happens at pop time and

@@ -1300,6 +1300,8 @@ mod tests {
             // The answer-free shard is always pruned; with k=3 filled
             // by rich answers the poor shard should fall too.
             assert!(pruned.collection_metrics.shards_pruned >= 1);
+            let m = &pruned.collection_metrics;
+            assert_eq!(m.shards_visited + m.shards_pruned, m.shards_total, "{m:?}");
             assert!(matches!(naive.completeness, Completeness::Exact));
             assert!(matches!(pruned.completeness, Completeness::Exact));
         }
@@ -1666,6 +1668,7 @@ mod tests {
             "mismatch shards must fall to path ceilings without touching disk: {m:?}"
         );
         assert_eq!(m.shards_attached as usize, m.shards_visited);
+        assert_eq!(m.shards_visited + m.shards_pruned, m.shards_total, "{m:?}");
 
         // The same collection scanned exhaustively (same model — the
         // corpus stats are synopsis-based either way) agrees.

@@ -52,12 +52,8 @@ pub struct Metrics {
     /// scored as the leaf-deletion relaxation).
     pub answers_degraded: AtomicU64,
     /// Times a worker ran out of home-queue work and successfully stole
-    /// from another worker's server queue.
+    /// one drain batch from another worker's server queue.
     pub steal_events: AtomicU64,
-    /// Whole drain batches transferred by stealing (one steal event can
-    /// move at most one batch, so this currently equals `steal_events`;
-    /// kept separate so a future multi-batch steal shows up).
-    pub batches_stolen: AtomicU64,
     /// Fixed-width lanes swept by the columnar evaluate kernels (one
     /// lane = one fixed-width chunk of candidates tested branch-free).
     pub kernel_lanes: AtomicU64,
@@ -153,11 +149,10 @@ impl Metrics {
         self.answers_degraded.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one successful steal moving `batches` drain batches.
+    /// Counts one successful steal (one drain batch).
     #[inline]
-    pub fn add_steal(&self, batches: u64) {
+    pub fn add_steal(&self) {
         self.steal_events.fetch_add(1, Ordering::Relaxed);
-        self.batches_stolen.fetch_add(batches, Ordering::Relaxed);
     }
 
     /// Counts `n` fixed-width kernel lanes swept.
@@ -184,7 +179,6 @@ impl Metrics {
             matches_redistributed: self.matches_redistributed.load(Ordering::Relaxed),
             answers_degraded: self.answers_degraded.load(Ordering::Relaxed),
             steal_events: self.steal_events.load(Ordering::Relaxed),
-            batches_stolen: self.batches_stolen.load(Ordering::Relaxed),
             kernel_lanes: self.kernel_lanes.load(Ordering::Relaxed),
         }
     }
@@ -221,10 +215,8 @@ pub struct MetricsSnapshot {
     pub matches_redistributed: u64,
     /// Answers completed through degradation.
     pub answers_degraded: u64,
-    /// Successful batch steals by idle workers.
+    /// Successful batch steals by idle workers (one batch each).
     pub steal_events: u64,
-    /// Whole drain batches moved by stealing.
-    pub batches_stolen: u64,
     /// Fixed-width lanes swept by the columnar evaluate kernels.
     pub kernel_lanes: u64,
 }
@@ -248,7 +240,7 @@ impl MetricsSnapshot {
         if self.server_op_batches == 0 {
             0.0
         } else {
-            self.batches_stolen as f64 / self.server_op_batches as f64
+            self.steal_events as f64 / self.server_op_batches as f64
         }
     }
 
@@ -270,7 +262,6 @@ impl MetricsSnapshot {
         self.matches_redistributed += other.matches_redistributed;
         self.answers_degraded += other.answers_degraded;
         self.steal_events += other.steal_events;
-        self.batches_stolen += other.batches_stolen;
         self.kernel_lanes += other.kernel_lanes;
     }
 }

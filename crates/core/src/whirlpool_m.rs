@@ -655,7 +655,7 @@ fn worker_loop(
                 // `steal_events` is zero by construction in serial
                 // runs.
                 if qi % n_workers != worker_id {
-                    ctx.metrics.add_steal(1);
+                    ctx.metrics.add_steal();
                     tr.stolen(server, work.local.len());
                 }
             }

@@ -4,14 +4,19 @@
 //! hand parser keeps the whole transport auditable.
 
 use crate::error::ServeError;
-use std::io::{Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Maximum bytes of request head (request line + headers).
 const MAX_HEAD: usize = 16 * 1024;
 /// Maximum accepted `Content-Length`.
 const MAX_BODY: usize = 1024 * 1024;
+/// Time the whole request, head and body, has to arrive. One budget per
+/// request rather than a timeout per read: a client trickling a byte
+/// just inside a per-read timeout could otherwise hold a worker for
+/// hours.
+const REQUEST_BUDGET: Duration = Duration::from_secs(5);
 
 /// A parsed request.
 #[derive(Debug)]
@@ -25,14 +30,21 @@ pub struct Request {
 }
 
 /// Reads one request off the stream. Malformed or oversized input maps
-/// to [`ServeError::BadRequest`]; transport failures to
-/// [`ServeError::Io`].
+/// to [`ServeError::BadRequest`]; transport failures, and a request
+/// still incomplete after [`REQUEST_BUDGET`], to [`ServeError::Io`].
 pub fn read_request(stream: &mut TcpStream) -> Result<Request, ServeError> {
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+    read_request_within(stream, REQUEST_BUDGET)
+}
+
+fn read_request_within(stream: &mut TcpStream, budget: Duration) -> Result<Request, ServeError> {
+    let mut stream = BufReader::new(Budgeted {
+        stream,
+        deadline: Instant::now() + budget,
+    });
     let mut head = Vec::with_capacity(512);
     let mut byte = [0u8; 1];
-    // Byte-at-a-time until the blank line: simple, and the head is tiny.
-    // The body below is read in bulk.
+    // Byte-at-a-time out of the buffer until the blank line: simple,
+    // and the head is tiny. The body below is read in bulk.
     while !head.ends_with(b"\r\n\r\n") {
         if head.len() >= MAX_HEAD {
             return Err(ServeError::BadRequest("request head too large".into()));
@@ -80,6 +92,27 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, ServeError> {
         target,
         body,
     })
+}
+
+/// A socket whose reads share one deadline: each read waits at most
+/// the time left, and none starts once it has passed.
+struct Budgeted<'a> {
+    stream: &'a mut TcpStream,
+    deadline: Instant,
+}
+
+impl Read for Budgeted<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "request not received within its time budget",
+            ));
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
 }
 
 /// Writes a JSON response and flushes. `extra_headers` is for
@@ -171,5 +204,35 @@ mod tests {
         let err =
             round_trip(b"POST /query HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n").unwrap_err();
         assert!(matches!(err, ServeError::BadRequest(_)), "{err}");
+    }
+
+    #[test]
+    fn trickling_client_is_cut_off_within_the_budget() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let done = Arc::new(AtomicBool::new(false));
+        let client_done = done.clone();
+        // One byte every 50 ms, well inside any per-read timeout, and
+        // never the blank line that ends the head.
+        let client = std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).unwrap();
+            while !client_done.load(Ordering::Acquire) && s.write_all(b"G").is_ok() {
+                std::thread::sleep(Duration::from_millis(50));
+            }
+        });
+        let (mut server_side, _) = listener.accept().unwrap();
+        let budget = Duration::from_millis(200);
+        let started = Instant::now();
+        let err = read_request_within(&mut server_side, budget).unwrap_err();
+        let took = started.elapsed();
+        done.store(true, Ordering::Release);
+        client.join().unwrap();
+        assert!(matches!(err, ServeError::Io(_)), "{err}");
+        assert!(
+            took < budget + Duration::from_millis(100),
+            "cut off after {took:?} on a {budget:?} budget"
+        );
     }
 }

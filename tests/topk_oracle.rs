@@ -704,7 +704,8 @@ fn xmark_q2_at(k: usize, algorithm: &Algorithm, threads: usize) -> (MetricsSnaps
     (result.metrics, root_candidates(&doc, &pattern).len() as u64)
 }
 
-/// The paper's Figure 10: work grows with k.
+/// The paper's Figure 10: work grows with k, and at the Table 1 default
+/// k = 15 top-k does at most a quarter of compute-everything's work.
 #[test]
 fn whirlpool_s_work_grows_with_k() {
     let ops: Vec<u64> = [1, 15, 75]
@@ -714,6 +715,12 @@ fn whirlpool_s_work_grows_with_k() {
     assert!(
         ops[0] < ops[1] && ops[1] < ops[2],
         "server ops at k = 1/15/75: {ops:?}"
+    );
+    let noprune = xmark_q2(15, &Algorithm::LockStepNoPrune).0.server_ops;
+    assert!(
+        4 * ops[1] <= noprune,
+        "Whirlpool-S {} ops at k = 15 against LockStep-NoPrun's {noprune}",
+        ops[1]
     );
 }
 
