@@ -19,7 +19,7 @@ use whirlpool_bench::{
     fig3_plans, fig3_run, median, millis, static_options, Workload, WorkloadCache,
 };
 use whirlpool_core::{
-    Algorithm, ContextOptions, EvalOptions, QueryContext, QueuePolicy, RoutingStrategy,
+    Algorithm, ContextOptions, EvalOptions, FaultPlan, QueryContext, QueuePolicy, RoutingStrategy,
 };
 use whirlpool_pattern::{permutations, QNodeId, StaticPlan, TreePattern};
 use whirlpool_xmark::queries;
@@ -476,15 +476,14 @@ fn fig8(cache: &mut WorkloadCache, scale: &Scale) {
         "op cost (ms)", "Whirlpool-S ADAPTIVE", "Whirlpool-S STATIC", "LockStep", "LockStep-NoPrun"
     );
     for &cost in &costs_ms {
-        let op_cost = if cost == 0.0 {
-            None
-        } else {
-            Some(millis(cost))
-        };
+        // Every join costs `cost` on average: a delay drawn per
+        // operation from [0, 2·cost].
+        let delay = (cost > 0.0)
+            .then(|| FaultPlan::seeded(0).delay_unfaulted(query.server_ids(), millis(cost)));
         let run = |alg: &Algorithm, routing: RoutingStrategy| -> f64 {
             let mut options = EvalOptions::top_k(15);
             options.routing = routing;
-            options.op_cost = op_cost;
+            options.fault_plan = delay.clone();
             w.run(&query, &model, alg, &options).elapsed.as_secs_f64()
         };
         let noprune = run(

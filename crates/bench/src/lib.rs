@@ -212,7 +212,6 @@ pub fn fig3_run(plan: &StaticPlan, current_top_k: f64) -> Fig3Outcome {
         &model,
         ContextOptions {
             relax: RelaxMode::Exact,
-            ..ContextOptions::default()
         },
     );
 

@@ -45,7 +45,7 @@ pub struct VTimeConfig {
     /// engine (charged in Whirlpool-M only).
     pub thread_overhead: f64,
     /// Scheduler pool workers, mirroring
-    /// [`whirlpool_core::WhirlpoolMConfig::threads`]:
+    /// [`whirlpool_core::EvalOptions::threads`]:
     /// every virtual worker serves its home queues first and steals
     /// from the most-loaded foreign queue when they are dry. The router
     /// is a separate virtual thread, as in the real engine.
@@ -263,9 +263,11 @@ impl Ord for OrderedF64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use whirlpool_core::{answers_equivalent, run_lockstep_noprune, ContextOptions};
+    use whirlpool_core::{
+        answers_equivalent, evaluate_with_context, Algorithm, ContextOptions, EvalOptions,
+    };
     use whirlpool_index::TagIndex;
-    use whirlpool_pattern::{parse_pattern, StaticPlan};
+    use whirlpool_pattern::parse_pattern;
     use whirlpool_score::{Normalization, TfIdfModel};
     use whirlpool_xml::parse_document;
 
@@ -290,7 +292,9 @@ mod tests {
     fn simulated_answers_match_reference() {
         let mut reference = Vec::new();
         harness(|ctx| {
-            reference = run_lockstep_noprune(ctx, &StaticPlan::in_id_order(3), 3);
+            let noprune =
+                evaluate_with_context(ctx, &Algorithm::LockStepNoPrune, &EvalOptions::top_k(3));
+            reference = noprune.answers;
         });
         for procs in [Some(1), Some(2), Some(4), None] {
             harness(|ctx| {

@@ -233,8 +233,6 @@ pub fn run(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
         },
         routing,
         queue,
-        op_cost: None,
-        selectivity_sample: 64,
         deadline,
         max_server_ops,
         fault_plan,

@@ -205,11 +205,6 @@ impl Shard {
         }
     }
 
-    /// Is this shard backed by an attached snapshot?
-    pub fn is_snapshot(&self) -> bool {
-        matches!(self.backing, ShardBacking::Snapshot(_))
-    }
-
     /// Is this shard lazily backed by a snapshot file on disk?
     pub fn is_lazy(&self) -> bool {
         matches!(self.backing, ShardBacking::Lazy(_))
@@ -1071,8 +1066,6 @@ pub fn evaluate_collection(
                 &model,
                 ContextOptions {
                     relax: options.relax,
-                    selectivity_sample: options.selectivity_sample,
-                    op_cost: options.op_cost,
                 },
             );
             let result = evaluate_with_context(&ctx, algorithm, &shard_opts);

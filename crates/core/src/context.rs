@@ -1,12 +1,11 @@
 //! Shared, immutable evaluation state plus the server operation itself.
 
-use crate::fault::{busy_wait, OpInterrupt, INTERRUPT_SPAN};
+use crate::fault::{OpInterrupt, INTERRUPT_SPAN};
 use crate::metrics::Metrics;
 use crate::partial::{Binding, PartialMatch};
 use crate::pool::MatchPool;
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 use whirlpool_index::{
     estimate_selectivity_view, mask_count, DocView, RangeCursor, ServerSelectivity, TagIndex,
     TagIndexView,
@@ -147,31 +146,17 @@ pub struct QueryContext<'a> {
     /// the tag's own postings when the root carries no further test.
     root_candidates: Cow<'a, [NodeId]>,
     full_mask: u64,
-    /// Injected artificial cost per server operation (busy-wait), for
-    /// the Figure 8 experiment.
-    op_cost: Option<Duration>,
     seq: AtomicU64,
 }
 
+/// Root candidates sampled per query for the selectivity estimates.
+const SELECTIVITY_SAMPLE: usize = 64;
+
 /// Construction-time options for [`QueryContext::new`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ContextOptions {
     /// Exact or relaxed evaluation.
     pub relax: RelaxMode,
-    /// Root-candidate sample size for selectivity estimation.
-    pub selectivity_sample: usize,
-    /// Busy-wait per server operation (Figure 8's op-cost sweep).
-    pub op_cost: Option<Duration>,
-}
-
-impl Default for ContextOptions {
-    fn default() -> Self {
-        ContextOptions {
-            relax: RelaxMode::Relaxed,
-            selectivity_sample: 64,
-            op_cost: None,
-        }
-    }
 }
 
 impl<'a> QueryContext<'a> {
@@ -262,13 +247,8 @@ impl<'a> QueryContext<'a> {
             })
             .collect();
 
-        let selectivity = estimate_selectivity_view(
-            doc,
-            index,
-            &root_candidates,
-            &servers,
-            options.selectivity_sample,
-        );
+        let selectivity =
+            estimate_selectivity_view(doc, index, &root_candidates, &servers, SELECTIVITY_SAMPLE);
 
         let mut max_contrib = vec![0.0; pattern.len()];
         max_contrib[0] = model.max_contribution(QNodeId::ROOT);
@@ -291,7 +271,6 @@ impl<'a> QueryContext<'a> {
             total_server_max,
             root_candidates,
             full_mask: PartialMatch::full_mask(pattern.len()),
-            op_cost: options.op_cost,
             seq: AtomicU64::new(0),
         }
     }
@@ -586,9 +565,6 @@ impl<'a> QueryContext<'a> {
     ) -> OpOutcome {
         debug_assert!(!m.has_visited(server));
         self.metrics.add_server_op();
-        if let Some(cost) = self.op_cost {
-            busy_wait(cost);
-        }
 
         let spec = self.server_spec(server);
         let root = m.root();
@@ -884,10 +860,7 @@ mod tests {
                 &self.index,
                 &self.pattern,
                 &self.model,
-                ContextOptions {
-                    relax,
-                    ..ContextOptions::default()
-                },
+                ContextOptions { relax },
             )
         }
     }
@@ -1177,7 +1150,7 @@ mod tests {
                 assert_eq!(plan.len(), roots.len());
                 for (&root, &loc) in roots.iter().zip(&plan) {
                     assert_eq!(loc, ctx.locate_one(server, root), "{server:?} {root:?}");
-                    let end = f.index.subtree_end(root);
+                    let end = f.index.view().subtree_end(root);
                     match (&ctx.server_ranges[server.index() - 1], loc) {
                         (ServerRange::Absent, Located::Absent) => {}
                         (ServerRange::Any, Located::Any(lo, hi)) => {

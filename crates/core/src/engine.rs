@@ -61,10 +61,6 @@ pub struct EvalOptions {
     pub routing: RoutingStrategy,
     /// Queue prioritization.
     pub queue: QueuePolicy,
-    /// Artificial per-server-operation cost (Figure 8).
-    pub op_cost: Option<Duration>,
-    /// Sample size for selectivity estimation.
-    pub selectivity_sample: usize,
     /// Wall-clock budget: when it expires the engine stops consuming
     /// work and returns the current top-k as an anytime answer tagged
     /// [`Completeness::Truncated`]. `None`: run to completion.
@@ -114,8 +110,6 @@ impl EvalOptions {
             relax: RelaxMode::Relaxed,
             routing: RoutingStrategy::MinAlive,
             queue: QueuePolicy::MaxFinalScore,
-            op_cost: None,
-            selectivity_sample: 64,
             deadline: None,
             max_server_ops: None,
             fault_plan: None,
@@ -199,8 +193,6 @@ pub fn evaluate_view(
         model,
         ContextOptions {
             relax: options.relax,
-            selectivity_sample: options.selectivity_sample,
-            op_cost: options.op_cost,
         },
     );
     evaluate_with_context(&ctx, algorithm, options)
@@ -338,16 +330,17 @@ mod tests {
         assert!(result.metrics.partials_created >= 2);
     }
 
+    /// Figure 8's per-operation cost is a `Delay` on every server: each
+    /// operation spins a seeded draw from `[0, 2·mean]`, so a run pays
+    /// about `mean` per operation.
     #[test]
     fn op_cost_injection_slows_execution() {
-        let doc = parse_document(
-            "<r><book><t/></book><book><t/></book><book><t/></book><book><t/></book><book/></r>",
-        )
-        .unwrap();
+        let doc =
+            parse_document(&format!("<r>{}<book/></r>", "<book><t/></book>".repeat(40))).unwrap();
         let index = TagIndex::build(&doc);
         let pattern = parse_pattern("//book[./t]").unwrap();
         let model = TfIdfModel::build(&doc, &index, &pattern, Normalization::Sparse);
-        let mut options = EvalOptions::top_k(2);
+        let mut options = EvalOptions::top_k(41);
         let fast = evaluate(
             &doc,
             &index,
@@ -356,7 +349,8 @@ mod tests {
             &Algorithm::WhirlpoolS,
             &options,
         );
-        options.op_cost = Some(Duration::from_millis(5));
+        let mean = Duration::from_micros(500);
+        options.fault_plan = Some(FaultPlan::seeded(7).delay_unfaulted(pattern.server_ids(), mean));
         let slow = evaluate(
             &doc,
             &index,
@@ -366,7 +360,13 @@ mod tests {
             &options,
         );
         assert!(slow.elapsed > fast.elapsed);
-        assert!(slow.elapsed >= Duration::from_millis(5) * slow.metrics.server_ops as u32);
+        let ops = slow.metrics.server_ops as u32;
+        assert!(ops >= 40, "{ops} ops");
+        assert!(
+            slow.elapsed >= mean * ops / 2,
+            "{:?} for {ops} ops",
+            slow.elapsed
+        );
     }
 
     /// A threshold query ("all answers scoring at least τ", the
@@ -416,16 +416,8 @@ mod tests {
 
             let mut ops = Vec::new();
             for tau in [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 100.0] {
-                let ctx = QueryContext::new(
-                    &doc,
-                    &index,
-                    &pattern,
-                    &model,
-                    ContextOptions {
-                        relax,
-                        ..Default::default()
-                    },
-                );
+                let ctx =
+                    QueryContext::new(&doc, &index, &pattern, &model, ContextOptions { relax });
                 let mut options = EvalOptions::top_k(ctx.root_candidates().len().max(1));
                 options.relax = relax;
                 options.threshold_floor = tau;

@@ -19,9 +19,10 @@ use whirlpool_pattern::QNodeId;
 use whirlpool_score::Score;
 
 /// The longest injected per-operation delay accepted: the mean of a
-/// `delay@` fault and the daemon's `op_cost_us` test hook. Both spin in
-/// a busy-wait that neither a deadline nor a cancel token interrupts,
-/// so an uncapped value would pin a worker for as long as a client asks.
+/// `delay@` fault, which is also what the daemon's `op_cost_us` test
+/// hook sets on every server. The delay spins in a busy-wait that
+/// neither a deadline nor a cancel token interrupts, so an uncapped
+/// value would pin a worker for as long as a client asks.
 pub const MAX_INJECTED_DELAY: Duration = Duration::from_secs(1);
 
 /// What an injected fault does to its server.
@@ -75,6 +76,23 @@ impl FaultPlan {
     /// The configured faults.
     pub fn faults(&self) -> &[(QNodeId, FaultKind)] {
         &self.faults
+    }
+
+    /// Adds a `Delay { mean }` to every server in `servers` the plan
+    /// does not fault yet: a per-operation cost on every join, as in
+    /// Figure 8 and the daemon's `op_cost_us` hook. Servers the plan
+    /// already names keep their fault.
+    pub fn delay_unfaulted(
+        mut self,
+        servers: impl IntoIterator<Item = QNodeId>,
+        mean: Duration,
+    ) -> Self {
+        for server in servers {
+            if !self.faults.iter().any(|(s, _)| *s == server) {
+                self.faults.push((server, FaultKind::Delay { mean }));
+            }
+        }
+        self
     }
 
     /// Parses a CLI-style spec: `server=<id>:<kind>@<arg>` where kind is
@@ -760,9 +778,9 @@ pub(crate) fn degrade_to_completion(
 }
 
 /// Spins for (at least) `duration`: the injected per-operation cost of
-/// delay faults and of `op_cost`. Sleeping would let the OS deschedule
-/// the thread and distort the multi-threaded measurements, so we burn
-/// cycles like a real join would.
+/// delay faults. Sleeping would let the OS deschedule the thread and
+/// distort the multi-threaded measurements, so we burn cycles like a
+/// real join would.
 pub(crate) fn busy_wait(duration: Duration) {
     let start = Instant::now();
     while start.elapsed() < duration {

@@ -98,9 +98,6 @@ pub use fault::{
     Budget, CancelToken, EngineRun, FaultKind, FaultPlan, OpInterrupt, RunControl, INTERRUPT_LANES,
     INTERRUPT_SPAN, MAX_INJECTED_DELAY,
 };
-pub use lockstep::{
-    run_lockstep, run_lockstep_anytime, run_lockstep_noprune, run_lockstep_noprune_anytime,
-};
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use partial::{Binding, PartialMatch};
 pub use pool::{MatchPool, PoolHub};
@@ -108,5 +105,3 @@ pub use queue::{MatchQueue, QueuePolicy};
 pub use router::RoutingStrategy;
 pub use topk::{answers_equivalent, RankedAnswer, SharedTopK, TopKSet};
 pub use trace::{TraceData, TraceSummary, Tracer, WorkerTrace};
-pub use whirlpool_m::{run_whirlpool_m, run_whirlpool_m_anytime, WhirlpoolMConfig};
-pub use whirlpool_s::{run_whirlpool_s, run_whirlpool_s_anytime};

@@ -6,38 +6,29 @@
 //! matches advance in lock step (≈ the OptThres algorithm of the
 //! EDBT'02 relaxation paper). Two variants:
 //!
-//! * [`run_lockstep`] — keeps a top-k set during execution and discards
-//!   partial matches that cannot reach the current k-th score;
-//! * [`run_lockstep_noprune`] — performs *all* partial-match operations
-//!   and sorts at the end. Its partial-match count is the "maximum
-//!   possible number of partial matches" denominator of Table 2.
+//! * [`run_lockstep_anytime`] — keeps a top-k set during execution and
+//!   discards partial matches that cannot reach the current k-th score;
+//! * [`run_lockstep_noprune_anytime`] — performs *all* partial-match
+//!   operations and sorts at the end. Its partial-match count is the
+//!   "maximum possible number of partial matches" denominator of
+//!   Table 2.
 
 use crate::context::{Located, QueryContext, RelaxMode};
 use crate::fault::{guarded_process_located, EngineRun, RunControl, Truncation};
 use crate::partial::PartialMatch;
 use crate::queue::QueuePolicy;
-use crate::topk::{RankedAnswer, TopKSet};
+use crate::topk::TopKSet;
 use whirlpool_pattern::StaticPlan;
 
-/// LockStep with pruning.
+/// LockStep with pruning under a [`RunControl`].
 ///
 /// Within each stage, matches are processed best-first under
 /// `queue_policy` (the paper settled on maximum possible final score for
 /// LockStep's queues too), which accelerates top-k threshold growth.
-pub fn run_lockstep(
-    ctx: &QueryContext<'_>,
-    plan: &StaticPlan,
-    k: usize,
-    queue_policy: QueuePolicy,
-) -> Vec<RankedAnswer> {
-    run_lockstep_anytime(ctx, plan, k, queue_policy, &RunControl::unlimited()).answers
-}
-
-/// LockStep with pruning under a [`RunControl`]: budget expiry returns
-/// the current top-k as a truncated prefix, and matches headed for a
-/// dead server are degraded past it (relaxed mode) or dropped with
-/// their bound recorded (exact mode).
-pub fn run_lockstep_anytime(
+/// Budget expiry returns the current top-k as a truncated prefix, and
+/// matches headed for a dead server are degraded past it (relaxed mode)
+/// or dropped with their bound recorded (exact mode).
+pub(crate) fn run_lockstep_anytime(
     ctx: &QueryContext<'_>,
     plan: &StaticPlan,
     k: usize,
@@ -182,19 +173,12 @@ pub fn run_lockstep_anytime(
 /// Matches with different roots never interact when nothing is pruned,
 /// so this runs root-by-root to keep the peak frontier proportional to
 /// one root's match count rather than the whole document's.
-pub fn run_lockstep_noprune(
-    ctx: &QueryContext<'_>,
-    plan: &StaticPlan,
-    k: usize,
-) -> Vec<RankedAnswer> {
-    run_lockstep_noprune_anytime(ctx, plan, k, &RunControl::unlimited()).answers
-}
-
-/// LockStep-NoPrun under a [`RunControl`]: the budget is checked before
-/// every server operation (root matches not yet started are accounted
-/// on expiry), and dead servers degrade (relaxed) or drop (exact) the
-/// matches that reach them.
-pub fn run_lockstep_noprune_anytime(
+///
+/// Under a [`RunControl`], the budget is checked before every server
+/// operation (root matches not yet started are accounted on expiry),
+/// and dead servers degrade (relaxed) or drop (exact) the matches that
+/// reach them.
+pub(crate) fn run_lockstep_noprune_anytime(
     ctx: &QueryContext<'_>,
     plan: &StaticPlan,
     k: usize,
@@ -300,6 +284,7 @@ pub fn run_lockstep_noprune_anytime(
 mod tests {
     use super::*;
     use crate::context::ContextOptions;
+    use crate::topk::RankedAnswer;
     use whirlpool_index::TagIndex;
     use whirlpool_pattern::parse_pattern;
     use whirlpool_score::{Normalization, TfIdfModel};
@@ -318,21 +303,19 @@ mod tests {
         let index = TagIndex::build(&doc);
         let pattern = parse_pattern(query).unwrap();
         let model = TfIdfModel::build(&doc, &index, &pattern, Normalization::Sparse);
-        let ctx = QueryContext::new(
-            &doc,
-            &index,
-            &pattern,
-            &model,
-            ContextOptions {
-                relax,
-                ..Default::default()
-            },
-        );
+        let ctx = QueryContext::new(&doc, &index, &pattern, &model, ContextOptions { relax });
         let plan = StaticPlan::in_id_order(pattern.server_ids().count());
         if prune {
-            run_lockstep(&ctx, &plan, k, QueuePolicy::MaxFinalScore)
+            run_lockstep_anytime(
+                &ctx,
+                &plan,
+                k,
+                QueuePolicy::MaxFinalScore,
+                &RunControl::unlimited(),
+            )
+            .answers
         } else {
-            run_lockstep_noprune(&ctx, &plan, k)
+            run_lockstep_noprune_anytime(&ctx, &plan, k, &RunControl::unlimited()).answers
         }
     }
 
@@ -398,11 +381,18 @@ mod tests {
         let plan = StaticPlan::in_id_order(3);
 
         let ctx1 = QueryContext::new(&doc, &index, &pattern, &model, ContextOptions::default());
-        let _ = run_lockstep(&ctx1, &plan, 1, QueuePolicy::MaxFinalScore);
+        let _ = run_lockstep_anytime(
+            &ctx1,
+            &plan,
+            1,
+            QueuePolicy::MaxFinalScore,
+            &RunControl::unlimited(),
+        )
+        .answers;
         let with_prune = ctx1.metrics.snapshot();
 
         let ctx2 = QueryContext::new(&doc, &index, &pattern, &model, ContextOptions::default());
-        let _ = run_lockstep_noprune(&ctx2, &plan, 1);
+        let _ = run_lockstep_noprune_anytime(&ctx2, &plan, 1, &RunControl::unlimited()).answers;
         let without = ctx2.metrics.snapshot();
 
         assert!(with_prune.server_ops <= without.server_ops);
@@ -418,6 +408,14 @@ mod tests {
         let model = TfIdfModel::build(&doc, &index, &pattern, Normalization::Sparse);
         let ctx = QueryContext::new(&doc, &index, &pattern, &model, ContextOptions::default());
         let plan = StaticPlan::in_id_order(1);
-        assert!(run_lockstep(&ctx, &plan, 3, QueuePolicy::MaxFinalScore).is_empty());
+        assert!(run_lockstep_anytime(
+            &ctx,
+            &plan,
+            3,
+            QueuePolicy::MaxFinalScore,
+            &RunControl::unlimited()
+        )
+        .answers
+        .is_empty());
     }
 }

@@ -258,7 +258,6 @@ mod tests {
             &model,
             ContextOptions {
                 relax: RelaxMode::Relaxed,
-                ..Default::default()
             },
         );
         f(&ctx);

@@ -240,7 +240,6 @@ mod tests {
             &model,
             ContextOptions {
                 relax: RelaxMode::Relaxed,
-                ..Default::default()
             },
         );
         f(&ctx);

@@ -63,7 +63,7 @@ use crate::partial::PartialMatch;
 use crate::pool::{MatchPool, PoolHub};
 use crate::queue::{MatchQueue, QueuePolicy, Rank};
 use crate::router::RoutingStrategy;
-use crate::topk::{RankedAnswer, SharedTopK};
+use crate::topk::SharedTopK;
 use crate::trace::{QueueId, WorkerTrace};
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -77,9 +77,9 @@ use whirlpool_score::Score;
 /// higher-priority arrival cannot preempt matches already drained).
 const DRAIN_BATCH: usize = 32;
 
-/// Configuration for [`run_whirlpool_m`].
+/// Configuration for [`run_whirlpool_m_anytime`].
 #[derive(Debug, Clone)]
-pub struct WhirlpoolMConfig {
+pub(crate) struct WhirlpoolMConfig {
     /// Queue prioritization, for the server queues and the unrouted
     /// queue alike (the paper settled on
     /// [`QueuePolicy::MaxFinalScore`]).
@@ -280,23 +280,14 @@ impl Shared<'_, '_> {
 }
 
 /// Runs Whirlpool-M on a pool of [`WhirlpoolMConfig::threads`] workers,
-/// the calling thread being one of them.
-pub fn run_whirlpool_m(
-    ctx: &QueryContext<'_>,
-    routing: &RoutingStrategy,
-    k: usize,
-    config: &WhirlpoolMConfig,
-) -> Vec<RankedAnswer> {
-    run_whirlpool_m_anytime(ctx, routing, k, config, &RunControl::unlimited()).answers
-}
-
-/// Whirlpool-M under a [`RunControl`]: deadlines and op budgets turn
-/// every consumer into a draining one (each abandoned match's score
-/// bound is recorded before the run returns its anytime prefix), and a
-/// server killed by an injected fault or panic is isolated without
-/// aborting or hanging the run — its queued matches are redistributed
-/// to the survivors or completed through degradation.
-pub fn run_whirlpool_m_anytime(
+/// the calling thread being one of them, under a [`RunControl`]:
+/// deadlines and op budgets turn every consumer into a draining one
+/// (each abandoned match's score bound is recorded before the run
+/// returns its anytime prefix), and a server killed by an injected
+/// fault or panic is isolated without aborting or hanging the run — its
+/// queued matches are redistributed to the survivors or completed
+/// through degradation.
+pub(crate) fn run_whirlpool_m_anytime(
     ctx: &QueryContext<'_>,
     routing: &RoutingStrategy,
     k: usize,
@@ -980,7 +971,8 @@ fn process_batch(
 mod tests {
     use super::*;
     use crate::context::ContextOptions;
-    use crate::lockstep::run_lockstep_noprune;
+    use crate::lockstep::run_lockstep_noprune_anytime;
+    use crate::topk::RankedAnswer;
     use whirlpool_index::TagIndex;
     use whirlpool_pattern::{parse_pattern, StaticPlan};
     use whirlpool_score::{Normalization, TfIdfModel};
@@ -1002,16 +994,7 @@ mod tests {
         let index = TagIndex::build(&doc);
         let pattern = parse_pattern(query).unwrap();
         let model = TfIdfModel::build(&doc, &index, &pattern, Normalization::Sparse);
-        let ctx = QueryContext::new(
-            &doc,
-            &index,
-            &pattern,
-            &model,
-            ContextOptions {
-                relax,
-                ..Default::default()
-            },
-        );
+        let ctx = QueryContext::new(&doc, &index, &pattern, &model, ContextOptions { relax });
         f(&ctx, pattern.server_ids().count());
     }
 
@@ -1153,15 +1136,23 @@ mod tests {
         for k in [1, 3, 6] {
             let mut reference = Vec::new();
             harness(query, RelaxMode::Relaxed, |ctx, servers| {
-                reference = run_lockstep_noprune(ctx, &StaticPlan::in_id_order(servers), k);
+                reference = run_lockstep_noprune_anytime(
+                    ctx,
+                    &StaticPlan::in_id_order(servers),
+                    k,
+                    &RunControl::unlimited(),
+                )
+                .answers;
             });
             harness(query, RelaxMode::Relaxed, |ctx, _| {
-                let got = run_whirlpool_m(
+                let got = run_whirlpool_m_anytime(
                     ctx,
                     &RoutingStrategy::MinAlive,
                     k,
                     &WhirlpoolMConfig::default(),
-                );
+                    &RunControl::unlimited(),
+                )
+                .answers;
                 let gs: Vec<_> = got.iter().map(|r| (r.root, r.score)).collect();
                 let rs: Vec<_> = reference.iter().map(|r| (r.root, r.score)).collect();
                 assert_eq!(gs, rs, "k={k}");
@@ -1177,7 +1168,13 @@ mod tests {
         let query = "//book[./title and ./isbn and ./price]";
         let mut reference = Vec::new();
         harness(query, RelaxMode::Relaxed, |ctx, servers| {
-            reference = run_lockstep_noprune(ctx, &StaticPlan::in_id_order(servers), 3);
+            reference = run_lockstep_noprune_anytime(
+                ctx,
+                &StaticPlan::in_id_order(servers),
+                3,
+                &RunControl::unlimited(),
+            )
+            .answers;
         });
         for procs in [1, 2, 4] {
             for threads in [1usize, 4] {
@@ -1210,15 +1207,23 @@ mod tests {
         let query = "//book[./title and ./isbn]";
         let mut reference = Vec::new();
         harness(query, RelaxMode::Exact, |ctx, servers| {
-            reference = run_lockstep_noprune(ctx, &StaticPlan::in_id_order(servers), 10);
+            reference = run_lockstep_noprune_anytime(
+                ctx,
+                &StaticPlan::in_id_order(servers),
+                10,
+                &RunControl::unlimited(),
+            )
+            .answers;
         });
         harness(query, RelaxMode::Exact, |ctx, _| {
-            let got = run_whirlpool_m(
+            let got = run_whirlpool_m_anytime(
                 ctx,
                 &RoutingStrategy::MinAlive,
                 10,
                 &WhirlpoolMConfig::default(),
-            );
+                &RunControl::unlimited(),
+            )
+            .answers;
             let gs: Vec<_> = got.iter().map(|r| (r.root, r.score)).collect();
             let rs: Vec<_> = reference.iter().map(|r| (r.root, r.score)).collect();
             assert_eq!(gs, rs);
@@ -1230,14 +1235,20 @@ mod tests {
         let query = "//book[./title and ./isbn and ./price]";
         let mut reference = Vec::new();
         harness(query, RelaxMode::Relaxed, |ctx, servers| {
-            reference = run_lockstep_noprune(ctx, &StaticPlan::in_id_order(servers), 4);
+            reference = run_lockstep_noprune_anytime(
+                ctx,
+                &StaticPlan::in_id_order(servers),
+                4,
+                &RunControl::unlimited(),
+            )
+            .answers;
         });
         // Worker counts below, at, and above the number of server
         // queues: above, the surplus workers have no home queues and
         // live entirely off stealing.
         for threads in [2usize, 4, 8] {
             harness(query, RelaxMode::Relaxed, |ctx, _| {
-                let got = run_whirlpool_m(
+                let got = run_whirlpool_m_anytime(
                     ctx,
                     &RoutingStrategy::MinAlive,
                     4,
@@ -1245,7 +1256,9 @@ mod tests {
                         threads,
                         ..WhirlpoolMConfig::default()
                     },
-                );
+                    &RunControl::unlimited(),
+                )
+                .answers;
                 assert!(
                     crate::topk::answers_equivalent(&got, &reference, 1e-9),
                     "threads={threads}"
@@ -1257,12 +1270,14 @@ mod tests {
     #[test]
     fn empty_root_set_returns_immediately() {
         harness("//nosuchroot[./title]", RelaxMode::Relaxed, |ctx, _| {
-            let got = run_whirlpool_m(
+            let got = run_whirlpool_m_anytime(
                 ctx,
                 &RoutingStrategy::MinAlive,
                 5,
                 &WhirlpoolMConfig::default(),
-            );
+                &RunControl::unlimited(),
+            )
+            .answers;
             assert!(got.is_empty());
         });
     }
@@ -1280,7 +1295,7 @@ mod tests {
         let model = TfIdfModel::build(&doc, &index, &pattern, Normalization::Sparse);
         for i in 0..300 {
             let ctx = QueryContext::new(&doc, &index, &pattern, &model, ContextOptions::default());
-            let got = run_whirlpool_m(
+            let got = run_whirlpool_m_anytime(
                 &ctx,
                 &RoutingStrategy::MinAlive,
                 3,
@@ -1288,7 +1303,9 @@ mod tests {
                     threads: 2,
                     ..WhirlpoolMConfig::default()
                 },
-            );
+                &RunControl::unlimited(),
+            )
+            .answers;
             assert!(!got.is_empty(), "iteration {i}");
         }
     }
@@ -1301,12 +1318,14 @@ mod tests {
         let mut first: Option<Vec<RankedAnswer>> = None;
         for _ in 0..10 {
             harness(query, RelaxMode::Relaxed, |ctx, _| {
-                let got = run_whirlpool_m(
+                let got = run_whirlpool_m_anytime(
                     ctx,
                     &RoutingStrategy::MinAlive,
                     3,
                     &WhirlpoolMConfig::default(),
-                );
+                    &RunControl::unlimited(),
+                )
+                .answers;
                 match &first {
                     None => first = Some(got),
                     Some(f) => assert!(

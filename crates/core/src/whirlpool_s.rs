@@ -14,27 +14,18 @@ use crate::fault::{
 };
 use crate::queue::{MatchQueue, QueuePolicy};
 use crate::router::RoutingStrategy;
-use crate::topk::{RankedAnswer, TopKSet};
+use crate::topk::TopKSet;
 
-/// Runs Whirlpool-S.
+/// Runs Whirlpool-S under a [`RunControl`].
 ///
-/// `queue_policy` defaults to [`QueuePolicy::MaxFinalScore`] in the
-/// public API; other policies are accepted for the ablation benches.
-pub fn run_whirlpool_s(
-    ctx: &QueryContext<'_>,
-    routing: &RoutingStrategy,
-    k: usize,
-    queue_policy: QueuePolicy,
-) -> Vec<RankedAnswer> {
-    run_whirlpool_s_anytime(ctx, routing, k, queue_policy, &RunControl::unlimited()).answers
-}
-
-/// Whirlpool-S under a [`RunControl`]: the budget is checked at every
-/// queue pop (expiry drains the router queue, recording each abandoned
-/// match's score bound), routing skips dead servers, and a match whose
-/// every remaining server is dead is degraded to completion (relaxed
-/// mode) or dropped with its bound recorded (exact mode).
-pub fn run_whirlpool_s_anytime(
+/// `queue_policy` is [`QueuePolicy::MaxFinalScore`] by default; other
+/// policies are accepted for the ablation experiments. The budget is
+/// checked at every queue pop (expiry drains the router queue,
+/// recording each abandoned match's score bound), routing skips dead
+/// servers, and a match whose every remaining server is dead is
+/// degraded to completion (relaxed mode) or dropped with its bound
+/// recorded (exact mode).
+pub(crate) fn run_whirlpool_s_anytime(
     ctx: &QueryContext<'_>,
     routing: &RoutingStrategy,
     k: usize,
@@ -203,7 +194,7 @@ pub fn run_whirlpool_s_anytime(
 mod tests {
     use super::*;
     use crate::context::ContextOptions;
-    use crate::lockstep::{run_lockstep, run_lockstep_noprune};
+    use crate::lockstep::{run_lockstep_anytime, run_lockstep_noprune_anytime};
     use whirlpool_index::TagIndex;
     use whirlpool_pattern::{parse_pattern, StaticPlan};
     use whirlpool_score::{Normalization, TfIdfModel};
@@ -223,16 +214,7 @@ mod tests {
         let index = TagIndex::build(&doc);
         let pattern = parse_pattern(query).unwrap();
         let model = TfIdfModel::build(&doc, &index, &pattern, Normalization::Sparse);
-        let ctx = QueryContext::new(
-            &doc,
-            &index,
-            &pattern,
-            &model,
-            ContextOptions {
-                relax,
-                ..Default::default()
-            },
-        );
+        let ctx = QueryContext::new(&doc, &index, &pattern, &model, ContextOptions { relax });
         let servers = pattern.server_ids().count();
         f(&ctx, servers);
     }
@@ -243,7 +225,13 @@ mod tests {
         for k in [1, 2, 3, 6] {
             let mut reference = Vec::new();
             harness(query, RelaxMode::Relaxed, |ctx, servers| {
-                reference = run_lockstep_noprune(ctx, &StaticPlan::in_id_order(servers), k);
+                reference = run_lockstep_noprune_anytime(
+                    ctx,
+                    &StaticPlan::in_id_order(servers),
+                    k,
+                    &RunControl::unlimited(),
+                )
+                .answers;
             });
             for routing in [
                 RoutingStrategy::MinAlive,
@@ -251,7 +239,14 @@ mod tests {
                 RoutingStrategy::MinScore,
             ] {
                 harness(query, RelaxMode::Relaxed, |ctx, _| {
-                    let got = run_whirlpool_s(ctx, &routing, k, QueuePolicy::MaxFinalScore);
+                    let got = run_whirlpool_s_anytime(
+                        ctx,
+                        &routing,
+                        k,
+                        QueuePolicy::MaxFinalScore,
+                        &RunControl::unlimited(),
+                    )
+                    .answers;
                     assert!(
                         crate::topk::answers_equivalent(&got, &reference, 1e-9),
                         "k={k} routing={}: {got:?} vs {reference:?}",
@@ -268,16 +263,25 @@ mod tests {
         let mut a = Vec::new();
         let mut b = Vec::new();
         harness(query, RelaxMode::Relaxed, |ctx, servers| {
-            a = run_lockstep(
+            a = run_lockstep_anytime(
                 ctx,
                 &StaticPlan::in_id_order(servers),
                 3,
                 QueuePolicy::MaxFinalScore,
-            );
+                &RunControl::unlimited(),
+            )
+            .answers;
         });
         harness(query, RelaxMode::Relaxed, |ctx, servers| {
             let routing = RoutingStrategy::Static(StaticPlan::in_id_order(servers));
-            b = run_whirlpool_s(ctx, &routing, 3, QueuePolicy::MaxFinalScore);
+            b = run_whirlpool_s_anytime(
+                ctx,
+                &routing,
+                3,
+                QueuePolicy::MaxFinalScore,
+                &RunControl::unlimited(),
+            )
+            .answers;
         });
         let sa: Vec<_> = a.iter().map(|r| (r.root, r.score)).collect();
         let sb: Vec<_> = b.iter().map(|r| (r.root, r.score)).collect();
@@ -290,15 +294,23 @@ mod tests {
         let mut a = Vec::new();
         let mut b = Vec::new();
         harness(query, RelaxMode::Exact, |ctx, servers| {
-            a = run_lockstep_noprune(ctx, &StaticPlan::in_id_order(servers), 10);
+            a = run_lockstep_noprune_anytime(
+                ctx,
+                &StaticPlan::in_id_order(servers),
+                10,
+                &RunControl::unlimited(),
+            )
+            .answers;
         });
         harness(query, RelaxMode::Exact, |ctx, _| {
-            b = run_whirlpool_s(
+            b = run_whirlpool_s_anytime(
                 ctx,
                 &RoutingStrategy::MinAlive,
                 10,
                 QueuePolicy::MaxFinalScore,
-            );
+                &RunControl::unlimited(),
+            )
+            .answers;
         });
         assert_eq!(a.len(), b.len());
         let sa: Vec<_> = a.iter().map(|r| (r.root, r.score)).collect();
@@ -312,12 +324,14 @@ mod tests {
             "//book[./title and ./isbn and ./price]",
             RelaxMode::Relaxed,
             |ctx, _| {
-                let _ = run_whirlpool_s(
+                let _ = run_whirlpool_s_anytime(
                     ctx,
                     &RoutingStrategy::MinAlive,
                     1,
                     QueuePolicy::MaxFinalScore,
-                );
+                    &RunControl::unlimited(),
+                )
+                .answers;
                 // Cut as matches, or as roots that never became one.
                 let m = ctx.metrics.snapshot();
                 assert!(m.pruned + m.roots_unseeded > 0, "{m:?}");
@@ -330,10 +344,23 @@ mod tests {
         let query = "//book[./title and ./isbn]";
         let mut reference = Vec::new();
         harness(query, RelaxMode::Relaxed, |ctx, servers| {
-            reference = run_lockstep_noprune(ctx, &StaticPlan::in_id_order(servers), 4);
+            reference = run_lockstep_noprune_anytime(
+                ctx,
+                &StaticPlan::in_id_order(servers),
+                4,
+                &RunControl::unlimited(),
+            )
+            .answers;
         });
         harness(query, RelaxMode::Relaxed, |ctx, _| {
-            let got = run_whirlpool_s(ctx, &RoutingStrategy::MinAlive, 4, QueuePolicy::Fifo);
+            let got = run_whirlpool_s_anytime(
+                ctx,
+                &RoutingStrategy::MinAlive,
+                4,
+                QueuePolicy::Fifo,
+                &RunControl::unlimited(),
+            )
+            .answers;
             let gs: Vec<_> = got.iter().map(|r| (r.root, r.score)).collect();
             let rs: Vec<_> = reference.iter().map(|r| (r.root, r.score)).collect();
             assert_eq!(gs, rs);

@@ -73,8 +73,8 @@ fn sweep_refine(cands: &[u32], alive: &mut [u8], f: impl Fn(u32) -> u8) -> u64 {
 /// Flat structural columns for one document: `parent`, `depth`, and
 /// `subtree_end`, all indexed by raw node id.
 ///
-/// Built in the same pass as [`TagIndex::build`](crate::TagIndex::build)
-/// and exposed through [`TagIndex::columns`](crate::TagIndex::columns).
+/// Built by [`TagIndex::build`](crate::TagIndex::build) and read through
+/// [`TagIndexView::columns`](crate::TagIndexView::columns).
 /// Because node ids are assigned in pre-order, containment is the pure
 /// integer test `a < b && b < subtree_end[a]`, and the composed
 /// structural predicates of the compiled plan reduce to one or two
@@ -139,90 +139,6 @@ impl StructuralColumns {
             subtree_end: &self.subtree_end,
         }
     }
-
-    /// The parent of `n`, `None` for the document root.
-    #[inline]
-    pub fn parent_of(&self, n: NodeId) -> Option<NodeId> {
-        self.view().parent_of(n)
-    }
-
-    /// The depth of `n`; the document root has depth 0.
-    #[inline]
-    pub fn depth_of(&self, n: NodeId) -> usize {
-        self.view().depth_of(n)
-    }
-
-    /// One past the last descendant of `n`, as a raw id.
-    #[inline]
-    pub fn subtree_end_raw(&self, n: NodeId) -> u32 {
-        self.view().subtree_end_raw(n)
-    }
-
-    /// The raw `subtree_end` column (shared with
-    /// [`TagIndex`](crate::TagIndex)'s range scans).
-    #[inline]
-    pub(crate) fn subtree_end_column(&self) -> &[u32] {
-        &self.subtree_end
-    }
-
-    /// True iff `ancestor` is a *proper* ancestor of `descendant`.
-    #[inline]
-    pub fn contains(&self, ancestor: NodeId, descendant: NodeId) -> bool {
-        self.view().contains(ancestor, descendant)
-    }
-
-    /// True iff `parent` is the parent of `child`.
-    #[inline]
-    pub fn is_parent(&self, parent: NodeId, child: NodeId) -> bool {
-        self.view().is_parent(parent, child)
-    }
-
-    /// See [`ColumnsView::holds`].
-    #[inline]
-    pub fn holds(&self, axis: ComposedAxis, ancestor: NodeId, descendant: NodeId) -> bool {
-        self.view().holds(axis, ancestor, descendant)
-    }
-
-    /// See [`ColumnsView::holds_in_range`].
-    #[inline]
-    pub fn holds_in_range(&self, axis: ComposedAxis, ancestor: NodeId, descendant: NodeId) -> bool {
-        self.view().holds_in_range(axis, ancestor, descendant)
-    }
-
-    /// See [`ColumnsView::sweep_in_range`].
-    pub fn sweep_in_range(
-        &self,
-        axis: ComposedAxis,
-        ancestor: NodeId,
-        cands: &[u32],
-        out: &mut [u8],
-    ) -> u64 {
-        self.view().sweep_in_range(axis, ancestor, cands, out)
-    }
-
-    /// See [`ColumnsView::sweep_refine_from_ancestor`].
-    pub fn sweep_refine_from_ancestor(
-        &self,
-        axis: ComposedAxis,
-        ancestor: NodeId,
-        cands: &[u32],
-        alive: &mut [u8],
-    ) -> u64 {
-        self.view()
-            .sweep_refine_from_ancestor(axis, ancestor, cands, alive)
-    }
-
-    /// See [`ColumnsView::sweep_refine_to_descendant`].
-    pub fn sweep_refine_to_descendant(
-        &self,
-        axis: ComposedAxis,
-        descendant: NodeId,
-        cands: &[u32],
-        alive: &mut [u8],
-    ) -> u64 {
-        self.view()
-            .sweep_refine_to_descendant(axis, descendant, cands, alive)
-    }
 }
 
 /// Borrowed structural columns: the slice triple every structural
@@ -233,7 +149,7 @@ impl StructuralColumns {
 /// arrays of a memory-mapped snapshot ([`ColumnsView::from_raw`]) — the
 /// engines cannot tell the difference, which is what makes snapshot
 /// attach zero-copy.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ColumnsView<'a> {
     parent: &'a [u32],
     depth: &'a [u16],
@@ -264,22 +180,10 @@ impl<'a> ColumnsView<'a> {
         self.parent.len()
     }
 
-    /// The raw parent column (snapshot writers flatten this to disk).
-    #[inline]
-    pub fn parent_slice(&self) -> &'a [u32] {
-        self.parent
-    }
-
-    /// The raw depth column.
-    #[inline]
-    pub fn depth_slice(&self) -> &'a [u16] {
-        self.depth
-    }
-
-    /// The raw subtree-extent column.
-    #[inline]
-    pub fn subtree_end_slice(&self) -> &'a [u32] {
-        self.subtree_end
+    /// The raw `(parent, depth, subtree_end)` columns, as a snapshot
+    /// writer stores them.
+    pub fn raw(&self) -> (&'a [u32], &'a [u16], &'a [u32]) {
+        (self.parent, self.depth, self.subtree_end)
     }
 
     /// True when the columns cover no nodes at all.
@@ -479,6 +383,7 @@ mod tests {
     #[test]
     fn parent_and_depth_match_document() {
         let (doc, cols) = columns("<a><b><c/><d/></b><e/></a>");
+        let cols = cols.view();
         for id in doc.all_nodes() {
             assert_eq!(cols.parent_of(id), doc.parent(id), "{id:?}");
             assert_eq!(cols.depth_of(id), ancestors(&doc, id).count(), "{id:?}");
@@ -489,6 +394,7 @@ mod tests {
     #[test]
     fn containment_matches_parent_links() {
         let (doc, cols) = columns("<a><b><c/><d/></b><e/></a><a><b/></a>");
+        let cols = cols.view();
         for x in doc.all_nodes() {
             for y in doc.all_nodes() {
                 let expected = by_parent_hops(&doc, ComposedAxis::Descendant, x, y);
@@ -508,6 +414,7 @@ mod tests {
         }
         src.push_str("</b><c/></a>");
         let (doc, cols) = columns(&src);
+        let cols = cols.view();
         let axes = [
             ComposedAxis::ChildChain(1),
             ComposedAxis::ChildChain(2),
@@ -561,6 +468,7 @@ mod tests {
     #[test]
     fn refine_sweeps_only_clear_bits() {
         let (doc, cols) = columns("<a><b><c/></b><b/></a>");
+        let cols = cols.view();
         let every: Vec<u32> = doc.all_nodes().map(|n| n.index() as u32).collect();
         let root = doc.all_nodes().next().unwrap();
         let mut alive = vec![0u8; every.len()];
@@ -572,6 +480,7 @@ mod tests {
     #[test]
     fn composed_axes_match_parent_hops() {
         let (doc, cols) = columns("<a><b><c><d/></c></b><c/></a>");
+        let cols = cols.view();
         for axis in [
             ComposedAxis::ChildChain(1),
             ComposedAxis::ChildChain(2),

@@ -1,6 +1,6 @@
 //! Amortized descendant-range scans over sorted posting lists.
 //!
-//! [`TagIndex::descendants_with_tag`](crate::TagIndex::descendants_with_tag)
+//! [`TagIndexView::descendants_with_tag`](crate::TagIndexView::descendants_with_tag)
 //! answers each query with two binary searches over the full posting
 //! list. When a caller scans *many* ancestors in ascending document
 //! order — exactly what happens when a query context resolves every
@@ -28,7 +28,7 @@ pub struct RangeCursor<'a> {
 
 impl<'a> RangeCursor<'a> {
     /// A cursor over `list`, which must be sorted ascending (posting
-    /// lists from [`TagIndex`](crate::TagIndex) always are).
+    /// lists from [`TagIndexView`](crate::TagIndexView) always are).
     pub fn new(list: &'a [NodeId]) -> Self {
         debug_assert!(
             list.windows(2).all(|w| w[0] < w[1]),
@@ -177,6 +177,7 @@ mod tests {
     fn merge_pass_equals_descendant_scans() {
         let doc = whirlpool_xmark::generate(&whirlpool_xmark::GeneratorConfig::items(60));
         let index = TagIndex::build(&doc);
+        let index = index.view();
         let item = doc.tag_id("item").unwrap();
         for tag_name in ["parlist", "keyword", "quantity", "bold"] {
             let Some(tag) = doc.tag_id(tag_name) else {
@@ -201,6 +202,7 @@ mod tests {
         // previous range; the gallop must still find the right bounds.
         let doc = parse_document("<r><a><b/><a><b/><b/></a><b/></a><a><b/></a></r>").unwrap();
         let index = TagIndex::build(&doc);
+        let index = index.view();
         let a = doc.tag_id("a").unwrap();
         let b = doc.tag_id("b").unwrap();
         let mut cursor = RangeCursor::new(index.nodes_with_tag(b));

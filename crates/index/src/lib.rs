@@ -11,18 +11,23 @@
 //! crate provides:
 //!
 //! * [`TagIndex`] — per-tag (and per tag+value) postings in document
-//!   order, with O(log n) *descendant range scans*: all nodes with a
+//!   order plus the structural columns, held as the flat arrays a
+//!   snapshot stores. Every reader goes through [`TagIndexView`], one
+//!   `Copy` struct of slices over either an in-memory index or a mapped
+//!   snapshot, with O(log n) *descendant range scans*: all nodes with a
 //!   given tag inside a subtree form a contiguous posting range because
 //!   node ids are assigned in pre-order.
 //! * [`RangeCursor`] — a reusable scanner over one posting list that
 //!   answers ascending descendant-range queries by galloping forward
 //!   from the previous answer, turning a per-root pair of binary
 //!   searches into one amortized merge pass.
-//! * [`StructuralColumns`] — flat per-node `parent`/`depth`/
-//!   `subtree_end` columns built alongside the postings, turning the
-//!   compiled structural predicates (pc, ad, depth-bounded chains) into
-//!   one or two integer comparisons so the server-op hot loop never
-//!   walks parent links.
+//! * [`ColumnsView`] — flat per-node `parent`/`depth`/`subtree_end`
+//!   columns (owned by a [`StructuralColumns`], read through
+//!   [`TagIndexView::columns`]), turning the compiled structural
+//!   predicates (pc, ad, depth-bounded chains) into one or two integer
+//!   comparisons so the server-op hot loop never walks parent links.
+//! * [`DocView`] — the document side: a parsed `Document` or a mapped
+//!   snapshot's [`MappedDoc`] behind one accessor surface.
 //! * [`ServerSelectivity`] — sampled per-server statistics (candidate
 //!   fanout, exact-match fraction) that the adaptive routing strategies
 //!   use as their cost estimates ("such estimates could be obtained by
@@ -50,11 +55,8 @@ pub use columns::{lanes_for, mask_count, ColumnsView, StructuralColumns, KERNEL_
 pub use cursor::RangeCursor;
 pub use paths::{PathAxis, PathEntry, PathSynopsis, PATH_COUNT_CAP, PATH_DEPTH_CAP};
 pub use selectivity::{
-    estimate_query_cost, estimate_selectivity, estimate_selectivity_view, QueryCostEstimate,
-    ServerSelectivity,
+    estimate_query_cost, estimate_selectivity_view, QueryCostEstimate, ServerSelectivity,
 };
 pub use synopsis::ShardSynopsis;
-pub use tagindex::TagIndex;
-pub use view::{
-    DocView, MappedDoc, MappedIndex, TagIndexView, ATTR_ENTRY_STRIDE, VALUE_GROUP_STRIDE,
-};
+pub use tagindex::{TagIndex, TagIndexView, VALUE_GROUP_STRIDE};
+pub use view::{DocView, MappedDoc, ATTR_ENTRY_STRIDE};

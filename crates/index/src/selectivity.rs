@@ -15,10 +15,10 @@
 //!   relaxed-mode server operation, which emits only its dominant
 //!   extension, actually produces.
 
-use crate::tagindex::TagIndex;
-use crate::view::{DocView, TagIndexView};
+use crate::tagindex::TagIndexView;
+use crate::view::DocView;
 use whirlpool_pattern::{ServerSpec, ValueTest};
-use whirlpool_xml::{Document, NodeId};
+use whirlpool_xml::NodeId;
 
 /// Selectivity estimates for one server.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,27 +55,9 @@ impl ServerSelectivity {
 
 /// Estimates selectivity for each server by sampling up to
 /// `sample_limit` root candidates (evenly spaced over the candidate
-/// list, so the sample spans the document).
-pub fn estimate_selectivity(
-    doc: &Document,
-    index: &TagIndex,
-    roots: &[NodeId],
-    servers: &[ServerSpec],
-    sample_limit: usize,
-) -> Vec<ServerSelectivity> {
-    estimate_selectivity_view(
-        DocView::from(doc),
-        TagIndexView::from(index),
-        roots,
-        servers,
-        sample_limit,
-    )
-}
-
-/// [`estimate_selectivity`] over borrowed views — the entry point for
-/// snapshot-backed (mapped) state. Exact-predicate checks resolve
-/// through the structural columns rather than parent links, so the
-/// estimate never touches the node arena.
+/// list, so the sample spans the document). Exact-predicate checks
+/// resolve through the structural columns rather than parent links, so
+/// the estimate reads the same over an owned or a mapped backing.
 pub fn estimate_selectivity_view(
     doc: DocView<'_>,
     index: TagIndexView<'_>,
@@ -215,8 +197,9 @@ pub fn estimate_query_cost(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TagIndex;
     use whirlpool_pattern::{compile_servers, parse_pattern};
-    use whirlpool_xml::parse_document;
+    use whirlpool_xml::{parse_document, Document};
 
     fn setup(src: &str, query: &str) -> (Document, TagIndex, Vec<NodeId>, Vec<ServerSpec>) {
         let doc = parse_document(src).unwrap();
@@ -224,7 +207,7 @@ mod tests {
         let pattern = parse_pattern(query).unwrap();
         let servers = compile_servers(&pattern);
         let root_tag = doc.tag_id(&pattern.node(pattern.root()).tag).unwrap();
-        let roots = index.nodes_with_tag(root_tag).to_vec();
+        let roots = index.view().nodes_with_tag(root_tag).to_vec();
         (doc, index, roots, servers)
     }
 
@@ -237,7 +220,7 @@ mod tests {
             <item><description><x><parlist/></x></description></item>\
             </site>";
         let (doc, index, roots, servers) = setup(src, "//item[./description/parlist]");
-        let sel = estimate_selectivity(&doc, &index, &roots, &servers, 100);
+        let sel = estimate_selectivity_view((&doc).into(), index.view(), &roots, &servers, 100);
         // servers: description (q1), parlist (q2).
         let parlist = &sel[1];
         assert_eq!(parlist.mean_candidates, 1.0);
@@ -252,7 +235,7 @@ mod tests {
     fn missing_tag_reports_all_empty() {
         let (doc, index, roots, servers) =
             setup("<site><item><name/></item></site>", "//item[./nosuchtag]");
-        let sel = estimate_selectivity(&doc, &index, &roots, &servers, 10);
+        let sel = estimate_selectivity_view((&doc).into(), index.view(), &roots, &servers, 10);
         assert_eq!(sel[0].mean_candidates, 0.0);
         assert_eq!(sel[0].empty_fraction, 1.0);
     }
@@ -266,7 +249,7 @@ mod tests {
             <item/>\
             </site>";
         let (doc, index, roots, servers) = setup(src, "//item[./name]");
-        let sel = estimate_selectivity(&doc, &index, &roots, &servers, 10);
+        let sel = estimate_selectivity_view((&doc).into(), index.view(), &roots, &servers, 10);
         assert!((sel[0].empty_fraction - 0.5).abs() < 1e-9);
         assert!((sel[0].mean_candidates - 0.5).abs() < 1e-9);
     }
@@ -277,7 +260,7 @@ mod tests {
         let index = TagIndex::build(&doc);
         let pattern = parse_pattern("//item[./name]").unwrap();
         let servers = compile_servers(&pattern);
-        let sel = estimate_selectivity(&doc, &index, &[], &servers, 10);
+        let sel = estimate_selectivity_view((&doc).into(), index.view(), &[], &servers, 10);
         assert_eq!(sel[0], ServerSelectivity::unknown());
     }
 
@@ -287,9 +270,14 @@ mod tests {
         let index = TagIndex::build(&doc);
         let pattern = parse_pattern(whirlpool_xmark::queries::Q2).unwrap();
         let servers = compile_servers(&pattern);
-        let roots = index.nodes_with_tag(doc.tag_id("item").unwrap()).to_vec();
-        let sel_full = estimate_selectivity(&doc, &index, &roots, &servers, usize::MAX);
-        let sel_sampled = estimate_selectivity(&doc, &index, &roots, &servers, 50);
+        let roots = index
+            .view()
+            .nodes_with_tag(doc.tag_id("item").unwrap())
+            .to_vec();
+        let sel_full =
+            estimate_selectivity_view((&doc).into(), index.view(), &roots, &servers, usize::MAX);
+        let sel_sampled =
+            estimate_selectivity_view((&doc).into(), index.view(), &roots, &servers, 50);
         // The sampled estimate should be in the neighborhood of the full
         // one (same order of magnitude).
         for (f, s) in sel_full.iter().zip(&sel_sampled) {
@@ -359,8 +347,11 @@ mod tests {
         let index = TagIndex::build(&doc);
         let pattern = parse_pattern(whirlpool_xmark::queries::Q2).unwrap();
         let servers = compile_servers(&pattern);
-        let roots = index.nodes_with_tag(doc.tag_id("item").unwrap()).to_vec();
-        let sel = estimate_selectivity(&doc, &index, &roots, &servers, 32);
+        let roots = index
+            .view()
+            .nodes_with_tag(doc.tag_id("item").unwrap())
+            .to_vec();
+        let sel = estimate_selectivity_view((&doc).into(), index.view(), &roots, &servers, 32);
         let est = estimate_query_cost(roots.len(), &sel);
         // A no-pruning evaluation must at least touch every root once
         // per server in the worst case; the estimate should land in a
@@ -376,7 +367,7 @@ mod tests {
             <book><title>other</title></book>\
             </shelf>";
         let (doc, index, roots, servers) = setup(src, "//book[./title = 'wodehouse']");
-        let sel = estimate_selectivity(&doc, &index, &roots, &servers, 10);
+        let sel = estimate_selectivity_view((&doc).into(), index.view(), &roots, &servers, 10);
         assert!((sel[0].mean_candidates - 0.5).abs() < 1e-9);
         assert!((sel[0].empty_fraction - 0.5).abs() < 1e-9);
     }

@@ -1,111 +1,259 @@
-//! Tag and tag+value postings with subtree range scans.
+//! Tag and tag+value postings with subtree range scans, in one flat
+//! layout: the arrays a snapshot stores, built in memory by
+//! [`TagIndex::build`] or borrowed out of a mapped file.
 
-use crate::columns::StructuralColumns;
-use std::collections::HashMap;
+use crate::columns::{ColumnsView, StructuralColumns};
 use whirlpool_xml::{Document, NodeId, TagId};
 
+/// `u32`s per value-posting group: tag id, value offset, value length,
+/// ids offset, ids length.
+pub const VALUE_GROUP_STRIDE: usize = 5;
+
 /// Postings for every tag (and every `(tag, text value)` pair) of a
-/// document, in document order, plus subtree extents for range scans.
+/// document, in document order, plus the structural columns.
 ///
-/// Because [`NodeId`]s are assigned in pre-order, the descendants of a
-/// node `n` are exactly the ids in the half-open interval
-/// `(n, subtree_end(n))`; intersecting that interval with a sorted
-/// posting list is two binary searches.
+/// The index owns exactly the flat arrays a snapshot stores, so
+/// [`TagIndex::view`] and a mapped snapshot's index view are the same
+/// [`TagIndexView`] over different memory, and a snapshot writer copies
+/// the arrays as they are.
 pub struct TagIndex {
-    /// `postings[tag]` = node ids with that tag, ascending.
-    postings: Vec<Vec<NodeId>>,
-    /// Per-tag, per-direct-text postings for value-equality predicates.
-    /// Nested (rather than keyed by `(TagId, Box<str>)`) so lookups can
-    /// borrow the query string instead of boxing it.
-    value_postings: HashMap<TagId, HashMap<Box<str>, Vec<NodeId>>>,
-    /// Flat parent/depth/subtree-extent columns, built alongside the
-    /// postings. The `subtree_end` range scans below read its extent
-    /// column.
+    /// `post_offsets[t]..post_offsets[t+1]` brackets tag `t`'s postings
+    /// in `post_ids` (`tag_count + 1` entries).
+    post_offsets: Vec<u32>,
+    /// Every element id, grouped by tag, ascending within a tag.
+    post_ids: Vec<u32>,
+    /// Value-posting groups, [`VALUE_GROUP_STRIDE`] `u32`s each, sorted
+    /// by `(tag id, value bytes)` for binary search.
+    value_groups: Vec<u32>,
+    /// The groups' values, concatenated in group order.
+    value_blob: String,
+    /// The groups' ids, concatenated in group order, ascending within a
+    /// group.
+    value_ids: Vec<u32>,
+    /// Flat parent/depth/subtree-extent columns.
     columns: StructuralColumns,
 }
 
+fn as_u32(len: usize, what: &str) -> u32 {
+    u32::try_from(len).unwrap_or_else(|_| panic!("{what} exceeds u32 range ({len})"))
+}
+
 impl TagIndex {
-    /// Builds the index in two passes over the document: one forward
-    /// pass filling the postings and the parent/depth columns, one
-    /// reverse pass over raw node ids for the subtree extents (both
-    /// inside [`StructuralColumns::build`]; no intermediate id vector
-    /// is materialized).
+    /// Builds the index: one counting pass sizes every tag's postings,
+    /// a second pass fills them in document order and gathers the
+    /// direct-text values, and one sort groups those by `(tag, value)`.
+    /// The structural columns come from [`StructuralColumns::build`].
     pub fn build(doc: &Document) -> Self {
-        let mut postings: Vec<Vec<NodeId>> = vec![Vec::new(); doc.tags().len()];
-        let mut value_postings: HashMap<TagId, HashMap<Box<str>, Vec<NodeId>>> = HashMap::new();
+        let tag_count = doc.tags().len();
+        let mut post_offsets = vec![0u32; tag_count + 1];
+        for id in doc.elements() {
+            post_offsets[doc.tag(id).index() + 1] += 1;
+        }
+        for t in 0..tag_count {
+            post_offsets[t + 1] += post_offsets[t];
+        }
+        let mut next = post_offsets[..tag_count].to_vec();
+        let mut post_ids = vec![0u32; doc.len() - 1];
+        // (tag, value prefix, value, id) per element with text. The
+        // prefix is the value's first eight bytes, zero-padded, as a
+        // big-endian integer: a smaller prefix means a smaller value, so
+        // most comparisons of the sort never read a string, and equal
+        // prefixes fall through to the value. Sorting the whole tuple
+        // keeps each group's ids ascending.
+        let mut texts: Vec<(u32, u64, &str, u32)> = Vec::new();
         for id in doc.elements() {
             let node = doc.node(id);
-            postings[node.tag.index()].push(id);
-            if let Some(text) = &node.text {
-                value_postings
-                    .entry(node.tag)
-                    .or_default()
-                    .entry(text.clone())
-                    .or_default()
-                    .push(id);
+            let slot = &mut next[node.tag.index()];
+            post_ids[*slot as usize] = id.index() as u32;
+            *slot += 1;
+            if let Some(text) = node.text.as_deref() {
+                let mut prefix = [0u8; 8];
+                let n = text.len().min(8);
+                prefix[..n].copy_from_slice(&text.as_bytes()[..n]);
+                let tag = node.tag.index() as u32;
+                texts.push((tag, u64::from_be_bytes(prefix), text, id.index() as u32));
             }
+        }
+        texts.sort_unstable();
+
+        let mut value_groups = Vec::new();
+        let mut value_blob = String::new();
+        let mut value_ids = Vec::with_capacity(texts.len());
+        let mut rest = &texts[..];
+        while let Some(&(tag, _, value, _)) = rest.first() {
+            let len = rest
+                .iter()
+                .take_while(|&&(t, _, v, _)| (t, v) == (tag, value))
+                .count();
+            value_groups.extend([
+                tag,
+                as_u32(value_blob.len(), "value blob"),
+                as_u32(value.len(), "value"),
+                as_u32(value_ids.len(), "value postings"),
+                as_u32(len, "value posting list"),
+            ]);
+            value_blob.push_str(value);
+            value_ids.extend(rest[..len].iter().map(|&(_, _, _, id)| id));
+            rest = &rest[len..];
         }
 
         TagIndex {
-            postings,
-            value_postings,
+            post_offsets,
+            post_ids,
+            value_groups,
+            value_blob,
+            value_ids,
             columns: StructuralColumns::build(doc),
         }
     }
 
-    /// The document's flat structural columns (parent, depth, subtree
-    /// extents) — the O(1) predicate tables behind the server-op
-    /// kernels.
-    pub fn columns(&self) -> &StructuralColumns {
-        &self.columns
+    /// This index as a borrowed [`TagIndexView`] — the surface every
+    /// reader goes through.
+    pub fn view(&self) -> TagIndexView<'_> {
+        TagIndexView::from_raw(
+            self.columns.view(),
+            &self.post_offsets,
+            &self.post_ids,
+            &self.value_groups,
+            &self.value_blob,
+            &self.value_ids,
+        )
+    }
+}
+
+/// A borrowed tag index: per-tag postings, per-`(tag, value)` postings
+/// and the structural columns, as flat slices of either a [`TagIndex`]
+/// or a mapped snapshot. `Copy`, so contexts and kernels pass it by
+/// value, and every accessor returns data with the backing's lifetime.
+///
+/// [`from_raw`](TagIndexView::from_raw) does no validation: it trusts
+/// the slices it is given. `whirlpool-store` checksums and structurally
+/// validates a snapshot before assembling a view, which is what keeps
+/// the accessors' plain indexing panic-free.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct TagIndexView<'a> {
+    columns: ColumnsView<'a>,
+    post_offsets: &'a [u32],
+    post_ids: &'a [u32],
+    value_groups: &'a [u32],
+    value_blob: &'a str,
+    value_ids: &'a [u32],
+}
+
+/// The `[lo, hi)` sub-slice of a sorted posting list falling inside the
+/// id interval `(ancestor, end)` — the shared descendant-range scan.
+fn range_slice(list: &[NodeId], ancestor: NodeId, end: u32) -> &[NodeId] {
+    let lo = list.partition_point(|&n| n <= ancestor);
+    let hi = list.partition_point(|&n| (n.index() as u32) < end);
+    &list[lo..hi]
+}
+
+impl<'a> TagIndexView<'a> {
+    /// Assembles a view over the index arrays (see [`TagIndex`] for
+    /// their layout).
+    ///
+    /// # Panics
+    /// Panics on gross shape mismatches; finer invariants (sortedness,
+    /// ids in range) are the snapshot validator's job.
+    pub fn from_raw(
+        columns: ColumnsView<'a>,
+        post_offsets: &'a [u32],
+        post_ids: &'a [u32],
+        value_groups: &'a [u32],
+        value_blob: &'a str,
+        value_ids: &'a [u32],
+    ) -> Self {
+        assert!(!post_offsets.is_empty());
+        assert_eq!(*post_offsets.last().unwrap() as usize, post_ids.len());
+        assert_eq!(value_groups.len() % VALUE_GROUP_STRIDE, 0);
+        TagIndexView {
+            columns,
+            post_offsets,
+            post_ids,
+            value_groups,
+            value_blob,
+            value_ids,
+        }
     }
 
-    /// This index as a borrowed [`TagIndexView`](crate::TagIndexView) —
-    /// the backing-agnostic surface the engines evaluate against.
-    pub fn view(&self) -> crate::TagIndexView<'_> {
-        crate::TagIndexView::Owned(self)
+    /// The document's structural columns.
+    #[inline]
+    pub fn columns(&self) -> ColumnsView<'a> {
+        self.columns
     }
 
-    /// Iterates every `(tag, value, ids)` value-posting group, tags
-    /// ascending and values ascending within a tag — the order the
-    /// snapshot writer flattens them in (binary-searchable when mapped
-    /// back).
-    pub fn value_posting_groups(&self) -> Vec<(TagId, &str, &[NodeId])> {
-        let mut groups: Vec<(TagId, &str, &[NodeId])> = self
-            .value_postings
-            .iter()
-            .flat_map(|(&tag, by_value)| {
-                by_value
-                    .iter()
-                    .map(move |(value, ids)| (tag, value.as_ref(), ids.as_slice()))
-            })
-            .collect();
-        groups.sort_unstable_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
-        groups
+    /// The raw posting arrays `(post_offsets, post_ids)`.
+    pub fn postings_raw(&self) -> (&'a [u32], &'a [u32]) {
+        (self.post_offsets, self.post_ids)
+    }
+
+    /// The raw value-posting arrays `(value_groups, value_blob,
+    /// value_ids)`.
+    pub fn values_raw(&self) -> (&'a [u32], &'a str, &'a [u32]) {
+        (self.value_groups, self.value_blob, self.value_ids)
     }
 
     /// All nodes with `tag`, in document order.
-    pub fn nodes_with_tag(&self, tag: TagId) -> &[NodeId] {
-        self.postings.get(tag.index()).map_or(&[], Vec::as_slice)
+    pub fn nodes_with_tag(&self, tag: TagId) -> &'a [NodeId] {
+        let t = tag.index();
+        if t + 1 >= self.post_offsets.len() {
+            return &[];
+        }
+        let lo = self.post_offsets[t] as usize;
+        let hi = self.post_offsets[t + 1] as usize;
+        self.post_ids
+            .get(lo..hi)
+            .map_or(&[], NodeId::slice_from_raw)
     }
 
-    /// All nodes with `tag` whose direct text equals `value`.
-    pub fn nodes_with_tag_value(&self, tag: TagId, value: &str) -> &[NodeId] {
-        self.value_postings
-            .get(&tag)
-            .and_then(|by_value| by_value.get(value))
-            .map_or(&[], Vec::as_slice)
+    /// The `(tag, value)` key of group `g`.
+    #[inline]
+    fn group_key(&self, g: usize) -> (u32, &'a str) {
+        let e = &self.value_groups[g * VALUE_GROUP_STRIDE..];
+        let value = self
+            .value_blob
+            .get(e[1] as usize..(e[1] + e[2]) as usize)
+            .unwrap_or("");
+        (e[0], value)
     }
 
-    /// One past the last descendant of `node` in id order.
-    pub fn subtree_end(&self, node: NodeId) -> NodeId {
-        NodeId::from_index(self.extent(node) as usize)
+    /// All nodes with `tag` whose direct text equals `value` — a binary
+    /// search over the sorted group table, then an id slice.
+    pub fn nodes_with_tag_value(&self, tag: TagId, value: &str) -> &'a [NodeId] {
+        let want = (tag.index() as u32, value);
+        let groups = self.value_groups.len() / VALUE_GROUP_STRIDE;
+        let (mut lo, mut hi) = (0usize, groups);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.group_key(mid) < want {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        if lo >= groups || self.group_key(lo) != want {
+            return &[];
+        }
+        let e = &self.value_groups[lo * VALUE_GROUP_STRIDE..];
+        self.value_ids
+            .get(e[3] as usize..(e[3] + e[4]) as usize)
+            .map_or(&[], NodeId::slice_from_raw)
     }
 
-    /// Raw subtree extent of `node` from the shared column.
+    /// Raw subtree extent of `node`.
     #[inline]
     fn extent(&self, node: NodeId) -> u32 {
-        self.columns.subtree_end_column()[node.index()]
+        self.columns.subtree_end_raw(node)
+    }
+
+    /// One past the last descendant of `node` in id order. Because
+    /// [`NodeId`]s are assigned in pre-order, the descendants of `node`
+    /// are exactly the ids in `(node, subtree_end(node))`, so
+    /// intersecting that interval with a sorted posting list is two
+    /// binary searches.
+    #[inline]
+    pub fn subtree_end(&self, node: NodeId) -> NodeId {
+        NodeId::from_index(self.extent(node) as usize)
     }
 
     /// All proper descendants of `ancestor` (any tag), as the
@@ -117,19 +265,10 @@ impl TagIndex {
         (start..end).map(|i| NodeId::from_index(i as usize))
     }
 
-    /// Number of proper descendants of `ancestor`.
-    pub fn count_descendants_any(&self, ancestor: NodeId) -> usize {
-        (self.extent(ancestor) as usize).saturating_sub(ancestor.index() + 1)
-    }
-
-    /// Nodes with `tag` that are proper descendants of `ancestor`
-    /// — a contiguous slice of the tag's postings.
-    pub fn descendants_with_tag(&self, ancestor: NodeId, tag: TagId) -> &[NodeId] {
-        let list = self.nodes_with_tag(tag);
-        let lo = list.partition_point(|&n| n <= ancestor);
-        let end = self.extent(ancestor);
-        let hi = list.partition_point(|&n| (n.index() as u32) < end);
-        &list[lo..hi]
+    /// Nodes with `tag` that are proper descendants of `ancestor` — a
+    /// contiguous slice of the tag's postings.
+    pub fn descendants_with_tag(&self, ancestor: NodeId, tag: TagId) -> &'a [NodeId] {
+        range_slice(self.nodes_with_tag(tag), ancestor, self.extent(ancestor))
     }
 
     /// Nodes with `tag` and direct text `value` that are proper
@@ -139,30 +278,12 @@ impl TagIndex {
         ancestor: NodeId,
         tag: TagId,
         value: &str,
-    ) -> &[NodeId] {
-        let list = self.nodes_with_tag_value(tag, value);
-        let lo = list.partition_point(|&n| n <= ancestor);
-        let end = self.extent(ancestor);
-        let hi = list.partition_point(|&n| (n.index() as u32) < end);
-        &list[lo..hi]
-    }
-
-    /// Number of `tag` descendants of `ancestor` (no slice materialized
-    /// beyond the two binary searches).
-    pub fn count_descendants_with_tag(&self, ancestor: NodeId, tag: TagId) -> usize {
-        self.descendants_with_tag(ancestor, tag).len()
-    }
-
-    /// A [`RangeCursor`](crate::RangeCursor) over the postings of `tag`,
-    /// for amortized merge passes over many ancestors.
-    pub fn tag_cursor(&self, tag: TagId) -> crate::RangeCursor<'_> {
-        crate::RangeCursor::new(self.nodes_with_tag(tag))
-    }
-
-    /// A [`RangeCursor`](crate::RangeCursor) over the `(tag, value)`
-    /// postings.
-    pub fn tag_value_cursor(&self, tag: TagId, value: &str) -> crate::RangeCursor<'_> {
-        crate::RangeCursor::new(self.nodes_with_tag_value(tag, value))
+    ) -> &'a [NodeId] {
+        range_slice(
+            self.nodes_with_tag_value(tag, value),
+            ancestor,
+            self.extent(ancestor),
+        )
     }
 }
 
@@ -181,7 +302,7 @@ mod tests {
     fn postings_are_sorted_and_complete() {
         let (doc, index) = doc_and_index("<a><b/><c><b/><b/></c></a>");
         let b = doc.tag_id("b").unwrap();
-        let bs = index.nodes_with_tag(b);
+        let bs = index.view().nodes_with_tag(b);
         assert_eq!(bs.len(), 3);
         assert!(bs.windows(2).all(|w| w[0] < w[1]));
     }
@@ -192,7 +313,7 @@ mod tests {
         let a_tag = doc.tag_id("a").unwrap();
         let b_tag = doc.tag_id("b").unwrap();
         for a in doc.elements().filter(|&n| doc.tag(n) == a_tag) {
-            let scanned: Vec<_> = index.descendants_with_tag(a, b_tag).to_vec();
+            let scanned: Vec<_> = index.view().descendants_with_tag(a, b_tag).to_vec();
             let naive: Vec<_> = doc
                 .descendants_or_self(a)
                 .skip(1)
@@ -207,7 +328,7 @@ mod tests {
         let (doc, index) = doc_and_index("<a><a/></a>");
         let a_tag = doc.tag_id("a").unwrap();
         let outer = doc.children(doc.document_root()).next().unwrap();
-        let inner: Vec<_> = index.descendants_with_tag(outer, a_tag).to_vec();
+        let inner: Vec<_> = index.view().descendants_with_tag(outer, a_tag).to_vec();
         assert_eq!(inner.len(), 1);
         assert_ne!(inner[0], outer);
     }
@@ -215,6 +336,7 @@ mod tests {
     #[test]
     fn value_postings() {
         let (doc, index) = doc_and_index("<r><t>x</t><t>y</t><s><t>x</t></s></r>");
+        let index = index.view();
         let t = doc.tag_id("t").unwrap();
         assert_eq!(index.nodes_with_tag_value(t, "x").len(), 2);
         assert_eq!(index.nodes_with_tag_value(t, "y").len(), 1);
@@ -223,13 +345,42 @@ mod tests {
         assert_eq!(index.descendants_with_tag_value(s, t, "x").len(), 1);
     }
 
+    /// The value groups are the `(tag, value)`-sorted grouping of every
+    /// element's direct text, each group's ids ascending.
+    #[test]
+    fn value_groups_are_sorted_and_complete() {
+        let doc = whirlpool_xmark::generate(&whirlpool_xmark::GeneratorConfig::items(40));
+        let index = TagIndex::build(&doc);
+        let (groups, blob, ids) = index.view().values_raw();
+        let mut expected: Vec<(u32, &str, u32)> = doc
+            .elements()
+            .filter_map(|n| Some((doc.tag(n).index() as u32, doc.text(n)?, n.index() as u32)))
+            .collect();
+        expected.sort_unstable();
+        let mut flat = Vec::new();
+        for g in groups.chunks_exact(VALUE_GROUP_STRIDE) {
+            let value = &blob[g[1] as usize..(g[1] + g[2]) as usize];
+            let span = &ids[g[3] as usize..(g[3] + g[4]) as usize];
+            flat.extend(span.iter().map(|&id| (g[0], value, id)));
+        }
+        assert_eq!(flat, expected);
+        let keys: Vec<_> = groups
+            .chunks_exact(VALUE_GROUP_STRIDE)
+            .map(|g| (g[0], &blob[g[1] as usize..(g[1] + g[2]) as usize]))
+            .collect();
+        assert!(
+            keys.windows(2).all(|w| w[0] < w[1]),
+            "groups not strictly sorted"
+        );
+    }
+
     #[test]
     fn subtree_end_brackets_descendants() {
         let (doc, index) = doc_and_index("<a><b><c/><d/></b><e/></a>");
         let a = doc.children(doc.document_root()).next().unwrap();
         let b = doc.children(a).next().unwrap();
         // b's subtree = {b, c, d}; e is outside.
-        let end = index.subtree_end(b);
+        let end = index.view().subtree_end(b);
         let e = doc.children(a).nth(1).unwrap();
         assert_eq!(end, e);
         for n in doc.descendants_or_self(b) {
@@ -245,13 +396,18 @@ mod tests {
         // error; the public API takes TagIds so this can't happen, but
         // empty postings for an in-range tag must work:
         let a_tag = doc.tag_id("a").unwrap();
-        assert!(index.descendants_with_tag(a, a_tag).is_empty());
+        assert!(index.view().descendants_with_tag(a, a_tag).is_empty());
+        assert!(index
+            .view()
+            .nodes_with_tag(TagId::from_index(doc.tags().len()))
+            .is_empty());
     }
 
     #[test]
     fn large_document_scan_consistency() {
         let doc = whirlpool_xmark::generate(&whirlpool_xmark::GeneratorConfig::items(100));
         let index = TagIndex::build(&doc);
+        let index = index.view();
         let item = doc.tag_id("item").unwrap();
         let parlist = doc.tag_id("parlist").unwrap();
         for n in index.nodes_with_tag(item).iter().copied().take(25) {

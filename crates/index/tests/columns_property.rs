@@ -65,7 +65,7 @@ fn reference_holds(doc: &Document, axis: ComposedAxis, n: NodeId, m: NodeId) -> 
 /// Pairwise agreement between the columns and the parent-link reference.
 fn assert_columns_agree(doc: &Document) {
     let index = TagIndex::build(doc);
-    let columns = index.columns();
+    let columns = index.view().columns();
     let axes = [
         ComposedAxis::ChildChain(1),
         ComposedAxis::ChildChain(2),

@@ -323,7 +323,7 @@ mod tests {
         let q = parse_pattern("//book[./title]").unwrap();
         let preds = component_predicates(&q);
         let book_tag = doc.tag_id("book").unwrap();
-        let books: Vec<_> = index.nodes_with_tag(book_tag).to_vec();
+        let books: Vec<_> = index.view().nodes_with_tag(book_tag).to_vec();
         assert_eq!(tf(&doc, &index, &preds[0], books[0]), 2);
         assert_eq!(tf(&doc, &index, &preds[0], books[1]), 1);
     }
@@ -337,7 +337,7 @@ mod tests {
         let v = idf(&doc, &index, "book", &preds[0]);
         assert!((v - 2.0f64.ln()).abs() < 1e-12);
         let book_tag = doc.tag_id("book").unwrap();
-        let books_nodes: Vec<_> = index.nodes_with_tag(book_tag).to_vec();
+        let books_nodes: Vec<_> = index.view().nodes_with_tag(book_tag).to_vec();
         assert_eq!(tf(&doc, &index, &preds[0], books_nodes[0]), 1);
         assert_eq!(tf(&doc, &index, &preds[0], books_nodes[1]), 0);
     }
@@ -347,7 +347,7 @@ mod tests {
         let (doc, index) = books();
         let q = parse_pattern("//book[./title and ./isbn and ./price]").unwrap();
         let book_tag = doc.tag_id("book").unwrap();
-        let books_nodes: Vec<_> = index.nodes_with_tag(book_tag).to_vec();
+        let books_nodes: Vec<_> = index.view().nodes_with_tag(book_tag).to_vec();
         let scores: Vec<f64> = books_nodes
             .iter()
             .map(|&b| score_answer(&doc, &index, &q, b))
@@ -365,7 +365,7 @@ mod tests {
         let (doc, index) = books();
         let q = parse_pattern("//book[.//title]").unwrap();
         let book_tag = doc.tag_id("book").unwrap();
-        let books_nodes: Vec<_> = index.nodes_with_tag(book_tag).to_vec();
+        let books_nodes: Vec<_> = index.view().nodes_with_tag(book_tag).to_vec();
         // Book 3's title is under info — satisfied by the ad predicate
         // (tf = 1). Note the *idf* of this predicate is 0 here: every
         // book satisfies it, so per Definition 4.2 it carries no

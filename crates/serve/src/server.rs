@@ -18,7 +18,7 @@ use whirlpool_core::{
     FaultPlan, QueryContext, MAX_INJECTED_DELAY,
 };
 use whirlpool_index::DocView;
-use whirlpool_pattern::WILDCARD;
+use whirlpool_pattern::{TreePattern, WILDCARD};
 use whirlpool_score::{Normalization, TfIdfModel};
 
 /// Daemon configuration.
@@ -446,8 +446,9 @@ struct QueryRequest {
     collection: bool,
     fault: Option<String>,
     fault_seed: u64,
-    /// Test hook: artificial per-op cost, for exercising the ladder
-    /// and the watchdog without a huge document.
+    /// Test hook: mean artificial per-op cost, for exercising the
+    /// ladder and the watchdog without a huge document. Runs as a
+    /// `Delay` fault on every server the `fault` spec leaves alone.
     op_cost: Option<Duration>,
 }
 
@@ -491,6 +492,29 @@ impl QueryRequest {
                 .filter(|s| !s.is_empty()),
             fault_seed: v.get("fault_seed").and_then(Json::as_u64).unwrap_or(0),
             op_cost,
+        })
+    }
+
+    /// The fault plan of attempt `attempt` (retries draw fresh
+    /// randomness): the `fault` spec, plus `op_cost_us` as a delay on
+    /// every server the spec leaves alone.
+    fn fault_plan(
+        &self,
+        pattern: &TreePattern,
+        attempt: u32,
+    ) -> Result<Option<FaultPlan>, ServeError> {
+        let seed = self.fault_seed.wrapping_add(attempt as u64);
+        let plan = self
+            .fault
+            .as_deref()
+            .map(|spec| FaultPlan::parse(spec, seed))
+            .transpose()?;
+        Ok(match self.op_cost {
+            Some(cost) => Some(
+                plan.unwrap_or_else(|| FaultPlan::seeded(seed))
+                    .delay_unfaulted(pattern.server_ids(), cost),
+            ),
+            None => plan,
         })
     }
 }
@@ -608,9 +632,7 @@ fn handle_query(daemon: &Daemon, conn: &mut TcpStream, body: &[u8]) -> Result<()
         .map_err(|e| ServeError::BadRequest(format!("query {:?}: {e}", req.query)))?;
     // Validate the chaos spec before admission: a malformed spec is the
     // client's fault, not load.
-    if let Some(spec) = &req.fault {
-        FaultPlan::parse(spec, req.fault_seed)?;
-    }
+    req.fault_plan(&pattern, 0)?;
 
     // Parse/index happened at load time; per-request cost from here on
     // is the score model, the context (selectivity sample), and the
@@ -634,10 +656,7 @@ fn handle_query(daemon: &Daemon, conn: &mut TcpStream, body: &[u8]) -> Result<()
         access.index(),
         &pattern,
         &model,
-        ContextOptions {
-            op_cost: req.op_cost,
-            ..ContextOptions::default()
-        },
+        ContextOptions::default(),
     );
 
     // Admission is priced off the context's selectivity sample.
@@ -656,11 +675,7 @@ fn handle_query(daemon: &Daemon, conn: &mut TcpStream, body: &[u8]) -> Result<()
     let mut attempts = 0u32;
     let mut failed_before = 0;
     let result: EvalResult = loop {
-        gov.options.fault_plan = req
-            .fault
-            .as_deref()
-            .map(|spec| FaultPlan::parse(spec, req.fault_seed.wrapping_add(attempts as u64)))
-            .transpose()?;
+        gov.options.fault_plan = req.fault_plan(&pattern, attempts)?;
         // Whirlpool-S: the worker pool already provides cross-request
         // parallelism, so a per-request multi-threaded engine would
         // only add thread churn under load.
@@ -754,7 +769,7 @@ fn handle_collection_query(
         })
         .sum();
     let mut gov = govern(daemon, conn, estimate, req.k)?;
-    gov.options.op_cost = req.op_cost;
+    gov.options.fault_plan = req.fault_plan(&pattern, 0)?;
 
     let result = evaluate_collection(
         collection,
@@ -1545,7 +1560,7 @@ mod tests {
         assert_eq!(status, 200, "{exact}");
         assert!(exact.contains("\"outcome\": \"exact\""), "{exact}");
 
-        // 50 ms per server operation: the first shard alone overruns
+        // 50 ms per server operation on average: the first shard alone overruns
         // the Full rung's 150 ms, the rest are never visited.
         let (status, body) = post_query(
             handle.addr(),

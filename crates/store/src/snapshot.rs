@@ -82,7 +82,7 @@ use crate::{StoreError, FNV_OFFSET, FNV_PRIME, MAGIC};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use whirlpool_index::{
-    ColumnsView, DocView, MappedDoc, MappedIndex, PathEntry, PathSynopsis, ShardSynopsis, TagIndex,
+    ColumnsView, DocView, MappedDoc, PathEntry, PathSynopsis, ShardSynopsis, TagIndex,
     TagIndexView, ATTR_ENTRY_STRIDE, VALUE_GROUP_STRIDE,
 };
 use whirlpool_xml::{Document, NodeId, TagId};
@@ -206,7 +206,7 @@ impl Default for SnapshotOptions {
 /// Serializes the path-synopsis section: the tag-count synopsis plus
 /// the bounded dataguide, self-contained and self-checksummed so
 /// [`Snapshot::peek`] can read it without touching any other section.
-fn encode_path_section(doc: &Document, index: &TagIndex, paths: &PathSynopsis) -> Vec<u8> {
+fn encode_path_section(doc: &Document, index: TagIndexView<'_>, paths: &PathSynopsis) -> Vec<u8> {
     let tag_count = doc.tags().len();
     let mut out = Vec::new();
     out.extend_from_slice(&((doc.len() - 1) as u64).to_le_bytes());
@@ -379,7 +379,8 @@ pub fn build_snapshot_bytes_with(
     opts: &SnapshotOptions,
 ) -> Vec<u8> {
     let n = doc.len();
-    let columns = index.columns().view();
+    let index = index.view();
+    let columns = index.columns();
     assert_eq!(columns.len(), n, "index built for a different document");
     let tag_count = doc.tags().len();
 
@@ -400,17 +401,12 @@ pub fn build_snapshot_bytes_with(
     }
 
     // Structural columns.
-    push_u32s(
-        &mut sections[SEC_PARENT],
-        columns.parent_slice().iter().copied(),
-    );
-    for &d in columns.depth_slice() {
+    let (parent, depth, subtree_end) = columns.raw();
+    push_u32s(&mut sections[SEC_PARENT], parent.iter().copied());
+    for &d in depth {
         sections[SEC_DEPTH].extend_from_slice(&d.to_le_bytes());
     }
-    push_u32s(
-        &mut sections[SEC_SUBTREE_END],
-        columns.subtree_end_slice().iter().copied(),
-    );
+    push_u32s(&mut sections[SEC_SUBTREE_END], subtree_end.iter().copied());
 
     // Per-node tags.
     push_u32s(
@@ -418,42 +414,20 @@ pub fn build_snapshot_bytes_with(
         (0..n).map(|i| doc.tag(NodeId::from_index(i)).index() as u32),
     );
 
-    // Tag postings.
-    {
-        let mut total = 0u32;
-        let mut offsets = Vec::with_capacity(tag_count + 1);
-        offsets.push(0u32);
-        for t in 0..tag_count {
-            let ids = index.nodes_with_tag(TagId::from_index(t));
-            push_u32s(
-                &mut sections[SEC_POST_IDS],
-                ids.iter().map(|id| id.index() as u32),
-            );
-            total += as_u32(ids.len(), "posting list");
-            offsets.push(total);
-        }
-        push_u32s(&mut sections[SEC_POST_OFFSETS], offsets);
-    }
-
-    // Value postings, (tag, value)-sorted groups.
-    {
-        let (mut val_off, mut ids_off) = (0u32, 0u32);
-        for (tag, value, ids) in index.value_posting_groups() {
-            let val_len = as_u32(value.len(), "value");
-            let ids_len = as_u32(ids.len(), "value posting list");
-            push_u32s(
-                &mut sections[SEC_VALUE_GROUPS],
-                [tag.index() as u32, val_off, val_len, ids_off, ids_len],
-            );
-            sections[SEC_VALUE_BLOB].extend_from_slice(value.as_bytes());
-            push_u32s(
-                &mut sections[SEC_VALUE_IDS],
-                ids.iter().map(|id| id.index() as u32),
-            );
-            val_off += val_len;
-            ids_off += ids_len;
-        }
-    }
+    // Tag and value postings: the index's own arrays, as they are.
+    let (post_offsets, post_ids) = index.postings_raw();
+    push_u32s(
+        &mut sections[SEC_POST_OFFSETS],
+        post_offsets.iter().copied(),
+    );
+    push_u32s(&mut sections[SEC_POST_IDS], post_ids.iter().copied());
+    let (value_groups, value_blob, value_ids) = index.values_raw();
+    push_u32s(
+        &mut sections[SEC_VALUE_GROUPS],
+        value_groups.iter().copied(),
+    );
+    sections[SEC_VALUE_BLOB] = value_blob.as_bytes().to_vec();
+    push_u32s(&mut sections[SEC_VALUE_IDS], value_ids.iter().copied());
 
     // Text payload.
     {
@@ -698,17 +672,6 @@ impl Snapshot {
         )
     }
 
-    fn mapped_index(&self) -> MappedIndex<'_> {
-        MappedIndex::from_raw(
-            self.columns_view(),
-            self.u32s(SEC_POST_OFFSETS),
-            self.u32s(SEC_POST_IDS),
-            self.u32s(SEC_VALUE_GROUPS),
-            self.str_of(SEC_VALUE_BLOB),
-            self.u32s(SEC_VALUE_IDS),
-        )
-    }
-
     /// The document view (tags, text, attributes) over the mapped
     /// arrays — zero-copy, `Copy`, engine-ready.
     pub fn doc_view(&self) -> DocView<'_> {
@@ -716,9 +679,17 @@ impl Snapshot {
     }
 
     /// The index view (postings, value postings, structural columns)
-    /// over the mapped arrays.
+    /// over the mapped arrays — the same struct
+    /// [`TagIndex::view`] returns over an in-memory index.
     pub fn index_view(&self) -> TagIndexView<'_> {
-        TagIndexView::Mapped(self.mapped_index())
+        TagIndexView::from_raw(
+            self.columns_view(),
+            self.u32s(SEC_POST_OFFSETS),
+            self.u32s(SEC_POST_IDS),
+            self.u32s(SEC_VALUE_GROUPS),
+            self.str_of(SEC_VALUE_BLOB),
+            self.u32s(SEC_VALUE_IDS),
+        )
     }
 
     /// The shard synopsis derived at attach.
@@ -1279,19 +1250,10 @@ mod tests {
         // Mapped and owned interners share ids: the snapshot writes the
         // document's own tag table in id order.
         assert_eq!(dv.tag_id("t"), Some(t));
-        assert_eq!(iv.nodes_with_tag(t), index.nodes_with_tag(t));
-        assert_eq!(
-            iv.nodes_with_tag_value(t, "x"),
-            index.nodes_with_tag_value(t, "x")
-        );
+        // The mapped index is the in-memory index, array for array.
+        assert_eq!(iv, index.view());
+        assert_eq!(iv.nodes_with_tag_value(t, "x").len(), 2);
         assert_eq!(iv.nodes_with_tag_value(t, "zz"), &[]);
-        for n in doc.elements() {
-            assert_eq!(iv.subtree_end(n), index.subtree_end(n));
-            assert_eq!(
-                iv.descendants_with_tag(n, t),
-                index.descendants_with_tag(n, t)
-            );
-        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Property-based corruption tests for the version-2 snapshot format.
+//! Property-based tests for the snapshot format: round trips, and
+//! corruption.
 //!
 //! The attach path promises: any truncated, bit-flipped, byte-mangled,
 //! or mis-sized snapshot yields a clean [`StoreError`] — never a panic,
@@ -9,7 +10,7 @@
 use proptest::prelude::*;
 use whirlpool_index::TagIndex;
 use whirlpool_store::{build_snapshot_bytes, Snapshot};
-use whirlpool_xml::{write_node, DocumentBuilder, WriteOptions};
+use whirlpool_xml::{write_node, Document, DocumentBuilder, WriteOptions};
 
 const TAGS: [&str; 6] = ["a", "b", "c", "item", "text", "name"];
 
@@ -68,14 +69,29 @@ fn build(tree: &Tree, b: &mut DocumentBuilder) {
     b.close();
 }
 
-fn snapshot_bytes(trees: &[Tree]) -> Vec<u8> {
+fn build_doc(trees: &[Tree]) -> Document {
     let mut builder = DocumentBuilder::new();
     for t in trees {
         build(t, &mut builder);
     }
-    let doc = builder.finish();
-    let index = TagIndex::build(&doc);
-    build_snapshot_bytes(&doc, &index)
+    builder.finish()
+}
+
+fn snapshot_bytes(trees: &[Tree]) -> Vec<u8> {
+    let doc = build_doc(trees);
+    build_snapshot_bytes(&doc, &TagIndex::build(&doc))
+}
+
+/// The format, pinned: the snapshot of a fixed generated document has a
+/// fixed length and a fixed trailing checksum.
+#[test]
+fn snapshot_bytes_are_pinned() {
+    let doc = whirlpool_xmark::generate(&whirlpool_xmark::GeneratorConfig::items(100));
+    assert_eq!(doc.len(), 2_877);
+    let bytes = build_snapshot_bytes(&doc, &TagIndex::build(&doc));
+    assert_eq!(bytes.len(), 191_272);
+    let checksum = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
+    assert_eq!(checksum, 0xcb94_0a0a_87de_a2d0);
 }
 
 proptest! {
@@ -83,11 +99,7 @@ proptest! {
     /// documents (checked via canonical XML serialization).
     #[test]
     fn snapshot_roundtrip_is_lossless(trees in prop::collection::vec(tree_strategy(), 1..4)) {
-        let mut builder = DocumentBuilder::new();
-        for t in &trees {
-            build(t, &mut builder);
-        }
-        let doc = builder.finish();
+        let doc = build_doc(&trees);
         let index = TagIndex::build(&doc);
         let bytes = build_snapshot_bytes(&doc, &index);
 
@@ -100,6 +112,18 @@ proptest! {
                 snap.doc_view().write_node(top, &opts)
             );
         }
+    }
+
+    /// The index a snapshot maps back to is the index it was written
+    /// from, array for array: the file stores the index as it is.
+    #[test]
+    fn mapped_index_view_equals_the_built_one(
+        trees in prop::collection::vec(tree_strategy(), 1..4),
+    ) {
+        let doc = build_doc(&trees);
+        let index = TagIndex::build(&doc);
+        let snap = Snapshot::from_bytes(&build_snapshot_bytes(&doc, &index)).unwrap();
+        prop_assert_eq!(snap.index_view(), index.view());
     }
 
     /// Flipping any single bit anywhere in the file — header, section

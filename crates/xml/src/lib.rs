@@ -45,4 +45,4 @@ pub use node::{Document, NodeData, NodeId};
 pub use parser::parse_document;
 pub use stats::DocumentStats;
 pub use tags::{TagId, TagInterner};
-pub use writer::{write_document, write_node, WriteOptions};
+pub use writer::{write_document, write_node, WriteOptions, XmlSource};

@@ -1,8 +1,10 @@
 //! Document serialization.
 //!
 //! Used for document-size accounting in the experiments (the paper
-//! reports document sizes in megabytes of serialized XML) and for
-//! parser round-trip tests.
+//! reports document sizes in megabytes of serialized XML), for parser
+//! round-trip tests, and to render answers. [`write_node`] is generic
+//! over [`XmlSource`], so a parsed [`Document`] and a mapped snapshot
+//! share one serializer.
 
 use crate::node::{Document, NodeId};
 use std::fmt::Write as _;
@@ -15,6 +17,41 @@ pub struct WriteOptions {
     pub indent: Option<usize>,
     /// Emit an `<?xml version="1.0"?>` declaration.
     pub declaration: bool,
+}
+
+/// What the serializer reads of a tree: tag, attributes, direct text
+/// and children of a node. Implemented by [`Document`] and by any flat
+/// layout that can answer the same four questions without a node arena.
+pub trait XmlSource {
+    /// The node's tag name.
+    fn tag_str(&self, node: NodeId) -> &str;
+    /// The node's attributes as `(name, value)` pairs, in source order.
+    fn attributes(&self, node: NodeId) -> impl Iterator<Item = (&str, &str)>;
+    /// The node's direct text value, if any.
+    fn text(&self, node: NodeId) -> Option<&str>;
+    /// The node's children, in document order.
+    fn children(&self, node: NodeId) -> impl Iterator<Item = NodeId>;
+}
+
+impl XmlSource for Document {
+    fn tag_str(&self, node: NodeId) -> &str {
+        Document::tag_str(self, node)
+    }
+
+    fn attributes(&self, node: NodeId) -> impl Iterator<Item = (&str, &str)> {
+        self.node(node)
+            .attributes
+            .iter()
+            .map(|(name, value)| (self.tag_name(*name), value.as_ref()))
+    }
+
+    fn text(&self, node: NodeId) -> Option<&str> {
+        Document::text(self, node)
+    }
+
+    fn children(&self, node: NodeId) -> impl Iterator<Item = NodeId> {
+        Document::children(self, node)
+    }
 }
 
 /// Serializes a whole document (the children of the synthetic root).
@@ -33,21 +70,20 @@ pub fn write_document(doc: &Document, opts: &WriteOptions) -> String {
 }
 
 /// Serializes the subtree rooted at `node`.
-pub fn write_node(doc: &Document, node: NodeId, opts: &WriteOptions) -> String {
+pub fn write_node<T: XmlSource + ?Sized>(doc: &T, node: NodeId, opts: &WriteOptions) -> String {
     let mut out = String::new();
     write_node_into(doc, node, opts, 0, &mut out);
     out
 }
 
-fn write_node_into(
-    doc: &Document,
+fn write_node_into<T: XmlSource + ?Sized>(
+    doc: &T,
     node: NodeId,
     opts: &WriteOptions,
     depth: usize,
     out: &mut String,
 ) {
-    let data = doc.node(node);
-    let tag = doc.tag_name(data.tag);
+    let tag = doc.tag_str(node);
     if let Some(indent) = opts.indent {
         if !out.is_empty() && !out.ends_with('\n') {
             out.push('\n');
@@ -56,25 +92,27 @@ fn write_node_into(
     }
     out.push('<');
     out.push_str(tag);
-    for (name, value) in &data.attributes {
-        let _ = write!(out, " {}=\"", doc.tag_name(*name));
+    for (name, value) in doc.attributes(node) {
+        let _ = write!(out, " {name}=\"");
         escape_into(value, true, out);
         out.push('"');
     }
-    let has_text = data.text.is_some();
-    if data.children.is_empty() && !has_text {
+    let text = doc.text(node);
+    let mut children = doc.children(node).peekable();
+    let has_children = children.peek().is_some();
+    if !has_children && text.is_none() {
         out.push_str("/>");
         return;
     }
     out.push('>');
-    if let Some(text) = &data.text {
+    if let Some(text) = text {
         escape_into(text, false, out);
     }
-    for &child in &data.children {
+    for child in children {
         write_node_into(doc, child, opts, depth + 1, out);
     }
     if let Some(indent) = opts.indent {
-        if !data.children.is_empty() {
+        if has_children {
             out.push('\n');
             out.extend(std::iter::repeat(' ').take(indent * depth));
         }

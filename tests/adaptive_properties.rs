@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use whirlpool_bench::vtime::{simulate_whirlpool_m, VTimeConfig, VTimeResult};
 use whirlpool_core::{
-    answers_equivalent, evaluate, Algorithm, ContextOptions, EvalOptions, QueryContext,
+    answers_equivalent, evaluate, Algorithm, ContextOptions, EvalOptions, FaultPlan, QueryContext,
     QueuePolicy, RoutingStrategy,
 };
 use whirlpool_index::TagIndex;
@@ -266,7 +266,12 @@ fn whirlpool_m_stress_matrix() {
     for processors in [None, Some(1), Some(3)] {
         for threads in [1usize, 3] {
             for queue in [QueuePolicy::MaxFinalScore, QueuePolicy::Fifo] {
+                // A 50 µs mean delay per operation shifts the
+                // interleaving without changing what is computed.
                 for op_cost in [None, Some(std::time::Duration::from_micros(50))] {
+                    let fault_plan = op_cost.map(|mean| {
+                        FaultPlan::seeded(0).delay_unfaulted(pattern.server_ids(), mean)
+                    });
                     let got = evaluate(
                         &doc,
                         &index,
@@ -276,7 +281,7 @@ fn whirlpool_m_stress_matrix() {
                         &EvalOptions {
                             threads,
                             queue,
-                            op_cost,
+                            fault_plan,
                             ..EvalOptions::top_k(5)
                         },
                     );

@@ -288,9 +288,12 @@ fn mid_run_cancel_reclaims_the_worker_promptly() {
     ] {
         let token = whirlpool_core::CancelToken::new();
         let mut options = EvalOptions::top_k(5);
-        // Slow every server op down so the run is mid-flight when the
-        // token trips; without the cancel this query would take seconds.
-        options.op_cost = Some(Duration::from_millis(2));
+        // Slow every server op down (2 ms on average) so the run is
+        // mid-flight when the token trips; without the cancel this
+        // query would take seconds.
+        options.fault_plan = Some(
+            FaultPlan::seeded(0).delay_unfaulted(fx.query.server_ids(), Duration::from_millis(2)),
+        );
         options.cancel = Some(token.clone());
 
         let (tx, rx) = std::sync::mpsc::channel();

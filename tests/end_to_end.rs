@@ -3,7 +3,7 @@
 
 use whirlpool_bench::vtime::{simulate_whirlpool_m, VTimeConfig};
 use whirlpool_core::{
-    answers_equivalent, evaluate, Algorithm, ContextOptions, EvalOptions, QueryContext,
+    answers_equivalent, evaluate, Algorithm, ContextOptions, EvalOptions, FaultPlan, QueryContext,
     QueuePolicy, RoutingStrategy,
 };
 use whirlpool_index::TagIndex;
@@ -188,8 +188,9 @@ fn op_cost_injection_is_respected_end_to_end() {
     let index = TagIndex::build(&doc);
     let query = queries::parse(queries::Q1);
     let model = TfIdfModel::build(&doc, &index, &query, Normalization::Sparse);
+    let mean = std::time::Duration::from_micros(500);
     let mut options = EvalOptions::top_k(3);
-    options.op_cost = Some(std::time::Duration::from_micros(500));
+    options.fault_plan = Some(FaultPlan::seeded(0).delay_unfaulted(query.server_ids(), mean));
     let r = evaluate(
         &doc,
         &index,
@@ -198,6 +199,10 @@ fn op_cost_injection_is_respected_end_to_end() {
         &Algorithm::WhirlpoolS,
         &options,
     );
-    let floor = std::time::Duration::from_micros(500) * r.metrics.server_ops as u32;
+    // Each operation spins a draw from [0, 2·mean]: half the mean per
+    // operation is a floor no seeded stream of this length falls under.
+    let ops = r.metrics.server_ops as u32;
+    assert!(ops >= 8, "{ops} ops");
+    let floor = mean * ops / 2;
     assert!(r.elapsed >= floor, "{:?} < {floor:?}", r.elapsed);
 }
