@@ -24,7 +24,7 @@
 use crate::error::RejectReason;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use whirlpool_core::CancelToken;
 
@@ -179,63 +179,69 @@ struct WatchEntry {
 }
 
 /// Monitors in-flight requests and trips their [`CancelToken`]s on
-/// hard-deadline overrun or client disconnect. One polling thread for
-/// the whole daemon — entries are only ever a handful (bounded by the
-/// admission bucket), so a scan every few milliseconds is cheap.
+/// hard-deadline overrun or client disconnect. One thread for the whole
+/// daemon: it parks while nothing is watched and scans every 2 ms while
+/// at least one request is — entries are only ever a handful (bounded
+/// by the admission bucket), so a scan is cheap.
 pub struct Watchdog {
     entries: Arc<Mutex<Vec<WatchEntry>>>,
+    /// Paired with `entries`; signalled by `watch` and `stop`.
+    wake: Arc<Condvar>,
     shutdown: Arc<AtomicBool>,
     next_id: AtomicUsize,
     thread: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl Watchdog {
-    /// Starts the polling thread.
+    /// Starts the watchdog thread.
     pub fn start() -> Arc<Watchdog> {
         let dog = Arc::new(Watchdog {
             entries: Arc::new(Mutex::new(Vec::new())),
+            wake: Arc::new(Condvar::new()),
             shutdown: Arc::new(AtomicBool::new(false)),
             next_id: AtomicUsize::new(0),
             thread: Mutex::new(None),
         });
         let entries = dog.entries.clone();
+        let wake = dog.wake.clone();
         let shutdown = dog.shutdown.clone();
         let handle = std::thread::Builder::new()
             .name("serve-watchdog".into())
             .spawn(move || {
                 let mut scratch = [0u8; 1];
+                let mut entries = entries.lock().unwrap_or_else(|p| p.into_inner());
                 while !shutdown.load(Ordering::Acquire) {
-                    {
-                        let mut entries = entries.lock().unwrap_or_else(|p| p.into_inner());
-                        let now = Instant::now();
-                        for e in entries.iter_mut() {
-                            if e.cancel.is_cancelled() {
-                                continue;
-                            }
-                            let cause = if now >= e.hard_deadline {
-                                Some(FireCause::Deadline)
-                            } else {
-                                match e.probe.peek(&mut scratch) {
-                                    // EOF: the client is gone.
-                                    Ok(0) => Some(FireCause::Disconnect),
-                                    // Pending request bytes: still there.
-                                    Ok(_) => None,
-                                    Err(ref err)
-                                        if err.kind() == std::io::ErrorKind::WouldBlock =>
-                                    {
-                                        None
-                                    }
-                                    // Reset/aborted: also gone.
-                                    Err(_) => Some(FireCause::Disconnect),
+                    let now = Instant::now();
+                    for e in entries.iter_mut() {
+                        if e.cancel.is_cancelled() {
+                            continue;
+                        }
+                        let cause = if now >= e.hard_deadline {
+                            Some(FireCause::Deadline)
+                        } else {
+                            match e.probe.peek(&mut scratch) {
+                                // EOF: the client is gone.
+                                Ok(0) => Some(FireCause::Disconnect),
+                                // Pending request bytes: still there.
+                                Ok(_) => None,
+                                Err(ref err) if err.kind() == std::io::ErrorKind::WouldBlock => {
+                                    None
                                 }
-                            };
-                            if let Some(cause) = cause {
-                                e.cancel.cancel();
-                                *e.fired.lock().unwrap_or_else(|p| p.into_inner()) = Some(cause);
+                                // Reset/aborted: also gone.
+                                Err(_) => Some(FireCause::Disconnect),
                             }
+                        };
+                        if let Some(cause) = cause {
+                            e.cancel.cancel();
+                            *e.fired.lock().unwrap_or_else(|p| p.into_inner()) = Some(cause);
                         }
                     }
-                    std::thread::sleep(Duration::from_millis(2));
+                    entries = if entries.is_empty() {
+                        wake.wait(entries).unwrap_or_else(|p| p.into_inner())
+                    } else {
+                        let tick = wake.wait_timeout(entries, Duration::from_millis(2));
+                        tick.unwrap_or_else(|p| p.into_inner()).0
+                    };
                 }
             })
             .expect("spawn watchdog thread");
@@ -271,6 +277,7 @@ impl Watchdog {
                 probe,
                 fired: fired.clone(),
             });
+        self.wake.notify_one();
         Ok(WatchGuard {
             dog: self.clone(),
             id,
@@ -283,9 +290,12 @@ impl Watchdog {
         self.entries.lock().unwrap_or_else(|p| p.into_inner()).len()
     }
 
-    /// Stops the polling thread (idempotent).
+    /// Stops the watchdog thread (idempotent).
     pub fn stop(&self) {
         self.shutdown.store(true, Ordering::Release);
+        // Through the lock: the thread sees the flag or is parked already.
+        drop(self.entries.lock().unwrap_or_else(|p| p.into_inner()));
+        self.wake.notify_all();
         if let Some(handle) = self.thread.lock().unwrap_or_else(|p| p.into_inner()).take() {
             let _ = handle.join();
         }
@@ -407,9 +417,12 @@ mod tests {
         dog.stop();
     }
 
+    /// Left idle, the watchdog parks; the first watch must wake it, or
+    /// this disconnect would only be seen at the next unrelated watch.
     #[test]
     fn watchdog_fires_on_client_disconnect() {
         let dog = Watchdog::start();
+        std::thread::sleep(Duration::from_millis(100));
         let (client, conn) = probe_pair();
         let token = CancelToken::new();
         let guard = dog
@@ -422,9 +435,11 @@ mod tests {
         drop(client); // hang up
         let start = Instant::now();
         while !token.is_cancelled() && start.elapsed() < Duration::from_secs(2) {
-            std::thread::sleep(Duration::from_millis(2));
+            std::thread::sleep(Duration::from_millis(1));
         }
+        let took = start.elapsed();
         assert!(token.is_cancelled(), "disconnect never fired");
+        assert!(took < Duration::from_millis(50), "fired after {took:?}");
         assert_eq!(guard.fired(), Some(FireCause::Disconnect));
         dog.stop();
     }

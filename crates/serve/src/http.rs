@@ -4,7 +4,7 @@
 //! hand parser keeps the whole transport auditable.
 
 use crate::error::ServeError;
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -37,10 +37,15 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, ServeError> {
 }
 
 fn read_request_within(stream: &mut TcpStream, budget: Duration) -> Result<Request, ServeError> {
-    let mut stream = BufReader::new(Budgeted {
+    parse_request(&mut BufReader::new(Budgeted {
         stream,
         deadline: Instant::now() + budget,
-    });
+    }))
+}
+
+/// Parses one request's head and body out of `stream`; [`read_request`]
+/// hands it the socket under its time budget.
+pub(crate) fn parse_request(stream: &mut impl BufRead) -> Result<Request, ServeError> {
     let mut head = Vec::with_capacity(512);
     let mut byte = [0u8; 1];
     // Byte-at-a-time out of the buffer until the blank line: simple,

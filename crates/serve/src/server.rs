@@ -8,7 +8,7 @@ use crate::json::{escape, Json};
 use crate::metrics::{RungHistory, ServeMetrics};
 use crate::shared::{Corpus, Registry};
 use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -72,11 +72,12 @@ impl Default for ServeConfig {
     }
 }
 
-/// Connection queue between the accept loop and the workers.
+/// Connection queue between the accept loop and the workers; `closed` is the shutdown signal.
 struct ConnQueue {
     queue: Mutex<VecDeque<TcpStream>>,
     ready: Condvar,
     depth: usize,
+    closed: AtomicBool,
 }
 
 impl ConnQueue {
@@ -85,7 +86,15 @@ impl ConnQueue {
             queue: Mutex::new(VecDeque::new()),
             ready: Condvar::new(),
             depth: depth.max(1),
+            closed: AtomicBool::new(false),
         }
+    }
+
+    /// Sets `closed`, then wakes every worker through the lock, so none misses it.
+    fn close(&self) {
+        self.closed.store(true, Ordering::Release);
+        drop(self.queue.lock().unwrap_or_else(|p| p.into_inner()));
+        self.ready.notify_all();
     }
 
     /// Enqueues unless full; a full queue hands the connection back so
@@ -101,22 +110,18 @@ impl ConnQueue {
         Ok(())
     }
 
-    /// Blocks (with a poll-out for shutdown) until a connection is
-    /// available.
-    fn pop(&self, shutdown: &AtomicBool) -> Option<TcpStream> {
+    /// Blocks until a connection is available; `None` once the queue is
+    /// closed and empty.
+    fn pop(&self) -> Option<TcpStream> {
         let mut q = self.queue.lock().unwrap_or_else(|p| p.into_inner());
         loop {
             if let Some(conn) = q.pop_front() {
                 return Some(conn);
             }
-            if shutdown.load(Ordering::Acquire) {
+            if self.closed.load(Ordering::Acquire) {
                 return None;
             }
-            let (guard, _) = self
-                .ready
-                .wait_timeout(q, Duration::from_millis(50))
-                .unwrap_or_else(|p| p.into_inner());
-            q = guard;
+            q = self.ready.wait(q).unwrap_or_else(|p| p.into_inner());
         }
     }
 }
@@ -140,7 +145,7 @@ struct Daemon {
 /// [`shutdown`](ServerHandle::shutdown).
 pub struct ServerHandle {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    queue: Arc<ConnQueue>,
     threads: Vec<std::thread::JoinHandle<()>>,
     watchdog: Arc<Watchdog>,
     metrics: Arc<ServeMetrics>,
@@ -167,7 +172,17 @@ impl ServerHandle {
     /// In-flight evaluations finish (or are reclaimed by their own
     /// deadlines); queued-but-unserved connections are dropped.
     pub fn shutdown(mut self) {
-        self.shutdown.store(true, Ordering::Release);
+        self.queue.close();
+        // One connection wakes the accept thread, which drops what it
+        // accepts once closed; `0.0.0.0`/`::` are reached via loopback.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect(wake);
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -180,9 +195,7 @@ impl ServerHandle {
 pub fn start(config: ServeConfig, registry: Registry) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
 
-    let shutdown = Arc::new(AtomicBool::new(false));
     let queue = Arc::new(ConnQueue::new(config.queue_depth));
     let corpus = registry.freeze();
     corpus.collection.set_max_resident(config.max_resident);
@@ -200,36 +213,34 @@ pub fn start(config: ServeConfig, registry: Registry) -> std::io::Result<ServerH
     let mut threads = Vec::new();
     {
         let queue = queue.clone();
-        let shutdown = shutdown.clone();
         let metrics = daemon.metrics.clone();
         threads.push(
             std::thread::Builder::new()
                 .name("serve-accept".into())
-                .spawn(move || {
-                    while !shutdown.load(Ordering::Acquire) {
-                        match listener.accept() {
-                            Ok((conn, _)) => {
-                                let _ = conn.set_nonblocking(false);
-                                if let Err(mut conn) = queue.push(conn) {
-                                    // Shed at the door: the queue is
-                                    // full, so tell the client to back
-                                    // off instead of making it wait.
-                                    metrics.shed.fetch_add(1, Ordering::Relaxed);
-                                    let _ = respond(
-                                        &mut conn,
-                                        429,
-                                        &[("Retry-After", "1".to_string())],
-                                        "{\"error\": \"overloaded: connection queue full\", \
-                                         \"status\": 429}\n",
-                                    );
-                                    drain_before_close(conn);
-                                }
+                .spawn(move || loop {
+                    let accepted = listener.accept();
+                    if queue.closed.load(Ordering::Acquire) {
+                        break;
+                    }
+                    match accepted {
+                        Ok((conn, _)) => {
+                            if let Err(mut conn) = queue.push(conn) {
+                                // Shed at the door: the queue is full,
+                                // so tell the client to back off
+                                // instead of making it wait.
+                                metrics.shed.fetch_add(1, Ordering::Relaxed);
+                                let _ = respond(
+                                    &mut conn,
+                                    429,
+                                    &[("Retry-After", "1".to_string())],
+                                    "{\"error\": \"overloaded: connection queue full\", \
+                                     \"status\": 429}\n",
+                                );
+                                drain_before_close(conn);
                             }
-                            Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(2));
-                            }
-                            Err(_) => std::thread::sleep(Duration::from_millis(10)),
                         }
+                        // Out of descriptors and the like: back off.
+                        Err(_) => std::thread::sleep(Duration::from_millis(10)),
                     }
                 })?,
         );
@@ -270,13 +281,12 @@ pub fn start(config: ServeConfig, registry: Registry) -> std::io::Result<ServerH
     }
     for i in 0..daemon.config.workers.max(1) {
         let queue = queue.clone();
-        let shutdown = shutdown.clone();
         let daemon = daemon.clone();
         threads.push(
             std::thread::Builder::new()
                 .name(format!("serve-worker-{i}"))
                 .spawn(move || {
-                    while let Some(mut conn) = queue.pop(&shutdown) {
+                    while let Some(mut conn) = queue.pop() {
                         handle_connection(&daemon, &mut conn);
                     }
                 })?,
@@ -285,7 +295,7 @@ pub fn start(config: ServeConfig, registry: Registry) -> std::io::Result<ServerH
 
     Ok(ServerHandle {
         addr,
-        shutdown,
+        queue,
         threads,
         watchdog: daemon.watchdog.clone(),
         metrics: daemon.metrics.clone(),
@@ -1033,6 +1043,118 @@ mod tests {
         assert_eq!(m.get("inflight").and_then(Json::as_u64), Some(0));
 
         handle.shutdown();
+    }
+
+    /// The accept thread blocks in `accept()`, so `shutdown` must wake
+    /// it whatever address the daemon bound — with no request ever sent.
+    #[test]
+    fn shutdown_wakes_the_accept_thread_on_every_bind_address() {
+        for addr in ["127.0.0.1:0", "0.0.0.0:0", "[::1]:0", "[::]:0"] {
+            let config = ServeConfig {
+                addr: addr.into(),
+                ..ServeConfig::default()
+            };
+            let handle = match start(config, test_registry()) {
+                Ok(handle) => handle,
+                Err(_) if addr.starts_with('[') => continue, // no IPv6 here
+                Err(e) => panic!("{addr}: {e}"),
+            };
+            let (done, returned) = std::sync::mpsc::channel();
+            let shutter = std::thread::spawn(move || {
+                handle.shutdown();
+                let _ = done.send(());
+            });
+            returned
+                .recv_timeout(Duration::from_secs(2))
+                .unwrap_or_else(|_| panic!("{addr}: shutdown still blocked after 2 s"));
+            shutter.join().unwrap();
+        }
+    }
+
+    /// A request costs its own work: nothing between the client's
+    /// connect and the worker waits on a clock.
+    #[test]
+    fn healthz_round_trip_median_is_under_a_millisecond() {
+        let handle = start(ServeConfig::default(), test_registry()).unwrap();
+        let mut round_trips: Vec<Duration> = (0..51)
+            .map(|_| {
+                let sent = Instant::now();
+                let (status, body) = send(handle.addr(), "GET /healthz HTTP/1.1\r\n\r\n");
+                assert_eq!(status, 200, "{body}");
+                sent.elapsed()
+            })
+            .collect();
+        handle.shutdown();
+        round_trips.sort_unstable();
+        let median = round_trips[round_trips.len() / 2];
+        assert!(
+            median < Duration::from_millis(1),
+            "median {median:?} of {round_trips:?}"
+        );
+    }
+
+    /// A document query and a collection query, as `/query` bodies.
+    const VALID_QUERY_BODIES: [&str; 2] = [
+        r#"{"doc": "books", "query": "//book[./title and ./isbn]", "k": 2, "fault": "server=1:delay@10", "fault_seed": 3}"#,
+        r#"{"collection": true, "query": "//book[./title]", "k": 3, "op_cost_us": 50}"#,
+    ];
+
+    /// Every truncation and every single-bit flip of `valid`.
+    fn mutations(valid: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
+        let truncations = (0..valid.len()).map(|n| valid[..n].to_vec());
+        let flips = (0..valid.len() * 8).map(|bit| {
+            let mut bytes = valid.to_vec();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            bytes
+        });
+        truncations.chain(flips)
+    }
+
+    fn is_clean<T>(result: &Result<T, ServeError>) -> bool {
+        matches!(
+            result,
+            Ok(_) | Err(ServeError::BadRequest(_)) | Err(ServeError::Io(_))
+        )
+    }
+
+    #[test]
+    fn hostile_requests_parse_or_fail_cleanly() {
+        let mut requests = vec!["GET /healthz HTTP/1.1\r\n\r\n".to_string()];
+        requests.extend(VALID_QUERY_BODIES.map(|body| {
+            format!(
+                "POST /query HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            )
+        }));
+        for request in &requests {
+            let parsed = crate::http::parse_request(&mut request.as_bytes()).unwrap();
+            assert!(request.ends_with(std::str::from_utf8(&parsed.body).unwrap()));
+            for bytes in mutations(request.as_bytes()) {
+                let result = crate::http::parse_request(&mut bytes.as_slice());
+                assert!(
+                    is_clean(&result),
+                    "{:?} -> {:?}",
+                    String::from_utf8_lossy(&bytes),
+                    result.err()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_query_bodies_parse_or_fail_cleanly() {
+        for body in VALID_QUERY_BODIES {
+            assert!(QueryRequest::parse(body.as_bytes()).is_ok(), "{body}");
+            for bytes in mutations(body.as_bytes()) {
+                let result = QueryRequest::parse(&bytes);
+                assert!(
+                    is_clean(&result),
+                    "{:?} -> {:?}",
+                    String::from_utf8_lossy(&bytes),
+                    result.err()
+                );
+            }
+        }
     }
 
     #[test]
