@@ -125,15 +125,12 @@ pub fn simulate_whirlpool_m(
             .map(|qi| (qi + 1, true))
     };
 
-    let mut pool = ctx.new_pool();
     for m in ctx.make_root_matches() {
         let complete = m.is_complete(full_mask);
         if offer_partial || complete {
             topk.offer_match(&m);
         }
-        if complete {
-            pool.release(m);
-        } else {
+        if !complete {
             queues[ROUTER].push(ctx, m);
         }
     }
@@ -176,7 +173,6 @@ pub fn simulate_whirlpool_m(
             let m = queues[q].pop().expect("non-empty queue");
             if q != ROUTER && topk.should_prune(&m) {
                 ctx.metrics.add_pruned();
-                pool.release(m);
                 continue;
             }
             let duration = if q == ROUTER {
@@ -209,20 +205,17 @@ pub fn simulate_whirlpool_m(
         } else {
             let server = server_ids[q - 1];
             exts.clear();
-            ctx.process_at_server_pooled(server, &m, &mut exts, &mut pool);
-            pool.release(m);
+            ctx.process_at_server(server, &m, &mut exts);
             for e in exts.drain(..) {
                 let complete = e.is_complete(full_mask);
                 if offer_partial || complete {
                     topk.offer_match(&e);
                 }
                 if complete {
-                    pool.release(e);
                     continue;
                 }
                 if topk.should_prune(&e) {
                     ctx.metrics.add_pruned();
-                    pool.release(e);
                     continue;
                 }
                 queues[ROUTER].push(ctx, e);

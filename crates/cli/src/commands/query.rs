@@ -365,13 +365,6 @@ pub fn run(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
             result.metrics.matches_redistributed,
             result.metrics.answers_degraded
         )?;
-        writeln!(
-            out,
-            "pool:      {} buffers allocated, {} reused ({:.1}% hit rate)",
-            result.metrics.buffers_allocated,
-            result.metrics.buffers_reused,
-            result.metrics.pool_hit_rate() * 100.0
-        )?;
     }
     if explain {
         if let Some(trace) = &result.trace {

@@ -74,7 +74,7 @@ QUERY OPTIONS:
   --norm NAME        sparse | dense | none   (default sparse)
   --xml              print each answer's XML fragment
   --json             machine-readable output
-  --stats            print robustness and pool counters
+  --stats            print work and robustness counters
   --deadline-ms N    anytime budget: stop after N ms and return the
                      current top-k (tagged truncated, with a bound on
                      what any missing answer could score)

@@ -1025,8 +1025,8 @@ pub fn evaluate_collection(
             if copts.shard_pruning {
                 // Strict `<`: a shard that can only tie the k-th answer
                 // is still visited (the engines cut such ties inside a
-                // shard; cutting them here waits on the benchmark, see
-                // ROADMAP item 2).
+                // shard; cutting them here waits on the benchmark's
+                // host factor, see ROADMAP item 1).
                 let skip = match ceiling {
                     None => true,
                     Some(c) => c < global.threshold(),

@@ -3,7 +3,6 @@
 use crate::fault::{OpInterrupt, INTERRUPT_SPAN};
 use crate::metrics::Metrics;
 use crate::partial::{Binding, PartialMatch};
-use crate::pool::MatchPool;
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use whirlpool_index::{
@@ -335,22 +334,6 @@ impl<'a> QueryContext<'a> {
         self.seq.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// A fresh binding-buffer pool reporting into this context's
-    /// metrics. Engines create one per run (one
-    /// per worker thread in Whirlpool-M — pools are intentionally not
-    /// thread-safe).
-    pub fn new_pool(&self) -> MatchPool<'_> {
-        MatchPool::reporting(&self.metrics)
-    }
-
-    /// Like [`QueryContext::new_pool`], but as a shard of `hub`:
-    /// Whirlpool-M's worker pools rebalance whole blocks of buffers
-    /// through the shared hub so that consumer-heavy workers stop
-    /// hoarding buffers that producer-heavy workers keep allocating.
-    pub fn new_pool_shared<'p>(&'p self, hub: &'p crate::pool::PoolHub) -> MatchPool<'p> {
-        MatchPool::reporting_shared(&self.metrics, hub)
-    }
-
     // -- match generation -------------------------------------------------
 
     /// Reserves one sequence number per root candidate and returns the
@@ -400,14 +383,8 @@ impl<'a> QueryContext<'a> {
     /// outer-join null, scoring the predicate as the leaf-deletion
     /// relaxation (contribution 0). No server operation is counted —
     /// the server never ran.
-    pub fn degrade_at_server(
-        &self,
-        server: QNodeId,
-        m: &PartialMatch,
-        pool: &mut MatchPool<'_>,
-    ) -> PartialMatch {
-        let mut e = m.extend_in(
-            pool,
+    pub fn degrade_at_server(&self, server: QNodeId, m: &PartialMatch) -> PartialMatch {
+        let mut e = m.extend(
             self.next_seq(),
             server,
             Binding::Null,
@@ -428,33 +405,21 @@ impl<'a> QueryContext<'a> {
     /// an index range scan on the relaxed root predicate, then compared
     /// against the bound part of the match through the conditional
     /// predicate sequence, exact forms first.
+    ///
+    /// The engines split the two halves ([`locate_batch_at_server`]
+    /// then [`process_located_at_server_interruptible`]) so a whole
+    /// drained batch is located in one sweep.
+    ///
+    /// [`locate_batch_at_server`]: Self::locate_batch_at_server
+    /// [`process_located_at_server_interruptible`]: Self::process_located_at_server_interruptible
     pub fn process_at_server(
         &self,
         server: QNodeId,
         m: &PartialMatch,
         out: &mut Vec<PartialMatch>,
     ) -> usize {
-        self.process_at_server_pooled(server, m, out, &mut self.new_pool())
-    }
-
-    /// [`process_at_server`](Self::process_at_server), but drawing the
-    /// extensions' binding buffers from `pool`. Locates the match's
-    /// candidate range and evaluates it; the engines split the two
-    /// halves ([`locate_batch_at_server`] then
-    /// [`process_located_at_server_interruptible`]) so a whole drained
-    /// batch is located in one sweep.
-    ///
-    /// [`locate_batch_at_server`]: Self::locate_batch_at_server
-    /// [`process_located_at_server_interruptible`]: Self::process_located_at_server_interruptible
-    pub fn process_at_server_pooled(
-        &self,
-        server: QNodeId,
-        m: &PartialMatch,
-        out: &mut Vec<PartialMatch>,
-        pool: &mut MatchPool<'_>,
-    ) -> usize {
         let loc = self.locate_one(server, m.root());
-        self.process_located_at_server_interruptible(server, m, loc, out, pool, None)
+        self.process_located_at_server_interruptible(server, m, loc, out, None)
             .produced
     }
 
@@ -513,7 +478,7 @@ impl<'a> QueryContext<'a> {
     }
 
     /// The *evaluate* half of a server operation: extends `m` from its
-    /// pre-located candidate range `loc`, drawing buffers from `pool`.
+    /// pre-located candidate range `loc`.
     /// Exact mode emits one extension per valid candidate (its
     /// conditional predicates are real joins). Relaxed mode emits
     /// exactly one: the candidate with the highest
@@ -560,7 +525,6 @@ impl<'a> QueryContext<'a> {
         m: &PartialMatch,
         loc: Located,
         out: &mut Vec<PartialMatch>,
-        pool: &mut MatchPool<'_>,
         interrupt: Option<&OpInterrupt>,
     ) -> OpOutcome {
         debug_assert!(!m.has_visited(server));
@@ -724,8 +688,7 @@ impl<'a> QueryContext<'a> {
                         let cand = NodeId::from_index(c as usize);
                         let level = MatchLevel::Exact;
                         let contribution = self.model.contribution(server, cand, level);
-                        out.push(m.extend_in(
-                            pool,
+                        out.push(m.extend(
                             self.next_seq(),
                             server,
                             Binding::Matched { node: cand, level },
@@ -784,14 +747,7 @@ impl<'a> QueryContext<'a> {
                 dominant = dominant.or(Some((0.0, Binding::Null)));
             }
             if let Some((contribution, binding)) = dominant {
-                out.push(m.extend_in(
-                    pool,
-                    self.next_seq(),
-                    server,
-                    binding,
-                    contribution,
-                    server_max,
-                ));
+                out.push(m.extend(self.next_seq(), server, binding, contribution, server_max));
             }
         }
 
@@ -1190,7 +1146,6 @@ mod tests {
         let f = wide_fixture(total);
         let ctx = f.ctx(RelaxMode::Relaxed);
         let roots = ctx.make_root_matches();
-        let mut pool = ctx.new_pool();
         let mut out = Vec::new();
 
         let token = crate::fault::CancelToken::new();
@@ -1205,7 +1160,6 @@ mod tests {
             &roots[0],
             ctx.locate_one(QNodeId(1), roots[0].root()),
             &mut out,
-            &mut pool,
             control.op_interrupt(),
         );
 
@@ -1231,7 +1185,6 @@ mod tests {
             &roots[0],
             ctx.locate_one(QNodeId(1), roots[0].root()),
             &mut out,
-            &mut ctx.new_pool(),
             control.op_interrupt(),
         );
         assert!(o.interrupted);
@@ -1250,12 +1203,7 @@ mod tests {
             let plain_ctx = f.ctx(relax);
             let roots = plain_ctx.make_root_matches();
             let mut plain_out = Vec::new();
-            let produced_plain = plain_ctx.process_at_server_pooled(
-                QNodeId(1),
-                &roots[0],
-                &mut plain_out,
-                &mut plain_ctx.new_pool(),
-            );
+            let produced_plain = plain_ctx.process_at_server(QNodeId(1), &roots[0], &mut plain_out);
 
             let seg_ctx = f.ctx(relax);
             let seg_roots = seg_ctx.make_root_matches();
@@ -1271,7 +1219,6 @@ mod tests {
                 &seg_roots[0],
                 seg_ctx.locate_one(QNodeId(1), seg_roots[0].root()),
                 &mut seg_out,
-                &mut seg_ctx.new_pool(),
                 control.op_interrupt(),
             );
 

@@ -677,7 +677,6 @@ fn account_interrupted(
 ///
 /// [`QueryContext::locate_batch_at_server`]: crate::QueryContext::locate_batch_at_server
 /// [`QueryContext::process_located_at_server_interruptible`]: crate::QueryContext::process_located_at_server_interruptible
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn guarded_process_located(
     ctx: &crate::context::QueryContext<'_>,
     control: &RunControl,
@@ -686,11 +685,10 @@ pub(crate) fn guarded_process_located(
     m: &crate::partial::PartialMatch,
     loc: crate::context::Located,
     exts: &mut Vec<crate::partial::PartialMatch>,
-    pool: &mut crate::pool::MatchPool<'_>,
 ) -> bool {
     let interrupt = control.op_interrupt();
     if !control.has_faults() {
-        let o = ctx.process_located_at_server_interruptible(server, m, loc, exts, pool, interrupt);
+        let o = ctx.process_located_at_server_interruptible(server, m, loc, exts, interrupt);
         if o.interrupted {
             account_interrupted(ctx, control, trunc, m);
         }
@@ -699,12 +697,12 @@ pub(crate) fn guarded_process_located(
     if control.is_dead(server) {
         return false;
     }
+    let before = exts.len();
     for attempt in 0..2 {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
             || -> Result<crate::context::OpOutcome, EngineError> {
                 control.before_op(server)?;
-                Ok(ctx
-                    .process_located_at_server_interruptible(server, m, loc, exts, pool, interrupt))
+                Ok(ctx.process_located_at_server_interruptible(server, m, loc, exts, interrupt))
             },
         ));
         match outcome {
@@ -715,11 +713,10 @@ pub(crate) fn guarded_process_located(
                 return true;
             }
             Ok(Err(_)) | Err(_) => {
-                // Release anything produced before the abort, then
-                // retry once; a second abort marks the server dead.
-                for e in exts.drain(..) {
-                    pool.release(e);
-                }
+                // Drop what this operation produced before the abort
+                // (earlier operations' extensions stay), then retry
+                // once; a second abort marks the server dead.
+                exts.truncate(before);
                 if attempt == 1 {
                     if control.mark_dead(server) {
                         ctx.metrics.add_server_failed();
@@ -761,7 +758,6 @@ pub(crate) fn drop_seed_source(
 pub(crate) fn degrade_to_completion(
     ctx: &crate::context::QueryContext<'_>,
     m: crate::partial::PartialMatch,
-    pool: &mut crate::pool::MatchPool<'_>,
 ) -> crate::partial::PartialMatch {
     let full = ctx.full_mask();
     let mut cur = m;
@@ -770,9 +766,7 @@ pub(crate) fn degrade_to_completion(
             .unvisited(ctx.pattern.len())
             .next()
             .expect("incomplete match has an unvisited server");
-        let e = ctx.degrade_at_server(s, &cur, pool);
-        pool.release(cur);
-        cur = e;
+        cur = ctx.degrade_at_server(s, &cur);
     }
     cur
 }

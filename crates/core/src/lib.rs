@@ -76,7 +76,6 @@ mod fault;
 mod lockstep;
 mod metrics;
 mod partial;
-mod pool;
 mod queue;
 mod router;
 mod topk;
@@ -100,7 +99,6 @@ pub use fault::{
 };
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use partial::{Binding, PartialMatch};
-pub use pool::{MatchPool, PoolHub};
 pub use queue::{MatchQueue, QueuePolicy};
 pub use router::RoutingStrategy;
 pub use topk::{answers_equivalent, RankedAnswer, SharedTopK, TopKSet};

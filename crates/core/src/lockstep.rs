@@ -39,7 +39,6 @@ pub(crate) fn run_lockstep_anytime(
     let full = ctx.full_mask();
     let trunc = Truncation::new();
     let mut topk = TopKSet::with_floor(k, control.threshold_floor());
-    let mut pool = ctx.new_pool();
     let mut tr = control.trace_worker("lockstep");
     tr.span_begin("seed");
     let mut frontier = ctx.make_root_matches();
@@ -93,7 +92,6 @@ pub(crate) fn run_lockstep_anytime(
                 {
                     trunc.account(m.max_final);
                     tr.abandoned(&m);
-                    pool.release(m);
                 }
                 if tr.enabled() {
                     tr.span_end(&format!("stage q{}", server.0));
@@ -103,15 +101,12 @@ pub(crate) fn run_lockstep_anytime(
             if topk.should_prune(&m) {
                 ctx.metrics.add_pruned();
                 tr.pruned(&m, topk.threshold());
-                pool.release(m);
                 continue;
             }
             exts.clear();
             let t0 = tr.op_start();
-            if guarded_process_located(ctx, control, &trunc, server, &m, loc, &mut exts, &mut pool)
-            {
+            if guarded_process_located(ctx, control, &trunc, server, &m, loc, &mut exts) {
                 tr.server_op(server, m.seq, exts.len(), t0);
-                pool.release(m);
             } else {
                 // The stage's server is dead. Relaxed mode degrades the
                 // match past it (null binding, leaf-deletion score);
@@ -119,11 +114,10 @@ pub(crate) fn run_lockstep_anytime(
                 trunc.account(m.max_final);
                 tr.abandoned(&m);
                 if offer_partial {
-                    let e = ctx.degrade_at_server(server, &m, &mut pool);
+                    let e = ctx.degrade_at_server(server, &m);
                     ctx.metrics.add_match_redistributed();
                     exts.push(e);
                 }
-                pool.release(m);
             }
             for e in exts.drain(..) {
                 tr.spawned(&e);
@@ -137,13 +131,11 @@ pub(crate) fn run_lockstep_anytime(
                     if e.degraded {
                         ctx.metrics.add_answer_degraded();
                     }
-                    pool.release(e);
                     continue;
                 }
                 if topk.should_prune(&e) {
                     ctx.metrics.add_pruned();
                     tr.pruned(&e, topk.threshold());
-                    pool.release(e);
                     continue;
                 }
                 next.push(e);
@@ -191,7 +183,6 @@ pub(crate) fn run_lockstep_noprune_anytime(
     // it is wired through anyway so every engine treats RunControl
     // uniformly.
     let mut topk = TopKSet::with_floor(k, control.threshold_floor());
-    let mut pool = ctx.new_pool();
     let mut tr = control.trace_worker("lockstep-noprune");
     let mut frontier: Vec<PartialMatch> = Vec::new();
     let mut next = Vec::new();
@@ -232,29 +223,24 @@ pub(crate) fn run_lockstep_noprune_anytime(
                         // have not been offered yet: abandonment is
                         // their one trace terminal.
                         tr.abandoned(&m);
-                        pool.release(m);
                     }
                     break 'roots;
                 }
                 let before = next.len();
                 let t0 = tr.op_start();
-                if guarded_process_located(
-                    ctx, control, &trunc, server, &m, loc, &mut next, &mut pool,
-                ) {
+                if guarded_process_located(ctx, control, &trunc, server, &m, loc, &mut next) {
                     tr.server_op(server, m.seq, next.len() - before, t0);
-                    pool.release(m);
                 } else {
                     trunc.account(m.max_final);
                     tr.abandoned(&m);
                     if offer_partial {
-                        let e = ctx.degrade_at_server(server, &m, &mut pool);
+                        let e = ctx.degrade_at_server(server, &m);
                         ctx.metrics.add_match_redistributed();
                         next.push(e);
                     }
-                    pool.release(m);
                 }
                 if tr.enabled() {
-                    for e in &next[before.min(next.len())..] {
+                    for e in &next[before..] {
                         tr.spawned(e);
                     }
                 }
@@ -268,7 +254,6 @@ pub(crate) fn run_lockstep_noprune_anytime(
             if m.degraded {
                 ctx.metrics.add_answer_degraded();
             }
-            pool.release(m);
         }
     }
     tr.span_end("evaluate");
@@ -398,6 +383,35 @@ mod tests {
         assert!(with_prune.server_ops <= without.server_ops);
         assert!(with_prune.pruned > 0);
         assert_eq!(without.pruned, 0);
+    }
+
+    #[test]
+    fn noprune_keeps_earlier_extensions_when_its_server_dies_mid_stage() {
+        // Exact mode fans the root out to two matches at `b`; the `c`
+        // server runs for the first and dies on the second. The first
+        // one's answer was already produced and must survive the abort.
+        let doc = parse_document("<r><a><b/><b/><c/></a></r>").unwrap();
+        let index = TagIndex::build(&doc);
+        let pattern = parse_pattern("//a[./b and ./c]").unwrap();
+        let model = TfIdfModel::build(&doc, &index, &pattern, Normalization::Sparse);
+        let ctx = QueryContext::new(
+            &doc,
+            &index,
+            &pattern,
+            &model,
+            ContextOptions {
+                relax: RelaxMode::Exact,
+            },
+        );
+        let plan = StaticPlan::in_id_order(2);
+        let faults = crate::fault::FaultPlan::seeded(0).with(
+            whirlpool_pattern::QNodeId(2),
+            crate::fault::FaultKind::Fail { after_ops: 1 },
+        );
+        let control = RunControl::new(crate::fault::Budget::new(None, None), Some(&faults), 3);
+        let run = run_lockstep_noprune_anytime(&ctx, &plan, 1, &control);
+        assert_eq!(run.answers.len(), 1, "{run:?}");
+        assert!(!run.completeness.is_exact());
     }
 
     #[test]

@@ -32,11 +32,6 @@ pub struct Metrics {
     pub roots_unseeded: AtomicU64,
     /// Adaptive routing decisions taken.
     pub routing_decisions: AtomicU64,
-    /// Binding buffers allocated fresh from the heap (pool misses).
-    pub buffers_allocated: AtomicU64,
-    /// Binding buffers recycled from a [`MatchPool`](crate::MatchPool)
-    /// free list instead of being allocated.
-    pub buffers_reused: AtomicU64,
     /// Evaluations cut short by a deadline or operation budget.
     pub deadline_hits: AtomicU64,
     /// Evaluations cut short by a tripped
@@ -107,18 +102,6 @@ impl Metrics {
         self.routing_decisions.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts `n` binding buffers allocated fresh from the heap.
-    #[inline]
-    pub fn add_buffers_allocated(&self, n: u64) {
-        self.buffers_allocated.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Counts `n` binding buffers recycled from a pool free list.
-    #[inline]
-    pub fn add_buffers_reused(&self, n: u64) {
-        self.buffers_reused.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Counts one budget expiry (deadline or op cap).
     #[inline]
     pub fn add_deadline_hit(&self) {
@@ -163,16 +146,17 @@ impl Metrics {
 
     /// A plain-value copy for reporting.
     pub fn snapshot(&self) -> MetricsSnapshot {
+        let partials_created = self.partials_created.load(Ordering::Relaxed);
         MetricsSnapshot {
             server_ops: self.server_ops.load(Ordering::Relaxed),
             server_op_batches: self.server_op_batches.load(Ordering::Relaxed),
             predicate_comparisons: self.predicate_comparisons.load(Ordering::Relaxed),
-            partials_created: self.partials_created.load(Ordering::Relaxed),
+            partials_created,
             pruned: self.pruned.load(Ordering::Relaxed),
             roots_unseeded: self.roots_unseeded.load(Ordering::Relaxed),
             routing_decisions: self.routing_decisions.load(Ordering::Relaxed),
-            buffers_allocated: self.buffers_allocated.load(Ordering::Relaxed),
-            buffers_reused: self.buffers_reused.load(Ordering::Relaxed),
+            buffers_allocated: partials_created,
+            buffers_reused: 0,
             deadline_hits: self.deadline_hits.load(Ordering::Relaxed),
             cancellations: self.cancellations.load(Ordering::Relaxed),
             servers_failed: self.servers_failed.load(Ordering::Relaxed),
@@ -201,9 +185,11 @@ pub struct MetricsSnapshot {
     pub roots_unseeded: u64,
     /// Adaptive routing decisions taken.
     pub routing_decisions: u64,
-    /// Binding buffers allocated fresh from the heap.
+    /// Binding buffers allocated: always `partials_created`, since every
+    /// match owns exactly one. Kept for readers of the older counter.
     pub buffers_allocated: u64,
-    /// Binding buffers recycled from a pool free list.
+    /// Binding buffers recycled: always 0, since no buffer is reused.
+    /// Kept for readers of the older counter.
     pub buffers_reused: u64,
     /// Evaluations cut short by a deadline or operation budget.
     pub deadline_hits: u64,
@@ -222,17 +208,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Fraction of binding-buffer requests served from the pool, in
-    /// `[0, 1]`; zero when nothing was requested.
-    pub fn pool_hit_rate(&self) -> f64 {
-        let total = self.buffers_allocated + self.buffers_reused;
-        if total == 0 {
-            0.0
-        } else {
-            self.buffers_reused as f64 / total as f64
-        }
-    }
-
     /// Fraction of drained batches that arrived by stealing rather than
     /// from a worker's own home queues, in `[0, 1]`; zero when no
     /// batches were drained at all.
@@ -305,5 +280,43 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(a.server_ops, 0);
         assert_eq!(b.server_ops, 1);
+    }
+
+    #[test]
+    fn buffer_counters_follow_partials_created() {
+        use crate::{evaluate, Algorithm, EvalOptions};
+        use whirlpool_index::TagIndex;
+        use whirlpool_pattern::parse_pattern;
+        use whirlpool_score::{Normalization, TfIdfModel};
+
+        let doc = whirlpool_xml::parse_document(
+            "<lib><book><title/><isbn/></book><book><review><title/></review></book>\
+             <book><isbn/></book></lib>",
+        )
+        .unwrap();
+        let index = TagIndex::build(&doc);
+        let query = parse_pattern("//book[./title and ./isbn]").unwrap();
+        let model = TfIdfModel::build(&doc, &index, &query, Normalization::Sparse);
+        for algorithm in [
+            Algorithm::WhirlpoolS,
+            Algorithm::LockStep,
+            Algorithm::LockStepNoPrune,
+            Algorithm::WhirlpoolM { processors: None },
+        ] {
+            let r = evaluate(
+                &doc,
+                &index,
+                &query,
+                &model,
+                &algorithm,
+                &EvalOptions::top_k(2),
+            );
+            assert!(r.metrics.partials_created > 0, "{algorithm:?}");
+            assert_eq!(
+                r.metrics.buffers_allocated, r.metrics.partials_created,
+                "{algorithm:?}"
+            );
+            assert_eq!(r.metrics.buffers_reused, 0, "{algorithm:?}");
+        }
     }
 }

@@ -115,37 +115,11 @@ impl PartialMatch {
         self.visited == full_mask
     }
 
-    /// [`extend`](Self::extend), but drawing the child's binding buffer
-    /// from `pool` instead of allocating — the engines' hot path.
-    /// Behavior is identical; only the allocator traffic differs.
-    pub fn extend_in(
-        &self,
-        pool: &mut crate::pool::MatchPool<'_>,
-        seq: u64,
-        server: QNodeId,
-        binding: Binding,
-        contribution: f64,
-        server_max: f64,
-    ) -> PartialMatch {
-        debug_assert!(!self.has_visited(server), "server visited twice");
-        let mut bindings = pool.acquire_copy(&self.bindings);
-        bindings[server.index()] = binding;
-        let score = self.score.plus(contribution);
-        let max_final = Score::new(self.max_final.value() - server_max + contribution);
-        PartialMatch {
-            seq,
-            bindings,
-            visited: self.visited | (1 << server.0),
-            score,
-            max_final,
-            degraded: self.degraded,
-        }
-    }
-
     /// Derives the child match produced by binding `server` to
     /// `binding` with score `contribution`, where `server_max` is that
     /// server's maximum possible contribution (subtracted from
-    /// `max_final` and replaced by the actual contribution).
+    /// `max_final` and replaced by the actual contribution). The child
+    /// owns a fresh copy of the parent's bindings.
     pub fn extend(
         &self,
         seq: u64,

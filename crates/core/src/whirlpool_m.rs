@@ -60,7 +60,6 @@
 use crate::context::{Located, QueryContext, RelaxMode};
 use crate::fault::{drop_seed_source, guarded_process_located, EngineRun, RunControl, Truncation};
 use crate::partial::PartialMatch;
-use crate::pool::{MatchPool, PoolHub};
 use crate::queue::{MatchQueue, QueuePolicy, Rank};
 use crate::router::RoutingStrategy;
 use crate::topk::SharedTopK;
@@ -198,9 +197,6 @@ struct Shared<'c, 'a> {
     /// paths read the snapshot (one relaxed load) and take the lock
     /// only for offers that could actually change the set.
     topk: SharedTopK,
-    /// Reservoir rebalancing binding buffers between the per-worker
-    /// pool shards in whole blocks.
-    pool_hub: PoolHub,
     /// Matches no server has been chosen for yet: the seed source —
     /// root matches are materialised a batch at a time, when its rank
     /// is the best head — and the matches rescued from a dead server.
@@ -309,7 +305,6 @@ pub(crate) fn run_whirlpool_m_anytime(
     let shared = Shared {
         ctx,
         topk: SharedTopK::with_floor(k, control.threshold_floor()),
-        pool_hub: PoolHub::new(),
         in_flight: AtomicI64::new(unrouted.has_seeds() as i64),
         unrouted: SharedQueue::new(unrouted),
         server_queues: server_ids
@@ -356,7 +351,6 @@ fn drain_expired(
     control: &RunControl,
     trunc: &Truncation,
     m: PartialMatch,
-    pool: &mut MatchPool<'_>,
     tr: &mut WorkerTrace,
 ) {
     if trunc.expire() {
@@ -364,7 +358,6 @@ fn drain_expired(
     }
     trunc.account(m.max_final);
     tr.abandoned(&m);
-    pool.release(m);
     shared.adjust_in_flight(-1);
 }
 
@@ -412,7 +405,6 @@ fn settle_and_route(
     work: &mut BatchWork,
     control: &RunControl,
     trunc: &Truncation,
-    pool: &mut MatchPool<'_>,
     tr: &mut WorkerTrace,
 ) {
     work.settle(shared);
@@ -432,7 +424,7 @@ fn settle_and_route(
         match choose_traced(shared, routing, control, &m, threshold, queue_len, tr) {
             Some(server) => work.groups[server.index() - 1].push(m),
             // Every remaining server for this match is dead.
-            None => finish_unroutable(shared, trunc, m, pool, tr),
+            None => finish_unroutable(shared, trunc, m, tr),
         }
     }
     for (group, queue) in work.groups.iter_mut().zip(&shared.server_queues) {
@@ -442,7 +434,7 @@ fn settle_and_route(
             // the survivors.
             for m in group.drain(..) {
                 ctx.metrics.add_match_redistributed();
-                reroute(shared, routing, control, trunc, m, pool, tr);
+                reroute(shared, routing, control, trunc, m, tr);
             }
         }
     }
@@ -458,7 +450,6 @@ fn reroute(
     control: &RunControl,
     trunc: &Truncation,
     mut m: PartialMatch,
-    pool: &mut MatchPool<'_>,
     tr: &mut WorkerTrace,
 ) {
     let ctx = shared.ctx;
@@ -471,7 +462,7 @@ fn reroute(
         };
         let Some(server) = choose_traced(shared, routing, control, &m, threshold, queue_len, tr)
         else {
-            finish_unroutable(shared, trunc, m, pool, tr);
+            finish_unroutable(shared, trunc, m, tr);
             return;
         };
         match shared.server_queue(server).push(ctx, m) {
@@ -491,7 +482,6 @@ fn finish_unroutable(
     shared: &Shared<'_, '_>,
     trunc: &Truncation,
     m: PartialMatch,
-    pool: &mut MatchPool<'_>,
     tr: &mut WorkerTrace,
 ) {
     let ctx = shared.ctx;
@@ -499,14 +489,11 @@ fn finish_unroutable(
     tr.abandoned(&m);
     if shared.offer_partial {
         ctx.metrics.add_match_redistributed();
-        let done = crate::fault::degrade_to_completion(ctx, m, pool);
+        let done = crate::fault::degrade_to_completion(ctx, m);
         tr.spawned(&done);
         shared.topk.lock().offer_match(&done);
         tr.completed(&done);
         ctx.metrics.add_answer_degraded();
-        pool.release(done);
-    } else {
-        pool.release(m);
     }
     shared.adjust_in_flight(-1);
 }
@@ -521,20 +508,17 @@ fn handle_dead_server_match(
     server: QNodeId,
     m: PartialMatch,
     rescued: &mut Vec<PartialMatch>,
-    pool: &mut MatchPool<'_>,
     tr: &mut WorkerTrace,
 ) {
     let ctx = shared.ctx;
     trunc.account(m.max_final);
     tr.abandoned(&m);
     if !shared.offer_partial {
-        pool.release(m);
         shared.adjust_in_flight(-1);
         return;
     }
-    let e = ctx.degrade_at_server(server, &m, pool);
+    let e = ctx.degrade_at_server(server, &m);
     ctx.metrics.add_match_redistributed();
-    pool.release(m);
     tr.spawned(&e);
     let complete = e.is_complete(shared.full_mask);
     let (keep, threshold) = {
@@ -560,7 +544,6 @@ fn handle_dead_server_match(
         } else {
             tr.pruned(&e, threshold);
         }
-        pool.release(e);
         shared.adjust_in_flight(-1);
     }
 }
@@ -612,10 +595,6 @@ fn worker_loop(
     trunc: &Truncation,
 ) {
     let ctx = shared.ctx;
-    // One pool shard per worker thread: per-match recycling needs no
-    // synchronization; whole blocks of buffers rebalance through the
-    // shared hub when a shard runs dry or overflows.
-    let mut pool = ctx.new_pool_shared(&shared.pool_hub);
     let server_ids = ctx.server_ids();
     let mut work = BatchWork {
         groups: server_ids.iter().map(|_| Vec::new()).collect(),
@@ -650,12 +629,8 @@ fn worker_loop(
                     tr.stolen(server, work.local.len());
                 }
             }
-            serve_batch(
-                shared, server, &mut work, control, trunc, &mut pool, &mut tr,
-            );
-            settle_and_route(
-                shared, routing, &mut work, control, trunc, &mut pool, &mut tr,
-            );
+            serve_batch(shared, server, &mut work, control, trunc, &mut tr);
+            settle_and_route(shared, routing, &mut work, control, trunc, &mut tr);
             continue;
         }
         if shared.done.load(Ordering::Acquire) {
@@ -687,7 +662,6 @@ fn admit_batch(
     work: &mut BatchWork,
     control: &RunControl,
     trunc: &Truncation,
-    pool: &mut MatchPool<'_>,
     tr: &mut WorkerTrace,
 ) {
     let ctx = shared.ctx;
@@ -743,16 +717,14 @@ fn admit_batch(
     work.local.reverse();
     while let Some(m) = work.local.pop() {
         if trunc.is_expired() || control.exhausted(&ctx.metrics) {
-            drain_expired(shared, control, trunc, m, pool, tr);
+            drain_expired(shared, control, trunc, m, tr);
         } else if m.is_complete(shared.full_mask) {
             // A seed of a single-node pattern: an answer on arrival.
             tr.completed(&m);
-            pool.release(m);
             work.net -= 1;
         } else if shared.topk.should_prune(&m) {
             ctx.metrics.add_pruned();
             tr.pruned(&m, shared.topk.threshold_snapshot());
-            pool.release(m);
             work.net -= 1;
         } else {
             work.survivors.push(m);
@@ -773,15 +745,14 @@ fn serve_batch(
     work: &mut BatchWork,
     control: &RunControl,
     trunc: &Truncation,
-    pool: &mut MatchPool<'_>,
     tr: &mut WorkerTrace,
 ) {
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match server {
-        Some(server) => process_batch(shared, server, work, control, trunc, pool, tr),
-        None => admit_batch(shared, work, control, trunc, pool, tr),
+        Some(server) => process_batch(shared, server, work, control, trunc, tr),
+        None => admit_batch(shared, work, control, trunc, tr),
     }));
     if caught.is_err() {
-        abandon_batch(trunc, work, pool, tr);
+        abandon_batch(trunc, work, tr);
         if server.is_none() {
             // The model panicked on a root, and the source would only
             // meet it again: the roots still unseeded are accounted
@@ -799,25 +770,17 @@ fn serve_batch(
 /// The in-hand match and the unprocessed remainder enter the truncation
 /// certificate and leave the system; extensions of the in-hand match
 /// were never admitted (no spawn event, not yet counted in-flight), so
-/// their buffers are simply recycled. The kills join the batch's net
-/// count change, which the worker settles — as after any batch —
-/// *before* it routes the survivors the batch had already produced.
-fn abandon_batch(
-    trunc: &Truncation,
-    work: &mut BatchWork,
-    pool: &mut MatchPool<'_>,
-    tr: &mut WorkerTrace,
-) {
+/// they are simply dropped. The kills join the batch's net count
+/// change, which the worker settles — as after any batch — *before* it
+/// routes the survivors the batch had already produced.
+fn abandon_batch(trunc: &Truncation, work: &mut BatchWork, tr: &mut WorkerTrace) {
     trunc.mark();
     for m in work.in_hand.take().into_iter().chain(work.local.drain(..)) {
         trunc.account(m.max_final);
         tr.abandoned(&m);
-        pool.release(m);
         work.net -= 1;
     }
-    for e in work.exts.drain(..) {
-        pool.release(e);
-    }
+    work.exts.clear();
     work.locs.clear();
 }
 
@@ -830,7 +793,6 @@ fn process_batch(
     work: &mut BatchWork,
     control: &RunControl,
     trunc: &Truncation,
-    pool: &mut MatchPool<'_>,
     tr: &mut WorkerTrace,
 ) {
     let ctx = shared.ctx;
@@ -849,7 +811,7 @@ fn process_batch(
     while let Some(m) = work.local.pop() {
         let loc = work.locs.pop().expect("locs stays aligned with local");
         if trunc.is_expired() || control.exhausted(&ctx.metrics) {
-            drain_expired(shared, control, trunc, m, pool, tr);
+            drain_expired(shared, control, trunc, m, tr);
             continue;
         }
         if shared.topk.should_prune(&m) {
@@ -857,7 +819,6 @@ fn process_batch(
             // condemns matches the live threshold also would.
             ctx.metrics.add_pruned();
             tr.pruned(&m, shared.topk.threshold_snapshot());
-            pool.release(m);
             work.net -= 1;
             continue;
         }
@@ -874,7 +835,7 @@ fn process_batch(
                 ..
             } = *work;
             let m = in_hand.as_ref().expect("in-hand match was just stored");
-            guarded_process_located(ctx, control, trunc, server, m, loc, exts, pool)
+            guarded_process_located(ctx, control, trunc, server, m, loc, exts)
         };
         let m = work.in_hand.take().expect("in-hand match is present");
         if !ran {
@@ -891,78 +852,63 @@ fn process_batch(
                 .chain(work.local.drain(..).rev())
                 .chain(queue.close_and_drain());
             for x in waiting {
-                handle_dead_server_match(shared, trunc, server, x, &mut rescued, pool, tr);
+                handle_dead_server_match(shared, trunc, server, x, &mut rescued, tr);
             }
             shared.publish_unrouted(&mut rescued);
             work.locs.clear();
             return;
         }
         tr.server_op(server, m.seq, work.exts.len(), t0);
-        pool.release(m);
         work.net -= 1;
 
         // The k-th score snapshot decides, without the lock, whether
-        // any extension's offer could change the top-k set; the
-        // lock is taken only when one could.
+        // any extension's offer could change the top-k set; the lock is
+        // taken only when one could. Without it every offer is provably
+        // a no-op on the live set (see SharedTopK), so the extensions
+        // are pruned against the snapshot, which is conservative.
         let offers_needed = work.exts.iter().any(|e| {
             (shared.offer_partial || e.is_complete(shared.full_mask))
                 && !shared.topk.offer_is_noop(e.score)
         });
-        if offers_needed {
-            let mut topk = shared.topk.lock();
-            for e in work.exts.drain(..) {
-                tr.spawned(&e);
-                let complete = e.is_complete(shared.full_mask);
+        let mut live = offers_needed.then(|| shared.topk.lock());
+        for e in work.exts.drain(..) {
+            tr.spawned(&e);
+            let complete = e.is_complete(shared.full_mask);
+            if let Some(topk) = live.as_mut() {
                 if shared.offer_partial || complete {
                     topk.offer_match(&e);
                 }
-                if complete {
-                    tr.completed(&e);
-                    if e.degraded {
-                        ctx.metrics.add_answer_degraded();
-                    }
-                    pool.release(e);
-                    continue;
-                }
-                if topk.should_prune(&e) {
-                    ctx.metrics.add_pruned();
-                    tr.pruned(&e, topk.threshold());
-                    pool.release(e);
-                    continue;
-                }
-                work.net += 1;
-                work.survivors.push(e);
             }
+            if complete {
+                tr.completed(&e);
+                if e.degraded {
+                    ctx.metrics.add_answer_degraded();
+                }
+                continue;
+            }
+            let prune = match &live {
+                Some(topk) => topk.should_prune(&e),
+                None => shared.topk.should_prune(&e),
+            };
+            if prune {
+                ctx.metrics.add_pruned();
+                let threshold = match &live {
+                    Some(topk) => topk.threshold(),
+                    None => shared.topk.threshold_snapshot(),
+                };
+                tr.pruned(&e, threshold);
+                continue;
+            }
+            work.net += 1;
+            work.survivors.push(e);
+        }
+        // Only the live threshold is sampled: the snapshot is stale by
+        // construction, and a stale value timestamped now would break
+        // the merged stream's monotonicity.
+        if let Some(topk) = &live {
             if tr.enabled() {
                 tr.threshold(topk.threshold());
             }
-        } else {
-            // Every offer is provably a no-op on the live set (see
-            // SharedTopK): stay off the lock and prune against the
-            // snapshot, which is conservative.
-            for e in work.exts.drain(..) {
-                tr.spawned(&e);
-                if e.is_complete(shared.full_mask) {
-                    tr.completed(&e);
-                    if e.degraded {
-                        ctx.metrics.add_answer_degraded();
-                    }
-                    pool.release(e);
-                    continue;
-                }
-                if shared.topk.should_prune(&e) {
-                    ctx.metrics.add_pruned();
-                    tr.pruned(&e, shared.topk.threshold_snapshot());
-                    pool.release(e);
-                    continue;
-                }
-                work.net += 1;
-                work.survivors.push(e);
-            }
-            // No threshold sample here: the snapshot is stale by
-            // construction, and a stale value timestamped now would
-            // break the merged stream's monotonicity. The locked
-            // branch samples the live value whenever it changes.
         }
     }
 }

@@ -36,7 +36,6 @@ pub(crate) fn run_whirlpool_s_anytime(
     let full = ctx.full_mask();
     let trunc = Truncation::new();
     let mut topk = TopKSet::with_floor(k, control.threshold_floor());
-    let mut pool = ctx.new_pool();
     let mut tr = control.trace_worker("whirlpool-s");
 
     tr.span_begin("seed");
@@ -56,7 +55,6 @@ pub(crate) fn run_whirlpool_s_anytime(
             for x in queue.drain() {
                 trunc.account(x.max_final);
                 tr.abandoned(&x);
-                pool.release(x);
             }
             drop_seed_source(ctx, &mut queue, Some(&trunc), &mut tr, topk.threshold());
             break;
@@ -78,7 +76,6 @@ pub(crate) fn run_whirlpool_s_anytime(
             }
             if complete {
                 tr.completed(&m);
-                pool.release(m);
             } else {
                 queue.push(ctx, m);
             }
@@ -98,7 +95,6 @@ pub(crate) fn run_whirlpool_s_anytime(
             for x in std::iter::once(m).chain(rest.into_iter().flatten()) {
                 ctx.metrics.add_pruned();
                 tr.pruned(&x, topk.threshold());
-                pool.release(x);
             }
             continue;
         }
@@ -128,23 +124,18 @@ pub(crate) fn run_whirlpool_s_anytime(
             tr.abandoned(&m);
             if offer_partial {
                 ctx.metrics.add_match_redistributed();
-                let done = degrade_to_completion(ctx, m, &mut pool);
+                let done = degrade_to_completion(ctx, m);
                 tr.spawned(&done);
                 topk.offer_match(&done);
                 tr.completed(&done);
                 ctx.metrics.add_answer_degraded();
-                pool.release(done);
-            } else {
-                pool.release(m);
             }
             continue;
         };
         ctx.locate_batch_at_server(server, &[m.root()], &mut locs);
         exts.clear();
         let t0 = tr.op_start();
-        if !guarded_process_located(
-            ctx, control, &trunc, server, &m, locs[0], &mut exts, &mut pool,
-        ) {
+        if !guarded_process_located(ctx, control, &trunc, server, &m, locs[0], &mut exts) {
             // The chosen server died under us: requeue the match so
             // the next pop re-routes it among the survivors.
             ctx.metrics.add_match_redistributed();
@@ -152,7 +143,6 @@ pub(crate) fn run_whirlpool_s_anytime(
             continue;
         }
         tr.server_op(server, m.seq, exts.len(), t0);
-        pool.release(m);
         for e in exts.drain(..) {
             tr.spawned(&e);
             let complete = e.is_complete(full);
@@ -164,13 +154,11 @@ pub(crate) fn run_whirlpool_s_anytime(
                 if e.degraded {
                     ctx.metrics.add_answer_degraded();
                 }
-                pool.release(e);
                 continue;
             }
             if topk.should_prune(&e) {
                 ctx.metrics.add_pruned();
                 tr.pruned(&e, topk.threshold());
-                pool.release(e);
                 continue;
             }
             queue.push(ctx, e);

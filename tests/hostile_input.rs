@@ -1,0 +1,111 @@
+//! Hostile XML and XPath input: every single-bit flip of a small XMark
+//! document and of the benchmark queries, plus two-cut splices
+//! `src[..i] + src[j..]`, must parse or fail with a typed error, never
+//! panic. A mutated document that still parses must also survive the
+//! index, the path synopsis and a Whirlpool-S run; a mutated query that
+//! still parses, a Whirlpool-S run over the unmutated document.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use whirlpool_core::{evaluate, Algorithm, EvalOptions};
+use whirlpool_index::{PathSynopsis, TagIndex};
+use whirlpool_pattern::{parse_pattern, TreePattern};
+use whirlpool_score::{Normalization, TfIdfModel};
+use whirlpool_xmark::{generate, queries, GeneratorConfig};
+use whirlpool_xml::{parse_document, write_document, Document, WriteOptions};
+
+const QUERIES: [&str; 4] = [queries::Q1, queries::Q2, queries::Q3, queries::Q4];
+
+/// Every single-bit flip of `src`, then the splices `src[..i] + src[j..]`
+/// for cut points `i < j` on a grid of `stride` bytes (the end
+/// included), each labelled for the failure message.
+fn mutants(src: &[u8], stride: usize) -> impl Iterator<Item = (String, Vec<u8>)> + '_ {
+    let flips = (0..src.len() * 8).map(move |bit| {
+        let mut bytes = src.to_vec();
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        (format!("bit {bit} flipped"), bytes)
+    });
+    let cuts: Vec<usize> = (0..src.len()).step_by(stride).chain([src.len()]).collect();
+    let splices = cuts.clone().into_iter().flat_map(move |i| {
+        cuts.iter()
+            .filter(move |&&j| j > i)
+            .map(move |&j| {
+                let bytes = [&src[..i], &src[j..]].concat();
+                (format!("bytes {i}..{j} cut"), bytes)
+            })
+            .collect::<Vec<_>>()
+    });
+    flips.chain(splices)
+}
+
+/// Runs `check` on `input`, turning a panic into a test failure that
+/// names the mutant.
+fn survives(label: &str, input: &[u8], check: impl FnOnce(&str)) {
+    let text = String::from_utf8_lossy(input);
+    if catch_unwind(AssertUnwindSafe(|| check(&text))).is_err() {
+        panic!("{label} panicked on {text:?}");
+    }
+}
+
+fn whirlpool_s(doc: &Document, index: &TagIndex, query: &TreePattern) {
+    let model = TfIdfModel::build(doc, index, query, Normalization::Sparse);
+    let result = evaluate(
+        doc,
+        index,
+        query,
+        &model,
+        &Algorithm::WhirlpoolS,
+        &EvalOptions::top_k(3),
+    );
+    assert!(result.answers.len() <= 3);
+}
+
+fn small_document() -> String {
+    write_document(
+        &generate(&GeneratorConfig::items(2)),
+        &WriteOptions::default(),
+    )
+}
+
+#[test]
+fn hostile_xml_parses_or_fails_cleanly() {
+    let src = small_document();
+    let q2 = parse_pattern(queries::Q2).unwrap();
+    assert!(parse_document(&src).is_ok());
+    let mut parsed = 0usize;
+    let mut total = 0usize;
+    for (label, bytes) in mutants(src.as_bytes(), src.len() / 24) {
+        total += 1;
+        survives(&label, &bytes, |text| {
+            if let Ok(doc) = parse_document(text) {
+                parsed += 1;
+                let index = TagIndex::build(&doc);
+                PathSynopsis::build(&doc);
+                whirlpool_s(&doc, &index, &q2);
+            }
+        });
+    }
+    // Both outcomes are exercised: most flips land in text and still
+    // parse, most cuts break the nesting.
+    assert!(0 < parsed && parsed < total, "{parsed} of {total} parsed");
+}
+
+#[test]
+fn hostile_xpath_parses_or_fails_cleanly() {
+    let doc = generate(&GeneratorConfig::items(2));
+    let index = TagIndex::build(&doc);
+    let mut parsed = 0usize;
+    let mut total = 0usize;
+    for query in QUERIES {
+        assert!(parse_pattern(query).is_ok(), "{query}");
+        for (label, bytes) in mutants(query.as_bytes(), 1) {
+            total += 1;
+            survives(&label, &bytes, |text| {
+                if let Ok(pattern) = parse_pattern(text) {
+                    parsed += 1;
+                    whirlpool_s(&doc, &index, &pattern);
+                }
+            });
+        }
+    }
+    assert!(0 < parsed && parsed < total, "{parsed} of {total} parsed");
+}

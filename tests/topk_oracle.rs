@@ -19,15 +19,17 @@
 //! any roots the oracle also scores there.
 
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use whirlpool_core::{
-    evaluate, evaluate_collection, Algorithm, Collection, CollectionOptions, EvalOptions,
-    MetricsSnapshot, QueuePolicy, RelaxMode,
+    evaluate, evaluate_collection, evaluate_view, Algorithm, Collection, CollectionOptions,
+    EvalOptions, MetricsSnapshot, QueuePolicy, RelaxMode,
 };
 use whirlpool_index::TagIndex;
 use whirlpool_pattern::{parse_pattern, Axis, QNodeId, TreePattern, WILDCARD};
 use whirlpool_score::{
     FixedScores, MatchLevel, Normalization, RandomScores, ScoreModel, TfIdfModel,
 };
+use whirlpool_store::{build_snapshot_bytes, save_snapshot, Snapshot};
 use whirlpool_xmark::{generate, queries, GeneratorConfig};
 use whirlpool_xml::{Document, DocumentBuilder, NodeId};
 
@@ -294,7 +296,8 @@ fn check_relaxed_counters(
 
 /// Every engine × k ∈ {1, 2, |roots| − 1, |roots|, |roots| + 2} (the
 /// last three never fill the top-k set before every root is seeded) ×
-/// relax mode against the oracle.
+/// relax mode × backing (the parsed document, and its snapshot) against
+/// the oracle.
 fn assert_engines_match_oracle(
     doc: &Document,
     pattern: &TreePattern,
@@ -303,6 +306,11 @@ fn assert_engines_match_oracle(
     label: &str,
 ) {
     let index = TagIndex::build(doc);
+    let snapshot = Snapshot::from_bytes(&build_snapshot_bytes(doc, &index)).unwrap();
+    let backings = [
+        ("owned", doc.into(), index.view()),
+        ("mapped", snapshot.doc_view(), snapshot.index_view()),
+    ];
     for relax in [RelaxMode::Relaxed, RelaxMode::Exact] {
         let truth = oracle(doc, pattern, model, relax);
         let roots = root_candidates(doc, pattern).len();
@@ -317,35 +325,38 @@ fn assert_engines_match_oracle(
         ks.dedup();
         for k in ks {
             for (algorithm, threads) in all_engines() {
-                let mut options = EvalOptions::top_k(k);
-                options.relax = relax;
-                options.threads = threads;
-                let result = evaluate(doc, &index, pattern, model, &algorithm, &options);
-                assert!(result.completeness.is_exact());
-                let got: Vec<(NodeId, f64)> = result
-                    .answers
-                    .iter()
-                    .map(|a| (a.root, a.score.value()))
-                    .collect();
-                let what = format!(
-                    "{label} {pattern} {relax:?} k={k} {}@{threads}",
-                    algorithm.name()
-                );
-                check_topk(&what, &got, &truth, k);
-                let m = &result.metrics;
-                assert!(m.roots_unseeded <= roots as u64, "{what}: {m:?}");
-                if relax == RelaxMode::Relaxed {
-                    // Only a single-node pattern's seeds are answers
-                    // without an operation.
-                    let unprocessed_answers = if pattern.len() == 1 { got.len() } else { 0 };
-                    check_relaxed_counters(
-                        &what,
-                        m,
-                        (&algorithm, threads),
-                        roots as u64,
-                        uniform_roots,
-                        unprocessed_answers as u64,
+                for &(backing, doc_view, index_view) in &backings {
+                    let mut options = EvalOptions::top_k(k);
+                    options.relax = relax;
+                    options.threads = threads;
+                    let result =
+                        evaluate_view(doc_view, index_view, pattern, model, &algorithm, &options);
+                    assert!(result.completeness.is_exact());
+                    let got: Vec<(NodeId, f64)> = result
+                        .answers
+                        .iter()
+                        .map(|a| (a.root, a.score.value()))
+                        .collect();
+                    let what = format!(
+                        "{label} {pattern} {relax:?} k={k} {}@{threads} {backing}",
+                        algorithm.name()
                     );
+                    check_topk(&what, &got, &truth, k);
+                    let m = &result.metrics;
+                    assert!(m.roots_unseeded <= roots as u64, "{what}: {m:?}");
+                    if relax == RelaxMode::Relaxed {
+                        // Only a single-node pattern's seeds are answers
+                        // without an operation.
+                        let unprocessed_answers = if pattern.len() == 1 { got.len() } else { 0 };
+                        check_relaxed_counters(
+                            &what,
+                            m,
+                            (&algorithm, threads),
+                            roots as u64,
+                            uniform_roots,
+                            unprocessed_answers as u64,
+                        );
+                    }
                 }
             }
         }
@@ -443,53 +454,75 @@ proptest! {
     }
 
     /// A two-shard collection returns the enumeration's corpus-wide
-    /// top-k under the corpus model, pruned or scanned.
+    /// top-k under the corpus model, pruned or scanned: parsed shards,
+    /// and the same shards as lazy snapshots with one resident at a time,
+    /// each under its own collection's model.
     #[test]
     fn two_shard_collection_matches_the_enumeration(
         left in tree_strategy(),
         right in tree_strategy(),
     ) {
         let docs = [build_doc(&left), build_doc(&right)];
-        let mut collection = Collection::new();
-        collection.add_document("s0", build_doc(&left));
-        collection.add_document("s1", build_doc(&right));
-        for q in PATTERNS {
-            let pattern = parse_pattern(q).unwrap();
-            let model = collection.corpus_stats(&pattern).model(Normalization::Sparse);
-            for relax in [RelaxMode::Relaxed, RelaxMode::Exact] {
-                let truth: Vec<((usize, NodeId), f64)> = docs
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(shard, doc)| {
-                        oracle(doc, &pattern, &model, relax)
-                            .into_iter()
-                            .map(move |(root, s)| ((shard, root), s))
-                    })
-                    .collect();
-                for k in [1, 2, truth.len().max(1)] {
-                    for copts in [CollectionOptions::default(), CollectionOptions::scan_all()] {
-                        let mut options = EvalOptions::top_k(k);
-                        options.relax = relax;
-                        let result = evaluate_collection(
-                            &collection,
-                            &pattern,
-                            &Algorithm::WhirlpoolS,
-                            &options,
-                            Normalization::Sparse,
-                            &copts,
-                        );
-                        let got: Vec<((usize, NodeId), f64)> = result
-                            .answers
-                            .iter()
-                            .map(|a| ((a.shard, a.root), a.score.value()))
-                            .collect();
-                        let what = format!("{pattern} {relax:?} k={k} {copts:?}");
-                        check_topk(&what, &got, &truth, k);
+        let mut parsed = Collection::new();
+        parsed.add_document("s0", build_doc(&left));
+        parsed.add_document("s1", build_doc(&right));
+        let dir = write_snapshot_dir(&docs);
+        let lazy = Collection::open_dir(&dir).unwrap();
+        lazy.set_max_resident(1);
+        for (backing, collection) in [("parsed", &parsed), ("lazy", &lazy)] {
+            for q in PATTERNS {
+                let pattern = parse_pattern(q).unwrap();
+                let model = collection.corpus_stats(&pattern).model(Normalization::Sparse);
+                for relax in [RelaxMode::Relaxed, RelaxMode::Exact] {
+                    let truth: Vec<((usize, NodeId), f64)> = docs
+                        .iter()
+                        .enumerate()
+                        .flat_map(|(shard, doc)| {
+                            oracle(doc, &pattern, &model, relax)
+                                .into_iter()
+                                .map(move |(root, s)| ((shard, root), s))
+                        })
+                        .collect();
+                    for k in [1, 2, truth.len().max(1)] {
+                        for copts in [CollectionOptions::default(), CollectionOptions::scan_all()] {
+                            let mut options = EvalOptions::top_k(k);
+                            options.relax = relax;
+                            let result = evaluate_collection(
+                                collection,
+                                &pattern,
+                                &Algorithm::WhirlpoolS,
+                                &options,
+                                Normalization::Sparse,
+                                &copts,
+                            );
+                            let got: Vec<((usize, NodeId), f64)> = result
+                                .answers
+                                .iter()
+                                .map(|a| ((a.shard, a.root), a.score.value()))
+                                .collect();
+                            let what = format!("{backing} {pattern} {relax:?} k={k} {copts:?}");
+                            check_topk(&what, &got, &truth, k);
+                        }
                     }
                 }
             }
         }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// Writes each document as a snapshot shard `s{i}.wps` in a fresh
+/// temp dir.
+fn write_snapshot_dir(docs: &[Document]) -> std::path::PathBuf {
+    static COUNTER: AtomicUsize = AtomicUsize::new(0);
+    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("wp-oracle-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    for (i, doc) in docs.iter().enumerate() {
+        save_snapshot(doc, &TagIndex::build(doc), dir.join(format!("s{i}.wps"))).unwrap();
+    }
+    dir
 }
 
 #[test]
