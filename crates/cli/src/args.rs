@@ -1,5 +1,5 @@
 //! Minimal flag parsing (no external dependency): positional arguments
-//! plus `--flag` / `--flag value` options.
+//! plus the `--flag` / `--flag value` options each command declares.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -33,10 +33,15 @@ fn err(message: impl Into<String>) -> ArgError {
 
 impl Parsed {
     /// Parses `argv`. `value_flags` lists the flags that consume a
-    /// value; all other `--flags` are boolean.
-    pub fn parse(argv: &[&str], value_flags: &[&str]) -> Result<Parsed, ArgError> {
+    /// value and `bool_flags` the flags that do not; any other `--flag`
+    /// is an error naming it.
+    pub fn parse(
+        argv: &[&str],
+        value_flags: &[&str],
+        bool_flags: &[&str],
+    ) -> Result<Parsed, ArgError> {
         let mut parsed = Parsed::default();
-        let mut it = argv.iter().peekable();
+        let mut it = argv.iter();
         while let Some(&token) = it.next() {
             if let Some(name) = token.strip_prefix("--") {
                 if name.is_empty() {
@@ -52,8 +57,10 @@ impl Parsed {
                     parsed
                         .options
                         .insert(name.to_string(), Some(value.to_string()));
-                } else {
+                } else if bool_flags.contains(&name) {
                     parsed.options.insert(name.to_string(), None);
+                } else {
+                    return Err(err(format!("unknown flag --{name}")));
                 }
             } else {
                 parsed.positional.push(token.to_string());
@@ -109,7 +116,7 @@ mod tests {
     use super::*;
 
     fn p(argv: &[&str]) -> Result<Parsed, ArgError> {
-        Parsed::parse(argv, &["k", "seed"])
+        Parsed::parse(argv, &["k", "seed"], &["xml", "exact"])
     }
 
     #[test]
@@ -134,6 +141,12 @@ mod tests {
     fn duplicate_flag_is_an_error() {
         let e = p(&["--xml", "--xml"]).unwrap_err();
         assert!(e.message.contains("twice"), "{e}");
+    }
+
+    #[test]
+    fn unknown_flag_is_an_error_naming_it() {
+        let e = p(&["--xlm"]).unwrap_err();
+        assert_eq!(e.message, "unknown flag --xlm");
     }
 
     #[test]

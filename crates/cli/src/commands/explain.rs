@@ -12,7 +12,7 @@ use whirlpool_pattern::Direction;
 use whirlpool_score::{Normalization, TfIdfModel};
 
 pub fn run(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
-    let parsed = Parsed::parse(argv, &[])?;
+    let parsed = Parsed::parse(argv, &[], &[])?;
     let file = parsed.positional(0, "file.xml")?.to_string();
     let query_src = parsed.positional(1, "query")?.to_string();
     parsed.expect_positionals(2)?;

@@ -7,7 +7,7 @@ use whirlpool_xmark::{generate, GeneratorConfig};
 use whirlpool_xml::{write_document, DocumentStats, WriteOptions};
 
 pub fn run(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
-    let parsed = Parsed::parse(argv, &["mb", "items", "seed"])?;
+    let parsed = Parsed::parse(argv, &["mb", "items", "seed"], &[])?;
     let path = parsed.positional(0, "out.xml")?.to_string();
     parsed.expect_positionals(1)?;
 

@@ -12,9 +12,15 @@ use crate::CliError;
 use whirlpool_pattern::{parse_pattern, TreePattern};
 use whirlpool_xml::{parse_document, Document};
 
+/// Is `path` a snapshot this build attaches? Files of other store
+/// versions are not: they reach [`load_document`], which refuses them.
+pub(crate) fn is_snapshot(path: &str) -> bool {
+    whirlpool_store::store_version(path) == Some(whirlpool_store::SNAPSHOT_VERSION)
+}
+
 /// Loads a document by parsing XML. Binary store files — snapshots,
-/// or the retired v1 format — are refused by magic, never fed to the
-/// XML parser.
+/// or the retired v1 and v2 formats — are refused by magic, never fed
+/// to the XML parser.
 pub(crate) fn load_document(path: &str) -> Result<Document, CliError> {
     if let Some(version) = whirlpool_store::store_version(path) {
         return Err(CliError::Usage(format!(

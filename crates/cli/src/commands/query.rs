@@ -2,7 +2,7 @@
 //! multi-document collection.
 
 use crate::args::Parsed;
-use crate::commands::{load_document, load_query};
+use crate::commands::{is_snapshot, load_document, load_query};
 use crate::CliError;
 use std::io::Write;
 use std::time::Duration;
@@ -13,11 +13,11 @@ use whirlpool_core::{
 use whirlpool_index::{DocView, TagIndex, TagIndexView};
 use whirlpool_pattern::StaticPlan;
 use whirlpool_score::{Normalization, TfIdfModel};
-use whirlpool_store::{is_snapshot_version, Snapshot};
+use whirlpool_store::Snapshot;
 use whirlpool_xml::{Document, WriteOptions};
 
 /// How the single-document path got its corpus: parsed + indexed in
-/// memory, or attached zero-copy from a snapshot (v2 or v3).
+/// memory, or attached zero-copy from a snapshot.
 #[allow(clippy::large_enum_variant)] // one per query invocation, never in bulk arrays
 enum DocSource {
     Parsed {
@@ -34,11 +34,11 @@ enum DocSource {
 }
 
 impl DocSource {
-    /// Opens `path`: snapshot files (v2 or v3) attach (mmap); anything
-    /// else parses and indexes. `force_snapshot` (the `--snapshot`
-    /// flag) rejects non-snapshot files instead of falling back.
+    /// Opens `path`: snapshot files attach (mmap); anything else parses
+    /// and indexes. `force_snapshot` (the `--snapshot` flag) rejects
+    /// non-snapshot files instead of falling back.
     fn open(path: &str, force_snapshot: bool) -> Result<DocSource, CliError> {
-        let is_snapshot = whirlpool_store::store_version(path).is_some_and(is_snapshot_version);
+        let is_snapshot = is_snapshot(path);
         if force_snapshot && !is_snapshot {
             return Err(CliError::Usage(format!(
                 "--snapshot: {path} is not a snapshot \
@@ -91,7 +91,6 @@ pub fn run(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
             "routing",
             "queue",
             "norm",
-            "batch",
             "deadline-ms",
             "max-ops",
             "fault",
@@ -102,6 +101,15 @@ pub fn run(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
             "split",
             "snapshot",
             "max-resident",
+        ],
+        &[
+            "exact",
+            "xml",
+            "json",
+            "stats",
+            "explain",
+            "no-shard-pruning",
+            "no-share-threshold",
         ],
     )?;
     // Positional shapes: `<file.xml> <query>` (single document, the
@@ -416,11 +424,11 @@ fn build_collection(
     Ok(collection)
 }
 
-/// Adds one file to the collection: snapshots (v2 or v3) go in as lazy
-/// shards — only their synopses are read until a query visits them —
-/// anything else parses and indexes.
+/// Adds one file to the collection: snapshots go in as lazy shards —
+/// only their synopses are read until a query visits them — anything
+/// else parses and indexes.
 fn add_shard(collection: &mut Collection, path: &str) -> Result<(), CliError> {
-    if whirlpool_store::store_version(path).is_some_and(is_snapshot_version) {
+    if is_snapshot(path) {
         return collection
             .attach_snapshot_file(path)
             .map_err(|e| CliError::Parse(format!("{path}: {e}")));
@@ -515,9 +523,9 @@ fn run_collection(
 
 /// Each answer's `id` attribute and (with `xml`) its serialized
 /// fragment, in rank order. Read through
-/// [`Collection::visit_answers`], not `Shard::doc()`: an answer's shard
-/// may be lazy (and even evicted since its run), and is re-attached
-/// once however the answers interleave.
+/// [`Collection::visit_answers`]: an answer's shard may be lazy (and
+/// even evicted since its run), and is re-attached once however the
+/// answers interleave.
 fn answer_texts(
     collection: &Collection,
     result: &whirlpool_core::CollectionResult,

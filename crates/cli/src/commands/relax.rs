@@ -7,7 +7,7 @@ use std::io::Write;
 use whirlpool_pattern::relax::{applicable, apply, enumerate, fully_relaxed, Relaxation};
 
 pub fn run(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
-    let parsed = Parsed::parse(argv, &["limit"])?;
+    let parsed = Parsed::parse(argv, &["limit"], &[])?;
     let query_src = parsed.positional(0, "query")?.to_string();
     parsed.expect_positionals(1)?;
     let limit: usize = parsed.number("limit", 10_000)?;

@@ -1,13 +1,12 @@
 //! `whirlpool serve` — the long-lived query daemon.
 
 use crate::args::Parsed;
-use crate::commands::load_document;
+use crate::commands::{is_snapshot, load_document};
 use crate::CliError;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 use whirlpool_serve::{DocState, Prepare, Registry, ServeConfig};
-use whirlpool_store::is_snapshot_version;
 
 const VALUE_FLAGS: &[&str] = &[
     "addr",
@@ -32,8 +31,7 @@ fn stem(path: &str) -> String {
 
 /// Loads one positional into a `DocState`, warmest path first:
 ///
-/// 1. the file *is* a snapshot (any supported version) → attach it
-///    zero-copy;
+/// 1. the file *is* a snapshot → attach it zero-copy;
 /// 2. `--snapshot-dir` holds a fresh `<stem>.wps` → *peek* it: only
 ///    the header and synopsis load at boot, the arrays attach on the
 ///    first query that needs them (stale ones — older than the source
@@ -41,7 +39,7 @@ fn stem(path: &str) -> String {
 ///    snapshotter rewrites them);
 /// 3. otherwise parse + index (the cold path).
 fn load_state(path: &str, snapshot_dir: Option<&Path>) -> Result<DocState, CliError> {
-    if whirlpool_store::store_version(path).is_some_and(is_snapshot_version) {
+    if is_snapshot(path) {
         return DocState::attach(stem(path), path)
             .map_err(|e| CliError::Parse(format!("{path}: {e}")));
     }
@@ -68,7 +66,7 @@ fn load_state(path: &str, snapshot_dir: Option<&Path>) -> Result<DocState, CliEr
 /// Parses flags and documents; pulled out of `run` so the daemonless
 /// half is unit-testable.
 fn configure(argv: &[&str]) -> Result<(ServeConfig, Registry), CliError> {
-    let parsed = Parsed::parse(argv, VALUE_FLAGS)?;
+    let parsed = Parsed::parse(argv, VALUE_FLAGS, &[])?;
     if parsed.positional_len() == 0 {
         return Err(CliError::Usage(
             "serve needs at least one <file.xml> to load".into(),
@@ -219,7 +217,19 @@ mod tests {
             "nothing attached before a query"
         );
 
+        // A fresh cached snapshot of a retired version boots cold.
+        let mut bytes = std::fs::read(cache.join("books.wps")).unwrap();
+        bytes[4] = 2;
+        std::fs::write(cache.join("books.wps"), bytes).unwrap();
+        let (_, registry) = configure(&[&xml, "--snapshot-dir", &dir_flag]).unwrap();
+        assert_eq!(
+            registry.get("books").unwrap().prepare.stat_name(),
+            "index_build_ms",
+            "a version-2 snapshot must fall back to a parse"
+        );
+
         // A stale snapshot (source rewritten after it) is ignored.
+        whirlpool_store::save_snapshot(&doc, &index, cache.join("books.wps")).unwrap();
         std::thread::sleep(std::time::Duration::from_millis(20));
         let xml = write_doc(
             &dir,

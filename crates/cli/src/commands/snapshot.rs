@@ -1,7 +1,7 @@
 //! `whirlpool snapshot` — build, verify, and inspect index snapshots
 //! (the zero-copy mmap format that lets `query` and `serve` attach to
-//! a prebuilt corpus in milliseconds; v3 adds a stored path synopsis
-//! for attach-free shard pruning).
+//! a prebuilt corpus in milliseconds, with a stored path synopsis for
+//! attach-free shard pruning).
 
 use crate::args::Parsed;
 use crate::commands::load_document;
@@ -9,7 +9,7 @@ use crate::CliError;
 use std::io::Write;
 use std::time::Instant;
 use whirlpool_index::TagIndex;
-use whirlpool_store::{AttachMode, Snapshot, SnapshotOptions};
+use whirlpool_store::{Snapshot, SNAPSHOT_VERSION};
 
 pub fn run(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
     let action = argv.first().copied().unwrap_or("");
@@ -24,19 +24,15 @@ pub fn run(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
     }
 }
 
-/// `snapshot build <in.xml> <out.wps> [--no-path-synopsis]` — parse +
-/// index once, write the flat-array snapshot that later runs attach
-/// without rebuilding. The stored path synopsis (on by default) is
-/// what lets lazy collections prune the shard without attaching it;
-/// `--no-path-synopsis` writes the old v2 layout instead.
+/// `snapshot build <in.xml> <out.wps>` — parse + index once, write the
+/// flat-array snapshot that later runs attach without rebuilding. Its
+/// stored path synopsis is what lets lazy collections prune the shard
+/// without attaching it.
 fn build(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
-    let parsed = Parsed::parse(argv, &[])?;
+    let parsed = Parsed::parse(argv, &[], &[])?;
     let input = parsed.positional(0, "in.xml")?.to_string();
     let output = parsed.positional(1, "out.wps")?.to_string();
     parsed.expect_positionals(2)?;
-    let opts = SnapshotOptions {
-        path_synopsis: !parsed.flag("no-path-synopsis"),
-    };
 
     let start = Instant::now();
     let doc = load_document(&input)?;
@@ -44,7 +40,7 @@ fn build(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
     let build_time = start.elapsed();
 
     let start = Instant::now();
-    whirlpool_store::save_snapshot_with(&doc, &index, &output, &opts)
+    whirlpool_store::save_snapshot(&doc, &index, &output)
         .map_err(|e| CliError::Usage(format!("cannot write {output}: {e}")))?;
     let write_time = start.elapsed();
 
@@ -61,16 +57,12 @@ fn build(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
 /// `snapshot verify <file.wps>` — full attach (checksum + structural
 /// validation); exits non-zero on any corruption.
 fn verify(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
-    let parsed = Parsed::parse(argv, &[])?;
+    let parsed = Parsed::parse(argv, &[], &[])?;
     let path = parsed.positional(0, "file.wps")?.to_string();
     parsed.expect_positionals(1)?;
 
     let start = Instant::now();
-    // Read mode folds the checksum over every byte through a plain
-    // read, so verification never reports "ok" off a stale page cache
-    // mapping.
-    let snapshot = Snapshot::attach_with(&path, AttachMode::Read)
-        .map_err(|e| CliError::Parse(format!("{path}: {e}")))?;
+    let snapshot = Snapshot::attach(&path).map_err(|e| CliError::Parse(format!("{path}: {e}")))?;
     writeln!(
         out,
         "ok: {path} ({} elements, {} tags, {} bytes, verified in {:?})",
@@ -85,7 +77,7 @@ fn verify(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
 /// `snapshot info <file.wps>` — attach and report what the file holds
 /// and how it was mapped.
 fn info(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
-    let parsed = Parsed::parse(argv, &[])?;
+    let parsed = Parsed::parse(argv, &[], &[])?;
     let path = parsed.positional(0, "file.wps")?.to_string();
     parsed.expect_positionals(1)?;
 
@@ -94,7 +86,7 @@ fn info(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
     let attach = start.elapsed();
     let synopsis = snapshot.synopsis();
     writeln!(out, "snapshot:  {path}")?;
-    writeln!(out, "version:   {}", snapshot.version())?;
+    writeln!(out, "version:   {SNAPSHOT_VERSION}")?;
     writeln!(out, "elements:  {}", snapshot.node_count() - 1)?;
     writeln!(out, "tags:      {}", snapshot.tag_count())?;
     writeln!(out, "bytes:     {}", snapshot.file_len())?;
@@ -108,20 +100,18 @@ fn info(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
         }
     )?;
     writeln!(out, "attach:    {attach:?}")?;
-    match snapshot.path_synopsis() {
-        Some(ps) => writeln!(
-            out,
-            "paths:     {} stored (depth cap {}{})",
-            ps.len(),
-            ps.depth_cap(),
-            if ps.truncated() {
-                ", truncated — ceiling fallback to tag counts"
-            } else {
-                ""
-            }
-        )?,
-        None => writeln!(out, "paths:     none (v2 file or --no-path-synopsis build)")?,
-    }
+    let paths = snapshot.path_synopsis();
+    writeln!(
+        out,
+        "paths:     {} stored (depth cap {}{})",
+        paths.len(),
+        paths.depth_cap(),
+        if paths.truncated() {
+            ", truncated — ceiling fallback to tag counts"
+        } else {
+            ""
+        }
+    )?;
     let mut tags: Vec<(&str, u64)> = synopsis.tags().collect();
     tags.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
     writeln!(out, "top tags:")?;

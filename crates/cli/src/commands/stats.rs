@@ -7,7 +7,7 @@ use std::io::Write;
 use whirlpool_xml::DocumentStats;
 
 pub fn run(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
-    let parsed = Parsed::parse(argv, &[])?;
+    let parsed = Parsed::parse(argv, &[], &[])?;
     let file = parsed.positional(0, "file.xml")?.to_string();
     parsed.expect_positionals(1)?;
 

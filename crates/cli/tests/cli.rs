@@ -308,13 +308,25 @@ fn binary_stores_get_a_typed_error_from_xml_commands() {
     );
     run_ok(&["snapshot", "build", xml, snap]);
 
-    let argvs: [&[&str]; 6] = [
+    // A version-2 snapshot (the layout before stored synopses) is a
+    // retired store too, given directly or inside a collection.
+    let v2_dir = scratch("v2-store");
+    std::fs::create_dir_all(&v2_dir).unwrap();
+    let mut bytes = std::fs::read(snap).unwrap();
+    bytes[4] = 2;
+    let v2 = v2_dir.join("old.wps");
+    std::fs::write(&v2, bytes).unwrap();
+    let (v2, v2_dir) = (v2.to_str().unwrap(), v2_dir.to_str().unwrap());
+
+    let argvs: [&[&str]; 8] = [
         &["query", v1, "//book[./title]"],
         &["query", v1, xml, "//book[./title]"],
         &["stats", v1],
         &["explain", v1, "//book[./title]"],
         &["stats", snap],
         &["explain", snap, "//book[./title]"],
+        &["query", v2, "//book[./title]"],
+        &["query", "--collection", v2_dir, "//book[./title]"],
     ];
     for argv in argvs {
         let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
@@ -335,6 +347,35 @@ fn binary_stores_get_a_typed_error_from_xml_commands() {
     assert!(out.contains("answers:   3"), "{out}");
 
     assert!(run_err(&["index", "in.xml", "out.wpx"]).contains("unknown command"));
+}
+
+/// A flag a command does not declare is a usage error naming it, never
+/// silently ignored.
+#[test]
+fn unknown_flags_are_usage_errors_naming_the_flag() {
+    let xml = sample_file();
+    let xml = xml.to_str().unwrap();
+    let out = scratch("never-written.wps");
+    let argvs: [&[&str]; 2] = [
+        &["query", xml, "//book[./title]", "--stat"],
+        &[
+            "snapshot",
+            "build",
+            xml,
+            out.to_str().unwrap(),
+            "--no-path-synopsis",
+        ],
+    ];
+    for argv in argvs {
+        let flag = argv.last().unwrap();
+        let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
+        let err = run(&argv, &mut Vec::new()).expect_err("an unknown flag must be refused");
+        assert!(
+            matches!(&err, whirlpool_cli::CliError::Usage(m) if m.contains(flag)),
+            "{argv:?}: {err:?}"
+        );
+    }
+    assert!(!out.exists(), "a refused build writes nothing");
 }
 
 #[test]
@@ -552,6 +593,8 @@ fn snapshot_build_verify_info_and_query_pipeline() {
     assert!(verify.starts_with("ok:"), "{verify}");
     let info = run_ok(&["snapshot", "info", snap.to_str().unwrap()]);
     assert!(info.contains("elements:  9"), "{info}");
+    assert!(info.contains("version:   3"), "{info}");
+    assert!(info.contains("paths:"), "{info}");
     assert!(info.contains("book"), "{info}");
 
     // Query through --snapshot: same answers as the parsed run, and the

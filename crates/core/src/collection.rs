@@ -75,27 +75,25 @@ struct LazyShard {
 }
 
 /// How a [`Shard`] holds its document: an owned arena built by the
-/// parser, a snapshot attached (usually mmap'd) from disk, or a lazy
-/// snapshot attached on first access and evictable between accesses.
-/// Every consumer goes through the [`DocView`]/[`TagIndexView`]
-/// accessors (via [`Collection::acquire`] for lazy shards), so the
-/// backings are interchangeable at query time.
+/// parser, or a snapshot file attached (usually mmap'd) on access and
+/// evictable between accesses. Every consumer goes through the
+/// [`DocView`]/[`TagIndexView`] accessors of [`Collection::acquire`],
+/// so the backings are interchangeable at query time.
 #[allow(clippy::large_enum_variant)] // one per document, never in bulk arrays
 enum ShardBacking {
     Parsed { doc: Document, index: TagIndex },
-    Snapshot(Box<Snapshot>),
     Lazy(LazyShard),
 }
 
 /// One member of a [`Collection`]: a document with its index and
-/// synopsis, built at load time (parsed backing), attached in O(1)
-/// from a prebuilt snapshot file, or peeked from one and attached only
-/// when visited (lazy backing).
+/// synopses, built at load time (parsed backing), or a snapshot file
+/// attached at load or peeked and attached only when visited (lazy
+/// backing).
 pub struct Shard {
     name: String,
     backing: ShardBacking,
     synopsis: ShardSynopsis,
-    paths: Option<PathSynopsis>,
+    paths: PathSynopsis,
 }
 
 impl Shard {
@@ -108,36 +106,28 @@ impl Shard {
             name: name.into(),
             backing: ShardBacking::Parsed { doc, index },
             synopsis,
-            paths: Some(paths),
+            paths,
         }
     }
 
-    /// A shard over an attached snapshot. No parse or index build
-    /// happens: the snapshot's flat arrays serve queries directly and
-    /// its synopses (derived or stored at attach) drive shard pruning.
-    ///
-    /// A snapshot that knows its source file becomes a *lazy* shard
-    /// with the attachment pre-resident, so the residency manager can
-    /// evict it under [`Collection::set_max_resident`] pressure and
-    /// re-attach it from disk when next visited. A snapshot without a
-    /// source path (built in memory) stays eagerly resident forever.
-    pub fn attached(name: impl Into<String>, snapshot: Snapshot) -> Shard {
-        let synopsis = snapshot.synopsis().clone();
-        let paths = snapshot.path_synopsis().cloned();
-        let backing = match snapshot.source_path() {
-            Some(p) => ShardBacking::Lazy(LazyShard {
-                path: p.to_path_buf(),
+    /// A *lazy* shard over the snapshot file at `path`, attached now:
+    /// no parse or index build happens, the snapshot's flat arrays
+    /// serve queries directly and its stored synopses drive shard
+    /// pruning. The attachment starts resident, so the residency
+    /// manager can evict it under [`Collection::set_max_resident`]
+    /// pressure and re-attach it from disk when next visited.
+    pub fn attached(name: impl Into<String>, path: impl AsRef<Path>) -> Result<Shard, StoreError> {
+        let snapshot = Snapshot::attach(&path)?;
+        Ok(Shard {
+            name: name.into(),
+            synopsis: snapshot.synopsis().clone(),
+            paths: snapshot.path_synopsis().clone(),
+            backing: ShardBacking::Lazy(LazyShard {
+                path: path.as_ref().to_path_buf(),
                 resident: Mutex::new(Some(Arc::new(snapshot))),
                 peeked: false,
             }),
-            None => ShardBacking::Snapshot(Box::new(snapshot)),
-        };
-        Shard {
-            name: name.into(),
-            backing,
-            synopsis,
-            paths,
-        }
+        })
     }
 
     /// A *lazy* shard over the snapshot file at `path`: only the header
@@ -161,38 +151,6 @@ impl Shard {
     /// shards).
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The shard's document, as a view over either eager backing.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a lazy shard — the view's lifetime cannot outlive the
-    /// residency slot. Go through [`Collection::acquire`] instead.
-    pub fn doc(&self) -> DocView<'_> {
-        match &self.backing {
-            ShardBacking::Parsed { doc, .. } => doc.into(),
-            ShardBacking::Snapshot(s) => s.doc_view(),
-            ShardBacking::Lazy(_) => {
-                panic!("lazy shard has no borrowable doc; use Collection::acquire")
-            }
-        }
-    }
-
-    /// The shard's tag/value postings, as a view over either eager
-    /// backing.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a lazy shard, like [`Shard::doc`].
-    pub fn index(&self) -> TagIndexView<'_> {
-        match &self.backing {
-            ShardBacking::Parsed { index, .. } => index.view(),
-            ShardBacking::Snapshot(s) => s.index_view(),
-            ShardBacking::Lazy(_) => {
-                panic!("lazy shard has no borrowable index; use Collection::acquire")
-            }
-        }
     }
 
     /// The owned document and index, when this shard was parsed rather
@@ -219,9 +177,9 @@ impl Shard {
         matches!(&self.backing, ShardBacking::Lazy(l) if l.peeked)
     }
 
-    /// Is this shard's data in memory right now? Eager backings are
-    /// always resident; a lazy shard is resident between its first
-    /// access and its eviction.
+    /// Is this shard's data in memory right now? A parsed shard always
+    /// is; a lazy shard is resident between an attach and its
+    /// eviction.
     pub fn is_resident(&self) -> bool {
         match &self.backing {
             ShardBacking::Lazy(l) => l.resident.lock().is_some(),
@@ -234,11 +192,11 @@ impl Shard {
         &self.synopsis
     }
 
-    /// The shard's stored path synopsis, when one was peeked or carried
-    /// by its snapshot (v3 files) or built at parse time. Drives the
-    /// path-aware ceiling refinement in [`shard_ceiling_with_paths`].
-    pub fn path_synopsis(&self) -> Option<&PathSynopsis> {
-        self.paths.as_ref()
+    /// The shard's path synopsis: stored in its snapshot, or built at
+    /// parse time. Drives the path-aware ceiling refinement in
+    /// [`shard_ceiling_with_paths`].
+    pub fn path_synopsis(&self) -> &PathSynopsis {
+        &self.paths
     }
 }
 
@@ -248,7 +206,7 @@ impl Shard {
 /// the shard evictable again.
 #[allow(clippy::large_enum_variant)] // one per in-flight shard evaluation
 pub enum ShardAccess<'c> {
-    /// An eager shard, borrowed straight from the collection.
+    /// A parsed shard, borrowed straight from the collection.
     Borrowed {
         /// The shard's document view.
         doc: DocView<'c>,
@@ -321,9 +279,15 @@ impl Collection {
         self.push(Shard::parsed(name, doc, index));
     }
 
-    /// Adds an attached snapshot as one shard ([`Shard::attached`]).
-    pub fn add_snapshot(&mut self, name: impl Into<String>, snapshot: Snapshot) {
-        self.push(Shard::attached(name, snapshot));
+    /// Attaches the snapshot file at `path` and adds it as one shard
+    /// ([`Shard::attached`]).
+    pub fn add_snapshot(
+        &mut self,
+        name: impl Into<String>,
+        path: impl AsRef<Path>,
+    ) -> Result<(), StoreError> {
+        self.push(Shard::attached(name, path)?);
+        Ok(())
     }
 
     /// Adds the snapshot file at `path` as one lazy shard
@@ -400,12 +364,6 @@ impl Collection {
                 return Ok(ShardAccess::Borrowed {
                     doc: doc.into(),
                     index: index.view(),
-                })
-            }
-            ShardBacking::Snapshot(s) => {
-                return Ok(ShardAccess::Borrowed {
-                    doc: s.doc_view(),
-                    index: s.index_view(),
                 })
             }
             ShardBacking::Lazy(l) => l,
@@ -640,7 +598,7 @@ impl Collection {
         relax: RelaxMode,
     ) -> Option<Score> {
         let shard = &self.shards[shard_idx];
-        shard_ceiling_with_paths(&shard.synopsis, shard.paths.as_ref(), pattern, model, relax)
+        shard_ceiling_with_paths(&shard.synopsis, &shard.paths, pattern, model, relax)
     }
 }
 
@@ -664,7 +622,7 @@ impl Collection {
 /// the answer tag — empties the shard.
 ///
 /// This is the tag-count bound alone — [`shard_ceiling_with_paths`]
-/// with no path synopsis — which the path-aware ceiling the driver
+/// without its path tests — which the path-aware ceiling the driver
 /// uses must never exceed.
 pub fn shard_ceiling(
     synopsis: &ShardSynopsis,
@@ -672,7 +630,7 @@ pub fn shard_ceiling(
     model: &TfIdfModel,
     relax: RelaxMode,
 ) -> Option<Score> {
-    shard_ceiling_with_paths(synopsis, None, pattern, model, relax)
+    ceiling(synopsis, None, pattern, model, relax)
 }
 
 /// Maps a pattern axis onto the (dependency-free) path-synopsis axis.
@@ -701,8 +659,8 @@ fn literal_steps(pattern: &TreePattern, to: QNodeId) -> Vec<(PathAxis, &str)> {
     rev
 }
 
-/// [`shard_ceiling`] refined by a stored path synopsis, when one is
-/// present and definitive (untruncated).
+/// [`shard_ceiling`] refined by the shard's path synopsis, when that
+/// is definitive (untruncated).
 ///
 /// Tag counts alone cannot tell *arrangement*: a shard can hold every
 /// tag the query names and still hold no answer because the tags never
@@ -727,10 +685,22 @@ fn literal_steps(pattern: &TreePattern, to: QNodeId) -> Vec<(PathAxis, &str)> {
 ///   maximum drops out of the sum.
 ///
 /// A truncated synopsis digests only *some* paths, so "no stored path
-/// matches" stops being a proof of absence; in that case (and when
-/// `paths` is `None` — v2 snapshots, opt-out builds) the tag-count
+/// matches" stops being a proof of absence; in that case the tag-count
 /// bound is used unrefined.
 pub fn shard_ceiling_with_paths(
+    synopsis: &ShardSynopsis,
+    paths: &PathSynopsis,
+    pattern: &TreePattern,
+    model: &TfIdfModel,
+    relax: RelaxMode,
+) -> Option<Score> {
+    let definitive = Some(paths).filter(|p| p.is_definitive());
+    ceiling(synopsis, definitive, pattern, model, relax)
+}
+
+/// The ceiling both public forms compute: the tag-count bound, refined
+/// by `paths` when given.
+fn ceiling(
     synopsis: &ShardSynopsis,
     paths: Option<&PathSynopsis>,
     pattern: &TreePattern,
@@ -742,7 +712,6 @@ pub fn shard_ceiling_with_paths(
     if answer_tag != WILDCARD && !synopsis.has_tag(answer_tag) {
         return None;
     }
-    let paths = paths.filter(|p| p.is_definitive());
     if let Some(ps) = paths {
         if relax == RelaxMode::Exact
             && !ps.matches_query_path(&literal_steps(pattern, pattern.root()))
@@ -1644,7 +1613,7 @@ mod tests {
         assert_eq!(c.len(), 5);
         assert_eq!(c.resident_count(), 0, "open_dir attaches nothing");
         assert!(c.shards().iter().all(Shard::is_lazy));
-        assert!(c.shards()[0].path_synopsis().is_some(), "v3 carries paths");
+        assert!(c.shards()[0].path_synopsis().is_definitive());
 
         let pattern = q();
         let pruned = evaluate_collection(
@@ -1811,12 +1780,11 @@ mod tests {
     }
 
     #[test]
-    fn add_snapshot_with_source_path_is_evictable() {
+    fn add_snapshot_is_evictable() {
         let dir = snapshot_dir("addsnap", &[("only", RICH)]);
-        let snap = Snapshot::attach(dir.join("only.wps")).unwrap();
         let mut c = Collection::new();
-        c.add_snapshot("only", snap);
-        assert!(c.shards()[0].is_lazy(), "file-backed snapshot goes lazy");
+        c.add_snapshot("only", dir.join("only.wps")).unwrap();
+        assert!(c.shards()[0].is_lazy(), "an attached snapshot is lazy");
         assert!(c.shards()[0].is_resident(), "and starts resident");
         assert_eq!(c.resident_count(), 1);
         // Evictable: attach another shard under a cap of 1.

@@ -14,7 +14,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 use whirlpool_core::{Collection, Shard};
 use whirlpool_index::TagIndex;
-use whirlpool_store::{Snapshot, StoreError};
+use whirlpool_store::StoreError;
 use whirlpool_xml::Document;
 
 /// How a document became queryable, and what it cost.
@@ -107,10 +107,10 @@ impl DocState {
     ) -> Result<DocState, StoreError> {
         let name = name.into();
         let start = Instant::now();
-        let snapshot = Snapshot::attach(path)?;
+        let shard = Shard::attached(name.clone(), path)?;
         let ms = start.elapsed().as_secs_f64() * 1e3;
         Ok(DocState {
-            shard: Shard::attached(name.clone(), snapshot),
+            shard,
             name,
             prepare: Prepare::Attached { ms },
         })
@@ -288,7 +288,10 @@ mod tests {
         let peeked = DocState::peek("s", &path).unwrap();
         assert_eq!(peeked.prepare.stat_name(), "snapshot_peek_ms");
         assert!(peeked.shard().admitted_by_peek() && !peeked.shard().is_resident());
-        assert!(peeked.shard().path_synopsis().is_some(), "v3 carries paths");
+        assert_eq!(
+            peeked.shard().path_synopsis(),
+            attached.shard().path_synopsis()
+        );
 
         let mut r = Registry::new();
         r.insert(parsed);

@@ -5,9 +5,8 @@
 //! query-time state, so a warm start attaches instead of parsing and
 //! indexing. The format, its validation argument and the
 //! [`Snapshot::peek`] header path are documented in the `snapshot`
-//! module source; this file holds what the format versions share — the
-//! magic, the FNV-1a constants, [`StoreError`] and
-//! [`store_version`] sniffing.
+//! module source; this file holds the magic, the FNV-1a constants,
+//! [`StoreError`] and [`store_version`] sniffing.
 //!
 //! ```
 //! use whirlpool_store::{build_snapshot_bytes, Snapshot};
@@ -18,11 +17,11 @@
 //! assert_eq!(snapshot.doc_view().len(), doc.len());
 //! ```
 //!
-//! Files carry the magic `"WPLX"` and a `u32` version: 2 and 3 are the
-//! snapshot family (see [`is_snapshot_version`]); 1 was a streamed
-//! document store this crate no longer reads or writes — such files
-//! are still recognised by [`store_version`] so callers can name them
-//! in an error instead of mis-parsing them.
+//! Files carry the magic `"WPLX"` and a `u32` version. This crate
+//! reads and writes [`SNAPSHOT_VERSION`] (3) only; 1 (a streamed
+//! document store) and 2 (snapshots without stored synopses) are still
+//! recognised by [`store_version`] so callers can name them in an
+//! error instead of mis-parsing them.
 
 use std::fmt;
 use std::io::{self, Read};
@@ -32,9 +31,8 @@ mod mmap;
 mod snapshot;
 
 pub use snapshot::{
-    build_snapshot_bytes, build_snapshot_bytes_with, is_snapshot_version, save_snapshot,
-    save_snapshot_with, write_snapshot, AttachMode, Snapshot, SnapshotOptions, SnapshotPeek,
-    SNAPSHOT_VERSION, SNAPSHOT_VERSION_PATHS,
+    build_snapshot_bytes, build_snapshot_bytes_with, save_snapshot, save_snapshot_with, Snapshot,
+    SnapshotOptions, SnapshotPeek, SNAPSHOT_VERSION,
 };
 
 pub(crate) const MAGIC: &[u8; 4] = b"WPLX";
@@ -71,8 +69,8 @@ impl From<io::Error> for StoreError {
     }
 }
 
-/// The format version of a store file (2/3 = snapshot — see
-/// [`is_snapshot_version`]; 1 = the retired v1 stream), or `None` if
+/// The format version of a store file ([`SNAPSHOT_VERSION`] for a
+/// snapshot this crate attaches; 1 and 2 for retired formats), or `None` if
 /// the file is missing or does not carry the store magic. Cheap: reads
 /// 8 bytes.
 pub fn store_version(path: impl AsRef<Path>) -> Option<u32> {
@@ -109,6 +107,11 @@ mod tests {
         assert!(matches!(
             Snapshot::from_bytes(&bytes),
             Err(StoreError::UnsupportedVersion(99))
+        ));
+        bytes[4] = 2; // the retired layout without stored synopses
+        assert!(matches!(
+            Snapshot::from_bytes(&bytes),
+            Err(StoreError::UnsupportedVersion(2))
         ));
     }
 }

@@ -15,7 +15,8 @@ use std::io;
 pub enum Backing {
     /// `mmap(2)`-backed, page-aligned, shared with the page cache.
     Mapped(Mapping),
-    /// Heap-backed fallback (also used when the caller forces it).
+    /// Heap-backed: the fallback when mapping fails, and in-memory
+    /// bytes.
     Owned(OwnedBytes),
 }
 

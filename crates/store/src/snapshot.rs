@@ -1,21 +1,21 @@
-//! Version-2 **snapshot** format: the whole query-time state of a
-//! document — tag table, structural columns, tag and value postings,
-//! text and attribute payloads — flattened into little-endian, 8-byte
-//! aligned arrays that an engine can use *directly out of a memory
-//! mapping*. Attaching costs a header parse plus linear validation
-//! passes (checksum + structural checks over flat integer arrays),
-//! never an XML parse or an index build.
+//! The **snapshot** format: the whole query-time state of a document —
+//! tag table, structural columns, tag and value postings, text and
+//! attribute payloads, and its synopses — flattened into
+//! little-endian, 8-byte aligned arrays that an engine can use
+//! *directly out of a memory mapping*. Attaching costs a header parse
+//! plus linear validation passes (checksum + structural checks over
+//! flat integer arrays), never an XML parse or an index build.
 //!
-//! # Layout (version 2, little-endian, all sections 8-byte aligned)
+//! # Layout (version 3, little-endian, all sections 8-byte aligned)
 //!
 //! ```text
 //! 0    magic      "WPLX"                      4 bytes
-//! 4    version    u32 = 2                     4 bytes
+//! 4    version    u32 = 3                     4 bytes
 //! 8    nodes      u64  node count n (synthetic root included)
 //! 16   tags       u64  tag-table size T
 //! 24   total_len  u64  file length in bytes, trailing checksum included
-//! 32   sections   16 × { offset u64, len u64 }   (256 bytes)
-//! 288  payload    sections in table order, zero-padded to 8-byte
+//! 32   sections   17 × { offset u64, len u64 }   (272 bytes)
+//! 304  payload    sections in table order, zero-padded to 8-byte
 //!                 boundaries between sections:
 //!        0  tag_offsets   u32[T+1]   name spans in tag_blob
 //!        1  tag_blob      UTF-8
@@ -34,21 +34,18 @@
 //!        13 attr_offsets  u32[n+1]   entry (not byte) offsets
 //!        14 attr_entries  u32[3·A]   (name_tag, val_off, val_len)
 //!        15 attr_blob     UTF-8
+//!        16 path_synopsis the stored synopses (below)
 //! end-8 checksum  u64  FNV-1a folded over the preceding bytes as
 //!                 little-endian u64 words (the padded layout makes the
 //!                 checksummed prefix an exact multiple of 8)
 //! ```
 //!
-//! The `ShardSynopsis` is *derived* at attach time from the posting
-//! offsets (per-tag counts) and the tag table — O(T) work, no extra
-//! section.
+//! # The stored synopses
 //!
-//! # Version 3: the stored path synopsis
-//!
-//! Version 3 is version 2 plus one extra section (index 16) holding a
-//! serialized [`PathSynopsis`] — the bounded strong dataguide built at
-//! snapshot-build time — together with the tag-count synopsis, in a
-//! *self-contained, self-checksummed* byte stream:
+//! Section 16 holds a serialized [`PathSynopsis`] — the bounded strong
+//! dataguide built at snapshot-build time — together with the
+//! tag-count [`ShardSynopsis`], in a *self-contained, self-checksummed*
+//! byte stream:
 //!
 //! ```text
 //! 16 path_synopsis   u64 elements
@@ -65,9 +62,9 @@
 //! carries its own checksum so that [`Snapshot::peek`] can read *just
 //! the header and this section* — no payload mapping, no whole-file
 //! checksum pass — and still hand the collection layer
-//! integrity-checked synopses. Version-2 files remain fully supported:
-//! attach accepts both, and `peek` falls back to deriving tag counts
-//! from the (structurally sanity-checked) tag table + posting offsets.
+//! integrity-checked synopses. Attach parses it once and checks it
+//! against the payload: the stored tags are exactly the tags with
+//! postings, each with its posting count.
 //!
 //! Attach validates everything the mapped accessors later index with:
 //! magic/version/length, the word-FNV checksum, section table sanity
@@ -76,46 +73,27 @@
 //! posting ids sorted and in range, UTF-8 blobs with offsets on char
 //! boundaries). A file that passes cannot make the views panic or read
 //! out of bounds; a file that fails yields [`StoreError`], never UB.
+//!
+//! Versions 1 and 2 (a streamed store, and this layout without
+//! section 16) are not read: attach and peek answer
+//! [`StoreError::UnsupportedVersion`].
 
 use crate::mmap::{Backing, Mapping, OwnedBytes};
 use crate::{StoreError, FNV_OFFSET, FNV_PRIME, MAGIC};
-use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::io::{self, Read, Seek, SeekFrom};
+use std::path::Path;
 use whirlpool_index::{
     ColumnsView, DocView, MappedDoc, PathEntry, PathSynopsis, ShardSynopsis, TagIndex,
     TagIndexView, ATTR_ENTRY_STRIDE, VALUE_GROUP_STRIDE,
 };
 use whirlpool_xml::{Document, NodeId, TagId};
 
-/// The version-2 (base) snapshot format: no stored path synopsis.
-pub const SNAPSHOT_VERSION: u32 = 2;
-/// The version-3 format: version 2 plus the stored path-synopsis
-/// section. This is what [`write_snapshot`] emits by default.
-pub const SNAPSHOT_VERSION_PATHS: u32 = 3;
+/// The snapshot format version: the one this crate writes and reads.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
-/// Is `version` an attachable snapshot version (as opposed to the v1
-/// stream format or garbage)?
-pub fn is_snapshot_version(version: u32) -> bool {
-    version == SNAPSHOT_VERSION || version == SNAPSHOT_VERSION_PATHS
-}
-
-const SECTION_COUNT: usize = 16;
-/// Sections in a v3 file: the 16 base sections + the path synopsis.
-const SECTION_COUNT_V3: usize = 17;
+const SECTION_COUNT: usize = 17;
 /// Fixed header size: magic + version + 3 × u64 + the section table.
 const HEADER_LEN: usize = 32 + SECTION_COUNT * 16;
-
-fn section_count(version: u32) -> usize {
-    if version >= SNAPSHOT_VERSION_PATHS {
-        SECTION_COUNT_V3
-    } else {
-        SECTION_COUNT
-    }
-}
-
-fn header_len(version: u32) -> usize {
-    32 + section_count(version) * 16
-}
 
 // Section indices, in file order.
 const SEC_TAG_OFFSETS: usize = 0;
@@ -134,7 +112,7 @@ const SEC_TEXT_BLOB: usize = 12;
 const SEC_ATTR_OFFSETS: usize = 13;
 const SEC_ATTR_ENTRIES: usize = 14;
 const SEC_ATTR_BLOB: usize = 15;
-const SEC_PATH_SYNOPSIS: usize = 16; // v3 only
+const SEC_PATH_SYNOPSIS: usize = 16;
 
 const NO_PARENT: u32 = u32::MAX;
 
@@ -186,22 +164,10 @@ fn as_u32(len: usize, what: &str) -> u32 {
     u32::try_from(len).unwrap_or_else(|_| panic!("{what} exceeds u32 range ({len})"))
 }
 
-/// What [`write_snapshot`] emits.
-#[derive(Debug, Clone, Copy)]
-pub struct SnapshotOptions {
-    /// Store the bounded path synopsis (version 3). Disabling writes a
-    /// byte-identical version-2 file for compatibility with older
-    /// readers.
-    pub path_synopsis: bool,
-}
-
-impl Default for SnapshotOptions {
-    fn default() -> Self {
-        SnapshotOptions {
-            path_synopsis: true,
-        }
-    }
-}
+/// Kept only because `benchmark/src/workloads/mod.rs` names it: there
+/// is one snapshot format, so there is nothing left to choose.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SnapshotOptions;
 
 /// Serializes the path-synopsis section: the tag-count synopsis plus
 /// the bounded dataguide, self-contained and self-checksummed so
@@ -365,19 +331,8 @@ fn parse_path_section(bytes: &[u8]) -> Result<(ShardSynopsis, PathSynopsis), Sto
     Ok((synopsis, paths))
 }
 
-/// Serializes `doc` + `index` into the default (version-3) snapshot
-/// byte layout.
+/// Serializes `doc` + `index` into the snapshot byte layout.
 pub fn build_snapshot_bytes(doc: &Document, index: &TagIndex) -> Vec<u8> {
-    build_snapshot_bytes_with(doc, index, &SnapshotOptions::default())
-}
-
-/// [`build_snapshot_bytes`] with explicit options (version 2 when the
-/// path synopsis is disabled).
-pub fn build_snapshot_bytes_with(
-    doc: &Document,
-    index: &TagIndex,
-    opts: &SnapshotOptions,
-) -> Vec<u8> {
     let n = doc.len();
     let index = index.view();
     let columns = index.columns();
@@ -465,18 +420,12 @@ pub fn build_snapshot_bytes_with(
         push_u32s(&mut sections[SEC_ATTR_OFFSETS], offsets);
     }
 
-    // The v3 extra section: the stored synopses.
-    let version = if opts.path_synopsis {
-        let paths = PathSynopsis::build(doc);
-        sections.push(encode_path_section(doc, index, &paths));
-        SNAPSHOT_VERSION_PATHS
-    } else {
-        SNAPSHOT_VERSION
-    };
+    // The stored synopses.
+    sections[SEC_PATH_SYNOPSIS] = encode_path_section(doc, index, &PathSynopsis::build(doc));
 
     // Lay out: header, then padded sections, then the checksum.
     let mut offsets = vec![0usize; sections.len()];
-    let mut cursor = header_len(version);
+    let mut cursor = HEADER_LEN;
     for (i, s) in sections.iter().enumerate() {
         offsets[i] = cursor;
         cursor = align8(cursor + s.len());
@@ -485,7 +434,7 @@ pub fn build_snapshot_bytes_with(
 
     let mut out = Vec::with_capacity(total_len);
     out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
     out.extend_from_slice(&(n as u64).to_le_bytes());
     out.extend_from_slice(&(tag_count as u64).to_le_bytes());
     out.extend_from_slice(&(total_len as u64).to_le_bytes());
@@ -503,93 +452,70 @@ pub fn build_snapshot_bytes_with(
     out
 }
 
-/// Writes the default (version-3) snapshot of `doc` + `index` to `w`.
-pub fn write_snapshot(doc: &Document, index: &TagIndex, w: &mut impl Write) -> io::Result<()> {
-    w.write_all(&build_snapshot_bytes(doc, index))
-}
-
-/// Writes the default (version-3) snapshot of `doc` + `index` to `path`.
+/// Writes the snapshot of `doc` + `index` to `path`.
 pub fn save_snapshot(doc: &Document, index: &TagIndex, path: impl AsRef<Path>) -> io::Result<()> {
-    let bytes = build_snapshot_bytes(doc, index);
-    std::fs::write(path, bytes)
+    std::fs::write(path, build_snapshot_bytes(doc, index))
 }
 
-/// [`save_snapshot`] with explicit [`SnapshotOptions`].
+/// Kept only because `benchmark/src/workloads/mod.rs` names it:
+/// [`build_snapshot_bytes`].
+pub fn build_snapshot_bytes_with(
+    doc: &Document,
+    index: &TagIndex,
+    _opts: &SnapshotOptions,
+) -> Vec<u8> {
+    build_snapshot_bytes(doc, index)
+}
+
+/// Kept only because `benchmark/src/workloads/mod.rs` names it:
+/// [`save_snapshot`].
 pub fn save_snapshot_with(
     doc: &Document,
     index: &TagIndex,
     path: impl AsRef<Path>,
-    opts: &SnapshotOptions,
+    _opts: &SnapshotOptions,
 ) -> io::Result<()> {
-    let bytes = build_snapshot_bytes_with(doc, index, opts);
-    std::fs::write(path, bytes)
+    save_snapshot(doc, index, path)
 }
 
 // -----------------------------------------------------------------------
 // Attach
 // -----------------------------------------------------------------------
 
-/// How [`Snapshot::attach_with`] backs the file bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AttachMode {
-    /// `mmap` when possible, silently fall back to a buffered read.
-    Auto,
-    /// Always read into (8-byte aligned) heap memory.
-    Read,
-}
-
 #[derive(Clone, Copy)]
 struct Layout {
-    version: u32,
     n: usize,
     tag_count: usize,
-    /// Section table; slot [`SEC_PATH_SYNOPSIS`] is `(0, 0)` in a
-    /// version-2 file.
-    sections: [(usize, usize); SECTION_COUNT_V3],
+    sections: [(usize, usize); SECTION_COUNT],
 }
 
-/// An attached snapshot (version 2 or 3): validated bytes
-/// (memory-mapped or read) plus the section layout.
+/// An attached snapshot: validated bytes (memory-mapped or read), the
+/// section layout, and the synopses parsed once at attach.
 /// [`doc_view`](Snapshot::doc_view) and
 /// [`index_view`](Snapshot::index_view) assemble zero-copy views on
-/// demand; the synopsis is derived once at attach.
+/// demand.
 pub struct Snapshot {
     backing: Backing,
     layout: Layout,
     synopsis: ShardSynopsis,
-    /// The stored dataguide, when the file is version 3.
-    paths: Option<PathSynopsis>,
-    /// Where the file was attached from; `None` for
-    /// [`from_bytes`](Snapshot::from_bytes). Lets a collection re-home
-    /// an already-attached snapshot onto a lazy (re-attachable) backing.
-    source_path: Option<PathBuf>,
+    paths: PathSynopsis,
 }
 
 impl Snapshot {
-    /// Attaches to a snapshot file: `mmap` when available, buffered
-    /// read otherwise. Validates the checksum and every structural
-    /// invariant before returning.
+    /// Attaches to a snapshot file: `mmap` where it works, a buffered
+    /// read where it does not (off Unix, or when mapping fails). Both
+    /// are served from the same page cache, so validation checks the
+    /// same bytes either way. Validates the checksum and every
+    /// structural invariant before returning.
     pub fn attach(path: impl AsRef<Path>) -> Result<Snapshot, StoreError> {
-        Snapshot::attach_with(path, AttachMode::Auto)
-    }
-
-    /// [`attach`](Snapshot::attach) with an explicit backing policy.
-    pub fn attach_with(path: impl AsRef<Path>, mode: AttachMode) -> Result<Snapshot, StoreError> {
-        let path = path.as_ref();
         let mut file = std::fs::File::open(path)?;
         let len = usize::try_from(file.metadata()?.len())
             .map_err(|_| corrupt("file too large for this platform"))?;
-        let backing = if mode == AttachMode::Read {
-            Backing::Owned(OwnedBytes::read_from(&mut file, len)?)
-        } else {
-            match Mapping::map(&file, len) {
-                Ok(m) => Backing::Mapped(m),
-                Err(_) => Backing::Owned(OwnedBytes::read_from(&mut file, len)?),
-            }
+        let backing = match Mapping::map(&file, len) {
+            Ok(m) => Backing::Mapped(m),
+            Err(_) => Backing::Owned(OwnedBytes::read_from(&mut file, len)?),
         };
-        let mut snapshot = Snapshot::from_backing(backing)?;
-        snapshot.source_path = Some(path.to_path_buf());
-        Ok(snapshot)
+        Snapshot::from_backing(backing)
     }
 
     /// Builds a snapshot from in-memory bytes (copied into aligned
@@ -599,32 +525,13 @@ impl Snapshot {
     }
 
     fn from_backing(backing: Backing) -> Result<Snapshot, StoreError> {
-        let layout = validate(backing.bytes())?;
-        let mut snapshot = Snapshot {
+        let (layout, synopsis, paths) = validate(backing.bytes())?;
+        Ok(Snapshot {
             backing,
             layout,
-            synopsis: ShardSynopsis::default(),
-            paths: None,
-            source_path: None,
-        };
-        snapshot.synopsis = snapshot.derive_synopsis();
-        if layout.version >= SNAPSHOT_VERSION_PATHS {
-            let (_, paths) = parse_path_section(snapshot.section(SEC_PATH_SYNOPSIS))?;
-            snapshot.paths = Some(paths);
-        }
-        Ok(snapshot)
-    }
-
-    /// Per-tag element counts from the posting offsets + tag table —
-    /// O(tag count), the only non-view state rebuilt at attach.
-    fn derive_synopsis(&self) -> ShardSynopsis {
-        let doc = self.mapped_doc();
-        let offsets = self.u32s(SEC_POST_OFFSETS);
-        let counts = (0..self.layout.tag_count).filter_map(|t| {
-            let count = u64::from(offsets[t + 1] - offsets[t]);
-            (count > 0).then(|| (Box::<str>::from(doc.tag_name(TagId::from_index(t))), count))
-        });
-        ShardSynopsis::from_counts(counts, (self.layout.n - 1) as u64)
+            synopsis,
+            paths,
+        })
     }
 
     fn section(&self, i: usize) -> &[u8] {
@@ -692,25 +599,14 @@ impl Snapshot {
         )
     }
 
-    /// The shard synopsis derived at attach.
+    /// The stored tag-count synopsis.
     pub fn synopsis(&self) -> &ShardSynopsis {
         &self.synopsis
     }
 
-    /// The stored path synopsis (dataguide), when the file is version 3.
-    pub fn path_synopsis(&self) -> Option<&PathSynopsis> {
-        self.paths.as_ref()
-    }
-
-    /// The file this snapshot was attached from; `None` when built from
-    /// in-memory bytes.
-    pub fn source_path(&self) -> Option<&Path> {
-        self.source_path.as_deref()
-    }
-
-    /// The snapshot format version (2 or 3).
-    pub fn version(&self) -> u32 {
-        self.layout.version
+    /// The stored path synopsis (dataguide).
+    pub fn path_synopsis(&self) -> &PathSynopsis {
+        &self.paths
     }
 
     /// Total nodes, synthetic root included.
@@ -734,11 +630,9 @@ impl Snapshot {
         self.backing.is_mapped()
     }
 
-    /// Reads *only* the header and synopsis information of a snapshot
-    /// file — no payload mapping, no whole-file checksum pass. On a
-    /// version-3 file this reads the self-checksummed path-synopsis
-    /// section; on version 2 it reads the tag table + posting offsets
-    /// (structurally sanity-checked) and derives tag counts.
+    /// Reads *only* the header and the self-checksummed synopsis
+    /// section of a snapshot file — no payload mapping, no whole-file
+    /// checksum pass.
     ///
     /// A peek is the collection layer's admission ticket: it yields the
     /// synopses needed to *order and prune* shards without attaching
@@ -746,111 +640,18 @@ impl Snapshot {
     /// full validation still happens when (if) the shard is visited.
     pub fn peek(path: impl AsRef<Path>) -> Result<SnapshotPeek, StoreError> {
         let mut file = std::fs::File::open(path)?;
-        let file_len = file.metadata()?.len();
-        let mut head = [0u8; 32];
-        file.read_exact(&mut head)?;
-        if &head[0..4] != MAGIC {
-            return Err(StoreError::BadMagic);
-        }
-        let version = u32::from_le_bytes(head[4..8].try_into().expect("4 bytes"));
-        if !is_snapshot_version(version) {
-            return Err(StoreError::UnsupportedVersion(version));
-        }
-        let n = read_u64_at(&head, 8) as usize;
-        let tag_count = read_u64_at(&head, 16) as usize;
-        let total_len = read_u64_at(&head, 24) as usize;
-        if total_len as u64 != file_len {
-            return Err(corrupt(format!(
-                "length mismatch: header says {total_len}, file is {file_len}"
-            )));
-        }
-        if n == 0 || n > u32::MAX as usize || tag_count == 0 || tag_count > u32::MAX as usize {
-            return Err(corrupt(format!(
-                "implausible node count {n} / tag count {tag_count}"
-            )));
-        }
-        let nsec = section_count(version);
-        let hlen = header_len(version);
-        if total_len < hlen + 8 {
-            return Err(corrupt("file too short for its section table"));
-        }
-        let mut table = vec![0u8; nsec * 16];
-        file.read_exact(&mut table)?;
-        let mut sections = vec![(0usize, 0usize); nsec];
-        let mut expected_off = hlen;
-        for (i, slot) in sections.iter_mut().enumerate() {
-            let off = read_u64_at(&table, i * 16) as usize;
-            let len = read_u64_at(&table, i * 16 + 8) as usize;
-            if off != expected_off {
-                return Err(corrupt(format!(
-                    "section {i}: offset {off}, expected {expected_off}"
-                )));
-            }
-            if len > total_len - 8 - off {
-                return Err(corrupt(format!("section {i}: length {len} out of bounds")));
-            }
-            *slot = (off, len);
-            expected_off = align8(off + len);
-        }
-        if expected_off != total_len - 8 {
-            return Err(corrupt(format!(
-                "sections end at {expected_off}, checksum at {}",
-                total_len - 8
-            )));
-        }
-
-        let mut read_section = |i: usize| -> Result<Vec<u8>, StoreError> {
-            let (off, len) = sections[i];
-            file.seek(SeekFrom::Start(off as u64))?;
-            let mut buf = vec![0u8; len];
-            file.read_exact(&mut buf)?;
-            Ok(buf)
-        };
-
-        let (synopsis, paths) = if version >= SNAPSHOT_VERSION_PATHS {
-            let bytes = read_section(SEC_PATH_SYNOPSIS)?;
-            let (synopsis, paths) = parse_path_section(&bytes)?;
-            (synopsis, Some(paths))
-        } else {
-            // Version 2: derive tag counts from the tag table and the
-            // posting offsets. These sections carry no checksum of
-            // their own, so check the structural invariants a ceiling
-            // computation depends on.
-            let le_u32s = |b: &[u8], what: &str| -> Result<Vec<u32>, StoreError> {
-                if b.len() % 4 != 0 {
-                    return Err(corrupt(format!("{what}: length not a u32 multiple")));
-                }
-                Ok(b.chunks_exact(4)
-                    .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-                    .collect())
-            };
-            let tag_offsets = le_u32s(&read_section(SEC_TAG_OFFSETS)?, "tag offsets")?;
-            if tag_offsets.len() != tag_count + 1 {
-                return Err(corrupt("tag offsets: wrong length for tag count"));
-            }
-            let blob_bytes = read_section(SEC_TAG_BLOB)?;
-            let tag_blob = std::str::from_utf8(&blob_bytes)
-                .map_err(|_| corrupt("tag blob is not valid UTF-8"))?;
-            check_offsets(&tag_offsets, tag_blob.len(), Some(tag_blob), "tag offsets")?;
-            let post_offsets = le_u32s(&read_section(SEC_POST_OFFSETS)?, "posting offsets")?;
-            if post_offsets.len() != tag_count + 1 {
-                return Err(corrupt("posting offsets: wrong length for tag count"));
-            }
-            check_offsets(&post_offsets, n - 1, None, "posting offsets")?;
-            let counts = (0..tag_count).filter_map(|t| {
-                let count = u64::from(post_offsets[t + 1] - post_offsets[t]);
-                let name = &tag_blob[tag_offsets[t] as usize..tag_offsets[t + 1] as usize];
-                (count > 0).then(|| (Box::<str>::from(name), count))
-            });
-            (ShardSynopsis::from_counts(counts, (n - 1) as u64), None)
-        };
-        Ok(SnapshotPeek {
-            version,
-            nodes: n as u64,
-            file_len,
-            synopsis,
-            paths,
-        })
+        let file_len = usize::try_from(file.metadata()?.len())
+            .map_err(|_| corrupt("file too large for this platform"))?;
+        let mut header = [0u8; HEADER_LEN];
+        file.read_exact(&mut header[..32])?;
+        check_header(&header, file_len)?;
+        file.read_exact(&mut header[32..])?;
+        let (off, len) = section_table(&header, file_len)?[SEC_PATH_SYNOPSIS];
+        file.seek(SeekFrom::Start(off as u64))?;
+        let mut section = vec![0u8; len];
+        file.read_exact(&mut section)?;
+        let (synopsis, paths) = parse_path_section(&section)?;
+        Ok(SnapshotPeek { synopsis, paths })
     }
 }
 
@@ -858,16 +659,10 @@ impl Snapshot {
 /// attaching it.
 #[derive(Debug, Clone)]
 pub struct SnapshotPeek {
-    /// Snapshot format version (2 or 3).
-    pub version: u32,
-    /// Total nodes, synthetic root included.
-    pub nodes: u64,
-    /// File size in bytes.
-    pub file_len: u64,
-    /// Tag-count synopsis (stored in v3, derived from headers in v2).
+    /// The stored tag-count synopsis.
     pub synopsis: ShardSynopsis,
-    /// Stored dataguide; `None` for version-2 files.
-    pub paths: Option<PathSynopsis>,
+    /// The stored dataguide.
+    pub paths: PathSynopsis,
 }
 
 // -----------------------------------------------------------------------
@@ -876,6 +671,70 @@ pub struct SnapshotPeek {
 
 fn read_u64_at(bytes: &[u8], off: usize) -> u64 {
     u64::from_le_bytes(bytes[off..off + 8].try_into().expect("8 bytes"))
+}
+
+/// Checks the fixed 32-byte header at the start of `head` against the
+/// file's length; returns the node and tag-table counts.
+fn check_header(head: &[u8], file_len: usize) -> Result<(usize, usize), StoreError> {
+    if &head[0..4] != MAGIC {
+        return Err(StoreError::BadMagic);
+    }
+    let version = u32::from_le_bytes(head[4..8].try_into().expect("4 bytes"));
+    if version != SNAPSHOT_VERSION {
+        return Err(StoreError::UnsupportedVersion(version));
+    }
+    let n = read_u64_at(head, 8) as usize;
+    let tag_count = read_u64_at(head, 16) as usize;
+    let total_len = read_u64_at(head, 24) as usize;
+    if total_len != file_len {
+        return Err(corrupt(format!(
+            "length mismatch: header says {total_len}, file is {file_len}"
+        )));
+    }
+    if total_len % 8 != 0 {
+        return Err(corrupt("file length must be a multiple of 8"));
+    }
+    if total_len < HEADER_LEN + 8 {
+        return Err(corrupt("file too short for its section table"));
+    }
+    if n == 0 || n > u32::MAX as usize || tag_count == 0 || tag_count > u32::MAX as usize {
+        return Err(corrupt(format!(
+            "implausible node count {n} / tag count {tag_count}"
+        )));
+    }
+    Ok((n, tag_count))
+}
+
+/// Reads the section table out of a whole header (already passed by
+/// [`check_header`]): sections in order, 8-aligned, padding-only gaps,
+/// in bounds, and ending where the checksum starts.
+fn section_table(
+    header: &[u8],
+    total_len: usize,
+) -> Result<[(usize, usize); SECTION_COUNT], StoreError> {
+    let mut sections = [(0usize, 0usize); SECTION_COUNT];
+    let mut expected_off = HEADER_LEN;
+    for (i, slot) in sections.iter_mut().enumerate() {
+        let off = read_u64_at(header, 32 + i * 16) as usize;
+        let len = read_u64_at(header, 40 + i * 16) as usize;
+        if off != expected_off {
+            return Err(corrupt(format!(
+                "section {i}: offset {off}, expected {expected_off}"
+            )));
+        }
+        if len > total_len - 8 - off {
+            return Err(corrupt(format!("section {i}: length {len} out of bounds")));
+        }
+        *slot = (off, len);
+        expected_off = align8(off + len);
+    }
+    if expected_off != total_len - 8 {
+        return Err(corrupt(format!(
+            "sections end at {expected_off}, checksum at {}",
+            total_len - 8
+        )));
+    }
+    Ok(sections)
 }
 
 /// Checks that every offset in `offsets` is monotone nondecreasing,
@@ -931,46 +790,19 @@ fn utf8(bytes: &[u8], what: &str) -> Result<(), StoreError> {
         .map_err(|_| corrupt(format!("{what} is not valid UTF-8")))
 }
 
-/// Full attach-time validation. Returns the section layout only if the
-/// file is byte-exact (checksum) *and* structurally sound, so the
-/// mapped accessors can index without bounds surprises.
-fn validate(bytes: &[u8]) -> Result<Layout, StoreError> {
-    if bytes.len() < HEADER_LEN + 8 {
+/// Full attach-time validation. Returns the section layout and the
+/// stored synopses only if the file is byte-exact (checksum) *and*
+/// structurally sound, so the mapped accessors can index without
+/// bounds surprises.
+fn validate(bytes: &[u8]) -> Result<(Layout, ShardSynopsis, PathSynopsis), StoreError> {
+    if bytes.len() < 32 {
         return Err(corrupt(format!(
             "file too short for a snapshot header ({} bytes)",
             bytes.len()
         )));
     }
-    if &bytes[0..4] != MAGIC {
-        return Err(StoreError::BadMagic);
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    if !is_snapshot_version(version) {
-        return Err(StoreError::UnsupportedVersion(version));
-    }
-    let nsec = section_count(version);
-    let hlen = header_len(version);
-
-    let n = read_u64_at(bytes, 8) as usize;
-    let tag_count = read_u64_at(bytes, 16) as usize;
-    let total_len = read_u64_at(bytes, 24) as usize;
-    if total_len != bytes.len() {
-        return Err(corrupt(format!(
-            "length mismatch: header says {total_len}, file is {}",
-            bytes.len()
-        )));
-    }
-    if total_len % 8 != 0 {
-        return Err(corrupt("file length must be a multiple of 8"));
-    }
-    if total_len < hlen + 8 {
-        return Err(corrupt("file too short for its section table"));
-    }
-    if n == 0 || n > u32::MAX as usize || tag_count == 0 || tag_count > u32::MAX as usize {
-        return Err(corrupt(format!(
-            "implausible node count {n} / tag count {tag_count}"
-        )));
-    }
+    let (n, tag_count) = check_header(bytes, bytes.len())?;
+    let total_len = bytes.len();
 
     // Checksum before structural checks: a bit flip anywhere (header
     // included) fails here.
@@ -981,30 +813,7 @@ fn validate(bytes: &[u8]) -> Result<Layout, StoreError> {
             "checksum mismatch: stored {stored:#x}, computed {computed:#x}"
         )));
     }
-
-    // Section table: in order, 8-aligned, padding-only gaps, in bounds.
-    let mut sections = [(0usize, 0usize); SECTION_COUNT_V3];
-    let mut expected_off = hlen;
-    for (i, slot) in sections.iter_mut().take(nsec).enumerate() {
-        let off = read_u64_at(bytes, 32 + i * 16) as usize;
-        let len = read_u64_at(bytes, 40 + i * 16) as usize;
-        if off != expected_off {
-            return Err(corrupt(format!(
-                "section {i}: offset {off}, expected {expected_off}"
-            )));
-        }
-        if len > total_len - 8 - off {
-            return Err(corrupt(format!("section {i}: length {len} out of bounds")));
-        }
-        *slot = (off, len);
-        expected_off = align8(off + len);
-    }
-    if expected_off != total_len - 8 {
-        return Err(corrupt(format!(
-            "sections end at {expected_off}, checksum at {}",
-            total_len - 8
-        )));
-    }
+    let sections = section_table(bytes, total_len)?;
 
     // Expected section shapes.
     let expect = |i: usize, want: usize, what: &str| -> Result<(), StoreError> {
@@ -1102,7 +911,7 @@ fn validate(bytes: &[u8]) -> Result<Layout, StoreError> {
     }
 
     // Per-node tags in range; postings sorted, in range, and consistent
-    // with tag_of (which also makes the derived synopsis exact).
+    // with tag_of (so posting counts are element counts).
     let tag_of = u32s(SEC_TAG_OF);
     if tag_of.iter().any(|&t| t as usize >= tag_count) {
         return Err(corrupt("tag-of column references a tag out of range"));
@@ -1185,36 +994,42 @@ fn validate(bytes: &[u8]) -> Result<Layout, StoreError> {
         return Err(corrupt("attribute blob not fully covered by entries"));
     }
 
-    // Version 3: the stored synopsis section must parse, pass its own
-    // checksum, and agree with the postings on per-tag counts — a
-    // ceiling computed from the section can then never contradict the
-    // payload it summarizes.
-    if version >= SNAPSHOT_VERSION_PATHS {
-        let (off, len) = sections[SEC_PATH_SYNOPSIS];
-        let (stored_syn, _) = parse_path_section(&bytes[off..off + len])?;
-        if stored_syn.elements() != (n - 1) as u64 {
-            return Err(corrupt(
-                "path synopsis: element count disagrees with header",
-            ));
+    // The stored synopses must parse, pass their own checksum, and
+    // list exactly the tags with postings, each with its posting count
+    // — a ceiling or idf computed from the section can then never
+    // contradict the payload it summarizes.
+    let (off, len) = sections[SEC_PATH_SYNOPSIS];
+    let (synopsis, paths) = parse_path_section(&bytes[off..off + len])?;
+    if synopsis.elements() != (n - 1) as u64 {
+        return Err(corrupt(
+            "path synopsis: element count disagrees with header",
+        ));
+    }
+    let tag_offsets = u32s(SEC_TAG_OFFSETS);
+    let mut tags_with_postings = 0;
+    for t in 0..tag_count {
+        let count = u64::from(post_offsets[t + 1] - post_offsets[t]);
+        if count == 0 {
+            continue;
         }
-        let tag_offsets = u32s(SEC_TAG_OFFSETS);
-        for t in 0..tag_count {
-            let count = u64::from(post_offsets[t + 1] - post_offsets[t]);
-            let name = &tag_blob[tag_offsets[t] as usize..tag_offsets[t + 1] as usize];
-            if count > 0 && stored_syn.tag_count(name) != count {
-                return Err(corrupt(format!(
-                    "path synopsis: tag {name:?} count disagrees with postings"
-                )));
-            }
+        tags_with_postings += 1;
+        let name = &tag_blob[tag_offsets[t] as usize..tag_offsets[t + 1] as usize];
+        if synopsis.tag_count(name) != count {
+            return Err(corrupt(format!(
+                "path synopsis: tag {name:?} count disagrees with postings"
+            )));
         }
     }
+    if synopsis.distinct_tags() != tags_with_postings {
+        return Err(corrupt("path synopsis: lists a tag without postings"));
+    }
 
-    Ok(Layout {
-        version,
+    let layout = Layout {
         n,
         tag_count,
         sections,
-    })
+    };
+    Ok((layout, synopsis, paths))
 }
 
 #[cfg(test)]
@@ -1355,7 +1170,6 @@ mod tests {
         let v1_path = dir.join("doc.wpx");
         std::fs::write(&v1_path, PINNED_V1).unwrap();
         assert_eq!(crate::store_version(&v1_path), Some(1));
-        assert!(!is_snapshot_version(1));
         assert!(Snapshot::attach(&v1_path).is_err());
         assert!(Snapshot::peek(&v1_path).is_err());
 
@@ -1366,29 +1180,27 @@ mod tests {
 
         let doc = parse_document("<a><b/></a>").unwrap();
         let index = TagIndex::build(&doc);
-        let v2_path = dir.join("doc-v2.wps");
-        let v2_options = SnapshotOptions {
-            path_synopsis: false,
-        };
-        save_snapshot_with(&doc, &index, &v2_path, &v2_options).unwrap();
-        assert_eq!(crate::store_version(&v2_path), Some(SNAPSHOT_VERSION));
         let v3_path = dir.join("doc-v3.wps");
         save_snapshot(&doc, &index, &v3_path).unwrap();
-        assert_eq!(crate::store_version(&v3_path), Some(SNAPSHOT_VERSION_PATHS));
-
-        // v2 files (no stored synopsis section) still attach and peek;
-        // the peek derives tag counts and reports no dataguide.
-        let v2 = Snapshot::attach(&v2_path).unwrap();
-        assert_eq!(v2.version(), SNAPSHOT_VERSION);
-        assert!(v2.path_synopsis().is_none());
-        assert_eq!(v2.node_count(), doc.len());
-        let v2_peek = Snapshot::peek(&v2_path).unwrap();
-        assert!(v2_peek.paths.is_none());
-        assert_eq!(v2_peek.synopsis.tag_count("b"), 1);
+        assert_eq!(crate::store_version(&v3_path), Some(SNAPSHOT_VERSION));
         let v3 = Snapshot::attach(&v3_path).unwrap();
-        assert_eq!(v3.version(), SNAPSHOT_VERSION_PATHS);
-        assert!(v3.path_synopsis().is_some());
         assert_eq!(v3.node_count(), doc.len());
+
+        // Version 2 (the layout without the synopsis section) is
+        // recognised and refused, by attach and peek alike.
+        let mut bytes = std::fs::read(&v3_path).unwrap();
+        bytes[4] = 2;
+        let v2_path = dir.join("doc-v2.wps");
+        std::fs::write(&v2_path, &bytes).unwrap();
+        assert_eq!(crate::store_version(&v2_path), Some(2));
+        assert!(matches!(
+            Snapshot::attach(&v2_path),
+            Err(StoreError::UnsupportedVersion(2))
+        ));
+        assert!(matches!(
+            Snapshot::peek(&v2_path),
+            Err(StoreError::UnsupportedVersion(2))
+        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1401,18 +1213,20 @@ mod tests {
         let index = TagIndex::build(&doc);
         save_snapshot(&doc, &index, &path).unwrap();
 
-        let read = Snapshot::attach_with(&path, AttachMode::Read).unwrap();
+        // The mapping `attach` makes and a buffered read of the same
+        // file serve the same views.
+        let read = Snapshot::from_bytes(&std::fs::read(&path).unwrap()).unwrap();
         assert!(!read.is_mapped());
-        let auto = Snapshot::attach(&path).unwrap();
-        assert_eq!(auto.node_count(), read.node_count());
-        assert_eq!(auto.file_len(), read.file_len());
+        let mapped = Snapshot::attach(&path).unwrap();
+        assert_eq!(mapped.node_count(), read.node_count());
+        assert_eq!(mapped.file_len(), read.file_len());
         let t = doc.tag_id("t").unwrap();
         assert_eq!(
-            auto.index_view().nodes_with_tag(t),
+            mapped.index_view().nodes_with_tag(t),
             read.index_view().nodes_with_tag(t)
         );
         #[cfg(unix)]
-        assert!(auto.is_mapped());
+        assert!(mapped.is_mapped());
     }
 
     #[test]
@@ -1423,15 +1237,13 @@ mod tests {
         let doc = parse_document(src).unwrap();
         let index = TagIndex::build(&doc);
 
-        // v3: the stored section answers both synopses.
-        let v3_path = dir.join("v3.wps");
-        save_snapshot(&doc, &index, &v3_path).unwrap();
-        let peek = Snapshot::peek(&v3_path).unwrap();
-        assert_eq!(peek.version, SNAPSHOT_VERSION_PATHS);
-        assert_eq!(peek.nodes as usize, doc.len());
+        // The stored section answers both synopses.
+        let path = dir.join("doc.wps");
+        save_snapshot(&doc, &index, &path).unwrap();
+        let peek = Snapshot::peek(&path).unwrap();
         assert_eq!(peek.synopsis.tag_count("book"), 2);
         assert_eq!(peek.synopsis.elements(), (doc.len() - 1) as u64);
-        let paths = peek.paths.expect("v3 stores the dataguide");
+        let paths = peek.paths;
         use whirlpool_index::PathAxis::*;
         assert!(paths.matches_query_path(&[(Descendant, "book"), (Child, "isbn")]));
         assert!(!paths.matches_query_path(&[(Descendant, "cd"), (Child, "isbn")]));
@@ -1439,30 +1251,13 @@ mod tests {
         assert_eq!(paths, PathSynopsis::build(&doc));
 
         // Attach agrees with peek.
-        let snap = Snapshot::attach(&v3_path).unwrap();
-        assert_eq!(snap.path_synopsis(), Some(&paths));
-        assert_eq!(snap.source_path(), Some(v3_path.as_path()));
+        let snap = Snapshot::attach(&path).unwrap();
+        assert_eq!(snap.path_synopsis(), &paths);
 
-        // v2 (opt-out): peek derives tag counts, reports no dataguide.
-        let v2_path = dir.join("v2.wps");
-        save_snapshot_with(
-            &doc,
-            &index,
-            &v2_path,
-            &SnapshotOptions {
-                path_synopsis: false,
-            },
-        )
-        .unwrap();
-        let peek2 = Snapshot::peek(&v2_path).unwrap();
-        assert_eq!(peek2.version, SNAPSHOT_VERSION);
-        assert_eq!(peek2.synopsis.tag_count("book"), 2);
-        assert!(peek2.paths.is_none());
-
-        // A flipped byte inside the v3 synopsis section fails the
+        // A flipped byte inside the synopsis section fails the
         // section's own checksum — peek never trusts garbage ceilings.
-        let clean = std::fs::read(&v3_path).unwrap();
-        let layout = validate(&clean).unwrap();
+        let clean = std::fs::read(&path).unwrap();
+        let (layout, ..) = validate(&clean).unwrap();
         let (off, len) = layout.sections[SEC_PATH_SYNOPSIS];
         let mut corrupt = clean.clone();
         corrupt[off + len / 2] ^= 0x20;
@@ -1471,6 +1266,56 @@ mod tests {
         assert!(Snapshot::peek(&bad_path).is_err());
 
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Lays `bytes` out again around `section` as its synopsis section:
+    /// new section length, file length and checksum, every other
+    /// section unchanged.
+    fn with_path_section(bytes: &[u8], section: &[u8]) -> Vec<u8> {
+        let (layout, ..) = validate(bytes).unwrap();
+        let (off, _) = layout.sections[SEC_PATH_SYNOPSIS];
+        let mut out = bytes[..off].to_vec();
+        out.extend_from_slice(section);
+        out.resize(align8(out.len()), 0);
+        let total_len = (out.len() + 8) as u64;
+        out[24..32].copy_from_slice(&total_len.to_le_bytes());
+        let len_at = 40 + SEC_PATH_SYNOPSIS * 16;
+        out[len_at..len_at + 8].copy_from_slice(&(section.len() as u64).to_le_bytes());
+        let checksum = fnv_words(&out);
+        out.extend_from_slice(&checksum.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn a_stored_tag_without_postings_fails_attach() {
+        let (_, _, clean) = snapshot_of("<shelf><book><isbn>1</isbn></book></shelf>");
+        let (layout, ..) = validate(&clean).unwrap();
+        let (off, len) = layout.sections[SEC_PATH_SYNOPSIS];
+        let stored = &clean[off..off + len];
+        assert!(Snapshot::from_bytes(&with_path_section(&clean, stored)).is_ok());
+
+        // Append a "ghost" tag to the stored tag list: elements, tag
+        // count, then (count, name length, name) per tag.
+        let body = &stored[..len - 8];
+        let tags = read_u64_at(body, 8);
+        let mut end = 16;
+        for _ in 0..tags {
+            end += 16 + read_u64_at(body, end + 8) as usize;
+        }
+        let mut forged = body[..8].to_vec();
+        forged.extend_from_slice(&(tags + 1).to_le_bytes());
+        forged.extend_from_slice(&body[16..end]);
+        forged.extend_from_slice(&1u64.to_le_bytes());
+        forged.extend_from_slice(&5u64.to_le_bytes());
+        forged.extend_from_slice(b"ghost");
+        forged.extend_from_slice(&body[end..]);
+        let checksum = fnv_bytes(&forged);
+        forged.extend_from_slice(&checksum.to_le_bytes());
+
+        let err = Snapshot::from_bytes(&with_path_section(&clean, &forged))
+            .err()
+            .expect("a tag without postings must not attach");
+        assert!(err.to_string().contains("without postings"), "{err}");
     }
 
     #[test]

@@ -61,7 +61,10 @@ fn concatenated_reference(
     k: usize,
 ) -> Vec<CollectionAnswer> {
     let mut all: Vec<CollectionAnswer> = Vec::new();
-    for (idx, shard) in collection.shards().iter().enumerate() {
+    for idx in 0..collection.len() {
+        let shard = collection
+            .acquire(idx)
+            .expect("parsed shards are always resident");
         let ctx = QueryContext::new_view(
             shard.doc(),
             shard.index(),

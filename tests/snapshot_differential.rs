@@ -1,12 +1,13 @@
 //! A snapshot is a pure representation change.
 //!
-//! Attaching a version-2 snapshot must be observationally equivalent
-//! to parsing + indexing the same document: the score model, every
+//! Attaching a snapshot must be observationally equivalent to
+//! parsing + indexing the same document: the score model, every
 //! engine's top-k (tie-aware), and the collection driver's global
 //! top-k all agree whichever backing the views read from. Only the
 //! prepare cost may differ.
 
 use proptest::prelude::*;
+use std::path::PathBuf;
 use whirlpool_core::{
     answers_equivalent, collection_answers_equivalent, evaluate_collection, evaluate_view,
     Algorithm, Collection, CollectionOptions, EvalOptions,
@@ -31,13 +32,18 @@ fn algorithms() -> Vec<Algorithm> {
     ]
 }
 
-/// Round-trips `doc` through the snapshot format: save, attach, and
-/// hand back the attached snapshot. The file lives under a unique temp
-/// name; Linux keeps the mapping valid after the unlink, so the file
-/// is removed immediately.
-fn snapshot_of(doc: &Document, index: &TagIndex, tag: &str) -> Snapshot {
+/// Saves the snapshot of `doc` under a unique temp name.
+fn save_snapshot(doc: &Document, index: &TagIndex, tag: &str) -> PathBuf {
     let path = std::env::temp_dir().join(format!("wp-snap-diff-{}-{tag}.wps", std::process::id()));
     whirlpool_store::save_snapshot(doc, index, &path).expect("save snapshot");
+    path
+}
+
+/// Round-trips `doc` through the snapshot format: save, attach, and
+/// hand back the attached snapshot. Linux keeps the mapping valid after
+/// the unlink, so the file is removed immediately.
+fn snapshot_of(doc: &Document, index: &TagIndex, tag: &str) -> Snapshot {
+    let path = save_snapshot(doc, index, tag);
     let snapshot = Snapshot::attach(&path).expect("attach snapshot");
     let _ = std::fs::remove_file(&path);
     snapshot
@@ -104,10 +110,12 @@ fn collection_of_snapshots_matches_collection_of_documents() {
             max_items: None,
         });
         let index = TagIndex::build(&doc);
-        attached.add_snapshot(
-            format!("doc-{i}"),
-            snapshot_of(&doc, &index, &format!("coll-{i}")),
-        );
+        let path = save_snapshot(&doc, &index, &format!("coll-{i}"));
+        attached
+            .add_snapshot(format!("doc-{i}"), &path)
+            .expect("attach snapshot");
+        // No residency cap: the shard stays mapped, so the file can go.
+        let _ = std::fs::remove_file(&path);
         parsed.add_document(format!("doc-{i}"), doc);
     }
 
