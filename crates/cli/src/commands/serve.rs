@@ -218,15 +218,18 @@ mod tests {
         );
 
         // A fresh cached snapshot of a retired version boots cold.
-        let mut bytes = std::fs::read(cache.join("books.wps")).unwrap();
-        bytes[4] = 2;
-        std::fs::write(cache.join("books.wps"), bytes).unwrap();
-        let (_, registry) = configure(&[&xml, "--snapshot-dir", &dir_flag]).unwrap();
-        assert_eq!(
-            registry.get("books").unwrap().prepare.stat_name(),
-            "index_build_ms",
-            "a version-2 snapshot must fall back to a parse"
-        );
+        let current = std::fs::read(cache.join("books.wps")).unwrap();
+        for retired in [2u8, 3] {
+            let mut bytes = current.clone();
+            bytes[4] = retired;
+            std::fs::write(cache.join("books.wps"), bytes).unwrap();
+            let (_, registry) = configure(&[&xml, "--snapshot-dir", &dir_flag]).unwrap();
+            assert_eq!(
+                registry.get("books").unwrap().prepare.stat_name(),
+                "index_build_ms",
+                "a version-{retired} snapshot must fall back to a parse"
+            );
+        }
 
         // A stale snapshot (source rewritten after it) is ignored.
         whirlpool_store::save_snapshot(&doc, &index, cache.join("books.wps")).unwrap();

@@ -308,17 +308,24 @@ fn binary_stores_get_a_typed_error_from_xml_commands() {
     );
     run_ok(&["snapshot", "build", xml, snap]);
 
-    // A version-2 snapshot (the layout before stored synopses) is a
-    // retired store too, given directly or inside a collection.
-    let v2_dir = scratch("v2-store");
-    std::fs::create_dir_all(&v2_dir).unwrap();
-    let mut bytes = std::fs::read(snap).unwrap();
-    bytes[4] = 2;
-    let v2 = v2_dir.join("old.wps");
-    std::fs::write(&v2, bytes).unwrap();
-    let (v2, v2_dir) = (v2.to_str().unwrap(), v2_dir.to_str().unwrap());
+    // Version-2 and version-3 snapshots (the layout before stored
+    // synopses, and the one under a serial FNV checksum) are retired
+    // stores too, given directly or inside a collection.
+    let retired = [2u8, 3].map(|version| {
+        let dir = scratch(&format!("v{version}-store"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut bytes = std::fs::read(snap).unwrap();
+        bytes[4] = version;
+        let file = dir.join("old.wps");
+        std::fs::write(&file, bytes).unwrap();
+        (
+            file.to_str().unwrap().to_owned(),
+            dir.to_str().unwrap().to_owned(),
+        )
+    });
+    let [(v2, v2_dir), (v3, v3_dir)] = &retired;
 
-    let argvs: [&[&str]; 8] = [
+    let argvs: [&[&str]; 10] = [
         &["query", v1, "//book[./title]"],
         &["query", v1, xml, "//book[./title]"],
         &["stats", v1],
@@ -327,6 +334,8 @@ fn binary_stores_get_a_typed_error_from_xml_commands() {
         &["explain", snap, "//book[./title]"],
         &["query", v2, "//book[./title]"],
         &["query", "--collection", v2_dir, "//book[./title]"],
+        &["query", v3, "//book[./title]"],
+        &["query", "--collection", v3_dir, "//book[./title]"],
     ];
     for argv in argvs {
         let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
@@ -337,6 +346,9 @@ fn binary_stores_get_a_typed_error_from_xml_commands() {
         );
         let text = err.to_string();
         assert!(text.contains("binary store"), "{argv:?}: {text}");
+        if argv.iter().any(|a| a.contains("v3-store")) {
+            assert!(text.contains("binary store (format v3)"), "{text}");
+        }
         assert!(
             text.contains("whirlpool snapshot build"),
             "{argv:?}: {text}"
@@ -593,7 +605,7 @@ fn snapshot_build_verify_info_and_query_pipeline() {
     assert!(verify.starts_with("ok:"), "{verify}");
     let info = run_ok(&["snapshot", "info", snap.to_str().unwrap()]);
     assert!(info.contains("elements:  9"), "{info}");
-    assert!(info.contains("version:   3"), "{info}");
+    assert!(info.contains("version:   4"), "{info}");
     assert!(info.contains("paths:"), "{info}");
     assert!(info.contains("book"), "{info}");
 

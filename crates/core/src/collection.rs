@@ -1529,7 +1529,7 @@ mod tests {
         <archive><isbn>8</isbn><price>5</price></archive>\
         </shelf>";
 
-    /// Writes each source as a v3 snapshot `<name>.wps` under a fresh
+    /// Writes each source as a snapshot `<name>.wps` under a fresh
     /// temp dir.
     fn snapshot_dir(tag: &str, sources: &[(&str, &str)]) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("wp-lazy-{tag}-{}", std::process::id()));

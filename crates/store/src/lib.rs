@@ -18,10 +18,10 @@
 //! ```
 //!
 //! Files carry the magic `"WPLX"` and a `u32` version. This crate
-//! reads and writes [`SNAPSHOT_VERSION`] (3) only; 1 (a streamed
-//! document store) and 2 (snapshots without stored synopses) are still
-//! recognised by [`store_version`] so callers can name them in an
-//! error instead of mis-parsing them.
+//! reads and writes [`SNAPSHOT_VERSION`] (4) only; 1 (a streamed
+//! store), 2 (snapshots without stored synopses) and 3 (snapshots under
+//! a serial FNV checksum) are still recognised by [`store_version`] so
+//! callers can name them in an error instead of mis-parsing them.
 
 use std::fmt;
 use std::io::{self, Read};
@@ -70,7 +70,7 @@ impl From<io::Error> for StoreError {
 }
 
 /// The format version of a store file ([`SNAPSHOT_VERSION`] for a
-/// snapshot this crate attaches; 1 and 2 for retired formats), or `None` if
+/// snapshot this crate attaches; 1–3 for retired formats), or `None` if
 /// the file is missing or does not carry the store magic. Cheap: reads
 /// 8 bytes.
 pub fn store_version(path: impl AsRef<Path>) -> Option<u32> {
@@ -112,6 +112,11 @@ mod tests {
         assert!(matches!(
             Snapshot::from_bytes(&bytes),
             Err(StoreError::UnsupportedVersion(2))
+        ));
+        bytes[4] = 3; // the retired serial-FNV checksum
+        assert!(matches!(
+            Snapshot::from_bytes(&bytes),
+            Err(StoreError::UnsupportedVersion(3))
         ));
     }
 }

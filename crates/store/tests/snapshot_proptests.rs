@@ -91,7 +91,7 @@ fn snapshot_bytes_are_pinned() {
     let bytes = build_snapshot_bytes(&doc, &TagIndex::build(&doc));
     assert_eq!(bytes.len(), 191_272);
     let checksum = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-    assert_eq!(checksum, 0xcb94_0a0a_87de_a2d0);
+    assert_eq!(checksum, 0x1c91_2a4c_94f5_eaf3);
 }
 
 proptest! {
