@@ -325,6 +325,7 @@ pub fn run(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
         )?,
     }
     writeln!(out, "answers:   {}", result.answers.len())?;
+    let id_attr = doc.tag_id("id");
     for (rank, a) in result.answers.iter().enumerate() {
         write!(
             out,
@@ -333,7 +334,7 @@ pub fn run(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
             a.score.value(),
             a.root
         )?;
-        if let Some(id) = doc.attribute(a.root, "id") {
+        if let Some(id) = id_attr.and_then(|t| doc.attribute(a.root, t)) {
             write!(out, "  id={id}")?;
         }
         writeln!(out)?;
@@ -533,7 +534,8 @@ fn answer_texts(
 ) -> Vec<(Option<String>, String)> {
     let mut texts = vec![(None, String::new()); result.answers.len()];
     collection.visit_answers(result, |rank, a, doc| {
-        texts[rank].0 = doc.attribute(a.root, "id").map(str::to_string);
+        let id = doc.tag_id("id").and_then(|t| doc.attribute(a.root, t));
+        texts[rank].0 = id.map(str::to_string);
         if xml {
             texts[rank].1 = doc.write_node(
                 a.root,
@@ -773,14 +775,14 @@ fn write_json(
         m.answers_degraded
     )?;
     writeln!(out, "  \"answers\": [")?;
+    let id_attr = doc.tag_id("id");
     for (i, a) in result.answers.iter().enumerate() {
         let comma = if i + 1 < result.answers.len() {
             ","
         } else {
             ""
         };
-        let id = doc
-            .attribute(a.root, "id")
+        let id = (id_attr.and_then(|t| doc.attribute(a.root, t)))
             .map(|v| format!(", \"id\": \"{}\"", escape(v)))
             .unwrap_or_default();
         writeln!(

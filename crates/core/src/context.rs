@@ -10,10 +10,10 @@ use whirlpool_index::{
     TagIndexView,
 };
 use whirlpool_pattern::{
-    compile_servers, Direction, QNodeId, ServerSpec, TreePattern, ValueTest, WILDCARD,
+    compile_servers, AttrTest, Direction, QNodeId, ServerSpec, TreePattern, ValueTest, WILDCARD,
 };
 use whirlpool_score::{MatchLevel, Score, ScoreModel};
-use whirlpool_xml::{Document, NodeId};
+use whirlpool_xml::{Document, NodeId, TagId};
 
 /// Whether relaxations are admitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -135,6 +135,9 @@ pub struct QueryContext<'a> {
     servers: Vec<ServerSpec>,
     /// Resolved candidate universe per server.
     server_ranges: Vec<ServerRange<'a>>,
+    /// Each server's attribute-test names, resolved to tag ids (`None`:
+    /// the document has no such name).
+    server_attr_tags: Vec<Vec<Option<TagId>>>,
     /// Sampled selectivity per server (same indexing as `servers`).
     selectivity: Vec<ServerSelectivity>,
     /// Max possible contribution per query node (indexed by QNodeId).
@@ -146,6 +149,12 @@ pub struct QueryContext<'a> {
     root_candidates: Cow<'a, [NodeId]>,
     full_mask: u64,
     seq: AtomicU64,
+}
+
+/// Do `n`'s attributes pass every test? `tags` holds the tests' names,
+/// resolved against `doc` once per query.
+fn attrs_hold(doc: DocView<'_>, attrs: &[AttrTest], tags: &[Option<TagId>], n: NodeId) -> bool {
+    (attrs.iter().zip(tags)).all(|(a, t)| a.matches(t.and_then(|t| doc.attribute(n, t))))
 }
 
 /// Root candidates sampled per query for the selectivity estimates.
@@ -196,6 +205,10 @@ impl<'a> QueryContext<'a> {
                     index.nodes_with_tag(tag).into()
                 })
         };
+        let attr_tags = |attrs: &[AttrTest]| -> Vec<Option<TagId>> {
+            attrs.iter().map(|a| doc.tag_id(&a.name)).collect()
+        };
+        let root_attr_tags = attr_tags(&root_node.attrs);
         let root_candidates = if unfiltered {
             root_universe
         } else {
@@ -214,14 +227,10 @@ impl<'a> QueryContext<'a> {
                         .as_ref()
                         .map_or(true, |v| v.matches(doc.text(n)))
                 })
-                .filter(|&n| {
-                    root_node
-                        .attrs
-                        .iter()
-                        .all(|a| a.matches(doc.attribute(n, &a.name)))
-                })
+                .filter(|&n| attrs_hold(doc, &root_node.attrs, &root_attr_tags, n))
                 .collect()
         };
+        let server_attr_tags = servers.iter().map(|s| attr_tags(&s.attrs)).collect();
 
         // Resolve each server's posting list once (the value-equality
         // lookup included, so no repeated hashing at runtime). A root's
@@ -265,6 +274,7 @@ impl<'a> QueryContext<'a> {
             metrics: Metrics::new(),
             servers,
             server_ranges,
+            server_attr_tags,
             selectivity,
             max_contrib,
             total_server_max,
@@ -495,7 +505,7 @@ impl<'a> QueryContext<'a> {
     /// predicate runs as a branch-free
     /// [`KERNEL_LANE`](whirlpool_index::KERNEL_LANE)-chunked byte-mask
     /// sweep over the flat
-    /// [`StructuralColumns`](whirlpool_index::StructuralColumns): one
+    /// [`ColumnsView`](whirlpool_index::ColumnsView): one
     /// level sweep for the root predicate, then one refining sweep per
     /// bound conditional predicate. Per-candidate branching only
     /// returns for the survivors' scoring. Comparison counts
@@ -605,11 +615,8 @@ impl<'a> QueryContext<'a> {
                     }
                     if !spec.attrs.is_empty() {
                         comparisons += spec.attrs.len() as u64;
-                        if !spec
-                            .attrs
-                            .iter()
-                            .all(|a| a.matches(self.doc.attribute(cand, &a.name)))
-                        {
+                        let tags = &self.server_attr_tags[server.index() - 1];
+                        if !attrs_hold(self.doc, &spec.attrs, tags, cand) {
                             continue;
                         }
                     }

@@ -4,12 +4,13 @@
 //! about a candidate — parent-of, depth delta, containment (paper
 //! Definitions 4.1–4.4). All three are O(1) lookups against flat
 //! arrays indexed by [`NodeId`], so the server-op hot loop never walks
-//! parent links (an O(depth) climb per candidate). They are derived
-//! from the [`Document`]'s parent links in one pass, and a snapshot
-//! stores them as they are.
+//! parent links (an O(depth) climb per candidate). They are the
+//! document's own `parent`, `depth` and `subtree_end` arrays, written
+//! by the parser, copied by [`TagIndex::build`](crate::TagIndex::build)
+//! and stored by a snapshot as they are.
 
 use whirlpool_pattern::ComposedAxis;
-use whirlpool_xml::{Document, NodeId};
+use whirlpool_xml::NodeId;
 
 /// Sentinel parent value for the synthetic document root.
 const NO_PARENT: u32 = u32::MAX;
@@ -70,85 +71,16 @@ fn sweep_refine(cands: &[u32], alive: &mut [u8], f: impl Fn(u32) -> u8) -> u64 {
     lanes_for(cands.len())
 }
 
-/// Flat structural columns for one document: `parent`, `depth`, and
-/// `subtree_end`, all indexed by raw node id.
-///
-/// Built by [`TagIndex::build`](crate::TagIndex::build) and read through
-/// [`TagIndexView::columns`](crate::TagIndexView::columns).
-/// Because node ids are assigned in pre-order, containment is the pure
-/// integer test `a < b && b < subtree_end[a]`, and the composed
-/// structural predicates of the compiled plan reduce to one or two
-/// integer comparisons (see [`ColumnsView::holds`]).
-///
-/// This is the *owned* backing; every predicate and sweep lives on the
-/// borrowed [`ColumnsView`], so the same kernels run unchanged over
-/// columns built in memory or memory-mapped from a snapshot file.
-pub struct StructuralColumns {
-    /// `parent[n]` = raw id of `n`'s parent; `u32::MAX` for the root.
-    parent: Vec<u32>,
-    /// `depth[n]` = depth of `n` (document root is 0).
-    depth: Vec<u16>,
-    /// `subtree_end[n]` = one past the last descendant of `n`.
-    subtree_end: Vec<u32>,
-}
-
-impl StructuralColumns {
-    /// Builds the columns in one forward pass (parent, depth) and one
-    /// reverse pass (subtree extents) over the node arena — no
-    /// intermediate allocation.
-    pub fn build(doc: &Document) -> Self {
-        let n = doc.len();
-        let mut parent = vec![NO_PARENT; n];
-        let mut depth = vec![0u16; n];
-        for id in doc.elements() {
-            let p = doc
-                .parent(id)
-                .expect("non-root node without a parent")
-                .index();
-            parent[id.index()] = p as u32;
-            depth[id.index()] = depth[p]
-                .checked_add(1)
-                .expect("document deeper than u16::MAX");
-        }
-
-        // Subtree extents: ids are pre-order, so every descendant of a
-        // node has a larger id and (walking ids in reverse) is final
-        // before its parent is visited — fold each node's extent into
-        // its parent's.
-        let mut subtree_end: Vec<u32> = (1..=n as u32).collect();
-        for id in (1..n).rev() {
-            let p = parent[id] as usize;
-            if subtree_end[id] > subtree_end[p] {
-                subtree_end[p] = subtree_end[id];
-            }
-        }
-
-        StructuralColumns {
-            parent,
-            depth,
-            subtree_end,
-        }
-    }
-
-    /// The borrowed view all predicates and sweeps are defined on.
-    #[inline]
-    pub fn view(&self) -> ColumnsView<'_> {
-        ColumnsView {
-            parent: &self.parent,
-            depth: &self.depth,
-            subtree_end: &self.subtree_end,
-        }
-    }
-}
-
 /// Borrowed structural columns: the slice triple every structural
 /// predicate and batch sweep is defined on.
 ///
-/// Obtained from an owned [`StructuralColumns`] via
-/// [`StructuralColumns::view`], or assembled directly over the flat
-/// arrays of a memory-mapped snapshot ([`ColumnsView::from_raw`]) — the
-/// engines cannot tell the difference, which is what makes snapshot
-/// attach zero-copy.
+/// Because node ids are assigned in pre-order, containment is the pure
+/// integer test `a < b && b < subtree_end[a]`, and the composed
+/// structural predicates of the compiled plan reduce to one or two
+/// integer comparisons (see [`ColumnsView::holds`]). Assembled by
+/// [`ColumnsView::from_raw`] over an in-memory index's arrays or a
+/// memory-mapped snapshot's — the engines cannot tell the difference,
+/// which is what makes snapshot attach zero-copy.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ColumnsView<'a> {
     parent: &'a [u32],
@@ -178,12 +110,6 @@ impl<'a> ColumnsView<'a> {
     #[inline]
     pub fn len(&self) -> usize {
         self.parent.len()
-    }
-
-    /// The raw `(parent, depth, subtree_end)` columns, as a snapshot
-    /// writer stores them.
-    pub fn raw(&self) -> (&'a [u32], &'a [u16], &'a [u32]) {
-        (self.parent, self.depth, self.subtree_end)
     }
 
     /// True when the columns cover no nodes at all.
@@ -356,12 +282,12 @@ impl<'a> ColumnsView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use whirlpool_xml::parse_document;
+    use whirlpool_xml::{parse_document, Document};
 
-    fn columns(src: &str) -> (whirlpool_xml::Document, StructuralColumns) {
+    fn columns(src: &str) -> (Document, crate::TagIndex) {
         let doc = parse_document(src).unwrap();
-        let cols = StructuralColumns::build(&doc);
-        (doc, cols)
+        let index = crate::TagIndex::build(&doc);
+        (doc, index)
     }
 
     /// `y`'s proper ancestors, nearest first, by parent hops.
@@ -383,7 +309,7 @@ mod tests {
     #[test]
     fn parent_and_depth_match_document() {
         let (doc, cols) = columns("<a><b><c/><d/></b><e/></a>");
-        let cols = cols.view();
+        let cols = cols.view().columns();
         for id in doc.all_nodes() {
             assert_eq!(cols.parent_of(id), doc.parent(id), "{id:?}");
             assert_eq!(cols.depth_of(id), ancestors(&doc, id).count(), "{id:?}");
@@ -394,7 +320,7 @@ mod tests {
     #[test]
     fn containment_matches_parent_links() {
         let (doc, cols) = columns("<a><b><c/><d/></b><e/></a><a><b/></a>");
-        let cols = cols.view();
+        let cols = cols.view().columns();
         for x in doc.all_nodes() {
             for y in doc.all_nodes() {
                 let expected = by_parent_hops(&doc, ComposedAxis::Descendant, x, y);
@@ -414,7 +340,7 @@ mod tests {
         }
         src.push_str("</b><c/></a>");
         let (doc, cols) = columns(&src);
-        let cols = cols.view();
+        let cols = cols.view().columns();
         let axes = [
             ComposedAxis::ChildChain(1),
             ComposedAxis::ChildChain(2),
@@ -468,7 +394,7 @@ mod tests {
     #[test]
     fn refine_sweeps_only_clear_bits() {
         let (doc, cols) = columns("<a><b><c/></b><b/></a>");
-        let cols = cols.view();
+        let cols = cols.view().columns();
         let every: Vec<u32> = doc.all_nodes().map(|n| n.index() as u32).collect();
         let root = doc.all_nodes().next().unwrap();
         let mut alive = vec![0u8; every.len()];
@@ -480,7 +406,7 @@ mod tests {
     #[test]
     fn composed_axes_match_parent_hops() {
         let (doc, cols) = columns("<a><b><c><d/></c></b><c/></a>");
-        let cols = cols.view();
+        let cols = cols.view().columns();
         for axis in [
             ComposedAxis::ChildChain(1),
             ComposedAxis::ChildChain(2),

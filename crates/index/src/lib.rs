@@ -21,13 +21,15 @@
 //!   answers ascending descendant-range queries by galloping forward
 //!   from the previous answer, turning a per-root pair of binary
 //!   searches into one amortized merge pass.
-//! * [`ColumnsView`] — flat per-node `parent`/`depth`/`subtree_end`
-//!   columns (owned by a [`StructuralColumns`], read through
-//!   [`TagIndexView::columns`]), turning the compiled structural
-//!   predicates (pc, ad, depth-bounded chains) into one or two integer
-//!   comparisons so the server-op hot loop never walks parent links.
-//! * [`DocView`] — the document side: a parsed `Document` or a mapped
-//!   snapshot's [`MappedDoc`] behind one accessor surface.
+//! * [`ColumnsView`] — the document's flat per-node
+//!   `parent`/`depth`/`subtree_end` columns (copied into the index,
+//!   read through [`TagIndexView::columns`]), turning the compiled
+//!   structural predicates (pc, ad, depth-bounded chains) into one or
+//!   two integer comparisons so the server-op hot loop never walks
+//!   parent links.
+//! * [`DocView`] — the document side, re-exported from `whirlpool-xml`:
+//!   one `Copy` struct of slices over a parsed `Document` or a mapped
+//!   snapshot.
 //! * [`ServerSelectivity`] — sampled per-server statistics (candidate
 //!   fanout, exact-match fraction) that the adaptive routing strategies
 //!   use as their cost estimates ("such estimates could be obtained by
@@ -49,9 +51,8 @@ mod paths;
 mod selectivity;
 mod synopsis;
 mod tagindex;
-mod view;
 
-pub use columns::{lanes_for, mask_count, ColumnsView, StructuralColumns, KERNEL_LANE};
+pub use columns::{lanes_for, mask_count, ColumnsView, KERNEL_LANE};
 pub use cursor::RangeCursor;
 pub use paths::{PathAxis, PathEntry, PathSynopsis, PATH_COUNT_CAP, PATH_DEPTH_CAP};
 pub use selectivity::{
@@ -59,4 +60,4 @@ pub use selectivity::{
 };
 pub use synopsis::ShardSynopsis;
 pub use tagindex::{TagIndex, TagIndexView, VALUE_GROUP_STRIDE};
-pub use view::{DocView, MappedDoc, ATTR_ENTRY_STRIDE};
+pub use whirlpool_xml::DocView;

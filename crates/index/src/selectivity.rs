@@ -16,9 +16,8 @@
 //!   extension, actually produces.
 
 use crate::tagindex::TagIndexView;
-use crate::view::DocView;
 use whirlpool_pattern::{ServerSpec, ValueTest};
-use whirlpool_xml::NodeId;
+use whirlpool_xml::{DocView, NodeId};
 
 /// Selectivity estimates for one server.
 #[derive(Debug, Clone, PartialEq)]

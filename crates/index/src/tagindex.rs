@@ -2,7 +2,7 @@
 //! layout: the arrays a snapshot stores, built in memory by
 //! [`TagIndex::build`] or borrowed out of a mapped file.
 
-use crate::columns::{ColumnsView, StructuralColumns};
+use crate::columns::ColumnsView;
 use whirlpool_xml::{Document, NodeId, TagId};
 
 /// `u32`s per value-posting group: tag id, value offset, value length,
@@ -10,7 +10,7 @@ use whirlpool_xml::{Document, NodeId, TagId};
 pub const VALUE_GROUP_STRIDE: usize = 5;
 
 /// Postings for every tag (and every `(tag, text value)` pair) of a
-/// document, in document order, plus the structural columns.
+/// document, in document order, plus the document's structural columns.
 ///
 /// The index owns exactly the flat arrays a snapshot stores, so
 /// [`TagIndex::view`] and a mapped snapshot's index view are the same
@@ -30,8 +30,11 @@ pub struct TagIndex {
     /// The groups' ids, concatenated in group order, ascending within a
     /// group.
     value_ids: Vec<u32>,
-    /// Flat parent/depth/subtree-extent columns.
-    columns: StructuralColumns,
+    /// The document's `parent`, `depth` and `subtree_end` arrays,
+    /// copied (see [`ColumnsView`]).
+    parent: Vec<u32>,
+    depth: Vec<u16>,
+    subtree_end: Vec<u32>,
 }
 
 fn as_u32(len: usize, what: &str) -> u32 {
@@ -42,9 +45,10 @@ impl TagIndex {
     /// Builds the index: one counting pass sizes every tag's postings,
     /// a second pass fills them in document order and gathers the
     /// direct-text values, and one sort groups those by `(tag, value)`.
-    /// The structural columns come from [`StructuralColumns::build`].
+    /// The structural columns are the document's own, copied.
     pub fn build(doc: &Document) -> Self {
-        let tag_count = doc.tags().len();
+        let doc = doc.view();
+        let tag_count = doc.tag_count();
         let mut post_offsets = vec![0u32; tag_count + 1];
         for id in doc.elements() {
             post_offsets[doc.tag(id).index() + 1] += 1;
@@ -62,16 +66,20 @@ impl TagIndex {
         // keeps each group's ids ascending.
         let mut texts: Vec<(u32, u64, &str, u32)> = Vec::new();
         for id in doc.elements() {
-            let node = doc.node(id);
-            let slot = &mut next[node.tag.index()];
+            let tag = doc.tag(id).index();
+            let slot = &mut next[tag];
             post_ids[*slot as usize] = id.index() as u32;
             *slot += 1;
-            if let Some(text) = node.text.as_deref() {
+            if let Some(text) = doc.text(id) {
                 let mut prefix = [0u8; 8];
                 let n = text.len().min(8);
                 prefix[..n].copy_from_slice(&text.as_bytes()[..n]);
-                let tag = node.tag.index() as u32;
-                texts.push((tag, u64::from_be_bytes(prefix), text, id.index() as u32));
+                texts.push((
+                    tag as u32,
+                    u64::from_be_bytes(prefix),
+                    text,
+                    id.index() as u32,
+                ));
             }
         }
         texts.sort_unstable();
@@ -103,7 +111,9 @@ impl TagIndex {
             value_groups,
             value_blob,
             value_ids,
-            columns: StructuralColumns::build(doc),
+            parent: doc.parent.to_vec(),
+            depth: doc.depth.to_vec(),
+            subtree_end: doc.subtree_end.to_vec(),
         }
     }
 
@@ -111,7 +121,7 @@ impl TagIndex {
     /// reader goes through.
     pub fn view(&self) -> TagIndexView<'_> {
         TagIndexView::from_raw(
-            self.columns.view(),
+            ColumnsView::from_raw(&self.parent, &self.depth, &self.subtree_end),
             &self.post_offsets,
             &self.post_ids,
             &self.value_groups,
@@ -399,7 +409,7 @@ mod tests {
         assert!(index.view().descendants_with_tag(a, a_tag).is_empty());
         assert!(index
             .view()
-            .nodes_with_tag(TagId::from_index(doc.tags().len()))
+            .nodes_with_tag(TagId::from_index(doc.view().tag_count()))
             .is_empty());
     }
 

@@ -1,5 +1,5 @@
-//! Property tests: [`StructuralColumns`] must agree with the structural
-//! relations read off parent links on arbitrary documents.
+//! Property tests: the index's structural columns must agree with the
+//! structural relations read off parent links on arbitrary documents.
 //!
 //! The columns are what the engines' hot path decides structure with,
 //! so every relation they answer — parent, depth, containment, and the

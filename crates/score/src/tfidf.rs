@@ -17,7 +17,7 @@
 
 use whirlpool_index::{DocView, TagIndex, TagIndexView};
 use whirlpool_pattern::{AttrTest, ComposedAxis, QNodeId, TreePattern, ValueTest, WILDCARD};
-use whirlpool_xml::{Document, NodeId};
+use whirlpool_xml::{Document, NodeId, TagId};
 
 /// One component predicate `p(q0, qi)` of a query.
 #[derive(Debug, Clone)]
@@ -49,31 +49,23 @@ pub fn component_predicates(pattern: &TreePattern) -> Vec<ComponentPredicate> {
         .collect()
 }
 
-/// Does candidate `c` pass the predicate's value and attribute tests?
-fn passes_tests(doc: DocView<'_>, pred: &ComponentPredicate, c: NodeId) -> bool {
-    pred.value.as_ref().map_or(true, |v| v.matches(doc.text(c)))
-        && pred
-            .attrs
-            .iter()
-            .all(|a| a.matches(doc.attribute(c, &a.name)))
+/// The predicate's attribute names, resolved against the document once
+/// per walk rather than once per candidate.
+fn attr_tags(doc: DocView<'_>, pred: &ComponentPredicate) -> Vec<Option<TagId>> {
+    pred.attrs.iter().map(|a| doc.tag_id(&a.name)).collect()
 }
 
-/// Does node `n'` (candidate for `qi`) satisfy the predicate against
-/// answer candidate `n`, including the value test?
-///
-/// The structural part runs on the index's
-/// [`StructuralColumns`](whirlpool_index::StructuralColumns) — model
-/// construction walks every (answer, candidate) pair, so the integer
-/// containment/depth checks pay off here just as they do in the
-/// engines' hot loop.
-fn satisfies(
+/// Does candidate `c` pass the predicate's value and attribute tests?
+/// `attr_tags` is [`attr_tags`] of the predicate.
+fn passes_tests(
     doc: DocView<'_>,
-    index: TagIndexView<'_>,
     pred: &ComponentPredicate,
-    n: NodeId,
-    n_prime: NodeId,
+    attr_tags: &[Option<TagId>],
+    c: NodeId,
 ) -> bool {
-    index.columns().holds(pred.axis, n, n_prime) && passes_tests(doc, pred, n_prime)
+    pred.value.as_ref().map_or(true, |v| v.matches(doc.text(c)))
+        && (pred.attrs.iter().zip(attr_tags))
+            .all(|(a, t)| a.matches(t.and_then(|t| doc.attribute(c, t))))
 }
 
 /// Candidate `qi` nodes under `n` for a predicate: the tag's posting
@@ -108,9 +100,14 @@ pub fn tf_view(
     pred: &ComponentPredicate,
     n: NodeId,
 ) -> usize {
+    let attr_tags = attr_tags(doc, pred);
+    // The structural half runs on the index's integer columns, as in
+    // the engines' hot loop.
     candidates_under(doc, index, pred, n)
         .into_iter()
-        .filter(|&c| satisfies(doc, index, pred, n, c))
+        .filter(|&c| {
+            index.columns().holds(pred.axis, n, c) && passes_tests(doc, pred, &attr_tags, c)
+        })
         .count()
 }
 
@@ -153,13 +150,14 @@ pub fn idf_counts_both_view(
     pred: &ComponentPredicate,
 ) -> (u64, u64, u64) {
     let pred_tag = (pred.tag != WILDCARD).then(|| doc.tag_id(&pred.tag));
+    let attr_tags = attr_tags(doc, pred);
     let (mut population, mut exact, mut relaxed) = (0, 0, 0);
     let mut visit = |n: NodeId| {
         let (any, held) = match pred_tag {
-            None => witnesses(doc, index, pred, n, index.descendants_any(n)),
+            None => witnesses(doc, index, pred, &attr_tags, n, index.descendants_any(n)),
             Some(Some(tag)) => {
-                let under = index.descendants_with_tag(n, tag);
-                witnesses(doc, index, pred, n, under.iter().copied())
+                let under = index.descendants_with_tag(n, tag).iter().copied();
+                witnesses(doc, index, pred, &attr_tags, n, under)
             }
             Some(None) => (false, false),
         };
@@ -188,10 +186,11 @@ fn witnesses(
     doc: DocView<'_>,
     index: TagIndexView<'_>,
     pred: &ComponentPredicate,
+    attr_tags: &[Option<TagId>],
     n: NodeId,
     candidates: impl Iterator<Item = NodeId>,
 ) -> (bool, bool) {
-    let mut passing = candidates.filter(|&c| passes_tests(doc, pred, c));
+    let mut passing = candidates.filter(|&c| passes_tests(doc, pred, attr_tags, c));
     let Some(first) = passing.next() else {
         return (false, false);
     };

@@ -815,7 +815,7 @@ fn handle_collection_query(
 fn answer_ids(collection: &Collection, result: &CollectionResult) -> Vec<String> {
     let mut ids = vec![String::new(); result.answers.len()];
     collection.visit_answers(result, |rank, a, doc| {
-        if let Some(v) = doc.attribute(a.root, "id") {
+        if let Some(v) = doc.tag_id("id").and_then(|t| doc.attribute(a.root, t)) {
             ids[rank] = format!(", \"id\": \"{}\"", escape(v));
         }
     });
@@ -929,9 +929,9 @@ fn query_response_json(
         elapsed.as_secs_f64() * 1e3
     ));
     body.push_str("  \"answers\": [\n");
+    let id_attr = doc.tag_id("id");
     for (i, a) in result.answers.iter().enumerate() {
-        let id = doc
-            .attribute(a.root, "id")
+        let id = (id_attr.and_then(|t| doc.attribute(a.root, t)))
             .map(|v| format!(", \"id\": \"{}\"", escape(v)))
             .unwrap_or_default();
         body.push_str(&format!(
@@ -1099,7 +1099,10 @@ mod tests {
         r#"{"collection": true, "query": "//book[./title]", "k": 3, "op_cost_us": 50}"#,
     ];
 
-    /// Every truncation and every single-bit flip of `valid`.
+    /// Every truncation and every single-bit flip of `valid`, then the
+    /// splices `valid[..i] + valid[j..]` for cut points `i < j` on a grid
+    /// of `len / 24` bytes (the end included), as `tests/hostile_input.rs`
+    /// cuts XML and XPath.
     fn mutations(valid: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
         let truncations = (0..valid.len()).map(|n| valid[..n].to_vec());
         let flips = (0..valid.len() * 8).map(|bit| {
@@ -1107,7 +1110,20 @@ mod tests {
             bytes[bit / 8] ^= 1 << (bit % 8);
             bytes
         });
-        truncations.chain(flips)
+        let stride = (valid.len() / 24).max(1);
+        let cuts: Vec<usize> = (0..valid.len())
+            .step_by(stride)
+            .chain([valid.len()])
+            .collect();
+        let mut splices = Vec::new();
+        for (k, &i) in cuts.iter().enumerate() {
+            splices.extend(
+                cuts[k + 1..]
+                    .iter()
+                    .map(|&j| [&valid[..i], &valid[j..]].concat()),
+            );
+        }
+        truncations.chain(flips).chain(splices)
     }
 
     fn is_clean<T>(result: &Result<T, ServeError>) -> bool {

@@ -83,10 +83,9 @@ use crate::{StoreError, FNV_OFFSET, FNV_PRIME, MAGIC};
 use std::io::{self, Read, Seek, SeekFrom};
 use std::path::Path;
 use whirlpool_index::{
-    ColumnsView, DocView, MappedDoc, PathEntry, PathSynopsis, ShardSynopsis, TagIndex,
-    TagIndexView, ATTR_ENTRY_STRIDE, VALUE_GROUP_STRIDE,
+    ColumnsView, PathEntry, PathSynopsis, ShardSynopsis, TagIndex, TagIndexView, VALUE_GROUP_STRIDE,
 };
-use whirlpool_xml::{Document, NodeId, TagId};
+use whirlpool_xml::{DocView, Document, TagId, ATTR_ENTRY_STRIDE};
 
 /// The snapshot format version: the one this crate writes and reads.
 pub const SNAPSHOT_VERSION: u32 = 4;
@@ -162,14 +161,8 @@ fn checksum(bytes: &[u8]) -> u64 {
 // Writer
 // -----------------------------------------------------------------------
 
-fn push_u32s(buf: &mut Vec<u8>, values: impl IntoIterator<Item = u32>) {
-    for v in values {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-fn as_u32(len: usize, what: &str) -> u32 {
-    u32::try_from(len).unwrap_or_else(|_| panic!("{what} exceeds u32 range ({len})"))
+fn le_bytes(values: &[u32]) -> Vec<u8> {
+    values.iter().flat_map(|v| v.to_le_bytes()).collect()
 }
 
 /// Kept only because `benchmark/src/workloads/mod.rs` names it: there
@@ -180,8 +173,8 @@ pub struct SnapshotOptions;
 /// Serializes the path-synopsis section: the tag-count synopsis plus
 /// the bounded dataguide, self-contained and self-checksummed so
 /// [`Snapshot::peek`] can read it without touching any other section.
-fn encode_path_section(doc: &Document, index: TagIndexView<'_>, paths: &PathSynopsis) -> Vec<u8> {
-    let tag_count = doc.tags().len();
+fn encode_path_section(doc: DocView<'_>, index: TagIndexView<'_>, paths: &PathSynopsis) -> Vec<u8> {
+    let tag_count = doc.tag_count();
     let mut out = Vec::new();
     out.extend_from_slice(&((doc.len() - 1) as u64).to_le_bytes());
 
@@ -325,97 +318,46 @@ fn parse_path_section(bytes: &[u8]) -> Result<(ShardSynopsis, PathSynopsis), Sto
     Ok((synopsis, paths))
 }
 
-/// Serializes `doc` + `index` into the snapshot byte layout.
+/// Serializes `doc` + `index` into the snapshot byte layout: the
+/// document's arrays and the index's, as they are, then the synopses.
 pub fn build_snapshot_bytes(doc: &Document, index: &TagIndex) -> Vec<u8> {
+    let paths = PathSynopsis::build(doc);
+    let (doc, index) = (doc.view(), index.view());
     let n = doc.len();
-    let index = index.view();
-    let columns = index.columns();
-    assert_eq!(columns.len(), n, "index built for a different document");
-    let tag_count = doc.tags().len();
+    assert_eq!(
+        index.columns().len(),
+        n,
+        "index built for a different document"
+    );
 
     let mut sections: Vec<Vec<u8>> = vec![Vec::new(); SECTION_COUNT];
-
-    // Tag table.
-    {
-        let (offsets, blob) = (&mut Vec::new(), &mut Vec::new());
-        let mut off = 0u32;
-        offsets.push(0u32);
-        for (_, name) in doc.tags().iter() {
-            blob.extend_from_slice(name.as_bytes());
-            off += as_u32(name.len(), "tag name");
-            offsets.push(off);
-        }
-        push_u32s(&mut sections[SEC_TAG_OFFSETS], offsets.iter().copied());
-        sections[SEC_TAG_BLOB] = std::mem::take(blob);
-    }
-
-    // Structural columns.
-    let (parent, depth, subtree_end) = columns.raw();
-    push_u32s(&mut sections[SEC_PARENT], parent.iter().copied());
-    for &d in depth {
-        sections[SEC_DEPTH].extend_from_slice(&d.to_le_bytes());
-    }
-    push_u32s(&mut sections[SEC_SUBTREE_END], subtree_end.iter().copied());
-
-    // Per-node tags.
-    push_u32s(
-        &mut sections[SEC_TAG_OF],
-        (0..n).map(|i| doc.tag(NodeId::from_index(i)).index() as u32),
-    );
-
-    // Tag and value postings: the index's own arrays, as they are.
     let (post_offsets, post_ids) = index.postings_raw();
-    push_u32s(
-        &mut sections[SEC_POST_OFFSETS],
-        post_offsets.iter().copied(),
-    );
-    push_u32s(&mut sections[SEC_POST_IDS], post_ids.iter().copied());
     let (value_groups, value_blob, value_ids) = index.values_raw();
-    push_u32s(
-        &mut sections[SEC_VALUE_GROUPS],
-        value_groups.iter().copied(),
-    );
-    sections[SEC_VALUE_BLOB] = value_blob.as_bytes().to_vec();
-    push_u32s(&mut sections[SEC_VALUE_IDS], value_ids.iter().copied());
-
-    // Text payload.
-    {
-        let mut off = 0u32;
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u32);
-        for i in 0..n {
-            if let Some(text) = doc.text(NodeId::from_index(i)) {
-                sections[SEC_TEXT_BLOB].extend_from_slice(text.as_bytes());
-                off += as_u32(text.len(), "text");
-            }
-            offsets.push(off);
-        }
-        push_u32s(&mut sections[SEC_TEXT_OFFSETS], offsets);
+    for (i, words) in [
+        (SEC_TAG_OFFSETS, doc.tag_offsets),
+        (SEC_PARENT, doc.parent),
+        (SEC_SUBTREE_END, doc.subtree_end),
+        (SEC_TAG_OF, doc.tag_of),
+        (SEC_POST_OFFSETS, post_offsets),
+        (SEC_POST_IDS, post_ids),
+        (SEC_VALUE_GROUPS, value_groups),
+        (SEC_VALUE_IDS, value_ids),
+        (SEC_TEXT_OFFSETS, doc.text_offsets),
+        (SEC_ATTR_OFFSETS, doc.attr_offsets),
+        (SEC_ATTR_ENTRIES, doc.attr_entries),
+    ] {
+        sections[i] = le_bytes(words);
     }
-
-    // Attribute payload.
-    {
-        let (mut entries, mut val_off) = (0u32, 0u32);
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u32);
-        for i in 0..n {
-            for (name, value) in &doc.node(NodeId::from_index(i)).attributes {
-                let val_len = as_u32(value.len(), "attribute value");
-                push_u32s(
-                    &mut sections[SEC_ATTR_ENTRIES],
-                    [name.index() as u32, val_off, val_len],
-                );
-                sections[SEC_ATTR_BLOB].extend_from_slice(value.as_bytes());
-                val_off += val_len;
-                entries += 1;
-            }
-            offsets.push(entries);
-        }
-        push_u32s(&mut sections[SEC_ATTR_OFFSETS], offsets);
+    sections[SEC_DEPTH] = doc.depth.iter().flat_map(|d| d.to_le_bytes()).collect();
+    for (i, blob) in [
+        (SEC_TAG_BLOB, doc.tag_blob),
+        (SEC_VALUE_BLOB, value_blob),
+        (SEC_TEXT_BLOB, doc.text_blob),
+        (SEC_ATTR_BLOB, doc.attr_blob),
+    ] {
+        sections[i] = blob.as_bytes().to_vec();
     }
-
-    // The stored synopses.
-    sections[SEC_PATH_SYNOPSIS] = encode_path_section(doc, index, &PathSynopsis::build(doc));
+    sections[SEC_PATH_SYNOPSIS] = encode_path_section(doc, index, &paths);
 
     // Lay out: header, then padded sections, then the checksum.
     let mut offsets = vec![0usize; sections.len()];
@@ -430,7 +372,7 @@ pub fn build_snapshot_bytes(doc: &Document, index: &TagIndex) -> Vec<u8> {
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
     out.extend_from_slice(&(n as u64).to_le_bytes());
-    out.extend_from_slice(&(tag_count as u64).to_le_bytes());
+    out.extend_from_slice(&(doc.tag_count() as u64).to_le_bytes());
     out.extend_from_slice(&(total_len as u64).to_le_bytes());
     for (i, s) in sections.iter().enumerate() {
         out.extend_from_slice(&(offsets[i] as u64).to_le_bytes());
@@ -559,24 +501,23 @@ impl Snapshot {
         )
     }
 
-    fn mapped_doc(&self) -> MappedDoc<'_> {
-        MappedDoc::from_raw(
-            self.columns_view(),
-            self.u32s(SEC_TAG_OFFSETS),
-            self.str_of(SEC_TAG_BLOB),
-            self.u32s(SEC_TAG_OF),
-            self.u32s(SEC_TEXT_OFFSETS),
-            self.str_of(SEC_TEXT_BLOB),
-            self.u32s(SEC_ATTR_OFFSETS),
-            self.u32s(SEC_ATTR_ENTRIES),
-            self.str_of(SEC_ATTR_BLOB),
-        )
-    }
-
-    /// The document view (tags, text, attributes) over the mapped
-    /// arrays — zero-copy, `Copy`, engine-ready.
+    /// The document view (tags, structure, text, attributes) over the
+    /// mapped arrays — the same struct [`Document::view`] returns over
+    /// a parsed document.
     pub fn doc_view(&self) -> DocView<'_> {
-        DocView::Mapped(self.mapped_doc())
+        DocView {
+            tag_offsets: self.u32s(SEC_TAG_OFFSETS),
+            tag_blob: self.str_of(SEC_TAG_BLOB),
+            tag_of: self.u32s(SEC_TAG_OF),
+            parent: self.u32s(SEC_PARENT),
+            depth: self.u16s(SEC_DEPTH),
+            subtree_end: self.u32s(SEC_SUBTREE_END),
+            text_offsets: self.u32s(SEC_TEXT_OFFSETS),
+            text_blob: self.str_of(SEC_TEXT_BLOB),
+            attr_offsets: self.u32s(SEC_ATTR_OFFSETS),
+            attr_entries: self.u32s(SEC_ATTR_ENTRIES),
+            attr_blob: self.str_of(SEC_ATTR_BLOB),
+        }
     }
 
     /// The index view (postings, value postings, structural columns)
@@ -1046,21 +987,21 @@ mod tests {
         assert_eq!(snap.node_count(), doc.len());
         let dv = snap.doc_view();
         let iv = snap.index_view();
+        // The mapped document and index are the in-memory ones, array
+        // for array.
+        assert_eq!(dv, doc.view());
+        assert_eq!(iv, index.view());
 
-        for i in 0..doc.len() {
-            let node = NodeId::from_index(i);
+        let (a, b) = (dv.tag_id("a").unwrap(), dv.tag_id("b").unwrap());
+        for node in doc.all_nodes() {
             assert_eq!(dv.tag_str(node), doc.tag_str(node));
             assert_eq!(dv.text(node), doc.text(node));
-            assert_eq!(dv.attribute(node, "a"), doc.attribute(node, "a"));
-            assert_eq!(dv.attribute(node, "b"), doc.attribute(node, "b"));
+            assert_eq!(dv.attribute(node, a), doc.attribute(node, "a"));
+            assert_eq!(dv.attribute(node, b), doc.attribute(node, "b"));
             assert_eq!(dv.depth(node), doc.depth(node));
         }
         let t = doc.tag_id("t").unwrap();
-        // Mapped and owned interners share ids: the snapshot writes the
-        // document's own tag table in id order.
         assert_eq!(dv.tag_id("t"), Some(t));
-        // The mapped index is the in-memory index, array for array.
-        assert_eq!(iv, index.view());
         assert_eq!(iv.nodes_with_tag_value(t, "x").len(), 2);
         assert_eq!(iv.nodes_with_tag_value(t, "zz"), &[]);
     }
@@ -1349,7 +1290,7 @@ mod tests {
     fn forged_postings_and_tags_fail_the_node_walk() {
         // Nodes: 0 root, 1 r, 2 a, 3 b, 4 a, 5 c, 6 a.
         let (doc, _, clean) = snapshot_of("<r><a/><b/><a/><c/><a/></r>");
-        let (n, tags) = (doc.len() as u32, doc.tags().len() as u32);
+        let (n, tags) = (doc.len() as u32, doc.view().tag_count() as u32);
         let tag = |name: &str| doc.tag_id(name).unwrap().index();
         let (a, b, c) = (tag("a"), tag("b"), tag("c"));
         assert_eq!(c as u32, tags - 1, "c is the last tag");

@@ -114,8 +114,9 @@ proptest! {
         }
     }
 
-    /// The index a snapshot maps back to is the index it was written
-    /// from, array for array: the file stores the index as it is.
+    /// The index and document a snapshot maps back to are the ones it
+    /// was written from, array for array: the file stores both as they
+    /// are.
     #[test]
     fn mapped_index_view_equals_the_built_one(
         trees in prop::collection::vec(tree_strategy(), 1..4),
@@ -124,6 +125,7 @@ proptest! {
         let index = TagIndex::build(&doc);
         let snap = Snapshot::from_bytes(&build_snapshot_bytes(&doc, &index)).unwrap();
         prop_assert_eq!(snap.index_view(), index.view());
+        prop_assert_eq!(snap.doc_view(), doc.view());
     }
 
     /// Flipping any single bit anywhere in the file — header, section

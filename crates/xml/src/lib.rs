@@ -1,20 +1,23 @@
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 //! XML data model for the Whirlpool top-k query engine.
 //!
 //! This crate provides the storage substrate the rest of the system is
 //! built on:
 //!
-//! * [`Document`] — an arena-backed, node-labelled tree (the paper's data
-//!   model: "information is represented as a forest of node labeled
-//!   trees"; a forest is modelled as the children of a synthetic document
-//!   root). Nodes are numbered in document (pre-)order and keep a parent
-//!   link and a depth — the one tree encoding; the index derives its
-//!   pre-order + extent columns from it.
+//! * [`Document`] — a node-labelled tree (the paper's data model:
+//!   "information is represented as a forest of node labeled trees"; a
+//!   forest is modelled as the children of a synthetic document root),
+//!   stored as the flat arrays a snapshot stores: nodes numbered in
+//!   document (pre-)order, each with a tag, a parent, a depth, a subtree
+//!   extent, a span of a text blob and a span of attribute entries.
+//! * [`DocView`] — those arrays borrowed as one `Copy` struct of slices,
+//!   over a [`Document`] or over a mapped snapshot alike; every reader
+//!   goes through it.
 //! * [`parse_document`] — a from-scratch, dependency-free XML parser with
 //!   positioned errors.
-//! * [`DocumentBuilder`] — programmatic construction (used by the
-//!   synthetic data generators).
+//! * [`DocumentBuilder`] — pre-order construction, the one place nodes
+//!   are appended (the parser and the synthetic data generators use it).
 //! * [`write_document`] — serializer, used for size accounting and for
 //!   round-trip testing of the parser.
 //!
@@ -26,7 +29,7 @@
 //! let doc = parse_document("<book><title>wodehouse</title></book>").unwrap();
 //! let root = doc.document_root();
 //! let book = doc.children(root).next().unwrap();
-//! assert_eq!(doc.tag_name(doc.node(book).tag), "book");
+//! assert_eq!(doc.tag_name(doc.tag(book)), "book");
 //! let title = doc.children(book).next().unwrap();
 //! assert_eq!(doc.text(title), Some("wodehouse"));
 //! ```
@@ -37,12 +40,14 @@ mod node;
 mod parser;
 mod stats;
 mod tags;
+mod view;
 mod writer;
 
 pub use builder::DocumentBuilder;
 pub use error::{ParseError, ParseErrorKind, Position};
-pub use node::{Document, NodeData, NodeId};
+pub use node::{Document, NodeId};
 pub use parser::parse_document;
 pub use stats::DocumentStats;
-pub use tags::{TagId, TagInterner};
-pub use writer::{write_document, write_node, WriteOptions, XmlSource};
+pub use tags::TagId;
+pub use view::{DocView, ATTR_ENTRY_STRIDE};
+pub use writer::{write_document, write_node, WriteOptions};

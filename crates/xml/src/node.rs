@@ -1,11 +1,12 @@
-//! Arena-backed document tree.
+//! The owned document: the snapshot's document arrays, as `Vec`s.
 
-use crate::tags::{TagId, TagInterner};
+use crate::tags::TagId;
+use crate::view::{DocView, NO_PARENT};
 use std::fmt;
 
-/// Index of a node within its [`Document`]'s arena.
+/// Index of a node within its [`Document`].
 ///
-/// Nodes are allocated in document (pre-)order, so `NodeId` order
+/// Nodes are numbered in document (pre-)order, so `NodeId` order
 /// coincides with document order — a property the engine's indexes rely
 /// on.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -13,7 +14,7 @@ use std::fmt;
 pub struct NodeId(pub(crate) u32);
 
 impl NodeId {
-    /// The raw arena index, usable as a dense array key.
+    /// The raw node index, usable as a dense array key.
     pub fn index(self) -> usize {
         self.0 as usize
     }
@@ -44,33 +45,25 @@ impl fmt::Debug for NodeId {
     }
 }
 
-/// Per-node storage.
-#[derive(Debug, Clone)]
-pub struct NodeData {
-    /// Interned element tag. The synthetic document root carries the
-    /// reserved tag [`Document::DOC_ROOT_TAG`].
-    pub tag: TagId,
-    /// Parent node; `None` only for the document root.
-    pub parent: Option<NodeId>,
-    /// Children in document order.
-    pub children: Vec<NodeId>,
-    /// Concatenation of the element's *direct* text children, trimmed.
-    /// `None` when the element has no non-whitespace direct text. The
-    /// relative order of text and element children is not preserved —
-    /// the query model only ever tests an element's direct text value.
-    pub text: Option<Box<str>>,
-    /// Attributes as `(interned name, value)` pairs, in source order.
-    pub attributes: Vec<(TagId, Box<str>)>,
-    /// Depth of the node; the document root has depth 0.
-    pub depth: u32,
-}
-
 /// An XML document: a node-labelled tree rooted at a synthetic document
 /// root whose children are the top-level elements (so a *forest*, as in
 /// the paper's data model, is representable too).
+///
+/// The nodes are flat arrays in pre-order — exactly the document
+/// sections of a snapshot, read through [`Document::view`]. The parser
+/// and [`DocumentBuilder`](crate::DocumentBuilder) append to them.
 pub struct Document {
-    nodes: Vec<NodeData>,
-    tags: TagInterner,
+    pub(crate) tag_offsets: Vec<u32>,
+    pub(crate) tag_blob: String,
+    pub(crate) tag_of: Vec<u32>,
+    pub(crate) parent: Vec<u32>,
+    pub(crate) depth: Vec<u16>,
+    pub(crate) subtree_end: Vec<u32>,
+    pub(crate) text_offsets: Vec<u32>,
+    pub(crate) text_blob: String,
+    pub(crate) attr_offsets: Vec<u32>,
+    pub(crate) attr_entries: Vec<u32>,
+    pub(crate) attr_blob: String,
 }
 
 impl Document {
@@ -81,18 +74,35 @@ impl Document {
 
     /// Creates an empty document containing only the synthetic root.
     pub fn new() -> Self {
-        let mut tags = TagInterner::new();
-        let root_tag = tags.intern(Self::DOC_ROOT_TAG);
         Document {
-            nodes: vec![NodeData {
-                tag: root_tag,
-                parent: None,
-                children: Vec::new(),
-                text: None,
-                attributes: Vec::new(),
-                depth: 0,
-            }],
-            tags,
+            tag_offsets: vec![0, Self::DOC_ROOT_TAG.len() as u32],
+            tag_blob: Self::DOC_ROOT_TAG.into(),
+            tag_of: vec![0],
+            parent: vec![NO_PARENT],
+            depth: vec![0],
+            subtree_end: vec![1],
+            text_offsets: vec![0, 0],
+            text_blob: String::new(),
+            attr_offsets: vec![0, 0],
+            attr_entries: Vec::new(),
+            attr_blob: String::new(),
+        }
+    }
+
+    /// The document's arrays as a borrowed [`DocView`].
+    pub fn view(&self) -> DocView<'_> {
+        DocView {
+            tag_offsets: &self.tag_offsets,
+            tag_blob: &self.tag_blob,
+            tag_of: &self.tag_of,
+            parent: &self.parent,
+            depth: &self.depth,
+            subtree_end: &self.subtree_end,
+            text_offsets: &self.text_offsets,
+            text_blob: &self.text_blob,
+            attr_offsets: &self.attr_offsets,
+            attr_entries: &self.attr_entries,
+            attr_blob: &self.attr_blob,
         }
     }
 
@@ -104,157 +114,85 @@ impl Document {
 
     /// Total number of nodes, including the synthetic root.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.tag_of.len()
     }
 
     /// True when the document holds no elements (only the synthetic root).
     pub fn is_empty(&self) -> bool {
-        self.nodes.len() <= 1
-    }
-
-    /// Borrow a node's storage.
-    pub fn node(&self, id: NodeId) -> &NodeData {
-        &self.nodes[id.index()]
+        self.len() <= 1
     }
 
     /// The node's interned tag.
     pub fn tag(&self, id: NodeId) -> TagId {
-        self.nodes[id.index()].tag
+        self.view().tag(id)
     }
 
     /// The node's tag as a string.
     pub fn tag_str(&self, id: NodeId) -> &str {
-        self.tags.name(self.nodes[id.index()].tag)
+        self.view().tag_str(id)
     }
 
     /// The node's direct text value, if any.
     pub fn text(&self, id: NodeId) -> Option<&str> {
-        self.nodes[id.index()].text.as_deref()
+        self.view().text(id)
     }
 
     /// The node's parent, `None` for the document root.
     pub fn parent(&self, id: NodeId) -> Option<NodeId> {
-        self.nodes[id.index()].parent
+        self.view().parent(id)
     }
 
     /// The node's children in document order.
     pub fn children(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes[id.index()].children.iter().copied()
+        self.view().children(id)
     }
 
     /// The value of attribute `name` on `id`, if present.
     pub fn attribute(&self, id: NodeId, name: &str) -> Option<&str> {
-        let name_id = self.tags.get(name)?;
-        self.nodes[id.index()]
-            .attributes
-            .iter()
-            .find(|(n, _)| *n == name_id)
-            .map(|(_, v)| v.as_ref())
+        self.view().attribute(id, self.tag_id(name)?)
     }
 
-    /// The interner mapping tags to ids.
-    pub fn tags(&self) -> &TagInterner {
-        &self.tags
-    }
-
-    /// Resolves a tag name to its id without interning.
+    /// Resolves a tag or attribute name to its id.
     pub fn tag_id(&self, name: &str) -> Option<TagId> {
-        self.tags.get(name)
+        self.view().tag_id(name)
     }
 
-    /// The tag string for an id.
+    /// The name for a tag id.
     pub fn tag_name(&self, id: TagId) -> &str {
-        self.tags.name(id)
+        self.view().tag_name(id)
     }
 
     /// Iterates over all node ids in document (pre-)order, including the
     /// synthetic root.
     pub fn all_nodes(&self) -> impl Iterator<Item = NodeId> {
-        (0..self.nodes.len() as u32).map(NodeId)
+        (0..self.len() as u32).map(NodeId)
     }
 
     /// Iterates over all *element* node ids (everything but the synthetic
     /// root) in document order.
     pub fn elements(&self) -> impl Iterator<Item = NodeId> {
-        (1..self.nodes.len() as u32).map(NodeId)
+        self.view().elements()
     }
 
     /// Depth of a node; the document root has depth 0.
     pub fn depth(&self, id: NodeId) -> usize {
-        self.nodes[id.index()].depth as usize
+        self.view().depth(id)
     }
 
-    /// True iff `ancestor` is a proper ancestor of `descendant`: the
-    /// parent links climbed from `descendant` to `ancestor`'s depth land
-    /// on `ancestor`.
+    /// True iff `ancestor` is a proper ancestor of `descendant`.
     pub fn is_ancestor(&self, ancestor: NodeId, descendant: NodeId) -> bool {
-        let target = self.nodes[ancestor.index()].depth;
-        let mut node = &self.nodes[descendant.index()];
-        if node.depth <= target {
-            return false;
-        }
-        while node.depth > target + 1 {
-            node = &self.nodes[node.parent.expect("non-root node without a parent").index()];
-        }
-        node.parent == Some(ancestor)
+        self.view().is_ancestor(ancestor, descendant)
     }
 
     /// True iff `parent` is the parent of `child`.
     pub fn is_parent(&self, parent: NodeId, child: NodeId) -> bool {
-        self.nodes[child.index()].parent == Some(parent)
+        self.view().is_parent(parent, child)
     }
 
-    /// Pre-order depth-first traversal of the subtree rooted at `id`
-    /// (including `id` itself).
-    pub fn descendants_or_self(&self, id: NodeId) -> Descendants<'_> {
-        Descendants {
-            doc: self,
-            stack: vec![id],
-        }
-    }
-
-    // -- mutation (used by the parser and builder) ----------------------
-
-    pub(crate) fn intern_tag(&mut self, name: &str) -> TagId {
-        self.tags.intern(name)
-    }
-
-    /// Appends a fresh child element under `parent` and returns its id.
-    pub(crate) fn push_child(&mut self, parent: NodeId, tag: TagId) -> NodeId {
-        let depth = self.nodes[parent.index()].depth + 1;
-        let id = NodeId(u32::try_from(self.nodes.len()).expect("more than u32::MAX nodes"));
-        self.nodes.push(NodeData {
-            tag,
-            parent: Some(parent),
-            children: Vec::new(),
-            text: None,
-            attributes: Vec::new(),
-            depth,
-        });
-        self.nodes[parent.index()].children.push(id);
-        id
-    }
-
-    pub(crate) fn append_text(&mut self, id: NodeId, text: &str) {
-        let trimmed = text.trim();
-        if trimmed.is_empty() {
-            return;
-        }
-        let node = &mut self.nodes[id.index()];
-        match &mut node.text {
-            Some(existing) => {
-                let mut s = String::with_capacity(existing.len() + 1 + trimmed.len());
-                s.push_str(existing);
-                s.push(' ');
-                s.push_str(trimmed);
-                node.text = Some(s.into_boxed_str());
-            }
-            None => node.text = Some(trimmed.into()),
-        }
-    }
-
-    pub(crate) fn push_attribute(&mut self, id: NodeId, name: TagId, value: Box<str>) {
-        self.nodes[id.index()].attributes.push((name, value));
+    /// The subtree rooted at `id` (including `id` itself), in document
+    /// order.
+    pub fn descendants_or_self(&self, id: NodeId) -> impl Iterator<Item = NodeId> {
+        self.view().descendants_or_self(id)
     }
 }
 
@@ -264,48 +202,34 @@ impl Default for Document {
     }
 }
 
-impl fmt::Debug for Document {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Document")
-            .field("nodes", &self.nodes.len())
-            .field("tags", &self.tags.len())
-            .finish()
+impl<'a> From<&'a Document> for DocView<'a> {
+    fn from(doc: &'a Document) -> Self {
+        doc.view()
     }
 }
 
-/// Iterator returned by [`Document::descendants_or_self`].
-pub struct Descendants<'a> {
-    doc: &'a Document,
-    stack: Vec<NodeId>,
-}
-
-impl Iterator for Descendants<'_> {
-    type Item = NodeId;
-
-    fn next(&mut self) -> Option<NodeId> {
-        let id = self.stack.pop()?;
-        // Push children in reverse so the traversal is document order.
-        let children = &self.doc.nodes[id.index()].children;
-        self.stack.extend(children.iter().rev().copied());
-        Some(id)
+impl fmt::Debug for Document {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Document")
+            .field("nodes", &self.len())
+            .field("tags", &self.view().tag_count())
+            .finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DocumentBuilder;
 
     fn sample() -> (Document, NodeId, NodeId, NodeId) {
         // <book><title>wodehouse</title><info/></book>
-        let mut doc = Document::new();
-        let book_tag = doc.intern_tag("book");
-        let title_tag = doc.intern_tag("title");
-        let info_tag = doc.intern_tag("info");
-        let book = doc.push_child(doc.document_root(), book_tag);
-        let title = doc.push_child(book, title_tag);
-        doc.append_text(title, "wodehouse");
-        let info = doc.push_child(book, info_tag);
-        (doc, book, title, info)
+        let mut b = DocumentBuilder::new();
+        let book = b.open("book");
+        let title = b.leaf("title", "wodehouse");
+        let info = b.empty("info");
+        b.close();
+        (b.finish(), book, title, info)
     }
 
     #[test]
@@ -346,22 +270,22 @@ mod tests {
 
     #[test]
     fn text_accumulates_across_mixed_content() {
-        let mut doc = Document::new();
-        let t = doc.intern_tag("p");
-        let p = doc.push_child(doc.document_root(), t);
-        doc.append_text(p, "  hello ");
-        doc.append_text(p, "\n\t ");
-        doc.append_text(p, "world");
-        assert_eq!(doc.text(p), Some("hello world"));
+        let mut b = DocumentBuilder::new();
+        let p = b.open("p");
+        b.text("  hello ");
+        b.text("\n\t ");
+        b.text("world");
+        b.close();
+        assert_eq!(b.finish().text(p), Some("hello world"));
     }
 
     #[test]
     fn attributes_are_retrievable() {
-        let mut doc = Document::new();
-        let t = doc.intern_tag("item");
-        let a = doc.intern_tag("id");
-        let item = doc.push_child(doc.document_root(), t);
-        doc.push_attribute(item, a, "item42".into());
+        let mut b = DocumentBuilder::new();
+        let item = b.open("item");
+        b.attribute("id", "item42");
+        b.close();
+        let doc = b.finish();
         assert_eq!(doc.attribute(item, "id"), Some("item42"));
         assert_eq!(doc.attribute(item, "missing"), None);
     }

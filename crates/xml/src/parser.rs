@@ -7,15 +7,16 @@
 //! Namespaces are not interpreted (prefixed names are kept verbatim),
 //! and DTD-defined entities are not expanded.
 
+use crate::builder::DocumentBuilder;
 use crate::error::{ParseError, ParseErrorKind, Position};
-use crate::node::{Document, NodeId};
+use crate::node::Document;
+use std::borrow::Cow;
 
 /// Deepest element nesting accepted. Parsing itself is linear in depth;
-/// the cap protects what runs on a parsed document: the index's `u16`
-/// depth column (`StructuralColumns::build` panics past 65 535) and the
-/// recursive serializers (`write_node` and the mapped-view writer),
-/// whose stack grows with nesting. Real documents are nowhere near the
-/// cap (XMark is 12 deep).
+/// the cap protects what runs on a parsed document: the `u16` depth
+/// column ([`DocumentBuilder::open`] panics past 65 535) and the
+/// recursive serializer (`write_node`), whose stack grows with nesting.
+/// Real documents are nowhere near the cap (XMark is 12 deep).
 const MAX_DEPTH: usize = 4096;
 
 /// Parses `input` into a [`Document`].
@@ -34,9 +35,8 @@ struct Parser<'a> {
     pos: usize,
     line: u32,
     line_start: usize,
-    doc: Document,
-    /// Open element stack (synthetic root is implicit).
-    stack: Vec<NodeId>,
+    /// The document so far; its stack holds the open elements.
+    builder: DocumentBuilder,
 }
 
 impl<'a> Parser<'a> {
@@ -47,8 +47,7 @@ impl<'a> Parser<'a> {
             pos: 0,
             line: 1,
             line_start: 0,
-            doc: Document::new(),
-            stack: Vec::new(),
+            builder: DocumentBuilder::new(),
         }
     }
 
@@ -84,15 +83,14 @@ impl<'a> Parser<'a> {
                 self.parse_opening_tag()?;
             }
         }
-        if !self.stack.is_empty() {
-            let tags = self
-                .stack
-                .iter()
-                .map(|&id| self.doc.tag_str(id).to_string())
+        if !self.builder.stack.is_empty() {
+            let doc = &self.builder.doc;
+            let tags = (self.builder.stack.iter())
+                .map(|&id| doc.tag_str(id).to_string())
                 .collect::<Vec<_>>();
             return Err(self.error(ParseErrorKind::UnclosedElements { tags }));
         }
-        Ok(self.doc)
+        Ok(self.builder.finish())
     }
 
     // -- low-level cursor helpers ---------------------------------------
@@ -188,10 +186,10 @@ impl<'a> Parser<'a> {
 
     /// Decodes the text range `[start, end)` of the source, expanding
     /// entity references.
-    fn decode_text(&self, start: usize, end: usize) -> Result<String, ParseError> {
+    fn decode_text(&self, start: usize, end: usize) -> Result<Cow<'a, str>, ParseError> {
         let raw = &self.src[start..end];
         if !raw.contains('&') {
-            return Ok(raw.to_string());
+            return Ok(Cow::Borrowed(raw));
         }
         let mut out = String::with_capacity(raw.len());
         let mut rest = raw;
@@ -212,20 +210,23 @@ impl<'a> Parser<'a> {
             rest = &after[semi + 1..];
         }
         out.push_str(rest);
-        Ok(out)
+        Ok(Cow::Owned(out))
     }
 
     // -- constructs -------------------------------------------------------
 
     fn handle_text(&mut self, start: usize, end: usize) -> Result<(), ParseError> {
         let decoded = self.decode_text(start, end)?;
-        match self.stack.last() {
-            Some(&parent) => self.doc.append_text(parent, &decoded),
-            None => {
-                if !decoded.trim().is_empty() {
-                    return Err(self.error(ParseErrorKind::TextOutsideRoot));
-                }
-            }
+        self.text(&decoded)
+    }
+
+    /// Character data for the open element; outside the root only
+    /// whitespace is allowed.
+    fn text(&mut self, text: &str) -> Result<(), ParseError> {
+        if !self.builder.stack.is_empty() {
+            self.builder.text(text);
+        } else if !text.trim().is_empty() {
+            return Err(self.error(ParseErrorKind::TextOutsideRoot));
         }
         Ok(())
     }
@@ -271,14 +272,9 @@ impl<'a> Parser<'a> {
         if self.pos >= self.bytes.len() {
             return Err(self.eof_error("CDATA section"));
         }
-        let content = self.src[start..self.pos].to_string();
+        let content = &self.src[start..self.pos];
         self.pos += 3; // "]]>"
-        match self.stack.last() {
-            Some(&parent) => self.doc.append_text(parent, &content),
-            None if content.trim().is_empty() => {}
-            None => return Err(self.error(ParseErrorKind::TextOutsideRoot)),
-        }
-        Ok(())
+        self.text(content)
     }
 
     fn parse_closing_tag(&mut self) -> Result<(), ParseError> {
@@ -297,15 +293,16 @@ impl<'a> Parser<'a> {
             }
             None => return Err(self.eof_error("closing tag")),
         }
-        match self.stack.pop() {
-            Some(open) => {
-                let opened = self.doc.tag_str(open);
+        match self.builder.stack.last() {
+            Some(&open) => {
+                let opened = self.builder.doc.tag_str(open);
                 if opened != name {
                     return Err(self.error(ParseErrorKind::MismatchedClosingTag {
                         opened: opened.to_string(),
                         closed: name.to_string(),
                     }));
                 }
+                self.builder.close();
                 Ok(())
             }
             None => Err(self.error(ParseErrorKind::UnmatchedClosingTag {
@@ -315,7 +312,7 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_opening_tag(&mut self) -> Result<(), ParseError> {
-        let depth = self.stack.len() + 1;
+        let depth = self.builder.depth() + 1;
         if depth > MAX_DEPTH {
             return Err(self.error(ParseErrorKind::TooDeep {
                 depth,
@@ -324,13 +321,7 @@ impl<'a> Parser<'a> {
         }
         self.pos += 1; // "<"
         let name = self.parse_name("element name")?;
-        let tag = self.doc.intern_tag(name);
-        let parent = self
-            .stack
-            .last()
-            .copied()
-            .unwrap_or_else(|| self.doc.document_root());
-        let node = self.doc.push_child(parent, tag);
+        let node = self.builder.open(name);
 
         // Attributes.
         loop {
@@ -338,7 +329,6 @@ impl<'a> Parser<'a> {
             match self.peek() {
                 Some(b'>') => {
                     self.bump();
-                    self.stack.push(node);
                     return Ok(());
                 }
                 Some(b'/') => {
@@ -346,7 +336,8 @@ impl<'a> Parser<'a> {
                     match self.peek() {
                         Some(b'>') => {
                             self.bump();
-                            return Ok(()); // self-closing element
+                            self.builder.close(); // self-closing element
+                            return Ok(());
                         }
                         Some(b) => {
                             return Err(self.error(ParseErrorKind::UnexpectedChar {
@@ -395,20 +386,16 @@ impl<'a> Parser<'a> {
                     }
                     let value = self.decode_text(start, self.pos)?;
                     self.bump(); // closing quote
-                    let attr_id = self.doc.intern_tag(attr_name);
-                    if self
-                        .doc
-                        .node(node)
-                        .attributes
-                        .iter()
-                        .any(|(n, _)| *n == attr_id)
+                    let doc = self.builder.doc.view();
+                    if doc
+                        .attributes(node)
+                        .any(|(n, _)| doc.tag_name(n) == attr_name)
                     {
                         return Err(self.error(ParseErrorKind::DuplicateAttribute {
                             name: attr_name.to_string(),
                         }));
                     }
-                    self.doc
-                        .push_attribute(node, attr_id, value.into_boxed_str());
+                    self.builder.attribute(attr_name, &value);
                 }
                 None => return Err(self.eof_error("element tag")),
             }

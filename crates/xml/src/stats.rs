@@ -27,33 +27,29 @@ pub struct DocumentStats {
 impl DocumentStats {
     /// Computes statistics in a single pass plus one serialization.
     pub fn compute(doc: &Document) -> Self {
+        let view = doc.view();
         let mut tag_counts: HashMap<TagId, usize> = HashMap::new();
         let mut max_depth = 0usize;
-        let mut text_bytes = 0usize;
         let mut parents = 0usize;
-        let mut child_links = 0usize;
-        for id in doc.elements() {
-            let node = doc.node(id);
-            *tag_counts.entry(node.tag).or_insert(0) += 1;
-            max_depth = max_depth.max(node.depth as usize);
-            text_bytes += node.text.as_deref().map_or(0, str::len);
-            if !node.children.is_empty() {
-                parents += 1;
-                child_links += node.children.len();
-            }
+        for id in view.elements() {
+            *tag_counts.entry(view.tag(id)).or_insert(0) += 1;
+            max_depth = max_depth.max(view.depth(id));
+            // In pre-order a first child directly follows its parent.
+            parents += usize::from(view.parent[id.index()] as usize == id.index() - 1);
         }
         let serialized =
             crate::writer::write_document(doc, &crate::writer::WriteOptions::default());
+        let element_count = doc.len().saturating_sub(1);
         DocumentStats {
-            element_count: doc.len().saturating_sub(1),
+            element_count,
             tag_counts,
             max_depth,
             mean_fanout: if parents == 0 {
                 0.0
             } else {
-                child_links as f64 / parents as f64
+                element_count as f64 / parents as f64
             },
-            text_bytes,
+            text_bytes: view.text_blob.len(),
             serialized_bytes: serialized.len(),
         }
     }

@@ -1,27 +1,28 @@
-//! Element-tag interning.
+//! Element-tag ids and the build-time interner behind them.
 //!
 //! Documents routinely contain millions of elements drawn from a few
-//! dozen distinct tags; interning turns every structural comparison the
-//! engine performs into a `u32` comparison and keeps per-node storage
-//! fixed-size.
+//! dozen distinct tags; numbering the tags turns every structural
+//! comparison the engine performs into a `u32` comparison and keeps
+//! per-node storage fixed-size.
 
 use std::collections::HashMap;
 use std::fmt;
 
-/// An interned element tag. Only meaningful relative to the
-/// [`TagInterner`] (and hence [`crate::Document`]) that produced it.
+/// An interned element (or attribute) name: an index into its
+/// document's tag table. Only meaningful relative to the document (or
+/// mapped snapshot) that produced it.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TagId(pub(crate) u32);
 
 impl TagId {
-    /// The raw interner index, usable as a dense array key.
+    /// The raw tag-table index, usable as a dense array key.
     pub fn index(self) -> usize {
         self.0 as usize
     }
 
     /// Rebuilds a `TagId` from a raw index (e.g. read back from a
-    /// snapshot's tag table). Only meaningful against the interner (or
-    /// mapped tag table) it was originally produced by.
+    /// snapshot's tag table). Only meaningful against the tag table it
+    /// was originally produced by.
     pub fn from_index(index: usize) -> TagId {
         TagId(u32::try_from(index).expect("tag index exceeds u32"))
     }
@@ -33,59 +34,30 @@ impl fmt::Debug for TagId {
     }
 }
 
-/// Bidirectional map between tag strings and dense [`TagId`]s.
-#[derive(Clone, Default)]
-pub struct TagInterner {
-    by_name: HashMap<Box<str>, TagId>,
-    names: Vec<Box<str>>,
+/// The name → id map a document is built with. The names themselves
+/// live in the document's tag table (`offsets` + `blob`), which is all a
+/// finished document keeps.
+#[derive(Default)]
+pub(crate) struct TagInterner {
+    pub(crate) by_name: HashMap<Box<str>, TagId>,
 }
 
 impl TagInterner {
-    /// Creates an empty interner.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Interns `name`, returning its id (existing or fresh).
-    pub fn intern(&mut self, name: &str) -> TagId {
+    /// Interns `name`, appending it to the tag table when it is new.
+    pub(crate) fn intern(
+        &mut self,
+        name: &str,
+        offsets: &mut Vec<u32>,
+        blob: &mut String,
+    ) -> TagId {
         if let Some(&id) = self.by_name.get(name) {
             return id;
         }
-        let id = TagId(u32::try_from(self.names.len()).expect("more than u32::MAX distinct tags"));
-        self.names.push(name.into());
+        let id = TagId::from_index(offsets.len() - 1);
+        blob.push_str(name);
+        offsets.push(u32::try_from(blob.len()).expect("tag table exceeds u32"));
         self.by_name.insert(name.into(), id);
         id
-    }
-
-    /// Looks up an already-interned tag without inserting.
-    pub fn get(&self, name: &str) -> Option<TagId> {
-        self.by_name.get(name).copied()
-    }
-
-    /// The tag string for `id`.
-    ///
-    /// # Panics
-    /// Panics if `id` did not come from this interner.
-    pub fn name(&self, id: TagId) -> &str {
-        &self.names[id.index()]
-    }
-
-    /// Number of distinct tags interned.
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// True when no tag has been interned yet.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-
-    /// Iterates over `(id, name)` pairs in interning order.
-    pub fn iter(&self) -> impl Iterator<Item = (TagId, &str)> {
-        self.names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (TagId(i as u32), n.as_ref()))
     }
 }
 
@@ -93,32 +65,36 @@ impl TagInterner {
 mod tests {
     use super::*;
 
+    fn table() -> (TagInterner, Vec<u32>, String) {
+        (TagInterner::default(), vec![0], String::new())
+    }
+
     #[test]
     fn intern_is_idempotent() {
-        let mut t = TagInterner::new();
-        let a = t.intern("book");
-        let b = t.intern("title");
+        let (mut t, mut offsets, mut blob) = table();
+        let a = t.intern("book", &mut offsets, &mut blob);
+        let b = t.intern("title", &mut offsets, &mut blob);
         assert_ne!(a, b);
-        assert_eq!(t.intern("book"), a);
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.intern("book", &mut offsets, &mut blob), a);
+        assert_eq!(offsets.len() - 1, 2);
     }
 
     #[test]
     fn name_round_trips() {
-        let mut t = TagInterner::new();
-        let id = t.intern("publisher");
-        assert_eq!(t.name(id), "publisher");
-        assert_eq!(t.get("publisher"), Some(id));
-        assert_eq!(t.get("missing"), None);
+        let mut b = crate::DocumentBuilder::new();
+        b.empty("publisher");
+        let doc = b.finish();
+        let id = doc.tag_id("publisher").unwrap();
+        assert_eq!(doc.tag_name(id), "publisher");
+        assert_eq!(doc.tag_id("missing"), None);
     }
 
     #[test]
     fn ids_are_dense() {
-        let mut t = TagInterner::new();
+        let (mut t, mut offsets, mut blob) = table();
         for (i, tag) in ["a", "b", "c"].iter().enumerate() {
-            assert_eq!(t.intern(tag).index(), i);
+            assert_eq!(t.intern(tag, &mut offsets, &mut blob).index(), i);
         }
-        let collected: Vec<_> = t.iter().map(|(_, n)| n.to_string()).collect();
-        assert_eq!(collected, vec!["a", "b", "c"]);
+        assert_eq!((offsets, blob), (vec![0, 1, 2, 3], "abc".to_string()));
     }
 }

@@ -2,11 +2,11 @@
 //!
 //! Used for document-size accounting in the experiments (the paper
 //! reports document sizes in megabytes of serialized XML), for parser
-//! round-trip tests, and to render answers. [`write_node`] is generic
-//! over [`XmlSource`], so a parsed [`Document`] and a mapped snapshot
-//! share one serializer.
+//! round-trip tests, and to render answers. One serializer reads a
+//! [`DocView`], so a parsed [`Document`] and a mapped snapshot share it.
 
 use crate::node::{Document, NodeId};
+use crate::view::DocView;
 use std::fmt::Write as _;
 
 /// Serialization options.
@@ -19,41 +19,6 @@ pub struct WriteOptions {
     pub declaration: bool,
 }
 
-/// What the serializer reads of a tree: tag, attributes, direct text
-/// and children of a node. Implemented by [`Document`] and by any flat
-/// layout that can answer the same four questions without a node arena.
-pub trait XmlSource {
-    /// The node's tag name.
-    fn tag_str(&self, node: NodeId) -> &str;
-    /// The node's attributes as `(name, value)` pairs, in source order.
-    fn attributes(&self, node: NodeId) -> impl Iterator<Item = (&str, &str)>;
-    /// The node's direct text value, if any.
-    fn text(&self, node: NodeId) -> Option<&str>;
-    /// The node's children, in document order.
-    fn children(&self, node: NodeId) -> impl Iterator<Item = NodeId>;
-}
-
-impl XmlSource for Document {
-    fn tag_str(&self, node: NodeId) -> &str {
-        Document::tag_str(self, node)
-    }
-
-    fn attributes(&self, node: NodeId) -> impl Iterator<Item = (&str, &str)> {
-        self.node(node)
-            .attributes
-            .iter()
-            .map(|(name, value)| (self.tag_name(*name), value.as_ref()))
-    }
-
-    fn text(&self, node: NodeId) -> Option<&str> {
-        Document::text(self, node)
-    }
-
-    fn children(&self, node: NodeId) -> impl Iterator<Item = NodeId> {
-        Document::children(self, node)
-    }
-}
-
 /// Serializes a whole document (the children of the synthetic root).
 pub fn write_document(doc: &Document, opts: &WriteOptions) -> String {
     let mut out = String::new();
@@ -64,20 +29,19 @@ pub fn write_document(doc: &Document, opts: &WriteOptions) -> String {
         }
     }
     for child in doc.children(doc.document_root()) {
-        write_node_into(doc, child, opts, 0, &mut out);
+        write_node_into(doc.view(), child, opts, 0, &mut out);
     }
     out
 }
 
-/// Serializes the subtree rooted at `node`.
-pub fn write_node<T: XmlSource + ?Sized>(doc: &T, node: NodeId, opts: &WriteOptions) -> String {
-    let mut out = String::new();
-    write_node_into(doc, node, opts, 0, &mut out);
-    out
+/// Serializes the subtree rooted at `node` of a [`Document`] or a
+/// [`DocView`]: [`DocView::write_node`].
+pub fn write_node<'a>(doc: impl Into<DocView<'a>>, node: NodeId, opts: &WriteOptions) -> String {
+    doc.into().write_node(node, opts)
 }
 
-fn write_node_into<T: XmlSource + ?Sized>(
-    doc: &T,
+pub(crate) fn write_node_into(
+    doc: DocView<'_>,
     node: NodeId,
     opts: &WriteOptions,
     depth: usize,
@@ -93,7 +57,7 @@ fn write_node_into<T: XmlSource + ?Sized>(
     out.push('<');
     out.push_str(tag);
     for (name, value) in doc.attributes(node) {
-        let _ = write!(out, " {name}=\"");
+        let _ = write!(out, " {}=\"", doc.tag_name(name));
         escape_into(value, true, out);
         out.push('"');
     }

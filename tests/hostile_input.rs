@@ -2,7 +2,8 @@
 //! document and of the benchmark queries, plus two-cut splices
 //! `src[..i] + src[j..]`, must parse or fail with a typed error, never
 //! panic. A mutated document that still parses must also survive the
-//! index, the path synopsis and a Whirlpool-S run; a mutated query that
+//! index, the path synopsis and a Whirlpool-S run, and its snapshot must
+//! attach to the same document and index arrays; a mutated query that
 //! still parses, a Whirlpool-S run over the unmutated document.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -10,6 +11,7 @@ use whirlpool_core::{evaluate, Algorithm, EvalOptions};
 use whirlpool_index::{PathSynopsis, TagIndex};
 use whirlpool_pattern::{parse_pattern, TreePattern};
 use whirlpool_score::{Normalization, TfIdfModel};
+use whirlpool_store::{build_snapshot_bytes, Snapshot};
 use whirlpool_xmark::{generate, queries, GeneratorConfig};
 use whirlpool_xml::{parse_document, write_document, Document, WriteOptions};
 
@@ -81,6 +83,11 @@ fn hostile_xml_parses_or_fails_cleanly() {
                 let index = TagIndex::build(&doc);
                 PathSynopsis::build(&doc);
                 whirlpool_s(&doc, &index, &q2);
+                // Bit flips make entity, CDATA and mixed-content shapes
+                // the hand-written cases lack.
+                let snap = Snapshot::from_bytes(&build_snapshot_bytes(&doc, &index)).unwrap();
+                assert_eq!(snap.doc_view(), doc.view());
+                assert_eq!(snap.index_view(), index.view());
             }
         });
     }
