@@ -219,7 +219,7 @@ mod tests {
 
         // A fresh cached snapshot of a retired version boots cold.
         let current = std::fs::read(cache.join("books.wps")).unwrap();
-        for retired in [2u8, 3] {
+        for retired in [2u8, 3, 4] {
             let mut bytes = current.clone();
             bytes[4] = retired;
             std::fs::write(cache.join("books.wps"), bytes).unwrap();

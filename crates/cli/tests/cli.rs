@@ -308,10 +308,11 @@ fn binary_stores_get_a_typed_error_from_xml_commands() {
     );
     run_ok(&["snapshot", "build", xml, snap]);
 
-    // Version-2 and version-3 snapshots (the layout before stored
-    // synopses, and the one under a serial FNV checksum) are retired
-    // stores too, given directly or inside a collection.
-    let retired = [2u8, 3].map(|version| {
+    // Version-2, version-3 and version-4 snapshots (the layout before
+    // stored synopses, the one under a serial FNV checksum, and the one
+    // with value postings) are retired stores too, given directly or
+    // inside a collection.
+    let retired = [2u8, 3, 4].map(|version| {
         let dir = scratch(&format!("v{version}-store"));
         std::fs::create_dir_all(&dir).unwrap();
         let mut bytes = std::fs::read(snap).unwrap();
@@ -323,9 +324,9 @@ fn binary_stores_get_a_typed_error_from_xml_commands() {
             dir.to_str().unwrap().to_owned(),
         )
     });
-    let [(v2, v2_dir), (v3, v3_dir)] = &retired;
+    let [(v2, v2_dir), (v3, v3_dir), (v4, v4_dir)] = &retired;
 
-    let argvs: [&[&str]; 10] = [
+    let argvs: [&[&str]; 12] = [
         &["query", v1, "//book[./title]"],
         &["query", v1, xml, "//book[./title]"],
         &["stats", v1],
@@ -336,6 +337,8 @@ fn binary_stores_get_a_typed_error_from_xml_commands() {
         &["query", "--collection", v2_dir, "//book[./title]"],
         &["query", v3, "//book[./title]"],
         &["query", "--collection", v3_dir, "//book[./title]"],
+        &["query", v4, "//book[./title]"],
+        &["query", "--collection", v4_dir, "//book[./title]"],
     ];
     for argv in argvs {
         let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
@@ -346,8 +349,13 @@ fn binary_stores_get_a_typed_error_from_xml_commands() {
         );
         let text = err.to_string();
         assert!(text.contains("binary store"), "{argv:?}: {text}");
-        if argv.iter().any(|a| a.contains("v3-store")) {
-            assert!(text.contains("binary store (format v3)"), "{text}");
+        for v in ["v3", "v4"] {
+            if argv.iter().any(|a| a.contains(&format!("{v}-store"))) {
+                assert!(
+                    text.contains(&format!("binary store (format {v})")),
+                    "{text}"
+                );
+            }
         }
         assert!(
             text.contains("whirlpool snapshot build"),
@@ -605,7 +613,7 @@ fn snapshot_build_verify_info_and_query_pipeline() {
     assert!(verify.starts_with("ok:"), "{verify}");
     let info = run_ok(&["snapshot", "info", snap.to_str().unwrap()]);
     assert!(info.contains("elements:  9"), "{info}");
-    assert!(info.contains("version:   4"), "{info}");
+    assert!(info.contains("version:   5"), "{info}");
     assert!(info.contains("paths:"), "{info}");
     assert!(info.contains("book"), "{info}");
 

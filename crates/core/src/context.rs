@@ -10,7 +10,7 @@ use whirlpool_index::{
     TagIndexView,
 };
 use whirlpool_pattern::{
-    compile_servers, AttrTest, Direction, QNodeId, ServerSpec, TreePattern, ValueTest, WILDCARD,
+    compile_servers, AttrTest, Direction, QNodeId, ServerSpec, TreePattern, WILDCARD,
 };
 use whirlpool_score::{MatchLevel, Score, ScoreModel};
 use whirlpool_xml::{Document, NodeId, TagId};
@@ -38,12 +38,13 @@ enum ServerRange<'a> {
     /// The wildcard: every descendant of the root match is a candidate —
     /// an id-contiguous range, scanned without materializing anything.
     Any,
-    /// A normal tag (or tag+value) posting list, value-resolved once
-    /// at construction. `finger` is the range the last locate at this
-    /// server returned (`lo << 32 | hi`): the next one gallops from
-    /// there, so a document-order batch is one merge pass over `list`
-    /// and a root visited again (exact mode) costs O(1). It is a search
-    /// hint only — any value, from any thread, gives the same ranges.
+    /// A normal tag's posting list, resolved once at construction (a
+    /// value test filters the located range at the gather). `finger`
+    /// is the range the last locate at this server returned
+    /// (`lo << 32 | hi`): the next one gallops from there, so a
+    /// document-order batch is one merge pass over `list` and a root
+    /// visited again (exact mode) costs O(1). It is a search hint
+    /// only — any value, from any thread, gives the same ranges.
     Postings {
         list: &'a [NodeId],
         finger: AtomicU64,
@@ -121,7 +122,7 @@ pub struct QueryContext<'a> {
     /// The document under evaluation — owned arena or mapped snapshot
     /// behind one accessor surface.
     pub doc: DocView<'a>,
-    /// Its tag/value postings, same two backings.
+    /// Its tag postings, same two backings.
     pub index: TagIndexView<'a>,
     /// The query.
     pub pattern: &'a TreePattern,
@@ -232,9 +233,9 @@ impl<'a> QueryContext<'a> {
         };
         let server_attr_tags = servers.iter().map(|s| attr_tags(&s.attrs)).collect();
 
-        // Resolve each server's posting list once (the value-equality
-        // lookup included, so no repeated hashing at runtime). A root's
-        // range within it is located when a match reaches the server.
+        // Resolve each server's tag postings once. A root's range
+        // within them is located when a match reaches the server; its
+        // value test, if any, filters that range at the gather.
         let server_ranges = servers
             .iter()
             .map(|s| {
@@ -244,12 +245,8 @@ impl<'a> QueryContext<'a> {
                 let Some(tag) = doc.tag_id(&s.tag) else {
                     return ServerRange::Absent;
                 };
-                let list = match &s.value {
-                    Some(ValueTest::Eq(v)) => index.nodes_with_tag_value(tag, v),
-                    _ => index.nodes_with_tag(tag),
-                };
                 ServerRange::Postings {
-                    list,
+                    list: index.nodes_with_tag(tag),
                     finger: AtomicU64::new(0),
                 }
             })
@@ -560,19 +557,7 @@ impl<'a> QueryContext<'a> {
             // Gather: candidate raw ids surviving the (scalar) value
             // and attribute prefilters, in range order. With neither
             // test present — the common case — this is a bulk copy.
-            let is_wildcard = matches!(loc, Located::Any(..));
-            let value_test = if is_wildcard {
-                // A wildcard universe may still carry a value test,
-                // checked here rather than through the value postings.
-                spec.value.as_ref()
-            } else {
-                // Contains-style value tests are not indexable; filter
-                // here. (Eq tests resolved into the posting list.)
-                match &spec.value {
-                    Some(v @ ValueTest::Contains(_)) => Some(v),
-                    _ => None,
-                }
-            };
+            let value_test = spec.value.as_ref();
             let candidates = match loc {
                 Located::Absent => Candidates::Slice([].iter()),
                 Located::Any(lo, hi) => Candidates::Range(lo, hi),
@@ -1070,6 +1055,51 @@ mod tests {
         assert!(out[0].bindings[1].node().is_some());
     }
 
+    /// An `=` server keeps exactly its tag's descendants whose direct
+    /// text equals the value, on an owned and a snapshot backing alike:
+    /// a value that also occurs under another tag, a multi-byte value,
+    /// `''` (which `<b/>` has no text to equal) and an absent value.
+    #[test]
+    fn eq_servers_keep_exactly_the_text_matches() {
+        let src = "<r>\
+            <a><b>x</b><c>x</c><d><b>x</b></d><b>xx</b></a>\
+            <a><c>x</c><b>中文</b><b/><b>x</b></a>\
+            <a><b>中文</b><d><b>中文</b></d></a>\
+            </r>";
+        let doc = parse_document(src).unwrap();
+        let index = TagIndex::build(&doc);
+        let snap = whirlpool_store::Snapshot::from_bytes(&whirlpool_store::build_snapshot_bytes(
+            &doc, &index,
+        ))
+        .unwrap();
+        let b = doc.tag_id("b").unwrap();
+        for value in ["x", "中文", "", "zz"] {
+            // `.//b`: every candidate is exact, so exact mode binds each
+            // one the server keeps.
+            let pattern = parse_pattern(&format!("//a[.//b = '{value}']")).unwrap();
+            let model = TfIdfModel::build(&doc, &index, &pattern, Normalization::Sparse);
+            for (backing, dv, iv) in [
+                ("owned", doc.view(), index.view()),
+                ("snapshot", snap.doc_view(), snap.index_view()),
+            ] {
+                let options = ContextOptions {
+                    relax: RelaxMode::Exact,
+                };
+                let ctx = QueryContext::new_view(dv, iv, &pattern, &model, options);
+                for root in ctx.make_root_matches() {
+                    let mut out = Vec::new();
+                    ctx.process_at_server(QNodeId(1), &root, &mut out);
+                    let kept: Vec<NodeId> =
+                        out.iter().filter_map(|m| m.bindings[1].node()).collect();
+                    let brute: Vec<NodeId> = (doc.descendants_or_self(root.root()).skip(1))
+                        .filter(|&n| doc.tag(n) == b && doc.text(n) == Some(value))
+                        .collect();
+                    assert_eq!(kept, brute, "{backing}: '{value}' under {:?}", root.root());
+                }
+            }
+        }
+    }
+
     #[test]
     fn missing_tag_takes_null_path() {
         let f = Fixture::new(BOOKS, "//book[./nosuchtag]");
@@ -1092,7 +1122,7 @@ mod tests {
             <book><title>a</title><info><isbn>1</isbn><title>x</title></info></book>\
             <box><book><title>b</title></book><title>c</title></box>\
             </shelf><title>d</title><book><isbn>2</isbn></book></lib>";
-        // Servers: title (postings), isbn = '1' (value postings),
+        // Servers: title (postings), isbn = '1' (postings, text-filtered),
         // * (wildcard), nosuchtag (absent).
         let f = Fixture::new(
             src,

@@ -10,13 +10,16 @@
 //! answers the same structural questions with integer compares. This
 //! crate provides:
 //!
-//! * [`TagIndex`] — per-tag (and per tag+value) postings in document
-//!   order plus the structural columns, held as the flat arrays a
-//!   snapshot stores. Every reader goes through [`TagIndexView`], one
-//!   `Copy` struct of slices over either an in-memory index or a mapped
-//!   snapshot, with O(log n) *descendant range scans*: all nodes with a
-//!   given tag inside a subtree form a contiguous posting range because
-//!   node ids are assigned in pre-order.
+//! * [`TagIndex`] — per-tag postings in document order plus the
+//!   structural columns, held as the flat arrays a snapshot stores.
+//!   Every reader goes through [`TagIndexView`], one `Copy` struct of
+//!   slices over either an in-memory index or a mapped snapshot, with
+//!   O(log n) *descendant range scans*: all nodes with a given tag
+//!   inside a subtree form a contiguous posting range because node ids
+//!   are assigned in pre-order. A value test (`title = 'x'`) has no
+//!   postings of its own; it filters the tag's range by
+//!   [`DocView::text`], as the paper's servers find candidates with a
+//!   range scan on the tag.
 //! * [`RangeCursor`] — a reusable scanner over one posting list that
 //!   answers ascending descendant-range queries by galloping forward
 //!   from the previous answer, turning a per-root pair of binary
@@ -59,5 +62,5 @@ pub use selectivity::{
     estimate_query_cost, estimate_selectivity_view, QueryCostEstimate, ServerSelectivity,
 };
 pub use synopsis::ShardSynopsis;
-pub use tagindex::{TagIndex, TagIndexView, VALUE_GROUP_STRIDE};
+pub use tagindex::{TagIndex, TagIndexView};
 pub use whirlpool_xml::DocView;

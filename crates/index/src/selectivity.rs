@@ -97,17 +97,23 @@ pub fn estimate_selectivity_view(
             let mut exact = 0usize;
             let mut empty = 0usize;
             let mut best_exact = 0usize;
-            let mut wildcard_buf = Vec::new();
+            let mut buf = Vec::new();
             for &root in &sample {
                 let candidates: &[NodeId] = if wildcard {
-                    wildcard_buf.clear();
-                    wildcard_buf.extend(index.descendants_any(root));
-                    &wildcard_buf
+                    buf.clear();
+                    buf.extend(index.descendants_any(root));
+                    &buf
                 } else {
-                    let tag = tag.expect("checked above");
+                    let tagged = index.descendants_with_tag(root, tag.expect("checked above"));
                     match &server.value {
-                        Some(ValueTest::Eq(v)) => index.descendants_with_tag_value(root, tag, v),
-                        _ => index.descendants_with_tag(root, tag),
+                        // The server keeps exactly these: its tag's
+                        // postings whose direct text passes the test.
+                        Some(v @ ValueTest::Eq(_)) => {
+                            buf.clear();
+                            buf.extend(tagged.iter().filter(|&&c| v.matches(doc.text(c))));
+                            &buf
+                        }
+                        _ => tagged,
                     }
                 };
                 // `Contains` and attribute filtering are approximated by
@@ -369,5 +375,36 @@ mod tests {
         let sel = estimate_selectivity_view((&doc).into(), index.view(), &roots, &servers, 10);
         assert!((sel[0].mean_candidates - 0.5).abs() < 1e-9);
         assert!((sel[0].empty_fraction - 0.5).abs() < 1e-9);
+    }
+
+    /// An `=` server's estimate is a brute-force count over the sampled
+    /// roots: descendants with the server's tag and exactly that direct
+    /// text, not the same text under another tag, not a superstring.
+    #[test]
+    fn eq_estimate_is_a_brute_force_count() {
+        let src = "<site>\
+            <item><name>x</name><name>x</name><note>x</note></item>\
+            <item><name>xy</name><name/><deep><name>x</name></deep></item>\
+            <item><note>x</note></item>\
+            <item><name>é</name><name>x</name></item>\
+            </site>";
+        let (doc, index, roots, servers) = setup(src, "//item[./name = 'x']");
+        let sel = estimate_selectivity_view((&doc).into(), index.view(), &roots, &servers, 10);
+        let name = doc.tag_id("name").unwrap();
+        let per_root: Vec<usize> = (roots.iter())
+            .map(|&r| {
+                (doc.descendants_or_self(r).skip(1))
+                    .filter(|&n| doc.tag(n) == name && doc.text(n) == Some("x"))
+                    .count()
+            })
+            .collect();
+        assert_eq!(per_root, [2, 1, 0, 1]);
+        let n = roots.len() as f64;
+        let total: usize = per_root.iter().sum();
+        assert_eq!(sel[0].mean_candidates, total as f64 / n);
+        let empty = per_root.iter().filter(|&&c| c == 0).count();
+        assert_eq!(sel[0].empty_fraction, empty as f64 / n);
+        // Of the four candidates only the nested one misses `./name`.
+        assert_eq!(sel[0].exact_fraction, 3.0 / 4.0);
     }
 }

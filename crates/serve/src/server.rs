@@ -262,18 +262,12 @@ pub fn start(config: ServeConfig, registry: Registry) -> std::io::Result<ServerH
                             let Some((doc, index)) = shard.as_parsed() else {
                                 continue;
                             };
-                            // Write-then-rename: a crash mid-write must
-                            // not leave a truncated file that poisons
-                            // the next warm start (attach would reject
-                            // it, but the boot would fall back to a
-                            // cold parse).
+                            // `save_snapshot` writes then renames, so a
+                            // daemon that dies mid-write leaves no
+                            // truncated file to poison the next warm
+                            // start.
                             let path = dir.join(format!("{}.wps", shard.name()));
-                            let tmp = dir.join(format!(".{}.wps.tmp", shard.name()));
-                            if whirlpool_store::save_snapshot(doc, index, &tmp).is_ok() {
-                                let _ = std::fs::rename(&tmp, &path);
-                            } else {
-                                let _ = std::fs::remove_file(&tmp);
-                            }
+                            let _ = whirlpool_store::save_snapshot(doc, index, &path);
                         }
                     })?,
             );

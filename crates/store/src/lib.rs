@@ -18,10 +18,11 @@
 //! ```
 //!
 //! Files carry the magic `"WPLX"` and a `u32` version. This crate
-//! reads and writes [`SNAPSHOT_VERSION`] (4) only; 1 (a streamed
-//! store), 2 (snapshots without stored synopses) and 3 (snapshots under
-//! a serial FNV checksum) are still recognised by [`store_version`] so
-//! callers can name them in an error instead of mis-parsing them.
+//! reads and writes [`SNAPSHOT_VERSION`] (5) only; 1 (a streamed
+//! store), 2 (snapshots without stored synopses), 3 (snapshots under a
+//! serial FNV checksum) and 4 (snapshots with a (tag, value) posting
+//! index) are still recognised by [`store_version`] so callers can name
+//! them in an error instead of mis-parsing them.
 
 use std::fmt;
 use std::io::{self, Read};
@@ -70,7 +71,7 @@ impl From<io::Error> for StoreError {
 }
 
 /// The format version of a store file ([`SNAPSHOT_VERSION`] for a
-/// snapshot this crate attaches; 1–3 for retired formats), or `None` if
+/// snapshot this crate attaches; 1–4 for retired formats), or `None` if
 /// the file is missing or does not carry the store magic. Cheap: reads
 /// 8 bytes.
 pub fn store_version(path: impl AsRef<Path>) -> Option<u32> {
@@ -117,6 +118,11 @@ mod tests {
         assert!(matches!(
             Snapshot::from_bytes(&bytes),
             Err(StoreError::UnsupportedVersion(3))
+        ));
+        bytes[4] = 4; // the retired (tag, value) posting index
+        assert!(matches!(
+            Snapshot::from_bytes(&bytes),
+            Err(StoreError::UnsupportedVersion(4))
         ));
     }
 }

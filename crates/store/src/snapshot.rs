@@ -1,21 +1,21 @@
 //! The **snapshot** format: the whole query-time state of a document —
-//! tag table, structural columns, tag and value postings, text and
-//! attribute payloads, and its synopses — flattened into
+//! tag table, structural columns, tag postings, text and attribute
+//! payloads, and its synopses — flattened into
 //! little-endian, 8-byte aligned arrays that an engine can use
 //! *directly out of a memory mapping*. Attaching costs a header parse
 //! plus linear validation passes (checksum + structural checks over
 //! flat integer arrays), never an XML parse or an index build.
 //!
-//! # Layout (version 4, little-endian, all sections 8-byte aligned)
+//! # Layout (version 5, little-endian, all sections 8-byte aligned)
 //!
 //! ```text
 //! 0    magic      "WPLX"                      4 bytes
-//! 4    version    u32 = 4                     4 bytes
+//! 4    version    u32 = 5                     4 bytes
 //! 8    nodes      u64  node count n (synthetic root included)
 //! 16   tags       u64  tag-table size T
 //! 24   total_len  u64  file length in bytes, trailing checksum included
-//! 32   sections   17 × { offset u64, len u64 }   (272 bytes)
-//! 304  payload    sections in table order, zero-padded to 8-byte
+//! 32   sections   14 × { offset u64, len u64 }   (224 bytes)
+//! 256  payload    sections in table order, zero-padded to 8-byte
 //!                 boundaries between sections:
 //!        0  tag_offsets   u32[T+1]   name spans in tag_blob
 //!        1  tag_blob      UTF-8
@@ -25,16 +25,12 @@
 //!        5  tag_of        u32[n]
 //!        6  post_offsets  u32[T+1]   postings spans in post_ids
 //!        7  post_ids      u32[n-1]   every element in its tag's list
-//!        8  value_groups  u32[5·G]   (tag, val_off, val_len, ids_off,
-//!                                     ids_len), sorted by (tag, value)
-//!        9  value_blob    UTF-8
-//!        10 value_ids     u32[V]
-//!        11 text_offsets  u32[n+1]   empty span = no text
-//!        12 text_blob     UTF-8
-//!        13 attr_offsets  u32[n+1]   entry (not byte) offsets
-//!        14 attr_entries  u32[3·A]   (name_tag, val_off, val_len)
-//!        15 attr_blob     UTF-8
-//!        16 path_synopsis the stored synopses (below)
+//!        8  text_offsets  u32[n+1]   empty span = no text
+//!        9  text_blob     UTF-8
+//!        10 attr_offsets  u32[n+1]   entry (not byte) offsets
+//!        11 attr_entries  u32[3·A]   (name_tag, val_off, val_len)
+//!        12 attr_blob     UTF-8
+//!        13 path_synopsis the stored synopses (below)
 //! end-8 checksum  u64  `checksum` of the preceding bytes: four FNV-1a
 //!                 lanes over little-endian u64 words, folded with the
 //!                 byte length
@@ -42,13 +38,13 @@
 //!
 //! # The stored synopses
 //!
-//! Section 16 holds a serialized [`PathSynopsis`] — the bounded strong
+//! Section 13 holds a serialized [`PathSynopsis`] — the bounded strong
 //! dataguide built at snapshot-build time — together with the
 //! tag-count [`ShardSynopsis`], in a *self-contained, self-checksummed*
 //! byte stream:
 //!
 //! ```text
-//! 16 path_synopsis   u64 elements
+//! 13 path_synopsis   u64 elements
 //!                    u64 tag count T'   (tags with ≥1 element)
 //!                    T' × { u64 count, u64 name_len, UTF-8 name }
 //!                    u64 depth_cap, u64 truncated (0/1), u64 path count P
@@ -74,23 +70,25 @@
 //! boundaries). A file that passes cannot make the views panic or read
 //! out of bounds; a file that fails yields [`StoreError`], never UB.
 //!
-//! Versions 1–3 (a streamed store, this layout without section 16, and
-//! this layout under a serial FNV checksum) are not read: attach and
-//! peek answer [`StoreError::UnsupportedVersion`].
+//! Versions 1–4 are not read: attach and peek answer
+//! [`StoreError::UnsupportedVersion`]. They were a streamed store, a
+//! layout without the synopsis section, the v4 layout under a serial
+//! FNV checksum, and this layout plus a (tag, value)-sorted posting
+//! index in three more sections, which value tests no longer read.
 
 use crate::mmap::{Backing, Mapping, OwnedBytes};
 use crate::{StoreError, FNV_OFFSET, FNV_PRIME, MAGIC};
 use std::io::{self, Read, Seek, SeekFrom};
 use std::path::Path;
 use whirlpool_index::{
-    ColumnsView, PathEntry, PathSynopsis, ShardSynopsis, TagIndex, TagIndexView, VALUE_GROUP_STRIDE,
+    ColumnsView, PathEntry, PathSynopsis, ShardSynopsis, TagIndex, TagIndexView,
 };
 use whirlpool_xml::{DocView, Document, TagId, ATTR_ENTRY_STRIDE};
 
 /// The snapshot format version: the one this crate writes and reads.
-pub const SNAPSHOT_VERSION: u32 = 4;
+pub const SNAPSHOT_VERSION: u32 = 5;
 
-const SECTION_COUNT: usize = 17;
+const SECTION_COUNT: usize = 14;
 /// Fixed header size: magic + version + 3 × u64 + the section table.
 const HEADER_LEN: usize = 32 + SECTION_COUNT * 16;
 
@@ -103,15 +101,12 @@ const SEC_SUBTREE_END: usize = 4;
 const SEC_TAG_OF: usize = 5;
 const SEC_POST_OFFSETS: usize = 6;
 const SEC_POST_IDS: usize = 7;
-const SEC_VALUE_GROUPS: usize = 8;
-const SEC_VALUE_BLOB: usize = 9;
-const SEC_VALUE_IDS: usize = 10;
-const SEC_TEXT_OFFSETS: usize = 11;
-const SEC_TEXT_BLOB: usize = 12;
-const SEC_ATTR_OFFSETS: usize = 13;
-const SEC_ATTR_ENTRIES: usize = 14;
-const SEC_ATTR_BLOB: usize = 15;
-const SEC_PATH_SYNOPSIS: usize = 16;
+const SEC_TEXT_OFFSETS: usize = 8;
+const SEC_TEXT_BLOB: usize = 9;
+const SEC_ATTR_OFFSETS: usize = 10;
+const SEC_ATTR_ENTRIES: usize = 11;
+const SEC_ATTR_BLOB: usize = 12;
+const SEC_PATH_SYNOPSIS: usize = 13;
 
 const NO_PARENT: u32 = u32::MAX;
 
@@ -332,7 +327,6 @@ pub fn build_snapshot_bytes(doc: &Document, index: &TagIndex) -> Vec<u8> {
 
     let mut sections: Vec<Vec<u8>> = vec![Vec::new(); SECTION_COUNT];
     let (post_offsets, post_ids) = index.postings_raw();
-    let (value_groups, value_blob, value_ids) = index.values_raw();
     for (i, words) in [
         (SEC_TAG_OFFSETS, doc.tag_offsets),
         (SEC_PARENT, doc.parent),
@@ -340,8 +334,6 @@ pub fn build_snapshot_bytes(doc: &Document, index: &TagIndex) -> Vec<u8> {
         (SEC_TAG_OF, doc.tag_of),
         (SEC_POST_OFFSETS, post_offsets),
         (SEC_POST_IDS, post_ids),
-        (SEC_VALUE_GROUPS, value_groups),
-        (SEC_VALUE_IDS, value_ids),
         (SEC_TEXT_OFFSETS, doc.text_offsets),
         (SEC_ATTR_OFFSETS, doc.attr_offsets),
         (SEC_ATTR_ENTRIES, doc.attr_entries),
@@ -351,7 +343,6 @@ pub fn build_snapshot_bytes(doc: &Document, index: &TagIndex) -> Vec<u8> {
     sections[SEC_DEPTH] = doc.depth.iter().flat_map(|d| d.to_le_bytes()).collect();
     for (i, blob) in [
         (SEC_TAG_BLOB, doc.tag_blob),
-        (SEC_VALUE_BLOB, value_blob),
         (SEC_TEXT_BLOB, doc.text_blob),
         (SEC_ATTR_BLOB, doc.attr_blob),
     ] {
@@ -388,9 +379,23 @@ pub fn build_snapshot_bytes(doc: &Document, index: &TagIndex) -> Vec<u8> {
     out
 }
 
-/// Writes the snapshot of `doc` + `index` to `path`.
+/// Writes the snapshot of `doc` + `index` to `path`: into a sibling
+/// `.tmp` file, then renamed over `path`. A writer that dies mid-write
+/// leaves no truncated snapshot behind, and a file that is attached
+/// elsewhere is replaced, never modified in place, which
+/// [`Snapshot::doc_view`] relies on.
 pub fn save_snapshot(doc: &Document, index: &TagIndex, path: impl AsRef<Path>) -> io::Result<()> {
-    std::fs::write(path, build_snapshot_bytes(doc, index))
+    let path = path.as_ref();
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let written = std::fs::write(&tmp, build_snapshot_bytes(doc, index));
+    match written.and_then(|()| std::fs::rename(&tmp, path)) {
+        Ok(()) => Ok(()),
+        Err(e) => {
+            let _ = std::fs::remove_file(&tmp);
+            Err(e)
+        }
+    }
 }
 
 /// Kept only because `benchmark/src/workloads/mod.rs` names it:
@@ -490,7 +495,13 @@ impl Snapshot {
     }
 
     fn str_of(&self, i: usize) -> &str {
-        std::str::from_utf8(self.section(i)).expect("blob validated as UTF-8 at attach")
+        let bytes = self.section(i);
+        debug_assert!(std::str::from_utf8(bytes).is_ok());
+        // SAFETY: validate() checked these exact bytes as UTF-8, and the
+        // backing is immutable for the snapshot's life: an owned copy
+        // never changes, and a mapped file is never modified in place
+        // (writers replace it by rename; DESIGN §13).
+        unsafe { std::str::from_utf8_unchecked(bytes) }
     }
 
     fn columns_view(&self) -> ColumnsView<'_> {
@@ -520,7 +531,7 @@ impl Snapshot {
         }
     }
 
-    /// The index view (postings, value postings, structural columns)
+    /// The index view (postings, structural columns)
     /// over the mapped arrays — the same struct
     /// [`TagIndex::view`] returns over an in-memory index.
     pub fn index_view(&self) -> TagIndexView<'_> {
@@ -528,9 +539,6 @@ impl Snapshot {
             self.columns_view(),
             self.u32s(SEC_POST_OFFSETS),
             self.u32s(SEC_POST_IDS),
-            self.u32s(SEC_VALUE_GROUPS),
-            self.str_of(SEC_VALUE_BLOB),
-            self.u32s(SEC_VALUE_IDS),
         )
     }
 
@@ -708,20 +716,6 @@ fn check_offsets(
     Ok(())
 }
 
-/// Checks that `ids` is strictly ascending with every id in `[1, n)`.
-fn check_ids(ids: &[u32], n: usize, what: &str) -> Result<(), StoreError> {
-    let mut prev = 0u32; // ids start at 1, so 0 is a safe floor
-    for &id in ids {
-        if id <= prev || id as usize >= n {
-            return Err(corrupt(format!(
-                "{what}: ids must be strictly ascending element ids (saw {id} after {prev}, n={n})"
-            )));
-        }
-        prev = id;
-    }
-    Ok(())
-}
-
 fn utf8<'a>(bytes: &'a [u8], what: &str) -> Result<&'a str, StoreError> {
     std::str::from_utf8(bytes).map_err(|_| corrupt(format!("{what} is not valid UTF-8")))
 }
@@ -770,12 +764,6 @@ fn validate(bytes: &[u8]) -> Result<(Layout, ShardSynopsis, PathSynopsis), Store
     expect(SEC_POST_IDS, 4 * (n - 1), "posting ids")?;
     expect(SEC_TEXT_OFFSETS, 4 * (n + 1), "text offsets")?;
     expect(SEC_ATTR_OFFSETS, 4 * (n + 1), "attribute offsets")?;
-    if sections[SEC_VALUE_GROUPS].1 % (4 * VALUE_GROUP_STRIDE) != 0 {
-        return Err(corrupt("value groups: length not a group multiple"));
-    }
-    if sections[SEC_VALUE_IDS].1 % 4 != 0 {
-        return Err(corrupt("value ids: length not a u32 multiple"));
-    }
     if sections[SEC_ATTR_ENTRIES].1 % (4 * ATTR_ENTRY_STRIDE) != 0 {
         return Err(corrupt("attribute entries: length not an entry multiple"));
     }
@@ -790,7 +778,6 @@ fn validate(bytes: &[u8]) -> Result<(Layout, ShardSynopsis, PathSynopsis), Store
 
     // Blobs must be UTF-8 before offsets can be boundary-checked.
     let tag_blob = utf8(sec(SEC_TAG_BLOB), "tag blob")?;
-    let value_blob = utf8(sec(SEC_VALUE_BLOB), "value blob")?;
     let text_blob = utf8(sec(SEC_TEXT_BLOB), "text blob")?;
     let attr_blob = utf8(sec(SEC_ATTR_BLOB), "attribute blob")?;
 
@@ -863,46 +850,6 @@ fn validate(bytes: &[u8]) -> Result<(Layout, ShardSynopsis, PathSynopsis), Store
             )));
         }
         cursor[t] += 1;
-    }
-
-    // Value groups: sorted keys, contiguous blob/id spans, sorted ids.
-    let groups = u32s(SEC_VALUE_GROUPS);
-    let value_ids = u32s(SEC_VALUE_IDS);
-    let mut prev_key: Option<(u32, &[u8])> = None;
-    let ascii = value_blob.is_ascii(); // every index of ASCII is a char boundary
-    let splits = |i: usize| !ascii && !value_blob.is_char_boundary(i);
-    let (mut val_cursor, mut ids_cursor) = (0usize, 0usize);
-    for g in groups.chunks_exact(VALUE_GROUP_STRIDE) {
-        let (tag, val_off, val_len) = (g[0], g[1] as usize, g[2] as usize);
-        let (ids_off, ids_len) = (g[3] as usize, g[4] as usize);
-        if tag as usize >= tag_count {
-            return Err(corrupt("value group references a tag out of range"));
-        }
-        if val_off != val_cursor || ids_off != ids_cursor {
-            return Err(corrupt("value group spans must be contiguous"));
-        }
-        let val_end = val_off
-            .checked_add(val_len)
-            .filter(|&e| e <= value_blob.len())
-            .ok_or_else(|| corrupt("value group text span out of bounds"))?;
-        if splits(val_off) || splits(val_end) {
-            return Err(corrupt("value group span splits a UTF-8 char"));
-        }
-        let ids_end = ids_off
-            .checked_add(ids_len)
-            .filter(|&e| e <= value_ids.len())
-            .ok_or_else(|| corrupt("value group id span out of bounds"))?;
-        let key = (tag, &value_blob.as_bytes()[val_off..val_end]);
-        if prev_key.is_some_and(|p| p >= key) {
-            return Err(corrupt("value groups must be sorted by (tag, value)"));
-        }
-        prev_key = Some(key);
-        check_ids(&value_ids[ids_off..ids_end], n, "value postings")?;
-        val_cursor = val_end;
-        ids_cursor = ids_end;
-    }
-    if val_cursor != value_blob.len() || ids_cursor != value_ids.len() {
-        return Err(corrupt("value blob / ids not fully covered by groups"));
     }
 
     // Attribute entries: names in range, contiguous value spans.
@@ -1002,8 +949,6 @@ mod tests {
         }
         let t = doc.tag_id("t").unwrap();
         assert_eq!(dv.tag_id("t"), Some(t));
-        assert_eq!(iv.nodes_with_tag_value(t, "x").len(), 2);
-        assert_eq!(iv.nodes_with_tag_value(t, "zz"), &[]);
     }
 
     #[test]
@@ -1121,10 +1066,11 @@ mod tests {
         let snap = Snapshot::attach(&path).unwrap();
         assert_eq!(snap.node_count(), doc.len());
 
-        // Version 2 (the layout without the synopsis section) and
-        // version 3 (this layout under a serial FNV checksum) are
-        // recognised and refused, by attach and peek alike.
-        for retired in [2u8, 3] {
+        // Version 2 (the layout without the synopsis section), version
+        // 3 (this layout under a serial FNV checksum) and version 4
+        // (this layout plus the value-posting sections) are recognised
+        // and refused, by attach and peek alike.
+        for retired in [2u8, 3, 4] {
             let mut bytes = std::fs::read(&path).unwrap();
             bytes[4] = retired;
             let old_path = dir.join(format!("doc-v{retired}.wps"));

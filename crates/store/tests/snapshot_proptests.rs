@@ -89,9 +89,9 @@ fn snapshot_bytes_are_pinned() {
     let doc = whirlpool_xmark::generate(&whirlpool_xmark::GeneratorConfig::items(100));
     assert_eq!(doc.len(), 2_877);
     let bytes = build_snapshot_bytes(&doc, &TagIndex::build(&doc));
-    assert_eq!(bytes.len(), 191_272);
+    assert_eq!(bytes.len(), 123_560);
     let checksum = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap());
-    assert_eq!(checksum, 0x1c91_2a4c_94f5_eaf3);
+    assert_eq!(checksum, 0x5eeb_b749_c1cf_8467);
 }
 
 proptest! {
