@@ -84,7 +84,7 @@ fn info(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
     let start = Instant::now();
     let snapshot = Snapshot::attach(&path).map_err(|e| CliError::Parse(format!("{path}: {e}")))?;
     let attach = start.elapsed();
-    let synopsis = snapshot.synopsis();
+    let (synopsis, paths) = snapshot.synopses();
     writeln!(out, "snapshot:  {path}")?;
     writeln!(out, "version:   {SNAPSHOT_VERSION}")?;
     writeln!(out, "elements:  {}", snapshot.node_count() - 1)?;
@@ -100,7 +100,6 @@ fn info(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
         }
     )?;
     writeln!(out, "attach:    {attach:?}")?;
-    let paths = snapshot.path_synopsis();
     writeln!(
         out,
         "paths:     {} stored (depth cap {}{})",

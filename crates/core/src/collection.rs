@@ -41,6 +41,14 @@
 //! the resident set stays bounded no matter how large the corpus is.
 //! A shard pinned by an in-progress evaluation is never evicted —
 //! `max_resident` is a target, not a hard cap.
+//!
+//! A lazy shard remembers the whole-file checksum of the file its
+//! synopses came from, and an attach must verify the same one: a file
+//! replaced since (another document saved over it) is refused with
+//! [`StoreError::Stale`], so its payload is never evaluated under
+//! ceilings computed from someone else's synopses.
+//! [`evaluate_collection`] accounts the refusal like any failed attach:
+//! the shard is left unevaluated and certified by its ceiling.
 
 use crate::context::{ContextOptions, QueryContext, RelaxMode};
 use crate::engine::{evaluate_with_context, Algorithm, EvalOptions};
@@ -63,6 +71,10 @@ use whirlpool_xml::{parse_document, write_node, Document, NodeId, ParseError, Wr
 /// synopses until something actually evaluates it.
 struct LazyShard {
     path: PathBuf,
+    /// The whole-file checksum of the file the shard's synopses came
+    /// from. [`Collection::acquire`] refuses a re-attached file whose
+    /// verified checksum differs: its synopses would be someone else's.
+    checksum: u64,
     /// The attached snapshot, when resident. `Arc` so an in-progress
     /// evaluation pins the mapping across a concurrent eviction.
     resident: Mutex<Option<Arc<Snapshot>>>,
@@ -118,12 +130,14 @@ impl Shard {
     /// pressure and re-attach it from disk when next visited.
     pub fn attached(name: impl Into<String>, path: impl AsRef<Path>) -> Result<Shard, StoreError> {
         let snapshot = Snapshot::attach(&path)?;
+        let (synopsis, paths) = snapshot.synopses();
         Ok(Shard {
             name: name.into(),
-            synopsis: snapshot.synopsis().clone(),
-            paths: snapshot.path_synopsis().clone(),
+            synopsis,
+            paths,
             backing: ShardBacking::Lazy(LazyShard {
                 path: path.as_ref().to_path_buf(),
+                checksum: snapshot.checksum(),
                 resident: Mutex::new(Some(Arc::new(snapshot))),
                 peeked: false,
             }),
@@ -139,6 +153,7 @@ impl Shard {
             name: name.into(),
             backing: ShardBacking::Lazy(LazyShard {
                 path: path.as_ref().to_path_buf(),
+                checksum: peek.checksum,
                 resident: Mutex::new(None),
                 peeked: true,
             }),
@@ -357,6 +372,12 @@ impl Collection {
     /// Pins shard `idx` and returns a view handle over its data,
     /// attaching a lazy shard from disk if it is not resident. The
     /// handle keeps the shard safe from eviction until dropped.
+    ///
+    /// A re-attached file must be the one the shard's synopses came
+    /// from: a file replaced since (another document saved over it)
+    /// fails with [`StoreError::Stale`] and stays detached, so no
+    /// caller evaluates a payload against a ceiling that was not
+    /// computed from it.
     pub fn acquire(&self, idx: usize) -> Result<ShardAccess<'_>, StoreError> {
         let shard = &self.shards[idx];
         let lazy = match &shard.backing {
@@ -373,7 +394,14 @@ impl Collection {
             match &*slot {
                 Some(a) => a.clone(),
                 None => {
-                    let a = Arc::new(Snapshot::attach(&lazy.path)?);
+                    let snapshot = Snapshot::attach(&lazy.path)?;
+                    if snapshot.checksum() != lazy.checksum {
+                        return Err(StoreError::Stale {
+                            expected: lazy.checksum,
+                            found: snapshot.checksum(),
+                        });
+                    }
+                    let a = Arc::new(snapshot);
                     *slot = Some(a.clone());
                     self.residency.attached.fetch_add(1, Ordering::Relaxed);
                     a
@@ -597,8 +625,21 @@ impl Collection {
         model: &TfIdfModel,
         relax: RelaxMode,
     ) -> Option<Score> {
+        self.ceiling_of(shard_idx, &CeilingQuery::new(pattern), model, relax)
+    }
+
+    /// [`shard_ceiling`](Self::shard_ceiling) over a query resolved
+    /// once for every shard.
+    fn ceiling_of(
+        &self,
+        shard_idx: usize,
+        query: &CeilingQuery<'_>,
+        model: &TfIdfModel,
+        relax: RelaxMode,
+    ) -> Option<Score> {
         let shard = &self.shards[shard_idx];
-        shard_ceiling_with_paths(&shard.synopsis, &shard.paths, pattern, model, relax)
+        let definitive = Some(&shard.paths).filter(|p| p.is_definitive());
+        query.ceiling(&shard.synopsis, definitive, model, relax)
     }
 }
 
@@ -630,7 +671,7 @@ pub fn shard_ceiling(
     model: &TfIdfModel,
     relax: RelaxMode,
 ) -> Option<Score> {
-    ceiling(synopsis, None, pattern, model, relax)
+    CeilingQuery::new(pattern).ceiling(synopsis, None, model, relax)
 }
 
 /// Maps a pattern axis onto the (dependency-free) path-synopsis axis.
@@ -641,10 +682,13 @@ fn path_axis(axis: Axis) -> PathAxis {
     }
 }
 
+/// A root-to-node chain of path-synopsis steps.
+type QueryPath<'p> = Vec<(PathAxis, &'p str)>;
+
 /// The literal root-to-`to` chain of `pattern` as path-synopsis steps:
 /// every pattern node from the root down to `to`, each with its own
 /// axis (the root carries the axis from the synthetic document root).
-fn literal_steps(pattern: &TreePattern, to: QNodeId) -> Vec<(PathAxis, &str)> {
+fn literal_steps(pattern: &TreePattern, to: QNodeId) -> QueryPath<'_> {
     let mut rev = Vec::new();
     let mut cur = to;
     loop {
@@ -695,64 +739,83 @@ pub fn shard_ceiling_with_paths(
     relax: RelaxMode,
 ) -> Option<Score> {
     let definitive = Some(paths).filter(|p| p.is_definitive());
-    ceiling(synopsis, definitive, pattern, model, relax)
+    CeilingQuery::new(pattern).ceiling(synopsis, definitive, model, relax)
 }
 
-/// The ceiling both public forms compute: the tag-count bound, refined
-/// by `paths` when given.
-fn ceiling(
-    synopsis: &ShardSynopsis,
-    paths: Option<&PathSynopsis>,
-    pattern: &TreePattern,
-    model: &TfIdfModel,
-    relax: RelaxMode,
-) -> Option<Score> {
-    use whirlpool_score::ScoreModel;
-    let answer_tag = pattern.node(pattern.root()).tag.as_str();
-    if answer_tag != WILDCARD && !synopsis.has_tag(answer_tag) {
-        return None;
+/// What a shard ceiling reads of the pattern, resolved once per
+/// collection query rather than once per shard: the answer tag, its
+/// literal chain, and each server's tag and literal chain.
+struct CeilingQuery<'p> {
+    answer_tag: &'p str,
+    root_steps: QueryPath<'p>,
+    servers: Vec<(QNodeId, &'p str, QueryPath<'p>)>,
+}
+
+impl<'p> CeilingQuery<'p> {
+    fn new(pattern: &'p TreePattern) -> Self {
+        CeilingQuery {
+            answer_tag: pattern.node(pattern.root()).tag.as_str(),
+            root_steps: literal_steps(pattern, pattern.root()),
+            servers: (pattern.server_ids())
+                .map(|s| (s, pattern.node(s).tag.as_str(), literal_steps(pattern, s)))
+                .collect(),
+        }
     }
-    if let Some(ps) = paths {
-        if relax == RelaxMode::Exact
-            && !ps.matches_query_path(&literal_steps(pattern, pattern.root()))
-        {
+
+    /// The ceiling both public forms compute: the tag-count bound,
+    /// refined by `paths` when given.
+    fn ceiling(
+        &self,
+        synopsis: &ShardSynopsis,
+        paths: Option<&PathSynopsis>,
+        model: &TfIdfModel,
+        relax: RelaxMode,
+    ) -> Option<Score> {
+        use whirlpool_score::ScoreModel;
+        let answer_tag = self.answer_tag;
+        if answer_tag != WILDCARD && !synopsis.has_tag(answer_tag) {
             return None;
         }
-    }
-    let mut total = model.max_root_contribution();
-    for s in pattern.server_ids() {
-        let tag = pattern.node(s).tag.as_str();
-        if tag != WILDCARD && !synopsis.has_tag(tag) {
-            if relax == RelaxMode::Exact {
+        if let Some(ps) = paths {
+            if relax == RelaxMode::Exact && !ps.matches_query_path(&self.root_steps) {
                 return None;
             }
-            continue;
         }
-        if let Some(ps) = paths {
-            match relax {
-                RelaxMode::Exact => {
-                    if !ps.matches_query_path(&literal_steps(pattern, s)) {
-                        return None;
-                    }
+        let mut total = model.max_root_contribution();
+        for &(s, tag, ref steps) in &self.servers {
+            if tag != WILDCARD && !synopsis.has_tag(tag) {
+                if relax == RelaxMode::Exact {
+                    return None;
                 }
-                RelaxMode::Relaxed => {
-                    // Wildcards (either end) make the descendant chain
-                    // vacuous — fall back to tag presence, which held.
-                    if answer_tag != WILDCARD
-                        && tag != WILDCARD
-                        && !ps.matches_query_path(&[
-                            (PathAxis::Descendant, answer_tag),
-                            (PathAxis::Descendant, tag),
-                        ])
-                    {
-                        continue;
+                continue;
+            }
+            if let Some(ps) = paths {
+                match relax {
+                    RelaxMode::Exact => {
+                        if !ps.matches_query_path(steps) {
+                            return None;
+                        }
+                    }
+                    RelaxMode::Relaxed => {
+                        // Wildcards (either end) make the descendant
+                        // chain vacuous — fall back to tag presence,
+                        // which held.
+                        if answer_tag != WILDCARD
+                            && tag != WILDCARD
+                            && !ps.matches_query_path(&[
+                                (PathAxis::Descendant, answer_tag),
+                                (PathAxis::Descendant, tag),
+                            ])
+                        {
+                            continue;
+                        }
                     }
                 }
             }
+            total += model.max_contribution(s);
         }
-        total += model.max_contribution(s);
+        Some(Score::new(total))
     }
-    Some(Score::new(total))
 }
 
 /// Collection-driver knobs, on top of the per-shard [`EvalOptions`].
@@ -941,13 +1004,9 @@ pub fn evaluate_collection(
     // Ceiling-descending visit order: rich shards first, so the global
     // threshold rises as fast as possible. `None` ceilings (provably
     // answer-free shards) sort last.
+    let query = CeilingQuery::new(pattern);
     let mut order: Vec<(usize, Option<Score>)> = (0..collection.len())
-        .map(|i| {
-            (
-                i,
-                collection.shard_ceiling(i, pattern, &model, options.relax),
-            )
-        })
+        .map(|i| (i, collection.ceiling_of(i, &query, &model, options.relax)))
         .collect();
     order.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
 
@@ -1649,6 +1708,62 @@ mod tests {
             pruned.answers,
             eager.answers
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_shard_file_replaced_after_its_peek_is_refused_and_certified() {
+        let dir = snapshot_dir("replaced", &[("s0", RICH), ("s1", MID), ("s2", RICH)]);
+        let save = |src: &str| {
+            let doc = parse_document(src).unwrap();
+            let index = TagIndex::build(&doc);
+            whirlpool_store::save_snapshot(&doc, &index, dir.join("s0.wps")).unwrap();
+        };
+        let pattern = q();
+        let run = |c: &Collection| {
+            evaluate_collection(
+                c,
+                &pattern,
+                &Algorithm::WhirlpoolS,
+                &EvalOptions::top_k(3),
+                Normalization::Sparse,
+                &CollectionOptions::default(),
+            )
+        };
+
+        // Another document is saved over s0 (tmp + rename) after its
+        // synopses were peeked: the visit refuses it, and the reply is
+        // certified by s0's ceiling instead of ranked on a stale one.
+        let c = Collection::open_dir(&dir).unwrap();
+        c.set_max_resident(1);
+        save(MID);
+        let stale = run(&c);
+        let m = &stale.collection_metrics;
+        assert_eq!(m.shards_skipped_budget, 1, "{m:?}");
+        let model = c.corpus_stats(&pattern).model(Normalization::Sparse);
+        let s0_ceiling = c
+            .shard_ceiling(0, &pattern, &model, RelaxMode::Relaxed)
+            .unwrap();
+        match stale.completeness {
+            Completeness::Truncated { score_bound, .. } => {
+                assert!(score_bound >= s0_ceiling.value(), "{score_bound}");
+            }
+            Completeness::Exact => panic!("a stale shard must not be answered as exact"),
+        }
+        assert!(matches!(c.acquire(0), Err(StoreError::Stale { .. })));
+        assert!(!c.shards()[0].is_resident());
+
+        // The same document saved again is the same file: exact, and
+        // the answers of a collection that never saw the swap.
+        save(RICH);
+        let again = run(&c);
+        assert!(matches!(again.completeness, Completeness::Exact));
+        let control = run(&Collection::open_dir(&dir).unwrap());
+        assert!(collection_answers_equivalent(
+            &again.answers,
+            &control.answers,
+            1e-9
+        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -57,7 +57,9 @@ mod tagindex;
 
 pub use columns::{lanes_for, mask_count, ColumnsView, KERNEL_LANE};
 pub use cursor::RangeCursor;
-pub use paths::{PathAxis, PathEntry, PathSynopsis, PATH_COUNT_CAP, PATH_DEPTH_CAP};
+pub use paths::{
+    PathAxis, PathEntry, PathSynopsis, MAX_PATH_STEPS, PATH_COUNT_CAP, PATH_DEPTH_CAP,
+};
 pub use selectivity::{
     estimate_query_cost, estimate_selectivity_view, QueryCostEstimate, ServerSelectivity,
 };

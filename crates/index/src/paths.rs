@@ -18,9 +18,15 @@
 //! [`PathSynopsis::is_definitive`] is false and callers must fall back
 //! to tag-count ceilings — so the bounds can never turn into unsound
 //! pruning (see DESIGN.md §12).
+//!
+//! Matching a query path against a stored path is a few bit operations
+//! per step and allocates nothing: the frontier of the match is a `u64`
+//! with one bit per stored position, which is why no stored path has
+//! more than [`MAX_PATH_STEPS`] steps.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use whirlpool_xml::Document;
+use whirlpool_xml::{Document, TagId};
 
 /// Maximum stored path depth (document element = depth 1). Deeper nodes
 /// mark the synopsis truncated.
@@ -29,6 +35,12 @@ pub const PATH_DEPTH_CAP: usize = 16;
 /// Maximum number of distinct stored paths. Further paths mark the
 /// synopsis truncated.
 pub const PATH_COUNT_CAP: usize = 1024;
+
+/// The most steps a stored path may have, whatever the depth cap: the
+/// matcher keeps one bit per stored position plus the pre-root bit in
+/// a `u64`. [`PathSynopsis::build_capped`] clamps its cap to this, and
+/// a snapshot reader refuses a longer path or a larger cap.
+pub const MAX_PATH_STEPS: usize = 63;
 
 /// How one query path step relates to its predecessor: direct child or
 /// any-depth descendant. Mirrors the pattern crate's `Axis` without
@@ -68,6 +80,14 @@ pub struct PathSynopsis {
     truncated: bool,
 }
 
+/// A stored path while [`PathSynopsis::build_capped`] runs: its entry,
+/// plus the parent whose same-path children it is counting.
+struct Building {
+    entry: PathEntry,
+    parent: u32,
+    run: u64,
+}
+
 impl PathSynopsis {
     /// Builds the synopsis in one pre-order pass over `doc` using the
     /// default caps.
@@ -76,78 +96,79 @@ impl PathSynopsis {
     }
 
     /// [`build`](PathSynopsis::build) with explicit caps (tests shrink
-    /// them to exercise truncation).
+    /// them to exercise truncation). The depth cap is clamped to
+    /// [`MAX_PATH_STEPS`].
     pub fn build_capped(doc: &Document, depth_cap: usize, count_cap: usize) -> PathSynopsis {
-        let mut interner: HashMap<Box<str>, u32> = HashMap::new();
+        const ROOT: u32 = u32::MAX;
+        let depth_cap = depth_cap.min(MAX_PATH_STEPS);
+        let view = doc.view();
+        // Document tag id → local id, in order of first occurrence.
+        let mut local = vec![u32::MAX; view.tag_count()];
         let mut tags: Vec<Box<str>> = Vec::new();
-        let mut table: HashMap<Vec<u32>, (u64, u64)> = HashMap::new();
+        let mut paths: Vec<Building> = Vec::new();
+        // (parent path, local tag) → path; the document root is `ROOT`.
+        let mut extend: HashMap<(u32, u32), u32> = HashMap::new();
+        // open[d - 1] = the stored path of the open element at depth d
+        // (`None` past a cap; its descendants are past it too).
+        let mut open: Vec<Option<u32>> = Vec::new();
         let mut truncated = false;
-
-        // Pre-order walk carrying the open ancestor chain; NodeIds are
-        // pre-order, so popping until the top of the stack is the
-        // node's parent reconstructs each path without recursion.
-        let mut stack: Vec<(whirlpool_xml::NodeId, u32)> = Vec::new(); // (node, tag id)
-                                                                       // sibling_counts[i] counts tags among the children of
-                                                                       // stack[i-1] (of the document root for i = 0) seen so far.
-        let mut sibling_counts: Vec<HashMap<u32, u64>> = vec![HashMap::new()];
-        for n in doc.elements() {
-            let parent = doc.parent(n).expect("elements have parents");
-            while let Some(&(pid, _)) = stack.last() {
-                if pid == parent {
-                    break;
-                }
-                stack.pop();
-                sibling_counts.pop();
+        for n in 1..view.len() {
+            let depth = usize::from(view.depth[n]);
+            let raw = view.tag_of[n] as usize;
+            if local[raw] == u32::MAX {
+                local[raw] = tags.len() as u32;
+                tags.push(Box::from(view.tag_name(TagId::from_index(raw))));
             }
-            let tag_id = {
-                let name = doc.tag_str(n);
-                match interner.get(name) {
-                    Some(&id) => id,
-                    None => {
-                        let id = tags.len() as u32;
-                        interner.insert(Box::from(name), id);
-                        tags.push(Box::from(name));
-                        id
-                    }
-                }
-            };
-            let depth = stack.len() + 1;
-            // Same-path sibling multiplicity under the current parent.
-            let tf = {
-                let counts = sibling_counts.last_mut().expect("root level exists");
-                let c = counts.entry(tag_id).or_insert(0);
-                *c += 1;
-                *c
-            };
-            if depth > depth_cap {
-                truncated = true;
+            let tag = local[raw];
+            open.truncate(depth - 1);
+            let up = if depth == 1 {
+                Some(ROOT)
             } else {
-                let path: Vec<u32> = stack
-                    .iter()
-                    .map(|&(_, t)| t)
-                    .chain(std::iter::once(tag_id))
-                    .collect();
-                if let Some(entry) = table.get_mut(&path) {
-                    entry.0 += 1;
-                    entry.1 = entry.1.max(tf);
-                } else if table.len() < count_cap {
-                    table.insert(path, (1, tf));
-                } else {
-                    truncated = true;
+                open[depth - 2]
+            };
+            let path = match up.filter(|_| depth <= depth_cap) {
+                None => None,
+                Some(up) => match extend.entry((up, tag)) {
+                    Entry::Occupied(e) => Some(*e.get()),
+                    Entry::Vacant(e) if paths.len() < count_cap => {
+                        let mut steps = match up {
+                            ROOT => Vec::with_capacity(1),
+                            up => paths[up as usize].entry.steps.clone(),
+                        };
+                        steps.push(tag);
+                        let id = paths.len() as u32;
+                        paths.push(Building {
+                            entry: PathEntry {
+                                steps,
+                                count: 0,
+                                max_tf: 0,
+                            },
+                            parent: ROOT,
+                            run: 0,
+                        });
+                        Some(*e.insert(id))
+                    }
+                    Entry::Vacant(_) => None,
+                },
+            };
+            match path {
+                // Same-path siblings are contiguous in pre-order (two
+                // parents on one path are never nested), so a run per
+                // path counts them under one parent.
+                Some(id) => {
+                    let b = &mut paths[id as usize];
+                    let parent = view.parent[n];
+                    b.run = if b.parent == parent { b.run + 1 } else { 1 };
+                    b.parent = parent;
+                    b.entry.count += 1;
+                    b.entry.max_tf = b.entry.max_tf.max(b.run);
                 }
+                None => truncated = true,
             }
-            stack.push((n, tag_id));
-            sibling_counts.push(HashMap::new());
+            open.push(path);
         }
 
-        let mut paths: Vec<PathEntry> = table
-            .into_iter()
-            .map(|(steps, (count, max_tf))| PathEntry {
-                steps,
-                count,
-                max_tf,
-            })
-            .collect();
+        let mut paths: Vec<PathEntry> = paths.into_iter().map(|b| b.entry).collect();
         paths.sort_by(|a, b| a.steps.cmp(&b.steps));
         PathSynopsis {
             tags,
@@ -157,15 +178,23 @@ impl PathSynopsis {
         }
     }
 
-    /// Reassembles a synopsis from stored parts (the snapshot-attach
+    /// Reassembles a synopsis from stored parts (the snapshot-peek
     /// path). `tags` ids in `paths` must index `tags`; callers validate
     /// before constructing.
+    ///
+    /// # Panics
+    ///
+    /// If a path has more than [`MAX_PATH_STEPS`] steps.
     pub fn from_parts(
         tags: Vec<Box<str>>,
         mut paths: Vec<PathEntry>,
         depth_cap: u32,
         truncated: bool,
     ) -> PathSynopsis {
+        assert!(
+            paths.iter().all(|p| p.steps.len() <= MAX_PATH_STEPS),
+            "a stored path has at most {MAX_PATH_STEPS} steps"
+        );
         paths.sort_by(|a, b| a.steps.cmp(&b.steps));
         PathSynopsis {
             tags,
@@ -232,51 +261,45 @@ impl PathSynopsis {
     /// proves no node in the shard can bind the query node. Callers
     /// must treat `false` on a truncated synopsis as "unknown".
     pub fn matches_query_path(&self, steps: &[(PathAxis, &str)]) -> bool {
-        if steps.is_empty() {
+        let Some(resolved) = self.resolve(steps) else {
             return false;
-        }
-        // A query tag absent from every stored path can never match
-        // (wildcards aside) — cheap pre-filter.
-        let resolved: Vec<Option<u32>> = steps
-            .iter()
-            .map(|&(_, tag)| {
-                if tag == "*" {
-                    None // wildcard: matches any tag
-                } else {
-                    self.tags.iter().position(|t| &**t == tag).map(|i| i as u32)
-                }
-            })
-            .collect();
-        for (r, &(_, tag)) in resolved.iter().zip(steps) {
-            if tag != "*" && r.is_none() {
-                return false;
-            }
-        }
+        };
+        let resolved = &resolved[..steps.len()];
         self.paths
             .iter()
-            .filter(|p| p.count > 0)
-            .any(|p| path_matches(&p.steps, steps, &resolved))
+            .any(|p| p.count > 0 && path_matches(&p.steps, steps, resolved))
     }
 
     /// Total node count over stored paths whose full path matches the
     /// query path — an upper bound on how many nodes can bind the query
     /// node (on a definitive synopsis).
     pub fn matching_count(&self, steps: &[(PathAxis, &str)]) -> u64 {
-        let resolved: Vec<Option<u32>> = steps
-            .iter()
-            .map(|&(_, tag)| {
-                if tag == "*" {
-                    None
-                } else {
-                    self.tags.iter().position(|t| &**t == tag).map(|i| i as u32)
-                }
-            })
-            .collect();
+        let Some(resolved) = self.resolve(steps) else {
+            return 0;
+        };
+        let resolved = &resolved[..steps.len()];
         self.paths
             .iter()
-            .filter(|p| path_matches(&p.steps, steps, &resolved))
+            .filter(|p| path_matches(&p.steps, steps, resolved))
             .map(|p| p.count)
             .sum()
+    }
+
+    /// The local tag id of each step (`None` = wildcard), or `None`
+    /// when no stored path can match: no steps, more steps than a
+    /// stored path has, or a named tag absent from every path.
+    fn resolve(&self, steps: &[(PathAxis, &str)]) -> Option<[Option<u32>; MAX_PATH_STEPS]> {
+        if steps.is_empty() || steps.len() > MAX_PATH_STEPS {
+            return None;
+        }
+        let mut resolved = [None; MAX_PATH_STEPS];
+        for (slot, &(_, tag)) in resolved.iter_mut().zip(steps) {
+            if tag != "*" {
+                let id = self.tags.iter().position(|t| &**t == tag)?;
+                *slot = Some(id as u32);
+            }
+        }
+        Some(resolved)
     }
 }
 
@@ -284,42 +307,37 @@ impl PathSynopsis {
 /// `resolved[i]` is the stored-tag id of `steps[i]`'s tag (`None` =
 /// wildcard). Child consumes exactly the next position; Descendant
 /// skips zero or more.
+///
+/// The frontier is a bitmask: bit `j + 1` is set when the steps so far
+/// can end at stored position `j`, and bit 0 is the virtual pre-root
+/// position, so a path of at most [`MAX_PATH_STEPS`] steps fits a
+/// `u64`. A child step moves every bit down one position; a descendant
+/// step first sets every bit at or above the lowest set one. Either
+/// keeps only the positions whose tag the step accepts.
 fn path_matches(path: &[u32], steps: &[(PathAxis, &str)], resolved: &[Option<u32>]) -> bool {
+    debug_assert!(path.len() <= MAX_PATH_STEPS);
     if steps.is_empty() || path.is_empty() {
         return false;
     }
-    // frontier[j] = true when the first `i` steps can end at stored
-    // position j-1 (j = 0 is the virtual pre-root position).
-    let l = path.len();
-    let mut frontier = vec![false; l + 1];
-    frontier[0] = true;
-    for (i, &(axis, _)) in steps.iter().enumerate() {
-        let want = resolved[i];
-        let mut next = vec![false; l + 1];
-        for j in 0..l {
-            let tag_ok = match want {
-                Some(w) => path[j] == w,
-                None => true,
-            };
-            if !tag_ok {
-                continue;
-            }
-            let reach = match axis {
-                PathAxis::Child => frontier[j],
-                PathAxis::Descendant => frontier[..=j].iter().any(|&b| b),
-            };
-            if reach {
-                next[j + 1] = true;
-            }
-        }
-        frontier = next;
-        if !frontier.iter().any(|&b| b) {
+    let mut frontier = 1u64;
+    for (&(axis, _), &want) in steps.iter().zip(resolved) {
+        let hit = match want {
+            Some(w) => (path.iter().enumerate())
+                .fold(0u64, |hit, (j, &t)| hit | (u64::from(t == w) << (j + 1))),
+            None => ((1u64 << path.len()) - 1) << 1,
+        };
+        let reach = match axis {
+            PathAxis::Child => frontier,
+            PathAxis::Descendant => frontier | frontier.wrapping_neg(),
+        };
+        frontier = (reach << 1) & hit;
+        if frontier == 0 {
             return false;
         }
     }
     // Anchored at the end: the last step must land on the path's last
     // position (stored paths are exact root-to-node chains).
-    frontier[l]
+    (frontier >> path.len()) & 1 == 1
 }
 
 #[cfg(test)]
@@ -430,6 +448,103 @@ mod tests {
             2
         );
         assert_eq!(s.matching_count(&[(Descendant, "book")]), 2);
+    }
+
+    #[test]
+    fn depth_cap_is_clamped_to_the_matcher_width() {
+        let mut src = String::new();
+        for _ in 0..70 {
+            src.push_str("<a>");
+        }
+        for _ in 0..70 {
+            src.push_str("</a>");
+        }
+        let doc = parse_document(&src).unwrap();
+        let s = PathSynopsis::build_capped(&doc, 1_000, PATH_COUNT_CAP);
+        assert_eq!(s.depth_cap() as usize, MAX_PATH_STEPS);
+        assert!(s.truncated());
+        assert_eq!(s.len(), MAX_PATH_STEPS);
+        use PathAxis::*;
+        let deepest = vec![(Child, "a"); MAX_PATH_STEPS];
+        assert!(s.matches_query_path(&deepest));
+        assert_eq!(s.matching_count(&deepest), 1);
+        assert!(!s.matches_query_path(&vec![(Child, "a"); MAX_PATH_STEPS + 1]));
+        assert_eq!(
+            s.matching_count(&[(Descendant, "a")]),
+            MAX_PATH_STEPS as u64
+        );
+    }
+
+    /// The frontier as one `bool` per stored position (j = 0 is the
+    /// virtual pre-root position): the matcher before the bitmask, kept
+    /// as its oracle.
+    fn path_matches_oracle(
+        path: &[u32],
+        steps: &[(PathAxis, &str)],
+        resolved: &[Option<u32>],
+    ) -> bool {
+        if steps.is_empty() || path.is_empty() {
+            return false;
+        }
+        let l = path.len();
+        let mut frontier = vec![false; l + 1];
+        frontier[0] = true;
+        for (i, &(axis, _)) in steps.iter().enumerate() {
+            let want = resolved[i];
+            let mut next = vec![false; l + 1];
+            for j in 0..l {
+                let tag_ok = match want {
+                    Some(w) => path[j] == w,
+                    None => true,
+                };
+                if !tag_ok {
+                    continue;
+                }
+                let reach = match axis {
+                    PathAxis::Child => frontier[j],
+                    PathAxis::Descendant => frontier[..=j].iter().any(|&b| b),
+                };
+                if reach {
+                    next[j + 1] = true;
+                }
+            }
+            frontier = next;
+            if !frontier.iter().any(|&b| b) {
+                return false;
+            }
+        }
+        frontier[l]
+    }
+
+    const ALPHABET: [&str; 4] = ["a", "b", "c", "*"];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2_000))]
+        #[test]
+        fn bitmask_matcher_equals_the_bool_frontier(
+            path in proptest::prelude::prop::collection::vec(0u32..3, 0..17),
+            query in proptest::prelude::prop::collection::vec(
+                (proptest::prelude::any::<bool>(), 0usize..ALPHABET.len()),
+                0..8,
+            ),
+        ) {
+            let steps: Vec<(PathAxis, &str)> = query
+                .iter()
+                .map(|&(child, t)| {
+                    let axis = if child { PathAxis::Child } else { PathAxis::Descendant };
+                    (axis, ALPHABET[t])
+                })
+                .collect();
+            let resolved: Vec<Option<u32>> = query
+                .iter()
+                .map(|&(_, t)| (ALPHABET[t] != "*").then_some(t as u32))
+                .collect();
+            assert_eq!(
+                path_matches(&path, &steps, &resolved),
+                path_matches_oracle(&path, &steps, &resolved),
+                "path {path:?}, steps {steps:?}"
+            );
+        }
     }
 
     #[test]

@@ -8,6 +8,12 @@
 //! module source; this file holds the magic, the FNV-1a constants,
 //! [`StoreError`] and [`store_version`] sniffing.
 //!
+//! A peek and a later attach are bound by the whole-file checksum:
+//! [`SnapshotPeek::checksum`] is the file's stored trailer, and
+//! [`Snapshot::checksum`] is the one attach verified. A caller that
+//! keeps peeked synopses (a lazy collection shard) compares the two and
+//! refuses a file replaced in between with [`StoreError::Stale`].
+//!
 //! ```
 //! use whirlpool_store::{build_snapshot_bytes, Snapshot};
 //! let doc = whirlpool_xml::parse_document("<a><b>t</b></a>").unwrap();
@@ -49,6 +55,16 @@ pub enum StoreError {
     UnsupportedVersion(u32),
     /// Structurally invalid or checksum-mismatched content.
     Corrupt(String),
+    /// A sound file that is not the one the caller read its synopses
+    /// from: its verified checksum differs from the one the earlier
+    /// [`Snapshot::peek`] (or attach) recorded, so the file was
+    /// replaced in between.
+    Stale {
+        /// The whole-file checksum the caller recorded.
+        expected: u64,
+        /// The whole-file checksum of the file attached now.
+        found: u64,
+    },
 }
 
 impl fmt::Display for StoreError {
@@ -58,6 +74,11 @@ impl fmt::Display for StoreError {
             StoreError::BadMagic => write!(f, "not a whirlpool store (bad magic)"),
             StoreError::UnsupportedVersion(v) => write!(f, "unsupported store version {v}"),
             StoreError::Corrupt(m) => write!(f, "corrupt store: {m}"),
+            StoreError::Stale { expected, found } => write!(
+                f,
+                "store replaced since its synopses were read \
+                 (checksum {expected:#018x}, now {found:#018x})"
+            ),
         }
     }
 }

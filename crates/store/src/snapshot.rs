@@ -47,8 +47,10 @@
 //! 13 path_synopsis   u64 elements
 //!                    u64 tag count T'   (tags with ≥1 element)
 //!                    T' × { u64 count, u64 name_len, UTF-8 name }
-//!                    u64 depth_cap, u64 truncated (0/1), u64 path count P
-//!                    P × { u64 count, u64 max_tf, u64 nsteps,
+//!                         in tag-id order
+//!                    u64 depth_cap (≤ 63), u64 truncated (0/1),
+//!                    u64 path count P
+//!                    P × { u64 count, u64 max_tf, u64 nsteps (≤ depth_cap),
 //!                          nsteps × u32 index into the T' tag list }
 //!                    u64 `checksum` of the preceding section bytes
 //!                        (tail bytes fold into lane 0)
@@ -56,11 +58,20 @@
 //!
 //! The section is deliberately independent of every other section and
 //! carries its own checksum so that [`Snapshot::peek`] can read *just
-//! the header and this section* — no payload mapping, no whole-file
-//! checksum pass — and still hand the collection layer
-//! integrity-checked synopses. Attach parses it once and checks it
-//! against the payload: the stored tags are exactly the tags with
-//! postings, each with its posting count.
+//! the header and this section* (and the file's checksum, which follows
+//! it) — no payload mapping, no whole-file checksum pass — and still
+//! hand the collection layer integrity-checked synopses. One walker
+//! reads the format. Peek drives it to collect owned synopses; attach
+//! drives it to compare the section with the payload, allocating
+//! nothing: the element count is the payload's, and the stored tags are
+//! exactly the tags with postings, in tag-id order, each named as in
+//! the tag table and counted as its postings. An attached [`Snapshot`]
+//! holds no synopsis; [`Snapshot::synopses`] parses the verified
+//! section again for a caller that wants one.
+//!
+//! A stored path has at most 63 steps (`MAX_PATH_STEPS`), because the
+//! path matcher keeps one bit per position in a `u64`: the walker
+//! refuses a depth cap above 63 or a path longer than its cap.
 //!
 //! Attach validates everything the mapped accessors later index with:
 //! magic/version/length, the checksum, section table sanity
@@ -81,7 +92,7 @@ use crate::{StoreError, FNV_OFFSET, FNV_PRIME, MAGIC};
 use std::io::{self, Read, Seek, SeekFrom};
 use std::path::Path;
 use whirlpool_index::{
-    ColumnsView, PathEntry, PathSynopsis, ShardSynopsis, TagIndex, TagIndexView,
+    ColumnsView, PathEntry, PathSynopsis, ShardSynopsis, TagIndex, TagIndexView, MAX_PATH_STEPS,
 };
 use whirlpool_xml::{DocView, Document, TagId, ATTR_ENTRY_STRIDE};
 
@@ -107,6 +118,7 @@ const SEC_ATTR_OFFSETS: usize = 10;
 const SEC_ATTR_ENTRIES: usize = 11;
 const SEC_ATTR_BLOB: usize = 12;
 const SEC_PATH_SYNOPSIS: usize = 13;
+const _: () = assert!(SEC_PATH_SYNOPSIS == SECTION_COUNT - 1);
 
 const NO_PARENT: u32 = u32::MAX;
 
@@ -244,9 +256,51 @@ impl<'a> SectionReader<'a> {
     }
 }
 
-/// Parses (and checksum-verifies) the path-synopsis section. Returns
-/// the tag-count synopsis and the dataguide it carries.
-fn parse_path_section(bytes: &[u8]) -> Result<(ShardSynopsis, PathSynopsis), StoreError> {
+/// One stored path as the section walker hands it over: its steps as
+/// little-endian `u32`s, each already checked to index the tag list.
+struct StoredPath<'a> {
+    steps: &'a [u8],
+    count: u64,
+    max_tf: u64,
+}
+
+impl StoredPath<'_> {
+    fn steps(&self) -> impl Iterator<Item = u32> + '_ {
+        (self.steps.chunks_exact(4)).map(|s| u32::from_le_bytes(s.try_into().expect("4 bytes")))
+    }
+}
+
+/// The fixed fields of a path-synopsis section.
+struct SectionHead {
+    elements: u64,
+    depth_cap: u32,
+    truncated: bool,
+}
+
+/// What [`walk_path_section`] hands its visitor, in file order. A
+/// visitor overrides the fields it reads.
+trait SectionVisitor<'a> {
+    /// The number of listed tags, before the first [`tag`](Self::tag).
+    fn tags(&mut self, _count: usize) {}
+    fn tag(&mut self, name: &'a str, count: u64) -> Result<(), StoreError>;
+    /// The number of stored paths, before the first
+    /// [`path`](Self::path).
+    fn paths(&mut self, _count: usize) {}
+    fn path(&mut self, _path: StoredPath<'a>) {}
+}
+
+/// The one reader of the path-synopsis section format: verifies the
+/// section's own checksum, then walks every field in order and checks
+/// what the section alone decides — plausible tag and path counts,
+/// UTF-8 names, a depth cap of at most [`MAX_PATH_STEPS`], a 0/1
+/// truncated flag, no path longer than the cap, every step inside the
+/// tag list, no trailing bytes. [`Snapshot::peek`] drives it with a
+/// collect ([`Collect`]), attach with a compare against the payload
+/// ([`PayloadCheck`]).
+fn walk_path_section<'a>(
+    bytes: &'a [u8],
+    visit: &mut impl SectionVisitor<'a>,
+) -> Result<SectionHead, StoreError> {
     if bytes.len() < 8 {
         return Err(corrupt("path synopsis: section too short"));
     }
@@ -266,15 +320,20 @@ fn parse_path_section(bytes: &[u8]) -> Result<(ShardSynopsis, PathSynopsis), Sto
     if tag_count > 1 << 24 {
         return Err(corrupt("path synopsis: implausible tag count"));
     }
-    let mut tags: Vec<(Box<str>, u64)> = Vec::with_capacity(tag_count);
+    visit.tags(tag_count);
     for _ in 0..tag_count {
         let count = r.u64()?;
         let name_len = r.u64()? as usize;
-        let name = r.str_of(name_len, "tag name")?;
-        tags.push((Box::from(name), count));
+        visit.tag(r.str_of(name_len, "tag name")?, count)?;
     }
-    let depth_cap =
-        u32::try_from(r.u64()?).map_err(|_| corrupt("path synopsis: implausible depth cap"))?;
+    let depth_cap = match r.u64()? {
+        cap if cap <= MAX_PATH_STEPS as u64 => cap,
+        cap => {
+            return Err(corrupt(format!(
+                "path synopsis: depth cap {cap} above {MAX_PATH_STEPS}"
+            )))
+        }
+    };
     let truncated = match r.u64()? {
         0 => false,
         1 => true,
@@ -284,33 +343,144 @@ fn parse_path_section(bytes: &[u8]) -> Result<(ShardSynopsis, PathSynopsis), Sto
     if path_count > 1 << 24 {
         return Err(corrupt("path synopsis: implausible path count"));
     }
-    let mut entries: Vec<PathEntry> = Vec::with_capacity(path_count);
+    visit.paths(path_count);
     for _ in 0..path_count {
         let count = r.u64()?;
         let max_tf = r.u64()?;
-        let nsteps = r.u64()? as usize;
-        if nsteps > 1 << 16 {
-            return Err(corrupt("path synopsis: implausible path depth"));
+        let nsteps = r.u64()?;
+        if nsteps > depth_cap {
+            return Err(corrupt(format!(
+                "path synopsis: a path of {nsteps} steps under depth cap {depth_cap}"
+            )));
         }
-        let steps: Vec<u32> = (r.take(4 * nsteps, "path steps")?.chunks_exact(4))
-            .map(|s| u32::from_le_bytes(s.try_into().expect("4 bytes")))
-            .collect();
-        if steps.iter().any(|&s| s as usize >= tag_count) {
-            return Err(corrupt("path synopsis: step references a tag out of range"));
-        }
-        entries.push(PathEntry {
-            steps,
+        let stored = StoredPath {
+            steps: r.take(4 * nsteps as usize, "path steps")?,
             count,
             max_tf,
-        });
+        };
+        if stored.steps().any(|s| s as usize >= tag_count) {
+            return Err(corrupt("path synopsis: step references a tag out of range"));
+        }
+        visit.path(stored);
     }
     if r.pos != r.bytes.len() {
         return Err(corrupt("path synopsis: trailing bytes after the paths"));
     }
-    let names: Vec<Box<str>> = tags.iter().map(|(n, _)| n.clone()).collect();
-    let synopsis = ShardSynopsis::from_counts(tags, elements);
-    let paths = PathSynopsis::from_parts(names, entries, depth_cap, truncated);
+    Ok(SectionHead {
+        elements,
+        depth_cap: depth_cap as u32,
+        truncated,
+    })
+}
+
+/// Parses (and checksum-verifies) the path-synopsis section. Returns
+/// the tag-count synopsis and the dataguide it carries.
+fn parse_path_section(bytes: &[u8]) -> Result<(ShardSynopsis, PathSynopsis), StoreError> {
+    let mut c = Collect::default();
+    let head = walk_path_section(bytes, &mut c)?;
+    let tags = c.names.iter().cloned().zip(c.counts);
+    let synopsis = ShardSynopsis::from_counts(tags, head.elements);
+    let paths = PathSynopsis::from_parts(c.names, c.entries, head.depth_cap, head.truncated);
     Ok((synopsis, paths))
+}
+
+/// Peek's visitor of the section walker: owned copies of every field.
+#[derive(Default)]
+struct Collect {
+    names: Vec<Box<str>>,
+    counts: Vec<u64>,
+    entries: Vec<PathEntry>,
+}
+
+impl<'a> SectionVisitor<'a> for Collect {
+    fn tags(&mut self, count: usize) {
+        self.names.reserve_exact(count);
+        self.counts.reserve_exact(count);
+    }
+
+    fn tag(&mut self, name: &'a str, count: u64) -> Result<(), StoreError> {
+        self.names.push(Box::from(name));
+        self.counts.push(count);
+        Ok(())
+    }
+
+    fn paths(&mut self, count: usize) {
+        self.entries.reserve_exact(count);
+    }
+
+    fn path(&mut self, path: StoredPath<'a>) {
+        self.entries.push(PathEntry {
+            steps: path.steps().collect(),
+            count: path.count,
+            max_tf: path.max_tf,
+        });
+    }
+}
+
+/// Attach's visitor of the section walker: the section must describe
+/// the payload it travels with. Its element count is the payload's,
+/// and its tags are exactly the payload's tags with postings, in tag-id
+/// order, each named as in the tag table and counted as its postings.
+/// Allocates nothing.
+struct PayloadCheck<'a> {
+    tag_offsets: &'a [u32],
+    tag_blob: &'a str,
+    post_offsets: &'a [u32],
+    /// The first payload tag id the merge walk has not passed.
+    next: usize,
+}
+
+impl PayloadCheck<'_> {
+    fn postings(&self, t: usize) -> u64 {
+        u64::from(self.post_offsets[t + 1] - self.post_offsets[t])
+    }
+
+    /// The first tag at or after `next` that has postings, if any.
+    fn next_with_postings(&mut self) -> Option<usize> {
+        let tags = self.post_offsets.len() - 1;
+        while self.next < tags && self.postings(self.next) == 0 {
+            self.next += 1;
+        }
+        Some(self.next).filter(|&t| t < tags)
+    }
+
+    /// Checks `bytes` against the payload in one pass of the walker.
+    fn check(mut self, bytes: &[u8], elements: u64) -> Result<(), StoreError> {
+        let head = walk_path_section(bytes, &mut self)?;
+        if head.elements != elements {
+            return Err(corrupt(
+                "path synopsis: element count disagrees with header",
+            ));
+        }
+        if self.next_with_postings().is_some() {
+            return Err(corrupt("path synopsis: misses a tag with postings"));
+        }
+        Ok(())
+    }
+}
+
+impl<'a> SectionVisitor<'a> for PayloadCheck<'_> {
+    fn tag(&mut self, name: &'a str, count: u64) -> Result<(), StoreError> {
+        let Some(t) = self.next_with_postings() else {
+            return Err(corrupt(format!(
+                "path synopsis: lists a tag without postings ({name:?})"
+            )));
+        };
+        let payload =
+            &self.tag_blob[self.tag_offsets[t] as usize..self.tag_offsets[t + 1] as usize];
+        if name != payload {
+            return Err(corrupt(format!(
+                "path synopsis: lists {name:?} where the next tag with postings is {payload:?}"
+            )));
+        }
+        if count != self.postings(t) {
+            return Err(corrupt(format!(
+                "path synopsis: tag {name:?} count disagrees with postings"
+            )));
+        }
+        self.next += 1;
+        Ok(())
+    }
 }
 
 /// Serializes `doc` + `index` into the snapshot byte layout: the
@@ -430,16 +600,15 @@ struct Layout {
     sections: [(usize, usize); SECTION_COUNT],
 }
 
-/// An attached snapshot: validated bytes (memory-mapped or read), the
-/// section layout, and the synopses parsed once at attach.
-/// [`doc_view`](Snapshot::doc_view) and
+/// An attached snapshot: validated bytes (memory-mapped or read) and
+/// the section layout. [`doc_view`](Snapshot::doc_view) and
 /// [`index_view`](Snapshot::index_view) assemble zero-copy views on
-/// demand.
+/// demand; [`synopses`](Snapshot::synopses) parses the verified
+/// synopsis section when a caller wants owned copies.
 pub struct Snapshot {
     backing: Backing,
     layout: Layout,
-    synopsis: ShardSynopsis,
-    paths: PathSynopsis,
+    checksum: u64,
 }
 
 impl Snapshot {
@@ -466,12 +635,11 @@ impl Snapshot {
     }
 
     fn from_backing(backing: Backing) -> Result<Snapshot, StoreError> {
-        let (layout, synopsis, paths) = validate(backing.bytes())?;
+        let (layout, checksum) = validate(backing.bytes())?;
         Ok(Snapshot {
             backing,
             layout,
-            synopsis,
-            paths,
+            checksum,
         })
     }
 
@@ -542,14 +710,19 @@ impl Snapshot {
         )
     }
 
-    /// The stored tag-count synopsis.
-    pub fn synopsis(&self) -> &ShardSynopsis {
-        &self.synopsis
+    /// The stored tag-count synopsis and path synopsis (dataguide),
+    /// parsed from the synopsis section attach verified. Each call
+    /// parses anew: a collection visit never needs them, since a lazy
+    /// shard keeps the ones [`peek`](Snapshot::peek) read.
+    pub fn synopses(&self) -> (ShardSynopsis, PathSynopsis) {
+        parse_path_section(self.section(SEC_PATH_SYNOPSIS))
+            .expect("attach verified the synopsis section, and the backing is immutable")
     }
 
-    /// The stored path synopsis (dataguide).
-    pub fn path_synopsis(&self) -> &PathSynopsis {
-        &self.paths
+    /// The whole-file checksum attach verified: the file's trailer,
+    /// equal to the checksum of every byte before it.
+    pub fn checksum(&self) -> u64 {
+        self.checksum
     }
 
     /// Total nodes, synthetic root included.
@@ -590,11 +763,18 @@ impl Snapshot {
         check_header(&header, file_len)?;
         file.read_exact(&mut header[32..])?;
         let (off, len) = section_table(&header, file_len)?[SEC_PATH_SYNOPSIS];
+        // The synopsis section is the last one (`section_table`
+        // checked that its padding ends where the file's checksum
+        // starts), so one read takes both.
         file.seek(SeekFrom::Start(off as u64))?;
-        let mut section = vec![0u8; len];
-        file.read_exact(&mut section)?;
-        let (synopsis, paths) = parse_path_section(&section)?;
-        Ok(SnapshotPeek { synopsis, paths })
+        let mut tail = vec![0u8; file_len - off];
+        file.read_exact(&mut tail)?;
+        let (synopsis, paths) = parse_path_section(&tail[..len])?;
+        Ok(SnapshotPeek {
+            synopsis,
+            paths,
+            checksum: read_u64_at(&tail, tail.len() - 8),
+        })
     }
 }
 
@@ -606,6 +786,11 @@ pub struct SnapshotPeek {
     pub synopsis: ShardSynopsis,
     /// The stored dataguide.
     pub paths: PathSynopsis,
+    /// The whole-file checksum stored in the file's 8-byte trailer, not
+    /// verified by the peek. A later attach of the same file verifies
+    /// it and reports it as [`Snapshot::checksum`]; a caller that
+    /// compares the two knows the payload is the file it peeked.
+    pub checksum: u64,
 }
 
 // -----------------------------------------------------------------------
@@ -721,10 +906,10 @@ fn utf8<'a>(bytes: &'a [u8], what: &str) -> Result<&'a str, StoreError> {
 }
 
 /// Full attach-time validation. Returns the section layout and the
-/// stored synopses only if the file is byte-exact (checksum) *and*
-/// structurally sound, so the mapped accessors can index without
-/// bounds surprises.
-fn validate(bytes: &[u8]) -> Result<(Layout, ShardSynopsis, PathSynopsis), StoreError> {
+/// verified whole-file checksum only if the file is byte-exact
+/// (checksum) *and* structurally sound, so the mapped accessors can
+/// index without bounds surprises.
+fn validate(bytes: &[u8]) -> Result<(Layout, u64), StoreError> {
     if bytes.len() < 32 {
         return Err(corrupt(format!(
             "file too short for a snapshot header ({} bytes)",
@@ -876,42 +1061,26 @@ fn validate(bytes: &[u8]) -> Result<(Layout, ShardSynopsis, PathSynopsis), Store
         return Err(corrupt("attribute blob not fully covered by entries"));
     }
 
-    // The stored synopses must parse, pass their own checksum, and
-    // list exactly the tags with postings, each with its posting count
-    // — a ceiling or idf computed from the section can then never
-    // contradict the payload it summarizes.
+    // The stored synopses must pass their own checksum and the
+    // format's checks, and list exactly the tags with postings, in
+    // tag-id order, each with its posting count — a ceiling or idf
+    // computed from the section can then never contradict the payload
+    // it summarizes.
     let (off, len) = sections[SEC_PATH_SYNOPSIS];
-    let (synopsis, paths) = parse_path_section(&bytes[off..off + len])?;
-    if synopsis.elements() != (n - 1) as u64 {
-        return Err(corrupt(
-            "path synopsis: element count disagrees with header",
-        ));
+    PayloadCheck {
+        tag_offsets: u32s(SEC_TAG_OFFSETS),
+        tag_blob,
+        post_offsets,
+        next: 0,
     }
-    let tag_offsets = u32s(SEC_TAG_OFFSETS);
-    let mut tags_with_postings = 0;
-    for t in 0..tag_count {
-        let count = u64::from(post_offsets[t + 1] - post_offsets[t]);
-        if count == 0 {
-            continue;
-        }
-        tags_with_postings += 1;
-        let name = &tag_blob[tag_offsets[t] as usize..tag_offsets[t + 1] as usize];
-        if synopsis.tag_count(name) != count {
-            return Err(corrupt(format!(
-                "path synopsis: tag {name:?} count disagrees with postings"
-            )));
-        }
-    }
-    if synopsis.distinct_tags() != tags_with_postings {
-        return Err(corrupt("path synopsis: lists a tag without postings"));
-    }
+    .check(&bytes[off..off + len], (n - 1) as u64)?;
 
     let layout = Layout {
         n,
         tag_count,
         sections,
     };
-    Ok((layout, synopsis, paths))
+    Ok((layout, stored))
 }
 
 #[cfg(test)]
@@ -954,13 +1123,14 @@ mod tests {
     #[test]
     fn synopsis_matches_a_fresh_build() {
         let (doc, _, bytes) = snapshot_of("<r><a><b/><b/></a><c>t</c></r>");
-        let snap = Snapshot::from_bytes(&bytes).unwrap();
+        let (stored, paths) = Snapshot::from_bytes(&bytes).unwrap().synopses();
         let fresh = ShardSynopsis::build(&doc);
-        assert_eq!(snap.synopsis().elements(), fresh.elements());
-        assert_eq!(snap.synopsis().distinct_tags(), fresh.distinct_tags());
+        assert_eq!(stored.elements(), fresh.elements());
+        assert_eq!(stored.distinct_tags(), fresh.distinct_tags());
         for (tag, count) in fresh.tags() {
-            assert_eq!(snap.synopsis().tag_count(tag), count, "{tag}");
+            assert_eq!(stored.tag_count(tag), count, "{tag}");
         }
+        assert_eq!(paths, PathSynopsis::build(&doc));
     }
 
     #[test]
@@ -1135,9 +1305,11 @@ mod tests {
         // The stored dataguide equals a fresh build.
         assert_eq!(paths, PathSynopsis::build(&doc));
 
-        // Attach agrees with peek.
+        // Attach agrees with peek, on the synopses and on the checksum
+        // it verified.
         let snap = Snapshot::attach(&path).unwrap();
-        assert_eq!(snap.path_synopsis(), &paths);
+        assert_eq!(snap.synopses().1, paths);
+        assert_eq!(snap.checksum(), peek.checksum);
 
         // A flipped byte inside the synopsis section fails the
         // section's own checksum — peek never trusts garbage ceilings.
@@ -1228,6 +1400,162 @@ mod tests {
             .err()
             .expect("a tag without postings must not attach");
         assert!(err.to_string().contains("without postings"), "{err}");
+    }
+
+    /// The path-synopsis section, decoded for editing.
+    struct Section {
+        elements: u64,
+        tags: Vec<(u64, String)>,
+        depth_cap: u64,
+        truncated: u64,
+        paths: Vec<(u64, u64, Vec<u32>)>,
+    }
+
+    fn decode_section(bytes: &[u8]) -> Section {
+        let mut r = SectionReader {
+            bytes: &bytes[..bytes.len() - 8],
+            pos: 0,
+        };
+        let u64_of = |r: &mut SectionReader| r.u64().unwrap();
+        let elements = u64_of(&mut r);
+        let tags = (0..u64_of(&mut r))
+            .map(|_| {
+                let count = u64_of(&mut r);
+                let len = u64_of(&mut r) as usize;
+                (count, r.str_of(len, "name").unwrap().to_string())
+            })
+            .collect();
+        let (depth_cap, truncated) = (u64_of(&mut r), u64_of(&mut r));
+        let paths = (0..u64_of(&mut r))
+            .map(|_| {
+                let (count, max_tf, nsteps) = (u64_of(&mut r), u64_of(&mut r), u64_of(&mut r));
+                let steps = r.take(4 * nsteps as usize, "steps").unwrap();
+                let steps = (0..nsteps as usize).map(|i| get_u32(steps, i)).collect();
+                (count, max_tf, steps)
+            })
+            .collect();
+        assert_eq!(r.pos, r.bytes.len(), "the checksum follows the paths");
+        Section {
+            elements,
+            tags,
+            depth_cap,
+            truncated,
+            paths,
+        }
+    }
+
+    fn encode_section(s: &Section) -> Vec<u8> {
+        let mut out = Vec::new();
+        let put = |out: &mut Vec<u8>, v: u64| out.extend_from_slice(&v.to_le_bytes());
+        put(&mut out, s.elements);
+        put(&mut out, s.tags.len() as u64);
+        for (count, name) in &s.tags {
+            put(&mut out, *count);
+            put(&mut out, name.len() as u64);
+            out.extend_from_slice(name.as_bytes());
+        }
+        for v in [s.depth_cap, s.truncated, s.paths.len() as u64] {
+            put(&mut out, v);
+        }
+        for (count, max_tf, steps) in &s.paths {
+            for v in [*count, *max_tf, steps.len() as u64] {
+                put(&mut out, v);
+            }
+            for step in steps {
+                out.extend_from_slice(&step.to_le_bytes());
+            }
+        }
+        let sum = checksum(&out);
+        put(&mut out, sum);
+        out
+    }
+
+    /// [`forge`] with an edit to the decoded synopsis section, which is
+    /// re-encoded under a fresh section checksum.
+    fn forge_section(bytes: &[u8], edit: impl FnOnce(&mut Section)) -> Vec<u8> {
+        forge(bytes, |s| {
+            let mut section = decode_section(&s[SEC_PATH_SYNOPSIS]);
+            edit(&mut section);
+            s[SEC_PATH_SYNOPSIS] = encode_section(&section);
+        })
+    }
+
+    /// Synopsis sections that contradict their payload or the format,
+    /// behind a valid section checksum and a valid file checksum: every
+    /// case fails attach.
+    #[test]
+    fn forged_synopsis_sections_fail_attach() {
+        // Tags with postings, in tag-id order: r, a, c, b.
+        let (_, _, clean) = snapshot_of("<r><a><c/></a><b/><a><c/></a></r>");
+        assert_eq!(
+            forge_section(&clean, |_| {}),
+            clean,
+            "decode/encode is the identity"
+        );
+        let listed = |s: &Section| -> Vec<(u64, String)> { s.tags.clone() };
+        let cases: Vec<(&str, Vec<u8>)> = vec![
+            (
+                "tags out of tag-id order, counts kept",
+                forge_section(&clean, |s| {
+                    assert_eq!(
+                        listed(s),
+                        [(1, "r"), (2, "a"), (2, "c"), (1, "b")].map(|(c, n)| (c, n.to_string()))
+                    );
+                    s.tags.swap(1, 2);
+                }),
+            ),
+            (
+                "a name that is not the payload's",
+                forge_section(&clean, |s| s.tags[3].1 = "d".into()),
+            ),
+            (
+                "a count off by one",
+                forge_section(&clean, |s| s.tags[1].0 += 1),
+            ),
+            (
+                "an extra tag between two listed ones",
+                forge_section(&clean, |s| s.tags.insert(2, (1, "ghost".into()))),
+            ),
+            (
+                "a tag with postings left out",
+                forge_section(&clean, |s| {
+                    s.tags.pop();
+                    s.paths.retain(|(_, _, steps)| !steps.contains(&3));
+                }),
+            ),
+            (
+                "a path longer than its depth cap",
+                forge_section(&clean, |s| {
+                    assert!(s.paths.iter().any(|(_, _, steps)| steps.len() == 3));
+                    s.depth_cap = 2;
+                }),
+            ),
+            (
+                "a depth cap above the matcher's width",
+                forge_section(&clean, |s| s.depth_cap = MAX_PATH_STEPS as u64 + 1),
+            ),
+            (
+                "an element count off by one",
+                forge_section(&clean, |s| s.elements += 1),
+            ),
+        ];
+        for (case, bytes) in &cases {
+            assert_corrupt(bytes, case);
+        }
+        // Peek reads the section alone: it refuses the two edits the
+        // format itself rules out and passes the rest.
+        let dir = std::env::temp_dir().join(format!("wpl-forged-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (i, (case, bytes)) in cases.iter().enumerate() {
+            let path = dir.join(format!("case-{i}.wps"));
+            std::fs::write(&path, bytes).unwrap();
+            assert_eq!(
+                Snapshot::peek(&path).is_ok(),
+                !(5..7).contains(&i),
+                "{case}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Postings and `tag_of` that disagree, behind a valid checksum:
@@ -1358,6 +1686,6 @@ mod tests {
         let snap = Snapshot::from_bytes(&bytes).unwrap();
         assert_eq!(snap.node_count(), 1);
         assert!(snap.doc_view().is_empty());
-        assert_eq!(snap.synopsis().elements(), 0);
+        assert_eq!(snap.synopses().0.elements(), 0);
     }
 }

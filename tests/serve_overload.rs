@@ -86,24 +86,43 @@ fn thread_count() -> u64 {
         .expect("Threads: line")
 }
 
-/// Waits until `inflight` drains to zero (or fails loudly).
-fn await_quiescence(addr: SocketAddr, within: Duration) {
+/// Waits until every one of the `sent` query connections this test
+/// opened has been accounted for — admitted, rejected, shed or refused
+/// as a bad request — and no admitted query is in flight (or fails
+/// loudly).
+///
+/// `inflight == 0` alone is not quiescence: it counts admitted queries
+/// only, so it reads 0 while a worker has popped a connection and is
+/// still parsing it or building its context, before admission. A probe
+/// answered by another worker in that window would let the test read
+/// `admitted` before that query was admitted and its outcome after.
+///
+/// The daemon's `shed` also counts this test's own probes that a full
+/// queue turned away at the door: `shed_probes` tallies those across
+/// calls.
+fn await_quiescence(addr: SocketAddr, sent: u64, shed_probes: &mut u64, within: Duration) {
     let start = Instant::now();
     loop {
-        let (status, body) = get(addr, "/healthz");
+        let (status, body) = get(addr, "/metrics");
         // A 429 means the probe itself was shed — the daemon is still
         // draining its queue, which is just another form of "not yet".
         if status == 200 {
-            let inflight = Json::parse(&body)
-                .unwrap()
-                .get("inflight")
-                .and_then(Json::as_u64)
-                .unwrap();
-            if inflight == 0 {
+            let m = Json::parse(&body).unwrap();
+            let field = |name: &str| m.get(name).and_then(Json::as_u64).unwrap();
+            let accounted = ["admitted", "rejected", "shed", "bad_requests", "not_found"]
+                .map(field)
+                .iter()
+                .sum::<u64>();
+            // The counters are read before `inflight`, and a query holds
+            // its admission token from before it is counted admitted
+            // until after its outcome is: so this snapshot settles
+            // every accounted query.
+            if accounted == sent + *shed_probes && field("inflight") == 0 {
                 return;
             }
         } else {
             assert_eq!(status, 429, "unhealthy daemon: {status} {body}");
+            *shed_probes += 1;
         }
         assert!(
             start.elapsed() < within,
@@ -189,7 +208,7 @@ fn overload_soak_sheds_honestly_and_conserves_outcomes() {
 
     // Conservation at quiescence: every admitted request settled into
     // exactly one outcome class.
-    await_quiescence(addr, Duration::from_secs(10));
+    await_quiescence(addr, 54, &mut 0, Duration::from_secs(10));
     let admitted = metric(addr, "admitted");
     let settled = metric(addr, "exact") + metric(addr, "degraded") + metric(addr, "timed_out");
     assert_eq!(
@@ -225,7 +244,8 @@ fn hundred_cancelled_queries_leak_no_threads() {
     assert_eq!(status, 200);
     let threads_before = thread_count();
 
-    for wave in 0..10 {
+    let mut shed_probes = 0;
+    for wave in 1..=10 {
         let clients: Vec<_> = (0..10)
             .map(|_| {
                 std::thread::spawn(move || {
@@ -248,8 +268,12 @@ fn hundred_cancelled_queries_leak_no_threads() {
         }
         // Let the watchdog reclaim the wave before the next one so the
         // abandoned queries exercise cancellation, not the 429 path.
-        await_quiescence(addr, Duration::from_secs(15));
-        let _ = wave;
+        await_quiescence(
+            addr,
+            1 + 10 * wave,
+            &mut shed_probes,
+            Duration::from_secs(15),
+        );
     }
 
     // The daemon is still healthy, its pool intact, and a live client
