@@ -26,6 +26,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use whirlpool_xml::{Document, TagId};
 
 /// Maximum stored path depth (document element = depth 1). Deeper nodes
@@ -80,6 +81,30 @@ pub struct PathSynopsis {
     truncated: bool,
 }
 
+/// Hashes the `u64` keys of [`PathSynopsis::build_capped`]'s child map
+/// — a parent path and a tag, both numbers the build hands out — with
+/// one folded multiply instead of SipHash. The map never holds more
+/// than the count cap's entries, so no key set can make it slow.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let product = u128::from(key) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = product as u64 ^ (product >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// A stored path while [`PathSynopsis::build_capped`] runs: its entry,
 /// plus the parent whose same-path children it is counting.
 struct Building {
@@ -107,7 +132,7 @@ impl PathSynopsis {
         let mut tags: Vec<Box<str>> = Vec::new();
         let mut paths: Vec<Building> = Vec::new();
         // (parent path, local tag) → path; the document root is `ROOT`.
-        let mut extend: HashMap<(u32, u32), u32> = HashMap::new();
+        let mut extend: HashMap<u64, u32, BuildHasherDefault<KeyHasher>> = HashMap::default();
         // open[d - 1] = the stored path of the open element at depth d
         // (`None` past a cap; its descendants are past it too).
         let mut open: Vec<Option<u32>> = Vec::new();
@@ -128,7 +153,7 @@ impl PathSynopsis {
             };
             let path = match up.filter(|_| depth <= depth_cap) {
                 None => None,
-                Some(up) => match extend.entry((up, tag)) {
+                Some(up) => match extend.entry(u64::from(up) << 32 | u64::from(tag)) {
                     Entry::Occupied(e) => Some(*e.get()),
                     Entry::Vacant(e) if paths.len() < count_cap => {
                         let mut steps = match up {
@@ -545,6 +570,153 @@ mod tests {
                 "path {path:?}, steps {steps:?}"
             );
         }
+    }
+
+    /// The build before its child map took a cheap hash: one SipHash
+    /// `(parent path, tag)` lookup per element. The oracle of the two
+    /// tests below.
+    fn build_oracle(doc: &Document, depth_cap: usize, count_cap: usize) -> PathSynopsis {
+        const ROOT: u32 = u32::MAX;
+        let depth_cap = depth_cap.min(MAX_PATH_STEPS);
+        let view = doc.view();
+        let mut local = vec![u32::MAX; view.tag_count()];
+        let mut tags: Vec<Box<str>> = Vec::new();
+        let mut paths: Vec<Building> = Vec::new();
+        let mut extend: HashMap<(u32, u32), u32> = HashMap::new();
+        let mut open: Vec<Option<u32>> = Vec::new();
+        let mut truncated = false;
+        for n in 1..view.len() {
+            let depth = usize::from(view.depth[n]);
+            let raw = view.tag_of[n] as usize;
+            if local[raw] == u32::MAX {
+                local[raw] = tags.len() as u32;
+                tags.push(Box::from(view.tag_name(TagId::from_index(raw))));
+            }
+            let tag = local[raw];
+            open.truncate(depth - 1);
+            let up = if depth == 1 {
+                Some(ROOT)
+            } else {
+                open[depth - 2]
+            };
+            let path = match up.filter(|_| depth <= depth_cap) {
+                None => None,
+                Some(up) => match extend.entry((up, tag)) {
+                    Entry::Occupied(e) => Some(*e.get()),
+                    Entry::Vacant(e) if paths.len() < count_cap => {
+                        let mut steps = match up {
+                            ROOT => Vec::new(),
+                            up => paths[up as usize].entry.steps.clone(),
+                        };
+                        steps.push(tag);
+                        let id = paths.len() as u32;
+                        paths.push(Building {
+                            entry: PathEntry {
+                                steps,
+                                count: 0,
+                                max_tf: 0,
+                            },
+                            parent: ROOT,
+                            run: 0,
+                        });
+                        Some(*e.insert(id))
+                    }
+                    Entry::Vacant(_) => None,
+                },
+            };
+            match path {
+                Some(id) => {
+                    let b = &mut paths[id as usize];
+                    let parent = view.parent[n];
+                    b.run = if b.parent == parent { b.run + 1 } else { 1 };
+                    b.parent = parent;
+                    b.entry.count += 1;
+                    b.entry.max_tf = b.entry.max_tf.max(b.run);
+                }
+                None => truncated = true,
+            }
+            open.push(path);
+        }
+        let mut paths: Vec<PathEntry> = paths.into_iter().map(|b| b.entry).collect();
+        paths.sort_by(|a, b| a.steps.cmp(&b.steps));
+        PathSynopsis {
+            tags,
+            paths,
+            depth_cap: depth_cap as u32,
+            truncated,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(300))]
+        /// Random documents up to 20 deep over 3–6 tags, as a stream of
+        /// opens (a tag) and closes: the build equals the oracle at the
+        /// default caps and at caps small enough to truncate.
+        #[test]
+        fn build_equals_the_siphash_oracle(
+            tags in 3usize..=6,
+            ops in proptest::prelude::prop::collection::vec(0usize..8, 0..400),
+        ) {
+            let mut b = whirlpool_xml::DocumentBuilder::new();
+            let mut depth = 0;
+            for op in ops {
+                if op < tags && depth < 20 {
+                    b.open(["a", "b", "c", "d", "e", "f"][op]);
+                    depth += 1;
+                } else if depth > 0 {
+                    b.close();
+                    depth -= 1;
+                }
+            }
+            for _ in 0..depth {
+                b.close();
+            }
+            let doc = b.finish();
+            for (depth_cap, count_cap) in [(PATH_DEPTH_CAP, PATH_COUNT_CAP), (3, 5)] {
+                assert_eq!(
+                    PathSynopsis::build_capped(&doc, depth_cap, count_cap),
+                    build_oracle(&doc, depth_cap, count_cap),
+                    "caps {depth_cap}, {count_cap}"
+                );
+            }
+        }
+    }
+
+    /// One element per distinct tag under one root: the build stops
+    /// storing paths at the count cap and stays linear in the tags
+    /// (a table of paths × tags would not).
+    #[test]
+    fn many_distinct_tags_build_in_linear_time() {
+        let doc_of = |tags: usize| {
+            let mut b = whirlpool_xml::DocumentBuilder::new();
+            b.open("r");
+            for i in 0..tags {
+                b.empty(&format!("t{i}"));
+            }
+            b.close();
+            b.finish()
+        };
+        let best_of_3 = |doc: &Document| {
+            (0..3)
+                .map(|_| {
+                    let start = std::time::Instant::now();
+                    let s = PathSynopsis::build(doc);
+                    (start.elapsed(), s)
+                })
+                .min_by_key(|(t, _)| *t)
+                .expect("three runs")
+        };
+        let (small, large) = (doc_of(10_000), doc_of(100_000));
+        let (t_small, _) = best_of_3(&small);
+        let (t_large, s) = best_of_3(&large);
+        assert!(s.truncated());
+        assert_eq!(s.len(), PATH_COUNT_CAP);
+        assert_eq!(s.tag_names().len(), 100_001);
+        assert_eq!(s, build_oracle(&large, PATH_DEPTH_CAP, PATH_COUNT_CAP));
+        assert!(
+            t_large < t_small * 40,
+            "10x the tags took {t_large:?} against {t_small:?}"
+        );
     }
 
     #[test]

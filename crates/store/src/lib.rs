@@ -8,6 +8,13 @@
 //! module source; this file holds the magic, the FNV-1a constants,
 //! [`StoreError`] and [`store_version`] sniffing.
 //!
+//! Writing streams: [`write_snapshot`] sends the header, then the
+//! document's and the index's arrays as they are, through one 1 MiB
+//! staging buffer that also feeds the checksum, so saving a snapshot
+//! costs the document plus a megabyte of heap, not an image of the
+//! file. [`save_snapshot`] writes into a temp file of its own and
+//! renames it over the target.
+//!
 //! A peek and a later attach are bound by the whole-file checksum:
 //! [`SnapshotPeek::checksum`] is the file's stored trailer, and
 //! [`Snapshot::checksum`] is the one attach verified. A caller that
@@ -38,8 +45,8 @@ mod mmap;
 mod snapshot;
 
 pub use snapshot::{
-    build_snapshot_bytes, build_snapshot_bytes_with, save_snapshot, save_snapshot_with, Snapshot,
-    SnapshotOptions, SnapshotPeek, SNAPSHOT_VERSION,
+    build_snapshot_bytes, build_snapshot_bytes_with, save_snapshot, save_snapshot_with,
+    write_snapshot, Snapshot, SnapshotOptions, SnapshotPeek, SNAPSHOT_VERSION,
 };
 
 pub(crate) const MAGIC: &[u8; 4] = b"WPLX";

@@ -6,6 +6,13 @@
 //! predefined plus numeric character entities — with positioned errors.
 //! Namespaces are not interpreted (prefixed names are kept verbatim),
 //! and DTD-defined entities are not expanded.
+//!
+//! The scan touches each byte about once: character data is searched
+//! for the next `<` eight bytes at a time, noting on the way whether an
+//! `&` needs decoding, markup is dispatched on the byte after it, a closing tag is compared with the open element's
+//! name, and comments, CDATA and attribute values are skipped by
+//! substring search. Nothing counts lines while scanning; an error
+//! derives its line and column from its byte offset.
 
 use crate::builder::DocumentBuilder;
 use crate::error::{ParseError, ParseErrorKind, Position};
@@ -33,8 +40,6 @@ struct Parser<'a> {
     src: &'a str,
     bytes: &'a [u8],
     pos: usize,
-    line: u32,
-    line_start: usize,
     /// The document so far; its stack holds the open elements.
     builder: DocumentBuilder,
 }
@@ -45,42 +50,34 @@ impl<'a> Parser<'a> {
             src,
             bytes: src.as_bytes(),
             pos: 0,
-            line: 1,
-            line_start: 0,
             builder: DocumentBuilder::new(),
         }
     }
 
     fn run(mut self) -> Result<Document, ParseError> {
         loop {
+            // Character data runs to the next markup.
             let text_start = self.pos;
-            // Scan character data until the next markup.
-            while self.pos < self.bytes.len() && self.bytes[self.pos] != b'<' {
-                if self.bytes[self.pos] == b'\n' {
-                    self.line += 1;
-                    self.line_start = self.pos + 1;
-                }
-                self.pos += 1;
-            }
-            if self.pos > text_start {
-                self.handle_text(text_start, self.pos)?;
+            let (end, entities) = scan_text(self.bytes, self.pos);
+            self.pos = end;
+            if end > text_start {
+                let text = match entities {
+                    true => self.decode_text(text_start, end)?,
+                    false => Cow::Borrowed(&self.src[text_start..end]),
+                };
+                self.text(&text)?;
             }
             if self.pos >= self.bytes.len() {
                 break;
             }
-            // At a '<'.
-            if self.starts_with("<!--") {
-                self.skip_comment()?;
-            } else if self.starts_with("<![CDATA[") {
-                self.parse_cdata()?;
-            } else if self.starts_with("<!") {
-                self.skip_doctype()?;
-            } else if self.starts_with("<?") {
-                self.skip_pi()?;
-            } else if self.starts_with("</") {
-                self.parse_closing_tag()?;
-            } else {
-                self.parse_opening_tag()?;
+            // At a '<', dispatched on the byte after it.
+            match self.bytes.get(self.pos + 1) {
+                Some(b'/') => self.parse_closing_tag()?,
+                Some(b'!') if self.starts_with("<!--") => self.skip_comment()?,
+                Some(b'!') if self.starts_with("<![CDATA[") => self.parse_cdata()?,
+                Some(b'!') => self.skip_doctype()?,
+                Some(b'?') => self.skip_pi()?,
+                _ => self.parse_opening_tag()?,
             }
         }
         if !self.builder.stack.is_empty() {
@@ -95,19 +92,10 @@ impl<'a> Parser<'a> {
 
     // -- low-level cursor helpers ---------------------------------------
 
-    fn position(&self) -> Position {
-        let column = self.src[self.line_start..self.pos].chars().count() as u32 + 1;
-        Position {
-            line: self.line,
-            column,
-            offset: self.pos,
-        }
-    }
-
     fn error(&self, kind: ParseErrorKind) -> ParseError {
         ParseError {
             kind,
-            position: self.position(),
+            position: position_at(self.src, self.pos),
         }
     }
 
@@ -125,10 +113,6 @@ impl<'a> Parser<'a> {
 
     fn bump(&mut self) -> Option<u8> {
         let b = self.peek()?;
-        if b == b'\n' {
-            self.line += 1;
-            self.line_start = self.pos + 1;
-        }
         self.pos += 1;
         Some(b)
     }
@@ -142,16 +126,16 @@ impl<'a> Parser<'a> {
     /// Advances past `needle`, returning an error mentioning `context` if
     /// it never occurs.
     fn skip_until(&mut self, needle: &str, context: &'static str) -> Result<(), ParseError> {
-        while self.pos < self.bytes.len() {
-            if self.starts_with(needle) {
-                for _ in 0..needle.len() {
-                    self.bump();
-                }
-                return Ok(());
+        match self.src[self.pos..].find(needle) {
+            Some(at) => {
+                self.pos += at + needle.len();
+                Ok(())
             }
-            self.bump();
+            None => {
+                self.pos = self.bytes.len();
+                Err(self.eof_error(context))
+            }
         }
-        Err(self.eof_error(context))
     }
 
     // -- names, entities --------------------------------------------------
@@ -178,9 +162,10 @@ impl<'a> Parser<'a> {
             }
             None => return Err(self.eof_error(what)),
         }
-        while matches!(self.peek(), Some(b) if Self::is_name_char(b)) {
-            self.bump();
-        }
+        let rest = &self.bytes[self.pos..];
+        self.pos += (rest.iter())
+            .position(|&b| !Self::is_name_char(b))
+            .unwrap_or(rest.len());
         Ok(&self.src[start..self.pos])
     }
 
@@ -214,11 +199,6 @@ impl<'a> Parser<'a> {
     }
 
     // -- constructs -------------------------------------------------------
-
-    fn handle_text(&mut self, start: usize, end: usize) -> Result<(), ParseError> {
-        let decoded = self.decode_text(start, end)?;
-        self.text(&decoded)
-    }
 
     /// Character data for the open element; outside the root only
     /// whitespace is allowed.
@@ -266,20 +246,27 @@ impl<'a> Parser<'a> {
     fn parse_cdata(&mut self) -> Result<(), ParseError> {
         self.pos += 9; // "<![CDATA["
         let start = self.pos;
-        while self.pos < self.bytes.len() && !self.starts_with("]]>") {
-            self.bump();
-        }
-        if self.pos >= self.bytes.len() {
-            return Err(self.eof_error("CDATA section"));
-        }
-        let content = &self.src[start..self.pos];
-        self.pos += 3; // "]]>"
-        self.text(content)
+        self.skip_until("]]>", "CDATA section")?;
+        self.text(&self.src[start..self.pos - 3])
     }
 
     fn parse_closing_tag(&mut self) -> Result<(), ParseError> {
         self.pos += 2; // "</"
-        let name = self.parse_name("element name")?;
+
+        // The usual case, the open element's name in full, is a compare;
+        // anything else is parsed as a name, and that reports the error.
+        let opened = (self.builder.stack.last()).map(|&open| self.builder.doc.tag_str(open));
+        let name = match opened {
+            Some(opened)
+                if self.bytes[self.pos..].starts_with(opened.as_bytes())
+                    && !(self.bytes.get(self.pos + opened.len()))
+                        .is_some_and(|&b| Self::is_name_char(b)) =>
+            {
+                self.pos += opened.len();
+                &self.src[self.pos - opened.len()..self.pos]
+            }
+            _ => self.parse_name("element name")?,
+        };
         self.skip_whitespace();
         match self.peek() {
             Some(b'>') => {
@@ -378,12 +365,11 @@ impl<'a> Parser<'a> {
                         None => return Err(self.eof_error("attribute value")),
                     };
                     let start = self.pos;
-                    while matches!(self.peek(), Some(b) if b != quote) {
-                        self.bump();
-                    }
-                    if self.peek().is_none() {
+                    let Some(end) = find_byte(self.bytes, self.pos, quote) else {
+                        self.pos = self.bytes.len();
                         return Err(self.eof_error("attribute value"));
-                    }
+                    };
+                    self.pos = end;
                     let value = self.decode_text(start, self.pos)?;
                     self.bump(); // closing quote
                     let doc = self.builder.doc.view();
@@ -401,6 +387,77 @@ impl<'a> Parser<'a> {
             }
         }
     }
+}
+
+/// The line and column of byte `offset` in `src`: lines counted by
+/// `\n`, columns in chars, both from 1. Only an error needs one, so the
+/// parser counts nothing while it scans.
+fn position_at(src: &str, offset: usize) -> Position {
+    let before = &src.as_bytes()[..offset];
+    let line_start = before
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .map_or(0, |nl| nl + 1);
+    Position {
+        line: before.iter().filter(|&&b| b == b'\n').count() as u32 + 1,
+        column: src[line_start..offset].chars().count() as u32 + 1,
+        offset,
+    }
+}
+
+/// The end of the character data at `from` (the next `<`, or the end of
+/// input) and whether an `&` comes before it, eight bytes at a time as
+/// in [`find_byte`]. A zero-byte mask is exact at its lowest set byte
+/// and can be wrong only above a true match, so an `&` mask bit below
+/// the first `<` is a true `&`.
+fn scan_text(bytes: &[u8], from: usize) -> (usize, bool) {
+    let mut entities = false;
+    let mut i = from;
+    while let Some(chunk) = bytes.get(i..i + 8) {
+        let word = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
+        let (lt, amp) = (
+            zero_bytes(word ^ (LO * u64::from(b'<'))),
+            zero_bytes(word ^ (LO * u64::from(b'&'))),
+        );
+        if lt != 0 {
+            let below = (1u64 << lt.trailing_zeros()) - 1;
+            return (
+                i + lt.trailing_zeros() as usize / 8,
+                entities || amp & below != 0,
+            );
+        }
+        entities |= amp != 0;
+        i += 8;
+    }
+    let end = find_byte(bytes, i, b'<').unwrap_or(bytes.len());
+    (end, entities || bytes[i..end].contains(&b'&'))
+}
+
+const LO: u64 = 0x0101_0101_0101_0101;
+
+/// The high bit of every zero byte of `x`. Above the lowest zero byte a
+/// borrow can also mark a `0x01` byte; borrows run only upward, so no
+/// byte below the lowest zero byte is marked.
+fn zero_bytes(x: u64) -> u64 {
+    x.wrapping_sub(LO) & !x & 0x8080_8080_8080_8080
+}
+
+/// The first index at or after `from` that holds `needle`, eight bytes
+/// at a time: a word holds `needle` where `word ^ needle×8` has a zero
+/// byte, and the lowest bit [`zero_bytes`] sets marks the first one.
+fn find_byte(bytes: &[u8], from: usize, needle: u8) -> Option<usize> {
+    let splat = LO * u64::from(needle);
+    let mut i = from;
+    while let Some(chunk) = bytes.get(i..i + 8) {
+        let zero = zero_bytes(u64::from_le_bytes(chunk.try_into().expect("8 bytes")) ^ splat);
+        if zero != 0 {
+            return Some(i + zero.trailing_zeros() as usize / 8);
+        }
+        i += 8;
+    }
+    (bytes.get(i..)?.iter())
+        .position(|&b| b == needle)
+        .map(|at| i + at)
 }
 
 fn decode_entity(entity: &str) -> Option<char> {
@@ -538,6 +595,65 @@ mod tests {
         let err = parse_document("<a>\n  <b></c>\n</a>").unwrap_err();
         assert_eq!(err.position.line, 2);
         assert!(err.position.column > 1);
+    }
+
+    /// The line and column of byte `offset`, recounted char by char.
+    fn recount(src: &str, offset: usize) -> (u32, u32) {
+        let (mut line, mut column) = (1, 1);
+        for c in src[..offset].chars() {
+            if c == '\n' {
+                (line, column) = (line + 1, 1);
+            } else {
+                column += 1;
+            }
+        }
+        (line, column)
+    }
+
+    #[test]
+    fn error_positions_are_recounted_from_the_offset() {
+        for (src, line, column) in [
+            // CRLF line ends: the '\r' ends its line's chars.
+            ("<a>\r\n<b>\r\n</c></a>", 3, 5),
+            // Multi-byte chars count once in the column.
+            ("<a>é\n  <b>ü</c>", 2, 11),
+            // Constructs that span lines and run into the end.
+            ("<a>\n<!-- one\ntwo", 3, 4),
+            ("<a><![CDATA[x\ny\nzz", 3, 3),
+            ("<a x=\"1\n22", 2, 3),
+            // An entity error in a value that spans lines is reported
+            // at the closing quote.
+            ("<a x=\"1\n2 &bad;\n3\">", 3, 2),
+            // End of input with elements open.
+            ("<a>\n<b>", 2, 4),
+        ] {
+            let err = parse_document(src).unwrap_err();
+            let at = err.position;
+            assert_eq!((at.line, at.column), (line, column), "{src:?}: {err}");
+            assert_eq!(recount(src, at.offset), (line, column), "{src:?}");
+        }
+    }
+
+    proptest::proptest! {
+        /// The word-at-a-time scans equal a byte-by-byte search, on
+        /// strings dense in the bytes that trip a zero-byte test: the
+        /// needles, their neighbours and the bytes a borrow turns
+        /// into a false match.
+        #[test]
+        fn word_scans_equal_a_byte_search(
+            picks in proptest::prelude::prop::collection::vec(0usize..8, 0..40),
+            from in 0usize..40,
+        ) {
+            let bytes: Vec<u8> = picks.iter().map(|&i| b"<&a=;\x01\x00\xff"[i]).collect();
+            let from = from.min(bytes.len());
+            let lt = (from..bytes.len()).find(|&i| bytes[i] == b'<');
+            let end = lt.unwrap_or(bytes.len());
+            proptest::prop_assert_eq!(find_byte(&bytes, from, b'<'), lt);
+            proptest::prop_assert_eq!(
+                scan_text(&bytes, from),
+                (end, bytes[from..end].contains(&b'&'))
+            );
+        }
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! comparison the engine performs into a `u32` comparison and keeps
 //! per-node storage fixed-size.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, Hasher};
 
 /// An interned element (or attribute) name: an index into its
 /// document's tag table. Only meaningful relative to the document (or
@@ -39,7 +41,52 @@ impl fmt::Debug for TagId {
 /// finished document keeps.
 #[derive(Default)]
 pub(crate) struct TagInterner {
-    pub(crate) by_name: HashMap<Box<str>, TagId>,
+    pub(crate) by_name: HashMap<Box<str>, TagId, NameHash>,
+}
+
+/// Hashes tag names eight bytes per folded multiply (SipHash spent more
+/// per name than the parser spends per byte). The seed is drawn per
+/// interner, so a document cannot be written to collide its names.
+#[derive(Clone)]
+pub(crate) struct NameHash(u64);
+
+impl Default for NameHash {
+    fn default() -> Self {
+        NameHash(RandomState::new().hash_one(0u64))
+    }
+}
+
+impl BuildHasher for NameHash {
+    type Hasher = NameHasher;
+
+    fn build_hasher(&self) -> NameHasher {
+        NameHasher(self.0)
+    }
+}
+
+pub(crate) struct NameHasher(u64);
+
+impl NameHasher {
+    fn mix(&mut self, word: u64) {
+        let product = u128::from(self.0 ^ word) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = product as u64 ^ (product >> 64) as u64;
+    }
+}
+
+impl Hasher for NameHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.mix(u64::from_le_bytes(w.try_into().expect("8 bytes")));
+        }
+        let mut tail = [0u8; 8];
+        tail[..words.remainder().len()].copy_from_slice(words.remainder());
+        self.mix(u64::from_le_bytes(tail));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl TagInterner {

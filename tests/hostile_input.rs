@@ -116,3 +116,37 @@ fn hostile_xpath_parses_or_fails_cleanly() {
     }
     assert!(0 < parsed && parsed < total, "{parsed} of {total} parsed");
 }
+
+/// The parser counts no lines while it scans; an error derives its line
+/// and column from its byte offset. Over the mutant grid of a compact
+/// and an indented document, every error's position must equal a char
+/// by char recount up to its offset.
+#[test]
+fn hostile_xml_error_positions_match_a_recount() {
+    let doc = generate(&GeneratorConfig::items(2));
+    let indented = WriteOptions {
+        indent: Some(2),
+        ..WriteOptions::default()
+    };
+    let mut errors = 0usize;
+    for src in [small_document(), write_document(&doc, &indented)] {
+        for (label, bytes) in mutants(src.as_bytes(), src.len() / 24) {
+            let text = String::from_utf8_lossy(&bytes);
+            let Err(err) = parse_document(&text) else {
+                continue;
+            };
+            errors += 1;
+            let at = err.position;
+            let (mut line, mut column) = (1, 1);
+            for c in text[..at.offset].chars() {
+                if c == '\n' {
+                    (line, column) = (line + 1, 1);
+                } else {
+                    column += 1;
+                }
+            }
+            assert_eq!((at.line, at.column), (line, column), "{label}: {err}");
+        }
+    }
+    assert!(errors > 0);
+}
