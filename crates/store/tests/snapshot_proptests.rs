@@ -94,6 +94,27 @@ fn snapshot_bytes_are_pinned() {
     assert_eq!(checksum, 0x5eeb_b749_c1cf_8467);
 }
 
+/// A document parsed in pieces is the document parsed on one thread,
+/// down to the snapshot's bytes: a 4 MB XMark document cut at the first
+/// `<` after each quarter and parsed whole give one file.
+#[test]
+fn split_parse_writes_the_sequential_bytes() {
+    let doc = whirlpool_xmark::generate(&whirlpool_xmark::GeneratorConfig::megabytes(4));
+    let xml = whirlpool_xml::write_document(&doc, &WriteOptions::default());
+    drop(doc);
+    let cuts = [1, 2, 3].map(|k| {
+        let from = xml.len() * k / 4;
+        from + xml[from..].find('<').unwrap()
+    });
+    let bytes = |cuts: &[usize]| {
+        let doc = whirlpool_xml::parse_document_split(&xml, cuts).unwrap();
+        build_snapshot_bytes(&doc, &TagIndex::build(&doc))
+    };
+    let sequential = bytes(&[]);
+    assert!(sequential.len() > 4_000_000, "{} bytes", sequential.len());
+    assert!(sequential == bytes(&cuts));
+}
+
 proptest! {
     /// Snapshot → views → rebuilt document is lossless for arbitrary
     /// documents (checked via canonical XML serialization).

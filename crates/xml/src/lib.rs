@@ -47,6 +47,8 @@ pub use builder::DocumentBuilder;
 pub use error::{ParseError, ParseErrorKind, Position};
 pub use node::{Document, NodeId};
 pub use parser::parse_document;
+#[doc(hidden)]
+pub use parser::parse_document_split;
 pub use stats::DocumentStats;
 pub use tags::TagId;
 pub use view::{DocView, ATTR_ENTRY_STRIDE};

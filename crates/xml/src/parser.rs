@@ -13,18 +13,37 @@
 //! name, and comments, CDATA and attribute values are skipped by
 //! substring search. Nothing counts lines while scanning; an error
 //! derives its line and column from its byte offset.
+//!
+//! An input of at least two [`MIN_PIECE`]s is parsed on every core: it
+//! is cut at `<` boundaries into one piece per core, each later piece is
+//! parsed on a thread of its own, and the pieces are stitched into the
+//! one [`Document`] the sequential parse builds. A piece parser starts
+//! with no open element; what its input closes or says outside its own
+//! elements it records as *orphans*, and the stitch checks them against
+//! the elements open where the piece starts. The parser before a
+//! boundary hands over only if its main loop lands on the boundary in
+//! content state; where it does not, or the stitch refuses a piece, the
+//! parser goes on sequentially from there, so every error is the
+//! sequential parser's, at the same position.
 
-use crate::builder::DocumentBuilder;
+use crate::builder::{DocumentBuilder, Orphan, Piece};
 use crate::error::{ParseError, ParseErrorKind, Position};
 use crate::node::Document;
 use std::borrow::Cow;
+use std::thread::{self, ScopedJoinHandle};
 
 /// Deepest element nesting accepted. Parsing itself is linear in depth;
 /// the cap protects what runs on a parsed document: the `u16` depth
 /// column ([`DocumentBuilder::open`] panics past 65 535) and the
 /// recursive serializer (`write_node`), whose stack grows with nesting.
 /// Real documents are nowhere near the cap (XMark is 12 deep).
-const MAX_DEPTH: usize = 4096;
+pub(crate) const MAX_DEPTH: usize = 4096;
+
+/// The smallest piece worth a thread of its own. A scoped spawn and
+/// join costs 27–41 µs on a 2-vCPU host and parsing about 4 ms per MB,
+/// so a 128 KiB piece (0.5 ms) repays its thread many times over; a
+/// 100 kB document stays on one thread.
+const MIN_PIECE: usize = 128 << 10;
 
 /// Parses `input` into a [`Document`].
 ///
@@ -32,9 +51,56 @@ const MAX_DEPTH: usize = 4096;
 /// the synthetic document root), which lets a *forest* — the paper's data
 /// model — be read from a single file. Elements nested more than 4 096
 /// deep are rejected with [`ParseErrorKind::TooDeep`].
+///
+/// An input of at least 256 KiB is parsed in up to
+/// [`available_parallelism`](std::thread::available_parallelism) pieces
+/// at once; the document, and any error, are the ones a parse on one
+/// thread gives.
 pub fn parse_document(input: &str) -> Result<Document, ParseError> {
-    Parser::new(input).run()
+    let threads = thread::available_parallelism().map_or(1, usize::from);
+    let pieces = threads.min(input.len() / MIN_PIECE);
+    let boundaries: Vec<usize> = (1..pieces)
+        .filter_map(|k| find_byte(input.as_bytes(), input.len() / pieces * k, b'<'))
+        .collect();
+    parse_document_split(input, &boundaries)
 }
+
+/// [`parse_document`] with the input cut at `boundaries` (byte offsets,
+/// in any order): the piece from each boundary to the next is parsed on
+/// a thread of its own. A boundary that is not at a `<` is never landed
+/// on, so the parse goes on sequentially over it. With no boundaries the
+/// parse is sequential. The result equals [`parse_document`]'s, which is
+/// what the tests that call this check.
+#[doc(hidden)]
+pub fn parse_document_split(input: &str, boundaries: &[usize]) -> Result<Document, ParseError> {
+    let mut starts: Vec<usize> = (boundaries.iter().copied())
+        .filter(|&at| 0 < at && at < input.len())
+        .collect();
+    starts.sort_unstable();
+    starts.dedup();
+    if starts.is_empty() {
+        return Parser::new(input).run(Vec::new());
+    }
+    let clean = |at: usize| input.as_bytes().get(at).map_or(true, |&b| b == b'<');
+    let ends = starts[1..].iter().copied().chain([input.len()]);
+    thread::scope(|scope| {
+        let pieces = (starts.iter().copied().zip(ends))
+            .map(|(start, end)| {
+                let piece = (clean(start) && clean(end)).then(|| {
+                    let parser = Parser::piece(&input[start..end]);
+                    thread::Builder::new()
+                        .spawn_scoped(scope, move || parser.run_piece())
+                        .ok()
+                });
+                (start, piece.flatten())
+            })
+            .collect();
+        Parser::new(input).run(pieces)
+    })
+}
+
+/// A piece's start and the thread parsing it, if one does.
+type Pending<'s, 'a> = (usize, Option<ScopedJoinHandle<'s, Option<Piece<'a>>>>);
 
 struct Parser<'a> {
     src: &'a str,
@@ -42,6 +108,12 @@ struct Parser<'a> {
     pos: usize,
     /// The document so far; its stack holds the open elements.
     builder: DocumentBuilder,
+    /// In a piece, what it closes and says outside its own elements.
+    orphans: Option<Vec<Orphan<'a>>>,
+    /// Per tag id, the last element that had an attribute of that name:
+    /// the duplicate-attribute check is one lookup, not a scan of the
+    /// element's attributes.
+    attr_seen: Vec<u32>,
 }
 
 impl<'a> Parser<'a> {
@@ -51,10 +123,56 @@ impl<'a> Parser<'a> {
             bytes: src.as_bytes(),
             pos: 0,
             builder: DocumentBuilder::new(),
+            orphans: None,
+            attr_seen: Vec::new(),
         }
     }
 
-    fn run(mut self) -> Result<Document, ParseError> {
+    /// A parser for `src`, a piece of a larger input. It is made on the
+    /// calling thread with every column allocated: glibc grows a block
+    /// in the arena that made it, so the piece's columns live in the
+    /// caller's arena, and what the stitch frees is reused by the rest
+    /// of the set-up instead of staying with a finished thread's arena
+    /// (about 3 MB of peak RSS on the 10 Mb document).
+    fn piece(src: &'a str) -> Self {
+        let mut parser = Parser::new(src);
+        parser.orphans = Some(Vec::new());
+        parser.builder.base = MAX_DEPTH;
+        let doc = &mut parser.builder.doc;
+        doc.text_blob.reserve(1);
+        doc.attr_blob.reserve(1);
+        doc.attr_entries.reserve(1);
+        parser
+    }
+
+    /// Parses a piece; `None` if it has an error of its own (the
+    /// sequential parse will report it).
+    fn run_piece(mut self) -> Option<Piece<'a>> {
+        self.parse(Vec::new()).ok()?;
+        Some(Piece {
+            builder: self.builder,
+            orphans: self.orphans?,
+        })
+    }
+
+    fn run(mut self, pieces: Vec<Pending<'_, 'a>>) -> Result<Document, ParseError> {
+        self.parse(pieces)?;
+        if !self.builder.stack.is_empty() {
+            let doc = &self.builder.doc;
+            let tags = (self.builder.stack.iter())
+                .map(|&id| doc.tag_str(id).to_string())
+                .collect::<Vec<_>>();
+            return Err(self.error(ParseErrorKind::UnclosedElements { tags }));
+        }
+        Ok(self.builder.finish())
+    }
+
+    /// Parses to the end of `src`. On landing at the first piece's start
+    /// it waits for the pieces, stitches them and goes on from the end
+    /// of the last one stitched; if it passes over that start, it drops
+    /// them.
+    fn parse(&mut self, mut pieces: Vec<Pending<'_, 'a>>) -> Result<(), ParseError> {
+        let mut stop = pieces.first().map_or(usize::MAX, |&(start, _)| start);
         loop {
             // Character data runs to the next markup.
             let text_start = self.pos;
@@ -66,6 +184,13 @@ impl<'a> Parser<'a> {
                     false => Cow::Borrowed(&self.src[text_start..end]),
                 };
                 self.text(&text)?;
+            }
+            if self.pos >= stop {
+                let pieces = std::mem::take(&mut pieces);
+                if self.pos == stop {
+                    self.pos = self.stitch(pieces);
+                }
+                stop = usize::MAX;
             }
             if self.pos >= self.bytes.len() {
                 break;
@@ -80,14 +205,22 @@ impl<'a> Parser<'a> {
                 _ => self.parse_opening_tag()?,
             }
         }
-        if !self.builder.stack.is_empty() {
-            let doc = &self.builder.doc;
-            let tags = (self.builder.stack.iter())
-                .map(|&id| doc.tag_str(id).to_string())
-                .collect::<Vec<_>>();
-            return Err(self.error(ParseErrorKind::UnclosedElements { tags }));
-        }
-        Ok(self.builder.finish())
+        Ok(())
+    }
+
+    /// Stitches `pieces`, the first starting where the parser stands,
+    /// and returns where to go on: the end of the input, or the start of
+    /// the first piece the builder refused.
+    fn stitch(&mut self, pieces: Vec<Pending<'_, 'a>>) -> usize {
+        let (starts, pieces): (Vec<usize>, Vec<_>) = (pieces.into_iter())
+            .map(|(start, thread)| {
+                let piece =
+                    thread.and_then(|t| t.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+                (start, piece)
+            })
+            .unzip();
+        let taken = self.builder.stitch(pieces);
+        starts.get(taken).copied().unwrap_or(self.bytes.len())
     }
 
     // -- low-level cursor helpers ---------------------------------------
@@ -206,7 +339,12 @@ impl<'a> Parser<'a> {
         if !self.builder.stack.is_empty() {
             self.builder.text(text);
         } else if !text.trim().is_empty() {
-            return Err(self.error(ParseErrorKind::TextOutsideRoot));
+            let at = self.builder.doc.len() as u32 - 1;
+            let Some(orphans) = &mut self.orphans else {
+                return Err(self.error(ParseErrorKind::TextOutsideRoot));
+            };
+            let text = text.trim().to_owned();
+            orphans.push(Orphan::Text { text, at });
         }
         Ok(())
     }
@@ -292,9 +430,18 @@ impl<'a> Parser<'a> {
                 self.builder.close();
                 Ok(())
             }
-            None => Err(self.error(ParseErrorKind::UnmatchedClosingTag {
-                tag: name.to_string(),
-            })),
+            // A piece records it; a piece closes at most `MAX_DEPTH`.
+            None => match &mut self.orphans {
+                Some(orphans) if self.builder.base > 0 => {
+                    let at = self.builder.doc.len() as u32 - 1;
+                    orphans.push(Orphan::Close { name, at });
+                    self.builder.base -= 1;
+                    Ok(())
+                }
+                _ => Err(self.error(ParseErrorKind::UnmatchedClosingTag {
+                    tag: name.to_string(),
+                })),
+            },
         }
     }
 
@@ -372,16 +519,16 @@ impl<'a> Parser<'a> {
                     self.pos = end;
                     let value = self.decode_text(start, self.pos)?;
                     self.bump(); // closing quote
-                    let doc = self.builder.doc.view();
-                    if doc
-                        .attributes(node)
-                        .any(|(n, _)| doc.tag_name(n) == attr_name)
-                    {
+                    let tag = self.builder.intern(attr_name);
+                    if self.attr_seen.len() <= tag.index() {
+                        self.attr_seen.resize(tag.index() + 1, 0);
+                    }
+                    if std::mem::replace(&mut self.attr_seen[tag.index()], node.0) == node.0 {
                         return Err(self.error(ParseErrorKind::DuplicateAttribute {
                             name: attr_name.to_string(),
                         }));
                     }
-                    self.builder.attribute(attr_name, &value);
+                    self.builder.attribute_tag(tag, &value);
                 }
                 None => return Err(self.eof_error("element tag")),
             }
@@ -588,6 +735,38 @@ mod tests {
             matches!(err.kind, ParseErrorKind::DuplicateAttribute { .. }),
             "{err}"
         );
+    }
+
+    /// The duplicate check is one stamp per attribute name, not a scan
+    /// of the element's earlier attributes: four times the attributes
+    /// take about four times as long (a scan took about sixteen).
+    #[test]
+    fn duplicate_attribute_check_is_linear() {
+        let element = |n: usize| {
+            let attrs: String = (0..n).map(|i| format!(" a{i}=\"\"")).collect();
+            format!("<e{attrs}/>")
+        };
+        let best = |src: &str| {
+            (0..3)
+                .map(|_| {
+                    let start = std::time::Instant::now();
+                    assert_eq!(parse_document(src).unwrap().len(), 2);
+                    start.elapsed()
+                })
+                .min()
+                .unwrap()
+        };
+        let (small, large) = (best(&element(8_000)), best(&element(32_000)));
+        assert!(
+            large < small * 8,
+            "{small:?} for 8 000, {large:?} for 32 000"
+        );
+
+        let err = parse_document(r#"<a x="1" x="2"/>"#).unwrap_err();
+        assert_eq!(err.position.offset, 14);
+        let err = parse_document(&(element(32_000).replace("/>", " a7=\"\"/>"))).unwrap_err();
+        let name = "a7".to_string();
+        assert_eq!(err.kind, ParseErrorKind::DuplicateAttribute { name });
     }
 
     #[test]

@@ -13,7 +13,10 @@ use whirlpool_pattern::{parse_pattern, TreePattern};
 use whirlpool_score::{Normalization, TfIdfModel};
 use whirlpool_store::{build_snapshot_bytes, Snapshot};
 use whirlpool_xmark::{generate, queries, GeneratorConfig};
-use whirlpool_xml::{parse_document, write_document, Document, WriteOptions};
+use whirlpool_xml::{
+    parse_document, parse_document_split, write_document, DocView, Document, ParseError,
+    WriteOptions,
+};
 
 const QUERIES: [&str; 4] = [queries::Q1, queries::Q2, queries::Q3, queries::Q4];
 
@@ -149,4 +152,32 @@ fn hostile_xml_error_positions_match_a_recount() {
         }
     }
     assert!(errors > 0);
+}
+
+/// The parse on several cores is the parse on one: every mutant of the
+/// grid, cut at the first `<` after each quarter, parses to the same
+/// document arrays or fails with the same error at the same offset.
+#[test]
+fn hostile_xml_parses_alike_in_pieces() {
+    fn view(parsed: &Result<Document, ParseError>) -> Result<DocView<'_>, &ParseError> {
+        parsed.as_ref().map(Document::view)
+    }
+    let src = small_document();
+    let (mut parsed, mut total) = (0usize, 0usize);
+    for (label, bytes) in mutants(src.as_bytes(), src.len() / 24) {
+        let text = String::from_utf8_lossy(&bytes);
+        let cuts = [1, 2, 3].map(|k| {
+            let from = text.len() * k / 4;
+            text.as_bytes()[from..]
+                .iter()
+                .position(|&b| b == b'<')
+                .map_or(0, |at| from + at)
+        });
+        let one = parse_document_split(&text, &[]);
+        let split = parse_document_split(&text, &cuts);
+        assert_eq!(view(&split), view(&one), "{label}");
+        parsed += usize::from(one.is_ok());
+        total += 1;
+    }
+    assert!(0 < parsed && parsed < total, "{parsed} of {total} parsed");
 }
