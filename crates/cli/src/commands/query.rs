@@ -23,8 +23,7 @@ enum DocSource {
     Parsed {
         doc: Document,
         index: TagIndex,
-        /// Parse + index + (elsewhere) model build, the cost a snapshot
-        /// attach avoids.
+        /// Parse + index, the cost a snapshot attach avoids.
         index_build_ms: f64,
     },
     Snapshot {
@@ -293,7 +292,9 @@ pub fn run(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
         None => DocSource::open(&files[0], false)?,
     };
     let (doc, index) = source.views();
+    let started = std::time::Instant::now();
     let model = TfIdfModel::build_view(doc, index, &query, norm);
+    let model_build_ms = started.elapsed().as_secs_f64() * 1e3;
 
     let result = evaluate_view(doc, index, &query, &model, &algorithm, &options);
 
@@ -308,7 +309,8 @@ pub fn run(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
     if parsed.flag("json") {
         // --explain is a human-readable view; it is skipped in JSON
         // mode so the output stays machine-parseable.
-        return write_json(out, doc, &source, &query, &algorithm, &result);
+        let prepare = [source.prepare_stat(), ("model_build_ms", model_build_ms)];
+        return write_json(out, doc, &prepare, &query, &algorithm, &result);
     }
 
     writeln!(out, "query:     {query}")?;
@@ -364,8 +366,9 @@ pub fn run(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
     )?;
     writeln!(out, "elapsed:   {:?}", result.elapsed)?;
     if parsed.flag("stats") {
-        let (stat, ms) = source.prepare_stat();
-        writeln!(out, "prepare:   {stat} {ms:.3}")?;
+        for (stat, ms) in [source.prepare_stat(), ("model_build_ms", model_build_ms)] {
+            writeln!(out, "prepare:   {stat} {ms:.3}")?;
+        }
         writeln!(
             out,
             "anytime:   {} deadline hits, {} servers failed, {} matches redistributed, {} answers degraded",
@@ -742,7 +745,7 @@ fn escape(s: &str) -> String {
 fn write_json(
     out: &mut dyn Write,
     doc: DocView<'_>,
-    source: &DocSource,
+    prepare: &[(&str, f64)],
     query: &whirlpool_pattern::TreePattern,
     algorithm: &Algorithm,
     result: &whirlpool_core::EvalResult,
@@ -751,8 +754,9 @@ fn write_json(
     writeln!(out, "  \"query\": \"{}\",", escape(&query.to_string()))?;
     writeln!(out, "  \"algorithm\": \"{}\",", algorithm.name())?;
     writeln!(out, "  \"result\": \"{}\",", result.completeness.label())?;
-    let (stat, ms) = source.prepare_stat();
-    writeln!(out, "  \"{stat}\": {ms:.3},")?;
+    for (stat, ms) in prepare {
+        writeln!(out, "  \"{stat}\": {ms:.3},")?;
+    }
     if let whirlpool_core::Completeness::Truncated {
         pending_matches,
         score_bound,

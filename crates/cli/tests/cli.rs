@@ -640,6 +640,10 @@ fn snapshot_build_verify_info_and_query_pipeline() {
     assert!(snap_run.contains("id=a"), "{snap_run}");
     assert!(snap_run.contains("<isbn>"), "{snap_run}");
     assert!(snap_run.contains("snapshot_attach_ms"), "{snap_run}");
+    assert!(
+        snap_run.contains("prepare:   model_build_ms "),
+        "{snap_run}"
+    );
     for line in parsed_run.lines().filter(|l| l.contains("score")) {
         assert!(snap_run.contains(line), "missing {line:?} in {snap_run}");
     }
@@ -655,6 +659,9 @@ fn snapshot_build_verify_info_and_query_pipeline() {
     // And the parsed path reports the build cost under the same scheme.
     let parsed_json = run_ok(&["query", file.to_str().unwrap(), "//book[./title]", "--json"]);
     assert!(parsed_json.contains("\"index_build_ms\""), "{parsed_json}");
+    // Both report the scoring model's build, the cost every query pays.
+    assert!(auto.contains("\"model_build_ms\""), "{auto}");
+    assert!(parsed_json.contains("\"model_build_ms\""), "{parsed_json}");
 
     // --snapshot insists on a real snapshot file.
     let err = run_err(&[

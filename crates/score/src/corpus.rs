@@ -5,7 +5,7 @@
 //! table so scores are comparable across shards: an answer's rank must
 //! not depend on which shard happened to hold it. [`CorpusStats`]
 //! therefore aggregates the raw document-frequency counts of
-//! [`crate::tfidf::idf_counts`] — candidate-answer populations and
+//! [`crate::tfidf::idf_counts_sweep`] — candidate-answer populations and
 //! per-predicate satisfying counts — over every shard, and derives one
 //! [`TfIdfModel`] from the pooled counts:
 //!
@@ -60,21 +60,12 @@ impl CorpusStats {
     /// [`add_shard`](CorpusStats::add_shard) over borrowed views — the
     /// form snapshot-backed shards use.
     pub fn add_shard_view(&mut self, doc: DocView<'_>, index: TagIndexView<'_>, answer_tag: &str) {
-        let mut population_seen = None;
-        for pred in &self.preds {
-            let (pop, sat_exact, sat_relaxed) =
-                tfidf::idf_counts_both_view(doc, index, answer_tag, pred);
-            self.satisfying[pred.qnode.index()][0] += sat_exact;
-            self.satisfying[pred.qnode.index()][1] += sat_relaxed;
-            population_seen = Some(pop);
+        let (population, counts) = tfidf::idf_counts_sweep(doc, index, answer_tag, &self.preds);
+        for (pred, [exact, relaxed]) in self.preds.iter().zip(counts) {
+            self.satisfying[pred.qnode.index()][0] += exact;
+            self.satisfying[pred.qnode.index()][1] += relaxed;
         }
-        // Single-node patterns have no component predicates; the
-        // population still has to be counted for them.
-        let pop = match population_seen {
-            Some(p) => p,
-            None => count_population(&doc, &index, answer_tag),
-        };
-        self.population += pop;
+        self.population += population;
         self.shards += 1;
     }
 
@@ -137,18 +128,6 @@ impl CorpusStats {
             weights[pred.qnode.index()] = [e.max(0.0), r.min(e).max(0.0)];
         }
         TfIdfModel::from_weights(weights, normalization)
-    }
-}
-
-/// Counts the nodes carrying `answer_tag` in one shard.
-fn count_population(doc: &DocView<'_>, index: &TagIndexView<'_>, answer_tag: &str) -> u64 {
-    if answer_tag == whirlpool_pattern::WILDCARD {
-        doc.elements().count() as u64
-    } else {
-        match doc.tag_id(answer_tag) {
-            Some(tag) => index.nodes_with_tag(tag).len() as u64,
-            None => 0,
-        }
     }
 }
 

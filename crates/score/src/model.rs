@@ -118,9 +118,8 @@ impl TfIdfModel {
         // would require a "document" population; following the paper's
         // examples (scores come from the join predicates) the root
         // contributes 0 and all scoring happens at the servers.
-        for pred in &preds {
-            let (population, exact, relaxed) =
-                tfidf::idf_counts_both_view(doc, index, answer_tag, pred);
+        let (population, counts) = tfidf::idf_counts_sweep(doc, index, answer_tag, &preds);
+        for (pred, [exact, relaxed]) in preds.iter().zip(counts) {
             let exact = tfidf::idf_from_counts(population, exact);
             let relaxed = tfidf::idf_from_counts(population, relaxed);
             // Definition 4.2 guarantees relaxed ≤ exact (more nodes

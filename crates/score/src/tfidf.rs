@@ -14,8 +14,17 @@
 //!
 //! Value-labelled leaves (`title (wodehouse)`) fold the value test into
 //! the predicate: only nodes passing it count for idf and tf.
+//!
+//! Two ways to the idf counts. [`idf_counts`], [`idf`] and
+//! [`score_answer`] are the definitions read literally, one answer and
+//! one predicate at a time; they are the reference. The models
+//! ([`crate::TfIdfModel`], [`crate::CorpusStats`]) count with
+//! [`idf_counts_sweep`] instead: every predicate of the query in one
+//! document-order pass over the answers, each tagged predicate merging
+//! its postings with a [`RangeCursor`]. The counts are the same
+//! integers, so the weights are the same bits.
 
-use whirlpool_index::{DocView, TagIndex, TagIndexView};
+use whirlpool_index::{DocView, RangeCursor, TagIndex, TagIndexView};
 use whirlpool_pattern::{AttrTest, ComposedAxis, QNodeId, TreePattern, ValueTest, WILDCARD};
 use whirlpool_xml::{Document, NodeId, TagId};
 
@@ -127,54 +136,93 @@ pub fn idf_counts(
     idf_counts_view(doc.into(), index.view(), answer_tag, pred)
 }
 
-/// [`idf_counts`] over borrowed views.
+/// [`idf_counts`] over borrowed views. One answer at a time, as the
+/// definition reads: an answer satisfies the predicate when its
+/// [`tf_view`] is non-zero. This is the reference [`idf_counts_sweep`]
+/// is checked against.
 pub fn idf_counts_view(
     doc: DocView<'_>,
     index: TagIndexView<'_>,
     answer_tag: &str,
     pred: &ComponentPredicate,
 ) -> (u64, u64) {
-    let (population, satisfying, _) = idf_counts_both_view(doc, index, answer_tag, pred);
+    let (mut population, mut satisfying) = (0, 0);
+    for_each_answer(doc, index, answer_tag, |n| {
+        population += 1;
+        satisfying += u64::from(tf_view(doc, index, pred, n) > 0);
+    });
     (population, satisfying)
 }
 
-/// Both idf columns of one predicate in one allocation-free walk over
-/// the answer nodes: `(population, exact, relaxed)`, where `exact` is
-/// [`idf_counts_view`]'s satisfying count for `pred` and `relaxed` the
-/// one for its fully relaxed form (`pred.axis.relaxed()`, same tag and
-/// tests).
-pub fn idf_counts_both_view(
+/// Definition 4.2's counts for a whole query in one pass: the
+/// population (the nodes carrying `answer_tag`) and, for each of
+/// `preds` in order, `[exact, relaxed]` — how many answers satisfy the
+/// predicate, and how many its fully relaxed form (`pred.axis.relaxed()`,
+/// same tag and tests). With no predicates it still counts the
+/// population.
+///
+/// The answers are visited once, in document order. Each tagged
+/// predicate owns a [`RangeCursor`] over its tag's postings, so the
+/// pass is a merge of the answer list with every predicate's list
+/// rather than two binary searches per answer per predicate; a nested
+/// answer (one inside the previous answer's subtree) restarts its
+/// gallop inside the previous range. The counts are those of
+/// [`idf_counts_view`] exactly.
+pub fn idf_counts_sweep(
     doc: DocView<'_>,
     index: TagIndexView<'_>,
     answer_tag: &str,
-    pred: &ComponentPredicate,
-) -> (u64, u64, u64) {
-    let pred_tag = (pred.tag != WILDCARD).then(|| doc.tag_id(&pred.tag));
-    let attr_tags = attr_tags(doc, pred);
-    let (mut population, mut exact, mut relaxed) = (0, 0, 0);
-    let mut visit = |n: NodeId| {
-        let (any, held) = match pred_tag {
-            None => witnesses(doc, index, pred, &attr_tags, n, index.descendants_any(n)),
-            Some(Some(tag)) => {
-                let under = index.descendants_with_tag(n, tag).iter().copied();
-                witnesses(doc, index, pred, &attr_tags, n, under)
-            }
-            Some(None) => (false, false),
-        };
+    preds: &[ComponentPredicate],
+) -> (u64, Vec<[u64; 2]>) {
+    // A cursor per tagged predicate (over no postings for a tag the
+    // document lacks); `None` for a wildcard, whose candidates are the
+    // contiguous descendant range.
+    let mut sources: Vec<(Option<RangeCursor<'_>>, Vec<Option<TagId>>)> = preds
+        .iter()
+        .map(|pred| {
+            let cursor = (pred.tag != WILDCARD).then(|| {
+                RangeCursor::new(
+                    doc.tag_id(&pred.tag)
+                        .map_or(&[], |t| index.nodes_with_tag(t)),
+                )
+            });
+            (cursor, attr_tags(doc, pred))
+        })
+        .collect();
+    let mut counts = vec![[0u64; 2]; preds.len()];
+    let mut population = 0;
+    for_each_answer(doc, index, answer_tag, |n| {
         population += 1;
-        relaxed += u64::from(any);
-        exact += u64::from(held);
-    };
+        let end = index.subtree_end(n).index() as u32;
+        for ((pred, (cursor, attr_tags)), count) in preds.iter().zip(&mut sources).zip(&mut counts)
+        {
+            let (any, held) = match cursor {
+                None => witnesses(doc, index, pred, attr_tags, n, index.descendants_any(n)),
+                Some(cursor) => {
+                    let under = cursor.range(n, end).iter().copied();
+                    witnesses(doc, index, pred, attr_tags, n, under)
+                }
+            };
+            count[0] += u64::from(held);
+            count[1] += u64::from(any);
+        }
+    });
+    (population, counts)
+}
+
+/// Calls `visit` on every node carrying `answer_tag` (every element
+/// for a wildcard), in document order.
+fn for_each_answer(
+    doc: DocView<'_>,
+    index: TagIndexView<'_>,
+    answer_tag: &str,
+    visit: impl FnMut(NodeId),
+) {
     if answer_tag == WILDCARD {
-        doc.elements().for_each(&mut visit);
+        doc.elements().for_each(visit);
     } else if let Some(tag) = doc.tag_id(answer_tag) {
-        index
-            .nodes_with_tag(tag)
-            .iter()
-            .copied()
-            .for_each(&mut visit);
+        index.nodes_with_tag(tag).iter().copied().for_each(visit);
     }
-    (population, exact, relaxed)
 }
 
 /// For answer node `n` and its `candidates` (every node below it that
