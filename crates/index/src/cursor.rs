@@ -12,13 +12,11 @@
 //! `O(r log n)`. Non-monotone queries are still answered correctly via
 //! a binary-search fallback.
 //!
-//! Two merges use it: the engines' batched locate resolves match roots
-//! against a server's postings, and the scorer's idf count
-//! (`whirlpool_score::tfidf::idf_counts_sweep`) resolves every answer
-//! node against each predicate's postings. The scorer's answers can
-//! nest (an `item` inside an `item`); a nested answer lies inside the
-//! previous range, so its gallop starts at that range's lower bound
-//! rather than past its end.
+//! The engines' batched locate uses it to resolve match roots against a
+//! server's postings; it serves nothing else. Roots can nest (an `item`
+//! inside an `item`); a nested root lies inside the previous range, so
+//! its gallop starts at that range's lower bound rather than past its
+//! end.
 
 use whirlpool_xml::NodeId;
 

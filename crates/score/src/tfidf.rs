@@ -19,12 +19,14 @@
 //! [`score_answer`] are the definitions read literally, one answer and
 //! one predicate at a time; they are the reference. The models
 //! ([`crate::TfIdfModel`], [`crate::CorpusStats`]) count with
-//! [`idf_counts_sweep`] instead: every predicate of the query in one
-//! document-order pass over the answers, each tagged predicate merging
-//! its postings with a [`RangeCursor`]. The counts are the same
+//! [`idf_counts_sweep`] instead: the answers are collected once, each
+//! tagged predicate is one merge of its postings with them (the
+//! stack-based structural join of the PathStack family, a branch-free
+//! two-pointer walk when no answer nests), and each wildcard predicate
+//! scans every answer's subtree range. The counts are the same
 //! integers, so the weights are the same bits.
 
-use whirlpool_index::{DocView, RangeCursor, TagIndex, TagIndexView};
+use whirlpool_index::{ColumnsView, DocView, TagIndex, TagIndexView};
 use whirlpool_pattern::{AttrTest, ComposedAxis, QNodeId, TreePattern, ValueTest, WILDCARD};
 use whirlpool_xml::{Document, NodeId, TagId};
 
@@ -154,19 +156,18 @@ pub fn idf_counts_view(
     (population, satisfying)
 }
 
-/// Definition 4.2's counts for a whole query in one pass: the
-/// population (the nodes carrying `answer_tag`) and, for each of
-/// `preds` in order, `[exact, relaxed]` — how many answers satisfy the
-/// predicate, and how many its fully relaxed form (`pred.axis.relaxed()`,
-/// same tag and tests). With no predicates it still counts the
-/// population.
+/// Definition 4.2's counts for a whole query: the population (the
+/// nodes carrying `answer_tag`) and, for each of `preds` in order,
+/// `[exact, relaxed]` — how many answers satisfy the predicate, and how
+/// many its fully relaxed form (`pred.axis.relaxed()`, same tag and
+/// tests). With no predicates it still counts the population.
 ///
-/// The answers are visited once, in document order. Each tagged
-/// predicate owns a [`RangeCursor`] over its tag's postings, so the
-/// pass is a merge of the answer list with every predicate's list
-/// rather than two binary searches per answer per predicate; a nested
-/// answer (one inside the previous answer's subtree) restarts its
-/// gallop inside the previous range. The counts are those of
+/// The answers are collected once, in document order. A tagged
+/// predicate is one forward merge of its postings with the answers
+/// (`merge_postings`, or `merge_flat` when no answer lies inside
+/// another); a wildcard one scans each answer's range
+/// (`scan_ranges`). The work is `O(answers × predicates + Σ postings
+/// × k)` however deeply the answers nest. The counts are those of
 /// [`idf_counts_view`] exactly.
 pub fn idf_counts_sweep(
     doc: DocView<'_>,
@@ -174,40 +175,36 @@ pub fn idf_counts_sweep(
     answer_tag: &str,
     preds: &[ComponentPredicate],
 ) -> (u64, Vec<[u64; 2]>) {
-    // A cursor per tagged predicate (over no postings for a tag the
-    // document lacks); `None` for a wildcard, whose candidates are the
-    // contiguous descendant range.
-    let mut sources: Vec<(Option<RangeCursor<'_>>, Vec<Option<TagId>>)> = preds
+    let columns = index.columns();
+    let mut answers = Vec::new();
+    for_each_answer(doc, index, answer_tag, |n| {
+        answers.push(Answer {
+            id: n.index() as u32,
+            end: columns.subtree_end_raw(n),
+            depth: columns.depth_of(n),
+        })
+    });
+    let nested = answers.windows(2).any(|w| w[1].id < w[0].end);
+    let counts = preds
         .iter()
         .map(|pred| {
-            let cursor = (pred.tag != WILDCARD).then(|| {
-                RangeCursor::new(
-                    doc.tag_id(&pred.tag)
-                        .map_or(&[], |t| index.nodes_with_tag(t)),
-                )
-            });
-            (cursor, attr_tags(doc, pred))
+            let attr_tags = attr_tags(doc, pred);
+            let passes = |c| passes_tests(doc, pred, &attr_tags, c);
+            if pred.tag == WILDCARD {
+                return scan_ranges(columns, &answers, pred.axis, passes);
+            }
+            let postings = doc
+                .tag_id(&pred.tag)
+                .map_or(&[][..], |t| index.nodes_with_tag(t));
+            if nested {
+                merge_postings(columns, &answers, postings, pred.axis, passes)
+            } else {
+                let tested = pred.value.is_some() || !pred.attrs.is_empty();
+                merge_flat(columns, &answers, postings, pred.axis, tested, passes)
+            }
         })
         .collect();
-    let mut counts = vec![[0u64; 2]; preds.len()];
-    let mut population = 0;
-    for_each_answer(doc, index, answer_tag, |n| {
-        population += 1;
-        let end = index.subtree_end(n).index() as u32;
-        for ((pred, (cursor, attr_tags)), count) in preds.iter().zip(&mut sources).zip(&mut counts)
-        {
-            let (any, held) = match cursor {
-                None => witnesses(doc, index, pred, attr_tags, n, index.descendants_any(n)),
-                Some(cursor) => {
-                    let under = cursor.range(n, end).iter().copied();
-                    witnesses(doc, index, pred, attr_tags, n, under)
-                }
-            };
-            count[0] += u64::from(held);
-            count[1] += u64::from(any);
-        }
-    });
-    (population, counts)
+    (answers.len() as u64, counts)
 }
 
 /// Calls `visit` on every node carrying `answer_tag` (every element
@@ -225,28 +222,170 @@ fn for_each_answer(
     }
 }
 
-/// For answer node `n` and its `candidates` (every node below it that
-/// carries the predicate's tag): does one pass the value/attribute
-/// tests — which satisfies the relaxed predicate, a candidate being a
-/// proper descendant by construction — and does one of those also hold
-/// the composed axis, satisfying the exact one?
-fn witnesses(
-    doc: DocView<'_>,
-    index: TagIndexView<'_>,
-    pred: &ComponentPredicate,
-    attr_tags: &[Option<TagId>],
-    n: NodeId,
-    candidates: impl Iterator<Item = NodeId>,
-) -> (bool, bool) {
-    let mut passing = candidates.filter(|&c| passes_tests(doc, pred, attr_tags, c));
-    let Some(first) = passing.next() else {
-        return (false, false);
+/// An answer node of [`idf_counts_sweep`]: its raw id, one past its
+/// subtree, and its depth.
+struct Answer {
+    id: u32,
+    end: u32,
+    depth: usize,
+}
+
+/// An answer on [`merge_postings`]' stack, whose subtree the merge is
+/// inside, and whether a candidate has satisfied its exact and its
+/// relaxed predicate yet.
+struct Open {
+    end: u32,
+    depth: usize,
+    exact: bool,
+    relaxed: bool,
+}
+
+/// `[exact, relaxed]` counts of one tagged predicate: one pass over its
+/// `postings`, keeping the open answers that contain the current
+/// candidate on a stack (outermost first, so depths rise to the top).
+///
+/// A candidate `c` that `passes` its tests satisfies the relaxed
+/// predicate for every open answer. It marks them from the innermost
+/// outward and stops at one already marked, since everything under a
+/// marked entry was marked with it: each answer is marked once. It
+/// satisfies `ChildChain(k)` for the answer at depth `depth(c) − k`
+/// only, found at most `k` entries down; `Descendant` is the relaxed
+/// count. The pass ends once the last answer closes.
+fn merge_postings(
+    columns: ColumnsView<'_>,
+    answers: &[Answer],
+    postings: &[NodeId],
+    axis: ComposedAxis,
+    mut passes: impl FnMut(NodeId) -> bool,
+) -> [u64; 2] {
+    let Some(first) = answers.first() else {
+        return [0, 0];
     };
-    let columns = index.columns();
-    let held = std::iter::once(first)
-        .chain(passing)
-        .any(|c| columns.holds_in_range(pred.axis, n, c));
-    (true, held)
+    let k = axis.exact_depth();
+    let start = postings.partition_point(|c| c.index() as u32 <= first.id);
+    let mut next = answers.iter().peekable();
+    let mut stack: Vec<Open> = Vec::new();
+    let (mut exact, mut relaxed) = (0, 0);
+    for &c in &postings[start..] {
+        let raw = c.index() as u32;
+        while let Some(a) = next.next_if(|a| a.id < raw) {
+            while stack.last().is_some_and(|o| o.end <= a.id) {
+                stack.pop();
+            }
+            stack.push(Open {
+                end: a.end,
+                depth: a.depth,
+                exact: false,
+                relaxed: false,
+            });
+        }
+        while stack.last().is_some_and(|o| o.end <= raw) {
+            stack.pop();
+        }
+        let Some(top) = stack.last() else {
+            if next.peek().is_none() {
+                break;
+            }
+            continue;
+        };
+        let target = k.and_then(|k| {
+            let want = columns.depth_of(c).checked_sub(k as usize)?;
+            let j = stack.iter().rposition(|o| o.depth <= want)?;
+            (stack[j].depth == want && !stack[j].exact).then_some(j)
+        });
+        if (top.relaxed && target.is_none()) || !passes(c) {
+            continue;
+        }
+        if let Some(j) = target {
+            stack[j].exact = true;
+            exact += 1;
+        }
+        for open in stack.iter_mut().rev().take_while(|o| !o.relaxed) {
+            open.relaxed = true;
+            relaxed += 1;
+        }
+    }
+    [if k.is_some() { exact } else { relaxed }, relaxed]
+}
+
+/// [`merge_postings`] when no answer lies inside another, as in every
+/// XMark query: the stack never holds more than the current answer, so
+/// the merge is a two-pointer walk of the answers and the postings.
+/// Each step takes the next posting (it lies before the current
+/// answer's end) or moves on to the next answer, chosen by one compare
+/// and applied with arithmetic rather than a branch: the answers'
+/// boundaries fall at data-dependent places, and branching on them
+/// mispredicts about once per answer and predicate. Only a `tested`
+/// predicate (a value or attribute test) branches, to call `passes`
+/// on a candidate that could still mark something.
+fn merge_flat(
+    columns: ColumnsView<'_>,
+    answers: &[Answer],
+    postings: &[NodeId],
+    axis: ComposedAxis,
+    tested: bool,
+    mut passes: impl FnMut(NodeId) -> bool,
+) -> [u64; 2] {
+    let Some(first) = answers.first() else {
+        return [0, 0];
+    };
+    let k = axis.exact_depth().map(|k| k as usize);
+    let mut next = postings.partition_point(|c| c.index() as u32 <= first.id);
+    let mut i = 0;
+    let (mut exact, mut relaxed) = (0, 0);
+    // Whether `answers[i]` has an exact and a relaxed witness so far.
+    let (mut held, mut any) = (false, false);
+    while let (Some(a), Some(&c)) = (answers.get(i), postings.get(next)) {
+        let raw = c.index() as u32;
+        let before_end = raw < a.end;
+        let inside = before_end & (a.id < raw);
+        let at_depth = k.map_or(true, |k| columns.depth_of(c) == a.depth + k);
+        let passing = if tested {
+            inside && (!any || at_depth && !held) && passes(c)
+        } else {
+            inside
+        };
+        any |= passing;
+        held |= passing & at_depth;
+        // Leaving `answers[i]`: count it, and start the next afresh.
+        exact += u64::from(!before_end & held);
+        relaxed += u64::from(!before_end & any);
+        held &= before_end;
+        any &= before_end;
+        next += usize::from(before_end);
+        i += usize::from(!before_end);
+    }
+    // The answer the postings ran out in, if any, is still to count.
+    [exact + u64::from(held), relaxed + u64::from(any)]
+}
+
+/// `[exact, relaxed]` counts of one wildcard predicate: every node in
+/// an answer's range `(id, end)` is a candidate, scanned until the
+/// first exact witness.
+fn scan_ranges(
+    columns: ColumnsView<'_>,
+    answers: &[Answer],
+    axis: ComposedAxis,
+    mut passes: impl FnMut(NodeId) -> bool,
+) -> [u64; 2] {
+    let (mut exact, mut relaxed) = (0, 0);
+    for a in answers {
+        let want = axis.exact_depth().map(|k| a.depth + k as usize);
+        let mut any = false;
+        for c in (a.id + 1..a.end).map(|c| NodeId::from_index(c as usize)) {
+            let held = want.map_or(true, |w| columns.depth_of(c) == w);
+            if (any && !held) || !passes(c) {
+                continue;
+            }
+            any = true;
+            if held {
+                exact += 1;
+                break;
+            }
+        }
+        relaxed += u64::from(any);
+    }
+    [exact, relaxed]
 }
 
 /// Definition 4.2 from precomputed counts: `ln(population /

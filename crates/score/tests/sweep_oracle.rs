@@ -347,3 +347,157 @@ fn corpus_weights_over_three_shards_equal_reference_weights_bit_for_bit() {
         );
     }
 }
+
+/// Sweep and reference agree on every query, on one document.
+fn assert_sweep_matches_reference(xml: &str, queries: &[&str]) {
+    let doc = parse_document(xml).unwrap();
+    let index = TagIndex::build(&doc);
+    for query in queries {
+        let pattern = parse_pattern(query).unwrap();
+        let preds = tfidf::component_predicates(&pattern);
+        let answer_tag = &pattern.node(pattern.root()).tag;
+        assert_eq!(
+            sweep(&doc, &index, answer_tag, &preds),
+            reference_counts(&doc, &index, answer_tag, &preds),
+            "{query} on {xml}"
+        );
+    }
+}
+
+#[test]
+fn a_witness_under_the_innermost_answer_satisfies_an_outer_one() {
+    // Two chains of three nested `a`s. The `b` under the innermost `a` is
+    // the child-chain witness of an outer `a` only, and the relaxed
+    // witness of all of them.
+    let xml = "<r><a><a><c><a><b>y</b></a></c><b/></a></a><a><x><a><a><b k=\"x\">y</b></a></a></x></a></r>";
+    assert_sweep_matches_reference(
+        xml,
+        &[
+            "//a[./a/c/a/b]",
+            "//a[./c/a/b = 'y']",
+            "//a[./*/a/b]",
+            "//a[./x/a/a/b]",
+            "//a[./a/b and .//b = 'y']",
+            "//a[.//b]",
+        ],
+    );
+    let doc = parse_document(xml).unwrap();
+    let index = TagIndex::build(&doc);
+    let preds = tfidf::component_predicates(&parse_pattern("//a[./x/a/a/b]").unwrap());
+    // Six `a`s, each holding a `b` below; the two outermost hold one
+    // four child steps down, each through two nested `a`s.
+    assert_eq!(sweep(&doc, &index, "a", &preds[3..]), (6, vec![[2, 6]]));
+}
+
+#[test]
+fn a_predicate_on_the_answer_tag_counts_nested_answers() {
+    // A chain of four `a`s, then a lone `a` with an `a` grandchild.
+    let xml = "<r><a><a><a><a/></a></a></a><a><b><a/></b></a></r>";
+    assert_sweep_matches_reference(
+        xml,
+        &[
+            "//a[.//a]",
+            "//a[./a]",
+            "//a[./a/a]",
+            "//a[./*/a]",
+            "//a[./a//a]",
+        ],
+    );
+    let doc = parse_document(xml).unwrap();
+    let index = TagIndex::build(&doc);
+    let preds = tfidf::component_predicates(&parse_pattern("//a[.//a]").unwrap());
+    assert_eq!(sweep(&doc, &index, "a", &preds), (6, vec![[4, 4]]));
+    // The second predicate is `a` two child steps down, whatever the
+    // step between: the chain's first two and the lone `a` hold it.
+    let preds = tfidf::component_predicates(&parse_pattern("//a[./a/a]").unwrap());
+    assert_eq!(sweep(&doc, &index, "a", &preds[1..]), (6, vec![[3, 4]]));
+}
+
+#[test]
+fn a_candidate_at_an_answers_subtree_end_is_outside_it() {
+    // Each `b` sits at the id one past an `a`'s subtree: right after it
+    // as a sibling, and after a nested pair closing together.
+    let xml = "<r><a/><b/><a><c/></a><b>y</b><a><a><c/></a></a><b/><c><a/></c><b/></r>";
+    assert_sweep_matches_reference(
+        xml,
+        &[
+            "//a[.//b]",
+            "//a[./b]",
+            "//a[./*/b]",
+            "//a[.//* = 'y']",
+            "//*[./b]",
+        ],
+    );
+    let doc = parse_document(xml).unwrap();
+    let index = TagIndex::build(&doc);
+    let preds = tfidf::component_predicates(&parse_pattern("//a[.//b]").unwrap());
+    assert_eq!(sweep(&doc, &index, "a", &preds), (5, vec![[0, 0]]));
+}
+
+#[test]
+fn a_wildcard_child_chain_applies_its_value_and_attribute_tests() {
+    // `./*/*[@k = 'x'] = 'y'`: two child steps down, both tests. Only
+    // the first `a` has a grandchild passing both; the second has the
+    // tests' witness one level too deep, the third at the right depth
+    // with the wrong value, the fourth with the wrong attribute.
+    let xml = "<r>\
+               <a><c><d k=\"x\">y</d></c></a>\
+               <a><c><d><d k=\"x\">y</d></d></c></a>\
+               <a><c><d k=\"x\">x</d></c></a>\
+               <a><c><d k=\"y\">y</d></c></a>\
+               </r>";
+    let doc = parse_document(xml).unwrap();
+    let index = TagIndex::build(&doc);
+    let mut pattern = TreePattern::new("a", Axis::Descendant);
+    let star = pattern.add_node(QNodeId::ROOT, Axis::Child, WILDCARD, None);
+    let leaf = pattern.add_node(star, Axis::Child, WILDCARD, Some(ValueTest::Eq("y".into())));
+    pattern.add_attr_test(
+        leaf,
+        AttrTest {
+            name: "k".to_string(),
+            value: Some("x".to_string()),
+        },
+    );
+    let preds = tfidf::component_predicates(&pattern);
+    let expected = reference_counts(&doc, &index, "a", &preds);
+    assert_eq!(sweep(&doc, &index, "a", &preds), expected);
+    assert_eq!(expected, (4, vec![[4, 4], [1, 2]]));
+}
+
+#[test]
+fn flat_answers_count_alike() {
+    // No `a` lies inside another, so the sweep walks answers and
+    // postings side by side. `b`s sit in the gaps between answers, at
+    // an answer's subtree end, at several depths, with and without the
+    // value and attribute the tests ask for.
+    let xml = "<r><b>y</b>\
+               <a><b>y</b><c><b k=\"x\">y</b></c></a><b>y</b>\
+               <c><b/></c>\
+               <a><c><b>x</b></c></a>\
+               <a><b k=\"x\">x</b><c><b k=\"x\">y</b></c></a>\
+               <a/><b/></r>";
+    assert_sweep_matches_reference(
+        xml,
+        &[
+            "//a[./b]",
+            "//a[.//b]",
+            "//a[./c/b]",
+            "//a[./b = 'y']",
+            "//a[./*/b = 'y']",
+            "//a[.//b = 'x' and ./c/b[@k = 'x']]",
+        ],
+    );
+    let doc = parse_document(xml).unwrap();
+    let index = TagIndex::build(&doc);
+    let count = |query: &str| {
+        let preds = tfidf::component_predicates(&parse_pattern(query).unwrap());
+        sweep(&doc, &index, "a", &preds[preds.len() - 1..])
+    };
+    // Four `a`s: two hold a child `b`, three hold one below.
+    assert_eq!(count("//a[./b]"), (4, vec![[2, 3]]));
+    // `./c/b = 'y'`: the first and the third; `.//b = 'y'`: the same.
+    assert_eq!(count("//a[./c/b = 'y']"), (4, vec![[2, 2]]));
+    // `./c/b[@k = 'x']`: the first and the third, the only ones with
+    // such a `b` anywhere below.
+    assert_eq!(count("//a[./c/b[@k = 'x']]"), (4, vec![[2, 2]]));
+}

@@ -649,12 +649,16 @@ fn handle_query(daemon: &Daemon, conn: &mut TcpStream, body: &[u8]) -> Result<()
         let name = collection.shards()[idx].name();
         ServeError::Io(std::io::Error::other(format!("attach {name}: {e}")))
     })?;
+    // The model is built before admission, so `elapsed_ms` leaves it
+    // out; the reply reports it on its own.
+    let model_started = Instant::now();
     let model = TfIdfModel::build_view(
         access.doc(),
         access.index(),
         &pattern,
         Normalization::Sparse,
     );
+    let model_build = model_started.elapsed();
     let ctx = QueryContext::new_view(
         access.doc(),
         access.index(),
@@ -712,7 +716,7 @@ fn handle_query(daemon: &Daemon, conn: &mut TcpStream, body: &[u8]) -> Result<()
         rung,
         attempts,
         &result,
-        started.elapsed(),
+        (started.elapsed(), model_build),
     );
     // A disconnected client can't receive this; the write fails and
     // that is fine — the worker is already reclaimed.
@@ -886,7 +890,7 @@ fn query_response_json(
     rung: Rung,
     retries: u32,
     result: &EvalResult,
-    elapsed: Duration,
+    (elapsed, model_build): (Duration, Duration),
 ) -> String {
     let mut body = String::with_capacity(512);
     body.push_str("{\n");
@@ -921,6 +925,10 @@ fn query_response_json(
     body.push_str(&format!(
         "  \"elapsed_ms\": {:.3},\n",
         elapsed.as_secs_f64() * 1e3
+    ));
+    body.push_str(&format!(
+        "  \"model_build_ms\": {:.3},\n",
+        model_build.as_secs_f64() * 1e3
     ));
     body.push_str("  \"answers\": [\n");
     let id_attr = doc.tag_id("id");
@@ -1009,6 +1017,9 @@ mod tests {
             v.get("roots_unseeded").and_then(Json::as_u64).is_some(),
             "{body}"
         );
+        // Built before admission, so outside `elapsed_ms`.
+        let model_build_ms = v.get("model_build_ms").and_then(Json::as_f64);
+        assert!(model_build_ms.is_some_and(|ms| ms >= 0.0), "{body}");
         let Some(Json::Arr(answers)) = v.get("answers") else {
             panic!("no answers: {body}")
         };
