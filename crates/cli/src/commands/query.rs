@@ -475,8 +475,11 @@ fn run_collection(
     if cm.shards_pruned_before_attach > 0 || cm.shards_attached > 0 || cm.shard_evictions > 0 {
         writeln!(
             out,
-            "lazy:       {} pruned before attach, {} attached, {} evicted",
-            cm.shards_pruned_before_attach, cm.shards_attached, cm.shard_evictions
+            "lazy:       {} pruned before attach, {} attached ({} verified in full), {} evicted",
+            cm.shards_pruned_before_attach,
+            cm.shards_attached,
+            cm.shards_verified,
+            cm.shard_evictions
         )?;
     }
     match result.completeness {
@@ -578,13 +581,14 @@ fn write_collection_json(
         "  \"collection\": {{\"shards_total\": {}, \"shards_visited\": {}, \
          \"shards_pruned\": {}, \"shards_pruned_before_attach\": {}, \
          \"shards_skipped_budget\": {}, \"shards_attached\": {}, \
-         \"shard_evictions\": {}}},",
+         \"shards_verified\": {}, \"shard_evictions\": {}}},",
         cm.shards_total,
         cm.shards_visited,
         cm.shards_pruned,
         cm.shards_pruned_before_attach,
         cm.shards_skipped_budget,
         cm.shards_attached,
+        cm.shards_verified,
         cm.shard_evictions
     )?;
     writeln!(

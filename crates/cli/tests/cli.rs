@@ -20,11 +20,18 @@ fn run_err(argv: &[&str]) -> String {
         .to_string()
 }
 
-/// A scratch directory unique to this test binary run.
+/// A path in this test binary's scratch directory, under cargo's
+/// per-package temporary directory (inside the target directory, not
+/// the system's). The directory is emptied once per run.
 fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("whirlpool-cli-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
+    static DIR: OnceLock<PathBuf> = OnceLock::new();
+    DIR.get_or_init(|| {
+        let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli-tests");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    })
+    .join(name)
 }
 
 /// Writes `contents` to the scratch file `name` and returns its path.
@@ -701,4 +708,30 @@ fn collection_attaches_snapshot_shards() {
     assert!(out.contains("collection: 2 shards"), "{out}");
     assert!(out.contains("shard poor"), "{out}");
     assert!(out.contains("shard rich"), "{out}");
+}
+
+#[test]
+fn query_collection_reports_full_verifications() {
+    let dir = scratch("verified-dir");
+    std::fs::create_dir_all(&dir).unwrap();
+    for name in ["a.wps", "b.wps"] {
+        run_ok(&[
+            "snapshot",
+            "build",
+            sample_file().to_str().unwrap(),
+            dir.join(name).to_str().unwrap(),
+        ]);
+    }
+    let argv = [
+        "query",
+        "--collection",
+        dir.to_str().unwrap(),
+        "//book[./title]",
+        "--max-resident",
+        "1",
+    ];
+    let out = run_ok(&argv);
+    assert!(out.contains("2 attached (2 verified in full)"), "{out}");
+    let json = run_ok(&[&argv[..], &["--json"]].concat());
+    assert!(json.contains("\"shards_verified\": "), "{json}");
 }

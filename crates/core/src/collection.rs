@@ -49,6 +49,21 @@
 //! ceilings computed from someone else's synopses.
 //! [`evaluate_collection`] accounts the refusal like any failed attach:
 //! the shard is left unevaluated and certified by its ceiling.
+//!
+//! A lazy shard also keeps the record of the last full verification of
+//! its file ([`Verification`]): the file's identity (device, inode,
+//! size, `mtime`, `ctime`), the checksum, and when verifying started.
+//! A re-attach `fstat`s the opened file, and if a trusted record
+//! vouches for that identity, it maps the file and runs only the
+//! checks the mapped views' memory safety needs, skipping the
+//! whole-file checksum, the node walk and the synopsis check. A file
+//! is verified in full on its first visit, after any change to its
+//! identity (a rename over it, a write in place), and on every visit
+//! while its `ctime` is within [`TRUST_MARGIN`](whirlpool_store::TRUST_MARGIN)
+//! of the verification (git's racy-clean rule). So an unchanged file is
+//! hashed once, however often it is evicted and re-attached;
+//! [`Collection::verify_count`] and [`CollectionMetrics::shards_verified`]
+//! count the full verifications.
 
 use crate::context::{ContextOptions, QueryContext, RelaxMode};
 use crate::engine::{evaluate_with_context, Algorithm, EvalOptions};
@@ -64,7 +79,7 @@ use std::time::{Duration, Instant};
 use whirlpool_index::{DocView, PathAxis, PathSynopsis, ShardSynopsis, TagIndex, TagIndexView};
 use whirlpool_pattern::{Axis, QNodeId, TreePattern, WILDCARD};
 use whirlpool_score::{CorpusStats, Normalization, Score, TfIdfModel};
-use whirlpool_store::{Snapshot, StoreError};
+use whirlpool_store::{Snapshot, SnapshotFile, StoreError, Verification};
 use whirlpool_xml::{parse_document, write_node, Document, NodeId, ParseError, WriteOptions};
 
 /// A lazy shard: a snapshot file known only by its path and peeked
@@ -78,6 +93,11 @@ struct LazyShard {
     /// The attached snapshot, when resident. `Arc` so an in-progress
     /// evaluation pins the mapping across a concurrent eviction.
     resident: Mutex<Option<Arc<Snapshot>>>,
+    /// The last full verification of a file this shard accepted. A
+    /// re-attach of a file it vouches for skips the checksum, the node
+    /// walk and the synopsis check ([`SnapshotFile::attach`]). Locked
+    /// only while `resident` is held.
+    verified: Mutex<Option<Verification>>,
     /// Whether this shard entered the collection through a peek
     /// ([`Collection::attach_snapshot_file`]) rather than with its
     /// payload in hand ([`Collection::add_snapshot`]). Immutable after
@@ -138,6 +158,7 @@ impl Shard {
             backing: ShardBacking::Lazy(LazyShard {
                 path: path.as_ref().to_path_buf(),
                 checksum: snapshot.checksum(),
+                verified: Mutex::new(snapshot.verification()),
                 resident: Mutex::new(Some(Arc::new(snapshot))),
                 peeked: false,
             }),
@@ -155,6 +176,7 @@ impl Shard {
                 path: path.as_ref().to_path_buf(),
                 checksum: peek.checksum,
                 resident: Mutex::new(None),
+                verified: Mutex::new(None),
                 peeked: true,
             }),
             synopsis: peek.synopsis,
@@ -251,8 +273,9 @@ impl ShardAccess<'_> {
 }
 
 /// Residency bookkeeping for lazy shards: an MRU list (least recent
-/// first) plus cumulative attach/eviction counters. Counters are
-/// collection-lifetime, not per-run; the driver reports per-run deltas.
+/// first) plus cumulative attach/verification/eviction counters.
+/// Counters are collection-lifetime, not per-run; the driver reports
+/// per-run deltas.
 #[derive(Default)]
 struct Residency {
     /// Target cap on resident lazy shards; `0` = unlimited.
@@ -260,6 +283,7 @@ struct Residency {
     /// Resident lazy shard indices, least recently used first.
     mru: Mutex<Vec<usize>>,
     attached: AtomicU64,
+    verified: AtomicU64,
     evictions: AtomicU64,
 }
 
@@ -278,11 +302,13 @@ impl Collection {
 
     /// Adds an already-built shard. A lazy shard that arrives with its
     /// snapshot attached ([`Shard::attached`]) enters the residency
-    /// list as most recently used and counts as one attach.
+    /// list as most recently used and counts as one attach and one
+    /// full verification.
     pub fn push(&mut self, shard: Shard) {
         if shard.is_lazy() && shard.is_resident() {
             self.residency.mru.lock().push(self.shards.len());
             self.residency.attached.fetch_add(1, Ordering::Relaxed);
+            self.residency.verified.fetch_add(1, Ordering::Relaxed);
         }
         self.shards.push(shard);
     }
@@ -364,6 +390,14 @@ impl Collection {
         self.residency.attached.load(Ordering::Relaxed)
     }
 
+    /// Cumulative full verifications of lazy-shard files over this
+    /// collection's lifetime: attaches that checksummed and walked the
+    /// file instead of trusting an earlier verification of the same
+    /// file identity, failed ones included.
+    pub fn verify_count(&self) -> u64 {
+        self.residency.verified.load(Ordering::Relaxed)
+    }
+
     /// Cumulative lazy-shard evictions over this collection's lifetime.
     pub fn eviction_count(&self) -> u64 {
         self.residency.evictions.load(Ordering::Relaxed)
@@ -377,7 +411,9 @@ impl Collection {
     /// from: a file replaced since (another document saved over it)
     /// fails with [`StoreError::Stale`] and stays detached, so no
     /// caller evaluates a payload against a ceiling that was not
-    /// computed from it.
+    /// computed from it. A file whose identity the shard's last full
+    /// verification vouches for is the file verified, so its re-attach
+    /// skips the expensive checks; any other file is verified in full.
     pub fn acquire(&self, idx: usize) -> Result<ShardAccess<'_>, StoreError> {
         let shard = &self.shards[idx];
         let lazy = match &shard.backing {
@@ -394,12 +430,21 @@ impl Collection {
             match &*slot {
                 Some(a) => a.clone(),
                 None => {
-                    let snapshot = Snapshot::attach(&lazy.path)?;
+                    let file = SnapshotFile::open(&lazy.path)?;
+                    let mut verified = lazy.verified.lock();
+                    let trusted = verified.filter(|r| r.vouches_for(&file));
+                    if trusted.is_none() {
+                        self.residency.verified.fetch_add(1, Ordering::Relaxed);
+                    }
+                    let snapshot = file.attach(trusted.as_ref())?;
                     if snapshot.checksum() != lazy.checksum {
                         return Err(StoreError::Stale {
                             expected: lazy.checksum,
                             found: snapshot.checksum(),
                         });
+                    }
+                    if let Some(record) = snapshot.verification() {
+                        *verified = Some(record);
                     }
                     let a = Arc::new(snapshot);
                     *slot = Some(a.clone());
@@ -893,6 +938,10 @@ pub struct CollectionMetrics {
     pub shards_skipped_budget: usize,
     /// Lazy-shard attaches performed during this run.
     pub shards_attached: u64,
+    /// Full verifications among this run's attaches, failed ones
+    /// included: the rest trusted an earlier verification of the same
+    /// file identity ([`Collection::verify_count`]).
+    pub shards_verified: u64,
     /// Lazy-shard evictions performed during this run.
     pub shard_evictions: u64,
 }
@@ -1019,6 +1068,7 @@ pub fn evaluate_collection(
     let truncated = Mutex::new(TruncationFold::default());
     let metrics = Mutex::new(MetricsSnapshot::default());
     let attached_before = collection.attach_count();
+    let verified_before = collection.verify_count();
     let evictions_before = collection.eviction_count();
 
     let workers = copts.threads.max(1).min(collection.len().max(1));
@@ -1135,6 +1185,7 @@ pub fn evaluate_collection(
             shards_pruned_before_attach: pruned_cold.into_inner(),
             shards_skipped_budget: budget_skipped.into_inner(),
             shards_attached: collection.attach_count() - attached_before,
+            shards_verified: collection.verify_count() - verified_before,
             shard_evictions: collection.eviction_count() - evictions_before,
         },
         metrics: metrics.into_inner(),
@@ -1764,6 +1815,171 @@ mod tests {
             &control.answers,
             1e-9
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Sleeps until a file that last changed before this call is older
+    /// than the trust margin that applies to it.
+    #[cfg(unix)]
+    fn sleep_past_the_margin(path: &Path) {
+        use std::os::unix::fs::MetadataExt;
+        let whole_seconds = std::fs::metadata(path).unwrap().ctime_nsec() == 0;
+        let margin = if whole_seconds {
+            whirlpool_store::WHOLE_SECOND_TRUST_MARGIN
+        } else {
+            whirlpool_store::TRUST_MARGIN
+        };
+        std::thread::sleep(margin + Duration::from_millis(20));
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn an_unchanged_file_is_verified_once_and_a_racy_rewrite_on_every_visit() {
+        let dir = snapshot_dir("verify-once", &[("s0", RICH), ("s1", MID)]);
+        let s0 = dir.join("s0.wps");
+        sleep_past_the_margin(&s0);
+        let c = Collection::open_dir(&dir).unwrap();
+        c.set_max_resident(1);
+        // Under a cap of one, each visit evicts the other shard, so
+        // every visit attaches.
+        let cycles = |n: usize| {
+            for _ in 0..n {
+                drop(c.acquire(0).unwrap());
+                drop(c.acquire(1).unwrap());
+            }
+        };
+        cycles(4);
+        assert_eq!((c.attach_count(), c.eviction_count()), (8, 7));
+        assert_eq!(c.verify_count(), 2, "each unchanged file is verified once");
+
+        // s0 saved again: a new identity (a rename), the same bytes. Its
+        // record is made inside the margin, so it is not trusted and
+        // every visit verifies again...
+        let doc = parse_document(RICH).unwrap();
+        let index = TagIndex::build(&doc);
+        let rewritten = Instant::now();
+        whirlpool_store::save_snapshot(&doc, &index, &s0).unwrap();
+        cycles(3);
+        let racy = c.verify_count() - 2;
+        // Half the margin leaves room for the file clock's coarse ticks.
+        if rewritten.elapsed() < whirlpool_store::TRUST_MARGIN / 2 {
+            assert_eq!(
+                racy, 3,
+                "a file inside the margin is verified on every visit"
+            );
+        } else {
+            assert!((1..=3).contains(&racy), "{racy}");
+        }
+
+        // ...until the margin has passed: one more verification, then
+        // trust.
+        sleep_past_the_margin(&s0);
+        let before = c.verify_count();
+        cycles(3);
+        assert_eq!(c.verify_count() - before, 1);
+        assert_eq!(c.attach_count(), 20);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Two shards, s0 and s1, whose files are older than the trust
+    /// margin, after one exact run that recorded a trusted
+    /// verification of each, with s0 evicted.
+    #[cfg(unix)]
+    fn trusted_pair(tag: &str) -> (PathBuf, Collection) {
+        let dir = snapshot_dir(tag, &[("s0", RICH), ("s1", MID)]);
+        sleep_past_the_margin(&dir.join("s0.wps"));
+        let c = Collection::open_dir(&dir).unwrap();
+        c.set_max_resident(1);
+        let first = lazy_run(&c);
+        assert!(matches!(first.completeness, Completeness::Exact));
+        drop(c.acquire(1).unwrap());
+        assert!(!c.shards()[0].is_resident());
+        // Both records are trusted: a re-attach verifies nothing.
+        let before = c.verify_count();
+        drop(c.acquire(0).unwrap());
+        drop(c.acquire(1).unwrap());
+        assert_eq!(c.verify_count(), before);
+        (dir, c)
+    }
+
+    fn lazy_run(c: &Collection) -> CollectionResult {
+        evaluate_collection(
+            c,
+            &q(),
+            &Algorithm::WhirlpoolS,
+            &EvalOptions::top_k(3),
+            Normalization::Sparse,
+            &CollectionOptions::default(),
+        )
+    }
+
+    /// Asserts that `run` left s0 unevaluated and certified the reply
+    /// by s0's ceiling.
+    fn assert_certified_without_s0(c: &Collection, run: &CollectionResult) {
+        let m = &run.collection_metrics;
+        assert_eq!((m.shards_visited, m.shards_skipped_budget), (1, 1), "{m:?}");
+        assert!(m.shards_verified >= 1, "{m:?}");
+        assert!(
+            run.answers.iter().all(|a| a.shard == 1),
+            "{:?}",
+            run.answers
+        );
+        let model = c.corpus_stats(&q()).model(Normalization::Sparse);
+        let s0_ceiling = c
+            .shard_ceiling(0, &q(), &model, RelaxMode::Relaxed)
+            .unwrap();
+        match run.completeness {
+            Completeness::Truncated { score_bound, .. } => {
+                assert!(score_bound >= s0_ceiling.value(), "{score_bound}");
+            }
+            Completeness::Exact => panic!("a changed file must not be answered as exact"),
+        }
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn a_same_size_forgery_written_in_place_is_refused_and_certified() {
+        use std::io::Write;
+        let (dir, c) = trusted_pair("forged-in-place");
+        let s0 = dir.join("s0.wps");
+        // Another valid snapshot of exactly the same size, written over
+        // s0's bytes in place: same path, same inode, no rename.
+        let doc = parse_document(&RICH.replace("dune", "dusk")).unwrap();
+        let forged = whirlpool_store::build_snapshot_bytes(&doc, &TagIndex::build(&doc));
+        let original = std::fs::read(&s0).unwrap();
+        assert_eq!(forged.len(), original.len());
+        assert_ne!(forged, original);
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&s0)
+            .unwrap()
+            .write_all(&forged)
+            .unwrap();
+
+        let run = lazy_run(&c);
+        assert_certified_without_s0(&c, &run);
+        assert!(matches!(c.acquire(0), Err(StoreError::Stale { .. })));
+        assert!(!c.shards()[0].is_resident());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn a_bit_flipped_in_place_fails_attach_and_is_never_evaluated() {
+        use std::io::{Seek, SeekFrom, Write};
+        let (dir, c) = trusted_pair("flipped-in-place");
+        let s0 = dir.join("s0.wps");
+        let bytes = std::fs::read(&s0).unwrap();
+        let at = bytes.len() / 2;
+        let mut file = std::fs::OpenOptions::new().write(true).open(&s0).unwrap();
+        file.seek(SeekFrom::Start(at as u64)).unwrap();
+        file.write_all(&[bytes[at] ^ 0x10]).unwrap();
+        drop(file);
+
+        let run = lazy_run(&c);
+        assert_certified_without_s0(&c, &run);
+        assert!(matches!(c.acquire(0), Err(StoreError::Corrupt(_))));
+        assert!(!c.shards()[0].is_resident());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

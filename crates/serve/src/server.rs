@@ -416,11 +416,12 @@ fn route(daemon: &Daemon, conn: &mut TcpStream, request: &Request) -> Result<(),
             // Splice in the residency counters and the ladder's recent
             // decisions (same string surgery as the docs field).
             let body = format!(
-                "{}, \"shards\": {{\"attached\": {}, \"peeked\": {peeked}, \
-                 \"pruned_before_attach\": {}, \"evictions\": {}, \"resident\": {}}}, \
-                 \"history\": {}}}\n",
+                "{}, \"shards\": {{\"attached\": {}, \"verified\": {}, \
+                 \"peeked\": {peeked}, \"pruned_before_attach\": {}, \"evictions\": {}, \
+                 \"resident\": {}}}, \"history\": {}}}\n",
                 &base[..base.len() - 1],
                 collection.attach_count(),
+                collection.verify_count(),
                 daemon.pruned_before_attach.load(Ordering::Relaxed),
                 collection.eviction_count(),
                 collection.resident_count(),
@@ -1489,7 +1490,11 @@ mod tests {
         let m = Json::parse(&body).unwrap();
         let shards = m.get("shards").expect("shards counters");
         assert_eq!(shards.get("peeked").and_then(Json::as_u64), Some(3));
-        assert!(shards.get("attached").and_then(Json::as_u64).unwrap() >= 1);
+        let attached = shards.get("attached").and_then(Json::as_u64).unwrap();
+        assert!(attached >= 1);
+        // Full verifications are a subset of the attaches.
+        let verified = shards.get("verified").and_then(Json::as_u64).unwrap();
+        assert!((1..=attached).contains(&verified), "{body}");
         assert!(
             shards
                 .get("pruned_before_attach")

@@ -21,6 +21,14 @@
 //! keeps peeked synopses (a lazy collection shard) compares the two and
 //! refuses a file replaced in between with [`StoreError::Stale`].
 //!
+//! A full attach also leaves a [`Verification`]: the file's identity
+//! (device, inode, size, `mtime`, `ctime`), the checksum and when
+//! verifying started. [`SnapshotFile::attach`] given a record that
+//! vouches for the opened file — same identity, and the file's `ctime`
+//! older than the verification by more than [`TRUST_MARGIN`] — skips
+//! the whole-file checksum, the node walk and the synopsis check, and
+//! keeps every check the mapped views' memory safety needs.
+//!
 //! ```
 //! use whirlpool_store::{build_snapshot_bytes, Snapshot};
 //! let doc = whirlpool_xml::parse_document("<a><b>t</b></a>").unwrap();
@@ -46,7 +54,8 @@ mod snapshot;
 
 pub use snapshot::{
     build_snapshot_bytes, build_snapshot_bytes_with, save_snapshot, save_snapshot_with,
-    write_snapshot, Snapshot, SnapshotOptions, SnapshotPeek, SNAPSHOT_VERSION,
+    write_snapshot, Snapshot, SnapshotFile, SnapshotOptions, SnapshotPeek, Verification,
+    SNAPSHOT_VERSION, TRUST_MARGIN, WHOLE_SECOND_TRUST_MARGIN,
 };
 
 pub(crate) const MAGIC: &[u8; 4] = b"WPLX";

@@ -202,5 +202,6 @@ mod tests {
         }
         let from_slice = OwnedBytes::from_slice(&payload);
         assert_eq!(from_slice.bytes(), &payload[..]);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -81,6 +81,13 @@
 //! boundaries). A file that passes cannot make the views panic or read
 //! out of bounds; a file that fails yields [`StoreError`], never UB.
 //!
+//! A re-attach of a file an earlier full attach verified may trust that
+//! verification ([`SnapshotFile::attach`], [`Verification`]) when the
+//! open file's identity proves it unchanged: it then skips the
+//! whole-file checksum, the node walk and the synopsis check, and keeps
+//! the header, section table, UTF-8, offset and attribute checks that
+//! the views' memory safety rests on.
+//!
 //! # Writing
 //!
 //! [`write_snapshot`] streams a file in one pass: the header's section
@@ -106,6 +113,7 @@ use std::fs::OpenOptions;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 use whirlpool_index::{
     ColumnsView, PathEntry, PathSynopsis, ShardSynopsis, TagIndex, TagIndexView, MAX_PATH_STEPS,
 };
@@ -815,6 +823,7 @@ pub struct Snapshot {
     backing: Backing,
     layout: Layout,
     checksum: u64,
+    verification: Option<Verification>,
 }
 
 impl Snapshot {
@@ -822,30 +831,22 @@ impl Snapshot {
     /// read where it does not (off Unix, or when mapping fails). Both
     /// are served from the same page cache, so validation checks the
     /// same bytes either way. Validates the checksum and every
-    /// structural invariant before returning.
+    /// structural invariant before returning, and records the
+    /// verification ([`verification`](Snapshot::verification)).
     pub fn attach(path: impl AsRef<Path>) -> Result<Snapshot, StoreError> {
-        let mut file = std::fs::File::open(path)?;
-        let len = usize::try_from(file.metadata()?.len())
-            .map_err(|_| corrupt("file too large for this platform"))?;
-        let backing = match Mapping::map(&file, len) {
-            Ok(m) => Backing::Mapped(m),
-            Err(_) => Backing::Owned(OwnedBytes::read_from(&mut file, len)?),
-        };
-        Snapshot::from_backing(backing)
+        SnapshotFile::open(path)?.attach(None)
     }
 
     /// Builds a snapshot from in-memory bytes (copied into aligned
     /// storage) — the in-memory and test entry point.
     pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, StoreError> {
-        Snapshot::from_backing(Backing::Owned(OwnedBytes::from_slice(bytes)))
-    }
-
-    fn from_backing(backing: Backing) -> Result<Snapshot, StoreError> {
+        let backing = Backing::Owned(OwnedBytes::from_slice(bytes));
         let (layout, checksum) = validate(backing.bytes())?;
         Ok(Snapshot {
             backing,
             layout,
             checksum,
+            verification: None,
         })
     }
 
@@ -871,7 +872,9 @@ impl Snapshot {
     fn str_of(&self, i: usize) -> &str {
         let bytes = self.section(i);
         debug_assert!(std::str::from_utf8(bytes).is_ok());
-        // SAFETY: validate() checked these exact bytes as UTF-8, and the
+        // SAFETY: validate() checked these exact bytes as UTF-8 on this
+        // attach — a trusted attach skips the checksum, the node walk
+        // and the synopsis check, never the UTF-8 check — and the
         // backing is immutable for the snapshot's life: an owned copy
         // never changes, and a mapped file is never modified in place
         // (writers replace it by rename; DESIGN §13).
@@ -921,14 +924,26 @@ impl Snapshot {
     /// parses anew: a collection visit never needs them, since a lazy
     /// shard keeps the ones [`peek`](Snapshot::peek) read.
     pub fn synopses(&self) -> (ShardSynopsis, PathSynopsis) {
-        parse_path_section(self.section(SEC_PATH_SYNOPSIS))
-            .expect("attach verified the synopsis section, and the backing is immutable")
+        parse_path_section(self.section(SEC_PATH_SYNOPSIS)).expect(
+            "a full verification of this file checked the synopsis section, \
+             and the backing is immutable",
+        )
     }
 
     /// The whole-file checksum attach verified: the file's trailer,
-    /// equal to the checksum of every byte before it.
+    /// equal to the checksum of every byte before it (on a trusted
+    /// attach, equal to the checksum its record verified).
     pub fn checksum(&self) -> u64 {
         self.checksum
+    }
+
+    /// The record of the full verification this attach ran on a file,
+    /// for a later attach of the same file to trust
+    /// ([`SnapshotFile::attach`]). `None` for a trusted attach, for
+    /// [`from_bytes`](Snapshot::from_bytes), and off Unix, where a
+    /// file has no identity to record.
+    pub fn verification(&self) -> Option<Verification> {
+        self.verification
     }
 
     /// Total nodes, synthetic root included.
@@ -997,6 +1012,174 @@ pub struct SnapshotPeek {
     /// it and reports it as [`Snapshot::checksum`]; a caller that
     /// compares the two knows the payload is the file it peeked.
     pub checksum: u64,
+}
+
+// -----------------------------------------------------------------------
+// Verify once per file identity
+// -----------------------------------------------------------------------
+
+/// How long before a full verification a file must last have changed
+/// (its `ctime`) for the verification's record to be trusted. File
+/// times come from a coarse clock (4 ms steps on Linux at 250 Hz), so a
+/// write in the same tick as the file's last change can leave its
+/// identity as it was: git's "racy clean" problem
+/// (<https://git-scm.com/docs/racy-git>). A change after a verification
+/// that started more than a few ticks after the file's `ctime` moves
+/// the `ctime`.
+pub const TRUST_MARGIN: Duration = Duration::from_millis(100);
+
+/// [`TRUST_MARGIN`] on a file system that keeps whole seconds: a
+/// `ctime` whose sub-second part is zero is taken to be one.
+pub const WHOLE_SECOND_TRUST_MARGIN: Duration = Duration::from_secs(2);
+
+/// A file's identity as `fstat` reports it: device, inode, size, and
+/// modification and status-change times to the nanosecond. Every writer
+/// in this repository renames a fresh file over its target, which
+/// changes the inode; a write in place changes `ctime` or the size,
+/// and unprivileged code cannot set `ctime` back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FileIdentity {
+    dev: u64,
+    ino: u64,
+    size: u64,
+    mtime: (i64, i64),
+    ctime: (i64, i64),
+}
+
+impl FileIdentity {
+    #[cfg(unix)]
+    fn of(meta: &std::fs::Metadata) -> Option<FileIdentity> {
+        use std::os::unix::fs::MetadataExt;
+        Some(FileIdentity {
+            dev: meta.dev(),
+            ino: meta.ino(),
+            size: meta.size(),
+            mtime: (meta.mtime(), meta.mtime_nsec()),
+            ctime: (meta.ctime(), meta.ctime_nsec()),
+        })
+    }
+
+    /// Off Unix a file has no identity here, so every attach verifies
+    /// in full.
+    #[cfg(not(unix))]
+    fn of(_meta: &std::fs::Metadata) -> Option<FileIdentity> {
+        None
+    }
+}
+
+/// The record of one full verification of a snapshot file: the
+/// identity the opened file had, the checksum verified, and when the
+/// verification started. A later attach of a file with the same
+/// identity may trust it ([`SnapshotFile::attach`]) once the file's
+/// `ctime` is older than the verification's start by more than
+/// [`TRUST_MARGIN`] ([`vouches_for`](Verification::vouches_for)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Verification {
+    identity: FileIdentity,
+    checksum: u64,
+    started: SystemTime,
+}
+
+impl Verification {
+    /// The whole-file checksum this verification computed.
+    fn checksum(&self) -> u64 {
+        self.checksum
+    }
+
+    /// Whether the record may vouch for its file at all: the file's
+    /// `ctime` is older than the start of the verification by more
+    /// than [`TRUST_MARGIN`] ([`WHOLE_SECOND_TRUST_MARGIN`] when the
+    /// `ctime` has no sub-second part). A record made inside the margin
+    /// is not trusted; the next attach verifies the file again and
+    /// records it again.
+    fn is_trusted(&self) -> bool {
+        let Ok(started) = self.started.duration_since(UNIX_EPOCH) else {
+            return false;
+        };
+        let (secs, nanos) = self.identity.ctime;
+        let ctime = i128::from(secs) * 1_000_000_000 + i128::from(nanos);
+        started.as_nanos() as i128 - ctime > self.margin().as_nanos() as i128
+    }
+
+    /// The margin that applies to the recorded `ctime`.
+    fn margin(&self) -> Duration {
+        if self.identity.ctime.1 == 0 {
+            WHOLE_SECOND_TRUST_MARGIN
+        } else {
+            TRUST_MARGIN
+        }
+    }
+
+    /// Whether this record vouches for `file`: it is trusted, and the
+    /// opened file has the identity the verified one had.
+    pub fn vouches_for(&self, file: &SnapshotFile) -> bool {
+        self.is_trusted() && file.identity == Some(self.identity)
+    }
+}
+
+/// A snapshot file opened for attaching: the open file and the
+/// identity its `fstat` reported. [`Snapshot::attach`] is
+/// `SnapshotFile::open(path)?.attach(None)`; a caller that keeps the
+/// [`Verification`] of an earlier attach passes it back to skip the
+/// expensive checks on a file it vouches for.
+pub struct SnapshotFile {
+    file: std::fs::File,
+    len: usize,
+    identity: Option<FileIdentity>,
+    opened: SystemTime,
+}
+
+impl SnapshotFile {
+    /// Opens the file at `path` and `fstat`s the open file.
+    pub fn open(path: impl AsRef<Path>) -> Result<SnapshotFile, StoreError> {
+        let file = std::fs::File::open(path)?;
+        // Read before the fstat, so a change the verification could
+        // miss happened after this instant and moved the `ctime`.
+        let opened = SystemTime::now();
+        let meta = file.metadata()?;
+        let len =
+            usize::try_from(meta.len()).map_err(|_| corrupt("file too large for this platform"))?;
+        Ok(SnapshotFile {
+            file,
+            len,
+            identity: FileIdentity::of(&meta),
+            opened,
+        })
+    }
+
+    /// Maps the file (or reads it where mapping fails) and validates
+    /// it. If `record` [vouches for](Verification::vouches_for) the
+    /// file, the validation trusts it: the file's trailer must equal
+    /// the recorded checksum, and the whole-file checksum, the node
+    /// walk and the synopsis check are skipped. Every check the mapped
+    /// accessors' memory safety needs still runs: header, section
+    /// table and shapes, UTF-8 of the three blobs, offsets and
+    /// attribute spans. Otherwise the file is verified in full and the
+    /// snapshot carries the new record ([`Snapshot::verification`]).
+    pub fn attach(mut self, record: Option<&Verification>) -> Result<Snapshot, StoreError> {
+        let trusted = record
+            .filter(|r| r.vouches_for(&self))
+            .map(Verification::checksum);
+        let backing = match Mapping::map(&self.file, self.len) {
+            Ok(m) => Backing::Mapped(m),
+            Err(_) => Backing::Owned(OwnedBytes::read_from(&mut self.file, self.len)?),
+        };
+        let (layout, checksum) = validate_trusting(backing.bytes(), trusted)?;
+        let verification = match trusted {
+            Some(_) => None,
+            None => self.identity.map(|identity| Verification {
+                identity,
+                checksum,
+                started: self.opened,
+            }),
+        };
+        Ok(Snapshot {
+            backing,
+            layout,
+            checksum,
+            verification,
+        })
+    }
 }
 
 // -----------------------------------------------------------------------
@@ -1111,11 +1294,23 @@ fn utf8<'a>(bytes: &'a [u8], what: &str) -> Result<&'a str, StoreError> {
     std::str::from_utf8(bytes).map_err(|_| corrupt(format!("{what} is not valid UTF-8")))
 }
 
-/// Full attach-time validation. Returns the section layout and the
-/// verified whole-file checksum only if the file is byte-exact
-/// (checksum) *and* structurally sound, so the mapped accessors can
-/// index without bounds surprises.
+/// Full attach-time validation: [`validate_trusting`] trusting nothing.
 fn validate(bytes: &[u8]) -> Result<(Layout, u64), StoreError> {
+    validate_trusting(bytes, None)
+}
+
+/// Attach-time validation. Returns the section layout and the verified
+/// whole-file checksum only if the file is byte-exact (checksum) *and*
+/// structurally sound, so the mapped accessors can index without
+/// bounds surprises.
+///
+/// `trusted` is the checksum of an earlier full verification of this
+/// very file, proven unchanged by its identity ([`Verification`]).
+/// With it, the same checks run in the same order except three blocks:
+/// the trailer is compared with `trusted` instead of a recomputed
+/// checksum, and the node walk and the synopsis check are skipped.
+/// What remains is what the mapped accessors' memory safety rests on.
+fn validate_trusting(bytes: &[u8], trusted: Option<u64>) -> Result<(Layout, u64), StoreError> {
     if bytes.len() < 32 {
         return Err(corrupt(format!(
             "file too short for a snapshot header ({} bytes)",
@@ -1128,10 +1323,10 @@ fn validate(bytes: &[u8]) -> Result<(Layout, u64), StoreError> {
     // Checksum before structural checks: a bit flip anywhere (header
     // included) fails here.
     let stored = read_u64_at(bytes, total_len - 8);
-    let computed = checksum(&bytes[..total_len - 8]);
-    if stored != computed {
+    let expected = trusted.unwrap_or_else(|| checksum(&bytes[..total_len - 8]));
+    if stored != expected {
         return Err(corrupt(format!(
-            "checksum mismatch: stored {stored:#x}, computed {computed:#x}"
+            "checksum mismatch: stored {stored:#x}, expected {expected:#x}"
         )));
     }
     let sections = section_table(bytes, total_len)?;
@@ -1198,7 +1393,10 @@ fn validate(bytes: &[u8]) -> Result<(Layout, u64), StoreError> {
     // its tag's span, and the spans (offsets 0 → n−1) hold n−1 ids: so
     // every posting is read once, in node order. The walk accepts
     // exactly the files whose per-tag lists are strictly ascending ids
-    // in [1, n) that agree with `tag_of`.
+    // in [1, n) that agree with `tag_of`. A trusted attach skips it:
+    // the walk vouches for content, not for memory safety (the views
+    // index these arrays with bounds checks), and the content is the
+    // one a full verification walked.
     let parent = u32s(SEC_PARENT);
     let depth = {
         let b = sec(SEC_DEPTH);
@@ -1213,34 +1411,36 @@ fn validate(bytes: &[u8]) -> Result<(Layout, u64), StoreError> {
     if parent[0] != NO_PARENT || depth[0] != 0 || subtree_end[0] as usize != n || !root_tag_ok {
         return Err(corrupt("root row must be (no parent, depth 0, extent n)"));
     }
-    let mut cursor = post_offsets[..tag_count].to_vec();
-    for i in 1..n {
-        let p = parent[i] as usize;
-        if p >= i {
-            return Err(corrupt(format!("node {i}: parent {p} does not precede it")));
+    if trusted.is_none() {
+        let mut cursor = post_offsets[..tag_count].to_vec();
+        for i in 1..n {
+            let p = parent[i] as usize;
+            if p >= i {
+                return Err(corrupt(format!("node {i}: parent {p} does not precede it")));
+            }
+            if depth[i] != depth[p].wrapping_add(1) {
+                return Err(corrupt(format!(
+                    "node {i}: depth does not chain from parent"
+                )));
+            }
+            let end = subtree_end[i] as usize;
+            if end <= i || end > subtree_end[p] as usize {
+                return Err(corrupt(format!(
+                    "node {i}: subtree extent {end} not nested"
+                )));
+            }
+            let t = tag_of[i] as usize;
+            if t >= tag_count {
+                return Err(corrupt("tag-of column references a tag out of range"));
+            }
+            let c = cursor[t] as usize;
+            if c >= post_offsets[t + 1] as usize || post_ids[c] as usize != i {
+                return Err(corrupt(format!(
+                    "node {i}: postings for tag {t} disagree with tag-of"
+                )));
+            }
+            cursor[t] += 1;
         }
-        if depth[i] != depth[p].wrapping_add(1) {
-            return Err(corrupt(format!(
-                "node {i}: depth does not chain from parent"
-            )));
-        }
-        let end = subtree_end[i] as usize;
-        if end <= i || end > subtree_end[p] as usize {
-            return Err(corrupt(format!(
-                "node {i}: subtree extent {end} not nested"
-            )));
-        }
-        let t = tag_of[i] as usize;
-        if t >= tag_count {
-            return Err(corrupt("tag-of column references a tag out of range"));
-        }
-        let c = cursor[t] as usize;
-        if c >= post_offsets[t + 1] as usize || post_ids[c] as usize != i {
-            return Err(corrupt(format!(
-                "node {i}: postings for tag {t} disagree with tag-of"
-            )));
-        }
-        cursor[t] += 1;
     }
 
     // Attribute entries: names in range, contiguous value spans.
@@ -1271,15 +1471,17 @@ fn validate(bytes: &[u8]) -> Result<(Layout, u64), StoreError> {
     // format's checks, and list exactly the tags with postings, in
     // tag-id order, each with its posting count — a ceiling or idf
     // computed from the section can then never contradict the payload
-    // it summarizes.
-    let (off, len) = sections[SEC_PATH_SYNOPSIS];
-    PayloadCheck {
-        tag_offsets: u32s(SEC_TAG_OFFSETS),
-        tag_blob,
-        post_offsets,
-        next: 0,
+    // it summarizes. Skipped by a trusted attach, as the walk is.
+    if trusted.is_none() {
+        let (off, len) = sections[SEC_PATH_SYNOPSIS];
+        PayloadCheck {
+            tag_offsets: u32s(SEC_TAG_OFFSETS),
+            tag_blob,
+            post_offsets,
+            next: 0,
+        }
+        .check(&bytes[off..off + len], (n - 1) as u64)?;
     }
-    .check(&bytes[off..off + len], (n - 1) as u64)?;
 
     let layout = Layout {
         n,
@@ -1526,6 +1728,65 @@ mod tests {
         );
         #[cfg(unix)]
         assert!(mapped.is_mapped());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn a_record_vouches_only_for_its_unchanged_file_outside_the_margin() {
+        let dir = std::env::temp_dir().join(format!("wpl-trust-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("doc.wps");
+        let (doc, index, _) = snapshot_of("<r><t>x</t><t>é</t></r>");
+        save_snapshot(&doc, &index, &path).unwrap();
+
+        // Verified at once: the file changed inside the margin.
+        let fresh = Snapshot::attach(&path).unwrap().verification().unwrap();
+        assert!(!fresh.is_trusted());
+        assert!(!fresh.vouches_for(&SnapshotFile::open(&path).unwrap()));
+        std::thread::sleep(fresh.margin() + Duration::from_millis(20));
+        let record = Snapshot::attach(&path).unwrap().verification().unwrap();
+        assert!(record.is_trusted());
+        assert_eq!(record.checksum(), fresh.checksum());
+
+        // A trusted attach serves the same views and makes no record.
+        let file = SnapshotFile::open(&path).unwrap();
+        assert!(record.vouches_for(&file));
+        let trusted = file.attach(Some(&record)).unwrap();
+        assert!(trusted.verification().is_none());
+        assert_eq!(trusted.checksum(), record.checksum());
+        assert!(trusted.doc_view() == doc.view());
+
+        // The same bytes renamed over the path are another identity,
+        // verified in full.
+        save_snapshot(&doc, &index, &path).unwrap();
+        let file = SnapshotFile::open(&path).unwrap();
+        assert!(!record.vouches_for(&file));
+        assert!(file.attach(Some(&record)).unwrap().verification().is_some());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn trusted_validation_keeps_the_memory_safety_checks() {
+        let trailer = |bytes: &[u8]| read_u64_at(bytes, bytes.len() - 8);
+        let (_, _, clean) = snapshot_of("<r><a>é</a><b>xy</b></r>");
+        assert!(validate_trusting(&clean, Some(trailer(&clean))).is_ok());
+        // The trailer must be the checksum the record verified.
+        assert!(validate_trusting(&clean, Some(trailer(&clean) ^ 1)).is_err());
+        // Offsets and UTF-8 are checked on every attach.
+        let split = forge(&clean, |s| set_u32(&mut s[SEC_TEXT_OFFSETS], 3, 1));
+        assert!(validate_trusting(&split, Some(trailer(&split))).is_err());
+        let not_utf8 = forge(&clean, |s| s[SEC_TEXT_BLOB][0] = 0xff);
+        assert!(validate_trusting(&not_utf8, Some(trailer(&not_utf8))).is_err());
+        // The node walk is not: it vouches for content a full
+        // verification already walked.
+        let retagged = forge(&clean, |s| {
+            let (a, b) = (get_u32(&s[SEC_TAG_OF], 2), get_u32(&s[SEC_TAG_OF], 3));
+            set_u32(&mut s[SEC_TAG_OF], 2, b);
+            set_u32(&mut s[SEC_TAG_OF], 3, a);
+        });
+        assert_corrupt(&retagged, "postings disagree with tag-of");
+        assert!(validate_trusting(&retagged, Some(trailer(&retagged))).is_ok());
     }
 
     #[test]
