@@ -14,7 +14,7 @@ use whirlpool_index::{DocView, TagIndex, TagIndexView};
 use whirlpool_pattern::StaticPlan;
 use whirlpool_score::{Normalization, TfIdfModel};
 use whirlpool_store::Snapshot;
-use whirlpool_xml::{Document, WriteOptions};
+use whirlpool_xml::{Document, NodeId, TagId, WriteOptions};
 
 /// How the single-document path got its corpus: parsed + indexed in
 /// memory, or attached zero-copy from a snapshot.
@@ -336,19 +336,12 @@ pub fn run(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
             a.score.value(),
             a.root
         )?;
-        if let Some(id) = id_attr.and_then(|t| doc.attribute(a.root, t)) {
+        if let Some(id) = answer_id(doc, id_attr, a.root)? {
             write!(out, "  id={id}")?;
         }
         writeln!(out)?;
         if parsed.flag("xml") {
-            let xml = doc.write_node(
-                a.root,
-                &WriteOptions {
-                    indent: Some(2),
-                    declaration: false,
-                },
-            );
-            for line in xml.lines() {
+            for line in fragment(doc, a.root)?.lines() {
                 writeln!(out, "      {line}")?;
             }
         }
@@ -493,8 +486,8 @@ fn run_collection(
              no missing answer can score above {score_bound:.4})"
         )?,
     }
+    let texts = answer_texts(collection, &result, parsed.flag("xml"))?;
     writeln!(out, "answers:    {}", result.answers.len())?;
-    let texts = answer_texts(collection, &result, parsed.flag("xml"));
     for (rank, (a, (id, xml))) in result.answers.iter().zip(&texts).enumerate() {
         let shard = &collection.shards()[a.shard];
         write!(
@@ -537,22 +530,57 @@ fn answer_texts(
     collection: &Collection,
     result: &whirlpool_core::CollectionResult,
     xml: bool,
-) -> Vec<(Option<String>, String)> {
+) -> Result<Vec<(Option<String>, String)>, CliError> {
     let mut texts = vec![(None, String::new()); result.answers.len()];
+    let mut failed = None;
     collection.visit_answers(result, |rank, a, doc| {
-        let id = doc.tag_id("id").and_then(|t| doc.attribute(a.root, t));
-        texts[rank].0 = id.map(str::to_string);
-        if xml {
-            texts[rank].1 = doc.write_node(
-                a.root,
-                &WriteOptions {
-                    indent: Some(2),
-                    declaration: false,
-                },
-            );
+        let text = answer_id(doc, doc.tag_id("id"), a.root).and_then(|id| {
+            let xml = if xml {
+                fragment(doc, a.root)?
+            } else {
+                String::new()
+            };
+            Ok((id.map(str::to_string), xml))
+        });
+        match text {
+            Ok(text) => texts[rank] = text,
+            Err(e) => {
+                failed.get_or_insert(e);
+            }
         }
     });
-    texts
+    failed.map_or(Ok(texts), Err)
+}
+
+/// The answer's `id` attribute, if it has one. Stored bytes that are
+/// not UTF-8 are an error, not a lossy string.
+fn answer_id<'a>(
+    doc: DocView<'a>,
+    id_attr: Option<TagId>,
+    root: NodeId,
+) -> Result<Option<&'a str>, CliError> {
+    let bytes = id_attr.and_then(|t| doc.attribute_bytes(root, t));
+    bytes.map(std::str::from_utf8).transpose().map_err(|e| {
+        CliError::Parse(format!(
+            "node {}: the id attribute is not UTF-8 ({e})",
+            root.index()
+        ))
+    })
+}
+
+/// The answer's subtree as indented XML; an error if its stored text or
+/// attribute bytes are not UTF-8.
+fn fragment(doc: DocView<'_>, root: NodeId) -> Result<String, CliError> {
+    let opts = WriteOptions {
+        indent: Some(2),
+        declaration: false,
+    };
+    doc.write_node(root, &opts).map_err(|e| {
+        CliError::Parse(format!(
+            "node {}: the answer's text is not UTF-8 ({e})",
+            root.index()
+        ))
+    })
 }
 
 /// JSON form of a collection run; answers carry their shard name.
@@ -563,6 +591,7 @@ fn write_collection_json(
     algorithm: &Algorithm,
     result: &whirlpool_core::CollectionResult,
 ) -> Result<(), CliError> {
+    let texts = answer_texts(collection, result, false)?;
     writeln!(out, "{{")?;
     writeln!(out, "  \"query\": \"{}\",", escape(&query.to_string()))?;
     writeln!(out, "  \"algorithm\": \"{}\",", algorithm.name())?;
@@ -604,7 +633,6 @@ fn write_collection_json(
         m.server_ops, m.predicate_comparisons, m.partials_created, m.pruned, m.roots_unseeded
     )?;
     writeln!(out, "  \"answers\": [")?;
-    let texts = answer_texts(collection, result, false);
     for (i, (a, (id, _))) in result.answers.iter().zip(&texts).enumerate() {
         let comma = if i + 1 < result.answers.len() {
             ","
@@ -754,6 +782,10 @@ fn write_json(
     algorithm: &Algorithm,
     result: &whirlpool_core::EvalResult,
 ) -> Result<(), CliError> {
+    let id_attr = doc.tag_id("id");
+    let ids = (result.answers.iter())
+        .map(|a| answer_id(doc, id_attr, a.root))
+        .collect::<Result<Vec<_>, _>>()?;
     writeln!(out, "{{")?;
     writeln!(out, "  \"query\": \"{}\",", escape(&query.to_string()))?;
     writeln!(out, "  \"algorithm\": \"{}\",", algorithm.name())?;
@@ -783,14 +815,13 @@ fn write_json(
         m.answers_degraded
     )?;
     writeln!(out, "  \"answers\": [")?;
-    let id_attr = doc.tag_id("id");
-    for (i, a) in result.answers.iter().enumerate() {
+    for (i, (a, id)) in result.answers.iter().zip(ids).enumerate() {
         let comma = if i + 1 < result.answers.len() {
             ","
         } else {
             ""
         };
-        let id = (id_attr.and_then(|t| doc.attribute(a.root, t)))
+        let id = id
             .map(|v| format!(", \"id\": \"{}\"", escape(v)))
             .unwrap_or_default();
         writeln!(
@@ -804,4 +835,32 @@ fn write_json(
     writeln!(out, "  ]")?;
     writeln!(out, "}}")?;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stored_bytes_that_are_not_utf8_are_an_error_not_a_lossy_answer() {
+        let doc = whirlpool_xml::parse_document("<r><a id=\"x1\">t</a></r>").unwrap();
+        let (mut attrs, mut text) = (doc.view().attr_blob.to_vec(), doc.view().text_blob.to_vec());
+        attrs[0] = 0xff;
+        text[0] = 0xff;
+        let a = NodeId::from_index(2);
+        let id = doc.tag_id("id");
+        assert_eq!(answer_id(doc.view(), id, a).unwrap(), Some("x1"));
+        assert_eq!(fragment(doc.view(), a).unwrap(), "<a id=\"x1\">t</a>");
+        let bad_id = DocView {
+            attr_blob: &attrs,
+            ..doc.view()
+        };
+        assert!(matches!(answer_id(bad_id, id, a), Err(CliError::Parse(_))));
+        assert!(matches!(fragment(bad_id, a), Err(CliError::Parse(_))));
+        let bad_text = DocView {
+            text_blob: &text,
+            ..doc.view()
+        };
+        assert!(matches!(fragment(bad_text, a), Err(CliError::Parse(_))));
+    }
 }

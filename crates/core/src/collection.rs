@@ -591,7 +591,7 @@ impl Collection {
                 src.push_str(&format!("<{tag}>"));
             }
             for &child in chunk {
-                src.push_str(&write_node(doc, child, &opts));
+                src.push_str(&write_node(doc, child, &opts).expect("a Document's text is UTF-8"));
             }
             for tag in chain.iter().rev() {
                 src.push_str(&format!("</{tag}>"));
@@ -1103,8 +1103,9 @@ pub fn evaluate_collection(
             if copts.shard_pruning {
                 // Strict `<`: a shard that can only tie the k-th answer
                 // is still visited (the engines cut such ties inside a
-                // shard; cutting them here waits on the benchmark's
-                // host factor, see ROADMAP item 1).
+                // shard; cutting them here waits on a benchmark host
+                // factor that measures the host, not the ops' cache
+                // footprint, DESIGN §12).
                 let skip = match ceiling {
                     None => true,
                     Some(c) => c < global.threshold(),
@@ -1628,7 +1629,6 @@ mod tests {
             }
             c => panic!("expected truncation, got {c:?}"),
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// All of RICH's tags, none of its arrangement: isbn and price
@@ -1639,10 +1639,34 @@ mod tests {
         <archive><isbn>8</isbn><price>5</price></archive>\
         </shelf>";
 
+    /// A fresh directory under the system temp dir, removed when the
+    /// guard drops: at the end of a test, or as a failing one unwinds.
+    struct TempDir(PathBuf);
+
+    impl std::ops::Deref for TempDir {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl AsRef<Path> for TempDir {
+        fn as_ref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
     /// Writes each source as a snapshot `<name>.wps` under a fresh
     /// temp dir.
-    fn snapshot_dir(tag: &str, sources: &[(&str, &str)]) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("wp-lazy-{tag}-{}", std::process::id()));
+    fn snapshot_dir(tag: &str, sources: &[(&str, &str)]) -> TempDir {
+        let dir =
+            TempDir(std::env::temp_dir().join(format!("wp-lazy-{tag}-{}", std::process::id())));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         for (name, src) in sources {
@@ -1759,7 +1783,6 @@ mod tests {
             pruned.answers,
             eager.answers
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1815,7 +1838,6 @@ mod tests {
             &control.answers,
             1e-9
         ));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Sleeps until a file that last changed before this call is older
@@ -1878,14 +1900,13 @@ mod tests {
         cycles(3);
         assert_eq!(c.verify_count() - before, 1);
         assert_eq!(c.attach_count(), 20);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Two shards, s0 and s1, whose files are older than the trust
     /// margin, after one exact run that recorded a trusted
     /// verification of each, with s0 evicted.
     #[cfg(unix)]
-    fn trusted_pair(tag: &str) -> (PathBuf, Collection) {
+    fn trusted_pair(tag: &str) -> (TempDir, Collection) {
         let dir = snapshot_dir(tag, &[("s0", RICH), ("s1", MID)]);
         sleep_past_the_margin(&dir.join("s0.wps"));
         let c = Collection::open_dir(&dir).unwrap();
@@ -1960,7 +1981,6 @@ mod tests {
         assert_certified_without_s0(&c, &run);
         assert!(matches!(c.acquire(0), Err(StoreError::Stale { .. })));
         assert!(!c.shards()[0].is_resident());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1980,7 +2000,6 @@ mod tests {
         assert_certified_without_s0(&c, &run);
         assert!(matches!(c.acquire(0), Err(StoreError::Corrupt(_))));
         assert!(!c.shards()[0].is_resident());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -2023,7 +2042,6 @@ mod tests {
             &again.answers,
             1e-9
         ));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -2062,7 +2080,6 @@ mod tests {
             "two answering shards, {} attaches",
             c.attach_count() - before
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -2107,7 +2124,6 @@ mod tests {
                 );
             }
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -2138,7 +2154,6 @@ mod tests {
             access.doc().len(),
             c.shards()[0].synopsis().elements() as usize + 1
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

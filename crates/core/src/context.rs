@@ -155,7 +155,7 @@ pub struct QueryContext<'a> {
 /// Do `n`'s attributes pass every test? `tags` holds the tests' names,
 /// resolved against `doc` once per query.
 fn attrs_hold(doc: DocView<'_>, attrs: &[AttrTest], tags: &[Option<TagId>], n: NodeId) -> bool {
-    (attrs.iter().zip(tags)).all(|(a, t)| a.matches(t.and_then(|t| doc.attribute(n, t))))
+    (attrs.iter().zip(tags)).all(|(a, t)| a.matches(t.and_then(|t| doc.attribute_bytes(n, t))))
 }
 
 /// Root candidates sampled per query for the selectivity estimates.
@@ -226,7 +226,7 @@ impl<'a> QueryContext<'a> {
                     root_node
                         .value
                         .as_ref()
-                        .map_or(true, |v| v.matches(doc.text(n)))
+                        .map_or(true, |v| v.matches(doc.text_bytes(n)))
                 })
                 .filter(|&n| attrs_hold(doc, &root_node.attrs, &root_attr_tags, n))
                 .collect()
@@ -594,7 +594,7 @@ impl<'a> QueryContext<'a> {
                     }
                     if let Some(v) = value_test {
                         comparisons += 1;
-                        if !v.matches(self.doc.text(cand)) {
+                        if !v.matches(self.doc.text_bytes(cand)) {
                             continue;
                         }
                     }

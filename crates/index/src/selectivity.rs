@@ -110,7 +110,7 @@ pub fn estimate_selectivity_view(
                         // postings whose direct text passes the test.
                         Some(v @ ValueTest::Eq(_)) => {
                             buf.clear();
-                            buf.extend(tagged.iter().filter(|&&c| v.matches(doc.text(c))));
+                            buf.extend(tagged.iter().filter(|&&c| v.matches(doc.text_bytes(c))));
                             &buf
                         }
                         _ => tagged,

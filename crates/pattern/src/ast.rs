@@ -67,12 +67,18 @@ pub struct AttrTest {
 }
 
 impl AttrTest {
-    /// Applies the test to an element's attribute lookup result.
-    pub fn matches(&self, attribute_value: Option<&str>) -> bool {
+    /// Applies the test to an element's attribute lookup result, as
+    /// bytes or as text: equality compares bytes.
+    #[inline]
+    pub fn matches<V: AsRef<[u8]> + ?Sized>(&self, attribute_value: Option<&V>) -> bool {
+        self.matches_bytes(attribute_value.map(AsRef::as_ref))
+    }
+
+    fn matches_bytes(&self, attribute_value: Option<&[u8]>) -> bool {
         match (&self.value, attribute_value) {
             (_, None) => false,
             (None, Some(_)) => true,
-            (Some(want), Some(got)) => want == got,
+            (Some(want), Some(got)) => want.as_bytes() == got,
         }
     }
 }
@@ -88,14 +94,28 @@ pub enum ValueTest {
 }
 
 impl ValueTest {
-    /// Applies the test to an element's direct text content.
-    pub fn matches(&self, text: Option<&str>) -> bool {
+    /// Applies the test to an element's direct text content, as bytes
+    /// or as text. Over UTF-8 a byte comparison and a byte substring
+    /// search agree with the `str` ones; over other bytes they still
+    /// give an answer.
+    #[inline]
+    pub fn matches<T: AsRef<[u8]> + ?Sized>(&self, text: Option<&T>) -> bool {
+        self.matches_bytes(text.map(AsRef::as_ref))
+    }
+
+    /// The comparison, one body for every caller's type.
+    fn matches_bytes(&self, text: Option<&[u8]>) -> bool {
         match (self, text) {
-            (ValueTest::Eq(v), Some(t)) => t == v,
-            (ValueTest::Contains(v), Some(t)) => t.contains(v.as_str()),
+            (ValueTest::Eq(v), Some(t)) => t == v.as_bytes(),
+            (ValueTest::Contains(v), Some(t)) => contains(t, v.as_bytes()),
             (_, None) => false,
         }
     }
+}
+
+/// Whether `needle` occurs in `haystack`.
+fn contains(haystack: &[u8], needle: &[u8]) -> bool {
+    needle.is_empty() || haystack.windows(needle.len()).any(|w| w == needle)
 }
 
 /// One node of a tree pattern.
@@ -453,8 +473,21 @@ mod tests {
     fn value_tests() {
         assert!(ValueTest::Eq("x".into()).matches(Some("x")));
         assert!(!ValueTest::Eq("x".into()).matches(Some("xy")));
-        assert!(!ValueTest::Eq("x".into()).matches(None));
+        assert!(!ValueTest::Eq("x".into()).matches(None::<&str>));
         assert!(ValueTest::Contains("od".into()).matches(Some("wodehouse")));
         assert!(!ValueTest::Contains("zz".into()).matches(Some("wodehouse")));
+        assert!(ValueTest::Contains(String::new()).matches(Some("")));
+        assert!(!ValueTest::Contains("wodehouses".into()).matches(Some("wodehouse")));
+        // Bytes that are not UTF-8 compare as bytes.
+        assert!(ValueTest::Contains("x".into()).matches(Some(&b"\xffx\xfe"[..])));
+        assert!(!ValueTest::Eq("x".into()).matches(Some(&b"x\xff"[..])));
+        let id = AttrTest {
+            name: "id".into(),
+            value: Some("i1".into()),
+        };
+        assert!(id.matches(Some("i1")));
+        assert!(id.matches(Some(&b"i1"[..])));
+        assert!(!id.matches(Some(&b"i1\xff"[..])));
+        assert!(!id.matches(None::<&str>));
     }
 }

@@ -73,6 +73,9 @@ pub enum ServeError {
     Engine(EngineError),
     /// Transport failure on the connection.
     Io(std::io::Error),
+    /// An answer could not be rendered: a stored value it carries is
+    /// not UTF-8 (HTTP 500).
+    Render(String),
 }
 
 impl ServeError {
@@ -85,7 +88,7 @@ impl ServeError {
             ServeError::NotFound(_) => 404,
             // A malformed chaos spec is the client's mistake, not ours.
             ServeError::Engine(EngineError::InvalidFaultSpec(_)) => 400,
-            ServeError::Engine(_) | ServeError::Io(_) => 500,
+            ServeError::Engine(_) | ServeError::Io(_) | ServeError::Render(_) => 500,
         }
     }
 }
@@ -108,6 +111,7 @@ impl fmt::Display for ServeError {
             ServeError::NotFound(doc) => write!(f, "no such document: {doc:?}"),
             ServeError::Engine(e) => write!(f, "engine error: {e}"),
             ServeError::Io(e) => write!(f, "i/o error: {e}"),
+            ServeError::Render(m) => write!(f, "cannot render the answer: {m}"),
         }
     }
 }
@@ -120,7 +124,8 @@ impl std::error::Error for ServeError {
             ServeError::Rejected { .. }
             | ServeError::TimedOut { .. }
             | ServeError::BadRequest(_)
-            | ServeError::NotFound(_) => None,
+            | ServeError::NotFound(_)
+            | ServeError::Render(_) => None,
         }
     }
 }

@@ -87,3 +87,34 @@ pub use json::{escape, Json, JsonError};
 pub use metrics::{RungHistory, ServeMetrics, ServeMetricsSnapshot};
 pub use server::{serve_blocking, start, ServeConfig, ServerHandle};
 pub use shared::{DocState, Prepare, Registry};
+
+/// A fresh directory under the system temp dir for a test, named
+/// `<name>-<pid>` and removed when the guard drops: at the end of a
+/// test, or as a failing one unwinds.
+#[cfg(test)]
+pub(crate) struct TempDir(std::path::PathBuf);
+
+#[cfg(test)]
+impl TempDir {
+    pub(crate) fn new(name: &str) -> TempDir {
+        let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        TempDir(dir)
+    }
+}
+
+#[cfg(test)]
+impl std::ops::Deref for TempDir {
+    type Target = std::path::Path;
+    fn deref(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+#[cfg(test)]
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}

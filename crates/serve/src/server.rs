@@ -20,6 +20,7 @@ use whirlpool_core::{
 use whirlpool_index::DocView;
 use whirlpool_pattern::{TreePattern, WILDCARD};
 use whirlpool_score::{Normalization, TfIdfModel};
+use whirlpool_xml::{NodeId, TagId};
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -345,7 +346,7 @@ fn handle_connection(daemon: &Daemon, conn: &mut TcpStream) {
                 daemon.metrics.bad_requests.fetch_add(1, Ordering::Relaxed)
             }
             ServeError::NotFound(_) => daemon.metrics.not_found.fetch_add(1, Ordering::Relaxed),
-            ServeError::TimedOut { .. } | ServeError::Io(_) => 0,
+            ServeError::TimedOut { .. } | ServeError::Io(_) | ServeError::Render(_) => 0,
         };
         let _ = error_response(conn, &e);
     }
@@ -718,7 +719,7 @@ fn handle_query(daemon: &Daemon, conn: &mut TcpStream, body: &[u8]) -> Result<()
         attempts,
         &result,
         (started.elapsed(), model_build),
-    );
+    )?;
     // A disconnected client can't receive this; the write fails and
     // that is fine — the worker is already reclaimed.
     let _ = respond(conn, status, &[], &body);
@@ -802,7 +803,7 @@ fn handle_collection_query(
         rung,
         &result,
         started.elapsed(),
-    );
+    )?;
     let _ = respond(conn, status, &[], &body);
     Ok(())
 }
@@ -810,15 +811,43 @@ fn handle_collection_query(
 /// The `, "id": "…"` fragment of every answer that has an `id`
 /// attribute (empty otherwise), in answer order. A lazy shard evicted
 /// since its run re-attaches once ([`Collection::visit_answers`]); if
-/// that fails its answers ship without ids.
-fn answer_ids(collection: &Collection, result: &CollectionResult) -> Vec<String> {
+/// that fails its answers ship without ids. An id that is not UTF-8 is
+/// an error ([`id_fragment`]).
+fn answer_ids(
+    collection: &Collection,
+    result: &CollectionResult,
+) -> Result<Vec<String>, ServeError> {
     let mut ids = vec![String::new(); result.answers.len()];
+    let mut failed = None;
     collection.visit_answers(result, |rank, a, doc| {
-        if let Some(v) = doc.tag_id("id").and_then(|t| doc.attribute(a.root, t)) {
-            ids[rank] = format!(", \"id\": \"{}\"", escape(v));
+        match id_fragment(doc, doc.tag_id("id"), a.root) {
+            Ok(id) => ids[rank] = id,
+            Err(e) => {
+                failed.get_or_insert(e);
+            }
         }
     });
-    ids
+    failed.map_or(Ok(ids), Err)
+}
+
+/// The `, "id": "…"` fragment of an answer, empty if it has no `id`
+/// attribute. Stored bytes that are not UTF-8 are an error, not a lossy
+/// string.
+fn id_fragment(
+    doc: DocView<'_>,
+    id_attr: Option<TagId>,
+    root: NodeId,
+) -> Result<String, ServeError> {
+    let Some(bytes) = id_attr.and_then(|t| doc.attribute_bytes(root, t)) else {
+        return Ok(String::new());
+    };
+    let id = std::str::from_utf8(bytes).map_err(|e| {
+        ServeError::Render(format!(
+            "node {}: the id attribute is not UTF-8 ({e})",
+            root.index()
+        ))
+    })?;
+    Ok(format!(", \"id\": \"{}\"", escape(id)))
 }
 
 fn collection_response_json(
@@ -828,7 +857,8 @@ fn collection_response_json(
     rung: Rung,
     result: &CollectionResult,
     elapsed: Duration,
-) -> String {
+) -> Result<String, ServeError> {
+    let ids = answer_ids(collection, result)?;
     let mut body = String::with_capacity(512);
     body.push_str("{\n");
     body.push_str(&format!("  \"request\": {seq},\n"));
@@ -865,7 +895,6 @@ fn collection_response_json(
         elapsed.as_secs_f64() * 1e3
     ));
     body.push_str("  \"answers\": [\n");
-    let ids = answer_ids(collection, result);
     for (i, (a, id)) in result.answers.iter().zip(&ids).enumerate() {
         body.push_str(&format!(
             "    {{\"rank\": {}, \"doc\": \"{}\", \"node\": {}, \"score\": {:.6}{id}}}{}\n",
@@ -881,7 +910,7 @@ fn collection_response_json(
         ));
     }
     body.push_str("  ]\n}\n");
-    body
+    Ok(body)
 }
 
 fn query_response_json(
@@ -892,7 +921,11 @@ fn query_response_json(
     retries: u32,
     result: &EvalResult,
     (elapsed, model_build): (Duration, Duration),
-) -> String {
+) -> Result<String, ServeError> {
+    let id_attr = doc.tag_id("id");
+    let ids = (result.answers.iter())
+        .map(|a| id_fragment(doc, id_attr, a.root))
+        .collect::<Result<Vec<_>, _>>()?;
     let mut body = String::with_capacity(512);
     body.push_str("{\n");
     body.push_str(&format!("  \"request\": {seq},\n"));
@@ -932,11 +965,7 @@ fn query_response_json(
         model_build.as_secs_f64() * 1e3
     ));
     body.push_str("  \"answers\": [\n");
-    let id_attr = doc.tag_id("id");
-    for (i, a) in result.answers.iter().enumerate() {
-        let id = (id_attr.and_then(|t| doc.attribute(a.root, t)))
-            .map(|v| format!(", \"id\": \"{}\"", escape(v)))
-            .unwrap_or_default();
+    for (i, (a, id)) in result.answers.iter().zip(ids).enumerate() {
         body.push_str(&format!(
             "    {{\"rank\": {}, \"node\": {}, \"score\": {:.6}{id}}}{}\n",
             i + 1,
@@ -950,7 +979,7 @@ fn query_response_json(
         ));
     }
     body.push_str("  ]\n}\n");
-    body
+    Ok(body)
 }
 
 #[cfg(test)]
@@ -958,6 +987,22 @@ mod tests {
     use super::*;
     use crate::shared::DocState;
     use std::io::{Read as _, Write as _};
+
+    #[test]
+    fn an_answer_id_that_is_not_utf8_is_a_render_error() {
+        let doc = whirlpool_xml::parse_document("<r><a id=\"x1\"/></r>").unwrap();
+        let mut blob = doc.view().attr_blob.to_vec();
+        blob[0] = 0xff;
+        let forged = DocView {
+            attr_blob: &blob,
+            ..doc.view()
+        };
+        let (a, id) = (NodeId::from_index(2), doc.tag_id("id"));
+        assert_eq!(id_fragment(doc.view(), id, a).unwrap(), ", \"id\": \"x1\"");
+        let err = id_fragment(forged, id, a).unwrap_err();
+        assert!(matches!(err, ServeError::Render(_)), "{err}");
+        assert_eq!(err.status(), 500);
+    }
 
     fn test_registry() -> Registry {
         let doc = whirlpool_xml::parse_document(
@@ -1256,8 +1301,7 @@ mod tests {
 
     #[test]
     fn warm_start_serves_identically_and_reports_attach_cost() {
-        let dir = std::env::temp_dir().join(format!("wp-serve-warm-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::TempDir::new("wp-serve-warm");
         let wps = dir.join("books.wps");
         {
             let registry = test_registry();
@@ -1305,14 +1349,13 @@ mod tests {
 
         cold.shutdown();
         warm.shutdown();
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn background_snapshotter_writes_attachable_snapshots() {
-        let dir = std::env::temp_dir().join(format!("wp-serve-snapper-{}", std::process::id()));
+        let dir = crate::TempDir::new("wp-serve-snapper");
         let config = ServeConfig {
-            snapshot_dir: Some(dir.clone()),
+            snapshot_dir: Some(dir.to_path_buf()),
             ..ServeConfig::default()
         };
         let handle = start(config, test_registry()).unwrap();
@@ -1325,7 +1368,6 @@ mod tests {
         handle.shutdown();
         let state = DocState::attach("books", &wps).expect("background snapshot must attach");
         assert_eq!(state.shard().synopsis().tag_count("book"), 3);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Three documents of sharply different promise: `rich` holds the
@@ -1378,11 +1420,8 @@ mod tests {
     }
 
     /// A fresh per-process scratch directory.
-    fn scratch_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("wp-serve-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    fn scratch_dir(tag: &str) -> crate::TempDir {
+        crate::TempDir::new(&format!("wp-serve-{tag}"))
     }
 
     /// The `(doc, node, score)` rows of a collection reply.
@@ -1517,7 +1556,6 @@ mod tests {
         assert!(body.contains("\"backing\": \"lazy\""), "{body}");
 
         handle.shutdown();
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1599,7 +1637,6 @@ mod tests {
         );
 
         handle.shutdown();
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Two parsed and two peeked documents with overlapping score
@@ -1688,7 +1725,6 @@ mod tests {
             }
         }
         handle.shutdown();
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1734,7 +1770,6 @@ mod tests {
             );
         }
         handle.shutdown();
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -274,8 +274,7 @@ mod tests {
         let parsed = DocState::new("s", parse_document(xml).unwrap());
         assert_eq!(parsed.prepare.stat_name(), "index_build_ms");
 
-        let dir = std::env::temp_dir().join(format!("wp-shared-attach-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::TempDir::new("wp-shared-attach");
         let path = dir.join("s.wps");
         let (doc, index) = parsed.shard().as_parsed().unwrap();
         whirlpool_store::save_snapshot(doc, index, &path).unwrap();
@@ -314,7 +313,5 @@ mod tests {
             shards[0].synopsis().tag_count("book")
         );
         drop((p, a));
-
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -25,9 +25,14 @@
 //! (device, inode, size, `mtime`, `ctime`), the checksum and when
 //! verifying started. [`SnapshotFile::attach`] given a record that
 //! vouches for the opened file — same identity, and the file's `ctime`
-//! older than the verification by more than [`TRUST_MARGIN`] — skips
-//! the whole-file checksum, the node walk and the synopsis check, and
-//! keeps every check the mapped views' memory safety needs.
+//! older than the verification by more than [`TRUST_MARGIN`] — runs
+//! only the checks that cost O(sections + tags): header, section table
+//! and shapes, tag names and offsets, posting offsets, the root row.
+//! The checks that grow with the file (the whole-file checksum, text
+//! and attribute UTF-8 and offsets, the node walk, the attribute spans
+//! and the synopsis check) run on a full attach only. The views need
+//! none of them to stay memory-safe: they read text and attribute
+//! values as bytes through checked spans.
 //!
 //! ```
 //! use whirlpool_store::{build_snapshot_bytes, Snapshot};
@@ -125,6 +130,44 @@ pub fn store_version(path: impl AsRef<Path>) -> Option<u32> {
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// A fresh directory under the system temp dir for a test, named
+/// `<name>-<pid>` and removed when the guard drops: at the end of a
+/// test, or as a failing one unwinds.
+#[cfg(test)]
+pub(crate) struct TempDir(std::path::PathBuf);
+
+#[cfg(test)]
+impl TempDir {
+    pub(crate) fn new(name: &str) -> TempDir {
+        let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        TempDir(dir)
+    }
+}
+
+#[cfg(test)]
+impl std::ops::Deref for TempDir {
+    type Target = std::path::Path;
+    fn deref(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+#[cfg(test)]
+impl AsRef<std::path::Path> for TempDir {
+    fn as_ref(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+#[cfg(test)]
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -183,8 +183,7 @@ mod tests {
 
     #[test]
     fn mapping_and_fallback_agree() {
-        let dir = std::env::temp_dir().join(format!("wpl-mmap-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::TempDir::new("wpl-mmap");
         let path = dir.join("bytes.bin");
         let payload: Vec<u8> = (0..=255u8).cycle().take(12_345).collect();
         std::fs::File::create(&path)
@@ -202,6 +201,5 @@ mod tests {
         }
         let from_slice = OwnedBytes::from_slice(&payload);
         assert_eq!(from_slice.bytes(), &payload[..]);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -26,10 +26,10 @@
 //!        6  post_offsets  u32[T+1]   postings spans in post_ids
 //!        7  post_ids      u32[n-1]   every element in its tag's list
 //!        8  text_offsets  u32[n+1]   empty span = no text
-//!        9  text_blob     UTF-8
+//!        9  text_blob     UTF-8 (read as bytes)
 //!        10 attr_offsets  u32[n+1]   entry (not byte) offsets
 //!        11 attr_entries  u32[3·A]   (name_tag, val_off, val_len)
-//!        12 attr_blob     UTF-8
+//!        12 attr_blob     UTF-8 (read as bytes)
 //!        13 path_synopsis the stored synopses (below)
 //! end-8 checksum  u64  `checksum` of the preceding bytes: four FNV-1a
 //!                 lanes over little-endian u64 words, folded with the
@@ -73,20 +73,24 @@
 //! path matcher keeps one bit per position in a `u64`: the walker
 //! refuses a depth cap above 63 or a path longer than its cap.
 //!
-//! Attach validates everything the mapped accessors later index with:
-//! magic/version/length, the checksum, section table sanity
-//! (alignment, order, bounds), and structural invariants (monotone
-//! offset tables, parents before children, subtree extents nested,
-//! posting ids sorted and in range, UTF-8 blobs with offsets on char
-//! boundaries). A file that passes cannot make the views panic or read
-//! out of bounds; a file that fails yields [`StoreError`], never UB.
+//! A full attach validates magic/version/length, the checksum, section
+//! table sanity (alignment, order, bounds) and shapes, and structural
+//! invariants (monotone offset tables, parents before children, subtree
+//! extents nested, posting ids sorted and in range, UTF-8 blobs with
+//! offsets on char boundaries, contiguous attribute spans, the
+//! synopsis against the payload). A file that fails yields
+//! [`StoreError`], never UB.
 //!
 //! A re-attach of a file an earlier full attach verified may trust that
 //! verification ([`SnapshotFile::attach`], [`Verification`]) when the
-//! open file's identity proves it unchanged: it then skips the
-//! whole-file checksum, the node walk and the synopsis check, and keeps
-//! the header, section table, UTF-8, offset and attribute checks that
-//! the views' memory safety rests on.
+//! open file's identity proves it unchanged: it then runs only what
+//! costs O(sections + tags) — header, section table and shapes, the
+//! tag blob's UTF-8 and offsets, the posting offsets and the root row.
+//! Memory safety rests on none of the skipped checks. Sections are
+//! cast to `u32`/`u16` slices only after the table and shape checks;
+//! the views read text and attribute values as bytes through checked
+//! spans, so wrong offsets or bytes give wrong or empty values, never
+//! a panic or an unchecked `&str`.
 //!
 //! # Writing
 //!
@@ -690,10 +694,10 @@ impl<'a> Plan<'a> {
             Source::U32s(post_offsets),
             Source::U32s(post_ids),
             Source::U32s(doc.text_offsets),
-            Source::Bytes(doc.text_blob.as_bytes()),
+            Source::Bytes(doc.text_blob),
             Source::U32s(doc.attr_offsets),
             Source::U32s(doc.attr_entries),
-            Source::Bytes(doc.attr_blob.as_bytes()),
+            Source::Bytes(doc.attr_blob),
             Source::Bytes(&self.synopsis),
         ]
     }
@@ -869,18 +873,6 @@ impl Snapshot {
         unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<u16>(), bytes.len() / 2) }
     }
 
-    fn str_of(&self, i: usize) -> &str {
-        let bytes = self.section(i);
-        debug_assert!(std::str::from_utf8(bytes).is_ok());
-        // SAFETY: validate() checked these exact bytes as UTF-8 on this
-        // attach — a trusted attach skips the checksum, the node walk
-        // and the synopsis check, never the UTF-8 check — and the
-        // backing is immutable for the snapshot's life: an owned copy
-        // never changes, and a mapped file is never modified in place
-        // (writers replace it by rename; DESIGN §13).
-        unsafe { std::str::from_utf8_unchecked(bytes) }
-    }
-
     fn columns_view(&self) -> ColumnsView<'_> {
         ColumnsView::from_raw(
             self.u32s(SEC_PARENT),
@@ -891,20 +883,24 @@ impl Snapshot {
 
     /// The document view (tags, structure, text, attributes) over the
     /// mapped arrays — the same struct [`Document::view`] returns over
-    /// a parsed document.
+    /// a parsed document. Text and attribute values are the mapped
+    /// bytes; the tag names (a few hundred bytes) are checked as UTF-8
+    /// here, as every attach checked them. They read as empty if the
+    /// bytes changed since — a writer never modifies a file in place,
+    /// but another program could.
     pub fn doc_view(&self) -> DocView<'_> {
         DocView {
             tag_offsets: self.u32s(SEC_TAG_OFFSETS),
-            tag_blob: self.str_of(SEC_TAG_BLOB),
+            tag_blob: std::str::from_utf8(self.section(SEC_TAG_BLOB)).unwrap_or(""),
             tag_of: self.u32s(SEC_TAG_OF),
             parent: self.u32s(SEC_PARENT),
             depth: self.u16s(SEC_DEPTH),
             subtree_end: self.u32s(SEC_SUBTREE_END),
             text_offsets: self.u32s(SEC_TEXT_OFFSETS),
-            text_blob: self.str_of(SEC_TEXT_BLOB),
+            text_blob: self.section(SEC_TEXT_BLOB),
             attr_offsets: self.u32s(SEC_ATTR_OFFSETS),
             attr_entries: self.u32s(SEC_ATTR_ENTRIES),
-            attr_blob: self.str_of(SEC_ATTR_BLOB),
+            attr_blob: self.section(SEC_ATTR_BLOB),
         }
     }
 
@@ -1150,12 +1146,11 @@ impl SnapshotFile {
     /// Maps the file (or reads it where mapping fails) and validates
     /// it. If `record` [vouches for](Verification::vouches_for) the
     /// file, the validation trusts it: the file's trailer must equal
-    /// the recorded checksum, and the whole-file checksum, the node
-    /// walk and the synopsis check are skipped. Every check the mapped
-    /// accessors' memory safety needs still runs: header, section
-    /// table and shapes, UTF-8 of the three blobs, offsets and
-    /// attribute spans. Otherwise the file is verified in full and the
-    /// snapshot carries the new record ([`Snapshot::verification`]).
+    /// the recorded checksum, and only the checks whose cost grows with
+    /// the sections and tags, not the file, run: header, section table
+    /// and shapes, tag names and offsets, posting offsets, the root
+    /// row. Otherwise the file is verified in full and the snapshot
+    /// carries the new record ([`Snapshot::verification`]).
     pub fn attach(mut self, record: Option<&Verification>) -> Result<Snapshot, StoreError> {
         let trusted = record
             .filter(|r| r.vouches_for(&self))
@@ -1301,15 +1296,16 @@ fn validate(bytes: &[u8]) -> Result<(Layout, u64), StoreError> {
 
 /// Attach-time validation. Returns the section layout and the verified
 /// whole-file checksum only if the file is byte-exact (checksum) *and*
-/// structurally sound, so the mapped accessors can index without
-/// bounds surprises.
+/// structurally sound ([`verify_content`]).
 ///
 /// `trusted` is the checksum of an earlier full verification of this
 /// very file, proven unchanged by its identity ([`Verification`]).
-/// With it, the same checks run in the same order except three blocks:
-/// the trailer is compared with `trusted` instead of a recomputed
-/// checksum, and the node walk and the synopsis check are skipped.
-/// What remains is what the mapped accessors' memory safety rests on.
+/// With it, the trailer is compared with `trusted` instead of a
+/// recomputed checksum, and only the checks that cost O(sections +
+/// tags) run: the header, the section table and shapes, the tag blob
+/// and its offsets, the posting offsets and the root row.
+/// [`verify_content`] is skipped. Memory safety rests on none of it
+/// beyond the section shapes: the views check every span they read.
 fn validate_trusting(bytes: &[u8], trusted: Option<u64>) -> Result<(Layout, u64), StoreError> {
     if bytes.len() < 32 {
         return Err(corrupt(format!(
@@ -1362,27 +1358,73 @@ fn validate_trusting(bytes: &[u8], trusted: Option<u64>) -> Result<(Layout, u64)
         unsafe { std::slice::from_raw_parts(b.as_ptr().cast::<u32>(), b.len() / 4) }
     };
 
-    // Blobs must be UTF-8 before offsets can be boundary-checked.
+    // What every attach checks: O(sections + tags), whatever the size
+    // of the file. The views read tag names as `&str`, so the tag blob
+    // is UTF-8 and split only between chars; the index slices postings
+    // by their offsets; the root row anchors the structure.
     let tag_blob = utf8(sec(SEC_TAG_BLOB), "tag blob")?;
-    let text_blob = utf8(sec(SEC_TEXT_BLOB), "text blob")?;
-    let attr_blob = utf8(sec(SEC_ATTR_BLOB), "attribute blob")?;
-
     check_offsets(
         u32s(SEC_TAG_OFFSETS),
-        sections[SEC_TAG_BLOB].1,
+        tag_blob.len(),
         Some(tag_blob),
         "tag offsets",
     )?;
+    check_offsets(u32s(SEC_POST_OFFSETS), n - 1, None, "posting offsets")?;
+    let parent = u32s(SEC_PARENT);
+    let depth = {
+        let b = sec(SEC_DEPTH);
+        // SAFETY: as u32s above, length 2n checked.
+        unsafe { std::slice::from_raw_parts(b.as_ptr().cast::<u16>(), b.len() / 2) }
+    };
+    let subtree_end = u32s(SEC_SUBTREE_END);
+    let tag_of = u32s(SEC_TAG_OF);
+    let root_tag_ok = (tag_of[0] as usize) < tag_count;
+    if parent[0] != NO_PARENT || depth[0] != 0 || subtree_end[0] as usize != n || !root_tag_ok {
+        return Err(corrupt("root row must be (no parent, depth 0, extent n)"));
+    }
+
+    // The rest vouches for content, not for memory safety, and is
+    // linear in the file: a trusted attach skips it, because the content
+    // is the one a full verification checked. The views read text and
+    // attribute values as bytes through checked spans, so bad offsets
+    // or bytes that are not UTF-8 give wrong or empty values, never a
+    // panic or an unchecked `&str`; rendering checks UTF-8 as it writes.
+    if trusted.is_none() {
+        verify_content(sec, u32s, depth, tag_count, tag_blob)?;
+    }
+
+    let layout = Layout {
+        n,
+        tag_count,
+        sections,
+    };
+    Ok((layout, stored))
+}
+
+/// The checks of a full verification that a trusted attach skips, all
+/// linear in the file: the text and attribute blobs are UTF-8 and
+/// their offsets monotone and on char boundaries, one node walk, the
+/// attribute value spans, and the synopsis section against the payload.
+fn verify_content<'a>(
+    sec: impl Fn(usize) -> &'a [u8],
+    u32s: impl Fn(usize) -> &'a [u32],
+    depth: &[u16],
+    tag_count: usize,
+    tag_blob: &str,
+) -> Result<(), StoreError> {
+    let n = depth.len();
+    let text_blob = utf8(sec(SEC_TEXT_BLOB), "text blob")?;
+    let attr_blob = utf8(sec(SEC_ATTR_BLOB), "attribute blob")?;
+    let attr_entries = u32s(SEC_ATTR_ENTRIES);
     check_offsets(
         u32s(SEC_TEXT_OFFSETS),
-        sections[SEC_TEXT_BLOB].1,
+        text_blob.len(),
         Some(text_blob),
         "text offsets",
     )?;
-    check_offsets(u32s(SEC_POST_OFFSETS), n - 1, None, "posting offsets")?;
     check_offsets(
         u32s(SEC_ATTR_OFFSETS),
-        sections[SEC_ATTR_ENTRIES].1 / (4 * ATTR_ENTRY_STRIDE),
+        attr_entries.len() / ATTR_ENTRY_STRIDE,
         None,
         "attribute offsets",
     )?;
@@ -1393,58 +1435,40 @@ fn validate_trusting(bytes: &[u8], trusted: Option<u64>) -> Result<(Layout, u64)
     // its tag's span, and the spans (offsets 0 → n−1) hold n−1 ids: so
     // every posting is read once, in node order. The walk accepts
     // exactly the files whose per-tag lists are strictly ascending ids
-    // in [1, n) that agree with `tag_of`. A trusted attach skips it:
-    // the walk vouches for content, not for memory safety (the views
-    // index these arrays with bounds checks), and the content is the
-    // one a full verification walked.
-    let parent = u32s(SEC_PARENT);
-    let depth = {
-        let b = sec(SEC_DEPTH);
-        // SAFETY: as u32s above, length 2n checked.
-        unsafe { std::slice::from_raw_parts(b.as_ptr().cast::<u16>(), b.len() / 2) }
-    };
-    let subtree_end = u32s(SEC_SUBTREE_END);
-    let tag_of = u32s(SEC_TAG_OF);
-    let post_offsets = u32s(SEC_POST_OFFSETS);
-    let post_ids = u32s(SEC_POST_IDS);
-    let root_tag_ok = (tag_of[0] as usize) < tag_count;
-    if parent[0] != NO_PARENT || depth[0] != 0 || subtree_end[0] as usize != n || !root_tag_ok {
-        return Err(corrupt("root row must be (no parent, depth 0, extent n)"));
-    }
-    if trusted.is_none() {
-        let mut cursor = post_offsets[..tag_count].to_vec();
-        for i in 1..n {
-            let p = parent[i] as usize;
-            if p >= i {
-                return Err(corrupt(format!("node {i}: parent {p} does not precede it")));
-            }
-            if depth[i] != depth[p].wrapping_add(1) {
-                return Err(corrupt(format!(
-                    "node {i}: depth does not chain from parent"
-                )));
-            }
-            let end = subtree_end[i] as usize;
-            if end <= i || end > subtree_end[p] as usize {
-                return Err(corrupt(format!(
-                    "node {i}: subtree extent {end} not nested"
-                )));
-            }
-            let t = tag_of[i] as usize;
-            if t >= tag_count {
-                return Err(corrupt("tag-of column references a tag out of range"));
-            }
-            let c = cursor[t] as usize;
-            if c >= post_offsets[t + 1] as usize || post_ids[c] as usize != i {
-                return Err(corrupt(format!(
-                    "node {i}: postings for tag {t} disagree with tag-of"
-                )));
-            }
-            cursor[t] += 1;
+    // in [1, n) that agree with `tag_of`.
+    let (parent, subtree_end, tag_of) = (u32s(SEC_PARENT), u32s(SEC_SUBTREE_END), u32s(SEC_TAG_OF));
+    let (post_offsets, post_ids) = (u32s(SEC_POST_OFFSETS), u32s(SEC_POST_IDS));
+    let mut cursor = post_offsets[..tag_count].to_vec();
+    for i in 1..n {
+        let p = parent[i] as usize;
+        if p >= i {
+            return Err(corrupt(format!("node {i}: parent {p} does not precede it")));
         }
+        if depth[i] != depth[p].wrapping_add(1) {
+            return Err(corrupt(format!(
+                "node {i}: depth does not chain from parent"
+            )));
+        }
+        let end = subtree_end[i] as usize;
+        if end <= i || end > subtree_end[p] as usize {
+            return Err(corrupt(format!(
+                "node {i}: subtree extent {end} not nested"
+            )));
+        }
+        let t = tag_of[i] as usize;
+        if t >= tag_count {
+            return Err(corrupt("tag-of column references a tag out of range"));
+        }
+        let c = cursor[t] as usize;
+        if c >= post_offsets[t + 1] as usize || post_ids[c] as usize != i {
+            return Err(corrupt(format!(
+                "node {i}: postings for tag {t} disagree with tag-of"
+            )));
+        }
+        cursor[t] += 1;
     }
 
     // Attribute entries: names in range, contiguous value spans.
-    let attr_entries = u32s(SEC_ATTR_ENTRIES);
     let mut attr_cursor = 0usize;
     for e in attr_entries.chunks_exact(ATTR_ENTRY_STRIDE) {
         if e[0] as usize >= tag_count {
@@ -1471,30 +1495,20 @@ fn validate_trusting(bytes: &[u8], trusted: Option<u64>) -> Result<(Layout, u64)
     // format's checks, and list exactly the tags with postings, in
     // tag-id order, each with its posting count — a ceiling or idf
     // computed from the section can then never contradict the payload
-    // it summarizes. Skipped by a trusted attach, as the walk is.
-    if trusted.is_none() {
-        let (off, len) = sections[SEC_PATH_SYNOPSIS];
-        PayloadCheck {
-            tag_offsets: u32s(SEC_TAG_OFFSETS),
-            tag_blob,
-            post_offsets,
-            next: 0,
-        }
-        .check(&bytes[off..off + len], (n - 1) as u64)?;
+    // it summarizes.
+    PayloadCheck {
+        tag_offsets: u32s(SEC_TAG_OFFSETS),
+        tag_blob,
+        post_offsets,
+        next: 0,
     }
-
-    let layout = Layout {
-        n,
-        tag_count,
-        sections,
-    };
-    Ok((layout, stored))
+    .check(sec(SEC_PATH_SYNOPSIS), (n - 1) as u64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use whirlpool_xml::parse_document;
+    use whirlpool_xml::{parse_document, NodeId, WriteOptions};
 
     fn snapshot_of(src: &str) -> (Document, TagIndex, Vec<u8>) {
         let doc = parse_document(src).unwrap();
@@ -1623,8 +1637,7 @@ mod tests {
 
     #[test]
     fn version_sniffing_distinguishes_v1_v2_and_v3() {
-        let dir = std::env::temp_dir().join(format!("wpl-sniff-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::TempDir::new("wpl-sniff");
         let v1_path = dir.join("doc.wpx");
         std::fs::write(&v1_path, PINNED_V1).unwrap();
         assert_eq!(crate::store_version(&v1_path), Some(1));
@@ -1664,7 +1677,6 @@ mod tests {
                 Err(StoreError::UnsupportedVersion(got)) if got == v
             ));
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Two writers of one path, 50 times over: each rename publishes a
@@ -1672,8 +1684,7 @@ mod tests {
     #[test]
     fn writers_of_one_path_never_share_a_temp_file() {
         use whirlpool_xmark::{generate, GeneratorConfig};
-        let dir = std::env::temp_dir().join(format!("wpl-writers-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::TempDir::new("wpl-writers");
         let path = dir.join("doc.wps");
         let docs = [1, 2].map(|seed| {
             let doc = generate(&GeneratorConfig::items(150).with_seed(seed));
@@ -1702,13 +1713,11 @@ mod tests {
                 .collect();
             assert_eq!(names, ["doc.wps"], "round {round}");
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn attach_modes_agree() {
-        let dir = std::env::temp_dir().join(format!("wpl-snap-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::TempDir::new("wpl-snap");
         let path = dir.join("doc.wps");
         let doc = parse_document("<r><t>x</t><t>y</t></r>").unwrap();
         let index = TagIndex::build(&doc);
@@ -1728,14 +1737,12 @@ mod tests {
         );
         #[cfg(unix)]
         assert!(mapped.is_mapped());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     #[cfg(unix)]
     fn a_record_vouches_only_for_its_unchanged_file_outside_the_margin() {
-        let dir = std::env::temp_dir().join(format!("wpl-trust-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::TempDir::new("wpl-trust");
         let path = dir.join("doc.wps");
         let (doc, index, _) = snapshot_of("<r><t>x</t><t>é</t></r>");
         save_snapshot(&doc, &index, &path).unwrap();
@@ -1763,7 +1770,6 @@ mod tests {
         let file = SnapshotFile::open(&path).unwrap();
         assert!(!record.vouches_for(&file));
         assert!(file.attach(Some(&record)).unwrap().verification().is_some());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1773,11 +1779,34 @@ mod tests {
         assert!(validate_trusting(&clean, Some(trailer(&clean))).is_ok());
         // The trailer must be the checksum the record verified.
         assert!(validate_trusting(&clean, Some(trailer(&clean) ^ 1)).is_err());
-        // Offsets and UTF-8 are checked on every attach.
+        // Text offsets and UTF-8 are content the record vouches for: a
+        // trusted attach accepts them, a full one refuses them, and the
+        // view over them is total. `a`'s text is `é`, and the split
+        // cuts it in half.
         let split = forge(&clean, |s| set_u32(&mut s[SEC_TEXT_OFFSETS], 3, 1));
-        assert!(validate_trusting(&split, Some(trailer(&split))).is_err());
         let not_utf8 = forge(&clean, |s| s[SEC_TEXT_BLOB][0] = 0xff);
-        assert!(validate_trusting(&not_utf8, Some(trailer(&not_utf8))).is_err());
+        assert_corrupt(&split, "a text offset inside a multi-byte char");
+        assert_corrupt(&not_utf8, "a text blob that is not UTF-8");
+        for forged in [&split, &not_utf8] {
+            let (layout, checksum) = validate_trusting(forged, Some(trailer(forged))).unwrap();
+            let snap = Snapshot {
+                backing: Backing::Owned(OwnedBytes::from_slice(forged)),
+                layout,
+                checksum,
+                verification: None,
+            };
+            let dv = snap.doc_view();
+            let a = NodeId::from_index(2);
+            assert_eq!(dv.tag_str(a), "a");
+            assert!(dv.text_bytes(a).is_some());
+            assert_eq!(dv.text(a), None, "a span that is not UTF-8 is no text");
+            for n in 0..dv.len() {
+                let n = NodeId::from_index(n);
+                let _ = (dv.text(n), dv.attributes(n).count());
+            }
+            let opts = WriteOptions::default();
+            assert!(dv.write_node(NodeId::from_index(1), &opts).is_err());
+        }
         // The node walk is not: it vouches for content a full
         // verification already walked.
         let retagged = forge(&clean, |s| {
@@ -1791,8 +1820,7 @@ mod tests {
 
     #[test]
     fn peek_reads_synopses_without_attaching() {
-        let dir = std::env::temp_dir().join(format!("wpl-peek-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::TempDir::new("wpl-peek");
         let src = "<shelf><book><isbn>1</isbn></book><book><isbn>2</isbn></book><cd/></shelf>";
         let doc = parse_document(src).unwrap();
         let index = TagIndex::build(&doc);
@@ -1826,8 +1854,6 @@ mod tests {
         let bad_path = dir.join("bad.wps");
         std::fs::write(&bad_path, &corrupt).unwrap();
         assert!(Snapshot::peek(&bad_path).is_err());
-
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Splits `bytes` into its sections, lets `edit` change them, and
@@ -2049,8 +2075,7 @@ mod tests {
         }
         // Peek reads the section alone: it refuses the two edits the
         // format itself rules out and passes the rest.
-        let dir = std::env::temp_dir().join(format!("wpl-forged-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::TempDir::new("wpl-forged");
         for (i, (case, bytes)) in cases.iter().enumerate() {
             let path = dir.join(format!("case-{i}.wps"));
             std::fs::write(&path, bytes).unwrap();
@@ -2060,7 +2085,6 @@ mod tests {
                 "{case}"
             );
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Postings and `tag_of` that disagree, behind a valid checksum:

@@ -54,9 +54,9 @@ static ALLOCATOR: Counting = Counting;
 fn save_snapshot_holds_no_image_of_the_file() {
     let doc = generate(&GeneratorConfig::megabytes(4).with_seed(3));
     let index = TagIndex::build(&doc);
-    let dir = std::env::temp_dir().join(format!("wpl-save-heap-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("doc.wps");
+    let dir = TempDir(std::env::temp_dir().join(format!("wpl-save-heap-{}", std::process::id())));
+    std::fs::create_dir_all(&dir.0).unwrap();
+    let path = dir.0.join("doc.wps");
 
     let start = LIVE.load(Relaxed);
     PEAK.store(start, Relaxed);
@@ -70,5 +70,14 @@ fn save_snapshot_holds_no_image_of_the_file() {
         "saving a {file_len}-byte snapshot held {peak} bytes of heap at its peak"
     );
     assert_eq!(Snapshot::attach(&path).unwrap().doc_view(), doc.view());
-    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A directory removed when the guard drops: at the end of the test, or
+/// as a failing one unwinds.
+struct TempDir(std::path::PathBuf);
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }

@@ -99,10 +99,10 @@ impl Document {
             depth: &self.depth,
             subtree_end: &self.subtree_end,
             text_offsets: &self.text_offsets,
-            text_blob: &self.text_blob,
+            text_blob: self.text_blob.as_bytes(),
             attr_offsets: &self.attr_offsets,
             attr_entries: &self.attr_entries,
-            attr_blob: &self.attr_blob,
+            attr_blob: self.attr_blob.as_bytes(),
         }
     }
 

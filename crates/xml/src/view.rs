@@ -8,6 +8,8 @@
 use crate::node::NodeId;
 use crate::tags::TagId;
 use crate::writer::{write_node_into, WriteOptions};
+use std::ops::Range;
+use std::str::Utf8Error;
 
 /// `u32`s per attribute entry: name tag id, value offset, value length.
 pub const ATTR_ENTRY_STRIDE: usize = 3;
@@ -19,10 +21,14 @@ pub(crate) const NO_PARENT: u32 = u32::MAX;
 /// synthetic root at 0): the layout a parser appends and a snapshot
 /// stores, section for section.
 ///
-/// The fields are the arrays themselves. Nothing checks them: a
-/// [`Document`](crate::Document) builds them consistent, and
-/// `whirlpool-store` validates a snapshot before assembling a view,
-/// which is what keeps the accessors' plain indexing panic-free.
+/// The fields are the arrays themselves. A [`Document`](crate::Document)
+/// builds them consistent; `whirlpool-store` checks a snapshot's shapes,
+/// tag names and structure before assembling a view, and on a full
+/// verification its text and attribute bytes too. The accessors do not
+/// rely on the second kind of check: text and attribute values are
+/// bytes, every span and entry read is checked, and a bad offset or
+/// entry reads as an empty value. Only an accessor that hands out
+/// `&str` checks UTF-8, and only of the span it returns.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DocView<'a> {
     /// `tag_offsets[t]..tag_offsets[t+1]` brackets tag `t`'s name in
@@ -42,23 +48,27 @@ pub struct DocView<'a> {
     /// text in `text_blob`; an empty span means "no text" (text is
     /// trimmed, so no element carries empty text).
     pub text_offsets: &'a [u32],
-    /// Every node's direct text, concatenated in node order.
-    pub text_blob: &'a str,
+    /// Every node's direct text, concatenated in node order: UTF-8 as
+    /// written, bytes as read.
+    pub text_blob: &'a [u8],
     /// `attr_offsets[n]..attr_offsets[n+1]` brackets node `n`'s
     /// attribute *entries* in `attr_entries`.
     pub attr_offsets: &'a [u32],
     /// [`ATTR_ENTRY_STRIDE`] `u32`s per attribute, in node then source
     /// order: name tag id, value offset and value length in `attr_blob`.
     pub attr_entries: &'a [u32],
-    /// Every attribute value, concatenated in entry order.
-    pub attr_blob: &'a str,
+    /// Every attribute value, concatenated in entry order: UTF-8 as
+    /// written, bytes as read.
+    pub attr_blob: &'a [u8],
 }
 
-/// The `i`-th span of `blob` under `offsets`.
+/// `offsets[i]..offsets[i+1]`, if both exist.
 #[inline]
-fn span<'a>(blob: &'a str, offsets: &[u32], i: usize) -> &'a str {
-    blob.get(offsets[i] as usize..offsets[i + 1] as usize)
-        .unwrap_or("")
+fn span(offsets: &[u32], i: usize) -> Option<Range<usize>> {
+    match offsets.get(i..)? {
+        [lo, hi, ..] => Some(*lo as usize..*hi as usize),
+        _ => None,
+    }
 }
 
 impl<'a> DocView<'a> {
@@ -83,7 +93,7 @@ impl<'a> DocView<'a> {
     /// Distinct names in the tag table.
     #[inline]
     pub fn tag_count(&self) -> usize {
-        self.tag_offsets.len() - 1
+        self.tag_offsets.len().saturating_sub(1)
     }
 
     /// The node's interned tag.
@@ -92,10 +102,12 @@ impl<'a> DocView<'a> {
         TagId(self.tag_of[n.index()])
     }
 
-    /// The name for a tag id.
+    /// The name for a tag id; empty if the tag table has no such span.
     #[inline]
     pub fn tag_name(&self, tag: TagId) -> &'a str {
-        span(self.tag_blob, self.tag_offsets, tag.index())
+        span(self.tag_offsets, tag.index())
+            .and_then(|r| self.tag_blob.get(r))
+            .unwrap_or("")
     }
 
     /// The node's tag as a string.
@@ -112,30 +124,65 @@ impl<'a> DocView<'a> {
             .find(|&t| self.tag_name(t) == name)
     }
 
-    /// The node's direct text value, if any.
+    /// The node's direct text as bytes, if any: what value tests
+    /// compare.
     #[inline]
-    pub fn text(&self, n: NodeId) -> Option<&'a str> {
-        Some(span(self.text_blob, self.text_offsets, n.index())).filter(|t| !t.is_empty())
+    pub fn text_bytes(&self, n: NodeId) -> Option<&'a [u8]> {
+        span(self.text_offsets, n.index())
+            .and_then(|r| self.text_blob.get(r))
+            .filter(|t| !t.is_empty())
     }
 
-    /// The node's attributes as `(name, value)`, in source order.
-    pub fn attributes(&self, n: NodeId) -> impl Iterator<Item = (TagId, &'a str)> {
-        let (blob, i) = (self.attr_blob, n.index());
-        let lo = self.attr_offsets[i] as usize * ATTR_ENTRY_STRIDE;
-        let hi = self.attr_offsets[i + 1] as usize * ATTR_ENTRY_STRIDE;
-        self.attr_entries[lo..hi]
-            .chunks_exact(ATTR_ENTRY_STRIDE)
-            .map(move |e| {
-                let value = blob.get(e[1] as usize..(e[1] + e[2]) as usize);
-                (TagId(e[0]), value.unwrap_or(""))
+    /// The node's direct text value, if any and if it is UTF-8.
+    #[inline]
+    pub fn text(&self, n: NodeId) -> Option<&'a str> {
+        self.text_bytes(n).and_then(|t| std::str::from_utf8(t).ok())
+    }
+
+    /// The node's attribute entries, [`ATTR_ENTRY_STRIDE`] `u32`s each;
+    /// none if its span is out of bounds.
+    #[inline]
+    fn attr_entries_of(&self, n: NodeId) -> &'a [u32] {
+        span(self.attr_offsets, n.index())
+            .and_then(|r| {
+                let lo = r.start.checked_mul(ATTR_ENTRY_STRIDE)?;
+                self.attr_entries
+                    .get(lo..r.end.checked_mul(ATTR_ENTRY_STRIDE)?)
             })
+            .unwrap_or(&[])
+    }
+
+    /// The value bytes of one attribute entry; empty if its span is out
+    /// of bounds.
+    #[inline]
+    fn attr_value(&self, entry: &[u32]) -> &'a [u8] {
+        let (off, len) = (entry[1], entry[2]);
+        (off.checked_add(len))
+            .and_then(|end| self.attr_blob.get(off as usize..end as usize))
+            .unwrap_or(&[])
+    }
+
+    /// The node's attributes as `(name, value bytes)`, in source order.
+    pub fn attributes(&self, n: NodeId) -> impl Iterator<Item = (TagId, &'a [u8])> {
+        let view = *self;
+        (self.attr_entries_of(n).chunks_exact(ATTR_ENTRY_STRIDE))
+            .map(move |e| (TagId(e[0]), view.attr_value(e)))
+    }
+
+    /// The bytes of the attribute named by tag id `name` on `n`, if
+    /// present: what attribute tests compare.
+    #[inline]
+    pub fn attribute_bytes(&self, n: NodeId, name: TagId) -> Option<&'a [u8]> {
+        let mut entries = self.attr_entries_of(n).chunks_exact(ATTR_ENTRY_STRIDE);
+        entries.find(|e| e[0] == name.0).map(|e| self.attr_value(e))
     }
 
     /// The value of the attribute named by tag id `name` on `n`, if
-    /// present.
+    /// present and UTF-8.
     #[inline]
     pub fn attribute(&self, n: NodeId, name: TagId) -> Option<&'a str> {
-        self.attributes(n).find(|&(t, _)| t == name).map(|(_, v)| v)
+        self.attribute_bytes(n, name)
+            .and_then(|v| std::str::from_utf8(v).ok())
     }
 
     /// The node's parent, `None` for the document root.
@@ -186,11 +233,13 @@ impl<'a> DocView<'a> {
         self.parent[child.index()] == parent.0
     }
 
-    /// Serializes the subtree rooted at `node`.
-    pub fn write_node(&self, node: NodeId, opts: &WriteOptions) -> String {
-        let mut out = String::new();
+    /// Serializes the subtree rooted at `node`. The text and attribute
+    /// bytes are checked as UTF-8 once, in the output: a failure is an
+    /// error, never a lossy or unchecked string.
+    pub fn write_node(&self, node: NodeId, opts: &WriteOptions) -> Result<String, Utf8Error> {
+        let mut out = Vec::new();
         write_node_into(*self, node, opts, 0, &mut out);
-        out
+        String::from_utf8(out).map_err(|e| e.utf8_error())
     }
 }
 
@@ -212,10 +261,10 @@ mod tests {
         assert_eq!(dv.subtree_end, [6, 6, 3, 4, 6, 6]);
         assert_eq!(
             (dv.text_offsets, dv.text_blob),
-            (&[0, 0, 0, 1, 2, 2, 3][..], "xyx")
+            (&[0, 0, 0, 1, 2, 2, 3][..], &b"xyx"[..])
         );
         assert_eq!(dv.attr_offsets, [0, 0, 0, 1, 1, 1, 1]);
-        assert_eq!((dv.attr_entries, dv.attr_blob), (&[3, 0, 1][..], "1"));
+        assert_eq!((dv.attr_entries, dv.attr_blob), (&[3, 0, 1][..], &b"1"[..]));
 
         let (r, s) = (NodeId(1), NodeId(4));
         assert_eq!(dv.children(r).collect::<Vec<_>>(), [2, 3, 4].map(NodeId));

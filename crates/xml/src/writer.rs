@@ -4,10 +4,12 @@
 //! reports document sizes in megabytes of serialized XML), for parser
 //! round-trip tests, and to render answers. One serializer reads a
 //! [`DocView`], so a parsed [`Document`] and a mapped snapshot share it.
+//! It writes bytes; a mapped snapshot's output is checked as UTF-8 once
+//! at the end ([`DocView::write_node`]).
 
 use crate::node::{Document, NodeId};
 use crate::view::DocView;
-use std::fmt::Write as _;
+use std::str::Utf8Error;
 
 /// Serialization options.
 #[derive(Debug, Clone, Default)]
@@ -21,54 +23,65 @@ pub struct WriteOptions {
 
 /// Serializes a whole document (the children of the synthetic root).
 pub fn write_document(doc: &Document, opts: &WriteOptions) -> String {
-    let mut out = String::new();
+    let mut out = Vec::new();
     if opts.declaration {
-        out.push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>");
+        out.extend_from_slice(b"<?xml version=\"1.0\" encoding=\"UTF-8\"?>");
         if opts.indent.is_some() {
-            out.push('\n');
+            out.push(b'\n');
         }
     }
     for child in doc.children(doc.document_root()) {
         write_node_into(doc.view(), child, opts, 0, &mut out);
     }
-    out
+    // The names, text and values of a `Document` are `String`s, cut
+    // only between whole pushes, and the writer adds ASCII.
+    String::from_utf8(out).expect("a Document's blobs are UTF-8")
 }
 
 /// Serializes the subtree rooted at `node` of a [`Document`] or a
 /// [`DocView`]: [`DocView::write_node`].
-pub fn write_node<'a>(doc: impl Into<DocView<'a>>, node: NodeId, opts: &WriteOptions) -> String {
+pub fn write_node<'a>(
+    doc: impl Into<DocView<'a>>,
+    node: NodeId,
+    opts: &WriteOptions,
+) -> Result<String, Utf8Error> {
     doc.into().write_node(node, opts)
 }
 
+/// Appends the subtree rooted at `node`. Bytes are copied as they are:
+/// markup is ASCII, and escaping replaces ASCII bytes only, which never
+/// occur inside a multi-byte UTF-8 sequence.
 pub(crate) fn write_node_into(
     doc: DocView<'_>,
     node: NodeId,
     opts: &WriteOptions,
     depth: usize,
-    out: &mut String,
+    out: &mut Vec<u8>,
 ) {
-    let tag = doc.tag_str(node);
+    let tag = doc.tag_str(node).as_bytes();
     if let Some(indent) = opts.indent {
-        if !out.is_empty() && !out.ends_with('\n') {
-            out.push('\n');
+        if !out.is_empty() && !out.ends_with(b"\n") {
+            out.push(b'\n');
         }
-        out.extend(std::iter::repeat(' ').take(indent * depth));
+        out.resize(out.len() + indent * depth, b' ');
     }
-    out.push('<');
-    out.push_str(tag);
+    out.push(b'<');
+    out.extend_from_slice(tag);
     for (name, value) in doc.attributes(node) {
-        let _ = write!(out, " {}=\"", doc.tag_name(name));
+        out.push(b' ');
+        out.extend_from_slice(doc.tag_name(name).as_bytes());
+        out.extend_from_slice(b"=\"");
         escape_into(value, true, out);
-        out.push('"');
+        out.push(b'"');
     }
-    let text = doc.text(node);
+    let text = doc.text_bytes(node);
     let mut children = doc.children(node).peekable();
     let has_children = children.peek().is_some();
     if !has_children && text.is_none() {
-        out.push_str("/>");
+        out.extend_from_slice(b"/>");
         return;
     }
-    out.push('>');
+    out.push(b'>');
     if let Some(text) = text {
         escape_into(text, false, out);
     }
@@ -77,23 +90,23 @@ pub(crate) fn write_node_into(
     }
     if let Some(indent) = opts.indent {
         if has_children {
-            out.push('\n');
-            out.extend(std::iter::repeat(' ').take(indent * depth));
+            out.push(b'\n');
+            out.resize(out.len() + indent * depth, b' ');
         }
     }
-    out.push_str("</");
-    out.push_str(tag);
-    out.push('>');
+    out.extend_from_slice(b"</");
+    out.extend_from_slice(tag);
+    out.push(b'>');
 }
 
-fn escape_into(text: &str, in_attribute: bool, out: &mut String) {
-    for c in text.chars() {
-        match c {
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '&' => out.push_str("&amp;"),
-            '"' if in_attribute => out.push_str("&quot;"),
-            _ => out.push(c),
+fn escape_into(text: &[u8], in_attribute: bool, out: &mut Vec<u8>) {
+    for &b in text {
+        match b {
+            b'<' => out.extend_from_slice(b"&lt;"),
+            b'>' => out.extend_from_slice(b"&gt;"),
+            b'&' => out.extend_from_slice(b"&amp;"),
+            b'"' if in_attribute => out.extend_from_slice(b"&quot;"),
+            _ => out.push(b),
         }
     }
 }
@@ -148,6 +161,9 @@ mod tests {
         let doc = parse_document("<a><b>t</b><c/></a>").unwrap();
         let a = doc.children(doc.document_root()).next().unwrap();
         let b = doc.children(a).next().unwrap();
-        assert_eq!(write_node(&doc, b, &WriteOptions::default()), "<b>t</b>");
+        assert_eq!(
+            write_node(&doc, b, &WriteOptions::default()).as_deref(),
+            Ok("<b>t</b>")
+        );
     }
 }

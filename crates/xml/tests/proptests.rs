@@ -3,8 +3,10 @@
 //! over generated documents.
 
 use proptest::prelude::*;
+use whirlpool_pattern::{AttrTest, ValueTest};
 use whirlpool_xml::{
-    parse_document, write_document, Document, DocumentBuilder, NodeId, WriteOptions,
+    parse_document, write_document, DocView, Document, DocumentBuilder, NodeId, TagId,
+    WriteOptions, ATTR_ENTRY_STRIDE,
 };
 
 // ---------------------------------------------------------------------
@@ -169,5 +171,98 @@ proptest! {
         // A pre-order walk visits the nodes in NodeId order.
         let order: Vec<NodeId> = doc.descendants_or_self(doc.document_root()).collect();
         prop_assert_eq!(order, doc.all_nodes().collect::<Vec<_>>());
+    }
+}
+
+/// Offsets: mostly near the blobs, one in four anywhere.
+fn offsets() -> impl Strategy<Value = Vec<u32>> {
+    let offset = any::<u32>().prop_map(|x| if x % 4 == 0 { x } else { x % 48 });
+    prop::collection::vec(offset, 1..40)
+}
+
+/// What a view can hold besides its structure: names, offsets,
+/// attribute entries and blob bytes, all arbitrary.
+#[derive(Debug)]
+struct Content {
+    tag_offsets: Vec<u32>,
+    tag_blob: String,
+    text_offsets: Vec<u32>,
+    text_blob: Vec<u8>,
+    attr_offsets: Vec<u32>,
+    attr_entries: Vec<u32>,
+    attr_blob: Vec<u8>,
+}
+
+fn content_strategy() -> impl Strategy<Value = Content> {
+    let bytes = || prop::collection::vec(any::<u8>(), 0..48);
+    (
+        (offsets(), ".{0,24}"),
+        (offsets(), bytes()),
+        (offsets(), offsets(), bytes()),
+    )
+        .prop_map(|((to, tb), (xo, xb), (ao, ae, ab))| Content {
+            tag_offsets: to,
+            tag_blob: tb,
+            text_offsets: xo,
+            text_blob: xb,
+            attr_offsets: ao,
+            attr_entries: ae,
+            attr_blob: ab,
+        })
+}
+
+/// `values` repeated or cut to `len`: arbitrary content in the shape a
+/// snapshot's section table enforces.
+fn fit(values: &[u32], len: usize) -> Vec<u32> {
+    values.iter().copied().cycle().take(len).collect()
+}
+
+proptest! {
+    /// The view is total over any content of the right shapes: no
+    /// accessor, value test or serialization panics, whatever the
+    /// offsets, entries and bytes say. A trusted snapshot attach relies
+    /// on this instead of checking text and attribute content.
+    #[test]
+    fn views_are_total_over_arbitrary_content(doc in doc_strategy(), c in content_strategy()) {
+        let owned = doc.view();
+        let (n, tags) = (owned.len(), owned.tag_count());
+        let entries = c.attr_entries.len() / ATTR_ENTRY_STRIDE * ATTR_ENTRY_STRIDE;
+        let (tag_offsets, text_offsets) = (fit(&c.tag_offsets, tags + 1), fit(&c.text_offsets, n + 1));
+        let attr_offsets = fit(&c.attr_offsets, n + 1);
+        let dv = DocView {
+            tag_offsets: &tag_offsets,
+            tag_blob: &c.tag_blob,
+            text_offsets: &text_offsets,
+            text_blob: &c.text_blob,
+            attr_offsets: &attr_offsets,
+            attr_entries: &c.attr_entries[..entries],
+            attr_blob: &c.attr_blob,
+            ..owned
+        };
+        let eq = ValueTest::Eq("a".into());
+        let contains = ValueTest::Contains("b".into());
+        let attr_test = AttrTest { name: "k".into(), value: Some("v".into()) };
+        for t in 0..tags + 2 {
+            let _ = dv.tag_name(TagId::from_index(t));
+        }
+        for n in dv.elements() {
+            let _ = dv.tag_str(n);
+            let text = dv.text_bytes(n);
+            prop_assert_eq!(
+                dv.text(n).map(str::as_bytes),
+                text.filter(|t| std::str::from_utf8(t).is_ok())
+            );
+            let _ = (eq.matches(text), contains.matches(text));
+            for (name, value) in dv.attributes(n) {
+                let _ = (dv.tag_name(name), attr_test.matches(Some(value)));
+                prop_assert!(dv.attribute_bytes(n, name).is_some());
+                let _ = dv.attribute(n, name);
+            }
+            // A span can cut a character of a blob that is UTF-8 as a
+            // whole, so either outcome is possible; neither panics.
+            if let Ok(xml) = dv.write_node(n, &WriteOptions::default()) {
+                prop_assert!(xml.starts_with('<'));
+            }
+        }
     }
 }

@@ -80,7 +80,8 @@ fn main() {
 }
 
 fn preview(doc: &whirlpool_xml::Document, root: whirlpool_xml::NodeId) -> String {
-    let xml = write_node(doc, root, &WriteOptions::default());
+    let xml =
+        write_node(doc, root, &WriteOptions::default()).expect("a parsed document's text is UTF-8");
     let mut s: String = xml.chars().take(72).collect();
     if s.len() < xml.len() {
         s.push('…');

@@ -50,7 +50,8 @@ fn main() {
     println!("\ntop-{} answers:", result.answers.len());
     for (rank, answer) in result.answers.iter().enumerate() {
         let id = doc.attribute(answer.root, "id").unwrap_or("?");
-        let xml = write_node(&doc, answer.root, &WriteOptions::default());
+        let xml = write_node(&doc, answer.root, &WriteOptions::default())
+            .expect("a parsed document's text is UTF-8");
         let preview: String = xml.chars().take(60).collect();
         println!(
             "  #{} score {:.4}  book {id}  {preview}…",

@@ -26,11 +26,14 @@
 //! counts, whether every visit verifies its file in full (inside the
 //! trust margin) or trusts the record of an earlier verification.
 
+#[path = "common/temp.rs"]
+mod temp;
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
+use temp::TempDir;
 use whirlpool_core::{
     collection_answers_equivalent, evaluate_collection, shard_ceiling, Algorithm, Collection,
     CollectionAnswer, CollectionOptions, Completeness, EvalOptions, RelaxMode,
@@ -87,12 +90,8 @@ fn random_doc(seed: u64) -> String {
 }
 
 /// Writes each source as a snapshot shard in a fresh unique temp dir.
-fn write_snapshot_dir(sources: &[String]) -> std::path::PathBuf {
-    static COUNTER: AtomicUsize = AtomicUsize::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("wp-lazy-prop-{}-{n}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+fn write_snapshot_dir(sources: &[String]) -> TempDir {
+    let dir = TempDir::new("wp-lazy-prop");
     for (i, src) in sources.iter().enumerate() {
         let doc = parse_document(src).unwrap();
         let index = TagIndex::build(&doc);
@@ -218,7 +217,6 @@ fn trusted_and_verified_re_attaches_answer_alike() {
     for (warm, cold) in warm_trusted.iter().zip(&fresh) {
         assert_eq!(warm.0, cold.0);
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 proptest! {
@@ -267,7 +265,6 @@ proptest! {
                 }
             }
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The path-aware shard ceiling is a sound upper bound on what the

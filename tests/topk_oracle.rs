@@ -18,8 +18,11 @@
 //! the k-th score must be returned. Members *at* the k-th score may be
 //! any roots the oracle also scores there.
 
+#[path = "common/temp.rs"]
+mod temp;
+
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use temp::TempDir;
 use whirlpool_core::{
     evaluate, evaluate_collection, evaluate_view, Algorithm, Collection, CollectionOptions,
     EvalOptions, MetricsSnapshot, QueuePolicy, RelaxMode,
@@ -507,18 +510,13 @@ proptest! {
                 }
             }
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
 /// Writes each document as a snapshot shard `s{i}.wps` in a fresh
 /// temp dir.
-fn write_snapshot_dir(docs: &[Document]) -> std::path::PathBuf {
-    static COUNTER: AtomicUsize = AtomicUsize::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("wp-oracle-{}-{n}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+fn write_snapshot_dir(docs: &[Document]) -> TempDir {
+    let dir = TempDir::new("wp-oracle");
     for (i, doc) in docs.iter().enumerate() {
         save_snapshot(doc, &TagIndex::build(doc), dir.join(format!("s{i}.wps"))).unwrap();
     }
