@@ -1,85 +1,21 @@
-//! `whirlpool query` — run a top-k query against a document or a
-//! multi-document collection.
+//! `whirlpool query` — run a top-k query over one document or a
+//! multi-document collection. Both are scopes of one collection driver
+//! ([`evaluate_scope`]): the input loads into a [`Collection`], and one
+//! document is a one-shard scope of it.
 
 use crate::args::Parsed;
 use crate::commands::{is_snapshot, load_document, load_query};
 use crate::CliError;
 use std::io::Write;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use whirlpool_core::{
-    evaluate_collection, evaluate_view, Algorithm, Collection, CollectionOptions, EvalOptions,
-    FaultPlan, QueuePolicy, RelaxMode, RoutingStrategy,
+    evaluate_scope, Algorithm, Collection, CollectionOptions, CollectionResult, Completeness,
+    EvalOptions, FaultPlan, QueuePolicy, RelaxMode, RoutingStrategy, Scope, Shard, Tracer,
 };
-use whirlpool_index::{DocView, TagIndex, TagIndexView};
-use whirlpool_pattern::StaticPlan;
-use whirlpool_score::{Normalization, TfIdfModel};
-use whirlpool_store::Snapshot;
-use whirlpool_xml::{Document, NodeId, TagId, WriteOptions};
-
-/// How the single-document path got its corpus: parsed + indexed in
-/// memory, or attached zero-copy from a snapshot.
-#[allow(clippy::large_enum_variant)] // one per query invocation, never in bulk arrays
-enum DocSource {
-    Parsed {
-        doc: Document,
-        index: TagIndex,
-        /// Parse + index, the cost a snapshot attach avoids.
-        index_build_ms: f64,
-    },
-    Snapshot {
-        snapshot: Snapshot,
-        attach_ms: f64,
-    },
-}
-
-impl DocSource {
-    /// Opens `path`: snapshot files attach (mmap); anything else parses
-    /// and indexes. `force_snapshot` (the `--snapshot` flag) rejects
-    /// non-snapshot files instead of falling back.
-    fn open(path: &str, force_snapshot: bool) -> Result<DocSource, CliError> {
-        let is_snapshot = is_snapshot(path);
-        if force_snapshot && !is_snapshot {
-            return Err(CliError::Usage(format!(
-                "--snapshot: {path} is not a snapshot \
-                 (build one with `whirlpool snapshot build`)"
-            )));
-        }
-        if is_snapshot {
-            let start = std::time::Instant::now();
-            let snapshot =
-                Snapshot::attach(path).map_err(|e| CliError::Parse(format!("{path}: {e}")))?;
-            Ok(DocSource::Snapshot {
-                snapshot,
-                attach_ms: start.elapsed().as_secs_f64() * 1e3,
-            })
-        } else {
-            let start = std::time::Instant::now();
-            let doc = load_document(path)?;
-            let index = TagIndex::build(&doc);
-            Ok(DocSource::Parsed {
-                doc,
-                index,
-                index_build_ms: start.elapsed().as_secs_f64() * 1e3,
-            })
-        }
-    }
-
-    fn views(&self) -> (DocView<'_>, TagIndexView<'_>) {
-        match self {
-            DocSource::Parsed { doc, index, .. } => (doc.into(), index.view()),
-            DocSource::Snapshot { snapshot, .. } => (snapshot.doc_view(), snapshot.index_view()),
-        }
-    }
-
-    /// `("index_build_ms" | "snapshot_attach_ms", value)` — the stat
-    /// the run pays at startup.
-    fn prepare_stat(&self) -> (&'static str, f64) {
-        match self {
-            DocSource::Parsed { index_build_ms, .. } => ("index_build_ms", *index_build_ms),
-            DocSource::Snapshot { attach_ms, .. } => ("snapshot_attach_ms", *attach_ms),
-        }
-    }
-}
+use whirlpool_index::{DocView, TagIndex};
+use whirlpool_pattern::{StaticPlan, TreePattern};
+use whirlpool_score::Normalization;
+use whirlpool_xml::{NodeId, TagId, WriteOptions};
 
 pub fn run(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
     let parsed = Parsed::parse(
@@ -255,126 +191,79 @@ pub fn run(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
         threshold_floor: 0.0,
     };
 
-    if multi_doc {
-        if options.fault_plan.is_some() || trace_out.is_some() || explain {
-            return Err(CliError::Usage(
-                "--fault, --trace-out, and --explain are per-document features; \
-                 they are not supported in collection mode"
-                    .to_string(),
-            ));
-        }
-        let collection = build_collection(collection_dir.as_deref(), &files, split)?;
-        if let Some(max) = parsed.value("max-resident") {
-            let max: usize = max
-                .parse()
-                .map_err(|_| CliError::Usage(format!("--max-resident: not a number: {max:?}")))?;
-            collection.set_max_resident(max);
-        }
-        let copts = CollectionOptions {
-            shard_pruning: !parsed.flag("no-shard-pruning"),
-            share_threshold: !parsed.flag("no-share-threshold"),
-            threads: options.threads,
-        };
-        return run_collection(
-            out,
-            &parsed,
-            &collection,
-            &query,
-            &algorithm,
-            &options,
-            norm,
-            &copts,
-        );
+    if multi_doc && (trace_out.is_some() || explain) {
+        return Err(CliError::Usage(
+            "--trace-out and --explain are per-document features; \
+             they are not supported in collection mode"
+                .to_string(),
+        ));
     }
-
-    let source = match &snapshot_file {
-        Some(path) => DocSource::open(path, true)?,
-        None => DocSource::open(&files[0], false)?,
+    if let Some(path) = snapshot_file.as_deref().filter(|p| !is_snapshot(p)) {
+        return Err(CliError::Usage(format!(
+            "--snapshot: {path} is not a snapshot \
+             (build one with `whirlpool snapshot build`)"
+        )));
+    }
+    // One file is a document scope, timed as it loads; anything else
+    // is the corpus scope of a collection.
+    let (collection, scope, prepare) = if multi_doc {
+        let collection = build_collection(collection_dir.as_deref(), &files, split)?;
+        (collection, Scope::Corpus, None)
+    } else {
+        let mut collection = Collection::new();
+        let path = snapshot_file.as_ref().unwrap_or_else(|| &files[0]);
+        let prepare = add_shard(&mut collection, path, false)?;
+        (collection, Scope::Shard(0), Some(prepare))
     };
-    let (doc, index) = source.views();
-    let started = std::time::Instant::now();
-    let model = TfIdfModel::build_view(doc, index, &query, norm);
-    let model_build_ms = started.elapsed().as_secs_f64() * 1e3;
+    if let Some(max) = parsed.value("max-resident") {
+        let max: usize = max
+            .parse()
+            .map_err(|_| CliError::Usage(format!("--max-resident: not a number: {max:?}")))?;
+        collection.set_max_resident(max);
+    }
+    let copts = CollectionOptions {
+        shard_pruning: !parsed.flag("no-shard-pruning"),
+        share_threshold: !parsed.flag("no-share-threshold"),
+        threads: options.threads,
+    };
+    let mut result = evaluate_scope(
+        &collection,
+        scope,
+        &query,
+        &algorithm,
+        &options,
+        norm,
+        &copts,
+    );
+    // Only a document scope records a trace (a usage check above). It
+    // evaluates its one shard unless the shard provably holds no answer,
+    // and then no engine ran: the trace is empty.
+    let trace = options
+        .trace
+        .then(|| (result.traces.pop()).map_or_else(|| Tracer::new().finish(), |(_, trace)| trace));
 
-    let result = evaluate_view(doc, index, &query, &model, &algorithm, &options);
-
-    if let (Some(path), Some(trace)) = (&trace_out, &result.trace) {
+    if let (Some(path), Some(trace)) = (&trace_out, &trace) {
         let mut file = std::fs::File::create(path)
             .map_err(|e| CliError::Usage(format!("--trace-out {path}: {e}")))?;
         trace
             .write_chrome_trace(&mut file)
             .map_err(|e| CliError::Usage(format!("--trace-out {path}: {e}")))?;
     }
-
+    let run = Run {
+        collection: &collection,
+        query: &query,
+        algorithm: &algorithm,
+        prepare,
+        result: &result,
+    };
     if parsed.flag("json") {
         // --explain is a human-readable view; it is skipped in JSON
         // mode so the output stays machine-parseable.
-        let prepare = [source.prepare_stat(), ("model_build_ms", model_build_ms)];
-        return write_json(out, doc, &prepare, &query, &algorithm, &result);
+        return write_json(out, &run);
     }
-
-    writeln!(out, "query:     {query}")?;
-    writeln!(out, "algorithm: {}", algorithm.name())?;
-    match result.completeness {
-        whirlpool_core::Completeness::Exact => writeln!(out, "result:    exact")?,
-        whirlpool_core::Completeness::Truncated {
-            pending_matches,
-            score_bound,
-        } => writeln!(
-            out,
-            "result:    truncated ({pending_matches} matches unresolved, \
-             no missing answer can score above {score_bound:.4})"
-        )?,
-    }
-    writeln!(out, "answers:   {}", result.answers.len())?;
-    let id_attr = doc.tag_id("id");
-    for (rank, a) in result.answers.iter().enumerate() {
-        write!(
-            out,
-            "  #{:<3} score {:<8.4} node {:?}",
-            rank + 1,
-            a.score.value(),
-            a.root
-        )?;
-        if let Some(id) = answer_id(doc, id_attr, a.root)? {
-            write!(out, "  id={id}")?;
-        }
-        writeln!(out)?;
-        if parsed.flag("xml") {
-            for line in fragment(doc, a.root)?.lines() {
-                writeln!(out, "      {line}")?;
-            }
-        }
-    }
-    writeln!(
-        out,
-        "work:      {} server ops ({} locate batches), {} comparisons, {} matches created, \
-         {} pruned, {} roots never seeded",
-        result.metrics.server_ops,
-        result.metrics.server_op_batches,
-        result.metrics.predicate_comparisons,
-        result.metrics.partials_created,
-        result.metrics.pruned,
-        result.metrics.roots_unseeded
-    )?;
-    writeln!(out, "elapsed:   {:?}", result.elapsed)?;
-    if parsed.flag("stats") {
-        for (stat, ms) in [source.prepare_stat(), ("model_build_ms", model_build_ms)] {
-            writeln!(out, "prepare:   {stat} {ms:.3}")?;
-        }
-        writeln!(
-            out,
-            "anytime:   {} deadline hits, {} servers failed, {} matches redistributed, {} answers degraded",
-            result.metrics.deadline_hits,
-            result.metrics.servers_failed,
-            result.metrics.matches_redistributed,
-            result.metrics.answers_degraded
-        )?;
-    }
-    if explain {
-        if let Some(trace) = &result.trace {
-            write_explain(out, trace)?;
-        }
+    write_human(out, &run, parsed.flag("xml"), parsed.flag("stats"))?;
+    if let (true, Some(trace)) = (explain, &trace) {
+        write_explain(out, trace)?;
     }
     Ok(())
 }
@@ -408,67 +297,92 @@ fn build_collection(
             )));
         }
         for path in paths {
-            add_shard(&mut collection, &path.to_string_lossy())?;
+            add_shard(&mut collection, &path.to_string_lossy(), true)?;
         }
     } else if let Some(n) = split {
         let doc = load_document(&files[0])?;
         collection = Collection::split_document(&doc, n);
     } else {
         for file in files {
-            add_shard(&mut collection, file)?;
+            add_shard(&mut collection, file, true)?;
         }
     }
     Ok(collection)
 }
 
-/// Adds one file to the collection: snapshots go in as lazy shards —
-/// only their synopses are read until a query visits them — anything
-/// else parses and indexes.
-fn add_shard(collection: &mut Collection, path: &str) -> Result<(), CliError> {
-    if is_snapshot(path) {
-        return collection
-            .attach_snapshot_file(path)
-            .map_err(|e| CliError::Parse(format!("{path}: {e}")));
-    }
+/// Adds the file at `path` to `collection` as one shard named by its
+/// file stem, and returns what preparing it cost as `(stat, ms)`.
+/// Anything but a snapshot parses and indexes (`index_build_ms`). A
+/// snapshot attaches (`snapshot_attach_ms`), or with `peek` goes in as a
+/// lazy shard: only its synopses are read until a query visits it.
+fn add_shard(
+    collection: &mut Collection,
+    path: &str,
+    peek: bool,
+) -> Result<(&'static str, f64), CliError> {
     let name = std::path::Path::new(path)
         .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or(path)
-        .to_string();
-    collection.add_document(name, load_document(path)?);
-    Ok(())
+        .map_or_else(|| path.to_string(), |s| s.to_string_lossy().into_owned());
+    let start = Instant::now();
+    let (shard, stat) = if !is_snapshot(path) {
+        let doc = load_document(path)?;
+        let index = TagIndex::build(&doc);
+        let stat = ("index_build_ms", ms(start.elapsed()));
+        (Shard::parsed(name, doc, index), stat)
+    } else {
+        let shard = if peek {
+            Shard::peeked(name, path)
+        } else {
+            Shard::attached(name, path)
+        };
+        let shard = shard.map_err(|e| CliError::Parse(format!("{path}: {e}")))?;
+        (shard, ("snapshot_attach_ms", ms(start.elapsed())))
+    };
+    collection.push(shard);
+    Ok(stat)
 }
 
-/// Runs and prints a collection query (the `--json` and human forms).
-#[allow(clippy::too_many_arguments)] // the single-document path's locals, bundled
-fn run_collection(
-    out: &mut dyn Write,
-    parsed: &Parsed,
-    collection: &Collection,
-    query: &whirlpool_pattern::TreePattern,
-    algorithm: &Algorithm,
-    options: &EvalOptions,
-    norm: Normalization,
-    copts: &CollectionOptions,
-) -> Result<(), CliError> {
-    let result = evaluate_collection(collection, query, algorithm, options, norm, copts);
-    let cm = &result.collection_metrics;
+/// One query's run, as both renderers read it.
+struct Run<'a> {
+    collection: &'a Collection,
+    query: &'a TreePattern,
+    algorithm: &'a Algorithm,
+    /// A document scope's load cost, `(stat, ms)`.
+    prepare: Option<(&'static str, f64)>,
+    result: &'a CollectionResult,
+}
 
-    if parsed.flag("json") {
-        return write_collection_json(out, collection, query, algorithm, &result);
+impl Run<'_> {
+    /// What the run spent before its engines: the load, then the model.
+    fn prepare_stats(&self) -> impl Iterator<Item = (&'static str, f64)> {
+        let model = ("model_build_ms", ms(self.result.model_build));
+        self.prepare.into_iter().chain([model])
     }
+}
 
-    writeln!(out, "query:      {query}")?;
-    writeln!(out, "algorithm:  {}", algorithm.name())?;
+/// The human-readable form: `xml` adds each answer's fragment, `stats`
+/// the prepare and anytime counters.
+fn write_human(out: &mut dyn Write, run: &Run<'_>, xml: bool, stats: bool) -> Result<(), CliError> {
+    let (result, cm, m) = (
+        run.result,
+        &run.result.collection_metrics,
+        &run.result.metrics,
+    );
+    writeln!(out, "query:     {}", run.query)?;
+    writeln!(out, "algorithm: {}", run.algorithm.name())?;
     writeln!(
         out,
-        "collection: {} shards ({} visited, {} pruned, {} budget-skipped)",
-        cm.shards_total, cm.shards_visited, cm.shards_pruned, cm.shards_skipped_budget
+        "collection: {} shard{} ({} visited, {} pruned, {} budget-skipped)",
+        cm.shards_total,
+        if cm.shards_total == 1 { "" } else { "s" },
+        cm.shards_visited,
+        cm.shards_pruned,
+        cm.shards_skipped_budget
     )?;
     if cm.shards_pruned_before_attach > 0 || cm.shards_attached > 0 || cm.shard_evictions > 0 {
         writeln!(
             out,
-            "lazy:       {} pruned before attach, {} attached ({} verified in full), {} evicted",
+            "lazy:      {} pruned before attach, {} attached ({} verified in full), {} evicted",
             cm.shards_pruned_before_attach,
             cm.shards_attached,
             cm.shards_verified,
@@ -476,26 +390,25 @@ fn run_collection(
         )?;
     }
     match result.completeness {
-        whirlpool_core::Completeness::Exact => writeln!(out, "result:     exact")?,
-        whirlpool_core::Completeness::Truncated {
+        Completeness::Exact => writeln!(out, "result:    exact")?,
+        Completeness::Truncated {
             pending_matches,
             score_bound,
         } => writeln!(
             out,
-            "result:     truncated ({pending_matches} matches unresolved, \
+            "result:    truncated ({pending_matches} matches unresolved, \
              no missing answer can score above {score_bound:.4})"
         )?,
     }
-    let texts = answer_texts(collection, &result, parsed.flag("xml"))?;
-    writeln!(out, "answers:    {}", result.answers.len())?;
+    let texts = answer_texts(run.collection, result, xml)?;
+    writeln!(out, "answers:   {}", result.answers.len())?;
     for (rank, (a, (id, xml))) in result.answers.iter().zip(&texts).enumerate() {
-        let shard = &collection.shards()[a.shard];
         write!(
             out,
             "  #{:<3} score {:<8.4} shard {:<12} node {:?}",
             rank + 1,
             a.score.value(),
-            shard.name(),
+            run.collection.shards()[a.shard].name(),
             a.root
         )?;
         if let Some(id) = id {
@@ -508,17 +421,32 @@ fn run_collection(
     }
     writeln!(
         out,
-        "work:       {} server ops ({} locate batches), {} comparisons, {} matches created, \
+        "work:      {} server ops ({} locate batches), {} comparisons, {} matches created, \
          {} pruned, {} roots never seeded",
-        result.metrics.server_ops,
-        result.metrics.server_op_batches,
-        result.metrics.predicate_comparisons,
-        result.metrics.partials_created,
-        result.metrics.pruned,
-        result.metrics.roots_unseeded
+        m.server_ops,
+        m.server_op_batches,
+        m.predicate_comparisons,
+        m.partials_created,
+        m.pruned,
+        m.roots_unseeded
     )?;
-    writeln!(out, "elapsed:    {:?}", result.elapsed)?;
+    writeln!(out, "elapsed:   {:?}", result.elapsed)?;
+    if stats {
+        for (stat, ms) in run.prepare_stats() {
+            writeln!(out, "prepare:   {stat} {ms:.3}")?;
+        }
+        writeln!(
+            out,
+            "anytime:   {} deadline hits, {} servers failed, {} matches redistributed, {} answers degraded",
+            m.deadline_hits, m.servers_failed, m.matches_redistributed, m.answers_degraded
+        )?;
+    }
     Ok(())
+}
+
+/// A duration in milliseconds.
+fn ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e3
 }
 
 /// Each answer's `id` attribute and (with `xml`) its serialized
@@ -528,7 +456,7 @@ fn run_collection(
 /// answers interleave.
 fn answer_texts(
     collection: &Collection,
-    result: &whirlpool_core::CollectionResult,
+    result: &CollectionResult,
     xml: bool,
 ) -> Result<Vec<(Option<String>, String)>, CliError> {
     let mut texts = vec![(None, String::new()); result.answers.len()];
@@ -583,20 +511,24 @@ fn fragment(doc: DocView<'_>, root: NodeId) -> Result<String, CliError> {
     })
 }
 
-/// JSON form of a collection run; answers carry their shard name.
-fn write_collection_json(
-    out: &mut dyn Write,
-    collection: &Collection,
-    query: &whirlpool_pattern::TreePattern,
-    algorithm: &Algorithm,
-    result: &whirlpool_core::CollectionResult,
-) -> Result<(), CliError> {
-    let texts = answer_texts(collection, result, false)?;
+/// The JSON form (a minimal emitter: the approved dependency set has
+/// no serde_json, and the shape is small and fully controlled here).
+/// Answers carry their shard's name.
+fn write_json(out: &mut dyn Write, run: &Run<'_>) -> Result<(), CliError> {
+    let (result, cm, m) = (
+        run.result,
+        &run.result.collection_metrics,
+        &run.result.metrics,
+    );
+    let texts = answer_texts(run.collection, result, false)?;
     writeln!(out, "{{")?;
-    writeln!(out, "  \"query\": \"{}\",", escape(&query.to_string()))?;
-    writeln!(out, "  \"algorithm\": \"{}\",", algorithm.name())?;
+    writeln!(out, "  \"query\": \"{}\",", escape(&run.query.to_string()))?;
+    writeln!(out, "  \"algorithm\": \"{}\",", run.algorithm.name())?;
     writeln!(out, "  \"result\": \"{}\",", result.completeness.label())?;
-    if let whirlpool_core::Completeness::Truncated {
+    for (stat, ms) in run.prepare_stats() {
+        writeln!(out, "  \"{stat}\": {ms:.3},")?;
+    }
+    if let Completeness::Truncated {
         pending_matches,
         score_bound,
     } = result.completeness
@@ -604,7 +536,6 @@ fn write_collection_json(
         writeln!(out, "  \"pending_matches\": {pending_matches},")?;
         writeln!(out, "  \"score_bound\": {score_bound:.6},")?;
     }
-    let cm = &result.collection_metrics;
     writeln!(
         out,
         "  \"collection\": {{\"shards_total\": {}, \"shards_visited\": {}, \
@@ -620,17 +551,24 @@ fn write_collection_json(
         cm.shards_verified,
         cm.shard_evictions
     )?;
+    writeln!(out, "  \"elapsed_ms\": {:.3},", ms(result.elapsed))?;
     writeln!(
         out,
-        "  \"elapsed_ms\": {:.3},",
-        result.elapsed.as_secs_f64() * 1e3
-    )?;
-    let m = &result.metrics;
-    writeln!(
-        out,
-        "  \"metrics\": {{\"server_ops\": {}, \"predicate_comparisons\": {}, \
-         \"partials_created\": {}, \"pruned\": {}, \"roots_unseeded\": {}}},",
-        m.server_ops, m.predicate_comparisons, m.partials_created, m.pruned, m.roots_unseeded
+        "  \"metrics\": {{\"server_ops\": {}, \"server_op_batches\": {}, \
+         \"predicate_comparisons\": {}, \"partials_created\": {}, \"pruned\": {}, \
+         \"roots_unseeded\": {}, \"routing_decisions\": {}, \"deadline_hits\": {}, \
+         \"servers_failed\": {}, \"matches_redistributed\": {}, \"answers_degraded\": {}}},",
+        m.server_ops,
+        m.server_op_batches,
+        m.predicate_comparisons,
+        m.partials_created,
+        m.pruned,
+        m.roots_unseeded,
+        m.routing_decisions,
+        m.deadline_hits,
+        m.servers_failed,
+        m.matches_redistributed,
+        m.answers_degraded
     )?;
     writeln!(out, "  \"answers\": [")?;
     for (i, (a, (id, _))) in result.answers.iter().zip(&texts).enumerate() {
@@ -639,7 +577,6 @@ fn write_collection_json(
         } else {
             ""
         };
-        let shard = &collection.shards()[a.shard];
         let id = id
             .as_ref()
             .map(|v| format!(", \"id\": \"{}\"", escape(v)))
@@ -648,7 +585,7 @@ fn write_collection_json(
             out,
             "    {{\"rank\": {}, \"shard\": \"{}\", \"node\": {}, \"score\": {:.6}{id}}}{comma}",
             i + 1,
-            escape(shard.name()),
+            escape(run.collection.shards()[a.shard].name()),
             a.root.index(),
             a.score.value()
         )?;
@@ -755,7 +692,7 @@ fn write_explain(out: &mut dyn Write, trace: &whirlpool_core::TraceData) -> Resu
     Ok(())
 }
 
-/// JSON string escaping shared by the two emitters below.
+/// JSON string escaping for [`write_json`].
 fn escape(s: &str) -> String {
     let mut o = String::with_capacity(s.len() + 2);
     for c in s.chars() {
@@ -770,71 +707,6 @@ fn escape(s: &str) -> String {
         }
     }
     o
-}
-
-/// Minimal JSON emitter (the approved dependency set has no serde_json;
-/// the output shape is small and fully controlled here).
-fn write_json(
-    out: &mut dyn Write,
-    doc: DocView<'_>,
-    prepare: &[(&str, f64)],
-    query: &whirlpool_pattern::TreePattern,
-    algorithm: &Algorithm,
-    result: &whirlpool_core::EvalResult,
-) -> Result<(), CliError> {
-    let id_attr = doc.tag_id("id");
-    let ids = (result.answers.iter())
-        .map(|a| answer_id(doc, id_attr, a.root))
-        .collect::<Result<Vec<_>, _>>()?;
-    writeln!(out, "{{")?;
-    writeln!(out, "  \"query\": \"{}\",", escape(&query.to_string()))?;
-    writeln!(out, "  \"algorithm\": \"{}\",", algorithm.name())?;
-    writeln!(out, "  \"result\": \"{}\",", result.completeness.label())?;
-    for (stat, ms) in prepare {
-        writeln!(out, "  \"{stat}\": {ms:.3},")?;
-    }
-    if let whirlpool_core::Completeness::Truncated {
-        pending_matches,
-        score_bound,
-    } = result.completeness
-    {
-        writeln!(out, "  \"pending_matches\": {pending_matches},")?;
-        writeln!(out, "  \"score_bound\": {score_bound:.6},")?;
-    }
-    writeln!(
-        out,
-        "  \"elapsed_ms\": {:.3},",
-        result.elapsed.as_secs_f64() * 1e3
-    )?;
-    let m = &result.metrics;
-    writeln!(
-        out,
-        "  \"metrics\": {{\"server_ops\": {}, \"server_op_batches\": {}, \"predicate_comparisons\": {},          \"partials_created\": {}, \"pruned\": {}, \"roots_unseeded\": {}, \"routing_decisions\": {},          \"deadline_hits\": {}, \"servers_failed\": {}, \"matches_redistributed\": {},          \"answers_degraded\": {}}},",
-        m.server_ops, m.server_op_batches, m.predicate_comparisons, m.partials_created, m.pruned,
-        m.roots_unseeded, m.routing_decisions, m.deadline_hits, m.servers_failed, m.matches_redistributed,
-        m.answers_degraded
-    )?;
-    writeln!(out, "  \"answers\": [")?;
-    for (i, (a, id)) in result.answers.iter().zip(ids).enumerate() {
-        let comma = if i + 1 < result.answers.len() {
-            ","
-        } else {
-            ""
-        };
-        let id = id
-            .map(|v| format!(", \"id\": \"{}\"", escape(v)))
-            .unwrap_or_default();
-        writeln!(
-            out,
-            "    {{\"rank\": {}, \"node\": {}, \"score\": {:.6}{id}}}{comma}",
-            i + 1,
-            a.root.index(),
-            a.score.value()
-        )?;
-    }
-    writeln!(out, "  ]")?;
-    writeln!(out, "}}")?;
-    Ok(())
 }
 
 #[cfg(test)]

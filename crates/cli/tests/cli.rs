@@ -140,6 +140,44 @@ fn query_json_output_is_parseable_shape() {
     assert_eq!(out.matches('[').count(), out.matches(']').count());
 }
 
+/// The `--json` counters are one line of single-spaced fields.
+#[test]
+fn query_json_metrics_line_is_pinned() {
+    let file = sample_file();
+    let out = run_ok(&["query", file.to_str().unwrap(), "//book[./title]", "--json"]);
+    let line = out
+        .lines()
+        .find(|l| l.starts_with("  \"metrics\": "))
+        .unwrap_or_else(|| panic!("no metrics line: {out}"));
+    let fields: Vec<&str> = line
+        .trim_start_matches("  \"metrics\": {")
+        .trim_end_matches("},")
+        .split(", ")
+        .map(|f| f.split(": ").next().unwrap())
+        .collect();
+    assert_eq!(
+        fields,
+        [
+            "\"server_ops\"",
+            "\"server_op_batches\"",
+            "\"predicate_comparisons\"",
+            "\"partials_created\"",
+            "\"pruned\"",
+            "\"roots_unseeded\"",
+            "\"routing_decisions\"",
+            "\"deadline_hits\"",
+            "\"servers_failed\"",
+            "\"matches_redistributed\"",
+            "\"answers_degraded\"",
+        ],
+        "{line}"
+    );
+    assert!(
+        !line.trim_start().contains("  "),
+        "a run of spaces inside the object: {line}"
+    );
+}
+
 #[test]
 fn query_rejects_bad_options() {
     let file = sample_file();
@@ -581,18 +619,29 @@ fn query_split_shards_one_document() {
     assert!(out.contains("shard split-0"), "{out}");
 }
 
+/// A fault spec names servers by query node, the same in every shard,
+/// so `--fault` runs in a corpus scope too; the trace and the explain
+/// view stay per-document.
 #[test]
 fn query_collection_rejects_per_document_features() {
     let (rich, poor) = collection_files();
-    let err = run_err(&[
+    let files = [rich.to_str().unwrap(), poor.to_str().unwrap()];
+    for flag in [&["--trace-out", "never.json"][..], &["--explain"]] {
+        let argv = [&["query"], &files[..], &["//book[./title]"], flag].concat();
+        let err = run_err(&argv);
+        assert!(err.contains("collection mode"), "{flag:?}: {err}");
+    }
+    let out = run_ok(&[
         "query",
-        rich.to_str().unwrap(),
-        poor.to_str().unwrap(),
-        "//book[./title]",
+        files[0],
+        files[1],
+        "//book[./title and ./isbn]",
         "--fault",
         "server=1:fail@0",
+        "--json",
     ]);
-    assert!(err.contains("collection mode"), "{err}");
+    assert!(out.contains("\"result\": \"truncated\""), "{out}");
+    assert!(json_u64(&out, "servers_failed") >= 1, "{out}");
     let err = run_err(&[
         "query",
         "--split",

@@ -70,6 +70,7 @@ use crate::engine::{evaluate_with_context, Algorithm, EvalOptions};
 use crate::error::Completeness;
 use crate::fault::Budget;
 use crate::metrics::{Metrics, MetricsSnapshot};
+use crate::trace::TraceData;
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -231,7 +232,7 @@ impl Shard {
 
     /// The shard's path synopsis: stored in its snapshot, or built at
     /// parse time. Drives the path-aware ceiling refinement in
-    /// [`shard_ceiling_with_paths`].
+    /// [`Collection::shard_ceiling`].
     pub fn path_synopsis(&self) -> &PathSynopsis {
         &self.paths
     }
@@ -619,10 +620,24 @@ impl Collection {
     }
 
     /// Pools document-frequency counts over every shard (see
-    /// [`CorpusStats`]). Callers derive the corpus score model from the
+    /// [`CorpusStats`]): [`scope_stats`](Self::scope_stats) of the
+    /// corpus scope. Callers derive the corpus score model from the
     /// result; [`evaluate_collection`] does this internally.
+    pub fn corpus_stats(&self, pattern: &TreePattern) -> CorpusStats {
+        self.scope_stats(Scope::Corpus, pattern)
+    }
+
+    /// Pools document-frequency counts over the shards of `scope`; the
+    /// driver ([`evaluate_scope`]) derives its score model from them.
     ///
-    /// When *any* shard was [admitted by peek](Shard::admitted_by_peek)
+    /// A document scope ([`Scope::Shard`]) counts its one shard exactly,
+    /// attaching it if it is lazy: evaluating the scope attaches it
+    /// anyway, and the counts are then the paper's per-document idf
+    /// (Definition 4.2), the model [`TfIdfModel::build_view`] builds.
+    /// Only a failed attach falls back to the shard's synopsis estimate.
+    ///
+    /// In the corpus scope, when *any* shard was [admitted by
+    /// peek](Shard::admitted_by_peek)
     /// — its payload never read — **every** shard contributes
     /// synopsis-derived estimates ([`CorpusStats::add_shard_synopsis`])
     /// instead of exact postings walks: attaching each shard just to
@@ -636,33 +651,53 @@ impl Collection {
     /// keyed on how shards were inserted, which never changes, not on
     /// what is resident, which does; the same collection always scores
     /// under the same model.
-    pub fn corpus_stats(&self, pattern: &TreePattern) -> CorpusStats {
+    pub fn scope_stats(&self, scope: Scope, pattern: &TreePattern) -> CorpusStats {
         let answer_tag = &pattern.node(pattern.root()).tag;
         let mut stats = CorpusStats::new(pattern);
-        if self.shards.iter().any(Shard::admitted_by_peek) {
-            for shard in &self.shards {
-                stats.add_shard_synopsis(&shard.synopsis, answer_tag);
-            }
-        } else {
-            for (idx, shard) in self.shards.iter().enumerate() {
-                match self.acquire(idx) {
-                    Ok(access) => {
-                        stats.add_shard_view(access.doc(), access.index(), answer_tag);
-                    }
-                    // Unreachable short of the shard's backing file
-                    // vanishing between eviction and this re-acquire;
-                    // the synopsis estimate keeps stats total rather
-                    // than failing the whole corpus for one shard.
-                    Err(_) => stats.add_shard_synopsis(&shard.synopsis, answer_tag),
-                }
+        let estimate = scope == Scope::Corpus && self.shards.iter().any(Shard::admitted_by_peek);
+        for idx in scope.shards(self.len()) {
+            match (!estimate).then(|| self.acquire(idx)) {
+                Some(Ok(access)) => stats.add_shard_view(access.doc(), access.index(), answer_tag),
+                // A failed attach (the backing file vanished or changed
+                // since the shard was added) falls back to the synopsis
+                // estimate: stats stay total rather than failing the
+                // whole query for one shard.
+                _ => stats.add_shard_synopsis(&self.shards[idx].synopsis, answer_tag),
             }
         }
         stats
     }
 
     /// The score ceiling of shard `shard_idx` for `pattern` under
-    /// `model` — see [`shard_ceiling_with_paths`], which this delegates
-    /// to with the shard's own synopses.
+    /// `model`: an upper bound on what any answer rooted in the shard
+    /// can score, or `None` if the shard provably holds no answer.
+    ///
+    /// It is the tag-count bound of [`shard_ceiling`], refined by the
+    /// shard's path synopsis when that is definitive (untruncated).
+    /// Tag counts alone cannot tell *arrangement*: a shard can hold
+    /// every tag the query names and still hold no answer because the
+    /// tags never nest the way the pattern requires. The path synopsis
+    /// closes that gap, and the refinement stays an upper bound — the
+    /// invariant shard pruning relies on — because each test only
+    /// asserts a server's contribution is *exactly zero*:
+    ///
+    /// * **Exact mode** requires every pattern edge to be realized
+    ///   literally, so an exact match embeds each root-to-server chain
+    ///   as a document path honoring the literal axes. If the synopsis
+    ///   (a complete digest of every root-to-element path) realizes no
+    ///   such chain for the answer root or for any server, the shard
+    ///   holds no exact answer at all: ceiling `None`.
+    /// * **Relaxed mode** can generalize every edge to descendant and
+    ///   promote subtrees, but a server binding always stays inside its
+    ///   answer root's subtree. The weakest realizable requirement is
+    ///   therefore *"some server-tag element lies below some answer-tag
+    ///   element"*. When even that fails, every candidate answer binds
+    ///   the server to the outer-join null, contributing exactly zero,
+    ///   so the server's maximum drops out of the sum.
+    ///
+    /// A truncated synopsis digests only *some* paths, so "no stored
+    /// path matches" stops being a proof of absence; in that case the
+    /// tag-count bound is used unrefined.
     pub fn shard_ceiling(
         &self,
         shard_idx: usize,
@@ -707,7 +742,7 @@ impl Collection {
 /// (inner-join semantics), so *any* absent server tag — not just
 /// the answer tag — empties the shard.
 ///
-/// This is the tag-count bound alone — [`shard_ceiling_with_paths`]
+/// This is the tag-count bound alone — [`Collection::shard_ceiling`]
 /// without its path tests — which the path-aware ceiling the driver
 /// uses must never exceed.
 pub fn shard_ceiling(
@@ -746,45 +781,6 @@ fn literal_steps(pattern: &TreePattern, to: QNodeId) -> QueryPath<'_> {
     }
     rev.reverse();
     rev
-}
-
-/// [`shard_ceiling`] refined by the shard's path synopsis, when that
-/// is definitive (untruncated).
-///
-/// Tag counts alone cannot tell *arrangement*: a shard can hold every
-/// tag the query names and still hold no answer because the tags never
-/// nest the way the pattern requires. The path synopsis closes that
-/// gap, and the refinement stays an upper bound — the invariant shard
-/// pruning relies on — because each test below only asserts a server's
-/// contribution is *exactly zero*:
-///
-/// * **Exact mode** requires every pattern edge to be realized
-///   literally, so an exact match embeds each root-to-server chain as
-///   a document path honoring the literal axes. If the synopsis (a
-///   complete digest of every root-to-element path) realizes no such
-///   chain for the answer root or for any server, the shard holds no
-///   exact answer at all: ceiling `None`.
-/// * **Relaxed mode** can generalize every edge to descendant and
-///   promote subtrees, but a server binding always stays inside its
-///   answer root's subtree. The weakest realizable requirement is
-///   therefore *"some server-tag element lies below some answer-tag
-///   element"* — the two-step descendant chain tested below. When even
-///   that fails, every candidate answer binds the server to the
-///   outer-join null, contributing exactly zero, so the server's
-///   maximum drops out of the sum.
-///
-/// A truncated synopsis digests only *some* paths, so "no stored path
-/// matches" stops being a proof of absence; in that case the tag-count
-/// bound is used unrefined.
-pub fn shard_ceiling_with_paths(
-    synopsis: &ShardSynopsis,
-    paths: &PathSynopsis,
-    pattern: &TreePattern,
-    model: &TfIdfModel,
-    relax: RelaxMode,
-) -> Option<Score> {
-    let definitive = Some(paths).filter(|p| p.is_definitive());
-    CeilingQuery::new(pattern).ceiling(synopsis, definitive, model, relax)
 }
 
 /// What a shard ceiling reads of the pattern, resolved once per
@@ -906,6 +902,29 @@ impl CollectionOptions {
     }
 }
 
+/// The shards one query runs over: a document, or the whole corpus.
+/// Both run through one driver ([`evaluate_scope`]); they differ only
+/// in which shards it visits and in how it counts idf
+/// ([`Collection::scope_stats`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scope {
+    /// Every shard of the collection.
+    Corpus,
+    /// One shard, by its index into [`Collection::shards`]: a document
+    /// query.
+    Shard(usize),
+}
+
+impl Scope {
+    /// The indices of the scope's shards in a collection of `len`.
+    pub fn shards(self, len: usize) -> std::ops::Range<usize> {
+        match self {
+            Scope::Corpus => 0..len,
+            Scope::Shard(idx) => idx..idx + 1,
+        }
+    }
+}
+
 /// One answer of a collection query: which shard, which node, what
 /// score.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -921,7 +940,7 @@ pub struct CollectionAnswer {
 /// Shard-level accounting of one collection run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CollectionMetrics {
-    /// Shards in the collection.
+    /// Shards in the query's scope.
     pub shards_total: usize,
     /// Shards actually evaluated.
     pub shards_visited: usize,
@@ -958,6 +977,12 @@ pub struct CollectionResult {
     pub collection_metrics: CollectionMetrics,
     /// Engine counters summed over every visited shard.
     pub metrics: MetricsSnapshot,
+    /// Wall-clock time of counting idf and deriving the score model,
+    /// the first phase of the run (included in `elapsed`).
+    pub model_build: Duration,
+    /// Under [`EvalOptions::trace`], each evaluated shard's trace, by
+    /// shard index, in the order the runs finished; empty otherwise.
+    pub traces: Vec<(usize, TraceData)>,
     /// Wall-clock time of the whole collection run.
     pub elapsed: Duration,
 }
@@ -1020,10 +1045,33 @@ impl GlobalTopK {
 }
 
 /// Evaluates `pattern` over every shard of `collection` and returns the
-/// corpus-wide top-k.
+/// corpus-wide top-k: [`evaluate_scope`] over [`Scope::Corpus`].
+pub fn evaluate_collection(
+    collection: &Collection,
+    pattern: &TreePattern,
+    algorithm: &Algorithm,
+    options: &EvalOptions,
+    normalization: Normalization,
+    copts: &CollectionOptions,
+) -> CollectionResult {
+    evaluate_scope(
+        collection,
+        Scope::Corpus,
+        pattern,
+        algorithm,
+        options,
+        normalization,
+        copts,
+    )
+}
+
+/// Evaluates `pattern` over the shards of `scope` and returns their
+/// top-k. A document scope is a one-shard run of the same driver, so a
+/// document query and a corpus query differ only in the shards visited
+/// and in how idf is counted.
 ///
-/// Scores come from the corpus-level model
-/// ([`Collection::corpus_stats`]) built with `normalization`. Shards
+/// Scores come from the scope's model ([`Collection::scope_stats`])
+/// built with `normalization`. Shards
 /// are visited ceiling-descending; `options` configures the per-shard
 /// engine runs (its `k`, `relax`, deadline, etc. — `threads` is
 /// overridden per [`CollectionOptions::threads`], and
@@ -1035,8 +1083,9 @@ impl GlobalTopK {
 /// are accounted into the truncation certificate by their ceilings.
 /// (With several shard-level workers, shards in flight at once are each
 /// granted the remainder as of their claim.)
-pub fn evaluate_collection(
+pub fn evaluate_scope(
     collection: &Collection,
+    scope: Scope,
     pattern: &TreePattern,
     algorithm: &Algorithm,
     options: &EvalOptions,
@@ -1048,13 +1097,15 @@ pub fn evaluate_collection(
         Budget::new(options.deadline, options.max_server_ops).with_cancel(options.cancel.clone());
     // Only `server_ops` is charged: it is what the budget reads.
     let spent = Metrics::new();
-    let model = collection.corpus_stats(pattern).model(normalization);
+    let model = collection.scope_stats(scope, pattern).model(normalization);
+    let model_build = start.elapsed();
 
     // Ceiling-descending visit order: rich shards first, so the global
     // threshold rises as fast as possible. `None` ceilings (provably
     // answer-free shards) sort last.
     let query = CeilingQuery::new(pattern);
-    let mut order: Vec<(usize, Option<Score>)> = (0..collection.len())
+    let mut order: Vec<(usize, Option<Score>)> = scope
+        .shards(collection.len())
         .map(|i| (i, collection.ceiling_of(i, &query, &model, options.relax)))
         .collect();
     order.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -1067,11 +1118,12 @@ pub fn evaluate_collection(
     let budget_skipped = AtomicUsize::new(0);
     let truncated = Mutex::new(TruncationFold::default());
     let metrics = Mutex::new(MetricsSnapshot::default());
+    let traces = Mutex::new(Vec::new());
     let attached_before = collection.attach_count();
     let verified_before = collection.verify_count();
     let evictions_before = collection.eviction_count();
 
-    let workers = copts.threads.max(1).min(collection.len().max(1));
+    let workers = copts.threads.max(1).min(order.len().max(1));
 
     // A shard left unevaluated is certified by its ceiling: whatever
     // it could have held scores no higher.
@@ -1131,7 +1183,6 @@ pub fn evaluate_collection(
             };
             let mut shard_opts = options.clone();
             (shard_opts.deadline, shard_opts.max_server_ops) = budget.remaining(&spent);
-            shard_opts.trace = false;
             if workers > 1 {
                 shard_opts.threads = 1;
             }
@@ -1147,7 +1198,10 @@ pub fn evaluate_collection(
                     relax: options.relax,
                 },
             );
-            let result = evaluate_with_context(&ctx, algorithm, &shard_opts);
+            let mut result = evaluate_with_context(&ctx, algorithm, &shard_opts);
+            if let Some(trace) = result.trace.take() {
+                traces.lock().push((shard_idx, trace));
+            }
             visited.fetch_add(1, Ordering::Relaxed);
             spent
                 .server_ops
@@ -1180,7 +1234,7 @@ pub fn evaluate_collection(
         answers,
         completeness,
         collection_metrics: CollectionMetrics {
-            shards_total: collection.len(),
+            shards_total: order.len(),
             shards_visited: visited.into_inner(),
             shards_pruned: pruned.into_inner(),
             shards_pruned_before_attach: pruned_cold.into_inner(),
@@ -1190,6 +1244,8 @@ pub fn evaluate_collection(
             shard_evictions: collection.eviction_count() - evictions_before,
         },
         metrics: metrics.into_inner(),
+        model_build,
+        traces: traces.into_inner(),
         elapsed: start.elapsed(),
     }
 }
@@ -1378,6 +1434,39 @@ mod tests {
             assert!(matches!(naive.completeness, Completeness::Exact));
             assert!(matches!(pruned.completeness, Completeness::Exact));
         }
+    }
+
+    #[test]
+    fn a_traced_run_carries_each_visited_shards_trace() {
+        let c = sample();
+        let pattern = q();
+        let run = |trace: bool, scope: Scope| {
+            let options = EvalOptions {
+                trace,
+                ..EvalOptions::top_k(3)
+            };
+            evaluate_scope(
+                &c,
+                scope,
+                &pattern,
+                &Algorithm::WhirlpoolS,
+                &options,
+                Normalization::Sparse,
+                &CollectionOptions::default(),
+            )
+        };
+        let traced = run(true, Scope::Corpus);
+        let mut shards: Vec<usize> = traced.traces.iter().map(|(s, _)| *s).collect();
+        shards.sort_unstable();
+        shards.dedup();
+        assert_eq!(shards.len(), traced.collection_metrics.shards_visited);
+        assert!(traced.model_build <= traced.elapsed);
+        assert!(run(false, Scope::Corpus).traces.is_empty());
+        let one = run(true, Scope::Shard(1));
+        assert_eq!(one.collection_metrics.shards_total, 1);
+        assert_eq!(one.traces.len(), 1);
+        assert_eq!(one.traces[0].0, 1);
+        assert!(one.answers.iter().all(|a| a.shard == 1));
     }
 
     #[test]

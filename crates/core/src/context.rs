@@ -308,30 +308,6 @@ impl<'a> QueryContext<'a> {
         self.full_mask
     }
 
-    /// A pre-execution cost estimate for this query on this document,
-    /// from the root-candidate count and the sampled per-server
-    /// selectivity (see
-    /// [`estimate_query_cost`](whirlpool_index::estimate_query_cost)).
-    /// Admission controllers use it to reject queries whose predicted
-    /// work would not fit the current capacity.
-    ///
-    /// The sampled model multiplies fan-outs, which is exact mode's
-    /// growth. A relaxed server operation emits at most one extension,
-    /// so there a root match meets each server at most once: the
-    /// figures are capped at `roots × servers` operations and
-    /// `roots × (servers + 1)` matches, which hold by construction.
-    pub fn cost_estimate(&self) -> whirlpool_index::QueryCostEstimate {
-        let mut estimate =
-            whirlpool_index::estimate_query_cost(self.root_candidates.len(), &self.selectivity);
-        if self.relax == RelaxMode::Relaxed {
-            let roots = estimate.root_matches;
-            let servers = self.selectivity.len() as f64;
-            estimate.estimated_server_ops = estimate.estimated_server_ops.min(roots * servers);
-            estimate.estimated_partials = estimate.estimated_partials.min(roots * (servers + 1.0));
-        }
-        estimate
-    }
-
     /// Candidate bindings for the pattern root, in document order.
     pub fn root_candidates(&self) -> &[NodeId] {
         &self.root_candidates
@@ -818,33 +794,6 @@ mod tests {
         <book><reviews><title>wodehouse</title></reviews></book>\
         <book><name/></book>\
         </shelf>";
-
-    #[test]
-    fn relaxed_cost_estimate_is_capped_at_roots_times_servers() {
-        // Q3's high-fan-out branch: every `text` has four `bold` and
-        // four `keyword` children, so the sampled model multiplies the
-        // alive population by four at each server.
-        let text = format!(
-            "<text>{}{}</text>",
-            "<bold/>".repeat(4),
-            "<keyword/>".repeat(4)
-        );
-        let f = Fixture::new(
-            &format!("<mail>{}</mail>", text.repeat(10)),
-            "//text[./bold and ./keyword]",
-        );
-        // Exact mode keeps the product (and relaxed mode used to
-        // report the same 50 operations for at most 20).
-        let exact = f.ctx(RelaxMode::Exact).cost_estimate();
-        assert_eq!(exact.root_matches, 10.0);
-        assert_eq!(exact.estimated_server_ops, 10.0 + 40.0);
-        assert_eq!(exact.estimated_partials, 10.0 + 40.0 + 160.0);
-
-        let relaxed = f.ctx(RelaxMode::Relaxed).cost_estimate();
-        assert_eq!(relaxed.root_matches, 10.0);
-        assert_eq!(relaxed.estimated_server_ops, 10.0 * 2.0);
-        assert_eq!(relaxed.estimated_partials, 10.0 * 3.0);
-    }
 
     #[test]
     fn root_candidates_respect_axis_and_depth() {

@@ -66,7 +66,9 @@
 //! queried as a single corpus under a shared corpus-level idf model,
 //! with the global top-k threshold seeding every per-shard run and a
 //! synopsis-derived score ceiling pruning whole shards that cannot
-//! beat the current k-th answer. See [`evaluate_collection`].
+//! beat the current k-th answer. See [`evaluate_collection`]; a
+//! document query is the same driver over one shard
+//! ([`evaluate_scope`], [`Scope`]).
 
 mod collection;
 mod context;
@@ -84,8 +86,8 @@ mod whirlpool_m;
 mod whirlpool_s;
 
 pub use collection::{
-    collection_answers_equivalent, evaluate_collection, shard_ceiling, shard_ceiling_with_paths,
-    Collection, CollectionAnswer, CollectionMetrics, CollectionOptions, CollectionResult, Shard,
+    collection_answers_equivalent, evaluate_collection, evaluate_scope, shard_ceiling, Collection,
+    CollectionAnswer, CollectionMetrics, CollectionOptions, CollectionResult, Scope, Shard,
     ShardAccess,
 };
 pub use context::{ContextOptions, Located, OpOutcome, QueryContext, RelaxMode};

@@ -60,9 +60,7 @@ pub use cursor::RangeCursor;
 pub use paths::{
     PathAxis, PathEntry, PathSynopsis, MAX_PATH_STEPS, PATH_COUNT_CAP, PATH_DEPTH_CAP,
 };
-pub use selectivity::{
-    estimate_query_cost, estimate_selectivity_view, QueryCostEstimate, ServerSelectivity,
-};
+pub use selectivity::{estimate_selectivity_view, ServerSelectivity};
 pub use synopsis::ShardSynopsis;
 pub use tagindex::{TagIndex, TagIndexView};
 pub use whirlpool_xml::DocView;

@@ -145,60 +145,6 @@ pub fn estimate_selectivity_view(
         .collect()
 }
 
-/// A pre-admission cost estimate for one query over one document,
-/// derived from the same sampled [`ServerSelectivity`] statistics the
-/// adaptive router uses. Serving layers compare
-/// [`estimated_server_ops`](QueryCostEstimate::estimated_server_ops)
-/// against their capacity before committing an engine to the query.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QueryCostEstimate {
-    /// Root candidates seeding the evaluation.
-    pub root_matches: f64,
-    /// Expected server operations (partial matches processed), summed
-    /// over a best-case (`min_alive`, ascending-fanout) routing order
-    /// with no pruning — an upper-bound-flavored planning estimate,
-    /// not a promise.
-    pub estimated_server_ops: f64,
-    /// Expected partial matches created, root matches included.
-    pub estimated_partials: f64,
-}
-
-/// Estimates the evaluation cost of a query from its root-candidate
-/// count and per-server selectivity sample (relaxed, outer-join
-/// semantics: a server with no candidate still emits one null
-/// extension, so its effective fanout never drops below its
-/// empty fraction's worth of null paths).
-///
-/// The model walks servers in ascending effective fanout — the order
-/// `min_alive` routing converges to — charging one operation per alive
-/// match at each server and multiplying the alive population by the
-/// fanout. Pruning makes real runs cheaper; admission control wants
-/// the pessimistic figure.
-pub fn estimate_query_cost(
-    root_matches: usize,
-    selectivity: &[ServerSelectivity],
-) -> QueryCostEstimate {
-    let roots = root_matches as f64;
-    let mut fanouts: Vec<f64> = selectivity
-        .iter()
-        .map(|s| (s.mean_candidates + s.empty_fraction).max(f64::MIN_POSITIVE))
-        .collect();
-    fanouts.sort_unstable_by(|a, b| a.partial_cmp(b).expect("fanouts are finite"));
-    let mut alive = roots;
-    let mut ops = 0.0;
-    let mut partials = roots;
-    for fanout in fanouts {
-        ops += alive;
-        alive *= fanout;
-        partials += alive;
-    }
-    QueryCostEstimate {
-        root_matches: roots,
-        estimated_server_ops: ops,
-        estimated_partials: partials,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,78 +237,6 @@ mod tests {
                 assert!(ratio > 0.3 && ratio < 3.0, "ratio {ratio}");
             }
         }
-    }
-
-    #[test]
-    fn query_cost_walks_servers_in_ascending_fanout() {
-        let sel = vec![
-            ServerSelectivity {
-                mean_candidates: 4.0,
-                exact_fraction: 1.0,
-                empty_fraction: 0.0,
-                best_exact_fraction: 1.0,
-            },
-            ServerSelectivity {
-                mean_candidates: 2.0,
-                exact_fraction: 1.0,
-                empty_fraction: 0.0,
-                best_exact_fraction: 1.0,
-            },
-        ];
-        let est = estimate_query_cost(10, &sel);
-        // Ascending order: 10 ops at fanout 2, then 20 ops at fanout 4.
-        assert_eq!(est.root_matches, 10.0);
-        assert!((est.estimated_server_ops - 30.0).abs() < 1e-9);
-        assert!((est.estimated_partials - (10.0 + 20.0 + 80.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn query_cost_keeps_null_paths_alive() {
-        // A server whose tag is absent everywhere (fanout = its null
-        // paths) must not zero out the downstream population.
-        let sel = vec![
-            ServerSelectivity {
-                mean_candidates: 0.0,
-                exact_fraction: 0.0,
-                empty_fraction: 1.0,
-                best_exact_fraction: 0.0,
-            },
-            ServerSelectivity {
-                mean_candidates: 3.0,
-                exact_fraction: 0.5,
-                empty_fraction: 0.0,
-                best_exact_fraction: 1.0,
-            },
-        ];
-        let est = estimate_query_cost(8, &sel);
-        // 8 ops at the empty server (fanout 1.0), then 8 at fanout 3.
-        assert!((est.estimated_server_ops - 16.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn query_cost_of_an_empty_document_is_zero() {
-        let est = estimate_query_cost(0, &[ServerSelectivity::unknown()]);
-        assert_eq!(est.estimated_server_ops, 0.0);
-        assert_eq!(est.estimated_partials, 0.0);
-    }
-
-    #[test]
-    fn query_cost_tracks_real_workload_order_of_magnitude() {
-        let doc = whirlpool_xmark::generate(&whirlpool_xmark::GeneratorConfig::items(100));
-        let index = TagIndex::build(&doc);
-        let pattern = parse_pattern(whirlpool_xmark::queries::Q2).unwrap();
-        let servers = compile_servers(&pattern);
-        let roots = index
-            .view()
-            .nodes_with_tag(doc.tag_id("item").unwrap())
-            .to_vec();
-        let sel = estimate_selectivity_view((&doc).into(), index.view(), &roots, &servers, 32);
-        let est = estimate_query_cost(roots.len(), &sel);
-        // A no-pruning evaluation must at least touch every root once
-        // per server in the worst case; the estimate should land in a
-        // sane band rather than collapse to zero or explode.
-        assert!(est.estimated_server_ops >= roots.len() as f64);
-        assert!(est.estimated_server_ops.is_finite());
     }
 
     #[test]

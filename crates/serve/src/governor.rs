@@ -4,10 +4,10 @@
 //! The three mechanisms compose into one overload story:
 //!
 //! 1. **Admission** decides *whether* a query runs: a token bucket caps
-//!    concurrency, and the selectivity-based cost estimate
-//!    ([`QueryContext::cost_estimate`]) turns away queries whose
-//!    predicted work would not fit the capacity remaining at the
-//!    current pressure. An idle daemon always admits — a too-expensive
+//!    concurrency, and a cost estimate read off the query scope's
+//!    synopses (candidate answer roots × (servers + 1)) turns away
+//!    queries whose predicted work would not fit the capacity remaining
+//!    at the current pressure. An idle daemon always admits — a too-expensive
 //!    estimate must never deny service that could simply run alone.
 //! 2. **The ladder** decides *how* an admitted query runs: rising
 //!    pressure shrinks the deadline and adds an op budget, sliding
@@ -18,8 +18,6 @@
 //!    trips the engine's [`CancelToken`] so the worker thread is
 //!    reclaimed within an interrupt span instead of finishing work
 //!    nobody will read.
-//!
-//! [`QueryContext::cost_estimate`]: whirlpool_core::QueryContext::cost_estimate
 
 use crate::error::RejectReason;
 use std::net::TcpStream;

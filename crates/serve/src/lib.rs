@@ -10,10 +10,10 @@
 //! concurrent top-k queries behind a **robustness governor**:
 //!
 //! * **Admission control** ([`Admission`]) — a token bucket caps
-//!   concurrent evaluations, and the selectivity-based cost estimate
-//!   ([`QueryContext::cost_estimate`]) turns away queries whose
-//!   predicted work exceeds the capacity remaining at the current
-//!   pressure. Rejections are HTTP 429 with `Retry-After`.
+//!   concurrent evaluations, and a cost estimate read off the query
+//!   scope's synopses turns away queries whose predicted work exceeds
+//!   the capacity remaining at the current pressure. Rejections are
+//!   HTTP 429 with `Retry-After`.
 //! * **A graceful-degradation ladder** ([`Rung`]) — rising pressure
 //!   shrinks the per-request deadline and adds an op budget, sliding
 //!   responses from exact through certified-truncated (the engines'
@@ -30,9 +30,10 @@
 //!
 //! The documents of a [`Registry`] become the shards of one
 //! [`whirlpool_core::Collection`] when the daemon starts; holding,
-//! attaching, evicting and pruning them — per-document and
-//! `"collection": true` requests alike — is that collection's job,
-//! not the daemon's.
+//! attaching, evicting and pruning them is that collection's job, not
+//! the daemon's. A request names a scope — one document, or with
+//! `"collection": true` all of them — and both run through one
+//! pipeline and one driver ([`whirlpool_core::evaluate_scope`]).
 //!
 //! ## Protocol
 //!
@@ -41,7 +42,8 @@
 //! GET  /metrics            daemon counters (JSON)
 //! POST /query              {"doc": "name", "query": "//item[./a]", "k": 5,
 //!                           "fault": "server=2:panic@100", "fault_seed": 7}
-//!                          {"collection": true, "query": "//item[./a]", "k": 5}
+//!                          {"collection": true, "query": "//item[./a]", "k": 5,
+//!                           "fault": "server=1:fail@0"}
 //! ```
 //!
 //! One request per connection (`Connection: close`): the protocol
@@ -70,8 +72,6 @@
 //! assert!(response.contains("\"outcome\": \"exact\""));
 //! handle.shutdown();
 //! ```
-//!
-//! [`QueryContext::cost_estimate`]: whirlpool_core::QueryContext::cost_estimate
 
 mod error;
 mod governor;

@@ -13,13 +13,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use whirlpool_core::{
-    evaluate_collection, evaluate_with_context, Algorithm, CancelToken, Collection,
-    CollectionOptions, CollectionResult, Completeness, ContextOptions, EvalOptions, EvalResult,
-    FaultPlan, QueryContext, MAX_INJECTED_DELAY,
+    evaluate_scope, Algorithm, CancelToken, Collection, CollectionOptions, CollectionResult,
+    Completeness, EvalOptions, FaultPlan, MetricsSnapshot, Scope, MAX_INJECTED_DELAY,
 };
 use whirlpool_index::DocView;
 use whirlpool_pattern::{TreePattern, WILDCARD};
-use whirlpool_score::{Normalization, TfIdfModel};
+use whirlpool_score::Normalization;
 use whirlpool_xml::{NodeId, TagId};
 
 /// Daemon configuration.
@@ -625,74 +624,85 @@ impl Governed {
     }
 }
 
+/// The one `/query` pipeline: resolve the scope (one document, or with
+/// `"collection": true` every loaded document as a sharded corpus),
+/// price admission off the scope's synopses, then run
+/// [`whirlpool_core::evaluate_scope`] — scope idf, global threshold
+/// sharing, synopsis-based shard pruning, attach-on-visit — under the
+/// rung's budgets and the watchdog's cancel token, inside one bounded
+/// retry loop. Shards run sequentially on the one worker thread: the
+/// pool already provides cross-request parallelism, so shard-level
+/// threads would only oversubscribe under load.
 fn handle_query(daemon: &Daemon, conn: &mut TcpStream, body: &[u8]) -> Result<(), ServeError> {
     let req = QueryRequest::parse(body)?;
-    if req.collection {
-        return handle_collection_query(daemon, conn, req);
-    }
-    let idx = daemon
-        .corpus
-        .index_of(&req.doc)
-        .ok_or_else(|| ServeError::NotFound(req.doc.clone()))?;
+    let collection = &daemon.corpus.collection;
+    let scope = if req.collection {
+        if !req.doc.is_empty() {
+            return Err(ServeError::BadRequest(
+                "collection mode queries every loaded document; drop the \"doc\" field".into(),
+            ));
+        }
+        if collection.is_empty() {
+            return Err(ServeError::NotFound("no documents loaded".into()));
+        }
+        Scope::Corpus
+    } else {
+        Scope::Shard(
+            (daemon.corpus.index_of(&req.doc))
+                .ok_or_else(|| ServeError::NotFound(req.doc.clone()))?,
+        )
+    };
     let pattern = whirlpool_pattern::parse_pattern(&req.query)
         .map_err(|e| ServeError::BadRequest(format!("query {:?}: {e}", req.query)))?;
     // Validate the chaos spec before admission: a malformed spec is the
     // client's fault, not load.
     req.fault_plan(&pattern, 0)?;
 
-    // Parse/index happened at load time; per-request cost from here on
-    // is the score model, the context (selectivity sample), and the
-    // evaluation itself. A snapshot-backed document that is not mapped
-    // (never visited, or evicted) pays its attach here.
-    let collection = &daemon.corpus.collection;
-    let access = collection.acquire(idx).map_err(|e| {
-        // An attach failure is the daemon's problem, not the client's:
-        // HTTP 500 via the transport-error class.
-        let name = collection.shards()[idx].name();
-        ServeError::Io(std::io::Error::other(format!("attach {name}: {e}")))
-    })?;
-    // The model is built before admission, so `elapsed_ms` leaves it
-    // out; the reply reports it on its own.
-    let model_started = Instant::now();
-    let model = TfIdfModel::build_view(
-        access.doc(),
-        access.index(),
-        &pattern,
-        Normalization::Sparse,
-    );
-    let model_build = model_started.elapsed();
-    let ctx = QueryContext::new_view(
-        access.doc(),
-        access.index(),
-        &pattern,
-        &model,
-        ContextOptions::default(),
-    );
-
-    // Admission is priced off the context's selectivity sample.
-    let mut gov = govern(
-        daemon,
-        conn,
-        ctx.cost_estimate().estimated_server_ops,
-        req.k,
-    )?;
+    // Admission is priced before any model or context exists, off the
+    // synopses: the scope's candidate answer roots, times one op per
+    // server and one for the root. In relaxed mode a root match meets
+    // each server at most once, so this bounds the engine's work.
+    let answer_tag = pattern.node(pattern.root()).tag.as_str();
+    let per_root_ops = pattern.server_ids().count() as f64 + 1.0;
+    let estimate: f64 = (scope.shards(collection.len()))
+        .map(|i| {
+            let synopsis = collection.shards()[i].synopsis();
+            let roots = if answer_tag == WILDCARD {
+                synopsis.elements()
+            } else {
+                synopsis.tag_count(answer_tag)
+            };
+            roots as f64 * per_root_ops
+        })
+        .sum();
+    let mut gov = govern(daemon, conn, estimate, req.k)?;
 
     // Bounded retry on transient faults: a run truncated by a *server
     // failure* (not by its budgets) is re-run with backoff — the fault
     // layer draws fresh randomness, so delay-style faults clear. The
-    // engine's metrics accumulate in the context across attempts, so
-    // failure detection works on the per-attempt delta.
+    // reply reports the engine counters of every attempt.
     let mut attempts = 0u32;
-    let mut failed_before = 0;
-    let result: EvalResult = loop {
+    let mut spent = MetricsSnapshot::default();
+    let mut result = loop {
         gov.options.fault_plan = req.fault_plan(&pattern, attempts)?;
         // Whirlpool-S: the worker pool already provides cross-request
         // parallelism, so a per-request multi-threaded engine would
         // only add thread churn under load.
-        let r = evaluate_with_context(&ctx, &Algorithm::WhirlpoolS, &gov.options);
-        let newly_failed = r.metrics.servers_failed - failed_before;
-        failed_before = r.metrics.servers_failed;
-        let transient_fault = newly_failed > 0 && !r.completeness.is_exact();
+        let r = evaluate_scope(
+            collection,
+            scope,
+            &pattern,
+            &Algorithm::WhirlpoolS,
+            &gov.options,
+            Normalization::Sparse,
+            &CollectionOptions::default(),
+        );
+        daemon.pruned_before_attach.fetch_add(
+            r.collection_metrics.shards_pruned_before_attach as u64,
+            Ordering::Relaxed,
+        );
+        spent.absorb(&r.metrics);
+        let transient_fault = r.metrics.servers_failed > 0 && !r.completeness.is_exact();
         if transient_fault
             && attempts < daemon.config.retries
             && gov.guard.fired().is_none()
@@ -708,102 +718,19 @@ fn handle_query(daemon: &Daemon, conn: &mut TcpStream, body: &[u8]) -> Result<()
         }
         break r;
     };
+    result.metrics = spent;
 
     let (rung, started) = (gov.rung, gov.started);
     let (outcome, status) = gov.finish(daemon, conn, &result.completeness);
     let body = query_response_json(
         daemon.request_seq.fetch_add(1, Ordering::Relaxed),
-        access.doc(),
-        outcome,
-        rung,
-        attempts,
-        &result,
-        (started.elapsed(), model_build),
-    )?;
-    // A disconnected client can't receive this; the write fails and
-    // that is fine — the worker is already reclaimed.
-    let _ = respond(conn, status, &[], &body);
-    Ok(())
-}
-
-/// The collection-mode pipeline: one request evaluated over *every*
-/// loaded document as a sharded corpus by
-/// [`whirlpool_core::evaluate_collection`] — corpus-level idf, global
-/// threshold sharing, synopsis-based shard pruning, attach-on-visit —
-/// under the rung's budgets and the watchdog's cancel token. Shards
-/// run sequentially on the one worker thread: the pool already
-/// provides cross-request parallelism, so shard-level threads would
-/// only oversubscribe under load.
-///
-/// Fault injection is rejected — the spec's server indices are
-/// per-document, so one spec cannot name servers across shards.
-fn handle_collection_query(
-    daemon: &Daemon,
-    conn: &mut TcpStream,
-    req: QueryRequest,
-) -> Result<(), ServeError> {
-    if req.fault.is_some() {
-        return Err(ServeError::BadRequest(
-            "fault injection is per-document; it is not supported in collection mode".into(),
-        ));
-    }
-    if !req.doc.is_empty() {
-        return Err(ServeError::BadRequest(
-            "collection mode queries every loaded document; drop the \"doc\" field".into(),
-        ));
-    }
-    let collection = &daemon.corpus.collection;
-    if collection.is_empty() {
-        return Err(ServeError::NotFound("no documents loaded".into()));
-    }
-    let pattern = whirlpool_pattern::parse_pattern(&req.query)
-        .map_err(|e| ServeError::BadRequest(format!("query {:?}: {e}", req.query)))?;
-
-    // Admission: the per-document path prices a request off its
-    // context's selectivity sample, but building every shard's context
-    // up front would defeat pruning's laziness. The synopses give a
-    // coarse stand-in: candidate answer roots across the corpus, times
-    // one op per server.
-    let answer_tag = pattern.node(pattern.root()).tag.as_str();
-    let per_root_ops = pattern.server_ids().count() as f64 + 1.0;
-    let estimate: f64 = collection
-        .shards()
-        .iter()
-        .map(|shard| {
-            let roots = if answer_tag == WILDCARD {
-                shard.synopsis().elements()
-            } else {
-                shard.synopsis().tag_count(answer_tag)
-            };
-            roots as f64 * per_root_ops
-        })
-        .sum();
-    let mut gov = govern(daemon, conn, estimate, req.k)?;
-    gov.options.fault_plan = req.fault_plan(&pattern, 0)?;
-
-    let result = evaluate_collection(
         collection,
-        &pattern,
-        &Algorithm::WhirlpoolS,
-        &gov.options,
-        Normalization::Sparse,
-        &CollectionOptions::default(),
-    );
-    daemon.pruned_before_attach.fetch_add(
-        result.collection_metrics.shards_pruned_before_attach as u64,
-        Ordering::Relaxed,
-    );
-
-    let (rung, started) = (gov.rung, gov.started);
-    let (outcome, status) = gov.finish(daemon, conn, &result.completeness);
-    let body = collection_response_json(
-        daemon.request_seq.fetch_add(1, Ordering::Relaxed),
-        collection,
-        outcome,
-        rung,
+        (outcome, rung, attempts),
         &result,
         started.elapsed(),
     )?;
+    // A disconnected client can't receive this; the write fails and
+    // that is fine — the worker is already reclaimed.
     let _ = respond(conn, status, &[], &body);
     Ok(())
 }
@@ -850,11 +777,13 @@ fn id_fragment(
     Ok(format!(", \"id\": \"{}\"", escape(id)))
 }
 
-fn collection_response_json(
+/// The `/query` reply: the outcome, the certificate of a truncated
+/// run, shard and engine counters, and the answers, each naming its
+/// document.
+fn query_response_json(
     seq: u64,
     collection: &Collection,
-    outcome: Outcome,
-    rung: Rung,
+    (outcome, rung, retries): (Outcome, Rung, u32),
     result: &CollectionResult,
     elapsed: Duration,
 ) -> Result<String, ServeError> {
@@ -876,6 +805,10 @@ fn collection_response_json(
         body.push_str(&format!("  \"pending_matches\": {pending_matches},\n"));
         body.push_str(&format!("  \"score_bound\": {score_bound:.6},\n"));
     }
+    let m = &result.metrics;
+    body.push_str(&format!("  \"retries\": {retries},\n"));
+    body.push_str(&format!("  \"servers_failed\": {},\n", m.servers_failed));
+    body.push_str(&format!("  \"cancellations\": {},\n", m.cancellations));
     let counts = &result.collection_metrics;
     body.push_str(&format!(
         "  \"shards\": {{\"total\": {}, \"visited\": {}, \"pruned\": {}, \
@@ -886,13 +819,14 @@ fn collection_response_json(
         counts.shards_pruned_before_attach,
         counts.shards_skipped_budget,
     ));
-    body.push_str(&format!(
-        "  \"roots_unseeded\": {},\n",
-        result.metrics.roots_unseeded
-    ));
+    body.push_str(&format!("  \"roots_unseeded\": {},\n", m.roots_unseeded));
     body.push_str(&format!(
         "  \"elapsed_ms\": {:.3},\n",
         elapsed.as_secs_f64() * 1e3
+    ));
+    body.push_str(&format!(
+        "  \"model_build_ms\": {:.3},\n",
+        result.model_build.as_secs_f64() * 1e3
     ));
     body.push_str("  \"answers\": [\n");
     for (i, (a, id)) in result.answers.iter().zip(&ids).enumerate() {
@@ -900,75 +834,6 @@ fn collection_response_json(
             "    {{\"rank\": {}, \"doc\": \"{}\", \"node\": {}, \"score\": {:.6}{id}}}{}\n",
             i + 1,
             escape(collection.shards()[a.shard].name()),
-            a.root.index(),
-            a.score.value(),
-            if i + 1 < result.answers.len() {
-                ","
-            } else {
-                ""
-            },
-        ));
-    }
-    body.push_str("  ]\n}\n");
-    Ok(body)
-}
-
-fn query_response_json(
-    seq: u64,
-    doc: DocView<'_>,
-    outcome: Outcome,
-    rung: Rung,
-    retries: u32,
-    result: &EvalResult,
-    (elapsed, model_build): (Duration, Duration),
-) -> Result<String, ServeError> {
-    let id_attr = doc.tag_id("id");
-    let ids = (result.answers.iter())
-        .map(|a| id_fragment(doc, id_attr, a.root))
-        .collect::<Result<Vec<_>, _>>()?;
-    let mut body = String::with_capacity(512);
-    body.push_str("{\n");
-    body.push_str(&format!("  \"request\": {seq},\n"));
-    body.push_str(&format!("  \"outcome\": \"{}\",\n", outcome.label()));
-    body.push_str(&format!("  \"rung\": \"{}\",\n", rung.label()));
-    body.push_str(&format!(
-        "  \"completeness\": \"{}\",\n",
-        result.completeness.label()
-    ));
-    if let Completeness::Truncated {
-        pending_matches,
-        score_bound,
-    } = result.completeness
-    {
-        body.push_str(&format!("  \"pending_matches\": {pending_matches},\n"));
-        body.push_str(&format!("  \"score_bound\": {score_bound:.6},\n"));
-    }
-    body.push_str(&format!("  \"retries\": {retries},\n"));
-    body.push_str(&format!(
-        "  \"servers_failed\": {},\n",
-        result.metrics.servers_failed
-    ));
-    body.push_str(&format!(
-        "  \"cancellations\": {},\n",
-        result.metrics.cancellations
-    ));
-    body.push_str(&format!(
-        "  \"roots_unseeded\": {},\n",
-        result.metrics.roots_unseeded
-    ));
-    body.push_str(&format!(
-        "  \"elapsed_ms\": {:.3},\n",
-        elapsed.as_secs_f64() * 1e3
-    ));
-    body.push_str(&format!(
-        "  \"model_build_ms\": {:.3},\n",
-        model_build.as_secs_f64() * 1e3
-    ));
-    body.push_str("  \"answers\": [\n");
-    for (i, (a, id)) in result.answers.iter().zip(ids).enumerate() {
-        body.push_str(&format!(
-            "    {{\"rank\": {}, \"node\": {}, \"score\": {:.6}{id}}}{}\n",
-            i + 1,
             a.root.index(),
             a.score.value(),
             if i + 1 < result.answers.len() {
@@ -1063,7 +928,7 @@ mod tests {
             v.get("roots_unseeded").and_then(Json::as_u64).is_some(),
             "{body}"
         );
-        // Built before admission, so outside `elapsed_ms`.
+        // Reported on its own, and inside `elapsed_ms`.
         let model_build_ms = v.get("model_build_ms").and_then(Json::as_f64);
         assert!(model_build_ms.is_some_and(|ms| ms >= 0.0), "{body}");
         let Some(Json::Arr(answers)) = v.get("answers") else {
@@ -1558,15 +1423,30 @@ mod tests {
         handle.shutdown();
     }
 
+    /// A `fault` spec names servers by query node, the same in every
+    /// shard, so a corpus scope takes it as a document scope does; the
+    /// one per-document field a corpus scope refuses is `doc`.
     #[test]
     fn collection_query_rejects_per_document_features() {
         let handle = start(ServeConfig::default(), parsed_registry(&PROMISE)).unwrap();
         let addr = handle.addr();
         let (status, body) = post_query(
             addr,
-            r#"{"collection": true, "query": "//book", "fault": "server=1:fail@0"}"#,
+            r#"{"collection": true, "query": "//book[./title and ./isbn]", "fault": "server=1:fail@0"}"#,
         );
-        assert_eq!(status, 400, "fault specs are per-document: {body}");
+        assert_eq!(status, 200, "a fault spec applies to every shard: {body}");
+        let v = Json::parse(&body).unwrap();
+        assert_eq!(
+            v.get("completeness").and_then(Json::as_str),
+            Some("truncated"),
+            "{body}"
+        );
+        assert!(
+            v.get("score_bound").and_then(Json::as_f64).is_some(),
+            "{body}"
+        );
+        let failed = v.get("servers_failed").and_then(Json::as_u64).unwrap();
+        assert!(failed >= 1, "{body}");
         let (status, body) = post_query(
             addr,
             r#"{"collection": true, "doc": "rich", "query": "//book"}"#,
@@ -1684,7 +1564,9 @@ mod tests {
 
     #[test]
     fn collection_replies_match_the_library_driver() {
-        use whirlpool_core::{collection_answers_equivalent, CollectionAnswer};
+        use whirlpool_core::{
+            collection_answers_equivalent, evaluate_collection, CollectionAnswer,
+        };
         let dir = scratch_dir("differential");
         let (registry, library) = mixed_registry_and_library(&dir);
         let handle = start(ServeConfig::default(), registry).unwrap();

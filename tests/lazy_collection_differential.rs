@@ -13,7 +13,7 @@
 //!   re-attach must never change an answer.
 //!
 //! * **Ceilings never under-estimate.** For every shard, the
-//!   path-aware ceiling ([`shard_ceiling_with_paths`]) bounds every
+//!   path-aware ceiling ([`Collection::shard_ceiling`]) bounds every
 //!   score that shard can actually produce under the shared corpus
 //!   model — relaxed ceilings bound relaxed runs, exact ceilings
 //!   bound exact runs, and a `None` ceiling means a provably empty

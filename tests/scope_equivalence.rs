@@ -1,0 +1,104 @@
+//! A document query is a one-shard scope of the collection driver.
+//!
+//! One XMark document sits in a three-shard collection three times:
+//! parsed, attached and peeked. Each of its document scopes must return
+//! what the one-document path returns on that document —
+//! `evaluate_view` under `TfIdfModel::build_view` — rank for rank, with
+//! the same score bits and the same engine work. The peeked shard pins
+//! who sets the idf population: a corpus holding a peeked shard scores
+//! under synopsis estimates, but a document scope counts its own
+//! document (the paper's Definition 4.2).
+
+#[path = "common/temp.rs"]
+mod temp;
+
+use temp::TempDir;
+use whirlpool_core::{
+    evaluate_scope, evaluate_view, Algorithm, Collection, CollectionOptions, Completeness,
+    EvalOptions, RelaxMode, Scope, Shard,
+};
+use whirlpool_index::TagIndex;
+use whirlpool_pattern::parse_pattern;
+use whirlpool_score::{Normalization, TfIdfModel};
+use whirlpool_xmark::{generate, queries, GeneratorConfig};
+use whirlpool_xml::NodeId;
+
+/// The benchmark's value-selective query.
+const Q5: &str = "//item[./quantity = '1' and ./mailbox/mail/text]";
+
+#[test]
+fn a_document_scope_is_the_one_document_path() {
+    let config = GeneratorConfig::items(120);
+    let doc = generate(&config);
+    let index = TagIndex::build(&doc);
+    let dir = TempDir::new("wp-scope-eq");
+    let path = dir.join("doc.wps");
+    whirlpool_store::save_snapshot(&doc, &index, &path).unwrap();
+
+    let mut collection = Collection::new();
+    let copy = generate(&config);
+    let copy_index = TagIndex::build(&copy);
+    collection.push(Shard::parsed("parsed", copy, copy_index));
+    collection.add_snapshot("attached", &path).unwrap();
+    collection.push(Shard::peeked("peeked", &path).unwrap());
+    assert!(collection.shards()[2].admitted_by_peek());
+
+    for query in [queries::Q1, queries::Q2, queries::Q3, queries::Q4, Q5] {
+        let pattern = parse_pattern(query).unwrap();
+        let model =
+            TfIdfModel::build_view((&doc).into(), index.view(), &pattern, Normalization::Sparse);
+        for relax in [RelaxMode::Relaxed, RelaxMode::Exact] {
+            for k in [1, 15, 75] {
+                let options = EvalOptions {
+                    relax,
+                    ..EvalOptions::top_k(k)
+                };
+                for algorithm in [Algorithm::WhirlpoolS, Algorithm::LockStep] {
+                    let what = format!("{query} {relax:?} k={k} {algorithm:?}");
+                    let one = evaluate_view(
+                        (&doc).into(),
+                        index.view(),
+                        &pattern,
+                        &model,
+                        &algorithm,
+                        &options,
+                    );
+                    let expected: Vec<(NodeId, u64)> = (one.answers.iter())
+                        .map(|a| (a.root, a.score.value().to_bits()))
+                        .collect();
+                    for shard in 0..collection.len() {
+                        let scoped = evaluate_scope(
+                            &collection,
+                            Scope::Shard(shard),
+                            &pattern,
+                            &algorithm,
+                            &options,
+                            Normalization::Sparse,
+                            &CollectionOptions::default(),
+                        );
+                        let name = collection.shards()[shard].name();
+                        assert!(scoped.answers.iter().all(|a| a.shard == shard), "{what}");
+                        let got: Vec<(NodeId, u64)> = (scoped.answers.iter())
+                            .map(|a| (a.root, a.score.value().to_bits()))
+                            .collect();
+                        assert_eq!(got, expected, "{what}, {name} scope");
+                        assert!(
+                            matches!(scoped.completeness, Completeness::Exact),
+                            "{what}, {name} scope"
+                        );
+                        let cm = scoped.collection_metrics;
+                        assert_eq!(cm.shards_total, 1, "{what}, {name} scope");
+                        if cm.shards_visited == 1 {
+                            assert_eq!(
+                                scoped.metrics.server_ops, one.metrics.server_ops,
+                                "{what}, {name} scope"
+                            );
+                        } else {
+                            assert!(expected.is_empty(), "{what}: pruned with answers");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
