@@ -1,6 +1,7 @@
 //! `whirlpool explain` — show how a query compiles against a document:
-//! the per-server predicates (Algorithm 1), tf*idf weights, and sampled
-//! selectivity estimates the router will use.
+//! the per-server predicates (Algorithm 1), tf*idf weights, and the
+//! satisfying fractions behind them, which the router reads as its
+//! estimates.
 
 use crate::args::Parsed;
 use crate::commands::{load_document, load_query};
@@ -36,24 +37,24 @@ pub fn run(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
     writeln!(out)?;
     writeln!(
         out,
-        "{:<12} {:<14} {:>8} {:>9} {:>9} {:>8} {:>7}",
-        "server", "root pred", "w-exact", "w-relaxed", "fanout", "exact%", "empty%"
+        "{:<12} {:<14} {:>8} {:>9} {:>8} {:>9} {:>7}",
+        "server", "root pred", "w-exact", "w-relaxed", "exact%", "relaxed%", "empty%"
     )?;
     let root_tag = &query.node(query.root()).tag;
     for server in ctx.server_ids() {
         let spec = ctx.server_spec(server);
-        let sel = ctx.selectivity_of(server);
+        let [exact, relaxed] = ctx.fractions_of(server);
         let [w_exact, w_relaxed] = model.weights(server);
         writeln!(
             out,
-            "{:<12} {:<14} {:>8.3} {:>9.3} {:>9.2} {:>7.1}% {:>6.1}%",
+            "{:<12} {:<14} {:>8.3} {:>9.3} {:>7.1}% {:>8.1}% {:>6.1}%",
             spec.tag,
             format!("{root_tag}{}{}", spec.root_exact.xpath(), spec.tag),
             w_exact,
             w_relaxed,
-            sel.mean_candidates,
-            100.0 * sel.exact_fraction,
-            100.0 * sel.empty_fraction,
+            100.0 * exact,
+            100.0 * relaxed,
+            100.0 * (1.0 - relaxed),
         )?;
     }
 

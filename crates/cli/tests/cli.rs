@@ -463,6 +463,12 @@ fn explain_shows_weights_and_selectivity() {
     assert!(out.contains("never seeded by Whirlpool-S"), "{out}");
     assert!(out.contains("title"), "{out}");
     assert!(out.contains("w-exact"), "{out}");
+    // The router's fractions are the idf counts: 2 of the 3 books have
+    // a child title, all 3 a descendant one, and 1 has an isbn.
+    assert!(out.contains("exact%  relaxed%  empty%"), "{out}");
+    let row = |tag: &str| out.lines().find(|l| l.starts_with(tag)).unwrap_or("");
+    assert!(row("title").ends_with("66.7%    100.0%    0.0%"), "{out}");
+    assert!(row("isbn").ends_with("33.3%     33.3%   66.7%"), "{out}");
 }
 
 #[test]

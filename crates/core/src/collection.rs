@@ -75,7 +75,7 @@ use parking_lot::Mutex;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use whirlpool_index::{DocView, PathAxis, PathSynopsis, ShardSynopsis, TagIndex, TagIndexView};
 use whirlpool_pattern::{Axis, QNodeId, TreePattern, WILDCARD};
@@ -754,6 +754,12 @@ pub fn shard_ceiling(
     CeilingQuery::new(pattern).ceiling(synopsis, None, model, relax)
 }
 
+/// Can a shard summarized by `synopsis` hold an element matching `tag`
+/// (always, for the wildcard)?
+fn holds_tag(synopsis: &ShardSynopsis, tag: &str) -> bool {
+    tag == WILDCARD || synopsis.has_tag(tag)
+}
+
 /// Maps a pattern axis onto the (dependency-free) path-synopsis axis.
 fn path_axis(axis: Axis) -> PathAxis {
     match axis {
@@ -814,7 +820,7 @@ impl<'p> CeilingQuery<'p> {
     ) -> Option<Score> {
         use whirlpool_score::ScoreModel;
         let answer_tag = self.answer_tag;
-        if answer_tag != WILDCARD && !synopsis.has_tag(answer_tag) {
+        if !holds_tag(synopsis, answer_tag) {
             return None;
         }
         if let Some(ps) = paths {
@@ -824,7 +830,7 @@ impl<'p> CeilingQuery<'p> {
         }
         let mut total = model.max_root_contribution();
         for &(s, tag, ref steps) in &self.servers {
-            if tag != WILDCARD && !synopsis.has_tag(tag) {
+            if !holds_tag(synopsis, tag) {
                 if relax == RelaxMode::Exact {
                     return None;
                 }
@@ -1102,11 +1108,26 @@ pub fn evaluate_scope(
 
     // Ceiling-descending visit order: rich shards first, so the global
     // threshold rises as fast as possible. `None` ceilings (provably
-    // answer-free shards) sort last.
-    let query = CeilingQuery::new(pattern);
-    let mut order: Vec<(usize, Option<Score>)> = scope
-        .shards(collection.len())
-        .map(|i| (i, collection.ceiling_of(i, &query, &model, options.relax)))
+    // answer-free shards) sort last. One shard has no order to choose,
+    // and at a zero threshold only a `None` ceiling prunes it: in relaxed
+    // mode, an absent answer tag. So a relaxed document scope stands in
+    // a zero ceiling for a present answer tag, and computes the real one
+    // only to certify the shard if it goes unevaluated.
+    let deferred = matches!(scope, Scope::Shard(_)) && options.relax == RelaxMode::Relaxed;
+    let ceiling_query = OnceLock::new();
+    let ceiling_of = |i| {
+        let query = ceiling_query.get_or_init(|| CeilingQuery::new(pattern));
+        collection.ceiling_of(i, query, &model, options.relax)
+    };
+    let answer_tag = &pattern.node(pattern.root()).tag;
+    let mut order: Vec<(usize, Option<Score>)> = (scope.shards(collection.len()))
+        .map(|i| match deferred {
+            false => (i, ceiling_of(i)),
+            true => (
+                i,
+                holds_tag(&collection.shards[i].synopsis, answer_tag).then_some(Score::ZERO),
+            ),
+        })
         .collect();
     order.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
 
@@ -1127,7 +1148,12 @@ pub fn evaluate_scope(
 
     // A shard left unevaluated is certified by its ceiling: whatever
     // it could have held scores no higher.
-    let skip_unevaluated = |ceiling: Option<Score>| {
+    let skip_unevaluated = |shard_idx: usize, ceiling: Option<Score>| {
+        let ceiling = if deferred {
+            ceiling.and(ceiling_of(shard_idx))
+        } else {
+            ceiling
+        };
         budget_skipped.fetch_add(1, Ordering::Relaxed);
         truncated
             .lock()
@@ -1148,7 +1174,7 @@ pub fn evaluate_scope(
             // deadline, the op budget or the cancel token is spent, no
             // further shard is attached.
             if budget.exhausted(&spent) {
-                skip_unevaluated(ceiling);
+                skip_unevaluated(shard_idx, ceiling);
                 continue;
             }
 
@@ -1177,7 +1203,7 @@ pub fn evaluate_scope(
                 // An attach failure (file vanished, corrupted on disk)
                 // is accounted like a budget skip.
                 Err(_) => {
-                    skip_unevaluated(ceiling);
+                    skip_unevaluated(shard_idx, ceiling);
                     continue;
                 }
             };
@@ -1872,6 +1898,60 @@ mod tests {
             pruned.answers,
             eager.answers
         );
+    }
+
+    /// A relaxed document scope computes its path-synopsis ceiling only
+    /// when the shard goes unevaluated; the replies stay those of a
+    /// ceiling computed up front.
+    #[test]
+    fn a_document_scope_still_prunes_and_certifies_by_its_ceiling() {
+        let pattern = q();
+        let run = |c: &Collection, idx, relax, deadline| {
+            let mut options = EvalOptions::top_k(3);
+            (options.relax, options.deadline) = (relax, deadline);
+            let (algorithm, copts) = (Algorithm::WhirlpoolS, CollectionOptions::default());
+            let scope = Scope::Shard(idx);
+            evaluate_scope(
+                c,
+                scope,
+                &pattern,
+                &algorithm,
+                &options,
+                Normalization::Sparse,
+                &copts,
+            )
+        };
+        // No book, or in exact mode no isbn: pruned, an exact and empty
+        // reply.
+        let c = sample();
+        for (idx, relax) in [
+            (3, RelaxMode::Relaxed),
+            (3, RelaxMode::Exact),
+            (2, RelaxMode::Exact),
+        ] {
+            let result = run(&c, idx, relax, None);
+            assert!(result.answers.is_empty());
+            assert_eq!(result.completeness, Completeness::Exact);
+            assert_eq!(result.collection_metrics.shards_pruned, 1);
+        }
+        // Shard 0 left unevaluated, out of budget or because its file
+        // was replaced after the peek, is certified by its ceiling.
+        let dir = snapshot_dir("scope-ceiling", &[("s0", RICH)]);
+        let replaced = Collection::open_dir(&dir).unwrap();
+        let doc = parse_document(MID).unwrap();
+        whirlpool_store::save_snapshot(&doc, &TagIndex::build(&doc), dir.join("s0.wps")).unwrap();
+        for (c, deadline) in [(&c, Some(Duration::ZERO)), (&replaced, None)] {
+            let result = run(c, 0, RelaxMode::Relaxed, deadline);
+            let model = c.scope_stats(Scope::Shard(0), &pattern);
+            let model = model.model(Normalization::Sparse);
+            let ceiling = c.shard_ceiling(0, &pattern, &model, RelaxMode::Relaxed);
+            let score_bound = ceiling.unwrap().value();
+            let certified = Completeness::Truncated {
+                pending_matches: 1,
+                score_bound,
+            };
+            assert_eq!(result.completeness, certified);
+        }
     }
 
     #[test]

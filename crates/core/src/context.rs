@@ -3,12 +3,10 @@
 use crate::fault::{OpInterrupt, INTERRUPT_SPAN};
 use crate::metrics::Metrics;
 use crate::partial::{Binding, PartialMatch};
+use crate::selectivity::server_fractions;
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
-use whirlpool_index::{
-    estimate_selectivity_view, mask_count, DocView, RangeCursor, ServerSelectivity, TagIndex,
-    TagIndexView,
-};
+use whirlpool_index::{mask_count, DocView, RangeCursor, TagIndex, TagIndexView};
 use whirlpool_pattern::{
     compile_servers, AttrTest, Direction, QNodeId, ServerSpec, TreePattern, WILDCARD,
 };
@@ -115,9 +113,10 @@ impl Iterator for Candidates<'_> {
 }
 
 /// Everything the engines share for one query evaluation: the document
-/// and index, compiled server specs, the score model, selectivity
-/// estimates, and the metric counters. Immutable after construction
-/// (counters are atomic), hence freely shared across threads.
+/// and index, compiled server specs, the score model, the router's
+/// per-server estimates, and the metric counters. Immutable after
+/// construction (counters are atomic), hence freely shared across
+/// threads.
 pub struct QueryContext<'a> {
     /// The document under evaluation — owned arena or mapped snapshot
     /// behind one accessor surface.
@@ -139,8 +138,9 @@ pub struct QueryContext<'a> {
     /// Each server's attribute-test names, resolved to tag ids (`None`:
     /// the document has no such name).
     server_attr_tags: Vec<Vec<Option<TagId>>>,
-    /// Sampled selectivity per server (same indexing as `servers`).
-    selectivity: Vec<ServerSelectivity>,
+    /// `[exact, relaxed]` satisfying fraction per server (same indexing
+    /// as `servers`): the router's estimates.
+    fractions: Vec<[f64; 2]>,
     /// Max possible contribution per query node (indexed by QNodeId).
     max_contrib: Vec<f64>,
     /// Sum of all servers' max contributions.
@@ -158,9 +158,6 @@ fn attrs_hold(doc: DocView<'_>, attrs: &[AttrTest], tags: &[Option<TagId>], n: N
     (attrs.iter().zip(tags)).all(|(a, t)| a.matches(t.and_then(|t| doc.attribute_bytes(n, t))))
 }
 
-/// Root candidates sampled per query for the selectivity estimates.
-const SELECTIVITY_SAMPLE: usize = 64;
-
 /// Construction-time options for [`QueryContext::new`].
 #[derive(Debug, Clone, Default)]
 pub struct ContextOptions {
@@ -170,8 +167,8 @@ pub struct ContextOptions {
 
 impl<'a> QueryContext<'a> {
     /// Compiles the query against the document: resolves server tags,
-    /// collects root candidates, samples selectivity, and precomputes
-    /// the per-server maximum contributions.
+    /// collects root candidates, reads the router's estimates, and
+    /// precomputes the per-server maximum contributions.
     pub fn new(
         doc: &'a Document,
         index: &'a TagIndex,
@@ -252,8 +249,7 @@ impl<'a> QueryContext<'a> {
             })
             .collect();
 
-        let selectivity =
-            estimate_selectivity_view(doc, index, &root_candidates, &servers, SELECTIVITY_SAMPLE);
+        let fractions = server_fractions(doc, index, pattern, model, &servers);
 
         let mut max_contrib = vec![0.0; pattern.len()];
         max_contrib[0] = model.max_contribution(QNodeId::ROOT);
@@ -272,7 +268,7 @@ impl<'a> QueryContext<'a> {
             servers,
             server_ranges,
             server_attr_tags,
-            selectivity,
+            fractions,
             max_contrib,
             total_server_max,
             root_candidates,
@@ -293,9 +289,13 @@ impl<'a> QueryContext<'a> {
         &self.servers[server.index() - 1]
     }
 
-    /// The sampled selectivity estimates of a server.
-    pub fn selectivity_of(&self, server: QNodeId) -> &ServerSelectivity {
-        &self.selectivity[server.index() - 1]
+    /// The router's estimates for a server: the `[exact, relaxed]`
+    /// fractions of the scope's answers that satisfy its component
+    /// predicate (Definition 4.2's counts over the population). The
+    /// rest, `1 - relaxed`, bind it to the outer-join null; a server
+    /// whose tag the document lacks reads `[0, 0]`.
+    pub fn fractions_of(&self, server: QNodeId) -> [f64; 2] {
+        self.fractions[server.index() - 1]
     }
 
     /// The server's maximum possible contribution.

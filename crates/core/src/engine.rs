@@ -198,8 +198,9 @@ pub fn evaluate_view(
     evaluate_with_context(&ctx, algorithm, options)
 }
 
-/// Evaluates against a pre-built context (lets callers reuse the
-/// selectivity sample across runs and read the metric counters).
+/// Evaluates against a pre-built context (lets callers reuse its
+/// resolved servers and root candidates across runs and read the
+/// metric counters).
 pub fn evaluate_with_context(
     ctx: &QueryContext<'_>,
     algorithm: &Algorithm,

@@ -12,9 +12,10 @@
 //! (edge generalization, leaf deletion, subtree promotion). Its defining
 //! trait is **per-answer adaptivity**: every partial match is routed
 //! through the per-query-node *servers* in its own order, chosen at
-//! runtime from the current top-k threshold and per-server selectivity
-//! estimates — in contrast to lock-step plans that push all matches
-//! through the same server sequence.
+//! runtime from the current top-k threshold and per-server estimates
+//! read from the scoring model's own idf counts — in contrast to
+//! lock-step plans that push all matches through the same server
+//! sequence.
 //!
 //! ## Quick start
 //!
@@ -80,6 +81,7 @@ mod metrics;
 mod partial;
 mod queue;
 mod router;
+mod selectivity;
 mod topk;
 pub mod trace;
 mod whirlpool_m;

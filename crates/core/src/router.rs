@@ -155,22 +155,19 @@ impl RoutingStrategy {
     }
 }
 
-/// The sampled distribution of what one operation at `server` binds, as
-/// `(exact, relaxed, null)` weights. A relaxed-mode operation emits one
+/// The distribution of what one operation at `server` binds, as
+/// `(exact, relaxed, null)` weights read from the scope's idf counts
+/// ([`QueryContext::fractions_of`]). A relaxed-mode operation emits one
 /// extension, at the best level any candidate reaches, so the weights
-/// are the fractions of sampled roots whose best candidate is exact,
-/// only relaxed, or absent, and sum to one. Exact mode fans out over
-/// the exact candidates alone (the rest die, nulls included), so its
-/// single weight is the expected number of them.
+/// are the fractions of answers that satisfy the exact predicate, only
+/// its relaxed form, or neither, and sum to one. Exact mode keeps the
+/// exact candidates alone (the rest die, nulls included), so its single
+/// weight is the fraction of answers that have one.
 fn binding_weights(ctx: &QueryContext<'_>, server: QNodeId) -> (f64, f64, f64) {
-    let sel = ctx.selectivity_of(server);
+    let [exact, relaxed] = ctx.fractions_of(server);
     match ctx.relax {
-        RelaxMode::Relaxed => (
-            sel.best_exact_fraction,
-            1.0 - sel.empty_fraction - sel.best_exact_fraction,
-            sel.empty_fraction,
-        ),
-        RelaxMode::Exact => (sel.mean_candidates * sel.exact_fraction, 0.0, 0.0),
+        RelaxMode::Relaxed => (exact, relaxed - exact, 1.0 - relaxed),
+        RelaxMode::Exact => (exact, 0.0, 0.0),
     }
 }
 

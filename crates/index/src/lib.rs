@@ -33,10 +33,6 @@
 //! * [`DocView`] — the document side, re-exported from `whirlpool-xml`:
 //!   one `Copy` struct of slices over a parsed `Document` or a mapped
 //!   snapshot.
-//! * [`ServerSelectivity`] — sampled per-server statistics (candidate
-//!   fanout, exact-match fraction) that the adaptive routing strategies
-//!   use as their cost estimates ("such estimates could be obtained by
-//!   using work on selectivity estimation for XML", §6.1.4).
 //! * [`ShardSynopsis`] — a per-shard tag-count summary that lets a
 //!   collection bound a shard's best possible score without touching
 //!   its postings, enabling whole-shard pruning against the global
@@ -51,7 +47,6 @@
 mod columns;
 mod cursor;
 mod paths;
-mod selectivity;
 mod synopsis;
 mod tagindex;
 
@@ -60,7 +55,6 @@ pub use cursor::RangeCursor;
 pub use paths::{
     PathAxis, PathEntry, PathSynopsis, MAX_PATH_STEPS, PATH_COUNT_CAP, PATH_DEPTH_CAP,
 };
-pub use selectivity::{estimate_selectivity_view, ServerSelectivity};
 pub use synopsis::ShardSynopsis;
 pub use tagindex::{TagIndex, TagIndexView};
 pub use whirlpool_xml::DocView;

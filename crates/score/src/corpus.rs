@@ -11,8 +11,8 @@
 //!
 //! `idf_corpus(p) = ln( Σ_s population_s / max(Σ_s satisfying_s, 1) )`
 //!
-//! For a single-shard corpus this reduces exactly to the per-document
-//! model ([`TfIdfModel::build`]), which the tests pin down.
+//! The per-document model ([`TfIdfModel::build`]) is the model of a
+//! single-shard corpus, so the two derive weights in one place.
 
 use crate::model::{Normalization, TfIdfModel};
 use crate::tfidf::{self, ComponentPredicate};
@@ -117,17 +117,31 @@ impl CorpusStats {
     /// The corpus-level score model: one weight table derived from the
     /// pooled counts, shared by every shard so cross-shard scores (and
     /// the global top-k threshold) are comparable. Exact weights
-    /// dominate relaxed ones by the same Definition 4.2 monotonicity
-    /// argument as the per-document model.
+    /// dominate relaxed ones by Definition 4.2's monotonicity. The model
+    /// keeps the pooled satisfying fractions too, so every shard routes
+    /// from them.
     pub fn model(&self, normalization: Normalization) -> TfIdfModel {
+        // The root carries no component predicate: following the
+        // paper's examples (scores come from the join predicates) it
+        // contributes 0, and its fractions stay neutral, as do those of
+        // an empty population.
         let mut weights = vec![[0.0, 0.0]; self.satisfying.len()];
+        let mut fractions = vec![[1.0, 1.0]; self.satisfying.len()];
+        let population = self.population;
         for pred in &self.preds {
-            let [sat_exact, sat_relaxed] = self.satisfying[pred.qnode.index()];
-            let e = tfidf::idf_from_counts(self.population, sat_exact);
-            let r = tfidf::idf_from_counts(self.population, sat_relaxed);
+            let [exact, relaxed] = self.satisfying[pred.qnode.index()];
+            let e = tfidf::idf_from_counts(population, exact);
+            let r = tfidf::idf_from_counts(population, relaxed);
+            // Definition 4.2 guarantees relaxed ≤ exact (more nodes
+            // satisfy the weaker predicate); clamp for degenerate
+            // counts where both are 0.
             weights[pred.qnode.index()] = [e.max(0.0), r.min(e).max(0.0)];
+            if population > 0 {
+                let fraction = |count| count as f64 / population as f64;
+                fractions[pred.qnode.index()] = [exact, relaxed].map(fraction);
+            }
         }
-        TfIdfModel::from_weights(weights, normalization)
+        TfIdfModel::from_weights(weights, fractions, normalization)
     }
 }
 

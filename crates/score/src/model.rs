@@ -8,7 +8,7 @@
 //! it.
 
 use crate::score::Score;
-use crate::tfidf;
+use crate::CorpusStats;
 use std::collections::HashMap;
 use whirlpool_index::{DocView, TagIndex, TagIndexView};
 use whirlpool_pattern::{QNodeId, TreePattern};
@@ -53,6 +53,15 @@ pub trait ScoreModel: Send + Sync {
         self.max_contribution(QNodeId::ROOT)
     }
 
+    /// Each query node's `[exact, relaxed]` satisfying fraction of the
+    /// answer population (indexed by `QNodeId`), when the model was
+    /// built from Definition 4.2's counts. The router reads them as its
+    /// per-server estimates; `None` (the default) means the model holds
+    /// no counts and the caller counts them itself.
+    fn satisfying_fractions(&self) -> Option<&[[f64; 2]]> {
+        None
+    }
+
     /// Sum of all per-server maxima plus the root maximum — the highest
     /// score any answer could reach.
     fn max_total(&self, servers: &[QNodeId]) -> Score {
@@ -88,6 +97,9 @@ pub enum Normalization {
 pub struct TfIdfModel {
     /// `[exact, relaxed]` weight per query node (index = QNodeId).
     weights: Vec<[f64; 2]>,
+    /// `[exact, relaxed]` satisfying fraction of the population per
+    /// query node, from the counts the weights came from.
+    fractions: Vec<[f64; 2]>,
 }
 
 impl TfIdfModel {
@@ -110,36 +122,22 @@ impl TfIdfModel {
         pattern: &TreePattern,
         normalization: Normalization,
     ) -> Self {
-        let answer_tag = &pattern.node(pattern.root()).tag;
-        let preds = tfidf::component_predicates(pattern);
-        let mut weights = vec![[0.0, 0.0]; pattern.len()];
-
-        // Root contribution: idf of the root's own existence predicate
-        // would require a "document" population; following the paper's
-        // examples (scores come from the join predicates) the root
-        // contributes 0 and all scoring happens at the servers.
-        let (population, counts) = tfidf::idf_counts_sweep(doc, index, answer_tag, &preds);
-        for (pred, [exact, relaxed]) in preds.iter().zip(counts) {
-            let exact = tfidf::idf_from_counts(population, exact);
-            let relaxed = tfidf::idf_from_counts(population, relaxed);
-            // Definition 4.2 guarantees relaxed ≤ exact (more nodes
-            // satisfy the weaker predicate); clamp for degenerate
-            // documents where both are 0.
-            weights[pred.qnode.index()] = [exact.max(0.0), relaxed.min(exact).max(0.0)];
-        }
-
-        apply_normalization(&mut weights, normalization);
-        TfIdfModel { weights }
+        // One document's Definition 4.2 is a one-shard corpus's.
+        let mut stats = CorpusStats::new(pattern);
+        stats.add_shard_view(doc, index, &pattern.node(pattern.root()).tag);
+        stats.model(normalization)
     }
 
-    /// Builds a model directly from an `[exact, relaxed]` weight table
-    /// (one row per query node, root row included). Used by the corpus
-    /// builder ([`crate::CorpusStats::model`]), which derives its idf
-    /// weights from counts aggregated across shards rather than from one
-    /// document.
-    pub(crate) fn from_weights(mut weights: Vec<[f64; 2]>, normalization: Normalization) -> Self {
+    /// A model of the given `[exact, relaxed]` weight table and the
+    /// satisfying fractions behind it (one row per query node, root row
+    /// included), as [`CorpusStats::model`] derives them from counts.
+    pub(crate) fn from_weights(
+        mut weights: Vec<[f64; 2]>,
+        fractions: Vec<[f64; 2]>,
+        normalization: Normalization,
+    ) -> Self {
         apply_normalization(&mut weights, normalization);
-        TfIdfModel { weights }
+        TfIdfModel { weights, fractions }
     }
 
     /// The `[exact, relaxed]` weight pair for a query node.
@@ -189,6 +187,10 @@ impl ScoreModel for TfIdfModel {
 
     fn max_relaxed_contribution(&self, server: QNodeId) -> f64 {
         self.weights[server.index()][1]
+    }
+
+    fn satisfying_fractions(&self) -> Option<&[[f64; 2]]> {
+        Some(&self.fractions)
     }
 }
 

@@ -20,8 +20,9 @@ pub enum RejectReason {
         /// Token-bucket size.
         max_inflight: usize,
     },
-    /// The selectivity-based cost estimate exceeds the capacity left at
-    /// the current pressure.
+    /// The admission price — the scope's candidate answer roots, from
+    /// the shard synopses, times one op per server and one for the
+    /// root — exceeds the capacity left at the current pressure.
     TooExpensive {
         /// Predicted server operations for this query.
         estimated_ops: f64,
