@@ -437,6 +437,12 @@ fn write_human(out: &mut dyn Write, run: &Run<'_>, xml: bool, stats: bool) -> Re
         }
         writeln!(
             out,
+            "prepare:   idf counted in {} shard{}",
+            cm.shards_counted,
+            if cm.shards_counted == 1 { "" } else { "s" }
+        )?;
+        writeln!(
+            out,
             "anytime:   {} deadline hits, {} servers failed, {} matches redistributed, {} answers degraded",
             m.deadline_hits, m.servers_failed, m.matches_redistributed, m.answers_degraded
         )?;
@@ -541,7 +547,7 @@ fn write_json(out: &mut dyn Write, run: &Run<'_>) -> Result<(), CliError> {
         "  \"collection\": {{\"shards_total\": {}, \"shards_visited\": {}, \
          \"shards_pruned\": {}, \"shards_pruned_before_attach\": {}, \
          \"shards_skipped_budget\": {}, \"shards_attached\": {}, \
-         \"shards_verified\": {}, \"shard_evictions\": {}}},",
+         \"shards_verified\": {}, \"shard_evictions\": {}, \"shards_counted\": {}}},",
         cm.shards_total,
         cm.shards_visited,
         cm.shards_pruned,
@@ -549,7 +555,8 @@ fn write_json(out: &mut dyn Write, run: &Run<'_>) -> Result<(), CliError> {
         cm.shards_skipped_budget,
         cm.shards_attached,
         cm.shards_verified,
-        cm.shard_evictions
+        cm.shard_evictions,
+        cm.shards_counted
     )?;
     writeln!(out, "  \"elapsed_ms\": {:.3},", ms(result.elapsed))?;
     writeln!(

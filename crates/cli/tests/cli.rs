@@ -706,6 +706,10 @@ fn snapshot_build_verify_info_and_query_pipeline() {
         snap_run.contains("prepare:   model_build_ms "),
         "{snap_run}"
     );
+    assert!(
+        snap_run.contains("prepare:   idf counted in 1 shard\n"),
+        "{snap_run}"
+    );
     for line in parsed_run.lines().filter(|l| l.contains("score")) {
         assert!(snap_run.contains(line), "missing {line:?} in {snap_run}");
     }
@@ -789,4 +793,6 @@ fn query_collection_reports_full_verifications() {
     assert!(out.contains("2 attached (2 verified in full)"), "{out}");
     let json = run_ok(&[&argv[..], &["--json"]].concat());
     assert!(json.contains("\"shards_verified\": "), "{json}");
+    // A peeked corpus estimates its idf from synopses: nothing counts.
+    assert!(json.contains("\"shards_counted\": 0}"), "{json}");
 }

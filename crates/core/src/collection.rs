@@ -66,6 +66,7 @@
 //! count the full verifications.
 
 use crate::context::{ContextOptions, QueryContext, RelaxMode};
+use crate::counts::CountMemo;
 use crate::engine::{evaluate_with_context, Algorithm, EvalOptions};
 use crate::error::Completeness;
 use crate::fault::Budget;
@@ -79,7 +80,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use whirlpool_index::{DocView, PathAxis, PathSynopsis, ShardSynopsis, TagIndex, TagIndexView};
 use whirlpool_pattern::{Axis, QNodeId, TreePattern, WILDCARD};
-use whirlpool_score::{CorpusStats, Normalization, Score, TfIdfModel};
+use whirlpool_score::{tfidf, CorpusStats, Normalization, Score, TfIdfModel};
 use whirlpool_store::{Snapshot, SnapshotFile, StoreError, Verification};
 use whirlpool_xml::{parse_document, write_node, Document, NodeId, ParseError, WriteOptions};
 
@@ -90,6 +91,9 @@ struct LazyShard {
     /// The whole-file checksum of the file the shard's synopses came
     /// from. [`Collection::acquire`] refuses a re-attached file whose
     /// verified checksum differs: its synopses would be someone else's.
+    /// The shard's idf counts ([`Shard`]'s memo) belong to this
+    /// checksum too, so whatever comes to change it (a re-peek that
+    /// admits a new file) must clear that memo.
     checksum: u64,
     /// The attached snapshot, when resident. `Arc` so an in-progress
     /// evaluation pins the mapping across a concurrent eviction.
@@ -127,6 +131,10 @@ pub struct Shard {
     backing: ShardBacking,
     synopsis: ShardSynopsis,
     paths: PathSynopsis,
+    /// Definition 4.2's counts of the predicates queries have asked
+    /// about, so a repeated query shape builds its model from lookups
+    /// ([`Collection::scope_stats`]).
+    counts: CountMemo,
 }
 
 impl Shard {
@@ -140,6 +148,7 @@ impl Shard {
             backing: ShardBacking::Parsed { doc, index },
             synopsis,
             paths,
+            counts: CountMemo::default(),
         }
     }
 
@@ -163,6 +172,7 @@ impl Shard {
                 resident: Mutex::new(Some(Arc::new(snapshot))),
                 peeked: false,
             }),
+            counts: CountMemo::default(),
         })
     }
 
@@ -182,6 +192,7 @@ impl Shard {
             }),
             synopsis: peek.synopsis,
             paths: peek.paths,
+            counts: CountMemo::default(),
         })
     }
 
@@ -235,6 +246,12 @@ impl Shard {
     /// [`Collection::shard_ceiling`].
     pub fn path_synopsis(&self) -> &PathSynopsis {
         &self.paths
+    }
+
+    /// How many predicate counts the shard keeps for later queries (at
+    /// most [`COUNT_MEMO_CAP`](crate::COUNT_MEMO_CAP)).
+    pub fn memoized_counts(&self) -> usize {
+        self.counts.len()
     }
 }
 
@@ -630,11 +647,19 @@ impl Collection {
     /// Pools document-frequency counts over the shards of `scope`; the
     /// driver ([`evaluate_scope`]) derives its score model from them.
     ///
-    /// A document scope ([`Scope::Shard`]) counts its one shard exactly,
-    /// attaching it if it is lazy: evaluating the scope attaches it
-    /// anyway, and the counts are then the paper's per-document idf
-    /// (Definition 4.2), the model [`TfIdfModel::build_view`] builds.
-    /// Only a failed attach falls back to the shard's synopsis estimate.
+    /// A document scope ([`Scope::Shard`]) counts its one shard exactly:
+    /// the counts are the paper's per-document idf (Definition 4.2), the
+    /// model [`TfIdfModel::build_view`] builds.
+    ///
+    /// Exact counts come from each shard's memo, read under a read lock;
+    /// only the predicates it lacks are counted
+    /// ([`tfidf::idf_counts_sweep`]), and stored for later queries. The
+    /// shard is acquired (attached, if it is lazy and evicted) only for
+    /// that count, so a repeated query shape attaches nothing here. Only
+    /// a failed attach falls back to the shard's synopsis estimate; a
+    /// memo hit never attaches, so a later failed attach leaves the
+    /// driver's reply truncated and certified by the shard's ceiling
+    /// under the memo's model.
     ///
     /// In the corpus scope, when *any* shard was [admitted by
     /// peek](Shard::admitted_by_peek)
@@ -652,20 +677,36 @@ impl Collection {
     /// what is resident, which does; the same collection always scores
     /// under the same model.
     pub fn scope_stats(&self, scope: Scope, pattern: &TreePattern) -> CorpusStats {
+        self.scope_counts(scope, pattern).0
+    }
+
+    /// [`scope_stats`](Self::scope_stats), and how many shards counted
+    /// some predicate rather than reading every one from their memo.
+    fn scope_counts(&self, scope: Scope, pattern: &TreePattern) -> (CorpusStats, usize) {
         let answer_tag = &pattern.node(pattern.root()).tag;
         let mut stats = CorpusStats::new(pattern);
+        let mut counted = 0;
         let estimate = scope == Scope::Corpus && self.shards.iter().any(Shard::admitted_by_peek);
         for idx in scope.shards(self.len()) {
-            match (!estimate).then(|| self.acquire(idx)) {
-                Some(Ok(access)) => stats.add_shard_view(access.doc(), access.index(), answer_tag),
+            let shard = &self.shards[idx];
+            let count = |missing: &[tfidf::ComponentPredicate]| -> Result<_, StoreError> {
+                let access = self.acquire(idx)?;
+                let (doc, index) = (access.doc(), access.index());
+                Ok(tfidf::idf_counts_sweep(doc, index, answer_tag, missing))
+            };
+            match (!estimate).then(|| shard.counts.counts(answer_tag, stats.predicates(), count)) {
+                Some(Ok(c)) => {
+                    counted += usize::from(c.counted);
+                    stats.add_counts(c.population, &c.satisfying);
+                }
                 // A failed attach (the backing file vanished or changed
                 // since the shard was added) falls back to the synopsis
                 // estimate: stats stay total rather than failing the
                 // whole query for one shard.
-                _ => stats.add_shard_synopsis(&self.shards[idx].synopsis, answer_tag),
+                _ => stats.add_shard_synopsis(&shard.synopsis, answer_tag),
             }
         }
-        stats
+        (stats, counted)
     }
 
     /// The score ceiling of shard `shard_idx` for `pattern` under
@@ -967,6 +1008,11 @@ pub struct CollectionMetrics {
     /// included: the rest trusted an earlier verification of the same
     /// file identity ([`Collection::verify_count`]).
     pub shards_verified: u64,
+    /// Shards whose idf counts ran in this run, for some predicate its
+    /// memo lacked; the other shards of the scope read every count from
+    /// their memo, or estimated them from synopses
+    /// ([`Collection::scope_stats`]).
+    pub shards_counted: usize,
     /// Lazy-shard evictions performed during this run.
     pub shard_evictions: u64,
 }
@@ -1103,7 +1149,8 @@ pub fn evaluate_scope(
         Budget::new(options.deadline, options.max_server_ops).with_cancel(options.cancel.clone());
     // Only `server_ops` is charged: it is what the budget reads.
     let spent = Metrics::new();
-    let model = collection.scope_stats(scope, pattern).model(normalization);
+    let (stats, counted) = collection.scope_counts(scope, pattern);
+    let model = stats.model(normalization);
     let model_build = start.elapsed();
 
     // Ceiling-descending visit order: rich shards first, so the global
@@ -1267,6 +1314,7 @@ pub fn evaluate_scope(
             shards_skipped_budget: budget_skipped.into_inner(),
             shards_attached: collection.attach_count() - attached_before,
             shards_verified: collection.verify_count() - verified_before,
+            shards_counted: counted,
             shard_evictions: collection.eviction_count() - evictions_before,
         },
         metrics: metrics.into_inner(),

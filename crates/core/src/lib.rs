@@ -73,6 +73,7 @@
 
 mod collection;
 mod context;
+mod counts;
 mod engine;
 mod error;
 mod fault;
@@ -93,6 +94,7 @@ pub use collection::{
     ShardAccess,
 };
 pub use context::{ContextOptions, Located, OpOutcome, QueryContext, RelaxMode};
+pub use counts::COUNT_MEMO_CAP;
 pub use engine::{
     evaluate, evaluate_view, evaluate_with_context, Algorithm, EvalOptions, EvalResult,
 };

@@ -339,9 +339,16 @@ impl PathSynopsis {
 /// `u64`. A child step moves every bit down one position; a descendant
 /// step first sets every bit at or above the lowest set one. Either
 /// keeps only the positions whose tag the step accepts.
+///
+/// The match is anchored at the path's end, so a named last step that
+/// differs from the path's last tag rejects it before the walk: most
+/// stored paths end elsewhere.
 fn path_matches(path: &[u32], steps: &[(PathAxis, &str)], resolved: &[Option<u32>]) -> bool {
     debug_assert!(path.len() <= MAX_PATH_STEPS);
     if steps.is_empty() || path.is_empty() {
+        return false;
+    }
+    if resolved[steps.len() - 1].is_some_and(|w| w != path[path.len() - 1]) {
         return false;
     }
     let mut frontier = 1u64;
@@ -420,6 +427,11 @@ mod tests {
         assert!(s.matches_query_path(&[(Child, "*"), (Child, "*"), (Child, "*")]));
         assert!(!s.matches_query_path(&[(Child, "*"), (Child, "*"), (Child, "*"), (Child, "*")]));
         assert!(s.matches_query_path(&[(Descendant, "b"), (Child, "*")]));
+        // A wildcard last step is not rejected on the last tag: the
+        // walk decides it.
+        assert!(s.matches_query_path(&[(Descendant, "a"), (Descendant, "*")]));
+        assert!(!s.matches_query_path(&[(Descendant, "c"), (Descendant, "*")]));
+        assert_eq!(s.matching_count(&[(Child, "a"), (Descendant, "*")]), 2);
     }
 
     #[test]

@@ -58,15 +58,40 @@ impl CorpusStats {
     }
 
     /// [`add_shard`](CorpusStats::add_shard) over borrowed views — the
-    /// form snapshot-backed shards use.
+    /// form snapshot-backed shards use: [`tfidf::idf_counts_sweep`] of
+    /// the shard, folded by [`add_counts`](CorpusStats::add_counts).
     pub fn add_shard_view(&mut self, doc: DocView<'_>, index: TagIndexView<'_>, answer_tag: &str) {
         let (population, counts) = tfidf::idf_counts_sweep(doc, index, answer_tag, &self.preds);
+        self.add_counts(population, &counts);
+    }
+
+    /// Folds one shard's counts, counted elsewhere: its answer
+    /// `population` and, for each of [`predicates`](CorpusStats::predicates)
+    /// in order, `[exact, relaxed]` as [`tfidf::idf_counts_sweep`]
+    /// returns them. A caller that keeps a shard's counts between
+    /// queries folds them here without counting again.
+    ///
+    /// # Panics
+    ///
+    /// If `counts` does not hold one pair per predicate.
+    pub fn add_counts(&mut self, population: u64, counts: &[[u64; 2]]) {
+        assert_eq!(
+            counts.len(),
+            self.preds.len(),
+            "one count pair per predicate"
+        );
         for (pred, [exact, relaxed]) in self.preds.iter().zip(counts) {
             self.satisfying[pred.qnode.index()][0] += exact;
             self.satisfying[pred.qnode.index()][1] += relaxed;
         }
         self.population += population;
         self.shards += 1;
+    }
+
+    /// The pattern's component predicates (Definition 4.1), in the
+    /// order [`add_counts`](CorpusStats::add_counts) takes their counts.
+    pub fn predicates(&self) -> &[ComponentPredicate] {
+        &self.preds
     }
 
     /// Folds one shard's *estimated* counts from a tag-count synopsis —

@@ -138,6 +138,9 @@ struct Daemon {
     /// Lazy documents that collection requests pruned off their
     /// ceilings while unmapped — the attaches the synopses saved.
     pruned_before_attach: Arc<AtomicU64>,
+    /// Shards whose idf counts ran for a request rather than coming
+    /// from their memo: a repeated query shape adds nothing.
+    shards_counted: Arc<AtomicU64>,
     history: Arc<RungHistory>,
 }
 
@@ -207,6 +210,7 @@ pub fn start(config: ServeConfig, registry: Registry) -> std::io::Result<ServerH
         config: Arc::new(config),
         request_seq: Arc::new(AtomicU64::new(0)),
         pruned_before_attach: Arc::new(AtomicU64::new(0)),
+        shards_counted: Arc::new(AtomicU64::new(0)),
         history: Arc::new(RungHistory::default()),
     };
 
@@ -418,13 +422,14 @@ fn route(daemon: &Daemon, conn: &mut TcpStream, request: &Request) -> Result<(),
             let body = format!(
                 "{}, \"shards\": {{\"attached\": {}, \"verified\": {}, \
                  \"peeked\": {peeked}, \"pruned_before_attach\": {}, \"evictions\": {}, \
-                 \"resident\": {}}}, \"history\": {}}}\n",
+                 \"resident\": {}, \"counted\": {}}}, \"history\": {}}}\n",
                 &base[..base.len() - 1],
                 collection.attach_count(),
                 collection.verify_count(),
                 daemon.pruned_before_attach.load(Ordering::Relaxed),
                 collection.eviction_count(),
                 collection.resident_count(),
+                daemon.shards_counted.load(Ordering::Relaxed),
                 daemon.history.to_json(),
             );
             respond(conn, 200, &[], &body)?;
@@ -701,6 +706,10 @@ fn handle_query(daemon: &Daemon, conn: &mut TcpStream, body: &[u8]) -> Result<()
             r.collection_metrics.shards_pruned_before_attach as u64,
             Ordering::Relaxed,
         );
+        daemon.shards_counted.fetch_add(
+            r.collection_metrics.shards_counted as u64,
+            Ordering::Relaxed,
+        );
         spent.absorb(&r.metrics);
         let transient_fault = r.metrics.servers_failed > 0 && !r.completeness.is_exact();
         if transient_fault
@@ -812,12 +821,13 @@ fn query_response_json(
     let counts = &result.collection_metrics;
     body.push_str(&format!(
         "  \"shards\": {{\"total\": {}, \"visited\": {}, \"pruned\": {}, \
-         \"pruned_before_attach\": {}, \"skipped_budget\": {}}},\n",
+         \"pruned_before_attach\": {}, \"skipped_budget\": {}, \"counted\": {}}},\n",
         counts.shards_total,
         counts.shards_visited,
         counts.shards_pruned,
         counts.shards_pruned_before_attach,
         counts.shards_skipped_budget,
+        counts.shards_counted,
     ));
     body.push_str(&format!("  \"roots_unseeded\": {},\n", m.roots_unseeded));
     body.push_str(&format!(
@@ -958,6 +968,39 @@ mod tests {
         assert_eq!(m.get("exact").and_then(Json::as_u64), Some(1));
         assert_eq!(m.get("inflight").and_then(Json::as_u64), Some(0));
 
+        handle.shutdown();
+    }
+
+    /// The first request of a query shape counts the document's idf;
+    /// the rest, in either scope, read the shard's memo and reply the
+    /// same answers.
+    #[test]
+    fn a_repeated_query_shape_builds_its_model_from_the_memo() {
+        let handle = start(ServeConfig::default(), test_registry()).unwrap();
+        let addr = handle.addr();
+        let counted = |body: &str| {
+            let v = Json::parse(body).unwrap();
+            let shards = v.get("shards").expect("shards object");
+            shards.get("counted").and_then(Json::as_u64).unwrap()
+        };
+        let answers = |body: &str| body[body.find("\"answers\"").unwrap()..].to_string();
+        let query = r#"{"query": "//book[./title and .//isbn]", "k": 3}"#;
+        let (status, first) = post_query(addr, query);
+        assert_eq!(status, 200, "{first}");
+        assert_eq!(counted(&first), 1, "{first}");
+        for request in [
+            query,
+            r#"{"collection": true, "query": "//book[./title and .//isbn]", "k": 3}"#,
+        ] {
+            let (status, again) = post_query(addr, request);
+            assert_eq!(status, 200, "{again}");
+            assert_eq!(counted(&again), 0, "{again}");
+            assert_eq!(answers(&again), answers(&first));
+        }
+        let (_, body) = send(addr, "GET /metrics HTTP/1.1\r\n\r\n");
+        let m = Json::parse(&body).unwrap();
+        let shards = m.get("shards").expect("shards counters");
+        assert_eq!(shards.get("counted").and_then(Json::as_u64), Some(1));
         handle.shutdown();
     }
 

@@ -6,9 +6,13 @@
 //! [`start`](crate::start) the [`Registry`] freezes into a single
 //! [`Collection`]: every request thereafter pins the shards it reads
 //! through [`Collection::acquire`] and builds only the per-query
-//! artifacts (pattern, score model, context). How documents are held,
-//! attached, evicted and pruned is the collection's business, not the
-//! daemon's.
+//! artifacts (pattern, score model, context). The idf counts behind a
+//! score model are not per query: each shard keeps those of every
+//! predicate it has counted ([`Collection::scope_stats`]), so a
+//! repeated query shape builds its model from lookups. The frozen
+//! collection never changes a shard's document, so the counts never go
+//! stale. How documents are held, attached, evicted, counted and pruned
+//! is the collection's business, not the daemon's.
 
 use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
