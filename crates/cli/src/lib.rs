@@ -106,7 +106,7 @@ QUERY OPTIONS:
   --no-share-threshold
                      collection mode: do not seed shard runs with the
                      global k-th score
-  (--fault/--trace-out/--explain are per-document and are rejected in
+  (--trace-out/--explain are per-document and are rejected in
   collection mode)
 
 GENERATE OPTIONS:
@@ -133,9 +133,9 @@ SERVE OPTIONS:
   {\"doc\": \"name\", \"query\": \"//a[./b]\", \"k\": 5, \"fault\": \"server=2:fail@10\"}
   (doc defaults to the only loaded document; documents are named by
   file stem). {\"collection\": true} queries every loaded document as
-  one corpus (corpus-level idf, shard pruning; excludes \"doc\" and
-  \"fault\"). Overloaded requests get 429 + Retry-After; degraded
-  answers carry the anytime certificate.
+  one corpus (corpus-level idf, shard pruning; excludes \"doc\").
+  Overloaded requests get 429 + Retry-After; degraded answers carry
+  the anytime certificate.
 
 `query` and `serve` accept XML files and `.wps` snapshots produced by
 `whirlpool snapshot build` (detected by content, not name); the other

@@ -14,12 +14,13 @@
 //!   ([`EvalOptions::threshold_floor`]), so a late shard prunes
 //!   against the best answers of every shard already done.
 //! * **Shard pruning.** Before a shard is evaluated at all, its score
-//!   *ceiling* — an upper bound derived from the per-shard
-//!   [`ShardSynopsis`] — is compared against the global threshold. A
-//!   shard whose ceiling cannot beat the current k-th answer is
-//!   skipped without touching its postings. The ceiling never
+//!   *ceiling* — an upper bound taken from the shard's own Definition
+//!   4.2 counts — is compared against the current top k. A shard none of
+//!   whose answers the merge would keep (the ceiling is below the k-th
+//!   answer, or ties it from a lower shard index, which loses the tie)
+//!   is skipped without touching its postings. The ceiling never
 //!   under-estimates (see [`Collection::shard_ceiling`]), so pruning
-//!   never drops a true top-k answer.
+//!   never changes the answers.
 //!
 //! Both optimizations are individually switchable
 //! ([`CollectionOptions`]); with both off the driver degrades to a
@@ -32,23 +33,26 @@
 //! snapshot files *without attaching any of them*: each shard starts as
 //! a path plus the synopses read by the cheap [`Snapshot::peek`]
 //! (header and synopsis sections only — no payload mapping, no
-//! whole-file checksum pass). Ceilings, visit order, and the corpus
-//! score model all come from the peeked synopses, so a shard whose
-//! ceiling cannot beat the global threshold is **pruned before it is
-//! ever attached**. Shards the driver does visit are attached on first
-//! access and detached again behind an LRU holding at most
-//! [`Collection::set_max_resident`] lazy shards (`0` = unlimited), so
-//! the resident set stays bounded no matter how large the corpus is.
-//! A shard pinned by an in-progress evaluation is never evicted —
-//! `max_resident` is a target, not a hard cap.
+//! whole-file checksum pass). A query counts each shard exactly, through
+//! the shard's memo of Definition 4.2's counts: the first query of a
+//! shape attaches each shard once to count it, and later queries of that
+//! shape read lookups. The counts then give each shard's ceiling, so a
+//! shard whose ceiling cannot beat the global threshold is **pruned
+//! before it is attached** for the visit. Shards the driver does visit
+//! are attached on first access and detached again behind an LRU
+//! holding at most [`Collection::set_max_resident`] lazy shards (`0` =
+//! unlimited), so the resident set stays bounded no matter how large the
+//! corpus is. A shard pinned by an in-progress evaluation is never
+//! evicted — `max_resident` is a target, not a hard cap.
 //!
 //! A lazy shard remembers the whole-file checksum of the file its
 //! synopses came from, and an attach must verify the same one: a file
 //! replaced since (another document saved over it) is refused with
-//! [`StoreError::Stale`], so its payload is never evaluated under
-//! ceilings computed from someone else's synopses.
-//! [`evaluate_collection`] accounts the refusal like any failed attach:
-//! the shard is left unevaluated and certified by its ceiling.
+//! [`StoreError::Stale`]: the shard's counts belong to the file it
+//! admitted, so another payload is never counted or evaluated under
+//! them. [`evaluate_collection`] accounts the refusal like any failed
+//! attach: the shard is left uncounted or unevaluated, and certified by
+//! its ceiling.
 //!
 //! A lazy shard also keeps the record of the last full verification of
 //! its file ([`Verification`]): the file's identity (device, inode,
@@ -66,7 +70,7 @@
 //! count the full verifications.
 
 use crate::context::{ContextOptions, QueryContext, RelaxMode};
-use crate::counts::CountMemo;
+use crate::counts::{CountMemo, ShardCounts};
 use crate::engine::{evaluate_with_context, Algorithm, EvalOptions};
 use crate::error::Completeness;
 use crate::fault::Budget;
@@ -76,11 +80,11 @@ use parking_lot::Mutex;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-use whirlpool_index::{DocView, PathAxis, PathSynopsis, ShardSynopsis, TagIndex, TagIndexView};
-use whirlpool_pattern::{Axis, QNodeId, TreePattern, WILDCARD};
-use whirlpool_score::{tfidf, CorpusStats, Normalization, Score, TfIdfModel};
+use whirlpool_index::{DocView, PathSynopsis, ShardSynopsis, TagIndex, TagIndexView};
+use whirlpool_pattern::TreePattern;
+use whirlpool_score::{tfidf, CorpusStats, Normalization, Score, ScoreModel};
 use whirlpool_store::{Snapshot, SnapshotFile, StoreError, Verification};
 use whirlpool_xml::{parse_document, write_node, Document, NodeId, ParseError, WriteOptions};
 
@@ -90,7 +94,8 @@ struct LazyShard {
     path: PathBuf,
     /// The whole-file checksum of the file the shard's synopses came
     /// from. [`Collection::acquire`] refuses a re-attached file whose
-    /// verified checksum differs: its synopses would be someone else's.
+    /// verified checksum differs: its synopses and counts would be
+    /// someone else's.
     /// The shard's idf counts ([`Shard`]'s memo) belong to this
     /// checksum too, so whatever comes to change it (a re-peek that
     /// admits a new file) must clear that memo.
@@ -103,12 +108,6 @@ struct LazyShard {
     /// walk and the synopsis check ([`SnapshotFile::attach`]). Locked
     /// only while `resident` is held.
     verified: Mutex<Option<Verification>>,
-    /// Whether this shard entered the collection through a peek
-    /// ([`Collection::attach_snapshot_file`]) rather than with its
-    /// payload in hand ([`Collection::add_snapshot`]). Immutable after
-    /// construction; decides the corpus-stats source (see
-    /// [`Collection::corpus_stats`]) independently of residency.
-    peeked: bool,
 }
 
 /// How a [`Shard`] holds its document: an owned arena built by the
@@ -132,8 +131,8 @@ pub struct Shard {
     synopsis: ShardSynopsis,
     paths: PathSynopsis,
     /// Definition 4.2's counts of the predicates queries have asked
-    /// about, so a repeated query shape builds its model from lookups
-    /// ([`Collection::scope_stats`]).
+    /// about, so a repeated query shape builds its model and ceilings
+    /// from lookups ([`Collection::scope_stats`]).
     counts: CountMemo,
 }
 
@@ -170,7 +169,6 @@ impl Shard {
                 checksum: snapshot.checksum(),
                 verified: Mutex::new(snapshot.verification()),
                 resident: Mutex::new(Some(Arc::new(snapshot))),
-                peeked: false,
             }),
             counts: CountMemo::default(),
         })
@@ -188,7 +186,6 @@ impl Shard {
                 checksum: peek.checksum,
                 resident: Mutex::new(None),
                 verified: Mutex::new(None),
-                peeked: true,
             }),
             synopsis: peek.synopsis,
             paths: peek.paths,
@@ -217,15 +214,6 @@ impl Shard {
         matches!(self.backing, ShardBacking::Lazy(_))
     }
 
-    /// Did this shard enter the collection through a peek — header and
-    /// synopses only, payload never seen — rather than with its
-    /// payload in hand? Fixed at insertion, so the corpus-stats source
-    /// it selects ([`Collection::corpus_stats`]) cannot drift with
-    /// residency.
-    pub fn admitted_by_peek(&self) -> bool {
-        matches!(&self.backing, ShardBacking::Lazy(l) if l.peeked)
-    }
-
     /// Is this shard's data in memory right now? A parsed shard always
     /// is; a lazy shard is resident between an attach and its
     /// eviction.
@@ -242,8 +230,7 @@ impl Shard {
     }
 
     /// The shard's path synopsis: stored in its snapshot, or built at
-    /// parse time. Drives the path-aware ceiling refinement in
-    /// [`Collection::shard_ceiling`].
+    /// parse time.
     pub fn path_synopsis(&self) -> &PathSynopsis {
         &self.paths
     }
@@ -644,272 +631,197 @@ impl Collection {
         self.scope_stats(Scope::Corpus, pattern)
     }
 
-    /// Pools document-frequency counts over the shards of `scope`; the
-    /// driver ([`evaluate_scope`]) derives its score model from them.
+    /// Pools Definition 4.2's counts over the shards of `scope`; the
+    /// driver ([`evaluate_scope`]) derives its score model from them. A
+    /// document scope ([`Scope::Shard`]) is the paper's per-document idf,
+    /// the model [`TfIdfModel::build_view`] builds, and a corpus scope
+    /// counts every shard the same way, however it was added: parsed,
+    /// attached or peeked.
     ///
-    /// A document scope ([`Scope::Shard`]) counts its one shard exactly:
-    /// the counts are the paper's per-document idf (Definition 4.2), the
-    /// model [`TfIdfModel::build_view`] builds.
+    /// [`TfIdfModel::build_view`]: whirlpool_score::TfIdfModel::build_view
     ///
-    /// Exact counts come from each shard's memo, read under a read lock;
-    /// only the predicates it lacks are counted
-    /// ([`tfidf::idf_counts_sweep`]), and stored for later queries. The
-    /// shard is acquired (attached, if it is lazy and evicted) only for
-    /// that count, so a repeated query shape attaches nothing here. Only
-    /// a failed attach falls back to the shard's synopsis estimate; a
-    /// memo hit never attaches, so a later failed attach leaves the
-    /// driver's reply truncated and certified by the shard's ceiling
-    /// under the memo's model.
+    /// Counts come from each shard's memo, read under a read lock; only
+    /// the predicates it lacks are counted ([`tfidf::idf_counts_sweep`]),
+    /// and stored for later queries. The shard is acquired (attached, if
+    /// it is lazy and evicted) only for that count, so the first query of
+    /// a shape attaches each uncounted shard once and a repeated shape
+    /// attaches nothing here. A shard whose synopsis lacks the answer tag
+    /// has population 0 and is never attached, and a pattern without
+    /// predicates takes its population from the synopses.
     ///
-    /// In the corpus scope, when *any* shard was [admitted by
-    /// peek](Shard::admitted_by_peek)
-    /// — its payload never read — **every** shard contributes
-    /// synopsis-derived estimates ([`CorpusStats::add_shard_synopsis`])
-    /// instead of exact postings walks: attaching each shard just to
-    /// count document frequencies would defeat lazy opening, and mixing
-    /// exact with estimated counts would skew the model toward whichever
-    /// shards happened to arrive with payloads. Collections whose every
-    /// shard was inserted *with* its payload ([`Self::add_document`],
-    /// [`Self::add_snapshot`]) keep exact counts — re-acquiring an
-    /// evicted [`Self::add_snapshot`] shard if needed — so their scores
-    /// match the equivalent all-parsed collection exactly. The choice is
-    /// keyed on how shards were inserted, which never changes, not on
-    /// what is resident, which does; the same collection always scores
-    /// under the same model.
+    /// A shard whose attach fails is left out of the pooled counts and
+    /// stores nothing; a later call counts it.
     pub fn scope_stats(&self, scope: Scope, pattern: &TreePattern) -> CorpusStats {
-        self.scope_counts(scope, pattern).0
+        self.scope_counts(scope, pattern, None).stats
     }
 
-    /// [`scope_stats`](Self::scope_stats), and how many shards counted
-    /// some predicate rather than reading every one from their memo.
-    fn scope_counts(&self, scope: Scope, pattern: &TreePattern) -> (CorpusStats, usize) {
+    /// [`scope_stats`](Self::scope_stats), keeping each shard's counts.
+    /// Once `budget` (a run's budget and what it has spent) is spent, a
+    /// shard is counted only if that attaches nothing: from its memo, or
+    /// because its data is in memory.
+    fn scope_counts(
+        &self,
+        scope: Scope,
+        pattern: &TreePattern,
+        budget: Option<(&Budget, &Metrics)>,
+    ) -> ScopeCounts {
         let answer_tag = &pattern.node(pattern.root()).tag;
         let mut stats = CorpusStats::new(pattern);
+        let mut shards = Vec::with_capacity(scope.shards(self.len()).len());
         let mut counted = 0;
-        let estimate = scope == Scope::Corpus && self.shards.iter().any(Shard::admitted_by_peek);
         for idx in scope.shards(self.len()) {
             let shard = &self.shards[idx];
-            let count = |missing: &[tfidf::ComponentPredicate]| -> Result<_, StoreError> {
-                let access = self.acquire(idx)?;
-                let (doc, index) = (access.doc(), access.index());
-                Ok(tfidf::idf_counts_sweep(doc, index, answer_tag, missing))
+            let answers = shard.synopsis.answers(answer_tag);
+            let counts: Result<_, ()> = if answers == 0 || stats.predicates().is_empty() {
+                Ok(ShardCounts {
+                    population: answers,
+                    satisfying: vec![[0, 0]; stats.predicates().len()],
+                    counted: false,
+                })
+            } else {
+                shard
+                    .counts
+                    .counts(answer_tag, stats.predicates(), |missing| {
+                        let access = if budget.is_some_and(|(b, spent)| b.exhausted(spent)) {
+                            self.resident(idx).ok_or(())?
+                        } else {
+                            self.acquire(idx).map_err(drop)?
+                        };
+                        let (doc, index) = (access.doc(), access.index());
+                        Ok(tfidf::idf_counts_sweep(doc, index, answer_tag, missing))
+                    })
             };
-            match (!estimate).then(|| shard.counts.counts(answer_tag, stats.predicates(), count)) {
-                Some(Ok(c)) => {
-                    counted += usize::from(c.counted);
-                    stats.add_counts(c.population, &c.satisfying);
-                }
-                // A failed attach (the backing file vanished or changed
-                // since the shard was added) falls back to the synopsis
-                // estimate: stats stay total rather than failing the
-                // whole query for one shard.
-                _ => stats.add_shard_synopsis(&shard.synopsis, answer_tag),
+            if let Ok(c) = &counts {
+                counted += usize::from(c.counted);
+                stats.add_counts(c.population, &c.satisfying);
             }
+            shards.push(counts.ok());
         }
-        (stats, counted)
+        ScopeCounts {
+            stats,
+            shards,
+            counted,
+        }
+    }
+
+    /// The answers a model build over `scope` would still walk to count
+    /// `pattern`: the answer population of each shard whose memo lacks
+    /// one of the pattern's predicates. 0 once every shard of the scope
+    /// has counted the shape.
+    pub fn uncounted_answers(&self, scope: Scope, pattern: &TreePattern) -> u64 {
+        let answer_tag = &pattern.node(pattern.root()).tag;
+        let preds = tfidf::component_predicates(pattern);
+        if preds.is_empty() {
+            return 0;
+        }
+        (scope.shards(self.len()))
+            .map(|i| &self.shards[i])
+            .filter(|s| !s.counts.holds(answer_tag, &preds))
+            .map(|s| s.synopsis.answers(answer_tag))
+            .sum()
     }
 
     /// The score ceiling of shard `shard_idx` for `pattern` under
     /// `model`: an upper bound on what any answer rooted in the shard
-    /// can score, or `None` if the shard provably holds no answer.
+    /// can score, or `None` if the shard provably holds no answer. The
+    /// shard is counted as [`scope_stats`](Self::scope_stats) counts it
+    /// (from its memo once the shape is known), and the bound is
+    /// arithmetic over its counts: the root's maximum, plus for each
+    /// server
     ///
-    /// It is the tag-count bound of [`shard_ceiling`], refined by the
-    /// shard's path synopsis when that is definitive (untruncated).
-    /// Tag counts alone cannot tell *arrangement*: a shard can hold
-    /// every tag the query names and still hold no answer because the
-    /// tags never nest the way the pattern requires. The path synopsis
-    /// closes that gap, and the refinement stays an upper bound — the
-    /// invariant shard pruning relies on — because each test only
-    /// asserts a server's contribution is *exactly zero*:
+    /// * its exact weight, if some answer satisfies the server's
+    ///   predicate exactly;
+    /// * otherwise its relaxed weight, if some answer satisfies it
+    ///   relaxed (in exact mode the shard holds no answer: `None`);
+    /// * otherwise nothing: every answer binds the server to the
+    ///   outer-join null.
     ///
-    /// * **Exact mode** requires every pattern edge to be realized
-    ///   literally, so an exact match embeds each root-to-server chain
-    ///   as a document path honoring the literal axes. If the synopsis
-    ///   (a complete digest of every root-to-element path) realizes no
-    ///   such chain for the answer root or for any server, the shard
-    ///   holds no exact answer at all: ceiling `None`.
-    /// * **Relaxed mode** can generalize every edge to descendant and
-    ///   promote subtrees, but a server binding always stays inside its
-    ///   answer root's subtree. The weakest realizable requirement is
-    ///   therefore *"some server-tag element lies below some answer-tag
-    ///   element"*. When even that fails, every candidate answer binds
-    ///   the server to the outer-join null, contributing exactly zero,
-    ///   so the server's maximum drops out of the sum.
+    /// A shard without answer-tag elements gets `None`, and a shard that
+    /// could not be counted gets every server's exact weight.
     ///
-    /// A truncated synopsis digests only *some* paths, so "no stored
-    /// path matches" stops being a proof of absence; in that case the
-    /// tag-count bound is used unrefined.
+    /// The bound holds because the engines mark a binding
+    /// [`MatchLevel::Exact`](whirlpool_score::MatchLevel::Exact) only
+    /// where the server's exact component predicate holds for the
+    /// answer, which is what the exact count counts; any binding at all
+    /// lies in the answer's subtree and passes the value and attribute
+    /// tests, which is what the relaxed count counts.
     pub fn shard_ceiling(
         &self,
         shard_idx: usize,
         pattern: &TreePattern,
-        model: &TfIdfModel,
+        model: &impl ScoreModel,
         relax: RelaxMode,
     ) -> Option<Score> {
-        self.ceiling_of(shard_idx, &CeilingQuery::new(pattern), model, relax)
+        let counts = self.scope_counts(Scope::Shard(shard_idx), pattern, None);
+        ceiling(
+            counts.shards[0].as_ref(),
+            counts.stats.predicates(),
+            model,
+            relax,
+        )
     }
 
-    /// [`shard_ceiling`](Self::shard_ceiling) over a query resolved
-    /// once for every shard.
-    fn ceiling_of(
-        &self,
-        shard_idx: usize,
-        query: &CeilingQuery<'_>,
-        model: &TfIdfModel,
-        relax: RelaxMode,
-    ) -> Option<Score> {
-        let shard = &self.shards[shard_idx];
-        let definitive = Some(&shard.paths).filter(|p| p.is_definitive());
-        query.ceiling(&shard.synopsis, definitive, model, relax)
+    /// Pins shard `idx` if its data is in memory, attaching nothing.
+    fn resident(&self, idx: usize) -> Option<ShardAccess<'_>> {
+        match &self.shards[idx].backing {
+            ShardBacking::Parsed { doc, index } => Some(ShardAccess::Borrowed {
+                doc: doc.into(),
+                index: index.view(),
+            }),
+            ShardBacking::Lazy(l) => l.resident.lock().clone().map(ShardAccess::Resident),
+        }
     }
 }
 
-/// The score *ceiling* of a shard summarized by `synopsis`, for
-/// `pattern` under `model`: an upper bound on what any answer rooted in
-/// the shard can score. `None` means the shard provably holds no answer
-/// at all (its ceiling is −∞, so it can always be skipped).
-///
-/// The bound mirrors the engines' initial `max_final`
-/// (root maximum plus the sum of per-server maxima) with one
-/// synopsis-driven improvement: a server whose tag has **zero**
-/// elements in the shard can only ever bind the outer-join null,
-/// contributing zero, so its maximum drops out of the sum.
-/// Wildcard servers always count. This never under-estimates —
-/// every term kept is a true per-server upper bound and every term
-/// dropped is exactly zero in this shard — which is the invariant
-/// shard pruning relies on.
-///
-/// In exact mode a server with an absent tag cannot bind anything
-/// (inner-join semantics), so *any* absent server tag — not just
-/// the answer tag — empties the shard.
-///
-/// This is the tag-count bound alone — [`Collection::shard_ceiling`]
-/// without its path tests — which the path-aware ceiling the driver
-/// uses must never exceed.
-pub fn shard_ceiling(
-    synopsis: &ShardSynopsis,
-    pattern: &TreePattern,
-    model: &TfIdfModel,
+/// Definition 4.2's counts of one query over the shards of a scope.
+struct ScopeCounts {
+    /// The counts pooled over the shards that were counted.
+    stats: CorpusStats,
+    /// Each shard's counts, in scope order: `None` for a shard that
+    /// could not be counted (its attach failed, or the budget was spent
+    /// before it).
+    shards: Vec<Option<ShardCounts>>,
+    /// Shards that counted some predicate rather than reading every one
+    /// from their memo.
+    counted: usize,
+}
+
+/// The ceiling of a shard with `counts` of `preds` under `model`
+/// ([`Collection::shard_ceiling`]); `None` counts are a shard that
+/// could not be counted.
+fn ceiling(
+    counts: Option<&ShardCounts>,
+    preds: &[tfidf::ComponentPredicate],
+    model: &impl ScoreModel,
     relax: RelaxMode,
 ) -> Option<Score> {
-    CeilingQuery::new(pattern).ceiling(synopsis, None, model, relax)
-}
-
-/// Can a shard summarized by `synopsis` hold an element matching `tag`
-/// (always, for the wildcard)?
-fn holds_tag(synopsis: &ShardSynopsis, tag: &str) -> bool {
-    tag == WILDCARD || synopsis.has_tag(tag)
-}
-
-/// Maps a pattern axis onto the (dependency-free) path-synopsis axis.
-fn path_axis(axis: Axis) -> PathAxis {
-    match axis {
-        Axis::Child => PathAxis::Child,
-        Axis::Descendant => PathAxis::Descendant,
-    }
-}
-
-/// A root-to-node chain of path-synopsis steps.
-type QueryPath<'p> = Vec<(PathAxis, &'p str)>;
-
-/// The literal root-to-`to` chain of `pattern` as path-synopsis steps:
-/// every pattern node from the root down to `to`, each with its own
-/// axis (the root carries the axis from the synthetic document root).
-fn literal_steps(pattern: &TreePattern, to: QNodeId) -> QueryPath<'_> {
-    let mut rev = Vec::new();
-    let mut cur = to;
-    loop {
-        let node = pattern.node(cur);
-        rev.push((path_axis(node.axis), node.tag.as_str()));
-        match node.parent {
-            Some(p) => cur = p,
-            None => break,
+    let mut total = model.max_root_contribution();
+    let Some(counts) = counts else {
+        for pred in preds {
+            total += model.max_contribution(pred.qnode);
         }
+        return Some(Score::new(total));
+    };
+    if counts.population == 0 {
+        return None;
     }
-    rev.reverse();
-    rev
-}
-
-/// What a shard ceiling reads of the pattern, resolved once per
-/// collection query rather than once per shard: the answer tag, its
-/// literal chain, and each server's tag and literal chain.
-struct CeilingQuery<'p> {
-    answer_tag: &'p str,
-    root_steps: QueryPath<'p>,
-    servers: Vec<(QNodeId, &'p str, QueryPath<'p>)>,
-}
-
-impl<'p> CeilingQuery<'p> {
-    fn new(pattern: &'p TreePattern) -> Self {
-        CeilingQuery {
-            answer_tag: pattern.node(pattern.root()).tag.as_str(),
-            root_steps: literal_steps(pattern, pattern.root()),
-            servers: (pattern.server_ids())
-                .map(|s| (s, pattern.node(s).tag.as_str(), literal_steps(pattern, s)))
-                .collect(),
-        }
-    }
-
-    /// The ceiling both public forms compute: the tag-count bound,
-    /// refined by `paths` when given.
-    fn ceiling(
-        &self,
-        synopsis: &ShardSynopsis,
-        paths: Option<&PathSynopsis>,
-        model: &TfIdfModel,
-        relax: RelaxMode,
-    ) -> Option<Score> {
-        use whirlpool_score::ScoreModel;
-        let answer_tag = self.answer_tag;
-        if !holds_tag(synopsis, answer_tag) {
+    for (pred, &[exact, relaxed]) in preds.iter().zip(&counts.satisfying) {
+        if exact > 0 {
+            total += model.max_contribution(pred.qnode);
+        } else if relax == RelaxMode::Exact {
             return None;
+        } else if relaxed > 0 {
+            total += model.max_relaxed_contribution(pred.qnode);
         }
-        if let Some(ps) = paths {
-            if relax == RelaxMode::Exact && !ps.matches_query_path(&self.root_steps) {
-                return None;
-            }
-        }
-        let mut total = model.max_root_contribution();
-        for &(s, tag, ref steps) in &self.servers {
-            if !holds_tag(synopsis, tag) {
-                if relax == RelaxMode::Exact {
-                    return None;
-                }
-                continue;
-            }
-            if let Some(ps) = paths {
-                match relax {
-                    RelaxMode::Exact => {
-                        if !ps.matches_query_path(steps) {
-                            return None;
-                        }
-                    }
-                    RelaxMode::Relaxed => {
-                        // Wildcards (either end) make the descendant
-                        // chain vacuous — fall back to tag presence,
-                        // which held.
-                        if answer_tag != WILDCARD
-                            && tag != WILDCARD
-                            && !ps.matches_query_path(&[
-                                (PathAxis::Descendant, answer_tag),
-                                (PathAxis::Descendant, tag),
-                            ])
-                        {
-                            continue;
-                        }
-                    }
-                }
-            }
-            total += model.max_contribution(s);
-        }
-        Some(Score::new(total))
     }
+    Some(Score::new(total))
 }
 
 /// Collection-driver knobs, on top of the per-shard [`EvalOptions`].
 #[derive(Debug, Clone)]
 pub struct CollectionOptions {
-    /// Skip shards whose ceiling cannot beat the global threshold.
+    /// Skip shards none of whose answers could enter the global top k,
+    /// judged by their ceilings.
     pub shard_pruning: bool,
     /// Seed each shard run's pruning threshold with the current global
     /// k-th score.
@@ -991,18 +903,19 @@ pub struct CollectionMetrics {
     pub shards_total: usize,
     /// Shards actually evaluated.
     pub shards_visited: usize,
-    /// Shards skipped because their ceiling could not beat the global
-    /// threshold (or they provably held no answer).
+    /// Shards skipped because no answer their ceiling allows could enter
+    /// the global top k (or they provably held no answer).
     pub shards_pruned: usize,
     /// The subset of `shards_pruned` that were lazy and not resident
     /// when pruned: shards whose payload was **never read from disk** —
     /// the whole point of attach-on-visit.
     pub shards_pruned_before_attach: usize,
     /// Shards left unevaluated: the corpus budget (deadline, op budget
-    /// or cancel token) was spent before they were claimed, or their
-    /// attach failed.
+    /// or cancel token) was spent before they were counted or claimed,
+    /// or their attach failed.
     pub shards_skipped_budget: usize,
-    /// Lazy-shard attaches performed during this run.
+    /// Lazy-shard attaches performed during this run: to count a shard
+    /// or to visit it.
     pub shards_attached: u64,
     /// Full verifications among this run's attaches, failed ones
     /// included: the rest trusted an earlier verification of the same
@@ -1010,7 +923,7 @@ pub struct CollectionMetrics {
     pub shards_verified: u64,
     /// Shards whose idf counts ran in this run, for some predicate its
     /// memo lacked; the other shards of the scope read every count from
-    /// their memo, or estimated them from synopses
+    /// their memo, held no answer, or could not be counted
     /// ([`Collection::scope_stats`]).
     pub shards_counted: usize,
     /// Lazy-shard evictions performed during this run.
@@ -1067,6 +980,18 @@ impl GlobalTopK {
         Score::new(f64::from_bits(self.threshold_bits.load(Ordering::Relaxed)))
     }
 
+    /// Could an answer of `shard` scoring at most `ceiling` enter the
+    /// set? Always while it holds fewer than k answers; then only if it
+    /// would rank above the weakest member, by score and then by shard.
+    /// The weakest member only rises, so a `false` stays `false`.
+    fn admits(&self, ceiling: Score, shard: usize) -> bool {
+        let set = self.ordered.lock();
+        set.len() < self.k
+            || set
+                .first()
+                .is_some_and(|&(score, weakest, _)| (ceiling, shard) > (score, weakest))
+    }
+
     /// Merges one shard's ranked answers, then publishes the new
     /// threshold.
     fn merge(&self, shard: usize, answers: &[crate::topk::RankedAnswer]) {
@@ -1119,20 +1044,24 @@ pub fn evaluate_collection(
 
 /// Evaluates `pattern` over the shards of `scope` and returns their
 /// top-k. A document scope is a one-shard run of the same driver, so a
-/// document query and a corpus query differ only in the shards visited
-/// and in how idf is counted.
+/// document query and a corpus query differ only in the shards they
+/// count and visit.
 ///
 /// Scores come from the scope's model ([`Collection::scope_stats`])
-/// built with `normalization`. Shards
-/// are visited ceiling-descending; `options` configures the per-shard
+/// built with `normalization`, and each shard's ceiling
+/// ([`Collection::shard_ceiling`]) from the same counts. Shards
+/// are visited ceiling-descending, the higher index first among equal
+/// ceilings; `options` configures the per-shard
 /// engine runs (its `k`, `relax`, deadline, etc. — `threads` is
 /// overridden per [`CollectionOptions::threads`], and
 /// `threshold_floor` is owned by the driver). The deadline, op budget
 /// and cancel token in `options` bound the *whole* collection run as
-/// one corpus-level [`Budget`]: it is checked before a shard is pruned
-/// or attached, each visited shard is granted what is left and charged
-/// for the server operations it spent, and shards the budget overruns
-/// are accounted into the truncation certificate by their ceilings.
+/// one corpus-level [`Budget`]: it is checked before a shard is counted,
+/// pruned or attached, each visited shard is granted what is left and
+/// charged for the server operations it spent, and shards the budget
+/// overruns are accounted into the truncation certificate by their
+/// ceilings. So is a shard that could not be counted: it is left out of
+/// the model and never evaluated under it.
 /// (With several shard-level workers, shards in flight at once are each
 /// granted the remainder as of their claim.)
 pub fn evaluate_scope(
@@ -1149,34 +1078,31 @@ pub fn evaluate_scope(
         Budget::new(options.deadline, options.max_server_ops).with_cancel(options.cancel.clone());
     // Only `server_ops` is charged: it is what the budget reads.
     let spent = Metrics::new();
-    let (stats, counted) = collection.scope_counts(scope, pattern);
-    let model = stats.model(normalization);
+    let attached_before = collection.attach_count();
+    let verified_before = collection.verify_count();
+    let evictions_before = collection.eviction_count();
+    let counts = collection.scope_counts(scope, pattern, Some((&budget, &spent)));
+    let model = counts.stats.model(normalization);
     let model_build = start.elapsed();
 
     // Ceiling-descending visit order: rich shards first, so the global
     // threshold rises as fast as possible. `None` ceilings (provably
-    // answer-free shards) sort last. One shard has no order to choose,
-    // and at a zero threshold only a `None` ceiling prunes it: in relaxed
-    // mode, an absent answer tag. So a relaxed document scope stands in
-    // a zero ceiling for a present answer tag, and computes the real one
-    // only to certify the shard if it goes unevaluated.
-    let deferred = matches!(scope, Scope::Shard(_)) && options.relax == RelaxMode::Relaxed;
-    let ceiling_query = OnceLock::new();
-    let ceiling_of = |i| {
-        let query = ceiling_query.get_or_init(|| CeilingQuery::new(pattern));
-        collection.ceiling_of(i, query, &model, options.relax)
-    };
-    let answer_tag = &pattern.node(pattern.root()).tag;
-    let mut order: Vec<(usize, Option<Score>)> = (scope.shards(collection.len()))
-        .map(|i| match deferred {
-            false => (i, ceiling_of(i)),
-            true => (
+    // answer-free shards) sort last. Among equal ceilings the higher
+    // shard index goes first: the merge ranks ties by shard, so once k
+    // answers tie a ceiling, a later shard of that ceiling could only
+    // lose to them.
+    let preds = counts.stats.predicates();
+    let mut order: Vec<(usize, Option<Score>, bool)> = (scope.shards(collection.len()))
+        .zip(&counts.shards)
+        .map(|(i, c)| {
+            (
                 i,
-                holds_tag(&collection.shards[i].synopsis, answer_tag).then_some(Score::ZERO),
-            ),
+                ceiling(c.as_ref(), preds, &model, options.relax),
+                c.is_some(),
+            )
         })
         .collect();
-    order.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    order.sort_by(|a, b| b.1.cmp(&a.1).then(b.0.cmp(&a.0)));
 
     let global = GlobalTopK::new(options.k);
     let cursor = AtomicUsize::new(0);
@@ -1187,20 +1113,12 @@ pub fn evaluate_scope(
     let truncated = Mutex::new(TruncationFold::default());
     let metrics = Mutex::new(MetricsSnapshot::default());
     let traces = Mutex::new(Vec::new());
-    let attached_before = collection.attach_count();
-    let verified_before = collection.verify_count();
-    let evictions_before = collection.eviction_count();
 
     let workers = copts.threads.max(1).min(order.len().max(1));
 
     // A shard left unevaluated is certified by its ceiling: whatever
     // it could have held scores no higher.
-    let skip_unevaluated = |shard_idx: usize, ceiling: Option<Score>| {
-        let ceiling = if deferred {
-            ceiling.and(ceiling_of(shard_idx))
-        } else {
-            ceiling
-        };
+    let skip_unevaluated = |ceiling: Option<Score>| {
         budget_skipped.fetch_add(1, Ordering::Relaxed);
         truncated
             .lock()
@@ -1215,25 +1133,24 @@ pub fn evaluate_scope(
             if at >= order.len() {
                 break;
             }
-            let (shard_idx, ceiling) = order[at];
+            let (shard_idx, ceiling, counted) = order[at];
 
-            // Budget first, before anything touches the shard: once the
+            // A shard left out of the model is not evaluated under it.
+            // Then budget, before anything touches the shard: once the
             // deadline, the op budget or the cancel token is spent, no
             // further shard is attached.
-            if budget.exhausted(&spent) {
-                skip_unevaluated(shard_idx, ceiling);
+            if !counted || budget.exhausted(&spent) {
+                skip_unevaluated(ceiling);
                 continue;
             }
 
             if copts.shard_pruning {
-                // Strict `<`: a shard that can only tie the k-th answer
-                // is still visited (the engines cut such ties inside a
-                // shard; cutting them here waits on a benchmark host
-                // factor that measures the host, not the ops' cache
-                // footprint, DESIGN §12).
+                // Skipped only if the merge would reject every answer
+                // the shard can hold, so pruning never changes the
+                // answers of a visit order.
                 let skip = match ceiling {
                     None => true,
-                    Some(c) => c < global.threshold(),
+                    Some(c) => !global.admits(c, shard_idx),
                 };
                 if skip {
                     pruned.fetch_add(1, Ordering::Relaxed);
@@ -1250,7 +1167,7 @@ pub fn evaluate_scope(
                 // An attach failure (file vanished, corrupted on disk)
                 // is accounted like a budget skip.
                 Err(_) => {
-                    skip_unevaluated(shard_idx, ceiling);
+                    skip_unevaluated(ceiling);
                     continue;
                 }
             };
@@ -1314,7 +1231,7 @@ pub fn evaluate_scope(
             shards_skipped_budget: budget_skipped.into_inner(),
             shards_attached: collection.attach_count() - attached_before,
             shards_verified: collection.verify_count() - verified_before,
-            shards_counted: counted,
+            shards_counted: counts.counted,
             shard_evictions: collection.eviction_count() - evictions_before,
         },
         metrics: metrics.into_inner(),
@@ -1468,6 +1385,21 @@ mod tests {
     }
 
     #[test]
+    fn uncounted_answers_fall_to_zero_once_a_shape_is_counted() {
+        let c = sample();
+        let pattern = q();
+        // 3 + 2 + 3 books; the shard without books has none to count.
+        assert_eq!(c.uncounted_answers(Scope::Corpus, &pattern), 8);
+        c.corpus_stats(&pattern);
+        assert_eq!(c.uncounted_answers(Scope::Corpus, &pattern), 0);
+        // One new predicate makes every shard walk its answers again.
+        let wider = whirlpool_pattern::parse_pattern("//book[./title and ./author]").unwrap();
+        assert_eq!(c.uncounted_answers(Scope::Shard(0), &wider), 3);
+        let bare = whirlpool_pattern::parse_pattern("//book").unwrap();
+        assert_eq!(c.uncounted_answers(Scope::Corpus, &bare), 0);
+    }
+
+    #[test]
     fn pruned_run_matches_scan_all() {
         let c = sample();
         let pattern = q();
@@ -1508,6 +1440,35 @@ mod tests {
             assert!(matches!(naive.completeness, Completeness::Exact));
             assert!(matches!(pruned.completeness, Completeness::Exact));
         }
+    }
+
+    /// Shards whose answers can only tie the k-th one lose those ties
+    /// to the shard visited first, so they are skipped, and the answers
+    /// are the scan's, member for member.
+    #[test]
+    fn shards_that_can_only_lose_a_tie_are_skipped() {
+        let mut c = Collection::new();
+        for i in 0..4 {
+            c.add_source(format!("copy{i}"), RICH).unwrap();
+        }
+        let pattern = q();
+        let run = |copts: &CollectionOptions| {
+            evaluate_collection(
+                &c,
+                &pattern,
+                &Algorithm::WhirlpoolS,
+                &EvalOptions::top_k(2),
+                Normalization::Sparse,
+                copts,
+            )
+        };
+        let naive = run(&CollectionOptions::scan_all());
+        let pruned = run(&CollectionOptions::default());
+        assert_eq!(pruned.answers, naive.answers);
+        assert!(pruned.answers.iter().all(|a| a.shard == 3));
+        let m = &pruned.collection_metrics;
+        assert_eq!((m.shards_visited, m.shards_pruned), (1, 3), "{m:?}");
+        assert!(matches!(pruned.completeness, Completeness::Exact));
     }
 
     #[test]
@@ -1777,7 +1738,10 @@ mod tests {
         assert_eq!(c.resident_count(), 0);
         assert_eq!(m.shards_skipped_budget, 4, "{m:?}");
         assert!(run.answers.is_empty());
-        let model = c.corpus_stats(&pattern).model(Normalization::Sparse);
+        // Nothing was counted, so the run's model is the empty corpus's,
+        // and every shard is certified by its uncounted ceiling.
+        assert_eq!(m.shards_counted, 0);
+        let model = CorpusStats::new(&pattern).model(Normalization::Sparse);
         let top_ceiling = (0..c.len())
             .filter_map(|i| c.shard_ceiling(i, &pattern, &model, RelaxMode::Relaxed))
             .max()
@@ -1795,8 +1759,8 @@ mod tests {
     }
 
     /// All of RICH's tags, none of its arrangement: isbn and price
-    /// live under <archive>, never under a <book>. Tag-count ceilings
-    /// cannot tell this shard from RICH; path ceilings can.
+    /// live under <archive>, never under a <book>. Tag counts cannot
+    /// tell this shard from RICH; the idf counts can.
     const MISMATCH: &str = "<shelf>\
         <book><title>husk</title></book>\
         <archive><isbn>8</isbn><price>5</price></archive>\
@@ -1841,42 +1805,21 @@ mod tests {
     }
 
     #[test]
-    fn path_ceiling_prunes_arrangement_mismatch() {
+    fn count_ceiling_prunes_arrangement_mismatch() {
         let mut c = Collection::new();
         c.add_source("rich", RICH).unwrap();
         c.add_source("mismatch", MISMATCH).unwrap();
         let pattern = q();
         let model = c.corpus_stats(&pattern).model(Normalization::None);
-        // Tag counts alone see every query tag in both shards: without
-        // paths the two ceilings are upper-bounded the same way.
-        let tag_only = shard_ceiling(
-            c.shards()[1].synopsis(),
-            &pattern,
-            &model,
-            RelaxMode::Relaxed,
-        )
-        .unwrap();
-        let with_paths = c
-            .shard_ceiling(1, &pattern, &model, RelaxMode::Relaxed)
-            .unwrap();
-        assert!(
-            with_paths < tag_only,
-            "isbn/price outside <book> must drop out of the path-aware bound"
-        );
+        // No book holds an isbn or a price, even as a descendant: only
+        // the title's weight is left.
+        let rich = c.shard_ceiling(0, &pattern, &model, RelaxMode::Relaxed);
+        let mismatch = c.shard_ceiling(1, &pattern, &model, RelaxMode::Relaxed);
+        let title = pattern.server_ids().next().unwrap();
+        assert_eq!(mismatch, Some(Score::new(model.max_contribution(title))));
+        assert!(mismatch < rich, "{mismatch:?} vs {rich:?}");
         // Exact mode: no book ever has an isbn child — provably empty.
         assert_eq!(c.shard_ceiling(1, &pattern, &model, RelaxMode::Exact), None);
-        // The rich shard's bound is unchanged by the refinement.
-        assert_eq!(
-            c.shard_ceiling(0, &pattern, &model, RelaxMode::Relaxed)
-                .unwrap(),
-            shard_ceiling(
-                c.shards()[0].synopsis(),
-                &pattern,
-                &model,
-                RelaxMode::Relaxed
-            )
-            .unwrap()
-        );
         // And it still dominates every achieved score.
         let run = evaluate_collection(
             &c,
@@ -1892,6 +1835,28 @@ mod tests {
                 .expect("answer-bearing shard has a ceiling");
             assert!(a.score <= ceil, "{a:?} above ceiling {ceil:?}");
         }
+    }
+
+    /// Where a predicate's tag sits below the answer but never at the
+    /// exact depth, the shard's ceiling takes the relaxed weight.
+    #[test]
+    fn a_shard_without_an_exact_witness_adds_the_relaxed_weight() {
+        let mut c = Collection::new();
+        c.add_source("rich", RICH).unwrap();
+        c.add_source(
+            "deep",
+            "<shelf><book><info><title>t</title></info></book></shelf>",
+        )
+        .unwrap();
+        let pattern = whirlpool_pattern::parse_pattern("//book[./title]").unwrap();
+        let model = c.corpus_stats(&pattern).model(Normalization::None);
+        let title = pattern.server_ids().next().unwrap();
+        let [exact, relaxed] = model.weights(title);
+        assert!(relaxed < exact, "{exact} vs {relaxed}");
+        let ceiling = |i, relax| c.shard_ceiling(i, &pattern, &model, relax);
+        assert_eq!(ceiling(0, RelaxMode::Relaxed), Some(Score::new(exact)));
+        assert_eq!(ceiling(1, RelaxMode::Relaxed), Some(Score::new(relaxed)));
+        assert_eq!(ceiling(1, RelaxMode::Exact), None);
     }
 
     #[test]
@@ -1913,24 +1878,34 @@ mod tests {
         assert!(c.shards()[0].path_synopsis().is_definitive());
 
         let pattern = q();
-        let pruned = evaluate_collection(
-            &c,
-            &pattern,
-            &Algorithm::WhirlpoolS,
-            &EvalOptions::top_k(2),
-            Normalization::Sparse,
-            &CollectionOptions::default(),
-        );
+        c.set_max_resident(1);
+        let run = || {
+            evaluate_collection(
+                &c,
+                &pattern,
+                &Algorithm::WhirlpoolS,
+                &EvalOptions::top_k(2),
+                Normalization::Sparse,
+                &CollectionOptions::default(),
+            )
+        };
+        // The shape's first query attaches each shard once to count it.
+        let first = run();
+        assert_eq!(first.collection_metrics.shards_counted, 5);
+        // A repeat reads the counts from the memo.
+        let pruned = run();
         let m = &pruned.collection_metrics;
+        assert_eq!(m.shards_counted, 0, "{m:?}");
         assert!(
             m.shards_pruned_before_attach >= 3,
-            "mismatch shards must fall to path ceilings without touching disk: {m:?}"
+            "mismatch shards must fall to their ceilings without touching disk: {m:?}"
         );
-        assert_eq!(m.shards_attached as usize, m.shards_visited);
+        assert!(m.shards_attached as usize <= m.shards_visited, "{m:?}");
         assert_eq!(m.shards_visited + m.shards_pruned, m.shards_total, "{m:?}");
+        assert_eq!(pruned.answers, first.answers);
 
-        // The same collection scanned exhaustively (same model — the
-        // corpus stats are synopsis-based either way) agrees.
+        // The same collection scanned exhaustively (same model: the
+        // same counts) agrees.
         let eager = evaluate_collection(
             &c,
             &pattern,
@@ -1948,9 +1923,8 @@ mod tests {
         );
     }
 
-    /// A relaxed document scope computes its path-synopsis ceiling only
-    /// when the shard goes unevaluated; the replies stay those of a
-    /// ceiling computed up front.
+    /// A document scope prunes and certifies by the ceiling a corpus
+    /// scope uses.
     #[test]
     fn a_document_scope_still_prunes_and_certifies_by_its_ceiling() {
         let pattern = q();
@@ -1983,7 +1957,8 @@ mod tests {
             assert_eq!(result.collection_metrics.shards_pruned, 1);
         }
         // Shard 0 left unevaluated, out of budget or because its file
-        // was replaced after the peek, is certified by its ceiling.
+        // was replaced after the peek (then it is not counted either),
+        // is certified by its ceiling.
         let dir = snapshot_dir("scope-ceiling", &[("s0", RICH)]);
         let replaced = Collection::open_dir(&dir).unwrap();
         let doc = parse_document(MID).unwrap();
@@ -2228,14 +2203,23 @@ mod tests {
         let c = Collection::open_dir(&dir).unwrap();
         c.set_max_resident(1);
         let pattern = q();
-        let run = evaluate_collection(
-            &c,
-            &pattern,
-            &Algorithm::WhirlpoolS,
-            &EvalOptions::top_k(3),
-            Normalization::Sparse,
-            &CollectionOptions::scan_all(),
-        );
+        let scan = || {
+            evaluate_collection(
+                &c,
+                &pattern,
+                &Algorithm::WhirlpoolS,
+                &EvalOptions::top_k(3),
+                Normalization::Sparse,
+                &CollectionOptions::scan_all(),
+            )
+        };
+        // The shape's first query attaches each shard to count it, then
+        // again to visit it.
+        let first = scan();
+        let m = &first.collection_metrics;
+        assert_eq!((m.shards_counted, m.shards_attached), (4, 8), "{m:?}");
+        // A repeat only visits.
+        let run = scan();
         assert_eq!(run.collection_metrics.shards_visited, 4);
         assert_eq!(run.collection_metrics.shards_attached, 4);
         assert!(
@@ -2246,17 +2230,9 @@ mod tests {
         assert!(c.resident_count() <= 1);
 
         // Re-running re-attaches evicted shards and still answers.
-        let again = evaluate_collection(
-            &c,
-            &pattern,
-            &Algorithm::WhirlpoolS,
-            &EvalOptions::top_k(3),
-            Normalization::Sparse,
-            &CollectionOptions::scan_all(),
-        );
         assert!(collection_answers_equivalent(
+            &first.answers,
             &run.answers,
-            &again.answers,
             1e-9
         ));
     }

@@ -138,6 +138,16 @@ impl CountMemo {
         })
     }
 
+    /// Does the memo hold the counts of every one of `preds` under
+    /// `answer_tag`, so that [`counts`](CountMemo::counts) would count
+    /// nothing?
+    pub(crate) fn holds(&self, answer_tag: &str, preds: &[ComponentPredicate]) -> bool {
+        let entries = self.entries.read().unwrap_or_else(PoisonError::into_inner);
+        preds
+            .iter()
+            .all(|p| entries.contains_key(&CountKey::new(answer_tag, p)))
+    }
+
     /// How many predicate counts the memo holds.
     pub(crate) fn len(&self) -> usize {
         self.entries
@@ -172,6 +182,7 @@ mod tests {
             counted: true,
         };
         assert_eq!(got, Ok(want.clone()));
+        assert!(memo.holds("a", &first) && !memo.holds("x", &first));
         let hit = memo.counts("a", &first, unreachable).unwrap();
         assert_eq!(hit.satisfying, want.satisfying);
         assert!(!hit.counted);

@@ -66,8 +66,8 @@
 //! documents (or subtree shards split off one large document) are
 //! queried as a single corpus under a shared corpus-level idf model,
 //! with the global top-k threshold seeding every per-shard run and a
-//! synopsis-derived score ceiling pruning whole shards that cannot
-//! beat the current k-th answer. See [`evaluate_collection`]; a
+//! score ceiling from each shard's own idf counts pruning whole shards
+//! that cannot beat the current k-th answer. See [`evaluate_collection`]; a
 //! document query is the same driver over one shard
 //! ([`evaluate_scope`], [`Scope`]).
 
@@ -89,7 +89,7 @@ mod whirlpool_m;
 mod whirlpool_s;
 
 pub use collection::{
-    collection_answers_equivalent, evaluate_collection, evaluate_scope, shard_ceiling, Collection,
+    collection_answers_equivalent, evaluate_collection, evaluate_scope, Collection,
     CollectionAnswer, CollectionMetrics, CollectionOptions, CollectionResult, Scope, Shard,
     ShardAccess,
 };

@@ -1,10 +1,9 @@
-//! Per-shard synopses for collection-level pruning.
+//! Per-shard synopses: what a collection knows of a shard before it
+//! attaches the payload.
 //!
-//! A collection visits shards most-promising-first and skips any shard
-//! whose score ceiling cannot beat the global k-th answer. Computing
-//! that ceiling must cost far less than evaluating the shard, so it
-//! runs on a [`ShardSynopsis`]: a flat tag-name → element-count table
-//! built once per shard, next to its [`TagIndex`](crate::TagIndex).
+//! A [`ShardSynopsis`] is a flat tag-name → element-count table built
+//! once per shard, next to its [`TagIndex`](crate::TagIndex), and stored
+//! in the shard's snapshot.
 //! Tag *names* (not per-document `TagId`s) key the table because tag
 //! interning is per-document — a synopsis has to answer questions posed
 //! by a query compiled against a different shard's interner.
@@ -14,12 +13,10 @@ use whirlpool_xml::Document;
 
 /// Cheap per-shard summary: element counts per tag name.
 ///
-/// The collection driver derives a shard's *max-score ceiling* from
-/// this: a query node whose tag has no element in the shard can only
-/// bind to the outer-join null (contributing zero), so its per-server
-/// maximum weight drops out of the ceiling. The synopsis never
-/// under-reports a tag (it counts every element), which keeps the
-/// ceiling an upper bound — the invariant shard pruning relies on.
+/// The collection driver reads a query's answer population from this
+/// before any payload is attached: a shard without an element of the
+/// answer tag holds no answer and is never attached, and the daemon
+/// prices admission off the populations.
 #[derive(Debug, Clone, Default)]
 pub struct ShardSynopsis {
     tag_counts: HashMap<Box<str>, u64>,
@@ -55,6 +52,17 @@ impl ShardSynopsis {
     /// Elements carrying `tag` in the shard (0 for unknown tags).
     pub fn tag_count(&self, tag: &str) -> u64 {
         self.tag_counts.get(tag).copied().unwrap_or(0)
+    }
+
+    /// The elements a pattern whose answer node tests `answer_tag` ranges
+    /// over: those carrying the tag, or every element for the wildcard
+    /// `*`. This is the answer population of Definition 4.2.
+    pub fn answers(&self, answer_tag: &str) -> u64 {
+        if answer_tag == whirlpool_pattern::WILDCARD {
+            self.elements
+        } else {
+            self.tag_count(answer_tag)
+        }
     }
 
     /// Does any element in the shard carry `tag`?
@@ -98,6 +106,7 @@ mod tests {
         assert!(s.has_tag("book"));
         assert!(!s.has_tag("nosuch"));
         assert_eq!(s.elements(), 6);
+        assert_eq!((s.answers("book"), s.answers("*")), (2, 6));
         assert_eq!(s.distinct_tags(), 4);
         assert_eq!(s.tags().map(|(_, c)| c).sum::<u64>(), s.elements());
     }

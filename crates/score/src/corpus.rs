@@ -94,41 +94,6 @@ impl CorpusStats {
         &self.preds
     }
 
-    /// Folds one shard's *estimated* counts from a tag-count synopsis —
-    /// the form lazy (unattached) shards use, so corpus-level idf never
-    /// forces an attach. Tag counts cannot express per-predicate
-    /// structure, so each predicate's satisfying count is taken as
-    /// `min(population, count(pred tag))` for both the exact and
-    /// relaxed variant.
-    ///
-    /// The estimate biases idf *downward* (satisfying counts are upper
-    /// bounds), which only flattens the weight table — it cannot affect
-    /// correctness, because a collection derives one model for *all*
-    /// its shards and the pruning invariant (DESIGN.md §12) only needs
-    /// ceilings and scores to come from the same model.
-    pub fn add_shard_synopsis(
-        &mut self,
-        synopsis: &whirlpool_index::ShardSynopsis,
-        answer_tag: &str,
-    ) {
-        let pop = if answer_tag == whirlpool_pattern::WILDCARD {
-            synopsis.elements()
-        } else {
-            synopsis.tag_count(answer_tag)
-        };
-        for pred in &self.preds {
-            let sat = if pred.tag == whirlpool_pattern::WILDCARD {
-                pop
-            } else {
-                pop.min(synopsis.tag_count(&pred.tag))
-            };
-            self.satisfying[pred.qnode.index()][0] += sat;
-            self.satisfying[pred.qnode.index()][1] += sat;
-        }
-        self.population += pop;
-        self.shards += 1;
-    }
-
     /// Shards folded in so far.
     pub fn shards(&self) -> usize {
         self.shards
@@ -262,34 +227,6 @@ mod tests {
         for s in q.server_ids() {
             assert_eq!(model.max_contribution(s), 0.0);
         }
-    }
-
-    #[test]
-    fn synopsis_estimates_count_without_structure() {
-        let (doc, _) = setup(SHARD_A);
-        let syn = whirlpool_index::ShardSynopsis::build(&doc);
-        let q = parse_pattern("//book[./isbn]").unwrap();
-        let mut stats = CorpusStats::new(&q);
-        stats.add_shard_synopsis(&syn, "book");
-        assert_eq!(stats.shards(), 1);
-        assert_eq!(stats.population(), 2);
-        let model = stats.model(Normalization::None);
-        let server = q.server_ids().next().unwrap();
-        let [exact, relaxed] = model.weights(server);
-        // min(pop=2, isbn count=2) = 2 satisfying → idf ln(2/2) = 0,
-        // same for both variants (the synopsis sees no structure).
-        assert_eq!(exact, 0.0);
-        assert_eq!(relaxed, 0.0);
-
-        // A shard with fewer isbns than books yields a positive weight.
-        let (db, _) = setup(SHARD_B);
-        let syn_b = whirlpool_index::ShardSynopsis::build(&db);
-        stats.add_shard_synopsis(&syn_b, "book");
-        assert_eq!(stats.population(), 4);
-        let model = stats.model(Normalization::None);
-        let [exact, relaxed] = model.weights(server);
-        assert!((exact - (4.0f64 / 2.0).ln()).abs() < 1e-12, "{exact}");
-        assert_eq!(exact, relaxed);
     }
 
     #[test]

@@ -42,8 +42,10 @@ pub trait ScoreModel: Send + Sync {
 
     /// Upper bound of `contribution` over all nodes at `server` when the
     /// binding only reaches the *relaxed* level. Routing estimators use
-    /// this to predict the score of approximate bindings; the default is
-    /// the (always valid) exact bound.
+    /// this to predict the score of approximate bindings, and a
+    /// collection's shard ceilings to bound a shard where no answer
+    /// satisfies the server exactly; the default is the (always valid)
+    /// exact bound.
     fn max_relaxed_contribution(&self, server: QNodeId) -> f64 {
         self.max_contribution(server)
     }

@@ -6,7 +6,7 @@ use crate::governor::{Admission, Permit, Rung, WatchGuard, Watchdog};
 use crate::http::{read_request, respond, Request};
 use crate::json::{escape, Json};
 use crate::metrics::{RungHistory, ServeMetrics};
-use crate::shared::{Corpus, Registry};
+use crate::shared::{Corpus, Prepare, Registry};
 use std::collections::VecDeque;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -17,7 +17,7 @@ use whirlpool_core::{
     Completeness, EvalOptions, FaultPlan, MetricsSnapshot, Scope, MAX_INJECTED_DELAY,
 };
 use whirlpool_index::DocView;
-use whirlpool_pattern::{TreePattern, WILDCARD};
+use whirlpool_pattern::TreePattern;
 use whirlpool_score::Normalization;
 use whirlpool_xml::{NodeId, TagId};
 
@@ -408,10 +408,8 @@ fn route(daemon: &Daemon, conn: &mut TcpStream, request: &Request) -> Result<(),
                 ));
             }
             docs_json.push(']');
-            let peeked = collection
-                .shards()
-                .iter()
-                .filter(|s| s.admitted_by_peek())
+            let peeked = (daemon.corpus.prepares.iter())
+                .filter(|p| matches!(p, Prepare::Peeked { .. }))
                 .count();
             let base = daemon
                 .metrics
@@ -666,20 +664,16 @@ fn handle_query(daemon: &Daemon, conn: &mut TcpStream, body: &[u8]) -> Result<()
     // Admission is priced before any model or context exists, off the
     // synopses: the scope's candidate answer roots, times one op per
     // server and one for the root. In relaxed mode a root match meets
-    // each server at most once, so this bounds the engine's work.
+    // each server at most once, so this bounds the engine's work. A
+    // shard that has not counted the shape yet walks its answers once
+    // more to count them.
     let answer_tag = pattern.node(pattern.root()).tag.as_str();
     let per_root_ops = pattern.server_ids().count() as f64 + 1.0;
-    let estimate: f64 = (scope.shards(collection.len()))
-        .map(|i| {
-            let synopsis = collection.shards()[i].synopsis();
-            let roots = if answer_tag == WILDCARD {
-                synopsis.elements()
-            } else {
-                synopsis.tag_count(answer_tag)
-            };
-            roots as f64 * per_root_ops
-        })
+    let roots: u64 = (scope.shards(collection.len()))
+        .map(|i| collection.shards()[i].synopsis().answers(answer_tag))
         .sum();
+    let uncounted = collection.uncounted_answers(scope, &pattern);
+    let estimate = roots as f64 * per_root_ops + uncounted as f64;
     let mut gov = govern(daemon, conn, estimate, req.k)?;
 
     // Bounded retry on transient faults: a run truncated by a *server
@@ -1541,11 +1535,16 @@ mod tests {
             })
             .collect();
         assert_eq!(ids, ["a3", "b2", "a1", "b0"], "{body}");
-        let visited = v
-            .get("shards")
-            .and_then(|s| s.get("visited"))
-            .and_then(Json::as_u64)
-            .unwrap();
+        let shards = |key| {
+            v.get("shards")
+                .and_then(|s| s.get(key))
+                .and_then(Json::as_u64)
+                .unwrap()
+        };
+        // The shape is new: each document was attached once more, to
+        // count it.
+        let (visited, counted) = (shards("visited"), shards("counted"));
+        assert_eq!(counted, 2, "{body}");
 
         let (_, metrics) = send(handle.addr(), "GET /metrics HTTP/1.1\r\n\r\n");
         let attached = Json::parse(&metrics)
@@ -1555,10 +1554,41 @@ mod tests {
             .and_then(Json::as_u64)
             .unwrap();
         assert!(
-            attached <= visited + 2,
-            "{attached} attaches for {visited} visits + 2 answering documents"
+            attached <= counted + visited + 2,
+            "{attached} attaches for {counted} counts + {visited} visits + 2 answering documents"
         );
 
+        handle.shutdown();
+    }
+
+    /// A peeked registry is counted like any other: the first
+    /// collection query of a shape counts every peeked document, a
+    /// repeat reads the memo and answers byte for byte alike, and
+    /// `/metrics` still tells how the documents were admitted.
+    #[test]
+    fn a_peeked_registry_counts_each_document_once() {
+        let dir = scratch_dir("peeked-counts");
+        let handle = start(ServeConfig::default(), peeked_registry(&dir, &PROMISE[..2])).unwrap();
+        let addr = handle.addr();
+        let request = r#"{"collection": true, "query": "//book[./title and ./isbn]", "k": 3}"#;
+        let counted = |body: &str| {
+            let v = Json::parse(body).unwrap();
+            let shards = v.get("shards").expect("shards object");
+            shards.get("counted").and_then(Json::as_u64).unwrap()
+        };
+        let answers = |body: &str| body[body.find("\"answers\"").unwrap()..].to_string();
+        let (status, first) = post_query(addr, request);
+        assert_eq!(status, 200, "{first}");
+        assert_eq!(counted(&first), 2, "{first}");
+        let (status, again) = post_query(addr, request);
+        assert_eq!(status, 200, "{again}");
+        assert_eq!(counted(&again), 0, "{again}");
+        assert_eq!(answers(&again), answers(&first));
+        let (_, body) = send(addr, "GET /metrics HTTP/1.1\r\n\r\n");
+        let m = Json::parse(&body).unwrap();
+        let shards = m.get("shards").expect("shards counters");
+        assert_eq!(shards.get("peeked").and_then(Json::as_u64), Some(2));
+        assert_eq!(shards.get("counted").and_then(Json::as_u64), Some(2));
         handle.shutdown();
     }
 

@@ -287,10 +287,11 @@ mod tests {
         assert!(attached.shard().as_parsed().is_none());
         assert_eq!(attached.prepare.stat_name(), "snapshot_attach_ms");
         assert!(attached.shard().is_resident(), "eager attach starts mapped");
-        assert!(!attached.shard().admitted_by_peek());
+        assert!(matches!(attached.prepare, Prepare::Attached { .. }));
         let peeked = DocState::peek("s", &path).unwrap();
         assert_eq!(peeked.prepare.stat_name(), "snapshot_peek_ms");
-        assert!(peeked.shard().admitted_by_peek() && !peeked.shard().is_resident());
+        assert!(matches!(peeked.prepare, Prepare::Peeked { .. }));
+        assert!(peeked.shard().is_lazy() && !peeked.shard().is_resident());
         assert_eq!(
             peeked.shard().path_synopsis(),
             attached.shard().path_synopsis()
