@@ -224,7 +224,6 @@ pub fn run(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
     let copts = CollectionOptions {
         shard_pruning: !parsed.flag("no-shard-pruning"),
         share_threshold: !parsed.flag("no-share-threshold"),
-        threads: options.threads,
     };
     let mut result = evaluate_scope(
         &collection,

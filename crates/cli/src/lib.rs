@@ -99,8 +99,8 @@ QUERY OPTIONS:
                      this flag also *requires* the file to be one)
   --split N          split a single document into N subtree shards and
                      query them as a collection
-  --threads N        collection mode: shard-level worker threads
-                     (single-document mode: Whirlpool-M workers)
+  --threads N        Whirlpool-M worker threads (default 1); in
+                     collection mode each shard's run gets N
   --no-shard-pruning collection mode: visit every shard, even ones whose
                      score ceiling cannot beat the global threshold
   --no-share-threshold

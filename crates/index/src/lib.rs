@@ -33,16 +33,13 @@
 //! * [`DocView`] — the document side, re-exported from `whirlpool-xml`:
 //!   one `Copy` struct of slices over a parsed `Document` or a mapped
 //!   snapshot.
-//! * [`ShardSynopsis`] — a per-shard tag-count summary that lets a
-//!   collection bound a shard's best possible score without touching
-//!   its postings, enabling whole-shard pruning against the global
-//!   top-k threshold.
+//! * [`ShardSynopsis`] — a per-shard tag-count summary, read before a
+//!   shard is attached: a query's answer population comes from it, and
+//!   a shard without the answer tag is never attached.
 //! * [`PathSynopsis`] — a bounded strong dataguide (distinct
 //!   root-to-node tag paths with counts and max same-parent
-//!   multiplicity) that sharpens those ceilings on homogeneous corpora
-//!   where tag presence alone prunes nothing, and is compact enough to
-//!   store inside a snapshot and read by `Snapshot::peek` without
-//!   attaching the shard.
+//!   multiplicity) that the snapshot writer stores next to the tag
+//!   counts. Nothing reads it back yet.
 
 mod columns;
 mod cursor;
@@ -52,9 +49,7 @@ mod tagindex;
 
 pub use columns::{lanes_for, mask_count, ColumnsView, KERNEL_LANE};
 pub use cursor::RangeCursor;
-pub use paths::{
-    PathAxis, PathEntry, PathSynopsis, MAX_PATH_STEPS, PATH_COUNT_CAP, PATH_DEPTH_CAP,
-};
+pub use paths::{PathEntry, PathSynopsis, MAX_PATH_STEPS, PATH_COUNT_CAP, PATH_DEPTH_CAP};
 pub use synopsis::ShardSynopsis;
 pub use tagindex::{TagIndex, TagIndexView};
 pub use whirlpool_xml::DocView;

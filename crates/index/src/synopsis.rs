@@ -17,7 +17,7 @@ use whirlpool_xml::Document;
 /// before any payload is attached: a shard without an element of the
 /// answer tag holds no answer and is never attached, and the daemon
 /// prices admission off the populations.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardSynopsis {
     tag_counts: HashMap<Box<str>, u64>,
     elements: u64,

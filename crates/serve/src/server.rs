@@ -631,11 +631,10 @@ impl Governed {
 /// `"collection": true` every loaded document as a sharded corpus),
 /// price admission off the scope's synopses, then run
 /// [`whirlpool_core::evaluate_scope`] — scope idf, global threshold
-/// sharing, synopsis-based shard pruning, attach-on-visit — under the
-/// rung's budgets and the watchdog's cancel token, inside one bounded
-/// retry loop. Shards run sequentially on the one worker thread: the
-/// pool already provides cross-request parallelism, so shard-level
-/// threads would only oversubscribe under load.
+/// sharing, shard pruning by count ceilings, attach-on-visit — under
+/// the rung's budgets and the watchdog's cancel token, inside one
+/// bounded retry loop. The driver visits shards one after another on
+/// the worker's thread; the pool's workers share the collection.
 fn handle_query(daemon: &Daemon, conn: &mut TcpStream, body: &[u8]) -> Result<(), ServeError> {
     let req = QueryRequest::parse(body)?;
     let collection = &daemon.corpus.collection;

@@ -292,10 +292,7 @@ mod tests {
         assert_eq!(peeked.prepare.stat_name(), "snapshot_peek_ms");
         assert!(matches!(peeked.prepare, Prepare::Peeked { .. }));
         assert!(peeked.shard().is_lazy() && !peeked.shard().is_resident());
-        assert_eq!(
-            peeked.shard().path_synopsis(),
-            attached.shard().path_synopsis()
-        );
+        assert_eq!(peeked.shard().synopsis(), attached.shard().synopsis());
 
         let mut r = Registry::new();
         r.insert(parsed);

@@ -18,7 +18,7 @@
 //! A peek and a later attach are bound by the whole-file checksum:
 //! [`SnapshotPeek::checksum`] is the file's stored trailer, and
 //! [`Snapshot::checksum`] is the one attach verified. A caller that
-//! keeps peeked synopses (a lazy collection shard) compares the two and
+//! keeps a peeked synopsis (a lazy collection shard) compares the two and
 //! refuses a file replaced in between with [`StoreError::Stale`].
 //!
 //! A full attach also leaves a [`Verification`]: the file's identity
@@ -59,8 +59,8 @@ mod snapshot;
 
 pub use snapshot::{
     build_snapshot_bytes, build_snapshot_bytes_with, save_snapshot, save_snapshot_with,
-    write_snapshot, Snapshot, SnapshotFile, SnapshotOptions, SnapshotPeek, Verification,
-    SNAPSHOT_VERSION, TRUST_MARGIN, WHOLE_SECOND_TRUST_MARGIN,
+    write_snapshot, Snapshot, SnapshotFile, SnapshotOptions, SnapshotPeek, StoredPaths,
+    Verification, SNAPSHOT_VERSION, TRUST_MARGIN, WHOLE_SECOND_TRUST_MARGIN,
 };
 
 pub(crate) const MAGIC: &[u8; 4] = b"WPLX";

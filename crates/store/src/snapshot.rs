@@ -60,18 +60,20 @@
 //! carries its own checksum so that [`Snapshot::peek`] can read *just
 //! the header and this section* (and the file's checksum, which follows
 //! it) — no payload mapping, no whole-file checksum pass — and still
-//! hand the collection layer integrity-checked synopses. One walker
-//! reads the format. Peek drives it to collect owned synopses; attach
-//! drives it to compare the section with the payload, allocating
-//! nothing: the element count is the payload's, and the stored tags are
-//! exactly the tags with postings, in tag-id order, each named as in
-//! the tag table and counted as its postings. An attached [`Snapshot`]
-//! holds no synopsis; [`Snapshot::synopses`] parses the verified
-//! section again for a caller that wants one.
+//! hand the collection layer an integrity-checked tag-count synopsis.
+//! One walker reads the format. Peek drives it to collect the tag
+//! counts; attach drives it to compare the section with the payload,
+//! allocating nothing: the element count is the payload's, and the
+//! stored tags are exactly the tags with postings, in tag-id order,
+//! each named as in the tag table and counted as its postings. Both
+//! check every stored path and keep none: no query reads the dataguide
+//! ([`StoredPaths`] is what a reader learns of it). An attached
+//! [`Snapshot`] holds no synopsis; [`Snapshot::synopsis`] parses the
+//! verified section again for a caller that wants one.
 //!
-//! A stored path has at most 63 steps (`MAX_PATH_STEPS`), because the
-//! path matcher keeps one bit per position in a `u64`: the walker
-//! refuses a depth cap above 63 or a path longer than its cap.
+//! A stored path has at most 63 steps (`MAX_PATH_STEPS`), a rule of the
+//! format: the walker refuses a depth cap above 63 or a path longer
+//! than its cap.
 //!
 //! A full attach validates magic/version/length, the checksum, section
 //! table sanity (alignment, order, bounds) and shapes, and structural
@@ -119,7 +121,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 use whirlpool_index::{
-    ColumnsView, PathEntry, PathSynopsis, ShardSynopsis, TagIndex, TagIndexView, MAX_PATH_STEPS,
+    ColumnsView, PathSynopsis, ShardSynopsis, TagIndex, TagIndexView, MAX_PATH_STEPS,
 };
 use whirlpool_xml::{DocView, Document, TagId, ATTR_ENTRY_STRIDE};
 
@@ -343,20 +345,6 @@ impl<'a> SectionReader<'a> {
     }
 }
 
-/// One stored path as the section walker hands it over: its steps as
-/// little-endian `u32`s, each already checked to index the tag list.
-struct StoredPath<'a> {
-    steps: &'a [u8],
-    count: u64,
-    max_tf: u64,
-}
-
-impl StoredPath<'_> {
-    fn steps(&self) -> impl Iterator<Item = u32> + '_ {
-        (self.steps.chunks_exact(4)).map(|s| u32::from_le_bytes(s.try_into().expect("4 bytes")))
-    }
-}
-
 /// The fixed fields of a path-synopsis section.
 struct SectionHead {
     elements: u64,
@@ -370,10 +358,8 @@ trait SectionVisitor<'a> {
     /// The number of listed tags, before the first [`tag`](Self::tag).
     fn tags(&mut self, _count: usize) {}
     fn tag(&mut self, name: &'a str, count: u64) -> Result<(), StoreError>;
-    /// The number of stored paths, before the first
-    /// [`path`](Self::path).
+    /// The number of stored paths, before the walker checks them.
     fn paths(&mut self, _count: usize) {}
-    fn path(&mut self, _path: StoredPath<'a>) {}
 }
 
 /// The one reader of the path-synopsis section format: verifies the
@@ -432,23 +418,19 @@ fn walk_path_section<'a>(
     }
     visit.paths(path_count);
     for _ in 0..path_count {
-        let count = r.u64()?;
-        let max_tf = r.u64()?;
+        let _count = r.u64()?;
+        let _max_tf = r.u64()?;
         let nsteps = r.u64()?;
         if nsteps > depth_cap {
             return Err(corrupt(format!(
                 "path synopsis: a path of {nsteps} steps under depth cap {depth_cap}"
             )));
         }
-        let stored = StoredPath {
-            steps: r.take(4 * nsteps as usize, "path steps")?,
-            count,
-            max_tf,
-        };
-        if stored.steps().any(|s| s as usize >= tag_count) {
+        let mut steps = r.take(4 * nsteps as usize, "path steps")?.chunks_exact(4);
+        let tag = |s: &[u8]| u32::from_le_bytes(s.try_into().expect("4 bytes")) as usize;
+        if steps.any(|s| tag(s) >= tag_count) {
             return Err(corrupt("path synopsis: step references a tag out of range"));
         }
-        visit.path(stored);
     }
     if r.pos != r.bytes.len() {
         return Err(corrupt("path synopsis: trailing bytes after the paths"));
@@ -460,47 +442,51 @@ fn walk_path_section<'a>(
     })
 }
 
-/// Parses (and checksum-verifies) the path-synopsis section. Returns
-/// the tag-count synopsis and the dataguide it carries.
-fn parse_path_section(bytes: &[u8]) -> Result<(ShardSynopsis, PathSynopsis), StoreError> {
-    let mut c = Collect::default();
-    let head = walk_path_section(bytes, &mut c)?;
-    let tags = c.names.iter().cloned().zip(c.counts);
-    let synopsis = ShardSynopsis::from_counts(tags, head.elements);
-    let paths = PathSynopsis::from_parts(c.names, c.entries, head.depth_cap, head.truncated);
-    Ok((synopsis, paths))
+/// What a synopsis section says of the dataguide it stores: how many
+/// paths, under which depth cap, and whether the build stopped at a cap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StoredPaths {
+    /// Distinct root-to-node paths stored.
+    pub count: usize,
+    /// The depth cap the paths were built under.
+    pub depth_cap: u32,
+    /// Did the document exceed a cap?
+    pub truncated: bool,
 }
 
-/// Peek's visitor of the section walker: owned copies of every field.
+/// Parses (and checksum-verifies) the path-synopsis section. Returns
+/// the tag-count synopsis it carries and what it says of its paths.
+fn parse_path_section(bytes: &[u8]) -> Result<(ShardSynopsis, StoredPaths), StoreError> {
+    let mut c = Collect::default();
+    let head = walk_path_section(bytes, &mut c)?;
+    let paths = StoredPaths {
+        count: c.paths,
+        depth_cap: head.depth_cap,
+        truncated: head.truncated,
+    };
+    Ok((ShardSynopsis::from_counts(c.tags, head.elements), paths))
+}
+
+/// Peek's visitor of the section walker: owned copies of the tag
+/// counts, and the number of stored paths.
 #[derive(Default)]
 struct Collect {
-    names: Vec<Box<str>>,
-    counts: Vec<u64>,
-    entries: Vec<PathEntry>,
+    tags: Vec<(Box<str>, u64)>,
+    paths: usize,
 }
 
 impl<'a> SectionVisitor<'a> for Collect {
     fn tags(&mut self, count: usize) {
-        self.names.reserve_exact(count);
-        self.counts.reserve_exact(count);
+        self.tags.reserve_exact(count);
     }
 
     fn tag(&mut self, name: &'a str, count: u64) -> Result<(), StoreError> {
-        self.names.push(Box::from(name));
-        self.counts.push(count);
+        self.tags.push((Box::from(name), count));
         Ok(())
     }
 
     fn paths(&mut self, count: usize) {
-        self.entries.reserve_exact(count);
-    }
-
-    fn path(&mut self, path: StoredPath<'a>) {
-        self.entries.push(PathEntry {
-            steps: path.steps().collect(),
-            count: path.count,
-            max_tf: path.max_tf,
-        });
+        self.paths = count;
     }
 }
 
@@ -821,8 +807,8 @@ struct Layout {
 /// An attached snapshot: validated bytes (memory-mapped or read) and
 /// the section layout. [`doc_view`](Snapshot::doc_view) and
 /// [`index_view`](Snapshot::index_view) assemble zero-copy views on
-/// demand; [`synopses`](Snapshot::synopses) parses the verified
-/// synopsis section when a caller wants owned copies.
+/// demand; [`synopsis`](Snapshot::synopsis) parses the verified
+/// synopsis section when a caller wants an owned copy.
 pub struct Snapshot {
     backing: Backing,
     layout: Layout,
@@ -915,11 +901,20 @@ impl Snapshot {
         )
     }
 
-    /// The stored tag-count synopsis and path synopsis (dataguide),
-    /// parsed from the synopsis section attach verified. Each call
-    /// parses anew: a collection visit never needs them, since a lazy
-    /// shard keeps the ones [`peek`](Snapshot::peek) read.
-    pub fn synopses(&self) -> (ShardSynopsis, PathSynopsis) {
+    /// The stored tag-count synopsis, parsed from the synopsis section
+    /// attach verified. Each call parses anew: a collection visit never
+    /// needs it, since a lazy shard keeps the one [`peek`](Snapshot::peek)
+    /// read.
+    pub fn synopsis(&self) -> ShardSynopsis {
+        self.parse_synopsis_section().0
+    }
+
+    /// What the synopsis section says of its stored dataguide.
+    pub fn stored_paths(&self) -> StoredPaths {
+        self.parse_synopsis_section().1
+    }
+
+    fn parse_synopsis_section(&self) -> (ShardSynopsis, StoredPaths) {
         parse_path_section(self.section(SEC_PATH_SYNOPSIS)).expect(
             "a full verification of this file checked the synopsis section, \
              and the backing is immutable",
@@ -968,9 +963,10 @@ impl Snapshot {
     /// checksum pass.
     ///
     /// A peek is the collection layer's admission ticket: it yields the
-    /// synopses needed to *order and prune* shards without attaching
-    /// them. It is not a substitute for [`attach`](Snapshot::attach) —
-    /// full validation still happens when (if) the shard is visited.
+    /// tag counts a query's answer population comes from, without
+    /// attaching the shard. It is not a substitute for
+    /// [`attach`](Snapshot::attach) — full validation still happens when
+    /// (if) the shard is visited.
     pub fn peek(path: impl AsRef<Path>) -> Result<SnapshotPeek, StoreError> {
         let mut file = std::fs::File::open(path)?;
         let file_len = usize::try_from(file.metadata()?.len())
@@ -986,10 +982,9 @@ impl Snapshot {
         file.seek(SeekFrom::Start(off as u64))?;
         let mut tail = vec![0u8; file_len - off];
         file.read_exact(&mut tail)?;
-        let (synopsis, paths) = parse_path_section(&tail[..len])?;
+        let (synopsis, _) = parse_path_section(&tail[..len])?;
         Ok(SnapshotPeek {
             synopsis,
-            paths,
             checksum: read_u64_at(&tail, tail.len() - 8),
         })
     }
@@ -1001,8 +996,6 @@ impl Snapshot {
 pub struct SnapshotPeek {
     /// The stored tag-count synopsis.
     pub synopsis: ShardSynopsis,
-    /// The stored dataguide.
-    pub paths: PathSynopsis,
     /// The whole-file checksum stored in the file's 8-byte trailer, not
     /// verified by the peek. A later attach of the same file verifies
     /// it and reports it as [`Snapshot::checksum`]; a caller that
@@ -1545,14 +1538,44 @@ mod tests {
     #[test]
     fn synopsis_matches_a_fresh_build() {
         let (doc, _, bytes) = snapshot_of("<r><a><b/><b/></a><c>t</c></r>");
-        let (stored, paths) = Snapshot::from_bytes(&bytes).unwrap().synopses();
+        let snap = Snapshot::from_bytes(&bytes).unwrap();
+        let stored = snap.synopsis();
         let fresh = ShardSynopsis::build(&doc);
         assert_eq!(stored.elements(), fresh.elements());
         assert_eq!(stored.distinct_tags(), fresh.distinct_tags());
         for (tag, count) in fresh.tags() {
             assert_eq!(stored.tag_count(tag), count, "{tag}");
         }
-        assert_eq!(paths, PathSynopsis::build(&doc));
+        let section = decode_section(snap.section(SEC_PATH_SYNOPSIS));
+        assert_stores_the_dataguide_of(&section, &doc);
+        let stored_paths = StoredPaths {
+            count: section.paths.len(),
+            depth_cap: section.depth_cap as u32,
+            truncated: section.truncated == 1,
+        };
+        assert_eq!(snap.stored_paths(), stored_paths);
+    }
+
+    /// The decoded section's paths are `PathSynopsis::build(doc)`'s
+    /// entries, in order, with each step renamed from the build's tag
+    /// table to the section's.
+    fn assert_stores_the_dataguide_of(section: &Section, doc: &Document) {
+        let built = PathSynopsis::build(doc);
+        let position = |name: &str| {
+            let at = section.tags.iter().position(|(_, t)| t == name);
+            at.expect("every path tag is listed") as u32
+        };
+        let expected: Vec<(u64, u64, Vec<u32>)> = (built.entries().iter())
+            .map(|e| {
+                let steps = e.steps.iter();
+                let steps = steps.map(|&t| position(&built.tag_names()[t as usize]));
+                (e.count, e.max_tf, steps.collect())
+            })
+            .collect();
+        assert!(!expected.is_empty());
+        assert_eq!(section.paths, expected);
+        assert_eq!(section.depth_cap, u64::from(built.depth_cap()));
+        assert_eq!(section.truncated, u64::from(built.truncated()));
     }
 
     #[test]
@@ -1825,24 +1848,21 @@ mod tests {
         let doc = parse_document(src).unwrap();
         let index = TagIndex::build(&doc);
 
-        // The stored section answers both synopses.
+        // The stored section answers the tag counts.
         let path = dir.join("doc.wps");
         save_snapshot(&doc, &index, &path).unwrap();
         let peek = Snapshot::peek(&path).unwrap();
         assert_eq!(peek.synopsis.tag_count("book"), 2);
         assert_eq!(peek.synopsis.elements(), (doc.len() - 1) as u64);
-        let paths = peek.paths;
-        use whirlpool_index::PathAxis::*;
-        assert!(paths.matches_query_path(&[(Descendant, "book"), (Child, "isbn")]));
-        assert!(!paths.matches_query_path(&[(Descendant, "cd"), (Child, "isbn")]));
-        // The stored dataguide equals a fresh build.
-        assert_eq!(paths, PathSynopsis::build(&doc));
 
-        // Attach agrees with peek, on the synopses and on the checksum
-        // it verified.
+        // Attach agrees with peek, on the synopsis and on the checksum
+        // it verified, and the section it verified stores a fresh
+        // build's dataguide.
         let snap = Snapshot::attach(&path).unwrap();
-        assert_eq!(snap.synopses().1, paths);
+        assert_eq!(snap.synopsis(), peek.synopsis);
         assert_eq!(snap.checksum(), peek.checksum);
+        let section = decode_section(snap.section(SEC_PATH_SYNOPSIS));
+        assert_stores_the_dataguide_of(&section, &doc);
 
         // A flipped byte inside the synopsis section fails the
         // section's own checksum — peek never trusts garbage ceilings.
@@ -2087,6 +2107,70 @@ mod tests {
         }
     }
 
+    /// Path fields the format rules out, behind a valid section checksum
+    /// and a valid file checksum: attach and peek both refuse each one,
+    /// naming it.
+    #[test]
+    fn forged_path_fields_fail_attach_and_peek() {
+        let (_, _, clean) = snapshot_of("<r><a><c/></a><b/><a><c/></a></r>");
+        // The path count is the section's last field before the paths.
+        let count_at = |s: &Section| {
+            let paths: usize = (s.paths.iter())
+                .map(|(_, _, steps)| 24 + 4 * steps.len())
+                .sum();
+            encode_section(s).len() - 8 - paths - 8
+        };
+        let cases = [
+            (
+                "bad truncated flag",
+                forge_section(&clean, |s| s.truncated = 2),
+            ),
+            (
+                "step references a tag out of range",
+                forge_section(&clean, |s| s.paths[0].2[0] = s.tags.len() as u32),
+            ),
+            (
+                "trailing bytes after the paths",
+                forge(&clean, |s| {
+                    let section = decode_section(&s[SEC_PATH_SYNOPSIS]);
+                    let mut bytes = encode_section(&section);
+                    bytes.truncate(bytes.len() - 8);
+                    bytes.extend_from_slice(&[0; 8]);
+                    let sum = checksum(&bytes);
+                    bytes.extend_from_slice(&sum.to_le_bytes());
+                    s[SEC_PATH_SYNOPSIS] = bytes;
+                }),
+            ),
+            (
+                "implausible path count",
+                forge(&clean, |s| {
+                    let section = decode_section(&s[SEC_PATH_SYNOPSIS]);
+                    let mut bytes = encode_section(&section);
+                    let at = count_at(&section);
+                    assert_eq!(read_u64_at(&bytes, at), section.paths.len() as u64);
+                    bytes[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+                    bytes.truncate(bytes.len() - 8);
+                    let sum = checksum(&bytes);
+                    bytes.extend_from_slice(&sum.to_le_bytes());
+                    s[SEC_PATH_SYNOPSIS] = bytes;
+                }),
+            ),
+        ];
+        let dir = crate::TempDir::new("wpl-forged-paths");
+        for (i, (case, bytes)) in cases.iter().enumerate() {
+            let Err(StoreError::Corrupt(attach)) = Snapshot::from_bytes(bytes) else {
+                panic!("{case}: attached or failed otherwise");
+            };
+            assert!(attach.contains(case), "{case}: {attach}");
+            let path = dir.join(format!("case-{i}.wps"));
+            std::fs::write(&path, bytes).unwrap();
+            let Err(StoreError::Corrupt(peek)) = Snapshot::peek(&path) else {
+                panic!("{case}: peeked or failed otherwise");
+            };
+            assert!(peek.contains(case), "{case}: {peek}");
+        }
+    }
+
     /// Postings and `tag_of` that disagree, behind a valid checksum:
     /// every case fails the node walk.
     #[test]
@@ -2267,6 +2351,6 @@ mod tests {
         let snap = Snapshot::from_bytes(&bytes).unwrap();
         assert_eq!(snap.node_count(), 1);
         assert!(snap.doc_view().is_empty());
-        assert_eq!(snap.synopses().0.elements(), 0);
+        assert_eq!(snap.synopsis().elements(), 0);
     }
 }

@@ -5,14 +5,13 @@
 //! each shard *independently* under that model, concatenate the
 //! per-shard answers, and keep the global top-k. The driver's
 //! optimizations — ceiling-ordered visits, threshold sharing, shard
-//! pruning, shard-level workers — must all reproduce exactly that
-//! result:
+//! pruning — must all reproduce exactly that result:
 //!
-//! * every engine, at every worker count, agrees with the concatenated
-//!   single-shard reference (tie-aware: tied boundary groups may
-//!   resolve differently);
+//! * every engine agrees with the concatenated single-shard reference
+//!   (tie-aware: tied boundary groups may resolve differently);
 //! * shard pruning on random document splits never changes the answer
-//!   set (proptest);
+//!   set, and neither do other threads querying the same collection at
+//!   once (proptests);
 //! * a single-shard collection reduces to the plain per-document model
 //!   and engines.
 
@@ -27,6 +26,7 @@ use whirlpool_score::{Normalization, ScoreModel, TfIdfModel};
 use whirlpool_xmark::{generate, queries, GeneratorConfig};
 
 const EPS: f64 = 1e-9;
+/// Threads querying one collection at once.
 const WORKER_COUNTS: [usize; 3] = [1, 4, 8];
 
 /// Three XMark documents of different sizes and seeds: shards with
@@ -111,29 +111,27 @@ fn collection_matches_concatenated_single_shard_runs() {
             .model(Normalization::Sparse);
         for algorithm in &engines {
             let reference = concatenated_reference(&collection, &pattern, &model, algorithm, k);
-            for workers in WORKER_COUNTS {
-                let got = evaluate_collection(
-                    &collection,
-                    &pattern,
-                    algorithm,
-                    &EvalOptions::top_k(k),
-                    Normalization::Sparse,
-                    &CollectionOptions::default().with_threads(workers),
-                );
-                assert!(
-                    matches!(got.completeness, Completeness::Exact),
-                    "{name} {} workers={workers}: unbudgeted run truncated",
-                    algorithm.name(),
-                );
-                assert!(
-                    collection_answers_equivalent(&got.answers, &reference, EPS),
-                    "{name} {} workers={workers}: collection diverged from the \
-                     concatenated reference\n got {:?}\n ref {:?}",
-                    algorithm.name(),
-                    got.answers,
-                    reference,
-                );
-            }
+            let got = evaluate_collection(
+                &collection,
+                &pattern,
+                algorithm,
+                &EvalOptions::top_k(k),
+                Normalization::Sparse,
+                &CollectionOptions::default(),
+            );
+            assert!(
+                matches!(got.completeness, Completeness::Exact),
+                "{name} {}: unbudgeted run truncated",
+                algorithm.name(),
+            );
+            assert!(
+                collection_answers_equivalent(&got.answers, &reference, EPS),
+                "{name} {}: collection diverged from the concatenated reference\n \
+                 got {:?}\n ref {:?}",
+                algorithm.name(),
+                got.answers,
+                reference,
+            );
         }
     }
 }
@@ -228,7 +226,6 @@ proptest! {
             let copts = CollectionOptions {
                 shard_pruning,
                 share_threshold,
-                threads: 1,
             };
             let got = run(&collection, &pattern, k, &copts);
             prop_assert!(
@@ -240,9 +237,10 @@ proptest! {
         }
     }
 
-    /// The shard-level worker pool is answer-preserving: any worker
-    /// count agrees with the sequential driver on a randomly split
-    /// corpus, with both optimizations live.
+    /// Threads sharing one collection, as the daemon's workers do,
+    /// answer as one thread alone: however many query a fresh random
+    /// split at once, racing to fill its shards' count memos, each gets
+    /// the answers of a sequential run over the same split.
     #[test]
     fn random_splits_are_worker_count_invariant(
         items in 12usize..40,
@@ -251,24 +249,35 @@ proptest! {
         k in 1usize..10,
     ) {
         let doc = generate(&GeneratorConfig::items(items).with_seed(seed));
-        let collection = Collection::split_document(&doc, shards);
+        let split = || Collection::split_document(&doc, shards);
+        let collection = split();
         prop_assume!(!collection.is_empty());
         let pattern = queries::parse(queries::Q1);
 
         let sequential = run(&collection, &pattern, k, &CollectionOptions::default());
         for workers in WORKER_COUNTS {
-            let got = run(
-                &collection,
-                &pattern,
-                k,
-                &CollectionOptions::default().with_threads(workers),
-            );
-            prop_assert!(
-                collection_answers_equivalent(&got, &sequential, EPS),
-                "items={items} seed={seed} shards={} k={k} workers={workers}:\n \
-                 got {got:?}\n ref {sequential:?}",
-                collection.len(),
-            );
+            let collection = split();
+            let barrier = std::sync::Barrier::new(workers);
+            let runs: Vec<Vec<CollectionAnswer>> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|_| {
+                        let (collection, barrier, pattern) = (&collection, &barrier, &pattern);
+                        scope.spawn(move || {
+                            barrier.wait();
+                            run(collection, pattern, k, &CollectionOptions::default())
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            for got in runs {
+                prop_assert!(
+                    got == sequential,
+                    "items={items} seed={seed} shards={} k={k} workers={workers}:\n \
+                     got {got:?}\n ref {sequential:?}",
+                    collection.len(),
+                );
+            }
         }
     }
 }

@@ -123,11 +123,7 @@ fn collection_of_snapshots_matches_collection_of_documents() {
         ("Q1", queries::parse(queries::Q1)),
         ("Q2", queries::parse(queries::Q2)),
     ] {
-        for copts in [
-            CollectionOptions::default(),
-            CollectionOptions::scan_all(),
-            CollectionOptions::default().with_threads(4),
-        ] {
+        for copts in [CollectionOptions::default(), CollectionOptions::scan_all()] {
             let reference = evaluate_collection(
                 &parsed,
                 &pattern,
@@ -146,8 +142,7 @@ fn collection_of_snapshots_matches_collection_of_documents() {
             );
             assert!(
                 collection_answers_equivalent(&got.answers, &reference.answers, EPS),
-                "{name} threads={}: snapshot shards diverged\n snap {:?}\n parse {:?}",
-                copts.threads,
+                "{name} {copts:?}: snapshot shards diverged\n snap {:?}\n parse {:?}",
                 got.answers,
                 reference.answers
             );
