@@ -154,7 +154,9 @@ pub fn run(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
     let fault_plan = parsed
         .value("fault")
         .map(|spec| {
-            FaultPlan::parse(spec, fault_seed).map_err(|e| CliError::Usage(format!("--fault: {e}")))
+            FaultPlan::parse(spec, fault_seed)
+                .and_then(|plan| plan.check(&query).map(|()| plan))
+                .map_err(|e| CliError::Usage(format!("--fault: {e}")))
         })
         .transpose()?;
 
@@ -442,8 +444,8 @@ fn write_human(out: &mut dyn Write, run: &Run<'_>, xml: bool, stats: bool) -> Re
         )?;
         writeln!(
             out,
-            "anytime:   {} deadline hits, {} servers failed, {} matches redistributed, {} answers degraded",
-            m.deadline_hits, m.servers_failed, m.matches_redistributed, m.answers_degraded
+            "anytime:   {} deadline hits, {} servers failed",
+            m.deadline_hits, m.servers_failed
         )?;
     }
     Ok(())
@@ -563,7 +565,7 @@ fn write_json(out: &mut dyn Write, run: &Run<'_>) -> Result<(), CliError> {
         "  \"metrics\": {{\"server_ops\": {}, \"server_op_batches\": {}, \
          \"predicate_comparisons\": {}, \"partials_created\": {}, \"pruned\": {}, \
          \"roots_unseeded\": {}, \"routing_decisions\": {}, \"deadline_hits\": {}, \
-         \"servers_failed\": {}, \"matches_redistributed\": {}, \"answers_degraded\": {}}},",
+         \"servers_failed\": {}}},",
         m.server_ops,
         m.server_op_batches,
         m.predicate_comparisons,
@@ -572,9 +574,7 @@ fn write_json(out: &mut dyn Write, run: &Run<'_>) -> Result<(), CliError> {
         m.roots_unseeded,
         m.routing_decisions,
         m.deadline_hits,
-        m.servers_failed,
-        m.matches_redistributed,
-        m.answers_degraded
+        m.servers_failed
     )?;
     writeln!(out, "  \"answers\": [")?;
     for (i, (a, (id, _))) in result.answers.iter().zip(&texts).enumerate() {
@@ -623,13 +623,6 @@ fn write_explain(out: &mut dyn Write, trace: &whirlpool_core::TraceData) -> Resu
             s.roots_unseeded
         )?;
     }
-    if s.degraded_completions > 0 {
-        writeln!(
-            out,
-            "  degraded:  {} answers completed past dead servers",
-            s.degraded_completions
-        )?;
-    }
     writeln!(out, "  routing:   {} decisions", s.routed)?;
     for (server, st) in &s.per_server {
         writeln!(
@@ -673,26 +666,17 @@ fn write_explain(out: &mut dyn Write, trace: &whirlpool_core::TraceData) -> Resu
         }
         last_printed = Some(i);
         let x = explains[i];
-        let chosen = match x.chosen {
-            Some(q) => format!("q{}", q.0),
-            None => "none (all dead)".to_string(),
-        };
         let mut cands = String::new();
         for c in &x.candidates {
             if !cands.is_empty() {
                 cands.push_str(", ");
             }
-            cands.push_str(&format!(
-                "q{}={:.3}{}",
-                c.server.0,
-                c.estimate,
-                if c.eligible { "" } else { " (dead)" }
-            ));
+            cands.push_str(&format!("q{}={:.3}", c.server.0, c.estimate));
         }
         writeln!(
             out,
-            "    match #{}: {} -> {chosen}  [{cands}] threshold {:.4}, queue {}",
-            x.seq, x.strategy, x.threshold, x.queue_len
+            "    match #{}: {} -> q{}  [{cands}] threshold {:.4}, queue {}",
+            x.seq, x.strategy, x.chosen.0, x.threshold, x.queue_len
         )?;
     }
     Ok(())

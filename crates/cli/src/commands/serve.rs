@@ -15,7 +15,6 @@ const VALUE_FLAGS: &[&str] = &[
     "queue-depth",
     "deadline-ms",
     "capacity-ops",
-    "retries",
     "snapshot-dir",
     "max-resident",
 ];
@@ -90,7 +89,6 @@ fn configure(argv: &[&str]) -> Result<(ServeConfig, Registry), CliError> {
         base_deadline: Duration::from_millis(
             parsed.number("deadline-ms", defaults.base_deadline.as_millis() as u64)?,
         ),
-        retries: parsed.number("retries", defaults.retries)?,
         snapshot_dir,
         max_resident: parsed.number("max-resident", defaults.max_resident)?,
         ..defaults

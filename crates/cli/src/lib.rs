@@ -83,7 +83,9 @@ QUERY OPTIONS:
   --fault SPEC       inject server faults, e.g. server=2:panic@100
                      (kinds: panic@OPS | fail@OPS | delay@MICROS
                      up to 1000000;
-                     comma-separate to fault several servers)
+                     comma-separate to fault several servers, each
+                     one of the query's); a failed or panicking
+                     operation stops the run: result truncated
   --fault-seed S     RNG seed for injected delays (default 0)
   --trace-out FILE   record a structured event trace and write it as
                      Chrome trace-event JSON (open in Perfetto or
@@ -123,14 +125,13 @@ SERVE OPTIONS:
                      it under pressure (default 2000)
   --capacity-ops N   server-op spend considered affordable at zero load
                      (default 5000000)
-  --retries N        re-runs after a transient server fault (default 1)
   --snapshot-dir DIR warm-start cache: boots attach fresh <stem>.wps
                      snapshots from DIR instead of parsing, and a
                      background thread writes snapshots for documents
                      that had to be parsed (plain .wps positionals
                      always attach zero-copy)
   Endpoints: GET /healthz, GET /metrics, POST /query with a JSON body
-  {\"doc\": \"name\", \"query\": \"//a[./b]\", \"k\": 5, \"fault\": \"server=2:fail@10\"}
+  {\"doc\": \"name\", \"query\": \"//a[./b]\", \"k\": 5, \"fault\": \"server=1:fail@10\"}
   (doc defaults to the only loaded document; documents are named by
   file stem). {\"collection\": true} queries every loaded document as
   one corpus (corpus-level idf, shard pruning; excludes \"doc\").

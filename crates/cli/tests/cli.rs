@@ -3,7 +3,7 @@
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
-use whirlpool_cli::run;
+use whirlpool_cli::{run, CliError};
 
 fn run_ok(argv: &[&str]) -> String {
     let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
@@ -167,8 +167,6 @@ fn query_json_metrics_line_is_pinned() {
             "\"routing_decisions\"",
             "\"deadline_hits\"",
             "\"servers_failed\"",
-            "\"matches_redistributed\"",
-            "\"answers_degraded\"",
         ],
         "{line}"
     );
@@ -284,6 +282,32 @@ fn query_rejects_bad_fault_specs() {
         let err = run_err(&["query", f, "//book[./title]", "--fault", bad]);
         assert!(err.contains("fault"), "spec={bad}: {err}");
     }
+}
+
+/// A fault on a server the query does not have would never fire, and
+/// the run would report an exact answer: the spec is refused instead.
+#[test]
+fn query_refuses_a_fault_on_a_server_the_query_lacks() {
+    let file = sample_file();
+    let f = file.to_str().unwrap();
+    for (query, spec) in [
+        ("//book[./title]", "server=9:panic@0"),
+        ("//book[./title]", "server=1:fail@0,server=2:fail@0"),
+        ("//book", "server=1:delay@5"),
+    ] {
+        let argv: Vec<String> = ["query", f, query, "--fault", spec, "--stats"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        match run(&argv, &mut Vec::new()) {
+            Err(CliError::Usage(err)) => {
+                assert!(err.contains("--fault: fault names server"), "{spec}: {err}")
+            }
+            other => panic!("{spec}: expected a usage error, got {other:?}"),
+        }
+    }
+    let out = run_ok(&["query", f, "//book[./title]", "--fault", "server=1:delay@0"]);
+    assert!(out.contains("result:    exact"), "{out}");
 }
 
 #[test]

@@ -356,27 +356,11 @@ impl<'a> QueryContext<'a> {
     /// engines, which visit every root anyway, start from.
     pub fn make_root_matches(&self) -> Vec<PartialMatch> {
         let first = self.reserve_seed_seqs();
-        self.metrics.add_created(self.root_candidates.len() as u64);
-        (0..self.root_candidates.len())
+        let roots: Vec<_> = (0..self.root_candidates.len())
             .map(|i| self.seed(i, first + i as u64))
-            .collect()
-    }
-
-    /// Degrades `m` past a dead server: binds `server` to the
-    /// outer-join null, scoring the predicate as the leaf-deletion
-    /// relaxation (contribution 0). No server operation is counted —
-    /// the server never ran.
-    pub fn degrade_at_server(&self, server: QNodeId, m: &PartialMatch) -> PartialMatch {
-        let mut e = m.extend(
-            self.next_seq(),
-            server,
-            Binding::Null,
-            0.0,
-            self.max_contrib[server.index()],
-        );
-        e.degraded = true;
-        self.metrics.add_created(1);
-        e
+            .collect();
+        self.metrics.add_created(roots.len() as u64);
+        roots
     }
 
     /// One server operation: extends `m` at `server` — exact mode with

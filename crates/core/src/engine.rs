@@ -68,8 +68,11 @@ pub struct EvalOptions {
     /// Server-operation budget, checked at queue-pop granularity like
     /// `deadline`. Deterministic, unlike wall-clock deadlines.
     pub max_server_ops: Option<u64>,
-    /// Injected faults for robustness testing (`None`: the fault layer
-    /// is compiled out of the hot path behind a single branch).
+    /// Injected faults for robustness testing. A `fail` or `panic`
+    /// fault stops the run at the faulted operation, as any failed or
+    /// panicking operation does, and the run returns a certified
+    /// [`Completeness::Truncated`] prefix. `None`: no fault fires; the
+    /// run is guarded the same way.
     pub fault_plan: Option<FaultPlan>,
     /// Cooperative cancellation: the holder keeps a clone of the token
     /// and trips it to make the run drain to a certified

@@ -1,11 +1,11 @@
 //! Structured engine errors and anytime-answer completeness.
 //!
-//! The robustness layer never lets a sick server or an exhausted budget
-//! abort a query: engines degrade to an *anytime answer* — the current
-//! top-k heap — and report how complete it is. [`Completeness`] carries
-//! the max-score certificate (the same bound `threshold.rs` exploits):
-//! no answer missing from a truncated result can score above
-//! `score_bound`.
+//! Neither a failed server operation nor an exhausted budget aborts a
+//! query: either one stops the engine run, which returns an *anytime
+//! answer* — the current top-k heap — and reports how complete it is.
+//! [`Completeness`] carries the max-score certificate (the bound the
+//! engines prune on): no answer missing from a truncated result can
+//! score above `score_bound`.
 
 use whirlpool_pattern::QNodeId;
 
@@ -40,34 +40,33 @@ impl std::fmt::Display for FaultSpecError {
 
 impl std::error::Error for FaultSpecError {}
 
-/// An error raised inside an engine, router, or fault-injected server.
+/// An error raised by a fault-injected server, or by a fault plan that
+/// does not fit its query.
 ///
-/// Engines never surface these to the caller as hard failures: a failed
-/// server degrades its matches (see the crate docs on leaf-deletion
-/// scoring) and the error is folded into the run's [`Completeness`].
+/// Engines never surface a server failure to the caller as a hard
+/// failure: it stops the run, and the run's [`Completeness`] certifies
+/// what it left out.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
-    /// A server returned an injected (or real) failure after processing
-    /// `after_ops` operations; its remaining work is degraded.
+    /// A server returned an injected failure after processing
+    /// `after_ops` operations.
     ServerFailed {
         /// The query node whose server failed.
         server: QNodeId,
         /// Operations the server completed before failing.
         after_ops: u64,
     },
-    /// A server thread panicked (poisoned mid-extension) and was
-    /// isolated via `catch_unwind`.
-    ServerPanicked {
-        /// The query node whose server panicked.
-        server: QNodeId,
-    },
     /// A `--fault` specification could not be parsed. The offending
     /// spec is carried as the error's
     /// [`source`](std::error::Error::source).
     InvalidFaultSpec(FaultSpecError),
-    /// A routing decision was requested for a match with no live
-    /// unvisited server left.
-    NoRouteAvailable,
+    /// A fault plan names a server the query does not have.
+    FaultOutsideQuery {
+        /// The server the plan names.
+        server: QNodeId,
+        /// The query's servers: `q1` through this one.
+        servers: usize,
+    },
 }
 
 impl std::fmt::Display for EngineError {
@@ -76,15 +75,21 @@ impl std::fmt::Display for EngineError {
             EngineError::ServerFailed { server, after_ops } => {
                 write!(f, "server q{} failed after {} ops", server.0, after_ops)
             }
-            EngineError::ServerPanicked { server } => {
-                write!(f, "server q{} panicked", server.0)
-            }
             EngineError::InvalidFaultSpec(cause) => {
                 write!(f, "invalid fault spec: {cause}")
             }
-            EngineError::NoRouteAvailable => {
-                write!(f, "no live unvisited server to route to")
+            EngineError::FaultOutsideQuery { server, servers: 0 } => {
+                write!(
+                    f,
+                    "fault names server {}, but the query has no servers",
+                    server.0
+                )
             }
+            EngineError::FaultOutsideQuery { server, servers } => write!(
+                f,
+                "fault names server {}, but the query's servers are 1 to {servers}",
+                server.0
+            ),
         }
     }
 }
@@ -93,9 +98,7 @@ impl std::error::Error for EngineError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             EngineError::InvalidFaultSpec(cause) => Some(cause),
-            EngineError::ServerFailed { .. }
-            | EngineError::ServerPanicked { .. }
-            | EngineError::NoRouteAvailable => None,
+            EngineError::ServerFailed { .. } | EngineError::FaultOutsideQuery { .. } => None,
         }
     }
 }
@@ -109,14 +112,13 @@ pub enum Completeness {
     /// The run stopped early (deadline, op budget, or server failure)
     /// and returned the current top-k heap as an anytime answer.
     Truncated {
-        /// Partial matches abandoned unprocessed (dropped from queues)
-        /// plus matches completed through degradation.
+        /// Partial matches left unprocessed (dropped from queues), plus
+        /// the root candidates never seeded.
         pending_matches: u64,
         /// Max-score certificate: no answer absent from the returned
         /// set — and no better score for a returned root — can exceed
         /// this bound. Computed as the maximum `max_final` over every
-        /// abandoned or degraded match, joined with the best returned
-        /// score.
+        /// match left unprocessed, joined with the best returned score.
         score_bound: f64,
     },
 }
@@ -156,8 +158,12 @@ mod tests {
         };
         assert!(e.to_string().contains("q2"));
         assert!(e.to_string().contains("100"));
-        let p = EngineError::ServerPanicked { server: QNodeId(1) };
-        assert!(p.to_string().contains("panicked"));
+        let outside = EngineError::FaultOutsideQuery {
+            server: QNodeId(9),
+            servers: 2,
+        };
+        assert!(outside.to_string().contains("server 9"), "{outside}");
+        assert!(outside.to_string().contains("1 to 2"), "{outside}");
         assert!(EngineError::InvalidFaultSpec(FaultSpecError::new("x"))
             .to_string()
             .contains("fault spec"));
@@ -171,10 +177,12 @@ mod tests {
         assert!(src.to_string().contains("server=oops"));
         assert!(src.downcast_ref::<FaultSpecError>().is_some());
         // Leaf errors report no source rather than a dangling chain.
-        assert!(EngineError::NoRouteAvailable.source().is_none());
-        assert!(EngineError::ServerPanicked { server: QNodeId(1) }
-            .source()
-            .is_none());
+        assert!(EngineError::ServerFailed {
+            server: QNodeId(1),
+            after_ops: 0
+        }
+        .source()
+        .is_none());
     }
 
     #[test]

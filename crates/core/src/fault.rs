@@ -5,8 +5,15 @@
 //! *panic* (poison themselves mid-extension). A [`Budget`] bounds the
 //! run by wall-clock deadline and/or a server-operation cap. Both are
 //! carried by a [`RunControl`], which every engine consults at
-//! queue-pop granularity; `RunControl::unlimited()` is a no-op fast
-//! path so the robustness layer costs nothing when idle.
+//! queue-pop granularity.
+//!
+//! A run stops early one way. A spent budget, a failed server
+//! operation and a panic anywhere in an engine's work (an injected
+//! fault's or a real one, [`guarded`]) all end it the same: what the
+//! engine holds is drained into a [`Truncation`] under each match's
+//! maximum possible final score, and the run returns a certified
+//! [`Completeness::Truncated`] prefix. Nothing is retried, re-routed or
+//! completed past a failed server.
 
 use crate::error::{Completeness, EngineError};
 use crate::metrics::Metrics;
@@ -15,7 +22,7 @@ use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use whirlpool_pattern::QNodeId;
+use whirlpool_pattern::{QNodeId, TreePattern};
 use whirlpool_score::Score;
 
 /// The longest injected per-operation delay accepted: the mean of a
@@ -35,13 +42,13 @@ pub enum FaultKind {
         mean: Duration,
     },
     /// Operations succeed `after_ops` times, then return
-    /// [`EngineError::ServerFailed`] forever.
+    /// [`EngineError::ServerFailed`], which stops the run.
     Fail {
         /// Operations completed before the failure.
         after_ops: u64,
     },
-    /// Operations succeed `after_ops` times, then panic — poisoning the
-    /// server thread mid-extension.
+    /// Operations succeed `after_ops` times, then panic, which stops
+    /// the run.
     Panic {
         /// Operations completed before the panic.
         after_ops: u64,
@@ -133,13 +140,24 @@ impl FaultPlan {
         }
         Ok(plan)
     }
+
+    /// Refuses a plan that faults a server `pattern` does not have: a
+    /// run would never meet it, and an answer reported exact under a
+    /// fault that never fired says nothing. Both front ends call this
+    /// once the query is parsed.
+    pub fn check(&self, pattern: &TreePattern) -> Result<(), EngineError> {
+        let servers = pattern.len() - 1;
+        match self.faults.iter().find(|(s, _)| s.index() > servers) {
+            Some(&(server, _)) => Err(EngineError::FaultOutsideQuery { server, servers }),
+            None => Ok(()),
+        }
+    }
 }
 
-/// Per-server runtime fault state: op counters and the dead flag.
+/// Per-server runtime fault state: the fault and its op counter.
 struct ServerFaultState {
     kind: Option<FaultKind>,
     ops: AtomicU64,
-    dead: AtomicBool,
 }
 
 /// Instantiated fault state for one evaluation.
@@ -160,7 +178,6 @@ impl FaultState {
                     .find(|(s, _)| s.index() == i)
                     .map(|(_, k)| *k),
                 ops: AtomicU64::new(0),
-                dead: AtomicBool::new(false),
             })
             .collect();
         FaultState {
@@ -171,19 +188,12 @@ impl FaultState {
 
     /// Runs the injected fault, if any, for one operation at `server`:
     /// delays busy-wait, failures return `Err`, panics panic. Called
-    /// *before* the server mutates any state, so a caught panic leaves
-    /// the match intact for degradation.
+    /// *before* the server mutates any state.
     fn before_op(&self, server: QNodeId) -> Result<(), EngineError> {
         let slot = &self.servers[server.index()];
         let Some(kind) = slot.kind else {
             return Ok(());
         };
-        if slot.dead.load(Ordering::Acquire) {
-            return Err(EngineError::ServerFailed {
-                server,
-                after_ops: slot.ops.load(Ordering::Relaxed),
-            });
-        }
         let op = slot.ops.fetch_add(1, Ordering::Relaxed);
         match kind {
             FaultKind::Delay { mean } => {
@@ -211,17 +221,6 @@ impl FaultState {
                 Ok(())
             }
         }
-    }
-
-    fn is_dead(&self, server: QNodeId) -> bool {
-        self.servers[server.index()].dead.load(Ordering::Acquire)
-    }
-
-    /// Marks `server` dead; `true` the first time.
-    fn mark_dead(&self, server: QNodeId) -> bool {
-        !self.servers[server.index()]
-            .dead
-            .swap(true, Ordering::AcqRel)
     }
 }
 
@@ -486,10 +485,10 @@ impl RunControl {
         self.interrupt.as_ref()
     }
 
-    /// Counts the stop that just truncated the run: a tripped cancel
-    /// token counts as a cancellation, anything else as a deadline/op-
-    /// budget hit. Called once per run, guarded by
-    /// `Truncation::expire` returning `true`.
+    /// Counts the budget stop that just truncated the run: a tripped
+    /// cancel token counts as a cancellation, anything else as a
+    /// deadline/op-budget hit. Called once per run, guarded by
+    /// `Truncation::stop` returning `true`.
     pub fn count_stop(&self, metrics: &Metrics) {
         if self.cancelled() {
             metrics.add_cancellation();
@@ -505,29 +504,6 @@ impl RunControl {
             None => Ok(()),
             Some(f) => f.before_op(server),
         }
-    }
-
-    /// Is `server` marked dead?
-    #[inline]
-    pub fn is_dead(&self, server: QNodeId) -> bool {
-        match &self.faults {
-            None => false,
-            Some(f) => f.is_dead(server),
-        }
-    }
-
-    /// Marks `server` dead; `true` the first time (callers count
-    /// `servers_failed` on `true`).
-    pub fn mark_dead(&self, server: QNodeId) -> bool {
-        match &self.faults {
-            None => false,
-            Some(f) => f.mark_dead(server),
-        }
-    }
-
-    /// Does this run inject any faults at all?
-    pub fn has_faults(&self) -> bool {
-        self.faults.is_some()
     }
 }
 
@@ -551,16 +527,14 @@ impl EngineRun {
 }
 
 /// Shared truncation accounting: whether the run stopped early, how
-/// many matches were abandoned or degraded, and the max-score bound
-/// over them. Thread-safe (Whirlpool-M workers all report into one).
+/// many matches it left unprocessed, and the max-score bound over them.
+/// Thread-safe (Whirlpool-M workers all report into one).
 pub(crate) struct Truncation {
-    truncated: AtomicBool,
-    /// Set only on budget expiry: engines stop consuming and drain.
-    /// (`truncated` alone — e.g. from a server death — keeps the run
-    /// going in degraded mode.)
-    expired: AtomicBool,
+    /// Set by the first stop, whatever stopped the run: engines stop
+    /// consuming and drain.
+    stopped: AtomicBool,
     pending: AtomicU64,
-    /// Max `max_final` over dropped/degraded matches, as f64 bits.
+    /// Max `max_final` over the matches left unprocessed, as f64 bits.
     /// Scores are non-negative, so the zero initializer is the identity.
     bound_bits: AtomicU64,
 }
@@ -568,36 +542,24 @@ pub(crate) struct Truncation {
 impl Truncation {
     pub(crate) fn new() -> Self {
         Truncation {
-            truncated: AtomicBool::new(false),
-            expired: AtomicBool::new(false),
+            stopped: AtomicBool::new(false),
             pending: AtomicU64::new(0),
             bound_bits: AtomicU64::new(0f64.to_bits()),
         }
     }
 
-    /// Flags the run as truncated; `true` the first time.
-    pub(crate) fn mark(&self) -> bool {
-        !self.truncated.swap(true, Ordering::AcqRel)
+    /// Stops the run; `true` the first time, so the caller that stopped
+    /// it counts why.
+    pub(crate) fn stop(&self) -> bool {
+        !self.stopped.swap(true, Ordering::AcqRel)
     }
 
-    pub(crate) fn is_truncated(&self) -> bool {
-        self.truncated.load(Ordering::Acquire)
+    pub(crate) fn is_stopped(&self) -> bool {
+        self.stopped.load(Ordering::Acquire)
     }
 
-    /// Flags the run's budget as expired (which truncates it); `true`
-    /// the first time.
-    pub(crate) fn expire(&self) -> bool {
-        self.truncated.store(true, Ordering::Release);
-        !self.expired.swap(true, Ordering::AcqRel)
-    }
-
-    pub(crate) fn is_expired(&self) -> bool {
-        self.expired.load(Ordering::Acquire)
-    }
-
-    /// Accounts one match abandoned unprocessed or completed through
-    /// degradation: its `max_final` caps what the true evaluation could
-    /// have scored it.
+    /// Accounts one match left unprocessed: its `max_final` caps what
+    /// the true evaluation could have scored it.
     pub(crate) fn account(&self, max_final: Score) {
         self.account_many(1, max_final);
     }
@@ -626,10 +588,10 @@ impl Truncation {
     }
 
     /// Folds the accounting into a [`Completeness`]: the certificate is
-    /// the max over abandoned/degraded matches joined with the best
+    /// the max over the matches left unprocessed joined with the best
     /// returned score (a returned answer is its own bound).
     pub(crate) fn finish(&self, answers: &[RankedAnswer]) -> Completeness {
-        if !self.is_truncated() {
+        if !self.is_stopped() {
             return Completeness::Exact;
         }
         let mut bound = f64::from_bits(self.bound_bits.load(Ordering::Acquire));
@@ -644,7 +606,7 @@ impl Truncation {
 }
 
 /// Books an operation that stopped at a mid-kernel [`OpInterrupt`]
-/// check: the run's budget is expired (truncating it), and the match's
+/// check: the run is stopped by its budget, and the match's
 /// `max_final` caps every extension the aborted tail could have
 /// produced, keeping the [`Completeness::Truncated`] certificate valid.
 /// The extensions produced *before* the trip are real and stay.
@@ -654,30 +616,21 @@ fn account_interrupted(
     trunc: &Truncation,
     m: &crate::partial::PartialMatch,
 ) {
-    if trunc.expire() {
+    if trunc.stop() {
         control.count_stop(&ctx.metrics);
     }
     trunc.account(m.max_final);
 }
 
-/// Runs one fault-guarded server operation over a match whose
-/// candidate range `loc` was resolved by
-/// [`QueryContext::locate_batch_at_server`]: the injected fault (if
-/// any) fires first, then the evaluation. Locating is a pure read with
-/// no fault site of its own. Returns `true` if the operation ran;
-/// `false` if the server is — or just became — dead, in which case the
-/// caller degrades the match. A failing operation is retried once
-/// before the server is declared dead; panics are isolated with
-/// `catch_unwind` (sound because faults fire *before* any state
-/// mutation, and a caught real panic only abandons that one extension
-/// batch).
-///
-/// The fault-free path adds a single branch over calling
-/// [`QueryContext::process_located_at_server_interruptible`] directly.
+/// One server operation over a match whose candidate range `loc` was
+/// resolved by [`QueryContext::locate_batch_at_server`]: the injected
+/// fault (if any) fires first, then the evaluation. Locating is a pure
+/// read with no fault site of its own. An injected failure is the
+/// `Err`; engines run this inside [`guarded`], which stops the run on
+/// it as on a panic.
 ///
 /// [`QueryContext::locate_batch_at_server`]: crate::QueryContext::locate_batch_at_server
-/// [`QueryContext::process_located_at_server_interruptible`]: crate::QueryContext::process_located_at_server_interruptible
-pub(crate) fn guarded_process_located(
+pub(crate) fn process_located(
     ctx: &crate::context::QueryContext<'_>,
     control: &RunControl,
     trunc: &Truncation,
@@ -685,90 +638,60 @@ pub(crate) fn guarded_process_located(
     m: &crate::partial::PartialMatch,
     loc: crate::context::Located,
     exts: &mut Vec<crate::partial::PartialMatch>,
-) -> bool {
-    let interrupt = control.op_interrupt();
-    if !control.has_faults() {
-        let o = ctx.process_located_at_server_interruptible(server, m, loc, exts, interrupt);
-        if o.interrupted {
-            account_interrupted(ctx, control, trunc, m);
-        }
-        return true;
+) -> Result<(), EngineError> {
+    control.before_op(server)?;
+    let o =
+        ctx.process_located_at_server_interruptible(server, m, loc, exts, control.op_interrupt());
+    if o.interrupted {
+        account_interrupted(ctx, control, trunc, m);
     }
-    if control.is_dead(server) {
-        return false;
-    }
-    let before = exts.len();
-    for attempt in 0..2 {
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-            || -> Result<crate::context::OpOutcome, EngineError> {
-                control.before_op(server)?;
-                Ok(ctx.process_located_at_server_interruptible(server, m, loc, exts, interrupt))
-            },
-        ));
-        match outcome {
-            Ok(Ok(o)) => {
-                if o.interrupted {
-                    account_interrupted(ctx, control, trunc, m);
-                }
-                return true;
+    Ok(())
+}
+
+/// Runs one unit of an engine's work (a turn of Whirlpool-S, a
+/// LockStep seeding or operation, a Whirlpool-M batch) under the run's
+/// one guard, which covers every score-model and server call the unit
+/// makes. An injected failure (`Err`) and a panic, injected or real,
+/// end the unit alike: the run stops, and the first stop counts the
+/// run's one `servers_failed`. `None` tells the caller to drop what the
+/// unit produced and drain what it holds into the certificate, as for a
+/// spent budget. Sound because a unit keeps every match it holds where
+/// its caller's drain finds it, and the extensions of a failed
+/// operation were never admitted (no spawn event, no queue).
+pub(crate) fn guarded<T>(
+    metrics: &Metrics,
+    trunc: &Truncation,
+    unit: impl FnOnce() -> Result<T, EngineError>,
+) -> Option<T> {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(unit)) {
+        Ok(Ok(done)) => Some(done),
+        Ok(Err(_)) | Err(_) => {
+            if trunc.stop() {
+                metrics.add_server_failed();
             }
-            Ok(Err(_)) | Err(_) => {
-                // Drop what this operation produced before the abort
-                // (earlier operations' extensions stay), then retry
-                // once; a second abort marks the server dead.
-                exts.truncate(before);
-                if attempt == 1 {
-                    if control.mark_dead(server) {
-                        ctx.metrics.add_server_failed();
-                    }
-                    trunc.mark();
-                }
-            }
+            None
         }
     }
-    false
 }
 
 /// Drops `queue`'s seed source, if it still has roots to produce: none
 /// of them will ever be a match. One trace event carries their number;
 /// a run that was cut short (`pending`) also accounts them into its
-/// certificate, under the ceiling none of them could exceed. Returns
-/// whether there was a source to drop.
+/// certificate, under the ceiling none of them could exceed.
 pub(crate) fn drop_seed_source(
     ctx: &crate::context::QueryContext<'_>,
     queue: &mut crate::queue::MatchQueue,
     pending: Option<&Truncation>,
     tr: &mut crate::trace::WorkerTrace,
     threshold: Score,
-) -> bool {
+) {
     let Some((unseeded, ceiling)) = queue.drop_seeds(ctx) else {
-        return false;
+        return;
     };
     if let Some(trunc) = pending {
         trunc.account_many(unseeded, ceiling);
     }
     tr.seeds_dropped(unseeded, ceiling, threshold);
-    true
-}
-
-/// Degrades `m` to completion: every remaining unvisited server —
-/// the caller has established that none of them is alive — is bound to
-/// the outer-join null with the leaf-deletion score. Only meaningful in
-/// relaxed mode; exact mode drops such matches instead.
-pub(crate) fn degrade_to_completion(
-    ctx: &crate::context::QueryContext<'_>,
-    m: crate::partial::PartialMatch,
-) -> crate::partial::PartialMatch {
-    let full = ctx.full_mask();
-    let mut cur = m;
-    while !cur.is_complete(full) {
-        let s = cur
-            .unvisited(ctx.pattern.len())
-            .next()
-            .expect("incomplete match has an unvisited server");
-        cur = ctx.degrade_at_server(s, &cur);
-    }
-    cur
 }
 
 /// Spins for (at least) `duration`: the injected per-operation cost of
@@ -861,18 +784,6 @@ mod tests {
     }
 
     #[test]
-    fn dead_marking_is_idempotent() {
-        let plan = FaultPlan::seeded(0).with(QNodeId(1), FaultKind::Fail { after_ops: 0 });
-        let state = FaultState::new(&plan, 2);
-        assert!(!state.is_dead(QNodeId(1)));
-        assert!(state.mark_dead(QNodeId(1)), "first marking reports true");
-        assert!(!state.mark_dead(QNodeId(1)), "second marking reports false");
-        assert!(state.is_dead(QNodeId(1)));
-        // A dead server fails fast without advancing its op counter.
-        assert!(state.before_op(QNodeId(1)).is_err());
-    }
-
-    #[test]
     fn budget_max_ops_trips() {
         let metrics = Metrics::new();
         let b = Budget::new(None, Some(2));
@@ -949,16 +860,15 @@ mod tests {
         let c = RunControl::unlimited();
         assert!(!c.exhausted(&metrics));
         assert!(c.before_op(QNodeId(1)).is_ok());
-        assert!(!c.is_dead(QNodeId(1)));
-        assert!(!c.mark_dead(QNodeId(1)));
-        assert!(!c.has_faults());
+        assert!(c.op_interrupt().is_none());
     }
 
     #[test]
     fn truncation_accumulates_the_bound() {
         let t = Truncation::new();
         assert!(matches!(t.finish(&[]), Completeness::Exact));
-        t.mark();
+        assert!(t.stop(), "the first stop reports true");
+        assert!(!t.stop(), "a second stop reports false");
         t.account(Score::new(1.5));
         t.account(Score::new(0.5));
         match t.finish(&[]) {
@@ -976,7 +886,7 @@ mod tests {
     #[test]
     fn a_dropped_seed_source_is_counted_root_by_root_under_one_bound() {
         let t = Truncation::new();
-        assert!(t.expire());
+        assert!(t.stop());
         t.account(Score::new(0.5));
         t.account_many(12_000, Score::new(3.0));
         t.account_many(0, Score::new(9.0));

@@ -14,20 +14,30 @@
 //!   Table 2.
 
 use crate::context::{Located, QueryContext, RelaxMode};
-use crate::fault::{guarded_process_located, EngineRun, RunControl, Truncation};
+use crate::fault::{guarded, process_located, EngineRun, RunControl, Truncation};
 use crate::partial::PartialMatch;
 use crate::queue::QueuePolicy;
 use crate::topk::TopKSet;
 use whirlpool_pattern::StaticPlan;
+
+/// Every root match, made under the run's guard. A failure stops the
+/// run before anything was joined: each root is pending under the
+/// ceiling none of them can exceed.
+fn seed_guarded(ctx: &QueryContext<'_>, trunc: &Truncation) -> Vec<PartialMatch> {
+    guarded(&ctx.metrics, trunc, || Ok(ctx.make_root_matches())).unwrap_or_else(|| {
+        trunc.account_many(ctx.root_candidates().len() as u64, ctx.seed_ceiling().0);
+        Vec::new()
+    })
+}
 
 /// LockStep with pruning under a [`RunControl`].
 ///
 /// Within each stage, matches are processed best-first under
 /// `queue_policy` (the paper settled on maximum possible final score for
 /// LockStep's queues too), which accelerates top-k threshold growth.
-/// Budget expiry returns the current top-k as a truncated prefix, and
-/// matches headed for a dead server are degraded past it (relaxed mode)
-/// or dropped with their bound recorded (exact mode).
+/// Seeding and every server operation run under the run's guard; a
+/// spent budget or a failed operation stops the run and returns the
+/// current top-k as a truncated prefix.
 pub(crate) fn run_lockstep_anytime(
     ctx: &QueryContext<'_>,
     plan: &StaticPlan,
@@ -41,7 +51,7 @@ pub(crate) fn run_lockstep_anytime(
     let mut topk = TopKSet::with_floor(k, control.threshold_floor());
     let mut tr = control.trace_worker("lockstep");
     tr.span_begin("seed");
-    let mut frontier = ctx.make_root_matches();
+    let mut frontier = seed_guarded(ctx, &trunc);
     for m in &frontier {
         tr.spawned(m);
         // Single-node patterns: the root match is already an answer
@@ -81,10 +91,19 @@ pub(crate) fn run_lockstep_anytime(
         let mut exts = Vec::new();
         let mut stage = keyed.into_iter().map(|(_, m)| m).zip(locs.iter().copied());
         while let Some((m, loc)) = stage.next() {
-            if control.exhausted(&ctx.metrics) {
-                if trunc.expire() {
-                    control.count_stop(&ctx.metrics);
-                }
+            let spent = control.exhausted(&ctx.metrics);
+            if spent && trunc.stop() {
+                control.count_stop(&ctx.metrics);
+            }
+            if !spent && topk.should_prune(&m) {
+                ctx.metrics.add_pruned();
+                tr.pruned(&m, topk.threshold());
+                continue;
+            }
+            exts.clear();
+            let t0 = tr.op_start();
+            let op = || process_located(ctx, control, &trunc, server, &m, loc, &mut exts);
+            if spent || guarded(&ctx.metrics, &trunc, op).is_none() {
                 // Drain: account everything still pending, then stop.
                 for m in std::iter::once(m)
                     .chain(stage.map(|(m, _)| m))
@@ -98,27 +117,7 @@ pub(crate) fn run_lockstep_anytime(
                 }
                 break 'stages;
             }
-            if topk.should_prune(&m) {
-                ctx.metrics.add_pruned();
-                tr.pruned(&m, topk.threshold());
-                continue;
-            }
-            exts.clear();
-            let t0 = tr.op_start();
-            if guarded_process_located(ctx, control, &trunc, server, &m, loc, &mut exts) {
-                tr.server_op(server, m.seq, exts.len(), t0);
-            } else {
-                // The stage's server is dead. Relaxed mode degrades the
-                // match past it (null binding, leaf-deletion score);
-                // exact mode can only drop it and record its bound.
-                trunc.account(m.max_final);
-                tr.abandoned(&m);
-                if offer_partial {
-                    let e = ctx.degrade_at_server(server, &m);
-                    ctx.metrics.add_match_redistributed();
-                    exts.push(e);
-                }
-            }
+            tr.server_op(server, m.seq, exts.len(), t0);
             for e in exts.drain(..) {
                 tr.spawned(&e);
                 let complete = e.is_complete(full);
@@ -128,9 +127,6 @@ pub(crate) fn run_lockstep_anytime(
                 if complete {
                     // Offered: its score is in the set or beaten.
                     tr.completed(&e);
-                    if e.degraded {
-                        ctx.metrics.add_answer_degraded();
-                    }
                     continue;
                 }
                 if topk.should_prune(&e) {
@@ -164,19 +160,19 @@ pub(crate) fn run_lockstep_anytime(
 ///
 /// Matches with different roots never interact when nothing is pruned,
 /// so this runs root-by-root to keep the peak frontier proportional to
-/// one root's match count rather than the whole document's.
+/// one root's match count rather than the whole document's. A complete
+/// match is offered as its last operation produces it.
 ///
 /// Under a [`RunControl`], the budget is checked before every server
-/// operation (root matches not yet started are accounted on expiry),
-/// and dead servers degrade (relaxed) or drop (exact) the matches that
-/// reach them.
+/// operation, and seeding and every operation run under the run's
+/// guard: a spent budget or a failed operation stops the run, with the
+/// root matches not yet started accounted.
 pub(crate) fn run_lockstep_noprune_anytime(
     ctx: &QueryContext<'_>,
     plan: &StaticPlan,
     k: usize,
     control: &RunControl,
 ) -> EngineRun {
-    let offer_partial = ctx.relax == RelaxMode::Relaxed;
     let full = ctx.full_mask();
     let trunc = Truncation::new();
     // NoPrune never consults the threshold, so the floor is inert here;
@@ -186,8 +182,9 @@ pub(crate) fn run_lockstep_noprune_anytime(
     let mut tr = control.trace_worker("lockstep-noprune");
     let mut frontier: Vec<PartialMatch> = Vec::new();
     let mut next = Vec::new();
+    let mut exts = Vec::new();
     tr.span_begin("seed");
-    let root_matches = ctx.make_root_matches();
+    let root_matches = seed_guarded(ctx, &trunc);
     for m in &root_matches {
         tr.spawned(m);
     }
@@ -209,51 +206,42 @@ pub(crate) fn run_lockstep_noprune_anytime(
                 .into_iter()
                 .zip(locs.iter().copied());
             while let Some((m, loc)) = stage.next() {
-                if control.exhausted(&ctx.metrics) {
-                    if trunc.expire() {
-                        control.count_stop(&ctx.metrics);
-                    }
+                let spent = control.exhausted(&ctx.metrics);
+                if spent && trunc.stop() {
+                    control.count_stop(&ctx.metrics);
+                }
+                exts.clear();
+                let t0 = tr.op_start();
+                let op = || process_located(ctx, control, &trunc, server, &m, loc, &mut exts);
+                if spent || guarded(&ctx.metrics, &trunc, op).is_none() {
                     for m in std::iter::once(m)
                         .chain(stage.map(|(m, _)| m))
                         .chain(next.drain(..))
                         .chain(roots)
                     {
                         trunc.account(m.max_final);
-                        // Unlike the pruning variant, completes here
-                        // have not been offered yet: abandonment is
-                        // their one trace terminal.
                         tr.abandoned(&m);
                     }
                     break 'roots;
                 }
-                let before = next.len();
-                let t0 = tr.op_start();
-                if guarded_process_located(ctx, control, &trunc, server, &m, loc, &mut next) {
-                    tr.server_op(server, m.seq, next.len() - before, t0);
-                } else {
-                    trunc.account(m.max_final);
-                    tr.abandoned(&m);
-                    if offer_partial {
-                        let e = ctx.degrade_at_server(server, &m);
-                        ctx.metrics.add_match_redistributed();
+                tr.server_op(server, m.seq, exts.len(), t0);
+                for e in exts.drain(..) {
+                    tr.spawned(&e);
+                    if e.is_complete(full) {
+                        topk.offer_match(&e);
+                        tr.completed(&e);
+                    } else {
                         next.push(e);
-                    }
-                }
-                if tr.enabled() {
-                    for e in &next[before..] {
-                        tr.spawned(e);
                     }
                 }
             }
             std::mem::swap(&mut frontier, &mut next);
         }
+        // A pattern without servers: the root match is the answer.
         for m in frontier.drain(..) {
             debug_assert!(m.is_complete(full));
             topk.offer_match(&m);
             tr.completed(&m);
-            if m.degraded {
-                ctx.metrics.add_answer_degraded();
-            }
         }
     }
     tr.span_end("evaluate");
@@ -388,8 +376,9 @@ mod tests {
     #[test]
     fn noprune_keeps_earlier_extensions_when_its_server_dies_mid_stage() {
         // Exact mode fans the root out to two matches at `b`; the `c`
-        // server runs for the first and dies on the second. The first
-        // one's answer was already produced and must survive the abort.
+        // server runs for the first and fails on the second, which
+        // stops the run. The first one's answer was already produced
+        // and must survive the stop.
         let doc = parse_document("<r><a><b/><b/><c/></a></r>").unwrap();
         let index = TagIndex::build(&doc);
         let pattern = parse_pattern("//a[./b and ./c]").unwrap();

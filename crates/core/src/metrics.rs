@@ -38,14 +38,9 @@ pub struct Metrics {
     /// [`CancelToken`](crate::CancelToken) (client disconnect, watchdog
     /// timeout, or any other cooperative shutdown).
     pub cancellations: AtomicU64,
-    /// Servers that failed or panicked and were isolated.
+    /// Evaluations stopped by a failed or panicking server operation
+    /// (at most one per engine run: the failure that stopped it).
     pub servers_failed: AtomicU64,
-    /// Partial matches rescued from a dead server and re-routed to
-    /// survivors.
-    pub matches_redistributed: AtomicU64,
-    /// Answers completed through degradation (a dead server's predicate
-    /// scored as the leaf-deletion relaxation).
-    pub answers_degraded: AtomicU64,
     /// Times a worker ran out of home-queue work and successfully stole
     /// one drain batch from another worker's server queue.
     pub steal_events: AtomicU64,
@@ -114,22 +109,11 @@ impl Metrics {
         self.cancellations.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one server failure (fault or panic, first detection).
+    /// Counts the failed or panicking server operation that stopped a
+    /// run.
     #[inline]
     pub fn add_server_failed(&self) {
         self.servers_failed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one partial match redistributed away from a dead server.
-    #[inline]
-    pub fn add_match_redistributed(&self) {
-        self.matches_redistributed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one answer completed through degradation.
-    #[inline]
-    pub fn add_answer_degraded(&self) {
-        self.answers_degraded.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts one successful steal (one drain batch).
@@ -160,8 +144,6 @@ impl Metrics {
             deadline_hits: self.deadline_hits.load(Ordering::Relaxed),
             cancellations: self.cancellations.load(Ordering::Relaxed),
             servers_failed: self.servers_failed.load(Ordering::Relaxed),
-            matches_redistributed: self.matches_redistributed.load(Ordering::Relaxed),
-            answers_degraded: self.answers_degraded.load(Ordering::Relaxed),
             steal_events: self.steal_events.load(Ordering::Relaxed),
             kernel_lanes: self.kernel_lanes.load(Ordering::Relaxed),
         }
@@ -195,12 +177,8 @@ pub struct MetricsSnapshot {
     pub deadline_hits: u64,
     /// Evaluations cut short by a tripped cancel token.
     pub cancellations: u64,
-    /// Servers that failed or panicked and were isolated.
+    /// Evaluations stopped by a failed or panicking server operation.
     pub servers_failed: u64,
-    /// Partial matches rescued from a dead server and re-routed.
-    pub matches_redistributed: u64,
-    /// Answers completed through degradation.
-    pub answers_degraded: u64,
     /// Successful batch steals by idle workers (one batch each).
     pub steal_events: u64,
     /// Fixed-width lanes swept by the columnar evaluate kernels.
@@ -234,8 +212,6 @@ impl MetricsSnapshot {
         self.deadline_hits += other.deadline_hits;
         self.cancellations += other.cancellations;
         self.servers_failed += other.servers_failed;
-        self.matches_redistributed += other.matches_redistributed;
-        self.answers_degraded += other.answers_degraded;
         self.steal_events += other.steal_events;
         self.kernel_lanes += other.kernel_lanes;
     }
@@ -256,9 +232,6 @@ mod tests {
         m.add_routing_decision();
         m.add_deadline_hit();
         m.add_server_failed();
-        m.add_match_redistributed();
-        m.add_match_redistributed();
-        m.add_answer_degraded();
         let s = m.snapshot();
         assert_eq!(s.server_ops, 2);
         assert_eq!(s.predicate_comparisons, 5);
@@ -267,8 +240,6 @@ mod tests {
         assert_eq!(s.routing_decisions, 1);
         assert_eq!(s.deadline_hits, 1);
         assert_eq!(s.servers_failed, 1);
-        assert_eq!(s.matches_redistributed, 2);
-        assert_eq!(s.answers_degraded, 1);
     }
 
     #[test]

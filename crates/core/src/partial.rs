@@ -58,11 +58,6 @@ pub struct PartialMatch {
     /// server — the key the router queue orders by, and the quantity
     /// compared against the top-k threshold for pruning.
     pub max_final: Score,
-    /// Did this match pass through a dead server? Degraded matches were
-    /// scored as if the dead server's predicate were relaxed away (the
-    /// leaf-deletion relaxation); a completed degraded match counts
-    /// toward `answers_degraded`.
-    pub degraded: bool,
 }
 
 impl PartialMatch {
@@ -89,7 +84,6 @@ impl PartialMatch {
             visited: 1, // root bit
             score,
             max_final: score.plus(remaining_max),
-            degraded: false,
         }
     }
 
@@ -139,7 +133,6 @@ impl PartialMatch {
             visited: self.visited | (1 << server.0),
             score,
             max_final,
-            degraded: self.degraded,
         }
     }
 

@@ -46,51 +46,54 @@ impl RoutingStrategy {
     /// `threshold` is the current k-th score, used by the size-based
     /// estimate.
     pub fn choose(&self, ctx: &QueryContext<'_>, m: &PartialMatch, threshold: Score) -> QNodeId {
-        self.try_choose(ctx, m, threshold, |_| true)
-            .expect("routing a complete match")
+        ctx.metrics.add_routing_decision();
+        let chosen = match self {
+            RoutingStrategy::Static(plan) => {
+                plan.order().iter().copied().find(|&s| !m.has_visited(s))
+            }
+            RoutingStrategy::MaxScore => pick(ctx, m, |s| expected_contribution(ctx, s), true),
+            RoutingStrategy::MinScore => pick(ctx, m, |s| expected_contribution(ctx, s), false),
+            RoutingStrategy::MinAlive => {
+                pick(ctx, m, |s| estimated_alive(ctx, m, s, threshold), false)
+            }
+        };
+        chosen.expect("routing a complete match")
     }
 
-    /// Picks the next server for `m` among the unvisited servers that
-    /// `eligible` admits (the fault layer passes "is alive"). Returns
-    /// `None` when no admitted server remains — a complete match, or
-    /// one whose every remaining server is dead.
-    pub fn try_choose(
+    /// [`choose`](RoutingStrategy::choose), recording the decision and
+    /// its [`explain`](RoutingStrategy::explain) record into `tr` when
+    /// it is enabled. `queue_len` is the router queue's depth.
+    pub(crate) fn choose_traced(
         &self,
         ctx: &QueryContext<'_>,
         m: &PartialMatch,
         threshold: Score,
-        eligible: impl Fn(QNodeId) -> bool,
-    ) -> Option<QNodeId> {
-        ctx.metrics.add_routing_decision();
-        match self {
-            RoutingStrategy::Static(plan) => plan
-                .order()
-                .iter()
-                .copied()
-                .find(|&s| !m.has_visited(s) && eligible(s)),
-            RoutingStrategy::MaxScore => {
-                self.pick(ctx, m, |s| expected_contribution(ctx, s), true, eligible)
-            }
-            RoutingStrategy::MinScore => {
-                self.pick(ctx, m, |s| expected_contribution(ctx, s), false, eligible)
-            }
-            RoutingStrategy::MinAlive => self.pick(
-                ctx,
-                m,
-                |s| estimated_alive(ctx, m, s, threshold),
-                false,
-                eligible,
-            ),
+        queue_len: usize,
+        tr: &mut crate::trace::WorkerTrace,
+    ) -> QNodeId {
+        if !tr.enabled() {
+            return self.choose(ctx, m, threshold);
         }
+        let candidates = self.explain(ctx, m, threshold);
+        let chosen = self.choose(ctx, m, threshold);
+        tr.routed(crate::trace::RouteExplain {
+            seq: m.seq,
+            strategy: self.name(),
+            threshold: threshold.value(),
+            queue_len,
+            chosen,
+            candidates,
+        });
+        chosen
     }
 
     /// Scores every unvisited server of `m` the way
-    /// [`try_choose`](RoutingStrategy::try_choose) would, without
-    /// choosing (or counting a routing decision). This is the router's
-    /// *explain* record: the observability layer captures it alongside
-    /// each traced decision so a trace shows not just where a match
-    /// went but what the alternatives scored. For the score-based
-    /// strategies the estimate is the expected contribution, for
+    /// [`choose`](RoutingStrategy::choose) would, without choosing (or
+    /// counting a routing decision). This is the router's *explain*
+    /// record: the observability layer captures it alongside each
+    /// traced decision so a trace shows not just where a match went but
+    /// what the alternatives scored. For the score-based strategies the
+    /// estimate is the expected contribution, for
     /// `min_alive_partial_matches` the expected number of surviving
     /// extensions, and for `static` the server's plan position.
     pub fn explain(
@@ -98,7 +101,6 @@ impl RoutingStrategy {
         ctx: &QueryContext<'_>,
         m: &PartialMatch,
         threshold: Score,
-        eligible: impl Fn(QNodeId) -> bool,
     ) -> Vec<crate::trace::RouteCandidate> {
         m.unvisited(ctx.pattern.len())
             .map(|s| {
@@ -117,42 +119,38 @@ impl RoutingStrategy {
                 crate::trace::RouteCandidate {
                     server: s,
                     estimate,
-                    eligible: eligible(s),
                 }
             })
             .collect()
     }
+}
 
-    fn pick(
-        &self,
-        ctx: &QueryContext<'_>,
-        m: &PartialMatch,
-        score_fn: impl Fn(QNodeId) -> f64,
-        maximize: bool,
-        eligible: impl Fn(QNodeId) -> bool,
-    ) -> Option<QNodeId> {
-        let mut best: Option<(QNodeId, f64)> = None;
-        for s in m.unvisited(ctx.pattern.len()) {
-            if !eligible(s) {
-                continue;
-            }
-            let v = score_fn(s);
-            let better = match best {
-                None => true,
-                Some((_, bv)) => {
-                    if maximize {
-                        v > bv
-                    } else {
-                        v < bv
-                    }
+/// The unvisited server of `m` with the best `score_fn` (the largest if
+/// `maximize`, else the smallest; ties go to the lower id).
+fn pick(
+    ctx: &QueryContext<'_>,
+    m: &PartialMatch,
+    score_fn: impl Fn(QNodeId) -> f64,
+    maximize: bool,
+) -> Option<QNodeId> {
+    let mut best: Option<(QNodeId, f64)> = None;
+    for s in m.unvisited(ctx.pattern.len()) {
+        let v = score_fn(s);
+        let better = match best {
+            None => true,
+            Some((_, bv)) => {
+                if maximize {
+                    v > bv
+                } else {
+                    v < bv
                 }
-            };
-            if better {
-                best = Some((s, v));
             }
+        };
+        if better {
+            best = Some((s, v));
         }
-        best.map(|(s, _)| s)
     }
+    best.map(|(s, _)| s)
 }
 
 /// The distribution of what one operation at `server` binds, as
@@ -310,37 +308,6 @@ mod tests {
             ctx.process_at_server(QNodeId(1), &m, &mut out);
             let next = RoutingStrategy::MinAlive.choose(ctx, &out[0], Score::ZERO);
             assert_eq!(next, QNodeId(2), "only q2 remains");
-        });
-    }
-
-    #[test]
-    fn dead_servers_are_never_chosen() {
-        with_ctx(|ctx| {
-            let m = ctx.make_root_matches().remove(0);
-            // The fault layer filters candidates through `eligible`:
-            // with q2 dead, every strategy must fall back to q1 — even
-            // those that would otherwise prefer q2 — and with both
-            // servers dead no route exists at all.
-            let q2_dead = |s: QNodeId| s != QNodeId(2);
-            for strategy in [
-                RoutingStrategy::Static(StaticPlan::new(vec![QNodeId(2), QNodeId(1)])),
-                RoutingStrategy::MaxScore,
-                RoutingStrategy::MinScore,
-                RoutingStrategy::MinAlive,
-            ] {
-                assert_eq!(
-                    strategy.try_choose(ctx, &m, Score::ZERO, q2_dead),
-                    Some(QNodeId(1)),
-                    "{}",
-                    strategy.name()
-                );
-                assert_eq!(
-                    strategy.try_choose(ctx, &m, Score::ZERO, |_| false),
-                    None,
-                    "{}",
-                    strategy.name()
-                );
-            }
         });
     }
 

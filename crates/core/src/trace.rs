@@ -21,12 +21,12 @@
 //!
 //! | event | emitted when |
 //! |---|---|
-//! | [`TraceEventKind::MatchSpawned`] | a partial match enters the system (root match, server-op extension, or degraded completion) |
+//! | [`TraceEventKind::MatchSpawned`] | a partial match enters the system (root match or server-op extension) |
 //! | [`TraceEventKind::ServerOp`] | a server operation consumes a match (duration + extensions produced) |
 //! | [`TraceEventKind::MatchPruned`] | a match is discarded against the top-k threshold |
 //! | [`TraceEventKind::MatchCompleted`] | a complete match is offered to the top-k set |
-//! | [`TraceEventKind::MatchAbandoned`] | a match leaves unprocessed (budget expiry, dead server); its bound enters the truncation certificate |
-//! | [`TraceEventKind::SeedsDropped`] | the seed source is dropped: the root matches it never produced are pruned (or, on budget expiry, abandoned) in one step |
+//! | [`TraceEventKind::MatchAbandoned`] | a match leaves unprocessed when the run stops (spent budget, failed server operation); its bound enters the truncation certificate |
+//! | [`TraceEventKind::SeedsDropped`] | the seed source is dropped: the root matches it never produced are pruned (or, when the run stops, abandoned) in one step |
 //! | [`TraceEventKind::Routed`] | the router takes one routing decision (with per-candidate estimates) |
 //! | [`TraceEventKind::ThresholdSample`] | the top-k threshold is sampled after an operation |
 //! | [`TraceEventKind::QueueDepth`] | a queue's depth is sampled |
@@ -100,9 +100,6 @@ pub struct RouteCandidate {
     /// score-based strategies, expected alive extensions for
     /// `min_alive_partial_matches`, plan position for `static`).
     pub estimate: f64,
-    /// Whether the fault layer admitted it (dead servers are listed,
-    /// but ineligible).
-    pub eligible: bool,
 }
 
 /// A routing *explain* record: everything the router looked at for one
@@ -119,8 +116,8 @@ pub struct RouteExplain {
     /// Router-queue depth at decision time (Whirlpool-M: the depth of
     /// its unrouted queue).
     pub queue_len: usize,
-    /// The chosen server (`None`: every remaining server is dead).
-    pub chosen: Option<QNodeId>,
+    /// The chosen server.
+    pub chosen: QNodeId,
     /// Per-candidate estimates.
     pub candidates: Vec<RouteCandidate>,
 }
@@ -173,8 +170,6 @@ pub enum TraceEventKind {
         seq: u64,
         /// Its final score.
         score: f64,
-        /// Whether it was completed through dead-server degradation.
-        degraded: bool,
     },
     /// A partial match left the system unprocessed; its score bound
     /// entered the truncation certificate.
@@ -453,13 +448,11 @@ impl WorkerTrace {
             self.push(TraceEventKind::MatchCompleted {
                 seq: m.seq,
                 score: m.score.value(),
-                degraded: m.degraded,
             });
         }
     }
 
-    /// Records a match abandoned unprocessed (budget expiry or dead
-    /// servers).
+    /// Records a match abandoned unprocessed (the run stopped).
     #[inline]
     pub fn abandoned(&mut self, m: &crate::PartialMatch) {
         if self.enabled() {
@@ -591,8 +584,6 @@ pub struct TraceSummary {
     pub completed: u64,
     /// Matches abandoned unprocessed.
     pub abandoned: u64,
-    /// Answers completed through degradation.
-    pub degraded_completions: u64,
     /// Root candidates the seed source dropped unmaterialised (never
     /// spawned, so outside the conservation law).
     pub roots_unseeded: u64,
@@ -668,19 +659,12 @@ impl TraceData {
                 }
                 TraceEventKind::MatchSpawned { .. } => s.spawned += 1,
                 TraceEventKind::MatchPruned { .. } => s.pruned += 1,
-                TraceEventKind::MatchCompleted { degraded, .. } => {
-                    s.completed += 1;
-                    if *degraded {
-                        s.degraded_completions += 1;
-                    }
-                }
+                TraceEventKind::MatchCompleted { .. } => s.completed += 1,
                 TraceEventKind::MatchAbandoned { .. } => s.abandoned += 1,
                 TraceEventKind::SeedsDropped { remaining, .. } => s.roots_unseeded += remaining,
                 TraceEventKind::Routed(x) => {
                     s.routed += 1;
-                    if let Some(server) = x.chosen {
-                        stats(&mut per_server, server).routed_to += 1;
-                    }
+                    stats(&mut per_server, x.chosen).routed_to += 1;
                 }
                 TraceEventKind::ThresholdSample { value } => {
                     s.thresholds.push((e.ts_us, *value));
@@ -790,15 +774,11 @@ impl TraceData {
                     num(*max_final),
                     num(*threshold)
                 )?,
-                TraceEventKind::MatchCompleted {
-                    seq,
-                    score,
-                    degraded,
-                } => write!(
+                TraceEventKind::MatchCompleted { seq, score } => write!(
                     out,
                     "    {{\"name\": \"completed\", \"cat\": \"match\", \"ph\": \"i\", \"s\": \"t\", \
                      \"ts\": {ts}, \"pid\": 1, \"tid\": {tid}, \
-                     \"args\": {{\"seq\": {seq}, \"score\": {}, \"degraded\": {degraded}}}}}",
+                     \"args\": {{\"seq\": {seq}, \"score\": {}}}}}",
                     num(*score)
                 )?,
                 TraceEventKind::MatchAbandoned { seq, max_final } => write!(
@@ -821,20 +801,15 @@ impl TraceData {
                     num(*threshold)
                 )?,
                 TraceEventKind::Routed(x) => {
-                    let chosen = match x.chosen {
-                        Some(q) => format!("\"q{}\"", q.0),
-                        None => "null".to_string(),
-                    };
                     let mut cands = String::new();
                     for (i, c) in x.candidates.iter().enumerate() {
                         if i > 0 {
                             cands.push_str(", ");
                         }
                         cands.push_str(&format!(
-                            "{{\"server\": \"q{}\", \"estimate\": {}, \"eligible\": {}}}",
+                            "{{\"server\": \"q{}\", \"estimate\": {}}}",
                             c.server.0,
                             num(c.estimate),
-                            c.eligible
                         ));
                     }
                     write!(
@@ -842,12 +817,13 @@ impl TraceData {
                         "    {{\"name\": \"routed\", \"cat\": \"router\", \"ph\": \"i\", \"s\": \"t\", \
                          \"ts\": {ts}, \"pid\": 1, \"tid\": {tid}, \
                          \"args\": {{\"seq\": {}, \"strategy\": \"{}\", \"threshold\": {}, \
-                         \"queue_len\": {}, \"chosen\": {chosen}, \
+                         \"queue_len\": {}, \"chosen\": \"q{}\", \
                          \"candidates\": [{cands}]}}}}",
                         x.seq,
                         escape(x.strategy),
                         num(x.threshold),
-                        x.queue_len
+                        x.queue_len,
+                        x.chosen.0
                     )?;
                 }
                 TraceEventKind::ThresholdSample { value } => write!(
@@ -1012,11 +988,7 @@ mod tests {
                     max_final: 0.1,
                     threshold: 0.5,
                 }),
-                _ => w.push(TraceEventKind::MatchCompleted {
-                    seq,
-                    score: 0.9,
-                    degraded: false,
-                }),
+                _ => w.push(TraceEventKind::MatchCompleted { seq, score: 0.9 }),
             }
         }
         drop(w);
@@ -1037,11 +1009,10 @@ mod tests {
             strategy: "min_alive_partial_matches",
             threshold: 0.0,
             queue_len: 1,
-            chosen: Some(QNodeId(2)),
+            chosen: QNodeId(2),
             candidates: vec![RouteCandidate {
                 server: QNodeId(2),
                 estimate: 0.5,
-                eligible: true,
             }],
         });
         w.span_end("p");

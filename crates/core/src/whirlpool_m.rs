@@ -13,21 +13,20 @@
 //!
 //! Each turn a worker takes one [`DRAIN_BATCH`]-sized batch from
 //! whichever queue — any server queue, or the *unrouted* queue that
-//! holds the seed source and dead-server rescues — has the
-//! highest-ranked head under [`QueuePolicy::rank`]. A server batch is
-//! joined at its server and the worker routes the survivors itself; an
-//! unrouted batch is only routed — and, when the seed source is that
-//! queue's head, only then *materialised*: the root matches nobody has
-//! asked for yet do not exist ([`MatchQueue::with_seeds`]). This is
-//! Whirlpool-S's single queue at batch granularity: an in-progress
-//! match runs before a fresh root is admitted, a root that top-k never
-//! reaches is never seeded, and once the source's ceiling cannot beat
-//! the k-th score its remaining roots are dropped in one step. Batches
-//! pop in heap order, so per-server priority order is preserved within
-//! every batch. Every server queue still has a home worker
-//! (`queue index mod N`); a batch a worker takes from a server queue
-//! that is not its home is counted and traced as a *steal*. The top-k
-//! set is shared.
+//! holds the seed source — has the highest-ranked head under
+//! [`QueuePolicy::rank`]. A server batch is joined at its server and
+//! the worker routes the survivors itself; the unrouted queue's turn
+//! *materialises* the next root matches and routes them: the root
+//! matches nobody has asked for yet do not exist
+//! ([`MatchQueue::with_seeds`]). This is Whirlpool-S's single queue at
+//! batch granularity: an in-progress match runs before a fresh root is
+//! admitted, a root that top-k never reaches is never seeded, and once
+//! the source's ceiling cannot beat the k-th score its remaining roots
+//! are dropped in one step. Batches pop in heap order, so per-server
+//! priority order is preserved within every batch. Every server queue
+//! still has a home worker (`queue index mod N`); a batch a worker
+//! takes from a server queue that is not its home is counted and traced
+//! as a *steal*. The top-k set is shared.
 //!
 //! Termination: a global in-flight counter tracks matches in queues or
 //! being processed, plus one token for a seed source that still has
@@ -42,23 +41,17 @@
 //! that drives the count to zero sets `done` and wakes the pool; there
 //! is no separate thread waiting for termination.
 //!
-//! Fault tolerance: a server whose injected fault fires (or that
-//! panics) is isolated — the worker processing it marks it dead,
-//! closes its queue, and rescues the queued matches into the unrouted
-//! queue; routing skips it and finishes stranded matches through
-//! degradation (relaxed mode binds the dead server to the outer-join
-//! null, scoring the predicate as the leaf-deletion relaxation). The
-//! worker itself does *not* retire: it moves on to the other queues. A
-//! panic that escapes the fault layer entirely (no fault plan — e.g. a
-//! panicking score model) is caught at batch granularity: the in-hand
-//! match and the rest of the batch are accounted into the truncation
-//! certificate and the worker continues, so the run still terminates
-//! with a valid anytime bound. Every rescued match either re-enters the
-//! unrouted queue (count unchanged) or leaves the system (count
-//! decremented).
+//! Stopping: a batch — its seeding, its server operations and the
+//! routing of its survivors — runs under the run's guard. A failed
+//! operation or a panic anywhere in it (an injected fault, a panicking
+//! score model) stops the run as a spent budget does: the batch's
+//! matches enter the truncation certificate, and every worker drains
+//! whatever it pops next, the seed source included, so the run still
+//! terminates with a valid anytime bound.
 
 use crate::context::{Located, QueryContext, RelaxMode};
-use crate::fault::{drop_seed_source, guarded_process_located, EngineRun, RunControl, Truncation};
+use crate::error::EngineError;
+use crate::fault::{drop_seed_source, guarded, process_located, EngineRun, RunControl, Truncation};
 use crate::partial::PartialMatch;
 use crate::queue::{MatchQueue, QueuePolicy, Rank};
 use crate::router::RoutingStrategy;
@@ -67,7 +60,6 @@ use crate::trace::{QueueId, WorkerTrace};
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use whirlpool_pattern::QNodeId;
-use whirlpool_score::Score;
 
 /// Matches a worker moves per queue-lock acquisition: it drains up to
 /// this many waiting matches in one pop and hands each server its
@@ -100,72 +92,45 @@ impl Default for WhirlpoolMConfig {
     }
 }
 
-/// A match queue plus its closed flag, guarded by one lock so that
-/// "push to a live queue" and "close and rescue everything queued" are
-/// atomic with respect to each other.
-struct QueueState {
-    queue: MatchQueue,
-    closed: bool,
-}
-
 /// A lock-guarded match queue shared by the worker pool. Nothing ever
 /// blocks on one queue: workers park on the pool-wide work signal
 /// ([`Shared::signal_work`]), which every publisher raises after its
 /// pushes.
 struct SharedQueue {
-    inner: Mutex<QueueState>,
+    inner: Mutex<MatchQueue>,
 }
 
 impl SharedQueue {
     fn new(queue: MatchQueue) -> Self {
         SharedQueue {
-            inner: Mutex::new(QueueState {
-                queue,
-                closed: false,
-            }),
+            inner: Mutex::new(queue),
         }
-    }
-
-    /// Pushes `m` unless the queue has been closed; a closed queue
-    /// hands the match back so the caller can re-route it.
-    fn push(&self, ctx: &QueryContext<'_>, m: PartialMatch) -> Result<(), PartialMatch> {
-        let mut guard = self.inner.lock();
-        if guard.closed {
-            return Err(m);
-        }
-        guard.queue.push(ctx, m);
-        Ok(())
     }
 
     /// Pushes a whole batch under one lock acquisition, draining
-    /// `batch`. A closed queue leaves `batch` untouched and returns
-    /// `false` so the caller can re-route every match in it.
-    fn push_batch(&self, ctx: &QueryContext<'_>, batch: &mut Vec<PartialMatch>) -> bool {
-        let mut guard = self.inner.lock();
-        if guard.closed {
-            return false;
-        }
+    /// `batch`.
+    fn push_batch(&self, ctx: &QueryContext<'_>, batch: &mut Vec<PartialMatch>) {
+        let mut queue = self.inner.lock();
         for m in batch.drain(..) {
-            guard.queue.push(ctx, m);
+            queue.push(ctx, m);
         }
-        true
     }
 
     /// The rank of the head match — or of the seed source, when that
-    /// comes first (`None`: empty or closed).
+    /// comes first (`None`: empty).
     fn peek_rank(&self) -> Option<Rank> {
-        self.inner.lock().queue.peek_rank()
+        self.inner.lock().peek_rank()
     }
 
     /// Drains up to `max` matches into `out` without blocking. Returns
-    /// `true` when at least one match was moved; an empty or closed
-    /// queue returns `false` immediately. Popping preserves heap order,
-    /// so the batch carries the queue's priority order with it to
-    /// whichever worker processes it.
+    /// `true` when at least one match was moved; an empty queue returns
+    /// `false` immediately. Popping preserves heap order, so the batch
+    /// carries the queue's priority order with it to whichever worker
+    /// processes it.
     fn try_pop_batch(&self, max: usize, out: &mut Vec<PartialMatch>) -> bool {
-        let mut guard = self.inner.lock();
+        let mut queue = self.inner.lock();
         while out.len() < max {
-            match guard.queue.pop() {
+            match queue.pop() {
                 Some(m) => out.push(m),
                 None => break,
             }
@@ -173,21 +138,10 @@ impl SharedQueue {
         !out.is_empty()
     }
 
-    /// Closes the queue and removes everything queued, in no
-    /// particular order, in one lock acquisition: any push that loses
-    /// the race with the close gets its match back (`push` returns
-    /// `Err`) and re-routes, so no match is stranded in a closed queue
-    /// (which is therefore always empty).
-    fn close_and_drain(&self) -> Vec<PartialMatch> {
-        let mut guard = self.inner.lock();
-        guard.closed = true;
-        guard.queue.drain().collect()
-    }
-
     /// Current queue depth (takes the lock; used only by the tracing
     /// layer when it samples queue depths).
     fn len(&self) -> usize {
-        self.inner.lock().queue.len()
+        self.inner.lock().len()
     }
 }
 
@@ -197,10 +151,9 @@ struct Shared<'c, 'a> {
     /// paths read the snapshot (one relaxed load) and take the lock
     /// only for offers that could actually change the set.
     topk: SharedTopK,
-    /// Matches no server has been chosen for yet: the seed source —
-    /// root matches are materialised a batch at a time, when its rank
-    /// is the best head — and the matches rescued from a dead server.
-    /// Never closed; the workers serve it like any server queue.
+    /// The seed source, the one thing no server has been chosen for
+    /// yet: root matches are materialised a batch at a time, when its
+    /// rank is the best head. Nothing is ever pushed here.
     unrouted: SharedQueue,
     server_queues: Vec<SharedQueue>,
     /// Matches alive in the system (queued or being processed), plus
@@ -244,15 +197,6 @@ impl Shared<'_, '_> {
         self.work_cv.notify_all();
     }
 
-    /// Publishes matches to the unrouted queue and wakes the pool.
-    fn publish_unrouted(&self, batch: &mut Vec<PartialMatch>) {
-        if !batch.is_empty() {
-            let open = self.unrouted.push_batch(self.ctx, batch);
-            debug_assert!(open, "the unrouted queue is never closed");
-            self.signal_work();
-        }
-    }
-
     fn server_queue(&self, server: QNodeId) -> &SharedQueue {
         &self.server_queues[server.index() - 1]
     }
@@ -276,13 +220,11 @@ impl Shared<'_, '_> {
 }
 
 /// Runs Whirlpool-M on a pool of [`WhirlpoolMConfig::threads`] workers,
-/// the calling thread being one of them, under a [`RunControl`]:
-/// deadlines and op budgets turn every consumer into a draining one
-/// (each abandoned match's score bound is recorded before the run
-/// returns its anytime prefix), and a server killed by an injected
-/// fault or panic is isolated without aborting or hanging the run — its
-/// queued matches are redistributed to the survivors or completed
-/// through degradation.
+/// the calling thread being one of them, under a [`RunControl`]: a
+/// spent budget, a failed server operation and a panic all stop the
+/// run, turning every consumer into a draining one (each abandoned
+/// match's score bound is recorded before the run returns its anytime
+/// prefix).
 pub(crate) fn run_whirlpool_m_anytime(
     ctx: &QueryContext<'_>,
     routing: &RoutingStrategy,
@@ -344,16 +286,17 @@ pub(crate) fn run_whirlpool_m_anytime(
     }
 }
 
-/// Drains one match on budget expiry: its bound is recorded and it
-/// leaves the system.
-fn drain_expired(
+/// Drains one match of a stopped run: its bound is recorded and it
+/// leaves the system. A spent budget that has not stopped the run yet
+/// stops it here, and is counted.
+fn drain_stopped(
     shared: &Shared<'_, '_>,
     control: &RunControl,
     trunc: &Truncation,
     m: PartialMatch,
     tr: &mut WorkerTrace,
 ) {
-    if trunc.expire() {
+    if trunc.stop() {
         control.count_stop(&shared.ctx.metrics);
     }
     trunc.account(m.max_final);
@@ -361,35 +304,9 @@ fn drain_expired(
     shared.adjust_in_flight(-1);
 }
 
-/// One routing decision among the live servers, with its explain
-/// record when tracing.
-fn choose_traced(
-    shared: &Shared<'_, '_>,
-    routing: &RoutingStrategy,
-    control: &RunControl,
-    m: &PartialMatch,
-    threshold: Score,
-    queue_len: usize,
-    tr: &mut WorkerTrace,
-) -> Option<QNodeId> {
-    let ctx = shared.ctx;
-    let candidates = if tr.enabled() {
-        routing.explain(ctx, m, threshold, |s| !control.is_dead(s))
-    } else {
-        Vec::new()
-    };
-    let choice = routing.try_choose(ctx, m, threshold, |s| !control.is_dead(s));
-    if tr.enabled() {
-        tr.routed(crate::trace::RouteExplain {
-            seq: m.seq,
-            strategy: routing.name(),
-            threshold: threshold.value(),
-            queue_len,
-            chosen: choice,
-            candidates,
-        });
-    }
-    choice
+/// Has the run stopped, or should it (a spent budget)?
+fn stopping(shared: &Shared<'_, '_>, control: &RunControl, trunc: &Truncation) -> bool {
+    trunc.is_stopped() || control.exhausted(&shared.ctx.metrics)
 }
 
 /// Settles a batch and routes what it left alive. The net in-flight
@@ -397,14 +314,13 @@ fn choose_traced(
 /// become visible to other workers, so the count never dips below the
 /// true number of live matches (the survivors are part of `net`, so it
 /// cannot reach zero while any exist). Routing decisions stay
-/// per-match, under one threshold snapshot; queue pushes are one per
-/// destination server.
+/// per-match, under one threshold snapshot, and are all taken before
+/// any survivor moves, so a panicking decision leaves every survivor in
+/// `work.survivors`; queue pushes are one per destination server.
 fn settle_and_route(
     shared: &Shared<'_, '_>,
     routing: &RoutingStrategy,
     work: &mut BatchWork,
-    control: &RunControl,
-    trunc: &Truncation,
     tr: &mut WorkerTrace,
 ) {
     work.settle(shared);
@@ -413,146 +329,27 @@ fn settle_and_route(
     }
     let ctx = shared.ctx;
     let threshold = shared.topk.threshold_snapshot();
-    let queue_len = if tr.enabled() {
-        let len = shared.unrouted.len();
-        tr.queue_depth(QueueId::Router, len);
-        len
-    } else {
-        0
-    };
-    for m in work.survivors.drain(..) {
-        match choose_traced(shared, routing, control, &m, threshold, queue_len, tr) {
-            Some(server) => work.groups[server.index() - 1].push(m),
-            // Every remaining server for this match is dead.
-            None => finish_unroutable(shared, trunc, m, tr),
-        }
+    work.routes.clear();
+    for m in &work.survivors {
+        // Whirlpool-M routes as it goes: no router queue waits.
+        work.routes
+            .push(routing.choose_traced(ctx, m, threshold, 0, tr));
+    }
+    for (m, server) in work.survivors.drain(..).zip(work.routes.drain(..)) {
+        work.groups[server.index() - 1].push(m);
     }
     for (group, queue) in work.groups.iter_mut().zip(&shared.server_queues) {
-        if !group.is_empty() && !queue.push_batch(ctx, group) {
-            // The queue closed between the aliveness check and the
-            // push (its server just died): re-route each match among
-            // the survivors.
-            for m in group.drain(..) {
-                ctx.metrics.add_match_redistributed();
-                reroute(shared, routing, control, trunc, m, tr);
-            }
+        if !group.is_empty() {
+            queue.push_batch(ctx, group);
         }
     }
     shared.signal_work();
 }
 
-/// Re-routes one match that lost a race with a closing queue,
-/// re-choosing among the surviving servers until a push lands or no
-/// server remains.
-fn reroute(
-    shared: &Shared<'_, '_>,
-    routing: &RoutingStrategy,
-    control: &RunControl,
-    trunc: &Truncation,
-    mut m: PartialMatch,
-    tr: &mut WorkerTrace,
-) {
-    let ctx = shared.ctx;
-    loop {
-        let threshold = shared.topk.threshold_snapshot();
-        let queue_len = if tr.enabled() {
-            shared.unrouted.len()
-        } else {
-            0
-        };
-        let Some(server) = choose_traced(shared, routing, control, &m, threshold, queue_len, tr)
-        else {
-            finish_unroutable(shared, trunc, m, tr);
-            return;
-        };
-        match shared.server_queue(server).push(ctx, m) {
-            Ok(()) => return,
-            Err(back) => {
-                ctx.metrics.add_match_redistributed();
-                m = back;
-            }
-        }
-    }
-}
-
-/// Completes a match none of whose remaining servers is alive: relaxed
-/// mode degrades it to completion and offers it; exact mode can only
-/// drop it. Either way its bound is recorded and it leaves the system.
-fn finish_unroutable(
-    shared: &Shared<'_, '_>,
-    trunc: &Truncation,
-    m: PartialMatch,
-    tr: &mut WorkerTrace,
-) {
-    let ctx = shared.ctx;
-    trunc.account(m.max_final);
-    tr.abandoned(&m);
-    if shared.offer_partial {
-        ctx.metrics.add_match_redistributed();
-        let done = crate::fault::degrade_to_completion(ctx, m);
-        tr.spawned(&done);
-        shared.topk.lock().offer_match(&done);
-        tr.completed(&done);
-        ctx.metrics.add_answer_degraded();
-    }
-    shared.adjust_in_flight(-1);
-}
-
-/// Rescues one match that reached dead `server`: relaxed mode degrades
-/// it past the server and hands it to `rescued`, bound for the unrouted
-/// queue (unless it is now complete or prunable); exact mode drops it
-/// with its bound recorded.
-fn handle_dead_server_match(
-    shared: &Shared<'_, '_>,
-    trunc: &Truncation,
-    server: QNodeId,
-    m: PartialMatch,
-    rescued: &mut Vec<PartialMatch>,
-    tr: &mut WorkerTrace,
-) {
-    let ctx = shared.ctx;
-    trunc.account(m.max_final);
-    tr.abandoned(&m);
-    if !shared.offer_partial {
-        shared.adjust_in_flight(-1);
-        return;
-    }
-    let e = ctx.degrade_at_server(server, &m);
-    ctx.metrics.add_match_redistributed();
-    tr.spawned(&e);
-    let complete = e.is_complete(shared.full_mask);
-    let (keep, threshold) = {
-        let mut topk = shared.topk.lock();
-        topk.offer_match(&e);
-        let keep = if complete {
-            false
-        } else if topk.should_prune(&e) {
-            ctx.metrics.add_pruned();
-            false
-        } else {
-            true
-        };
-        (keep, topk.threshold())
-    };
-    if keep {
-        // The rescued match stays in flight: net count change is zero.
-        rescued.push(e);
-    } else {
-        if complete {
-            ctx.metrics.add_answer_degraded();
-            tr.completed(&e);
-        } else {
-            tr.pruned(&e, threshold);
-        }
-        shared.adjust_in_flight(-1);
-    }
-}
-
-/// Per-batch working state. It lives outside the batch loop so a panic
-/// that escapes the fault layer can be settled at batch granularity:
-/// [`abandon_batch`] accounts the in-hand match and the unprocessed
-/// remainder into the truncation certificate and the worker still
-/// routes the survivors the batch had already produced.
+/// Per-batch working state. It lives outside the guarded batch so a
+/// stopped batch can be accounted: [`abandon_batch`] puts the in-hand
+/// match, the unprocessed remainder and the survivors not yet routed
+/// into the truncation certificate.
 #[derive(Default)]
 struct BatchWork {
     /// Drained batch, highest priority last (processed back-to-front).
@@ -563,6 +360,8 @@ struct BatchWork {
     exts: Vec<PartialMatch>,
     /// Matches the batch left alive, awaiting routing.
     survivors: Vec<PartialMatch>,
+    /// The server chosen for each survivor, aligned with `survivors`.
+    routes: Vec<QNodeId>,
     /// Routed survivors, one out-group per server queue.
     groups: Vec<Vec<PartialMatch>>,
     /// Net in-flight change accumulated across the batch; applied in
@@ -584,8 +383,8 @@ impl BatchWork {
 
 /// One scheduler worker: each turn it takes a batch from the queue with
 /// the best head, joins it at its server (or, for the unrouted queue,
-/// just admits it), routes what survives, and parks on the global work
-/// signal when every queue is empty.
+/// seeds it), routes what survives, and parks on the global work signal
+/// when every queue is empty.
 fn worker_loop(
     shared: &Shared<'_, '_>,
     routing: &RoutingStrategy,
@@ -629,8 +428,7 @@ fn worker_loop(
                     tr.stolen(server, work.local.len());
                 }
             }
-            serve_batch(shared, server, &mut work, control, trunc, &mut tr);
-            settle_and_route(shared, routing, &mut work, control, trunc, &mut tr);
+            serve_batch(shared, routing, server, &mut work, control, trunc, &mut tr);
             continue;
         }
         if shared.done.load(Ordering::Acquire) {
@@ -647,16 +445,14 @@ fn worker_loop(
 }
 
 /// Takes the unrouted queue's turn: the next [`DRAIN_BATCH`] root
-/// matches while the seed source is its head — materialised here,
-/// counted in flight and offered to the top-k set — otherwise the
-/// rescues ranking above the source. Every match then gets a queue
-/// pop's budget check and its prune check — in that order, as in
-/// Whirlpool-S — and what passes awaits routing in `work.survivors`.
+/// matches, materialised here, counted in flight and offered to the
+/// top-k set. Every one then gets a queue pop's budget check and its
+/// prune check — in that order, as in Whirlpool-S — and what passes
+/// awaits routing in `work.survivors`.
 ///
-/// A spent budget, or a k-th score the source's ceiling cannot beat,
-/// *sweeps* the queue instead: the source is dropped with its roots
-/// unseeded (pending under the ceiling when the budget ended them) and
-/// everything queued takes the per-match checks at once.
+/// A stopped run, or a k-th score the source's ceiling cannot beat,
+/// drops the source instead, with its roots unseeded (pending under the
+/// ceiling when the run stopped).
 fn admit_batch(
     shared: &Shared<'_, '_>,
     work: &mut BatchWork,
@@ -665,47 +461,38 @@ fn admit_batch(
     tr: &mut WorkerTrace,
 ) {
     let ctx = shared.ctx;
-    let expired = trunc.is_expired() || control.exhausted(&ctx.metrics);
-    let sweep = expired || shared.topk.cannot_beat(ctx.seed_ceiling().0);
-    let fresh = {
-        let mut guard = shared.unrouted.inner.lock();
-        let queue = &mut guard.queue;
-        let had_seeds = queue.has_seeds();
-        let fresh = !sweep && queue.seeds_are_head();
-        if sweep {
-            if expired && had_seeds && trunc.expire() {
+    let stopped = stopping(shared, control, trunc);
+    {
+        let mut source = shared.unrouted.inner.lock();
+        if !source.has_seeds() {
+            // A sibling seeded the last root since the peek.
+            return;
+        }
+        if stopped || shared.topk.cannot_beat(ctx.seed_ceiling().0) {
+            if stopped && trunc.stop() {
                 control.count_stop(&ctx.metrics);
             }
             let threshold = shared.topk.threshold_snapshot();
-            drop_seed_source(ctx, queue, expired.then_some(trunc), tr, threshold);
-            work.local.extend(queue.drain());
+            drop_seed_source(ctx, &mut source, stopped.then_some(trunc), tr, threshold);
         }
-        // Highest priority first, never across the source's rank. A
-        // seed is spawned and counted in as it is materialised: if the
-        // score model panics on a later root, the batch is consistent.
-        while !sweep && work.local.len() < DRAIN_BATCH && queue.seeds_are_head() == fresh {
-            let next = if fresh {
-                queue.next_seed(ctx)
-            } else {
-                queue.pop()
-            };
-            let Some(m) = next else { break };
-            if fresh {
-                tr.spawned(&m);
-                work.net += 1;
-            }
+        // A seed is spawned and counted in as it is materialised: if
+        // the score model panics on a later root, the batch is
+        // consistent.
+        while source.has_seeds() && work.local.len() < DRAIN_BATCH {
+            let m = source.next_seed(ctx).expect("the source has roots left");
+            tr.spawned(&m);
+            work.net += 1;
             work.local.push(m);
         }
-        if had_seeds && !queue.has_seeds() {
+        if !source.has_seeds() {
             // The source's in-flight token leaves with its last root.
             work.net -= 1;
         }
-        fresh
-    };
-    if fresh {
-        // The seeds enter the count before any check below can take
-        // one out; the token (if it just left) goes in the same op.
-        work.settle(shared);
+    }
+    // The seeds enter the count before any check below can take one
+    // out; the token (if it just left) goes in the same op.
+    work.settle(shared);
+    if !work.local.is_empty() {
         let mut topk = shared.topk.lock();
         for m in &work.local {
             if shared.offer_partial || m.is_complete(shared.full_mask) {
@@ -716,8 +503,8 @@ fn admit_batch(
     // Reverse so pop() walks the batch front-first.
     work.local.reverse();
     while let Some(m) = work.local.pop() {
-        if trunc.is_expired() || control.exhausted(&ctx.metrics) {
-            drain_expired(shared, control, trunc, m, tr);
+        if stopping(shared, control, trunc) {
+            drain_stopped(shared, control, trunc, m, tr);
         } else if m.is_complete(shared.full_mask) {
             // A seed of a single-node pattern: an answer on arrival.
             tr.completed(&m);
@@ -733,60 +520,63 @@ fn admit_batch(
 }
 
 /// Serves one batch — drained from `server`'s queue, or the unrouted
-/// queue's turn — catching any panic that escapes the fault layer (e.g.
-/// a panicking score model when no fault plan is active, so
-/// [`guarded_process_located`] runs unguarded). The panic is settled at
-/// batch granularity — see [`abandon_batch`] — and the worker keeps
-/// running, so a poisoned batch truncates the result instead of hanging
-/// or aborting the run.
+/// queue's turn — and routes what survives, all under the run's guard:
+/// a failed operation or a panic anywhere in the batch, seeding and
+/// routing included, stops the run, and [`abandon_batch`] accounts what
+/// the batch still held. The worker keeps running and drains what it
+/// pops next, so the run ends instead of hanging or aborting.
 fn serve_batch(
     shared: &Shared<'_, '_>,
+    routing: &RoutingStrategy,
     server: Option<QNodeId>,
     work: &mut BatchWork,
     control: &RunControl,
     trunc: &Truncation,
     tr: &mut WorkerTrace,
 ) {
-    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match server {
-        Some(server) => process_batch(shared, server, work, control, trunc, tr),
-        None => admit_batch(shared, work, control, trunc, tr),
-    }));
-    if caught.is_err() {
-        abandon_batch(trunc, work, tr);
-        if server.is_none() {
-            // The model panicked on a root, and the source would only
-            // meet it again: the roots still unseeded are accounted
-            // under its ceiling and its token leaves with them.
-            let threshold = shared.topk.threshold_snapshot();
-            let unrouted = &mut shared.unrouted.inner.lock().queue;
-            if drop_seed_source(shared.ctx, unrouted, Some(trunc), tr, threshold) {
-                work.net -= 1;
-            }
+    let served = guarded(&shared.ctx.metrics, trunc, || {
+        match server {
+            Some(server) => process_batch(shared, server, work, control, trunc, tr)?,
+            None => admit_batch(shared, work, control, trunc, tr),
         }
+        settle_and_route(shared, routing, work, tr);
+        Ok(())
+    });
+    if served.is_none() {
+        abandon_batch(shared, trunc, work, tr);
     }
 }
 
-/// Accounts a batch whose processing panicked outside the fault layer.
-/// The in-hand match and the unprocessed remainder enter the truncation
-/// certificate and leave the system; extensions of the in-hand match
-/// were never admitted (no spawn event, not yet counted in-flight), so
-/// they are simply dropped. The kills join the batch's net count
-/// change, which the worker settles — as after any batch — *before* it
-/// routes the survivors the batch had already produced.
-fn abandon_batch(trunc: &Truncation, work: &mut BatchWork, tr: &mut WorkerTrace) {
-    trunc.mark();
-    for m in work.in_hand.take().into_iter().chain(work.local.drain(..)) {
+/// Accounts a batch whose work failed. The in-hand match, the
+/// unprocessed remainder and the survivors not yet routed enter the
+/// truncation certificate and leave the system; extensions of the
+/// in-hand match were never admitted (no spawn event, not yet counted
+/// in flight), so they are simply dropped. The kills join the batch's
+/// net count change, settled here. The seed source and the other
+/// queues drain as their matches are popped: the run is stopped.
+fn abandon_batch(
+    shared: &Shared<'_, '_>,
+    trunc: &Truncation,
+    work: &mut BatchWork,
+    tr: &mut WorkerTrace,
+) {
+    let held = work.in_hand.take().into_iter();
+    for m in held
+        .chain(work.local.drain(..))
+        .chain(work.survivors.drain(..))
+    {
         trunc.account(m.max_final);
         tr.abandoned(&m);
         work.net -= 1;
     }
     work.exts.clear();
     work.locs.clear();
+    work.settle(shared);
 }
 
 /// Joins one drained batch at `server`. Leaves the batch's survivors in
 /// `work.survivors` and its net in-flight change in `work.net` for
-/// [`settle_and_route`].
+/// [`settle_and_route`]; an injected failure is the `Err`.
 fn process_batch(
     shared: &Shared<'_, '_>,
     server: QNodeId,
@@ -794,11 +584,10 @@ fn process_batch(
     control: &RunControl,
     trunc: &Truncation,
     tr: &mut WorkerTrace,
-) {
+) -> Result<(), EngineError> {
     let ctx = shared.ctx;
-    let queue = shared.server_queue(server);
     if tr.enabled() {
-        tr.queue_depth(QueueId::Server(server), queue.len());
+        tr.queue_depth(QueueId::Server(server), shared.server_queue(server).len());
     }
     // Process the drained batch highest-priority first (the drain
     // preserved heap order; reverse so pop() walks it front-first).
@@ -810,8 +599,8 @@ fn process_batch(
     ctx.locate_batch_at_server(server, &roots, &mut work.locs);
     while let Some(m) = work.local.pop() {
         let loc = work.locs.pop().expect("locs stays aligned with local");
-        if trunc.is_expired() || control.exhausted(&ctx.metrics) {
-            drain_expired(shared, control, trunc, m, tr);
+        if stopping(shared, control, trunc) {
+            drain_stopped(shared, control, trunc, m, tr);
             continue;
         }
         if shared.topk.should_prune(&m) {
@@ -826,39 +615,11 @@ fn process_batch(
         work.exts.clear();
         let t0 = tr.op_start();
         // The match lives in the batch state while the join runs so a
-        // panic escaping the fault layer can still account it.
-        work.in_hand = Some(m);
-        let ran = {
-            let BatchWork {
-                ref in_hand,
-                ref mut exts,
-                ..
-            } = *work;
-            let m = in_hand.as_ref().expect("in-hand match was just stored");
-            guarded_process_located(ctx, control, trunc, server, m, loc, exts)
-        };
-        let m = work.in_hand.take().expect("in-hand match is present");
-        if !ran {
-            // This server is dead (it may have just died under us).
-            // Settle the batch so far — its survivors must be counted
-            // before any rescue below can take the count down — then
-            // close the queue and rescue everything still waiting: the
-            // match in hand, the rest of the drained batch, and the
-            // queue. The *worker* does not retire: it moves on to the
-            // other queues.
-            work.settle(shared);
-            let mut rescued = Vec::new();
-            let waiting = std::iter::once(m)
-                .chain(work.local.drain(..).rev())
-                .chain(queue.close_and_drain());
-            for x in waiting {
-                handle_dead_server_match(shared, trunc, server, x, &mut rescued, tr);
-            }
-            shared.publish_unrouted(&mut rescued);
-            work.locs.clear();
-            return;
-        }
+        // stopped batch can still account it.
+        let m = work.in_hand.insert(m);
+        process_located(ctx, control, trunc, server, m, loc, &mut work.exts)?;
         tr.server_op(server, m.seq, work.exts.len(), t0);
+        work.in_hand = None;
         work.net -= 1;
 
         // The k-th score snapshot decides, without the lock, whether
@@ -881,9 +642,6 @@ fn process_batch(
             }
             if complete {
                 tr.completed(&e);
-                if e.degraded {
-                    ctx.metrics.add_answer_degraded();
-                }
                 continue;
             }
             let prune = match &live {
@@ -911,6 +669,7 @@ fn process_batch(
             }
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1034,8 +793,8 @@ mod tests {
 
     #[test]
     fn a_panic_at_any_operation_still_ends_the_run_at_two_threads() {
-        // No fault plan, so the panic escapes the fault layer into
-        // `serve_batch`. Wherever it lands, `abandon_batch` must leave
+        // A score-model panic, caught by `serve_batch`'s guard.
+        // Wherever it lands, `abandon_batch` must leave
         // the in-flight count exact — one match too many and the two
         // workers park forever, one too few and the run ends with
         // matches still queued.

@@ -8,10 +8,9 @@
 //! the order MPro/Upper prove necessary for instance-optimal probing.
 
 use crate::context::{Located, QueryContext, RelaxMode};
-use crate::fault::{
-    degrade_to_completion, drop_seed_source, guarded_process_located, EngineRun, RunControl,
-    Truncation,
-};
+use crate::error::EngineError;
+use crate::fault::{drop_seed_source, guarded, process_located, EngineRun, RunControl, Truncation};
+use crate::partial::PartialMatch;
 use crate::queue::{MatchQueue, QueuePolicy};
 use crate::router::RoutingStrategy;
 use crate::topk::TopKSet;
@@ -19,12 +18,11 @@ use crate::topk::TopKSet;
 /// Runs Whirlpool-S under a [`RunControl`].
 ///
 /// `queue_policy` is [`QueuePolicy::MaxFinalScore`] by default; other
-/// policies are accepted for the ablation experiments. The budget is
-/// checked at every queue pop (expiry drains the router queue,
-/// recording each abandoned match's score bound), routing skips dead
-/// servers, and a match whose every remaining server is dead is
-/// degraded to completion (relaxed mode) or dropped with its bound
-/// recorded (exact mode).
+/// policies are accepted for the ablation experiments. Each turn — one
+/// seed, or one pop with its routing decision and server operation —
+/// runs under the run's guard. The budget is checked before every turn;
+/// a spent budget and a failed turn both stop the run, draining the
+/// router queue into the certificate with each match's score bound.
 pub(crate) fn run_whirlpool_s_anytime(
     ctx: &QueryContext<'_>,
     routing: &RoutingStrategy,
@@ -45,127 +43,97 @@ pub(crate) fn run_whirlpool_s_anytime(
     tr.span_begin("route-and-process");
     let mut exts = Vec::new();
     let mut locs: Vec<Located> = Vec::new();
+    // The match being routed and joined: a stop accounts it with the
+    // queue.
+    let mut in_hand: Option<PartialMatch> = None;
     while queue.peek_rank().is_some() {
         // The budget comes first, as for any pop: an expired run
         // materialises no further root.
-        if control.exhausted(&ctx.metrics) {
-            if trunc.expire() {
-                control.count_stop(&ctx.metrics);
+        let spent = control.exhausted(&ctx.metrics);
+        if spent && trunc.stop() {
+            control.count_stop(&ctx.metrics);
+        }
+        let turn = || -> Result<(), EngineError> {
+            if queue.seeds_are_head() {
+                // No unseeded root can reach higher than the ceiling:
+                // once that cannot beat the k-th score they all go in
+                // one step, without ever existing. Otherwise the next
+                // one enters, as the root server would have handed it
+                // over up front.
+                if topk.cannot_beat(ctx.seed_ceiling().0) {
+                    drop_seed_source(ctx, &mut queue, None, &mut tr, topk.threshold());
+                    return Ok(());
+                }
+                let m = queue.next_seed(ctx).expect("the seed source is live");
+                tr.spawned(&m);
+                let complete = m.is_complete(full); // single-node patterns
+                if offer_partial || complete {
+                    topk.offer_match(&m);
+                }
+                if complete {
+                    tr.completed(&m);
+                } else {
+                    queue.push(ctx, m);
+                }
+                return Ok(());
             }
-            for x in queue.drain() {
+            let m = queue.pop().expect("the head is a queued match");
+            // Re-check at pop time: the threshold may have grown since
+            // the match was queued.
+            if topk.should_prune(&m) {
+                // Under max-final-score order nothing queued can reach
+                // higher than the head: once the head cannot beat the
+                // k-th score the whole queue is pruned in one step (the
+                // seed source, ranking below the head, follows on the
+                // next turn) and the run is over. (Other policies prune
+                // match by match.)
+                let rest = (queue_policy == QueuePolicy::MaxFinalScore).then(|| queue.drain());
+                for x in std::iter::once(m).chain(rest.into_iter().flatten()) {
+                    ctx.metrics.add_pruned();
+                    tr.pruned(&x, topk.threshold());
+                }
+                return Ok(());
+            }
+            debug_assert!(!m.is_complete(full), "complete matches are never queued");
+
+            let m = in_hand.insert(m);
+            let server = routing.choose_traced(ctx, m, topk.threshold(), queue.len(), &mut tr);
+            ctx.locate_batch_at_server(server, &[m.root()], &mut locs);
+            exts.clear();
+            let t0 = tr.op_start();
+            process_located(ctx, control, &trunc, server, m, locs[0], &mut exts)?;
+            tr.server_op(server, m.seq, exts.len(), t0);
+            in_hand = None;
+            for e in exts.drain(..) {
+                tr.spawned(&e);
+                let complete = e.is_complete(full);
+                if offer_partial || complete {
+                    topk.offer_match(&e);
+                }
+                if complete {
+                    tr.completed(&e);
+                    continue;
+                }
+                if topk.should_prune(&e) {
+                    ctx.metrics.add_pruned();
+                    tr.pruned(&e, topk.threshold());
+                    continue;
+                }
+                queue.push(ctx, e);
+            }
+            if tr.enabled() {
+                tr.threshold(topk.threshold());
+                tr.queue_depth(crate::trace::QueueId::Router, queue.len());
+            }
+            Ok(())
+        };
+        if spent || guarded(&ctx.metrics, &trunc, turn).is_none() {
+            for x in in_hand.take().into_iter().chain(queue.drain()) {
                 trunc.account(x.max_final);
                 tr.abandoned(&x);
             }
             drop_seed_source(ctx, &mut queue, Some(&trunc), &mut tr, topk.threshold());
             break;
-        }
-        if queue.seeds_are_head() {
-            // No unseeded root can reach higher than the ceiling: once
-            // that cannot beat the k-th score they all go in one step,
-            // without ever existing. Otherwise the next one enters, as
-            // the root server would have handed it over up front.
-            if topk.cannot_beat(ctx.seed_ceiling().0) {
-                drop_seed_source(ctx, &mut queue, None, &mut tr, topk.threshold());
-                continue;
-            }
-            let m = queue.next_seed(ctx).expect("the seed source is live");
-            tr.spawned(&m);
-            let complete = m.is_complete(full); // single-node patterns
-            if offer_partial || complete {
-                topk.offer_match(&m);
-            }
-            if complete {
-                tr.completed(&m);
-            } else {
-                queue.push(ctx, m);
-            }
-            continue;
-        }
-        let m = queue.pop().expect("the head is a queued match");
-        // Re-check at pop time: the threshold may have grown since the
-        // match was queued.
-        if topk.should_prune(&m) {
-            // Under max-final-score order nothing queued can reach
-            // higher than the head: once the head cannot beat the k-th
-            // score the whole queue is pruned in one step (the seed
-            // source, ranking below the head, follows on the next
-            // turn) and the run is over. (Other policies prune match by
-            // match.)
-            let rest = (queue_policy == QueuePolicy::MaxFinalScore).then(|| queue.drain());
-            for x in std::iter::once(m).chain(rest.into_iter().flatten()) {
-                ctx.metrics.add_pruned();
-                tr.pruned(&x, topk.threshold());
-            }
-            continue;
-        }
-        debug_assert!(!m.is_complete(full), "complete matches are never queued");
-
-        let threshold = topk.threshold();
-        let candidates = if tr.enabled() {
-            routing.explain(ctx, &m, threshold, |s| !control.is_dead(s))
-        } else {
-            Vec::new()
-        };
-        let choice = routing.try_choose(ctx, &m, threshold, |s| !control.is_dead(s));
-        if tr.enabled() {
-            tr.routed(crate::trace::RouteExplain {
-                seq: m.seq,
-                strategy: routing.name(),
-                threshold: threshold.value(),
-                queue_len: queue.len(),
-                chosen: choice,
-                candidates,
-            });
-        }
-        let Some(server) = choice else {
-            // Every remaining server is dead: finish the match through
-            // degradation, or drop it in exact mode.
-            trunc.account(m.max_final);
-            tr.abandoned(&m);
-            if offer_partial {
-                ctx.metrics.add_match_redistributed();
-                let done = degrade_to_completion(ctx, m);
-                tr.spawned(&done);
-                topk.offer_match(&done);
-                tr.completed(&done);
-                ctx.metrics.add_answer_degraded();
-            }
-            continue;
-        };
-        ctx.locate_batch_at_server(server, &[m.root()], &mut locs);
-        exts.clear();
-        let t0 = tr.op_start();
-        if !guarded_process_located(ctx, control, &trunc, server, &m, locs[0], &mut exts) {
-            // The chosen server died under us: requeue the match so
-            // the next pop re-routes it among the survivors.
-            ctx.metrics.add_match_redistributed();
-            queue.push(ctx, m);
-            continue;
-        }
-        tr.server_op(server, m.seq, exts.len(), t0);
-        for e in exts.drain(..) {
-            tr.spawned(&e);
-            let complete = e.is_complete(full);
-            if offer_partial || complete {
-                topk.offer_match(&e);
-            }
-            if complete {
-                tr.completed(&e);
-                if e.degraded {
-                    ctx.metrics.add_answer_degraded();
-                }
-                continue;
-            }
-            if topk.should_prune(&e) {
-                ctx.metrics.add_pruned();
-                tr.pruned(&e, topk.threshold());
-                continue;
-            }
-            queue.push(ctx, e);
-        }
-        if tr.enabled() {
-            tr.threshold(topk.threshold());
-            tr.queue_depth(crate::trace::QueueId::Router, queue.len());
         }
     }
     tr.span_end("route-and-process");

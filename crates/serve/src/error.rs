@@ -87,8 +87,11 @@ impl ServeError {
             ServeError::TimedOut { .. } => 504,
             ServeError::BadRequest(_) => 400,
             ServeError::NotFound(_) => 404,
-            // A malformed chaos spec is the client's mistake, not ours.
-            ServeError::Engine(EngineError::InvalidFaultSpec(_)) => 400,
+            // A malformed chaos spec, or one faulting a server the
+            // query lacks, is the client's mistake, not ours.
+            ServeError::Engine(
+                EngineError::InvalidFaultSpec(_) | EngineError::FaultOutsideQuery { .. },
+            ) => 400,
             ServeError::Engine(_) | ServeError::Io(_) | ServeError::Render(_) => 500,
         }
     }
@@ -149,8 +152,9 @@ impl From<EngineError> for ServeError {
 pub enum Outcome {
     /// Ran to completion with the full answer semantics.
     Exact,
-    /// Returned a certified anytime answer (deadline, op budget, or a
-    /// dead server truncated it) — still HTTP 200, labelled honestly.
+    /// Returned a certified anytime answer (a deadline, an op budget or
+    /// a failed server operation stopped it) — still HTTP 200, labelled
+    /// honestly.
     Degraded,
     /// The watchdog reclaimed the worker (hard timeout or disconnect).
     TimedOut,

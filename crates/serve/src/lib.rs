@@ -24,9 +24,10 @@
 //!   [`CancelToken`](whirlpool_core::CancelToken) so the worker is
 //!   reclaimed within one kernel interrupt span.
 //! * **Fault-tolerant serving** — per-request chaos via the engines'
-//!   `FaultPlan` spec, bounded retry-with-backoff on transient server
-//!   faults, and `/healthz` + `/metrics` endpoints whose counters obey
-//!   the conservation law `admitted = exact + degraded + timed_out`.
+//!   `FaultPlan` spec (a failed server operation stops the run, whose
+//!   certified prefix is the reply; nothing is retried), and
+//!   `/healthz` + `/metrics` endpoints whose counters obey the
+//!   conservation law `admitted = exact + degraded + timed_out`.
 //!
 //! The documents of a [`Registry`] become the shards of one
 //! [`whirlpool_core::Collection`] when the daemon starts; holding,
@@ -40,7 +41,7 @@
 //! ```text
 //! GET  /healthz            liveness + load
 //! GET  /metrics            daemon counters (JSON)
-//! POST /query              {"doc": "name", "query": "//item[./a]", "k": 5,
+//! POST /query              {"doc": "name", "query": "//item[./a and ./b]", "k": 5,
 //!                           "fault": "server=2:panic@100", "fault_seed": 7}
 //!                          {"collection": true, "query": "//item[./a]", "k": 5,
 //!                           "fault": "server=1:fail@0"}

@@ -33,8 +33,6 @@ pub struct ServeMetrics {
     pub degraded: AtomicU64,
     /// Admitted requests reclaimed by the watchdog.
     pub timed_out: AtomicU64,
-    /// Engine re-runs after a transient server fault.
-    pub retries: AtomicU64,
 }
 
 /// Plain-value copy of [`ServeMetrics`].
@@ -50,7 +48,6 @@ pub struct ServeMetricsSnapshot {
     pub exact: u64,
     pub degraded: u64,
     pub timed_out: u64,
-    pub retries: u64,
 }
 
 impl ServeMetrics {
@@ -76,7 +73,6 @@ impl ServeMetrics {
             exact: self.exact.load(Ordering::Relaxed),
             degraded: self.degraded.load(Ordering::Relaxed),
             timed_out: self.timed_out.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
         }
     }
 }
@@ -98,7 +94,7 @@ impl ServeMetricsSnapshot {
         format!(
             "{{\"received\": {}, \"admitted\": {}, \"rejected\": {}, \"shed\": {}, \
              \"bad_requests\": {}, \"not_found\": {}, \"exact\": {}, \"degraded\": {}, \
-             \"timed_out\": {}, \"retries\": {}, \"inflight\": {inflight}}}",
+             \"timed_out\": {}, \"inflight\": {inflight}}}",
             self.received,
             self.admitted,
             self.rejected,
@@ -108,7 +104,6 @@ impl ServeMetricsSnapshot {
             self.exact,
             self.degraded,
             self.timed_out,
-            self.retries,
         )
     }
 

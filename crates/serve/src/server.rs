@@ -14,7 +14,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use whirlpool_core::{
     evaluate_scope, Algorithm, CancelToken, Collection, CollectionOptions, CollectionResult,
-    Completeness, EvalOptions, FaultPlan, MetricsSnapshot, Scope, MAX_INJECTED_DELAY,
+    Completeness, EvalOptions, FaultPlan, Scope, MAX_INJECTED_DELAY,
 };
 use whirlpool_index::DocView;
 use whirlpool_pattern::TreePattern;
@@ -41,8 +41,6 @@ pub struct ServeConfig {
     pub base_deadline: Duration,
     /// Watchdog slack past the rung deadline before the hard cancel.
     pub watchdog_grace: Duration,
-    /// Bounded re-runs after a transient server fault.
-    pub retries: u32,
     /// Warm-start directory: at boot, every document that had to be
     /// parsed (no usable snapshot) gets a snapshot written here by a
     /// background thread, so the *next* boot peeks it in O(synopsis)
@@ -65,7 +63,6 @@ impl Default for ServeConfig {
             capacity_ops: 5e6,
             base_deadline: Duration::from_millis(2000),
             watchdog_grace: Duration::from_millis(250),
-            retries: 1,
             snapshot_dir: None,
             max_resident: 0,
         }
@@ -503,20 +500,19 @@ impl QueryRequest {
         })
     }
 
-    /// The fault plan of attempt `attempt` (retries draw fresh
-    /// randomness): the `fault` spec, plus `op_cost_us` as a delay on
-    /// every server the spec leaves alone.
-    fn fault_plan(
-        &self,
-        pattern: &TreePattern,
-        attempt: u32,
-    ) -> Result<Option<FaultPlan>, ServeError> {
-        let seed = self.fault_seed.wrapping_add(attempt as u64);
+    /// The request's fault plan: the `fault` spec, refused if it names
+    /// a server the query lacks, plus `op_cost_us` as a delay on every
+    /// server the spec leaves alone.
+    fn fault_plan(&self, pattern: &TreePattern) -> Result<Option<FaultPlan>, ServeError> {
+        let seed = self.fault_seed;
         let plan = self
             .fault
             .as_deref()
             .map(|spec| FaultPlan::parse(spec, seed))
             .transpose()?;
+        if let Some(plan) = &plan {
+            plan.check(pattern)?;
+        }
         Ok(match self.op_cost {
             Some(cost) => Some(
                 plan.unwrap_or_else(|| FaultPlan::seeded(seed))
@@ -536,7 +532,6 @@ struct Governed {
     rung: Rung,
     guard: WatchGuard,
     started: Instant,
-    deadline: Duration,
     options: EvalOptions,
 }
 
@@ -590,7 +585,6 @@ fn govern(
         rung,
         guard,
         started,
-        deadline,
         options,
     })
 }
@@ -632,8 +626,9 @@ impl Governed {
 /// price admission off the scope's synopses, then run
 /// [`whirlpool_core::evaluate_scope`] — scope idf, global threshold
 /// sharing, shard pruning by count ceilings, attach-on-visit — under
-/// the rung's budgets and the watchdog's cancel token, inside one
-/// bounded retry loop. The driver visits shards one after another on
+/// the rung's budgets and the watchdog's cancel token, once: a run a
+/// failed server operation stopped is a certified truncated reply, not
+/// a reason to run again. The driver visits shards one after another on
 /// the worker's thread; the pool's workers share the collection.
 fn handle_query(daemon: &Daemon, conn: &mut TcpStream, body: &[u8]) -> Result<(), ServeError> {
     let req = QueryRequest::parse(body)?;
@@ -656,9 +651,10 @@ fn handle_query(daemon: &Daemon, conn: &mut TcpStream, body: &[u8]) -> Result<()
     };
     let pattern = whirlpool_pattern::parse_pattern(&req.query)
         .map_err(|e| ServeError::BadRequest(format!("query {:?}: {e}", req.query)))?;
-    // Validate the chaos spec before admission: a malformed spec is the
-    // client's fault, not load.
-    req.fault_plan(&pattern, 0)?;
+    // Validate the chaos spec before admission: a malformed spec, or
+    // one naming a server the query lacks, is the client's fault, not
+    // load.
+    let fault_plan = req.fault_plan(&pattern)?;
 
     // Admission is priced before any model or context exists, off the
     // synopses: the scope's candidate answer roots, times one op per
@@ -674,60 +670,35 @@ fn handle_query(daemon: &Daemon, conn: &mut TcpStream, body: &[u8]) -> Result<()
     let uncounted = collection.uncounted_answers(scope, &pattern);
     let estimate = roots as f64 * per_root_ops + uncounted as f64;
     let mut gov = govern(daemon, conn, estimate, req.k)?;
+    gov.options.fault_plan = fault_plan;
 
-    // Bounded retry on transient faults: a run truncated by a *server
-    // failure* (not by its budgets) is re-run with backoff — the fault
-    // layer draws fresh randomness, so delay-style faults clear. The
-    // reply reports the engine counters of every attempt.
-    let mut attempts = 0u32;
-    let mut spent = MetricsSnapshot::default();
-    let mut result = loop {
-        gov.options.fault_plan = req.fault_plan(&pattern, attempts)?;
-        // Whirlpool-S: the worker pool already provides cross-request
-        // parallelism, so a per-request multi-threaded engine would
-        // only add thread churn under load.
-        let r = evaluate_scope(
-            collection,
-            scope,
-            &pattern,
-            &Algorithm::WhirlpoolS,
-            &gov.options,
-            Normalization::Sparse,
-            &CollectionOptions::default(),
-        );
-        daemon.pruned_before_attach.fetch_add(
-            r.collection_metrics.shards_pruned_before_attach as u64,
-            Ordering::Relaxed,
-        );
-        daemon.shards_counted.fetch_add(
-            r.collection_metrics.shards_counted as u64,
-            Ordering::Relaxed,
-        );
-        spent.absorb(&r.metrics);
-        let transient_fault = r.metrics.servers_failed > 0 && !r.completeness.is_exact();
-        if transient_fault
-            && attempts < daemon.config.retries
-            && gov.guard.fired().is_none()
-            && gov.started.elapsed() < gov.deadline
-        {
-            attempts += 1;
-            daemon.metrics.retries.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(Duration::from_millis(5 * attempts as u64));
-            // The remaining wall budget shrinks with what the failed
-            // attempt spent.
-            gov.options.deadline = Some(gov.deadline.saturating_sub(gov.started.elapsed()));
-            continue;
-        }
-        break r;
-    };
-    result.metrics = spent;
+    // Whirlpool-S: the worker pool already provides cross-request
+    // parallelism, so a per-request multi-threaded engine would only
+    // add thread churn under load.
+    let result = evaluate_scope(
+        collection,
+        scope,
+        &pattern,
+        &Algorithm::WhirlpoolS,
+        &gov.options,
+        Normalization::Sparse,
+        &CollectionOptions::default(),
+    );
+    daemon.pruned_before_attach.fetch_add(
+        result.collection_metrics.shards_pruned_before_attach as u64,
+        Ordering::Relaxed,
+    );
+    daemon.shards_counted.fetch_add(
+        result.collection_metrics.shards_counted as u64,
+        Ordering::Relaxed,
+    );
 
     let (rung, started) = (gov.rung, gov.started);
     let (outcome, status) = gov.finish(daemon, conn, &result.completeness);
     let body = query_response_json(
         daemon.request_seq.fetch_add(1, Ordering::Relaxed),
         collection,
-        (outcome, rung, attempts),
+        (outcome, rung),
         &result,
         started.elapsed(),
     )?;
@@ -785,7 +756,7 @@ fn id_fragment(
 fn query_response_json(
     seq: u64,
     collection: &Collection,
-    (outcome, rung, retries): (Outcome, Rung, u32),
+    (outcome, rung): (Outcome, Rung),
     result: &CollectionResult,
     elapsed: Duration,
 ) -> Result<String, ServeError> {
@@ -808,7 +779,6 @@ fn query_response_json(
         body.push_str(&format!("  \"score_bound\": {score_bound:.6},\n"));
     }
     let m = &result.metrics;
-    body.push_str(&format!("  \"retries\": {retries},\n"));
     body.push_str(&format!("  \"servers_failed\": {},\n", m.servers_failed));
     body.push_str(&format!("  \"cancellations\": {},\n", m.cancellations));
     let counts = &result.collection_metrics;
@@ -953,6 +923,14 @@ mod tests {
         assert_eq!(status, 400);
         let (status, _) = post_query(addr, r#"{"query": "//book", "fault": "garbage"}"#);
         assert_eq!(status, 400, "bad fault specs are the client's fault");
+        // So is a spec faulting a server the query does not have: it
+        // would never fire, and the reply would claim an exact answer.
+        let (status, body) = post_query(
+            addr,
+            r#"{"query": "//book[./title]", "fault": "server=9:panic@0"}"#,
+        );
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("server 9"), "{body}");
 
         let (status, body) = send(addr, "GET /metrics HTTP/1.1\r\n\r\n");
         assert_eq!(status, 200);
@@ -1744,9 +1722,6 @@ mod tests {
             v.get("score_bound").and_then(Json::as_f64).is_some(),
             "a truncated answer carries its certificate: {body}"
         );
-        // The retry ladder ran (fail@0 re-fires each attempt) and the
-        // response reports honestly.
-        assert!(v.get("retries").and_then(Json::as_u64).unwrap_or(0) >= 1);
         handle.shutdown();
     }
 }

@@ -10,17 +10,18 @@
 //!   relaxed and exact modes, on random documents × random queries.
 //! * Under deterministic panic injection (a server poisons itself
 //!   mid-run) every thread count still terminates — no hang in
-//!   termination detection, no lost rescue — and the degraded result
-//!   carries a valid anytime certificate against the exact answers.
+//!   termination detection — and the truncated result carries a valid
+//!   anytime certificate against the exact answers.
 //! * On *skewed-routing* documents — one hot server receives nearly
 //!   every match, so idle workers live off batch stealing — the
 //!   worker-pool scheduler still agrees with Whirlpool-S at every pool
 //!   size and in both relax modes.
-//! * A panic that escapes the fault layer entirely (a panicking score
-//!   model with **no** fault plan, so `guarded_process_located` runs
-//!   unguarded) is caught at batch granularity by the worker itself:
-//!   the run terminates at every pool size and returns a certified
-//!   truncated prefix, even when the poisoned batch was stolen.
+//! * A panic that no fault plan injected (a panicking score model) is
+//!   caught by the engine's one guard, with or without a fault plan,
+//!   wherever it lands: at every call the model makes, every engine —
+//!   Whirlpool-S, both LockSteps, Whirlpool-M at one and two workers —
+//!   returns, truncated exactly when the panic fired, with a certified
+//!   prefix.
 //!
 //! CI runs this file at several `PROPTEST_SEED`s with the thread counts
 //! above, so the snapshot/sharding/batching protocols see many distinct
@@ -28,6 +29,7 @@
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 use whirlpool_core::{
     answers_equivalent, evaluate, Algorithm, Completeness, EvalOptions, FaultKind, FaultPlan,
     RankedAnswer, RelaxMode,
@@ -187,8 +189,8 @@ proptest! {
     }
 
     /// Thread-count sweep under deterministic panic injection: a server
-    /// that poisons itself mid-run is isolated at every worker
-    /// multiplicity — the run terminates and the degraded prefix is
+    /// that poisons itself mid-run stops the run at every worker
+    /// multiplicity — the run terminates and the truncated prefix is
     /// certified against the exact answers.
     #[test]
     fn panic_faults_stay_isolated_at_every_thread_count(
@@ -325,9 +327,8 @@ fn skewed_hot_server_routing_agrees_at_every_worker_count() {
 }
 
 /// A score model that panics after a fixed number of contribution
-/// calls. With no fault plan active the fault layer runs *unguarded*,
-/// so the panic escapes into the worker itself and exercises the
-/// batch-granularity panic guard (`serve_batch`/`abandon_batch`).
+/// calls: a panic no fault plan injected, reaching the engines wherever
+/// they call the model (seeding included).
 struct PanickingModel<'m> {
     inner: &'m TfIdfModel,
     calls: AtomicU64,
@@ -351,73 +352,68 @@ impl ScoreModel for PanickingModel<'_> {
     }
 }
 
-/// Certified termination when a worker panics outside the fault layer,
-/// including mid-steal on the hot-server workload: the run must not
-/// hang or abort at any pool size, and the truncated prefix must carry
-/// a certificate valid against the panic-free exact answers.
+/// Certified termination when the score model panics, at every call it
+/// makes in a fault-free run: for each engine (Whirlpool-M at one and
+/// two workers, mid-steal included on the hot-server workload), with no
+/// fault plan and with a zero-delay one, the run must return, be
+/// truncated exactly when the panic fired, and carry a certificate
+/// valid against the panic-free exact answers.
 #[test]
 fn worker_panic_outside_fault_layer_terminates_with_certificate() {
     let doc = build_hot_server_doc(40);
     let pattern = hot_server_query();
     let index = TagIndex::build(&doc);
     let model = TfIdfModel::build(&doc, &index, &pattern, Normalization::Sparse);
-    let options = EvalOptions::top_k(8);
     let exact = evaluate(
         &doc,
         &index,
         &pattern,
         &model,
         &Algorithm::WhirlpoolS,
-        &options,
+        &EvalOptions::top_k(8),
     )
     .answers;
-
-    // Calibrate: total contribution calls in one fault-free M run. The
-    // panic threshold is set halfway so it fires while the workers are
-    // deep in server operations (well past the seed phase, which runs
-    // on the unguarded main thread).
-    let counting = PanickingModel {
-        inner: &model,
-        calls: AtomicU64::new(0),
-        panic_after: u64::MAX,
-    };
-    evaluate(
-        &doc,
-        &index,
-        &pattern,
-        &counting,
-        &Algorithm::WhirlpoolM { processors: None },
-        &options,
-    );
-    let total_calls = counting.calls.load(Ordering::Relaxed);
-    assert!(total_calls > 20, "workload too small: {total_calls} calls");
-
-    for threads in THREAD_COUNTS {
-        let panicking = PanickingModel {
-            inner: &model,
-            calls: AtomicU64::new(0),
-            panic_after: total_calls / 2,
-        };
-        let mut options = EvalOptions::top_k(8);
-        options.threads = threads;
-        let r = evaluate(
-            &doc,
-            &index,
-            &pattern,
-            &panicking,
-            &Algorithm::WhirlpoolM { processors: None },
-            &options,
-        );
-        assert!(
-            matches!(r.completeness, Completeness::Truncated { .. }),
-            "threads={threads}: expected truncation, got {:?}",
-            r.completeness
-        );
-        assert_certificate_valid(
-            &r.answers,
-            &r.completeness,
-            &exact,
-            &format!("threads={threads} panic_after={}", total_calls / 2),
-        );
+    let engines = [
+        (Algorithm::WhirlpoolS, 1),
+        (Algorithm::LockStep, 1),
+        (Algorithm::LockStepNoPrune, 1),
+        (Algorithm::WhirlpoolM { processors: None }, 1),
+        (Algorithm::WhirlpoolM { processors: None }, 2),
+    ];
+    let zero_delay = FaultPlan::seeded(0).delay_unfaulted(pattern.server_ids(), Duration::ZERO);
+    for (algorithm, threads) in engines {
+        for plan in [None, Some(zero_delay.clone())] {
+            let mut options = EvalOptions::top_k(8);
+            options.threads = threads;
+            options.fault_plan = plan;
+            let run = |panic_after: u64| {
+                let panicking = PanickingModel {
+                    inner: &model,
+                    calls: AtomicU64::new(0),
+                    panic_after,
+                };
+                let r = evaluate(&doc, &index, &pattern, &panicking, &algorithm, &options);
+                (r, panicking.calls.load(Ordering::Relaxed))
+            };
+            let what = format!(
+                "{}@{threads} plan={}",
+                algorithm.name(),
+                options.fault_plan.is_some()
+            );
+            // Calibrate: every contribution call of one fault-free run.
+            let (clean, total) = run(u64::MAX);
+            assert!(clean.completeness.is_exact(), "{what}");
+            assert!(total > 20, "{what}: workload too small: {total} calls");
+            for panic_after in 0..total {
+                let (r, calls) = run(panic_after);
+                let fired = calls > panic_after;
+                let context = format!("{what} panic_after={panic_after}");
+                assert_eq!(r.completeness.is_exact(), !fired, "{context}");
+                if fired {
+                    assert_eq!(r.metrics.servers_failed, 1, "{context}");
+                    assert_certificate_valid(&r.answers, &r.completeness, &exact, &context);
+                }
+            }
+        }
     }
 }

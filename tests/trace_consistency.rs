@@ -134,7 +134,6 @@ fn fault_free_traces_are_balanced_and_match_metrics() {
             "{}: fault-free run abandoned matches",
             algorithm.name()
         );
-        assert_eq!(summary.degraded_completions, 0, "{}", algorithm.name());
         // No phantom matches: what was spawned is what was created,
         // and the roots the seed source dropped were never either.
         assert_eq!(
@@ -222,9 +221,9 @@ fn budgeted_runs_stay_balanced() {
 fn faulted_runs_stay_balanced() {
     let fx = Fixture::new(150);
     for algorithm in algorithms() {
-        // Kill one mid-plan server early: its queued matches flow
-        // through the degradation path (abandon + respawn-as-degraded),
-        // which must keep the conservation law intact.
+        // Fail one mid-plan server early: the failure stops the run,
+        // and the drain (every match held or queued is abandoned) must
+        // keep the conservation law intact.
         let options = EvalOptions {
             fault_plan: Some(
                 FaultPlan::seeded(7).with(QNodeId(2), FaultKind::Fail { after_ops: 5 }),
