@@ -383,11 +383,8 @@ fn write_human(out: &mut dyn Write, run: &Run<'_>, xml: bool, stats: bool) -> Re
     if cm.shards_pruned_before_attach > 0 || cm.shards_attached > 0 || cm.shard_evictions > 0 {
         writeln!(
             out,
-            "lazy:      {} pruned before attach, {} attached ({} verified in full), {} evicted",
-            cm.shards_pruned_before_attach,
-            cm.shards_attached,
-            cm.shards_verified,
-            cm.shard_evictions
+            "lazy:      {} pruned before attach, {} attached, {} evicted",
+            cm.shards_pruned_before_attach, cm.shards_attached, cm.shard_evictions
         )?;
     }
     match result.completeness {
@@ -548,14 +545,13 @@ fn write_json(out: &mut dyn Write, run: &Run<'_>) -> Result<(), CliError> {
         "  \"collection\": {{\"shards_total\": {}, \"shards_visited\": {}, \
          \"shards_pruned\": {}, \"shards_pruned_before_attach\": {}, \
          \"shards_skipped_budget\": {}, \"shards_attached\": {}, \
-         \"shards_verified\": {}, \"shard_evictions\": {}, \"shards_counted\": {}}},",
+         \"shard_evictions\": {}, \"shards_counted\": {}}},",
         cm.shards_total,
         cm.shards_visited,
         cm.shards_pruned,
         cm.shards_pruned_before_attach,
         cm.shards_skipped_budget,
         cm.shards_attached,
-        cm.shards_verified,
         cm.shard_evictions,
         cm.shards_counted
     )?;

@@ -54,20 +54,11 @@
 //! attach: the shard is left uncounted or unevaluated, and certified by
 //! its ceiling.
 //!
-//! A lazy shard also keeps the record of the last full verification of
-//! its file ([`Verification`]): the file's identity (device, inode,
-//! size, `mtime`, `ctime`), the checksum, and when verifying started.
-//! A re-attach `fstat`s the opened file, and if a trusted record
-//! vouches for that identity, it maps the file and runs only the
-//! checks the mapped views' memory safety needs, skipping the
-//! whole-file checksum, the node walk and the synopsis check. A file
-//! is verified in full on its first visit, after any change to its
-//! identity (a rename over it, a write in place), and on every visit
-//! while its `ctime` is within [`TRUST_MARGIN`](whirlpool_store::TRUST_MARGIN)
-//! of the verification (git's racy-clean rule). So an unchanged file is
-//! hashed once, however often it is evicted and re-attached;
-//! [`Collection::verify_count`] and [`CollectionMetrics::shards_verified`]
-//! count the full verifications.
+//! Every attach verifies its file in full ([`Snapshot::attach`]): the
+//! checksum, the node walk and the synopsis check run on a shard's first
+//! visit and again on each re-attach after an eviction, so a file
+//! changed in place since its last visit fails the attach and is
+//! certified like any other failed attach.
 
 use crate::context::{ContextOptions, QueryContext, RelaxMode};
 use crate::counts::{CountMemo, ShardCounts};
@@ -85,7 +76,7 @@ use std::time::{Duration, Instant};
 use whirlpool_index::{DocView, ShardSynopsis, TagIndex, TagIndexView};
 use whirlpool_pattern::TreePattern;
 use whirlpool_score::{tfidf, CorpusStats, Normalization, Score, ScoreModel};
-use whirlpool_store::{Snapshot, SnapshotFile, StoreError, Verification};
+use whirlpool_store::{Snapshot, StoreError};
 use whirlpool_xml::{parse_document, write_node, Document, NodeId, ParseError, WriteOptions};
 
 /// A lazy shard: a snapshot file known only by its path and peeked
@@ -103,11 +94,6 @@ struct LazyShard {
     /// The attached snapshot, when resident. `Arc` so an in-progress
     /// evaluation pins the mapping across a concurrent eviction.
     resident: Mutex<Option<Arc<Snapshot>>>,
-    /// The last full verification of a file this shard accepted. A
-    /// re-attach of a file it vouches for skips the checksum, the node
-    /// walk and the synopsis check ([`SnapshotFile::attach`]). Locked
-    /// only while `resident` is held.
-    verified: Mutex<Option<Verification>>,
 }
 
 /// How a [`Shard`] holds its document: an owned arena built by the
@@ -163,7 +149,6 @@ impl Shard {
             backing: ShardBacking::Lazy(LazyShard {
                 path: path.as_ref().to_path_buf(),
                 checksum: snapshot.checksum(),
-                verified: Mutex::new(snapshot.verification()),
                 resident: Mutex::new(Some(Arc::new(snapshot))),
             }),
             counts: CountMemo::default(),
@@ -181,7 +166,6 @@ impl Shard {
                 path: path.as_ref().to_path_buf(),
                 checksum: peek.checksum,
                 resident: Mutex::new(None),
-                verified: Mutex::new(None),
             }),
             synopsis: peek.synopsis,
             counts: CountMemo::default(),
@@ -267,7 +251,7 @@ impl ShardAccess<'_> {
 }
 
 /// Residency bookkeeping for lazy shards: an MRU list (least recent
-/// first) plus cumulative attach/verification/eviction counters.
+/// first) plus cumulative attach/eviction counters.
 /// Counters are collection-lifetime, not per-run; the driver reports
 /// per-run deltas.
 #[derive(Default)]
@@ -277,7 +261,6 @@ struct Residency {
     /// Resident lazy shard indices, least recently used first.
     mru: Mutex<Vec<usize>>,
     attached: AtomicU64,
-    verified: AtomicU64,
     evictions: AtomicU64,
 }
 
@@ -296,13 +279,11 @@ impl Collection {
 
     /// Adds an already-built shard. A lazy shard that arrives with its
     /// snapshot attached ([`Shard::attached`]) enters the residency
-    /// list as most recently used and counts as one attach and one
-    /// full verification.
+    /// list as most recently used and counts as one attach.
     pub fn push(&mut self, shard: Shard) {
         if shard.is_lazy() && shard.is_resident() {
             self.residency.mru.lock().push(self.shards.len());
             self.residency.attached.fetch_add(1, Ordering::Relaxed);
-            self.residency.verified.fetch_add(1, Ordering::Relaxed);
         }
         self.shards.push(shard);
     }
@@ -366,11 +347,6 @@ impl Collection {
         self.residency.max_resident.store(max, Ordering::Relaxed);
     }
 
-    /// The current lazy-resident cap (`0` = unlimited).
-    pub fn max_resident(&self) -> usize {
-        self.residency.max_resident.load(Ordering::Relaxed)
-    }
-
     /// How many lazy shards are attached right now.
     pub fn resident_count(&self) -> usize {
         self.shards
@@ -382,14 +358,6 @@ impl Collection {
     /// Cumulative lazy-shard attaches over this collection's lifetime.
     pub fn attach_count(&self) -> u64 {
         self.residency.attached.load(Ordering::Relaxed)
-    }
-
-    /// Cumulative full verifications of lazy-shard files over this
-    /// collection's lifetime: attaches that checksummed and walked the
-    /// file instead of trusting an earlier verification of the same
-    /// file identity, failed ones included.
-    pub fn verify_count(&self) -> u64 {
-        self.residency.verified.load(Ordering::Relaxed)
     }
 
     /// Cumulative lazy-shard evictions over this collection's lifetime.
@@ -405,9 +373,7 @@ impl Collection {
     /// from: a file replaced since (another document saved over it)
     /// fails with [`StoreError::Stale`] and stays detached, so no
     /// caller evaluates a payload against a ceiling that was not
-    /// computed from it. A file whose identity the shard's last full
-    /// verification vouches for is the file verified, so its re-attach
-    /// skips the expensive checks; any other file is verified in full.
+    /// computed from it. Every attach verifies the file in full.
     pub fn acquire(&self, idx: usize) -> Result<ShardAccess<'_>, StoreError> {
         let shard = &self.shards[idx];
         let lazy = match &shard.backing {
@@ -424,21 +390,12 @@ impl Collection {
             match &*slot {
                 Some(a) => a.clone(),
                 None => {
-                    let file = SnapshotFile::open(&lazy.path)?;
-                    let mut verified = lazy.verified.lock();
-                    let trusted = verified.filter(|r| r.vouches_for(&file));
-                    if trusted.is_none() {
-                        self.residency.verified.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let snapshot = file.attach(trusted.as_ref())?;
+                    let snapshot = Snapshot::attach(&lazy.path)?;
                     if snapshot.checksum() != lazy.checksum {
                         return Err(StoreError::Stale {
                             expected: lazy.checksum,
                             found: snapshot.checksum(),
                         });
-                    }
-                    if let Some(record) = snapshot.verification() {
-                        *verified = Some(record);
                     }
                     let a = Arc::new(snapshot);
                     *slot = Some(a.clone());
@@ -893,10 +850,6 @@ pub struct CollectionMetrics {
     /// Lazy-shard attaches performed during this run: to count a shard
     /// or to visit it.
     pub shards_attached: u64,
-    /// Full verifications among this run's attaches, failed ones
-    /// included: the rest trusted an earlier verification of the same
-    /// file identity ([`Collection::verify_count`]).
-    pub shards_verified: u64,
     /// Shards whose idf counts ran in this run, for some predicate its
     /// memo lacked; the other shards of the scope read every count from
     /// their memo, held no answer, or could not be counted
@@ -1039,7 +992,6 @@ pub fn evaluate_scope(
     // Only `server_ops` is charged: it is what the budget reads.
     let spent = Metrics::new();
     let attached_before = collection.attach_count();
-    let verified_before = collection.verify_count();
     let evictions_before = collection.eviction_count();
     let counts = collection.scope_counts(scope, pattern, Some((&budget, &spent)));
     let model = counts.stats.model(normalization);
@@ -1144,7 +1096,6 @@ pub fn evaluate_scope(
 
     let answers = global.into_ranked();
     metrics.shards_attached = collection.attach_count() - attached_before;
-    metrics.shards_verified = collection.verify_count() - verified_before;
     metrics.shard_evictions = collection.eviction_count() - evictions_before;
     CollectionResult {
         completeness: truncated.finish(&answers),
@@ -1917,86 +1868,15 @@ mod tests {
         ));
     }
 
-    /// Sleeps until a file that last changed before this call is older
-    /// than the trust margin that applies to it.
-    #[cfg(unix)]
-    fn sleep_past_the_margin(path: &Path) {
-        use std::os::unix::fs::MetadataExt;
-        let whole_seconds = std::fs::metadata(path).unwrap().ctime_nsec() == 0;
-        let margin = if whole_seconds {
-            whirlpool_store::WHOLE_SECOND_TRUST_MARGIN
-        } else {
-            whirlpool_store::TRUST_MARGIN
-        };
-        std::thread::sleep(margin + Duration::from_millis(20));
-    }
-
-    #[test]
-    #[cfg(unix)]
-    fn an_unchanged_file_is_verified_once_and_a_racy_rewrite_on_every_visit() {
-        let dir = snapshot_dir("verify-once", &[("s0", RICH), ("s1", MID)]);
-        let s0 = dir.join("s0.wps");
-        sleep_past_the_margin(&s0);
-        let c = Collection::open_dir(&dir).unwrap();
-        c.set_max_resident(1);
-        // Under a cap of one, each visit evicts the other shard, so
-        // every visit attaches.
-        let cycles = |n: usize| {
-            for _ in 0..n {
-                drop(c.acquire(0).unwrap());
-                drop(c.acquire(1).unwrap());
-            }
-        };
-        cycles(4);
-        assert_eq!((c.attach_count(), c.eviction_count()), (8, 7));
-        assert_eq!(c.verify_count(), 2, "each unchanged file is verified once");
-
-        // s0 saved again: a new identity (a rename), the same bytes. Its
-        // record is made inside the margin, so it is not trusted and
-        // every visit verifies again...
-        let doc = parse_document(RICH).unwrap();
-        let index = TagIndex::build(&doc);
-        let rewritten = Instant::now();
-        whirlpool_store::save_snapshot(&doc, &index, &s0).unwrap();
-        cycles(3);
-        let racy = c.verify_count() - 2;
-        // Half the margin leaves room for the file clock's coarse ticks.
-        if rewritten.elapsed() < whirlpool_store::TRUST_MARGIN / 2 {
-            assert_eq!(
-                racy, 3,
-                "a file inside the margin is verified on every visit"
-            );
-        } else {
-            assert!((1..=3).contains(&racy), "{racy}");
-        }
-
-        // ...until the margin has passed: one more verification, then
-        // trust.
-        sleep_past_the_margin(&s0);
-        let before = c.verify_count();
-        cycles(3);
-        assert_eq!(c.verify_count() - before, 1);
-        assert_eq!(c.attach_count(), 20);
-    }
-
-    /// Two shards, s0 and s1, whose files are older than the trust
-    /// margin, after one exact run that recorded a trusted
-    /// verification of each, with s0 evicted.
-    #[cfg(unix)]
-    fn trusted_pair(tag: &str) -> (TempDir, Collection) {
+    /// Two shards, s0 and s1, after one exact run, with s0 evicted.
+    fn evicted_pair(tag: &str) -> (TempDir, Collection) {
         let dir = snapshot_dir(tag, &[("s0", RICH), ("s1", MID)]);
-        sleep_past_the_margin(&dir.join("s0.wps"));
         let c = Collection::open_dir(&dir).unwrap();
         c.set_max_resident(1);
         let first = lazy_run(&c);
         assert!(matches!(first.completeness, Completeness::Exact));
         drop(c.acquire(1).unwrap());
         assert!(!c.shards()[0].is_resident());
-        // Both records are trusted: a re-attach verifies nothing.
-        let before = c.verify_count();
-        drop(c.acquire(0).unwrap());
-        drop(c.acquire(1).unwrap());
-        assert_eq!(c.verify_count(), before);
         (dir, c)
     }
 
@@ -2016,7 +1896,6 @@ mod tests {
     fn assert_certified_without_s0(c: &Collection, run: &CollectionResult) {
         let m = &run.collection_metrics;
         assert_eq!((m.shards_visited, m.shards_skipped_budget), (1, 1), "{m:?}");
-        assert!(m.shards_verified >= 1, "{m:?}");
         assert!(
             run.answers.iter().all(|a| a.shard == 1),
             "{:?}",
@@ -2035,10 +1914,9 @@ mod tests {
     }
 
     #[test]
-    #[cfg(unix)]
     fn a_same_size_forgery_written_in_place_is_refused_and_certified() {
         use std::io::Write;
-        let (dir, c) = trusted_pair("forged-in-place");
+        let (dir, c) = evicted_pair("forged-in-place");
         let s0 = dir.join("s0.wps");
         // Another valid snapshot of exactly the same size, written over
         // s0's bytes in place: same path, same inode, no rename.
@@ -2060,23 +1938,62 @@ mod tests {
         assert!(!c.shards()[0].is_resident());
     }
 
-    #[test]
-    #[cfg(unix)]
-    fn a_bit_flipped_in_place_fails_attach_and_is_never_evaluated() {
+    /// Flips one bit of the middle byte of the file at `path` in place:
+    /// same path, inode and size, no rename.
+    fn flip_a_byte_in_place(path: &Path) {
         use std::io::{Seek, SeekFrom, Write};
-        let (dir, c) = trusted_pair("flipped-in-place");
-        let s0 = dir.join("s0.wps");
-        let bytes = std::fs::read(&s0).unwrap();
+        let bytes = std::fs::read(path).unwrap();
         let at = bytes.len() / 2;
-        let mut file = std::fs::OpenOptions::new().write(true).open(&s0).unwrap();
+        let mut file = std::fs::OpenOptions::new().write(true).open(path).unwrap();
         file.seek(SeekFrom::Start(at as u64)).unwrap();
         file.write_all(&[bytes[at] ^ 0x10]).unwrap();
-        drop(file);
+    }
+
+    #[test]
+    fn a_bit_flipped_in_place_fails_attach_and_is_never_evaluated() {
+        let (dir, c) = evicted_pair("flipped-in-place");
+        flip_a_byte_in_place(&dir.join("s0.wps"));
 
         let run = lazy_run(&c);
         assert_certified_without_s0(&c, &run);
         assert!(matches!(c.acquire(0), Err(StoreError::Corrupt(_))));
         assert!(!c.shards()[0].is_resident());
+    }
+
+    /// The file of an evicted shard is changed in place, with no pause
+    /// after its last attach: the next visit attaches it again, checks
+    /// it and fails, the reply is certified by a bound that covers the
+    /// answers the shard held, and a rebuilt file answers as before.
+    #[test]
+    fn a_byte_flipped_in_an_evicted_file_truncates_until_it_is_rebuilt() {
+        let (dir, c) = evicted_pair("flip-rebuild");
+        let clean = lazy_run(&c);
+        assert!(matches!(clean.completeness, Completeness::Exact));
+        let s0_best = (clean.answers.iter())
+            .filter(|a| a.shard == 0)
+            .map(|a| a.score.value())
+            .fold(f64::NEG_INFINITY, f64::max);
+        assert!(s0_best.is_finite(), "{:?}", clean.answers);
+        drop(c.acquire(1).unwrap());
+        assert!(!c.shards()[0].is_resident());
+
+        let s0 = dir.join("s0.wps");
+        flip_a_byte_in_place(&s0);
+        let tampered = lazy_run(&c);
+        assert!(!c.shards()[0].is_resident());
+        assert!(tampered.answers.iter().all(|a| a.shard == 1));
+        match tampered.completeness {
+            Completeness::Truncated { score_bound, .. } => {
+                assert!(score_bound >= s0_best, "{score_bound} < {s0_best}");
+            }
+            Completeness::Exact => panic!("a flipped file must not be answered as exact"),
+        }
+
+        let doc = parse_document(RICH).unwrap();
+        whirlpool_store::save_snapshot(&doc, &TagIndex::build(&doc), &s0).unwrap();
+        let rebuilt = lazy_run(&c);
+        assert!(matches!(rebuilt.completeness, Completeness::Exact));
+        assert_eq!(rebuilt.answers, clean.answers);
     }
 
     #[test]

@@ -187,7 +187,7 @@ impl FaultState {
     }
 
     /// Runs the injected fault, if any, for one operation at `server`:
-    /// delays busy-wait, failures return `Err`, panics panic. Called
+    /// delays busy-wait, failures return `Err`, panics unwind. Called
     /// *before* the server mutates any state.
     fn before_op(&self, server: QNodeId) -> Result<(), EngineError> {
         let slot = &self.servers[server.index()];
@@ -216,7 +216,14 @@ impl FaultState {
             }
             FaultKind::Panic { after_ops } => {
                 if op >= after_ops {
-                    panic!("injected fault: server q{} panicked at op {op}", server.0);
+                    // An injected panic is an expected stop: it unwinds
+                    // without running the panic hook, so it prints
+                    // nothing and captures no backtrace. A real panic
+                    // still runs the hook.
+                    std::panic::resume_unwind(Box::new(format!(
+                        "injected fault: server q{} panicked at op {op}",
+                        server.0
+                    )));
                 }
                 Ok(())
             }

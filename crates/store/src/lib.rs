@@ -21,18 +21,11 @@
 //! keeps a peeked synopsis (a lazy collection shard) compares the two and
 //! refuses a file replaced in between with [`StoreError::Stale`].
 //!
-//! A full attach also leaves a [`Verification`]: the file's identity
-//! (device, inode, size, `mtime`, `ctime`), the checksum and when
-//! verifying started. [`SnapshotFile::attach`] given a record that
-//! vouches for the opened file — same identity, and the file's `ctime`
-//! older than the verification by more than [`TRUST_MARGIN`] — runs
-//! only the checks that cost O(sections + tags): header, section table
-//! and shapes, tag names and offsets, posting offsets, the root row.
-//! The checks that grow with the file (the whole-file checksum, text
-//! and attribute UTF-8 and offsets, the node walk, the attribute spans
-//! and the synopsis check) run on a full attach only. The views need
-//! none of them to stay memory-safe: they read text and attribute
-//! values as bytes through checked spans.
+//! Every [`Snapshot::attach`] verifies the whole file: the checksum,
+//! the section table and shapes, the tag, text and attribute UTF-8 and
+//! offsets, one node walk, the attribute spans and the synopsis
+//! section against the payload. The views check every span they read
+//! besides, so they stay memory-safe over any bytes.
 //!
 //! ```
 //! use whirlpool_store::{build_snapshot_bytes, Snapshot};
@@ -59,8 +52,7 @@ mod snapshot;
 
 pub use snapshot::{
     build_snapshot_bytes, build_snapshot_bytes_with, save_snapshot, save_snapshot_with,
-    write_snapshot, Snapshot, SnapshotFile, SnapshotOptions, SnapshotPeek, StoredPaths,
-    Verification, SNAPSHOT_VERSION, TRUST_MARGIN, WHOLE_SECOND_TRUST_MARGIN,
+    write_snapshot, Snapshot, SnapshotOptions, SnapshotPeek, StoredPaths, SNAPSHOT_VERSION,
 };
 
 pub(crate) const MAGIC: &[u8; 4] = b"WPLX";

@@ -220,8 +220,8 @@ fn fit(values: &[u32], len: usize) -> Vec<u32> {
 proptest! {
     /// The view is total over any content of the right shapes: no
     /// accessor, value test or serialization panics, whatever the
-    /// offsets, entries and bytes say. A trusted snapshot attach relies
-    /// on this instead of checking text and attribute content.
+    /// offsets, entries and bytes say: a mapped file whose bytes change
+    /// after its attach checked them still reads safely.
     #[test]
     fn views_are_total_over_arbitrary_content(doc in doc_strategy(), c in content_strategy()) {
         let owned = doc.view();

@@ -379,6 +379,38 @@ fn a_failed_server_operation_stops_every_engine() {
     }
 }
 
+std::thread_local! {
+    /// Calls of the panic hook on this thread.
+    static HOOK_CALLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// An injected panic stops the run without running the panic hook, so
+/// it neither prints nor captures a backtrace. The hook installed here
+/// counts its calls per thread and chains to the one it replaces, so
+/// the other tests of this binary still report their panics.
+#[test]
+fn an_injected_panic_runs_no_panic_hook() {
+    let previous = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        HOOK_CALLS.with(|calls| calls.set(calls.get() + 1));
+        previous(info);
+    }));
+    let fx = Fixture::new(30);
+    let mut options = EvalOptions::top_k(5);
+    options.fault_plan = Some(FaultPlan::parse("server=2:panic@0", 1).unwrap());
+    for alg in [Algorithm::WhirlpoolS, Algorithm::LockStep] {
+        let r = fx.eval(&alg, &options);
+        let what = alg.name();
+        assert!(
+            matches!(r.completeness, Completeness::Truncated { .. }),
+            "{what}: {:?}",
+            r.completeness
+        );
+        assert_eq!(r.metrics.servers_failed, 1, "{what}");
+    }
+    assert_eq!(HOOK_CALLS.with(|calls| calls.get()), 0);
+}
+
 #[test]
 fn delay_fault_changes_timing_but_not_answers() {
     let fx = Fixture::new(25);

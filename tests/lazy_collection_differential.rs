@@ -28,11 +28,6 @@
 //!   `MatchLevel::Exact` only where its answer satisfies the server's
 //!   exact component predicate, and bind a server at all only where the
 //!   relaxed one holds: what the ceiling's two counts count.
-//!
-//! And one fixed case: **a trusted re-attach is a verified one.** One
-//! query sequence answers alike, with the same attach and eviction
-//! counts, whether every visit verifies its file in full (inside the
-//! trust margin) or trusts the record of an earlier verification.
 
 #[path = "common/temp.rs"]
 mod temp;
@@ -40,7 +35,6 @@ mod temp;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::{Duration, Instant};
 use temp::TempDir;
 use whirlpool_core::{
     collection_answers_equivalent, evaluate_collection, Algorithm, Binding, Collection,
@@ -228,98 +222,6 @@ fn run_lazy(
         r.collection_metrics
     );
     r.answers
-}
-
-/// Per query of a sequence: the answers with their scores, and the
-/// run's lazy attaches and evictions.
-type Pass = Vec<(Vec<CollectionAnswer>, u64, u64)>;
-
-/// Runs `sequence` once over `collection`; also returns the pass's full
-/// verifications.
-fn run_sequence(collection: &Collection, sequence: &[(TreePattern, usize)]) -> (Pass, u64) {
-    let verified = collection.verify_count();
-    let pass = sequence
-        .iter()
-        .map(|(pattern, k)| {
-            let r = evaluate_collection(
-                collection,
-                pattern,
-                &Algorithm::WhirlpoolS,
-                &EvalOptions::top_k(*k),
-                Normalization::Sparse,
-                &CollectionOptions::default(),
-            );
-            assert!(matches!(r.completeness, Completeness::Exact));
-            let m = r.collection_metrics;
-            (r.answers, m.shards_attached, m.shard_evictions)
-        })
-        .collect();
-    (pass, collection.verify_count() - verified)
-}
-
-/// A lazy collection over `dir` that keeps one shard attached.
-fn one_resident(dir: &std::path::Path) -> Collection {
-    let collection = Collection::open_dir(dir).unwrap();
-    collection.set_max_resident(1);
-    collection
-}
-
-/// Sleeps until a file that last changed before this call is older
-/// than the trust margin that applies to it.
-#[cfg(unix)]
-fn sleep_past_the_margin(path: &std::path::Path) {
-    use std::os::unix::fs::MetadataExt;
-    let whole_seconds = std::fs::metadata(path).unwrap().ctime_nsec() == 0;
-    let margin = if whole_seconds {
-        whirlpool_store::WHOLE_SECOND_TRUST_MARGIN
-    } else {
-        whirlpool_store::TRUST_MARGIN
-    };
-    std::thread::sleep(margin + Duration::from_millis(20));
-}
-
-/// Each collection runs the sequence twice: a cold pass from nothing
-/// resident, then a warm pass that re-attaches what the cold one
-/// evicted. Inside the margin every attach verifies its file; outside
-/// it the cold pass verifies each visited file once and the warm pass
-/// trusts every re-attach. Both passes must match between the two, and
-/// the cold pass must match a fresh collection's.
-#[test]
-#[cfg(unix)]
-fn trusted_and_verified_re_attaches_answer_alike() {
-    let sources: Vec<String> = (0..6).map(|i| random_doc(4_242 + i)).collect();
-    let sequence: Vec<(TreePattern, usize)> = QUERIES
-        .iter()
-        .zip([2, 5, 1, 8])
-        .map(|(q, k)| (parse_pattern(q).unwrap(), k))
-        .collect();
-    let written = Instant::now();
-    let dir = write_snapshot_dir(&sources);
-
-    let verifying = one_resident(&dir);
-    let (cold_verified, _) = run_sequence(&verifying, &sequence);
-    let (warm_verified, _) = run_sequence(&verifying, &sequence);
-    // Half the margin leaves room for the file clock's coarse ticks.
-    if written.elapsed() < whirlpool_store::TRUST_MARGIN / 2 {
-        assert_eq!(verifying.verify_count(), verifying.attach_count());
-    }
-
-    sleep_past_the_margin(&dir.join("s00.wps"));
-    let trusting = one_resident(&dir);
-    let (cold_trusted, cold_checks) = run_sequence(&trusting, &sequence);
-    let (warm_trusted, warm_checks) = run_sequence(&trusting, &sequence);
-    let warm_attaches: u64 = warm_trusted.iter().map(|q| q.1).sum();
-    assert!(warm_attaches > 0, "the warm pass must re-attach");
-    assert!(cold_checks > 0);
-    assert_eq!(warm_checks, 0, "every warm re-attach trusts its record");
-
-    assert_eq!(cold_trusted, cold_verified);
-    assert_eq!(warm_trusted, warm_verified);
-    let (fresh, _) = run_sequence(&one_resident(&dir), &sequence);
-    assert_eq!(fresh, cold_verified);
-    for (warm, cold) in warm_trusted.iter().zip(&fresh) {
-        assert_eq!(warm.0, cold.0);
-    }
 }
 
 proptest! {
