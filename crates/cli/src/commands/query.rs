@@ -380,11 +380,18 @@ fn write_human(out: &mut dyn Write, run: &Run<'_>, xml: bool, stats: bool) -> Re
         cm.shards_pruned,
         cm.shards_skipped_budget
     )?;
-    if cm.shards_pruned_before_attach > 0 || cm.shards_attached > 0 || cm.shard_evictions > 0 {
+    if cm.shards_pruned_before_attach > 0
+        || cm.shards_attached > 0
+        || cm.shards_attach_failed > 0
+        || cm.shard_evictions > 0
+    {
         writeln!(
             out,
-            "lazy:      {} pruned before attach, {} attached, {} evicted",
-            cm.shards_pruned_before_attach, cm.shards_attached, cm.shard_evictions
+            "lazy:      {} pruned before attach, {} attached, {} attach failed, {} evicted",
+            cm.shards_pruned_before_attach,
+            cm.shards_attached,
+            cm.shards_attach_failed,
+            cm.shard_evictions
         )?;
     }
     match result.completeness {
@@ -545,13 +552,14 @@ fn write_json(out: &mut dyn Write, run: &Run<'_>) -> Result<(), CliError> {
         "  \"collection\": {{\"shards_total\": {}, \"shards_visited\": {}, \
          \"shards_pruned\": {}, \"shards_pruned_before_attach\": {}, \
          \"shards_skipped_budget\": {}, \"shards_attached\": {}, \
-         \"shard_evictions\": {}, \"shards_counted\": {}}},",
+         \"shards_attach_failed\": {}, \"shard_evictions\": {}, \"shards_counted\": {}}},",
         cm.shards_total,
         cm.shards_visited,
         cm.shards_pruned,
         cm.shards_pruned_before_attach,
         cm.shards_skipped_budget,
         cm.shards_attached,
+        cm.shards_attach_failed,
         cm.shard_evictions,
         cm.shards_counted
     )?;

@@ -61,13 +61,14 @@
 //! certified like any other failed attach.
 
 use crate::context::{ContextOptions, QueryContext, RelaxMode};
-use crate::counts::{CountMemo, ShardCounts};
+use crate::counts::{CountMemo, QueryKeys};
 use crate::engine::{evaluate_with_context, Algorithm, EvalOptions};
 use crate::error::Completeness;
 use crate::fault::Budget;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::trace::TraceData;
 use parking_lot::Mutex;
+use std::collections::hash_map::RandomState;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -261,6 +262,9 @@ struct Residency {
     /// Resident lazy shard indices, least recently used first.
     mru: Mutex<Vec<usize>>,
     attached: AtomicU64,
+    /// Attaches that failed: the file could not be attached, or it was
+    /// not the file the shard was admitted with.
+    attach_failed: AtomicU64,
     evictions: AtomicU64,
 }
 
@@ -269,6 +273,11 @@ struct Residency {
 pub struct Collection {
     shards: Vec<Shard>,
     residency: Residency,
+    /// The hash state every shard's count memo is keyed under, so one
+    /// query's keys are hashed once for all of them
+    /// ([`QueryKeys`](crate::counts::QueryKeys)). Drawn per collection:
+    /// keys carry client-chosen values.
+    count_keys: RandomState,
 }
 
 impl Collection {
@@ -360,6 +369,13 @@ impl Collection {
         self.residency.attached.load(Ordering::Relaxed)
     }
 
+    /// Cumulative failed lazy-shard attaches over this collection's
+    /// lifetime: a file that failed to attach, or a re-attached file
+    /// refused as [`StoreError::Stale`] ([`acquire`](Self::acquire)).
+    pub fn attach_failed_count(&self) -> u64 {
+        self.residency.attach_failed.load(Ordering::Relaxed)
+    }
+
     /// Cumulative lazy-shard evictions over this collection's lifetime.
     pub fn eviction_count(&self) -> u64 {
         self.residency.evictions.load(Ordering::Relaxed)
@@ -390,12 +406,16 @@ impl Collection {
             match &*slot {
                 Some(a) => a.clone(),
                 None => {
-                    let snapshot = Snapshot::attach(&lazy.path)?;
+                    let failed = |e| {
+                        self.residency.attach_failed.fetch_add(1, Ordering::Relaxed);
+                        e
+                    };
+                    let snapshot = Snapshot::attach(&lazy.path).map_err(failed)?;
                     if snapshot.checksum() != lazy.checksum {
-                        return Err(StoreError::Stale {
+                        return Err(failed(StoreError::Stale {
                             expected: lazy.checksum,
                             found: snapshot.checksum(),
-                        });
+                        }));
                     }
                     let a = Arc::new(snapshot);
                     *slot = Some(a.clone());
@@ -605,6 +625,11 @@ impl Collection {
     /// Once `budget` (a run's budget and what it has spent) is spent, a
     /// shard is counted only if that attaches nothing: from its memo, or
     /// because its data is in memory.
+    ///
+    /// The query's count keys are built and hashed once
+    /// ([`QueryKeys`]), and each shard's counts go into one row of a
+    /// flat table, so a shard whose memo holds the shape costs a probe
+    /// per predicate and no allocation.
     fn scope_counts(
         &self,
         scope: Scope,
@@ -613,21 +638,29 @@ impl Collection {
     ) -> ScopeCounts {
         let answer_tag = &pattern.node(pattern.root()).tag;
         let mut stats = CorpusStats::new(pattern);
-        let mut shards = Vec::with_capacity(scope.shards(self.len()).len());
+        let shards = scope.shards(self.len());
+        let width = stats.predicates().len();
+        let mut populations = Vec::with_capacity(shards.len());
+        let mut satisfying = vec![[0, 0]; shards.len() * width];
         let mut counted = 0;
-        for idx in scope.shards(self.len()) {
+        let keys = QueryKeys::new(&self.count_keys, answer_tag, stats.predicates());
+        for (at, idx) in shards.enumerate() {
             let shard = &self.shards[idx];
-            let answers = shard.synopsis.answers(answer_tag);
-            let counts: Result<_, ()> = if answers == 0 || stats.predicates().is_empty() {
-                Ok(ShardCounts {
-                    population: answers,
-                    satisfying: vec![[0, 0]; stats.predicates().len()],
-                    counted: false,
-                })
-            } else {
-                shard
-                    .counts
-                    .counts(answer_tag, stats.predicates(), |missing| {
+            if width == 0 {
+                populations.push(Some(shard.synopsis.answers(answer_tag)));
+                continue;
+            }
+            let row = &mut satisfying[at * width..][..width];
+            // A shard that has counted the shape reads it; one without
+            // answers was never counted and is not counted now.
+            let population = match shard.counts.read(&keys, row) {
+                Some(population) => Some(population),
+                None if shard.synopsis.answers(answer_tag) == 0 => {
+                    row.fill([0, 0]);
+                    Some(0)
+                }
+                None => {
+                    let tally: Result<_, ()> = shard.counts.counts(&keys, row, |missing| {
                         let access = if budget.is_some_and(|(b, spent)| b.exhausted(spent)) {
                             self.resident(idx).ok_or(())?
                         } else {
@@ -635,17 +668,24 @@ impl Collection {
                         };
                         let (doc, index) = (access.doc(), access.index());
                         Ok(tfidf::idf_counts_sweep(doc, index, answer_tag, missing))
-                    })
+                    });
+                    counted += usize::from(tally.is_ok_and(|t| t.counted));
+                    tally.ok().map(|t| t.population)
+                }
             };
-            if let Ok(c) = &counts {
-                counted += usize::from(c.counted);
-                stats.add_counts(c.population, &c.satisfying);
+            populations.push(population);
+        }
+        // The keys borrow `stats`' predicates; pooling writes `stats`.
+        drop(keys);
+        for (at, population) in populations.iter().enumerate() {
+            if let Some(population) = *population {
+                stats.add_counts(population, &satisfying[at * width..][..width]);
             }
-            shards.push(counts.ok());
         }
         ScopeCounts {
             stats,
-            shards,
+            populations,
+            satisfying,
             counted,
         }
     }
@@ -653,16 +693,18 @@ impl Collection {
     /// The answers a model build over `scope` would still walk to count
     /// `pattern`: the answer population of each shard whose memo lacks
     /// one of the pattern's predicates. 0 once every shard of the scope
-    /// has counted the shape.
+    /// has counted the shape. The pattern's count keys are hashed once,
+    /// as [`scope_stats`](Self::scope_stats) hashes them.
     pub fn uncounted_answers(&self, scope: Scope, pattern: &TreePattern) -> u64 {
         let answer_tag = &pattern.node(pattern.root()).tag;
         let preds = tfidf::component_predicates(pattern);
         if preds.is_empty() {
             return 0;
         }
+        let keys = QueryKeys::new(&self.count_keys, answer_tag, &preds);
         (scope.shards(self.len()))
             .map(|i| &self.shards[i])
-            .filter(|s| !s.counts.holds(answer_tag, &preds))
+            .filter(|s| !s.counts.holds(&keys))
             .map(|s| s.synopsis.answers(answer_tag))
             .sum()
     }
@@ -699,12 +741,7 @@ impl Collection {
         relax: RelaxMode,
     ) -> Option<Score> {
         let counts = self.scope_counts(Scope::Shard(shard_idx), pattern, None);
-        ceiling(
-            counts.shards[0].as_ref(),
-            counts.stats.predicates(),
-            model,
-            relax,
-        )
+        ceiling(counts.shard(0), counts.stats.predicates(), model, relax)
     }
 
     /// Pins shard `idx` if its data is in memory, attaching nothing.
@@ -723,35 +760,50 @@ impl Collection {
 struct ScopeCounts {
     /// The counts pooled over the shards that were counted.
     stats: CorpusStats,
-    /// Each shard's counts, in scope order: `None` for a shard that
-    /// could not be counted (its attach failed, or the budget was spent
-    /// before it).
-    shards: Vec<Option<ShardCounts>>,
+    /// Each shard's answer population, in scope order: `None` for a
+    /// shard that could not be counted (its attach failed, or the budget
+    /// was spent before it).
+    populations: Vec<Option<u64>>,
+    /// Each shard's `[exact, relaxed]` satisfying answers, a row of one
+    /// pair per predicate, the rows in scope order.
+    satisfying: Vec<[u64; 2]>,
     /// Shards that counted some predicate rather than reading every one
     /// from their memo.
     counted: usize,
 }
 
-/// The ceiling of a shard with `counts` of `preds` under `model`
-/// ([`Collection::shard_ceiling`]); `None` counts are a shard that
-/// could not be counted.
+impl ScopeCounts {
+    /// The population and satisfying row of the scope's `at`-th shard,
+    /// or `None` if it could not be counted.
+    fn shard(&self, at: usize) -> Option<(u64, &[[u64; 2]])> {
+        let width = self.stats.predicates().len();
+        (self.populations[at]).map(|population| {
+            let row = &self.satisfying[at * width..][..width];
+            (population, row)
+        })
+    }
+}
+
+/// The ceiling of a shard with `counts` (population and satisfying row)
+/// of `preds` under `model` ([`Collection::shard_ceiling`]); `None`
+/// counts are a shard that could not be counted.
 fn ceiling(
-    counts: Option<&ShardCounts>,
+    counts: Option<(u64, &[[u64; 2]])>,
     preds: &[tfidf::ComponentPredicate],
     model: &impl ScoreModel,
     relax: RelaxMode,
 ) -> Option<Score> {
     let mut total = model.max_root_contribution();
-    let Some(counts) = counts else {
+    let Some((population, satisfying)) = counts else {
         for pred in preds {
             total += model.max_contribution(pred.qnode);
         }
         return Some(Score::new(total));
     };
-    if counts.population == 0 {
+    if population == 0 {
         return None;
     }
-    for (pred, &[exact, relaxed]) in preds.iter().zip(&counts.satisfying) {
+    for (pred, &[exact, relaxed]) in preds.iter().zip(satisfying) {
         if exact > 0 {
             total += model.max_contribution(pred.qnode);
         } else if relax == RelaxMode::Exact {
@@ -850,6 +902,10 @@ pub struct CollectionMetrics {
     /// Lazy-shard attaches performed during this run: to count a shard
     /// or to visit it.
     pub shards_attached: u64,
+    /// Lazy-shard attaches that failed during this run: the file could
+    /// not be attached, or it was not the file the shard was admitted
+    /// with ([`StoreError::Stale`]).
+    pub shards_attach_failed: u64,
     /// Shards whose idf counts ran in this run, for some predicate its
     /// memo lacked; the other shards of the scope read every count from
     /// their memo, held no answer, or could not be counted
@@ -992,6 +1048,7 @@ pub fn evaluate_scope(
     // Only `server_ops` is charged: it is what the budget reads.
     let spent = Metrics::new();
     let attached_before = collection.attach_count();
+    let attach_failed_before = collection.attach_failed_count();
     let evictions_before = collection.eviction_count();
     let counts = collection.scope_counts(scope, pattern, Some((&budget, &spent)));
     let model = counts.stats.model(normalization);
@@ -1005,13 +1062,10 @@ pub fn evaluate_scope(
     // lose to them.
     let preds = counts.stats.predicates();
     let mut order: Vec<(usize, Option<Score>, bool)> = (scope.shards(collection.len()))
-        .zip(&counts.shards)
-        .map(|(i, c)| {
-            (
-                i,
-                ceiling(c.as_ref(), preds, &model, options.relax),
-                c.is_some(),
-            )
+        .enumerate()
+        .map(|(at, i)| {
+            let c = counts.shard(at);
+            (i, ceiling(c, preds, &model, options.relax), c.is_some())
         })
         .collect();
     order.sort_by(|a, b| b.1.cmp(&a.1).then(b.0.cmp(&a.0)));
@@ -1096,6 +1150,7 @@ pub fn evaluate_scope(
 
     let answers = global.into_ranked();
     metrics.shards_attached = collection.attach_count() - attached_before;
+    metrics.shards_attach_failed = collection.attach_failed_count() - attach_failed_before;
     metrics.shard_evictions = collection.eviction_count() - evictions_before;
     CollectionResult {
         completeness: truncated.finish(&answers),
@@ -1934,7 +1989,13 @@ mod tests {
 
         let run = lazy_run(&c);
         assert_certified_without_s0(&c, &run);
+        assert_eq!(run.collection_metrics.shards_attach_failed, 1);
         assert!(matches!(c.acquire(0), Err(StoreError::Stale { .. })));
+        assert_eq!(
+            c.attach_failed_count(),
+            2,
+            "a refused file is a failed attach"
+        );
         assert!(!c.shards()[0].is_resident());
     }
 
@@ -1954,9 +2015,13 @@ mod tests {
         let (dir, c) = evicted_pair("flipped-in-place");
         flip_a_byte_in_place(&dir.join("s0.wps"));
 
+        assert_eq!(c.attach_failed_count(), 0);
+
         let run = lazy_run(&c);
         assert_certified_without_s0(&c, &run);
+        assert_eq!(run.collection_metrics.shards_attach_failed, 1);
         assert!(matches!(c.acquire(0), Err(StoreError::Corrupt(_))));
+        assert_eq!(c.attach_failed_count(), 2, "every failed attach is counted");
         assert!(!c.shards()[0].is_resident());
     }
 
@@ -1980,6 +2045,7 @@ mod tests {
         let s0 = dir.join("s0.wps");
         flip_a_byte_in_place(&s0);
         let tampered = lazy_run(&c);
+        assert_eq!(tampered.collection_metrics.shards_attach_failed, 1);
         assert!(!c.shards()[0].is_resident());
         assert!(tampered.answers.iter().all(|a| a.shard == 1));
         match tampered.completeness {
@@ -1992,6 +2058,7 @@ mod tests {
         let doc = parse_document(RICH).unwrap();
         whirlpool_store::save_snapshot(&doc, &TagIndex::build(&doc), &s0).unwrap();
         let rebuilt = lazy_run(&c);
+        assert_eq!(rebuilt.collection_metrics.shards_attach_failed, 0);
         assert!(matches!(rebuilt.completeness, Completeness::Exact));
         assert_eq!(rebuilt.answers, clean.answers);
     }

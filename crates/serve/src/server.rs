@@ -415,11 +415,12 @@ fn route(daemon: &Daemon, conn: &mut TcpStream, request: &Request) -> Result<(),
             // Splice in the residency counters and the ladder's recent
             // decisions (same string surgery as the docs field).
             let body = format!(
-                "{}, \"shards\": {{\"attached\": {}, \"peeked\": {peeked}, \
-                 \"pruned_before_attach\": {}, \"evictions\": {}, \
+                "{}, \"shards\": {{\"attached\": {}, \"attach_failed\": {}, \
+                 \"peeked\": {peeked}, \"pruned_before_attach\": {}, \"evictions\": {}, \
                  \"resident\": {}, \"counted\": {}}}, \"history\": {}}}\n",
                 &base[..base.len() - 1],
                 collection.attach_count(),
+                collection.attach_failed_count(),
                 daemon.pruned_before_attach.load(Ordering::Relaxed),
                 collection.eviction_count(),
                 collection.resident_count(),
@@ -1407,6 +1408,7 @@ mod tests {
         let m = Json::parse(&body).unwrap();
         let shards = m.get("shards").expect("shards counters");
         assert_eq!(shards.get("peeked").and_then(Json::as_u64), Some(3));
+        assert_eq!(shards.get("attach_failed").and_then(Json::as_u64), Some(0));
         // The collection query attaches rich and sparse to count them
         // (the document "none" holds no book) and rich again to visit
         // it; the document query attaches sparse to count its new

@@ -17,7 +17,7 @@ use whirlpool_core::{
 };
 use whirlpool_index::TagIndex;
 use whirlpool_pattern::{parse_pattern, QNodeId, TreePattern};
-use whirlpool_score::{Normalization, ScoreModel, TfIdfModel};
+use whirlpool_score::{CorpusStats, Normalization, ScoreModel, TfIdfModel};
 use whirlpool_xmark::{generate, queries, GeneratorConfig};
 use whirlpool_xml::{Document, NodeId};
 
@@ -302,6 +302,79 @@ fn four_threads_filling_one_memo_build_identical_models() {
             let want = model_bits(&fresh, pattern);
             for (t, models) in built.iter().enumerate() {
                 assert_eq!(models[i], want, "round {round}, thread {t}, {}", SHAPES[i]);
+            }
+        }
+    }
+}
+
+#[test]
+fn the_admission_price_falls_to_zero_while_four_threads_fill_a_lazy_corpus() {
+    let dir = TempDir::new("wp-memo-price");
+    let docs = [xmark(120, 5), xmark(90, 6)];
+    for (i, doc) in docs.iter().enumerate() {
+        let path = dir.join(format!("s{i}.wps"));
+        whirlpool_store::save_snapshot(doc, &TagIndex::build(doc), &path).unwrap();
+    }
+    let patterns: Vec<TreePattern> = SHAPES.iter().map(|q| parse_pattern(q).unwrap()).collect();
+    let want: Vec<Vec<u64>> = (patterns.iter())
+        .map(|pattern| {
+            let mut stats = CorpusStats::new(pattern);
+            for doc in &docs {
+                stats.add_shard(
+                    doc,
+                    &TagIndex::build(doc),
+                    &pattern.node(pattern.root()).tag,
+                );
+            }
+            model_bits(&stats.model(Normalization::Dense), pattern)
+        })
+        .collect();
+    for round in 0..4 {
+        let collection = Collection::open_dir(&dir).unwrap();
+        collection.set_max_resident(1);
+        let price = || -> u64 {
+            (patterns.iter())
+                .map(|p| collection.uncounted_answers(Scope::Corpus, p))
+                .sum()
+        };
+        let unpriced = price();
+        assert!(unpriced > 0);
+        let finished = std::sync::atomic::AtomicUsize::new(0);
+        let barrier = std::sync::Barrier::new(5);
+        let built: Vec<Vec<Vec<u64>>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|t| {
+                    let (collection, barrier, patterns) = (&collection, &barrier, &patterns);
+                    let finished = &finished;
+                    scope.spawn(move || {
+                        barrier.wait();
+                        let mut models = vec![Vec::new(); patterns.len()];
+                        for i in 0..patterns.len() {
+                            let at = (i + t * round) % patterns.len();
+                            let stats = collection.scope_stats(Scope::Corpus, &patterns[at]);
+                            let model = stats.model(Normalization::Dense);
+                            models[at] = model_bits(&model, &patterns[at]);
+                        }
+                        finished.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                        models
+                    })
+                })
+                .collect();
+            // The price reads the memos the workers fill: it never rises,
+            // and once they are done every shard has counted every shape.
+            barrier.wait();
+            let mut last = unpriced;
+            while finished.load(std::sync::atomic::Ordering::SeqCst) < 4 {
+                let now = price();
+                assert!(now <= last, "round {round}: the price rose {last} -> {now}");
+                last = now;
+            }
+            assert_eq!(price(), 0, "round {round}");
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        for (i, want) in want.iter().enumerate() {
+            for (t, models) in built.iter().enumerate() {
+                assert_eq!(&models[i], want, "round {round}, thread {t}, {}", SHAPES[i]);
             }
         }
     }
