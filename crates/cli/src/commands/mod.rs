@@ -19,7 +19,7 @@ pub(crate) fn is_snapshot(path: &str) -> bool {
 }
 
 /// Loads a document by parsing XML. Binary store files — snapshots,
-/// or the retired v1–v3 formats — are refused by magic, never fed to
+/// or the retired v1–v5 formats — are refused by magic, never fed to
 /// the XML parser.
 pub(crate) fn load_document(path: &str) -> Result<Document, CliError> {
     if let Some(version) = whirlpool_store::store_version(path) {

@@ -84,7 +84,9 @@ fn info(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
     let start = Instant::now();
     let snapshot = Snapshot::attach(&path).map_err(|e| CliError::Parse(format!("{path}: {e}")))?;
     let attach = start.elapsed();
-    let (synopsis, paths) = (snapshot.synopsis(), snapshot.stored_paths());
+    let synopsis = snapshot
+        .synopsis()
+        .map_err(|e| CliError::Parse(format!("{path}: {e}")))?;
     writeln!(out, "snapshot:  {path}")?;
     writeln!(out, "version:   {SNAPSHOT_VERSION}")?;
     writeln!(out, "elements:  {}", snapshot.node_count() - 1)?;
@@ -100,13 +102,6 @@ fn info(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
         }
     )?;
     writeln!(out, "attach:    {attach:?}")?;
-    writeln!(
-        out,
-        "paths:     {} stored (depth cap {}{})",
-        paths.count,
-        paths.depth_cap,
-        if paths.truncated { ", truncated" } else { "" }
-    )?;
     let mut tags: Vec<(&str, u64)> = synopsis.tags().collect();
     tags.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
     writeln!(out, "top tags:")?;

@@ -377,11 +377,11 @@ fn binary_stores_get_a_typed_error_from_xml_commands() {
     );
     run_ok(&["snapshot", "build", xml, snap]);
 
-    // Version-2, version-3 and version-4 snapshots (the layout before
-    // stored synopses, the one under a serial FNV checksum, and the one
-    // with value postings) are retired stores too, given directly or
-    // inside a collection.
-    let retired = [2u8, 3, 4].map(|version| {
+    // Version-2 to version-5 snapshots (the layout before stored
+    // synopses, the one under a serial FNV checksum, the one with value
+    // postings, and the one with a stored dataguide) are retired stores
+    // too, given directly or inside a collection.
+    let retired = [2u8, 3, 4, 5].map(|version| {
         let dir = scratch(&format!("v{version}-store"));
         std::fs::create_dir_all(&dir).unwrap();
         let mut bytes = std::fs::read(snap).unwrap();
@@ -393,9 +393,9 @@ fn binary_stores_get_a_typed_error_from_xml_commands() {
             dir.to_str().unwrap().to_owned(),
         )
     });
-    let [(v2, v2_dir), (v3, v3_dir), (v4, v4_dir)] = &retired;
+    let [(v2, v2_dir), (v3, v3_dir), (v4, v4_dir), (v5, v5_dir)] = &retired;
 
-    let argvs: [&[&str]; 12] = [
+    let argvs: [&[&str]; 14] = [
         &["query", v1, "//book[./title]"],
         &["query", v1, xml, "//book[./title]"],
         &["stats", v1],
@@ -408,6 +408,8 @@ fn binary_stores_get_a_typed_error_from_xml_commands() {
         &["query", "--collection", v3_dir, "//book[./title]"],
         &["query", v4, "//book[./title]"],
         &["query", "--collection", v4_dir, "//book[./title]"],
+        &["query", v5, "//book[./title]"],
+        &["query", "--collection", v5_dir, "//book[./title]"],
     ];
     for argv in argvs {
         let argv: Vec<String> = argv.iter().map(|s| s.to_string()).collect();
@@ -418,7 +420,7 @@ fn binary_stores_get_a_typed_error_from_xml_commands() {
         );
         let text = err.to_string();
         assert!(text.contains("binary store"), "{argv:?}: {text}");
-        for v in ["v3", "v4"] {
+        for v in ["v3", "v4", "v5"] {
             if argv.iter().any(|a| a.contains(&format!("{v}-store"))) {
                 assert!(
                     text.contains(&format!("binary store (format {v})")),
@@ -699,8 +701,7 @@ fn snapshot_build_verify_info_and_query_pipeline() {
     assert!(verify.starts_with("ok:"), "{verify}");
     let info = run_ok(&["snapshot", "info", snap.to_str().unwrap()]);
     assert!(info.contains("elements:  9"), "{info}");
-    assert!(info.contains("version:   5"), "{info}");
-    assert!(info.contains("paths:"), "{info}");
+    assert!(info.contains("version:   6"), "{info}");
     assert!(info.contains("book"), "{info}");
 
     // Query through --snapshot: same answers as the parsed run, and the

@@ -146,7 +146,7 @@ impl Shard {
         let snapshot = Snapshot::attach(&path)?;
         Ok(Shard {
             name: name.into(),
-            synopsis: snapshot.synopsis(),
+            synopsis: snapshot.synopsis()?,
             backing: ShardBacking::Lazy(LazyShard {
                 path: path.as_ref().to_path_buf(),
                 checksum: snapshot.checksum(),
@@ -615,8 +615,9 @@ impl Collection {
     /// has population 0 and is never attached, and a pattern without
     /// predicates takes its population from the synopses.
     ///
-    /// A shard whose attach fails is left out of the pooled counts and
-    /// stores nothing; a later call counts it.
+    /// A shard whose attach fails, or whose data holds another number of
+    /// answers than its synopsis says, is left out of the pooled counts
+    /// and stores nothing; a later call counts it.
     pub fn scope_stats(&self, scope: Scope, pattern: &TreePattern) -> CorpusStats {
         self.scope_counts(scope, pattern, None).stats
     }
@@ -642,7 +643,7 @@ impl Collection {
         let width = stats.predicates().len();
         let mut populations = Vec::with_capacity(shards.len());
         let mut satisfying = vec![[0, 0]; shards.len() * width];
-        let mut counted = 0;
+        let mut counted = vec![false; shards.len()];
         let keys = QueryKeys::new(&self.count_keys, answer_tag, stats.predicates());
         for (at, idx) in shards.enumerate() {
             let shard = &self.shards[idx];
@@ -667,9 +668,16 @@ impl Collection {
                             self.acquire(idx).map_err(drop)?
                         };
                         let (doc, index) = (access.doc(), access.index());
-                        Ok(tfidf::idf_counts_sweep(doc, index, answer_tag, missing))
+                        let counts = tfidf::idf_counts_sweep(doc, index, answer_tag, missing);
+                        // A payload whose answers are not the synopsis's
+                        // (a mapped file rewritten in place) is not counted.
+                        if counts.0 == shard.synopsis.answers(answer_tag) {
+                            Ok(counts)
+                        } else {
+                            Err(())
+                        }
                     });
-                    counted += usize::from(tally.is_ok_and(|t| t.counted));
+                    counted[at] = tally.is_ok_and(|t| t.counted);
                     tally.ok().map(|t| t.population)
                 }
             };
@@ -767,9 +775,10 @@ struct ScopeCounts {
     /// Each shard's `[exact, relaxed]` satisfying answers, a row of one
     /// pair per predicate, the rows in scope order.
     satisfying: Vec<[u64; 2]>,
-    /// Shards that counted some predicate rather than reading every one
-    /// from their memo.
-    counted: usize,
+    /// Whether each shard, in scope order, counted some predicate rather
+    /// than reading every one from its memo. A lazy shard that did was
+    /// attached for it, unless it was resident already.
+    counted: Vec<bool>,
 }
 
 impl ScopeCounts {
@@ -891,9 +900,10 @@ pub struct CollectionMetrics {
     /// Shards skipped because no answer their ceiling allows could enter
     /// the global top k (or they provably held no answer).
     pub shards_pruned: usize,
-    /// The subset of `shards_pruned` that were lazy and not resident
-    /// when pruned: shards whose payload was **never read from disk** —
-    /// the whole point of attach-on-visit.
+    /// The subset of `shards_pruned` that were lazy, not resident when
+    /// pruned, and not attached by this run to be counted: shards whose
+    /// payload this run **never read from disk** — the whole point of
+    /// attach-on-visit.
     pub shards_pruned_before_attach: usize,
     /// Shards left unevaluated: the corpus budget (deadline, op budget
     /// or cancel token) was spent before they were counted or claimed,
@@ -1073,14 +1083,15 @@ pub fn evaluate_scope(
     let mut global = GlobalTopK::new(options.k);
     let mut metrics = CollectionMetrics {
         shards_total: order.len(),
-        shards_counted: counts.counted,
+        shards_counted: counts.counted.iter().filter(|&&c| c).count(),
         ..CollectionMetrics::default()
     };
     let mut truncated = TruncationFold::default();
     let mut engine_metrics = MetricsSnapshot::default();
     let mut traces = Vec::new();
 
-    for &(shard_idx, ceiling, counted) in &order {
+    let first = scope.shards(collection.len()).start;
+    for &(shard_idx, ceiling, has_counts) in &order {
         // A shard left unevaluated is certified by its ceiling: whatever
         // it could have held scores no higher.
         let mut skip_unevaluated = || {
@@ -1092,18 +1103,19 @@ pub fn evaluate_scope(
         // Then budget, before anything touches the shard: once the
         // deadline, the op budget or the cancel token is spent, no
         // further shard is attached.
-        if !counted || budget.exhausted(&spent) {
+        if !has_counts || budget.exhausted(&spent) {
             skip_unevaluated();
             continue;
         }
 
         // Skipped only if the merge would reject every answer the shard
         // can hold, so pruning never changes the answers of a visit
-        // order.
+        // order. A shard this run acquired to count was not pruned
+        // before attach, even if it has been evicted since.
         if copts.shard_pruning && !ceiling.is_some_and(|c| global.admits(c, shard_idx)) {
             metrics.shards_pruned += 1;
             let shard = &collection.shards()[shard_idx];
-            if shard.is_lazy() && !shard.is_resident() {
+            if shard.is_lazy() && !shard.is_resident() && !counts.counted[shard_idx - first] {
                 metrics.shards_pruned_before_attach += 1;
             }
             continue;
@@ -1812,6 +1824,54 @@ mod tests {
             pruned.answers,
             eager.answers
         );
+    }
+
+    /// A shape's first query attaches every shard with answers to count
+    /// it, so the only shards it prunes before attach are the ones
+    /// without answers; a repeat reads the memo and prunes the rest
+    /// unread too.
+    #[test]
+    fn a_shard_attached_to_count_is_not_pruned_before_attach() {
+        let dir = snapshot_dir(
+            "counted-prune",
+            &[
+                ("a-rich", RICH),
+                ("b-poor", POOR),
+                ("c-mismatch0", MISMATCH),
+                ("d-mismatch1", MISMATCH),
+                ("e-empty", EMPTY),
+            ],
+        );
+        let c = Collection::open_dir(&dir).unwrap();
+        c.set_max_resident(1);
+        let pattern = q();
+        let run = || {
+            let run = evaluate_collection(
+                &c,
+                &pattern,
+                &Algorithm::WhirlpoolS,
+                &EvalOptions::top_k(1),
+                Normalization::Sparse,
+                &CollectionOptions::default(),
+            );
+            run.collection_metrics
+        };
+        let first = run();
+        assert_eq!(first.shards_counted, 4, "{first:?}");
+        assert_eq!(first.shards_pruned, 4, "{first:?}");
+        assert_eq!(
+            first.shards_pruned_before_attach, 1,
+            "only the answer-free shard was never attached: {first:?}"
+        );
+        let repeat = run();
+        assert_eq!(repeat.shards_counted, 0, "{repeat:?}");
+        assert_eq!(repeat.shards_pruned, 4, "{repeat:?}");
+        assert_eq!(
+            (repeat.shards_visited, repeat.shards_attached),
+            (1, 0),
+            "the first query left the rich shard resident: {repeat:?}"
+        );
+        assert_eq!(repeat.shards_pruned_before_attach, 4, "{repeat:?}");
     }
 
     /// A document scope prunes and certifies by the ceiling a corpus

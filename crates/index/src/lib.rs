@@ -35,11 +35,8 @@
 //!   snapshot.
 //! * [`ShardSynopsis`] — a per-shard tag-count summary, read before a
 //!   shard is attached: a query's answer population comes from it, and
-//!   a shard without the answer tag is never attached.
-//! * [`PathSynopsis`] — a bounded strong dataguide (distinct
-//!   root-to-node tag paths with counts and max same-parent
-//!   multiplicity) that the snapshot writer stores next to the tag
-//!   counts. Nothing reads it back yet.
+//!   a shard without the answer tag is never attached. A snapshot
+//!   stores it as its synopsis section.
 
 mod columns;
 mod cursor;
@@ -49,7 +46,7 @@ mod tagindex;
 
 pub use columns::{lanes_for, mask_count, ColumnsView, KERNEL_LANE};
 pub use cursor::RangeCursor;
-pub use paths::{PathEntry, PathSynopsis, MAX_PATH_STEPS, PATH_COUNT_CAP, PATH_DEPTH_CAP};
+pub use paths::PathSynopsis;
 pub use synopsis::ShardSynopsis;
 pub use tagindex::{TagIndex, TagIndexView};
 pub use whirlpool_xml::DocView;

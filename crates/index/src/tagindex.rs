@@ -73,10 +73,13 @@ impl TagIndex {
 /// `Copy`, so contexts and kernels pass it by value, and every accessor
 /// returns data with the backing's lifetime.
 ///
-/// [`from_raw`](TagIndexView::from_raw) does no validation: it trusts
-/// the slices it is given. `whirlpool-store` checksums and structurally
-/// validates a snapshot before assembling a view, which is what keeps
-/// the accessors' plain indexing panic-free.
+/// [`from_raw`](TagIndexView::from_raw) checks only that the posting
+/// offsets bracket the posting ids, and the posting accessors read
+/// through checked spans, so a view over any posting arrays answers
+/// without panicking: a mapped file rewritten after its attach gives
+/// wrong postings, never a crash. `whirlpool-store` checksums and
+/// structurally validates a snapshot before assembling a view, which
+/// is what makes the postings right.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TagIndexView<'a> {
     columns: ColumnsView<'a>,
@@ -86,18 +89,18 @@ pub struct TagIndexView<'a> {
 
 impl<'a> TagIndexView<'a> {
     /// Assembles a view over the index arrays (see [`TagIndex`] for
-    /// their layout).
-    ///
-    /// # Panics
-    /// Panics on gross shape mismatches; finer invariants (sortedness,
-    /// ids in range) are the snapshot validator's job.
+    /// their layout). Offsets that do not end at `post_ids.len()` give
+    /// a view without postings; finer invariants (sortedness, ids in
+    /// range) are the snapshot validator's job.
     pub fn from_raw(
         columns: ColumnsView<'a>,
         post_offsets: &'a [u32],
         post_ids: &'a [u32],
     ) -> Self {
-        assert!(!post_offsets.is_empty());
-        assert_eq!(*post_offsets.last().unwrap() as usize, post_ids.len());
+        let (post_offsets, post_ids) = match post_offsets.last() {
+            Some(&end) if end as usize == post_ids.len() => (post_offsets, post_ids),
+            _ => (&[0][..], &[][..]),
+        };
         TagIndexView {
             columns,
             post_offsets,
@@ -156,13 +159,15 @@ impl<'a> TagIndexView<'a> {
 
     /// Nodes with `tag` that are proper descendants of `ancestor` — a
     /// contiguous slice of the tag's postings, found by two binary
-    /// searches.
+    /// searches. Over arrays no attach checked (a subtree end at or
+    /// before `ancestor`, unsorted postings) the second search can end
+    /// before the first; the slice is then empty.
     pub fn descendants_with_tag(&self, ancestor: NodeId, tag: TagId) -> &'a [NodeId] {
         let list = self.nodes_with_tag(tag);
         let end = self.extent(ancestor);
         let lo = list.partition_point(|&n| n <= ancestor);
         let hi = list.partition_point(|&n| (n.index() as u32) < end);
-        &list[lo..hi]
+        list.get(lo..hi).unwrap_or(&[])
     }
 }
 

@@ -5,7 +5,9 @@
 //! `not_found`), and every *admitted* request is classified exactly
 //! once on the outcome side (`exact`, `degraded`, `timed_out`). At
 //! quiescence `admitted = exact + degraded + timed_out` — the overload
-//! suite asserts it after every soak.
+//! suite asserts it after every soak. A request that panics is
+//! answered 500 and counted in `panics`; if it was admitted, it
+//! settles no outcome, so the law holds while `panics` is 0.
 
 use crate::error::Outcome;
 use std::collections::VecDeque;
@@ -33,6 +35,8 @@ pub struct ServeMetrics {
     pub degraded: AtomicU64,
     /// Admitted requests reclaimed by the watchdog.
     pub timed_out: AtomicU64,
+    /// Requests whose handling panicked (HTTP 500); the worker lived on.
+    pub panics: AtomicU64,
 }
 
 /// Plain-value copy of [`ServeMetrics`].
@@ -48,6 +52,7 @@ pub struct ServeMetricsSnapshot {
     pub exact: u64,
     pub degraded: u64,
     pub timed_out: u64,
+    pub panics: u64,
 }
 
 impl ServeMetrics {
@@ -73,6 +78,7 @@ impl ServeMetrics {
             exact: self.exact.load(Ordering::Relaxed),
             degraded: self.degraded.load(Ordering::Relaxed),
             timed_out: self.timed_out.load(Ordering::Relaxed),
+            panics: self.panics.load(Ordering::Relaxed),
         }
     }
 }
@@ -94,7 +100,7 @@ impl ServeMetricsSnapshot {
         format!(
             "{{\"received\": {}, \"admitted\": {}, \"rejected\": {}, \"shed\": {}, \
              \"bad_requests\": {}, \"not_found\": {}, \"exact\": {}, \"degraded\": {}, \
-             \"timed_out\": {}, \"inflight\": {inflight}}}",
+             \"timed_out\": {}, \"panics\": {}, \"inflight\": {inflight}}}",
             self.received,
             self.admitted,
             self.rejected,
@@ -104,6 +110,7 @@ impl ServeMetricsSnapshot {
             self.exact,
             self.degraded,
             self.timed_out,
+            self.panics,
         )
     }
 
@@ -191,8 +198,10 @@ mod tests {
     fn json_emission_carries_every_counter() {
         let m = ServeMetrics::default();
         m.received.fetch_add(7, Ordering::Relaxed);
+        m.panics.fetch_add(1, Ordering::Relaxed);
         let body = m.snapshot().to_json(2);
         assert!(body.contains("\"received\": 7"));
+        assert!(body.contains("\"panics\": 1"));
         assert!(body.contains("\"inflight\": 2"));
         crate::json::Json::parse(&body).expect("valid json");
     }

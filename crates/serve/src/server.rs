@@ -9,6 +9,7 @@ use crate::metrics::{RungHistory, ServeMetrics};
 use crate::shared::{Corpus, Prepare, Registry};
 use std::collections::VecDeque;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -282,7 +283,26 @@ pub fn start(config: ServeConfig, registry: Registry) -> std::io::Result<ServerH
                 .name(format!("serve-worker-{i}"))
                 .spawn(move || {
                     while let Some(mut conn) = queue.pop() {
-                        handle_connection(&daemon, &mut conn);
+                        // The daemon's one unwind guard: a panic anywhere
+                        // in a request unwinds its admission token and
+                        // watchdog guard, answers 500, and the worker
+                        // serves the next connection.
+                        let handled = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                            handle_connection(&daemon, &mut conn)
+                        }));
+                        if handled.is_err() {
+                            daemon.metrics.panics.fetch_add(1, Ordering::Relaxed);
+                            // The watchdog's probe may have left the
+                            // socket non-blocking.
+                            let _ = conn.set_nonblocking(false);
+                            let _ = respond(
+                                &mut conn,
+                                500,
+                                &[],
+                                "{\"error\": \"internal error: the request panicked\", \
+                                 \"status\": 500}\n",
+                            );
+                        }
                     }
                 })?,
         );
@@ -856,11 +876,16 @@ mod tests {
         registry
     }
 
+    /// `raw` sent, and the reply's status and body. A reply that takes
+    /// over 10 s fails the test rather than hang it: a worker lost to a
+    /// panic never answers.
     fn send(addr: SocketAddr, raw: &str) -> (u16, String) {
         let mut s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
         s.write_all(raw.as_bytes()).unwrap();
         let mut response = String::new();
-        s.read_to_string(&mut response).unwrap();
+        s.read_to_string(&mut response)
+            .expect("a reply within 10 s");
         let status: u16 = response
             .split(' ')
             .nth(1)
@@ -1319,6 +1344,115 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    /// A resident shard's file overwritten in place by `cp` with another
+    /// valid snapshot: the mapping now reads the new bytes at the old
+    /// layout. A query shape that makes the daemon count that shard
+    /// again answers 500 or a certified truncated reply, and the one
+    /// worker lives on to answer the next requests.
+    #[test]
+    fn a_file_copied_over_a_resident_shard_never_takes_the_worker() {
+        use whirlpool_xmark::{generate, GeneratorConfig};
+        let dir = scratch_dir("cp-over");
+        let xml = |items, seed| {
+            let doc = generate(&GeneratorConfig::items(items).with_seed(seed));
+            whirlpool_xml::write_document(&doc, &Default::default())
+        };
+        let registry = peeked_registry(&dir, &[("a", &xml(40, 1)), ("b", &xml(40, 2))]);
+        // Larger than `a.wps`, so every page of the old mapping stays
+        // backed by the file (a shorter file would fault past its end).
+        let other = write_snapshot(&dir, "other", &xml(160, 3));
+        let a = dir.join("a.wps");
+        assert!(std::fs::metadata(&other).unwrap().len() > std::fs::metadata(&a).unwrap().len());
+        let config = ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        };
+        let handle = start(config, registry).unwrap();
+        let addr = handle.addr();
+        let query = |q: &str| {
+            post_query(
+                addr,
+                &format!(r#"{{"collection": true, "query": "{q}", "k": 5}}"#),
+            )
+        };
+
+        let (status, body) = query("//item[./name]");
+        assert_eq!(status, 200, "{body}");
+        std::fs::copy(&other, &a).unwrap();
+
+        let (status, body) = query("//item[./description/parlist and ./mailbox/mail/text]");
+        match status {
+            500 => assert!(body.contains("panicked"), "{body}"),
+            200 => {
+                let v = Json::parse(&body).unwrap();
+                let completeness = v.get("completeness").and_then(Json::as_str);
+                assert_eq!(completeness, Some("truncated"), "{body}");
+                assert!(v.get("score_bound").is_some(), "{body}");
+            }
+            _ => panic!("{status}: {body}"),
+        }
+        let (status, body) = send(addr, "GET /healthz HTTP/1.1\r\n\r\n");
+        assert_eq!(status, 200, "{body}");
+        let (status, body) = query("//item[./name]");
+        assert!(status == 200 || status == 500, "{status}: {body}");
+        handle.shutdown();
+    }
+
+    /// A resident shard whose posting ids are overwritten in place with
+    /// ids past its last node: counting it for a new shape panics
+    /// outside any engine run. The one worker answers that request 500,
+    /// releases its admission token, counts the panic in `/metrics`, and
+    /// serves the next requests.
+    #[test]
+    fn a_panicking_request_answers_500_and_the_worker_lives() {
+        let dir = scratch_dir("panic-guard");
+        let registry = peeked_registry(
+            &dir,
+            &[
+                ("a", "<shelf><book><title>x</title></book></shelf>"),
+                ("b", "<shelf><book><title>y</title></book></shelf>"),
+            ],
+        );
+        let config = ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        };
+        let handle = start(config, registry).unwrap();
+        let addr = handle.addr();
+        let query = |q: &str| {
+            post_query(
+                addr,
+                &format!(r#"{{"collection": true, "query": "{q}", "k": 5}}"#),
+            )
+        };
+        let (status, body) = query("//book[./title]");
+        assert_eq!(status, 200, "{body}");
+
+        // Section 7 (the posting ids) of `a.wps`, every id past the end,
+        // written over the mapped file without changing its length.
+        let a = dir.join("a.wps");
+        let mut bytes = std::fs::read(&a).unwrap();
+        let entry = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+        let (off, len) = (entry(32 + 7 * 16), entry(40 + 7 * 16));
+        bytes[off..off + len].fill(0xf0);
+        std::fs::write(&a, &bytes).unwrap();
+
+        let (status, body) = query("//book[./isbn]");
+        assert_eq!(status, 500, "{body}");
+        assert!(body.contains("panicked"), "{body}");
+        let (status, body) = send(addr, "GET /healthz HTTP/1.1\r\n\r\n");
+        assert_eq!(status, 200, "{body}");
+        let (status, body) = send(addr, "GET /metrics HTTP/1.1\r\n\r\n");
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains("\"panics\": 1"), "{body}");
+        let inflight = handle.inflight();
+        assert_eq!(inflight, 0, "the panic released its admission token");
+        let (status, body) = query("//book[./isbn]");
+        assert_eq!(status, 500, "{body}");
+        assert_eq!(handle.metrics().snapshot().panics, 2);
+        handle.shutdown();
     }
 
     #[test]

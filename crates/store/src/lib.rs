@@ -25,7 +25,9 @@
 //! the section table and shapes, the tag, text and attribute UTF-8 and
 //! offsets, one node walk, the attribute spans and the synopsis
 //! section against the payload. The views check every span they read
-//! besides, so they stay memory-safe over any bytes.
+//! besides, and [`Snapshot::synopsis`] parses its section again, so a
+//! mapped file rewritten in place after its attach yields wrong
+//! answers or errors, never a panic.
 //!
 //! ```
 //! use whirlpool_store::{build_snapshot_bytes, Snapshot};
@@ -37,11 +39,12 @@
 //! ```
 //!
 //! Files carry the magic `"WPLX"` and a `u32` version. This crate
-//! reads and writes [`SNAPSHOT_VERSION`] (5) only; 1 (a streamed
+//! reads and writes [`SNAPSHOT_VERSION`] (6) only; 1 (a streamed
 //! store), 2 (snapshots without stored synopses), 3 (snapshots under a
-//! serial FNV checksum) and 4 (snapshots with a (tag, value) posting
-//! index) are still recognised by [`store_version`] so callers can name
-//! them in an error instead of mis-parsing them.
+//! serial FNV checksum), 4 (snapshots with a (tag, value) posting
+//! index) and 5 (snapshots that also stored a path synopsis) are still
+//! recognised by [`store_version`] so callers can name them in an error
+//! instead of mis-parsing them.
 
 use std::fmt;
 use std::io::{self, Read};
@@ -52,7 +55,7 @@ mod snapshot;
 
 pub use snapshot::{
     build_snapshot_bytes, build_snapshot_bytes_with, save_snapshot, save_snapshot_with,
-    write_snapshot, Snapshot, SnapshotOptions, SnapshotPeek, StoredPaths, SNAPSHOT_VERSION,
+    write_snapshot, Snapshot, SnapshotOptions, SnapshotPeek, SNAPSHOT_VERSION,
 };
 
 pub(crate) const MAGIC: &[u8; 4] = b"WPLX";

@@ -1,16 +1,16 @@
 //! The **snapshot** format: the whole query-time state of a document —
 //! tag table, structural columns, tag postings, text and attribute
-//! payloads, and its synopses — flattened into
+//! payloads, and its tag-count synopsis — flattened into
 //! little-endian, 8-byte aligned arrays that an engine can use
 //! *directly out of a memory mapping*. Attaching costs a header parse
 //! plus linear validation passes (checksum + structural checks over
 //! flat integer arrays), never an XML parse or an index build.
 //!
-//! # Layout (version 5, little-endian, all sections 8-byte aligned)
+//! # Layout (version 6, little-endian, all sections 8-byte aligned)
 //!
 //! ```text
 //! 0    magic      "WPLX"                      4 bytes
-//! 4    version    u32 = 5                     4 bytes
+//! 4    version    u32 = 6                     4 bytes
 //! 8    nodes      u64  node count n (synthetic root included)
 //! 16   tags       u64  tag-table size T
 //! 24   total_len  u64  file length in bytes, trailing checksum included
@@ -30,28 +30,22 @@
 //!        10 attr_offsets  u32[n+1]   entry (not byte) offsets
 //!        11 attr_entries  u32[3·A]   (name_tag, val_off, val_len)
 //!        12 attr_blob     UTF-8 (read as bytes)
-//!        13 path_synopsis the stored synopses (below)
+//!        13 synopsis      the tag counts (below)
 //! end-8 checksum  u64  `checksum` of the preceding bytes: four FNV-1a
 //!                 lanes over little-endian u64 words, folded with the
 //!                 byte length
 //! ```
 //!
-//! # The stored synopses
+//! # The synopsis section
 //!
-//! Section 13 holds a serialized [`PathSynopsis`] — the bounded strong
-//! dataguide built at snapshot-build time — together with the
-//! tag-count [`ShardSynopsis`], in a *self-contained, self-checksummed*
-//! byte stream:
+//! Section 13 holds the tag-count [`ShardSynopsis`] in a
+//! *self-contained, self-checksummed* byte stream:
 //!
 //! ```text
-//! 13 path_synopsis   u64 elements
+//! 13 synopsis        u64 elements
 //!                    u64 tag count T'   (tags with ≥1 element)
 //!                    T' × { u64 count, u64 name_len, UTF-8 name }
 //!                         in tag-id order
-//!                    u64 depth_cap (≤ 63), u64 truncated (0/1),
-//!                    u64 path count P
-//!                    P × { u64 count, u64 max_tf, u64 nsteps (≤ depth_cap),
-//!                          nsteps × u32 index into the T' tag list }
 //!                    u64 `checksum` of the preceding section bytes
 //!                        (tail bytes fold into lane 0)
 //! ```
@@ -65,15 +59,9 @@
 //! counts; attach drives it to compare the section with the payload,
 //! allocating nothing: the element count is the payload's, and the
 //! stored tags are exactly the tags with postings, in tag-id order,
-//! each named as in the tag table and counted as its postings. Both
-//! check every stored path and keep none: no query reads the dataguide
-//! ([`StoredPaths`] is what a reader learns of it). An attached
-//! [`Snapshot`] holds no synopsis; [`Snapshot::synopsis`] parses the
-//! verified section again for a caller that wants one.
-//!
-//! A stored path has at most 63 steps (`MAX_PATH_STEPS`), a rule of the
-//! format: the walker refuses a depth cap above 63 or a path longer
-//! than its cap.
+//! each named as in the tag table and counted as its postings. An
+//! attached [`Snapshot`] holds no synopsis; [`Snapshot::synopsis`]
+//! parses the section again for a caller that wants one.
 //!
 //! Attach validates magic/version/length, the checksum, section
 //! table sanity (alignment, order, bounds) and shapes, and structural
@@ -101,26 +89,25 @@
 //! target, so concurrent writers of one path each publish a whole file.
 //! [`build_snapshot_bytes`] is the same writer over a `Vec`.
 //!
-//! Versions 1–4 are not read: attach and peek answer
+//! Versions 1–5 are not read: attach and peek answer
 //! [`StoreError::UnsupportedVersion`]. They were a streamed store, a
 //! layout without the synopsis section, the v4 layout under a serial
-//! FNV checksum, and this layout plus a (tag, value)-sorted posting
-//! index in three more sections, which value tests no longer read.
+//! FNV checksum, the v5 layout plus a (tag, value)-sorted posting index
+//! in three more sections, which value tests no longer read, and this
+//! layout with a bounded strong dataguide after the tag counts, which
+//! nothing read.
 
 use crate::mmap::{Backing, Mapping, OwnedBytes};
 use crate::{StoreError, FNV_OFFSET, FNV_PRIME, MAGIC};
-use std::collections::HashMap;
 use std::fs::OpenOptions;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use whirlpool_index::{
-    ColumnsView, PathSynopsis, ShardSynopsis, TagIndex, TagIndexView, MAX_PATH_STEPS,
-};
+use whirlpool_index::{ColumnsView, ShardSynopsis, TagIndex, TagIndexView};
 use whirlpool_xml::{DocView, Document, TagId, ATTR_ENTRY_STRIDE};
 
 /// The snapshot format version: the one this crate writes and reads.
-pub const SNAPSHOT_VERSION: u32 = 5;
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 const SECTION_COUNT: usize = 14;
 /// Fixed header size: magic + version + 3 × u64 + the section table.
@@ -140,8 +127,8 @@ const SEC_TEXT_BLOB: usize = 9;
 const SEC_ATTR_OFFSETS: usize = 10;
 const SEC_ATTR_ENTRIES: usize = 11;
 const SEC_ATTR_BLOB: usize = 12;
-const SEC_PATH_SYNOPSIS: usize = 13;
-const _: () = assert!(SEC_PATH_SYNOPSIS == SECTION_COUNT - 1);
+const SEC_SYNOPSIS: usize = 13;
+const _: () = assert!(SEC_SYNOPSIS == SECTION_COUNT - 1);
 
 const NO_PARENT: u32 = u32::MAX;
 
@@ -263,15 +250,13 @@ fn checksum(bytes: &[u8]) -> u64 {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SnapshotOptions;
 
-/// Serializes the path-synopsis section: the tag-count synopsis plus
-/// the bounded dataguide, self-contained and self-checksummed so
-/// [`Snapshot::peek`] can read it without touching any other section.
-fn encode_path_section(doc: DocView<'_>, index: TagIndexView<'_>, paths: &PathSynopsis) -> Vec<u8> {
+/// Serializes the synopsis section: the tag counts, self-contained and
+/// self-checksummed so [`Snapshot::peek`] can read it without touching
+/// any other section.
+fn encode_synopsis_section(doc: DocView<'_>, index: TagIndexView<'_>) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&((doc.len() - 1) as u64).to_le_bytes());
-
-    // Tags with at least one element, in tag-id order; path steps
-    // reference positions in this list.
+    // Tags with at least one element, in tag-id order.
     let emitted: Vec<(&str, u64)> = (0..doc.tag_count())
         .map(TagId::from_index)
         .map(|t| (doc.tag_name(t), index.nodes_with_tag(t).len() as u64))
@@ -283,33 +268,12 @@ fn encode_path_section(doc: DocView<'_>, index: TagIndexView<'_>, paths: &PathSy
         out.extend_from_slice(&(name.len() as u64).to_le_bytes());
         out.extend_from_slice(name.as_bytes());
     }
-    // The synopsis numbers its tags in order of first occurrence: each
-    // one's position in the list above.
-    let position: HashMap<&str, u32> = (emitted.iter().enumerate())
-        .map(|(i, &(name, _))| (name, i as u32))
-        .collect();
-    let emit_idx: Vec<u32> = (paths.tag_names().iter())
-        .map(|name| position.get(&**name).copied())
-        .map(|i| i.expect("every synopsis tag has at least one element"))
-        .collect();
-
-    out.extend_from_slice(&u64::from(paths.depth_cap()).to_le_bytes());
-    out.extend_from_slice(&u64::from(paths.truncated()).to_le_bytes());
-    out.extend_from_slice(&(paths.len() as u64).to_le_bytes());
-    for entry in paths.entries() {
-        out.extend_from_slice(&entry.count.to_le_bytes());
-        out.extend_from_slice(&entry.max_tf.to_le_bytes());
-        out.extend_from_slice(&(entry.steps.len() as u64).to_le_bytes());
-        for &step in &entry.steps {
-            out.extend_from_slice(&emit_idx[step as usize].to_le_bytes());
-        }
-    }
     let sum = checksum(&out);
     out.extend_from_slice(&sum.to_le_bytes());
     out
 }
 
-/// Bounds-checked serial reader over the path-synopsis section.
+/// Bounds-checked serial reader over the synopsis section.
 struct SectionReader<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -321,7 +285,7 @@ impl<'a> SectionReader<'a> {
             .pos
             .checked_add(len)
             .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| corrupt(format!("path synopsis: {what} out of bounds")))?;
+            .ok_or_else(|| corrupt(format!("synopsis: {what} out of bounds")))?;
         let bytes = &self.bytes[self.pos..end];
         self.pos = end;
         Ok(bytes)
@@ -335,47 +299,36 @@ impl<'a> SectionReader<'a> {
 
     fn str_of(&mut self, len: usize, what: &str) -> Result<&'a str, StoreError> {
         std::str::from_utf8(self.take(len, what)?)
-            .map_err(|_| corrupt(format!("path synopsis: {what} is not valid UTF-8")))
+            .map_err(|_| corrupt(format!("synopsis: {what} is not valid UTF-8")))
     }
 }
 
-/// The fixed fields of a path-synopsis section.
-struct SectionHead {
-    elements: u64,
-    depth_cap: u32,
-    truncated: bool,
-}
-
-/// What [`walk_path_section`] hands its visitor, in file order. A
+/// What [`walk_synopsis_section`] hands its visitor, in file order. A
 /// visitor overrides the fields it reads.
 trait SectionVisitor<'a> {
     /// The number of listed tags, before the first [`tag`](Self::tag).
     fn tags(&mut self, _count: usize) {}
     fn tag(&mut self, name: &'a str, count: u64) -> Result<(), StoreError>;
-    /// The number of stored paths, before the walker checks them.
-    fn paths(&mut self, _count: usize) {}
 }
 
-/// The one reader of the path-synopsis section format: verifies the
+/// The one reader of the synopsis section format: verifies the
 /// section's own checksum, then walks every field in order and checks
-/// what the section alone decides — plausible tag and path counts,
-/// UTF-8 names, a depth cap of at most [`MAX_PATH_STEPS`], a 0/1
-/// truncated flag, no path longer than the cap, every step inside the
-/// tag list, no trailing bytes. [`Snapshot::peek`] drives it with a
-/// collect ([`Collect`]), attach with a compare against the payload
-/// ([`PayloadCheck`]).
-fn walk_path_section<'a>(
+/// what the section alone decides — a plausible tag count, UTF-8 names,
+/// no trailing bytes. Returns the element count. [`Snapshot::peek`]
+/// drives it with a collect ([`Collect`]), attach with a compare
+/// against the payload ([`PayloadCheck`]).
+fn walk_synopsis_section<'a>(
     bytes: &'a [u8],
     visit: &mut impl SectionVisitor<'a>,
-) -> Result<SectionHead, StoreError> {
+) -> Result<u64, StoreError> {
     if bytes.len() < 8 {
-        return Err(corrupt("path synopsis: section too short"));
+        return Err(corrupt("synopsis: section too short"));
     }
     let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("8 bytes"));
     let computed = checksum(&bytes[..bytes.len() - 8]);
     if stored != computed {
         return Err(corrupt(format!(
-            "path synopsis: checksum mismatch (stored {stored:#x}, computed {computed:#x})"
+            "synopsis: checksum mismatch (stored {stored:#x}, computed {computed:#x})"
         )));
     }
     let mut r = SectionReader {
@@ -385,7 +338,7 @@ fn walk_path_section<'a>(
     let elements = r.u64()?;
     let tag_count = r.u64()? as usize;
     if tag_count > 1 << 24 {
-        return Err(corrupt("path synopsis: implausible tag count"));
+        return Err(corrupt("synopsis: implausible tag count"));
     }
     visit.tags(tag_count);
     for _ in 0..tag_count {
@@ -393,80 +346,24 @@ fn walk_path_section<'a>(
         let name_len = r.u64()? as usize;
         visit.tag(r.str_of(name_len, "tag name")?, count)?;
     }
-    let depth_cap = match r.u64()? {
-        cap if cap <= MAX_PATH_STEPS as u64 => cap,
-        cap => {
-            return Err(corrupt(format!(
-                "path synopsis: depth cap {cap} above {MAX_PATH_STEPS}"
-            )))
-        }
-    };
-    let truncated = match r.u64()? {
-        0 => false,
-        1 => true,
-        v => return Err(corrupt(format!("path synopsis: bad truncated flag {v}"))),
-    };
-    let path_count = r.u64()? as usize;
-    if path_count > 1 << 24 {
-        return Err(corrupt("path synopsis: implausible path count"));
-    }
-    visit.paths(path_count);
-    for _ in 0..path_count {
-        let _count = r.u64()?;
-        let _max_tf = r.u64()?;
-        let nsteps = r.u64()?;
-        if nsteps > depth_cap {
-            return Err(corrupt(format!(
-                "path synopsis: a path of {nsteps} steps under depth cap {depth_cap}"
-            )));
-        }
-        let mut steps = r.take(4 * nsteps as usize, "path steps")?.chunks_exact(4);
-        let tag = |s: &[u8]| u32::from_le_bytes(s.try_into().expect("4 bytes")) as usize;
-        if steps.any(|s| tag(s) >= tag_count) {
-            return Err(corrupt("path synopsis: step references a tag out of range"));
-        }
-    }
     if r.pos != r.bytes.len() {
-        return Err(corrupt("path synopsis: trailing bytes after the paths"));
+        return Err(corrupt("synopsis: trailing bytes after the tags"));
     }
-    Ok(SectionHead {
-        elements,
-        depth_cap: depth_cap as u32,
-        truncated,
-    })
+    Ok(elements)
 }
 
-/// What a synopsis section says of the dataguide it stores: how many
-/// paths, under which depth cap, and whether the build stopped at a cap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StoredPaths {
-    /// Distinct root-to-node paths stored.
-    pub count: usize,
-    /// The depth cap the paths were built under.
-    pub depth_cap: u32,
-    /// Did the document exceed a cap?
-    pub truncated: bool,
-}
-
-/// Parses (and checksum-verifies) the path-synopsis section. Returns
-/// the tag-count synopsis it carries and what it says of its paths.
-fn parse_path_section(bytes: &[u8]) -> Result<(ShardSynopsis, StoredPaths), StoreError> {
+/// Parses (and checksum-verifies) the synopsis section.
+fn parse_synopsis_section(bytes: &[u8]) -> Result<ShardSynopsis, StoreError> {
     let mut c = Collect::default();
-    let head = walk_path_section(bytes, &mut c)?;
-    let paths = StoredPaths {
-        count: c.paths,
-        depth_cap: head.depth_cap,
-        truncated: head.truncated,
-    };
-    Ok((ShardSynopsis::from_counts(c.tags, head.elements), paths))
+    let elements = walk_synopsis_section(bytes, &mut c)?;
+    Ok(ShardSynopsis::from_counts(c.tags, elements))
 }
 
 /// Peek's visitor of the section walker: owned copies of the tag
-/// counts, and the number of stored paths.
+/// counts.
 #[derive(Default)]
 struct Collect {
     tags: Vec<(Box<str>, u64)>,
-    paths: usize,
 }
 
 impl<'a> SectionVisitor<'a> for Collect {
@@ -477,10 +374,6 @@ impl<'a> SectionVisitor<'a> for Collect {
     fn tag(&mut self, name: &'a str, count: u64) -> Result<(), StoreError> {
         self.tags.push((Box::from(name), count));
         Ok(())
-    }
-
-    fn paths(&mut self, count: usize) {
-        self.paths = count;
     }
 }
 
@@ -513,14 +406,11 @@ impl PayloadCheck<'_> {
 
     /// Checks `bytes` against the payload in one pass of the walker.
     fn check(mut self, bytes: &[u8], elements: u64) -> Result<(), StoreError> {
-        let head = walk_path_section(bytes, &mut self)?;
-        if head.elements != elements {
-            return Err(corrupt(
-                "path synopsis: element count disagrees with header",
-            ));
+        if walk_synopsis_section(bytes, &mut self)? != elements {
+            return Err(corrupt("synopsis: element count disagrees with header"));
         }
         if self.next_with_postings().is_some() {
-            return Err(corrupt("path synopsis: misses a tag with postings"));
+            return Err(corrupt("synopsis: misses a tag with postings"));
         }
         Ok(())
     }
@@ -530,19 +420,19 @@ impl<'a> SectionVisitor<'a> for PayloadCheck<'_> {
     fn tag(&mut self, name: &'a str, count: u64) -> Result<(), StoreError> {
         let Some(t) = self.next_with_postings() else {
             return Err(corrupt(format!(
-                "path synopsis: lists a tag without postings ({name:?})"
+                "synopsis: lists a tag without postings ({name:?})"
             )));
         };
         let payload =
             &self.tag_blob[self.tag_offsets[t] as usize..self.tag_offsets[t + 1] as usize];
         if name != payload {
             return Err(corrupt(format!(
-                "path synopsis: lists {name:?} where the next tag with postings is {payload:?}"
+                "synopsis: lists {name:?} where the next tag with postings is {payload:?}"
             )));
         }
         if count != self.postings(t) {
             return Err(corrupt(format!(
-                "path synopsis: tag {name:?} count disagrees with postings"
+                "synopsis: tag {name:?} count disagrees with postings"
             )));
         }
         self.next += 1;
@@ -647,14 +537,13 @@ struct Plan<'a> {
 
 impl<'a> Plan<'a> {
     fn new(doc: &'a Document, index: &'a TagIndex) -> Plan<'a> {
-        let paths = PathSynopsis::build(doc);
         let (doc, index) = (doc.view(), index.view());
         assert_eq!(
             index.columns().len(),
             doc.len(),
             "index built for a different document"
         );
-        let synopsis = encode_path_section(doc, index, &paths);
+        let synopsis = encode_synopsis_section(doc, index);
         Plan {
             doc,
             index,
@@ -724,7 +613,7 @@ impl<'a> Plan<'a> {
 
 /// Streams the snapshot of `doc` + `index` to `out`: the header, whose
 /// section table follows from the arrays' lengths, then the document's
-/// and the index's arrays as they are, then the synopses and the
+/// and the index's arrays as they are, then the synopsis and the
 /// checksum. Every byte passes through one 1 MiB staging buffer, so
 /// the writer holds no image of the file.
 pub fn write_snapshot(doc: &Document, index: &TagIndex, out: &mut impl Write) -> io::Result<()> {
@@ -902,24 +791,13 @@ impl Snapshot {
         )
     }
 
-    /// The stored tag-count synopsis, parsed from the synopsis section
-    /// attach verified. Each call parses anew: a collection visit never
-    /// needs it, since a lazy shard keeps the one [`peek`](Snapshot::peek)
-    /// read.
-    pub fn synopsis(&self) -> ShardSynopsis {
-        self.parse_synopsis_section().0
-    }
-
-    /// What the synopsis section says of its stored dataguide.
-    pub fn stored_paths(&self) -> StoredPaths {
-        self.parse_synopsis_section().1
-    }
-
-    fn parse_synopsis_section(&self) -> (ShardSynopsis, StoredPaths) {
-        parse_path_section(self.section(SEC_PATH_SYNOPSIS)).expect(
-            "a full verification of this file checked the synopsis section, \
-             and the backing is immutable",
-        )
+    /// The stored tag-count synopsis, parsed from the synopsis section.
+    /// Each call parses anew: a collection visit never needs it, since
+    /// a lazy shard keeps the one [`peek`](Snapshot::peek) read. Attach
+    /// verified the section, but a mapped file can be rewritten in
+    /// place since, so the parse checks it again.
+    pub fn synopsis(&self) -> Result<ShardSynopsis, StoreError> {
+        parse_synopsis_section(self.section(SEC_SYNOPSIS))
     }
 
     /// The whole-file checksum attach verified: the file's trailer,
@@ -966,14 +844,14 @@ impl Snapshot {
         file.read_exact(&mut header[..32])?;
         check_header(&header, file_len)?;
         file.read_exact(&mut header[32..])?;
-        let (off, len) = section_table(&header, file_len)?[SEC_PATH_SYNOPSIS];
+        let (off, len) = section_table(&header, file_len)?[SEC_SYNOPSIS];
         // The synopsis section is the last one (`section_table`
         // checked that its padding ends where the file's checksum
         // starts), so one read takes both.
         file.seek(SeekFrom::Start(off as u64))?;
         let mut tail = vec![0u8; file_len - off];
         file.read_exact(&mut tail)?;
-        let (synopsis, _) = parse_path_section(&tail[..len])?;
+        let synopsis = parse_synopsis_section(&tail[..len])?;
         Ok(SnapshotPeek {
             synopsis,
             checksum: read_u64_at(&tail, tail.len() - 8),
@@ -1285,8 +1163,8 @@ fn verify_content<'a>(
         return Err(corrupt("attribute blob not fully covered by entries"));
     }
 
-    // The stored synopses must pass their own checksum and the
-    // format's checks, and list exactly the tags with postings, in
+    // The stored synopsis must pass its own checksum and the format's
+    // checks, and list exactly the tags with postings, in
     // tag-id order, each with its posting count — a ceiling or idf
     // computed from the section can then never contradict the payload
     // it summarizes.
@@ -1296,7 +1174,7 @@ fn verify_content<'a>(
         post_offsets,
         next: 0,
     }
-    .check(sec(SEC_PATH_SYNOPSIS), (n - 1) as u64)
+    .check(sec(SEC_SYNOPSIS), (n - 1) as u64)
 }
 
 #[cfg(test)]
@@ -1340,43 +1218,13 @@ mod tests {
     fn synopsis_matches_a_fresh_build() {
         let (doc, _, bytes) = snapshot_of("<r><a><b/><b/></a><c>t</c></r>");
         let snap = Snapshot::from_bytes(&bytes).unwrap();
-        let stored = snap.synopsis();
+        let stored = snap.synopsis().unwrap();
         let fresh = ShardSynopsis::build(&doc);
         assert_eq!(stored.elements(), fresh.elements());
         assert_eq!(stored.distinct_tags(), fresh.distinct_tags());
         for (tag, count) in fresh.tags() {
             assert_eq!(stored.tag_count(tag), count, "{tag}");
         }
-        let section = decode_section(snap.section(SEC_PATH_SYNOPSIS));
-        assert_stores_the_dataguide_of(&section, &doc);
-        let stored_paths = StoredPaths {
-            count: section.paths.len(),
-            depth_cap: section.depth_cap as u32,
-            truncated: section.truncated == 1,
-        };
-        assert_eq!(snap.stored_paths(), stored_paths);
-    }
-
-    /// The decoded section's paths are `PathSynopsis::build(doc)`'s
-    /// entries, in order, with each step renamed from the build's tag
-    /// table to the section's.
-    fn assert_stores_the_dataguide_of(section: &Section, doc: &Document) {
-        let built = PathSynopsis::build(doc);
-        let position = |name: &str| {
-            let at = section.tags.iter().position(|(_, t)| t == name);
-            at.expect("every path tag is listed") as u32
-        };
-        let expected: Vec<(u64, u64, Vec<u32>)> = (built.entries().iter())
-            .map(|e| {
-                let steps = e.steps.iter();
-                let steps = steps.map(|&t| position(&built.tag_names()[t as usize]));
-                (e.count, e.max_tf, steps.collect())
-            })
-            .collect();
-        assert!(!expected.is_empty());
-        assert_eq!(section.paths, expected);
-        assert_eq!(section.depth_cap, u64::from(built.depth_cap()));
-        assert_eq!(section.truncated, u64::from(built.truncated()));
     }
 
     #[test]
@@ -1482,10 +1330,11 @@ mod tests {
         assert_eq!(snap.node_count(), doc.len());
 
         // Version 2 (the layout without the synopsis section), version
-        // 3 (this layout under a serial FNV checksum) and version 4
-        // (this layout plus the value-posting sections) are recognised
-        // and refused, by attach and peek alike.
-        for retired in [2u8, 3, 4] {
+        // 3 (the v4 layout under a serial FNV checksum), version 4 (the
+        // v5 layout plus the value-posting sections) and version 5
+        // (this layout with a dataguide after the tag counts) are
+        // recognised and refused, by attach and peek alike.
+        for retired in [2u8, 3, 4, 5] {
             let mut bytes = std::fs::read(&path).unwrap();
             bytes[4] = retired;
             let old_path = dir.join(format!("doc-v{retired}.wps"));
@@ -1578,19 +1427,16 @@ mod tests {
         assert_eq!(peek.synopsis.elements(), (doc.len() - 1) as u64);
 
         // Attach agrees with peek, on the synopsis and on the checksum
-        // it verified, and the section it verified stores a fresh
-        // build's dataguide.
+        // it verified.
         let snap = Snapshot::attach(&path).unwrap();
-        assert_eq!(snap.synopsis(), peek.synopsis);
+        assert_eq!(snap.synopsis().unwrap(), peek.synopsis);
         assert_eq!(snap.checksum(), peek.checksum);
-        let section = decode_section(snap.section(SEC_PATH_SYNOPSIS));
-        assert_stores_the_dataguide_of(&section, &doc);
 
         // A flipped byte inside the synopsis section fails the
         // section's own checksum — peek never trusts garbage ceilings.
         let clean = std::fs::read(&path).unwrap();
         let (layout, ..) = validate(&clean).unwrap();
-        let (off, len) = layout.sections[SEC_PATH_SYNOPSIS];
+        let (off, len) = layout.sections[SEC_SYNOPSIS];
         let mut corrupt = clean.clone();
         corrupt[off + len / 2] ^= 0x20;
         let bad_path = dir.join("bad.wps");
@@ -1648,7 +1494,7 @@ mod tests {
             "an empty edit is the identity"
         );
         let (layout, ..) = validate(&clean).unwrap();
-        let (off, len) = layout.sections[SEC_PATH_SYNOPSIS];
+        let (off, len) = layout.sections[SEC_SYNOPSIS];
         let stored = &clean[off..off + len];
 
         // Append a "ghost" tag to the stored tag list: elements, tag
@@ -1665,23 +1511,20 @@ mod tests {
         forged.extend_from_slice(&1u64.to_le_bytes());
         forged.extend_from_slice(&5u64.to_le_bytes());
         forged.extend_from_slice(b"ghost");
-        forged.extend_from_slice(&body[end..]);
+        assert_eq!(end, body.len(), "the checksum follows the tags");
         let sum = checksum(&forged);
         forged.extend_from_slice(&sum.to_le_bytes());
 
-        let err = Snapshot::from_bytes(&forge(&clean, |s| s[SEC_PATH_SYNOPSIS] = forged))
+        let err = Snapshot::from_bytes(&forge(&clean, |s| s[SEC_SYNOPSIS] = forged))
             .err()
             .expect("a tag without postings must not attach");
         assert!(err.to_string().contains("without postings"), "{err}");
     }
 
-    /// The path-synopsis section, decoded for editing.
+    /// The synopsis section, decoded for editing.
     struct Section {
         elements: u64,
         tags: Vec<(u64, String)>,
-        depth_cap: u64,
-        truncated: u64,
-        paths: Vec<(u64, u64, Vec<u32>)>,
     }
 
     fn decode_section(bytes: &[u8]) -> Section {
@@ -1698,26 +1541,12 @@ mod tests {
                 (count, r.str_of(len, "name").unwrap().to_string())
             })
             .collect();
-        let (depth_cap, truncated) = (u64_of(&mut r), u64_of(&mut r));
-        let paths = (0..u64_of(&mut r))
-            .map(|_| {
-                let (count, max_tf, nsteps) = (u64_of(&mut r), u64_of(&mut r), u64_of(&mut r));
-                let steps = r.take(4 * nsteps as usize, "steps").unwrap();
-                let steps = (0..nsteps as usize).map(|i| get_u32(steps, i)).collect();
-                (count, max_tf, steps)
-            })
-            .collect();
-        assert_eq!(r.pos, r.bytes.len(), "the checksum follows the paths");
-        Section {
-            elements,
-            tags,
-            depth_cap,
-            truncated,
-            paths,
-        }
+        assert_eq!(r.pos, r.bytes.len(), "the checksum follows the tags");
+        Section { elements, tags }
     }
 
-    fn encode_section(s: &Section) -> Vec<u8> {
+    /// The section's bytes before its checksum.
+    fn encode_body(s: &Section) -> Vec<u8> {
         let mut out = Vec::new();
         let put = |out: &mut Vec<u8>, v: u64| out.extend_from_slice(&v.to_le_bytes());
         put(&mut out, s.elements);
@@ -1727,35 +1556,39 @@ mod tests {
             put(&mut out, name.len() as u64);
             out.extend_from_slice(name.as_bytes());
         }
-        for v in [s.depth_cap, s.truncated, s.paths.len() as u64] {
-            put(&mut out, v);
-        }
-        for (count, max_tf, steps) in &s.paths {
-            for v in [*count, *max_tf, steps.len() as u64] {
-                put(&mut out, v);
-            }
-            for step in steps {
-                out.extend_from_slice(&step.to_le_bytes());
-            }
-        }
-        let sum = checksum(&out);
-        put(&mut out, sum);
         out
     }
 
-    /// [`forge`] with an edit to the decoded synopsis section, which is
-    /// re-encoded under a fresh section checksum.
-    fn forge_section(bytes: &[u8], edit: impl FnOnce(&mut Section)) -> Vec<u8> {
+    /// `body` under its section checksum.
+    fn sealed(mut body: Vec<u8>) -> Vec<u8> {
+        let sum = checksum(&body);
+        body.extend_from_slice(&sum.to_le_bytes());
+        body
+    }
+
+    /// [`forge`] with an edit to the body of the decoded synopsis
+    /// section, which is sealed under a fresh section checksum.
+    fn forge_body(bytes: &[u8], edit: impl FnOnce(&Section, &mut Vec<u8>)) -> Vec<u8> {
         forge(bytes, |s| {
-            let mut section = decode_section(&s[SEC_PATH_SYNOPSIS]);
-            edit(&mut section);
-            s[SEC_PATH_SYNOPSIS] = encode_section(&section);
+            let section = decode_section(&s[SEC_SYNOPSIS]);
+            let mut body = encode_body(&section);
+            edit(&section, &mut body);
+            s[SEC_SYNOPSIS] = sealed(body);
         })
     }
 
-    /// Synopsis sections that contradict their payload or the format,
-    /// behind a valid section checksum and a valid file checksum: every
-    /// case fails attach.
+    /// [`forge_body`] with an edit to the decoded section.
+    fn forge_section(bytes: &[u8], edit: impl FnOnce(&mut Section)) -> Vec<u8> {
+        forge(bytes, |s| {
+            let mut section = decode_section(&s[SEC_SYNOPSIS]);
+            edit(&mut section);
+            s[SEC_SYNOPSIS] = sealed(encode_body(&section));
+        })
+    }
+
+    /// Synopsis sections that contradict their payload, behind a valid
+    /// section checksum and a valid file checksum: every case fails
+    /// attach.
     #[test]
     fn forged_synopsis_sections_fail_attach() {
         // Tags with postings, in tag-id order: r, a, c, b.
@@ -1793,19 +1626,7 @@ mod tests {
                 "a tag with postings left out",
                 forge_section(&clean, |s| {
                     s.tags.pop();
-                    s.paths.retain(|(_, _, steps)| !steps.contains(&3));
                 }),
-            ),
-            (
-                "a path longer than its depth cap",
-                forge_section(&clean, |s| {
-                    assert!(s.paths.iter().any(|(_, _, steps)| steps.len() == 3));
-                    s.depth_cap = 2;
-                }),
-            ),
-            (
-                "a depth cap above the matcher's width",
-                forge_section(&clean, |s| s.depth_cap = MAX_PATH_STEPS as u64 + 1),
             ),
             (
                 "an element count off by one",
@@ -1815,66 +1636,41 @@ mod tests {
         for (case, bytes) in &cases {
             assert_corrupt(bytes, case);
         }
-        // Peek reads the section alone: it refuses the two edits the
-        // format itself rules out and passes the rest.
+        // Peek reads the section alone, and none of these breaks its
+        // format: peek passes them all.
         let dir = crate::TempDir::new("wpl-forged");
         for (i, (case, bytes)) in cases.iter().enumerate() {
             let path = dir.join(format!("case-{i}.wps"));
             std::fs::write(&path, bytes).unwrap();
-            assert_eq!(
-                Snapshot::peek(&path).is_ok(),
-                !(5..7).contains(&i),
-                "{case}"
-            );
+            assert!(Snapshot::peek(&path).is_ok(), "{case}");
         }
     }
 
-    /// Path fields the format rules out, behind a valid section checksum
-    /// and a valid file checksum: attach and peek both refuse each one,
-    /// naming it.
+    /// Fields the synopsis format rules out, behind a valid section
+    /// checksum and a valid file checksum: attach and peek both refuse
+    /// each one, naming it. The section ends at its tags, so path fields
+    /// after them (depth cap, truncated flag, a path count and one path)
+    /// are trailing bytes.
     #[test]
     fn forged_path_fields_fail_attach_and_peek() {
         let (_, _, clean) = snapshot_of("<r><a><c/></a><b/><a><c/></a></r>");
-        // The path count is the section's last field before the paths.
-        let count_at = |s: &Section| {
-            let paths: usize = (s.paths.iter())
-                .map(|(_, _, steps)| 24 + 4 * steps.len())
-                .sum();
-            encode_section(s).len() - 8 - paths - 8
-        };
         let cases = [
             (
-                "bad truncated flag",
-                forge_section(&clean, |s| s.truncated = 2),
-            ),
-            (
-                "step references a tag out of range",
-                forge_section(&clean, |s| s.paths[0].2[0] = s.tags.len() as u32),
-            ),
-            (
-                "trailing bytes after the paths",
-                forge(&clean, |s| {
-                    let section = decode_section(&s[SEC_PATH_SYNOPSIS]);
-                    let mut bytes = encode_section(&section);
-                    bytes.truncate(bytes.len() - 8);
-                    bytes.extend_from_slice(&[0; 8]);
-                    let sum = checksum(&bytes);
-                    bytes.extend_from_slice(&sum.to_le_bytes());
-                    s[SEC_PATH_SYNOPSIS] = bytes;
+                "trailing bytes after the tags",
+                forge_body(&clean, |_, body| {
+                    // depth cap, truncated, one path of count 1, max_tf 1
+                    // and one step (tag 0).
+                    for v in [8u64, 0, 1, 1, 1, 1] {
+                        body.extend_from_slice(&v.to_le_bytes());
+                    }
+                    body.extend_from_slice(&0u32.to_le_bytes());
                 }),
             ),
             (
-                "implausible path count",
-                forge(&clean, |s| {
-                    let section = decode_section(&s[SEC_PATH_SYNOPSIS]);
-                    let mut bytes = encode_section(&section);
-                    let at = count_at(&section);
-                    assert_eq!(read_u64_at(&bytes, at), section.paths.len() as u64);
-                    bytes[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
-                    bytes.truncate(bytes.len() - 8);
-                    let sum = checksum(&bytes);
-                    bytes.extend_from_slice(&sum.to_le_bytes());
-                    s[SEC_PATH_SYNOPSIS] = bytes;
+                "implausible tag count",
+                forge_body(&clean, |s, body| {
+                    assert_eq!(read_u64_at(body, 8), s.tags.len() as u64);
+                    body[8..16].copy_from_slice(&(1u64 << 40).to_le_bytes());
                 }),
             ),
         ];
@@ -2073,6 +1869,6 @@ mod tests {
         let snap = Snapshot::from_bytes(&bytes).unwrap();
         assert_eq!(snap.node_count(), 1);
         assert!(snap.doc_view().is_empty());
-        assert_eq!(snap.synopsis().elements(), 0);
+        assert_eq!(snap.synopsis().unwrap().elements(), 0);
     }
 }

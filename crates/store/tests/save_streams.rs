@@ -1,6 +1,6 @@
 //! `save_snapshot` streams the document's arrays to the file: the heap
 //! it holds at its peak, above where it started, is its staging buffer
-//! and the encoded synopses, never an image of the file. The test
+//! and the encoded synopsis, never an image of the file. The test
 //! counts every allocation of its own process, so it lives alone in
 //! this binary.
 

@@ -8,7 +8,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use whirlpool_core::{evaluate, Algorithm, EvalOptions};
-use whirlpool_index::{PathSynopsis, TagIndex};
+use whirlpool_index::TagIndex;
 use whirlpool_pattern::{parse_pattern, TreePattern};
 use whirlpool_score::{Normalization, TfIdfModel};
 use whirlpool_store::{build_snapshot_bytes, Snapshot};
@@ -84,7 +84,6 @@ fn hostile_xml_parses_or_fails_cleanly() {
             if let Ok(doc) = parse_document(text) {
                 parsed += 1;
                 let index = TagIndex::build(&doc);
-                PathSynopsis::build(&doc);
                 whirlpool_s(&doc, &index, &q2);
                 // Bit flips make entity, CDATA and mixed-content shapes
                 // the hand-written cases lack.

@@ -57,7 +57,8 @@ const TAGS: [&str; 8] = [
 ];
 
 /// Queries whose server paths range from flat child steps to nested
-/// chains — exercising the dataguide intersection at every depth.
+/// chains — exercising the count ceilings' exact and relaxed counts at
+/// every depth.
 const QUERIES: [&str; 4] = [
     "//book[./title and ./isbn]",
     "//book[.//price]",
