@@ -327,25 +327,40 @@ impl Drop for SharedTopKGuard<'_> {
 /// root sets appear — except for a tied group that touches the end of
 /// the list, where different members of the tie may have been admitted.
 pub fn answers_equivalent(a: &[RankedAnswer], b: &[RankedAnswer], epsilon: f64) -> bool {
+    tie_equivalent(a, b, epsilon, |r| r.score.value(), |r| r.root)
+}
+
+/// The tie rule behind [`answers_equivalent`] and
+/// [`collection_answers_equivalent`](crate::collection_answers_equivalent),
+/// over any answer type: `score` reads an answer's score, `key` the
+/// identity compared inside a tied group.
+pub(crate) fn tie_equivalent<T, K: Ord>(
+    a: &[T],
+    b: &[T],
+    epsilon: f64,
+    score: impl Fn(&T) -> f64,
+    key: impl Fn(&T) -> K,
+) -> bool {
     if a.len() != b.len() {
         return false;
     }
-    for (x, y) in a.iter().zip(b) {
-        if (x.score.value() - y.score.value()).abs() > epsilon {
-            return false;
-        }
+    if a.iter()
+        .zip(b)
+        .any(|(x, y)| (score(x) - score(y)).abs() > epsilon)
+    {
+        return false;
     }
     let mut i = 0;
     while i < a.len() {
         let mut j = i + 1;
-        while j < a.len() && (a[j].score.value() - a[i].score.value()).abs() <= epsilon {
+        while j < a.len() && (score(&a[j]) - score(&a[i])).abs() <= epsilon {
             j += 1;
         }
         // A tie group cut off by the k boundary may legitimately hold
-        // different roots in the two lists.
+        // different answers in the two lists.
         if j < a.len() {
-            let mut ra: Vec<NodeId> = a[i..j].iter().map(|r| r.root).collect();
-            let mut rb: Vec<NodeId> = b[i..j].iter().map(|r| r.root).collect();
+            let mut ra: Vec<K> = a[i..j].iter().map(&key).collect();
+            let mut rb: Vec<K> = b[i..j].iter().map(&key).collect();
             ra.sort_unstable();
             rb.sort_unstable();
             if ra != rb {

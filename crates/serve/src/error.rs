@@ -2,9 +2,10 @@
 //!
 //! Two deliberately separate types: [`ServeError`] is what *prevents* a
 //! request from producing an answer (rejection, malformed input, I/O),
-//! while [`Outcome`] classifies every *admitted* request exactly once —
-//! the daemon's conservation law `admitted = exact + degraded +
-//! timed_out` is a sum over `Outcome`, and rejections never enter it.
+//! while [`Outcome`] classifies every *admitted* request that returns
+//! exactly once — the daemon's conservation law `admitted = exact +
+//! degraded + timed_out + aborted` is a sum over `Outcome` plus the
+//! requests that panicked, and rejections never enter it.
 
 use std::fmt;
 use std::time::Duration;

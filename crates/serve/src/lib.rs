@@ -27,7 +27,8 @@
 //!   `FaultPlan` spec (a failed server operation stops the run, whose
 //!   certified prefix is the reply; nothing is retried), and
 //!   `/healthz` + `/metrics` endpoints whose counters obey the
-//!   conservation law `admitted = exact + degraded + timed_out`.
+//!   conservation law `admitted = exact + degraded + timed_out +
+//!   aborted` (`aborted`: an admitted request that panicked).
 //!
 //! The documents of a [`Registry`] become the shards of one
 //! [`whirlpool_core::Collection`] when the daemon starts; holding,

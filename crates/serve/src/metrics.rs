@@ -3,11 +3,11 @@
 //! Every request that reaches the daemon is counted exactly once on
 //! the intake side (`admitted`, `rejected`, `shed`, `bad_requests`,
 //! `not_found`), and every *admitted* request is classified exactly
-//! once on the outcome side (`exact`, `degraded`, `timed_out`). At
-//! quiescence `admitted = exact + degraded + timed_out` — the overload
-//! suite asserts it after every soak. A request that panics is
-//! answered 500 and counted in `panics`; if it was admitted, it
-//! settles no outcome, so the law holds while `panics` is 0.
+//! once on the outcome side (`exact`, `degraded`, `timed_out`,
+//! `aborted`). At quiescence `admitted = exact + degraded + timed_out +
+//! aborted` — the overload suite asserts it after every soak. A request
+//! that panics is answered 500 and counted in `panics`; if it was
+//! admitted, its unwind settles it as `aborted`.
 
 use crate::error::Outcome;
 use std::collections::VecDeque;
@@ -35,6 +35,9 @@ pub struct ServeMetrics {
     pub degraded: AtomicU64,
     /// Admitted requests reclaimed by the watchdog.
     pub timed_out: AtomicU64,
+    /// Admitted requests that panicked before they were classified
+    /// (HTTP 500), settled by the unwind.
+    pub aborted: AtomicU64,
     /// Requests whose handling panicked (HTTP 500); the worker lived on.
     pub panics: AtomicU64,
 }
@@ -52,6 +55,7 @@ pub struct ServeMetricsSnapshot {
     pub exact: u64,
     pub degraded: u64,
     pub timed_out: u64,
+    pub aborted: u64,
     pub panics: u64,
 }
 
@@ -78,6 +82,7 @@ impl ServeMetrics {
             exact: self.exact.load(Ordering::Relaxed),
             degraded: self.degraded.load(Ordering::Relaxed),
             timed_out: self.timed_out.load(Ordering::Relaxed),
+            aborted: self.aborted.load(Ordering::Relaxed),
             panics: self.panics.load(Ordering::Relaxed),
         }
     }
@@ -86,7 +91,7 @@ impl ServeMetrics {
 impl ServeMetricsSnapshot {
     /// Outcomes recorded so far.
     pub fn settled(&self) -> u64 {
-        self.exact + self.degraded + self.timed_out
+        self.exact + self.degraded + self.timed_out + self.aborted
     }
 
     /// The conservation law, valid at quiescence (no request mid-
@@ -100,7 +105,7 @@ impl ServeMetricsSnapshot {
         format!(
             "{{\"received\": {}, \"admitted\": {}, \"rejected\": {}, \"shed\": {}, \
              \"bad_requests\": {}, \"not_found\": {}, \"exact\": {}, \"degraded\": {}, \
-             \"timed_out\": {}, \"panics\": {}, \"inflight\": {inflight}}}",
+             \"timed_out\": {}, \"aborted\": {}, \"panics\": {}, \"inflight\": {inflight}}}",
             self.received,
             self.admitted,
             self.rejected,
@@ -110,6 +115,7 @@ impl ServeMetricsSnapshot {
             self.exact,
             self.degraded,
             self.timed_out,
+            self.aborted,
             self.panics,
         )
     }
@@ -199,8 +205,10 @@ mod tests {
         let m = ServeMetrics::default();
         m.received.fetch_add(7, Ordering::Relaxed);
         m.panics.fetch_add(1, Ordering::Relaxed);
+        m.aborted.fetch_add(1, Ordering::Relaxed);
         let body = m.snapshot().to_json(2);
         assert!(body.contains("\"received\": 7"));
+        assert!(body.contains("\"aborted\": 1"));
         assert!(body.contains("\"panics\": 1"));
         assert!(body.contains("\"inflight\": 2"));
         crate::json::Json::parse(&body).expect("valid json");

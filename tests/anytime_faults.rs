@@ -19,6 +19,9 @@
 //! engines, are (1) the per-root score of any root present in both
 //! runs, and (2) the k-th score once the set is full.
 
+mod common;
+
+use common::oracle::{check_certificate, scored};
 use proptest::prelude::*;
 use std::time::Duration;
 use whirlpool_core::{
@@ -67,32 +70,14 @@ fn algorithms() -> Vec<Algorithm> {
     ]
 }
 
-/// Checks the anytime certificate of `truncated` against the exact
-/// top-k: every returned answer scores within the bound, and every
-/// exact answer *missing* from the truncated prefix could not have
-/// beaten it.
+/// [`check_certificate`] over ranked answers.
 fn assert_certificate_valid(
     truncated: &[RankedAnswer],
     completeness: &Completeness,
     exact: &[RankedAnswer],
     context: &str,
 ) {
-    let Some(bound) = completeness.score_bound() else {
-        panic!("{context}: expected a truncated result, got {completeness:?}");
-    };
-    for a in truncated {
-        assert!(
-            a.score.value() <= bound + EPS,
-            "{context}: returned answer {a:?} above the bound {bound}"
-        );
-    }
-    for e in exact {
-        let present = truncated.iter().any(|a| a.root == e.root);
-        assert!(
-            present || e.score.value() <= bound + EPS,
-            "{context}: missing answer {e:?} exceeds the bound {bound}"
-        );
-    }
+    check_certificate(context, &scored(truncated), completeness, &scored(exact));
 }
 
 // ---------------------------------------------------------------------

@@ -1,4 +1,6 @@
 //! Test-only helpers shared by the repository-root integration suites
-//! (each suite pulls them in with `mod common;`).
+//! (each suite pulls them in with `mod common;`): the differential
+//! oracle's reference and comparator.
 
-pub mod naive;
+#[path = "../oracle/harness.rs"]
+pub mod oracle;

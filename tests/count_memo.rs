@@ -10,10 +10,11 @@
 #[path = "common/temp.rs"]
 mod temp;
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use temp::TempDir;
 use whirlpool_core::{
-    evaluate_scope, evaluate_view, Algorithm, Collection, CollectionOptions, CollectionResult,
-    EvalOptions, RelaxMode, Scope, COUNT_MEMO_CAP,
+    evaluate_scope, Algorithm, Collection, CollectionOptions, CollectionResult, EvalOptions, Scope,
+    COUNT_MEMO_CAP,
 };
 use whirlpool_index::TagIndex;
 use whirlpool_pattern::{parse_pattern, QNodeId, TreePattern};
@@ -47,10 +48,7 @@ const SHAPES: &[&str] = &[
 ];
 
 fn xmark(items: usize, seed: u64) -> Document {
-    generate(&GeneratorConfig {
-        seed,
-        ..GeneratorConfig::items(items)
-    })
+    generate(&GeneratorConfig::items(items).with_seed(seed))
 }
 
 /// Every `[exact, relaxed]` weight and satisfying fraction of `model`,
@@ -68,25 +66,26 @@ fn model_bits(model: &TfIdfModel, pattern: &TreePattern) -> Vec<u64> {
         .collect()
 }
 
+/// Whirlpool-S's relaxed top `k` over `scope`.
 fn scope_run(
     collection: &Collection,
     scope: Scope,
     pattern: &TreePattern,
     k: usize,
-    relax: RelaxMode,
 ) -> CollectionResult {
-    let options = EvalOptions {
-        relax,
-        ..EvalOptions::top_k(k)
-    };
+    let (s, options, copts) = (
+        &Algorithm::WhirlpoolS,
+        EvalOptions::top_k(k),
+        CollectionOptions::default(),
+    );
     evaluate_scope(
         collection,
         scope,
         pattern,
-        &Algorithm::WhirlpoolS,
+        s,
         &options,
         Normalization::Sparse,
-        &CollectionOptions::default(),
+        &copts,
     )
 }
 
@@ -121,42 +120,20 @@ fn a_memo_hit_builds_the_model_a_fresh_count_builds() {
     for pass in 0..2 {
         for query in SHAPES {
             let pattern = parse_pattern(query).unwrap();
-            let fresh = TfIdfModel::build_view(
-                (&doc).into(),
-                index.view(),
-                &pattern,
-                Normalization::Sparse,
-            );
+            let fresh = TfIdfModel::build(&doc, &index, &pattern, Normalization::Sparse);
             for shard in 0..collection.len() {
                 let scope = Scope::Shard(shard);
                 let what = format!("pass {pass}, {query}, shard {shard}");
-                let model = collection.scope_stats(scope, &pattern);
-                let model = model.model(Normalization::Sparse);
+                let model = collection
+                    .scope_stats(scope, &pattern)
+                    .model(Normalization::Sparse);
                 assert_eq!(
                     model_bits(&model, &pattern),
                     model_bits(&fresh, &pattern),
                     "{what}"
                 );
-                for relax in [RelaxMode::Relaxed, RelaxMode::Exact] {
-                    let scoped = scope_run(&collection, scope, &pattern, 15, relax);
-                    assert_eq!(scoped.collection_metrics.shards_counted, 0, "{what}");
-                    let options = EvalOptions {
-                        relax,
-                        ..EvalOptions::top_k(15)
-                    };
-                    let one = evaluate_view(
-                        (&doc).into(),
-                        index.view(),
-                        &pattern,
-                        &fresh,
-                        &Algorithm::WhirlpoolS,
-                        &options,
-                    );
-                    let expected: Vec<(usize, NodeId, u64)> = (one.answers.iter())
-                        .map(|a| (shard, a.root, a.score.value().to_bits()))
-                        .collect();
-                    assert_eq!(answers(&scoped), expected, "{what} {relax:?}");
-                }
+                let scoped = scope_run(&collection, scope, &pattern, 15);
+                assert_eq!(scoped.collection_metrics.shards_counted, 0, "{what}");
             }
         }
     }
@@ -169,23 +146,22 @@ fn a_query_sharing_two_predicates_counts_only_its_new_ones() {
     let mut collection = Collection::new();
     collection.add_document("doc", xmark(80, 7));
     let first = parse_pattern("//item[./name and ./payment]").unwrap();
-    let run = scope_run(&collection, Scope::Shard(0), &first, 5, RelaxMode::Relaxed);
+    let run = scope_run(&collection, Scope::Shard(0), &first, 5);
     assert_eq!(run.collection_metrics.shards_counted, 1);
     assert_eq!(collection.shards()[0].memoized_counts(), 2);
 
     // The two shared predicates sit at other query nodes and in another
     // order: only `./location` and `.//text` are new.
     let second = parse_pattern("//item[./location and ./payment and .//text and ./name]").unwrap();
-    let run = scope_run(&collection, Scope::Shard(0), &second, 5, RelaxMode::Relaxed);
+    let run = scope_run(&collection, Scope::Shard(0), &second, 5);
     assert_eq!(run.collection_metrics.shards_counted, 1);
     assert_eq!(collection.shards()[0].memoized_counts(), 4);
-    let fresh = TfIdfModel::build_view((&doc).into(), index.view(), &second, Normalization::Sparse);
-    let model = collection.scope_stats(Scope::Shard(0), &second);
-    assert_eq!(
-        model_bits(&model.model(Normalization::Sparse), &second),
-        model_bits(&fresh, &second)
-    );
-    let again = scope_run(&collection, Scope::Shard(0), &second, 5, RelaxMode::Relaxed);
+    let fresh = TfIdfModel::build(&doc, &index, &second, Normalization::Sparse);
+    let model = collection
+        .scope_stats(Scope::Shard(0), &second)
+        .model(Normalization::Sparse);
+    assert_eq!(model_bits(&model, &second), model_bits(&fresh, &second));
+    let again = scope_run(&collection, Scope::Shard(0), &second, 5);
     assert_eq!(again.collection_metrics.shards_counted, 0);
     assert_eq!(answers(&again), answers(&run));
 }
@@ -205,11 +181,11 @@ fn at_one_resident_a_repeated_corpus_query_attaches_only_what_it_evaluates() {
     }
     collection.set_max_resident(1);
     let pattern = parse_pattern(queries::Q2).unwrap();
-    let first = scope_run(&collection, Scope::Corpus, &pattern, 3, RelaxMode::Relaxed);
+    let first = scope_run(&collection, Scope::Corpus, &pattern, 3);
     // The document without items holds no answer: it is never counted.
     assert_eq!(first.collection_metrics.shards_counted, 3);
     for _ in 0..3 {
-        let again = scope_run(&collection, Scope::Corpus, &pattern, 3, RelaxMode::Relaxed);
+        let again = scope_run(&collection, Scope::Corpus, &pattern, 3);
         let m = &again.collection_metrics;
         assert_eq!(m.shards_counted, 0, "{m:?}");
         assert!(m.shards_pruned >= 1, "{m:?}");
@@ -234,8 +210,8 @@ fn a_flood_of_distinct_values_fills_every_memo_to_its_cap_and_no_further() {
     let collection = build();
     let check = |query: &str| {
         let pattern = parse_pattern(query).unwrap();
-        let flooded = scope_run(&collection, Scope::Corpus, &pattern, 10, RelaxMode::Relaxed);
-        let fresh = scope_run(&build(), Scope::Corpus, &pattern, 10, RelaxMode::Relaxed);
+        let flooded = scope_run(&collection, Scope::Corpus, &pattern, 10);
+        let fresh = scope_run(&build(), Scope::Corpus, &pattern, 10);
         assert_eq!(answers(&flooded), answers(&fresh), "{query}");
         flooded
     };
@@ -245,7 +221,7 @@ fn a_flood_of_distinct_values_fills_every_memo_to_its_cap_and_no_further() {
             check(&query);
         } else {
             let pattern = parse_pattern(&query).unwrap();
-            scope_run(&collection, Scope::Corpus, &pattern, 10, RelaxMode::Relaxed);
+            scope_run(&collection, Scope::Corpus, &pattern, 10);
         }
     }
     for shard in collection.shards() {
@@ -264,6 +240,45 @@ fn a_flood_of_distinct_values_fills_every_memo_to_its_cap_and_no_further() {
     }
 }
 
+/// Four threads released together, each building the model of every
+/// pattern over `scope` while `watch` runs on the calling thread: the
+/// model bits each thread built, per pattern. Round 0 walks the
+/// patterns in one order on every thread, so all four miss on each
+/// predicate at once; later rounds start each thread elsewhere, so
+/// hits, misses and inserts interleave. `watch` sees how many threads
+/// have finished.
+fn four_threads_build(
+    collection: &Collection,
+    scope: Scope,
+    patterns: &[TreePattern],
+    round: usize,
+    watch: impl FnOnce(&AtomicUsize),
+) -> Vec<Vec<Vec<u64>>> {
+    let finished = AtomicUsize::new(0);
+    let barrier = std::sync::Barrier::new(5);
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..4)
+            .map(|t| {
+                let (barrier, finished) = (&barrier, &finished);
+                s.spawn(move || {
+                    barrier.wait();
+                    let mut models = vec![Vec::new(); patterns.len()];
+                    for i in 0..patterns.len() {
+                        let at = (i + t * round) % patterns.len();
+                        let stats = collection.scope_stats(scope, &patterns[at]);
+                        models[at] = model_bits(&stats.model(Normalization::Dense), &patterns[at]);
+                    }
+                    finished.fetch_add(1, Ordering::SeqCst);
+                    models
+                })
+            })
+            .collect();
+        barrier.wait();
+        watch(&finished);
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    })
+}
+
 #[test]
 fn four_threads_filling_one_memo_build_identical_models() {
     let doc = xmark(120, 5);
@@ -272,30 +287,7 @@ fn four_threads_filling_one_memo_build_identical_models() {
     for round in 0..4 {
         let mut collection = Collection::new();
         collection.add_document("doc", xmark(120, 5));
-        let barrier = std::sync::Barrier::new(4);
-        let built: Vec<Vec<Vec<u64>>> = std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..4)
-                .map(|t| {
-                    let (collection, barrier, patterns) = (&collection, &barrier, &patterns);
-                    scope.spawn(move || {
-                        barrier.wait();
-                        // Round 0 walks the shapes in one order on every
-                        // thread, so all four miss on each predicate at
-                        // once; later rounds start each thread elsewhere,
-                        // so hits, misses and inserts interleave.
-                        let mut models = vec![Vec::new(); patterns.len()];
-                        for i in 0..patterns.len() {
-                            let at = (i + t * round) % patterns.len();
-                            let stats = collection.scope_stats(Scope::Shard(0), &patterns[at]);
-                            let model = stats.model(Normalization::Dense);
-                            models[at] = model_bits(&model, &patterns[at]);
-                        }
-                        models
-                    })
-                })
-                .collect();
-            workers.into_iter().map(|w| w.join().unwrap()).collect()
-        });
+        let built = four_threads_build(&collection, Scope::Shard(0), &patterns, round, |_| ());
         for (i, pattern) in patterns.iter().enumerate() {
             let fresh =
                 TfIdfModel::build_view((&doc).into(), index.view(), pattern, Normalization::Dense);
@@ -320,11 +312,8 @@ fn the_admission_price_falls_to_zero_while_four_threads_fill_a_lazy_corpus() {
         .map(|pattern| {
             let mut stats = CorpusStats::new(pattern);
             for doc in &docs {
-                stats.add_shard(
-                    doc,
-                    &TagIndex::build(doc),
-                    &pattern.node(pattern.root()).tag,
-                );
+                let answer_tag = &pattern.node(pattern.root()).tag;
+                stats.add_shard(doc, &TagIndex::build(doc), answer_tag);
             }
             model_bits(&stats.model(Normalization::Dense), pattern)
         })
@@ -339,38 +328,16 @@ fn the_admission_price_falls_to_zero_while_four_threads_fill_a_lazy_corpus() {
         };
         let unpriced = price();
         assert!(unpriced > 0);
-        let finished = std::sync::atomic::AtomicUsize::new(0);
-        let barrier = std::sync::Barrier::new(5);
-        let built: Vec<Vec<Vec<u64>>> = std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..4)
-                .map(|t| {
-                    let (collection, barrier, patterns) = (&collection, &barrier, &patterns);
-                    let finished = &finished;
-                    scope.spawn(move || {
-                        barrier.wait();
-                        let mut models = vec![Vec::new(); patterns.len()];
-                        for i in 0..patterns.len() {
-                            let at = (i + t * round) % patterns.len();
-                            let stats = collection.scope_stats(Scope::Corpus, &patterns[at]);
-                            let model = stats.model(Normalization::Dense);
-                            models[at] = model_bits(&model, &patterns[at]);
-                        }
-                        finished.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                        models
-                    })
-                })
-                .collect();
-            // The price reads the memos the workers fill: it never rises,
-            // and once they are done every shard has counted every shape.
-            barrier.wait();
+        // The price reads the memos the workers fill: it never rises,
+        // and once they are done every shard has counted every shape.
+        let built = four_threads_build(&collection, Scope::Corpus, &patterns, round, |finished| {
             let mut last = unpriced;
-            while finished.load(std::sync::atomic::Ordering::SeqCst) < 4 {
+            while finished.load(Ordering::SeqCst) < 4 {
                 let now = price();
                 assert!(now <= last, "round {round}: the price rose {last} -> {now}");
                 last = now;
             }
             assert_eq!(price(), 0, "round {round}");
-            workers.into_iter().map(|w| w.join().unwrap()).collect()
         });
         for (i, want) in want.iter().enumerate() {
             for (t, models) in built.iter().enumerate() {

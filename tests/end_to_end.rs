@@ -1,10 +1,13 @@
 //! Whole-pipeline tests: generate → serialize → reparse → index →
 //! evaluate, plus determinism and virtual-time consistency.
 
+mod common;
+
+use common::oracle::{check_topk, scored};
 use whirlpool_bench::vtime::{simulate_whirlpool_m, VTimeConfig};
 use whirlpool_core::{
-    answers_equivalent, evaluate, Algorithm, ContextOptions, EvalOptions, FaultPlan, QueryContext,
-    QueuePolicy, RoutingStrategy,
+    evaluate, Algorithm, ContextOptions, EvalOptions, FaultPlan, QueryContext, QueuePolicy,
+    RoutingStrategy,
 };
 use whirlpool_index::TagIndex;
 use whirlpool_score::{Normalization, TfIdfModel};
@@ -40,7 +43,7 @@ fn serialize_reparse_preserves_answers() {
         &Algorithm::WhirlpoolS,
         &options,
     );
-    assert!(answers_equivalent(&r1.answers, &r2.answers, 1e-9));
+    check_topk("reparsed", &scored(&r1.answers), &scored(&r2.answers), 10);
 }
 
 #[test]
@@ -103,10 +106,8 @@ fn virtual_time_simulation_matches_real_answers() {
                 ..Default::default()
             },
         );
-        assert!(
-            answers_equivalent(&sim.answers, &real.answers, 1e-9),
-            "procs={procs:?}"
-        );
+        let what = format!("procs={procs:?}");
+        check_topk(&what, &scored(&sim.answers), &scored(&real.answers), 15);
         assert!(sim.makespan > 0.0);
     }
 }

@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::naive;
+use common::oracle::exact_roots;
 use std::collections::HashSet;
 use whirlpool_core::{evaluate, Algorithm, EvalOptions};
 use whirlpool_index::TagIndex;
@@ -18,7 +18,7 @@ use whirlpool_xml::{Document, NodeId};
 fn closure_roots(doc: &Document, query: &whirlpool_pattern::TreePattern) -> HashSet<NodeId> {
     let mut roots = HashSet::new();
     for relaxed in relax::enumerate(query, 50_000) {
-        for r in naive::exact_match_roots(doc, &relaxed) {
+        for r in exact_roots(doc, &relaxed) {
             roots.insert(r);
         }
     }
@@ -52,23 +52,15 @@ fn books_example_matches_figure_2() {
     let doc = books::heterogeneous_collection();
     let query = queries::parse(queries::FIG2A);
 
-    let exact = naive::exact_match_roots(&doc, &query);
+    let exact = exact_roots(&doc, &query);
     assert_eq!(exact.len(), 1, "book (a) is the only exact match");
 
     let fig2c =
         parse_pattern("/book[.//title = 'wodehouse' and .//publisher/name = 'psmith']").unwrap();
-    assert_eq!(
-        naive::exact_match_roots(&doc, &fig2c).len(),
-        2,
-        "books (a) and (b)"
-    );
+    assert_eq!(exact_roots(&doc, &fig2c).len(), 2, "books (a) and (b)");
 
     let fig2d = parse_pattern("/book[.//title = 'wodehouse']").unwrap();
-    assert_eq!(
-        naive::exact_match_roots(&doc, &fig2d).len(),
-        3,
-        "all three books"
-    );
+    assert_eq!(exact_roots(&doc, &fig2d).len(), 3, "all three books");
 
     let (all, _) = engine_positive_roots(&doc, &query);
     assert_eq!(all.len(), 3, "relaxed evaluation admits all three books");
@@ -112,7 +104,7 @@ fn exact_matches_score_highest() {
             &Algorithm::WhirlpoolS,
             &options,
         );
-        let exact: HashSet<NodeId> = naive::exact_match_roots(&doc, &query).into_iter().collect();
+        let exact: HashSet<NodeId> = exact_roots(&doc, &query).into_iter().collect();
         if exact.is_empty() {
             continue;
         }
@@ -137,12 +129,10 @@ fn relaxation_never_loses_exact_answers() {
     // original query continue to be matches to the relaxed query."
     let doc = generate(&GeneratorConfig::items(25));
     let query = queries::parse(queries::Q1);
-    let exact_roots: HashSet<NodeId> = naive::exact_match_roots(&doc, &query).into_iter().collect();
+    let original: HashSet<NodeId> = exact_roots(&doc, &query).into_iter().collect();
     for relaxed in relax::enumerate(&query, 10_000) {
-        let relaxed_roots: HashSet<NodeId> = naive::exact_match_roots(&doc, &relaxed)
-            .into_iter()
-            .collect();
-        for r in &exact_roots {
+        let relaxed_roots: HashSet<NodeId> = exact_roots(&doc, &relaxed).into_iter().collect();
+        for r in &original {
             assert!(
                 relaxed_roots.contains(r),
                 "exact match {r:?} lost by relaxed query {relaxed}"

@@ -47,36 +47,29 @@ fn a_document_scope_is_the_one_document_path() {
 
     for query in [queries::Q1, queries::Q2, queries::Q3, queries::Q4, Q5] {
         let pattern = parse_pattern(query).unwrap();
-        let model =
-            TfIdfModel::build_view((&doc).into(), index.view(), &pattern, Normalization::Sparse);
+        let (view, norm) = ((&doc).into(), Normalization::Sparse);
+        let model = TfIdfModel::build_view(view, index.view(), &pattern, norm);
         for relax in [RelaxMode::Relaxed, RelaxMode::Exact] {
             for k in [1, 15, 75] {
-                let options = EvalOptions {
-                    relax,
-                    ..EvalOptions::top_k(k)
-                };
+                let mut options = EvalOptions::top_k(k);
+                options.relax = relax;
                 for algorithm in [Algorithm::WhirlpoolS, Algorithm::LockStep] {
                     let what = format!("{query} {relax:?} k={k} {algorithm:?}");
-                    let one = evaluate_view(
-                        (&doc).into(),
-                        index.view(),
-                        &pattern,
-                        &model,
-                        &algorithm,
-                        &options,
-                    );
+                    let one =
+                        evaluate_view(view, index.view(), &pattern, &model, &algorithm, &options);
                     let expected: Vec<(NodeId, u64)> = (one.answers.iter())
                         .map(|a| (a.root, a.score.value().to_bits()))
                         .collect();
                     for shard in 0..collection.len() {
+                        let (scope, copts) = (Scope::Shard(shard), CollectionOptions::default());
                         let scoped = evaluate_scope(
                             &collection,
-                            Scope::Shard(shard),
+                            scope,
                             &pattern,
                             &algorithm,
                             &options,
-                            Normalization::Sparse,
-                            &CollectionOptions::default(),
+                            norm,
+                            &copts,
                         );
                         let name = collection.shards()[shard].name();
                         assert!(scoped.answers.iter().all(|a| a.shard == shard), "{what}");
@@ -109,10 +102,8 @@ fn a_document_scope_is_the_one_document_path() {
 fn a_peeked_corpus_scores_like_a_parsed_one() {
     let dir = TempDir::new("wp-scope-corpus");
     let mut parsed = Collection::new();
-    for (i, (items, seed)) in [(40, 3), (90, 5), (60, 8), (120, 13)]
-        .into_iter()
-        .enumerate()
-    {
+    let shards = [(40, 3), (90, 5), (60, 8), (120, 13)];
+    for (i, (items, seed)) in shards.into_iter().enumerate() {
         let doc = generate(&GeneratorConfig::items(items).with_seed(seed));
         let xml = write_document(&doc, &WriteOptions::default());
         let reparsed = parse_document(&xml).unwrap();
@@ -129,18 +120,17 @@ fn a_peeked_corpus_scores_like_a_parsed_one() {
         for relax in [RelaxMode::Relaxed, RelaxMode::Exact] {
             for k in [1, 15, 75] {
                 let what = format!("{query} {relax:?} k={k}");
-                let options = EvalOptions {
-                    relax,
-                    ..EvalOptions::top_k(k)
-                };
+                let mut options = EvalOptions::top_k(k);
+                options.relax = relax;
+                let (s, copts) = (&Algorithm::WhirlpoolS, CollectionOptions::default());
                 let run = |c: &Collection| {
                     let r = evaluate_collection(
                         c,
                         &pattern,
-                        &Algorithm::WhirlpoolS,
+                        s,
                         &options,
                         Normalization::Sparse,
-                        &CollectionOptions::default(),
+                        &copts,
                     );
                     assert!(matches!(r.completeness, Completeness::Exact), "{what}");
                     let answers: Vec<(usize, NodeId, u64)> = (r.answers.iter())
