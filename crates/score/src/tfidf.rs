@@ -213,19 +213,37 @@ pub fn idf_counts_sweep(
     (answers.len() as u64, counts)
 }
 
-/// Calls `visit` on every node carrying `answer_tag` (every element
-/// for a wildcard), in document order.
+/// The answer population of Definition 4.2: the posting list of
+/// `answer_tag`, or `None` for the wildcard `*`, whose answers are every
+/// element.
+fn answer_postings<'a>(
+    doc: DocView<'a>,
+    index: TagIndexView<'a>,
+    answer_tag: &str,
+) -> Option<&'a [NodeId]> {
+    (answer_tag != WILDCARD)
+        .then(|| (doc.tag_id(answer_tag)).map_or(&[][..], |t| index.nodes_with_tag(t)))
+}
+
+/// Calls `visit` on every node of the answer population, in document
+/// order.
 fn for_each_answer(
     doc: DocView<'_>,
     index: TagIndexView<'_>,
     answer_tag: &str,
     visit: impl FnMut(NodeId),
 ) {
-    if answer_tag == WILDCARD {
-        doc.elements().for_each(visit);
-    } else if let Some(tag) = doc.tag_id(answer_tag) {
-        index.nodes_with_tag(tag).iter().copied().for_each(visit);
+    match answer_postings(doc, index, answer_tag) {
+        Some(postings) => postings.iter().copied().for_each(visit),
+        None => doc.elements().for_each(visit),
     }
+}
+
+/// The size of the answer population [`for_each_answer`] visits, in one
+/// lookup: a posting list's length, or every node but the document
+/// node.
+pub fn answer_population(doc: DocView<'_>, index: TagIndexView<'_>, answer_tag: &str) -> u64 {
+    (answer_postings(doc, index, answer_tag)).map_or(doc.len().saturating_sub(1), <[_]>::len) as u64
 }
 
 /// An answer node of [`idf_counts_sweep`]: its raw id, one past its
