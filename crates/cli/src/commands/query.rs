@@ -10,7 +10,8 @@ use std::io::Write;
 use std::time::{Duration, Instant};
 use whirlpool_core::{
     evaluate_scope, Algorithm, Collection, CollectionOptions, CollectionResult, Completeness,
-    EvalOptions, FaultPlan, QueuePolicy, RelaxMode, RoutingStrategy, Scope, Shard, Tracer,
+    EvalOptions, FaultPlan, MetricsSnapshot, QueuePolicy, RelaxMode, RoutingStrategy, Scope, Shard,
+    Tracer,
 };
 use whirlpool_index::{DocView, TagIndex};
 use whirlpool_pattern::{StaticPlan, TreePattern};
@@ -264,7 +265,7 @@ pub fn run(argv: &[&str], out: &mut dyn Write) -> Result<(), CliError> {
     }
     write_human(out, &run, parsed.flag("xml"), parsed.flag("stats"))?;
     if let (true, Some(trace)) = (explain, &trace) {
-        write_explain(out, trace)?;
+        write_explain(out, trace, &result.metrics)?;
     }
     Ok(())
 }
@@ -387,9 +388,11 @@ fn write_human(out: &mut dyn Write, run: &Run<'_>, xml: bool, stats: bool) -> Re
     {
         writeln!(
             out,
-            "lazy:      {} pruned before attach, {} attached, {} attach failed, {} evicted",
+            "lazy:      {} pruned before attach, {} attached, {} attached to count, \
+             {} attach failed, {} evicted",
             cm.shards_pruned_before_attach,
             cm.shards_attached,
+            cm.shards_attached_to_count,
             cm.shards_attach_failed,
             cm.shard_evictions
         )?;
@@ -552,13 +555,15 @@ fn write_json(out: &mut dyn Write, run: &Run<'_>) -> Result<(), CliError> {
         "  \"collection\": {{\"shards_total\": {}, \"shards_visited\": {}, \
          \"shards_pruned\": {}, \"shards_pruned_before_attach\": {}, \
          \"shards_skipped_budget\": {}, \"shards_attached\": {}, \
-         \"shards_attach_failed\": {}, \"shard_evictions\": {}, \"shards_counted\": {}}},",
+         \"shards_attached_to_count\": {}, \"shards_attach_failed\": {}, \
+         \"shard_evictions\": {}, \"shards_counted\": {}}},",
         cm.shards_total,
         cm.shards_visited,
         cm.shards_pruned,
         cm.shards_pruned_before_attach,
         cm.shards_skipped_budget,
         cm.shards_attached,
+        cm.shards_attached_to_count,
         cm.shards_attach_failed,
         cm.shard_evictions,
         cm.shards_counted
@@ -568,13 +573,15 @@ fn write_json(out: &mut dyn Write, run: &Run<'_>) -> Result<(), CliError> {
         out,
         "  \"metrics\": {{\"server_ops\": {}, \"server_op_batches\": {}, \
          \"predicate_comparisons\": {}, \"partials_created\": {}, \"pruned\": {}, \
-         \"roots_unseeded\": {}, \"routing_decisions\": {}, \"deadline_hits\": {}, \
-         \"servers_failed\": {}}},",
+         \"completed\": {}, \"abandoned\": {}, \"roots_unseeded\": {}, \
+         \"routing_decisions\": {}, \"deadline_hits\": {}, \"servers_failed\": {}}},",
         m.server_ops,
         m.server_op_batches,
         m.predicate_comparisons,
         m.partials_created,
         m.pruned,
+        m.completed,
+        m.abandoned,
         m.roots_unseeded,
         m.routing_decisions,
         m.deadline_hits,
@@ -605,29 +612,29 @@ fn write_json(out: &mut dyn Write, run: &Run<'_>) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Renders the `--explain` view: where the router sent matches and
-/// why, how pruning went, and how the threshold grew.
-fn write_explain(out: &mut dyn Write, trace: &whirlpool_core::TraceData) -> Result<(), CliError> {
+/// Renders the `--explain` view: the run's match ledger (from the
+/// engine counters), then from the trace where the router sent matches
+/// and why, and how the threshold grew.
+fn write_explain(
+    out: &mut dyn Write,
+    trace: &whirlpool_core::TraceData,
+    m: &MetricsSnapshot,
+) -> Result<(), CliError> {
     let s = trace.summary();
     writeln!(out, "explain:")?;
     writeln!(
         out,
-        "  matches:   {} spawned = {} consumed + {} pruned + {} completed + {} abandoned{}",
-        s.spawned,
-        s.consumed,
-        s.pruned,
-        s.completed,
-        s.abandoned,
-        if s.balanced() { "" } else { "  (UNBALANCED)" }
+        "  matches:   {} created = {} consumed + {} pruned + {} completed + {} abandoned",
+        m.partials_created, m.server_ops, m.pruned, m.completed, m.abandoned
     )?;
-    if s.roots_unseeded > 0 {
+    if m.roots_unseeded > 0 {
         writeln!(
             out,
             "  unseeded:  {} root candidates never became a match",
-            s.roots_unseeded
+            m.roots_unseeded
         )?;
     }
-    writeln!(out, "  routing:   {} decisions", s.routed)?;
+    writeln!(out, "  routing:   {} decisions", m.routing_decisions)?;
     for (server, st) in &s.per_server {
         writeln!(
             out,

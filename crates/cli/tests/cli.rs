@@ -163,6 +163,8 @@ fn query_json_metrics_line_is_pinned() {
             "\"predicate_comparisons\"",
             "\"partials_created\"",
             "\"pruned\"",
+            "\"completed\"",
+            "\"abandoned\"",
             "\"roots_unseeded\"",
             "\"routing_decisions\"",
             "\"deadline_hits\"",
@@ -820,9 +822,13 @@ fn query_collection_reports_full_verifications() {
     // (equal ceilings go by shard, last first), so one more attach
     // visits the other. Every attach verifies its file in full.
     let lazy = out.lines().find(|l| l.starts_with("lazy:")).expect(&out);
-    assert!(lazy.contains(", 3 attached, "), "{out}");
+    assert!(
+        lazy.contains(", 3 attached, 2 attached to count, "),
+        "{out}"
+    );
     let json = run_ok(&[&argv[..], &["--json"]].concat());
     assert!(json.contains("\"shards_attached\": 3, "), "{json}");
+    assert!(json.contains("\"shards_attached_to_count\": 2, "), "{json}");
     // A peeked corpus counts its idf like any other.
     assert!(json.contains("\"shards_counted\": 2}"), "{json}");
 }

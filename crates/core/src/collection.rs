@@ -912,6 +912,10 @@ pub struct CollectionMetrics {
     /// Lazy-shard attaches performed during this run: to count a shard
     /// or to visit it.
     pub shards_attached: u64,
+    /// The part of `shards_attached` made to count shards, before any
+    /// was visited: a repeated query shape reads its counts from each
+    /// shard's memo and adds none.
+    pub shards_attached_to_count: u64,
     /// Lazy-shard attaches that failed during this run: the file could
     /// not be attached, or it was not the file the shard was admitted
     /// with ([`StoreError::Stale`]).
@@ -1061,6 +1065,7 @@ pub fn evaluate_scope(
     let attach_failed_before = collection.attach_failed_count();
     let evictions_before = collection.eviction_count();
     let counts = collection.scope_counts(scope, pattern, Some((&budget, &spent)));
+    let shards_attached_to_count = collection.attach_count() - attached_before;
     let model = counts.stats.model(normalization);
     let model_build = start.elapsed();
 
@@ -1084,6 +1089,7 @@ pub fn evaluate_scope(
     let mut metrics = CollectionMetrics {
         shards_total: order.len(),
         shards_counted: counts.counted.iter().filter(|&&c| c).count(),
+        shards_attached_to_count,
         ..CollectionMetrics::default()
     };
     let mut truncated = TruncationFold::default();
@@ -1859,6 +1865,57 @@ mod tests {
             "the first query left the rich shard resident: {repeat:?}"
         );
         assert_eq!(repeat.shards_pruned_before_attach, 4, "{repeat:?}");
+    }
+
+    /// Attaches are counted by purpose: a shape's first query attaches
+    /// each shard with answers once to count it, a repeat reads every
+    /// count from the memo, and the runs' totals are the collection's.
+    #[test]
+    fn attaches_to_count_are_counted_apart() {
+        let dir = snapshot_dir(
+            "attach-purpose",
+            &[
+                ("a-rich", RICH),
+                ("b-poor", POOR),
+                ("c-mismatch0", MISMATCH),
+                ("d-mismatch1", MISMATCH),
+                ("e-empty", EMPTY),
+            ],
+        );
+        let c = Collection::open_dir(&dir).unwrap();
+        c.set_max_resident(1);
+        let pattern = q();
+        let run = || {
+            evaluate_collection(
+                &c,
+                &pattern,
+                &Algorithm::WhirlpoolS,
+                &EvalOptions::top_k(1),
+                Normalization::Sparse,
+                &CollectionOptions::default(),
+            )
+            .collection_metrics
+        };
+        let first = run();
+        assert_eq!(
+            (first.shards_counted, first.shards_attached_to_count),
+            (4, 4),
+            "one attach to count per shard with answers: {first:?}"
+        );
+        assert!(
+            first.shards_attached > first.shards_attached_to_count,
+            "{first:?}"
+        );
+        let repeat = run();
+        assert_eq!(repeat.shards_attached_to_count, 0, "{repeat:?}");
+        assert_eq!(
+            first.shards_attached + repeat.shards_attached,
+            c.attach_count()
+        );
+        assert_eq!(
+            first.shard_evictions + repeat.shard_evictions,
+            c.eviction_count()
+        );
     }
 
     /// A document scope prunes and certifies by the ceiling a corpus

@@ -366,7 +366,9 @@ impl<'a> QueryContext<'a> {
     /// One server operation: extends `m` at `server` — exact mode with
     /// every valid candidate, relaxed mode with the one dominant
     /// candidate (or the outer-join null) — pushing the extensions onto
-    /// `out`. Returns the number of extensions produced.
+    /// `out`, each counted as created: a caller outside the engines
+    /// takes every extension it gets. Returns the number of extensions
+    /// produced.
     ///
     /// This is Algorithm 1's runtime half: candidates are located with
     /// an index range scan on the relaxed root predicate, then compared
@@ -386,8 +388,11 @@ impl<'a> QueryContext<'a> {
         out: &mut Vec<PartialMatch>,
     ) -> usize {
         let loc = self.locate_one(server, m.root());
-        self.process_located_at_server_interruptible(server, m, loc, out, None)
-            .produced
+        let produced = self
+            .process_located_at_server_interruptible(server, m, loc, out, None)
+            .produced;
+        self.metrics.add_created(produced as u64);
+        produced
     }
 
     /// Resolves one match root's candidate range at `server`: the
@@ -495,7 +500,6 @@ impl<'a> QueryContext<'a> {
         interrupt: Option<&OpInterrupt>,
     ) -> OpOutcome {
         debug_assert!(!m.has_visited(server));
-        self.metrics.add_server_op();
 
         let spec = self.server_spec(server);
         let root = m.root();
@@ -703,8 +707,11 @@ impl<'a> QueryContext<'a> {
             }
         }
 
+        // Counted as it returns: an operation that panics mid-kernel
+        // leaves its match in hand, to be abandoned, not consumed. Its
+        // extensions are the caller's to admit (and count).
+        self.metrics.add_server_op();
         let produced = out.len() - before;
-        self.metrics.add_created(produced as u64);
         OpOutcome {
             produced,
             interrupted,
@@ -1208,7 +1215,13 @@ mod tests {
             let seg = seg_ctx.metrics.snapshot();
             assert_eq!(seg.predicate_comparisons, plain.predicate_comparisons);
             assert_eq!(seg.kernel_lanes, plain.kernel_lanes);
-            assert_eq!(seg.partials_created, plain.partials_created);
+            assert_eq!(seg.server_ops, plain.server_ops);
+            // The kernel leaves counting its extensions to the engine
+            // that admits them; `process_at_server` admits them all.
+            assert_eq!(
+                seg.partials_created + o.produced as u64,
+                plain.partials_created
+            );
         }
     }
 }

@@ -254,13 +254,17 @@ pub fn evaluate_with_context(
     };
     let elapsed = start.elapsed();
 
-    EvalResult {
+    let result = EvalResult {
         answers: run.answers,
         completeness: run.completeness,
         metrics: ctx.metrics.snapshot(),
         elapsed,
         trace: tracer.map(|t| t.finish()),
-    }
+    };
+    // Every match the run admitted reached one terminal, however the
+    // run stopped.
+    debug_assert!(result.metrics.balanced(), "{:?}", result.metrics);
+    result
 }
 
 #[cfg(test)]

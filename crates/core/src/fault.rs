@@ -664,7 +664,7 @@ pub(crate) fn process_located(
 /// unit produced and drain what it holds into the certificate, as for a
 /// spent budget. Sound because a unit keeps every match it holds where
 /// its caller's drain finds it, and the extensions of a failed
-/// operation were never admitted (no spawn event, no queue).
+/// operation were never admitted (not counted as created, not queued).
 pub(crate) fn guarded<T>(
     metrics: &Metrics,
     trunc: &Truncation,
@@ -682,23 +682,17 @@ pub(crate) fn guarded<T>(
 }
 
 /// Drops `queue`'s seed source, if it still has roots to produce: none
-/// of them will ever be a match. One trace event carries their number;
-/// a run that was cut short (`pending`) also accounts them into its
+/// of them will ever be a match, and `roots_unseeded` counts them. A
+/// run that was cut short (`pending`) also accounts them into its
 /// certificate, under the ceiling none of them could exceed.
 pub(crate) fn drop_seed_source(
     ctx: &crate::context::QueryContext<'_>,
     queue: &mut crate::queue::MatchQueue,
     pending: Option<&Truncation>,
-    tr: &mut crate::trace::WorkerTrace,
-    threshold: Score,
 ) {
-    let Some((unseeded, ceiling)) = queue.drop_seeds(ctx) else {
-        return;
-    };
-    if let Some(trunc) = pending {
+    if let (Some((unseeded, ceiling)), Some(trunc)) = (queue.drop_seeds(ctx), pending) {
         trunc.account_many(unseeded, ceiling);
     }
-    tr.seeds_dropped(unseeded, ceiling, threshold);
 }
 
 /// Spins for (at least) `duration`: the injected per-operation cost of

@@ -53,7 +53,6 @@ pub(crate) fn run_lockstep_anytime(
     tr.span_begin("seed");
     let mut frontier = seed_guarded(ctx, &trunc);
     for m in &frontier {
-        tr.spawned(m);
         // Single-node patterns: the root match is already an answer
         // and no stage will ever consume it.
         let complete = m.is_complete(full);
@@ -61,7 +60,7 @@ pub(crate) fn run_lockstep_anytime(
             topk.offer_match(m);
         }
         if complete {
-            tr.completed(m);
+            ctx.metrics.add_completed(1);
         }
     }
     tr.span_end("seed");
@@ -97,7 +96,6 @@ pub(crate) fn run_lockstep_anytime(
             }
             if !spent && topk.should_prune(&m) {
                 ctx.metrics.add_pruned();
-                tr.pruned(&m, topk.threshold());
                 continue;
             }
             exts.clear();
@@ -110,7 +108,7 @@ pub(crate) fn run_lockstep_anytime(
                     .chain(next.drain(..))
                 {
                     trunc.account(m.max_final);
-                    tr.abandoned(&m);
+                    ctx.metrics.add_abandoned(1);
                 }
                 if tr.enabled() {
                     tr.span_end(&format!("stage q{}", server.0));
@@ -118,20 +116,19 @@ pub(crate) fn run_lockstep_anytime(
                 break 'stages;
             }
             tr.server_op(server, m.seq, exts.len(), t0);
+            ctx.metrics.add_created(exts.len() as u64);
             for e in exts.drain(..) {
-                tr.spawned(&e);
                 let complete = e.is_complete(full);
                 if offer_partial || complete {
                     topk.offer_match(&e);
                 }
                 if complete {
                     // Offered: its score is in the set or beaten.
-                    tr.completed(&e);
+                    ctx.metrics.add_completed(1);
                     continue;
                 }
                 if topk.should_prune(&e) {
                     ctx.metrics.add_pruned();
-                    tr.pruned(&e, topk.threshold());
                     continue;
                 }
                 next.push(e);
@@ -185,9 +182,6 @@ pub(crate) fn run_lockstep_noprune_anytime(
     let mut exts = Vec::new();
     tr.span_begin("seed");
     let root_matches = seed_guarded(ctx, &trunc);
-    for m in &root_matches {
-        tr.spawned(m);
-    }
     tr.span_end("seed");
     tr.span_begin("evaluate");
     let mut locs: Vec<Located> = Vec::new();
@@ -220,16 +214,16 @@ pub(crate) fn run_lockstep_noprune_anytime(
                         .chain(roots)
                     {
                         trunc.account(m.max_final);
-                        tr.abandoned(&m);
+                        ctx.metrics.add_abandoned(1);
                     }
                     break 'roots;
                 }
                 tr.server_op(server, m.seq, exts.len(), t0);
+                ctx.metrics.add_created(exts.len() as u64);
                 for e in exts.drain(..) {
-                    tr.spawned(&e);
                     if e.is_complete(full) {
                         topk.offer_match(&e);
-                        tr.completed(&e);
+                        ctx.metrics.add_completed(1);
                     } else {
                         next.push(e);
                     }
@@ -241,7 +235,7 @@ pub(crate) fn run_lockstep_noprune_anytime(
         for m in frontier.drain(..) {
             debug_assert!(m.is_complete(full));
             topk.offer_match(&m);
-            tr.completed(&m);
+            ctx.metrics.add_completed(1);
         }
     }
     tr.span_end("evaluate");

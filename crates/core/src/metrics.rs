@@ -4,6 +4,13 @@
 //! server operations, number of partial matches created. We addition-
 //! ally count individual join-predicate comparisons (the unit of
 //! Figure 3) and pruning/routing activity.
+//!
+//! The match counters form a ledger: a run ends when no partial match
+//! is left in any queue or in hand (§5.1), so every match an engine
+//! admits reaches exactly one terminal — consumed by a server
+//! operation, pruned, completed or abandoned when the run stops — and
+//! [`MetricsSnapshot::balanced`] checks `partials_created = server_ops +
+//! pruned + completed + abandoned` after every run, however it stopped.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -12,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug, Default)]
 pub struct Metrics {
     /// Partial matches processed by a server ("server operations",
-    /// Figure 7).
+    /// Figure 7), counted as each operation returns.
     pub server_ops: AtomicU64,
     /// Batched locate sweeps: calls to
     /// [`locate_batch_at_server`](crate::QueryContext::locate_batch_at_server),
@@ -22,10 +29,17 @@ pub struct Metrics {
     /// Individual join-predicate comparisons (Figure 3's unit).
     pub predicate_comparisons: AtomicU64,
     /// Partial matches created, including the initial root matches
-    /// (Table 2).
+    /// (Table 2), counted as the engine admits them: the extensions of
+    /// an operation that fails never are.
     pub partials_created: AtomicU64,
     /// Partial matches discarded against the top-k set.
     pub pruned: AtomicU64,
+    /// Complete matches offered to the top-k set.
+    pub completed: AtomicU64,
+    /// Partial matches left unprocessed when the run stopped (spent
+    /// budget, failed operation); each one's bound entered the
+    /// truncation certificate.
+    pub abandoned: AtomicU64,
     /// Root candidates never materialised as a partial match: the run
     /// ended (top-k full above their ceiling, or a budget) before the
     /// seed source reached them.
@@ -85,6 +99,18 @@ impl Metrics {
         self.pruned.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Counts `n` complete matches offered to the top-k set.
+    #[inline]
+    pub fn add_completed(&self, n: u64) {
+        self.completed.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Counts `n` matches abandoned by a stopped run.
+    #[inline]
+    pub fn add_abandoned(&self, n: u64) {
+        self.abandoned.fetch_add(n, Ordering::Relaxed);
+    }
+
     /// Counts `n` root candidates dropped before they were seeded.
     #[inline]
     pub fn add_roots_unseeded(&self, n: u64) {
@@ -137,6 +163,8 @@ impl Metrics {
             predicate_comparisons: self.predicate_comparisons.load(Ordering::Relaxed),
             partials_created,
             pruned: self.pruned.load(Ordering::Relaxed),
+            completed: self.completed.load(Ordering::Relaxed),
+            abandoned: self.abandoned.load(Ordering::Relaxed),
             roots_unseeded: self.roots_unseeded.load(Ordering::Relaxed),
             routing_decisions: self.routing_decisions.load(Ordering::Relaxed),
             buffers_allocated: partials_created,
@@ -163,7 +191,12 @@ pub struct MetricsSnapshot {
     pub partials_created: u64,
     /// Partial matches discarded against the top-k set.
     pub pruned: u64,
-    /// Root candidates never materialised as a partial match.
+    /// Complete matches offered to the top-k set.
+    pub completed: u64,
+    /// Partial matches left unprocessed by a stopped run.
+    pub abandoned: u64,
+    /// Root candidates never materialised as a partial match (never
+    /// created, so outside the ledger).
     pub roots_unseeded: u64,
     /// Adaptive routing decisions taken.
     pub routing_decisions: u64,
@@ -186,6 +219,13 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
+    /// The conservation law: every match created reached exactly one
+    /// terminal. Holds for every run, exact or stopped early, and for
+    /// any sum of runs ([`absorb`](Self::absorb)).
+    pub fn balanced(&self) -> bool {
+        self.partials_created == self.server_ops + self.pruned + self.completed + self.abandoned
+    }
+
     /// Fraction of drained batches that arrived by stealing rather than
     /// from a worker's own home queues, in `[0, 1]`; zero when no
     /// batches were drained at all.
@@ -205,6 +245,8 @@ impl MetricsSnapshot {
         self.predicate_comparisons += other.predicate_comparisons;
         self.partials_created += other.partials_created;
         self.pruned += other.pruned;
+        self.completed += other.completed;
+        self.abandoned += other.abandoned;
         self.roots_unseeded += other.roots_unseeded;
         self.routing_decisions += other.routing_decisions;
         self.buffers_allocated += other.buffers_allocated;
@@ -240,6 +282,28 @@ mod tests {
         assert_eq!(s.routing_decisions, 1);
         assert_eq!(s.deadline_hits, 1);
         assert_eq!(s.servers_failed, 1);
+    }
+
+    #[test]
+    fn balanced_is_the_conservation_law() {
+        let m = Metrics::new();
+        // Five created: two consumed, one pruned, one completed, one
+        // abandoned.
+        m.add_created(5);
+        m.add_server_op();
+        m.add_server_op();
+        m.add_pruned();
+        m.add_completed(1);
+        assert!(!m.snapshot().balanced(), "one match is unaccounted for");
+        m.add_abandoned(1);
+        // A root never seeded was never created: outside the law.
+        m.add_roots_unseeded(7);
+        let s = m.snapshot();
+        assert!(s.balanced(), "{s:?}");
+        let mut sum = s;
+        sum.absorb(&s);
+        assert!(sum.balanced(), "{sum:?}");
+        assert_eq!((sum.completed, sum.abandoned), (2, 2));
     }
 
     #[test]

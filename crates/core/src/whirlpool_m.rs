@@ -287,21 +287,21 @@ pub(crate) fn run_whirlpool_m_anytime(
 }
 
 /// Drains one match of a stopped run: its bound is recorded and it
-/// leaves the system. A spent budget that has not stopped the run yet
-/// stops it here, and is counted.
+/// leaves the system with the batch's next settle. A spent budget that
+/// has not stopped the run yet stops it here, and is counted.
 fn drain_stopped(
     shared: &Shared<'_, '_>,
     control: &RunControl,
     trunc: &Truncation,
     m: PartialMatch,
-    tr: &mut WorkerTrace,
+    work: &mut BatchWork,
 ) {
     if trunc.stop() {
         control.count_stop(&shared.ctx.metrics);
     }
     trunc.account(m.max_final);
-    tr.abandoned(&m);
-    shared.adjust_in_flight(-1);
+    work.abandoned += 1;
+    work.net -= 1;
 }
 
 /// Has the run stopped, or should it (a spent budget)?
@@ -367,14 +367,30 @@ struct BatchWork {
     /// Net in-flight change accumulated across the batch; applied in
     /// one atomic op at settle time, before the survivors are routed.
     net: i64,
+    /// Matches the batch admitted, completed and abandoned, added to
+    /// the run's counters at settle time.
+    created: u64,
+    completed: u64,
+    abandoned: u64,
     /// The match whose server op is running right now. Stored here —
     /// not in a loop local — so `abandon_batch` can account it.
     in_hand: Option<PartialMatch>,
 }
 
 impl BatchWork {
-    /// Applies the accumulated net in-flight change.
+    /// Adds the batch's match counts to the run's counters and applies
+    /// the accumulated net in-flight change.
     fn settle(&mut self, shared: &Shared<'_, '_>) {
+        let metrics = &shared.ctx.metrics;
+        if self.created != 0 {
+            metrics.add_created(std::mem::take(&mut self.created));
+        }
+        if self.completed != 0 {
+            metrics.add_completed(std::mem::take(&mut self.completed));
+        }
+        if self.abandoned != 0 {
+            metrics.add_abandoned(std::mem::take(&mut self.abandoned));
+        }
         if self.net != 0 {
             shared.adjust_in_flight(std::mem::take(&mut self.net));
         }
@@ -458,7 +474,6 @@ fn admit_batch(
     work: &mut BatchWork,
     control: &RunControl,
     trunc: &Truncation,
-    tr: &mut WorkerTrace,
 ) {
     let ctx = shared.ctx;
     let stopped = stopping(shared, control, trunc);
@@ -472,15 +487,12 @@ fn admit_batch(
             if stopped && trunc.stop() {
                 control.count_stop(&ctx.metrics);
             }
-            let threshold = shared.topk.threshold_snapshot();
-            drop_seed_source(ctx, &mut source, stopped.then_some(trunc), tr, threshold);
+            drop_seed_source(ctx, &mut source, stopped.then_some(trunc));
         }
-        // A seed is spawned and counted in as it is materialised: if
-        // the score model panics on a later root, the batch is
-        // consistent.
+        // A seed is counted in as it is materialised: if the score
+        // model panics on a later root, the batch is consistent.
         while source.has_seeds() && work.local.len() < DRAIN_BATCH {
             let m = source.next_seed(ctx).expect("the source has roots left");
-            tr.spawned(&m);
             work.net += 1;
             work.local.push(m);
         }
@@ -504,14 +516,13 @@ fn admit_batch(
     work.local.reverse();
     while let Some(m) = work.local.pop() {
         if stopping(shared, control, trunc) {
-            drain_stopped(shared, control, trunc, m, tr);
+            drain_stopped(shared, control, trunc, m, work);
         } else if m.is_complete(shared.full_mask) {
             // A seed of a single-node pattern: an answer on arrival.
-            tr.completed(&m);
+            work.completed += 1;
             work.net -= 1;
         } else if shared.topk.should_prune(&m) {
             ctx.metrics.add_pruned();
-            tr.pruned(&m, shared.topk.threshold_snapshot());
             work.net -= 1;
         } else {
             work.survivors.push(m);
@@ -537,36 +548,31 @@ fn serve_batch(
     let served = guarded(&shared.ctx.metrics, trunc, || {
         match server {
             Some(server) => process_batch(shared, server, work, control, trunc, tr)?,
-            None => admit_batch(shared, work, control, trunc, tr),
+            None => admit_batch(shared, work, control, trunc),
         }
         settle_and_route(shared, routing, work, tr);
         Ok(())
     });
     if served.is_none() {
-        abandon_batch(shared, trunc, work, tr);
+        abandon_batch(shared, trunc, work);
     }
 }
 
 /// Accounts a batch whose work failed. The in-hand match, the
 /// unprocessed remainder and the survivors not yet routed enter the
 /// truncation certificate and leave the system; extensions of the
-/// in-hand match were never admitted (no spawn event, not yet counted
-/// in flight), so they are simply dropped. The kills join the batch's
+/// in-hand match were never admitted (not counted as created, nor in
+/// flight), so they are simply dropped. The kills join the batch's
 /// net count change, settled here. The seed source and the other
 /// queues drain as their matches are popped: the run is stopped.
-fn abandon_batch(
-    shared: &Shared<'_, '_>,
-    trunc: &Truncation,
-    work: &mut BatchWork,
-    tr: &mut WorkerTrace,
-) {
+fn abandon_batch(shared: &Shared<'_, '_>, trunc: &Truncation, work: &mut BatchWork) {
     let held = work.in_hand.take().into_iter();
     for m in held
         .chain(work.local.drain(..))
         .chain(work.survivors.drain(..))
     {
         trunc.account(m.max_final);
-        tr.abandoned(&m);
+        work.abandoned += 1;
         work.net -= 1;
     }
     work.exts.clear();
@@ -600,14 +606,13 @@ fn process_batch(
     while let Some(m) = work.local.pop() {
         let loc = work.locs.pop().expect("locs stays aligned with local");
         if stopping(shared, control, trunc) {
-            drain_stopped(shared, control, trunc, m, tr);
+            drain_stopped(shared, control, trunc, m, work);
             continue;
         }
         if shared.topk.should_prune(&m) {
             // Conservative lock-free check: the snapshot only
             // condemns matches the live threshold also would.
             ctx.metrics.add_pruned();
-            tr.pruned(&m, shared.topk.threshold_snapshot());
             work.net -= 1;
             continue;
         }
@@ -621,6 +626,7 @@ fn process_batch(
         tr.server_op(server, m.seq, work.exts.len(), t0);
         work.in_hand = None;
         work.net -= 1;
+        work.created += work.exts.len() as u64;
 
         // The k-th score snapshot decides, without the lock, whether
         // any extension's offer could change the top-k set; the lock is
@@ -633,7 +639,6 @@ fn process_batch(
         });
         let mut live = offers_needed.then(|| shared.topk.lock());
         for e in work.exts.drain(..) {
-            tr.spawned(&e);
             let complete = e.is_complete(shared.full_mask);
             if let Some(topk) = live.as_mut() {
                 if shared.offer_partial || complete {
@@ -641,7 +646,7 @@ fn process_batch(
                 }
             }
             if complete {
-                tr.completed(&e);
+                work.completed += 1;
                 continue;
             }
             let prune = match &live {
@@ -650,11 +655,6 @@ fn process_batch(
             };
             if prune {
                 ctx.metrics.add_pruned();
-                let threshold = match &live {
-                    Some(topk) => topk.threshold(),
-                    None => shared.topk.threshold_snapshot(),
-                };
-                tr.pruned(&e, threshold);
                 continue;
             }
             work.net += 1;
@@ -704,42 +704,42 @@ mod tests {
     }
 
     /// A shelf of `n` identical books, each reaching the score ceiling
-    /// of `FULL_QUERY`, evaluated for the top 1 under a tracer.
-    fn traced_shelf_run(
+    /// of `FULL_QUERY`, evaluated for the top 1: the run and its
+    /// counters.
+    fn shelf_run(
         n: usize,
         budget: crate::fault::Budget,
         threads: usize,
-    ) -> (EngineRun, crate::trace::TraceSummary) {
+    ) -> (EngineRun, crate::MetricsSnapshot) {
         let book = "<book><title>t</title><isbn>1</isbn><price>9</price></book>";
         let doc = parse_document(&format!("<shelf>{}</shelf>", book.repeat(n))).unwrap();
         let index = TagIndex::build(&doc);
         let pattern = parse_pattern(FULL_QUERY).unwrap();
         let model = TfIdfModel::build(&doc, &index, &pattern, Normalization::Sparse);
         let ctx = QueryContext::new(&doc, &index, &pattern, &model, ContextOptions::default());
-        let tracer = crate::trace::Tracer::new();
-        let control = RunControl::new(budget, None, pattern.len()).with_tracer(tracer.clone());
+        let control = RunControl::new(budget, None, pattern.len());
         let config = WhirlpoolMConfig {
             threads,
             ..WhirlpoolMConfig::default()
         };
         let run = run_whirlpool_m_anytime(&ctx, &RoutingStrategy::MinAlive, 1, &config, &control);
-        (run, tracer.finish().summary())
+        (run, ctx.metrics.snapshot())
     }
 
     #[test]
     fn prunable_unrouted_head_drops_the_rest_in_one_step() {
         let roots = 10 * DRAIN_BATCH;
-        let (run, trace) = traced_shelf_run(roots, crate::fault::Budget::unlimited(), 1);
+        let (run, m) = shelf_run(roots, crate::fault::Budget::unlimited(), 1);
         assert!(run.completeness.is_exact());
         assert_eq!(run.answers.len(), 1);
-        assert!(trace.balanced(), "{trace:?}");
+        assert!(m.balanced(), "{m:?}");
         // One answer at the ceiling makes the seed source prunable:
         // only the first batch of roots ever existed (routed at most
         // once per server), and the other nine were dropped unseeded.
-        assert!(trace.spawned <= 4 * DRAIN_BATCH as u64, "{trace:?}");
-        assert!(trace.routed <= 3 * DRAIN_BATCH as u64, "{trace:?}");
-        assert_eq!(trace.roots_unseeded, (roots - DRAIN_BATCH) as u64);
-        assert_eq!(trace.abandoned, 0);
+        assert!(m.partials_created <= 4 * DRAIN_BATCH as u64, "{m:?}");
+        assert!(m.routing_decisions <= 3 * DRAIN_BATCH as u64, "{m:?}");
+        assert_eq!(m.roots_unseeded, (roots - DRAIN_BATCH) as u64);
+        assert_eq!(m.abandoned, 0);
     }
 
     #[test]
@@ -747,7 +747,7 @@ mod tests {
         let roots = 3 * DRAIN_BATCH;
         for threads in [1, 2] {
             let spent = crate::fault::Budget::new(None, Some(0));
-            let (run, trace) = traced_shelf_run(roots, spent, threads);
+            let (run, m) = shelf_run(roots, spent, threads);
             match run.completeness {
                 crate::Completeness::Truncated {
                     pending_matches, ..
@@ -756,10 +756,15 @@ mod tests {
             }
             // The budget is checked before the source is consulted: no
             // root was materialised only to be abandoned.
-            assert!(trace.balanced(), "{trace:?}");
-            assert_eq!(trace.roots_unseeded, roots as u64);
+            assert!(m.balanced(), "{m:?}");
+            assert_eq!(m.roots_unseeded, roots as u64);
             assert_eq!(
-                (trace.spawned, trace.consumed, trace.pruned, trace.routed),
+                (
+                    m.partials_created,
+                    m.server_ops,
+                    m.pruned,
+                    m.routing_decisions
+                ),
                 (0, 0, 0, 0)
             );
         }

@@ -61,17 +61,16 @@ pub(crate) fn run_whirlpool_s_anytime(
                 // one enters, as the root server would have handed it
                 // over up front.
                 if topk.cannot_beat(ctx.seed_ceiling().0) {
-                    drop_seed_source(ctx, &mut queue, None, &mut tr, topk.threshold());
+                    drop_seed_source(ctx, &mut queue, None);
                     return Ok(());
                 }
                 let m = queue.next_seed(ctx).expect("the seed source is live");
-                tr.spawned(&m);
                 let complete = m.is_complete(full); // single-node patterns
                 if offer_partial || complete {
                     topk.offer_match(&m);
                 }
                 if complete {
-                    tr.completed(&m);
+                    ctx.metrics.add_completed(1);
                 } else {
                     queue.push(ctx, m);
                 }
@@ -88,9 +87,8 @@ pub(crate) fn run_whirlpool_s_anytime(
                 // next turn) and the run is over. (Other policies prune
                 // match by match.)
                 let rest = (queue_policy == QueuePolicy::MaxFinalScore).then(|| queue.drain());
-                for x in std::iter::once(m).chain(rest.into_iter().flatten()) {
+                for _ in std::iter::once(m).chain(rest.into_iter().flatten()) {
                     ctx.metrics.add_pruned();
-                    tr.pruned(&x, topk.threshold());
                 }
                 return Ok(());
             }
@@ -104,19 +102,18 @@ pub(crate) fn run_whirlpool_s_anytime(
             process_located(ctx, control, &trunc, server, m, locs[0], &mut exts)?;
             tr.server_op(server, m.seq, exts.len(), t0);
             in_hand = None;
+            ctx.metrics.add_created(exts.len() as u64);
             for e in exts.drain(..) {
-                tr.spawned(&e);
                 let complete = e.is_complete(full);
                 if offer_partial || complete {
                     topk.offer_match(&e);
                 }
                 if complete {
-                    tr.completed(&e);
+                    ctx.metrics.add_completed(1);
                     continue;
                 }
                 if topk.should_prune(&e) {
                     ctx.metrics.add_pruned();
-                    tr.pruned(&e, topk.threshold());
                     continue;
                 }
                 queue.push(ctx, e);
@@ -130,9 +127,9 @@ pub(crate) fn run_whirlpool_s_anytime(
         if spent || guarded(&ctx.metrics, &trunc, turn).is_none() {
             for x in in_hand.take().into_iter().chain(queue.drain()) {
                 trunc.account(x.max_final);
-                tr.abandoned(&x);
+                ctx.metrics.add_abandoned(1);
             }
-            drop_seed_source(ctx, &mut queue, Some(&trunc), &mut tr, topk.threshold());
+            drop_seed_source(ctx, &mut queue, Some(&trunc));
             break;
         }
     }

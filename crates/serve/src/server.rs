@@ -136,6 +136,9 @@ struct Daemon {
     /// Lazy documents that collection requests pruned off their
     /// ceilings while unmapped — the attaches the synopses saved.
     pruned_before_attach: Arc<AtomicU64>,
+    /// The lazy-document attaches requests made to count shards, ahead
+    /// of any visit.
+    attached_to_count: Arc<AtomicU64>,
     /// Shards whose idf counts ran for a request rather than coming
     /// from their memo: a repeated query shape adds nothing.
     shards_counted: Arc<AtomicU64>,
@@ -208,6 +211,7 @@ pub fn start(config: ServeConfig, registry: Registry) -> std::io::Result<ServerH
         config: Arc::new(config),
         request_seq: Arc::new(AtomicU64::new(0)),
         pruned_before_attach: Arc::new(AtomicU64::new(0)),
+        attached_to_count: Arc::new(AtomicU64::new(0)),
         shards_counted: Arc::new(AtomicU64::new(0)),
         history: Arc::new(RungHistory::default()),
     };
@@ -435,11 +439,13 @@ fn route(daemon: &Daemon, conn: &mut TcpStream, request: &Request) -> Result<(),
             // Splice in the residency counters and the ladder's recent
             // decisions (same string surgery as the docs field).
             let body = format!(
-                "{}, \"shards\": {{\"attached\": {}, \"attach_failed\": {}, \
+                "{}, \"shards\": {{\"attached\": {}, \"attached_to_count\": {}, \
+                 \"attach_failed\": {}, \
                  \"peeked\": {peeked}, \"pruned_before_attach\": {}, \"evictions\": {}, \
                  \"resident\": {}, \"counted\": {}}}, \"history\": {}}}\n",
                 &base[..base.len() - 1],
                 collection.attach_count(),
+                daemon.attached_to_count.load(Ordering::Relaxed),
                 collection.attach_failed_count(),
                 daemon.pruned_before_attach.load(Ordering::Relaxed),
                 collection.eviction_count(),
@@ -721,6 +727,10 @@ fn handle_query(daemon: &Daemon, conn: &mut TcpStream, body: &[u8]) -> Result<()
     );
     daemon.pruned_before_attach.fetch_add(
         result.collection_metrics.shards_pruned_before_attach as u64,
+        Ordering::Relaxed,
+    );
+    daemon.attached_to_count.fetch_add(
+        result.collection_metrics.shards_attached_to_count,
         Ordering::Relaxed,
     );
     daemon.shards_counted.fetch_add(
@@ -1573,6 +1583,11 @@ mod tests {
         assert_eq!(
             shards.get("attached").and_then(Json::as_u64),
             Some(4),
+            "{body}"
+        );
+        assert_eq!(
+            shards.get("attached_to_count").and_then(Json::as_u64),
+            Some(3),
             "{body}"
         );
         assert!(

@@ -48,16 +48,25 @@ impl Fixture {
         Fixture { doc, index, query }
     }
 
+    /// One run, with the counters' conservation law checked whatever
+    /// stopped it (budget, deadline, `fail@`, `panic@`, cancel).
     fn eval(&self, algorithm: &Algorithm, options: &EvalOptions) -> whirlpool_core::EvalResult {
         let model = TfIdfModel::build(&self.doc, &self.index, &self.query, Normalization::Sparse);
-        evaluate(
+        let r = evaluate(
             &self.doc,
             &self.index,
             &self.query,
             &model,
             algorithm,
             options,
-        )
+        );
+        assert!(
+            r.metrics.balanced(),
+            "{}: {:?}",
+            algorithm.name(),
+            r.metrics
+        );
+        r
     }
 }
 

@@ -82,6 +82,7 @@ proptest! {
             let options = EvalOptions { threads, fault_plan, ..EvalOptions::top_k(k) };
             let r = evaluate(doc, &index, pattern, &model, &algorithm, &options);
             let context = format!("{engine:?} server={server:?} after={after_ops}");
+            prop_assert!(r.metrics.balanced(), "{}: {:?}", context, r.metrics);
             match r.completeness {
                 Completeness::Exact => {
                     // The fault never fired (the query drained first).
@@ -187,6 +188,9 @@ fn worker_panic_outside_fault_layer_terminates_with_certificate() {
                 let (r, calls) = run(panic_after);
                 let fired = calls > panic_after;
                 let context = format!("{what} panic_after={panic_after}");
+                // A panic mid-operation leaves its match in hand: it is
+                // abandoned, not also consumed.
+                assert!(r.metrics.balanced(), "{context}: {:?}", r.metrics);
                 assert_eq!(r.completeness.is_exact(), !fired, "{context}");
                 if fired {
                     assert_eq!(r.metrics.servers_failed, 1, "{context}");

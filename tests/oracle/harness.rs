@@ -1062,7 +1062,9 @@ impl<'c> Fixture<'c> {
             Model::IdfNone => Some(Normalization::None),
             _ => None,
         };
-        let (got, completeness, metrics) = if let Some(norm) = norm {
+        // `ran_one`: the metrics are one engine run's, which the relaxed
+        // counter bounds are stated for.
+        let (got, completeness, metrics, ran_one) = if let Some(norm) = norm {
             let collection = self.collection(row.backing);
             if row.warm {
                 let warm_up = sibling(pattern, at);
@@ -1077,7 +1079,7 @@ impl<'c> Fixture<'c> {
                 .map(|a| ((a.shard, a.root), a.score.value()))
                 .collect();
             let ran_one = scoped.is_some() && r.collection_metrics.shards_visited == 1;
-            (got, r.completeness, ran_one.then_some(r.metrics))
+            (got, r.completeness, r.metrics, ran_one)
         } else {
             assert_eq!(
                 row.scope,
@@ -1103,11 +1105,15 @@ impl<'c> Fixture<'c> {
             let got: Vec<_> = (r.answers.iter())
                 .map(|a| ((shard, a.root), a.score.value()))
                 .collect();
-            (got, r.completeness, Some(r.metrics))
+            (got, r.completeness, r.metrics, true)
         };
         assert!(completeness.is_exact(), "{what}: {completeness:?}");
         check_topk(&what, &got, &self.truth(p, row.model, scoped, row.relax), k);
-        if let (RelaxMode::Relaxed, Some(m)) = (row.relax, metrics) {
+        // The ledger balances on every run and, summed over shards, on
+        // every corpus row.
+        assert!(metrics.balanced(), "{what}: {metrics:?}");
+        if let (RelaxMode::Relaxed, true) = (row.relax, ran_one) {
+            let m = metrics;
             assert!(m.roots_unseeded <= roots as u64, "{what}: {m:?}");
             // Only a single-node pattern's seeds are answers without an
             // operation.

@@ -1,16 +1,14 @@
 //! Event-stream invariants of the observability layer, across engines.
 //!
 //! A trace is only trustworthy if it is *complete*: every span closes,
-//! every routing decision is recorded, and every partial match that
-//! enters the system leaves it through exactly one of the four
-//! terminals (consumed by a server operation, pruned, completed,
-//! abandoned). This suite pins those invariants for a fixed query and
-//! document seed under all four engines — fault-free, under an
-//! operation budget, and with an injected server failure — and checks
-//! that turning tracing on does not perturb the answer set (the
-//! engine-equivalence invariant from DESIGN.md §7).
+//! every server operation and routing decision the engine counted is
+//! on the timeline, and the threshold never falls. This suite pins
+//! those invariants for a fixed query and document seed under all four
+//! engines — fault-free, under an operation budget, and with an
+//! injected server failure — next to the counters' conservation law,
+//! and checks that turning tracing on does not perturb the answer set
+//! (the engine-equivalence invariant from DESIGN.md §7).
 
-use whirlpool_core::trace::TraceData;
 use whirlpool_core::{
     evaluate, Algorithm, EvalOptions, EvalResult, FaultKind, FaultPlan, RelaxMode,
 };
@@ -69,26 +67,29 @@ fn answer_key(r: &EvalResult) -> Vec<(usize, u64)> {
         .collect()
 }
 
-/// The invariants every trace must satisfy, regardless of how the run
-/// ended (complete, truncated, or degraded).
-fn assert_stream_invariants(trace: &TraceData, engine: &str) {
+/// What a run's trace must show, however the run ended (complete,
+/// truncated by a budget, or stopped by a failed operation): every
+/// span closes, one `ServerOp` event per counted server operation, one
+/// `Routed` event per counted routing decision, and a threshold that
+/// never falls. The counts themselves, and their conservation law,
+/// are the engine counters'.
+fn assert_timeline(result: &EvalResult, engine: &str) {
+    let trace = result.trace.as_ref().expect("trace requested");
+    let m = &result.metrics;
+    assert!(m.balanced(), "{engine}: {m:?}");
     let summary = trace.summary();
     assert!(
         summary.unmatched_spans.is_empty(),
         "{engine}: unclosed spans {:?}",
         summary.unmatched_spans
     );
-    assert!(
-        summary.balanced(),
-        "{engine}: match conservation violated — {} spawned vs {} consumed + {} pruned + \
-         {} completed + {} abandoned",
-        summary.spawned,
-        summary.consumed,
-        summary.pruned,
-        summary.completed,
-        summary.abandoned
+    let ops: u64 = summary.per_server.iter().map(|(_, st)| st.ops).sum();
+    assert_eq!(ops, m.server_ops, "{engine}: ServerOp events vs server_ops");
+    assert_eq!(
+        trace.explains().count() as u64,
+        m.routing_decisions,
+        "{engine}: Routed events vs routing_decisions"
     );
-    assert_eq!(summary.pending(), 0, "{engine}: pending matches");
     // Threshold samples never regress: the k-th best score only grows.
     for w in summary.thresholds.windows(2) {
         assert!(
@@ -111,49 +112,24 @@ fn fault_free_traces_are_balanced_and_match_metrics() {
             "{}: empty trace",
             algorithm.name()
         );
-        assert_stream_invariants(trace, algorithm.name());
-
-        let summary = trace.summary();
-        // Fault-free, the trace's counts and the engine's metric
-        // counters are two observations of the same run.
+        assert_timeline(&result, algorithm.name());
         assert_eq!(
-            summary.consumed,
-            result.metrics.server_ops,
-            "{}: ServerOp events vs server_ops metric",
-            algorithm.name()
-        );
-        assert_eq!(
-            summary.routed,
-            result.metrics.routing_decisions,
-            "{}: Routed events vs routing_decisions metric",
-            algorithm.name()
-        );
-        assert_eq!(
-            summary.abandoned,
+            result.metrics.abandoned,
             0,
             "{}: fault-free run abandoned matches",
             algorithm.name()
         );
-        // No phantom matches: what was spawned is what was created,
-        // and the roots the seed source dropped were never either.
-        assert_eq!(
-            summary.spawned,
-            result.metrics.partials_created,
-            "{}: MatchSpawned events vs partials_created metric",
-            algorithm.name()
-        );
-        assert_eq!(
-            summary.roots_unseeded,
-            result.metrics.roots_unseeded,
-            "{}: SeedsDropped events vs roots_unseeded metric",
-            algorithm.name()
-        );
         let adaptive = !algorithm.name().starts_with("LockStep");
-        assert_eq!(summary.roots_unseeded > 0, adaptive, "{}", algorithm.name());
+        assert_eq!(
+            result.metrics.roots_unseeded > 0,
+            adaptive,
+            "{}",
+            algorithm.name()
+        );
     }
 
-    // Whirlpool-M's pooled workers record into per-worker buffers:
-    // conservation must survive stealing, in both relax modes.
+    // Whirlpool-M's pooled workers record into per-worker buffers: the
+    // merged timeline must survive stealing, in both relax modes.
     for relax in [RelaxMode::Relaxed, RelaxMode::Exact] {
         for threads in [4, 8] {
             let options = EvalOptions {
@@ -162,10 +138,7 @@ fn fault_free_traces_are_balanced_and_match_metrics() {
                 ..traced_options(10)
             };
             let result = fx.eval(&Algorithm::WhirlpoolM { processors: None }, &options);
-            let trace = result.trace.as_ref().expect("trace requested");
-            let tag = format!("Whirlpool-M {relax:?} threads={threads}");
-            assert_stream_invariants(trace, &tag);
-            assert_eq!(trace.summary().consumed, result.metrics.server_ops, "{tag}");
+            assert_timeline(&result, &format!("Whirlpool-M {relax:?} threads={threads}"));
         }
     }
 }
@@ -192,25 +165,16 @@ fn budgeted_runs_stay_balanced() {
     let fx = Fixture::new(150);
     for algorithm in algorithms() {
         // A tight operation budget forces the abandon path: matches
-        // still in flight at expiry must each get exactly one
-        // MatchAbandoned terminal.
+        // still in flight at expiry are abandoned, and the trace still
+        // holds exactly the operations that ran.
         let options = EvalOptions {
             max_server_ops: Some(40),
             ..traced_options(10)
         };
         let result = fx.eval(&algorithm, &options);
-        let trace = result.trace.as_ref().expect("trace requested");
-        assert_stream_invariants(trace, algorithm.name());
-        // Roots the budget left unseeded are in the certificate, not
-        // in the stream as matches that never existed.
-        assert_eq!(
-            trace.summary().roots_unseeded,
-            result.metrics.roots_unseeded,
-            "{}",
-            algorithm.name()
-        );
+        assert_timeline(&result, algorithm.name());
         assert!(
-            trace.summary().consumed <= 40 + 4,
+            result.metrics.server_ops <= 40 + 4,
             "{}: budget overshot",
             algorithm.name()
         );
@@ -222,8 +186,7 @@ fn faulted_runs_stay_balanced() {
     let fx = Fixture::new(150);
     for algorithm in algorithms() {
         // Fail one mid-plan server early: the failure stops the run,
-        // and the drain (every match held or queued is abandoned) must
-        // keep the conservation law intact.
+        // and the failed operation is neither counted nor traced.
         let options = EvalOptions {
             fault_plan: Some(
                 FaultPlan::seeded(7).with(QNodeId(2), FaultKind::Fail { after_ops: 5 }),
@@ -231,8 +194,8 @@ fn faulted_runs_stay_balanced() {
             ..traced_options(10)
         };
         let result = fx.eval(&algorithm, &options);
-        let trace = result.trace.as_ref().expect("trace requested");
-        assert_stream_invariants(trace, algorithm.name());
+        assert_eq!(result.metrics.servers_failed, 1, "{}", algorithm.name());
+        assert_timeline(&result, algorithm.name());
     }
 }
 
@@ -257,15 +220,29 @@ fn chrome_trace_output_is_well_formed() {
             trace.events.len() + trace.workers.len(),
             "{name}: record count"
         );
-        // Every engine emits metadata, spans, complete ops, and
-        // instants. Counter tracks ("C") come from threshold/queue
+        // A timeline: no per-match record, one complete ("X") record
+        // per counted server operation.
+        assert!(!text.contains("\"cat\": \"match\""), "{name}");
+        assert_eq!(
+            text.matches("\"ph\": \"X\"").count() as u64,
+            result.metrics.server_ops,
+            "{name}: op records"
+        );
+        // Every engine emits metadata, spans and complete ops. Instants
+        // ("i") are routing decisions, which only the adaptive engines
+        // take; counter tracks ("C") come from threshold/queue
         // samples, which LockStep-NoPrun has none of by design.
-        for ph in ["\"M\"", "\"B\"", "\"E\"", "\"X\"", "\"i\""] {
+        for ph in ["\"M\"", "\"B\"", "\"E\"", "\"X\""] {
             assert!(
                 text.contains(&format!("\"ph\": {ph}")),
                 "{name}: missing ph {ph}"
             );
         }
+        assert_eq!(
+            text.contains("\"ph\": \"i\""),
+            result.metrics.routing_decisions > 0,
+            "{name}"
+        );
         let has_samples = trace.events.iter().any(|e| {
             matches!(
                 e.kind,
