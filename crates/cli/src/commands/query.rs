@@ -355,10 +355,12 @@ struct Run<'a> {
 }
 
 impl Run<'_> {
-    /// What the run spent before its engines: the load, then the model.
+    /// What the run spent before its engines: the load, then the model,
+    /// then the idf counts inside the model's build.
     fn prepare_stats(&self) -> impl Iterator<Item = (&'static str, f64)> {
         let model = ("model_build_ms", ms(self.result.model_build));
-        self.prepare.into_iter().chain([model])
+        let count = ("count_ms", ms(self.result.collection_metrics.count_time));
+        self.prepare.into_iter().chain([model, count])
     }
 }
 

@@ -733,6 +733,7 @@ fn snapshot_build_verify_info_and_query_pipeline() {
         snap_run.contains("prepare:   model_build_ms "),
         "{snap_run}"
     );
+    assert!(snap_run.contains("prepare:   count_ms "), "{snap_run}");
     assert!(
         snap_run.contains("prepare:   idf counted in 1 shard\n"),
         "{snap_run}"
@@ -755,6 +756,7 @@ fn snapshot_build_verify_info_and_query_pipeline() {
     // Both report the scoring model's build, the cost every query pays.
     assert!(auto.contains("\"model_build_ms\""), "{auto}");
     assert!(parsed_json.contains("\"model_build_ms\""), "{parsed_json}");
+    assert!(parsed_json.contains("\"count_ms\""), "{parsed_json}");
 
     // --snapshot insists on a real snapshot file.
     let err = run_err(&[
@@ -829,6 +831,8 @@ fn query_collection_reports_full_verifications() {
     let json = run_ok(&[&argv[..], &["--json"]].concat());
     assert!(json.contains("\"shards_attached\": 3, "), "{json}");
     assert!(json.contains("\"shards_attached_to_count\": 2, "), "{json}");
-    // A peeked corpus counts its idf like any other.
+    // A peeked corpus counts its idf like any other, and reports the
+    // time it took next to the model's build.
     assert!(json.contains("\"shards_counted\": 2}"), "{json}");
+    assert!(json.contains("\"count_ms\": "), "{json}");
 }

@@ -644,6 +644,7 @@ impl Collection {
         let mut populations = Vec::with_capacity(shards.len());
         let mut satisfying = vec![[0, 0]; shards.len() * width];
         let mut counted = vec![false; shards.len()];
+        let mut count_time = Duration::ZERO;
         let keys = QueryKeys::new(&self.count_keys, answer_tag, stats.predicates());
         for (at, idx) in shards.enumerate() {
             let shard = &self.shards[idx];
@@ -668,7 +669,9 @@ impl Collection {
                             self.acquire(idx).map_err(drop)?
                         };
                         let (doc, index) = (access.doc(), access.index());
+                        let start = Instant::now();
                         let counts = tfidf::idf_counts_sweep(doc, index, answer_tag, missing);
+                        count_time += start.elapsed();
                         // A payload whose answers are not the synopsis's
                         // (a mapped file rewritten in place) is not counted.
                         if counts.0 == shard.synopsis.answers(answer_tag) {
@@ -695,6 +698,7 @@ impl Collection {
             populations,
             satisfying,
             counted,
+            count_time,
         }
     }
 
@@ -779,6 +783,9 @@ struct ScopeCounts {
     /// than reading every one from its memo. A lazy shard that did was
     /// attached for it, unless it was resident already.
     counted: Vec<bool>,
+    /// Wall-clock time inside the shards' counts
+    /// ([`tfidf::idf_counts_sweep`]); zero when every memo held them.
+    count_time: Duration,
 }
 
 impl ScopeCounts {
@@ -925,6 +932,11 @@ pub struct CollectionMetrics {
     /// their memo, held no answer, or could not be counted
     /// ([`Collection::scope_stats`]).
     pub shards_counted: usize,
+    /// Wall-clock time this run spent inside those counts
+    /// ([`tfidf::idf_counts_sweep`]), part of
+    /// [`CollectionResult::model_build`]: zero when every count came
+    /// from the shards' memos.
+    pub count_time: Duration,
     /// Lazy-shard evictions performed during this run.
     pub shard_evictions: u64,
 }
@@ -1090,6 +1102,7 @@ pub fn evaluate_scope(
         shards_total: order.len(),
         shards_counted: counts.counted.iter().filter(|&&c| c).count(),
         shards_attached_to_count,
+        count_time: counts.count_time,
         ..CollectionMetrics::default()
     };
     let mut truncated = TruncationFold::default();

@@ -23,9 +23,14 @@
 //! tagged predicate is one merge of its postings with them (the
 //! stack-based structural join of the PathStack family, a branch-free
 //! two-pointer walk when no answer nests), and each wildcard predicate
-//! scans every answer's subtree range. The counts are the same
-//! integers, so the weights are the same bits.
+//! scans every answer's subtree range. An answer's flags depend only on
+//! the postings inside its own subtree, so a count big enough to repay
+//! a thread is cut into contiguous runs of answers, one per core, and
+//! the runs' counts are summed. The counts are the same integers, so
+//! the weights are the same bits.
 
+use std::ops::Range;
+use std::{panic, thread};
 use whirlpool_index::{ColumnsView, DocView, TagIndex, TagIndexView};
 use whirlpool_pattern::{AttrTest, ComposedAxis, QNodeId, TreePattern, ValueTest, WILDCARD};
 use whirlpool_xml::{Document, NodeId, TagId};
@@ -175,21 +180,132 @@ pub fn idf_counts_view(
 /// (`scan_ranges`). The work is `O(answers × predicates + Σ postings
 /// × k)` however deeply the answers nest. The counts are those of
 /// [`idf_counts_view`] exactly.
+///
+/// A count whose estimated merge work (answers × predicates + the
+/// tagged predicates' posting-list lengths) reaches two
+/// `MIN_RUN_WORK`s is cut into up to
+/// [`available_parallelism`](std::thread::available_parallelism)
+/// contiguous runs of answers, counted at once and summed
+/// ([`idf_counts_sweep_split`]).
 pub fn idf_counts_sweep(
     doc: DocView<'_>,
     index: TagIndexView<'_>,
     answer_tag: &str,
     preds: &[ComponentPredicate],
 ) -> (u64, Vec<[u64; 2]>) {
+    let threads = thread::available_parallelism().map_or(1, usize::from);
+    let runs = run_count(sweep_work(doc, index, answer_tag, preds), threads);
+    let population = answer_population(doc, index, answer_tag) as usize;
+    let cuts: Vec<usize> = (1..runs).map(|k| population * k / runs).collect();
+    idf_counts_sweep_split(doc, index, answer_tag, preds, &cuts)
+}
+
+/// The least estimated merge work worth a thread of its own, in merge
+/// steps (an answer visited for one predicate, or one posting). On a
+/// 2-vCPU host a step costs 5–7.5 ns and a scoped spawn and join
+/// 27–41 µs, so a run of 16 Ki steps (80–120 µs) pays for two or three
+/// spawns, and a count is split only from two such runs. Best of 200,
+/// one run against two: the 10 Mb XMark document's Q1–Q5 estimate
+/// 56 000–253 000 steps and split (Q1 335 → 216 µs, Q3 1 285 →
+/// 727 µs); a 1 MB document's estimate at most 25 300 (Q3 137 → 132 µs,
+/// Q1 43 → 69 µs) and a 300 kB shard's at most 7 700, and they stay on
+/// one thread.
+const MIN_RUN_WORK: usize = 1 << 14;
+
+/// The merge work [`idf_counts_sweep`] estimates for a count, from
+/// lengths at hand: answers × predicates, plus the posting-list lengths
+/// of the tagged predicates' tags.
+fn sweep_work(
+    doc: DocView<'_>,
+    index: TagIndexView<'_>,
+    answer_tag: &str,
+    preds: &[ComponentPredicate],
+) -> usize {
+    let postings: usize = (preds.iter())
+        .filter(|p| p.tag != WILDCARD)
+        .filter_map(|p| doc.tag_id(&p.tag))
+        .map(|t| index.nodes_with_tag(t).len())
+        .sum();
+    answer_population(doc, index, answer_tag) as usize * preds.len() + postings
+}
+
+/// How many runs a count of `work` merge steps is cut into on `threads`
+/// cores: one per [`MIN_RUN_WORK`], at most one per core, at least one.
+fn run_count(work: usize, threads: usize) -> usize {
+    threads.min(work / MIN_RUN_WORK).max(1)
+}
+
+/// [`idf_counts_sweep`] with the answer population cut at `cuts`
+/// (positions in it, in any order): the run of answers from each cut to
+/// the next is counted on a thread of its own, the first run on the
+/// calling thread, and the runs' counts are summed. With no cuts the
+/// count runs on the calling thread. Runs are independent because an
+/// answer's flags depend only on the postings inside its own subtree,
+/// so the sums equal the uncut count, which is what the tests that call
+/// this check.
+#[doc(hidden)]
+pub fn idf_counts_sweep_split(
+    doc: DocView<'_>,
+    index: TagIndexView<'_>,
+    answer_tag: &str,
+    preds: &[ComponentPredicate],
+    cuts: &[usize],
+) -> (u64, Vec<[u64; 2]>) {
+    let population = answer_population(doc, index, answer_tag) as usize;
+    let mut bounds: Vec<usize> = (cuts.iter().copied())
+        .filter(|&at| 0 < at && at < population)
+        .chain([0, population])
+        .collect();
+    bounds.sort_unstable();
+    bounds.dedup();
+    let count = |run: &[usize]| sweep_run(doc, index, answer_tag, preds, run[0]..run[1]);
+    if bounds.len() <= 2 {
+        return count(&[0, population]);
+    }
+    thread::scope(|scope| {
+        let later: Vec<_> = (bounds.windows(2).skip(1))
+            .map(|run| {
+                let thread = thread::Builder::new().spawn_scoped(scope, move || count(run));
+                (run, thread.ok())
+            })
+            .collect();
+        let (mut population, mut counts) = count(&bounds[..2]);
+        for (run, thread) in later {
+            let (answers, run_counts) = match thread {
+                Some(thread) => thread.join().unwrap_or_else(|p| panic::resume_unwind(p)),
+                None => count(run),
+            };
+            population += answers;
+            for (total, [exact, relaxed]) in counts.iter_mut().zip(run_counts) {
+                total[0] += exact;
+                total[1] += relaxed;
+            }
+        }
+        (population, counts)
+    })
+}
+
+/// One run of [`idf_counts_sweep_split`]: the answers at positions
+/// `run` of the population, counted for every predicate.
+fn sweep_run(
+    doc: DocView<'_>,
+    index: TagIndexView<'_>,
+    answer_tag: &str,
+    preds: &[ComponentPredicate],
+    run: Range<usize>,
+) -> (u64, Vec<[u64; 2]>) {
     let columns = index.columns();
-    let mut answers = Vec::new();
-    for_each_answer(doc, index, answer_tag, |n| {
-        answers.push(Answer {
-            id: n.index() as u32,
-            end: columns.subtree_end_raw(n),
-            depth: columns.depth_of(n),
-        })
-    });
+    let answer = |n: NodeId| Answer {
+        id: n.index() as u32,
+        end: columns.subtree_end_raw(n),
+        depth: columns.depth_of(n),
+    };
+    let mut answers = Vec::with_capacity(run.len());
+    match answer_postings(doc, index, answer_tag) {
+        Some(postings) => answers.extend(postings[run].iter().map(|&n| answer(n))),
+        // Every element: the node after the document node onwards.
+        None => answers.extend((run.start + 1..run.end + 1).map(|i| answer(NodeId::from_index(i)))),
+    }
     let nested = answers.windows(2).any(|w| w[1].id < w[0].end);
     let counts = preds
         .iter()
@@ -239,9 +355,9 @@ fn for_each_answer(
     }
 }
 
-/// The size of the answer population [`for_each_answer`] visits, in one
-/// lookup: a posting list's length, or every node but the document
-/// node.
+/// The size of Definition 4.2's answer population, in one lookup: the
+/// length of `answer_tag`'s posting list, or for `*` every node but the
+/// document node.
 pub fn answer_population(doc: DocView<'_>, index: TagIndexView<'_>, answer_tag: &str) -> u64 {
     (answer_postings(doc, index, answer_tag)).map_or(doc.len().saturating_sub(1), <[_]>::len) as u64
 }
@@ -568,6 +684,33 @@ mod tests {
         assert!(scores[1] > scores[2]);
         assert!(scores[2] > scores[3]);
         assert_eq!(scores[3], 0.0);
+    }
+
+    #[test]
+    fn counts_split_on_the_10_mb_document_and_not_on_small_ones() {
+        use whirlpool_xmark::{generate, queries, GeneratorConfig};
+        let work = |target_bytes: usize, query: &str| {
+            let config = GeneratorConfig {
+                target_bytes,
+                seed: 7,
+                max_items: None,
+            };
+            let doc = generate(&config);
+            let index = TagIndex::build(&doc);
+            let preds = component_predicates(&parse_pattern(query).unwrap());
+            sweep_work((&doc).into(), index.view(), "item", &preds)
+        };
+        // Q2 on the 10 Mb document: one run per core, up to two.
+        let q2 = work(10_000_000, queries::Q2);
+        assert_eq!(run_count(q2, 2), 2, "{q2}");
+        assert_eq!(run_count(q2, 1), 1, "{q2}");
+        // A 1 MB document (the daemon benchmark's) and a 300 kB shard
+        // (the corpus benchmark's rich ones) stay on one thread, however
+        // many cores there are. Q3 is the heaviest count.
+        for bytes in [1_000_000, 300_000] {
+            let q3 = work(bytes, queries::Q3);
+            assert_eq!(run_count(q3, 64), 1, "{bytes}: {q3}");
+        }
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! `tfidf::idf_counts_sweep` — every predicate of a query counted in one
 //! document-order pass — against the literal per-answer counts of
 //! `tfidf::idf_counts_view` (an answer satisfies a predicate when its tf
-//! is non-zero), and the weights the models build from the sweep against
-//! weights built from those reference counts, bit for bit.
+//! is non-zero), the sweep cut into runs counted on threads of their own
+//! against the uncut one, and the weights the models build from the
+//! sweep against weights built from those reference counts, bit for
+//! bit.
 
 use proptest::prelude::*;
 use whirlpool_index::{DocView, TagIndex};
@@ -250,6 +252,35 @@ proptest! {
             reference_weights(pattern.len(), &preds, population, &counts)
         );
     }
+
+    /// The same documents and patterns, the answers cut into runs at
+    /// random positions (out-of-range and repeated cuts included): each
+    /// run is counted on a thread of its own and the sums are the uncut
+    /// sweep's and the literal counts. Nested answers are cut apart from
+    /// the answers that hold them.
+    #[test]
+    fn split_sweep_counts_equal_the_uncut_and_per_answer_counts(
+        root in element(),
+        answer in 0usize..6,
+        root_attr in 0usize..4,
+        steps in prop::collection::vec(step(), 0..4),
+        cuts in prop::collection::vec(any::<u16>(), 0..6),
+    ) {
+        let mut xml = String::new();
+        write_el(&root, &mut xml);
+        let doc = parse_document(&xml).unwrap();
+        let index = TagIndex::build(&doc);
+        let pattern = pattern(answer, root_attr, &steps);
+        let preds = tfidf::component_predicates(&pattern);
+        let answer_tag = TAGS[answer];
+        let (view, index_view) = (DocView::from(&doc), index.view());
+        let population = tfidf::answer_population(view, index_view, answer_tag) as usize;
+        let cuts: Vec<usize> = cuts.iter().map(|&c| usize::from(c) % (population + 2)).collect();
+        let split = tfidf::idf_counts_sweep_split(view, index_view, answer_tag, &preds, &cuts);
+        let uncut = tfidf::idf_counts_sweep_split(view, index_view, answer_tag, &preds, &[]);
+        prop_assert_eq!(&split, &uncut, "cuts {:?} on {}", cuts, xml);
+        prop_assert_eq!(split, reference_counts(&doc, &index, answer_tag, &preds), "{}", xml);
+    }
 }
 
 #[test]
@@ -348,7 +379,8 @@ fn corpus_weights_over_three_shards_equal_reference_weights_bit_for_bit() {
     }
 }
 
-/// Sweep and reference agree on every query, on one document.
+/// Sweep and reference agree on every query, on one document, and so
+/// does the sweep cut in two at every answer.
 fn assert_sweep_matches_reference(xml: &str, queries: &[&str]) {
     let doc = parse_document(xml).unwrap();
     let index = TagIndex::build(&doc);
@@ -356,11 +388,25 @@ fn assert_sweep_matches_reference(xml: &str, queries: &[&str]) {
         let pattern = parse_pattern(query).unwrap();
         let preds = tfidf::component_predicates(&pattern);
         let answer_tag = &pattern.node(pattern.root()).tag;
+        let expected = reference_counts(&doc, &index, answer_tag, &preds);
         assert_eq!(
             sweep(&doc, &index, answer_tag, &preds),
-            reference_counts(&doc, &index, answer_tag, &preds),
+            expected,
             "{query} on {xml}"
         );
+        for cut in 1..expected.0 as usize {
+            assert_eq!(
+                tfidf::idf_counts_sweep_split(
+                    (&doc).into(),
+                    index.view(),
+                    answer_tag,
+                    &preds,
+                    &[cut]
+                ),
+                expected,
+                "{query} cut at {cut} on {xml}"
+            );
+        }
     }
 }
 

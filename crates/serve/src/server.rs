@@ -142,6 +142,8 @@ struct Daemon {
     /// Shards whose idf counts ran for a request rather than coming
     /// from their memo: a repeated query shape adds nothing.
     shards_counted: Arc<AtomicU64>,
+    /// Nanoseconds requests spent inside those counts.
+    count_ns: Arc<AtomicU64>,
     history: Arc<RungHistory>,
 }
 
@@ -213,6 +215,7 @@ pub fn start(config: ServeConfig, registry: Registry) -> std::io::Result<ServerH
         pruned_before_attach: Arc::new(AtomicU64::new(0)),
         attached_to_count: Arc::new(AtomicU64::new(0)),
         shards_counted: Arc::new(AtomicU64::new(0)),
+        count_ns: Arc::new(AtomicU64::new(0)),
         history: Arc::new(RungHistory::default()),
     };
 
@@ -442,7 +445,7 @@ fn route(daemon: &Daemon, conn: &mut TcpStream, request: &Request) -> Result<(),
                 "{}, \"shards\": {{\"attached\": {}, \"attached_to_count\": {}, \
                  \"attach_failed\": {}, \
                  \"peeked\": {peeked}, \"pruned_before_attach\": {}, \"evictions\": {}, \
-                 \"resident\": {}, \"counted\": {}}}, \"history\": {}}}\n",
+                 \"resident\": {}, \"counted\": {}, \"count_ms\": {:.3}}}, \"history\": {}}}\n",
                 &base[..base.len() - 1],
                 collection.attach_count(),
                 daemon.attached_to_count.load(Ordering::Relaxed),
@@ -451,6 +454,7 @@ fn route(daemon: &Daemon, conn: &mut TcpStream, request: &Request) -> Result<(),
                 collection.eviction_count(),
                 collection.resident_count(),
                 daemon.shards_counted.load(Ordering::Relaxed),
+                daemon.count_ns.load(Ordering::Relaxed) as f64 / 1e6,
                 daemon.history.to_json(),
             );
             respond(conn, 200, &[], &body)?;
@@ -737,6 +741,10 @@ fn handle_query(daemon: &Daemon, conn: &mut TcpStream, body: &[u8]) -> Result<()
         result.collection_metrics.shards_counted as u64,
         Ordering::Relaxed,
     );
+    daemon.count_ns.fetch_add(
+        result.collection_metrics.count_time.as_nanos() as u64,
+        Ordering::Relaxed,
+    );
 
     let (rung, started) = (gov.rung, gov.started);
     let (outcome, status) = gov.finish(daemon, conn, &result.completeness);
@@ -845,6 +853,10 @@ fn query_response_json(
     body.push_str(&format!(
         "  \"model_build_ms\": {:.3},\n",
         result.model_build.as_secs_f64() * 1e3
+    ));
+    body.push_str(&format!(
+        "  \"count_ms\": {:.3},\n",
+        counts.count_time.as_secs_f64() * 1e3
     ));
     body.push_str("  \"answers\": [\n");
     for (i, (a, id)) in result.answers.iter().zip(&ids).enumerate() {
@@ -1561,6 +1573,8 @@ mod tests {
             assert_eq!(a.get("doc").and_then(Json::as_str), Some("rich"), "{body}");
             assert!(a.get("id").and_then(Json::as_str).is_some(), "{body}");
         }
+        // The new shape was counted, in this much time.
+        let count_ms = v.get("count_ms").and_then(Json::as_f64).expect(&body);
 
         // A per-document query against a lazy doc attaches on demand.
         let (status, body) = post_query(
@@ -1590,6 +1604,8 @@ mod tests {
             Some(3),
             "{body}"
         );
+        let total_ms = shards.get("count_ms").and_then(Json::as_f64);
+        assert!(total_ms.is_some_and(|ms| ms >= count_ms), "{body}");
         assert!(
             shards
                 .get("pruned_before_attach")
@@ -1610,6 +1626,16 @@ mod tests {
             .all(|s| s.get("rung").and_then(Json::as_str).is_some()
                 && s.get("pressure").and_then(Json::as_f64).is_some()));
         assert!(body.contains("\"backing\": \"lazy\""), "{body}");
+
+        // The shape's repeat reads every count from the memos and spends
+        // no time counting.
+        let (status, again) = post_query(
+            addr,
+            r#"{"collection": true, "query": "//book[./title and ./isbn]", "k": 2}"#,
+        );
+        assert_eq!(status, 200, "{again}");
+        let again = Json::parse(&again).unwrap();
+        assert_eq!(again.get("count_ms").and_then(Json::as_f64), Some(0.0));
 
         handle.shutdown();
     }

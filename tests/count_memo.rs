@@ -11,6 +11,7 @@
 mod temp;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
 use temp::TempDir;
 use whirlpool_core::{
     evaluate_scope, Algorithm, Collection, CollectionOptions, CollectionResult, EvalOptions, Scope,
@@ -184,10 +185,14 @@ fn at_one_resident_a_repeated_corpus_query_attaches_only_what_it_evaluates() {
     let first = scope_run(&collection, Scope::Corpus, &pattern, 3);
     // The document without items holds no answer: it is never counted.
     assert_eq!(first.collection_metrics.shards_counted, 3);
+    // Counting took time, inside the model's build; a repeat takes none.
+    let count_time = first.collection_metrics.count_time;
+    assert!(Duration::ZERO < count_time && count_time <= first.model_build);
     for _ in 0..3 {
         let again = scope_run(&collection, Scope::Corpus, &pattern, 3);
         let m = &again.collection_metrics;
         assert_eq!(m.shards_counted, 0, "{m:?}");
+        assert_eq!(m.count_time, Duration::ZERO, "{m:?}");
         assert!(m.shards_pruned >= 1, "{m:?}");
         assert!(m.shards_attached as usize <= m.shards_visited, "{m:?}");
         assert_eq!(answers(&again), answers(&first));

@@ -607,13 +607,26 @@ pub fn scored(answers: &[whirlpool_core::RankedAnswer]) -> Vec<(NodeId, f64)> {
     answers.iter().map(|a| (a.root, a.score.value())).collect()
 }
 
+/// How many roots an adaptive engine may seed ahead of the operations
+/// that consume them (DESIGN §10): one for Whirlpool-S, a
+/// `DRAIN_BATCH` of 32 per worker for Whirlpool-M. `None` for the
+/// lock-step engines, which seed every root.
+pub fn seeds_ahead(engine: Engine) -> Option<u64> {
+    match engine {
+        Engine::NoPrun | Engine::LockStep => None,
+        Engine::S => Some(1),
+        Engine::M(threads) => Some(32 * threads as u64),
+    }
+}
+
 /// What relaxed mode may create — one match per seeded root plus one
 /// per server operation — and what lazy seeding adds to that: a root is
 /// seeded or counted unseeded, never both, and when every root starts
 /// at the same score (`uniform_roots`: an idf model) a seed exists only
 /// to be processed, to end the run, or — single-node patterns — to be
 /// an answer, so the matches track the operations, not the document.
-/// Whirlpool-M seeds a batch of 32 per worker ahead of that.
+/// Whirlpool-M seeds a batch of 32 per worker ahead of that
+/// ([`seeds_ahead`]).
 pub fn check_relaxed_counters(
     what: &str,
     m: &MetricsSnapshot,
@@ -627,15 +640,13 @@ pub fn check_relaxed_counters(
         (m.partials_created - m.server_ops) + m.roots_unseeded,
         "{what}: {roots} roots, {m:?}"
     );
-    let ahead = match engine {
-        Engine::NoPrun | Engine::LockStep => {
-            assert_eq!(m.roots_unseeded, 0, "{what}: lock-step seeds every root");
-            return;
-        }
-        _ if !uniform_roots => return,
-        Engine::S => 1,
-        Engine::M(threads) => 32 * threads as u64,
+    let Some(ahead) = seeds_ahead(engine) else {
+        assert_eq!(m.roots_unseeded, 0, "{what}: lock-step seeds every root");
+        return;
     };
+    if !uniform_roots {
+        return;
+    }
     assert!(
         m.partials_created <= 2 * m.server_ops + answers + ahead,
         "{what}: {} matches for {} ops and {answers} answers",

@@ -249,14 +249,17 @@ fn whirlpool_m_at_one_worker_tracks_whirlpool_s() {
 /// Relaxed mode creates one match per *seeded* root plus one per server
 /// operation, in every engine — and the adaptive engines seed a root
 /// only to process it (or to end the run on it), so on a 400-item
-/// document their matches follow their operations.
+/// document their matches follow their operations. Most roots stay
+/// unseeded, up to the seeds an engine may hold ahead of its
+/// operations: Whirlpool-M's workers each materialise a batch of 32,
+/// however the threads interleave.
 #[test]
 fn relaxed_mode_never_fans_out() {
     for engine in ENGINES {
         let (m, roots) = xmark_q2(15, engine);
         check_relaxed_counters(&format!("{engine:?}"), &m, engine, roots, true, 0);
-        if !matches!(engine, Engine::NoPrun | Engine::LockStep) {
-            assert!(m.roots_unseeded > roots / 2, "{engine:?}: {m:?}");
+        if let Some(ahead) = seeds_ahead(engine) {
+            assert!(m.roots_unseeded + ahead > roots / 2, "{engine:?}: {m:?}");
         }
     }
 }
